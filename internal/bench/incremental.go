@@ -6,6 +6,7 @@ import (
 
 	"distxq/internal/core"
 	"distxq/internal/peer"
+	"distxq/internal/projection"
 	"distxq/internal/xdm"
 	"distxq/internal/xmark"
 	"distxq/internal/xrpc"
@@ -33,6 +34,26 @@ type IncRow struct {
 	ResultsEqual bool
 }
 
+// eagerStreamer is the figure's materialize-then-frame baseline, built from
+// the peer's exported pieces: Handle evaluates and marshals the whole
+// response, which is then re-cut into chunk frames — so every frame waits for
+// the whole call and the server buffers all of it.
+type eagerStreamer struct{ *xrpc.Server }
+
+func (e eagerStreamer) HandleStream(request []byte, emit func([]byte) error) error {
+	data, err := e.Handle(request)
+	if err != nil {
+		return err
+	}
+	resp, err := xrpc.ParseResponse(data)
+	if err != nil {
+		return err
+	}
+	// Handle already projected the results; re-frame them whole.
+	whole := projection.PathSet{}.Add(projection.Path{})
+	return xrpc.MarshalResponseStream(resp, e.ChunkItems, nil, whole, e.ProjOpts, emit)
+}
+
 // FigIncremental measures the incremental-evaluation experiment across
 // document sizes.
 func FigIncremental(sizes []int64) ([]IncRow, error) {
@@ -55,7 +76,9 @@ func incrementalRow(size int64) (IncRow, error) {
 		n := peer.NewNetwork()
 		p := n.AddPeer("peer1")
 		p.AddDoc("xmk.xml", xmark.PeopleDocument(cfg, "xrpc://peer1/xmk.xml"))
-		p.Server.EagerStream = eager
+		if eager {
+			n.Transport.Register("peer1", eagerStreamer{p.Server})
+		}
 		p.Server.Metrics = &xrpc.Metrics{}
 		local := n.AddPeer("local")
 		sess := n.NewSession(local, core.ByFragment)

@@ -102,6 +102,9 @@ func TestCompiledEquivalenceRegressions(t *testing.T) {
 		`count(doc("f.xml")//author union doc("f.xml")//title)`,
 		`doc("f.xml")//l2[1] is doc("f.xml")//l2[@k = "y"][1]`,
 		`element report { attribute n {count(doc("f.xml")//book)}, doc("f.xml")//book/title }`,
+		// distinct-values: untyped content compares as strings, numerics by value.
+		`distinct-values(doc("f.xml")//person/name)`,
+		`distinct-values(("1", 1, 1.0))`,
 		// Faults that must match byte for byte.
 		`$nope`,
 		`1 idiv 0`,
@@ -113,6 +116,35 @@ func TestCompiledEquivalenceRegressions(t *testing.T) {
 	}
 	for _, src := range queries {
 		expectCompiled(t, docs, src)
+	}
+}
+
+// TestDistinctValuesKeying pins fn:distinct-values' equality in both modes:
+// xs:untypedAtomic values (element content) compare as strings — distinct
+// names stay distinct instead of collapsing into one not-a-number — while
+// numerics compare by value across numeric types and never equal a string.
+func TestDistinctValuesKeying(t *testing.T) {
+	docs := mapResolver{"f.xml": fuzzFixtureXML}
+	for _, tc := range []struct{ src, want string }{
+		{`distinct-values(doc("f.xml")//person/name)`, "Tang Bo Ana Ivo Eva"},
+		{`distinct-values(doc("f.xml")//author)`, "Tang Zed Bo Ana"},
+		{`distinct-values(doc("f.xml")//city)`, "Amsterdam Delft Utrecht Leiden"},
+		{`distinct-values(for $e in doc("f.xml")//l2 return name($e))`, "l2"},
+		{`distinct-values(doc("f.xml")//age)`, "34 46 25 51 39"},
+		{`distinct-values(("1", 1, 1.0))`, "1 1"},
+		{`count(distinct-values((doc("f.xml")//book[1]/price, 49, "49")))`, "2"},
+	} {
+		for _, compile := range []bool{false, true} {
+			eng := NewEngine(docs)
+			eng.Options.Compile = compile
+			res, err := eng.QueryString(tc.src)
+			if err != nil {
+				t.Fatalf("compile=%v %s: %v", compile, tc.src, err)
+			}
+			if got := serialize(res); got != tc.want {
+				t.Errorf("compile=%v %s\n got:  %s\n want: %s", compile, tc.src, got, tc.want)
+			}
+		}
 	}
 }
 

@@ -391,8 +391,14 @@ func fnDistinctValues(_ *context, args []xdm.Sequence) (xdm.Sequence, error) {
 	seen := map[string]bool{}
 	out := xdm.Sequence{}
 	for _, a := range args[0].Atomize() {
-		key := a.T.String() + "\x00" + a.ItemString()
-		if a.IsNumeric() || a.T == xdm.TUntyped {
+		// Values are distinct under eq: numerics compare by value across
+		// numeric types, and xs:untypedAtomic compares as xs:string (F&O).
+		t := a.T
+		if t == xdm.TUntyped {
+			t = xdm.TString
+		}
+		key := t.String() + "\x00" + a.ItemString()
+		if a.IsNumeric() {
 			key = "num\x00" + xdm.FormatDouble(a.Number())
 		}
 		if !seen[key] {

@@ -38,13 +38,18 @@ func TestSustainedLoadTraced(t *testing.T) {
 	if len(d.Recent) == 0 {
 		t.Fatal("trace ring is empty after a sustained traced run")
 	}
-	// Give in-flight losers a moment to close, then re-dump and audit every
-	// held trace for leaks.
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if tr := svc.Traces.Last(); tr == nil || tr.OpenSpans() == 0 {
-			break
+	// Give in-flight losers a moment to close — a hedge's loser ends its span
+	// when its exchange unwinds, which may be after its query returned — then
+	// re-dump and audit every held trace for leaks.
+	settled := func() bool {
+		for _, rec := range svc.Traces.Dump().Recent {
+			if rec.OpenSpans != 0 {
+				return false
+			}
 		}
+		return true
+	}
+	for deadline := time.Now().Add(10 * time.Second); !settled() && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
 	for _, rec := range svc.Traces.Dump().Recent {

@@ -607,8 +607,9 @@ type Session struct {
 	// piggy-backed spans graft in, so one connected cross-peer tree describes
 	// the whole query. A zero SpanRef disables recording at near-zero cost.
 	TraceSpan trace.SpanRef
-	// AggMetrics, when non-nil, accumulates every query's transport metrics
-	// (a daemon points all its sessions here so /metrics sums across queries).
+	// AggMetrics, when non-nil, accumulates every query's transport counters
+	// (a daemon points all its sessions here so /metrics sums across queries);
+	// waves are counted, per-lane records are not retained across queries.
 	AggMetrics *xrpc.Metrics
 	// AggEval, when non-nil, accumulates every query's evaluation counters.
 	AggEval *eval.StatsSink
@@ -829,7 +830,7 @@ func (s *Session) execPlan(plan *core.Plan, shards []core.ShardMap) (xdm.Sequenc
 	wallNS := time.Since(t0).Nanoseconds()
 	// Retire this query's counters into the session's aggregate sinks before
 	// any return: failed queries still moved bytes and burned evaluations.
-	s.AggMetrics.Add(metrics)
+	s.AggMetrics.AddCounters(metrics)
 	s.AggEval.Add(engine.StatsSnapshot())
 	engine.TraceSpan.EndErr(err)
 	if err != nil {

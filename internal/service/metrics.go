@@ -85,7 +85,7 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 		{name: "distxq_xrpc_peak_buffered_items", kind: "gauge",
 			help: "High-water mark of server-buffered result items.", value: xm.PeakBufferedItems},
 		{name: "distxq_xrpc_waves_total", kind: "counter",
-			help: "Dispatch waves recorded.", value: int64(len(xm.Waves))},
+			help: "Dispatch waves recorded.", value: xm.WaveCount},
 	}
 	// Per-peer health gauges, one labelled sample per tracked peer, in
 	// stable name order so successive scrapes diff cleanly.

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"sync"
 
 	"distxq/internal/core"
@@ -32,25 +33,67 @@ type planCache struct {
 	max     int
 	entries map[string]cachedPlan
 	order   []string
+	// flights holds the in-progress build of each key being planned: the
+	// concurrent first arrivals of one key wait for it instead of each
+	// planning (and compiling) the same query.
+	flights map[string]*planFlight
 }
+
+// planFlight is one in-progress plan build; plan and err are final once done
+// closes.
+type planFlight struct {
+	done chan struct{}
+	plan cachedPlan
+	err  error
+}
+
+var errPlanAborted = errors.New("service: plan build aborted")
 
 func newPlanCache(max int) *planCache {
 	if max <= 0 {
 		max = DefaultPlanCacheSize
 	}
-	return &planCache{max: max, entries: map[string]cachedPlan{}}
+	return &planCache{max: max, entries: map[string]cachedPlan{}, flights: map[string]*planFlight{}}
 }
 
-func (c *planCache) get(key string) (cachedPlan, bool) {
+// load returns the plan cached under key, building and publishing it on a
+// miss. Concurrent misses of one key share a single build: the first arrival
+// runs it, the others wait and count as hits once it publishes. A failed
+// build is handed to its waiters but not cached.
+func (c *planCache) load(key string, build func() (cachedPlan, error)) (p cachedPlan, hit bool, err error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, ok := c.entries[key]
-	return p, ok
+	if p, ok := c.entries[key]; ok {
+		c.mu.Unlock()
+		return p, true, nil
+	}
+	if f, ok := c.flights[key]; ok {
+		c.mu.Unlock()
+		<-f.done
+		return f.plan, f.err == nil, f.err
+	}
+	f := &planFlight{done: make(chan struct{}), err: errPlanAborted}
+	c.flights[key] = f
+	c.mu.Unlock()
+	defer func() {
+		c.mu.Lock()
+		delete(c.flights, key)
+		if f.err == nil {
+			c.putLocked(key, f.plan)
+		}
+		c.mu.Unlock()
+		close(f.done)
+	}()
+	f.plan, f.err = build()
+	return f.plan, false, f.err
 }
 
 func (c *planCache) put(key string, p cachedPlan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.putLocked(key, p)
+}
+
+func (c *planCache) putLocked(key string, p cachedPlan) {
 	// Evict superseded epochs first: a topology change strands every entry
 	// planned under an older epoch (the key embeds the epoch, so they can
 	// never be hit again) — drop them now instead of letting dead plans

@@ -133,8 +133,9 @@ type Service struct {
 	retry *xrpc.RetryPolicy
 	sem   chan struct{}
 
-	// xmetrics and evalStats aggregate every query's transport metrics and
-	// evaluation counters across the service's lifetime — the /metrics feed.
+	// xmetrics and evalStats aggregate every query's transport and evaluation
+	// counters across the service's lifetime — the /metrics feed. Counters
+	// only: nothing in them grows with the number of queries served.
 	xmetrics  *xrpc.Metrics
 	evalStats *eval.StatsSink
 
@@ -244,9 +245,10 @@ func (s *Service) admit(budget core.Budget) (release func(), err error) {
 }
 
 // plan returns the decomposed plan of query source, from the cache when the
-// same normalized source was planned under the current shard-map epoch. A
-// cached plan's AST is normalized exactly once, before publication, so
-// concurrent executions share it read-only.
+// same normalized source was planned under the current shard-map epoch;
+// concurrent first arrivals of one source share a single build. A cached
+// plan's AST is normalized exactly once, before publication, so concurrent
+// executions share it read-only.
 func (s *Service) plan(src string, sp trace.SpanRef) (*core.Plan, []core.ShardMap, error) {
 	q, err := xq.ParseQuery(src)
 	if err != nil {
@@ -264,41 +266,43 @@ func (s *Service) plan(src string, sp trace.SpanRef) (*core.Plan, []core.ShardMa
 		shards, epoch = s.net.ShardTopology()
 	}
 	key := fmt.Sprintf("%d|%d|%s", epoch, s.strategy, xq.PrintQuery(q))
-	if p, ok := s.plans.get(key); ok {
+	entry, hit, err := s.plans.load(key, func() (cachedPlan, error) {
+		opts := core.DefaultOptions()
+		opts.Shards = shards
+		if len(shards) > 0 {
+			opts.KnownPeers = s.net.PeerNames()
+		}
+		plan, err := core.Decompose(q, s.strategy, opts)
+		if err != nil {
+			return cachedPlan{}, err
+		}
+		if err := xq.Normalize(plan.Query); err != nil {
+			return cachedPlan{}, err
+		}
+		entry := cachedPlan{plan: plan, epoch: epoch}
+		if s.cfg.Compile {
+			// Compile before publication: the artifact pins to the plan's
+			// query object, so every execution of this cache entry —
+			// including concurrent ones — shares one lowering, and a new
+			// epoch's plan gets a fresh compilation against the new shard
+			// maps.
+			csp := sp.Child("compile")
+			entry.prog, err = eval.CompileQuery(plan.Query)
+			csp.EndErr(err)
+		}
+		return entry, err
+	})
+	if hit {
 		s.planHits.Add(1)
 		sp.Set(trace.Str("cache", "hit"))
-		return p.plan, shards, nil
+	} else {
+		s.planMisses.Add(1)
+		sp.Set(trace.Str("cache", "miss"))
 	}
-	s.planMisses.Add(1)
-	sp.Set(trace.Str("cache", "miss"))
-	opts := core.DefaultOptions()
-	opts.Shards = shards
-	if len(shards) > 0 {
-		opts.KnownPeers = s.net.PeerNames()
-	}
-	plan, err := core.Decompose(q, s.strategy, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := xq.Normalize(plan.Query); err != nil {
-		return nil, nil, err
-	}
-	entry := cachedPlan{plan: plan, epoch: epoch}
-	if s.cfg.Compile {
-		// Compile before publication: the artifact pins to the plan's query
-		// object, so every execution of this cache entry — including
-		// concurrent ones — shares one lowering, and a new epoch's plan gets
-		// a fresh compilation against the new shard maps.
-		csp := sp.Child("compile")
-		prog, err := eval.CompileQuery(plan.Query)
-		csp.EndErr(err)
-		if err != nil {
-			return nil, nil, err
-		}
-		entry.prog = prog
-	}
-	s.plans.put(key, entry)
-	return plan, shards, nil
+	return entry.plan, shards, nil
 }
 
 // Query admits, plans and executes one query under a wall-time budget (the
@@ -371,7 +375,8 @@ func (s *Service) Query(src string, budget core.Budget) (xdm.Sequence, *peer.Rep
 // the service has executed.
 func (s *Service) EvalStats() eval.Stats { return s.evalStats.Snapshot() }
 
-// XRPCMetrics returns the aggregated transport metrics across every query.
+// XRPCMetrics returns the aggregated transport counters across every query;
+// dispatch waves are counted (WaveCount), their lane records are not kept.
 func (s *Service) XRPCMetrics() xrpc.Metrics { return s.xmetrics.Snapshot() }
 
 // PeerHealth returns the shared health tracker's per-peer state.

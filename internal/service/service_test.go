@@ -3,6 +3,8 @@ package service
 import (
 	"errors"
 	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -146,6 +148,71 @@ func TestServiceDefaultBudgetApplied(t *testing.T) {
 	}
 }
 
+// TestPlanCacheSingleFlight: concurrent first arrivals of one query plan it
+// once — the others wait for the in-flight build and count as hits — and a
+// failed build is not cached.
+func TestPlanCacheSingleFlight(t *testing.T) {
+	const arrivals = 16
+	for _, compile := range []bool{false, true} {
+		s, _, query := newTestService(t, Config{MaxConcurrent: arrivals, Compile: compile})
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < arrivals; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if _, _, err := s.Query(query, core.Budget{}); err != nil {
+					t.Errorf("compile=%v: %v", compile, err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if st := s.Stats(); st.PlanMisses != 1 || st.PlanHits != arrivals-1 {
+			t.Errorf("compile=%v: plan cache misses=%d hits=%d, want 1/%d",
+				compile, st.PlanMisses, st.PlanHits, arrivals-1)
+		}
+	}
+
+	c := newPlanCache(2)
+	boom := errors.New("boom")
+	if _, hit, err := c.load("k", func() (cachedPlan, error) { return cachedPlan{}, boom }); hit || err != boom {
+		t.Errorf("failed build: hit=%v err=%v, want the build's own failure", hit, err)
+	}
+	if _, hit, err := c.load("k", func() (cachedPlan, error) { return cachedPlan{plan: &core.Plan{}}, nil }); hit || err != nil {
+		t.Errorf("after a failed build: hit=%v err=%v, want a fresh build (failures are not cached)", hit, err)
+	}
+	if _, hit, _ := c.load("k", nil); !hit {
+		t.Error("a published build was not cached")
+	}
+}
+
+// TestAggregateMetricsStayBounded: the service's running transport totals
+// keep counters only — a thousand queries leave no per-lane wave records
+// behind, and the wave counter equals the sum of the per-query reports.
+func TestAggregateMetricsStayBounded(t *testing.T) {
+	s, _, query := newTestService(t, Config{})
+	var waves int64
+	for i := 0; i < 1000; i++ {
+		_, rep, err := s.Query(query, core.Budget{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waves += rep.Waves
+	}
+	m := s.XRPCMetrics()
+	if len(m.Waves) != 0 {
+		t.Errorf("aggregate retains %d wave records after 1000 queries, want none", len(m.Waves))
+	}
+	if waves == 0 || m.WaveCount != waves {
+		t.Errorf("aggregate wave count = %d, want the per-query sum %d", m.WaveCount, waves)
+	}
+	if want := fmt.Sprintf("distxq_xrpc_waves_total %d\n", waves); !strings.Contains(s.MetricsText(), want) {
+		t.Errorf("metrics page is missing %q", want)
+	}
+}
+
 // TestPlanCacheEviction: the bounded cache evicts in insertion order.
 func TestPlanCacheEviction(t *testing.T) {
 	c := newPlanCache(2)
@@ -155,11 +222,11 @@ func TestPlanCacheEviction(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("len=%d, want 2", c.Len())
 	}
-	if _, ok := c.get("a"); ok {
+	if _, ok := c.entries["a"]; ok {
 		t.Error("oldest entry a survived eviction")
 	}
 	for _, k := range []string{"b", "c"} {
-		if _, ok := c.get(k); !ok {
+		if _, ok := c.entries[k]; !ok {
 			t.Errorf("entry %s missing", k)
 		}
 	}

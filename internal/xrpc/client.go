@@ -60,26 +60,38 @@ type Metrics struct {
 	RoundTripWall int64 // wall time of Transport.RoundTrip
 	// PeakBufferedItems is the high-water mark of result items buffered at
 	// once on a server while producing responses — one frame's worth under
-	// incremental streaming, the whole result under gather or eager
-	// streaming. Unlike the counters it combines by maximum, being a peak.
+	// incremental streaming, the whole result under gather. Unlike the
+	// counters it combines by maximum, being a peak.
 	PeakBufferedItems int64
 	// Waves records the dispatch structure for overlap-aware network
 	// accounting: each entry is one wave of exchanges that were in flight
 	// together. A sequential call appends a single-lane wave; a scatter
 	// dispatch appends one wave with a lane per destination peer.
 	Waves [][]Lane
+	// WaveCount counts the dispatch waves accounted into these metrics. It
+	// equals len(Waves) except in an aggregate sink (AddCounters), which
+	// counts waves without retaining their lane records.
+	WaveCount int64
 }
 
-// Add accumulates another metrics snapshot. The source is snapshotted under
-// its own lock first — most callers pass fresh locals, but nothing stops a
-// shared accumulator from being added into another while it is still being
-// written (the session-aggregate path does exactly that), and reading its
-// fields bare would tear under the race detector.
-func (m *Metrics) Add(o *Metrics) {
+// Add accumulates another metrics snapshot, wave records included. The
+// source is snapshotted under its own lock first — most callers pass fresh
+// locals, but nothing stops a shared accumulator from being added into
+// another while it is still being written (the session-aggregate path does
+// exactly that), and reading its fields bare would tear under the race
+// detector.
+func (m *Metrics) Add(o *Metrics) { m.add(o, true) }
+
+// AddCounters accumulates another metrics snapshot's counters only: its waves
+// are counted, their per-lane records are not retained. It is how a sink that
+// outlives its queries (a daemon's running totals) stays bounded.
+func (m *Metrics) AddCounters(o *Metrics) { m.add(o, false) }
+
+func (m *Metrics) add(o *Metrics, waves bool) {
 	if m == nil || o == nil || m == o {
 		return
 	}
-	snap := o.Snapshot()
+	snap := o.snapshot(waves)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.Requests += snap.Requests
@@ -93,8 +105,9 @@ func (m *Metrics) Add(o *Metrics) {
 	if snap.PeakBufferedItems > m.PeakBufferedItems {
 		m.PeakBufferedItems = snap.PeakBufferedItems
 	}
-	// Snapshot already deep-copied the waves.
+	// The snapshot already deep-copied the waves (none for AddCounters).
 	m.Waves = append(m.Waves, snap.Waves...)
+	m.WaveCount += snap.WaveCount
 }
 
 // AddWave records one dispatch wave of overlapped exchanges.
@@ -105,6 +118,18 @@ func (m *Metrics) AddWave(lanes []Lane) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.Waves = append(m.Waves, append([]Lane(nil), lanes...))
+	m.WaveCount++
+}
+
+// addWaves records a scatter dispatch as waves no wider than its worker
+// pool: with more batches than workers only width exchanges are ever in
+// flight together, and the overlap model must not pretend otherwise.
+func (m *Metrics) addWaves(lanes []Lane, width int) {
+	for len(lanes) > 0 {
+		n := min(width, len(lanes))
+		m.AddWave(lanes[:n])
+		lanes = lanes[n:]
+	}
 }
 
 // Reset zeroes the counters. It must not replace the struct wholesale: that
@@ -122,22 +147,29 @@ func (m *Metrics) Reset() {
 	m.RoundTripWall = 0
 	m.PeakBufferedItems = 0
 	m.Waves = nil
+	m.WaveCount = 0
 }
 
 // Snapshot returns a copy for reading.
-func (m *Metrics) Snapshot() Metrics {
+func (m *Metrics) Snapshot() Metrics { return m.snapshot(true) }
+
+// snapshot copies the counters and, when waves is set, the wave records.
+func (m *Metrics) snapshot(waves bool) Metrics {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	waves := make([][]Lane, 0, len(m.Waves))
-	for _, w := range m.Waves {
-		waves = append(waves, append([]Lane(nil), w...))
+	var copied [][]Lane
+	if waves {
+		copied = make([][]Lane, 0, len(m.Waves))
+		for _, w := range m.Waves {
+			copied = append(copied, append([]Lane(nil), w...))
+		}
 	}
 	return Metrics{
 		Requests: m.Requests, BytesSent: m.BytesSent, BytesReceived: m.BytesReceived,
 		SerializeNS: m.SerializeNS, DeserializeNS: m.DeserializeNS,
 		RemoteExecNS: m.RemoteExecNS, ServerSerdeNS: m.ServerSerdeNS,
 		RoundTripWall: m.RoundTripWall, PeakBufferedItems: m.PeakBufferedItems,
-		Waves: waves,
+		Waves: copied, WaveCount: m.WaveCount,
 	}
 }
 
@@ -230,6 +262,14 @@ func (c *Client) hedgeDelay(peer string) time.Duration {
 	return c.Retry.hedgeAfter()
 }
 
+// poolWidth returns the per-wave bound on in-flight lanes.
+func (c *Client) poolWidth() int {
+	if c.MaxConcurrent > 0 {
+		return c.MaxConcurrent
+	}
+	return DefaultMaxConcurrent
+}
+
 // baseContext returns the dispatch base context.
 func (c *Client) baseContext() context.Context {
 	if c.Context != nil {
@@ -278,7 +318,9 @@ func finishLane(sp trace.SpanRef, lane Lane, err error) {
 // batches do).
 func (c *Client) CallRemoteBulk(target string, x *xq.XRPCExpr, iterations [][]xdm.Sequence) ([]xdm.Sequence, error) {
 	lsp := laneSpan(c.Trace, target)
-	results, lane, err := c.callLane(c.baseContext(), x, eval.ScatterBatch{Target: target, Iterations: iterations}, lsp)
+	var results []xdm.Sequence
+	lane, err := c.runLane(c.baseContext(), eval.ScatterBatch{Target: target, Iterations: iterations}, lsp,
+		c.gatherAttempt(x, iterations, &results))
 	finishLane(lsp, lane, err)
 	if err != nil {
 		return nil, err
@@ -311,10 +353,7 @@ func (c *Client) CallRemoteScatter(x *xq.XRPCExpr, batches []eval.ScatterBatch) 
 	results := make([][]xdm.Sequence, len(batches))
 	errs := make([]error, len(batches))
 	lanes := make([]Lane, len(batches))
-	width := c.MaxConcurrent
-	if width <= 0 {
-		width = DefaultMaxConcurrent
-	}
+	width := c.poolWidth()
 	base := c.baseContext()
 	ctx, cancel := context.WithCancel(base)
 	defer cancel()
@@ -335,7 +374,7 @@ func (c *Client) CallRemoteScatter(x *xq.XRPCExpr, batches []eval.ScatterBatch) 
 				return
 			}
 			lsp := laneSpan(ssp, batches[i].Target)
-			results[i], lanes[i], errs[i] = c.callLane(ctx, x, batches[i], lsp)
+			lanes[i], errs[i] = c.runLane(ctx, batches[i], lsp, c.gatherAttempt(x, batches[i].Iterations, &results[i]))
 			finishLane(lsp, lanes[i], errs[i])
 			if errs[i] != nil {
 				cancel()
@@ -349,17 +388,7 @@ func (c *Client) CallRemoteScatter(x *xq.XRPCExpr, batches []eval.ScatterBatch) 
 			ok = append(ok, lanes[i])
 		}
 	}
-	// Record the dispatch as waves no wider than the worker pool: with more
-	// batches than workers only `width` exchanges are ever in flight
-	// together, and the overlap model must not pretend otherwise.
-	for len(ok) > 0 {
-		n := width
-		if n > len(ok) {
-			n = len(ok)
-		}
-		c.Metrics.AddWave(ok[:n])
-		ok = ok[n:]
-	}
+	c.Metrics.addWaves(ok, width)
 	return results, errs
 }
 

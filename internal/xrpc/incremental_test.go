@@ -93,6 +93,25 @@ func TestHandleStreamFirstFrameMidEvaluation(t *testing.T) {
 	}
 }
 
+// eagerStream is the materialize-then-frame reference the incremental server
+// is compared against, rebuilt from exported pieces: Handle evaluates and
+// marshals the whole response, which is then re-cut into chunk frames.
+type eagerStream struct{ *Server }
+
+func (e eagerStream) HandleStream(request []byte, emit func([]byte) error) error {
+	data, err := e.Handle(request)
+	if err != nil {
+		return err
+	}
+	resp, err := ParseResponse(data)
+	if err != nil {
+		return err
+	}
+	// Handle already projected the results; re-frame them whole.
+	whole := projection.PathSet{}.Add(projection.Path{})
+	return MarshalResponseStream(resp, e.ChunkItems, nil, whole, e.ProjOpts, emit)
+}
+
 // TestIncrementalPeakBufferedBounded: an incremental stream holds at most
 // one frame's worth of result items at a time, while the eager-stream
 // baseline and the gather-whole handler buffer the entire result.
@@ -107,28 +126,27 @@ func TestIncrementalPeakBufferedBounded(t *testing.T) {
 	docs := mapResolver{"d.xml": sb.String()}
 	request := incrementalRequest(t, `doc("d.xml")/child::r/child::x`)
 
-	run := func(srv *Server, stream bool) int64 {
+	// run drives one exchange through handle and reports the server's peak.
+	run := func(srv *Server, handle func([]byte) error) int64 {
 		t.Helper()
 		srv.Metrics = &Metrics{}
-		var err error
-		if stream {
-			err = srv.HandleStream(request, func([]byte) error { return nil })
-		} else {
-			_, err = srv.Handle(request)
-		}
-		if err != nil {
+		if err := handle(request); err != nil {
 			t.Fatal(err)
 		}
 		return srv.Metrics.Snapshot().PeakBufferedItems
 	}
+	discard := func([]byte) error { return nil }
 
-	if peak := run(&Server{Engine: eval.NewEngine(docs), ChunkItems: chunk}, true); peak > chunk {
+	inc := &Server{Engine: eval.NewEngine(docs), ChunkItems: chunk}
+	if peak := run(inc, func(r []byte) error { return inc.HandleStream(r, discard) }); peak > chunk {
 		t.Errorf("incremental peak = %d items, want <= %d (one frame)", peak, chunk)
 	}
-	if peak := run(&Server{Engine: eval.NewEngine(docs), ChunkItems: chunk, EagerStream: true}, true); peak < n {
+	eager := &Server{Engine: eval.NewEngine(docs), ChunkItems: chunk}
+	if peak := run(eager, func(r []byte) error { return eagerStream{eager}.HandleStream(r, discard) }); peak < n {
 		t.Errorf("eager-stream peak = %d items, want >= %d (whole call)", peak, n)
 	}
-	if peak := run(&Server{Engine: eval.NewEngine(docs)}, false); peak < n {
+	whole := &Server{Engine: eval.NewEngine(docs)}
+	if peak := run(whole, func(r []byte) error { _, err := whole.Handle(r); return err }); peak < n {
 		t.Errorf("gather-whole peak = %d items, want >= %d (whole response)", peak, n)
 	}
 }
@@ -161,19 +179,18 @@ func TestStreamedLazyEagerEquivalenceRandomized(t *testing.T) {
 			}
 			sb.WriteString("</lib>")
 			docXML := sb.String()
-			mkPeers := func(chunk int, eager bool) map[string]*Server {
+			mkPeers := func(chunk int) map[string]*Server {
 				peers := map[string]*Server{}
 				for _, name := range []string{"a", "b"} {
 					peers[name] = &Server{
-						Engine:      eval.NewEngine(mapResolver{"d.xml": docXML}),
-						ChunkItems:  chunk,
-						EagerStream: eager,
+						Engine:     eval.NewEngine(mapResolver{"d.xml": docXML}),
+						ChunkItems: chunk,
 					}
 				}
 				return peers
 			}
 			for qi, q := range queries {
-				gatherEng, _ := wire(t, sem, mkPeers(0, false))
+				gatherEng, _ := wire(t, sem, mkPeers(0))
 				want, err := gatherEng.QueryString(q)
 				if err != nil {
 					t.Fatalf("sem=%v seed=%d q=%d gather: %v", sem, seed, qi, err)
@@ -181,7 +198,13 @@ func TestStreamedLazyEagerEquivalenceRandomized(t *testing.T) {
 				w := serialize(want)
 				for _, chunk := range []int{1, 4, 32} {
 					for _, eager := range []bool{false, true} {
-						eng, _ := streamWire(t, sem, mkPeers(chunk, eager))
+						peers := mkPeers(chunk)
+						eng, cl := streamWire(t, sem, peers)
+						if eager {
+							for name, srv := range peers {
+								cl.Transport.(*InMemoryTransport).Register(name, eagerStream{srv})
+							}
+						}
 						got, err := eng.QueryString(q)
 						if err != nil {
 							t.Fatalf("sem=%v seed=%d q=%d chunk=%d eager=%v: %v",

@@ -1,15 +1,19 @@
 package xrpc
 
-// This file implements per-lane fault tolerance for scatter-gather dispatch:
-// a RetryPolicy that re-issues a failed Bulk RPC to the lane's next replica
-// (retry) and races a speculative duplicate against a slow one (hedging).
-// The winner's response is used, the loser is cancelled, and the lane's
-// provenance (winning replica, retries, hedges, wasted wall time) travels on
-// the Lane record so sessions can report tail-tolerance costs. Correctness
-// rests on the repo-wide invariant that peers evaluate deterministically:
-// two replicas holding byte-identical shard documents produce byte-identical
-// results for the same shipped function, so whichever attempt wins, the
-// gathered query result is unchanged.
+// This file implements per-lane fault tolerance for every dispatch mode: one
+// lane runner (runLane) that re-issues a failed exchange to the lane's next
+// replica (retry), races a speculative duplicate against a slow one
+// (hedging), and follows a moved shard to its new home (re-route). The runner
+// owns the rotation, the attempt budget, both timers, fault bookkeeping and
+// winner provenance; what one attempt does — a gather-whole exchange or a
+// chunk-stream exchange — is a laneAttempt it is handed. Attempts race until
+// one commits, the committed attempt alone delivers, the losers are
+// cancelled, and the lane's provenance (winning replica, retries, hedges,
+// wasted wall time) travels on the Lane record so sessions can report
+// tail-tolerance costs. Correctness rests on the repo-wide invariant that
+// peers evaluate deterministically: two replicas holding byte-identical shard
+// documents produce byte-identical results for the same shipped function, so
+// whichever attempt wins, the query result is unchanged.
 
 import (
 	"context"
@@ -39,11 +43,12 @@ type RetryPolicy struct {
 	Backoff time.Duration
 	// HedgeAfter, when positive, launches a speculative duplicate of the
 	// exchange on the next target of the rotation if the newest attempt has
-	// not answered within this duration. The first response wins and the
-	// losers are cancelled (torn down over cancellation-aware transports).
-	// Streamed lanes treat it as a liveness bound on the first response
-	// frame: a lane whose stream has not started by then is cancelled and
-	// re-issued to the next replica (see StreamedClient). A Client with a
+	// not committed within this duration — a gather exchange commits when
+	// its response has parsed, a streamed one when its first frame arrives,
+	// so on streamed lanes this bounds time-to-first-frame. The hedge races
+	// the attempt it doubts and never cancels it: the first attempt to
+	// commit takes the lane and only then are the others cancelled (torn
+	// down over cancellation-aware transports). A Client with a
 	// HealthTracker overrides this per peer with the observed P90 once
 	// enough fresh samples exist.
 	HedgeAfter time.Duration
@@ -194,9 +199,6 @@ type firstFault struct {
 }
 
 func (f *firstFault) record(attempt int, err error) {
-	if err == nil {
-		return
-	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		if f.echo == nil {
 			f.echo = err
@@ -218,211 +220,303 @@ func (f *firstFault) error() error {
 	return fmt.Errorf("xrpc: lane dispatch exhausted its attempts")
 }
 
+// laneAttempt is the one thing the lane runner is parameterised by: what a
+// single attempt against peer does. The attempt runs under ctx, records under
+// sp, and must call commit before it hands anything to the lane's consumer —
+// a gather attempt once its whole response has parsed, a streamed attempt when
+// its first frame arrives. commit reports whether this attempt now holds the
+// lane's delivery token; an attempt that is refused abandons the exchange and
+// returns an error.
+type laneAttempt func(ctx context.Context, peer string, commit func() bool, sp trace.SpanRef) (Lane, error)
+
+// gatherAttempt is the gather-whole laneAttempt: one Bulk RPC exchange whose
+// results land in *out if — and only if — the attempt commits.
+func (c *Client) gatherAttempt(x *xq.XRPCExpr, iterations [][]xdm.Sequence, out *[]xdm.Sequence) laneAttempt {
+	return func(ctx context.Context, peer string, commit func() bool, sp trace.SpanRef) (Lane, error) {
+		results, lane, err := c.callBulkCtx(ctx, peer, x, iterations, sp)
+		if err != nil {
+			return Lane{}, err
+		}
+		if !commit() {
+			return Lane{}, context.Canceled
+		}
+		*out = results
+		return lane, nil
+	}
+}
+
+// attemptState is the runner's record of one launched attempt.
+type attemptState struct {
+	peer      string
+	start     time.Time
+	cancel    context.CancelFunc
+	sp        trace.SpanRef
+	granted   chan bool // the runner's answer to this attempt's commit
+	running   bool      // has not reported its outcome yet
+	cancelled bool      // torn down by the runner: it lost the commit race
+}
+
 // attemptOutcome is one attempt's report back to the lane runner.
 type attemptOutcome struct {
 	attempt int
-	replica int
-	peer    string
-	results []xdm.Sequence
 	lane    Lane
 	err     error
 	wallNS  int64
-	sp      trace.SpanRef
 }
 
-// attemptKind names an attempt for its span: the first try is the primary,
-// later ones are retries (after a fault) or hedges (racing a straggler).
-func attemptKind(first, hedge bool) string {
-	switch {
-	case first:
-		return "primary"
-	case hedge:
-		return "hedge"
-	default:
-		return "retry"
+// laneTimer is an optional one-shot timer of the runner's select loop: while
+// disarmed its C is nil and never fires. arm expects a disarmed timer.
+type laneTimer struct {
+	t *time.Timer
+	C <-chan time.Time
+}
+
+func (lt *laneTimer) arm(d time.Duration) {
+	lt.t = time.NewTimer(d)
+	lt.C = lt.t.C
+}
+
+func (lt *laneTimer) stop() {
+	if lt.t != nil {
+		lt.t.Stop()
+		lt.t, lt.C = nil, nil
 	}
 }
 
-// callLane performs one scatter lane's Bulk RPC under the client's
-// RetryPolicy. Without a policy and without replicas it is exactly one
-// exchange. Otherwise attempts rotate through the lane's targets: a failed
-// attempt is re-issued (after Backoff) to the next one, and when HedgeAfter
-// is set a speculative duplicate races any attempt that has not answered in
-// time. The first successful attempt wins; every other attempt is cancelled
-// and its wall time accounted as the lane's WastedNS. Exchanges already in
-// flight over transports without cancellation support run to completion,
-// but their results are discarded — duplicated responses are safe because
-// peer evaluation is deterministic and only the winner's response is
-// gathered.
-func (c *Client) callLane(ctx context.Context, x *xq.XRPCExpr, batch eval.ScatterBatch, lsp trace.SpanRef) ([]xdm.Sequence, Lane, error) {
+// runLane dispatches one lane under the client's RetryPolicy: the single
+// retry / hedge / re-route state machine of every dispatch mode. Attempts
+// rotate through the lane's targets; a failed attempt is re-issued (after
+// Backoff) to the next one, and when a hedge delay applies a speculative
+// duplicate joins any attempt that has not committed in time. Attempts race
+// until one commits: the commit hands that attempt the lane's delivery token,
+// cancels every other outstanding attempt and disarms the hedge timer — a
+// hedge never cancels an attempt that has not failed. The committed attempt's
+// success ends the lane; if it faults after committing (a stream dying
+// mid-flight) the token is released and the loop retries, the attempt func
+// being responsible for not re-delivering what the consumer already holds.
+// A genuine fault re-consults the live topology (reroutedTargets); a deadline
+// fault or a torn-down dispatch stops further attempts. Every attempt that
+// did not win is charged to the lane's WastedNS. Exchanges in flight over
+// transports without cancellation support run to completion, but can no
+// longer commit — duplicated responses are safe because peer evaluation is
+// deterministic and only the token holder delivers.
+func (c *Client) runLane(ctx context.Context, batch eval.ScatterBatch, lsp trace.SpanRef, run laneAttempt) (Lane, error) {
 	start := time.Now()
 	max := c.Retry.maxAttempts(len(batch.Replicas))
-	// A client with a Reroute hook takes the full event loop even for
-	// single-attempt lanes: a fault may pull the shard's new home into the
-	// rotation, turning what would be a dead lane into a re-dispatch.
-	if max <= 1 && c.Reroute == nil {
-		asp := lsp.Child("attempt", trace.Str("peer", batch.Target), trace.Str("kind", "primary"))
-		results, lane, err := c.callBulkCtx(ctx, batch.Target, x, batch.Iterations, asp)
-		asp.EndErr(err)
-		if err != nil {
-			err = budgetFailure(ctx, err, batch.Target, start)
-		} else {
-			asp.Set(trace.Bool("winner", true))
-		}
-		return results, lane, err
-	}
 	targets := c.dispatchTargets(batch)
-	lctx, lcancel := context.WithCancel(ctx)
-	defer lcancel()
 
-	outcomes := make(chan attemptOutcome, max)
-	starts := make([]time.Time, 0, max)
-	launched, outstanding := 0, 0
-	retries, hedges := 0, 0
-	launch := func(hedge bool) {
-		a := launched
-		starts = append(starts, time.Now())
-		launched++
-		outstanding++
-		if a > 0 {
-			if hedge {
-				hedges++
-			} else {
-				retries++
+	// All state below is owned by this goroutine; attempts talk to it through
+	// outcomes and commits (an attempt index asking for the delivery token),
+	// and stop trying once done closes.
+	done := make(chan struct{})
+	outcomes := make(chan attemptOutcome)
+	commits := make(chan int)
+	attempts := make([]attemptState, 0, max)
+	defer func() {
+		close(done)
+		for i := range attempts {
+			attempts[i].cancel()
+		}
+	}()
+	var hedge, retry laneTimer
+	defer hedge.stop()
+	defer retry.stop()
+	outstanding, retries, hedges := 0, 0, 0
+	holder := -1     // attempt holding the delivery token
+	stopped := false // no further attempts: budget spent or dispatch torn down
+	// spent reports whether the lane may launch nothing more.
+	spent := func() bool { return stopped || len(attempts) >= max || ctx.Err() != nil }
+	stop := func() {
+		stopped = true
+		hedge.stop()
+		retry.stop()
+	}
+
+	// grant hands attempt a the delivery token if it is free: every other
+	// attempt is cancelled and nothing further is scheduled while it is held.
+	grant := func(a int) bool {
+		if holder >= 0 || attempts[a].cancelled {
+			return false
+		}
+		holder = a
+		for i := range attempts {
+			if i != a {
+				attempts[i].cancelled = true
+				attempts[i].cancel()
 			}
 		}
-		// Resolve peer and rotation slot here on the event loop: the rotation
-		// may grow under epoch-aware re-dispatch, and the attempt goroutine
-		// must not touch the shared slice.
-		rot := a % len(targets)
-		peer := targets[rot]
-		// The attempt goroutine owns its span end-to-end: it may outlive the
-		// lane (a cancelled loser over a synchronous transport runs to
-		// completion), so nobody else may End it — the winner tag lands
-		// post-hoc via Set, which is legal on an ended span.
+		hedge.stop()
+		retry.stop()
+		return true
+	}
+	// sole is a launched attempt that has nothing to race — no hedge armed, no
+	// other attempt outstanding. The loop would only block on it, so it runs
+	// on the loop's own goroutine: the default single-attempt lane costs no
+	// goroutine, context or channel hand-off.
+	var sole func() attemptOutcome
+
+	launch := func(hedged bool) {
+		// The first try is the primary; later ones are retries (after a
+		// fault) or hedges (racing a straggler).
+		a, kind := len(attempts), "primary"
+		switch {
+		case a == 0:
+		case hedged:
+			hedges++
+			kind = "hedge"
+		default:
+			retries++
+			kind = "retry"
+		}
+		// Peer and rotation slot are resolved here on the event loop: the
+		// rotation may grow under epoch-aware re-dispatch, and attempt
+		// goroutines must not touch the shared slice.
+		peer := targets[a%len(targets)]
+		// The attempt owns its span end to end: it may outlive the lane (a
+		// cancelled loser over a synchronous transport runs to completion), so
+		// nobody else may End it — the winner tag lands post-hoc via Set,
+		// which is legal on an ended span.
 		asp := lsp.Child("attempt",
 			trace.Str("peer", peer),
 			trace.Int("replica", int64(replicaIndex(batch, peer))),
-			trace.Str("kind", attemptKind(a == 0, hedge)))
-		go func() {
+			trace.Str("kind", kind))
+		attempts = append(attempts, attemptState{
+			peer: peer, start: time.Now(), cancel: func() {}, sp: asp, running: true})
+		outstanding++
+		// The hedge trigger is resolved against the newest attempt's peer: a
+		// tracked peer hedges at its own observed P90.
+		hedge.stop()
+		if !spent() {
+			if d := c.hedgeDelay(peer); d > 0 {
+				hedge.arm(d)
+			}
+		}
+		actx := ctx
+		commit := func() bool { return grant(a) }
+		racing := hedge.C != nil || outstanding > 1
+		if racing {
+			granted := make(chan bool, 1)
+			actx, attempts[a].cancel = context.WithCancel(ctx)
+			attempts[a].granted = granted
+			commit = func() bool {
+				select {
+				case commits <- a:
+					return <-granted
+				case <-done:
+					return false
+				}
+			}
+		}
+		exec := func() attemptOutcome {
 			t0 := time.Now()
-			results, lane, err := c.callBulkCtx(lctx, peer, x, batch.Iterations, asp)
+			lane, err := run(actx, peer, commit, asp)
 			asp.EndErr(err)
-			outcomes <- attemptOutcome{
-				attempt: a, replica: rot, peer: peer,
-				results: results, lane: lane, err: err,
-				wallNS: time.Since(t0).Nanoseconds(), sp: asp,
+			return attemptOutcome{a, lane, err, time.Since(t0).Nanoseconds()}
+		}
+		if !racing {
+			sole = exec
+			return
+		}
+		go func() {
+			o := exec()
+			select {
+			case outcomes <- o:
+			case <-done:
 			}
 		}()
 	}
 
-	var timer *time.Timer
-	var timerC <-chan time.Time
-	armHedge := func() {
-		if timer != nil {
-			timer.Stop()
-			timer, timerC = nil, nil
-		}
-		// The trigger is resolved per attempt against the newest attempt's
-		// peer: a tracked peer hedges at its own observed P90.
-		if d := c.hedgeDelay(targets[(launched-1)%len(targets)]); d > 0 && launched < max {
-			timer = time.NewTimer(d)
-			timerC = timer.C
-		}
-	}
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
-
-	// A failed attempt schedules its re-issue through retryC instead of
-	// sleeping the backoff inline: the event loop keeps draining outcomes
-	// while waiting, so a concurrently outstanding hedge's success wins
-	// immediately and the pending retry is abandoned.
-	var retryTimer *time.Timer
-	var retryC <-chan time.Time
-	scheduleRetry := func() {
-		if launched >= max || lctx.Err() != nil || retryC != nil {
-			return
-		}
-		if d := c.Retry.backoff(); d > 0 {
-			retryTimer = time.NewTimer(d)
-			retryC = retryTimer.C
-			return
-		}
-		launch(false)
-		armHedge()
-	}
-	defer func() {
-		if retryTimer != nil {
-			retryTimer.Stop()
-		}
-	}()
-
 	fault := &firstFault{}
-	loserWall := map[int]int64{}
 	var lastFresh []string
-	var winner *attemptOutcome
+	var lostNS int64 // wall time of the attempts that reported a failure
+	torndown := ctx.Done()
 	launch(false)
-	armHedge()
-	for winner == nil && (outstanding > 0 || retryC != nil) {
-		select {
-		case o := <-outcomes:
-			outstanding--
-			if o.err == nil {
-				winner = &o
+	for outstanding > 0 || retry.C != nil {
+		var o attemptOutcome
+		if sole != nil {
+			o = sole()
+			sole = nil
+		} else {
+			select {
+			case a := <-commits:
+				attempts[a].granted <- grant(a)
+				continue
+			case o = <-outcomes:
+			case <-retry.C:
+				retry.stop()
+				if !spent() {
+					launch(false)
+				}
+				continue
+			case <-hedge.C:
+				if !spent() {
+					launch(true)
+				}
+				continue
+			case <-torndown:
+				// The dispatch was cancelled or its deadline passed: in-flight
+				// attempts unwind on their own, nothing new starts.
+				torndown = nil
+				stop()
 				continue
 			}
-			fault.record(o.attempt, o.err)
-			loserWall[o.attempt] = o.wallNS
-			// A deadline expiry is terminal: no replica can answer within a
-			// budget that is already spent, so the lane stops failing over
-			// instead of burning attempts on work the originator will discard.
-			if !isDeadline(o.err) {
-				// Epoch-aware re-dispatch: a genuine fault re-consults the live
-				// topology — if the shard has moved since this plan's epoch, the
-				// new rotation's unseen peers join the lane's rotation and buy
-				// the attempts to reach them.
-				var added int
-				if targets, added = c.reroutedTargets(batch, targets, &lastFresh); added > 0 {
-					max += added
-				}
-				scheduleRetry()
-			}
-		case <-retryC:
-			retryTimer, retryC = nil, nil
-			launch(false)
-			armHedge()
-		case <-timerC:
-			launch(true)
-			armHedge()
 		}
-	}
-	if winner == nil {
-		return nil, Lane{}, budgetFailure(ctx, fault.error(), batch.Target, start)
-	}
-	// Tear down the losers (cancellation-aware transports abort mid-flight)
-	// and charge the lane for the work they burned: completed losers their
-	// measured wall time, still-running ones the time since their launch.
-	lcancel()
-	var wasted int64
-	for a := 0; a < launched; a++ {
-		if a == winner.attempt {
+		outstanding--
+		at := &attempts[o.attempt]
+		at.running = false
+		if o.err == nil {
+			// Charge the lane for the work the others burned: reported
+			// attempts their measured wall time, still-running ones the
+			// time since their launch.
+			wasted := lostNS
+			for i := range attempts {
+				if attempts[i].running {
+					wasted += time.Since(attempts[i].start).Nanoseconds()
+				}
+			}
+			at.sp.Set(trace.Bool("winner", true))
+			lane := o.lane
+			lane.Target = batch.Target
+			lane.Replica = replicaIndex(batch, at.peer)
+			lane.Retries = retries
+			lane.Hedges = hedges
+			lane.WastedNS = wasted
+			return lane, nil
+		}
+		lostNS += o.wallNS
+		if at.cancelled {
+			continue // the loser of a commit race unwinding, not a fault
+		}
+		if o.attempt == holder {
+			holder = -1 // died after committing: the token is free again
+		}
+		fault.record(o.attempt, o.err)
+		// A deadline expiry is terminal: no replica can answer within a
+		// budget that is already spent, so the lane stops failing over
+		// instead of burning attempts on work the originator will discard.
+		if isDeadline(o.err) {
+			stop()
 			continue
 		}
-		if w, ok := loserWall[a]; ok {
-			wasted += w
-		} else {
-			wasted += time.Since(starts[a]).Nanoseconds()
+		// Epoch-aware re-dispatch: a genuine fault re-consults the live
+		// topology — if the shard has moved since this plan's epoch, the
+		// new rotation's unseen peers join the lane's rotation and buy
+		// the attempts to reach them.
+		var added int
+		targets, added = c.reroutedTargets(batch, targets, &lastFresh)
+		max += added
+		// The re-issue waits out the backoff on the retry timer, not
+		// inline: the loop keeps serving commits and outcomes meanwhile,
+		// so an outstanding hedge that commits wins at once and the
+		// pending retry is abandoned.
+		switch d := c.Retry.backoff(); {
+		case spent() || retry.C != nil:
+			// nothing left to launch, or a re-issue is already pending
+		case d > 0:
+			retry.arm(d)
+		default:
+			launch(false)
 		}
 	}
-	winner.sp.Set(trace.Bool("winner", true))
-	lane := winner.lane
-	lane.Target = batch.Target
-	lane.Replica = replicaIndex(batch, winner.peer)
-	lane.Retries = retries
-	lane.Hedges = hedges
-	lane.WastedNS = wasted
-	return winner.results, lane, nil
+	return Lane{}, budgetFailure(ctx, fault.error(), batch.Target, start)
 }

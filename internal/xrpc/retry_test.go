@@ -15,12 +15,22 @@ import (
 	"distxq/internal/xq"
 )
 
+// laneModes are the two attempt kinds of the one lane runner: every
+// fault-tolerance behavior below must hold for both.
+var laneModes = []struct {
+	name   string
+	remote func(*Client) eval.RemoteCaller
+}{
+	{"gather", func(cl *Client) eval.RemoteCaller { return cl }},
+	{"streamed", func(cl *Client) eval.RemoteCaller { return &StreamedClient{Client: cl} }},
+}
+
 // wireRetry builds a client engine with a retry policy and a replica map
-// over the in-memory transport.
-func wireRetry(peers map[string]*Server, pol *RetryPolicy, replicas map[string][]string) (*eval.Engine, *Client, *InMemoryTransport) {
+// over the in-memory transport; handlers are servers or fault injectors.
+func wireRetry(peers map[string]Handler, pol *RetryPolicy, replicas map[string][]string) (*eval.Engine, *Client, *InMemoryTransport) {
 	tr := NewInMemoryTransport()
-	for name, srv := range peers {
-		tr.Register(name, srv)
+	for name, h := range peers {
+		tr.Register(name, h)
 	}
 	cl := &Client{
 		Transport: tr,
@@ -36,41 +46,26 @@ func wireRetry(peers map[string]*Server, pol *RetryPolicy, replicas map[string][
 	return eng, cl, tr
 }
 
-const echoScatter = `
-declare function f($x as xs:string) as item()* { $x };
-for $p in ("p1", "p2", "p3") return execute at {$p} { f($p) }`
+// echoScatter ships a body that echoes its parameter, which is the loop's
+// target string — so the gathered result proves loop order survived whatever
+// the lanes went through.
+func echoScatter(targets ...string) string {
+	return `declare function f($x as xs:string) as item()* { $x };
+	for $p in ("` + strings.Join(targets, `", "`) + `") return execute at {$p} { f($p) }`
+}
 
-// TestScatterFailoverToReplica: a dead primary's lane completes via its
-// replica, the result is identical to the healthy run, and the winning
-// lane's provenance records the failover.
-func TestScatterFailoverToReplica(t *testing.T) {
-	peers := map[string]*Server{"p1": newPeer(nil), "p3": newPeer(nil), "r2": newPeer(nil)}
-	// p2 is never registered: its lane must fail over to r2.
-	eng, cl, _ := wireRetry(peers, nil, map[string][]string{"p2": {"r2"}})
-	res, err := eng.QueryString(echoScatter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The shipped body echoes its parameter, which is the loop's target
-	// string — so the gathered result proves loop order survived failover.
-	if got := serialize(res); got != "p1 p2 p3" {
-		t.Fatalf("result = %q, want loop-ordered p1 p2 p3", got)
-	}
-	s := cl.Metrics.Snapshot()
-	var failedOver *Lane
-	for _, w := range s.Waves {
-		for i := range w {
-			if w[i].Target == "p2" {
-				failedOver = &w[i]
+// laneFor returns the recorded lane of a scatter target.
+func laneFor(t *testing.T, cl *Client, target string) Lane {
+	t.Helper()
+	for _, w := range cl.Metrics.Snapshot().Waves {
+		for _, l := range w {
+			if l.Target == target {
+				return l
 			}
 		}
 	}
-	if failedOver == nil {
-		t.Fatal("no lane recorded for target p2")
-	}
-	if failedOver.Peer != "r2" || failedOver.Replica != 1 || failedOver.Retries != 1 || failedOver.Hedges != 0 {
-		t.Errorf("lane provenance = %+v, want winner r2 / replica 1 / 1 retry / 0 hedges", failedOver)
-	}
+	t.Fatalf("no lane recorded for target %s", target)
+	return Lane{}
 }
 
 // flakyServer fails its first n exchanges, then behaves.
@@ -86,30 +81,36 @@ func (f *flakyServer) Handle(request []byte) ([]byte, error) {
 	return f.Server.Handle(request)
 }
 
-// TestRetrySameTarget: with MaxAttempts > 1 and no replicas, a transient
-// fault on a sequential Bulk RPC is retried against the same peer.
-func TestRetrySameTarget(t *testing.T) {
-	fl := &flakyServer{Server: newPeer(nil)}
-	fl.failures.Store(1)
-	eng, cl, _ := wireRetry(map[string]*Server{"p": fl.Server}, &RetryPolicy{MaxAttempts: 2}, nil)
-	cl.Transport.(*InMemoryTransport).Register("p", fl)
-	res, err := eng.QueryString(`
-	declare function f() as item()* { "ok" };
-	let $r := execute at {"p"} { f() } return $r`)
-	if err != nil {
-		t.Fatal(err)
+func (f *flakyServer) HandleStream(request []byte, emit func([]byte) error) error {
+	if f.failures.Add(-1) >= 0 {
+		return errors.New("injected transient failure")
 	}
-	if serialize(res) != "ok" {
-		t.Fatalf("result = %q, want ok", serialize(res))
-	}
-	s := cl.Metrics.Snapshot()
-	if len(s.Waves) != 1 || len(s.Waves[0]) != 1 {
-		t.Fatalf("waves = %+v, want one single-lane wave", s.Waves)
-	}
-	lane := s.Waves[0][0]
-	if lane.Retries != 1 || lane.Replica != 0 || lane.Peer != "p" {
-		t.Errorf("lane = %+v, want one same-target retry", lane)
-	}
+	return f.Server.HandleStream(request, emit)
+}
+
+// countingServer counts the exchanges that reach it.
+type countingServer struct {
+	*Server
+	calls atomic.Int64
+}
+
+func (c *countingServer) Handle(request []byte) ([]byte, error) {
+	c.calls.Add(1)
+	return c.Server.Handle(request)
+}
+
+func (c *countingServer) HandleStream(request []byte, emit func([]byte) error) error {
+	c.calls.Add(1)
+	return c.Server.HandleStream(request, emit)
+}
+
+// spentServer answers every exchange with a deadline fault.
+type spentServer struct{}
+
+func (spentServer) Handle([]byte) ([]byte, error) { return nil, &DeadlineError{Peer: "spent"} }
+
+func (spentServer) HandleStream([]byte, func([]byte) error) error {
+	return &DeadlineError{Peer: "spent"}
 }
 
 // slowTransport delays exchanges to selected peers, honoring cancellation —
@@ -150,41 +151,10 @@ func (s *slowTransport) RoundTripStream(ctx context.Context, peer string, req []
 	return s.inner.RoundTripStream(ctx, peer, req, sink)
 }
 
-// TestHedgeRaceReplicaWins: a straggling primary is hedged after HedgeAfter
-// and the replica's response wins; the straggler is cancelled and the lane
-// records the hedge and its wasted time.
-func TestHedgeRaceReplicaWins(t *testing.T) {
-	peers := map[string]*Server{"p1": newPeer(nil), "r1": newPeer(nil)}
-	eng, cl, tr := wireRetry(peers, &RetryPolicy{MaxAttempts: 2, HedgeAfter: 5 * time.Millisecond},
-		map[string][]string{"p1": {"r1"}})
-	slow := &slowTransport{inner: tr, delay: map[string]time.Duration{"p1": 2 * time.Second}}
-	cl.Transport = slow
-	t0 := time.Now()
-	res, err := eng.QueryString(`
-	declare function f($x as xs:string) as item()* { $x };
-	for $p in ("p1") return execute at {$p} { f($p) }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serialize(res) != "p1" {
-		t.Fatalf("result = %q, want p1", serialize(res))
-	}
-	if wall := time.Since(t0); wall > time.Second {
-		t.Fatalf("query took %v — the hedge did not cut the straggler short", wall)
-	}
-	s := cl.Metrics.Snapshot()
-	if len(s.Waves) != 1 || len(s.Waves[0]) != 1 {
-		t.Fatalf("waves = %+v, want one single-lane wave", s.Waves)
-	}
-	lane := s.Waves[0][0]
-	if lane.Peer != "r1" || lane.Replica != 1 || lane.Hedges != 1 || lane.Retries != 0 {
-		t.Errorf("lane = %+v, want hedged winner r1", lane)
-	}
-	if lane.WastedNS <= 0 {
-		t.Errorf("lane.WastedNS = %d, want > 0 (the losing straggler burned time)", lane.WastedNS)
-	}
-	// The winner returns without waiting for the loser to unwind; give the
-	// cancelled straggler a moment to observe its torn-down context.
+// awaitCancelled waits for a straggler to observe its torn-down context: the
+// winner returns without waiting for losers to unwind.
+func awaitCancelled(t *testing.T, slow *slowTransport) {
+	t.Helper()
 	for deadline := time.Now().Add(2 * time.Second); slow.cancelled.Load() == 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("straggling attempt was never cancelled")
@@ -193,24 +163,215 @@ func TestHedgeRaceReplicaWins(t *testing.T) {
 	}
 }
 
-// TestExhaustedReplicasReportOriginalFault: when the primary and every
-// replica fail, the lane error is the original fault, never a cancellation
-// echo of the retry machinery tearing attempts down.
-func TestExhaustedReplicasReportOriginalFault(t *testing.T) {
-	// Neither "dead" nor its replica exist; "up" answers.
-	eng, _, _ := wireRetry(map[string]*Server{"up": newPeer(nil)}, nil,
-		map[string][]string{"dead": {"alsodead"}})
-	_, err := eng.QueryString(`
-	declare function f($x as xs:string) as item()* { $x };
-	for $p in ("up", "dead") return execute at {$p} { f($p) }`)
-	if err == nil {
-		t.Fatal("query succeeded with every replica dead")
+// TestLaneRunner is the fault-tolerance contract of the one lane runner, run
+// over both attempt kinds: whichever kind of exchange an attempt performs,
+// rotation, budget, back-off, hedging, re-routing, fault reporting and
+// provenance behave the same.
+func TestLaneRunner(t *testing.T) {
+	type world struct {
+		eng  *eval.Engine
+		cl   *Client
+		slow *slowTransport
 	}
-	if errors.Is(err, context.Canceled) || strings.Contains(err.Error(), "context canceled") {
-		t.Fatalf("error = %v, a cancellation echo instead of the original fault", err)
+	cases := []struct {
+		name  string
+		build func() world
+		query string
+		// want is the serialized result; wantErr, when set, a substring of the
+		// lane failure instead.
+		want    string
+		wantErr string
+		check   func(t *testing.T, w world, wall time.Duration)
+	}{
+		{
+			// A dead primary's lane completes via its replica, in loop order,
+			// and the winning lane's provenance records the failover.
+			name: "fail over to replica",
+			build: func() world {
+				// p2 is never registered: its lane must fail over to r2.
+				eng, cl, _ := wireRetry(map[string]Handler{"p1": newPeer(nil), "p3": newPeer(nil), "r2": newPeer(nil)},
+					nil, map[string][]string{"p2": {"r2"}})
+				return world{eng: eng, cl: cl}
+			},
+			query: echoScatter("p1", "p2", "p3"),
+			want:  "p1 p2 p3",
+			check: func(t *testing.T, w world, _ time.Duration) {
+				if l := laneFor(t, w.cl, "p2"); l.Peer != "r2" || l.Replica != 1 || l.Retries != 1 || l.Hedges != 0 {
+					t.Errorf("lane = %+v, want winner r2 / replica 1 / 1 retry / 0 hedges", l)
+				}
+			},
+		},
+		{
+			// With MaxAttempts > 1 and no replicas, a transient fault is
+			// retried against the same peer (after the back-off).
+			name: "retry same target",
+			build: func() world {
+				fl := &flakyServer{Server: newPeer(nil)}
+				fl.failures.Store(1)
+				eng, cl, _ := wireRetry(map[string]Handler{"p": fl},
+					&RetryPolicy{MaxAttempts: 2, Backoff: time.Millisecond}, nil)
+				return world{eng: eng, cl: cl}
+			},
+			query: echoScatter("p"),
+			want:  "p",
+			check: func(t *testing.T, w world, _ time.Duration) {
+				if l := laneFor(t, w.cl, "p"); l.Retries != 1 || l.Replica != 0 || l.Peer != "p" {
+					t.Errorf("lane = %+v, want one same-target retry", l)
+				}
+			},
+		},
+		{
+			// When the primary and every replica fail, the lane error is the
+			// original fault, never a cancellation echo of the teardown.
+			name: "exhausted lanes report the original fault",
+			build: func() world {
+				eng, cl, _ := wireRetry(map[string]Handler{"up": newPeer(nil)}, nil,
+					map[string][]string{"dead": {"alsodead"}})
+				return world{eng: eng, cl: cl}
+			},
+			query:   echoScatter("up", "dead"),
+			wantErr: `unknown peer "dead"`,
+		},
+		{
+			// A spent budget is terminal: the replica is never tried.
+			name: "deadline stops fail-over",
+			build: func() world {
+				eng, cl, _ := wireRetry(map[string]Handler{"p1": spentServer{}, "r1": &countingServer{Server: newPeer(nil)}},
+					&RetryPolicy{MaxAttempts: 3}, map[string][]string{"p1": {"r1"}})
+				return world{eng: eng, cl: cl}
+			},
+			query:   echoScatter("p1"),
+			wantErr: "exceeded query deadline",
+			check: func(t *testing.T, w world, _ time.Duration) {
+				h, _ := w.cl.Transport.(*InMemoryTransport).handler("r1")
+				if n := h.(*countingServer).calls.Load(); n != 0 {
+					t.Errorf("replica saw %d exchanges after a deadline fault, want 0", n)
+				}
+			},
+		},
+		{
+			// A fault re-consults the live topology: the shard's new home
+			// joins the rotation and buys the attempt that reaches it, even
+			// for a lane whose own budget is a single attempt.
+			name: "reroute extends the rotation",
+			build: func() world {
+				eng, cl, _ := wireRetry(map[string]Handler{"n1": newPeer(nil)}, nil, nil)
+				cl.Reroute = func(target string) []string { return []string{"n1"} }
+				return world{eng: eng, cl: cl}
+			},
+			query: echoScatter("p1"),
+			want:  "p1",
+			check: func(t *testing.T, w world, _ time.Duration) {
+				if l := laneFor(t, w.cl, "p1"); l.Peer != "n1" || l.Replica != 1 || l.Retries != 1 {
+					t.Errorf("lane = %+v, want re-routed winner n1 just past the plan-time targets", l)
+				}
+			},
+		},
+		{
+			// A straggling primary is hedged after HedgeAfter and the replica
+			// wins the race; the straggler is cancelled and the lane records
+			// the hedge and the time it wasted.
+			name: "hedge race: replica wins",
+			build: func() world {
+				eng, cl, tr := wireRetry(map[string]Handler{"p1": newPeer(nil), "r1": newPeer(nil)},
+					&RetryPolicy{MaxAttempts: 2, HedgeAfter: 5 * time.Millisecond}, map[string][]string{"p1": {"r1"}})
+				slow := &slowTransport{inner: tr, delay: map[string]time.Duration{"p1": 2 * time.Second}}
+				cl.Transport = slow
+				return world{eng: eng, cl: cl, slow: slow}
+			},
+			query: echoScatter("p1"),
+			want:  "p1",
+			check: func(t *testing.T, w world, wall time.Duration) {
+				if wall > time.Second {
+					t.Fatalf("query took %v — the hedge did not cut the straggler short", wall)
+				}
+				l := laneFor(t, w.cl, "p1")
+				if l.Peer != "r1" || l.Replica != 1 || l.Hedges != 1 || l.Retries != 0 {
+					t.Errorf("lane = %+v, want hedged winner r1", l)
+				}
+				if l.WastedNS <= 0 {
+					t.Errorf("lane.WastedNS = %d, want > 0 (the losing straggler burned time)", l.WastedNS)
+				}
+				awaitCancelled(t, w.slow)
+			},
+		},
+		{
+			// A hedge races the attempt it doubts, it never cancels it: when
+			// the hedge lands on a dead copy, the slow-but-healthy first
+			// attempt still wins the lane.
+			name: "hedge race: healthy straggler survives a dead hedge target",
+			build: func() world {
+				// r1 is never registered.
+				eng, cl, tr := wireRetry(map[string]Handler{"p1": newPeer(nil)},
+					&RetryPolicy{MaxAttempts: 2, HedgeAfter: time.Millisecond}, map[string][]string{"p1": {"r1"}})
+				slow := &slowTransport{inner: tr, delay: map[string]time.Duration{"p1": 30 * time.Millisecond}}
+				cl.Transport = slow
+				return world{eng: eng, cl: cl, slow: slow}
+			},
+			query: echoScatter("p1"),
+			want:  "p1",
+			check: func(t *testing.T, w world, _ time.Duration) {
+				if l := laneFor(t, w.cl, "p1"); l.Peer != "p1" || l.Replica != 0 || l.Hedges != 1 || l.Retries != 0 {
+					t.Errorf("lane = %+v, want primary p1 winning past one lost hedge", l)
+				}
+			},
+		},
 	}
-	if !strings.Contains(err.Error(), `unknown peer "dead"`) {
-		t.Fatalf("error = %v, want the original unknown-peer fault of the primary", err)
+	for _, mode := range laneModes {
+		for _, tc := range cases {
+			t.Run(mode.name+"/"+tc.name, func(t *testing.T) {
+				w := tc.build()
+				w.eng.Remote = mode.remote(w.cl)
+				t0 := time.Now()
+				res, err := w.eng.QueryString(tc.query)
+				wall := time.Since(t0)
+				if tc.wantErr != "" {
+					if err == nil {
+						t.Fatalf("query succeeded with %q, want error containing %q", serialize(res), tc.wantErr)
+					}
+					if errors.Is(err, context.Canceled) || strings.Contains(err.Error(), "context canceled") {
+						t.Fatalf("error = %v, a cancellation echo instead of the original fault", err)
+					}
+					if !strings.Contains(err.Error(), tc.wantErr) {
+						t.Fatalf("error = %v, want it to contain %q", err, tc.wantErr)
+					}
+				} else {
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := serialize(res); got != tc.want {
+						t.Fatalf("result = %q, want %q", got, tc.want)
+					}
+				}
+				if tc.check != nil {
+					tc.check(t, w, wall)
+				}
+			})
+		}
+	}
+}
+
+// TestRetrySequentialBulk: sequential dispatch carries no replica set, but
+// MaxAttempts > 1 still retries a transient fault against the same peer.
+func TestRetrySequentialBulk(t *testing.T) {
+	fl := &flakyServer{Server: newPeer(nil)}
+	fl.failures.Store(1)
+	eng, cl, _ := wireRetry(map[string]Handler{"p": fl}, &RetryPolicy{MaxAttempts: 2}, nil)
+	res, err := eng.QueryString(`
+	declare function f() as item()* { "ok" };
+	let $r := execute at {"p"} { f() } return $r`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serialize(res) != "ok" {
+		t.Fatalf("result = %q, want ok", serialize(res))
+	}
+	s := cl.Metrics.Snapshot()
+	if len(s.Waves) != 1 || len(s.Waves[0]) != 1 {
+		t.Fatalf("waves = %+v, want one single-lane wave", s.Waves)
+	}
+	if lane := s.Waves[0][0]; lane.Retries != 1 || lane.Replica != 0 || lane.Peer != "p" {
+		t.Errorf("lane = %+v, want one same-target retry", lane)
 	}
 }
 
@@ -297,7 +458,8 @@ func TestStreamedFailoverMidStream(t *testing.T) {
 }
 
 // TestStreamedStallSwitches: a streamed lane whose first frame never arrives
-// within HedgeAfter is cancelled and re-issued to the replica.
+// within HedgeAfter is raced by the replica, whose first frame takes the lane
+// and cancels the stalled attempt.
 func TestStreamedStallSwitches(t *testing.T) {
 	docs := mapResolver{"d.xml": "<r><a>1</a><a>2</a></r>"}
 	tr := NewInMemoryTransport()
@@ -328,9 +490,7 @@ func TestStreamedStallSwitches(t *testing.T) {
 	if lane.Peer != "r1" || lane.Hedges != 1 {
 		t.Errorf("lane = %+v, want stall-hedged winner r1", lane)
 	}
-	if slow.cancelled.Load() == 0 {
-		t.Error("stalled stream attempt was never cancelled")
-	}
+	awaitCancelled(t, slow)
 }
 
 // TestReplayFilterSuppressesPrefix exercises the replay arithmetic directly,

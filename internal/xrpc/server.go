@@ -28,11 +28,6 @@ type Server struct {
 	// ChunkItems bounds the result items per frame of streamed responses;
 	// zero means DefaultChunkItems.
 	ChunkItems int
-	// EagerStream disables incremental evaluation for streamed responses:
-	// each call is fully materialized before its frames are cut, the
-	// pre-incremental behavior. It exists as the baseline the incremental
-	// figure and the lazy-vs-eager equivalence tests compare against.
-	EagerStream bool
 }
 
 var _ Handler = (*Server)(nil)

@@ -25,7 +25,10 @@ import (
 // and per-chunk timing; a terminal frame closes the stream. The originator
 // starts processing the first chunk while the peer is still evaluating and
 // serializing the rest — first-result latency drops from "slowest peer's
-// whole response" to "first chunk of the fastest lane".
+// whole response" to "first chunk of the fastest lane". Streamed lanes are
+// fault-tolerant through the same lane runner as gather lanes (retry.go);
+// this file contributes only what a streamed attempt does (streamAttempt)
+// and the replay suppression a mid-stream failover needs (replayFilter).
 
 // DefaultChunkItems is the per-chunk item budget of a streaming server when
 // Server.ChunkItems is zero. The value trades pipelining granularity
@@ -187,8 +190,8 @@ func patchSerdeNS(data []byte, old, new int64) []byte {
 
 // chunkWriter emits the ordered chunk frames of one streamed response. It
 // supports two producers: writeCall frames an already-materialized call
-// result (the eager path), and beginCall/addItem/endCall frame a call as its
-// items are pulled from a live iterator — a frame leaves the peer every
+// result (MarshalResponseStream), and beginCall/addItem/endCall frame a call
+// as its items are pulled from a live iterator — a frame leaves the peer every
 // itemsPer items, mid-evaluation, so the writer never holds more than one
 // frame's worth of a result. peak records the high-water mark of buffered
 // items either way; it is what the bounded-memory guarantee is measured by.
@@ -363,7 +366,6 @@ func MarshalResponseStream(resp *Response, itemsPerChunk int, resultUsed, result
 // (those frames are a valid prefix — laziness never reorders items); the
 // transport delivers them as fault frames, and failover replay suppression
 // resumes past the delivered prefix as with any mid-stream fault.
-// Server.EagerStream restores the evaluate-whole-call-then-frame behavior.
 func (s *Server) HandleStream(request []byte, emit func([]byte) error) error {
 	arrival := time.Now()
 	req, q, static, shredNS, err := s.prepare(request)
@@ -397,22 +399,6 @@ func (s *Server) HandleStream(request []byte, emit func([]byte) error) error {
 	}
 	for ci, params := range req.Calls {
 		csp := root.Child("call")
-		if s.EagerStream {
-			t0 := time.Now()
-			res, err := s.Engine.EvalFunctionDeadline(q, req.Method, params, static, deadline)
-			if err != nil {
-				csp.EndErr(err)
-				return fail(fmt.Errorf("xrpc: evaluating %s: %w", req.Method, err))
-			}
-			exec := time.Since(t0).Nanoseconds()
-			execTotal += exec
-			if err := w.writeCall(ci, res, exec); err != nil {
-				csp.EndErr(err)
-				return fail(err)
-			}
-			csp.End()
-			continue
-		}
 		seq, err := s.Engine.EvalFunctionSeqDeadline(q, req.Method, params, static, deadline)
 		if err != nil {
 			csp.EndErr(err)
@@ -484,10 +470,10 @@ type ChunkStat struct {
 
 // StreamedClient dispatches scatter waves in streaming mode: it implements
 // eval.StreamCaller on top of the embedded Client, yielding per-lane result
-// chunks as frames arrive instead of gathering whole responses. Lanes
-// travel over StreamTransport when the Transport provides it and fall back
-// to gather-whole exchanges (delivered as a single increment per iteration)
-// when it does not.
+// chunks as frames arrive instead of gathering whole responses. Lanes run
+// under the Client's lane runner like gather lanes do; their attempts travel
+// over StreamTransport when the Transport provides it and are gather-whole
+// exchanges (delivered as a single increment per iteration) when it does not.
 type StreamedClient struct {
 	*Client
 	// BufferChunks bounds each lane's decoded-chunk buffer; zero means
@@ -514,10 +500,7 @@ func (c *StreamedClient) CallRemoteScatterStream(x *xq.XRPCExpr, batches []eval.
 	if buf <= 0 {
 		buf = DefaultBufferChunks
 	}
-	width := c.MaxConcurrent
-	if width <= 0 {
-		width = DefaultMaxConcurrent
-	}
+	width := c.poolWidth()
 	ctx, cancel := context.WithCancel(c.baseContext())
 	chans := make([]chan eval.StreamChunk, len(batches))
 	out := make([]<-chan eval.StreamChunk, len(batches))
@@ -550,11 +533,7 @@ func (c *StreamedClient) CallRemoteScatterStream(x *xq.XRPCExpr, batches []eval.
 						ok = append(ok, lanes[j])
 					}
 				}
-				for len(ok) > 0 {
-					n := min(width, len(ok))
-					c.Metrics.AddWave(ok[:n])
-					ok = ok[n:]
-				}
+				c.Metrics.addWaves(ok, width)
 				ssp.End()
 			}()
 			defer close(done[i])
@@ -571,7 +550,7 @@ func (c *StreamedClient) CallRemoteScatterStream(x *xq.XRPCExpr, batches []eval.
 				}
 			}
 			lsp := laneSpan(ssp, batches[i].Target)
-			lane, err := c.runStreamLane(ctx, x, batches[i], chans[i], lsp)
+			lane, err := c.runLane(ctx, batches[i], lsp, c.streamAttempt(ctx, x, batches[i], chans[i]))
 			lanes[i] = lane
 			finishLane(lsp, lane, err)
 			if err != nil {
@@ -600,9 +579,9 @@ type laneState struct {
 	expect  int // iterations of the batch
 	nextSeq int
 	curCall int
-	curItem int   // items delivered of curCall
-	seen    bool  // curCall has appeared in at least one frame
-	done    bool  // terminal frame (or gather-whole response) received
+	curItem int  // items delivered of curCall
+	seen    bool // curCall has appeared in at least one frame
+	done    bool // terminal frame (or gather-whole response) received
 	chunks  []ChunkStat
 	execNS  int64
 	serdeNS int64
@@ -653,16 +632,45 @@ func (st *laneState) accept(ch *ResponseChunk) error {
 // false means the dispatch was cancelled and the lane must abort.
 type deliverFunc func(eval.StreamChunk) bool
 
-// streamLane performs one streamed Bulk RPC exchange, delivering result
-// increments through deliver as frames arrive and accumulating metrics
-// totals exactly like callBulkCtx does for gather-whole exchanges. onFrame,
-// when non-nil, is invoked as each response frame reaches the originator —
-// the liveness signal the retry runner's hedge timer watches.
-func (c *StreamedClient) streamLane(ctx context.Context, target string, x *xq.XRPCExpr, iterations [][]xdm.Sequence, deliver deliverFunc, onFrame func(), sp trace.SpanRef) (Lane, error) {
+// streamAttempt returns what one attempt of a streamed lane does. Over a
+// StreamTransport it is a chunk-stream exchange (streamExchange) that commits
+// on its first frame and feeds ch through a replayFilter — each attempt
+// replays from call 0 with a fresh attempt-local position, only the lane's
+// delivered-progress record persists across attempts. Over a Transport
+// without streaming it is a gather attempt whose committed response is
+// delivered as one increment per iteration.
+func (c *StreamedClient) streamAttempt(ctx context.Context, x *xq.XRPCExpr, batch eval.ScatterBatch, ch chan<- eval.StreamChunk) laneAttempt {
+	forward := func(chunk eval.StreamChunk) bool { return sendChunk(ctx, ch, chunk) }
 	stx, streams := c.Transport.(StreamTransport)
 	if !streams {
-		return c.gatherLane(ctx, target, x, iterations, deliver, sp)
+		var results []xdm.Sequence
+		gather := c.gatherAttempt(x, batch.Iterations, &results)
+		return func(actx context.Context, peer string, commit func() bool, sp trace.SpanRef) (Lane, error) {
+			lane, err := gather(actx, peer, commit, sp)
+			if err != nil {
+				return Lane{}, err
+			}
+			for i, res := range results {
+				if !forward(eval.StreamChunk{Iteration: i, Items: res}) {
+					return Lane{}, context.Canceled
+				}
+			}
+			return lane, nil
+		}
 	}
+	progress := &laneProgress{}
+	return func(actx context.Context, peer string, commit func() bool, sp trace.SpanRef) (Lane, error) {
+		return c.streamExchange(actx, stx, peer, x, batch.Iterations, replayFilter(progress, forward), commit, sp)
+	}
+}
+
+// streamExchange performs one streamed Bulk RPC exchange, delivering result
+// increments through deliver as frames arrive and accumulating metrics
+// totals exactly like callBulkCtx does for gather-whole exchanges. The first
+// response frame to reach the originator — the liveness signal a hedge is
+// timed against — claims the lane through commit before anything is
+// delivered; a refused exchange is abandoned.
+func (c *StreamedClient) streamExchange(ctx context.Context, stx StreamTransport, target string, x *xq.XRPCExpr, iterations [][]xdm.Sequence, deliver deliverFunc, commit func() bool, sp trace.SpanRef) (Lane, error) {
 	data, serNS, err := c.marshalCall(ctx, target, x, iterations, sp)
 	if err != nil {
 		return Lane{}, err
@@ -671,9 +679,13 @@ func (c *StreamedClient) streamLane(ctx context.Context, target string, x *xq.XR
 		ctx = withTraceInfo(ctx, uint64(sp.TraceID()), uint64(sp.SpanID()))
 	}
 	st := &laneState{expect: len(iterations)}
+	committed := false
 	sink := func(frame []byte) error {
-		if onFrame != nil {
-			onFrame()
+		if !committed {
+			if !commit() {
+				return context.Canceled
+			}
+			committed = true
 		}
 		t0 := time.Now()
 		chunk, perr := ParseResponseChunk(frame)
@@ -744,34 +756,11 @@ func (c *StreamedClient) streamLane(ctx context.Context, target string, x *xq.XR
 		}
 	}
 	c.observe(target, wallNS, err)
-	if err != nil {
-		// A lane that died mid-stream still moved real bytes (the request,
-		// plus every frame received before the fault); account them so a
-		// failover run's traffic totals include the dead primary's partial
-		// stream, not just the winner's. Waves still carry winners only.
-		if c.Metrics != nil && st.recvd > 0 {
-			c.Metrics.Add(&Metrics{
-				Requests:      1,
-				BytesSent:     int64(len(data)),
-				BytesReceived: st.recvd,
-				SerializeNS:   serNS,
-				DeserializeNS: st.deserNS,
-				RemoteExecNS:  st.execNS,
-				ServerSerdeNS: st.serdeNS,
-				RoundTripWall: wallNS,
-			})
-		}
-		return Lane{}, err
-	}
-	lane := Lane{
-		Peer:          target,
-		BytesSent:     int64(len(data)),
-		BytesReceived: st.recvd,
-		RemoteExecNS:  st.execNS,
-		DeserNS:       st.deserNS,
-		Chunks:        st.chunks,
-	}
-	if c.Metrics != nil {
+	// A lane that died mid-stream still moved real bytes (the request, plus
+	// every frame received before the fault); account them so a failover
+	// run's traffic totals include the dead primary's partial stream, not
+	// just the winner's. Waves still carry winners only.
+	if c.Metrics != nil && (err == nil || st.recvd > 0) {
 		c.Metrics.Add(&Metrics{
 			Requests:      1,
 			BytesSent:     int64(len(data)),
@@ -783,25 +772,20 @@ func (c *StreamedClient) streamLane(ctx context.Context, target string, x *xq.XR
 			RoundTripWall: wallNS,
 		})
 	}
-	return lane, nil
-}
-
-// gatherLane is the degraded streamLane over a Transport without streaming:
-// one gather-whole exchange, delivered as one increment per iteration.
-func (c *StreamedClient) gatherLane(ctx context.Context, target string, x *xq.XRPCExpr, iterations [][]xdm.Sequence, deliver deliverFunc, sp trace.SpanRef) (Lane, error) {
-	results, lane, err := c.callBulkCtx(ctx, target, x, iterations, sp)
 	if err != nil {
 		return Lane{}, err
 	}
-	for i, res := range results {
-		if !deliver(eval.StreamChunk{Iteration: i, Items: res}) {
-			return lane, context.Canceled
-		}
-	}
-	return lane, nil
+	return Lane{
+		Peer:          target,
+		BytesSent:     int64(len(data)),
+		BytesReceived: st.recvd,
+		RemoteExecNS:  st.execNS,
+		DeserNS:       st.deserNS,
+		Chunks:        st.chunks,
+	}, nil
 }
 
-// ------------------------------------------------- fault-tolerant lanes --
+// ---------------------------------------------------- replay suppression --
 
 // laneProgress records how much of a streamed lane has already been
 // delivered to the consumer, across attempts: everything of calls before
@@ -852,169 +836,4 @@ func replayFilter(p *laneProgress, deliver deliverFunc) deliverFunc {
 			return deliver(chunk)
 		}
 	}
-}
-
-// runStreamLane dispatches one streamed scatter lane under the client's
-// RetryPolicy. A lane fault — connection failure, a fault frame, a protocol
-// violation — cancels the attempt and re-issues the call to the lane's next
-// replica, with already-delivered increments suppressed by replayFilter; a
-// lane whose stream has not produced its first frame within HedgeAfter is
-// treated as stalled, cancelled, and re-issued the same way (the streamed
-// hedge is a cancel-and-switch rather than the gather path's concurrent
-// race: racing two incremental streams would interleave increments, and
-// only one attempt may feed the consumer's ordered channel).
-func (c *StreamedClient) runStreamLane(ctx context.Context, x *xq.XRPCExpr, batch eval.ScatterBatch, ch chan<- eval.StreamChunk, lsp trace.SpanRef) (Lane, error) {
-	start := time.Now()
-	forward := func(chunk eval.StreamChunk) bool { return sendChunk(ctx, ch, chunk) }
-	max := c.Retry.maxAttempts(len(batch.Replicas))
-	// As in callLane: a Reroute hook routes even single-attempt lanes
-	// through the retry loop, so a fault can re-dispatch to the shard's new
-	// home under a newer topology epoch.
-	if max <= 1 && c.Reroute == nil {
-		asp := lsp.Child("attempt", trace.Str("peer", batch.Target), trace.Str("kind", "primary"))
-		lane, err := c.streamLane(ctx, batch.Target, x, batch.Iterations, forward, nil, asp)
-		asp.EndErr(err)
-		if err != nil {
-			err = budgetFailure(ctx, err, batch.Target, start)
-		} else {
-			asp.Set(trace.Bool("winner", true))
-		}
-		return lane, err
-	}
-	targets := c.dispatchTargets(batch)
-	progress := &laneProgress{}
-	fault := &firstFault{}
-	var lastFresh []string
-	retries, hedges := 0, 0
-	var wasted int64
-	stalled := false
-	terminal := false
-	for attempt := 0; attempt < max; attempt++ {
-		if attempt > 0 {
-			if stalled {
-				hedges++
-			} else {
-				retries++
-				if d := c.Retry.backoff(); d > 0 {
-					select {
-					case <-time.After(d):
-					case <-ctx.Done():
-					}
-				}
-			}
-		}
-		if ctx.Err() != nil {
-			break
-		}
-		target := targets[attempt%len(targets)]
-		asp := lsp.Child("attempt",
-			trace.Str("peer", target),
-			trace.Int("replica", int64(replicaIndex(batch, target))),
-			trace.Str("kind", attemptKind(attempt == 0, stalled)))
-		actx, acancel := context.WithCancel(ctx)
-		frames := make(chan struct{}, 1)
-		onFrame := func() {
-			select {
-			case frames <- struct{}{}:
-			default:
-			}
-		}
-		type outcome struct {
-			lane Lane
-			err  error
-		}
-		win := func(o outcome) Lane {
-			lane := o.lane
-			lane.Target = batch.Target
-			lane.Replica = replicaIndex(batch, target)
-			lane.Retries = retries
-			lane.Hedges = hedges
-			lane.WastedNS = wasted
-			return lane
-		}
-		outc := make(chan outcome, 1)
-		// The filter's attempt-local stream position starts fresh for each
-		// attempt (every retry replays from call 0); only the shared
-		// delivered-progress record persists across attempts.
-		deliver := replayFilter(progress, forward)
-		t0 := time.Now()
-		go func() {
-			lane, err := c.streamLane(actx, target, x, batch.Iterations, deliver, onFrame, asp)
-			outc <- outcome{lane, err}
-		}()
-		var hedgeC <-chan time.Time
-		var hedgeTimer *time.Timer
-		if d := c.hedgeDelay(target); d > 0 && attempt+1 < max {
-			hedgeTimer = time.NewTimer(d)
-			hedgeC = hedgeTimer.C
-		}
-		stalled = false
-	wait:
-		for {
-			select {
-			case o := <-outc:
-				if o.err == nil {
-					if hedgeTimer != nil {
-						hedgeTimer.Stop()
-					}
-					acancel()
-					asp.End()
-					asp.Set(trace.Bool("winner", true))
-					return win(o), nil
-				}
-				asp.EndErr(o.err)
-				fault.record(attempt, o.err)
-				wasted += time.Since(t0).Nanoseconds()
-				// A spent budget is terminal: no replica answers in time that
-				// no longer exists, so the lane stops failing over.
-				terminal = isDeadline(o.err)
-				break wait
-			case <-frames:
-				// The stream is alive: disarm the stall bound. Mid-stream
-				// faults still fail over (with replay suppression); only
-				// the never-started case is time-bounded.
-				if hedgeTimer != nil {
-					hedgeTimer.Stop()
-					hedgeC = nil
-				}
-			case <-hedgeC:
-				stalled = true
-				acancel()
-				o := <-outc // let the cancelled attempt unwind
-				if o.err == nil {
-					// The stream completed in the race window between the
-					// timer firing and the cancellation landing: that is a
-					// win, not a stall — re-issuing would discard a fully
-					// delivered lane.
-					if hedgeTimer != nil {
-						hedgeTimer.Stop()
-					}
-					asp.End()
-					asp.Set(trace.Bool("winner", true))
-					return win(o), nil
-				}
-				asp.Set(trace.Bool("stalled", true))
-				asp.EndErr(o.err)
-				fault.record(attempt, o.err)
-				wasted += time.Since(t0).Nanoseconds()
-				terminal = isDeadline(o.err)
-				break wait
-			}
-		}
-		if hedgeTimer != nil {
-			hedgeTimer.Stop()
-		}
-		acancel()
-		if terminal {
-			break
-		}
-		// Epoch-aware re-dispatch, as in callLane: a genuine fault re-consults
-		// the live topology and extends the rotation (and attempt budget) with
-		// the shard's new home under a newer epoch.
-		var added int
-		if targets, added = c.reroutedTargets(batch, targets, &lastFresh); added > 0 {
-			max += added
-		}
-	}
-	return Lane{}, budgetFailure(ctx, fault.error(), batch.Target, start)
 }
