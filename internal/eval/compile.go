@@ -506,7 +506,7 @@ func (fc *fnCompiler) compileFor(v *xq.ForExpr, sc *scope) cexpr {
 				if err != nil {
 					return nil, err
 				}
-				f.slots[hoistSlots[i]] = val
+				f.bindHoisted(hoistSlots[i], val)
 			}
 			body = hoisted
 		}
@@ -820,6 +820,7 @@ func (fc *fnCompiler) compileGeneralCompare(v *xq.CompareExpr, sc *scope) cbool 
 	if !rConst {
 		r = fc.compile(v.Right, sc)
 	}
+	lHoist, rHoist := hoistedSlot(v.Left, sc), hoistedSlot(v.Right, sc)
 	if path, constLeft, ok := existsComparePath(v, lConst, rConst); ok {
 		ca := rc
 		if constLeft {
@@ -851,7 +852,7 @@ func (fc *fnCompiler) compileGeneralCompare(v *xq.CompareExpr, sc *scope) cbool 
 			if err != nil {
 				return false, err
 			}
-			la = ls.Atomize()
+			la = f.atomized(lHoist, ls)
 		}
 		ra := rc
 		if !rConst {
@@ -859,10 +860,21 @@ func (fc *fnCompiler) compileGeneralCompare(v *xq.CompareExpr, sc *scope) cbool 
 			if err != nil {
 				return false, err
 			}
-			ra = rs.Atomize()
+			ra = f.atomized(rHoist, rs)
 		}
 		return generalCompareAtoms(op, la, ra), nil
 	}
+}
+
+// hoistedSlot returns the slot of comparison operand e when e refers to an
+// operand a for-loop hoisted, or -1.
+func hoistedSlot(e xq.Expr, sc *scope) int {
+	if ref, ok := e.(*xq.VarRef); ok && strings.HasPrefix(ref.Name, hoistPrefix) {
+		if slot, ok := sc.lookup(ref.Name); ok {
+			return slot
+		}
+	}
+	return -1
 }
 
 // existsComparePath picks out the streamable comparison shape: exactly one
@@ -1177,7 +1189,7 @@ func (fc *fnCompiler) compileForSeq(v *xq.ForExpr, sc *scope) cseq {
 								inErr = err
 								return false
 							}
-							f.slots[hoistSlots[i]] = val
+							f.bindHoisted(hoistSlots[i], val)
 						}
 					}
 					for _, b := range buf {

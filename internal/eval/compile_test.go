@@ -83,6 +83,12 @@ func TestCompiledEquivalenceRegressions(t *testing.T) {
 		`for $x in (1, 2, 3, 4) return if ($x > 10) then ($x = doc("f.xml")//book/price) else $x`,
 		`for $x in (1, 2, 3, 4, 5) return if (false()) then (unknownfn() = 1) else $x`,
 		`for $b in doc("f.xml")//book order by number($b/price) descending return $b/title`,
+		// A hoisted operand is atomized once per loop: nodes, untyped and
+		// numeric atoms mixed on both sides of the promotion rules, and an
+		// inner loop whose hoisted operand changes with the outer iteration.
+		`declare function mix() as item()* { (doc("f.xml")//book/price, data(doc("f.xml")//age), 28, 4.9e1, doc("f.xml")//person/@id) };
+		 for $x in (49, 28.0, "34", "p1", 7, 31, "zz", true()) return ($x = mix(), mix() != $x, $x < mix())`,
+		`for $o in (1, 2, 3, 4, 5, 6) return for $x in (1, 2, 3, 4, 5, 6) return if ($x = subsequence((1, 2, 3, 4, 5, 6, 7), $o, 2)) then $x else ()`,
 		// Quantifiers, typeswitch, logic.
 		`some $a in doc("f.xml")//author satisfies $a = "Tang"`,
 		`every $a in doc("f.xml")//author satisfies string-length($a) > 2`,

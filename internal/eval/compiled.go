@@ -54,6 +54,33 @@ type cframe struct {
 	item  xdm.Item
 	pos   int
 	size  int
+	// atoms memoizes, per hoisted-operand slot, the atomized form of the
+	// slot's value — the compiled twin of frame.atoms. bindHoisted drops the
+	// entry whenever the loop that owns the slot evaluates the operand anew.
+	atoms map[int][]xdm.Atomic
+}
+
+// bindHoisted stores a freshly evaluated hoisted comparison operand.
+func (f *cframe) bindHoisted(slot int, val xdm.Sequence) {
+	f.slots[slot] = val
+	delete(f.atoms, slot)
+}
+
+// atomized returns s.Atomize() for s the value of a comparison operand,
+// through the memo when the operand is the hoisted slot given (slot >= 0).
+func (f *cframe) atomized(slot int, s xdm.Sequence) []xdm.Atomic {
+	if slot < 0 {
+		return s.Atomize()
+	}
+	a, ok := f.atoms[slot]
+	if !ok {
+		if f.atoms == nil {
+			f.atoms = map[int][]xdm.Atomic{}
+		}
+		a = s.Atomize()
+		f.atoms[slot] = a
+	}
+	return a
 }
 
 // Program is the compiled artifact of one query: the compiled body (eager

@@ -21,6 +21,7 @@ package eval
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -520,6 +521,14 @@ type frame struct {
 	name string
 	val  xdm.Sequence
 	next *frame
+	// atoms is set on the frame of a hoisted loop-invariant comparison
+	// operand (bindHoisted) and memoizes val.Atomize(): the operand is
+	// evaluated once per loop, and without the memo its hundreds of nodes
+	// would still be atomized again by every iteration's comparison. A
+	// binding never changes and an evaluation runs on one goroutine, so the
+	// memo needs no lock. Nil inside until first use: Atomize never returns
+	// a nil slice.
+	atoms *[]xdm.Atomic
 }
 
 // context is the dynamic evaluation context.
@@ -542,17 +551,47 @@ func (c *context) bind(name string, val xdm.Sequence) *context {
 	return &nc
 }
 
+// bindHoisted binds a hoisted comparison operand; see frame.atoms.
+func (c *context) bindHoisted(name string, val xdm.Sequence) *context {
+	nc := c.bind(name, val)
+	nc.vars.atoms = new([]xdm.Atomic)
+	return nc
+}
+
+// atomized returns s.Atomize() for s the value of comparison operand e,
+// through the binding's memo when e refers to a hoisted operand. (A frame
+// chain rebuilt for a compiled fallback carries no memo; it atomizes.)
+func (c *context) atomized(e xq.Expr, s xdm.Sequence) []xdm.Atomic {
+	if ref, ok := e.(*xq.VarRef); ok && strings.HasPrefix(ref.Name, hoistPrefix) {
+		if f := c.binding(ref.Name); f != nil && f.atoms != nil {
+			if *f.atoms == nil {
+				*f.atoms = s.Atomize()
+			}
+			return *f.atoms
+		}
+	}
+	return s.Atomize()
+}
+
 func (c *context) withItem(it xdm.Item, pos, size int) *context {
 	nc := *c
 	nc.item, nc.pos, nc.size = it, pos, size
 	return &nc
 }
 
-func (c *context) lookup(name string) (xdm.Sequence, bool) {
+// binding returns the innermost frame binding name, or nil.
+func (c *context) binding(name string) *frame {
 	for f := c.vars; f != nil; f = f.next {
 		if f.name == name {
-			return f.val, true
+			return f
 		}
+	}
+	return nil
+}
+
+func (c *context) lookup(name string) (xdm.Sequence, bool) {
+	if f := c.binding(name); f != nil {
+		return f.val, true
 	}
 	return nil, false
 }

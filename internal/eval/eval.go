@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -182,7 +183,7 @@ func (c *context) evalFor(v *xq.ForExpr) (xdm.Sequence, error) {
 				if err != nil {
 					return nil, err
 				}
-				c = c.bind(b.name, val)
+				c = c.bindHoisted(b.name, val)
 			}
 		}
 	}
@@ -566,7 +567,7 @@ func (c *context) evalCompare(v *xq.CompareExpr) (xdm.Sequence, error) {
 	if v.Op.IsNodeComp() {
 		return nodeCompare(v.Op, l, r)
 	}
-	return xdm.Singleton(xdm.NewBoolean(generalCompareAtoms(v.Op, l.Atomize(), r.Atomize()))), nil
+	return xdm.Singleton(xdm.NewBoolean(generalCompareAtoms(v.Op, c.atomized(v.Left, l), c.atomized(v.Right, r)))), nil
 }
 
 // generalCompareAtoms decides the existential general comparison over
@@ -956,6 +957,11 @@ type hoistBinding struct {
 
 var hoistSeq atomic.Uint64
 
+// hoistPrefix starts the name of every hoisted operand's variable. It
+// contains '#', which the query language cannot produce, so capture is
+// impossible and a reference to one is recognizable by name.
+const hoistPrefix = "#hoist"
+
 // hoistInvariantOperands clones body and replaces comparison operands that
 // do not depend on loopVar (nor on any variable bound inside body, nor on
 // node construction or remote calls) with fresh variable references. The
@@ -1006,7 +1012,7 @@ func hoistInvariantOperands(body xq.Expr, loopVar string) (xq.Expr, []hoistBindi
 		if *slot == nil || !hoistable(*slot, bound) {
 			return
 		}
-		name := fmt.Sprintf("#hoist%d", hoistSeq.Add(1))
+		name := hoistPrefix + strconv.FormatUint(hoistSeq.Add(1), 10)
 		bindings = append(bindings, hoistBinding{name: name, expr: *slot})
 		*slot = &xq.VarRef{Name: name}
 	}

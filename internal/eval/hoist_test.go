@@ -1,10 +1,14 @@
 package eval
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"distxq/internal/xdm"
+	"distxq/internal/xq"
 )
 
 // TestHoistingPreservesSemantics compares a join evaluated with the
@@ -43,6 +47,57 @@ func TestHoistingInnerBinderShadowing(t *testing.T) {
 		`for $x in (1,2,3,4,5,6)
 		 return count(for $y in (1,2) return if ($x = $y + 0) then $x else ())`,
 		"1 1 0 0 0 0")
+}
+
+// TestHoistedOperandRebindsPerOuterIteration: an inner loop's hoisted
+// operand that depends on the outer variable is evaluated — and atomized —
+// anew for every outer iteration; a memo surviving the rebind would repeat
+// the first iteration's matches.
+func TestHoistedOperandRebindsPerOuterIteration(t *testing.T) {
+	expect(t, nil,
+		`for $o in (1,2,3,4,5,6) return for $x in (1,2,3,4,5,6)
+		 return if ($x = subsequence((1,2,3,4,5,6,7), $o, 2)) then $x else ()`,
+		"1 2 2 3 3 4 4 5 5 6 6")
+}
+
+// TestHoistedOperandAtomizedOnce: the semijoin shape — a few hundred hoisted
+// nodes compared once per iteration — allocates the atomized operand once
+// per loop, not once per iteration (400 nodes × 48 B × 60 iterations would
+// be over 1 MB), under both executors.
+func TestHoistedOperandAtomizedOnce(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("<ids>")
+	for i := 0; i < 400; i++ {
+		fmt.Fprintf(&sb, `<i n="%d"/>`, i)
+	}
+	sb.WriteString("</ids>")
+	var loop strings.Builder
+	for i := 0; i < 60; i++ {
+		fmt.Fprintf(&loop, "%d,", 1000+i)
+	}
+	src := `count(for $x in (` + loop.String() + `399) return if ($x = doc("ids.xml")//i/@n) then $x else ())`
+	for _, compile := range []bool{false, true} {
+		eng := NewEngine(mapResolver{"ids.xml": sb.String()})
+		eng.Options.Compile = compile
+		q, err := xq.ParseQuery(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			res, err := eng.Query(q)
+			if err != nil || len(res) != 1 || res[0].ItemString() != "1" {
+				t.Fatalf("compile=%v: %v, %v", compile, res, err)
+			}
+		}
+		run() // parse the document, normalize, compile
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		if kb := (after.TotalAlloc - before.TotalAlloc) / 1024; kb > 300 {
+			t.Errorf("compile=%v: one run allocated %d KB; the hoisted operand is atomized per iteration", compile, kb)
+		}
+	}
 }
 
 func TestHoistingErrorsSurface(t *testing.T) {

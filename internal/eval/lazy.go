@@ -209,7 +209,7 @@ func (c *context) forSeq(v *xq.ForExpr) xdm.Seq {
 							inErr = err
 							return false
 						}
-						bound = bound.bind(b.name, val)
+						bound = bound.bindHoisted(b.name, val)
 					}
 				}
 				for _, b := range buf {

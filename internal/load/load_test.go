@@ -191,36 +191,64 @@ func TestRunMaxQueries(t *testing.T) {
 // must shed the excess instead of queueing it into latency collapse.
 func overloadDrive(target Target) Result {
 	return Run(target, Options{
-		Duration: 150 * time.Millisecond,
-		Arrival:  2500 * time.Microsecond,
+		Duration: overloadOffered * overloadArrival,
+		Arrival:  overloadArrival,
 	})
 }
+
+const (
+	overloadArrival = 2500 * time.Microsecond
+	overloadOffered = 60 // arrivals one drive is due to make
+)
 
 // overloadChecks asserts the graceful-degradation criteria: under 2×
 // capacity offered load the service sheds, admitted queries keep a tail
 // within 3× the uncontended P99 (the admission queue is short by design),
 // and shed queries fail in a small fraction of the budget.
-func overloadChecks(t *testing.T, uncontended, overloaded Result, budget time.Duration) {
+//
+// Both latency criteria judge the slowest of the ~30 queries a 150 ms drive
+// admits or sheds against a bound a few scheduler quanta wide, so one hiccup
+// breaks one drive (0.3–1.3 % of runs on a 2-vCPU box), and a box that
+// stalls outright starves the generator itself. What the criteria guard
+// against — queueing into latency collapse, rejects that wait — breaks every
+// drive. They therefore fail only when each of three independent drives
+// fails them; the structural criteria must hold on every drive that reached
+// overload.
+func overloadChecks(t *testing.T, uncontended Result, drive func() Result, budget time.Duration) {
 	t.Helper()
-	checkPartition(t, overloaded)
-	if overloaded.Shed == 0 {
-		t.Fatalf("overload shed nothing: %+v", overloaded)
+	var slow []string
+	for len(slow) < 3 {
+		overloaded := drive()
+		checkPartition(t, overloaded)
+		if overloaded.Offered < overloadOffered/2 {
+			// The box, not the service, stalled: this was no overload.
+			slow = append(slow, fmt.Sprintf("generator offered %d of %d queries",
+				overloaded.Offered, overloadOffered))
+			continue
+		}
+		if overloaded.Shed == 0 {
+			t.Fatalf("overload shed nothing: %+v", overloaded)
+		}
+		if overloaded.Completed == 0 {
+			t.Fatalf("overload starved admitted queries: %+v", overloaded)
+		}
+		if overloaded.DeadlineExceeded != 0 {
+			t.Errorf("%d admitted queries blew the budget: %+v",
+				overloaded.DeadlineExceeded, overloaded)
+		}
+		base, lim := uncontended.Stats.P99, budget/10
+		switch {
+		case overloaded.Stats.P99 > 3*base:
+			slow = append(slow, fmt.Sprintf("admitted P99 %v exceeds 3x uncontended P99 %v",
+				overloaded.Stats.P99, base))
+		case overloaded.Stats.RejectP99 >= lim:
+			slow = append(slow, fmt.Sprintf("shed queries took P99 %v, want < %v (budget/10)",
+				overloaded.Stats.RejectP99, lim))
+		default:
+			return
+		}
 	}
-	if overloaded.Completed == 0 {
-		t.Fatalf("overload starved admitted queries: %+v", overloaded)
-	}
-	if base := uncontended.Stats.P99; overloaded.Stats.P99 > 3*base {
-		t.Errorf("admitted P99 %v exceeds 3x uncontended P99 %v",
-			overloaded.Stats.P99, base)
-	}
-	if lim := budget / 10; overloaded.Stats.RejectP99 >= lim {
-		t.Errorf("shed queries took P99 %v, want < %v (budget/10)",
-			overloaded.Stats.RejectP99, lim)
-	}
-	if overloaded.DeadlineExceeded != 0 {
-		t.Errorf("%d admitted queries blew the budget: %+v",
-			overloaded.DeadlineExceeded, overloaded)
-	}
+	t.Errorf("each of three overload drives was slow: %s", strings.Join(slow, "; "))
 }
 
 // TestOverloadFastRejectInMemory drives the in-memory federation at well
@@ -244,7 +272,7 @@ func TestOverloadFastRejectInMemory(t *testing.T) {
 	if uncontended.Shed != 0 || uncontended.Failed != 0 || uncontended.Completed == 0 {
 		t.Fatalf("uncontended baseline unhealthy: %+v", uncontended)
 	}
-	overloadChecks(t, uncontended, overloadDrive(target), budget)
+	overloadChecks(t, uncontended, func() Result { return overloadDrive(target) }, budget)
 }
 
 // TestOverloadFastRejectHTTP repeats the overload scenario with the scatter
@@ -287,7 +315,7 @@ func TestOverloadFastRejectHTTP(t *testing.T) {
 	if uncontended.Shed != 0 || uncontended.Failed != 0 || uncontended.Completed == 0 {
 		t.Fatalf("uncontended baseline unhealthy: %+v", uncontended)
 	}
-	overloadChecks(t, uncontended, overloadDrive(target), budget)
+	overloadChecks(t, uncontended, func() Result { return overloadDrive(target) }, budget)
 }
 
 // TestKillAnyPeerEquivalenceWithAdaptiveHedging is the robustness

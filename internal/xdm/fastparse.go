@@ -9,8 +9,8 @@ import (
 // ParseBytes parses an XML document with an allocation-light scanner
 // specialized for machine-generated XML such as XRPC messages: element and
 // attribute names and text content are sliced out of one backing string
-// instead of being tokenized through encoding/xml, and nodes are handed out
-// of slab arenas. It accepts the same document subset Parse produces
+// instead of being tokenized through encoding/xml, and nodes and their
+// child/attribute arrays are handed out of slabs sized to the message. It accepts the same document subset Parse produces
 // (elements, attributes, text, comments; prefixed names kept literally, xmlns
 // attributes dropped, PIs/directives skipped) and reports an error on
 // anything malformed.
@@ -22,24 +22,86 @@ func ParseBytes(data []byte, uri string) (*Document, error) {
 	return parseFast(string(data), uri)
 }
 
-// nodeArena hands out nodes from slabs so a parsed message performs O(n/slab)
-// node allocations instead of O(n).
-type nodeArena struct{ slab []Node }
+// msgArena hands out the nodes of one parsed message, and the backing arrays
+// of their Children and Attrs slices, from slabs sized to the message: a
+// 12-node request costs a 12-node slab, not a fixed one. est is the parser's
+// estimate of the nodes still to come; a slab never exceeds maxSlab entries,
+// so an estimate that is off wastes at most one slab.
+type msgArena struct {
+	nodes []Node
+	ptrs  []*Node
+	est   int
+}
 
-func (ar *nodeArena) take(k Kind, name, text string) *Node {
-	if len(ar.slab) == 0 {
-		ar.slab = make([]Node, 256)
+const (
+	minSlab = 8
+	maxSlab = 1024
+)
+
+// estimateNodes guesses the node count of a message from two byte counts:
+// every '<' opens an element, a comment or an end tag — and an element with
+// an end tag typically holds one text node or is a wrapper — and every ="
+// is an attribute.
+func estimateNodes(s string) int {
+	return strings.Count(s, "<") + strings.Count(s, `="`)
+}
+
+func (ar *msgArena) slabSize(need int) int {
+	return max(need, min(max(ar.est, minSlab), maxSlab))
+}
+
+func (ar *msgArena) take(k Kind, name, text string) *Node {
+	if len(ar.nodes) == 0 {
+		ar.nodes = make([]Node, ar.slabSize(1))
 	}
-	n := &ar.slab[0]
-	ar.slab = ar.slab[1:]
+	n := &ar.nodes[0]
+	ar.nodes = ar.nodes[1:]
+	ar.est--
 	n.Kind, n.Name, n.Text = k, name, text
 	return n
 }
 
+// window returns a slab-backed copy of src whose capacity equals its length:
+// whoever appends to it later (a constructor adopting the node, say) gets a
+// fresh array instead of writing into the neighbouring window.
+func (ar *msgArena) window(src []*Node) []*Node {
+	if len(src) == 0 {
+		return nil
+	}
+	if len(ar.ptrs) < len(src) {
+		ar.ptrs = make([]*Node, ar.slabSize(len(src)))
+	}
+	w := ar.ptrs[:len(src):len(src)]
+	ar.ptrs = ar.ptrs[len(src):]
+	copy(w, src)
+	return w
+}
+
+// openElem is an element whose end tag the parser has not reached; its
+// children so far are pending[mark:].
+type openElem struct {
+	el   *Node
+	mark int
+}
+
 func parseFast(s, uri string) (*Document, error) {
 	doc := NewDocument(uri)
-	cur := doc.Root
-	var arena nodeArena
+	arena := msgArena{est: estimateNodes(s)}
+	// Children and attributes collect on one pending stack and move into an
+	// exactly sized arena window when their element closes. Freeze, at the
+	// end, links parents and sibling indexes.
+	open := make([]openElem, 1, 16)
+	open[0].el = doc.Root
+	pending := make([]*Node, 0, 64)
+	cur := &open[0]
+	// lastText returns the text node a split run (PI, directive or CDATA in
+	// the middle of character data) continues, if any.
+	lastText := func() *Node {
+		if k := len(pending); k > cur.mark && pending[k-1].Kind == TextNode {
+			return pending[k-1]
+		}
+		return nil
+	}
 	pos := 0
 	for pos < len(s) {
 		if s[pos] != '<' {
@@ -51,14 +113,14 @@ func parseFast(s, uri string) (*Document, error) {
 			if err != nil {
 				return nil, fmt.Errorf("xdm: parse %s: %w", uri, err)
 			}
-			if cur == doc.Root && strings.TrimSpace(txt) == "" {
+			if len(open) == 1 && strings.TrimSpace(txt) == "" {
 				continue // whitespace outside the document element
 			}
-			if k := len(cur.Children); k > 0 && cur.Children[k-1].Kind == TextNode {
-				cur.Children[k-1].Text += txt // PI/directive split a text run
+			if t := lastText(); t != nil {
+				t.Text += txt // PI/directive split a text run
 				continue
 			}
-			cur.AppendChild(arena.take(TextNode, "", txt))
+			pending = append(pending, arena.take(TextNode, "", txt))
 			continue
 		}
 		if pos+1 >= len(s) {
@@ -75,20 +137,23 @@ func parseFast(s, uri string) (*Document, error) {
 				return nil, fmt.Errorf("xdm: parse %s: malformed end tag </%s", uri, name)
 			}
 			pos = p + 1
-			if cur == doc.Root {
+			if len(open) == 1 {
 				return nil, fmt.Errorf("xdm: parse %s: unbalanced end element", uri)
 			}
-			if cur.Name != name {
-				return nil, fmt.Errorf("xdm: parse %s: </%s> closes <%s>", uri, name, cur.Name)
+			if cur.el.Name != name {
+				return nil, fmt.Errorf("xdm: parse %s: </%s> closes <%s>", uri, name, cur.el.Name)
 			}
-			cur = cur.Parent
+			cur.el.Children = arena.window(pending[cur.mark:])
+			pending = pending[:cur.mark]
+			open = open[:len(open)-1]
+			cur = &open[len(open)-1]
 		case '!':
 			if strings.HasPrefix(s[pos:], "<!--") {
 				end := strings.Index(s[pos+4:], "-->")
 				if end < 0 {
 					return nil, fmt.Errorf("xdm: parse %s: unterminated comment", uri)
 				}
-				cur.AppendChild(arena.take(CommentNode, "", s[pos+4:pos+4+end]))
+				pending = append(pending, arena.take(CommentNode, "", s[pos+4:pos+4+end]))
 				pos += 4 + end + 3
 			} else if strings.HasPrefix(s[pos:], "<![CDATA[") {
 				end := strings.Index(s[pos+9:], "]]>")
@@ -97,14 +162,14 @@ func parseFast(s, uri string) (*Document, error) {
 				}
 				txt := s[pos+9 : pos+9+end]
 				pos += 9 + end + 3
-				if cur == doc.Root && strings.TrimSpace(txt) == "" {
+				if len(open) == 1 && strings.TrimSpace(txt) == "" {
 					continue
 				}
-				if k := len(cur.Children); k > 0 && cur.Children[k-1].Kind == TextNode {
-					cur.Children[k-1].Text += txt
+				if t := lastText(); t != nil {
+					t.Text += txt
 					continue
 				}
-				cur.AppendChild(arena.take(TextNode, "", txt))
+				pending = append(pending, arena.take(TextNode, "", txt))
 			} else {
 				// Directive (<!DOCTYPE ...>): skipped, like Parse does.
 				end := strings.IndexByte(s[pos:], '>')
@@ -126,6 +191,7 @@ func parseFast(s, uri string) (*Document, error) {
 			}
 			pos = p
 			el := arena.take(ElementNode, name, "")
+			amark := len(pending) // the element's attributes are pending[amark:]
 			closed := false
 			for !closed {
 				pos = skipXMLSpace(s, pos)
@@ -133,17 +199,21 @@ func parseFast(s, uri string) (*Document, error) {
 					return nil, fmt.Errorf("xdm: parse %s: unexpected EOF in <%s>", uri, name)
 				}
 				switch s[pos] {
-				case '>':
-					pos++
-					cur.AppendChild(el)
-					cur = el
-					closed = true
-				case '/':
-					if pos+1 >= len(s) || s[pos+1] != '>' {
+				case '>', '/':
+					selfClosing := s[pos] == '/'
+					if selfClosing && (pos+1 >= len(s) || s[pos+1] != '>') {
 						return nil, fmt.Errorf("xdm: parse %s: malformed empty-element tag <%s", uri, name)
 					}
-					pos += 2
-					cur.AppendChild(el)
+					pos++
+					if selfClosing {
+						pos++
+					}
+					el.Attrs = arena.window(pending[amark:])
+					pending = append(pending[:amark], el)
+					if !selfClosing {
+						open = append(open, openElem{el: el, mark: len(pending)})
+						cur = &open[len(open)-1]
+					}
 					closed = true
 				default:
 					aname, p, err := scanXMLName(s, pos)
@@ -173,7 +243,7 @@ func parseFast(s, uri string) (*Document, error) {
 						continue
 					}
 					replaced := false
-					for _, a := range el.Attrs {
+					for _, a := range pending[amark:] {
 						if a.Name == aname {
 							a.Text = val
 							replaced = true
@@ -181,18 +251,16 @@ func parseFast(s, uri string) (*Document, error) {
 						}
 					}
 					if !replaced {
-						a := arena.take(AttributeNode, aname, val)
-						a.Parent = el
-						a.sibIdx = int32(len(el.Attrs))
-						el.Attrs = append(el.Attrs, a)
+						pending = append(pending, arena.take(AttributeNode, aname, val))
 					}
 				}
 			}
 		}
 	}
-	if cur != doc.Root {
-		return nil, fmt.Errorf("xdm: parse %s: unexpected EOF inside element %s", uri, cur.Name)
+	if len(open) != 1 {
+		return nil, fmt.Errorf("xdm: parse %s: unexpected EOF inside element %s", uri, cur.el.Name)
 	}
+	doc.Root.Children = arena.window(pending)
 	doc.Freeze()
 	return doc, nil
 }

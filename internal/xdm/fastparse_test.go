@@ -1,6 +1,7 @@
 package xdm
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -124,5 +125,96 @@ func TestParseBytesRejectsMalformed(t *testing.T) {
 		if _, err := ParseBytes([]byte(src), "bad.xml"); err == nil {
 			t.Errorf("%s: expected error for %q", name, src)
 		}
+	}
+}
+
+// TestParseBytesWindowsDoNotAlias: Children and Attrs of a parsed message are
+// windows into shared slabs, each capped at its length — growing one (an
+// AppendChild or SetAttr by whoever adopts the node) must reallocate it, not
+// write into the neighbouring window.
+func TestParseBytesWindowsDoNotAlias(t *testing.T) {
+	doc, err := ParseBytes([]byte(`<r><a x="1" y="2"><b/><c/></a><d z="3"><e/>tail</d><f/></r>`), "w.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := doc.DocElem()
+	a, d := r.Children[0], r.Children[1]
+	var check func(n *Node)
+	check = func(n *Node) {
+		if cap(n.Children) != len(n.Children) || cap(n.Attrs) != len(n.Attrs) {
+			t.Errorf("<%s>: children %d/%d, attrs %d/%d: a window has spare capacity",
+				n.Name, len(n.Children), cap(n.Children), len(n.Attrs), cap(n.Attrs))
+		}
+		for _, c := range n.Children {
+			check(c)
+		}
+	}
+	check(doc.Root)
+
+	a.AppendChild(NewElement("intruder"))
+	a.SetAttr("w", "9")
+	r.AppendChild(NewElement("last"))
+	if got := SerializeString(d); got != `<d z="3"><e/>tail</d>` {
+		t.Errorf("neighbour clobbered by an append next door: %s", got)
+	}
+	if got := SerializeString(r); got != `<r><a x="1" y="2" w="9"><b/><c/><intruder/></a><d z="3"><e/>tail</d><f/><last/></r>` {
+		t.Errorf("tree after appends: %s", got)
+	}
+}
+
+// TestParseBytesArenaSpansSlabs: the arena's node estimate (one per '<' and
+// per attribute) undercounts mixed content and is capped per slab; documents
+// that outgrow the first slab — by text nodes the estimate never saw, or by
+// sheer fan-out — still come out identical to the reference parser's tree.
+func TestParseBytesArenaSpansSlabs(t *testing.T) {
+	var mixed, wide strings.Builder
+	mixed.WriteString("<a>")
+	for i := 0; i < 300; i++ {
+		mixed.WriteString("x<b/>")
+	}
+	mixed.WriteString("y</a>")
+	wide.WriteString("<a>")
+	for i := 0; i < 3*maxSlab; i++ {
+		wide.WriteString(`<b k="v">t</b>`)
+	}
+	wide.WriteString("</a>")
+	for name, src := range map[string]string{"mixed": mixed.String(), "wide": wide.String()} {
+		want, err := ParseString(src, "want.xml")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ParseBytes([]byte(src), "got.xml")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameTree(t, name, got.Root, want.Root)
+		if got.NodeCount() != want.NodeCount() {
+			t.Errorf("%s: NodeCount = %d, want %d", name, got.NodeCount(), want.NodeCount())
+		}
+		for i, c := range got.DocElem().Children {
+			if c.Parent != got.DocElem() || int(c.SiblingIndex()) != i {
+				t.Fatalf("%s: child %d: parent/sibling index wrong", name, i)
+			}
+		}
+	}
+}
+
+// TestParseBytesSlabSizedToMessage: a small message gets a small slab — the
+// allocation is bounded by its node count, not by a fixed slab size.
+func TestParseBytesSlabSizedToMessage(t *testing.T) {
+	src := []byte(`<env:Envelope><env:Body><xrpc:request method="f" arity="0"><xrpc:call/></xrpc:request></env:Body></env:Envelope>`)
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := ParseBytes(src, "small.xml"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > 4096 {
+		t.Errorf("parsing a 7-node message allocated %d B", got)
+	} else {
+		t.Logf("%d B per parse", got)
 	}
 }

@@ -70,9 +70,14 @@ type Document struct {
 // attaches children to doc.Root and must call Freeze before using document
 // order.
 func NewDocument(uri string) *Document {
-	d := &Document{URI: uri, seq: docSeq.Add(1)}
-	d.Root = &Node{Kind: DocumentNode, Doc: d}
-	return d
+	// The document and its root node live and die together: one allocation.
+	a := &struct {
+		d    Document
+		root Node
+	}{}
+	a.d = Document{URI: uri, Root: &a.root, seq: docSeq.Add(1)}
+	a.root = Node{Kind: DocumentNode, Doc: &a.d}
+	return &a.d
 }
 
 // Seq returns the global creation sequence number used to order nodes from
@@ -109,31 +114,32 @@ func (d *Document) Freeze() {
 	if d.frozen {
 		return
 	}
-	pre := int32(0)
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		start := pre
-		n.pre = pre
-		pre++
-		n.Doc = d
-		for i, a := range n.Attrs {
-			a.pre = pre
-			pre++
-			a.Doc = d
-			a.Parent = n
-			a.sibIdx = int32(i)
-			a.size = 1
-		}
-		for i, c := range n.Children {
-			c.Parent = n
-			c.sibIdx = int32(i)
-			walk(c)
-		}
-		n.size = pre - start
-	}
-	walk(d.Root)
-	d.nnodes = int(pre)
+	d.nnodes = int(d.number(d.Root, 0))
 	d.frozen = true
+}
+
+// number assigns the subtree of n its ranks starting at pre and returns the
+// first rank after it.
+func (d *Document) number(n *Node, pre int32) int32 {
+	start := pre
+	n.pre = pre
+	pre++
+	n.Doc = d
+	for i, a := range n.Attrs {
+		a.pre = pre
+		pre++
+		a.Doc = d
+		a.Parent = n
+		a.sibIdx = int32(i)
+		a.size = 1
+	}
+	for i, c := range n.Children {
+		c.Parent = n
+		c.sibIdx = int32(i)
+		pre = d.number(c, pre)
+	}
+	n.size = pre - start
+	return pre
 }
 
 // Node is a single XML node. The zero value is not usable; create nodes with
@@ -239,6 +245,11 @@ func (n *Node) StringValue() string {
 	case TextNode, CommentNode, AttributeNode:
 		return n.Text
 	default:
+		// The leaf element of data-oriented XML: its one text child is the
+		// value, no copy needed.
+		if len(n.Children) == 1 && n.Children[0].Kind == TextNode {
+			return n.Children[0].Text
+		}
 		var sb strings.Builder
 		n.appendText(&sb)
 		return sb.String()

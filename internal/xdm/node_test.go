@@ -292,8 +292,13 @@ func TestSerializeRoundTripProperty(t *testing.T) {
 		tags := []string{"a", "b", "c", "d"}
 		for i, nb := range names {
 			el := NewElement(tags[int(nb)%len(tags)])
-			if i < len(texts) && texts[i] != "" {
-				el.AppendChild(NewText(sanitize(texts[i])))
+			if i < len(texts) {
+				// An empty text node serializes to nothing and does not
+				// come back from the parser; a string of only non-XML
+				// characters sanitizes to one.
+				if txt := sanitize(texts[i]); txt != "" {
+					el.AppendChild(NewText(txt))
+				}
 			}
 			cur.AppendChild(el)
 			if nb%3 == 0 {
@@ -317,12 +322,14 @@ func TestSerializeRoundTripProperty(t *testing.T) {
 }
 
 // sanitize keeps only characters matching the XML 1.0 Char production (the
-// tree builder is fed parser output in production, which guarantees this).
+// tree builder is fed parser output in production, which guarantees this) —
+// minus the carriage return, which end-of-line normalization turns into a
+// line feed before the parser ever builds a text node.
 func sanitize(s string) string {
 	var sb strings.Builder
 	for _, r := range s {
 		switch {
-		case r == 0x09 || r == 0x0A || r == 0x0D:
+		case r == 0x09 || r == 0x0A:
 			sb.WriteRune(r)
 		case r >= 0x20 && r <= 0xD7FF && r != 0xFFFD:
 			sb.WriteRune(r)
@@ -366,5 +373,36 @@ func TestDeepEqualSeq(t *testing.T) {
 	}
 	if DeepEqualSeq(Sequence{NewString("x")}, Sequence{n}) {
 		t.Error("node vs atomic must be unequal")
+	}
+}
+
+// TestSerializeEscapesAtEveryLength: the serializer escapes run by run and
+// takes a search-based shortcut on long clean strings; markup characters
+// must come out as entities wherever they sit, in text and in attribute
+// values, on either side of the shortcut's length threshold.
+func TestSerializeEscapesAtEveryLength(t *testing.T) {
+	want := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+	wantAttr := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+	for n := 0; n < 70; n++ {
+		for _, special := range []string{"", "&", "<", ">", `"`} {
+			for _, at := range []int{0, n / 2, n} {
+				pad := strings.Repeat("x", n)
+				s := pad[:at] + special + pad[at:]
+				el := NewElement("e")
+				el.SetAttr("a", s)
+				if s != "" {
+					el.AppendChild(NewText(s))
+				}
+				exp := `<e a="` + wantAttr.Replace(s) + `"`
+				if s == "" {
+					exp += "/>"
+				} else {
+					exp += ">" + want.Replace(s) + "</e>"
+				}
+				if got := SerializeString(el); got != exp {
+					t.Fatalf("len %d special %q at %d: got %s want %s", n, special, at, got, exp)
+				}
+			}
+		}
 	}
 }

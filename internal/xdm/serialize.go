@@ -7,11 +7,23 @@ import (
 
 // Serialize writes the subtree rooted at n as XML text. Document nodes emit
 // their children; attribute nodes emit name="value" (useful in messages).
+// A writer that implements io.StringWriter receives the text without any
+// intermediate copy, escaped content included.
 func Serialize(w io.Writer, n *Node) error {
-	sw := &stickyWriter{w: w}
-	serializeNode(sw, n)
+	sw := stickyWriter{}
+	if s, ok := w.(io.StringWriter); ok {
+		sw.w = s
+	} else {
+		sw.w = byteWriter{w}
+	}
+	serializeNode(&sw, n)
 	return sw.err
 }
+
+// byteWriter adapts a plain io.Writer to the serializer.
+type byteWriter struct{ w io.Writer }
+
+func (b byteWriter) WriteString(s string) (int, error) { return b.w.Write([]byte(s)) }
 
 // SerializeString renders a node subtree to a string.
 func SerializeString(n *Node) string {
@@ -35,8 +47,13 @@ func (c *countWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+func (c *countWriter) WriteString(s string) (int, error) {
+	c.n += int64(len(s))
+	return len(s), nil
+}
+
 type stickyWriter struct {
-	w   io.Writer
+	w   io.StringWriter
 	err error
 }
 
@@ -44,7 +61,37 @@ func (s *stickyWriter) str(ss string) {
 	if s.err != nil {
 		return
 	}
-	_, s.err = io.WriteString(s.w, ss)
+	_, s.err = s.w.WriteString(ss)
+}
+
+// textEscapes and attrEscapes map a byte to the index of its entity in
+// escapeEntity, 0 for bytes written as they are; attribute values
+// additionally escape the double quote.
+var (
+	textEscapes  = [256]uint8{'&': 1, '<': 2, '>': 3}
+	attrEscapes  = [256]uint8{'&': 1, '<': 2, '>': 3, '"': 4}
+	escapeEntity = [...]string{1: "&amp;", 2: "&lt;", 3: "&gt;", 4: "&quot;"}
+)
+
+// escaped writes ss with the bytes esc marks replaced by their entities, run
+// by run, so no escaped copy of the string is ever built.
+func (s *stickyWriter) escaped(ss string, esc *[256]uint8) {
+	// Long character data rarely holds markup, and a vectorised byte search
+	// per markup character proves it faster than the table walk below.
+	if len(ss) >= 32 && strings.IndexByte(ss, '&') < 0 && strings.IndexByte(ss, '<') < 0 &&
+		strings.IndexByte(ss, '>') < 0 && (esc == &textEscapes || strings.IndexByte(ss, '"') < 0) {
+		s.str(ss)
+		return
+	}
+	last := 0
+	for i := 0; i < len(ss); i++ {
+		if c := esc[ss[i]]; c != 0 {
+			s.str(ss[last:i])
+			s.str(escapeEntity[c])
+			last = i + 1
+		}
+	}
+	s.str(ss[last:])
 }
 
 func serializeNode(w *stickyWriter, n *Node) {
@@ -60,7 +107,7 @@ func serializeNode(w *stickyWriter, n *Node) {
 			w.str(" ")
 			w.str(a.Name)
 			w.str(`="`)
-			w.str(escapeAttr(a.Text))
+			w.escaped(a.Text, &attrEscapes)
 			w.str(`"`)
 		}
 		if len(n.Children) == 0 {
@@ -75,7 +122,7 @@ func serializeNode(w *stickyWriter, n *Node) {
 		w.str(n.Name)
 		w.str(">")
 	case TextNode:
-		w.str(escapeText(n.Text))
+		w.escaped(n.Text, &textEscapes)
 	case CommentNode:
 		w.str("<!--")
 		w.str(n.Text)
@@ -83,13 +130,7 @@ func serializeNode(w *stickyWriter, n *Node) {
 	case AttributeNode:
 		w.str(n.Name)
 		w.str(`="`)
-		w.str(escapeAttr(n.Text))
+		w.escaped(n.Text, &attrEscapes)
 		w.str(`"`)
 	}
 }
-
-var textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-var attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-
-func escapeText(s string) string { return textEscaper.Replace(s) }
-func escapeAttr(s string) string { return attrEscaper.Replace(s) }

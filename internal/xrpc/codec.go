@@ -1,10 +1,10 @@
 package xrpc
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
 	"sync/atomic"
 
 	"distxq/internal/projection"
@@ -15,8 +15,10 @@ var decodedDocSeq atomic.Uint64
 
 // ---------------------------------------------------------------- encode --
 
-// encodeState carries the fragment table built for one message.
+// encodeState carries the fragment table built for one message and the
+// buffer the message is written into.
 type encodeState struct {
+	wireBuf
 	sem Semantics
 	// paramUsed/paramReturned: relative projection paths per parameter
 	// position (pass-by-projection requests) or a single entry for results.
@@ -24,7 +26,23 @@ type encodeState struct {
 	paramReturned []projection.PathSet
 	projOpts      projection.Options
 
-	frags []*fragInfo
+	frags []fragInfo
+	// items and ranks size the buffer: the items of every sequence, and the
+	// preorder ranks (xdm.Node.SubtreeSize) of every subtree the message will
+	// serialize — fragment roots, or the node items themselves by value.
+	items, ranks int
+}
+
+// resultEncoder starts the encoding of a message that carries result
+// sequences (a response or a chunk frame): the projection paths, if any,
+// apply to every result alike, as parameter position 0.
+func resultEncoder(sem Semantics, used, returned projection.PathSet, opts projection.Options) *encodeState {
+	st := &encodeState{sem: sem, projOpts: opts}
+	if sem == ByProjection {
+		st.paramUsed = []projection.PathSet{used}
+		st.paramReturned = []projection.PathSet{returned}
+	}
+	return st
 }
 
 // fragInfo is one fragment of the preamble.
@@ -39,84 +57,114 @@ type fragInfo struct {
 	// isDoc records that the fragment root is a document node.
 	isDoc bool
 	// ids numbers every node below root with its canonical nodeid, built by
-	// one walk on first reference so encoding n references costs O(size + n)
-	// instead of O(size × n).
+	// one walk on the first reference to a node other than root, so encoding
+	// n references costs O(size + n) instead of O(size × n).
 	ids map[*xdm.Node]int
 }
 
 // idOf returns the canonical 1-based nodeid of target within the fragment
-// (0 when target is not below the fragment root), memoizing the numbering
-// table on first use.
+// (0 when target is not below the fragment root). A reference to the root
+// itself — every reference of a scatter result — needs no table.
 func (f *fragInfo) idOf(target *xdm.Node) int {
+	if target == f.root {
+		return 1
+	}
 	if f.ids == nil {
-		f.ids = make(map[*xdm.Node]int)
-		idx := 0
-		var walk func(n *xdm.Node, prevWasText bool)
-		walk = func(n *xdm.Node, prevWasText bool) {
-			// Adjacent text siblings share one nodeid: a re-parsed
-			// serialization merges them.
-			if !(n.Kind == xdm.TextNode && prevWasText) {
-				idx++
-			}
-			f.ids[n] = idx
-			prevText := false
-			for _, c := range n.Children {
-				walk(c, prevText)
-				prevText = c.Kind == xdm.TextNode
-			}
-		}
-		walk(f.root, false)
+		f.ids = make(map[*xdm.Node]int, max(int(f.root.SubtreeSize()), 8))
+		f.number(f.root, false, 0)
 	}
 	return f.ids[target]
 }
 
+// number records the nodeids of n's subtree, continuing after idx, and
+// returns the last id used. Adjacent text siblings share one nodeid: a
+// re-parsed serialization merges them.
+func (f *fragInfo) number(n *xdm.Node, prevWasText bool, idx int) int {
+	if !(n.Kind == xdm.TextNode && prevWasText) {
+		idx++
+	}
+	f.ids[n] = idx
+	prevText := false
+	for _, c := range n.Children {
+		idx = f.number(c, prevText, idx)
+		prevText = c.Kind == xdm.TextNode
+	}
+	return idx
+}
+
+// docGroup is the shipped nodes of one source document, with the parameter
+// position each came from.
+type docGroup struct {
+	doc    *xdm.Document
+	nodes  []*xdm.Node
+	params []int
+}
+
 // buildFragments collects every node item of every sequence and constructs
-// the fragments preamble per the message semantics. seqAt(i) must yield the
-// parameter position of the i-th sequence (for per-parameter projection
-// paths); calls× params are flattened.
+// the fragments preamble per the message semantics. paramOf[i], when given,
+// is the parameter position of the i-th sequence (for per-parameter
+// projection paths); calls × params are flattened.
 func (st *encodeState) buildFragments(seqs []xdm.Sequence, paramOf []int) error {
-	if st.sem == ByValue {
-		return nil
+	for _, s := range seqs {
+		st.items += len(s)
 	}
-	type byDocGroup struct {
-		doc      *xdm.Document
-		nodes    []*xdm.Node
-		perParam map[int][]*xdm.Node
-	}
-	groups := map[*xdm.Document]*byDocGroup{}
-	var order []*byDocGroup
+	var groups []docGroup
+	// Most messages ship nodes of one document; the index exists only from
+	// the second document on.
+	var index map[*xdm.Document]int
+	cur := -1
 	for si, s := range seqs {
 		for _, it := range s {
 			n, isNode := it.(*xdm.Node)
 			if !isNode {
 				continue
 			}
+			if st.sem == ByValue {
+				st.ranks += int(n.SubtreeSize())
+				continue
+			}
 			if n.Doc == nil {
 				return fmt.Errorf("xrpc: cannot ship node %q outside a frozen document", n.Name)
 			}
-			g := groups[n.Doc]
-			if g == nil {
-				g = &byDocGroup{doc: n.Doc, perParam: map[int][]*xdm.Node{}}
-				groups[n.Doc] = g
-				order = append(order, g)
+			if cur < 0 || groups[cur].doc != n.Doc {
+				if index == nil && len(groups) > 0 {
+					index = map[*xdm.Document]int{groups[0].doc: 0}
+				}
+				gi, known := index[n.Doc]
+				if !known {
+					gi = len(groups)
+					groups = append(groups, docGroup{doc: n.Doc, nodes: make([]*xdm.Node, 0, len(s))})
+					if index != nil {
+						index[n.Doc] = gi
+					}
+				}
+				cur = gi
 			}
+			g := &groups[cur]
 			g.nodes = append(g.nodes, n)
-			p := 0
-			if paramOf != nil {
-				p = paramOf[si]
+			if st.sem == ByProjection {
+				p := 0
+				if paramOf != nil {
+					p = paramOf[si]
+				}
+				g.params = append(g.params, p)
 			}
-			g.perParam[p] = append(g.perParam[p], n)
 		}
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i].doc.Seq() < order[j].doc.Seq() })
-	for _, g := range order {
+	if len(groups) > 1 {
+		slices.SortFunc(groups, func(a, b docGroup) int { return cmp.Compare(a.doc.Seq(), b.doc.Seq()) })
+	}
+	for gi := range groups {
+		g := &groups[gi]
 		switch st.sem {
 		case ByFragment:
 			// One fragment per maximal node: a shipped node nested in
 			// another shipped node reuses the outer fragment (§V).
 			roots := maximalNodes(g.nodes)
+			st.frags = slices.Grow(st.frags, len(roots))
 			for _, r := range roots {
-				st.frags = append(st.frags, &fragInfo{
+				st.ranks += int(r.SubtreeSize())
+				st.frags = append(st.frags, fragInfo{
 					root:    r,
 					origDoc: g.doc,
 					isDoc:   r.Kind == xdm.DocumentNode,
@@ -126,7 +174,16 @@ func (st *encodeState) buildFragments(seqs []xdm.Sequence, paramOf []int) error 
 			// One projected fragment per source document, rooted at the LCA
 			// that the projection post-processing determines.
 			var used, returned []*xdm.Node
-			for p, nodes := range g.perParam {
+			for p := 0; p <= slices.Max(g.params); p++ {
+				var nodes []*xdm.Node
+				for i, n := range g.nodes {
+					if g.params[i] == p {
+						nodes = append(nodes, n)
+					}
+				}
+				if len(nodes) == 0 {
+					continue
+				}
 				var uPaths, rPaths projection.PathSet
 				if p < len(st.paramUsed) {
 					uPaths = st.paramUsed[p]
@@ -150,7 +207,8 @@ func (st *encodeState) buildFragments(seqs []xdm.Sequence, paramOf []int) error 
 			if err != nil {
 				return err
 			}
-			st.frags = append(st.frags, &fragInfo{
+			st.ranks += len(proj.Map)
+			st.frags = append(st.frags, fragInfo{
 				root:    proj.Root,
 				origDoc: g.doc,
 				proj:    proj.Map,
@@ -176,32 +234,42 @@ func normalizeCtx(nodes []*xdm.Node) []*xdm.Node {
 	return xdm.SortDocOrder(out)
 }
 
-// maximalNodes returns the nodes of set that have no proper ancestor in set,
-// sorted in document order.
-func maximalNodes(nodes []*xdm.Node) []*xdm.Node {
-	sorted := xdm.SortDocOrder(append([]*xdm.Node(nil), nodes...))
-	var out []*xdm.Node
+// maximalNodes returns the nodes of set (all of one document) that have no
+// proper ancestor in set, in document order; an attribute is shipped via its
+// owner element's fragment. It sorts set in place.
+func maximalNodes(set []*xdm.Node) []*xdm.Node {
+	sorted := xdm.SortDocOrder(set)
+	out := make([]*xdm.Node, 0, len(sorted))
 	for _, n := range sorted {
-		covered := false
-		m := n
-		if m.Kind == xdm.AttributeNode {
-			m = m.Parent
-			// an attribute is shipped via its owner element's fragment
-			if m != nil {
-				n = m
-			}
+		if n.Kind == xdm.AttributeNode && n.Parent != nil {
+			n = n.Parent
 		}
-		for _, r := range out {
-			if r == n || r.IsAncestorOf(n) {
-				covered = true
-				break
-			}
+		// In document order a node's ancestors precede it and everything
+		// after an ancestor's subtree follows it, so only the last maximal
+		// node can cover n.
+		if k := len(out); k > 0 && (out[k-1] == n || out[k-1].IsAncestorOf(n)) {
+			continue
 		}
-		if !covered {
-			out = append(out, n)
-		}
+		out = append(out, n)
 	}
 	return out
+}
+
+// grow sizes the message buffer before the first byte is written. fixed is
+// the header text the caller knows exactly; framing, item references and
+// fragment wrappers have known sizes; only node content is estimated, from
+// the preorder ranks buildFragments counted, at 20 bytes a rank (measured:
+// 13 on XMark names, 20–34 on whole persons and auctions). An estimate that
+// falls short costs one append growth, nothing else.
+func (st *encodeState) grow(fixed int) {
+	n := fixed + 320 + 40*st.items + 20*st.ranks
+	for i := range st.frags {
+		n += 48
+		if d := st.frags[i].origDoc; d != nil {
+			n += len(d.URI)
+		}
+	}
+	st.b = make([]byte, 0, n)
 }
 
 // refFor locates the fragment reference of a node; ok=false means the node
@@ -213,7 +281,8 @@ func (st *encodeState) refFor(n *xdm.Node) (fragid, nodeid int, attrName string,
 		attrName = n.Name
 		target = n.Parent
 	}
-	for fi, f := range st.frags {
+	for fi := range st.frags {
+		f := &st.frags[fi]
 		if f.origDoc != target.Doc && f.proj == nil {
 			continue
 		}
@@ -243,57 +312,59 @@ func (st *encodeState) refFor(n *xdm.Node) (fragid, nodeid int, attrName string,
 }
 
 // writeFragments emits the fragments preamble.
-func (st *encodeState) writeFragments(sb *strings.Builder) {
+func (st *encodeState) writeFragments() {
 	if len(st.frags) == 0 {
-		fmt.Fprintf(sb, "<%s/>", elFragments)
+		st.str("<" + elFragments + "/>")
 		return
 	}
-	fmt.Fprintf(sb, "<%s>", elFragments)
-	for _, f := range st.frags {
-		uri := ""
+	st.str("<" + elFragments + ">")
+	for i := range st.frags {
+		f := &st.frags[i]
+		st.str("<" + elFragment + ` base-uri="`)
 		if f.origDoc != nil {
-			uri = f.origDoc.URI
+			st.attr(f.origDoc.URI)
 		}
-		fmt.Fprintf(sb, `<%s base-uri="%s"`, elFragment, escapeAttr(uri))
 		if f.isDoc {
-			sb.WriteString(` kind="document"`)
+			st.str(`" kind="document">`)
+		} else {
+			st.str(`">`)
 		}
-		sb.WriteString(">")
-		_ = xdm.Serialize(sb, f.root)
-		fmt.Fprintf(sb, "</%s>", elFragment)
+		st.node(f.root)
+		st.str("</" + elFragment + ">")
 	}
-	fmt.Fprintf(sb, "</%s>", elFragments)
+	st.str("</" + elFragments + ">")
 }
 
-var attrEscaperMsg = strings.NewReplacer("&", "&amp;", "<", "&lt;", `"`, "&quot;")
-
-func escapeAttr(s string) string { return attrEscaperMsg.Replace(s) }
-
 // writeSequence emits one xrpc:sequence for a value sequence.
-func (st *encodeState) writeSequence(sb *strings.Builder, s xdm.Sequence) error {
-	fmt.Fprintf(sb, "<%s>", elSequence)
+func (st *encodeState) writeSequence(s xdm.Sequence) error {
+	st.str("<" + elSequence + ">")
 	for _, it := range s {
 		switch v := it.(type) {
 		case xdm.Atomic:
-			writeAtomic(sb, v)
+			st.atomic(v)
 		case *xdm.Node:
-			if st.sem != ByValue {
-				fragid, nodeid, attrName, ok := st.refFor(v)
-				if !ok {
-					return fmt.Errorf("xrpc: node %s not covered by any fragment", v.Name)
-				}
-				el := refElName(v.Kind)
-				fmt.Fprintf(sb, `<%s fragid="%d" nodeid="%d"`, el, fragid, nodeid)
-				if attrName != "" {
-					fmt.Fprintf(sb, ` name="%s"`, escapeAttr(attrName))
-				}
-				sb.WriteString("/>")
+			if st.sem == ByValue {
+				st.valueCopy(v)
 				continue
 			}
-			writeValueCopy(sb, v)
+			fragid, nodeid, attrName, ok := st.refFor(v)
+			if !ok {
+				return fmt.Errorf("xrpc: node %s not covered by any fragment", v.Name)
+			}
+			st.str("<")
+			st.str(refElName(v.Kind))
+			st.str(` fragid="`)
+			st.num(int64(fragid))
+			st.str(`" nodeid="`)
+			st.num(int64(nodeid))
+			if attrName != "" {
+				st.str(`" name="`)
+				st.attr(attrName)
+			}
+			st.str(`"/>`)
 		}
 	}
-	fmt.Fprintf(sb, "</%s>", elSequence)
+	st.str("</" + elSequence + ">")
 	return nil
 }
 
@@ -312,52 +383,82 @@ func refElName(k xdm.Kind) string {
 	}
 }
 
-// writeValueCopy serializes a deep copy of a node (pass-by-value, Fig. 1).
-func writeValueCopy(sb *strings.Builder, n *xdm.Node) {
+// valueCopy serializes a deep copy of a node (pass-by-value, Fig. 1).
+func (w *wireBuf) valueCopy(n *xdm.Node) {
 	base := ""
 	if n.Doc != nil {
 		base = n.Doc.URI
 	}
 	switch n.Kind {
 	case xdm.AttributeNode:
-		fmt.Fprintf(sb, `<%s name="%s" value="%s" base-uri="%s"/>`,
-			elAttribute, escapeAttr(n.Name), escapeAttr(n.Text), escapeAttr(base))
+		w.str("<" + elAttribute + ` name="`)
+		w.attr(n.Name)
+		w.str(`" value="`)
+		w.attr(n.Text)
+		w.str(`" base-uri="`)
+		w.attr(base)
+		w.str(`"/>`)
 	case xdm.TextNode:
-		fmt.Fprintf(sb, `<%s>%s</%s>`, elTextNode, escapeText(n.Text), elTextNode)
+		w.str("<" + elTextNode + ">")
+		w.text(n.Text)
+		w.str("</" + elTextNode + ">")
 	case xdm.CommentNode:
-		fmt.Fprintf(sb, `<%s>%s</%s>`, elCommentEl, escapeText(n.Text), elCommentEl)
-	case xdm.DocumentNode:
-		fmt.Fprintf(sb, `<%s base-uri="%s">`, elDocumentEl, escapeAttr(base))
-		_ = xdm.Serialize(sb, n)
-		fmt.Fprintf(sb, "</%s>", elDocumentEl)
+		w.str("<" + elCommentEl + ">")
+		w.text(n.Text)
+		w.str("</" + elCommentEl + ">")
 	default:
-		fmt.Fprintf(sb, `<%s base-uri="%s">`, elElement, escapeAttr(base))
-		_ = xdm.Serialize(sb, n)
-		fmt.Fprintf(sb, "</%s>", elElement)
+		el := elElement
+		if n.Kind == xdm.DocumentNode {
+			el = elDocumentEl
+		}
+		w.str("<")
+		w.str(el)
+		w.str(` base-uri="`)
+		w.attr(base)
+		w.str(`">`)
+		w.node(n)
+		w.str("</")
+		w.str(el)
+		w.str(">")
 	}
 }
 
 // ---------------------------------------------------------------- decode --
+
+// Decoding leans on how xdm.ParseBytes lays a message out: nodes and their
+// Children/Attrs arrays sit in slabs owned by the message tree, each array
+// capped at its length. Adopting a fragment therefore moves no nodes — the
+// fresh document takes over the fragment element's child array as it is —
+// and the decoded nodes keep the message's slabs (and the one string copy
+// of its bytes) alive for as long as a query result references them. Nothing
+// is recycled: who holds a decoded node holds its memory.
 
 // decodeState resolves references against decoded fragment documents.
 type decodeState struct {
 	fragRoots []*xdm.Node // numbering roots, one per fragment
 	fragDocs  []*xdm.Document
 	// fragNodes memoizes, per fragment, the descendant-or-self sequence of
-	// its numbering root (attributes excluded), built by one walk on first
-	// reference so decoding n references costs O(size + n) instead of
-	// O(size × n). Decoded fragments went through the parser, which already
-	// merged adjacent text siblings, so plain preorder matches the encoder's
-	// canonical numbering.
+	// its numbering root (attributes excluded), built by one walk on the
+	// first reference below the root so decoding n references costs
+	// O(size + n) instead of O(size × n). Decoded fragments went through the
+	// parser, which already merged adjacent text siblings, so plain preorder
+	// matches the encoder's canonical numbering.
 	fragNodes [][]*xdm.Node
 }
 
 // nodeByID resolves the 1-based nodeid within fragment frag (0-based), or nil
-// when the id is out of range.
+// when the id is out of range. nodeid 1 is the numbering root itself and
+// needs no table.
 func (st *decodeState) nodeByID(frag, nodeid int) *xdm.Node {
+	root := st.fragRoots[frag]
+	if nodeid == 1 {
+		return root
+	}
+	if st.fragNodes == nil {
+		st.fragNodes = make([][]*xdm.Node, len(st.fragRoots))
+	}
 	tbl := st.fragNodes[frag]
 	if tbl == nil {
-		root := st.fragRoots[frag]
 		tbl = make([]*xdm.Node, 0, root.SubtreeSize())
 		root.WalkDescendants(func(m *xdm.Node) bool {
 			tbl = append(tbl, m)
@@ -371,35 +472,83 @@ func (st *decodeState) nodeByID(frag, nodeid int) *xdm.Node {
 	return tbl[nodeid-1]
 }
 
+const fragmentURIPrefix = "xrpc-fragment://"
+
+// fragmentURIs hands out the URIs of a message's n fragment documents,
+// numbered consecutively from the process-wide sequence and cut from one
+// string.
+type fragmentURIs struct {
+	rest string
+	id   uint64
+}
+
+func newFragmentURIs(n int) fragmentURIs {
+	last := decodedDocSeq.Add(uint64(n))
+	u := fragmentURIs{id: last - uint64(n) + 1}
+	b := make([]byte, 0, n*(len(fragmentURIPrefix)+decimalWidth(last)))
+	for id := u.id; id <= last; id++ {
+		b = strconv.AppendUint(append(b, fragmentURIPrefix...), id, 10)
+	}
+	u.rest = string(b)
+	return u
+}
+
+func (u *fragmentURIs) next() string {
+	w := len(fragmentURIPrefix) + decimalWidth(u.id)
+	uri := u.rest[:w]
+	u.rest = u.rest[w:]
+	u.id++
+	return uri
+}
+
+func decimalWidth(v uint64) int {
+	w := 1
+	for ; v >= 10; v /= 10 {
+		w++
+	}
+	return w
+}
+
+// valueDocURI names the document of one decoded pass-by-value copy.
+func valueDocURI() string {
+	return "xrpc-value://" + strconv.FormatUint(decodedDocSeq.Add(1), 10)
+}
+
+// adoptInto moves the content of el — an element of the transient message
+// tree — under the root of a fresh document: the child array changes owner
+// (see the note above), Freeze renumbers the nodes for their new document.
+func adoptInto(uri string, el *xdm.Node) *xdm.Document {
+	d := xdm.NewDocument(uri)
+	d.Root.Children, el.Children = el.Children, nil
+	d.Freeze()
+	return d
+}
+
 // decodeFragments parses the fragments preamble into fresh documents, in
 // message order (which the encoder arranged to be original document order,
 // preserving inter-fragment node ordering).
 func decodeFragments(fragsEl *xdm.Node) (*decodeState, error) {
 	st := &decodeState{}
-	if fragsEl == nil {
+	if fragsEl == nil || len(fragsEl.Children) == 0 {
 		return st, nil
 	}
-	for _, f := range childElems(fragsEl) {
+	n := len(fragsEl.Children)
+	st.fragRoots = make([]*xdm.Node, 0, n)
+	st.fragDocs = make([]*xdm.Document, 0, n)
+	uris := newFragmentURIs(n)
+	for _, f := range fragsEl.Children {
+		if f.Kind != xdm.ElementNode {
+			continue
+		}
 		if !nameIs(f, elFragment) {
 			return nil, fmt.Errorf("xrpc: unexpected %s in fragments", f.Name)
 		}
-		d := xdm.NewDocument(fmt.Sprintf("xrpc-fragment://%d", decodedDocSeq.Add(1)))
-		// Adopt the fragment subtrees instead of deep-copying them: the
-		// message tree is transient and nothing reads fragment content
-		// through it after this point. Freeze renumbers the adopted nodes
-		// for the fresh document.
-		for _, c := range f.Children {
-			d.Root.AppendChild(c)
-		}
-		f.Children = nil
-		d.Freeze()
+		d := adoptInto(uris.next(), f)
 		if base := attrOr(f, "base-uri", ""); base != "" {
 			d.Root.BaseURI = base
 		}
-		var numberingRoot *xdm.Node
-		if attrOr(f, "kind", "") == "document" {
-			numberingRoot = d.Root
-		} else {
+		numberingRoot := d.Root
+		if attrOr(f, "kind", "") != "document" {
 			// The fragment root is the first content node; text and comment
 			// nodes are legal roots (a shipped text() result).
 			if len(d.Root.Children) == 0 {
@@ -410,31 +559,34 @@ func decodeFragments(fragsEl *xdm.Node) (*decodeState, error) {
 		st.fragRoots = append(st.fragRoots, numberingRoot)
 		st.fragDocs = append(st.fragDocs, d)
 	}
-	st.fragNodes = make([][]*xdm.Node, len(st.fragRoots))
 	return st, nil
 }
 
 // decodeSequence rebuilds one xrpc:sequence element into a value sequence.
 func (st *decodeState) decodeSequence(seqEl *xdm.Node) (xdm.Sequence, error) {
 	var out xdm.Sequence
-	for _, item := range childElems(seqEl) {
-		switch "xrpc:" + localName(item.Name) {
-		case elAtomic:
+	if len(seqEl.Children) > 0 {
+		out = make(xdm.Sequence, 0, len(seqEl.Children))
+	}
+	for _, item := range seqEl.Children {
+		if item.Kind != xdm.ElementNode {
+			continue
+		}
+		switch {
+		case nameIs(item, elAtomic):
 			a, err := parseAtomicEl(item)
 			if err != nil {
 				return nil, err
 			}
 			out = append(out, a)
-		case elElement, elAttribute, elTextNode, elCommentEl, elDocumentEl:
+		case isNodeItem(item):
+			var n *xdm.Node
+			var err error
 			if item.Attr("fragid") != nil {
-				n, err := st.resolveRef(item)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, n)
-				continue
+				n, err = st.resolveRef(item)
+			} else {
+				n, err = decodeValueCopy(item)
 			}
-			n, err := decodeValueCopy(item)
 			if err != nil {
 				return nil, err
 			}
@@ -444,6 +596,17 @@ func (st *decodeState) decodeSequence(seqEl *xdm.Node) (xdm.Sequence, error) {
 		}
 	}
 	return out, nil
+}
+
+// isNodeItem reports whether a sequence item element stands for a node (a
+// fragment reference or a by-value copy).
+func isNodeItem(item *xdm.Node) bool {
+	switch localName(item.Name) {
+	case localName(elElement), localName(elAttribute), localName(elTextNode),
+		localName(elCommentEl), localName(elDocumentEl):
+		return true
+	}
+	return false
 }
 
 func (st *decodeState) resolveRef(item *xdm.Node) (*xdm.Node, error) {
@@ -481,7 +644,7 @@ func decodeValueCopy(item *xdm.Node) (*xdm.Node, error) {
 		a.BaseURI = base
 		return a, nil
 	case elTextNode, elCommentEl:
-		d := xdm.NewDocument(fmt.Sprintf("xrpc-value://%d", decodedDocSeq.Add(1)))
+		d := xdm.NewDocument(valueDocURI())
 		var n *xdm.Node
 		if nameIs(item, elTextNode) {
 			n = xdm.NewText(item.StringValue())
@@ -493,14 +656,7 @@ func decodeValueCopy(item *xdm.Node) (*xdm.Node, error) {
 		d.Freeze()
 		return n, nil
 	case elDocumentEl, elElement:
-		d := xdm.NewDocument(fmt.Sprintf("xrpc-value://%d", decodedDocSeq.Add(1)))
-		// Adopt the copied content out of the transient message tree (see
-		// decodeFragments).
-		for _, c := range item.Children {
-			d.Root.AppendChild(c)
-		}
-		item.Children = nil
-		d.Freeze()
+		d := adoptInto(valueDocURI(), item)
 		if base != "" {
 			d.Root.BaseURI = base
 		}

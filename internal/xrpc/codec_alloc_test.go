@@ -1,0 +1,97 @@
+package xrpc
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"distxq/internal/eval"
+	"distxq/internal/projection"
+	"distxq/internal/xdm"
+)
+
+// scatterResponse is the shape one lane of the scatter workload answers
+// with: n disjoint result elements of one document, shipped by fragment.
+func scatterResponse(t testing.TB, n int) *Response {
+	t.Helper()
+	var sb strings.Builder
+	sb.WriteString("<people>")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, `<person id="person%d"><name>Name %d and Co</name><age>%d</age></person>`, i, i, 18+i)
+	}
+	sb.WriteString("</people>")
+	doc, err := xdm.ParseString(sb.String(), "people.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names xdm.Sequence
+	for _, p := range doc.DocElem().Children {
+		names = append(names, p.Children[0])
+	}
+	return &Response{Semantics: ByFragment, ExecNanos: 120000, SerializeNanos: 30000,
+		Results: []xdm.Sequence{names}}
+}
+
+// smallRequest is the request of a scatter lane: one atomic parameter, the
+// shipped module, no fragments — an 18-node message.
+func smallRequest() *Request {
+	return &Request{
+		Method: "fcn1", Arity: 1, Semantics: ByFragment, Static: eval.DefaultStatic(),
+		Module: `declare function fcn1($a as item()*) as item()* { doc("people.xml")//person[age < $a]/name };`,
+		Calls:  [][]xdm.Sequence{{xdm.Singleton(xdm.NewInteger(30))}},
+	}
+}
+
+// TestCodecAllocationCeilings pins the allocation count of the message path
+// — a count, so it holds on any machine. The ceilings sit a few allocations
+// above the measured values (in comments); the fmt/strings.Builder codec
+// this one replaced needed 341 and 703 for the response and 17 and 33 for
+// the request.
+func TestCodecAllocationCeilings(t *testing.T) {
+	resp := scatterResponse(t, 58)
+	respData, err := MarshalResponse(resp, nil, nil, projection.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := smallRequest()
+	reqData, err := MarshalRequest(req, nil, nil, projection.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc, err := xdm.ParseBytes(reqData, "req"); err != nil || doc.NodeCount() != 18 {
+		t.Fatalf("request fixture: %v, %d nodes, want 18", err, doc.NodeCount())
+	}
+	t.Logf("response %d B, request %d B", len(respData), len(reqData))
+	for _, tc := range []struct {
+		name    string
+		ceiling float64
+		run     func()
+	}{
+		{"marshal 58-fragment response", 8, func() { // measured 6
+			if _, err := MarshalResponse(resp, nil, nil, projection.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"parse 58-fragment response", 80, func() { // measured 71: 58 documents + 13
+			if _, err := ParseResponse(respData); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"marshal 18-node request", 6, func() { // measured 4
+			if _, err := MarshalRequest(req, nil, nil, projection.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"parse 18-node request", 16, func() { // measured 12
+			if _, err := ParseRequest(reqData); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		if got := testing.AllocsPerRun(50, tc.run); got > tc.ceiling {
+			t.Errorf("%s: %.0f allocations, ceiling %.0f", tc.name, got, tc.ceiling)
+		} else {
+			t.Logf("%s: %.0f allocations", tc.name, got)
+		}
+	}
+}

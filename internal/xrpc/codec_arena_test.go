@@ -1,0 +1,280 @@
+package xrpc
+
+import (
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"distxq/internal/eval"
+	"distxq/internal/projection"
+	"distxq/internal/xdm"
+)
+
+// TestAdoptedFragmentsKeepStructure: decodeFragments hands each fragment
+// element's child array to a fresh document instead of re-appending the
+// nodes. Every adopted node must come out with the parent, sibling index,
+// owner document and document order a freshly built document would have —
+// and growing one decoded tree must not reach into another.
+func TestAdoptedFragmentsKeepStructure(t *testing.T) {
+	fx := newWireFixture(t)
+	resp := &Response{Semantics: ByFragment, Results: []xdm.Sequence{
+		{fx.book0, fx.comment, fx.book1, fx.title1, fx.id1, fx.para, fx.paraTail},
+	}}
+	data, err := MarshalResponse(resp, nil, nil, projection.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ParseResponse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.fragDocs) != 4 {
+		t.Fatalf("%d fragment documents, want 4", len(got.fragDocs))
+	}
+	var prev *xdm.Node
+	for i, d := range got.fragDocs {
+		if !d.Frozen() {
+			t.Fatalf("fragment %d not frozen", i)
+		}
+		var walk func(n *xdm.Node)
+		walk = func(n *xdm.Node) {
+			if n.Doc != d {
+				t.Errorf("fragment %d: %s %q belongs to another document", i, n.Kind, n.Name)
+			}
+			if prev != nil && xdm.Compare(prev, n) >= 0 {
+				t.Errorf("fragment %d: %s %q not after its predecessor in document order", i, n.Kind, n.Name)
+			}
+			prev = n
+			for j, a := range n.Attrs {
+				if a.Parent != n || int(a.SiblingIndex()) != j || a.Doc != d {
+					t.Errorf("fragment %d: attribute %s of <%s> mislinked", i, a.Name, n.Name)
+				}
+				prev = a
+			}
+			for j, c := range n.Children {
+				if c.Parent != n || int(c.SiblingIndex()) != j {
+					t.Errorf("fragment %d: child %d of %s %q mislinked", i, j, n.Kind, n.Name)
+				}
+				walk(c)
+			}
+		}
+		walk(d.Root)
+	}
+	items := got.Results[0]
+	if items[3].(*xdm.Node).Parent != items[2].(*xdm.Node) {
+		t.Error("title is no longer the child of its book inside the shared fragment")
+	}
+	if f := items[0].(*xdm.Node).Following(); f != nil {
+		t.Errorf("a fragment root has a following node %q: fragments leaked into each other", f.Name)
+	}
+
+	// Grow the first decoded tree; its neighbours in the message's slabs
+	// (the next fragments' roots and children) must not change.
+	want := make([]string, len(got.fragDocs))
+	for i, d := range got.fragDocs {
+		want[i] = xdm.SerializeString(d.Root)
+	}
+	book0 := items[0].(*xdm.Node)
+	book0.AppendChild(xdm.NewElement("appended"))
+	book0.SetAttr("extra", "1")
+	book0.Doc.Root.AppendChild(xdm.NewComment("sibling of the root"))
+	for i, d := range got.fragDocs[1:] {
+		if s := xdm.SerializeString(d.Root); s != want[i+1] {
+			t.Errorf("fragment %d changed when fragment 0 grew:\n got %s\nwant %s", i+1, s, want[i+1])
+		}
+	}
+}
+
+// TestPatchSerdeNS: the in-place patch with a shorter, an equal-length and a
+// longer value, with and without spare capacity, touches only the first
+// serde-ns attribute and keeps every other byte.
+func TestPatchSerdeNS(t *testing.T) {
+	const head = `<xrpc:response semantics="by-value" exec-ns="7" serde-ns="`
+	const tail = `"><xrpc:call>text with serde-ns="999" inside</xrpc:call></xrpc:response>`
+	for _, tc := range []struct {
+		name     string
+		old, new int64
+	}{
+		{"shorter", 123456, 78},
+		{"equal", 123456, 654321},
+		{"longer", 0, 123456789},
+		{"longest", 5, 9223372036854775807},
+	} {
+		for _, spare := range []int{0, 1, 64} {
+			msg := fmt.Sprintf("%s%d%s", head, tc.old, tail)
+			data := make([]byte, len(msg), len(msg)+spare)
+			copy(data, msg)
+			got := patchSerdeNS(data, tc.new)
+			if want := fmt.Sprintf("%s%d%s", head, tc.new, tail); string(got) != want {
+				t.Errorf("%s, %d spare: got %s\nwant %s", tc.name, spare, got, want)
+			}
+			if grow := len(got) - len(msg); grow <= spare && &got[0] != &data[0] {
+				t.Errorf("%s, %d spare: message copied although it fit", tc.name, spare)
+			}
+		}
+	}
+	plain := []byte(`<env:Fault>no attribute here</env:Fault>`)
+	if got := patchSerdeNS(plain, 5); string(got) != string(plain) {
+		t.Errorf("message without the attribute changed: %s", got)
+	}
+}
+
+// TestHandlePatchesSerdeInPlace: the serde figure a response carries is the
+// shred plus marshal time the server measured, patched into the message
+// Handle returns; the message still parses and reports exactly that figure.
+func TestHandlePatchesSerdeInPlace(t *testing.T) {
+	srv := newPeer(mapResolver{"d.xml": `<r><v>1</v><v>2</v></r>`})
+	srv.Metrics = &Metrics{}
+	req := &Request{
+		Method: "f", Arity: 0, Semantics: ByFragment, Static: eval.DefaultStatic(),
+		Module: `declare function f() as item()* { doc("d.xml")//v };`,
+		Calls:  [][]xdm.Sequence{{}},
+	}
+	data, err := MarshalRequest(req, nil, nil, projection.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := srv.Handle(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ParseResponse(out)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	if got := srv.Metrics.Snapshot().ServerSerdeNS; resp.SerializeNanos != got || got <= 0 {
+		t.Errorf("message says serde-ns=%d, server measured %d", resp.SerializeNanos, got)
+	}
+	if serialize(resp.Results[0]) != "<v>1</v> <v>2</v>" {
+		t.Errorf("result: %s", serialize(resp.Results[0]))
+	}
+}
+
+// countingModule is a shipped module whose text differs per n.
+func countingModule(n int) string {
+	return fmt.Sprintf(`declare function f() as item()* { %d };`, n)
+}
+
+// TestModuleCacheParsesOnce: the same module shipped again is served from
+// the cache — the very same parsed query — once it has been seen twice;
+// unparsable and unnormalizable modules are never cached and fault on every
+// request exactly as before.
+func TestModuleCacheParsesOnce(t *testing.T) {
+	var srv Server
+	src := countingModule(1)
+	q1, err := srv.module(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q2, err := srv.module(src) // second sighting: admitted
+	if err != nil {
+		t.Fatal(err)
+	}
+	q3, err := srv.module(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q1 == q2 {
+		t.Error("a module seen once was already cached")
+	}
+	if q2 != q3 {
+		t.Error("a module shipped three times was parsed three times")
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := srv.module(`declare function f( {`); err == nil || !strings.Contains(err.Error(), "does not parse") {
+			t.Fatalf("unparsable module: %v", err)
+		}
+	}
+	dup := `declare function f() as item()* { 1 }; declare function f() as item()* { 2 };`
+	for i := 0; i < 3; i++ {
+		q, err := srv.module(dup)
+		if err != nil {
+			t.Fatalf("a module that fails to normalize must still be handed to evaluation: %v", err)
+		}
+		if _, err := eval.NewEngine(nil).EvalFunctionDeadline(q, "f", nil, nil, time.Time{}); err == nil ||
+			!strings.Contains(err.Error(), "duplicate function") {
+			t.Fatalf("evaluation of an unnormalizable module: %v", err)
+		}
+	}
+	if n := len(srv.modules.entries); n != 1 {
+		t.Errorf("%d cached modules, want 1", n)
+	}
+}
+
+// TestModuleCacheBounded: a thousand distinct modules, each shipped twice in
+// a row so that every one is admitted, never hold more than the bound, and
+// the survivors are the most recent.
+func TestModuleCacheBounded(t *testing.T) {
+	var srv Server
+	for i := 0; i < 1000; i++ {
+		for rep := 0; rep < 2; rep++ {
+			if _, err := srv.module(countingModule(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := len(srv.modules.entries); n > moduleCacheSize {
+			t.Fatalf("after %d modules the cache holds %d, bound %d", i+1, n, moduleCacheSize)
+		}
+	}
+	if n := len(srv.modules.entries); n != moduleCacheSize {
+		t.Errorf("cache holds %d modules, want a full %d", n, moduleCacheSize)
+	}
+	if srv.modules.get(countingModule(999)) == nil || srv.modules.get(countingModule(1000-moduleCacheSize)) == nil {
+		t.Error("the most recent modules are not cached")
+	}
+	if srv.modules.get(countingModule(1000-moduleCacheSize-1)) != nil {
+		t.Error("the oldest module survived eviction")
+	}
+	// A workload that never repeats a text within the doorkeeper's memory
+	// retains nothing.
+	var cold Server
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 4*moduleCacheSize; i++ {
+			if _, err := cold.module(countingModule(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := len(cold.modules.entries); n != 0 {
+		t.Errorf("a cycle of %d texts left %d modules cached", 4*moduleCacheSize, n)
+	}
+}
+
+// TestModuleCacheConcurrent hammers one server with a few shared modules
+// from many goroutines, evaluating each (evaluation normalizes; a raw parse
+// in the cache would race under -race).
+func TestModuleCacheConcurrent(t *testing.T) {
+	srv := newPeer(nil)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				n := (g + i) % 5
+				req := &Request{
+					Method: "f", Arity: 0, Semantics: ByValue, Module: countingModule(n),
+					Calls: [][]xdm.Sequence{{}},
+				}
+				data, err := MarshalRequest(req, nil, nil, projection.Options{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				out, err := srv.Handle(data)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp, err := ParseResponse(out)
+				if err != nil || serialize(resp.Results[0]) != fmt.Sprint(n) {
+					t.Errorf("module %d answered %v, %v", n, resp, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}

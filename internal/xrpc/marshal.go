@@ -3,7 +3,6 @@ package xrpc
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"distxq/internal/eval"
 	"distxq/internal/projection"
@@ -23,8 +22,8 @@ func MarshalRequest(r *Request, paramUsed, paramReturned []projection.PathSet, o
 		paramReturned: paramReturned,
 		projOpts:      opts,
 	}
-	var seqs []xdm.Sequence
-	var paramOf []int
+	seqs := make([]xdm.Sequence, 0, len(r.Calls)*r.Arity)
+	paramOf := make([]int, 0, len(r.Calls)*r.Arity)
 	for _, call := range r.Calls {
 		if len(call) != r.Arity {
 			return nil, fmt.Errorf("xrpc: call has %d parameters, arity is %d", len(call), r.Arity)
@@ -37,44 +36,60 @@ func MarshalRequest(r *Request, paramUsed, paramReturned []projection.PathSet, o
 	if err := st.buildFragments(seqs, paramOf); err != nil {
 		return nil, err
 	}
-	var sb strings.Builder
-	sb.WriteString(envelopeOpen)
-	fmt.Fprintf(&sb, "<%s>", elBody)
-	fmt.Fprintf(&sb,
-		`<%s method="%s" arity="%d" semantics="%s" base-uri="%s" collation="%s" datetime="%s"`,
-		elRequest, escapeAttr(r.Method), r.Arity, r.Semantics,
-		escapeAttr(r.Static.BaseURI), escapeAttr(r.Static.DefaultCollation),
-		escapeAttr(r.Static.CurrentDateTime))
+	st.grow(len(envelopeOpen) + len(r.Method) + len(r.Module) + len(r.Static.BaseURI) +
+		len(r.Static.DefaultCollation) + len(r.Static.CurrentDateTime) +
+		64*(len(r.ResultUsed)+len(r.ResultReturned)) + 32*len(r.Calls))
+	st.str(envelopeOpen + "<" + elBody + "><" + elRequest + ` method="`)
+	st.attr(r.Method)
+	st.str(`" arity="`)
+	st.num(int64(r.Arity))
+	st.str(`" semantics="`)
+	st.str(r.Semantics.String())
+	st.str(`" base-uri="`)
+	st.attr(r.Static.BaseURI)
+	st.str(`" collation="`)
+	st.attr(r.Static.DefaultCollation)
+	st.str(`" datetime="`)
+	st.attr(r.Static.CurrentDateTime)
 	if r.BudgetNS > 0 {
-		fmt.Fprintf(&sb, ` budget-ns="%d"`, r.BudgetNS)
+		st.str(`" budget-ns="`)
+		st.num(r.BudgetNS)
 	}
 	if r.TraceID != 0 {
-		fmt.Fprintf(&sb, ` trace-id="%d" span-id="%d"`, r.TraceID, r.TraceSpan)
+		st.str(`" trace-id="`)
+		st.unum(r.TraceID)
+		st.str(`" span-id="`)
+		st.unum(r.TraceSpan)
 	}
-	sb.WriteString(">")
-	fmt.Fprintf(&sb, "<%s>%s</%s>", elModule, escapeText(r.Module), elModule)
+	st.str(`"><` + elModule + ">")
+	st.text(r.Module)
+	st.str("</" + elModule + ">")
 	if r.Semantics == ByProjection {
-		fmt.Fprintf(&sb, "<%s>", elProjPaths)
+		st.str("<" + elProjPaths + ">")
 		for _, p := range r.ResultUsed {
-			fmt.Fprintf(&sb, "<%s>%s</%s>", elUsedPath, escapeText(p.String()), elUsedPath)
+			st.str("<" + elUsedPath + ">")
+			st.text(p.String())
+			st.str("</" + elUsedPath + ">")
 		}
 		for _, p := range r.ResultReturned {
-			fmt.Fprintf(&sb, "<%s>%s</%s>", elRetPath, escapeText(p.String()), elRetPath)
+			st.str("<" + elRetPath + ">")
+			st.text(p.String())
+			st.str("</" + elRetPath + ">")
 		}
-		fmt.Fprintf(&sb, "</%s>", elProjPaths)
+		st.str("</" + elProjPaths + ">")
 	}
-	st.writeFragments(&sb)
+	st.writeFragments()
 	for _, call := range r.Calls {
-		fmt.Fprintf(&sb, "<%s>", elCall)
+		st.str("<" + elCall + ">")
 		for _, s := range call {
-			if err := st.writeSequence(&sb, s); err != nil {
+			if err := st.writeSequence(s); err != nil {
 				return nil, err
 			}
 		}
-		fmt.Fprintf(&sb, "</%s>", elCall)
+		st.str("</" + elCall + ">")
 	}
-	fmt.Fprintf(&sb, "</%s></%s></env:Envelope>", elRequest, elBody)
-	return []byte(sb.String()), nil
+	st.str("</" + elRequest + "></" + elBody + "></env:Envelope>")
+	return st.b, nil
 }
 
 // ParseRequest shreds a request message: fragments become fresh documents
@@ -107,7 +122,10 @@ func ParseRequest(data []byte) (*Request, error) {
 		r.Module = m.StringValue()
 	}
 	if pp := findChild(reqEl, elProjPaths); pp != nil {
-		for _, c := range childElems(pp) {
+		for _, c := range pp.Children {
+			if c.Kind != xdm.ElementNode {
+				continue
+			}
 			p, perr := projection.ParsePath(c.StringValue())
 			if perr != nil {
 				return nil, perr
@@ -125,12 +143,15 @@ func ParseRequest(data []byte) (*Request, error) {
 		return nil, err
 	}
 	r.fragDocs = st.fragDocs
-	for _, callEl := range childElems(reqEl) {
-		if !nameIs(callEl, elCall) {
+	for _, callEl := range reqEl.Children {
+		if callEl.Kind != xdm.ElementNode || !nameIs(callEl, elCall) {
 			continue
 		}
-		var params []xdm.Sequence
-		for _, seqEl := range childElems(callEl) {
+		params := make([]xdm.Sequence, 0, len(callEl.Children))
+		for _, seqEl := range callEl.Children {
+			if seqEl.Kind != xdm.ElementNode {
+				continue
+			}
 			if !nameIs(seqEl, elSequence) {
 				return nil, fmt.Errorf("xrpc: unexpected %s in call", seqEl.Name)
 			}
@@ -142,9 +163,6 @@ func ParseRequest(data []byte) (*Request, error) {
 		}
 		if len(params) != r.Arity {
 			return nil, fmt.Errorf("xrpc: call carries %d sequences, arity is %d", len(params), r.Arity)
-		}
-		if params == nil {
-			params = []xdm.Sequence{}
 		}
 		r.Calls = append(r.Calls, params)
 	}
@@ -159,31 +177,30 @@ func ParseRequest(data []byte) (*Request, error) {
 // the request's projection-paths element, applied to the result sequences
 // while building the response fragments.
 func MarshalResponse(resp *Response, resultUsed, resultReturned projection.PathSet, opts projection.Options) ([]byte, error) {
-	st := &encodeState{
-		sem:           resp.Semantics,
-		paramUsed:     []projection.PathSet{resultUsed},
-		paramReturned: []projection.PathSet{resultReturned},
-		projOpts:      opts,
-	}
+	st := resultEncoder(resp.Semantics, resultUsed, resultReturned, opts)
 	if err := st.buildFragments(resp.Results, nil); err != nil {
 		return nil, err
 	}
-	var sb strings.Builder
-	sb.WriteString(envelopeOpen)
-	fmt.Fprintf(&sb, "<%s>", elBody)
-	fmt.Fprintf(&sb, `<%s semantics="%s" exec-ns="%d" serde-ns="%d">`,
-		elResponse, resp.Semantics, resp.ExecNanos, resp.SerializeNanos)
-	writeTraceEl(&sb, resp.Spans)
-	st.writeFragments(&sb)
+	spans := encodeSpans(resp.Spans)
+	st.grow(len(envelopeOpen) + len(spans) + 32*len(resp.Results))
+	st.str(envelopeOpen + "<" + elBody + "><" + elResponse + ` semantics="`)
+	st.str(resp.Semantics.String())
+	st.str(`" exec-ns="`)
+	st.num(resp.ExecNanos)
+	st.str(`" serde-ns="`)
+	st.num(resp.SerializeNanos)
+	st.str(`">`)
+	st.traceEl(spans)
+	st.writeFragments()
 	for _, res := range resp.Results {
-		fmt.Fprintf(&sb, "<%s>", elCall)
-		if err := st.writeSequence(&sb, res); err != nil {
+		st.str("<" + elCall + ">")
+		if err := st.writeSequence(res); err != nil {
 			return nil, err
 		}
-		fmt.Fprintf(&sb, "</%s>", elCall)
+		st.str("</" + elCall + ">")
 	}
-	fmt.Fprintf(&sb, "</%s></%s></env:Envelope>", elResponse, elBody)
-	return []byte(sb.String()), nil
+	st.str("</" + elResponse + "></" + elBody + "></env:Envelope>")
+	return st.b, nil
 }
 
 // ParseResponse shreds a response message.
@@ -209,8 +226,9 @@ func ParseResponse(data []byte) (*Response, error) {
 		return nil, err
 	}
 	resp.fragDocs = st.fragDocs
-	for _, callEl := range childElems(respEl) {
-		if !nameIs(callEl, elCall) {
+	resp.Results = make([]xdm.Sequence, 0, len(respEl.Children))
+	for _, callEl := range respEl.Children {
+		if callEl.Kind != xdm.ElementNode || !nameIs(callEl, elCall) {
 			continue
 		}
 		seqEl := findChild(callEl, elSequence)
@@ -260,29 +278,44 @@ func (f *Fault) Is(target error) bool {
 // MarshalFault renders an error as a SOAP fault message, carrying the typed
 // failure class (when the error has one) as an env:Code child.
 func MarshalFault(err error) []byte {
-	var sb strings.Builder
-	sb.WriteString(envelopeOpen)
-	fmt.Fprintf(&sb, "<%s><env:Fault>", elBody)
+	msg, spans := err.Error(), encodeSpans(faultSpans(err))
+	w := wireBuf{b: make([]byte, 0, len(envelopeOpen)+len(msg)+len(spans)+192)}
+	w.str(envelopeOpen + "<" + elBody + "><env:Fault>")
 	if code := faultCode(err); code != "" {
-		fmt.Fprintf(&sb, "<env:Code>%s</env:Code>", escapeText(code))
+		w.str("<env:Code>")
+		w.text(code)
+		w.str("</env:Code>")
 	}
-	fmt.Fprintf(&sb, "<env:Reason>%s</env:Reason>", escapeText(err.Error()))
-	writeTraceEl(&sb, faultSpans(err))
-	fmt.Fprintf(&sb, "</env:Fault></%s></env:Envelope>", elBody)
-	return []byte(sb.String())
+	w.str("<env:Reason>")
+	w.text(msg)
+	w.str("</env:Reason>")
+	w.traceEl(spans)
+	w.str("</env:Fault></" + elBody + "></env:Envelope>")
+	return w.b
 }
 
-// writeTraceEl emits the piggybacked-span element when spans are present;
-// untraced messages stay byte-identical to the pre-trace wire form.
-func writeTraceEl(sb *strings.Builder, spans []trace.Span) {
+// encodeSpans renders piggybacked spans in their wire form, nil when there
+// are none or they do not encode: dropping spans never fails a message.
+func encodeSpans(spans []trace.Span) []byte {
 	if len(spans) == 0 {
-		return
+		return nil
 	}
 	data, err := trace.EncodeSpans(spans)
 	if err != nil {
-		return // dropping spans never fails a message
+		return nil
 	}
-	fmt.Fprintf(sb, "<%s>%s</%s>", elTrace, escapeText(string(data)), elTrace)
+	return data
+}
+
+// traceEl emits the piggybacked-span element when spans are present;
+// untraced messages stay byte-identical to the pre-trace wire form.
+func (w *wireBuf) traceEl(spans []byte) {
+	if len(spans) == 0 {
+		return
+	}
+	w.str("<" + elTrace + ">")
+	w.text(string(spans))
+	w.str("</" + elTrace + ">")
 }
 
 // parseTraceEl decodes a piggybacked-span child of el, nil when absent or

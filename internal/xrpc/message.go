@@ -147,17 +147,69 @@ const (
 
 const envelopeOpen = `<env:Envelope xmlns:env="http://www.w3.org/2003/05/soap-envelope" xmlns:xrpc="http://monetdb.cwi.nl/XQuery">`
 
-// atomTypeName maps atomic types to their lexical message form.
-func atomTypeName(t xdm.AtomType) string { return t.String() }
+// wireBuf is the one append buffer a message is encoded into. Every Marshal*
+// function sizes it once from what it knows about the message, writes
+// literals, strconv-formatted numbers and escaped text straight into it, and
+// hands the finished slice to its caller — who owns it from then on: a
+// transport, a frame sink or a recorder may keep a message for as long as it
+// likes, so the buffer is never pooled or reused. xdm.Serialize writes node
+// content through the io.StringWriter side.
+type wireBuf struct{ b []byte }
 
-func writeAtomic(sb *strings.Builder, a xdm.Atomic) {
-	fmt.Fprintf(sb, `<%s type="%s">%s</%s>`, elAtomic, atomTypeName(a.T),
-		escapeText(a.ItemString()), elAtomic)
+func (w *wireBuf) Write(p []byte) (int, error) {
+	w.b = append(w.b, p...)
+	return len(p), nil
 }
 
-var msgTextEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+func (w *wireBuf) WriteString(s string) (int, error) {
+	w.b = append(w.b, s...)
+	return len(s), nil
+}
 
-func escapeText(s string) string { return msgTextEscaper.Replace(s) }
+func (w *wireBuf) str(s string)     { w.b = append(w.b, s...) }
+func (w *wireBuf) num(v int64)      { w.b = strconv.AppendInt(w.b, v, 10) }
+func (w *wireBuf) unum(v uint64)    { w.b = strconv.AppendUint(w.b, v, 10) }
+func (w *wireBuf) text(s string)    { w.b = appendEscaped(w.b, s, '>') }
+func (w *wireBuf) attr(s string)    { w.b = appendEscaped(w.b, s, '"') }
+func (w *wireBuf) node(n *xdm.Node) { _ = xdm.Serialize(w, n) } // appends cannot fail
+
+// appendEscaped appends s with & and < replaced by their entities, plus the
+// one further character the position requires: > in element content, the
+// double quote in attribute values.
+func appendEscaped(b []byte, s string, third byte) []byte {
+	last := 0
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c != '&' && c != '<' && c != third {
+			continue
+		}
+		b = append(b, s[last:i]...)
+		switch c {
+		case '&':
+			b = append(b, "&amp;"...)
+		case '<':
+			b = append(b, "&lt;"...)
+		case '>':
+			b = append(b, "&gt;"...)
+		default:
+			b = append(b, "&quot;"...)
+		}
+		last = i + 1
+	}
+	return append(b, s[last:]...)
+}
+
+func (w *wireBuf) atomic(a xdm.Atomic) {
+	w.str("<" + elAtomic + ` type="`)
+	w.str(a.T.String())
+	w.str(`">`)
+	if a.T == xdm.TInteger {
+		w.num(a.I)
+	} else {
+		w.text(a.ItemString())
+	}
+	w.str("</" + elAtomic + ">")
+}
 
 func parseAtomicEl(n *xdm.Node) (xdm.Atomic, error) {
 	tname := "xs:string"
@@ -204,17 +256,6 @@ func localName(name string) string {
 // nameIs compares element names modulo namespace prefix.
 func nameIs(n *xdm.Node, want string) bool {
 	return localName(n.Name) == localName(want)
-}
-
-// childElems returns the element children of n.
-func childElems(n *xdm.Node) []*xdm.Node {
-	var out []*xdm.Node
-	for _, c := range n.Children {
-		if c.Kind == xdm.ElementNode {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 func findChild(n *xdm.Node, name string) *xdm.Node {

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -90,41 +89,51 @@ type ResponseChunk struct {
 // result paths apply per chunk, exactly as MarshalResponse applies them to
 // whole results.
 func MarshalResponseChunk(ch *ResponseChunk, resultUsed, resultReturned projection.PathSet, opts projection.Options) ([]byte, error) {
-	var sb strings.Builder
-	sb.WriteString(envelopeOpen)
-	fmt.Fprintf(&sb, "<%s>", elBody)
+	st := resultEncoder(ch.Semantics, resultUsed, resultReturned, opts)
 	if ch.Last {
-		if len(ch.Spans) > 0 {
-			fmt.Fprintf(&sb, `<%s seq="%d" last="true" calls="%d" serde-ns="%d">`,
-				elChunk, ch.Seq, ch.Calls, ch.SerializeNanos)
-			writeTraceEl(&sb, ch.Spans)
-			fmt.Fprintf(&sb, "</%s>", elChunk)
+		spans := encodeSpans(ch.Spans)
+		st.grow(len(envelopeOpen) + len(spans))
+		st.str(envelopeOpen + "<" + elBody + "><" + elChunk + ` seq="`)
+		st.num(int64(ch.Seq))
+		st.str(`" last="true" calls="`)
+		st.num(int64(ch.Calls))
+		st.str(`" serde-ns="`)
+		st.num(ch.SerializeNanos)
+		if len(spans) > 0 {
+			st.str(`">`)
+			st.traceEl(spans)
+			st.str("</" + elChunk + ">")
 		} else {
 			// Untraced terminal frames keep the pre-trace self-closing form,
 			// byte-identical for old goldens and parsers.
-			fmt.Fprintf(&sb, `<%s seq="%d" last="true" calls="%d" serde-ns="%d"/>`,
-				elChunk, ch.Seq, ch.Calls, ch.SerializeNanos)
+			st.str(`"/>`)
 		}
 	} else {
-		st := &encodeState{
-			sem:           ch.Semantics,
-			paramUsed:     []projection.PathSet{resultUsed},
-			paramReturned: []projection.PathSet{resultReturned},
-			projOpts:      opts,
-		}
 		if err := st.buildFragments([]xdm.Sequence{ch.Items}, nil); err != nil {
 			return nil, err
 		}
-		fmt.Fprintf(&sb, `<%s seq="%d" call="%d" first-item="%d" semantics="%s" exec-ns="%d" serde-ns="%d">`,
-			elChunk, ch.Seq, ch.Call, ch.FirstItem, ch.Semantics, ch.ExecNanos, ch.SerializeNanos)
-		st.writeFragments(&sb)
-		if err := st.writeSequence(&sb, ch.Items); err != nil {
+		st.grow(len(envelopeOpen))
+		st.str(envelopeOpen + "<" + elBody + "><" + elChunk + ` seq="`)
+		st.num(int64(ch.Seq))
+		st.str(`" call="`)
+		st.num(int64(ch.Call))
+		st.str(`" first-item="`)
+		st.num(int64(ch.FirstItem))
+		st.str(`" semantics="`)
+		st.str(ch.Semantics.String())
+		st.str(`" exec-ns="`)
+		st.num(ch.ExecNanos)
+		st.str(`" serde-ns="`)
+		st.num(ch.SerializeNanos)
+		st.str(`">`)
+		st.writeFragments()
+		if err := st.writeSequence(ch.Items); err != nil {
 			return nil, err
 		}
-		fmt.Fprintf(&sb, "</%s>", elChunk)
+		st.str("</" + elChunk + ">")
 	}
-	fmt.Fprintf(&sb, "</%s></env:Envelope>", elBody)
-	return []byte(sb.String()), nil
+	st.str("</" + elBody + "></env:Envelope>")
+	return st.b, nil
 }
 
 // ParseResponseChunk shreds one stream frame. A fault frame surfaces as a
@@ -179,13 +188,33 @@ func ParseResponseChunk(data []byte) (*ResponseChunk, error) {
 	return ch, nil
 }
 
-// patchSerdeNS rewrites the serde-ns attribute in a marshalled message: the
-// value is written in the payload open tag, which precedes any payload
-// bytes, so the first occurrence of the placeholder is always the attribute.
-func patchSerdeNS(data []byte, old, new int64) []byte {
-	return bytes.Replace(data,
-		[]byte(fmt.Sprintf(`serde-ns="%d"`, old)),
-		[]byte(fmt.Sprintf(`serde-ns="%d"`, new)), 1)
+// patchSerdeNS rewrites the value of the serde-ns attribute of a marshalled
+// message in place: the attribute is written in the payload open tag, which
+// precedes any payload bytes, so its first occurrence is always the
+// attribute. A value with more or fewer digits shifts the tail of the
+// message within its buffer; the message is copied only when the buffer has
+// no room for an extra digit. The caller must own data.
+func patchSerdeNS(data []byte, v int64) []byte {
+	const attr = ` serde-ns="`
+	i := bytes.Index(data, []byte(attr))
+	if i < 0 {
+		return data
+	}
+	start := i + len(attr)
+	j := bytes.IndexByte(data[start:], '"')
+	if j < 0 {
+		return data
+	}
+	end := start + j
+	var digits [20]byte
+	val := strconv.AppendInt(digits[:0], v, 10)
+	tail := len(data) - end
+	if grow := len(val) - (end - start); grow > 0 {
+		data = append(data, digits[:grow]...)
+	}
+	copy(data[start+len(val):], data[end:end+tail])
+	copy(data[start:], val)
+	return data[:start+len(val)+tail]
 }
 
 // chunkWriter emits the ordered chunk frames of one streamed response. It
@@ -248,7 +277,7 @@ func (w *chunkWriter) writeCall(call int, items xdm.Sequence, execNS int64) erro
 		}
 		ser := time.Since(t0).Nanoseconds()
 		w.serdeNS += ser
-		data = patchSerdeNS(data, 0, ser)
+		data = patchSerdeNS(data, ser)
 		w.seq++
 		execNS = 0
 		if err := w.emit(data); err != nil {
@@ -313,7 +342,7 @@ func (w *chunkWriter) flushChunk() error {
 	}
 	ser := time.Since(t0).Nanoseconds()
 	w.serdeNS += ser
-	data = patchSerdeNS(data, 0, ser)
+	data = patchSerdeNS(data, ser)
 	w.seq++
 	w.firstItem += len(w.buf)
 	w.buf = w.buf[:0]

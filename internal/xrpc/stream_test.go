@@ -55,27 +55,78 @@ func reassemble(t testing.TB, frames [][]byte, calls int) []xdm.Sequence {
 	return out
 }
 
+// Document shapes of streamTestResponse beyond the plain library.
+const (
+	shapeLibrary   = iota // <book id><title>text</title><pages>n</pages></book>
+	shapeMixed            // text interleaved with elements; text nodes are items too
+	shapeTextRuns         // constructed tree with adjacent text siblings (one nodeid)
+	shapeAttrsOnly        // every node item is an attribute: fragments ship only as owners
+	shapeCount
+)
+
 // streamTestResponse builds a response with mixed content: atomics of every
 // type, fragment-referenced nodes (elements, attributes, text), an empty
 // call, and calls of very different sizes.
 func streamTestResponse(t testing.TB, sem Semantics, rng *rand.Rand, calls int) *Response {
+	return shapedTestResponse(t, sem, rng, calls, shapeLibrary)
+}
+
+// shapedTestResponse is streamTestResponse over one of the document shapes
+// above; picks holds the nodes its calls may ship.
+func shapedTestResponse(t testing.TB, sem Semantics, rng *rand.Rand, calls, shape int) *Response {
 	t.Helper()
-	var sb strings.Builder
-	sb.WriteString("<lib>")
 	n := 5 + rng.Intn(40)
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&sb, `<book id="b%d"><title>T%d &amp; more</title><pages>%d</pages></book>`,
-			i, i, 100+i)
+	var doc *xdm.Document
+	if shape == shapeTextRuns {
+		doc = xdm.NewDocument("mem://stream-test")
+		lib := xdm.NewElement("lib")
+		doc.Root.AppendChild(lib)
+		for i := 0; i < n; i++ {
+			book := xdm.NewElement("book")
+			book.SetAttr("id", fmt.Sprintf("b%d", i))
+			for r := 0; r <= i%3; r++ {
+				book.AppendChild(xdm.NewText(fmt.Sprintf("run%d<&>", r))) // adjacent siblings
+			}
+			book.AppendChild(xdm.NewElement("sep"))
+			book.AppendChild(xdm.NewText("after"))
+			book.AppendChild(xdm.NewText(" sep"))
+			lib.AppendChild(book)
+		}
+		doc.Freeze()
+	} else {
+		var sb strings.Builder
+		sb.WriteString("<lib>")
+		for i := 0; i < n; i++ {
+			if shape == shapeMixed {
+				fmt.Fprintf(&sb, `<book id="b%d">lead %d <b>bold<i>deep</i></b> mid &amp; <!--c--><pages>%d</pages> tail</book>`,
+					i, i, 100+i)
+				continue
+			}
+			fmt.Fprintf(&sb, `<book id="b%d"><title>T%d &amp; more</title><pages>%d</pages></book>`,
+				i, i, 100+i)
+		}
+		sb.WriteString("</lib>")
+		var err error
+		if doc, err = xdm.ParseString(sb.String(), "mem://stream-test"); err != nil {
+			t.Fatal(err)
+		}
 	}
-	sb.WriteString("</lib>")
-	doc, err := xdm.ParseString(sb.String(), "mem://stream-test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var books []*xdm.Node
+	var books, picks []*xdm.Node
 	doc.Root.WalkDescendants(func(m *xdm.Node) bool {
 		if m.Kind == xdm.ElementNode && m.Name == "book" {
 			books = append(books, m)
+		}
+		switch {
+		case shape == shapeAttrsOnly:
+			picks = append(picks, m.Attrs...)
+		case shape == shapeTextRuns && m.Kind == xdm.TextNode:
+			// A member of a run ships as the whole run inside its parent's
+			// fragment but as itself in a fragment of its own, so which of
+			// the two a frame carries depends on the split: not an item the
+			// round trip can promise. The elements after a run exercise what
+			// runs are about — one nodeid per run.
+		case m.Kind != xdm.DocumentNode && m.Name != "lib":
+			picks = append(picks, m)
 		}
 		return true
 	})
@@ -93,6 +144,10 @@ func streamTestResponse(t testing.TB, sem Semantics, rng *rand.Rand, calls int) 
 			case 3:
 				s = append(s, xdm.NewDouble(float64(rng.Intn(100))/4))
 			default:
+				if shape != shapeLibrary {
+					s = append(s, picks[rng.Intn(len(picks))])
+					continue
+				}
 				b := books[rng.Intn(len(books))]
 				if sem != ByValue && rng.Intn(3) == 0 {
 					if a := b.Attr("id"); a != nil {
@@ -152,11 +207,17 @@ func TestChunkFramingRoundTripAdversarial(t *testing.T) {
 // FuzzChunkRoundTrip drives the framing codec with fuzzer-chosen content
 // shapes and split points.
 func FuzzChunkRoundTrip(f *testing.F) {
-	f.Add(int64(7), 1, false)
-	f.Add(int64(42), 3, true)
-	f.Add(int64(99), 1000, false)
-	f.Fuzz(func(t *testing.T, seed int64, per int, byValue bool) {
-		if per < 1 || per > 10000 {
+	f.Add(int64(7), 1, false, uint8(shapeLibrary))
+	f.Add(int64(42), 3, true, uint8(shapeLibrary))
+	f.Add(int64(99), 1000, false, uint8(shapeLibrary))
+	f.Add(int64(11), 2, false, uint8(shapeMixed))
+	f.Add(int64(12), 5, true, uint8(shapeMixed))
+	f.Add(int64(13), 1, false, uint8(shapeTextRuns))
+	f.Add(int64(14), 7, true, uint8(shapeTextRuns))
+	f.Add(int64(15), 3, false, uint8(shapeAttrsOnly))
+	f.Add(int64(16), 64, false, uint8(shapeAttrsOnly))
+	f.Fuzz(func(t *testing.T, seed int64, per int, byValue bool, shape uint8) {
+		if per < 1 || per > 10000 || shape >= shapeCount {
 			t.Skip()
 		}
 		sem := ByFragment
@@ -165,7 +226,7 @@ func FuzzChunkRoundTrip(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		calls := 1 + rng.Intn(5)
-		resp := streamTestResponse(t, sem, rng, calls)
+		resp := shapedTestResponse(t, sem, rng, calls, int(shape))
 		whole, err := MarshalResponse(resp, nil, nil, projection.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -178,6 +239,10 @@ func FuzzChunkRoundTrip(f *testing.F) {
 		for c := range got {
 			if g, w := serialize(got[c]), serialize(wholeParsed.Results[c]); g != w {
 				t.Fatalf("per=%d call %d: got %q want %q", per, c, g, w)
+			}
+			// What arrives is what was sent.
+			if g, w := serialize(got[c]), serialize(resp.Results[c]); g != w {
+				t.Fatalf("per=%d call %d: decoded %q, sent %q", per, c, g, w)
 			}
 		}
 	})
