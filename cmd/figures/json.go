@@ -129,42 +129,64 @@ func readReport(path string) (*benchReport, error) {
 	return &rep, nil
 }
 
+// regression is one load point failing one criterion against the baseline.
+type regression struct {
+	point, criterion string // e.g. "offered=1.0x", "admitted P99"
+	detail           string // the measured values, for the report
+}
+
+func (r regression) String() string {
+	return fmt.Sprintf("load %s: %s %s", r.point, r.criterion, r.detail)
+}
+
 // checkRegression compares the current run's load points against a baseline
 // report: a point regresses when its goodput falls, or its admitted P99
 // rises, by more than tolerance (fractional, e.g. 0.25). Baseline points
 // missing from the current run count as regressions; extra current points
-// are ignored (new sweeps extend the baseline on the next refresh). Returns
-// human-readable regression descriptions, empty on pass.
-func checkRegression(baseline, current *benchReport, tolerance float64) []string {
+// are ignored (new sweeps extend the baseline on the next refresh). Empty
+// on pass.
+func checkRegression(baseline, current *benchReport, tolerance float64) []regression {
 	cur := map[string]benchPoint{}
 	for _, p := range current.Points {
 		if p.Fig == "load" {
 			cur[p.Label] = p
 		}
 	}
-	var regressions []string
+	var regressions []regression
 	for _, b := range baseline.Points {
 		if b.Fig != "load" {
 			continue
 		}
 		c, ok := cur[b.Label]
 		if !ok {
-			regressions = append(regressions,
-				fmt.Sprintf("load %s: point missing from current run", b.Label))
+			regressions = append(regressions, regression{b.Label, "point", "missing from current run"})
 			continue
 		}
 		if b.QPS > 0 && c.QPS < b.QPS*(1-tolerance) {
-			regressions = append(regressions,
-				fmt.Sprintf("load %s: goodput %.1f QPS is more than %.0f%% below baseline %.1f",
-					b.Label, c.QPS, tolerance*100, b.QPS))
+			regressions = append(regressions, regression{b.Label, "goodput",
+				fmt.Sprintf("%.1f QPS is more than %.0f%% below baseline %.1f", c.QPS, tolerance*100, b.QPS)})
 		}
 		if b.P99NS > 0 && c.P99NS > int64(float64(b.P99NS)*(1+tolerance)) {
-			regressions = append(regressions,
-				fmt.Sprintf("load %s: admitted P99 %dns is more than %.0f%% above baseline %dns",
-					b.Label, c.P99NS, tolerance*100, b.P99NS))
+			regressions = append(regressions, regression{b.Label, "admitted P99",
+				fmt.Sprintf("%dns is more than %.0f%% above baseline %dns", c.P99NS, tolerance*100, b.P99NS)})
 		}
 	}
 	return regressions
+}
+
+// recurring keeps the regressions of prev that next shows again — the same
+// point failing the same criterion, whatever the measured values.
+func recurring(prev, next []regression) []regression {
+	var out []regression
+	for _, p := range prev {
+		for _, n := range next {
+			if n.point == p.point && n.criterion == p.criterion {
+				out = append(out, n)
+				break
+			}
+		}
+	}
+	return out
 }
 
 func (s *jsonSink) marshal() ([]byte, error) {

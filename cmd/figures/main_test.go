@@ -453,16 +453,30 @@ func TestCheckRegression(t *testing.T) {
 		t.Errorf("within tolerance, got regressions: %v", regs)
 	}
 	if regs := checkRegression(baseline, mkCurrent(140, 10_000_000, true), 0.25); len(regs) != 1 ||
-		!bytes.Contains([]byte(regs[0]), []byte("goodput")) {
+		regs[0].criterion != "goodput" {
 		t.Errorf("goodput drop beyond 25%% not flagged: %v", regs)
 	}
 	if regs := checkRegression(baseline, mkCurrent(200, 13_000_000, true), 0.25); len(regs) != 1 ||
-		!bytes.Contains([]byte(regs[0]), []byte("P99")) {
+		regs[0].criterion != "admitted P99" {
 		t.Errorf("P99 rise beyond 25%% not flagged: %v", regs)
 	}
 	if regs := checkRegression(baseline, mkCurrent(200, 10_000_000, false), 0.25); len(regs) != 1 ||
-		!bytes.Contains([]byte(regs[0]), []byte("missing")) {
+		regs[0].detail != "missing from current run" {
 		t.Errorf("missing baseline point not flagged: %v", regs)
+	}
+
+	// The gate re-sweeps before it fails: only the same point failing the
+	// same criterion on every sweep survives.
+	spike := func(label, criterion string) regression { return regression{label, criterion, "measured"} }
+	first := []regression{spike("offered=1.0x", "admitted P99"), spike("offered=2.0x", "goodput")}
+	if got := recurring(first, []regression{spike("offered=2.0x", "admitted P99"), spike("offered=4.0x", "goodput")}); len(got) != 0 {
+		t.Errorf("regressions at different points or criteria recur: %v", got)
+	}
+	if got := recurring(first, []regression{spike("offered=2.0x", "goodput")}); len(got) != 1 || got[0].point != "offered=2.0x" {
+		t.Errorf("the one regression both sweeps share: %v", got)
+	}
+	if got := recurring(first, nil); len(got) != 0 {
+		t.Errorf("a clean sweep left regressions standing: %v", got)
 	}
 }
 

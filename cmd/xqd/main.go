@@ -32,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -77,8 +78,6 @@ func main() {
 	hedgeAfter := flag.Duration("hedge-after", 20*time.Millisecond,
 		"static hedge trigger until the health tracker has observed enough traffic (0 = off)")
 	spread := flag.Bool("spread", true, "spread initial lane targets across healthy replicas")
-	compile := flag.Bool("compile", false,
-		"compile cached plans into the closure-chain executor (one lowering per plan, shared across queries)")
 	traced := flag.Bool("trace", false,
 		"record a span tree per query, served at /debug/traces")
 	traceRing := flag.Int("trace-ring", 0, "recent traces retained (0 = default)")
@@ -89,8 +88,8 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	net := distxq.NewNetwork()
-	net.SetChunkItems(*chunkItems)
+	fed := distxq.NewNetwork()
+	fed.SetChunkItems(*chunkItems)
 	peers := map[string]*distxq.Peer{}
 	for _, spec := range docs {
 		target, path, ok := strings.Cut(spec, "=")
@@ -103,7 +102,7 @@ func main() {
 		}
 		p := peers[peerName]
 		if p == nil {
-			p = net.AddPeer(peerName)
+			p = fed.AddPeer(peerName)
 			peers[peerName] = p
 		}
 		data, err := os.ReadFile(path)
@@ -120,19 +119,18 @@ func main() {
 			fail(fmt.Errorf("want name=baseURL, got %q", spec))
 		}
 		url := strings.TrimSuffix(baseURL, "/") + "/xrpc"
-		net.RouteExternal(name, &xrpc.HTTPTransport{
+		fed.RouteExternal(name, &xrpc.HTTPTransport{
 			URLFor: func(string) string { return url },
 		})
 	}
-	origin := net.AddPeer("local")
+	origin := fed.AddPeer("local")
 
-	svc := service.New(net, origin, strat, service.Config{
+	svc := service.New(fed, origin, strat, service.Config{
 		MaxConcurrent: *maxConcurrent,
 		MaxQueue:      *maxQueue,
 		MaxQueueWait:  *queueWait,
 		DefaultBudget: core.Budget{Wall: *budget},
 		Streamed:      *streamed,
-		Compile:       *compile,
 		Trace:         *traced,
 		TraceRing:     *traceRing,
 	})
@@ -218,8 +216,14 @@ func main() {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	fmt.Printf("xqd listening on %s (strategy %s, budget %v)\n", *listen, strat, *budget)
-	if err := http.ListenAndServe(*listen, mux); err != nil {
+	// Bind before announcing, so the message names the address actually
+	// bound (-listen :0 picks a free port).
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		fail(err)
+	}
+	fmt.Printf("xqd listening on %s (strategy %s, budget %v)\n", ln.Addr(), strat, *budget)
+	if err := http.Serve(ln, mux); err != nil {
 		fail(err)
 	}
 }

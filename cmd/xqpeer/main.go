@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -91,8 +92,14 @@ func main() {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	fmt.Printf("xqpeer listening on %s\n", *listen)
-	if err := http.ListenAndServe(*listen, mux); err != nil {
+	// Bind before announcing, so the message names the address actually
+	// bound (-listen :0 picks a free port).
+	ln, err := net.Listen("tcp", *listen)
+	if err == nil {
+		fmt.Printf("xqpeer listening on %s\n", ln.Addr())
+		err = http.Serve(ln, mux)
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "xqpeer: %v\n", err)
 		os.Exit(1)
 	}

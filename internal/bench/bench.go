@@ -24,20 +24,12 @@ var Strategies = []core.Strategy{
 	core.DataShipping, core.ByValue, core.ByFragment, core.ByProjection,
 }
 
-// Compile makes every fixture built by this package default to compiled
-// execution (cmd/figures -compile). Individual fixtures can still flip with
-// UseCompile.
-var Compile bool
-
 // Fixture is a ready-to-query federation for one document scale.
 type Fixture struct {
 	Net        *peer.Network
 	Local      *Peer
 	TotalBytes int64
 	Query      string
-	// Compile runs every engine of the federation (peers and originator)
-	// through the compiled closure-chain executor; see UseCompile.
-	Compile bool
 }
 
 // Peer aliases peer.Peer for the harness API.
@@ -53,26 +45,17 @@ func NewFixture(totalBytes int64) *Fixture {
 	local := n.AddPeer("local")
 	p1.AddDoc("xmk.xml", xmark.PeopleDocument(cfg, "xrpc://peer1/xmk.xml"))
 	p2.AddDoc("xmk.auctions.xml", xmark.AuctionsDocument(cfg, "xrpc://peer2/xmk.auctions.xml"))
-	f := &Fixture{
+	return &Fixture{
 		Net:        n,
 		Local:      local,
 		TotalBytes: p1.DocSize("xmk.xml") + p2.DocSize("xmk.auctions.xml"),
 		Query:      xmark.BenchmarkQuery("peer1", "peer2"),
 	}
-	return f.UseCompile(Compile)
-}
-
-// UseCompile switches the whole fixture — remote peer engines and the
-// originating session alike — between tree-walking and compiled execution.
-func (f *Fixture) UseCompile(on bool) *Fixture {
-	f.Compile = on
-	f.Net.SetCompile(on)
-	return f
 }
 
 // Run executes the benchmark query once under the strategy.
 func (f *Fixture) Run(strat core.Strategy) (*peer.Report, error) {
-	sess := f.Net.NewSession(f.Local, strat).UseCompile(f.Compile)
+	sess := f.Net.NewSession(f.Local, strat)
 	_, rep, err := sess.Query(f.Query)
 	return rep, err
 }
@@ -318,9 +301,6 @@ type ScatterFixture struct {
 	// ShardMap registers the federation as one logical document for the
 	// shard-aware planner experiment (RunLogical).
 	ShardMap core.ShardMap
-	// Compile runs every engine of the federation through the compiled
-	// closure-chain executor; see UseCompile.
-	Compile bool
 }
 
 // NewScatterFixture shards roughly totalBytes of people data across the
@@ -339,21 +319,13 @@ func NewScatterFixture(totalBytes int64, peers int) *ScatterFixture {
 	f.Local = n.AddPeer("local")
 	f.Query = xmark.ScatterQuery(f.Peers)
 	f.ShardMap = xmark.PeopleShardMap(f.Peers)
-	return f.UseCompile(Compile)
-}
-
-// UseCompile switches the whole fixture — remote peer engines and the
-// originating session alike — between tree-walking and compiled execution.
-func (f *ScatterFixture) UseCompile(on bool) *ScatterFixture {
-	f.Compile = on
-	f.Net.SetCompile(on)
 	return f
 }
 
 // Run executes the scatter query once; sequential forces the serial
 // one-peer-at-a-time baseline instead of concurrent dispatch.
 func (f *ScatterFixture) Run(strat core.Strategy, sequential bool) (xdm.Sequence, *peer.Report, error) {
-	sess := f.Net.NewSession(f.Local, strat).UseCompile(f.Compile)
+	sess := f.Net.NewSession(f.Local, strat)
 	sess.SequentialScatter = sequential
 	return sess.Query(f.Query)
 }
@@ -362,7 +334,7 @@ func (f *ScatterFixture) Run(strat core.Strategy, sequential bool) (xdm.Sequence
 // (no hand-written `execute at`); the shard-aware planner must synthesize the
 // scatter plan.
 func (f *ScatterFixture) RunLogical(strat core.Strategy) (xdm.Sequence, *peer.Report, error) {
-	sess := f.Net.NewSession(f.Local, strat).UseShards(f.ShardMap).UseCompile(f.Compile)
+	sess := f.Net.NewSession(f.Local, strat).UseShards(f.ShardMap)
 	return sess.Query(xmark.LogicalScatterQuery())
 }
 
@@ -370,7 +342,7 @@ func (f *ScatterFixture) RunLogical(strat core.Strategy) (xdm.Sequence, *peer.Re
 // results arrive as chunk frames consumed in loop order instead of whole
 // gathered responses.
 func (f *ScatterFixture) RunStreamed(strat core.Strategy) (xdm.Sequence, *peer.Report, error) {
-	sess := f.Net.NewSession(f.Local, strat).UseCompile(f.Compile)
+	sess := f.Net.NewSession(f.Local, strat)
 	sess.Streamed = true
 	return sess.Query(f.Query)
 }

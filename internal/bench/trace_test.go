@@ -48,7 +48,7 @@ func TestTracedShardEquivalence(t *testing.T) {
 
 	tr := trace.New(0, "local")
 	root := tr.Start(0, "query")
-	sess := f.Net.NewSession(f.Local, core.ByFragment).UseCompile(f.Compile).UseTrace(root)
+	sess := f.Net.NewSession(f.Local, core.ByFragment).UseTrace(root)
 	traced, _, err := sess.Query(f.Query)
 	if err != nil {
 		t.Fatal(err)

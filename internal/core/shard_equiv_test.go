@@ -15,6 +15,7 @@ import (
 	"distxq/internal/core"
 	"distxq/internal/eval"
 	"distxq/internal/peer"
+	"distxq/internal/service"
 	"distxq/internal/xdm"
 	"distxq/internal/xmark"
 )
@@ -62,6 +63,37 @@ func newShardedWorld(t *testing.T, cfg xmark.Config, n int) *shardedWorld {
 		return w.refDoc, nil
 	}))
 	return w
+}
+
+// serve puts the world behind a federation service, the way xqd runs it: the
+// harness re-sends every query, so a plan's first execution tree-walks and
+// its reuse runs compiled, on the originator and (through the module caches)
+// on the peers.
+func (w *shardedWorld) serve(strat core.Strategy) *service.Service {
+	return service.New(w.net, w.local, strat, service.Config{}).UseShards(w.shardMap)
+}
+
+// sends is how often the harness sends each query: planned and tree-walked,
+// compiled on the plan's first cache hit, then run compiled.
+const sends = 3
+
+// requireBothExecutors is the harness's non-vacuity check: every service
+// tree-walked first executions and compiled reused plans, and at least one
+// peer compiled a shipped module it saw twice.
+func (w *shardedWorld) requireBothExecutors(t *testing.T, svcs ...*service.Service) {
+	t.Helper()
+	for _, svc := range svcs {
+		if st, c := svc.Stats(), svc.EvalStats().Compilations; st.PlanMisses == 0 || c == 0 {
+			t.Errorf("%d peers: originator planned %d queries afresh and compiled %d; the harness must exercise both executors",
+				w.peers, st.PlanMisses, c)
+		}
+	}
+	for _, name := range w.names {
+		if p, ok := w.net.Peer(name); ok && p.Engine.StatsSnapshot().Compilations > 0 {
+			return
+		}
+	}
+	t.Errorf("%d peers: no peer compiled a shipped module", w.peers)
 }
 
 // buildReference constructs the unsharded logical document independently of
@@ -234,12 +266,18 @@ func generate(r *rand.Rand) genQuery {
 // TestShardRewriteEquivalence is the headline harness: ≥200 generated
 // queries per seed, each evaluated locally on the unsharded reference and
 // through the shard-aware planner on 2/4/8-peer federations, requiring
-// byte-identical serialized results and the expected rewrite decision.
+// byte-identical serialized results and the expected rewrite decision — on
+// every send, so the tree-walked and the compiled execution of each query
+// both match the reference (which always tree-walks, keeping the oracle
+// independent of the compiler).
 func TestShardRewriteEquivalence(t *testing.T) {
 	cfg := harnessConfig()
 	worlds := make([]*shardedWorld, 0, len(layouts))
+	services := map[*shardedWorld]*service.Service{}
 	for _, n := range layouts {
-		worlds = append(worlds, newShardedWorld(t, cfg, n))
+		w := newShardedWorld(t, cfg, n)
+		worlds = append(worlds, w)
+		services[w] = w.serve(core.ByFragment)
 	}
 	const perSeed = 208
 	for _, seed := range []int64{1, 2} {
@@ -259,20 +297,14 @@ func TestShardRewriteEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("query %d (%d peers) local eval: %v\n%s", qi, w.peers, err, q.src)
 					}
-					// Tree-walking and compiled execution must both match the
-					// unsharded reference (which always tree-walks, keeping
-					// the oracle independent of the compiler).
-					for _, compiled := range []bool{false, true} {
-						w.net.SetCompile(compiled)
-						sess := w.net.NewSession(w.local, core.ByFragment).
-							UseShards(w.shardMap).UseCompile(compiled)
-						shardRes, rep, err := sess.Query(q.src)
+					for send := 1; send <= sends; send++ {
+						shardRes, rep, err := services[w].Query(q.src, core.Budget{})
 						if err != nil {
-							t.Fatalf("query %d (%d peers, compiled=%v) sharded eval: %v\n%s", qi, w.peers, compiled, err, q.src)
+							t.Fatalf("query %d (%d peers, send %d) sharded eval: %v\n%s", qi, w.peers, send, err, q.src)
 						}
 						if got, want := serializeSeq(shardRes), serializeSeq(localRes); got != want {
-							t.Fatalf("query %d (%d peers, compiled=%v) diverged:\n query: %s\n local: %q\n shard: %q\n decisions: %+v",
-								qi, w.peers, compiled, q.src, want, got, rep.Shards)
+							t.Fatalf("query %d (%d peers, send %d) diverged:\n query: %s\n local: %q\n shard: %q\n decisions: %+v",
+								qi, w.peers, send, q.src, want, got, rep.Shards)
 						}
 						if len(rep.Shards) == 0 {
 							t.Fatalf("query %d (%d peers): no shard decision recorded\n%s", qi, w.peers, q.src)
@@ -282,11 +314,13 @@ func TestShardRewriteEquivalence(t *testing.T) {
 								qi, w.peers, rep.Shards[0].Scattered, rep.Shards[0].Reason, q.topScatter, q.src)
 						}
 					}
-					w.net.SetCompile(false)
 				}
 			}
 			if scattered < 100 || fellBack < 50 {
 				t.Fatalf("generator mix too thin: %d scattered, %d fallback", scattered, fellBack)
+			}
+			for _, w := range worlds {
+				w.requireBothExecutors(t, services[w])
 			}
 		})
 	}
@@ -303,16 +337,17 @@ func TestShardRewriteEquivalenceAcrossStrategies(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := serializeSeq(localRes)
+	var svcs []*service.Service
 	for _, strat := range []core.Strategy{core.DataShipping, core.ByValue, core.ByFragment, core.ByProjection} {
-		for _, compiled := range []bool{false, true} {
-			w.net.SetCompile(compiled)
-			sess := w.net.NewSession(w.local, strat).UseShards(w.shardMap).UseCompile(compiled)
-			res, rep, err := sess.Query(xmark.LogicalScatterQuery())
+		svc := w.serve(strat)
+		svcs = append(svcs, svc)
+		for send := 1; send <= sends; send++ {
+			res, rep, err := svc.Query(xmark.LogicalScatterQuery(), core.Budget{})
 			if err != nil {
-				t.Fatalf("%s (compiled=%v): %v", strat, compiled, err)
+				t.Fatalf("%s (send %d): %v", strat, send, err)
 			}
 			if got := serializeSeq(res); got != want {
-				t.Fatalf("%s (compiled=%v) diverged:\n local: %q\n shard: %q", strat, compiled, want, got)
+				t.Fatalf("%s (send %d) diverged:\n local: %q\n shard: %q", strat, send, want, got)
 			}
 			if strat != core.DataShipping {
 				if len(rep.Shards) == 0 || !rep.Shards[0].Scattered {
@@ -320,6 +355,6 @@ func TestShardRewriteEquivalenceAcrossStrategies(t *testing.T) {
 				}
 			}
 		}
-		w.net.SetCompile(false)
 	}
+	w.requireBothExecutors(t, svcs...)
 }

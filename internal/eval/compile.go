@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"strings"
 
+	"distxq/internal/trace"
 	"distxq/internal/xdm"
 	"distxq/internal/xq"
 )
@@ -62,6 +63,9 @@ func (s *scope) lookup(name string) (int, bool) {
 type compiler struct {
 	funcs map[string]*cfunc
 	order []*cfunc
+	// fellBack is the set of AST nodes lowered to a tree-walker fallback (a
+	// node falls back in its eager and its lazy form alike; it counts once).
+	fellBack map[xq.Expr]struct{}
 }
 
 // fnCompiler allocates the slots of one compilation unit (the query body or
@@ -105,7 +109,7 @@ func CompileQuery(q *xq.Query) (*Program, error) {
 	if p, ok := q.CompiledArtifact().(*Program); ok {
 		return p, nil
 	}
-	cp := &compiler{funcs: map[string]*cfunc{}}
+	cp := &compiler{funcs: map[string]*cfunc{}, fellBack: map[xq.Expr]struct{}{}}
 	// Pre-register every declared function so recursive and mutually
 	// recursive bodies resolve their callees to the final cfunc pointers.
 	for _, fd := range q.Funcs {
@@ -128,8 +132,28 @@ func CompileQuery(q *xq.Query) (*Program, error) {
 	p.body = fc.compile(q.Body, nil)
 	p.bodySeq = fc.compileSeq(q.Body, nil)
 	p.nslots = fc.nslots
+	if len(cp.fellBack) > 0 {
+		p.fallbacks = map[string]int{}
+		for e := range cp.fellBack {
+			p.fallbacks[strings.TrimPrefix(fmt.Sprintf("%T", e), "*xq.")]++
+		}
+	}
 	q.SetCompiledArtifact(p)
 	return p, nil
+}
+
+// CompileTraced is CompileQuery recorded as a "compile" span under parent,
+// tagged with the Program's fallback sites (fallback.<construct> = count).
+func CompileTraced(q *xq.Query, parent trace.SpanRef) (*Program, error) {
+	sp := parent.Child("compile")
+	p, err := CompileQuery(q)
+	if sp.Active() && err == nil {
+		for construct, n := range p.fallbacks {
+			sp.Set(trace.Int("fallback."+construct, int64(n)))
+		}
+	}
+	sp.EndErr(err)
+	return p, err
 }
 
 // fallback compiles e to a closure that rebuilds a tree-walker context from
@@ -137,6 +161,7 @@ func CompileQuery(q *xq.Query) (*Program, error) {
 // runs the interpreter on the node — the escape hatch for everything outside
 // the compiled subset.
 func (fc *fnCompiler) fallback(e xq.Expr, sc *scope) cexpr {
+	fc.cp.fellBack[e] = struct{}{}
 	return func(f *cframe) (xdm.Sequence, error) {
 		return f.treeContext(sc).eval(e)
 	}

@@ -3,6 +3,7 @@ package eval
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 	"time"
@@ -47,80 +48,81 @@ func expectCompiled(t *testing.T, docs mapResolver, src string) {
 	compareModes(t, "eager", src, twRes, twErr, ccRes, ccErr)
 }
 
+// compileBattery covers every lowering rule and every input the differential
+// fuzzer ever flagged, over the fuzz fixture.
+var compileBattery = []string{
+	// Slot resolution, shadowing, let/for nesting.
+	`let $a := 1 return let $a := $a + 1 return let $b := $a * 10 return ($a, $b)`,
+	`for $x in (1, 2, 3) return for $x in ($x, $x * 10) return $x`,
+	`let $s := doc("f.xml")//person return for $x in $s return $x/child::name`,
+	// Constant folding, including deferred faults in dead branches.
+	`1 + 2 * 3 idiv 4 mod 5 - -6`,
+	`if (false()) then (1 idiv 0) else "live"`,
+	`if (true()) then "live" else (1 div 0)`,
+	`("a", "b") = "b"`,
+	// Comparison specialization by static operand kind.
+	`doc("f.xml")//book[price > 28]/title`,
+	`doc("f.xml")//book["Tang" = author]/@id`,
+	`doc("f.xml")//person[child::profile/attribute::income > 30000]/child::name`,
+	// Predicate fusion: boolean, positional, mixed, numeric-literal.
+	`doc("f.xml")//book[2]/title/text()`,
+	`doc("f.xml")//book[price > 28][2]/title`,
+	`doc("f.xml")//book[position() = 2]`,
+	`(doc("f.xml")//book)[last()]/@id`,
+	`doc("f.xml")//person[not(child::emailaddress)]/child::name`,
+	`doc("f.xml")//l2[@k = "y"][child::l3]`,
+	// Streaming shapes: descendant scans, filters over mixed axes.
+	`doc("f.xml")/site/people/person/profile/age`,
+	`doc("f.xml")//age`,
+	`doc("f.xml")//l2[@k = "y"]/preceding-sibling::l2/ancestor-or-self::node()`,
+	// FLWOR pipelines, hoisting at the >4 threshold and below it.
+	`for $x in (1, 2, 3, 4, 5, 6) return if ($x > 10) then ($x = doc("f.xml")//book/price) else $x`,
+	`for $x in (1, 2, 3, 4) return if ($x > 10) then ($x = doc("f.xml")//book/price) else $x`,
+	`for $x in (1, 2, 3, 4, 5) return if (false()) then (unknownfn() = 1) else $x`,
+	`for $b in doc("f.xml")//book order by number($b/price) descending return $b/title`,
+	// A hoisted operand is atomized once per loop: nodes, untyped and
+	// numeric atoms mixed on both sides of the promotion rules, and an
+	// inner loop whose hoisted operand changes with the outer iteration.
+	`declare function mix() as item()* { (doc("f.xml")//book/price, data(doc("f.xml")//age), 28, 4.9e1, doc("f.xml")//person/@id) };
+	 for $x in (49, 28.0, "34", "p1", 7, 31, "zz", true()) return ($x = mix(), mix() != $x, $x < mix())`,
+	`for $o in (1, 2, 3, 4, 5, 6) return for $x in (1, 2, 3, 4, 5, 6) return if ($x = subsequence((1, 2, 3, 4, 5, 6, 7), $o, 2)) then $x else ()`,
+	// Quantifiers, typeswitch, logic.
+	`some $a in doc("f.xml")//author satisfies $a = "Tang"`,
+	`every $a in doc("f.xml")//author satisfies string-length($a) > 2`,
+	`typeswitch (doc("f.xml")//book[1]) case $n as element() return name($n) default $d return count($d)`,
+	`typeswitch (1 + 1) case $i as xs:integer return $i default return "no"`,
+	`if (1 = 2 or 3 != 4 and 5 <= 6) then 7 else 8`,
+	// Declared functions: recursion, duplicate params, typed results.
+	`declare function rec($n as xs:integer) as xs:integer { if ($n <= 0) then 0 else rec($n - 1) }; rec(12)`,
+	`declare function pick($y as item()*) as item()* { if ($y/descendant::age < 40) then $y/child::name else () };
+	 for $x in doc("f.xml")//person return pick($x)`,
+	`declare function one($a as xs:integer) as xs:integer { $a }; one("x")`,
+	// Focus builtins inside predicates and paths.
+	`doc("f.xml")//book[root()//l2[@k = "y"]]/title`,
+	`position()`,
+	`last()`,
+	// Node-set operators, node comparisons, constructors (fallback).
+	`count(doc("f.xml")//author union doc("f.xml")//title)`,
+	`doc("f.xml")//l2[1] is doc("f.xml")//l2[@k = "y"][1]`,
+	`element report { attribute n {count(doc("f.xml")//book)}, doc("f.xml")//book/title }`,
+	// distinct-values: untyped content compares as strings, numerics by value.
+	`distinct-values(doc("f.xml")//person/name)`,
+	`distinct-values(("1", 1, 1.0))`,
+	// Faults that must match byte for byte.
+	`$nope`,
+	`1 idiv 0`,
+	`-("a")`,
+	`unknownfn(1, 2)`,
+	`concat("one")`,
+	`execute at {"p"} { young() }`,
+	`doc("missing://really")/x`,
+}
+
 // TestCompiledEquivalenceRegressions pins compiled-vs-tree-walk equivalence
-// over every lowering rule and every input the differential fuzzer ever
-// flagged. Queries run over the fuzz fixture through both the lazy and the
-// eager entry points.
+// over the battery, through both the lazy and the eager entry points.
 func TestCompiledEquivalenceRegressions(t *testing.T) {
 	docs := mapResolver{"f.xml": fuzzFixtureXML}
-	queries := []string{
-		// Slot resolution, shadowing, let/for nesting.
-		`let $a := 1 return let $a := $a + 1 return let $b := $a * 10 return ($a, $b)`,
-		`for $x in (1, 2, 3) return for $x in ($x, $x * 10) return $x`,
-		`let $s := doc("f.xml")//person return for $x in $s return $x/child::name`,
-		// Constant folding, including deferred faults in dead branches.
-		`1 + 2 * 3 idiv 4 mod 5 - -6`,
-		`if (false()) then (1 idiv 0) else "live"`,
-		`if (true()) then "live" else (1 div 0)`,
-		`("a", "b") = "b"`,
-		// Comparison specialization by static operand kind.
-		`doc("f.xml")//book[price > 28]/title`,
-		`doc("f.xml")//book["Tang" = author]/@id`,
-		`doc("f.xml")//person[child::profile/attribute::income > 30000]/child::name`,
-		// Predicate fusion: boolean, positional, mixed, numeric-literal.
-		`doc("f.xml")//book[2]/title/text()`,
-		`doc("f.xml")//book[price > 28][2]/title`,
-		`doc("f.xml")//book[position() = 2]`,
-		`(doc("f.xml")//book)[last()]/@id`,
-		`doc("f.xml")//person[not(child::emailaddress)]/child::name`,
-		`doc("f.xml")//l2[@k = "y"][child::l3]`,
-		// Streaming shapes: descendant scans, filters over mixed axes.
-		`doc("f.xml")/site/people/person/profile/age`,
-		`doc("f.xml")//age`,
-		`doc("f.xml")//l2[@k = "y"]/preceding-sibling::l2/ancestor-or-self::node()`,
-		// FLWOR pipelines, hoisting at the >4 threshold and below it.
-		`for $x in (1, 2, 3, 4, 5, 6) return if ($x > 10) then ($x = doc("f.xml")//book/price) else $x`,
-		`for $x in (1, 2, 3, 4) return if ($x > 10) then ($x = doc("f.xml")//book/price) else $x`,
-		`for $x in (1, 2, 3, 4, 5) return if (false()) then (unknownfn() = 1) else $x`,
-		`for $b in doc("f.xml")//book order by number($b/price) descending return $b/title`,
-		// A hoisted operand is atomized once per loop: nodes, untyped and
-		// numeric atoms mixed on both sides of the promotion rules, and an
-		// inner loop whose hoisted operand changes with the outer iteration.
-		`declare function mix() as item()* { (doc("f.xml")//book/price, data(doc("f.xml")//age), 28, 4.9e1, doc("f.xml")//person/@id) };
-		 for $x in (49, 28.0, "34", "p1", 7, 31, "zz", true()) return ($x = mix(), mix() != $x, $x < mix())`,
-		`for $o in (1, 2, 3, 4, 5, 6) return for $x in (1, 2, 3, 4, 5, 6) return if ($x = subsequence((1, 2, 3, 4, 5, 6, 7), $o, 2)) then $x else ()`,
-		// Quantifiers, typeswitch, logic.
-		`some $a in doc("f.xml")//author satisfies $a = "Tang"`,
-		`every $a in doc("f.xml")//author satisfies string-length($a) > 2`,
-		`typeswitch (doc("f.xml")//book[1]) case $n as element() return name($n) default $d return count($d)`,
-		`typeswitch (1 + 1) case $i as xs:integer return $i default return "no"`,
-		`if (1 = 2 or 3 != 4 and 5 <= 6) then 7 else 8`,
-		// Declared functions: recursion, duplicate params, typed results.
-		`declare function rec($n as xs:integer) as xs:integer { if ($n <= 0) then 0 else rec($n - 1) }; rec(12)`,
-		`declare function pick($y as item()*) as item()* { if ($y/descendant::age < 40) then $y/child::name else () };
-		 for $x in doc("f.xml")//person return pick($x)`,
-		`declare function one($a as xs:integer) as xs:integer { $a }; one("x")`,
-		// Focus builtins inside predicates and paths.
-		`doc("f.xml")//book[root()//l2[@k = "y"]]/title`,
-		`position()`,
-		`last()`,
-		// Node-set operators, node comparisons, constructors (fallback).
-		`count(doc("f.xml")//author union doc("f.xml")//title)`,
-		`doc("f.xml")//l2[1] is doc("f.xml")//l2[@k = "y"][1]`,
-		`element report { attribute n {count(doc("f.xml")//book)}, doc("f.xml")//book/title }`,
-		// distinct-values: untyped content compares as strings, numerics by value.
-		`distinct-values(doc("f.xml")//person/name)`,
-		`distinct-values(("1", 1, 1.0))`,
-		// Faults that must match byte for byte.
-		`$nope`,
-		`1 idiv 0`,
-		`-("a")`,
-		`unknownfn(1, 2)`,
-		`concat("one")`,
-		`execute at {"p"} { young() }`,
-		`doc("missing://really")/x`,
-	}
-	for _, src := range queries {
+	for _, src := range compileBattery {
 		expectCompiled(t, docs, src)
 	}
 }
@@ -284,5 +286,88 @@ func TestCompiledArtifactShared(t *testing.T) {
 	}
 	if got := e2.StatsSnapshot().Compilations; got != 0 {
 		t.Fatalf("second engine recompiled a cached artifact: %d compilations", got)
+	}
+}
+
+// TestFallbackSitesByConstruct pins, over the battery, which AST constructs
+// the compiler still hands back to the tree-walker and how many sites of
+// each — the compile-time tally behind the compile span's fallback.*
+// attributes and distxq_eval_compiled_fallback_sites_total. Lowering a
+// construct shrinks its row; a new fallback shows up as a new one.
+func TestFallbackSitesByConstruct(t *testing.T) {
+	for _, tc := range []struct {
+		src  string
+		want map[string]int
+	}{
+		{`for $x in (1, 2, 3) return $x + 1`, nil},
+		{`for $b in doc("f.xml")//book order by number($b/price) return $b/title`, map[string]int{"ForExpr": 1}},
+		{`element report { attribute n {1}, doc("f.xml")//book/title }`, map[string]int{"ElemConstructor": 1}},
+		{`(text {"a"}, <a/>, <b/>)`, map[string]int{"TextConstructor": 1, "ElemConstructor": 2}},
+		{`declare function f() as item()* { 1 }; for $p in ("a", "b") return execute at {$p} { f() }`,
+			map[string]int{"ForExpr": 1, "XRPCExpr": 1}},
+	} {
+		q, err := xq.ParseQuery(tc.src)
+		if err != nil {
+			t.Fatalf("%v\n%s", err, tc.src)
+		}
+		p, err := CompileQuery(q)
+		if err != nil {
+			t.Fatalf("%v\n%s", err, tc.src)
+		}
+		if got := p.FallbackSites(); !maps.Equal(got, tc.want) {
+			t.Errorf("fallback sites %v, want %v\n%s", got, tc.want, tc.src)
+		}
+	}
+	total := map[string]int{}
+	for _, src := range compileBattery {
+		q, err := xq.ParseQuery(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := CompileQuery(q)
+		if err != nil {
+			continue // the battery's normalization faults compile nothing
+		}
+		for construct, n := range p.FallbackSites() {
+			total[construct] += n
+		}
+	}
+	if want := (map[string]int{"ElemConstructor": 1, "ForExpr": 1}); !maps.Equal(total, want) {
+		t.Errorf("battery fallback sites by construct: %v, want %v", total, want)
+	}
+}
+
+// TestTreeWalkAttachesNoProgram guards every in-package oracle against going
+// vacuous: an engine without the Compile option tree-walks a freshly parsed
+// query and leaves no Program on it (a query that carries one runs it
+// whatever the option says, so an oracle must parse its own copy per mode).
+func TestTreeWalkAttachesNoProgram(t *testing.T) {
+	docs := mapResolver{"f.xml": fuzzFixtureXML}
+	src := `declare function f() as item()* { doc("f.xml")//book[price > 28]/title }; f()`
+	tw := NewEngine(docs)
+	q, err := xq.ParseQuery(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := tw.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tw.EvalFunction(q, "f", nil); err != nil {
+		t.Fatal(err)
+	}
+	if q.CompiledArtifact() != nil || tw.StatsSnapshot().Compilations != 0 {
+		t.Fatal("tree-walking a fresh parse attached a Program")
+	}
+	// The converse: once a Program is attached, the same engine runs it.
+	if _, err := CompileQuery(q); err != nil {
+		t.Fatal(err)
+	}
+	if tw.program(q) == nil {
+		t.Fatal("engine ignores the Program its query carries")
+	}
+	got, err := tw.Query(q)
+	if err != nil || serialize(got) != serialize(want) {
+		t.Fatalf("compiled run of the same query object: %v, %v, want %v", got, err, want)
 	}
 }

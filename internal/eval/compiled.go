@@ -22,12 +22,15 @@ import (
 
 // Options selects optional engine behaviors.
 type Options struct {
-	// Compile lowers queries into chains of pre-resolved closures before
-	// execution (variables become frame slots, constants fold, downward path
-	// steps become direct scans with fused predicates) instead of walking the
-	// AST per evaluation. Results and errors are identical either way; only
-	// speed changes. The compiled artifact is cached on the *xq.Query, so
-	// every engine executing a shared plan reuses one compilation.
+	// Compile lowers a query on its first use by this engine into chains of
+	// pre-resolved closures (variables become frame slots, constants fold,
+	// downward path steps become direct scans with fused predicates). It is
+	// the engine primitive behind the differential oracle and the
+	// micro-benchmarks; production code never sets it. Whatever its value, a
+	// query that already carries a Program runs it — the caches that witness
+	// reuse (the service's plan cache, the XRPC server's module cache) attach
+	// one to what they retain — and any other query tree-walks. Results and
+	// errors are identical either way; only speed changes.
 	Compile bool
 }
 
@@ -97,7 +100,15 @@ type Program struct {
 	// later declarations winning (the lookup rule of evalFunCall).
 	order []*cfunc
 	funcs map[string]*cfunc
+	// fallbacks counts, by AST construct, the nodes that lowered to a
+	// tree-walker fallback — tallied once while compiling, never at run time.
+	fallbacks map[string]int
 }
+
+// FallbackSites reports how many nodes of each AST construct (xq type name,
+// e.g. "ElemConstructor") this Program hands back to the tree-walker.
+// Callers must not modify the map.
+func (p *Program) FallbackSites() map[string]int { return p.fallbacks }
 
 // cfunc is one compiled declared function.
 type cfunc struct {

@@ -138,8 +138,8 @@ type Engine struct {
 	Resolver Resolver
 	Remote   RemoteCaller
 	Static   StaticContext
-	// Options selects evaluation-strategy knobs; the zero value is the plain
-	// tree-walker.
+	// Options selects evaluation-strategy knobs; under the zero value a
+	// query runs compiled exactly when it carries a Program.
 	Options Options
 	// Replicas maps a scatter target peer to its ordered failover replicas:
 	// peers holding an equivalent copy of the target's data (same documents
@@ -192,9 +192,8 @@ type Stats struct {
 	// originator's budget expired (the observable half of deadline
 	// propagation).
 	DeadlineAborts int
-	// Compilations counts queries this engine lowered to closure chains (a
-	// cached Program on the query does not count: compilation happened on
-	// another engine or an earlier call).
+	// Compilations counts queries lowered to closure chains on this engine's
+	// account (running a Program someone else attached does not count).
 	Compilations int
 }
 
@@ -396,11 +395,7 @@ func (e *Engine) EvalFunctionDeadline(q *xq.Query, name string, args []xdm.Seque
 	if !deadline.IsZero() {
 		ctx.stop = &stopCheck{eng: e, deadline: deadline}
 	}
-	if e.Options.Compile {
-		p, err := e.program(q)
-		if err != nil {
-			return nil, err
-		}
+	if p := e.program(q); p != nil {
 		return p.callFunction(ctx, name, args)
 	}
 	for _, f := range q.Funcs {
@@ -429,11 +424,7 @@ func (e *Engine) EvalFunctionSeqDeadline(q *xq.Query, name string, args []xdm.Se
 	if !deadline.IsZero() {
 		ctx.stop = &stopCheck{eng: e, deadline: deadline}
 	}
-	if e.Options.Compile {
-		p, err := e.program(q)
-		if err != nil {
-			return nil, err
-		}
+	if p := e.program(q); p != nil {
 		return p.callFunctionSeq(ctx, name, args)
 	}
 	for _, f := range q.Funcs {
@@ -444,17 +435,26 @@ func (e *Engine) EvalFunctionSeqDeadline(q *xq.Query, name string, args []xdm.Se
 	return nil, fmt.Errorf("eval: function %s#%d not declared", name, len(args))
 }
 
-// program returns the query's compiled Program, compiling (and caching the
-// artifact on the query) on first use. The Program is engine-independent —
-// all engine state flows in through the execution context — so engines
-// sharing a query share one compilation.
-func (e *Engine) program(q *xq.Query) (*Program, error) {
-	if p, ok := q.CompiledArtifact().(*Program); ok {
-		return p, nil
+// program selects q's executor: the Program q carries — attached by a cache
+// that saw q reused, or by an earlier call — else, only when the engine's
+// Compile option is set, a fresh lowering. Nil means q tree-walks.
+func (e *Engine) program(q *xq.Query) *Program {
+	p, ok := q.CompiledArtifact().(*Program)
+	if !ok && e.Options.Compile {
+		// Every caller has normalized q, so lowering cannot fail; if it did,
+		// q would tree-walk.
+		p, _ = e.Compile(q)
 	}
-	sp := e.TraceSpan.Child("compile")
-	p, err := CompileQuery(q)
-	sp.EndErr(err)
+	return p
+}
+
+// Compile lowers q now, attaches the Program to it and counts the lowering
+// in this engine's Stats (and as a "compile" span under TraceSpan). The
+// Program is engine-independent — all engine state flows in through the
+// execution context — so every engine that later executes the same query
+// object runs it.
+func (e *Engine) Compile(q *xq.Query) (*Program, error) {
+	p, err := CompileTraced(q, e.TraceSpan)
 	if err != nil {
 		return nil, err
 	}

@@ -41,11 +41,7 @@ func (e *Engine) QuerySeq(q *xq.Query) (xdm.Seq, error) {
 		return nil, err
 	}
 	ctx := e.newContext(q.Funcs)
-	if e.Options.Compile {
-		p, err := e.program(q)
-		if err != nil {
-			return nil, err
-		}
+	if p := e.program(q); p != nil {
 		return p.runSeq(ctx), nil
 	}
 	return ctx.evalSeq(q.Body), nil

@@ -57,6 +57,22 @@ for $p in (%s) return execute at {$p} { young() }`, strings.Join(quoted, ", "))
 	return f
 }
 
+// requireBothExecutors is the non-vacuity check of the equivalence tests:
+// the service tree-walked a first execution and compiled the plan on its
+// reuse, and at least one peer compiled the module it was sent repeatedly.
+func (f *federation) requireBothExecutors(t *testing.T, svc *service.Service) {
+	t.Helper()
+	if st, c := svc.Stats(), svc.EvalStats().Compilations; st.PlanMisses == 0 || c == 0 {
+		t.Errorf("originator planned %d queries afresh and compiled %d; the test must exercise both executors", st.PlanMisses, c)
+	}
+	for _, name := range f.all {
+		if p, ok := f.net.Peer(name); ok && p.Engine.StatsSnapshot().Compilations > 0 {
+			return
+		}
+	}
+	t.Error("no peer compiled a shipped module")
+}
+
 func serialize(s xdm.Sequence) string {
 	var sb strings.Builder
 	for i, it := range s {
@@ -321,75 +337,71 @@ func TestOverloadFastRejectHTTP(t *testing.T) {
 // TestKillAnyPeerEquivalenceWithAdaptiveHedging is the robustness
 // invariant under the new dispatch features: with adaptive hedging and
 // replica spreading enabled, killing any single primary must leave the
-// query's serialized result byte-identical to the healthy run.
+// query's serialized result byte-identical to the healthy run. The healthy
+// run tree-walks; by the time the kills land, the warm-up has taken the plan
+// and the peers' modules across into compiled execution.
 func TestKillAnyPeerEquivalenceWithAdaptiveHedging(t *testing.T) {
-	for _, compiled := range []bool{false, true} {
-		f := newFederation(t, 3)
-		f.net.SetCompile(compiled)
-		svc := service.New(f.net, f.origin, core.ByFragment, service.Config{
-			MaxConcurrent: 4,
-			DefaultBudget: core.Budget{Wall: 5 * time.Second},
-			Compile:       compiled,
-		})
-		svc.UseRetry(&xrpc.RetryPolicy{SpreadReplicas: true, HedgeAfter: 10 * time.Millisecond})
-		svc.Replicas = f.replicas
+	f := newFederation(t, 3)
+	svc := service.New(f.net, f.origin, core.ByFragment, service.Config{
+		MaxConcurrent: 4,
+		DefaultBudget: core.Budget{Wall: 5 * time.Second},
+	})
+	svc.UseRetry(&xrpc.RetryPolicy{SpreadReplicas: true, HedgeAfter: 10 * time.Millisecond})
+	svc.Replicas = f.replicas
 
-		healthy, _, err := svc.Query(f.query, core.Budget{})
-		if err != nil {
+	healthy, _, err := svc.Query(f.query, core.Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := serialize(healthy)
+	// Warm the health tracker so hedging runs adaptively, then kill each
+	// primary in turn.
+	for i := 0; i < 10; i++ {
+		if _, _, err := svc.Query(f.query, core.Budget{}); err != nil {
 			t.Fatal(err)
 		}
-		want := serialize(healthy)
-		// Warm the health tracker so hedging runs adaptively, then kill each
-		// primary in turn.
-		for i := 0; i < 10; i++ {
-			if _, _, err := svc.Query(f.query, core.Budget{}); err != nil {
-				t.Fatal(err)
-			}
+	}
+	for _, victim := range f.primaries {
+		f.net.KillPeer(victim)
+		got, _, err := svc.Query(f.query, core.Budget{})
+		f.net.RevivePeer(victim)
+		if err != nil {
+			t.Fatalf("kill %s: %v", victim, err)
 		}
-		for _, victim := range f.primaries {
-			f.net.KillPeer(victim)
-			got, _, err := svc.Query(f.query, core.Budget{})
-			f.net.RevivePeer(victim)
-			if err != nil {
-				t.Fatalf("compiled=%v kill %s: %v", compiled, victim, err)
-			}
-			if g := serialize(got); g != want {
-				t.Errorf("compiled=%v kill %s: result diverged\n got %q\nwant %q", compiled, victim, g, want)
-			}
+		if g := serialize(got); g != want {
+			t.Errorf("kill %s: result diverged\n got %q\nwant %q", victim, g, want)
 		}
 	}
+	f.requireBothExecutors(t, svc)
 }
 
 // TestSlowPeerEquivalenceWithAdaptiveHedging: a straggling primary must
 // change latency, never results — the hedge (or spread) answers through
 // the replica with identical bytes.
 func TestSlowPeerEquivalenceWithAdaptiveHedging(t *testing.T) {
-	for _, compiled := range []bool{false, true} {
-		f := newFederation(t, 3)
-		f.net.SetCompile(compiled)
-		svc := service.New(f.net, f.origin, core.ByFragment, service.Config{
-			MaxConcurrent: 4,
-			DefaultBudget: core.Budget{Wall: 5 * time.Second},
-			Compile:       compiled,
-		})
-		svc.UseRetry(&xrpc.RetryPolicy{SpreadReplicas: true, HedgeAfter: 5 * time.Millisecond})
-		svc.Replicas = f.replicas
+	f := newFederation(t, 3)
+	svc := service.New(f.net, f.origin, core.ByFragment, service.Config{
+		MaxConcurrent: 4,
+		DefaultBudget: core.Budget{Wall: 5 * time.Second},
+	})
+	svc.UseRetry(&xrpc.RetryPolicy{SpreadReplicas: true, HedgeAfter: 5 * time.Millisecond})
+	svc.Replicas = f.replicas
 
-		healthy, _, err := svc.Query(f.query, core.Budget{})
+	healthy, _, err := svc.Query(f.query, core.Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := serialize(healthy)
+	restore := SlowPeer(f.net, f.primaries[0], 50*time.Millisecond)
+	for i := 0; i < 5; i++ {
+		got, _, err := svc.Query(f.query, core.Budget{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := serialize(healthy)
-		restore := SlowPeer(f.net, f.primaries[0], 50*time.Millisecond)
-		for i := 0; i < 5; i++ {
-			got, _, err := svc.Query(f.query, core.Budget{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if g := serialize(got); g != want {
-				t.Fatalf("compiled=%v slow peer run %d diverged\n got %q\nwant %q", compiled, i, g, want)
-			}
+		if g := serialize(got); g != want {
+			t.Fatalf("slow peer run %d diverged\n got %q\nwant %q", i, g, want)
 		}
-		restore()
 	}
+	restore()
+	f.requireBothExecutors(t, svc)
 }

@@ -5,8 +5,9 @@ package peer
 // operations interleave with generated queries on a live-topology session,
 // and every query must serialize byte-identically to static local execution
 // over the unsharded reference document — across every epoch transition, for
-// 2/4/8-shard layouts, gather-whole and streamed dispatch, tree-walking and
-// compiled execution. Correctness of the scatter rewrite under a frozen map
+// 2/4/8-shard layouts, gather-whole and streamed dispatch, on both sides of
+// the executor policy (queries sent once tree-walk; queries re-sent under one
+// epoch cross into compiled execution). Correctness of the scatter rewrite under a frozen map
 // is proven by the core equivalence harness; this one proves the topology
 // can move underneath the session without the answers moving with it.
 
@@ -287,19 +288,27 @@ func churnQuery(rng *rand.Rand) string {
 // runSchedule drives one seeded schedule: a live-topology session issues
 // generated queries while topology operations land between them, at least
 // one of them an epoch transition; every result must match the static local
-// reference byte for byte.
-func (w *churnWorld) runSchedule(rng *rand.Rand, schedule int, compiled bool) {
+// reference byte for byte. With a nil reuse every query is sent once through
+// the plain session — nothing is ever re-planned, so the originator only
+// tree-walks; otherwise each query is sent three times through reuse under
+// its topology state: planned and tree-walked, compiled on the plan's first
+// reuse, and run compiled.
+func (w *churnWorld) runSchedule(rng *rand.Rand, schedule int, reuse *planReuse) {
 	w.t.Helper()
 	w.reset()
 	startEpoch := w.n.TopologyEpoch()
 	streamed := schedule%2 == 1
 	pol := &xrpc.RetryPolicy{RouteLive: rng.Intn(2) == 0}
 	sess := w.n.NewSession(w.local, core.ByFragment).
-		UseLiveShards().UseRetry(pol).UseCompile(compiled)
+		UseLiveShards().UseRetry(pol)
 	if pol.RouteLive {
 		sess.UseHealth(xrpc.NewHealthTracker())
 	}
 	sess.Streamed = streamed
+	sends, send := 1, reuse.sender(sess)
+	if reuse != nil {
+		sends = 3
+	}
 	const queries = 3
 	for qi := 0; qi < queries; qi++ {
 		if qi > 0 {
@@ -315,14 +324,17 @@ func (w *churnWorld) runSchedule(rng *rand.Rand, schedule int, compiled bool) {
 		if err != nil {
 			w.t.Fatalf("schedule %d query %d local eval: %v\n%s", schedule, qi, err, src)
 		}
-		res, _, err := sess.Query(src)
-		if err != nil {
-			w.t.Fatalf("schedule %d (shards=%d compiled=%v streamed=%v routeLive=%v) query %d: %v\n%s\ntopo: %+v\ndead: %v",
-				schedule, w.shards, compiled, streamed, pol.RouteLive, qi, err, src, w.topo(), w.dead)
-		}
-		if got, want := serializeSeq(w.t, res), serializeSeq(w.t, localRes); got != want {
-			w.t.Fatalf("schedule %d (shards=%d compiled=%v streamed=%v routeLive=%v) query %d diverged\nquery: %s\nlocal: %q\nchurn: %q\ntopo: %+v\ndead: %v",
-				schedule, w.shards, compiled, streamed, pol.RouteLive, qi, src, want, got, w.topo(), w.dead)
+		want := serializeSeq(w.t, localRes)
+		for i := 1; i <= sends; i++ {
+			res, _, err := send(src)
+			if err != nil {
+				w.t.Fatalf("schedule %d (shards=%d streamed=%v routeLive=%v) query %d send %d/%d: %v\n%s\ntopo: %+v\ndead: %v",
+					schedule, w.shards, streamed, pol.RouteLive, qi, i, sends, err, src, w.topo(), w.dead)
+			}
+			if got := serializeSeq(w.t, res); got != want {
+				w.t.Fatalf("schedule %d (shards=%d streamed=%v routeLive=%v) query %d send %d/%d diverged\nquery: %s\nlocal: %q\nchurn: %q\ntopo: %+v\ndead: %v",
+					schedule, w.shards, streamed, pol.RouteLive, qi, i, sends, src, want, got, w.topo(), w.dead)
+			}
 		}
 	}
 	if w.moves == 0 || w.n.TopologyEpoch() <= startEpoch {
@@ -331,26 +343,32 @@ func (w *churnWorld) runSchedule(rng *rand.Rand, schedule int, compiled bool) {
 }
 
 // TestChurnEquivalence is the headline harness: 35 seeded schedules per
-// layout and execution mode (210 total) on 2/4/8-shard federations, each
-// schedule with at least one epoch transition mid-session, alternating
-// gather-whole/streamed dispatch per schedule and covering tree-walking and
-// compiled execution as separate worlds (the compile switch is per-engine
-// state, fixed before any traffic), every query byte-identical to static
-// local evaluation.
+// layout on either side of the executor policy (210 total) on 2/4/8-shard
+// federations, each schedule with at least one epoch transition mid-session,
+// alternating gather-whole/streamed dispatch per schedule, every query
+// byte-identical to static local evaluation. Nobody picks an executor: the
+// compiled=false schedules send each query once (no plan is ever reused, so
+// the originator never compiles), the compiled=true schedules re-send each
+// query under its epoch until plan reuse and the peers' module caches have
+// both crossed into compiled execution — which the run then proves happened.
 func TestChurnEquivalence(t *testing.T) {
 	const schedules = 35
 	for _, shards := range []int{2, 4, 8} {
-		for _, compiled := range []bool{false, true} {
-			shards, compiled := shards, compiled
-			t.Run(fmt.Sprintf("%dshards/compiled=%v", shards, compiled), func(t *testing.T) {
+		for _, reused := range []bool{false, true} {
+			shards, reused := shards, reused
+			t.Run(fmt.Sprintf("%dshards/compiled=%v", shards, reused), func(t *testing.T) {
 				w := newChurnWorld(t, shards)
-				w.n.SetCompile(compiled)
 				base := int64(1000 * shards)
-				if compiled {
+				var reuse *planReuse
+				if reused {
 					base += 500
+					reuse = &planReuse{}
 				}
 				for s := 0; s < schedules; s++ {
-					w.runSchedule(rand.New(rand.NewSource(base+int64(s))), s, compiled)
+					w.runSchedule(rand.New(rand.NewSource(base+int64(s))), s, reuse)
+				}
+				if reused {
+					reuse.requireBothExecutors(t, w.n.engines()...)
 				}
 			})
 		}

@@ -45,60 +45,60 @@ func replicatedFederation(t *testing.T, peers int) (*Network, *Peer, []string, c
 // the in-memory transport: with every shard replicated x2, killing any
 // single primary yields byte-identical results to the healthy run — for the
 // hand-written scatter query and the planner-generated logical plan, in
-// gather-whole and streamed dispatch, tree-walking and compiled.
+// gather-whole and streamed dispatch. The runs repeat each query, so both
+// sides cross from tree-walking to compiled execution on the way.
 func TestKillAnyPeerInMemory(t *testing.T) {
 	for _, peers := range []int{2, 4} {
-		for _, compiled := range []bool{false, true} {
-			n, local, names, m := replicatedFederation(t, peers)
-			n.SetCompile(compiled)
-			handQuery := xmark.ScatterQuery(names)
+		n, local, names, m := replicatedFederation(t, peers)
+		handQuery := xmark.ScatterQuery(names)
+		reuse := &planReuse{}
 
-			type mode struct {
-				name string
-				run  func() (xdm.Sequence, *Report, error)
+		type mode struct {
+			name string
+			run  func() (xdm.Sequence, *Report, error)
+		}
+		modes := []mode{
+			{"hand-gather", func() (xdm.Sequence, *Report, error) {
+				sess := n.NewSession(local, core.ByFragment).UseRetry(&xrpc.RetryPolicy{})
+				sess.Replicas = m.ReplicaSets()
+				return reuse.query(sess, handQuery)
+			}},
+			{"hand-streamed", func() (xdm.Sequence, *Report, error) {
+				sess := n.NewSession(local, core.ByFragment).UseRetry(&xrpc.RetryPolicy{})
+				sess.Replicas = m.ReplicaSets()
+				sess.Streamed = true
+				return reuse.query(sess, handQuery)
+			}},
+			{"planner-gather", func() (xdm.Sequence, *Report, error) {
+				sess := n.NewSession(local, core.ByFragment).UseShards(m).UseRetry(&xrpc.RetryPolicy{})
+				return reuse.query(sess, xmark.LogicalScatterQuery())
+			}},
+		}
+		for _, md := range modes {
+			res, _, err := md.run()
+			if err != nil {
+				t.Fatalf("%d peers %s healthy: %v", peers, md.name, err)
 			}
-			modes := []mode{
-				{"hand-gather", func() (xdm.Sequence, *Report, error) {
-					sess := n.NewSession(local, core.ByFragment).UseRetry(&xrpc.RetryPolicy{}).UseCompile(compiled)
-					sess.Replicas = m.ReplicaSets()
-					return sess.Query(handQuery)
-				}},
-				{"hand-streamed", func() (xdm.Sequence, *Report, error) {
-					sess := n.NewSession(local, core.ByFragment).UseRetry(&xrpc.RetryPolicy{}).UseCompile(compiled)
-					sess.Replicas = m.ReplicaSets()
-					sess.Streamed = true
-					return sess.Query(handQuery)
-				}},
-				{"planner-gather", func() (xdm.Sequence, *Report, error) {
-					sess := n.NewSession(local, core.ByFragment).UseShards(m).UseRetry(&xrpc.RetryPolicy{}).UseCompile(compiled)
-					return sess.Query(xmark.LogicalScatterQuery())
-				}},
-			}
-			for _, md := range modes {
-				res, _, err := md.run()
+			want := serializeSeq(t, res)
+			for _, victim := range names {
+				n.KillPeer(victim)
+				res, rep, err := md.run()
 				if err != nil {
-					t.Fatalf("%d peers %s healthy: %v", peers, md.name, err)
+					t.Fatalf("%d peers %s, %s killed: %v", peers, md.name, victim, err)
 				}
-				want := serializeSeq(t, res)
-				for _, victim := range names {
-					n.KillPeer(victim)
-					res, rep, err := md.run()
-					if err != nil {
-						t.Fatalf("%d peers %s, %s killed: %v", peers, md.name, victim, err)
-					}
-					if got := serializeSeq(t, res); got != want {
-						t.Fatalf("%d peers %s, %s killed: result diverged from healthy run", peers, md.name, victim)
-					}
-					if rep.Retries < 1 {
-						t.Errorf("%d peers %s, %s killed: report records no retry (%+v)", peers, md.name, victim, rep)
-					}
-					if w := rep.WinnerReplica[victim]; !strings.HasPrefix(w, "rep") {
-						t.Errorf("%d peers %s, %s killed: WinnerReplica[%s] = %q, want a replica", peers, md.name, victim, victim, w)
-					}
-					n.RevivePeer(victim)
+				if got := serializeSeq(t, res); got != want {
+					t.Fatalf("%d peers %s, %s killed: result diverged from healthy run", peers, md.name, victim)
 				}
+				if rep.Retries < 1 {
+					t.Errorf("%d peers %s, %s killed: report records no retry (%+v)", peers, md.name, victim, rep)
+				}
+				if w := rep.WinnerReplica[victim]; !strings.HasPrefix(w, "rep") {
+					t.Errorf("%d peers %s, %s killed: WinnerReplica[%s] = %q, want a replica", peers, md.name, victim, victim, w)
+				}
+				n.RevivePeer(victim)
 			}
 		}
+		reuse.requireBothExecutors(t, n.engines()...)
 	}
 }
 
@@ -164,8 +164,8 @@ func (s *slowPeerTransport) RoundTripStream(ctx context.Context, peer string, re
 }
 
 // TestSlowPeerHedged: a straggling primary is hedged to its replica and the
-// query answers byte-identically, fast, with the hedge on the report — in
-// tree-walking and compiled execution alike.
+// query answers byte-identically, fast, with the hedge on the report — on a
+// plan's first (tree-walked) execution and on its compiled reuse alike.
 func TestSlowPeerHedged(t *testing.T) {
 	n, local, names, m := replicatedFederation(t, 2)
 	handQuery := xmark.ScatterQuery(names)
@@ -181,35 +181,34 @@ func TestSlowPeerHedged(t *testing.T) {
 	n.RouteExternal(names[0], &slowPeerTransport{
 		inner: n.Transport, delay: map[string]time.Duration{names[0]: 5 * time.Second}})
 
-	for _, compiled := range []bool{false, true} {
-		n.SetCompile(compiled)
-		for _, streamed := range []bool{false, true} {
-			sess := n.NewSession(local, core.ByFragment).UseRetry(
-				&xrpc.RetryPolicy{MaxAttempts: 2, HedgeAfter: 10 * time.Millisecond}).UseCompile(compiled)
-			sess.Replicas = m.ReplicaSets()
-			sess.Streamed = streamed
-			t0 := time.Now()
-			res, rep, err := sess.Query(handQuery)
-			if err != nil {
-				t.Fatalf("streamed=%v: %v", streamed, err)
-			}
-			if wall := time.Since(t0); wall > 2*time.Second {
-				t.Fatalf("streamed=%v: query took %v — the straggler was waited out", streamed, wall)
-			}
-			if got := serializeSeq(t, res); got != want {
-				t.Fatalf("streamed=%v: hedged result diverged from healthy run", streamed)
-			}
-			if rep.Hedges < 1 {
-				t.Errorf("streamed=%v: report records no hedge: %+v", streamed, rep)
-			}
-			if w := rep.WinnerReplica[names[0]]; w != "rep1" {
-				t.Errorf("streamed=%v: WinnerReplica[%s] = %q, want rep1", streamed, names[0], w)
-			}
-			if rep.WastedNS <= 0 {
-				t.Errorf("streamed=%v: no wasted time accounted for the losing attempt", streamed)
-			}
+	reuse := &planReuse{}
+	for _, streamed := range []bool{false, true} {
+		sess := n.NewSession(local, core.ByFragment).UseRetry(
+			&xrpc.RetryPolicy{MaxAttempts: 2, HedgeAfter: 10 * time.Millisecond})
+		sess.Replicas = m.ReplicaSets()
+		sess.Streamed = streamed
+		t0 := time.Now()
+		res, rep, err := reuse.query(sess, handQuery)
+		if err != nil {
+			t.Fatalf("streamed=%v: %v", streamed, err)
+		}
+		if wall := time.Since(t0); wall > 2*time.Second {
+			t.Fatalf("streamed=%v: query took %v — the straggler was waited out", streamed, wall)
+		}
+		if got := serializeSeq(t, res); got != want {
+			t.Fatalf("streamed=%v: hedged result diverged from healthy run", streamed)
+		}
+		if rep.Hedges < 1 {
+			t.Errorf("streamed=%v: report records no hedge: %+v", streamed, rep)
+		}
+		if w := rep.WinnerReplica[names[0]]; w != "rep1" {
+			t.Errorf("streamed=%v: WinnerReplica[%s] = %q, want rep1", streamed, names[0], w)
+		}
+		if rep.WastedNS <= 0 {
+			t.Errorf("streamed=%v: no wasted time accounted for the losing attempt", streamed)
 		}
 	}
+	reuse.requireBothExecutors(t, n.engines()...)
 }
 
 // TestExhaustedReplicasSessionFault: killing a primary and its replica must
@@ -287,24 +286,23 @@ for $y in doc("shard://test/b")/child::r/child::v return $y)`
 	want := serializeSeq(t, res)
 
 	n.KillPeer("peer1")
-	for _, compiled := range []bool{false, true} {
-		n.SetCompile(compiled)
-		for _, streamed := range []bool{false, true} {
-			sess := n.NewSession(local, core.ByFragment).
-				UseShards(mA, mB).UseRetry(&xrpc.RetryPolicy{}).UseCompile(compiled)
-			sess.Streamed = streamed
-			res, rep, err := sess.Query(query)
-			if err != nil {
-				t.Fatalf("compiled=%v streamed=%v, peer1 killed: %v", compiled, streamed, err)
-			}
-			if got := serializeSeq(t, res); got != want {
-				t.Fatalf("compiled=%v streamed=%v: result diverged from healthy run", compiled, streamed)
-			}
-			if rep.Retries < 2 {
-				t.Errorf("compiled=%v streamed=%v: %d retries recorded, want one per document", compiled, streamed, rep.Retries)
-			}
+	reuse := &planReuse{}
+	for _, streamed := range []bool{false, true} {
+		sess := n.NewSession(local, core.ByFragment).
+			UseShards(mA, mB).UseRetry(&xrpc.RetryPolicy{})
+		sess.Streamed = streamed
+		res, rep, err := reuse.query(sess, query)
+		if err != nil {
+			t.Fatalf("streamed=%v, peer1 killed: %v", streamed, err)
+		}
+		if got := serializeSeq(t, res); got != want {
+			t.Fatalf("streamed=%v: result diverged from healthy run", streamed)
+		}
+		if rep.Retries < 2 {
+			t.Errorf("streamed=%v: %d retries recorded, want one per document", streamed, rep.Retries)
 		}
 	}
+	reuse.requireBothExecutors(t, n.engines()...)
 
 	// The merged target-keyed fallback withholds the conflicted primary: a
 	// hand-written loop naming the bare peer has no provably-right failover
@@ -319,9 +317,10 @@ for $y in doc("shard://test/b")/child::r/child::v return $y)`
 // httpShardFederation serves every shard (primaries and replicas) from real
 // HTTP daemons — the cmd/xqpeer wiring — and routes them into a federation
 // whose originator is the only in-process peer. It returns the network, the
-// originator, the primary names, the shard map, and a kill function that
-// tears down one daemon's listener (a real dead host, not a simulated one).
-func httpShardFederation(t *testing.T, peers int, compiled bool) (*Network, *Peer, []string, core.ShardMap, func(name string)) {
+// originator, the primary names, the shard map, the daemons' engines, and a
+// kill function that tears down one daemon's listener (a real dead host, not
+// a simulated one).
+func httpShardFederation(t *testing.T, peers int) (*Network, *Peer, []string, core.ShardMap, []*eval.Engine, func(name string)) {
 	t.Helper()
 	cfg := xmark.ForSize(1 << 17)
 	n := NewNetwork()
@@ -329,6 +328,7 @@ func httpShardFederation(t *testing.T, peers int, compiled bool) (*Network, *Pee
 	servers := map[string]*httptest.Server{}
 	var names []string
 	var replicas [][]string
+	var engines []*eval.Engine
 	serve := func(name string, shard, shards int) {
 		doc := xmark.PeopleShardDocument(cfg, shard, shards, name+"/"+xmark.PeopleShardPath)
 		engine := eval.NewEngine(eval.ResolverFunc(func(uri string) (*xdm.Document, error) {
@@ -337,7 +337,7 @@ func httpShardFederation(t *testing.T, peers int, compiled bool) (*Network, *Pee
 			}
 			return nil, fmt.Errorf("no such document %q", uri)
 		}))
-		engine.Options.Compile = compiled
+		engines = append(engines, engine)
 		srv := &xrpc.Server{Engine: engine, ChunkItems: 8}
 		mux := http.NewServeMux()
 		mux.Handle("/xrpc", xrpc.NewHTTPHandler(srv))
@@ -359,42 +359,45 @@ func httpShardFederation(t *testing.T, peers int, compiled bool) (*Network, *Pee
 	m := xmark.PeopleShardMap(names)
 	m.Replicas = replicas
 	kill := func(name string) { servers[name].CloseClientConnections(); servers[name].Close() }
-	return n, local, names, m, kill
+	return n, local, names, m, engines, kill
 }
 
 // TestKillPeerOverHTTP: the acceptance property over real HTTP transports —
 // a killed daemon (closed listener) fails over to its replica daemon with
-// byte-identical results, gather-whole and streamed, with the daemons
-// tree-walking and compiled.
+// byte-identical results, gather-whole and streamed. Two healthy runs come
+// first, so the kill hits an originator and daemons already running compiled.
 func TestKillPeerOverHTTP(t *testing.T) {
-	for _, compiled := range []bool{false, true} {
-		for _, streamed := range []bool{false, true} {
-			n, local, names, m, kill := httpShardFederation(t, 2, compiled)
-			run := func() (xdm.Sequence, *Report, error) {
-				sess := n.NewSession(local, core.ByFragment).UseRetry(&xrpc.RetryPolicy{}).UseCompile(compiled)
-				sess.Replicas = m.ReplicaSets()
-				sess.Streamed = streamed
-				return sess.Query(xmark.ScatterQuery(names))
-			}
-			res, _, err := run()
-			if err != nil {
-				t.Fatalf("compiled=%v streamed=%v healthy: %v", compiled, streamed, err)
-			}
-			want := serializeSeq(t, res)
-			kill(names[1])
-			res, rep, err := run()
-			if err != nil {
-				t.Fatalf("compiled=%v streamed=%v, %s killed: %v", compiled, streamed, names[1], err)
-			}
-			if got := serializeSeq(t, res); got != want {
-				t.Fatalf("compiled=%v streamed=%v: result diverged after killing %s", compiled, streamed, names[1])
-			}
-			if rep.Retries < 1 {
-				t.Errorf("compiled=%v streamed=%v: report records no retry: %+v", compiled, streamed, rep)
-			}
-			if w := rep.WinnerReplica[names[1]]; w != "rep2" {
-				t.Errorf("compiled=%v streamed=%v: WinnerReplica[%s] = %q, want rep2", compiled, streamed, names[1], w)
-			}
+	for _, streamed := range []bool{false, true} {
+		n, local, names, m, engines, kill := httpShardFederation(t, 2)
+		reuse := &planReuse{}
+		run := func() (xdm.Sequence, *Report, error) {
+			sess := n.NewSession(local, core.ByFragment).UseRetry(&xrpc.RetryPolicy{})
+			sess.Replicas = m.ReplicaSets()
+			sess.Streamed = streamed
+			return reuse.query(sess, xmark.ScatterQuery(names))
 		}
+		res, _, err := run()
+		if err != nil {
+			t.Fatalf("streamed=%v healthy: %v", streamed, err)
+		}
+		want := serializeSeq(t, res)
+		if res, _, err = run(); err != nil || serializeSeq(t, res) != want {
+			t.Fatalf("streamed=%v: compiled healthy run diverged from the tree-walked one (%v)", streamed, err)
+		}
+		kill(names[1])
+		res, rep, err := run()
+		if err != nil {
+			t.Fatalf("streamed=%v, %s killed: %v", streamed, names[1], err)
+		}
+		if got := serializeSeq(t, res); got != want {
+			t.Fatalf("streamed=%v: result diverged after killing %s", streamed, names[1])
+		}
+		if rep.Retries < 1 {
+			t.Errorf("streamed=%v: report records no retry: %+v", streamed, rep)
+		}
+		if w := rep.WinnerReplica[names[1]]; w != "rep2" {
+			t.Errorf("streamed=%v: WinnerReplica[%s] = %q, want rep2", streamed, names[1], w)
+		}
+		reuse.requireBothExecutors(t, engines...)
 	}
 }

@@ -62,9 +62,6 @@ type Network struct {
 	// chunkItems is applied to every peer server's ChunkItems (see
 	// SetChunkItems); zero leaves the xrpc default.
 	chunkItems int
-	// compile is applied to every peer engine's Options.Compile (see
-	// SetCompile).
-	compile bool
 
 	// topoMu guards the live shard topology separately from peer liveness:
 	// dispatch-time re-route lookups happen on scatter fault paths and must
@@ -156,7 +153,6 @@ func (n *Network) AddPeer(name string) *Peer {
 	p.Server = &xrpc.Server{Engine: p.Engine, Name: name}
 	n.mu.Lock()
 	p.Server.ChunkItems = n.chunkItems
-	p.Engine.Options.Compile = n.compile
 	n.peers[name] = p
 	n.mu.Unlock()
 	n.Transport.Register(name, p.Server)
@@ -177,22 +173,6 @@ func (n *Network) SetChunkItems(items int) {
 	}
 	for _, p := range n.dead {
 		p.Server.ChunkItems = items
-	}
-}
-
-// SetCompile switches every in-process peer engine, current and future, to
-// compiled (closure-chain) execution of shipped functions; the originator
-// side of a session is controlled by Session.Compile instead. Results are
-// byte-identical either way — only execution cost changes.
-func (n *Network) SetCompile(on bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.compile = on
-	for _, p := range n.peers {
-		p.Engine.Options.Compile = on
-	}
-	for _, p := range n.dead {
-		p.Engine.Options.Compile = on
 	}
 }
 
@@ -596,11 +576,6 @@ type Session struct {
 	// observed lane latencies feed it, and dispatch derives its hedge trigger
 	// and initial replica choice from it (see xrpc.HealthTracker).
 	Health *xrpc.HealthTracker
-	// Compile runs the originator's local evaluation through the compiled
-	// closure-chain executor (eval.Options.Compile). The compiled artifact
-	// caches on the plan's query object, so repeated executions of a cached
-	// plan compile once. Peer-side execution is Network.SetCompile's job.
-	Compile bool
 	// TraceSpan, when active, parents an "execute" span around each query's
 	// evaluation: the engine and the dispatch stack record compile, scatter,
 	// lane, attempt and remote server spans under it, and remote peers'
@@ -648,13 +623,6 @@ func (s *Session) UseBudget(b core.Budget) *Session {
 // spreading (see Health) and returns the session for chaining.
 func (s *Session) UseHealth(h *xrpc.HealthTracker) *Session {
 	s.Health = h
-	return s
-}
-
-// UseCompile switches the session's local evaluation to the compiled
-// executor (see Compile) and returns the session for chaining.
-func (s *Session) UseCompile(on bool) *Session {
-	s.Compile = on
 	return s
 }
 
@@ -731,7 +699,6 @@ func (s *Session) execPlan(plan *core.Plan, shards []core.ShardMap) (xdm.Sequenc
 	ship := &shipStats{}
 	resolver := &peerResolver{peer: s.Origin, shipStats: ship}
 	engine := eval.NewEngine(resolver)
-	engine.Options.Compile = s.Compile
 	engine.TraceSpan = s.TraceSpan.Child("execute",
 		trace.Str("strategy", plan.Strategy.String()),
 		trace.Bool("streamed", s.Streamed))

@@ -6,6 +6,10 @@ package peer
 // Reshard deltas. Every query must still answer byte-identically to the
 // static reference — in-flight plans finish on their snapshot epoch, faulted
 // lanes re-route into the live one — and the run must be clean under -race.
+// It runs on either side of the executor policy: workers that plan every
+// query afresh (the originator only tree-walks), and workers sharing one
+// epoch-keyed plan per query the way the service does, so concurrent
+// executions share compiled plans while the epochs move underneath them.
 
 import (
 	"fmt"
@@ -19,17 +23,15 @@ import (
 )
 
 func TestLiveReshardRaceHammer(t *testing.T) {
-	for _, compiled := range []bool{false, true} {
-		compiled := compiled
-		t.Run(fmt.Sprintf("compiled=%v", compiled), func(t *testing.T) {
-			// The compile switch is per-engine state: it must be set before any
-			// traffic and never toggled while attempts may still be in flight
-			// (a cancelled loser over the in-memory transport runs to
-			// completion past the end of its query). Each subtest gets its own
-			// world, configured once.
+	for _, reused := range []bool{false, true} {
+		reused := reused
+		t.Run(fmt.Sprintf("compiled=%v", reused), func(t *testing.T) {
 			w := newChurnWorld(t, 4)
 			w.reset()
-			w.n.SetCompile(compiled)
+			var reuse *planReuse
+			if reused {
+				reuse = &planReuse{}
+			}
 
 			queries := []string{
 				churnQueryPrefix + `/child::name`,
@@ -54,11 +56,12 @@ func TestLiveReshardRaceHammer(t *testing.T) {
 					defer wg.Done()
 					pol := &xrpc.RetryPolicy{RouteLive: g%2 == 0}
 					sess := w.n.NewSession(w.local, core.ByFragment).
-						UseLiveShards().UseRetry(pol).UseCompile(compiled)
+						UseLiveShards().UseRetry(pol)
 					if pol.RouteLive {
 						sess.UseHealth(xrpc.NewHealthTracker())
 					}
 					sess.Streamed = g >= 2
+					send := reuse.sender(sess)
 					for i := 0; ; i++ {
 						select {
 						case <-stop:
@@ -66,7 +69,7 @@ func TestLiveReshardRaceHammer(t *testing.T) {
 						default:
 						}
 						q := queries[i%len(queries)]
-						res, _, err := sess.Query(q)
+						res, _, err := send(q)
 						if err != nil {
 							errs <- fmt.Errorf("worker %d (streamed=%v routeLive=%v) query %d: %w",
 								g, sess.Streamed, pol.RouteLive, i, err)
@@ -94,6 +97,9 @@ func TestLiveReshardRaceHammer(t *testing.T) {
 			}
 			if w.moves == 0 {
 				t.Fatal("hammer applied no epoch transitions")
+			}
+			if reused {
+				reuse.requireBothExecutors(t, w.n.engines()...)
 			}
 		})
 	}

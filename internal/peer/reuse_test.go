@@ -1,0 +1,127 @@
+package peer
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+
+	"distxq/internal/core"
+	"distxq/internal/eval"
+	"distxq/internal/xdm"
+	"distxq/internal/xq"
+)
+
+// planReuse stands in for the service's plan cache in harnesses that drive
+// sessions directly (this package cannot import the service): one plan per
+// (topology epoch, strategy, source), tree-walked when first planned and
+// compiled on its first reuse. Repeating a query through it therefore takes
+// the originator across both executors exactly as a served query does, while
+// the peers cross theirs through their own module caches.
+type planReuse struct {
+	mu    sync.Mutex
+	plans map[string]*reusedPlan
+	// misses counts first (tree-walked) executions, compiled the plans
+	// lowered on reuse.
+	misses, compiled int
+}
+
+type reusedPlan struct {
+	plan   *core.Plan
+	shards []core.ShardMap
+}
+
+// query plans src for sess — or reuses, and compiles, the plan of an earlier
+// call under the same epoch — and executes it on sess.
+func (r *planReuse) query(sess *Session, src string) (xdm.Sequence, *Report, error) {
+	e, err := r.plan(sess, src)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sess.execPlan(e.plan, e.shards)
+}
+
+func (r *planReuse) plan(sess *Session, src string) (*reusedPlan, error) {
+	shards, epoch := sess.Shards, int64(0)
+	if sess.LiveShards {
+		shards, epoch = sess.net.ShardTopology()
+	}
+	key := fmt.Sprintf("%d|%d|%s", epoch, sess.Strategy, src)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if e := r.plans[key]; e != nil {
+		if e.plan.Query.CompiledArtifact() == nil {
+			if _, err := eval.CompileQuery(e.plan.Query); err != nil {
+				return nil, err
+			}
+			r.compiled++
+		}
+		return e, nil
+	}
+	q, err := xq.ParseQuery(src)
+	if err != nil {
+		return nil, err
+	}
+	opts := core.DefaultOptions()
+	opts.Shards = shards
+	if len(shards) > 0 {
+		opts.KnownPeers = sess.net.PeerNames()
+	}
+	plan, err := core.Decompose(q, sess.Strategy, opts)
+	if err == nil {
+		err = xq.Normalize(plan.Query)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if r.plans == nil {
+		r.plans = map[string]*reusedPlan{}
+	}
+	e := &reusedPlan{plan: plan, shards: shards}
+	r.plans[key] = e
+	r.misses++
+	return e, nil
+}
+
+// sender returns how a harness sends queries on sess: through r's plan
+// reuse, or — for a nil r — through the plain session, which plans every
+// query afresh, so its originator only ever tree-walks.
+func (r *planReuse) sender(sess *Session) func(src string) (xdm.Sequence, *Report, error) {
+	if r == nil {
+		return sess.Query
+	}
+	return func(src string) (xdm.Sequence, *Report, error) { return r.query(sess, src) }
+}
+
+// requireBothExecutors is the harness's non-vacuity check: the originator
+// tree-walked first executions and compiled reused plans, and at least one
+// of the given peer engines compiled a shipped module it saw twice (each
+// module's first sighting tree-walks by construction).
+func (r *planReuse) requireBothExecutors(t *testing.T, peerEngines ...*eval.Engine) {
+	t.Helper()
+	r.mu.Lock()
+	misses, compiled := r.misses, r.compiled
+	r.mu.Unlock()
+	if misses == 0 || compiled == 0 {
+		t.Errorf("originator ran %d tree-walked first executions and compiled %d reused plans; the harness must exercise both", misses, compiled)
+	}
+	for _, e := range peerEngines {
+		if e.StatsSnapshot().Compilations > 0 {
+			return
+		}
+	}
+	t.Errorf("none of %d peer engines compiled a shipped module: no module was sent twice", len(peerEngines))
+}
+
+// engines returns the engines of every in-process peer, dead ones included.
+func (n *Network) engines() []*eval.Engine {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	var out []*eval.Engine
+	for _, p := range n.peers {
+		out = append(out, p.Engine)
+	}
+	for _, p := range n.dead {
+		out = append(out, p.Engine)
+	}
+	return out
+}

@@ -16,13 +16,15 @@ import (
 	"strings"
 )
 
-// metricRow is one sample: name, optional peer label, kind, help and value.
+// metricRow is one sample: name, optional peer or construct label, kind,
+// help and value.
 type metricRow struct {
-	name  string
-	peer  string
-	kind  string // "counter" or "gauge"
-	help  string
-	value int64
+	name      string
+	peer      string
+	construct string
+	kind      string // "counter" or "gauge"
+	help      string
+	value     int64
 }
 
 // WriteMetrics writes the unified metrics page. Values are a consistent
@@ -64,7 +66,7 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 		{name: "distxq_eval_deadline_aborts_total", kind: "counter",
 			help: "Evaluations cut short by a spent deadline.", value: int64(ev.DeadlineAborts)},
 		{name: "distxq_eval_compilations_total", kind: "counter",
-			help: "Queries lowered to closure chains.", value: int64(ev.Compilations)},
+			help: "Plans lowered to closure chains (once each, on their first cache hit).", value: int64(ev.Compilations)},
 
 		{name: "distxq_xrpc_requests_total", kind: "counter",
 			help: "XRPC message exchanges sent.", value: xm.Requests},
@@ -87,6 +89,18 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 		{name: "distxq_xrpc_waves_total", kind: "counter",
 			help: "Dispatch waves recorded.", value: xm.WaveCount},
 	}
+	// Fallback sites of the compiled plans by construct, in stable order.
+	s.mu.Lock()
+	constructs := make([]string, 0, len(s.fallbackSites))
+	for c := range s.fallbackSites {
+		constructs = append(constructs, c)
+	}
+	sort.Strings(constructs)
+	for _, c := range constructs {
+		rows = append(rows, metricRow{name: "distxq_eval_compiled_fallback_sites_total", construct: c, kind: "counter",
+			help: "AST nodes of compiled plans handed back to the tree-walker, by construct.", value: s.fallbackSites[c]})
+	}
+	s.mu.Unlock()
 	// Per-peer health gauges, one labelled sample per tracked peer, in
 	// stable name order so successive scrapes diff cleanly.
 	health := s.Health.SnapshotAll()
@@ -125,8 +139,11 @@ func writeRows(w io.Writer, rows []metricRow) error {
 			}
 		}
 		label := ""
-		if r.peer != "" {
+		switch {
+		case r.peer != "":
 			label = fmt.Sprintf(`{peer=%q}`, r.peer)
+		case r.construct != "":
+			label = fmt.Sprintf(`{construct=%q}`, r.construct)
 		}
 		if _, err := fmt.Fprintf(w, "%s%s %d\n", r.name, label, r.value); err != nil {
 			return err

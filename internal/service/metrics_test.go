@@ -29,6 +29,8 @@ func TestMetricsTextSurface(t *testing.T) {
 		"distxq_service_plan_cache_hits_total 1",
 		"distxq_service_plan_cache_misses_total 1",
 		"distxq_eval_bulk_calls_total",
+		"distxq_eval_compilations_total 1",
+		`distxq_eval_compiled_fallback_sites_total{construct="ForExpr"} 1`,
 		"distxq_xrpc_requests_total 4",
 		"distxq_xrpc_bytes_sent_total",
 		`distxq_peer_seen_total{peer="peer1"}`,
@@ -128,15 +130,22 @@ func TestTracedQueryRing(t *testing.T) {
 			found[rec.Spans[i].Name] = &rec.Spans[i]
 		}
 	}
-	for _, want := range []string{"query", "admission", "plan", "execute", "scatter", "lane", "attempt", "serve"} {
+	for _, want := range []string{"query", "admission", "plan", "compile", "execute", "scatter", "lane", "attempt", "serve"} {
 		if found[want] == nil {
 			t.Errorf("trace is missing a %q span", want)
 		}
 	}
-	// The second query of the same source must have hit the plan cache.
+	// The second query of the same source must have hit the plan cache, and
+	// that first hit compiled the plan: the compile span names the fallback
+	// sites the lowering left.
 	if plan := found["plan"]; plan != nil {
 		if a, ok := plan.Attr("cache"); !ok || a.Str != "hit" {
 			t.Errorf("second query's plan span cache attr = %+v, want hit", a)
+		}
+	}
+	if compile := found["compile"]; compile != nil {
+		if a, ok := compile.Attr("fallback.ForExpr"); !ok || a.Int != 1 {
+			t.Errorf("compile span fallback.ForExpr = %+v, want 1", a)
 		}
 	}
 	if d := svc.Traces.Dump(); len(d.Recent) != 2 {

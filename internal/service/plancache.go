@@ -5,37 +5,36 @@ import (
 	"sync"
 
 	"distxq/internal/core"
-	"distxq/internal/eval"
 )
 
-// cachedPlan is one plan-cache entry: the decomposed plan plus, under
-// compiled execution, its compiled artifact. Both are immutable after
-// publication; the key's shard-map epoch guarantees a Program can never be
-// executed against shard maps it was not planned under.
+// cachedPlan is one plan-cache entry. The plan is immutable after
+// publication; the key's shard-map epoch guarantees it (and the Program its
+// query may come to carry) can never execute against shard maps it was not
+// planned under.
 type cachedPlan struct {
 	plan *core.Plan
-	// prog is the closure-chain lowering of plan.Query, compiled eagerly at
-	// plan time when the service runs compiled; nil otherwise.
-	prog *eval.Program
 	// epoch is the shard-map epoch the plan was decomposed under (also
 	// embedded in the key). Inserting an entry of a newer epoch evicts every
 	// entry below it: superseded-epoch plans can never match again, so they
 	// would only displace live entries while aging out.
 	epoch int64
+	// reused runs the entry's one compilation, on its first hit: a hit proves
+	// the plan is executed more than once, which is what lowering it pays
+	// for, and a working set that only ever misses never compiles.
+	reused sync.Once
 }
 
-// planCache is a bounded insert-order cache of decomposed plans (and their
-// compiled artifacts). Keys embed the shard-map epoch, so a shard-map change
+// planCache is a bounded insert-order cache of decomposed plans. Keys embed the shard-map epoch, so a shard-map change
 // invalidates by never matching again; stale entries age out through
 // insertion-order eviction.
 type planCache struct {
 	mu      sync.Mutex
 	max     int
-	entries map[string]cachedPlan
+	entries map[string]*cachedPlan
 	order   []string
 	// flights holds the in-progress build of each key being planned: the
 	// concurrent first arrivals of one key wait for it instead of each
-	// planning (and compiling) the same query.
+	// planning the same query.
 	flights map[string]*planFlight
 }
 
@@ -43,7 +42,7 @@ type planCache struct {
 // closes.
 type planFlight struct {
 	done chan struct{}
-	plan cachedPlan
+	plan *cachedPlan
 	err  error
 }
 
@@ -53,14 +52,14 @@ func newPlanCache(max int) *planCache {
 	if max <= 0 {
 		max = DefaultPlanCacheSize
 	}
-	return &planCache{max: max, entries: map[string]cachedPlan{}, flights: map[string]*planFlight{}}
+	return &planCache{max: max, entries: map[string]*cachedPlan{}, flights: map[string]*planFlight{}}
 }
 
 // load returns the plan cached under key, building and publishing it on a
 // miss. Concurrent misses of one key share a single build: the first arrival
 // runs it, the others wait and count as hits once it publishes. A failed
 // build is handed to its waiters but not cached.
-func (c *planCache) load(key string, build func() (cachedPlan, error)) (p cachedPlan, hit bool, err error) {
+func (c *planCache) load(key string, build func() (*cachedPlan, error)) (p *cachedPlan, hit bool, err error) {
 	c.mu.Lock()
 	if p, ok := c.entries[key]; ok {
 		c.mu.Unlock()
@@ -87,13 +86,13 @@ func (c *planCache) load(key string, build func() (cachedPlan, error)) (p cached
 	return f.plan, false, f.err
 }
 
-func (c *planCache) put(key string, p cachedPlan) {
+func (c *planCache) put(key string, p *cachedPlan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.putLocked(key, p)
 }
 
-func (c *planCache) putLocked(key string, p cachedPlan) {
+func (c *planCache) putLocked(key string, p *cachedPlan) {
 	// Evict superseded epochs first: a topology change strands every entry
 	// planned under an older epoch (the key embeds the epoch, so they can
 	// never be hit again) — drop them now instead of letting dead plans

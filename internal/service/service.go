@@ -50,12 +50,6 @@ type Config struct {
 	DefaultBudget core.Budget
 	// Streamed executes scatter dispatch through the streaming client.
 	Streamed bool
-	// Compile lowers cached plans to the compiled closure-chain executor:
-	// each plan compiles once, at plan time, and every execution of the
-	// cached plan (across concurrent queries) runs the compiled artifact.
-	// The cache key's shard-map epoch invalidates compiled plans together
-	// with the plans themselves.
-	Compile bool
 	// PlanCacheSize bounds the decomposed-plan cache; zero means
 	// DefaultPlanCacheSize.
 	PlanCacheSize int
@@ -145,6 +139,9 @@ type Service struct {
 	// live plans every query against the network's live shard topology
 	// instead of the frozen shards list (see UseLiveShards).
 	live bool
+	// fallbackSites tallies, by AST construct, the tree-walker fallback sites
+	// of every plan the service compiled.
+	fallbackSites map[string]int64
 
 	queued atomic.Int64
 	plans  *planCache
@@ -165,6 +162,8 @@ func New(net *peer.Network, origin *peer.Peer, strat core.Strategy, cfg Config) 
 		plans:     newPlanCache(cfg.PlanCacheSize),
 		xmetrics:  &xrpc.Metrics{},
 		evalStats: &eval.StatsSink{},
+
+		fallbackSites: map[string]int64{},
 	}
 	if cfg.Trace {
 		s.Traces = trace.NewRing(cfg.TraceRing)
@@ -248,7 +247,8 @@ func (s *Service) admit(budget core.Budget) (release func(), err error) {
 // same normalized source was planned under the current shard-map epoch;
 // concurrent first arrivals of one source share a single build. A cached
 // plan's AST is normalized exactly once, before publication, so concurrent
-// executions share it read-only.
+// executions share it read-only. A plan compiles once, on its first hit: a
+// miss executes on the tree-walker and retains no Program.
 func (s *Service) plan(src string, sp trace.SpanRef) (*core.Plan, []core.ShardMap, error) {
 	q, err := xq.ParseQuery(src)
 	if err != nil {
@@ -266,7 +266,7 @@ func (s *Service) plan(src string, sp trace.SpanRef) (*core.Plan, []core.ShardMa
 		shards, epoch = s.net.ShardTopology()
 	}
 	key := fmt.Sprintf("%d|%d|%s", epoch, s.strategy, xq.PrintQuery(q))
-	entry, hit, err := s.plans.load(key, func() (cachedPlan, error) {
+	entry, hit, err := s.plans.load(key, func() (*cachedPlan, error) {
 		opts := core.DefaultOptions()
 		opts.Shards = shards
 		if len(shards) > 0 {
@@ -274,27 +274,21 @@ func (s *Service) plan(src string, sp trace.SpanRef) (*core.Plan, []core.ShardMa
 		}
 		plan, err := core.Decompose(q, s.strategy, opts)
 		if err != nil {
-			return cachedPlan{}, err
+			return nil, err
 		}
 		if err := xq.Normalize(plan.Query); err != nil {
-			return cachedPlan{}, err
+			return nil, err
 		}
-		entry := cachedPlan{plan: plan, epoch: epoch}
-		if s.cfg.Compile {
-			// Compile before publication: the artifact pins to the plan's
-			// query object, so every execution of this cache entry —
-			// including concurrent ones — shares one lowering, and a new
-			// epoch's plan gets a fresh compilation against the new shard
-			// maps.
-			csp := sp.Child("compile")
-			entry.prog, err = eval.CompileQuery(plan.Query)
-			csp.EndErr(err)
-		}
-		return entry, err
+		return &cachedPlan{plan: plan, epoch: epoch}, nil
 	})
 	if hit {
 		s.planHits.Add(1)
 		sp.Set(trace.Str("cache", "hit"))
+		// The Program pins to the plan's query object, so every execution
+		// of this entry from here on — concurrent first hits included, which
+		// wait here — runs the one lowering, and a new epoch's plan compiles
+		// afresh against the new shard maps.
+		entry.reused.Do(func() { s.compile(entry.plan.Query, sp) })
 	} else {
 		s.planMisses.Add(1)
 		sp.Set(trace.Str("cache", "miss"))
@@ -303,6 +297,23 @@ func (s *Service) plan(src string, sp trace.SpanRef) (*core.Plan, []core.ShardMa
 		return nil, nil, err
 	}
 	return entry.plan, shards, nil
+}
+
+// compile lowers a reused plan's query, counting the lowering and its
+// fallback sites into the /metrics feeds. Normalization succeeded before the
+// plan was published, so lowering cannot fail; if it did, the plan would
+// simply keep tree-walking.
+func (s *Service) compile(q *xq.Query, sp trace.SpanRef) {
+	prog, err := eval.CompileTraced(q, sp)
+	if err != nil {
+		return
+	}
+	s.evalStats.Add(eval.Stats{Compilations: 1})
+	s.mu.Lock()
+	for construct, n := range prog.FallbackSites() {
+		s.fallbackSites[construct] += int64(n)
+	}
+	s.mu.Unlock()
 }
 
 // Query admits, plans and executes one query under a wall-time budget (the
@@ -350,7 +361,6 @@ func (s *Service) Query(src string, budget core.Budget) (xdm.Sequence, *peer.Rep
 		UseBudget(budget).
 		UseRetry(s.retry).
 		UseHealth(s.Health).
-		UseCompile(s.cfg.Compile).
 		UseTrace(root)
 	sess.Streamed = s.cfg.Streamed
 	sess.Shards = shards

@@ -10,7 +10,6 @@ import (
 
 	"distxq/internal/core"
 	"distxq/internal/peer"
-	"distxq/internal/xdm"
 	"distxq/internal/xrpc"
 )
 
@@ -149,42 +148,97 @@ func TestServiceDefaultBudgetApplied(t *testing.T) {
 }
 
 // TestPlanCacheSingleFlight: concurrent first arrivals of one query plan it
-// once — the others wait for the in-flight build and count as hits — and a
-// failed build is not cached.
+// once — the others wait for the in-flight build and count as hits, sharing
+// the one lowering a first hit triggers — and a failed build is not cached.
 func TestPlanCacheSingleFlight(t *testing.T) {
 	const arrivals = 16
-	for _, compile := range []bool{false, true} {
-		s, _, query := newTestService(t, Config{MaxConcurrent: arrivals, Compile: compile})
-		start := make(chan struct{})
-		var wg sync.WaitGroup
-		for i := 0; i < arrivals; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-start
-				if _, _, err := s.Query(query, core.Budget{}); err != nil {
-					t.Errorf("compile=%v: %v", compile, err)
-				}
-			}()
-		}
-		close(start)
-		wg.Wait()
-		if st := s.Stats(); st.PlanMisses != 1 || st.PlanHits != arrivals-1 {
-			t.Errorf("compile=%v: plan cache misses=%d hits=%d, want 1/%d",
-				compile, st.PlanMisses, st.PlanHits, arrivals-1)
-		}
+	s, _, query := newTestService(t, Config{MaxConcurrent: arrivals})
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < arrivals; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if _, _, err := s.Query(query, core.Budget{}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if st := s.Stats(); st.PlanMisses != 1 || st.PlanHits != arrivals-1 {
+		t.Errorf("plan cache misses=%d hits=%d, want 1/%d", st.PlanMisses, st.PlanHits, arrivals-1)
+	}
+	if c := s.EvalStats().Compilations; c != 1 {
+		t.Errorf("%d compilations for one plan's %d concurrent hits, want 1", c, arrivals-1)
 	}
 
 	c := newPlanCache(2)
 	boom := errors.New("boom")
-	if _, hit, err := c.load("k", func() (cachedPlan, error) { return cachedPlan{}, boom }); hit || err != boom {
+	if _, hit, err := c.load("k", func() (*cachedPlan, error) { return nil, boom }); hit || err != boom {
 		t.Errorf("failed build: hit=%v err=%v, want the build's own failure", hit, err)
 	}
-	if _, hit, err := c.load("k", func() (cachedPlan, error) { return cachedPlan{plan: &core.Plan{}}, nil }); hit || err != nil {
+	if _, hit, err := c.load("k", func() (*cachedPlan, error) { return &cachedPlan{plan: &core.Plan{}}, nil }); hit || err != nil {
 		t.Errorf("after a failed build: hit=%v err=%v, want a fresh build (failures are not cached)", hit, err)
 	}
 	if _, hit, _ := c.load("k", nil); !hit {
 		t.Error("a published build was not cached")
+	}
+}
+
+// TestPlanCacheReuseCompilesOnce pins the executor policy at the originator:
+// a plan compiles exactly once, on its first cache hit. Distinct texts that
+// only ever miss compile nothing and retain no Program; one text sent three
+// times compiles once; and concurrent first hits share that one lowering.
+func TestPlanCacheReuseCompilesOnce(t *testing.T) {
+	s, _, query := newTestService(t, Config{})
+	for i := 0; i < 8; i++ {
+		if _, _, err := s.Query(fmt.Sprintf("%s, %d", query, i), core.Budget{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st, c := s.Stats(), s.EvalStats().Compilations; st.PlanHits != 0 || c != 0 {
+		t.Fatalf("8 distinct cold queries: hits=%d compilations=%d, want 0/0", st.PlanHits, c)
+	}
+	s.plans.mu.Lock()
+	for key, e := range s.plans.entries {
+		if e.plan.Query.CompiledArtifact() != nil {
+			t.Errorf("plan %q never hit the cache but carries a Program", key)
+		}
+	}
+	s.plans.mu.Unlock()
+
+	for run := 1; run <= 3; run++ {
+		if _, _, err := s.Query(query, core.Budget{}); err != nil {
+			t.Fatal(err)
+		}
+		if c, want := s.EvalStats().Compilations, min(run-1, 1); c != want {
+			t.Fatalf("after send %d of one query: %d compilations, want %d", run, c, want)
+		}
+	}
+
+	const hits = 32
+	s, _, query = newTestService(t, Config{MaxConcurrent: hits})
+	if _, _, err := s.Query(query, core.Budget{}); err != nil {
+		t.Fatal(err)
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < hits; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if _, _, err := s.Query(query, core.Budget{}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if st, c := s.Stats(), s.EvalStats().Compilations; st.PlanHits != hits || c != 1 {
+		t.Errorf("%d concurrent hits of one plan: hits=%d compilations=%d, want %d/1", hits, st.PlanHits, c, hits)
 	}
 }
 
@@ -216,9 +270,9 @@ func TestAggregateMetricsStayBounded(t *testing.T) {
 // TestPlanCacheEviction: the bounded cache evicts in insertion order.
 func TestPlanCacheEviction(t *testing.T) {
 	c := newPlanCache(2)
-	c.put("a", cachedPlan{plan: &core.Plan{}})
-	c.put("b", cachedPlan{plan: &core.Plan{}})
-	c.put("c", cachedPlan{plan: &core.Plan{}})
+	c.put("a", &cachedPlan{plan: &core.Plan{}})
+	c.put("b", &cachedPlan{plan: &core.Plan{}})
+	c.put("c", &cachedPlan{plan: &core.Plan{}})
 	if c.Len() != 2 {
 		t.Fatalf("len=%d, want 2", c.Len())
 	}
@@ -231,19 +285,18 @@ func TestPlanCacheEviction(t *testing.T) {
 		}
 	}
 	// Re-putting an existing key replaces without evicting.
-	c.put("b", cachedPlan{plan: &core.Plan{}})
+	c.put("b", &cachedPlan{plan: &core.Plan{}})
 	if c.Len() != 2 {
 		t.Errorf("len=%d after re-put, want 2", c.Len())
 	}
 }
 
-// TestCompiledPlanNotStaleAcrossShardEpochs is the stale-plan proof for
-// compiled execution: UseShards between two identical queries bumps the
-// epoch, so the second execution misses the cache, re-plans and re-compiles
-// against the new shard map — and the old compiled plan can never route to a
-// peer absent from it. The old shard peers are killed before the second
-// query; it still succeeds, answered entirely by the new map's peers.
-func TestCompiledPlanNotStaleAcrossShardEpochs(t *testing.T) {
+// shardedService builds a four-peer federation (peer i holds <v>a i</v>)
+// behind a service, and returns the logical-document query plus a runner
+// that executes it three times — a miss, the first hit (which compiles the
+// plan) and a hit on the compiled plan — requiring the same values each time.
+func shardedService(t *testing.T) (*Service, *peer.Network, func(want string) *peer.Report) {
+	t.Helper()
 	n := peer.NewNetwork()
 	for i := 1; i <= 4; i++ {
 		doc := fmt.Sprintf(`<r><v>a%d</v></r>`, i)
@@ -251,72 +304,78 @@ func TestCompiledPlanNotStaleAcrossShardEpochs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	origin := n.AddPeer("local")
-	s := New(n, origin, core.ByFragment, Config{Compile: true})
-	shardMap := func(peers ...string) core.ShardMap {
-		return core.ShardMap{
-			Logical:    "shard://test/d",
-			Peers:      peers,
-			ShardPath:  "d.xml",
-			RecordPath: "child::r/child::v",
-		}
-	}
-	query := `for $x in doc("shard://test/d")/child::r/child::v return $x`
-	values := func(res xdm.Sequence) string {
-		out := ""
-		for i, it := range res {
-			if i > 0 {
-				out += " "
+	s := New(n, n.AddPeer("local"), core.ByFragment, Config{})
+	thrice := func(want string) *peer.Report {
+		t.Helper()
+		var rep *peer.Report
+		for run := 1; run <= 3; run++ {
+			res, r, err := s.Query(`for $x in doc("shard://test/d")/child::r/child::v return $x`, core.Budget{})
+			if err != nil {
+				t.Fatalf("run %d, want %q: %v (stale plan routed to a dead peer?)", run, want, err)
 			}
-			out += it.ItemString()
+			var vals []string
+			for _, it := range res {
+				vals = append(vals, it.ItemString())
+			}
+			if got := strings.Join(vals, " "); got != want {
+				t.Fatalf("run %d: result %q, want %q", run, got, want)
+			}
+			if len(r.Shards) == 0 || !r.Shards[0].Scattered {
+				t.Fatalf("run %d: plan did not scatter: %+v", run, r.Shards)
+			}
+			rep = r
 		}
-		return out
+		return rep
 	}
+	return s, n, thrice
+}
 
-	s.UseShards(shardMap("peer1", "peer2"))
-	res, rep, err := s.Query(query, core.Budget{})
-	if err != nil {
-		t.Fatal(err)
+func testShardMap(peers ...string) core.ShardMap {
+	return core.ShardMap{
+		Logical:    "shard://test/d",
+		Peers:      peers,
+		ShardPath:  "d.xml",
+		RecordPath: "child::r/child::v",
 	}
-	if got := values(res); got != "a1 a2" {
-		t.Fatalf("epoch 1 result %q, want \"a1 a2\"", got)
-	}
-	if len(rep.Shards) == 0 || !rep.Shards[0].Scattered {
-		t.Fatalf("epoch 1 plan did not scatter: %+v", rep.Shards)
-	}
-	if st := s.Stats(); st.PlanMisses != 1 {
-		t.Fatalf("epoch 1 misses=%d, want 1", st.PlanMisses)
+}
+
+// TestCompiledPlanNotStaleAcrossShardEpochs is the stale-plan proof for
+// compiled execution: each epoch's plan is driven to compiled execution by
+// repetition, and UseShards between the epochs bumps the key, so the next
+// execution misses the cache, re-plans and (on its own first hit)
+// re-compiles against the new shard map — the old compiled plan can never
+// route to a peer absent from it. The old shard peers are killed before the
+// second epoch's queries; they still succeed, answered entirely by the new
+// map's peers.
+func TestCompiledPlanNotStaleAcrossShardEpochs(t *testing.T) {
+	s, n, thrice := shardedService(t)
+
+	s.UseShards(testShardMap("peer1", "peer2"))
+	thrice("a1 a2")
+	if st, c := s.Stats(), s.EvalStats().Compilations; st.PlanMisses != 1 || st.PlanHits != 2 || c != 1 {
+		t.Fatalf("epoch 1 misses=%d hits=%d compilations=%d, want 1/2/1", st.PlanMisses, st.PlanHits, c)
 	}
 
 	// Re-home the logical document and take the old peers down: any routing
 	// decision left over from the stale compiled plan now fails loudly.
-	s.UseShards(shardMap("peer3", "peer4"))
+	s.UseShards(testShardMap("peer3", "peer4"))
 	n.KillPeer("peer1")
 	n.KillPeer("peer2")
 
-	res, rep, err = s.Query(query, core.Budget{})
-	if err != nil {
-		t.Fatalf("epoch 2 query failed (stale compiled plan routed to a dead peer?): %v", err)
-	}
-	if got := values(res); got != "a3 a4" {
-		t.Fatalf("epoch 2 result %q, want \"a3 a4\"", got)
-	}
-	if len(rep.Shards) == 0 || !rep.Shards[0].Scattered {
-		t.Fatalf("epoch 2 plan did not scatter: %+v", rep.Shards)
-	}
-	st := s.Stats()
-	if st.PlanMisses != 2 || st.PlanHits != 0 {
-		t.Fatalf("epoch 2 misses=%d hits=%d, want 2/0 (epoch key must miss)", st.PlanMisses, st.PlanHits)
+	thrice("a3 a4")
+	if st, c := s.Stats(), s.EvalStats().Compilations; st.PlanMisses != 2 || st.PlanHits != 4 || c != 2 {
+		t.Fatalf("epoch 2 misses=%d hits=%d compilations=%d, want 2/4/2 (epoch key must miss, then compile afresh)",
+			st.PlanMisses, st.PlanHits, c)
 	}
 
-	// The new epoch's entry carries its own compiled artifact, and caching it
-	// evicted the superseded epoch's entry: a stale-epoch plan can never be
-	// hit again (the key embeds the epoch), so it must not squat in the
-	// bounded cache.
+	// The new epoch's entry carries its own Program, and caching it evicted
+	// the superseded epoch's entry: a stale-epoch plan can never be hit
+	// again (the key embeds the epoch), so it must not squat in the bounded
+	// cache.
 	s.plans.mu.Lock()
 	for _, e := range s.plans.entries {
-		if e.prog == nil {
-			t.Error("cached plan without compiled artifact under Config.Compile")
+		if e.plan.Query.CompiledArtifact() == nil {
+			t.Error("reused plan carries no Program")
 		}
 		if e.epoch != 2 {
 			t.Errorf("cached entry of epoch %d survived epoch 2", e.epoch)
@@ -336,42 +395,12 @@ func TestCompiledPlanNotStaleAcrossShardEpochs(t *testing.T) {
 // next query follows the shards to their new homes even though every old
 // host is dead.
 func TestLiveEpochRePlanAndReroute(t *testing.T) {
-	n := peer.NewNetwork()
-	for i := 1; i <= 4; i++ {
-		doc := fmt.Sprintf(`<r><v>a%d</v></r>`, i)
-		if err := n.AddPeer(fmt.Sprintf("peer%d", i)).LoadXML("d.xml", doc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	origin := n.AddPeer("local")
-	if _, err := n.UpdateShards(core.ShardMap{
-		Logical:    "shard://test/d",
-		Peers:      []string{"peer1", "peer2"},
-		ShardPath:  "d.xml",
-		RecordPath: "child::r/child::v",
-	}); err != nil {
+	s, n, thrice := shardedService(t)
+	if _, err := n.UpdateShards(testShardMap("peer1", "peer2")); err != nil {
 		t.Fatal(err)
 	}
-	s := New(n, origin, core.ByFragment, Config{Compile: true}).UseLiveShards()
-	query := `for $x in doc("shard://test/d")/child::r/child::v return $x`
-	values := func(res xdm.Sequence) string {
-		out := ""
-		for i, it := range res {
-			if i > 0 {
-				out += " "
-			}
-			out += it.ItemString()
-		}
-		return out
-	}
-
-	res, _, err := s.Query(query, core.Budget{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := values(res); got != "a1 a2" {
-		t.Fatalf("initial result %q, want \"a1 a2\"", got)
-	}
+	s.UseLiveShards()
+	thrice("a1 a2")
 
 	// Re-home both shards via a delta on the network: peer3/peer4 join and
 	// take over, peer1/peer2 leave and die.
@@ -385,17 +414,9 @@ func TestLiveEpochRePlanAndReroute(t *testing.T) {
 	n.KillPeer("peer1")
 	n.KillPeer("peer2")
 
-	res, rep, err := s.Query(query, core.Budget{})
-	if err != nil {
-		t.Fatalf("post-reshard query failed (stale plan routed to a dead peer?): %v", err)
-	}
-	if got := values(res); got != "a3 a4" {
-		t.Fatalf("post-reshard result %q, want \"a3 a4\"", got)
-	}
-	if len(rep.Shards) == 0 || !rep.Shards[0].Scattered {
-		t.Fatalf("post-reshard plan did not scatter: %+v", rep.Shards)
-	}
-	if st := s.Stats(); st.PlanMisses != 2 || st.PlanHits != 0 {
-		t.Fatalf("misses=%d hits=%d, want 2/0 (live epoch must miss)", st.PlanMisses, st.PlanHits)
+	thrice("a3 a4")
+	if st, c := s.Stats(), s.EvalStats().Compilations; st.PlanMisses != 2 || st.PlanHits != 4 || c != 2 {
+		t.Fatalf("misses=%d hits=%d compilations=%d, want 2/4/2 (live epoch must miss, then compile afresh)",
+			st.PlanMisses, st.PlanHits, c)
 	}
 }

@@ -158,11 +158,12 @@ func countingModule(n int) string {
 }
 
 // TestModuleCacheParsesOnce: the same module shipped again is served from
-// the cache — the very same parsed query — once it has been seen twice;
+// the cache — the very same parsed query, compiled exactly at its admission —
+// once it has been seen twice; a module seen once leaves no Program behind;
 // unparsable and unnormalizable modules are never cached and fault on every
 // request exactly as before.
 func TestModuleCacheParsesOnce(t *testing.T) {
-	var srv Server
+	srv := Server{Engine: eval.NewEngine(nil)}
 	src := countingModule(1)
 	q1, err := srv.module(src)
 	if err != nil {
@@ -181,6 +182,15 @@ func TestModuleCacheParsesOnce(t *testing.T) {
 	}
 	if q2 != q3 {
 		t.Error("a module shipped three times was parsed three times")
+	}
+	if q1.CompiledArtifact() != nil {
+		t.Error("a module seen once was compiled")
+	}
+	if q2.CompiledArtifact() == nil {
+		t.Error("an admitted module carries no Program")
+	}
+	if c := srv.Engine.StatsSnapshot().Compilations; c != 1 {
+		t.Errorf("%d compilations after three sendings of one module, want 1 (at admission)", c)
 	}
 	for i := 0; i < 3; i++ {
 		if _, err := srv.module(`declare function f( {`); err == nil || !strings.Contains(err.Error(), "does not parse") {
@@ -204,10 +214,11 @@ func TestModuleCacheParsesOnce(t *testing.T) {
 }
 
 // TestModuleCacheBounded: a thousand distinct modules, each shipped twice in
-// a row so that every one is admitted, never hold more than the bound, and
-// the survivors are the most recent.
+// a row so that every one is admitted (and compiled, once), never hold more
+// than the bound — evicting a module drops its Program with it — and the
+// survivors are the most recent.
 func TestModuleCacheBounded(t *testing.T) {
-	var srv Server
+	srv := Server{Engine: eval.NewEngine(nil)}
 	for i := 0; i < 1000; i++ {
 		for rep := 0; rep < 2; rep++ {
 			if _, err := srv.module(countingModule(i)); err != nil {
@@ -227,9 +238,17 @@ func TestModuleCacheBounded(t *testing.T) {
 	if srv.modules.get(countingModule(1000-moduleCacheSize-1)) != nil {
 		t.Error("the oldest module survived eviction")
 	}
+	for src, q := range srv.modules.entries {
+		if q == nil || q.CompiledArtifact() == nil {
+			t.Errorf("cached module %q carries no Program", src)
+		}
+	}
+	if c := srv.Engine.StatsSnapshot().Compilations; c != 1000 {
+		t.Errorf("%d compilations for 1000 admissions, want one each", c)
+	}
 	// A workload that never repeats a text within the doorkeeper's memory
-	// retains nothing.
-	var cold Server
+	// retains nothing and compiles nothing.
+	cold := Server{Engine: eval.NewEngine(nil)}
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 4*moduleCacheSize; i++ {
 			if _, err := cold.module(countingModule(i)); err != nil {
@@ -237,14 +256,15 @@ func TestModuleCacheBounded(t *testing.T) {
 			}
 		}
 	}
-	if n := len(cold.modules.entries); n != 0 {
-		t.Errorf("a cycle of %d texts left %d modules cached", 4*moduleCacheSize, n)
+	if n, c := len(cold.modules.entries), cold.Engine.StatsSnapshot().Compilations; n != 0 || c != 0 {
+		t.Errorf("a cycle of %d texts left %d modules cached and %d compiled", 4*moduleCacheSize, n, c)
 	}
 }
 
 // TestModuleCacheConcurrent hammers one server with a few shared modules
 // from many goroutines, evaluating each (evaluation normalizes; a raw parse
-// in the cache would race under -race).
+// in the cache would race under -race). However the admissions interleave,
+// each module compiles exactly once.
 func TestModuleCacheConcurrent(t *testing.T) {
 	srv := newPeer(nil)
 	var wg sync.WaitGroup
@@ -277,4 +297,7 @@ func TestModuleCacheConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	if c := srv.Engine.StatsSnapshot().Compilations; c != 5 {
+		t.Errorf("%d compilations for 5 modules under concurrent admission, want 5", c)
+	}
 }

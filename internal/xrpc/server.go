@@ -35,20 +35,26 @@ type Server struct {
 	modules moduleCache
 }
 
-// moduleCacheSize bounds the shipped modules a server keeps parsed. An
-// originator ships one module per execute-at site of the queries it runs, so
-// a peer serving a handful of query shapes hits every time.
+// moduleCacheSize bounds the shipped modules a server keeps parsed and
+// compiled. An originator ships one module per execute-at site of the
+// queries it runs, so a peer serving a handful of query shapes hits every
+// time.
 const moduleCacheSize = 32
 
-// moduleCache memoizes shipped modules, parsed and normalized, by source
-// text, evicting oldest-first. Only normalized queries are published:
+// moduleCache memoizes shipped modules, parsed, normalized and compiled, by
+// source text, evicting oldest-first. Only normalized queries are published:
 // xq.Normalize rewrites the AST in place until it has succeeded once, so a
 // raw parse shared between concurrent requests would race. A text is
 // admitted on its second sighting — a cached module keeps its tree and its
 // compiled program alive, and a peer answering ad-hoc queries that never
-// repeat should retain none of them.
+// repeat should retain none of them. That second sighting is also the proof
+// of reuse that pays for lowering: a module compiles exactly once, at
+// admission, so every cache hit runs the compiled executor and a module
+// seen once tree-walks and leaves nothing behind.
 type moduleCache struct {
-	mu      sync.Mutex
+	mu sync.Mutex
+	// entries maps a text to its published module; a nil value is the claim
+	// of an admission still compiling (a miss to everyone else).
 	entries map[string]*xq.Query
 	ring    []string // insertion order; ring[next] is the oldest once full
 	next    int
@@ -65,18 +71,21 @@ func (c *moduleCache) get(src string) *xq.Query {
 	return c.entries[src]
 }
 
-// admit publishes q as the parsed form of src if src was seen before, and
-// remembers the sighting otherwise.
-func (c *moduleCache) admit(src string, q *xq.Query) {
+// admit publishes q, compiled on eng's account, as the parsed form of src if
+// src was seen before, and remembers the sighting otherwise. The lowering
+// runs outside the lock, behind a claim on the entry, so concurrent misses
+// of one text compile it once.
+func (c *moduleCache) admit(src string, q *xq.Query, eng *eval.Engine) {
 	h := maphash.String(moduleHashSeed, src)
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if _, ok := c.entries[src]; ok {
-		return // a concurrent miss published first
+		c.mu.Unlock()
+		return // a concurrent miss published (or is compiling) it
 	}
 	if !slices.Contains(c.seen[:], h) {
 		c.seen[c.seenNext] = h
 		c.seenNext = (c.seenNext + 1) % moduleCacheSize
+		c.mu.Unlock()
 		return
 	}
 	if c.entries == nil {
@@ -88,11 +97,20 @@ func (c *moduleCache) admit(src string, q *xq.Query) {
 	}
 	c.ring[c.next] = src
 	c.next = (c.next + 1) % moduleCacheSize
-	c.entries[src] = q
+	c.entries[src] = nil
+	c.mu.Unlock()
+	// q is normalized, so lowering cannot fail; if it did, q would be
+	// published without a Program and keep tree-walking.
+	_, _ = eng.Compile(q)
+	c.mu.Lock()
+	if _, ok := c.entries[src]; ok { // unless evicted while compiling
+		c.entries[src] = q
+	}
+	c.mu.Unlock()
 }
 
-// module returns the parsed, normalized form of a shipped module, from the
-// cache when the same text was shipped before.
+// module returns the parsed, normalized form of a shipped module — from the
+// cache, carrying its Program, once the same text has been shipped twice.
 func (s *Server) module(src string) (*xq.Query, error) {
 	if q := s.modules.get(src); q != nil {
 		return q, nil
@@ -107,7 +125,7 @@ func (s *Server) module(src string) (*xq.Query, error) {
 		// Normalize leaves the tree half rewritten.
 		return xq.ParseQuery(src + "\n0")
 	}
-	s.modules.admit(src, q)
+	s.modules.admit(src, q, s.Engine)
 	return q, nil
 }
 
