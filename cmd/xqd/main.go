@@ -16,25 +16,25 @@
 //	GET  /stats   JSON service counters (admitted, shed, plan hits, ...)
 //	              plus per-peer health-tracker state.
 //	GET  /metrics Prometheus-style text page unifying service, evaluation,
-//	              transport and per-peer health metrics.
+//	              transport, per-peer health and collector (runtime) metrics.
 //	GET  /debug/traces  recent and slowest query span trees as JSON
 //	              (requires -trace).
 //	GET  /healthz liveness probe.
 //
 // -pprof additionally serves net/http/pprof under /debug/pprof/ (off by
 // default: the daemon uses its own mux, so pprof's DefaultServeMux
-// registration is inert unless wired in).
+// registration is inert unless wired in). The daemon runs under the
+// collector regime of internal/daemon unless GOGC or GOMEMLIMIT is set.
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"strconv"
 	"strings"
@@ -42,6 +42,7 @@ import (
 
 	"distxq"
 	"distxq/internal/core"
+	"distxq/internal/daemon"
 	"distxq/internal/service"
 	"distxq/internal/xrpc"
 )
@@ -83,6 +84,7 @@ func main() {
 	traceRing := flag.Int("trace-ring", 0, "recent traces retained (0 = default)")
 	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
 	flag.Parse()
+	daemon.StartGCRegime()
 
 	strat, err := parseStrategy(*strategy)
 	if err != nil {
@@ -151,16 +153,22 @@ func main() {
 	}
 	svc.Replicas = replicas
 
-	// A private mux keeps the surface explicit: importing net/http/pprof
-	// registers its handlers on http.DefaultServeMux unconditionally, so
-	// serving that mux would expose profiling endpoints regardless of -pprof.
-	mux := http.NewServeMux()
+	if err := daemon.ListenAndServe(*listen, newMux(svc, *pprofOn), func(bound net.Addr) {
+		fmt.Printf("xqd listening on %s (strategy %s, budget %v)\n", bound, strat, *budget)
+	}); err != nil {
+		fail(err)
+	}
+}
+
+// newMux builds xqd's endpoints over svc.
+func newMux(svc *service.Service, pprofOn bool) *http.ServeMux {
+	mux := daemon.NewMux(pprofOn)
 	mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "query requires POST", http.StatusMethodNotAllowed)
 			return
 		}
-		body, err := io.ReadAll(r.Body)
+		body, err := xrpc.ReadBody(r.Body, r.ContentLength)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -178,7 +186,13 @@ func main() {
 		switch {
 		case err == nil:
 			w.Header().Set("Content-Type", "application/xml")
-			fmt.Fprintln(w, distxq.Serialize(res))
+			// One buffer in front of the ResponseWriter, whose every write
+			// locks the connection: the serializer's many small writes go
+			// here. bufio errors are sticky; one means the client left.
+			bw := bufio.NewWriter(w)
+			_ = distxq.SerializeTo(bw, res)
+			_ = bw.WriteByte('\n')
+			_ = bw.Flush()
 		case errors.Is(err, xrpc.ErrOverloaded):
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		case errors.Is(err, xrpc.ErrDeadlineExceeded):
@@ -196,7 +210,9 @@ func main() {
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		_ = svc.WriteMetrics(w)
+		if svc.WriteMetrics(w) == nil {
+			_ = daemon.WriteRuntimeMetrics(w)
+		}
 	})
 	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
 		if svc.Traces == nil {
@@ -209,23 +225,7 @@ func main() {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
-	if *pprofOn {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
-	// Bind before announcing, so the message names the address actually
-	// bound (-listen :0 picks a free port).
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("xqd listening on %s (strategy %s, budget %v)\n", ln.Addr(), strat, *budget)
-	if err := http.Serve(ln, mux); err != nil {
-		fail(err)
-	}
+	return mux
 }
 
 func parseStrategy(s string) (distxq.Strategy, error) {

@@ -7,6 +7,16 @@
 //
 // Other peers (or cmd/xq) can then decompose queries referencing
 // doc("xrpc://host:8080/depts.xml") to this peer.
+//
+// Endpoints:
+//
+//	POST /xrpc         one XRPC request message in, one response (or fault) out
+//	POST /xrpc/stream  the same request, answered as length-prefixed chunk frames
+//	GET  /metrics      the collector regime's runtime metrics (Prometheus text)
+//
+// -pprof additionally serves net/http/pprof under /debug/pprof/. The daemon
+// runs under the collector regime of internal/daemon unless GOGC or
+// GOMEMLIMIT is set.
 package main
 
 import (
@@ -14,10 +24,10 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"strings"
 
+	"distxq/internal/daemon"
 	"distxq/internal/eval"
 	"distxq/internal/xdm"
 	"distxq/internal/xrpc"
@@ -45,6 +55,7 @@ func main() {
 	docs := docFlags{}
 	flag.Var(docs, "doc", "name=path of a document to serve (repeatable)")
 	flag.Parse()
+	daemon.StartGCRegime()
 
 	store := map[string]*xdm.Document{}
 	for name, path := range docs {
@@ -77,30 +88,24 @@ func main() {
 		peerName = *listen
 	}
 	srv := &xrpc.Server{Engine: engine, ChunkItems: *chunkItems, Name: peerName}
-	// A private mux keeps the surface explicit: importing net/http/pprof
-	// registers on http.DefaultServeMux unconditionally, so serving that mux
-	// would expose profiling endpoints regardless of -pprof.
-	mux := http.NewServeMux()
+	if err := daemon.ListenAndServe(*listen, newMux(srv, *pprofOn), func(bound net.Addr) {
+		fmt.Printf("xqpeer listening on %s\n", bound)
+	}); err != nil {
+		fmt.Fprintf(os.Stderr, "xqpeer: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// newMux builds xqpeer's endpoints over srv.
+func newMux(srv *xrpc.Server, pprofOn bool) *http.ServeMux {
+	mux := daemon.NewMux(pprofOn)
 	mux.Handle("/xrpc", xrpc.NewHTTPHandler(srv))
 	// Streaming endpoint: results leave as chunk frames while later calls
 	// are still evaluating.
 	mux.Handle("/xrpc/stream", xrpc.NewStreamHTTPHandler(srv))
-	if *pprofOn {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
-	// Bind before announcing, so the message names the address actually
-	// bound (-listen :0 picks a free port).
-	ln, err := net.Listen("tcp", *listen)
-	if err == nil {
-		fmt.Printf("xqpeer listening on %s\n", ln.Addr())
-		err = http.Serve(ln, mux)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "xqpeer: %v\n", err)
-		os.Exit(1)
-	}
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		_ = daemon.WriteRuntimeMetrics(w)
+	})
+	return mux
 }

@@ -22,6 +22,7 @@
 package distxq
 
 import (
+	"io"
 	"strings"
 
 	"distxq/internal/core"
@@ -101,18 +102,32 @@ func NewNetwork() *Network { return peer.NewNetwork() }
 // their lexical form, space separated.
 func Serialize(s Sequence) string {
 	var sb strings.Builder
+	_ = SerializeTo(&sb, s)
+	return sb.String()
+}
+
+// SerializeTo writes s to w as Serialize renders it, stopping at the first
+// write error. A writer implementing io.StringWriter (strings.Builder,
+// bufio.Writer) receives the text without intermediate copies.
+func SerializeTo(w io.Writer, s Sequence) error {
 	for i, it := range s {
 		if i > 0 {
-			sb.WriteByte(' ')
+			if _, err := io.WriteString(w, " "); err != nil {
+				return err
+			}
 		}
+		var err error
 		switch v := it.(type) {
 		case *xdm.Node:
-			_ = xdm.Serialize(&sb, v)
+			err = xdm.Serialize(w, v)
 		case xdm.Atomic:
-			sb.WriteString(v.ItemString())
+			_, err = io.WriteString(w, v.ItemString())
+		}
+		if err != nil {
+			return err
 		}
 	}
-	return sb.String()
+	return nil
 }
 
 // ParseQuery parses XQuery source text without executing it.

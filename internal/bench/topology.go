@@ -78,11 +78,11 @@ var DefaultTopologyChurn = []TopologyChurn{
 
 // TopologyRow is one churn level priced under both routing disciplines.
 type TopologyRow struct {
-	Churn              TopologyChurn
-	BlindP50NS         int64
-	BlindP99NS         int64
-	AwareP50NS         int64
-	AwareP99NS         int64
+	Churn      TopologyChurn
+	BlindP50NS int64
+	BlindP99NS int64
+	AwareP50NS int64
+	AwareP99NS int64
 	// DupBytes is the duplicate response traffic the blind router's hedges
 	// put on the shared link; Timeouts counts its dead-peer detection
 	// stalls. The aware router pays neither.

@@ -287,8 +287,12 @@ func (s *Service) plan(src string, sp trace.SpanRef) (*core.Plan, []core.ShardMa
 		// The Program pins to the plan's query object, so every execution
 		// of this entry from here on — concurrent first hits included, which
 		// wait here — runs the one lowering, and a new epoch's plan compiles
-		// afresh against the new shard maps.
-		entry.reused.Do(func() { s.compile(entry.plan.Query, sp) })
+		// afresh against the new shard maps. Reuse is proven here, so the
+		// shipped modules are rendered once here too.
+		entry.reused.Do(func() {
+			s.compile(entry.plan.Query, sp)
+			retainModules(entry.plan.Query)
+		})
 	} else {
 		s.planMisses.Add(1)
 		sp.Set(trace.Str("cache", "miss"))
@@ -298,6 +302,9 @@ func (s *Service) plan(src string, sp trace.SpanRef) (*core.Plan, []core.ShardMa
 	}
 	return entry.plan, shards, nil
 }
+
+// retainModules is xrpc.RetainModules; tests count its calls through it.
+var retainModules = xrpc.RetainModules
 
 // compile lowers a reused plan's query, counting the lowering and its
 // fallback sites into the /metrics feeds. Normalization succeeded before the

@@ -5,11 +5,14 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"distxq/internal/core"
 	"distxq/internal/peer"
+	"distxq/internal/xdm"
+	"distxq/internal/xq"
 	"distxq/internal/xrpc"
 )
 
@@ -239,6 +242,80 @@ func TestPlanCacheReuseCompilesOnce(t *testing.T) {
 	wg.Wait()
 	if st, c := s.Stats(), s.EvalStats().Compilations; st.PlanHits != hits || c != 1 {
 		t.Errorf("%d concurrent hits of one plan: hits=%d compilations=%d, want %d/1", hits, st.PlanHits, c, hits)
+	}
+}
+
+// TestPlanCacheReuseRetainsModulesOnce: shipped modules are rendered and
+// retained only where reuse is proven — never for a plan that only missed,
+// exactly once for a reused one however many first hits race — and reused
+// plans still answer what the first execution did.
+func TestPlanCacheReuseRetainsModulesOnce(t *testing.T) {
+	var renders atomic.Int64
+	retainModules = func(q *xq.Query) { renders.Add(1); xrpc.RetainModules(q) }
+	t.Cleanup(func() { retainModules = xrpc.RetainModules })
+	calls := func(s *Service) (retained, rendered int) {
+		s.plans.mu.Lock()
+		defer s.plans.mu.Unlock()
+		for _, e := range s.plans.entries {
+			xq.Walk(e.plan.Query.Body, func(ex xq.Expr) bool {
+				if x, ok := ex.(*xq.XRPCExpr); ok {
+					if x.RetainedModule() != "" {
+						retained++
+					} else {
+						rendered++
+					}
+				}
+				return true
+			})
+		}
+		return retained, rendered
+	}
+	values := func(res xdm.Sequence) string {
+		var out []string
+		for _, it := range res {
+			out = append(out, it.ItemString())
+		}
+		return strings.Join(out, " ")
+	}
+
+	s, _, query := newTestService(t, Config{})
+	for i := 0; i < 8; i++ {
+		if _, _, err := s.Query(fmt.Sprintf("%s, %d", query, i), core.Budget{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if retained, rendered := calls(s); renders.Load() != 0 || retained != 0 || rendered == 0 {
+		t.Fatalf("8 cold plans: %d retains, %d calls retained, %d rendering per call; want 0/0/>0",
+			renders.Load(), retained, rendered)
+	}
+
+	const hits = 32
+	s, _, query = newTestService(t, Config{MaxConcurrent: hits})
+	first, _, err := s.Query(query, core.Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := values(first)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < hits; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			res, _, err := s.Query(query, core.Budget{})
+			if err != nil {
+				t.Error(err)
+			} else if got := values(res); got != want {
+				t.Errorf("reused plan answered %q, first execution %q", got, want)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if retained, rendered := calls(s); renders.Load() != 1 || retained == 0 || rendered != 0 {
+		t.Errorf("%d concurrent first hits: %d retains, %d calls retained, %d rendering per call; want 1/>0/0",
+			hits, renders.Load(), retained, rendered)
 	}
 }
 

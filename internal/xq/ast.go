@@ -463,7 +463,23 @@ type XRPCExpr struct {
 	// Types carries declared parameter types when the expression came from
 	// inlining a declared function; nil means item()*.
 	Types []SeqType
+	// module retains the rendered shipped declaration once a cache has proven
+	// the expression reused (see xrpc.RetainModules); concurrent executions of
+	// a cached plan read it while its first hit stores it.
+	module atomic.Pointer[string]
 }
+
+// RetainedModule returns the shipped declaration retained for x, or "" when
+// none was retained and every call renders its own.
+func (x *XRPCExpr) RetainedModule() string {
+	if m := x.module.Load(); m != nil {
+		return *m
+	}
+	return ""
+}
+
+// RetainModule stores the shipped declaration every later call of x sends.
+func (x *XRPCExpr) RetainModule(text string) { x.module.Store(&text) }
 
 // XRPCParam is `$Name := $Ref` (rule 28): the remote body sees $Name bound
 // to the value of the caller's variable $Ref.

@@ -238,7 +238,7 @@ func printExpr(sb *strings.Builder, e Expr, paren bool) {
 	case *XRPCExpr:
 		// The XCore presentation form of rule 27. The parser does not read
 		// this back (it is produced by normalization/decomposition); shipped
-		// messages use ShipFunction instead.
+		// messages carry a named declaration instead (xrpc's shipModule).
 		open(sb, paren)
 		sb.WriteString("execute at {")
 		printExpr(sb, v.Target, false)
@@ -316,21 +316,4 @@ func printPath(sb *strings.Builder, pe *PathExpr, paren bool) {
 		}
 	}
 	clos(sb, paren)
-}
-
-// ShipFunction renders an XRPCExpr body as a named function declaration for
-// inclusion in an XRPC request message. Parameter order follows x.Params.
-func ShipFunction(x *XRPCExpr) string {
-	f := &FuncDecl{Name: x.FuncName, Return: AnyItems, Body: x.Body}
-	for i, par := range x.Params {
-		typ := AnyItems
-		if i < len(x.Types) {
-			typ = x.Types[i]
-		}
-		f.Params = append(f.Params, Param{Name: par.Name, Type: typ})
-	}
-	if f.Name == "" {
-		f.Name = "xrpcgen:fcn"
-	}
-	return PrintFuncDecl(f)
 }

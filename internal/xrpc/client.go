@@ -399,19 +399,21 @@ func (c *Client) CallRemoteScatter(x *xq.XRPCExpr, batches []eval.ScatterBatch) 
 // the attempt's trace identity into the request so the server records and
 // returns its own spans.
 func (c *Client) marshalCall(ctx context.Context, target string, x *xq.XRPCExpr, iterations [][]xdm.Sequence, sp trace.SpanRef) (data []byte, serNS int64, err error) {
-	if containsRemote(x.Body) {
-		return nil, 0, fmt.Errorf("xrpc: shipped function body contains a nested execute-at; " +
-			"the decomposer never generates these (fcn0 stays local)")
-	}
-	name := x.FuncName
-	if name == "" {
-		name = fmt.Sprintf("xrpcgen:f%d", clientFuncSeq.Add(1))
+	name, module := x.FuncName, x.RetainedModule()
+	if module == "" {
+		if containsRemote(x.Body) {
+			return nil, 0, errNestedRemote
+		}
+		if name == "" {
+			name = fmt.Sprintf("xrpcgen:f%d", clientFuncSeq.Add(1))
+		}
+		module = shipModule(x, name)
 	}
 	req := &Request{
 		Method:    name,
 		Arity:     len(x.Params),
 		Semantics: c.Semantics,
-		Module:    shipModule(x, name),
+		Module:    module,
 		Static:    c.Static,
 		Calls:     iterations,
 	}
@@ -516,6 +518,32 @@ func (c *Client) callBulkCtx(ctx context.Context, target string, x *xq.XRPCExpr,
 		})
 	}
 	return resp.Results, lane, nil
+}
+
+var errNestedRemote = errors.New("xrpc: shipped function body contains a nested execute-at; " +
+	"the decomposer never generates these (fcn0 stays local)")
+
+// RetainModules renders, once, the shipped declaration of every XRPC call in
+// q and retains it on the call, so later requests skip the print and the
+// nested-remote walk. Only a cache that has proven q reused should call it
+// (the service does on a plan's first hit): a plan executed once pays the
+// rendering per call and keeps nothing. Calls without a stable FuncName, or
+// whose body nests a remote call, are left to render (or fail) per request.
+func RetainModules(q *xq.Query) {
+	retain := func(e xq.Expr) bool {
+		x, ok := e.(*xq.XRPCExpr)
+		if !ok {
+			return true
+		}
+		if x.FuncName != "" && !containsRemote(x.Body) {
+			x.RetainModule(shipModule(x, x.FuncName))
+		}
+		return false // the originator never ships what a shipped body nests
+	}
+	for _, f := range q.Funcs {
+		xq.Walk(f.Body, retain)
+	}
+	xq.Walk(q.Body, retain)
 }
 
 // shipModule renders the self-contained function declaration shipped in the

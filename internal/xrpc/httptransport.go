@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -102,7 +103,7 @@ func (t *HTTPTransport) RoundTripContext(ctx context.Context, peer string, reque
 		return nil, fmt.Errorf("xrpc: POST to %s: %w", peer, err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := ReadBody(resp.Body, resp.ContentLength)
 	if err != nil {
 		return nil, fmt.Errorf("xrpc: reading response from %s: %w", peer, err)
 	}
@@ -140,7 +141,7 @@ func (t *HTTPTransport) RoundTripStream(ctx context.Context, peer string, reques
 		return sink(whole)
 	}
 	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
+		body, _ := ReadBody(resp.Body, resp.ContentLength)
 		return fmt.Errorf("xrpc: peer %s returned HTTP %d: %s", peer, resp.StatusCode, truncate(body))
 	}
 	br := bufio.NewReader(resp.Body)
@@ -171,25 +172,62 @@ func writeFrame(w io.Writer, frame []byte) error {
 }
 
 func readFrame(br *bufio.Reader) ([]byte, error) {
-	header, err := br.ReadString('\n')
+	header, err := br.ReadSlice('\n')
 	if err != nil {
-		if err == io.EOF && header == "" {
+		if err == io.EOF && len(header) == 0 {
 			return nil, io.EOF
 		}
 		return nil, fmt.Errorf("frame header: %w", err)
 	}
-	n, err := strconv.Atoi(header[:len(header)-1])
+	digits := header[:len(header)-1]
+	n, err := strconv.ParseInt(string(digits), 10, 64)
 	if err != nil || n < 0 {
-		return nil, fmt.Errorf("bad frame length %q", header[:len(header)-1])
+		return nil, fmt.Errorf("bad frame length %q", digits)
 	}
-	frame := make([]byte, n)
-	if _, err := io.ReadFull(br, frame); err != nil {
+	frame, err := ReadBody(br, n)
+	if err != nil {
 		return nil, fmt.Errorf("frame body: %w", err)
 	}
 	return frame, nil
 }
 
+// maxUpfront caps what a declared length may allocate before its bytes
+// arrive. A message up to this size is read into one exactly sized buffer; a
+// larger declaration starts here and grows only as data comes in, so a
+// hostile length prefix or Content-Length costs at most this much.
+const maxUpfront = 1 << 20
+
+// ReadBody reads a message whose length r's sender declared: exactly
+// declared bytes, or up to EOF when declared is negative (unknown). A body
+// shorter than its declaration fails with io.ErrUnexpectedEOF. The returned
+// slice is owned by the caller; nothing is pooled.
+func ReadBody(r io.Reader, declared int64) ([]byte, error) {
+	if declared < 0 {
+		return io.ReadAll(r)
+	}
+	buf := make([]byte, 0, min(declared, maxUpfront))
+	for int64(len(buf)) < declared {
+		if len(buf) == cap(buf) {
+			// Every byte so far arrived: double, never past the declaration.
+			buf = slices.Grow(buf, int(min(declared-int64(len(buf)), int64(len(buf)))))
+		}
+		n, err := r.Read(buf[len(buf):min(int64(cap(buf)), declared)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF && int64(len(buf)) < declared {
+			return nil, io.ErrUnexpectedEOF
+		}
+		if err != nil && err != io.EOF {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
 // NewHTTPHandler adapts a Handler into an http.Handler serving POST /xrpc.
+// The request body is read into one buffer of its declared length (see
+// ReadBody) and handed to the Handler, which owns it from then on; every
+// reply — response or fault — declares its Content-Length, so nothing is
+// chunked and the client reads it the same way.
 func NewHTTPHandler(h Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -197,25 +235,28 @@ func NewHTTPHandler(h Handler) http.Handler {
 			return
 		}
 		if headerBudgetExpired(r) {
-			w.Header().Set("Content-Type", "application/soap+xml")
-			_, _ = w.Write(MarshalFault(fmt.Errorf("xrpc: budget spent before dispatch: %w", ErrDeadlineExceeded)))
+			writeSOAP(w, MarshalFault(fmt.Errorf("xrpc: budget spent before dispatch: %w", ErrDeadlineExceeded)))
 			return
 		}
-		body, err := io.ReadAll(r.Body)
+		body, err := ReadBody(r.Body, r.ContentLength)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		resp, err := h.Handle(body)
 		if err != nil {
-			w.Header().Set("Content-Type", "application/soap+xml")
-			w.WriteHeader(http.StatusOK) // faults travel as SOAP messages
-			_, _ = w.Write(MarshalFault(err))
-			return
+			resp = MarshalFault(err) // faults travel as SOAP messages, status 200
 		}
-		w.Header().Set("Content-Type", "application/soap+xml")
-		_, _ = w.Write(resp)
+		writeSOAP(w, resp)
 	})
+}
+
+// writeSOAP sends one whole XRPC message as a 200 reply of declared length.
+func writeSOAP(w http.ResponseWriter, msg []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/soap+xml")
+	h.Set("Content-Length", strconv.Itoa(len(msg)))
+	_, _ = w.Write(msg)
 }
 
 // NewStreamHTTPHandler adapts a handler into the streaming endpoint
@@ -234,7 +275,7 @@ func NewStreamHTTPHandler(h Handler) http.Handler {
 			_ = writeFrame(w, MarshalFault(fmt.Errorf("xrpc: budget spent before dispatch: %w", ErrDeadlineExceeded)))
 			return
 		}
-		body, err := io.ReadAll(r.Body)
+		body, err := ReadBody(r.Body, r.ContentLength)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
