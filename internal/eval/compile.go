@@ -4,8 +4,16 @@ package eval
 // into a chain of pre-resolved closures (compiled.go holds their runtime).
 // The lowering rules, also documented in DESIGN.md:
 //
-//   - Variables resolve to frame slots at compile time; the per-candidate
-//     context/frame allocations of the tree-walker disappear.
+//   - Every expression compiles twice: an eager form that appends its whole
+//     value to a caller-supplied sequence (cexpr), and a push form that hands
+//     its items to a consumer as they are produced (cseq) — the compiled
+//     twins of context.eval and context.evalSeq. Neither allocates a closure
+//     or a result sequence per evaluation; intermediate values live in the
+//     run's scratch buffers.
+//   - Variables resolve to frame slots at compile time. A for or quantifier
+//     variable is one item and lives in an item slot, so binding it per
+//     iteration allocates nothing, and a path rooted at it steps straight
+//     from the node.
 //   - Declared function calls bind to their compiled bodies at compile time.
 //   - Constant subexpressions (literals and operator trees over them) fold
 //     to their value; a folding *error* becomes a deferred-error closure so
@@ -17,12 +25,16 @@ package eval
 //   - Comparisons specialize by static operand kind: a constant operand is
 //     atomized once at compile time.
 //   - FLWOR spines compile to iterator pipelines mirroring the lazy
-//     evaluator, including the >4-iteration invariant-hoisting heuristic.
+//     evaluator, including the >4-iteration invariant-hoisting heuristic;
+//     order-by loops evaluate keys and bodies per iteration and sort with
+//     the tree-walker's own comparator.
+//   - Constructors describe their tree to the builder the tree-walker uses
+//     too (treeBuilder), nested direct constructors in place.
 //
-// Anything outside the proven subset — constructors, remote calls, order-by
-// loops, loops nested beyond maxCompiledForDepth — compiles to a fallback
-// closure that rebuilds a tree-walker context from the frame and runs the
-// interpreter for that node, so bytes cannot change.
+// What remains outside — remote calls, and loops nested beyond
+// maxCompiledForDepth — compiles to a fallback closure that rebuilds a
+// tree-walker context from the frame and runs the interpreter for that
+// node, so bytes cannot change.
 
 import (
 	"errors"
@@ -43,17 +55,30 @@ const maxCompiledForDepth = 6
 
 // scope is the compile-time environment: a linked list of visible bindings,
 // innermost first — the same shadowing order as the tree-walker's frame
-// chain.
+// chain. item marks a binding held in an item slot (cframe.items) rather
+// than a sequence slot.
 type scope struct {
 	name string
 	slot int
+	item bool
 	next *scope
 }
 
-func (s *scope) lookup(name string) (int, bool) {
-	for f := s; f != nil; f = f.next {
-		if f.name == name {
-			return f.slot, true
+func (s *scope) lookup(name string) (*scope, bool) {
+	for b := s; b != nil; b = b.next {
+		if b.name == name {
+			return b, true
+		}
+	}
+	return nil, false
+}
+
+// itemVar returns the item slot e reads when e is a reference to a for or
+// quantifier variable.
+func itemVar(e xq.Expr, sc *scope) (int, bool) {
+	if ref, ok := e.(*xq.VarRef); ok {
+		if b, ok := sc.lookup(ref.Name); ok && b.item {
+			return b.slot, true
 		}
 	}
 	return 0, false
@@ -73,12 +98,19 @@ type compiler struct {
 type fnCompiler struct {
 	cp       *compiler
 	nslots   int
+	nitems   int
 	forDepth int
 }
 
 func (fc *fnCompiler) alloc() int {
 	n := fc.nslots
 	fc.nslots++
+	return n
+}
+
+func (fc *fnCompiler) allocItem() int {
+	n := fc.nitems
+	fc.nitems++
 	return n
 }
 
@@ -125,13 +157,13 @@ func CompileQuery(q *xq.Query) (*Program, error) {
 		}
 		cf.body = fc.compile(cf.decl.Body, sc)
 		cf.bodySeq = fc.compileSeq(cf.decl.Body, sc)
-		cf.nslots = fc.nslots
+		cf.nslots, cf.nitems = fc.nslots, fc.nitems
 	}
 	fc := &fnCompiler{cp: cp}
 	p := &Program{order: cp.order, funcs: cp.funcs}
 	p.body = fc.compile(q.Body, nil)
 	p.bodySeq = fc.compileSeq(q.Body, nil)
-	p.nslots = fc.nslots
+	p.nslots, p.nitems = fc.nslots, fc.nitems
 	if len(cp.fellBack) > 0 {
 		p.fallbacks = map[string]int{}
 		for e := range cp.fellBack {
@@ -162,22 +194,26 @@ func CompileTraced(q *xq.Query, parent trace.SpanRef) (*Program, error) {
 // the compiled subset.
 func (fc *fnCompiler) fallback(e xq.Expr, sc *scope) cexpr {
 	fc.cp.fellBack[e] = struct{}{}
-	return func(f *cframe) (xdm.Sequence, error) {
-		return f.treeContext(sc).eval(e)
+	return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
+		s, err := f.treeContext(sc).eval(e)
+		if err != nil {
+			return nil, err
+		}
+		return appendSeq(dst, s), nil
 	}
 }
 
 func constc(s xdm.Sequence) cexpr {
-	return func(f *cframe) (xdm.Sequence, error) {
+	return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
 		if err := f.ctx.stop.check(); err != nil {
 			return nil, err
 		}
-		return s, nil
+		return appendSeq(dst, s), nil
 	}
 }
 
 func errc(err error) cexpr {
-	return func(f *cframe) (xdm.Sequence, error) {
+	return func(f *cframe, _ xdm.Sequence) (xdm.Sequence, error) {
 		if e := f.ctx.stop.check(); e != nil {
 			return nil, e
 		}
@@ -246,27 +282,37 @@ func (fc *fnCompiler) compile(e xq.Expr, sc *scope) cexpr {
 	case *xq.Literal:
 		return constc(xdm.Singleton(v.Val))
 	case *xq.VarRef:
-		if slot, ok := sc.lookup(v.Name); ok {
-			return func(f *cframe) (xdm.Sequence, error) {
+		b, ok := sc.lookup(v.Name)
+		if !ok {
+			return errc(fmt.Errorf("eval: unbound variable $%s", v.Name))
+		}
+		slot := b.slot
+		if b.item {
+			return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
 				if err := f.ctx.stop.check(); err != nil {
 					return nil, err
 				}
-				return f.slots[slot], nil
+				return append(dst, f.items[slot]), nil
 			}
 		}
-		return errc(fmt.Errorf("eval: unbound variable $%s", v.Name))
+		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
+			if err := f.ctx.stop.check(); err != nil {
+				return nil, err
+			}
+			return appendSeq(dst, f.slots[slot]), nil
+		}
 	case *xq.ContextItem:
-		return func(f *cframe) (xdm.Sequence, error) {
+		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
 			if err := f.ctx.stop.check(); err != nil {
 				return nil, err
 			}
 			if f.item == nil {
 				return nil, fmt.Errorf("eval: context item is undefined")
 			}
-			return xdm.Singleton(f.item), nil
+			return append(dst, f.item), nil
 		}
 	case *xq.RootExpr:
-		return func(f *cframe) (xdm.Sequence, error) {
+		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
 			if err := f.ctx.stop.check(); err != nil {
 				return nil, err
 			}
@@ -274,47 +320,45 @@ func (fc *fnCompiler) compile(e xq.Expr, sc *scope) cexpr {
 			if !ok {
 				return nil, fmt.Errorf("eval: '/' requires a node context item")
 			}
-			return xdm.Singleton(n.RootNode()), nil
+			return append(dst, n.RootNode()), nil
 		}
 	case *xq.SeqExpr:
 		parts := make([]cexpr, len(v.Items))
 		for i, it := range v.Items {
 			parts[i] = fc.compile(it, sc)
 		}
-		return func(f *cframe) (xdm.Sequence, error) {
+		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
 			if err := f.ctx.stop.check(); err != nil {
 				return nil, err
 			}
-			out := xdm.Sequence{}
 			for _, part := range parts {
-				s, err := part(f)
-				if err != nil {
+				var err error
+				if dst, err = part(f, dst); err != nil {
 					return nil, err
 				}
-				out = append(out, s...)
 			}
-			return out, nil
+			return dst, nil
 		}
 	case *xq.LetExpr:
 		bind := fc.compile(v.Bind, sc)
 		slot := fc.alloc()
 		body := fc.compile(v.Return, &scope{name: v.Var, slot: slot, next: sc})
-		return func(f *cframe) (xdm.Sequence, error) {
+		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
 			if err := f.ctx.stop.check(); err != nil {
 				return nil, err
 			}
-			s, err := bind(f)
+			s, err := bind(f, nil)
 			if err != nil {
 				return nil, err
 			}
 			f.slots[slot] = s
-			return body(f)
+			return body(f, dst)
 		}
 	case *xq.IfExpr:
 		cond := fc.compileCond(v.Cond, sc, "eval: invalid effective boolean value in if condition")
 		then := fc.compile(v.Then, sc)
 		els := fc.compile(v.Else, sc)
-		return func(f *cframe) (xdm.Sequence, error) {
+		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
 			if err := f.ctx.stop.check(); err != nil {
 				return nil, err
 			}
@@ -323,281 +367,359 @@ func (fc *fnCompiler) compile(e xq.Expr, sc *scope) cexpr {
 				return nil, err
 			}
 			if b {
-				return then(f)
+				return then(f, dst)
 			}
-			return els(f)
+			return els(f, dst)
 		}
 	case *xq.ForExpr:
 		return fc.compileFor(v, sc)
 	case *xq.QuantifiedExpr:
 		in := fc.compile(v.In, sc)
-		slot := fc.alloc()
-		sat := fc.compile(v.Satisfies, &scope{name: v.Var, slot: slot, next: sc})
+		slot := fc.allocItem()
+		sat := fc.compileCond(v.Satisfies, &scope{name: v.Var, slot: slot, item: true, next: sc},
+			"eval: invalid effective boolean in quantified expression")
 		every := v.Every
-		return func(f *cframe) (xdm.Sequence, error) {
+		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
 			if err := f.ctx.stop.check(); err != nil {
 				return nil, err
 			}
-			s, err := in(f)
+			s, err := in(f, f.sc.seqs.take())
 			if err != nil {
 				return nil, err
 			}
+			res := every
 			for _, it := range s {
-				f.slots[slot] = xdm.Singleton(it)
-				r, err := sat(f)
+				f.items[slot] = it
+				b, err := sat(f)
 				if err != nil {
 					return nil, err
 				}
-				b, ok := r.EffectiveBoolean()
-				if !ok {
-					return nil, fmt.Errorf("eval: invalid effective boolean in quantified expression")
-				}
-				if every && !b {
-					return boolSeq(false), nil
-				}
-				if !every && b {
-					return boolSeq(true), nil
+				if b != every {
+					res = b
+					break
 				}
 			}
-			return boolSeq(every), nil
+			f.sc.seqs.give(s)
+			return appendSeq(dst, boolSeq(res)), nil
 		}
 	case *xq.TypeswitchExpr:
-		return fc.compileTypeswitch(v, sc)
+		op, cases, scopes := fc.typeswitchCases(v, sc)
+		rets := make([]cexpr, len(scopes))
+		for i, s := range scopes {
+			rets[i] = fc.compile(typeswitchReturn(v, i), s)
+		}
+		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
+			i, err := f.typeswitch(op, cases)
+			if err != nil {
+				return nil, err
+			}
+			return rets[i](f, dst)
+		}
 	case *xq.LogicExpr:
 		cb := fc.compileBool(e, sc)
-		return func(f *cframe) (xdm.Sequence, error) {
+		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
 			b, err := cb(f)
 			if err != nil {
 				return nil, err
 			}
-			return boolSeq(b), nil
+			return appendSeq(dst, boolSeq(b)), nil
 		}
 	case *xq.CompareExpr:
 		if v.Op.IsNodeComp() {
 			l := fc.compile(v.Left, sc)
 			r := fc.compile(v.Right, sc)
 			op := v.Op
-			return func(f *cframe) (xdm.Sequence, error) {
+			return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
 				if err := f.ctx.stop.check(); err != nil {
 					return nil, err
 				}
-				ls, err := l(f)
+				ls, err := l(f, f.sc.seqs.take())
 				if err != nil {
 					return nil, err
 				}
-				rs, err := r(f)
+				rs, err := r(f, f.sc.seqs.take())
 				if err != nil {
 					return nil, err
 				}
-				return nodeCompare(op, ls, rs)
+				res, err := nodeCompare(op, ls, rs)
+				if err != nil {
+					return nil, err
+				}
+				f.sc.seqs.give(ls)
+				f.sc.seqs.give(rs)
+				return appendSeq(dst, res), nil
 			}
 		}
 		cb := fc.compileGeneralCompare(v, sc)
-		return func(f *cframe) (xdm.Sequence, error) {
+		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
 			b, err := cb(f)
 			if err != nil {
 				return nil, err
 			}
-			return boolSeq(b), nil
+			return appendSeq(dst, boolSeq(b)), nil
 		}
 	case *xq.ArithExpr:
 		l := fc.compile(v.Left, sc)
 		r := fc.compile(v.Right, sc)
 		op := v.Op
-		return func(f *cframe) (xdm.Sequence, error) {
+		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
 			if err := f.ctx.stop.check(); err != nil {
 				return nil, err
 			}
-			ls, err := l(f)
+			la, err := f.atomsOf(l)
 			if err != nil {
 				return nil, err
 			}
-			rs, err := r(f)
+			ra, err := f.atomsOf(r)
 			if err != nil {
 				return nil, err
 			}
-			return arithCombine(op, ls.Atomize(), rs.Atomize())
+			res, err := arithCombine(op, la, ra)
+			if err != nil {
+				return nil, err
+			}
+			f.sc.atoms.give(la)
+			f.sc.atoms.give(ra)
+			return appendSeq(dst, res), nil
 		}
 	case *xq.UnaryExpr:
 		operand := fc.compile(v.Operand, sc)
-		return func(f *cframe) (xdm.Sequence, error) {
+		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
 			if err := f.ctx.stop.check(); err != nil {
 				return nil, err
 			}
-			s, err := operand(f)
+			atoms, err := f.atomsOf(operand)
 			if err != nil {
 				return nil, err
 			}
-			atoms := s.Atomize()
+			defer f.sc.atoms.give(atoms)
 			if len(atoms) == 0 {
-				return xdm.EmptySequence, nil
+				return dst, nil
 			}
 			if len(atoms) != 1 {
 				return nil, fmt.Errorf("eval: unary minus over a sequence")
 			}
 			a := atoms[0]
 			if a.T == xdm.TInteger {
-				return xdm.Singleton(xdm.NewInteger(-a.I)), nil
+				return append(dst, xdm.NewInteger(-a.I)), nil
 			}
-			return xdm.Singleton(xdm.NewDouble(-a.Number())), nil
+			return append(dst, xdm.NewDouble(-a.Number())), nil
 		}
 	case *xq.NodeSetExpr:
 		l := fc.compile(v.Left, sc)
 		r := fc.compile(v.Right, sc)
 		op := v.Op
-		return func(f *cframe) (xdm.Sequence, error) {
+		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
 			if err := f.ctx.stop.check(); err != nil {
 				return nil, err
 			}
-			ls, err := l(f)
+			ls, err := l(f, f.sc.seqs.take())
 			if err != nil {
 				return nil, err
 			}
-			rs, err := r(f)
+			rs, err := r(f, f.sc.seqs.take())
 			if err != nil {
 				return nil, err
 			}
-			return nodeSetCombine(op, ls, rs)
+			res, err := nodeSetCombine(op, ls, rs)
+			if err != nil {
+				return nil, err
+			}
+			f.sc.seqs.give(ls)
+			f.sc.seqs.give(rs)
+			return appendSeq(dst, res), nil
 		}
 	case *xq.PathExpr:
-		input, steps := fc.compilePathParts(v, sc)
-		return func(f *cframe) (xdm.Sequence, error) {
+		p := fc.compilePath(v, sc)
+		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
 			if err := f.ctx.stop.check(); err != nil {
 				return nil, err
 			}
-			return f.runPath(input, steps)
+			return f.runPath(dst, p)
 		}
 	case *xq.FunCall:
 		return fc.compileFunCall(v, sc)
+	case *xq.ElemConstructor:
+		ce := fc.compileElem(v, sc)
+		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
+			if err := f.ctx.stop.check(); err != nil {
+				return nil, err
+			}
+			el, err := f.constructElem(ce)
+			if err != nil {
+				return nil, err
+			}
+			return append(dst, el), nil
+		}
+	case *xq.AttrConstructor:
+		ca := fc.compileAttr(v, sc)
+		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
+			if err := f.ctx.stop.check(); err != nil {
+				return nil, err
+			}
+			name, value, err := f.attrParts(ca)
+			if err != nil {
+				return nil, err
+			}
+			return append(dst, xdm.NewAttr(name, value)), nil
+		}
+	case *xq.TextConstructor:
+		content := fc.compile(v.Content, sc)
+		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
+			if err := f.ctx.stop.check(); err != nil {
+				return nil, err
+			}
+			s, err := content(f, f.sc.seqs.take())
+			if err != nil {
+				return nil, err
+			}
+			txt := f.sc.builder().textTree(joinAtoms(s))
+			f.sc.seqs.give(s)
+			return append(dst, txt), nil
+		}
+	case *xq.DocConstructor:
+		content := fc.compile(v.Content, sc)
+		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
+			if err := f.ctx.stop.check(); err != nil {
+				return nil, err
+			}
+			s, err := content(f, f.sc.seqs.take())
+			if err != nil {
+				return nil, err
+			}
+			d, err := f.sc.builder().docTree(s)
+			if err != nil {
+				return nil, err
+			}
+			f.sc.seqs.give(s)
+			return append(dst, d), nil
+		}
 	default:
-		// Constructors, XRPC/execute-at, and anything the compiler does not
-		// know stay on the tree-walker.
+		// XRPC/execute-at, and anything the compiler does not know, stay on
+		// the tree-walker.
 		return fc.fallback(e, sc)
 	}
 }
 
-// compileFor lowers a FLWOR loop. Order-by loops and loops nested beyond the
-// depth cap fall back whole. Loops whose body is a remote call decide at
-// *runtime* whether a remote caller is configured — the same Program may run
-// on originator engines (bulk/scatter dispatch, handled by the tree-walk
-// fallback) and on engines without a caller (the compiled loop runs and the
-// body's execute-at faults exactly as interpreted code would).
+// hoisting compiles the invariant-hoisting variant of a for-loop's body: the
+// rewritten body, the scope it compiles in (the hoisted operands bound
+// outside the loop variable) and the operands' binding closures and slots.
+// hBody is nil when nothing hoists.
+func (fc *fnCompiler) hoisting(v *xq.ForExpr, sc *scope, slot int) (hBody xq.Expr, hsc *scope, binds []cexpr, slots []int) {
+	hBody, bindings := hoistInvariantOperands(v.Return, v.Var)
+	if len(bindings) == 0 {
+		return nil, nil, nil, nil
+	}
+	hsc = sc
+	for _, b := range bindings {
+		s := fc.alloc()
+		binds = append(binds, fc.compile(b.expr, sc))
+		slots = append(slots, s)
+		hsc = &scope{name: b.name, slot: s, next: hsc}
+	}
+	return hBody, &scope{name: v.Var, slot: slot, item: true, next: hsc}, binds, slots
+}
+
+// compileFor lowers a FLWOR loop to its eager form. Loops nested beyond the
+// depth cap fall back whole. Loops whose body is a remote call (and that do
+// not sort) decide at *runtime* whether a remote caller is configured — the
+// same Program may run on originator engines (bulk/scatter dispatch, handled
+// by the tree-walk fallback) and on engines without a caller (the compiled
+// loop runs and the body's execute-at faults exactly as interpreted code
+// would).
 func (fc *fnCompiler) compileFor(v *xq.ForExpr, sc *scope) cexpr {
-	if len(v.OrderBy) > 0 || fc.forDepth >= maxCompiledForDepth {
+	if fc.forDepth >= maxCompiledForDepth {
 		return fc.fallback(v, sc)
 	}
 	var fb cexpr
-	if _, isRPC := v.Return.(*xq.XRPCExpr); isRPC {
+	if _, isRPC := v.Return.(*xq.XRPCExpr); isRPC && len(v.OrderBy) == 0 {
 		fb = fc.fallback(v, sc)
 	}
 	fc.forDepth++
 	in := fc.compile(v.In, sc)
-	slot := fc.alloc()
-	plain := fc.compile(v.Return, &scope{name: v.Var, slot: slot, next: sc})
+	slot := fc.allocItem()
+	vsc := &scope{name: v.Var, slot: slot, item: true, next: sc}
+	plain := fc.compile(v.Return, vsc)
+	keys := make([]cexpr, len(v.OrderBy))
+	for i, spec := range v.OrderBy {
+		keys[i] = fc.compile(spec.Key, vsc)
+	}
 	// The hoisted variant replays the tree-walker's loop-invariant hoisting:
 	// chosen at runtime when the loop is long enough (>4 iterations), with
 	// the bindings evaluated eagerly in order — even when the hoisted operand
 	// sits in a branch this execution never takes, because that is what the
 	// interpreter does.
 	var hoisted cexpr
-	var hoistBinds []cexpr
-	var hoistSlots []int
-	if hBody, bindings := hoistInvariantOperands(v.Return, v.Var); len(bindings) > 0 {
-		hsc := sc
-		for _, b := range bindings {
-			s := fc.alloc()
-			hoistBinds = append(hoistBinds, fc.compile(b.expr, sc))
-			hoistSlots = append(hoistSlots, s)
-			hsc = &scope{name: b.name, slot: s, next: hsc}
-		}
-		hoisted = fc.compile(hBody, &scope{name: v.Var, slot: slot, next: hsc})
+	hBody, hsc, binds, slots := fc.hoisting(v, sc, slot)
+	if hBody != nil {
+		hoisted = fc.compile(hBody, hsc)
 	}
 	fc.forDepth--
-	return func(f *cframe) (xdm.Sequence, error) {
+	specs := v.OrderBy
+	return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
 		if fb != nil && f.ctx.eng.Remote != nil {
-			return fb(f)
+			return fb(f, dst)
 		}
 		if err := f.ctx.stop.check(); err != nil {
 			return nil, err
 		}
-		s, err := in(f)
+		s, err := in(f, f.sc.seqs.take())
 		if err != nil {
 			return nil, err
 		}
 		body := plain
 		if hoisted != nil && len(s) > 4 {
-			for i, hb := range hoistBinds {
-				val, err := hb(f)
-				if err != nil {
-					return nil, err
-				}
-				f.bindHoisted(hoistSlots[i], val)
+			if err := f.hoist(binds, slots); err != nil {
+				return nil, err
 			}
 			body = hoisted
 		}
-		out := xdm.Sequence{}
-		for _, it := range s {
-			f.slots[slot] = xdm.Singleton(it)
-			r, err := body(f)
-			if err != nil {
-				return nil, err
+		if len(keys) > 0 {
+			dst, err = f.orderLoop(dst, s, slot, keys, specs, body)
+		} else {
+			for _, it := range s {
+				f.items[slot] = it
+				if dst, err = body(f, dst); err != nil {
+					break
+				}
 			}
-			out = append(out, r...)
 		}
-		return out, nil
-	}
-}
-
-func (fc *fnCompiler) compileTypeswitch(v *xq.TypeswitchExpr, sc *scope) cexpr {
-	op := fc.compile(v.Operand, sc)
-	type tcase struct {
-		typ    xq.SeqType
-		slot   int
-		hasVar bool
-		ret    cexpr
-	}
-	cases := make([]tcase, len(v.Cases))
-	for i, cs := range v.Cases {
-		tc := tcase{typ: cs.Type}
-		csc := sc
-		if cs.Var != "" {
-			tc.hasVar = true
-			tc.slot = fc.alloc()
-			csc = &scope{name: cs.Var, slot: tc.slot, next: sc}
-		}
-		tc.ret = fc.compile(cs.Return, csc)
-		cases[i] = tc
-	}
-	defHasVar := false
-	defSlot := 0
-	dsc := sc
-	if v.DefaultVar != "" {
-		defHasVar = true
-		defSlot = fc.alloc()
-		dsc = &scope{name: v.DefaultVar, slot: defSlot, next: sc}
-	}
-	def := fc.compile(v.Default, dsc)
-	return func(f *cframe) (xdm.Sequence, error) {
-		if err := f.ctx.stop.check(); err != nil {
-			return nil, err
-		}
-		s, err := op(f)
 		if err != nil {
 			return nil, err
 		}
-		for _, tc := range cases {
-			if checkSeqType(s, tc.typ) == nil {
-				if tc.hasVar {
-					f.slots[tc.slot] = s
-				}
-				return tc.ret(f)
-			}
-		}
-		if defHasVar {
-			f.slots[defSlot] = s
-		}
-		return def(f)
+		f.sc.seqs.give(s)
+		return dst, nil
 	}
+}
+
+// typeswitchCases compiles a typeswitch's operand and case bindings. scopes
+// holds the scope of every case's return expression, the default's last.
+func (fc *fnCompiler) typeswitchCases(v *xq.TypeswitchExpr, sc *scope) (cexpr, []tcase, []*scope) {
+	op := fc.compile(v.Operand, sc)
+	cases := make([]tcase, len(v.Cases)+1)
+	scopes := make([]*scope, len(v.Cases)+1)
+	bind := func(i int, name string) {
+		cases[i].slot, scopes[i] = -1, sc
+		if name != "" {
+			cases[i].slot = fc.alloc()
+			scopes[i] = &scope{name: name, slot: cases[i].slot, next: sc}
+		}
+	}
+	for i, cs := range v.Cases {
+		cases[i].typ = cs.Type
+		bind(i, cs.Var)
+	}
+	bind(len(v.Cases), v.DefaultVar)
+	return op, cases, scopes
+}
+
+// typeswitchReturn is the return expression of case i, the default's for
+// i = len(v.Cases).
+func typeswitchReturn(v *xq.TypeswitchExpr, i int) xq.Expr {
+	if i < len(v.Cases) {
+		return v.Cases[i].Return
+	}
+	return v.Default
 }
 
 // compileFunCall lowers a function call. Argument evaluation always comes
@@ -611,7 +733,7 @@ func (fc *fnCompiler) compileFunCall(v *xq.FunCall, sc *scope) cexpr {
 	evalArgs := func(f *cframe) ([]xdm.Sequence, error) {
 		args := make([]xdm.Sequence, len(argExprs))
 		for i, ae := range argExprs {
-			s, err := ae(f)
+			s, err := ae(f, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -622,7 +744,7 @@ func (fc *fnCompiler) compileFunCall(v *xq.FunCall, sc *scope) cexpr {
 	name := v.Name
 	nargs := len(v.Args)
 	if cf, ok := fc.cp.funcs[funcKey(name, nargs)]; ok {
-		return func(f *cframe) (xdm.Sequence, error) {
+		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
 			if err := f.ctx.stop.check(); err != nil {
 				return nil, err
 			}
@@ -630,13 +752,17 @@ func (fc *fnCompiler) compileFunCall(v *xq.FunCall, sc *scope) cexpr {
 			if err != nil {
 				return nil, err
 			}
-			return cf.call(f.ctx, args)
+			res, err := cf.call(f.ctx, f.sc, args)
+			if err != nil {
+				return nil, err
+			}
+			return appendSeq(dst, res), nil
 		}
 	}
 	short := strings.TrimPrefix(name, "fn:")
 	bi, ok := builtins[short]
 	if !ok {
-		return func(f *cframe) (xdm.Sequence, error) {
+		return func(f *cframe, _ xdm.Sequence) (xdm.Sequence, error) {
 			if err := f.ctx.stop.check(); err != nil {
 				return nil, err
 			}
@@ -648,7 +774,7 @@ func (fc *fnCompiler) compileFunCall(v *xq.FunCall, sc *scope) cexpr {
 	}
 	if bi.minArgs > nargs || (bi.maxArgs >= 0 && nargs > bi.maxArgs) {
 		minA, maxA := bi.minArgs, bi.maxArgs
-		return func(f *cframe) (xdm.Sequence, error) {
+		return func(f *cframe, _ xdm.Sequence) (xdm.Sequence, error) {
 			if err := f.ctx.stop.check(); err != nil {
 				return nil, err
 			}
@@ -660,74 +786,73 @@ func (fc *fnCompiler) compileFunCall(v *xq.FunCall, sc *scope) cexpr {
 	}
 	switch short {
 	case "position":
-		return func(f *cframe) (xdm.Sequence, error) {
+		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
 			if err := f.ctx.stop.check(); err != nil {
 				return nil, err
 			}
 			if f.pos == 0 {
 				return nil, fmt.Errorf("eval: position() outside a predicate")
 			}
-			return xdm.Singleton(xdm.NewInteger(int64(f.pos))), nil
+			return append(dst, xdm.NewInteger(int64(f.pos))), nil
 		}
 	case "last":
-		return func(f *cframe) (xdm.Sequence, error) {
+		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
 			if err := f.ctx.stop.check(); err != nil {
 				return nil, err
 			}
 			if f.size == 0 {
 				return nil, fmt.Errorf("eval: last() outside a predicate")
 			}
-			return xdm.Singleton(xdm.NewInteger(int64(f.size))), nil
+			return append(dst, xdm.NewInteger(int64(f.size))), nil
 		}
-	case "root", "id", "idref":
-		// The only remaining builtins that read the dynamic focus: give them
-		// a context carrying the frame's.
-		fn := bi.fn
-		return func(f *cframe) (xdm.Sequence, error) {
-			if err := f.ctx.stop.check(); err != nil {
-				return nil, err
-			}
-			args, err := evalArgs(f)
-			if err != nil {
-				return nil, err
-			}
-			return fn(f.ctx.withItem(f.item, f.pos, f.size), args)
+	}
+	// root, id and idref are the only remaining builtins that read the
+	// dynamic focus: give them a context carrying the frame's.
+	focus := short == "root" || short == "id" || short == "idref"
+	fn := bi.fn
+	return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
+		if err := f.ctx.stop.check(); err != nil {
+			return nil, err
 		}
-	default:
-		fn := bi.fn
-		return func(f *cframe) (xdm.Sequence, error) {
-			if err := f.ctx.stop.check(); err != nil {
-				return nil, err
-			}
-			args, err := evalArgs(f)
-			if err != nil {
-				return nil, err
-			}
-			return fn(f.ctx, args)
+		args, err := evalArgs(f)
+		if err != nil {
+			return nil, err
 		}
+		ctx := f.ctx
+		if focus {
+			ctx = ctx.withItem(f.item, f.pos, f.size)
+		}
+		res, err := fn(ctx, args)
+		if err != nil {
+			return nil, err
+		}
+		return appendSeq(dst, res), nil
 	}
 }
 
-// compilePathParts lowers a path's input and steps; shared between the eager
-// and streaming path forms.
-func (fc *fnCompiler) compilePathParts(v *xq.PathExpr, sc *scope) (cexpr, []*cstep) {
-	var input cexpr
-	if v.Input != nil {
-		input = fc.compile(v.Input, sc)
+// compilePath lowers a path's start and steps; shared between the eager and
+// streaming path forms. A path rooted at a for or quantifier variable starts
+// at that item slot instead of evaluating its input.
+func (fc *fnCompiler) compilePath(v *xq.PathExpr, sc *scope) *cpath {
+	p := &cpath{slot: -1}
+	if slot, ok := itemVar(v.Input, sc); ok {
+		p.slot = slot
+	} else if v.Input != nil {
+		p.input = fc.compile(v.Input, sc)
 	}
-	steps := make([]*cstep, len(v.Steps))
+	p.steps = make([]*cstep, len(v.Steps))
 	for i, st := range v.Steps {
-		cs := &cstep{axis: st.Axis, test: st.Test, filter: st.Filter, streamable: stepStreamable(st)}
-		for _, p := range st.Preds {
-			pred := cpred{b: fc.compileBool(p, sc)}
+		cs := &cstep{axis: st.Axis, test: st.Test, filter: st.Filter}
+		for _, pr := range st.Preds {
+			pred := cpred{b: fc.compileBool(pr, sc)}
 			if pred.b == nil {
-				pred.gen = fc.compile(p, sc)
+				pred.gen = fc.compile(pr, sc)
 			}
 			cs.preds = append(cs.preds, pred)
 		}
-		steps[i] = cs
+		p.steps[i] = cs
 	}
-	return input, steps
+	return p
 }
 
 // compileBool lowers an expression to its boolean fast path when its value
@@ -784,15 +909,7 @@ func (fc *fnCompiler) compileBool(e xq.Expr, sc *scope) cbool {
 	default:
 		return nil
 	}
-	ce := fc.compile(e, sc)
-	return func(f *cframe) (bool, error) {
-		s, err := ce(f)
-		if err != nil {
-			return false, err
-		}
-		b, _ := s.EffectiveBoolean() // boolean singleton by construction
-		return b, nil
-	}
+	return ebv(fc.compile(e, sc), "")
 }
 
 // compileCond lowers a condition to effective-boolean-value form, using the
@@ -801,14 +918,20 @@ func (fc *fnCompiler) compileCond(e xq.Expr, sc *scope, msg string) cbool {
 	if cb := fc.compileBool(e, sc); cb != nil {
 		return cb
 	}
-	ce := fc.compile(e, sc)
+	return ebv(fc.compile(e, sc), msg)
+}
+
+// ebv evaluates ce into scratch and takes its effective boolean value; msg
+// is the invalid-EBV fault ("" when ce is boolean-valued by construction).
+func ebv(ce cexpr, msg string) cbool {
 	return func(f *cframe) (bool, error) {
-		s, err := ce(f)
+		s, err := ce(f, f.sc.seqs.take())
 		if err != nil {
 			return false, err
 		}
 		b, ok := s.EffectiveBoolean()
-		if !ok {
+		f.sc.seqs.give(s)
+		if !ok && msg != "" {
 			return false, errors.New(msg)
 		}
 		return b, nil
@@ -818,12 +941,13 @@ func (fc *fnCompiler) compileCond(e xq.Expr, sc *scope, msg string) cbool {
 // compileGeneralCompare lowers a general comparison to a boolean closure,
 // specializing by static operand kind: a constant operand atomizes once at
 // compile time instead of per evaluation, and a constant side against a
-// predicate-free downward relative path streams the scan — each reached node
-// atomizes and compares in place, exiting on the first satisfying pair,
-// with no candidate list, result sequence or atom slice ever built. The
-// streaming form is observationally identical to materialize-then-compare
-// because generalCompareAtoms never errors (incomparable pairs contribute
-// false), so pair order and duplicates are invisible; only existence counts.
+// predicate-free downward path — relative, or rooted at a for or quantifier
+// variable — streams the scan: each reached node atomizes and compares in
+// place, exiting on the first satisfying pair, with no candidate list,
+// result sequence or atom slice ever built. The streaming form is
+// observationally identical to materialize-then-compare because
+// generalCompareAtoms never errors (incomparable pairs contribute false), so
+// pair order and duplicates are invisible; only existence counts.
 func (fc *fnCompiler) compileGeneralCompare(v *xq.CompareExpr, sc *scope) cbool {
 	op := v.Op
 	var l, r cexpr
@@ -846,7 +970,11 @@ func (fc *fnCompiler) compileGeneralCompare(v *xq.CompareExpr, sc *scope) cbool 
 		r = fc.compile(v.Right, sc)
 	}
 	lHoist, rHoist := hoistedSlot(v.Left, sc), hoistedSlot(v.Right, sc)
-	if path, constLeft, ok := existsComparePath(v, lConst, rConst); ok {
+	if path, constLeft, ok := existsComparePath(v, lConst, rConst, sc); ok {
+		start := -1 // the focus
+		if path.Input != nil {
+			start, _ = itemVar(path.Input, sc)
+		}
 		ca := rc
 		if constLeft {
 			ca = lc
@@ -857,10 +985,13 @@ func (fc *fnCompiler) compileGeneralCompare(v *xq.CompareExpr, sc *scope) cbool 
 			if err := f.ctx.stop.check(); err != nil {
 				return false, err
 			}
-			if f.item == nil {
+			it := f.item
+			if start >= 0 {
+				it = f.items[start]
+			} else if it == nil {
 				return false, fmt.Errorf("eval: relative path with undefined context item")
 			}
-			n, isNode := f.item.(*xdm.Node)
+			n, isNode := it.(*xdm.Node)
 			if !isNode {
 				return false, fmt.Errorf("eval: path step %s::%s applied to atomic value", first.Axis, first.Test)
 			}
@@ -871,23 +1002,27 @@ func (fc *fnCompiler) compileGeneralCompare(v *xq.CompareExpr, sc *scope) cbool 
 		if err := f.ctx.stop.check(); err != nil {
 			return false, err
 		}
-		la := lc
+		la, ra := lc, rc
+		var lb, rb bool // borrowed scratch to give back
+		var err error
 		if !lConst {
-			ls, err := l(f)
-			if err != nil {
+			if la, lb, err = f.compareOperand(l, lHoist); err != nil {
 				return false, err
 			}
-			la = f.atomized(lHoist, ls)
 		}
-		ra := rc
 		if !rConst {
-			rs, err := r(f)
-			if err != nil {
+			if ra, rb, err = f.compareOperand(r, rHoist); err != nil {
 				return false, err
 			}
-			ra = f.atomized(rHoist, rs)
 		}
-		return generalCompareAtoms(op, la, ra), nil
+		res := generalCompareAtoms(op, la, ra)
+		if lb {
+			f.sc.atoms.give(la)
+		}
+		if rb {
+			f.sc.atoms.give(ra)
+		}
+		return res, nil
 	}
 }
 
@@ -895,36 +1030,40 @@ func (fc *fnCompiler) compileGeneralCompare(v *xq.CompareExpr, sc *scope) cbool 
 // operand a for-loop hoisted, or -1.
 func hoistedSlot(e xq.Expr, sc *scope) int {
 	if ref, ok := e.(*xq.VarRef); ok && strings.HasPrefix(ref.Name, hoistPrefix) {
-		if slot, ok := sc.lookup(ref.Name); ok {
-			return slot
+		if b, ok := sc.lookup(ref.Name); ok {
+			return b.slot
 		}
 	}
 	return -1
 }
 
 // existsComparePath picks out the streamable comparison shape: exactly one
-// constant operand, the other a relative predicate-free chain of downward
-// steps. constLeft reports which side the constant is on (pair order feeds
+// constant operand, the other a predicate-free chain of downward steps.
+// constLeft reports which side the constant is on (pair order feeds
 // CompareAtomics' asymmetric promotion rules).
-func existsComparePath(v *xq.CompareExpr, lConst, rConst bool) (p *xq.PathExpr, constLeft, ok bool) {
+func existsComparePath(v *xq.CompareExpr, lConst, rConst bool, sc *scope) (p *xq.PathExpr, constLeft, ok bool) {
 	if rConst && !lConst {
-		if p, ok := v.Left.(*xq.PathExpr); ok && simpleDownwardPath(p) {
+		if p, ok := v.Left.(*xq.PathExpr); ok && simpleDownwardPath(p, sc) {
 			return p, false, true
 		}
 	}
 	if lConst && !rConst {
-		if p, ok := v.Right.(*xq.PathExpr); ok && simpleDownwardPath(p) {
+		if p, ok := v.Right.(*xq.PathExpr); ok && simpleDownwardPath(p, sc) {
 			return p, true, true
 		}
 	}
 	return nil, false, false
 }
 
-// simpleDownwardPath reports whether p is a relative, predicate-free chain of
-// downward (or self) steps — the shape whose node set can stream without
-// materialization, dedup or document-order sorting mattering to existence.
-func simpleDownwardPath(p *xq.PathExpr) bool {
-	if p.Input != nil || len(p.Steps) == 0 {
+// simpleDownwardPath reports whether p is a predicate-free chain of downward
+// (or self) steps, relative or rooted at a for or quantifier variable — the
+// shape whose node set can stream without materialization, dedup or
+// document-order sorting mattering to existence.
+func simpleDownwardPath(p *xq.PathExpr, sc *scope) bool {
+	if len(p.Steps) == 0 {
+		return false
+	}
+	if _, isItem := itemVar(p.Input, sc); p.Input != nil && !isItem {
 		return false
 	}
 	for _, st := range p.Steps {
@@ -941,100 +1080,93 @@ func simpleDownwardPath(p *xq.PathExpr) bool {
 	return true
 }
 
-// replaySeq adapts an eager compiled expression to the lazy interface:
-// nothing runs until the first pull, then the result materializes and
-// replays — the compiled deferEval.
+// replaySeq adapts an eager compiled expression to the push form: nothing
+// runs until the consumer calls it, then the result materializes into
+// scratch and replays — the compiled deferEval.
 func replaySeq(ce cexpr) cseq {
-	return func(f *cframe) xdm.Seq {
-		return func(yield func(xdm.Item) bool) error {
-			s, err := ce(f)
-			if err != nil {
-				return err
-			}
-			for _, it := range s {
-				if !yield(it) {
-					return nil
-				}
-			}
-			return nil
+	return func(f *cframe, yield func(xdm.Item) bool) error {
+		s, err := ce(f, f.sc.seqs.take())
+		if err != nil {
+			return err
 		}
+		for _, it := range s {
+			if !yield(it) {
+				return errHalt
+			}
+		}
+		f.sc.seqs.give(s)
+		return nil
 	}
 }
 
-// compileSeq lowers one expression to its lazy compiled form — the compiled
-// twin of context.evalSeq, case for case: the same expressions stream, and
+// compileSeq lowers one expression to its push form — the compiled twin of
+// context.evalSeq, case for case: the same expressions stream, and
 // everything else replays its eager form.
 func (fc *fnCompiler) compileSeq(e xq.Expr, sc *scope) cseq {
 	switch v := e.(type) {
 	case nil:
-		return func(*cframe) xdm.Seq { return xdm.EmptySeq() }
+		return func(*cframe, func(xdm.Item) bool) error { return nil }
 	case *xq.SeqExpr:
 		parts := make([]cseq, len(v.Items))
 		for i, it := range v.Items {
 			parts[i] = fc.compileSeq(it, sc)
 		}
-		return func(f *cframe) xdm.Seq {
-			return func(yield func(xdm.Item) bool) error {
-				if err := f.ctx.stop.check(); err != nil {
+		return func(f *cframe, yield func(xdm.Item) bool) error {
+			if err := f.ctx.stop.check(); err != nil {
+				return err
+			}
+			for _, part := range parts {
+				if err := part(f, yield); err != nil {
 					return err
 				}
-				stopped := false
-				for _, part := range parts {
-					err := part(f)(func(it xdm.Item) bool {
-						if !yield(it) {
-							stopped = true
-							return false
-						}
-						return true
-					})
-					if err != nil {
-						return err
-					}
-					if stopped {
-						return nil
-					}
-				}
-				return nil
 			}
+			return nil
 		}
 	case *xq.LetExpr:
 		bind := fc.compile(v.Bind, sc)
 		slot := fc.alloc()
 		body := fc.compileSeq(v.Return, &scope{name: v.Var, slot: slot, next: sc})
-		return func(f *cframe) xdm.Seq {
-			return func(yield func(xdm.Item) bool) error {
-				if err := f.ctx.stop.check(); err != nil {
-					return err
-				}
-				s, err := bind(f)
-				if err != nil {
-					return err
-				}
-				f.slots[slot] = s
-				return body(f)(yield)
+		return func(f *cframe, yield func(xdm.Item) bool) error {
+			if err := f.ctx.stop.check(); err != nil {
+				return err
 			}
+			s, err := bind(f, nil)
+			if err != nil {
+				return err
+			}
+			f.slots[slot] = s
+			return body(f, yield)
 		}
 	case *xq.IfExpr:
 		cond := fc.compileCond(v.Cond, sc, "eval: invalid effective boolean value in if condition")
 		then := fc.compileSeq(v.Then, sc)
 		els := fc.compileSeq(v.Else, sc)
-		return func(f *cframe) xdm.Seq {
-			return func(yield func(xdm.Item) bool) error {
-				if err := f.ctx.stop.check(); err != nil {
-					return err
-				}
-				b, err := cond(f)
-				if err != nil {
-					return err
-				}
-				if b {
-					return then(f)(yield)
-				}
-				return els(f)(yield)
+		return func(f *cframe, yield func(xdm.Item) bool) error {
+			if err := f.ctx.stop.check(); err != nil {
+				return err
 			}
+			b, err := cond(f)
+			if err != nil {
+				return err
+			}
+			if b {
+				return then(f, yield)
+			}
+			return els(f, yield)
 		}
 	case *xq.TypeswitchExpr:
-		return fc.compileTypeswitchSeq(v, sc)
+		op, cases, scopes := fc.typeswitchCases(v, sc)
+		rets := make([]cseq, len(scopes))
+		for i, s := range scopes {
+			rets[i] = fc.compileSeq(typeswitchReturn(v, i), s)
+		}
+		return func(f *cframe, yield func(xdm.Item) bool) error {
+			i, err := f.typeswitch(op, cases)
+			if err != nil {
+				return err
+			}
+			return rets[i](f, yield)
+		}
 	case *xq.ForExpr:
 		return fc.compileForSeq(v, sc)
 	case *xq.PathExpr:
@@ -1042,95 +1174,15 @@ func (fc *fnCompiler) compileSeq(e xq.Expr, sc *scope) cseq {
 		if n == 0 || !stepStreamable(v.Steps[n-1]) {
 			return replaySeq(fc.compile(e, sc))
 		}
-		input, steps := fc.compilePathParts(v, sc)
-		head, last := steps[:n-1], steps[n-1]
-		return func(f *cframe) xdm.Seq {
-			return func(yield func(xdm.Item) bool) error {
-				if err := f.ctx.stop.check(); err != nil {
-					return err
-				}
-				cur, err := f.runPath(input, head)
-				if err != nil {
-					return err
-				}
-				if last.filter {
-					return f.streamFilterItems(cur, last.preds, yield)
-				}
-				nodes, ok := cur.Nodes()
-				if !ok {
-					return fmt.Errorf("eval: path step %s::%s applied to atomic value", last.axis, last.test)
-				}
-				if len(nodes) > 1 && !xdm.OrderedDisjointNodes(nodes) {
-					gathered, err := f.runStep(nodes, last, nil)
-					if err != nil {
-						return err
-					}
-					for _, m := range gathered {
-						if !yield(m) {
-							return nil
-						}
-					}
-					return nil
-				}
-				return f.streamCompiledStep(nodes, last, yield)
-			}
-		}
-	default:
-		return replaySeq(fc.compile(e, sc))
-	}
-}
-
-func (fc *fnCompiler) compileTypeswitchSeq(v *xq.TypeswitchExpr, sc *scope) cseq {
-	op := fc.compile(v.Operand, sc)
-	type tcase struct {
-		typ    xq.SeqType
-		slot   int
-		hasVar bool
-		ret    cseq
-	}
-	cases := make([]tcase, len(v.Cases))
-	for i, cs := range v.Cases {
-		tc := tcase{typ: cs.Type}
-		csc := sc
-		if cs.Var != "" {
-			tc.hasVar = true
-			tc.slot = fc.alloc()
-			csc = &scope{name: cs.Var, slot: tc.slot, next: sc}
-		}
-		tc.ret = fc.compileSeq(cs.Return, csc)
-		cases[i] = tc
-	}
-	defHasVar := false
-	defSlot := 0
-	dsc := sc
-	if v.DefaultVar != "" {
-		defHasVar = true
-		defSlot = fc.alloc()
-		dsc = &scope{name: v.DefaultVar, slot: defSlot, next: sc}
-	}
-	def := fc.compileSeq(v.Default, dsc)
-	return func(f *cframe) xdm.Seq {
-		return func(yield func(xdm.Item) bool) error {
+		p := fc.compilePath(v, sc)
+		return func(f *cframe, yield func(xdm.Item) bool) error {
 			if err := f.ctx.stop.check(); err != nil {
 				return err
 			}
-			s, err := op(f)
-			if err != nil {
-				return err
-			}
-			for _, tc := range cases {
-				if checkSeqType(s, tc.typ) == nil {
-					if tc.hasVar {
-						f.slots[tc.slot] = s
-					}
-					return tc.ret(f)(yield)
-				}
-			}
-			if defHasVar {
-				f.slots[defSlot] = s
-			}
-			return def(f)(yield)
+			return f.streamPath(p, yield)
 		}
+	default:
+		return replaySeq(fc.compile(e, sc))
 	}
 }
 
@@ -1138,121 +1190,47 @@ func (fc *fnCompiler) compileTypeswitchSeq(v *xq.TypeswitchExpr, sc *scope) cseq
 // each iteration's body items are yielded before the next input item is
 // pulled, the first four inputs are buffered until the hoisting heuristic
 // decides, and the remote special cases defer to the eager evaluator at
-// runtime exactly as evalSeq does.
+// runtime exactly as evalSeq does. Order-by loops gather whole results by
+// design, so they replay their eager form, as evalSeq defers them to evalFor.
 func (fc *fnCompiler) compileForSeq(v *xq.ForExpr, sc *scope) cseq {
 	if len(v.OrderBy) > 0 || fc.forDepth >= maxCompiledForDepth {
-		return replaySeq(fc.fallback(v, sc))
+		return replaySeq(fc.compileFor(v, sc))
 	}
-	var fb cexpr
+	var fb cseq
 	if _, isRPC := v.Return.(*xq.XRPCExpr); isRPC {
-		fb = fc.fallback(v, sc)
+		fb = replaySeq(fc.fallback(v, sc))
 	}
 	fc.forDepth++
 	in := fc.compileSeq(v.In, sc)
-	slot := fc.alloc()
-	plain := fc.compileSeq(v.Return, &scope{name: v.Var, slot: slot, next: sc})
-	var hoistedBody cseq
-	var hoistBinds []cexpr
-	var hoistSlots []int
-	if hBody, bindings := hoistInvariantOperands(v.Return, v.Var); len(bindings) > 0 {
-		hsc := sc
-		for _, b := range bindings {
-			s := fc.alloc()
-			hoistBinds = append(hoistBinds, fc.compile(b.expr, sc))
-			hoistSlots = append(hoistSlots, s)
-			hsc = &scope{name: b.name, slot: s, next: hsc}
-		}
-		hoistedBody = fc.compileSeq(hBody, &scope{name: v.Var, slot: slot, next: hsc})
+	slot := fc.allocItem()
+	plain := fc.compileSeq(v.Return, &scope{name: v.Var, slot: slot, item: true, next: sc})
+	var hoisted cseq
+	hBody, hsc, binds, slots := fc.hoisting(v, sc, slot)
+	if hBody != nil {
+		hoisted = fc.compileSeq(hBody, hsc)
 	}
 	fc.forDepth--
-	return func(f *cframe) xdm.Seq {
-		return func(yield func(xdm.Item) bool) error {
-			if fb != nil && f.ctx.eng.Remote != nil {
-				s, err := fb(f)
-				if err != nil {
-					return err
-				}
-				for _, it := range s {
-					if !yield(it) {
-						return nil
-					}
-				}
-				return nil
-			}
-			if err := f.ctx.stop.check(); err != nil {
-				return err
-			}
-			body := plain
-			runBody := func(it xdm.Item) (bool, error) {
-				f.slots[slot] = xdm.Singleton(it)
-				stopped := false
-				err := body(f)(func(x xdm.Item) bool {
-					if !yield(x) {
-						stopped = true
-						return false
-					}
-					return true
-				})
-				return !stopped, err
-			}
-			var buf xdm.Sequence
-			var inErr error
-			hoisted := false
-			stopped := false
-			err := in(f)(func(it xdm.Item) bool {
-				if !hoisted {
-					buf = append(buf, it)
-					if len(buf) <= 4 {
-						return true
-					}
-					hoisted = true
-					if hoistedBody != nil {
-						body = hoistedBody
-						for i, hb := range hoistBinds {
-							val, err := hb(f)
-							if err != nil {
-								inErr = err
-								return false
-							}
-							f.bindHoisted(hoistSlots[i], val)
-						}
-					}
-					for _, b := range buf {
-						cont, err := runBody(b)
-						if err != nil || !cont {
-							inErr, stopped = err, !cont
-							return false
-						}
-					}
-					buf = nil
-					return true
-				}
-				cont, err := runBody(it)
-				if err != nil || !cont {
-					inErr, stopped = err, !cont
-					return false
-				}
-				return true
-			})
-			if err != nil {
-				return err
-			}
-			if inErr != nil {
-				return inErr
-			}
-			if stopped {
-				return nil
-			}
-			for _, b := range buf { // short loop: never hoisted, replay now
-				cont, err := runBody(b)
-				if err != nil {
-					return err
-				}
-				if !cont {
-					return nil
-				}
-			}
-			return nil
+	return func(f *cframe, yield func(xdm.Item) bool) error {
+		if fb != nil && f.ctx.eng.Remote != nil {
+			return fb(f, yield)
 		}
+		if err := f.ctx.stop.check(); err != nil {
+			return err
+		}
+		l := &forLoop{f: f, yield: yield, slot: slot, body: plain, hoisted: hoisted, binds: binds, slots: slots}
+		err := in(f, l.push)
+		if l.err != nil {
+			return l.err
+		}
+		if err != nil {
+			return err
+		}
+		// A short loop is never hoisted: replay the buffered inputs now.
+		for _, it := range l.buf[:l.nbuf] {
+			if err := l.run(it); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 }

@@ -134,6 +134,29 @@ var compiledFuzzSeeds = []string{
 	`typeswitch (1 + 1) case $i as xs:integer return $i default return "no"`,
 	`let $d := doc("a.xml") return ($d//l2[1], $d//l2[@k = "y"][2], $d//l3/ancestor::l1)`,
 	`string-join(for $b in doc("a.xml")//book return $b/title/text(), "|")`,
+	// Compiled order by: empty keys, sequence and incomparable keys (both
+	// fault), several keys with ties, hoisting in a sorted loop, and a sort
+	// inside a declared function.
+	`for $p in doc("a.xml")//person order by $p/emailaddress descending return $p/name`,
+	`for $x in (1, 2) order by ($x, $x) return $x`,
+	`for $x in (1, "a", 2) order by $x return $x`,
+	`for $x in (3, 1, 2, 1, 3, 2) order by $x mod 2 descending, $x idiv 2 return $x * 10 + $x`,
+	`for $p in doc("a.xml")//person order by $p/address/city return $p/name`,
+	`for $p in doc("a.xml")//person order by $p/profile/age
+	 return if ($p/name = doc("a.xml")//author) then $p/name else ()`,
+	`declare function sorted($s as item()*) as item()* { for $x in $s order by $x descending return $x };
+	 sorted(doc("a.xml")//age)`,
+	// Compiled constructors: nesting in place, attribute-after-content
+	// faults, document content, atom joining, identity and order across
+	// trees, parents and roots of constructed nodes.
+	`<a x="1"><b>{doc("a.xml")//book[1]/title}</b><c><d>t</d>{doc("a.xml")//l2[1]}</c></a>`,
+	`<a>{"x"}{attribute y {1}}</a>`,
+	`<a>{("x", attribute y {1})}</a>`,
+	`<a>{document { <b/>, "t" }}</a>`,
+	`<a>{1, "two", 3.5}{4}</a>`,
+	`let $x := <a/> return let $y := <b/> return ($x is $y, $x << $y, $y << $x, $x is $x)`,
+	`let $e := <a><b/></a> return ($e/b/.., root($e), count(root($e)/node()), $e/..)`,
+	`(<a><b/></a>)/b`,
 }
 
 // FuzzCompiledVsTreeWalk is the differential fuzzer of the compiler: every

@@ -2,19 +2,23 @@ package eval
 
 // Runtime for compiled queries. compile.go lowers a normalized query into a
 // Program: chains of pre-resolved closures over a flat slot frame. This file
-// holds the runtime those closures execute against — the frame, the calling
-// convention for declared functions, and the specialized path-step scanners.
+// holds the runtime those closures execute against — the frame and its
+// scratch, the calling convention for declared functions, the specialized
+// path-step scanners, order-by loops and constructors.
 //
 // The correctness contract, enforced by FuzzCompiledVsTreeWalk: a compiled
 // query produces byte-identical results AND byte-identical errors to the
 // tree-walking evaluator. Every specialization below therefore mirrors the
 // corresponding tree-walk routine exactly (same candidate order, same
-// predicate numbering, same error strings); anything the compiler cannot
-// prove safe falls back to the tree-walker itself (see fnCompiler.fallback),
-// so divergence is structurally impossible outside the compiled subset.
+// predicate numbering, same error strings), shares its kernel where one
+// exists (comparison, arithmetic, the order-by comparator, the constructor
+// builder), and anything the compiler cannot prove safe falls back to the
+// tree-walker itself (see fnCompiler.fallback).
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 
 	"distxq/internal/xdm"
 	"distxq/internal/xq"
@@ -34,26 +38,57 @@ type Options struct {
 	Compile bool
 }
 
-// cexpr is a compiled expression: evaluate eagerly against a frame.
-type cexpr func(*cframe) (xdm.Sequence, error)
+// cexpr is a compiled expression in eager form, the twin of context.eval: it
+// evaluates completely and appends its value to dst, returning the extended
+// slice. With dst nil the result may share storage with a slot or a
+// constant, so it comes back with capacity equal to its length (appendSeq):
+// whoever appends to a value it got copies it first.
+type cexpr func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error)
 
-// cseq is a compiled lazy expression: the twin of context.evalSeq. The
-// returned xdm.Seq reads the frame at pull time, synchronously with the
-// producing loop, so slot values are always the binding in scope.
-type cseq func(*cframe) xdm.Seq
+// cseq is a compiled expression in push form, the twin of context.evalSeq:
+// it hands its items to yield in order as it produces them. When yield
+// returns false the producer stops and returns errHalt, which travels up to
+// the consumer that asked to stop — the run's API boundary turns it into
+// the nil of the xdm.Seq contract. Items are produced synchronously with
+// the frame, so slot values are always the binding in scope.
+type cseq func(f *cframe, yield func(xdm.Item) bool) error
+
+// errHalt reports, inside compiled push code, that the consumer stopped.
+var errHalt = errors.New("eval: sequence consumer stopped")
+
+// halted maps the errHalt of a consumer that stopped early to the nil the
+// xdm.Seq contract promises.
+func halted(err error) error {
+	if err == errHalt {
+		return nil
+	}
+	return err
+}
 
 // cbool is a compiled boolean-valued expression (comparison, logic, boolean
 // builtin): the predicate fast path that skips sequence materialization.
 type cbool func(*cframe) (bool, error)
 
+// appendSeq appends s to dst; with dst nil it returns s itself, clipped to
+// its length so that a later append cannot write into storage s shares.
+func appendSeq(dst, s xdm.Sequence) xdm.Sequence {
+	if dst == nil {
+		return s[:len(s):len(s)]
+	}
+	return append(dst, s...)
+}
+
 // cframe is the activation record of one compiled query or function call:
-// variable slots resolved at compile time plus the dynamic focus. ctx carries
-// the engine, static context and stopCheck; its vars chain is never used by
+// variable slots resolved at compile time plus the dynamic focus. A let,
+// typeswitch, hoisted or parameter binding holds a sequence (slots); a for
+// or quantifier variable holds its one item (items). ctx carries the
+// engine, static context and stopCheck; its vars chain is never used by
 // compiled code (slots replace it) but is rebuilt on demand when a fallback
 // closure re-enters the tree-walker.
 type cframe struct {
 	ctx   *context
 	slots []xdm.Sequence
+	items []xdm.Item
 	item  xdm.Item
 	pos   int
 	size  int
@@ -61,12 +96,84 @@ type cframe struct {
 	// slot's value — the compiled twin of frame.atoms. bindHoisted drops the
 	// entry whenever the loop that owns the slot evaluates the operand anew.
 	atoms map[int][]xdm.Atomic
+	sc    *cscratch
 }
+
+// newFrame returns a frame for a compiled unit with nslots sequence and
+// nitems item slots. A call shares its caller's scratch; a run starts one.
+func newFrame(ctx *context, nslots, nitems int, sc *cscratch) *cframe {
+	if sc == nil {
+		r := &struct {
+			f  cframe
+			sc cscratch
+		}{}
+		r.sc.seqs.size, r.sc.nodes.size, r.sc.atoms.size = 8, 8, 2
+		r.f.sc = &r.sc
+		r.f.ctx = ctx
+		r.f.slots = make([]xdm.Sequence, nslots)
+		r.f.items = make([]xdm.Item, nitems)
+		return &r.f
+	}
+	return &cframe{ctx: ctx, slots: make([]xdm.Sequence, nslots), items: make([]xdm.Item, nitems), sc: sc}
+}
+
+// cscratch is the working storage of one run of a Program: free lists of
+// the sequence, node and atom buffers compiled code borrows for values it
+// consumes on the spot, and the constructors' tree builder. Every frame of a
+// run shares it and no two runs do, so it needs no lock. A borrowed buffer
+// goes back once its contents have been consumed — never while a returned
+// value could still alias it.
+type cscratch struct {
+	seqs  freeList[xdm.Item]
+	nodes freeList[*xdm.Node]
+	atoms freeList[xdm.Atomic]
+	build *treeBuilder
+}
+
+// builder returns the run's tree builder, made on the first construction.
+func (sc *cscratch) builder() *treeBuilder {
+	if sc.build == nil {
+		sc.build = new(treeBuilder)
+	}
+	return sc.build
+}
+
+// freeList recycles scratch slices. take never returns nil, so a cexpr
+// handed a borrowed buffer always appends into it. A fresh buffer holds
+// size elements: a short run (one call of a shipped function) pays for every
+// buffer it starts, and most scratch values are a few items.
+type freeList[T any] struct {
+	free [][]T
+	size int
+}
+
+func (l *freeList[T]) take() []T {
+	if n := len(l.free); n > 0 {
+		s := l.free[n-1]
+		l.free = l.free[:n-1]
+		return s
+	}
+	return make([]T, 0, l.size)
+}
+
+func (l *freeList[T]) give(s []T) { l.free = append(l.free, s[:0]) }
 
 // bindHoisted stores a freshly evaluated hoisted comparison operand.
 func (f *cframe) bindHoisted(slot int, val xdm.Sequence) {
 	f.slots[slot] = val
 	delete(f.atoms, slot)
+}
+
+// hoist evaluates a loop's hoisted operands into their slots, in order.
+func (f *cframe) hoist(binds []cexpr, slots []int) error {
+	for i, hb := range binds {
+		val, err := hb(f, nil)
+		if err != nil {
+			return err
+		}
+		f.bindHoisted(slots[i], val)
+	}
+	return nil
 }
 
 // atomized returns s.Atomize() for s the value of a comparison operand,
@@ -86,13 +193,164 @@ func (f *cframe) atomized(slot int, s xdm.Sequence) []xdm.Atomic {
 	return a
 }
 
+// atomsOf evaluates ce and returns its atomized value in a borrowed atom
+// buffer.
+func (f *cframe) atomsOf(ce cexpr) ([]xdm.Atomic, error) {
+	s, err := ce(f, f.sc.seqs.take())
+	if err != nil {
+		return nil, err
+	}
+	a := appendAtoms(f.sc.atoms.take(), s)
+	f.sc.seqs.give(s)
+	return a, nil
+}
+
+// compareOperand atomizes a general comparison's operand: through the memo
+// for a hoisted one, else into a borrowed buffer (borrowed reports which).
+func (f *cframe) compareOperand(ce cexpr, hoist int) (a []xdm.Atomic, borrowed bool, err error) {
+	if hoist >= 0 {
+		s, err := ce(f, nil)
+		if err != nil {
+			return nil, false, err
+		}
+		return f.atomized(hoist, s), false, nil
+	}
+	a, err = f.atomsOf(ce)
+	return a, true, err
+}
+
+// tcase is one compiled typeswitch case: its sequence type and the slot its
+// variable binds (-1: none). The default case comes last.
+type tcase struct {
+	typ  xq.SeqType
+	slot int
+}
+
+// typeswitch evaluates the operand and returns the index of the case that
+// matches it (the default's when none does), with its variable bound.
+func (f *cframe) typeswitch(op cexpr, cases []tcase) (int, error) {
+	if err := f.ctx.stop.check(); err != nil {
+		return 0, err
+	}
+	s, err := op(f, nil)
+	if err != nil {
+		return 0, err
+	}
+	i := len(cases) - 1
+	for k, tc := range cases[:i] {
+		if checkSeqType(s, tc.typ) == nil {
+			i = k
+			break
+		}
+	}
+	if cases[i].slot >= 0 {
+		f.slots[cases[i].slot] = s
+	}
+	return i, nil
+}
+
+// forLoop is one evaluation of a streamed for-loop: the state forSeq keeps
+// in its closures, in one value, so a loop costs the same two allocations
+// however many items it binds. Its push method consumes the input.
+type forLoop struct {
+	f       *cframe
+	yield   func(xdm.Item) bool
+	slot    int
+	body    cseq
+	hoisted cseq
+	binds   []cexpr
+	slots   []int
+	// buf holds the first inputs until the hoisting heuristic decides.
+	buf     [4]xdm.Item
+	nbuf    int
+	decided bool
+	err     error
+}
+
+func (l *forLoop) push(it xdm.Item) bool {
+	if !l.decided {
+		if l.nbuf < len(l.buf) {
+			l.buf[l.nbuf] = it
+			l.nbuf++
+			return true
+		}
+		// A fifth input: the loop is long enough to hoist.
+		l.decided = true
+		if l.hoisted != nil {
+			if l.err = l.f.hoist(l.binds, l.slots); l.err != nil {
+				return false
+			}
+			l.body = l.hoisted
+		}
+		for _, b := range l.buf[:l.nbuf] {
+			if l.err = l.run(b); l.err != nil {
+				return false
+			}
+		}
+		l.nbuf = 0
+	}
+	l.err = l.run(it)
+	return l.err == nil
+}
+
+func (l *forLoop) run(it xdm.Item) error {
+	l.f.items[l.slot] = it
+	return l.body(l.f, l.yield)
+}
+
+// orderLoop runs an order-by loop's iterations over in exactly as evalFor
+// does — per iteration in input order its keys, then its body — sorts them
+// with the shared comparator and appends their results to dst in sorted
+// order. Keys and results accumulate in two flat buffers, so an iteration
+// allocates nothing of its own.
+func (f *cframe) orderLoop(dst, in xdm.Sequence, slot int, keys []cexpr, specs []xq.OrderSpec, body cexpr) (xdm.Sequence, error) {
+	k := len(keys)
+	iters := make([]orderedIteration, len(in))
+	atoms := make([]xdm.Atomic, len(in)*k)
+	flat, kb := f.sc.seqs.take(), f.sc.seqs.take()
+	for i, it := range in {
+		if err := f.ctx.stop.check(); err != nil {
+			return nil, err
+		}
+		f.items[slot] = it
+		ks := atoms[i*k : (i+1)*k : (i+1)*k]
+		for j, key := range keys {
+			var err error
+			if kb, err = key(f, kb[:0]); err != nil {
+				return nil, err
+			}
+			if ks[j], err = orderKey(kb); err != nil {
+				return nil, err
+			}
+		}
+		lo := len(flat)
+		var err error
+		if flat, err = body(f, flat); err != nil {
+			return nil, err
+		}
+		// A later append may move flat; this window keeps the array it
+		// was written to, which nothing writes again.
+		iters[i] = orderedIteration{keys: ks, res: flat[lo:len(flat):len(flat)]}
+	}
+	f.sc.seqs.give(kb)
+	if err := sortOrdered(iters, specs); err != nil {
+		return nil, err
+	}
+	for _, it := range iters {
+		dst = append(dst, it.res...)
+	}
+	f.sc.seqs.give(flat)
+	return dst, nil
+}
+
 // Program is the compiled artifact of one query: the compiled body (eager
 // and lazy forms) plus every declared function. A Program is immutable after
 // compilation and engine-independent — all engine state is read from the
-// context a run is given — so one Program may execute concurrently on any
-// number of engines.
+// context a run is given, all scratch lives in the run's frames — so one
+// Program may execute concurrently on any number of engines.
 type Program struct {
 	nslots  int
+	nitems  int
 	body    cexpr
 	bodySeq cseq
 	// order holds the declared functions in declaration order (the lookup
@@ -106,30 +364,29 @@ type Program struct {
 }
 
 // FallbackSites reports how many nodes of each AST construct (xq type name,
-// e.g. "ElemConstructor") this Program hands back to the tree-walker.
-// Callers must not modify the map.
+// e.g. "XRPCExpr") this Program hands back to the tree-walker. Callers must
+// not modify the map.
 func (p *Program) FallbackSites() map[string]int { return p.fallbacks }
 
 // cfunc is one compiled declared function.
 type cfunc struct {
 	decl    *xq.FuncDecl
 	nslots  int
+	nitems  int
 	body    cexpr
 	bodySeq cseq
 }
 
 // run evaluates the program body eagerly under ctx.
 func (p *Program) run(ctx *context) (xdm.Sequence, error) {
-	f := &cframe{ctx: ctx, slots: make([]xdm.Sequence, p.nslots)}
-	return p.body(f)
+	return p.body(newFrame(ctx, p.nslots, p.nitems, nil), nil)
 }
 
 // runSeq returns the program body as a lazy sequence; the frame is created at
 // first pull, matching the nothing-runs-until-pulled contract of QuerySeq.
 func (p *Program) runSeq(ctx *context) xdm.Seq {
 	return func(yield func(xdm.Item) bool) error {
-		f := &cframe{ctx: ctx, slots: make([]xdm.Sequence, p.nslots)}
-		return p.bodySeq(f)(yield)
+		return halted(p.bodySeq(newFrame(ctx, p.nslots, p.nitems, nil), yield))
 	}
 }
 
@@ -138,7 +395,7 @@ func (p *Program) runSeq(ctx *context) xdm.Seq {
 func (p *Program) callFunction(ctx *context, name string, args []xdm.Sequence) (xdm.Sequence, error) {
 	for _, cf := range p.order {
 		if cf.decl.Name == name && len(cf.decl.Params) == len(args) {
-			return cf.call(ctx, args)
+			return cf.call(ctx, nil, args)
 		}
 	}
 	return nil, fmt.Errorf("eval: function %s#%d not declared", name, len(args))
@@ -156,16 +413,17 @@ func (p *Program) callFunctionSeq(ctx *context, name string, args []xdm.Sequence
 
 // call runs a compiled declared function: parameters type-check into the
 // first frame slots, the body runs, the result type-checks — exactly
-// callDeclared with slots in place of a bound chain.
-func (cf *cfunc) call(ctx *context, args []xdm.Sequence) (xdm.Sequence, error) {
-	f := &cframe{ctx: ctx, slots: make([]xdm.Sequence, cf.nslots)}
+// callDeclared with slots in place of a bound chain. sc is the caller's
+// scratch, nil for a call from outside a run.
+func (cf *cfunc) call(ctx *context, sc *cscratch, args []xdm.Sequence) (xdm.Sequence, error) {
+	f := newFrame(ctx, cf.nslots, cf.nitems, sc)
 	for i, p := range cf.decl.Params {
 		if err := checkSeqType(args[i], p.Type); err != nil {
 			return nil, fmt.Errorf("eval: %s($%s): %w", cf.decl.Name, p.Name, err)
 		}
 		f.slots[i] = args[i]
 	}
-	res, err := cf.body(f)
+	res, err := cf.body(f, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -184,14 +442,14 @@ func (cf *cfunc) callSeq(ctx *context, args []xdm.Sequence) (xdm.Seq, error) {
 			return nil, fmt.Errorf("eval: %s($%s): %w", cf.decl.Name, p.Name, err)
 		}
 	}
-	newFrame := func() *cframe {
-		f := &cframe{ctx: ctx, slots: make([]xdm.Sequence, cf.nslots)}
+	frame := func() *cframe {
+		f := newFrame(ctx, cf.nslots, cf.nitems, nil)
 		copy(f.slots, args)
 		return f
 	}
 	if cf.decl.Return.Occur != xq.OccurStar {
 		return func(yield func(xdm.Item) bool) error {
-			res, err := cf.body(newFrame())
+			res, err := cf.body(frame(), nil)
 			if err != nil {
 				return err
 			}
@@ -208,22 +466,22 @@ func (cf *cfunc) callSeq(ctx *context, args []xdm.Sequence) (xdm.Seq, error) {
 	}
 	if cf.decl.Return.Item == "item()" || cf.decl.Return.Item == "" {
 		return func(yield func(xdm.Item) bool) error {
-			return cf.bodySeq(newFrame())(yield)
+			return halted(cf.bodySeq(frame(), yield))
 		}, nil
 	}
 	return func(yield func(xdm.Item) bool) error {
 		var typeErr error
-		err := cf.bodySeq(newFrame())(func(it xdm.Item) bool {
+		err := cf.bodySeq(frame(), func(it xdm.Item) bool {
 			if !itemMatches(it, cf.decl.Return.Item) {
 				typeErr = fmt.Errorf("eval: %s result: item %v does not match type %s", cf.decl.Name, it, cf.decl.Return.Item)
 				return false
 			}
 			return yield(it)
 		})
-		if err != nil {
-			return err
+		if typeErr != nil {
+			return typeErr
 		}
-		return typeErr
+		return halted(err)
 	}, nil
 }
 
@@ -241,19 +499,32 @@ func (f *cframe) frameChain(sc *scope) *frame {
 	if sc == nil {
 		return nil
 	}
-	return &frame{name: sc.name, val: f.slots[sc.slot], next: f.frameChain(sc.next)}
+	var val xdm.Sequence
+	if sc.item {
+		val = xdm.Singleton(f.items[sc.slot])
+	} else {
+		val = f.slots[sc.slot]
+	}
+	return &frame{name: sc.name, val: val, next: f.frameChain(sc.next)}
 }
 
 // ------------------------------------------------------------- path runtime --
 
+// cpath is one compiled path: where it starts — the value of input, else
+// the item in item slot slot, else (slot -1) the focus — and its steps.
+type cpath struct {
+	input cexpr
+	slot  int
+	steps []*cstep
+}
+
 // cstep is one compiled path step: pre-resolved axis/test plus compiled
 // predicates.
 type cstep struct {
-	axis       xq.Axis
-	test       xq.NodeTest
-	filter     bool
-	preds      []cpred
-	streamable bool
+	axis   xq.Axis
+	test   xq.NodeTest
+	filter bool
+	preds  []cpred
 }
 
 // cpred is one compiled predicate. When b is non-nil the predicate is
@@ -266,56 +537,160 @@ type cpred struct {
 	gen cexpr
 }
 
-// runPath executes a compiled path — the mirror of evalPath, including the
-// ping-pong scratch buffers.
-func (f *cframe) runPath(input cexpr, steps []*cstep) (xdm.Sequence, error) {
-	var cur xdm.Sequence
+// walkPath runs the given steps of path p — the mirror of evalPath — in
+// borrowed scratch and returns the value reached: nodes when isNodes (the
+// last step run was a node step, or the path starts at a node), items
+// otherwise. The caller gives the returned buffer back.
+func (f *cframe) walkPath(p *cpath, steps []*cstep) (items xdm.Sequence, nodes []*xdm.Node, isNodes bool, err error) {
+	sc := f.sc
 	switch {
-	case input != nil:
-		s, err := input(f)
-		if err != nil {
-			return nil, err
+	case p.input != nil:
+		if items, err = p.input(f, sc.seqs.take()); err != nil {
+			return nil, nil, false, err
 		}
-		cur = s
-	case f.item != nil:
-		cur = xdm.Singleton(f.item)
 	default:
-		return nil, fmt.Errorf("eval: relative path with undefined context item")
+		it := f.item
+		if p.slot >= 0 {
+			it = f.items[p.slot]
+		} else if it == nil {
+			return nil, nil, false, fmt.Errorf("eval: relative path with undefined context item")
+		}
+		if n, ok := it.(*xdm.Node); ok && (len(steps) == 0 || !steps[0].filter) {
+			nodes, isNodes = append(sc.nodes.take(), n), true
+		} else {
+			items = append(sc.seqs.take(), it)
+		}
 	}
-	var curNodes, spare []*xdm.Node
-	haveNodes := false
+	var spare []*xdm.Node
 	for _, st := range steps {
 		if st.filter {
-			if haveNodes {
-				cur = xdm.NodeSeq(curNodes)
-				haveNodes = false
+			if isNodes {
+				items = appendNodeItems(sc.seqs.take(), nodes)
+				sc.nodes.give(nodes)
+				nodes, isNodes = nil, false
 			}
-			filtered, err := f.runFilterItems(cur, st.preds)
-			if err != nil {
-				return nil, err
+			if items, err = f.runFilterItems(items, st.preds); err != nil {
+				return nil, nil, false, err
 			}
-			cur = filtered
 			continue
 		}
-		nodes := curNodes
-		if !haveNodes {
+		if !isNodes {
 			var ok bool
-			nodes, ok = cur.Nodes()
-			if !ok {
-				return nil, fmt.Errorf("eval: path step %s::%s applied to atomic value", st.axis, st.test)
+			if nodes, ok = appendNodes(sc.nodes.take(), items); !ok {
+				return nil, nil, false, fmt.Errorf("eval: path step %s::%s applied to atomic value", st.axis, st.test)
 			}
+			sc.seqs.give(items)
+			items, isNodes = nil, true
+		}
+		if spare == nil {
+			spare = sc.nodes.take()
 		}
 		gathered, err := f.runStep(nodes, st, spare[:0])
 		if err != nil {
-			return nil, err
+			return nil, nil, false, err
 		}
-		spare = nodes[:0]
-		curNodes, haveNodes = gathered, true
+		spare, nodes = nodes[:0], gathered
 	}
-	if haveNodes {
-		cur = xdm.NodeSeq(curNodes)
+	if spare != nil {
+		sc.nodes.give(spare)
 	}
-	return cur, nil
+	return items, nodes, isNodes, nil
+}
+
+// runPath appends the value of a compiled path to dst.
+func (f *cframe) runPath(dst xdm.Sequence, p *cpath) (xdm.Sequence, error) {
+	items, nodes, isNodes, err := f.walkPath(p, p.steps)
+	if err != nil {
+		return nil, err
+	}
+	if !isNodes {
+		dst = append(dst, items...)
+		f.sc.seqs.give(items)
+		return dst, nil
+	}
+	if dst == nil && len(nodes) > 0 {
+		dst = make(xdm.Sequence, 0, len(nodes))
+	}
+	dst = appendNodeItems(dst, nodes)
+	f.sc.nodes.give(nodes)
+	return dst, nil
+}
+
+// streamPath streams a compiled path whose final step is streamable — the
+// mirror of pathSeq: the leading steps run eagerly, and the last one hands
+// each node to the consumer as its axis walk reaches it.
+func (f *cframe) streamPath(p *cpath, yield func(xdm.Item) bool) error {
+	sc := f.sc
+	last := p.steps[len(p.steps)-1]
+	items, nodes, isNodes, err := f.walkPath(p, p.steps[:len(p.steps)-1])
+	if err != nil {
+		return err
+	}
+	if last.filter {
+		if isNodes {
+			items = appendNodeItems(sc.seqs.take(), nodes)
+			sc.nodes.give(nodes)
+		}
+		if err := f.streamFilterItems(items, last.preds, yield); err != nil {
+			return err
+		}
+		sc.seqs.give(items)
+		return nil
+	}
+	if !isNodes {
+		var ok bool
+		if nodes, ok = appendNodes(sc.nodes.take(), items); !ok {
+			return fmt.Errorf("eval: path step %s::%s applied to atomic value", last.axis, last.test)
+		}
+		sc.seqs.give(items)
+	}
+	if len(nodes) > 1 && !xdm.OrderedDisjointNodes(nodes) {
+		// Overlapping or unordered context: a sort barrier is required.
+		gathered, err := f.runStep(nodes, last, sc.nodes.take())
+		if err != nil {
+			return err
+		}
+		sc.nodes.give(nodes)
+		nodes = gathered
+		for _, m := range nodes {
+			if !yield(m) {
+				return errHalt
+			}
+		}
+	} else {
+		for _, n := range nodes {
+			if err := f.streamFrom(n, last, yield); err != nil {
+				return err
+			}
+		}
+	}
+	sc.nodes.give(nodes)
+	return nil
+}
+
+func appendNodes(dst []*xdm.Node, s xdm.Sequence) ([]*xdm.Node, bool) {
+	for _, it := range s {
+		n, ok := it.(*xdm.Node)
+		if !ok {
+			return nil, false
+		}
+		dst = append(dst, n)
+	}
+	return dst, true
+}
+
+func appendNodeItems(dst xdm.Sequence, nodes []*xdm.Node) xdm.Sequence {
+	for _, n := range nodes {
+		dst = append(dst, n)
+	}
+	return dst
+}
+
+func appendAtoms(dst []xdm.Atomic, s xdm.Sequence) []xdm.Atomic {
+	for _, it := range s {
+		dst = append(dst, atomOf(it))
+	}
+	return dst
 }
 
 // runStep maps one compiled non-filter step over its context nodes — the
@@ -325,8 +700,7 @@ func (f *cframe) runStep(nodes []*xdm.Node, st *cstep, dst []*xdm.Node) ([]*xdm.
 	for _, n := range nodes {
 		start := len(gathered)
 		var err error
-		gathered, err = f.gatherAxis(gathered, n, st)
-		if err != nil {
+		if gathered, err = f.gatherAxis(gathered, n, st); err != nil {
 			return nil, err
 		}
 		if len(st.preds) > 0 {
@@ -444,10 +818,11 @@ func (f *cframe) runFilterPreds(nodes []*xdm.Node, preds []cpred) ([]*xdm.Node, 
 }
 
 // runFilterItems is the filter-step mirror of filterItems: positions count
-// over the whole sequence per predicate layer.
+// over the whole sequence per predicate layer. It compacts items, which the
+// caller owns, in place.
 func (f *cframe) runFilterItems(items xdm.Sequence, preds []cpred) (xdm.Sequence, error) {
 	for _, pred := range preds {
-		kept := xdm.Sequence{}
+		kept := items[:0]
 		size := len(items)
 		for i, it := range items {
 			keep, err := f.evalPred(pred, it, i+1, size)
@@ -477,10 +852,7 @@ func (f *cframe) evalPred(pred cpred, it xdm.Item, pos, size int) (bool, error) 
 		keep, err = pred.b(f)
 	} else {
 		var s xdm.Sequence
-		s, err = pred.gen(f)
-		switch {
-		case err != nil:
-		default:
+		if s, err = pred.gen(f, f.sc.seqs.take()); err == nil {
 			numeric := false
 			if len(s) == 1 {
 				if a, isAtom := s[0].(xdm.Atomic); isAtom && a.IsNumeric() {
@@ -495,6 +867,7 @@ func (f *cframe) evalPred(pred cpred, it xdm.Item, pos, size int) (bool, error) 
 				}
 				keep = b
 			}
+			f.sc.seqs.give(s)
 		}
 	}
 	f.item, f.pos, f.size = oi, op, os
@@ -591,38 +964,45 @@ func scanSubtreeExists(n *xdm.Node, st *xq.Step, check func(*xdm.Node) (bool, er
 	return false, nil
 }
 
-// streamStep streams a compiled final step — the mirror of streamStep/
-// predSink in lazy.go, with compiled predicates. The axis walk itself is
-// walkAxis, shared with the lazy tree-walker.
-func (f *cframe) streamCompiledStep(nodes []*xdm.Node, st *cstep, yield func(xdm.Item) bool) error {
-	for _, n := range nodes {
-		sink := nodeSink(func(m *xdm.Node) (bool, error) {
+// streamFrom streams a compiled final step from one context node — the
+// mirror of streamStep/predSink in lazy.go, with compiled predicates and
+// positions counted per context node. The axis walk itself is walkAxis,
+// shared with the lazy tree-walker.
+func (f *cframe) streamFrom(n *xdm.Node, st *cstep, yield func(xdm.Item) bool) error {
+	if len(st.preds) == 0 {
+		// No predicate chain to build: the sink stays on the stack.
+		return haltIf(f.ctx.walkAxis(n, st.axis, st.test, func(m *xdm.Node) (bool, error) {
 			return yield(m), nil
-		})
-		for i := len(st.preds) - 1; i >= 0; i-- {
-			pred, next := st.preds[i], sink
-			pos := 0
-			sink = func(m *xdm.Node) (bool, error) {
-				pos++
-				keep, err := f.evalPred(pred, m, pos, 0)
-				if err != nil {
-					return false, err
-				}
-				if !keep {
-					return true, nil
-				}
-				return next(m)
+		}))
+	}
+	sink := nodeSink(func(m *xdm.Node) (bool, error) {
+		return yield(m), nil
+	})
+	for i := len(st.preds) - 1; i >= 0; i-- {
+		pred, next := st.preds[i], sink
+		pos := 0
+		sink = func(m *xdm.Node) (bool, error) {
+			pos++
+			keep, err := f.evalPred(pred, m, pos, 0)
+			if err != nil {
+				return false, err
 			}
-		}
-		cont, err := f.ctx.walkAxis(n, st.axis, st.test, sink)
-		if err != nil {
-			return err
-		}
-		if !cont {
-			return nil
+			if !keep {
+				return true, nil
+			}
+			return next(m)
 		}
 	}
-	return nil
+	return haltIf(f.ctx.walkAxis(n, st.axis, st.test, sink))
+}
+
+// haltIf turns a walk's (continue, error) outcome into push-form's error:
+// errHalt when the consumer ended the walk.
+func haltIf(cont bool, err error) error {
+	if err == nil && !cont {
+		return errHalt
+	}
+	return err
 }
 
 // streamFilterItems streams a compiled final filter step — the mirror of
@@ -655,8 +1035,176 @@ func (f *cframe) streamFilterItems(items xdm.Sequence, preds []cpred, yield func
 			return err
 		}
 		if !cont {
-			return nil
+			return errHalt
 		}
 	}
 	return nil
+}
+
+// -------------------------------------------------------------- constructors --
+
+// celem is a compiled element constructor: its name (static, or computed by
+// nameExpr) and its content in order.
+type celem struct {
+	name     string
+	nameExpr cexpr
+	content  []ccontent
+}
+
+// ccontent is one content expression of a compiled element constructor;
+// exactly one field is set. A nested direct element (elem) or text (text:
+// the text constructor's content) constructor builds in place.
+type ccontent struct {
+	attr *cattr
+	elem *celem
+	text cexpr
+	expr cexpr
+}
+
+// cattr is a compiled attribute constructor: its name (static, or computed
+// by nameExpr) and its value parts — folded to value at compile time when
+// every part is constant.
+type cattr struct {
+	name     string
+	nameExpr cexpr
+	parts    []cexpr
+	value    string
+	constant bool
+}
+
+func (fc *fnCompiler) compileElem(v *xq.ElemConstructor, sc *scope) *celem {
+	ce := &celem{name: v.Name}
+	if v.NameExpr != nil {
+		ce.nameExpr = fc.compile(v.NameExpr, sc)
+	}
+	for _, x := range v.Content {
+		var c ccontent
+		switch x := x.(type) {
+		case *xq.AttrConstructor:
+			c.attr = fc.compileAttr(x, sc)
+		case *xq.ElemConstructor:
+			c.elem = fc.compileElem(x, sc)
+		case *xq.TextConstructor:
+			c.text = fc.compile(x.Content, sc)
+		default:
+			c.expr = fc.compile(x, sc)
+		}
+		ce.content = append(ce.content, c)
+	}
+	return ce
+}
+
+func (fc *fnCompiler) compileAttr(v *xq.AttrConstructor, sc *scope) *cattr {
+	ca := &cattr{name: v.Name, constant: true}
+	if v.NameExpr != nil {
+		ca.nameExpr = fc.compile(v.NameExpr, sc)
+	}
+	parts := make([]string, 0, len(v.Value))
+	for _, ve := range v.Value {
+		ca.parts = append(ca.parts, fc.compile(ve, sc))
+		if !ca.constant || !fc.isConst(ve) {
+			ca.constant = false
+			continue
+		}
+		s, err := foldEval(ve)
+		ca.constant = err == nil
+		parts = append(parts, joinAtoms(s))
+	}
+	if ca.constant {
+		ca.value = strings.Join(parts, "")
+	}
+	return ca
+}
+
+// constructElem builds the element e describes into a new constructed tree.
+func (f *cframe) constructElem(e *celem) (*xdm.Node, error) {
+	b := f.sc.builder()
+	mark := len(b.ev)
+	if err := f.buildElem(b, e, false); err != nil {
+		b.abort(mark)
+		return nil, err
+	}
+	return b.finish(mark), nil
+}
+
+// buildElem describes element e to the builder — the compiled twin of
+// context.buildElement, step for step.
+func (f *cframe) buildElem(b *treeBuilder, e *celem, nested bool) error {
+	if err := f.ctx.stop.check(); err != nil {
+		return err
+	}
+	name := e.name
+	if e.nameExpr != nil {
+		s, err := e.nameExpr(f, f.sc.seqs.take())
+		if err != nil {
+			return err
+		}
+		if name, err = singletonString(s, "element name"); err != nil {
+			return err
+		}
+		f.sc.seqs.give(s)
+	}
+	b.open(name, nested)
+	for _, c := range e.content {
+		switch {
+		case c.attr != nil:
+			name, value, err := f.attrParts(c.attr)
+			if err != nil {
+				return err
+			}
+			if err := b.constructedAttr(name, value); err != nil {
+				return err
+			}
+		case c.elem != nil:
+			if err := f.buildElem(b, c.elem, true); err != nil {
+				return err
+			}
+		default:
+			ce := c.expr
+			if c.text != nil {
+				ce = c.text
+			}
+			s, err := ce(f, f.sc.seqs.take())
+			if err != nil {
+				return err
+			}
+			if c.text != nil {
+				b.text(joinAtoms(s))
+			} else if err := b.content(s); err != nil {
+				return err
+			}
+			f.sc.seqs.give(s)
+		}
+	}
+	b.close()
+	return nil
+}
+
+// attrParts evaluates an attribute constructor's name and value — the
+// compiled twin of context.attrParts.
+func (f *cframe) attrParts(a *cattr) (name, value string, err error) {
+	name = a.name
+	if a.nameExpr != nil {
+		s, err := a.nameExpr(f, f.sc.seqs.take())
+		if err != nil {
+			return "", "", err
+		}
+		if name, err = singletonString(s, "attribute name"); err != nil {
+			return "", "", err
+		}
+		f.sc.seqs.give(s)
+	}
+	if a.constant {
+		return name, a.value, nil
+	}
+	var parts []string
+	for _, pe := range a.parts {
+		s, err := pe(f, f.sc.seqs.take())
+		if err != nil {
+			return "", "", err
+		}
+		parts = append(parts, joinAtoms(s))
+		f.sc.seqs.give(s)
+	}
+	return name, strings.Join(parts, ""), nil
 }

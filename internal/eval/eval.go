@@ -20,7 +20,8 @@ import (
 var constructorSeq atomic.Uint64
 
 func newConstructedURI() string {
-	return fmt.Sprintf("constructed://%d", constructorSeq.Add(1))
+	var buf [40]byte
+	return string(strconv.AppendUint(append(buf[:0], "constructed://"...), constructorSeq.Add(1), 10))
 }
 
 func (c *context) eval(e xq.Expr) (xdm.Sequence, error) {
@@ -128,22 +129,19 @@ func (c *context) eval(e xq.Expr) (xdm.Sequence, error) {
 		if err != nil {
 			return nil, err
 		}
-		txt := xdm.NewText(joinAtoms(s))
-		d := xdm.NewDocument(newConstructedURI())
-		d.Root.AppendChild(txt)
-		d.Freeze()
-		return xdm.Singleton(txt), nil
+		var b treeBuilder
+		return xdm.Singleton(b.textTree(joinAtoms(s))), nil
 	case *xq.DocConstructor:
 		s, err := c.eval(v.Content)
 		if err != nil {
 			return nil, err
 		}
-		d := xdm.NewDocument(newConstructedURI())
-		if err := appendContent(d.Root, s); err != nil {
+		var b treeBuilder
+		d, err := b.docTree(s)
+		if err != nil {
 			return nil, err
 		}
-		d.Freeze()
-		return xdm.Singleton(d.Root), nil
+		return xdm.Singleton(d), nil
 	case *xq.FunCall:
 		return c.evalFunCall(v)
 	case *xq.ExecuteAt:
@@ -187,11 +185,7 @@ func (c *context) evalFor(v *xq.ForExpr) (xdm.Sequence, error) {
 			}
 		}
 	}
-	type iteration struct {
-		res  xdm.Sequence
-		keys []xdm.Atomic
-	}
-	iters := make([]iteration, 0, len(in))
+	iters := make([]orderedIteration, 0, len(in))
 	for _, it := range in {
 		ic := c.bind(v.Var, xdm.Singleton(it))
 		var keys []xdm.Atomic
@@ -200,13 +194,9 @@ func (c *context) evalFor(v *xq.ForExpr) (xdm.Sequence, error) {
 			if err != nil {
 				return nil, err
 			}
-			atoms := ks.Atomize()
-			if len(atoms) > 1 {
-				return nil, fmt.Errorf("eval: order by key is a sequence")
-			}
-			key := xdm.NewString("") // empty key sorts first
-			if len(atoms) == 1 {
-				key = atoms[0]
+			key, err := orderKey(ks)
+			if err != nil {
+				return nil, err
 			}
 			keys = append(keys, key)
 		}
@@ -214,29 +204,11 @@ func (c *context) evalFor(v *xq.ForExpr) (xdm.Sequence, error) {
 		if err != nil {
 			return nil, err
 		}
-		iters = append(iters, iteration{res: res, keys: keys})
+		iters = append(iters, orderedIteration{res: res, keys: keys})
 	}
 	if len(v.OrderBy) > 0 {
-		var sortErr error
-		sort.SliceStable(iters, func(i, j int) bool {
-			for k, spec := range v.OrderBy {
-				cmp, ok := xdm.CompareAtomics(iters[i].keys[k], iters[j].keys[k])
-				if !ok {
-					sortErr = fmt.Errorf("eval: order by keys are not comparable")
-					return false
-				}
-				if cmp == 0 {
-					continue
-				}
-				if spec.Descending {
-					return cmp > 0
-				}
-				return cmp < 0
-			}
-			return false
-		})
-		if sortErr != nil {
-			return nil, sortErr
+		if err := sortOrdered(iters, v.OrderBy); err != nil {
+			return nil, err
 		}
 	}
 	out := xdm.Sequence{}
@@ -244,6 +216,59 @@ func (c *context) evalFor(v *xq.ForExpr) (xdm.Sequence, error) {
 		out = append(out, it.res...)
 	}
 	return out, nil
+}
+
+// orderedIteration is one iteration of a for-loop awaiting its order by:
+// the iteration's sort keys and its result.
+type orderedIteration struct {
+	res  xdm.Sequence
+	keys []xdm.Atomic
+}
+
+// orderKey is the sort key of one evaluated order-by key: its single atom,
+// or the empty string — which sorts first — for an empty key.
+func orderKey(ks xdm.Sequence) (xdm.Atomic, error) {
+	switch len(ks) {
+	case 0:
+		return xdm.NewString(""), nil
+	case 1:
+		return atomOf(ks[0]), nil
+	}
+	return xdm.Atomic{}, fmt.Errorf("eval: order by key is a sequence")
+}
+
+// sortOrdered sorts an order-by loop's iterations stably by their keys —
+// the one comparator both executors use, so ties keep input order and the
+// same incomparable pair faults first.
+func sortOrdered(iters []orderedIteration, specs []xq.OrderSpec) error {
+	var sortErr error
+	sort.SliceStable(iters, func(i, j int) bool {
+		for k, spec := range specs {
+			cmp, ok := xdm.CompareAtomics(iters[i].keys[k], iters[j].keys[k])
+			if !ok {
+				sortErr = fmt.Errorf("eval: order by keys are not comparable")
+				return false
+			}
+			if cmp == 0 {
+				continue
+			}
+			if spec.Descending {
+				return cmp > 0
+			}
+			return cmp < 0
+		}
+		return false
+	})
+	return sortErr
+}
+
+// atomOf atomizes one item: a node becomes the untyped atom of its string
+// value (Sequence.Atomize, item by item).
+func atomOf(it xdm.Item) xdm.Atomic {
+	if n, ok := it.(*xdm.Node); ok {
+		return xdm.NewUntyped(n.StringValue())
+	}
+	return it.(xdm.Atomic)
 }
 
 // evalBulk performs one bulk RPC for all iterations of the loop.
@@ -830,115 +855,341 @@ func (c *context) evalFunCall(v *xq.FunCall) (xdm.Sequence, error) {
 // ------------------------------------------------------------ constructors --
 
 func (c *context) constructElement(v *xq.ElemConstructor) (*xdm.Node, error) {
+	var b treeBuilder
+	if err := c.buildElement(&b, v, false); err != nil {
+		return nil, err
+	}
+	return b.finish(0), nil
+}
+
+// buildElement describes element constructor v to the builder: its name,
+// then its content in order — attribute constructors, nested element and
+// text constructors (built in place), and enclosed expressions.
+func (c *context) buildElement(b *treeBuilder, v *xq.ElemConstructor, nested bool) error {
+	if err := c.stop.check(); err != nil {
+		return err
+	}
 	name := v.Name
 	if v.NameExpr != nil {
 		s, err := c.eval(v.NameExpr)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		nm, err := singletonString(s, "element name")
-		if err != nil {
-			return nil, err
+		if name, err = singletonString(s, "element name"); err != nil {
+			return err
 		}
-		name = nm
 	}
-	el := xdm.NewElement(name)
-	seenChild := false
+	b.open(name, nested)
 	for _, ce := range v.Content {
-		if ac, ok := ce.(*xq.AttrConstructor); ok {
-			a, err := c.constructAttribute(ac)
+		switch x := ce.(type) {
+		case *xq.AttrConstructor:
+			name, value, err := c.attrParts(x)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			if seenChild {
-				return nil, fmt.Errorf("eval: attribute %s constructed after element content", a.Name)
+			if err := b.constructedAttr(name, value); err != nil {
+				return err
 			}
-			el.SetAttr(a.Name, a.Text)
-			continue
-		}
-		s, err := c.eval(ce)
-		if err != nil {
-			return nil, err
-		}
-		if err := appendContent(el, s); err != nil {
-			return nil, err
-		}
-		if len(s) > 0 {
-			seenChild = true
+		case *xq.ElemConstructor:
+			if err := c.buildElement(b, x, true); err != nil {
+				return err
+			}
+		case *xq.TextConstructor:
+			s, err := c.eval(x.Content)
+			if err != nil {
+				return err
+			}
+			b.text(joinAtoms(s))
+		default:
+			s, err := c.eval(ce)
+			if err != nil {
+				return err
+			}
+			if err := b.content(s); err != nil {
+				return err
+			}
 		}
 	}
-	d := xdm.NewDocument(newConstructedURI())
-	d.Root.AppendChild(el)
-	d.Freeze()
-	return el, nil
+	b.close()
+	return nil
 }
 
 func (c *context) constructAttribute(v *xq.AttrConstructor) (*xdm.Node, error) {
-	name := v.Name
+	name, value, err := c.attrParts(v)
+	if err != nil {
+		return nil, err
+	}
+	return xdm.NewAttr(name, value), nil
+}
+
+// attrParts evaluates an attribute constructor's name and value.
+func (c *context) attrParts(v *xq.AttrConstructor) (name, value string, err error) {
+	name = v.Name
 	if v.NameExpr != nil {
 		s, err := c.eval(v.NameExpr)
 		if err != nil {
-			return nil, err
+			return "", "", err
 		}
-		nm, err := singletonString(s, "attribute name")
-		if err != nil {
-			return nil, err
+		if name, err = singletonString(s, "attribute name"); err != nil {
+			return "", "", err
 		}
-		name = nm
 	}
 	var parts []string
 	for _, ve := range v.Value {
 		s, err := c.eval(ve)
 		if err != nil {
-			return nil, err
+			return "", "", err
 		}
 		parts = append(parts, joinAtoms(s))
 	}
-	return xdm.NewAttr(name, strings.Join(parts, "")), nil
+	return name, strings.Join(parts, ""), nil
 }
 
-// appendContent copies evaluated content into a parent node under XQuery
-// constructor semantics: nodes are deep-copied, adjacent atomics join with a
-// single space into one text node, attribute nodes become attributes.
-func appendContent(parent *xdm.Node, s xdm.Sequence) error {
-	var pendingAtoms []string
-	flush := func() {
-		if len(pendingAtoms) > 0 {
-			parent.AppendChild(xdm.NewText(strings.Join(pendingAtoms, " ")))
-			pendingAtoms = nil
+// treeBuilder is the construction routine both executors share. A
+// constructor describes its tree as a stream of events — open an element or
+// document node, set attributes, add content under XQuery constructor
+// semantics, close — and finish cuts the tree's nodes from one xdm.Slab
+// sized from that content, with a new constructed document above it.
+// Nested direct constructors open inside their parent, so their nodes are
+// built in place instead of into a document of their own and deep-copied
+// out of it. A constructor evaluated inside another's content expression
+// starts its own tree on top of the events in flight and finishes before
+// the outer one resumes, so one builder serves a whole evaluation.
+type treeBuilder struct {
+	ev    []buildEvent
+	stack []int  // event index of every open node, innermost last
+	join  []byte // adjacent atomics of the content being added
+	slab  xdm.Slab
+}
+
+// buildEvent is one node of a tree under construction: an open element or
+// document node (kind ElementNode/DocumentNode), an attribute, a text node,
+// or a deep copy of src. An open node's attribute events follow it
+// directly — an attribute can only arrive before its first child — then
+// its children's events.
+type buildEvent struct {
+	kind          xdm.Kind
+	name, text    string
+	src           *xdm.Node
+	nattr, nchild int
+	// seen records that a content expression of this open node produced
+	// items: an attribute constructor may no longer follow.
+	seen bool
+}
+
+// open opens an element: the root of a new tree, or (nested) one built in
+// place as the next child of the innermost open node.
+func (b *treeBuilder) open(name string, nested bool) {
+	if nested {
+		b.addChild(buildEvent{kind: xdm.ElementNode, name: name})
+	} else {
+		b.ev = append(b.ev, buildEvent{kind: xdm.ElementNode, name: name})
+	}
+	b.stack = append(b.stack, len(b.ev)-1)
+}
+
+// close closes the innermost open node.
+func (b *treeBuilder) close() { b.stack = b.stack[:len(b.stack)-1] }
+
+// abort drops the events of the tree started at mark after a fault.
+func (b *treeBuilder) abort(mark int) {
+	b.ev = b.ev[:mark]
+	for len(b.stack) > 0 && b.stack[len(b.stack)-1] >= mark {
+		b.close()
+	}
+}
+
+// top is the innermost open node.
+func (b *treeBuilder) top() *buildEvent { return &b.ev[b.stack[len(b.stack)-1]] }
+
+// addChild appends a child event to the innermost open node, which has seen
+// content from now on.
+func (b *treeBuilder) addChild(e buildEvent) {
+	top := b.top()
+	top.nchild++
+	top.seen = true
+	b.ev = append(b.ev, e)
+}
+
+// attr sets an attribute of the innermost open node, replacing one of the
+// same name in place (Node.SetAttr).
+func (b *treeBuilder) attr(name, value string) {
+	at := b.stack[len(b.stack)-1]
+	for i := at + 1; i <= at+b.ev[at].nattr; i++ {
+		if b.ev[i].name == name {
+			b.ev[i].text = value
+			return
 		}
+	}
+	b.ev[at].nattr++
+	b.ev = append(b.ev, buildEvent{kind: xdm.AttributeNode, name: name, text: value})
+}
+
+// constructedAttr adds the attribute an attribute constructor in the open
+// element's content built.
+func (b *treeBuilder) constructedAttr(name, value string) error {
+	if b.top().seen {
+		return fmt.Errorf("eval: attribute %s constructed after element content", name)
+	}
+	b.attr(name, value)
+	return nil
+}
+
+// text adds a text node child (a nested text constructor's).
+func (b *treeBuilder) text(s string) {
+	b.addChild(buildEvent{kind: xdm.TextNode, text: s})
+}
+
+// content adds the value of one content expression under XQuery
+// constructor semantics: nodes are deep-copied (a document node contributes
+// copies of its children, an attribute node becomes an attribute — only
+// before any child), and adjacent atomics join with a single space into one
+// text node.
+func (b *treeBuilder) content(s xdm.Sequence) error {
+	var first string
+	pending := 0
+	flush := func() {
+		switch pending {
+		case 0:
+			return
+		case 1:
+			b.text(first)
+		default:
+			b.text(string(b.join))
+		}
+		pending = 0
 	}
 	for _, it := range s {
 		switch n := it.(type) {
 		case xdm.Atomic:
-			pendingAtoms = append(pendingAtoms, n.ItemString())
+			switch pending {
+			case 0:
+				first = n.ItemString()
+			case 1:
+				b.join = append(b.join[:0], first...)
+				fallthrough
+			default:
+				b.join = append(append(b.join, ' '), n.ItemString()...)
+			}
+			pending++
 		case *xdm.Node:
 			flush()
 			switch n.Kind {
 			case xdm.AttributeNode:
-				if len(parent.Children) > 0 {
+				if b.top().nchild > 0 {
 					return fmt.Errorf("eval: attribute node after element content")
 				}
-				parent.SetAttr(n.Name, n.Text)
+				b.attr(n.Name, n.Text)
 			case xdm.DocumentNode:
 				for _, ch := range n.Children {
-					parent.AppendChild(ch.Copy())
+					b.addChild(buildEvent{src: ch})
 				}
 			default:
-				parent.AppendChild(n.Copy())
+				b.addChild(buildEvent{src: n})
 			}
 		}
 	}
 	flush()
+	if len(s) > 0 {
+		b.top().seen = true
+	}
 	return nil
 }
 
-func joinAtoms(s xdm.Sequence) string {
-	parts := make([]string, 0, len(s))
-	for _, a := range s.Atomize() {
-		parts = append(parts, a.ItemString())
+// finish builds the tree started at mark into a new constructed document,
+// drops its events and returns its root: the element, or the document node
+// itself.
+func (b *treeBuilder) finish(mark int) *xdm.Node {
+	n := 0
+	for _, e := range b.ev[mark:] {
+		switch {
+		case e.src != nil:
+			n += e.src.SubtreeNodes()
+		case e.kind != xdm.DocumentNode:
+			n++
+		}
 	}
-	return strings.Join(parts, " ")
+	b.slab.Reserve(n)
+	d := xdm.NewDocument(newConstructedURI())
+	root := d.Root
+	if b.ev[mark].kind == xdm.ElementNode {
+		root = b.slab.Node(xdm.ElementNode, b.ev[mark].name, "")
+		d.Root.Children = b.slab.Window(1)
+		d.Root.Children[0] = root
+	}
+	b.build(mark, root)
+	b.ev = b.ev[:mark]
+	d.Freeze()
+	return root
+}
+
+// build gives node n, opened by event i, its attributes and children from
+// the slab and returns the index after its last event.
+func (b *treeBuilder) build(i int, n *xdm.Node) int {
+	n.Attrs = b.slab.Window(b.ev[i].nattr)
+	n.Children = b.slab.Window(b.ev[i].nchild)
+	j := i + 1
+	for k := range n.Attrs {
+		n.Attrs[k] = b.slab.Node(xdm.AttributeNode, b.ev[j].name, b.ev[j].text)
+		j++
+	}
+	for k := range n.Children {
+		switch e := &b.ev[j]; {
+		case e.src != nil:
+			n.Children[k] = b.slab.Copy(e.src)
+			j++
+		case e.kind == xdm.TextNode:
+			n.Children[k] = b.slab.Node(xdm.TextNode, "", e.text)
+			j++
+		default:
+			el := b.slab.Node(xdm.ElementNode, e.name, "")
+			n.Children[k] = el
+			j = b.build(j, el)
+		}
+	}
+	return j
+}
+
+// textTree constructs a text node in a document of its own.
+func (b *treeBuilder) textTree(s string) *xdm.Node {
+	mark := len(b.ev)
+	b.ev = append(b.ev, buildEvent{kind: xdm.DocumentNode})
+	b.stack = append(b.stack, mark)
+	b.text(s)
+	b.close()
+	return b.finish(mark).Children[0]
+}
+
+// docTree constructs a document node holding content s.
+func (b *treeBuilder) docTree(s xdm.Sequence) (*xdm.Node, error) {
+	mark := len(b.ev)
+	b.ev = append(b.ev, buildEvent{kind: xdm.DocumentNode})
+	b.stack = append(b.stack, mark)
+	if err := b.content(s); err != nil {
+		b.abort(mark)
+		return nil, err
+	}
+	b.close()
+	return b.finish(mark), nil
+}
+
+// joinAtoms is the string of a sequence's atomized items joined by single
+// spaces — a text constructor's or attribute value part's content.
+func joinAtoms(s xdm.Sequence) string {
+	switch len(s) {
+	case 0:
+		return ""
+	case 1:
+		return s[0].ItemString()
+	}
+	var sb strings.Builder
+	for i, it := range s {
+		if i > 0 {
+			sb.WriteByte(' ')
+		}
+		sb.WriteString(it.ItemString())
+	}
+	return sb.String()
 }
 
 func singletonString(s xdm.Sequence, what string) (string, error) {

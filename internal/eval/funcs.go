@@ -388,25 +388,44 @@ func fnDeepEqual(_ *context, args []xdm.Sequence) (xdm.Sequence, error) {
 }
 
 func fnDistinctValues(_ *context, args []xdm.Sequence) (xdm.Sequence, error) {
-	seen := map[string]bool{}
+	seen := map[distinctKey]bool{}
 	out := xdm.Sequence{}
-	for _, a := range args[0].Atomize() {
-		// Values are distinct under eq: numerics compare by value across
-		// numeric types, and xs:untypedAtomic compares as xs:string (F&O).
-		t := a.T
-		if t == xdm.TUntyped {
-			t = xdm.TString
-		}
-		key := t.String() + "\x00" + a.ItemString()
-		if a.IsNumeric() {
-			key = "num\x00" + xdm.FormatDouble(a.Number())
-		}
-		if !seen[key] {
-			seen[key] = true
+	for _, it := range args[0] {
+		a := atomOf(it)
+		if k := keyOf(a); !seen[k] {
+			seen[k] = true
 			out = append(out, a)
 		}
 	}
 	return out, nil
+}
+
+// distinctKey is fn:distinct-values' equality as a comparable value. Values
+// are distinct under eq: numerics compare by value across numeric types
+// (every NaN is one value, -0 equals 0), and xs:untypedAtomic compares as
+// xs:string (F&O); anything else by type and string.
+type distinctKey struct {
+	t xdm.AtomType
+	s string
+	f float64
+}
+
+func keyOf(a xdm.Atomic) distinctKey {
+	if !a.IsNumeric() {
+		t := a.T
+		if t == xdm.TUntyped {
+			t = xdm.TString
+		}
+		return distinctKey{t: t, s: a.ItemString()}
+	}
+	f := a.Number()
+	switch {
+	case math.IsNaN(f):
+		return distinctKey{t: xdm.TDouble, s: "NaN"}
+	case f == 0:
+		f = 0 // -0 eq 0
+	}
+	return distinctKey{t: xdm.TDouble, f: f}
 }
 
 func fnReverse(_ *context, args []xdm.Sequence) (xdm.Sequence, error) {

@@ -61,20 +61,70 @@ func (ar *msgArena) take(k Kind, name, text string) *Node {
 	return n
 }
 
-// window returns a slab-backed copy of src whose capacity equals its length:
-// whoever appends to it later (a constructor adopting the node, say) gets a
-// fresh array instead of writing into the neighbouring window.
-func (ar *msgArena) window(src []*Node) []*Node {
-	if len(src) == 0 {
+// alloc returns a slab-backed window of n pointers whose capacity equals its
+// length: whoever appends to it later (a constructor adopting the node, say)
+// gets a fresh array instead of writing into the neighbouring window.
+func (ar *msgArena) alloc(n int) []*Node {
+	if n == 0 {
 		return nil
 	}
-	if len(ar.ptrs) < len(src) {
-		ar.ptrs = make([]*Node, ar.slabSize(len(src)))
+	if len(ar.ptrs) < n {
+		ar.ptrs = make([]*Node, ar.slabSize(n))
 	}
-	w := ar.ptrs[:len(src):len(src)]
-	ar.ptrs = ar.ptrs[len(src):]
+	w := ar.ptrs[:n:n]
+	ar.ptrs = ar.ptrs[n:]
+	return w
+}
+
+// window returns a slab-backed copy of src (see alloc).
+func (ar *msgArena) window(src []*Node) []*Node {
+	w := ar.alloc(len(src))
 	copy(w, src)
 	return w
+}
+
+// Slab builds trees in code the way the parser builds messages: the nodes of
+// one tree, and the backing arrays of their Children and Attrs slices, come
+// from two arrays sized up front. A tree of n nodes hanging below a document
+// node needs n nodes and n slots (every node sits in exactly one window), so
+// Reserve(n) builds it with two allocations; a short reservation costs one
+// more slab, never a wrong tree. The zero Slab is ready to use. A Slab must
+// not be shared between goroutines, and every array it hands out belongs to
+// the tree built from it.
+type Slab struct{ a msgArena }
+
+// Reserve replaces the slab's arrays with fresh ones for n nodes and n
+// child/attribute slots.
+func (s *Slab) Reserve(n int) {
+	s.a.nodes = make([]Node, n)
+	s.a.ptrs = make([]*Node, n)
+}
+
+// Node returns a fresh detached node from the slab.
+func (s *Slab) Node(k Kind, name, text string) *Node { return s.a.take(k, name, text) }
+
+// Window returns n child/attribute slots from the slab (nil for n = 0); its
+// capacity equals its length.
+func (s *Slab) Window(n int) []*Node { return s.a.alloc(n) }
+
+// Copy deep-copies the subtree rooted at n into the slab: Node.Copy, with
+// every node and window of the copy taken from the slab.
+func (s *Slab) Copy(n *Node) *Node {
+	c := s.Node(n.Kind, n.Name, n.Text)
+	c.BaseURI = n.BaseURI
+	c.Attrs = s.Window(len(n.Attrs))
+	for i, a := range n.Attrs {
+		ca := s.Node(AttributeNode, a.Name, a.Text)
+		ca.Parent, ca.sibIdx = c, int32(i)
+		c.Attrs[i] = ca
+	}
+	c.Children = s.Window(len(n.Children))
+	for i, ch := range n.Children {
+		cc := s.Copy(ch)
+		cc.Parent, cc.sibIdx = c, int32(i)
+		c.Children[i] = cc
+	}
+	return c
 }
 
 // openElem is an element whose end tag the parser has not reached; its

@@ -452,17 +452,23 @@ func LCA(nodes []*Node) *Node {
 
 // Copy returns a deep copy of the subtree rooted at n as a detached node
 // (Parent nil, Doc nil). Attribute nodes copy as standalone attributes.
+// The copy's nodes come from one Slab.
 func (n *Node) Copy() *Node {
-	c := &Node{Kind: n.Kind, Name: n.Name, Text: n.Text, BaseURI: n.BaseURI}
-	for i, a := range n.Attrs {
-		ca := &Node{Kind: AttributeNode, Name: a.Name, Text: a.Text, Parent: c, sibIdx: int32(i)}
-		c.Attrs = append(c.Attrs, ca)
+	var s Slab
+	s.Reserve(n.SubtreeNodes())
+	return s.Copy(n)
+}
+
+// SubtreeNodes returns the number of nodes in n's subtree, n and every
+// attribute included: SubtreeSize once the document is frozen, a count of
+// the tree before.
+func (n *Node) SubtreeNodes() int {
+	if n.size > 0 {
+		return int(n.size)
 	}
-	for i, ch := range n.Children {
-		cc := ch.Copy()
-		cc.Parent = c
-		cc.sibIdx = int32(i)
-		c.Children = append(c.Children, cc)
+	c := 1 + len(n.Attrs)
+	for _, ch := range n.Children {
+		c += ch.SubtreeNodes()
 	}
 	return c
 }
