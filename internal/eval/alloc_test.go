@@ -19,16 +19,16 @@ var localEvalShapes = []struct {
 	// localEvalDocument when the shape was last lowered further.
 	measured float64
 }{
-	{"count-predicate", `count(doc("xmk.xml")/descendant::person[descendant::age < 40])`, 28},
+	{"count-predicate", `count(doc("xmk.xml")/descendant::person[descendant::age < 40])`, 22},
 	{"for-where", `for $p in doc("xmk.xml")/child::site/child::people/child::person
-	 where $p/child::profile/child::age < 40 return $p/child::name`, 27},
-	{"sum", `sum(doc("xmk.xml")/child::site/child::regions/child::*/child::item/child::quantity)`, 40},
-	{"distinct-values", `distinct-values(doc("xmk.xml")/child::site/child::people/child::person/child::profile/child::age)`, 84},
+	 where $p/child::profile/child::age < 40 return $p/child::name`, 26},
+	{"sum", `sum(doc("xmk.xml")/child::site/child::regions/child::*/child::item/child::quantity)`, 27},
+	{"distinct-values", `distinct-values(doc("xmk.xml")/child::site/child::people/child::person/child::profile/child::age)`, 67},
 	{"constructor", `for $i in subsequence(doc("xmk.xml")/child::site/child::regions/child::*/child::item, 1, 300)
-	 return <offer>{$i/attribute::id}<n>{$i/child::name/text()}</n>{$i/child::payment}</offer>`, 1251},
+	 return <offer>{$i/attribute::id}<n>{$i/child::name/text()}</n>{$i/child::payment}</offer>`, 1238},
 	{"order-by", `for $p in doc("xmk.xml")/child::site/child::people/child::person
-	 order by $p/child::profile/attribute::income descending return $p/child::emailaddress/text()`, 64},
-	{"string-join", `string-join(doc("xmk.xml")/child::site/child::people/child::person/child::name, ",")`, 38},
+	 order by $p/child::profile/attribute::income descending return $p/child::emailaddress/text()`, 41},
+	{"string-join", `string-join(doc("xmk.xml")/child::site/child::people/child::person/child::name, ",")`, 26},
 }
 
 // localEvalDocument is the people document local_eval runs over: 1 MiB of

@@ -76,7 +76,10 @@ func (c *context) evalStep(nodes []*xdm.Node, st *xq.Step, dst []*xdm.Node) ([]*
 	gathered := dst
 	for _, n := range nodes {
 		start := len(gathered)
-		gathered = appendAxisNodes(gathered, n, st.Axis, st.Test)
+		var err error
+		if gathered, err = gatherAxis(gathered, n, st.Axis, st.Test, c.stop); err != nil {
+			return nil, err
+		}
 		if len(st.Preds) > 0 {
 			seg, err := c.filterPreds(gathered[start:], st.Preds)
 			if err != nil {
@@ -168,49 +171,139 @@ func (c *context) filterPreds(nodes []*xdm.Node, preds []xq.Expr) ([]*xdm.Node, 
 // (§VI-B: runtime projection "relies on the normal XPath evaluation
 // capabilities of the XQuery engine").
 func AxisNodes(n *xdm.Node, axis xq.Axis, test xq.NodeTest) []*xdm.Node {
-	return appendAxisNodes(nil, n, axis, test)
+	nodes, _ := gatherAxis(nil, n, axis, test, nil) // no deadline, no error
+	return nodes
 }
 
-// appendAxisNodes appends the nodes reached from n over the axis that satisfy
-// the node test to dst, in document order, and returns the extended slice.
-// Appending lets evalPath gather a whole step into one reusable buffer.
-func appendAxisNodes(dst []*xdm.Node, n *xdm.Node, axis xq.Axis, test xq.NodeTest) []*xdm.Node {
+// gatherAxis appends one context node's axis candidates to dst, in document
+// order. Child and attribute steps — the hot ones — are slice walks with no
+// sink call per candidate; self and the descendant axes are walkAxis with an
+// appending sink; the other axes check the deadline once and defer to
+// appendAxisNodes. A nil stop never fails.
+func gatherAxis(dst []*xdm.Node, n *xdm.Node, axis xq.Axis, test xq.NodeTest, stop *stopCheck) ([]*xdm.Node, error) {
+	switch axis {
+	case xq.AxisChild, xq.AxisAttribute:
+		cands := n.Attrs
+		if axis == xq.AxisChild {
+			cands = nil
+			if n.Kind != xdm.AttributeNode {
+				cands = n.Children
+			}
+			dst = reserve(dst, len(cands))
+		}
+		for _, m := range cands {
+			if err := stop.check(); err != nil {
+				return nil, err
+			}
+			if matchTest(m, axis, test) {
+				dst = append(dst, m)
+			}
+		}
+		return dst, nil
+	case xq.AxisSelf, xq.AxisDescendant, xq.AxisDescendantOrSelf:
+		_, err := walkAxis(n, axis, test, stop, func(m *xdm.Node) (bool, error) {
+			dst = append(dst, m)
+			return true, nil
+		})
+		return dst, err
+	}
+	if err := stop.check(); err != nil {
+		return nil, err
+	}
+	return appendAxisNodes(dst, n, axis, test), nil
+}
+
+// reserve returns s with room for n more elements, doubling like append when
+// it must grow. Unlike slices.Grow it never allocates a temporary, not even
+// under the race detector, so the allocation ceilings hold there too.
+func reserve[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	return append(make([]T, 0, max(2*cap(s), len(s)+n)), s...)
+}
+
+// nodeSink consumes one candidate node of an axis walk. It returns false to
+// end the walk early (consumer satisfied) and an error to abort it.
+type nodeSink func(*xdm.Node) (bool, error)
+
+// walkAxis feeds the nodes of a downward axis of n that pass the node test to
+// the sink, in document order, and walkSubtree is the one subtree scanner:
+// gatherAxis collects with them, a streamed step pushes through them, and a
+// streamed comparison stops them at the first match. It returns false when
+// the sink ended the walk early. The deadline is checked per visited node,
+// so a budget can cut a huge step mid-flight in either executor.
+func walkAxis(n *xdm.Node, axis xq.Axis, test xq.NodeTest, stop *stopCheck, sink nodeSink) (bool, error) {
 	switch axis {
 	case xq.AxisChild:
 		if n.Kind == xdm.AttributeNode {
-			return dst
+			return true, nil
 		}
 		for _, ch := range n.Children {
-			if matchTest(ch, axis, test) {
-				dst = append(dst, ch)
+			if cont, err := visitNode(ch, axis, test, stop, sink); !cont || err != nil {
+				return cont, err
 			}
 		}
 	case xq.AxisAttribute:
 		for _, a := range n.Attrs {
-			if matchTest(a, axis, test) {
-				dst = append(dst, a)
+			if cont, err := visitNode(a, axis, test, stop, sink); !cont || err != nil {
+				return cont, err
 			}
 		}
 	case xq.AxisSelf:
-		if matchTest(n, axis, test) {
-			dst = append(dst, n)
-		}
+		return visitNode(n, axis, test, stop, sink)
 	case xq.AxisDescendant:
 		for _, ch := range n.Children {
-			ch.WalkDescendants(func(m *xdm.Node) bool {
-				if matchTest(m, axis, test) {
-					dst = append(dst, m)
-				}
-				return true
-			})
+			if cont, err := walkSubtree(ch, axis, test, stop, sink); !cont || err != nil {
+				return cont, err
+			}
 		}
 	case xq.AxisDescendantOrSelf:
-		n.WalkDescendants(func(m *xdm.Node) bool {
-			if matchTest(m, axis, test) {
-				dst = append(dst, m)
-			}
-			return true
-		})
+		return walkSubtree(n, axis, test, stop, sink)
+	default:
+		return false, fmt.Errorf("eval: axis %s is not a downward axis", axis)
+	}
+	return true, nil
+}
+
+// walkSubtree visits n and its descendants (attributes excluded) in document
+// order — exactly the pre-order interval [n.Pre(), n.Pre()+n.SubtreeSize()).
+// It visits inline rather than through visitNode: a call per node would
+// slow every descendant scan.
+func walkSubtree(n *xdm.Node, axis xq.Axis, test xq.NodeTest, stop *stopCheck, sink nodeSink) (bool, error) {
+	if err := stop.check(); err != nil {
+		return false, err
+	}
+	if matchTest(n, axis, test) {
+		if cont, err := sink(n); !cont || err != nil {
+			return cont, err
+		}
+	}
+	for _, ch := range n.Children {
+		if cont, err := walkSubtree(ch, axis, test, stop, sink); !cont || err != nil {
+			return cont, err
+		}
+	}
+	return true, nil
+}
+
+// visitNode is one visited node of a child, attribute or self walk: the
+// deadline check, then the node test, then the sink.
+func visitNode(m *xdm.Node, axis xq.Axis, test xq.NodeTest, stop *stopCheck, sink nodeSink) (bool, error) {
+	if err := stop.check(); err != nil {
+		return false, err
+	}
+	if !matchTest(m, axis, test) {
+		return true, nil
+	}
+	return sink(m)
+}
+
+// appendAxisNodes appends the nodes reached from n over a non-downward axis
+// (parent, ancestor*, sibling, following, preceding) that satisfy the node
+// test to dst, in document order, and returns the extended slice.
+func appendAxisNodes(dst []*xdm.Node, n *xdm.Node, axis xq.Axis, test xq.NodeTest) []*xdm.Node {
+	switch axis {
 	case xq.AxisParent:
 		if n.Parent != nil && matchTest(n.Parent, axis, test) {
 			dst = append(dst, n.Parent)

@@ -5,11 +5,11 @@ package eval
 // The lowering rules, also documented in DESIGN.md:
 //
 //   - Every expression compiles twice: an eager form that appends its whole
-//     value to a caller-supplied sequence (cexpr), and a push form that hands
-//     its items to a consumer as they are produced (cseq) — the compiled
-//     twins of context.eval and context.evalSeq. Neither allocates a closure
-//     or a result sequence per evaluation; intermediate values live in the
-//     run's scratch buffers.
+//     value to a caller-supplied sequence (cexpr), the compiled twin of
+//     context.eval, and a push form that hands its items to a consumer as
+//     they are produced (cseq) — the engine's only lazy executor. Neither
+//     allocates a closure or a result sequence per evaluation; intermediate
+//     values live in the run's scratch buffers.
 //   - Variables resolve to frame slots at compile time. A for or quantifier
 //     variable is one item and lives in an item slot, so binding it per
 //     iteration allocates nothing, and a path rooted at it steps straight
@@ -24,10 +24,10 @@ package eval
 //     builtins) skip the numeric-position test entirely.
 //   - Comparisons specialize by static operand kind: a constant operand is
 //     atomized once at compile time.
-//   - FLWOR spines compile to iterator pipelines mirroring the lazy
-//     evaluator, including the >4-iteration invariant-hoisting heuristic;
-//     order-by loops evaluate keys and bodies per iteration and sort with
-//     the tree-walker's own comparator.
+//   - FLWOR spines compile to iterator pipelines that keep evalFor's
+//     >4-iteration invariant-hoisting heuristic; order-by loops evaluate
+//     keys and bodies per iteration and sort with the tree-walker's own
+//     comparator.
 //   - Constructors describe their tree to the builder the tree-walker uses
 //     too (treeBuilder), nested direct constructors in place.
 //
@@ -660,18 +660,12 @@ func (fc *fnCompiler) compileFor(v *xq.ForExpr, sc *scope) cexpr {
 		if fb != nil && f.ctx.eng.Remote != nil {
 			return fb(f, dst)
 		}
-		if err := f.ctx.stop.check(); err != nil {
-			return nil, err
-		}
-		s, err := in(f, f.sc.seqs.take())
+		s, hoist, err := f.loopInput(in, hoisted != nil, binds, slots)
 		if err != nil {
 			return nil, err
 		}
 		body := plain
-		if hoisted != nil && len(s) > 4 {
-			if err := f.hoist(binds, slots); err != nil {
-				return nil, err
-			}
+		if hoist {
 			body = hoisted
 		}
 		if len(keys) > 0 {
@@ -1082,7 +1076,7 @@ func simpleDownwardPath(p *xq.PathExpr, sc *scope) bool {
 
 // replaySeq adapts an eager compiled expression to the push form: nothing
 // runs until the consumer calls it, then the result materializes into
-// scratch and replays — the compiled deferEval.
+// scratch and replays.
 func replaySeq(ce cexpr) cseq {
 	return func(f *cframe, yield func(xdm.Item) bool) error {
 		s, err := ce(f, f.sc.seqs.take())
@@ -1099,9 +1093,13 @@ func replaySeq(ce cexpr) cseq {
 	}
 }
 
-// compileSeq lowers one expression to its push form — the compiled twin of
-// context.evalSeq, case for case: the same expressions stream, and
-// everything else replays its eager form.
+// compileSeq lowers one expression to its push form. Sequence construction,
+// let, if, typeswitch and the bodies of FLWOR loops without order by stream,
+// and so does a path whose final step is streamable (stepStreamable);
+// everything else — sorting, reverse axes, node-set operators, aggregates,
+// remote loops — replays its eager form. Every subexpression runs in the
+// tree-walker's order, so laziness changes when items are produced, never
+// which, and never which fault a query meets first.
 func (fc *fnCompiler) compileSeq(e xq.Expr, sc *scope) cseq {
 	switch v := e.(type) {
 	case nil:
@@ -1186,12 +1184,14 @@ func (fc *fnCompiler) compileSeq(e xq.Expr, sc *scope) cseq {
 	}
 }
 
-// compileForSeq lowers a FLWOR loop to the streaming pipeline of forSeq:
-// each iteration's body items are yielded before the next input item is
-// pulled, the first four inputs are buffered until the hoisting heuristic
-// decides, and the remote special cases defer to the eager evaluator at
-// runtime exactly as evalSeq does. Order-by loops gather whole results by
-// design, so they replay their eager form, as evalSeq defers them to evalFor.
+// compileForSeq lowers a FLWOR loop to its push form: the input evaluates
+// whole, as in compileFor, and each iteration's body streams. Pulling the
+// input item by item would run early bodies before the input's own faults,
+// and a query that faults in several places would then report another fault
+// lazily than eagerly. The remote special cases (bulk and scatter dispatch)
+// defer to the tree-walker at runtime when a remote caller is configured, as
+// compileFor's do. Order-by loops gather whole results by design, so they
+// replay their eager form.
 func (fc *fnCompiler) compileForSeq(v *xq.ForExpr, sc *scope) cseq {
 	if len(v.OrderBy) > 0 || fc.forDepth >= maxCompiledForDepth {
 		return replaySeq(fc.compileFor(v, sc))
@@ -1201,7 +1201,7 @@ func (fc *fnCompiler) compileForSeq(v *xq.ForExpr, sc *scope) cseq {
 		fb = replaySeq(fc.fallback(v, sc))
 	}
 	fc.forDepth++
-	in := fc.compileSeq(v.In, sc)
+	in := fc.compile(v.In, sc)
 	slot := fc.allocItem()
 	plain := fc.compileSeq(v.Return, &scope{name: v.Var, slot: slot, item: true, next: sc})
 	var hoisted cseq
@@ -1214,23 +1214,21 @@ func (fc *fnCompiler) compileForSeq(v *xq.ForExpr, sc *scope) cseq {
 		if fb != nil && f.ctx.eng.Remote != nil {
 			return fb(f, yield)
 		}
-		if err := f.ctx.stop.check(); err != nil {
-			return err
-		}
-		l := &forLoop{f: f, yield: yield, slot: slot, body: plain, hoisted: hoisted, binds: binds, slots: slots}
-		err := in(f, l.push)
-		if l.err != nil {
-			return l.err
-		}
+		s, hoist, err := f.loopInput(in, hoisted != nil, binds, slots)
 		if err != nil {
 			return err
 		}
-		// A short loop is never hoisted: replay the buffered inputs now.
-		for _, it := range l.buf[:l.nbuf] {
-			if err := l.run(it); err != nil {
+		body := plain
+		if hoist {
+			body = hoisted
+		}
+		for _, it := range s {
+			f.items[slot] = it
+			if err := body(f, yield); err != nil {
 				return err
 			}
 		}
+		f.sc.seqs.give(s)
 		return nil
 	}
 }

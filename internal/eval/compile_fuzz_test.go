@@ -161,10 +161,10 @@ var compiledFuzzSeeds = []string{
 
 // FuzzCompiledVsTreeWalk is the differential fuzzer of the compiler: every
 // parsed query must evaluate byte-identically (or fault with the identical
-// error) with Options.Compile on and off, through both the eager and the
-// lazy entry points. Deadline aborts are the single tolerated asymmetry —
-// they depend on wall-clock timing, which the two modes legitimately reach
-// at different node counts.
+// error) with Options.Compile on and off, through both the eager entry point
+// and the lazy one, whose only executor is the compiled push form. Deadline
+// aborts are the single tolerated asymmetry — they depend on wall-clock
+// timing, which the two modes legitimately reach at different node counts.
 func FuzzCompiledVsTreeWalk(f *testing.F) {
 	for _, seed := range compiledFuzzSeeds {
 		f.Add(seed)
@@ -205,27 +205,32 @@ func FuzzCompiledVsTreeWalk(f *testing.F) {
 		if errors.Is(twErr, ErrDeadlineExceeded) || errors.Is(ccErr, ErrDeadlineExceeded) {
 			return
 		}
-		compareModes(t, "lazy", src, twRes, twErr, ccRes, ccErr)
+		compareModes(t, "eager", src, twRes, twErr, ccRes, ccErr)
 		if normErr != nil {
 			// Normalization rejected the query in both modes identically;
 			// there is nothing to compile.
 			return
 		}
-
-		// The eager halves: the tree-walker's eval against the compiled
-		// Program's eager body (the path function calls take).
-		twCtx := tw.newContext(q1.Funcs)
-		twRes, twErr = twCtx.eval(q1.Body)
-		p, err := CompileQuery(q2)
-		if err != nil {
-			t.Fatalf("CompileQuery: %v\ninput: %q", err, src)
-		}
-		ccRes, ccErr = p.run(cc.newContext(q2.Funcs))
-		if errors.Is(twErr, ErrDeadlineExceeded) || errors.Is(ccErr, ErrDeadlineExceeded) {
+		ccRes, ccErr = drainCompiled(t, cc, q2, src)
+		if errors.Is(ccErr, ErrDeadlineExceeded) {
 			return
 		}
-		compareModes(t, "eager", src, twRes, twErr, ccRes, ccErr)
+		compareModes(t, "lazy", src, twRes, twErr, ccRes, ccErr)
 	})
+}
+
+// drainCompiled is the lazy half of a differential check: it drains the push
+// form of the Program an eager compiled run attached to q.
+func drainCompiled(t *testing.T, e *Engine, q *xq.Query, src string) (xdm.Sequence, error) {
+	t.Helper()
+	if q.CompiledArtifact() == nil {
+		t.Fatalf("the compiled engine attached no Program\ninput: %q", src)
+	}
+	s, err := e.QuerySeq(q)
+	if err != nil {
+		t.Fatalf("QuerySeq: %v\ninput: %q", err, src)
+	}
+	return s.Materialize()
 }
 
 func compareModes(t *testing.T, mode, src string, twRes xdm.Sequence, twErr error, ccRes xdm.Sequence, ccErr error) {

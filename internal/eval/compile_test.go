@@ -36,17 +36,12 @@ func expectCompiled(t *testing.T, docs mapResolver, src string) {
 	normErr := xq.Normalize(q0)
 	twRes, twErr := tw.Query(q1)
 	ccRes, ccErr := cc.Query(q2)
-	compareModes(t, "lazy", src, twRes, twErr, ccRes, ccErr)
+	compareModes(t, "eager", src, twRes, twErr, ccRes, ccErr)
 	if normErr != nil {
 		return
 	}
-	twRes, twErr = tw.newContext(q1.Funcs).eval(q1.Body)
-	p, err := CompileQuery(q2)
-	if err != nil {
-		t.Fatalf("CompileQuery: %v\n%s", err, src)
-	}
-	ccRes, ccErr = p.run(cc.newContext(q2.Funcs))
-	compareModes(t, "eager", src, twRes, twErr, ccRes, ccErr)
+	ccRes, ccErr = drainCompiled(t, cc, q2, src)
+	compareModes(t, "lazy", src, twRes, twErr, ccRes, ccErr)
 }
 
 // compileBattery covers every lowering rule and every input the differential
@@ -141,6 +136,13 @@ var compileBattery = []string{
 	`concat("one")`,
 	`execute at {"p"} { young() }`,
 	`doc("missing://really")/x`,
+	// Queries that fault in several places: the push form meets the
+	// tree-walker's fault first — a loop's input before its bodies and its
+	// hoisted operands, a step's predicate layers one after another.
+	`for $x in (1, 0, 3, 4, 5, -(doc("f.xml")//name)) return 10 idiv $x`,
+	`for $x in (1, 2, 3, 4, 5, A) return if (false()) then ($x = ("s")/x) else $x`,
+	`(2, 1, 0)[10 idiv . > 1][-(doc("f.xml")//name) = 0]`,
+	`doc("f.xml")/site/people/person[10 idiv (number(profile/age) - 25) > 0][-(doc("f.xml")//name) = 1]`,
 }
 
 // TestCompiledEquivalenceRegressions pins compiled-vs-tree-walk equivalence
@@ -412,16 +414,22 @@ func TestFallbackSitesByConstruct(t *testing.T) {
 
 // TestTreeWalkAttachesNoProgram guards every in-package oracle against going
 // vacuous: an engine without the Compile option tree-walks a freshly parsed
-// query and leaves no Program on it (a query that carries one runs it
-// whatever the option says, so an oracle must parse its own copy per mode).
+// query through the eager entry points and leaves no Program on it (a query
+// that carries one runs it whatever the option says, so an oracle must parse
+// its own copy per mode). The lazy entry points have no tree-walker: each
+// lowers a fresh parse once, on the engine's account.
 func TestTreeWalkAttachesNoProgram(t *testing.T) {
 	docs := mapResolver{"f.xml": fuzzFixtureXML}
 	src := `declare function f() as item()* { doc("f.xml")//book[price > 28]/title }; f()`
-	tw := NewEngine(docs)
-	q, err := xq.ParseQuery(src)
-	if err != nil {
-		t.Fatal(err)
+	parse := func() *xq.Query {
+		q, err := xq.ParseQuery(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
 	}
+	tw := NewEngine(docs)
+	q := parse()
 	want, err := tw.Query(q)
 	if err != nil {
 		t.Fatal(err)
@@ -429,14 +437,42 @@ func TestTreeWalkAttachesNoProgram(t *testing.T) {
 	if _, err := tw.EvalFunction(q, "f", nil); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := tw.EvalFunctionDeadline(q, "f", nil, nil, time.Now().Add(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
 	if q.CompiledArtifact() != nil || tw.StatsSnapshot().Compilations != 0 {
 		t.Fatal("tree-walking a fresh parse attached a Program")
+	}
+	for _, lazy := range []struct {
+		name string
+		run  func(*Engine, *xq.Query) (xdm.Seq, error)
+	}{
+		{"QuerySeq", (*Engine).QuerySeq},
+		{"EvalFunctionSeqDeadline", func(e *Engine, q *xq.Query) (xdm.Seq, error) {
+			return e.EvalFunctionSeqDeadline(q, "f", nil, nil, time.Time{})
+		}},
+	} {
+		e, lq := NewEngine(docs), parse()
+		for call := 1; call <= 2; call++ {
+			s, err := lazy.run(e, lq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.Materialize()
+			if err != nil || serialize(got) != serialize(want) {
+				t.Fatalf("%s call %d: %v, %v, want %v", lazy.name, call, got, err, want)
+			}
+			if lq.CompiledArtifact() == nil || e.StatsSnapshot().Compilations != 1 {
+				t.Fatalf("%s call %d: Program attached %v after %d compilations, want one compilation",
+					lazy.name, call, lq.CompiledArtifact() != nil, e.StatsSnapshot().Compilations)
+			}
+		}
 	}
 	// The converse: once a Program is attached, the same engine runs it.
 	if _, err := CompileQuery(q); err != nil {
 		t.Fatal(err)
 	}
-	if tw.program(q) == nil {
+	if tw.program(q, false) == nil {
 		t.Fatal("engine ignores the Program its query carries")
 	}
 	got, err := tw.Query(q)

@@ -26,14 +26,17 @@ import (
 
 // Options selects optional engine behaviors.
 type Options struct {
-	// Compile lowers a query on its first use by this engine into chains of
-	// pre-resolved closures (variables become frame slots, constants fold,
-	// downward path steps become direct scans with fused predicates). It is
-	// the engine primitive behind the differential oracle and the
-	// micro-benchmarks; production code never sets it. Whatever its value, a
-	// query that already carries a Program runs it — the caches that witness
-	// reuse (the service's plan cache, the XRPC server's module cache) attach
-	// one to what they retain — and any other query tree-walks. Results and
+	// Compile makes the eager entry points (Query, EvalFunction*) lower a
+	// query on its first use by this engine into chains of pre-resolved
+	// closures (variables become frame slots, constants fold, downward path
+	// steps become direct scans with fused predicates). It is the engine
+	// primitive behind the differential oracle and the micro-benchmarks;
+	// production code never sets it. Whatever its value, a query that already
+	// carries a Program runs it — the caches that witness reuse (the service's
+	// plan cache, the XRPC server's module cache) attach one to what they
+	// retain — and the lazy entry points (QuerySeq, EvalFunctionSeqDeadline),
+	// whose only executor is the compiled push form, lower any other query on
+	// the spot; an eager call of any other query tree-walks. Results and
 	// errors are identical either way; only speed changes.
 	Compile bool
 }
@@ -45,8 +48,8 @@ type Options struct {
 // whoever appends to a value it got copies it first.
 type cexpr func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error)
 
-// cseq is a compiled expression in push form, the twin of context.evalSeq:
-// it hands its items to yield in order as it produces them. When yield
+// cseq is a compiled expression in push form, the one lazy executor: it
+// hands its items to yield in order as it produces them. When yield
 // returns false the producer stops and returns errHalt, which travels up to
 // the consumer that asked to stop — the run's API boundary turns it into
 // the nil of the xdm.Seq contract. Items are produced synchronously with
@@ -249,53 +252,24 @@ func (f *cframe) typeswitch(op cexpr, cases []tcase) (int, error) {
 	return i, nil
 }
 
-// forLoop is one evaluation of a streamed for-loop: the state forSeq keeps
-// in its closures, in one value, so a loop costs the same two allocations
-// however many items it binds. Its push method consumes the input.
-type forLoop struct {
-	f       *cframe
-	yield   func(xdm.Item) bool
-	slot    int
-	body    cseq
-	hoisted cseq
-	binds   []cexpr
-	slots   []int
-	// buf holds the first inputs until the hoisting heuristic decides.
-	buf     [4]xdm.Item
-	nbuf    int
-	decided bool
-	err     error
-}
-
-func (l *forLoop) push(it xdm.Item) bool {
-	if !l.decided {
-		if l.nbuf < len(l.buf) {
-			l.buf[l.nbuf] = it
-			l.nbuf++
-			return true
-		}
-		// A fifth input: the loop is long enough to hoist.
-		l.decided = true
-		if l.hoisted != nil {
-			if l.err = l.f.hoist(l.binds, l.slots); l.err != nil {
-				return false
-			}
-			l.body = l.hoisted
-		}
-		for _, b := range l.buf[:l.nbuf] {
-			if l.err = l.run(b); l.err != nil {
-				return false
-			}
-		}
-		l.nbuf = 0
+// loopInput is the prologue both forms of a compiled for loop share: the
+// input evaluates whole into borrowed scratch (the caller gives it back),
+// then a loop long enough to hoist (more than four items, evalFor's rule)
+// binds its hoisted operands, reported by hoist.
+func (f *cframe) loopInput(in cexpr, canHoist bool, binds []cexpr, slots []int) (s xdm.Sequence, hoist bool, err error) {
+	if err := f.ctx.stop.check(); err != nil {
+		return nil, false, err
 	}
-	l.err = l.run(it)
-	return l.err == nil
-}
-
-func (l *forLoop) run(it xdm.Item) error {
-	l.f.items[l.slot] = it
-	return l.body(l.f, l.yield)
+	if s, err = in(f, f.sc.seqs.take()); err != nil {
+		return nil, false, err
+	}
+	if canHoist && len(s) > 4 {
+		if err := f.hoist(binds, slots); err != nil {
+			return nil, false, err
+		}
+		hoist = true
+	}
+	return s, hoist, nil
 }
 
 // orderLoop runs an order-by loop's iterations over in exactly as evalFor
@@ -433,9 +407,10 @@ func (cf *cfunc) call(ctx *context, sc *cscratch, args []xdm.Sequence) (xdm.Sequ
 	return res, nil
 }
 
-// callSeq mirrors callDeclaredSeq: parameters check eagerly (faults beat
-// frames), then the body streams when the declared occurrence is `*` and
-// materializes-then-checks otherwise.
+// callSeq is call with a streamed body: parameters check eagerly (faults
+// beat frames), then the body streams when the declared occurrence is `*` —
+// checking each item's type as it passes — and materializes-then-checks
+// otherwise, since occurrence constraints need the whole result.
 func (cf *cfunc) callSeq(ctx *context, args []xdm.Sequence) (xdm.Seq, error) {
 	for i, p := range cf.decl.Params {
 		if err := checkSeqType(args[i], p.Type); err != nil {
@@ -472,16 +447,17 @@ func (cf *cfunc) callSeq(ctx *context, args []xdm.Sequence) (xdm.Seq, error) {
 	return func(yield func(xdm.Item) bool) error {
 		var typeErr error
 		err := cf.bodySeq(frame(), func(it xdm.Item) bool {
-			if !itemMatches(it, cf.decl.Return.Item) {
+			if typeErr == nil && !itemMatches(it, cf.decl.Return.Item) {
 				typeErr = fmt.Errorf("eval: %s result: item %v does not match type %s", cf.decl.Name, it, cf.decl.Return.Item)
-				return false
 			}
-			return yield(it)
+			// After a mismatch the body still runs to its end, yielding
+			// nothing more: a fault of its own wins, as in call.
+			return typeErr != nil || yield(it)
 		})
-		if typeErr != nil {
-			return typeErr
+		if err != nil {
+			return halted(err)
 		}
-		return halted(err)
+		return typeErr
 	}, nil
 }
 
@@ -611,14 +587,16 @@ func (f *cframe) runPath(dst xdm.Sequence, p *cpath) (xdm.Sequence, error) {
 	if dst == nil && len(nodes) > 0 {
 		dst = make(xdm.Sequence, 0, len(nodes))
 	}
-	dst = appendNodeItems(dst, nodes)
+	dst = appendNodeItems(reserve(dst, len(nodes)), nodes)
 	f.sc.nodes.give(nodes)
 	return dst, nil
 }
 
-// streamPath streams a compiled path whose final step is streamable — the
-// mirror of pathSeq: the leading steps run eagerly, and the last one hands
-// each node to the consumer as its axis walk reaches it.
+// streamPath streams a compiled path whose final step is streamable: the
+// leading steps run eagerly (they are context for the last step, not
+// output), and the last one hands each node to the consumer as its axis
+// walk reaches it. An overlapping or unordered context needs evalStep's sort
+// barrier, so that step materializes first.
 func (f *cframe) streamPath(p *cpath, yield func(xdm.Item) bool) error {
 	sc := f.sc
 	last := p.steps[len(p.steps)-1]
@@ -694,13 +672,13 @@ func appendAtoms(dst []xdm.Atomic, s xdm.Sequence) []xdm.Atomic {
 }
 
 // runStep maps one compiled non-filter step over its context nodes — the
-// mirror of evalStep with the specialized axis scanners.
+// mirror of evalStep, on the same axis scanner.
 func (f *cframe) runStep(nodes []*xdm.Node, st *cstep, dst []*xdm.Node) ([]*xdm.Node, error) {
 	gathered := dst
 	for _, n := range nodes {
 		start := len(gathered)
 		var err error
-		if gathered, err = f.gatherAxis(gathered, n, st); err != nil {
+		if gathered, err = gatherAxis(gathered, n, st.axis, st.test, f.ctx.stop); err != nil {
 			return nil, err
 		}
 		if len(st.preds) > 0 {
@@ -715,84 +693,6 @@ func (f *cframe) runStep(nodes []*xdm.Node, st *cstep, dst []*xdm.Node) ([]*xdm.
 		gathered = xdm.SortDocOrder(gathered)
 	}
 	return gathered, nil
-}
-
-// gatherAxis appends one context node's axis candidates to dst. The downward
-// axes are compiled to direct scans over the frozen tree — child/attribute
-// slice walks and the subtree scan, which enumerates exactly the pre-order
-// interval [n.Pre(), n.Pre()+n.SubtreeSize()) — with the deadline check at
-// per-node granularity, the budget contract compiled loops must keep (the
-// tree-walk equivalent is one check per AST node per candidate via the
-// predicate evaluation; axis gathering itself is the one place the compiled
-// code checks *more* often, never less). Non-downward axes reuse
-// appendAxisNodes wholesale.
-func (f *cframe) gatherAxis(dst []*xdm.Node, n *xdm.Node, st *cstep) ([]*xdm.Node, error) {
-	stop := f.ctx.stop
-	switch st.axis {
-	case xq.AxisChild:
-		if n.Kind == xdm.AttributeNode {
-			return dst, nil
-		}
-		for _, ch := range n.Children {
-			if err := stop.check(); err != nil {
-				return nil, err
-			}
-			if matchTest(ch, st.axis, st.test) {
-				dst = append(dst, ch)
-			}
-		}
-	case xq.AxisAttribute:
-		for _, a := range n.Attrs {
-			if err := stop.check(); err != nil {
-				return nil, err
-			}
-			if matchTest(a, st.axis, st.test) {
-				dst = append(dst, a)
-			}
-		}
-	case xq.AxisSelf:
-		if err := stop.check(); err != nil {
-			return nil, err
-		}
-		if matchTest(n, st.axis, st.test) {
-			dst = append(dst, n)
-		}
-	case xq.AxisDescendant:
-		for _, ch := range n.Children {
-			var err error
-			dst, err = scanSubtree(dst, ch, st.axis, st.test, stop)
-			if err != nil {
-				return nil, err
-			}
-		}
-	case xq.AxisDescendantOrSelf:
-		return scanSubtree(dst, n, st.axis, st.test, stop)
-	default:
-		if err := stop.check(); err != nil {
-			return nil, err
-		}
-		dst = appendAxisNodes(dst, n, st.axis, st.test)
-	}
-	return dst, nil
-}
-
-// scanSubtree appends n and its element/text descendants matching the test,
-// in document (pre) order, checking the deadline per visited node.
-func scanSubtree(dst []*xdm.Node, n *xdm.Node, axis xq.Axis, test xq.NodeTest, stop *stopCheck) ([]*xdm.Node, error) {
-	if err := stop.check(); err != nil {
-		return nil, err
-	}
-	if matchTest(n, axis, test) {
-		dst = append(dst, n)
-	}
-	for _, ch := range n.Children {
-		var err error
-		dst, err = scanSubtree(dst, ch, axis, test, stop)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
 }
 
 // runFilterPreds applies compiled step predicates to a candidate segment,
@@ -841,8 +741,8 @@ func (f *cframe) runFilterItems(items xdm.Sequence, preds []cpred) (xdm.Sequence
 // evalPred decides one predicate candidate at the given focus. Fused boolean
 // predicates skip the numeric-position rule — their value is provably a
 // boolean singleton, which the general rule maps to its effective boolean
-// value anyway. size 0 means "streaming, size unobservable" exactly as in
-// evalStreamPred.
+// value anyway. size 0 means "streaming, size unobservable": stepStreamable
+// admits no predicate that calls last().
 func (f *cframe) evalPred(pred cpred, it xdm.Item, pos, size int) (bool, error) {
 	oi, op, os := f.item, f.pos, f.size
 	f.item, f.pos, f.size = it, pos, size
@@ -899,101 +799,90 @@ func (f *cframe) existsCompare(n *xdm.Node, steps []*xq.Step, op xq.CompOp, ca [
 		}
 		return false, nil
 	}
-	stop := f.ctx.stop
-	switch st.Axis {
-	case xq.AxisChild:
-		if n.Kind == xdm.AttributeNode {
-			return false, nil
-		}
-		for _, ch := range n.Children {
-			if err := stop.check(); err != nil {
-				return false, err
-			}
-			if matchTest(ch, st.Axis, st.Test) {
-				if found, err := check(ch); err != nil || found {
-					return found, err
-				}
-			}
-		}
-	case xq.AxisAttribute:
-		for _, a := range n.Attrs {
-			if err := stop.check(); err != nil {
-				return false, err
-			}
-			if matchTest(a, st.Axis, st.Test) {
-				if found, err := check(a); err != nil || found {
-					return found, err
-				}
-			}
-		}
-	case xq.AxisSelf:
-		if err := stop.check(); err != nil {
-			return false, err
-		}
-		if matchTest(n, st.Axis, st.Test) {
-			return check(n)
-		}
-	case xq.AxisDescendant:
-		for _, ch := range n.Children {
-			if found, err := scanSubtreeExists(ch, st, check, stop); err != nil || found {
-				return found, err
-			}
-		}
-	case xq.AxisDescendantOrSelf:
-		return scanSubtreeExists(n, st, check, stop)
-	}
-	return false, nil
-}
-
-// scanSubtreeExists is scanSubtree with a short-circuiting visitor instead of
-// an accumulating slice.
-func scanSubtreeExists(n *xdm.Node, st *xq.Step, check func(*xdm.Node) (bool, error), stop *stopCheck) (bool, error) {
-	if err := stop.check(); err != nil {
-		return false, err
-	}
-	if matchTest(n, st.Axis, st.Test) {
-		if found, err := check(n); err != nil || found {
-			return found, err
-		}
-	}
-	for _, ch := range n.Children {
-		if found, err := scanSubtreeExists(ch, st, check, stop); err != nil || found {
-			return found, err
-		}
-	}
-	return false, nil
-}
-
-// streamFrom streams a compiled final step from one context node — the
-// mirror of streamStep/predSink in lazy.go, with compiled predicates and
-// positions counted per context node. The axis walk itself is walkAxis,
-// shared with the lazy tree-walker.
-func (f *cframe) streamFrom(n *xdm.Node, st *cstep, yield func(xdm.Item) bool) error {
-	if len(st.preds) == 0 {
-		// No predicate chain to build: the sink stays on the stack.
-		return haltIf(f.ctx.walkAxis(n, st.axis, st.test, func(m *xdm.Node) (bool, error) {
-			return yield(m), nil
-		}))
-	}
-	sink := nodeSink(func(m *xdm.Node) (bool, error) {
-		return yield(m), nil
+	found := false
+	_, err := walkAxis(n, st.Axis, st.Test, f.ctx.stop, func(m *xdm.Node) (bool, error) {
+		var err error
+		found, err = check(m)
+		return !found, err
 	})
-	for i := len(st.preds) - 1; i >= 0; i-- {
-		pred, next := st.preds[i], sink
-		pos := 0
-		sink = func(m *xdm.Node) (bool, error) {
+	return found, err
+}
+
+// streamFrom streams a compiled final step from one context node: walkAxis
+// pushes each candidate through the step's predicate, if any, straight to
+// the consumer, with positions counted per context node — evalStep's
+// per-segment numbering. Several predicate layers run whole over the
+// segment, one after another, as in evalStep: interleaved per candidate, a
+// later layer could fault before an earlier one does. The concatenation of
+// segments is in distinct document order by the OrderedDisjointNodes
+// precondition, so no sort barrier is needed.
+func (f *cframe) streamFrom(n *xdm.Node, st *cstep, yield func(xdm.Item) bool) error {
+	stop := f.ctx.stop
+	if len(st.preds) > 1 {
+		seg, err := gatherAxis(f.sc.nodes.take(), n, st.axis, st.test, stop)
+		if err == nil {
+			seg, err = f.runFilterPreds(seg, st.preds)
+		}
+		if err != nil {
+			return err
+		}
+		for _, m := range seg {
+			if !yield(m) {
+				return errHalt
+			}
+		}
+		f.sc.nodes.give(seg)
+		return nil
+	}
+	pos := 0
+	return haltIf(walkAxis(n, st.axis, st.test, stop, func(m *xdm.Node) (bool, error) {
+		if len(st.preds) == 1 {
 			pos++
-			keep, err := f.evalPred(pred, m, pos, 0)
-			if err != nil {
-				return false, err
+			if keep, err := f.evalPred(st.preds[0], m, pos, 0); err != nil || !keep {
+				return err == nil, err
 			}
-			if !keep {
-				return true, nil
-			}
-			return next(m)
+		}
+		return yield(m), nil
+	}))
+}
+
+// stepStreamable reports whether a path step can stream: predicates must not
+// observe last() (position() is fine — it accumulates incrementally), and a
+// node step's axis must enumerate descendants of its context node only, so
+// that ordered disjoint context nodes concatenate in document order.
+func stepStreamable(st *xq.Step) bool {
+	for _, p := range st.Preds {
+		if usesLast(p) {
+			return false
 		}
 	}
-	return haltIf(f.ctx.walkAxis(n, st.axis, st.test, sink))
+	if st.Filter {
+		return true
+	}
+	switch st.Axis {
+	case xq.AxisChild, xq.AxisAttribute, xq.AxisSelf, xq.AxisDescendant, xq.AxisDescendantOrSelf:
+		return true
+	}
+	return false
+}
+
+// usesLast reports whether the expression syntactically calls last().
+// Declared functions cannot observe the caller's focus (a call drops it), so
+// scanning the predicate expression itself is sufficient. The scan is
+// conservative: a last() in a nested step's own predicate (whose focus is
+// that step's, not ours) also disables streaming.
+func usesLast(e xq.Expr) bool {
+	found := false
+	xq.Walk(e, func(sub xq.Expr) bool {
+		if fc, ok := sub.(*xq.FunCall); ok {
+			if strings.TrimPrefix(fc.Name, "fn:") == "last" {
+				found = true
+				return false
+			}
+		}
+		return true
+	})
+	return found
 }
 
 // haltIf turns a walk's (continue, error) outcome into push-form's error:
@@ -1005,36 +894,31 @@ func haltIf(cont bool, err error) error {
 	return err
 }
 
-// streamFilterItems streams a compiled final filter step — the mirror of
-// filterItemsSeq.
+// streamFilterItems streams a compiled final filter step over a materialized
+// input: positions count over the whole sequence, as in filterItems, and
+// several predicate layers run whole first, for streamFrom's reason.
 func (f *cframe) streamFilterItems(items xdm.Sequence, preds []cpred, yield func(xdm.Item) bool) error {
-	sink := func(it xdm.Item) (bool, error) {
-		return yield(it), nil
-	}
-	for i := len(preds) - 1; i >= 0; i-- {
-		pred, next := preds[i], sink
-		pos := 0
-		sink = func(it xdm.Item) (bool, error) {
-			pos++
-			keep, err := f.evalPred(pred, it, pos, 0)
-			if err != nil {
-				return false, err
-			}
-			if !keep {
-				return true, nil
-			}
-			return next(it)
+	if len(preds) > 1 {
+		var err error
+		if items, err = f.runFilterItems(items, preds); err != nil {
+			return err
 		}
+		preds = nil
 	}
-	for _, it := range items {
+	for i, it := range items {
 		if err := f.ctx.stop.check(); err != nil {
 			return err
 		}
-		cont, err := sink(it)
-		if err != nil {
-			return err
+		if len(preds) == 1 {
+			keep, err := f.evalPred(preds[0], it, i+1, 0)
+			if err != nil {
+				return err
+			}
+			if !keep {
+				continue
+			}
 		}
-		if !cont {
+		if !yield(it) {
 			return errHalt
 		}
 	}

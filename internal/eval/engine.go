@@ -1,8 +1,15 @@
-// Package eval implements a tree-walking evaluator for the xq dialect over
-// the xdm data model. It provides the local XQuery engine that peers run, the
-// document resolver abstraction (which is where data-shipping vs. function-
-// shipping strategies plug in), and the RemoteCaller hook through which
-// XRPCExpr nodes perform remote procedure calls.
+// Package eval implements the evaluator for the xq dialect over the xdm data
+// model. It provides the local XQuery engine that peers run, the document
+// resolver abstraction (which is where data-shipping vs. function-shipping
+// strategies plug in), and the RemoteCaller hook through which XRPCExpr
+// nodes perform remote procedure calls.
+//
+// Two executors share one semantics. The eager tree-walker (eval.go,
+// axes.go) runs queries nobody has compiled, is the compiled code's fallback
+// for remote calls, and is the differential oracle. A Program (compile.go,
+// compiled.go) lowers a query to closures in an eager and a push form; the
+// push form is the only lazy executor, so the lazy entry points lower on
+// demand.
 //
 // The layer's contract: Engine evaluates a normalized query exactly per the
 // xq semantics, resolving fn:doc through its Resolver (with single-flighted
@@ -138,8 +145,8 @@ type Engine struct {
 	Resolver Resolver
 	Remote   RemoteCaller
 	Static   StaticContext
-	// Options selects evaluation-strategy knobs; under the zero value a
-	// query runs compiled exactly when it carries a Program.
+	// Options selects evaluation-strategy knobs; under the zero value an
+	// eager call runs compiled exactly when its query carries a Program.
 	Options Options
 	// Replicas maps a scatter target peer to its ordered failover replicas:
 	// peers holding an equivalent copy of the target's data (same documents
@@ -157,7 +164,7 @@ type Engine struct {
 	// shard decisions.
 	ReplicaRoutes map[*xq.XRPCExpr]map[string][]string
 	// Deadline, when non-zero, bounds every evaluation started through this
-	// engine: the tree-walker checks it periodically and aborts with
+	// engine: both executors check it periodically and abort with
 	// ErrDeadlineExceeded once it passes. Sessions set it on their
 	// query-local engine from the query budget; peers serving many requests
 	// use the per-call EvalFunctionDeadline instead.
@@ -343,15 +350,28 @@ func (e *Engine) StatsSnapshot() Stats {
 	return e.Stats
 }
 
-// Query normalizes and evaluates a parsed query. It is QuerySeq plus
-// Materialize: evaluation runs through the same lazy producer paths the
-// streaming server pulls from, drained eagerly.
+// Query normalizes and evaluates a parsed query eagerly: through its
+// Program's eager form when program selects one, else by tree-walking.
 func (e *Engine) Query(q *xq.Query) (xdm.Sequence, error) {
-	s, err := e.QuerySeq(q)
-	if err != nil {
+	if err := xq.Normalize(q); err != nil {
 		return nil, err
 	}
-	return s.Materialize()
+	ctx := e.newContext(q.Funcs)
+	if p := e.program(q, false); p != nil {
+		return p.run(ctx)
+	}
+	return ctx.eval(q.Body)
+}
+
+// QuerySeq normalizes a parsed query and returns its result as a lazy
+// sequence. Nothing is evaluated until the sequence is pulled. The compiled
+// push form is the only lazy executor, so a query without a Program is
+// lowered now.
+func (e *Engine) QuerySeq(q *xq.Query) (xdm.Seq, error) {
+	if err := xq.Normalize(q); err != nil {
+		return nil, err
+	}
+	return e.program(q, true).runSeq(e.newContext(q.Funcs)), nil
 }
 
 // QueryString parses, normalizes and evaluates query source text.
@@ -395,7 +415,7 @@ func (e *Engine) EvalFunctionDeadline(q *xq.Query, name string, args []xdm.Seque
 	if !deadline.IsZero() {
 		ctx.stop = &stopCheck{eng: e, deadline: deadline}
 	}
-	if p := e.program(q); p != nil {
+	if p := e.program(q, false); p != nil {
 		return p.callFunction(ctx, name, args)
 	}
 	for _, f := range q.Funcs {
@@ -412,7 +432,8 @@ func (e *Engine) EvalFunctionDeadline(q *xq.Query, name string, args []xdm.Seque
 // while the call is still computing. Argument types are checked eagerly
 // (faults beat frames); the result type streams per item when the declared
 // occurrence is `*` and falls back to materialize-then-check otherwise,
-// since occurrence constraints need the whole result.
+// since occurrence constraints need the whole result. Like QuerySeq, it
+// lowers a query that carries no Program.
 func (e *Engine) EvalFunctionSeqDeadline(q *xq.Query, name string, args []xdm.Sequence, static *StaticContext, deadline time.Time) (xdm.Seq, error) {
 	if err := xq.Normalize(q); err != nil {
 		return nil, err
@@ -424,25 +445,18 @@ func (e *Engine) EvalFunctionSeqDeadline(q *xq.Query, name string, args []xdm.Se
 	if !deadline.IsZero() {
 		ctx.stop = &stopCheck{eng: e, deadline: deadline}
 	}
-	if p := e.program(q); p != nil {
-		return p.callFunctionSeq(ctx, name, args)
-	}
-	for _, f := range q.Funcs {
-		if f.Name == name && len(f.Params) == len(args) {
-			return ctx.callDeclaredSeq(f, args)
-		}
-	}
-	return nil, fmt.Errorf("eval: function %s#%d not declared", name, len(args))
+	return e.program(q, true).callFunctionSeq(ctx, name, args)
 }
 
 // program selects q's executor: the Program q carries — attached by a cache
-// that saw q reused, or by an earlier call — else, only when the engine's
-// Compile option is set, a fresh lowering. Nil means q tree-walks.
-func (e *Engine) program(q *xq.Query) *Program {
+// that saw q reused, or by an earlier call — else a fresh lowering when the
+// caller is a lazy entry point (lazy) or the engine's Compile option is set.
+// Nil means q tree-walks, which only an eager entry point can ask for.
+func (e *Engine) program(q *xq.Query, lazy bool) *Program {
 	p, ok := q.CompiledArtifact().(*Program)
-	if !ok && e.Options.Compile {
-		// Every caller has normalized q, so lowering cannot fail; if it did,
-		// q would tree-walk.
+	if !ok && (lazy || e.Options.Compile) {
+		// Every caller has normalized q, and CompileQuery fails only where
+		// Normalize does, so the lowering cannot fail.
 		p, _ = e.Compile(q)
 	}
 	return p
@@ -615,56 +629,6 @@ func (c *context) callDeclared(f *xq.FuncDecl, args []xdm.Sequence) (xdm.Sequenc
 		return nil, fmt.Errorf("eval: %s result: %w", f.Name, err)
 	}
 	return res, nil
-}
-
-// callDeclaredSeq is callDeclared with a lazy body: parameters are bound and
-// type-checked up front, then the body streams. Shipped XRPC functions
-// declare `item()*` results, so the common server path streams unchecked;
-// constrained occurrences (exactly-one, optional, plus) materialize because
-// they cannot be verified item by item.
-func (c *context) callDeclaredSeq(f *xq.FuncDecl, args []xdm.Sequence) (xdm.Seq, error) {
-	nc := &context{eng: c.eng, funcs: c.funcs, static: c.static, stop: c.stop}
-	for i, p := range f.Params {
-		if err := checkSeqType(args[i], p.Type); err != nil {
-			return nil, fmt.Errorf("eval: %s($%s): %w", f.Name, p.Name, err)
-		}
-		nc = nc.bind(p.Name, args[i])
-	}
-	if f.Return.Occur != xq.OccurStar {
-		return func(yield func(xdm.Item) bool) error {
-			res, err := nc.eval(f.Body)
-			if err != nil {
-				return err
-			}
-			if err := checkSeqType(res, f.Return); err != nil {
-				return fmt.Errorf("eval: %s result: %w", f.Name, err)
-			}
-			for _, it := range res {
-				if !yield(it) {
-					return nil
-				}
-			}
-			return nil
-		}, nil
-	}
-	body := nc.evalSeq(f.Body)
-	if f.Return.Item == "item()" || f.Return.Item == "" {
-		return body, nil
-	}
-	return func(yield func(xdm.Item) bool) error {
-		var typeErr error
-		err := body(func(it xdm.Item) bool {
-			if !itemMatches(it, f.Return.Item) {
-				typeErr = fmt.Errorf("eval: %s result: item %v does not match type %s", f.Name, it, f.Return.Item)
-				return false
-			}
-			return yield(it)
-		})
-		if err != nil {
-			return err
-		}
-		return typeErr
-	}, nil
 }
 
 // checkSeqType enforces occurrence and a light item-type check.

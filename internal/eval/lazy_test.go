@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,9 +13,8 @@ import (
 	"distxq/internal/xq"
 )
 
-// evalEager runs a query through the eager evaluator only, bypassing the
-// lazy paths that Engine.Query now routes through — the reference for the
-// lazy-vs-eager equivalence checks.
+// evalEager runs a query through the eager tree-walker on its own parse —
+// the oracle the compiled push form is checked against.
 func evalEager(e *Engine, src string) (xdm.Sequence, error) {
 	q, err := xq.ParseQuery(src)
 	if err != nil {
@@ -27,7 +27,9 @@ func evalEager(e *Engine, src string) (xdm.Sequence, error) {
 	return ctx.eval(q.Body)
 }
 
-// evalLazy pulls the same query through QuerySeq item by item.
+// evalLazy pulls the same query through QuerySeq item by item: the compiled
+// push form, lowered on the spot. Each side parses its own copy, so the
+// Program the push form attaches never reaches the oracle.
 func evalLazy(e *Engine, src string) (xdm.Sequence, error) {
 	q, err := xq.ParseQuery(src)
 	if err != nil {
@@ -76,6 +78,8 @@ var lazyEquivQueries = []string{
 	`typeswitch (doc("people.xml")/people/person) case $n as node()+ return $n[1]/name default return "none"`,
 }
 
+// TestLazyEagerEquivalence checks the compiled push form (QuerySeq) against
+// the eager tree-walker oracle (evalEager), each on its own parse.
 func TestLazyEagerEquivalence(t *testing.T) {
 	for _, src := range lazyEquivQueries {
 		eagerEng := NewEngine(peopleDocs)
@@ -95,10 +99,11 @@ func TestLazyEagerEquivalence(t *testing.T) {
 	}
 }
 
-// TestLazyEagerEquivalenceRandomized fuzzes the equivalence over generated
-// documents: random trees, random downward paths with positional and value
-// predicates, loops and sequence construction. Identical serialization is
-// required — laziness must change when items are produced, never which.
+// TestLazyEagerEquivalenceRandomized fuzzes the push-form-vs-oracle
+// equivalence over generated documents: random trees, random downward paths
+// with positional and value predicates, loops and sequence construction.
+// Identical serialization is required — laziness must change when items are
+// produced, never which.
 func TestLazyEagerEquivalenceRandomized(t *testing.T) {
 	names := []string{"a", "b", "c", "d"}
 	for seed := int64(1); seed <= 6; seed++ {
@@ -156,9 +161,9 @@ func TestLazyEagerEquivalenceRandomized(t *testing.T) {
 	}
 }
 
-// TestQuerySeqIsLazy proves items are produced before evaluation completes:
-// the second half of the sequence would divide by zero, but pulling only the
-// first item never evaluates it.
+// TestQuerySeqIsLazy proves the compiled push form produces items before
+// evaluation completes: the second half of the sequence would divide by
+// zero, but pulling only the first item never evaluates it.
 func TestQuerySeqIsLazy(t *testing.T) {
 	e := NewEngine(peopleDocs)
 	q, err := xq.ParseQuery(`(doc("people.xml")/people/person/name, 1 div 0)`)
@@ -216,7 +221,8 @@ func TestQuerySeqForLoopStreams(t *testing.T) {
 
 // TestLazyDeadlineAbortsMidStream: the deadline cuts a streamed walk after a
 // prefix — ErrDeadlineExceeded surfaces at the pull site and the abort is
-// counted in Stats.
+// counted in Stats. The eager tree-walker, which runs a cold Query, must cut
+// the same walk: its axis scan checks the deadline per visited node too.
 func TestLazyDeadlineAbortsMidStream(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("<r>")
@@ -247,8 +253,73 @@ func TestLazyDeadlineAbortsMidStream(t *testing.T) {
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("want ErrDeadlineExceeded after %d items, got %v", n, err)
 	}
-	if e.StatsSnapshot().DeadlineAborts == 0 {
+	aborts := e.StatsSnapshot().DeadlineAborts
+	if aborts == 0 {
 		t.Fatal("deadline abort not counted in Stats")
+	}
+
+	// A fresh parse carries no Program, so Query tree-walks it.
+	cold, err := xq.ParseQuery(`doc("big.xml")/r/x`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Query(cold); !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("cold Query: want ErrDeadlineExceeded, got %v", err)
+	}
+	if cold.CompiledArtifact() != nil {
+		t.Fatal("cold Query lowered the query; the tree-walker went untested")
+	}
+	if e.StatsSnapshot().DeadlineAborts == aborts {
+		t.Fatal("cold Query's deadline abort not counted in Stats")
+	}
+}
+
+// TestQuerySeqConcurrentFirstUse: goroutines racing to lower one fresh
+// query each get a working Program — a duplicate lowering is harmless — and
+// all stream the same bytes.
+func TestQuerySeqConcurrentFirstUse(t *testing.T) {
+	src := `for $p in doc("people.xml")/people/person return ($p/@id, $p/name)`
+	want, err := evalEager(NewEngine(peopleDocs), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := xq.ParseQuery(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Normalize rewrites a raw parse in place; shared queries are normalized
+	// before they are shared.
+	if err := xq.Normalize(q); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(peopleDocs)
+	got := make([]string, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			s, err := e.QuerySeq(q)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			res, err := s.Materialize()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = serialize(res)
+		}(i)
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g != serialize(want) {
+			t.Errorf("goroutine %d: %q, want %q", i, g, serialize(want))
+		}
+	}
+	if _, ok := q.CompiledArtifact().(*Program); !ok {
+		t.Fatal("the query carries no Program after concurrent first use")
 	}
 }
 
@@ -293,11 +364,14 @@ func TestEvalFunctionSeqDeadlineStreams(t *testing.T) {
 	}
 }
 
-// TestCallDeclaredSeqTypeChecks: constrained return types still enforce, both
-// the occurrence fallback and the per-item streaming check.
+// TestCallDeclaredSeqTypeChecks: a streamed declared function's constrained
+// return type still enforces, both the occurrence fallback and the per-item
+// streaming check — and a body that faults after its mismatching item
+// reports its own fault, as the eager call does.
 func TestCallDeclaredSeqTypeChecks(t *testing.T) {
 	src := `declare function local:one($d as item()*) as element() { doc("people.xml")/people/person };
-	        declare function local:nodes($d as item()*) as element()* { (doc("people.xml")/people/person, "oops") }; 1`
+	        declare function local:nodes($d as item()*) as element()* { (doc("people.xml")/people/person, "oops") };
+	        declare function local:late($d as item()*) as element()* { (doc("people.xml")/people/person, "oops", 1 idiv 0) }; 1`
 	q, err := xq.ParseQuery(src)
 	if err != nil {
 		t.Fatal(err)
@@ -316,5 +390,17 @@ func TestCallDeclaredSeqTypeChecks(t *testing.T) {
 	}
 	if _, err := s.Materialize(); err == nil || !strings.Contains(err.Error(), "does not match type") {
 		t.Fatalf("item type violation not caught: %v", err)
+	}
+	oracle, err := xq.ParseQuery(src) // its own parse: the tree-walker's call
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want := NewEngine(peopleDocs).EvalFunction(oracle, "local:late", []xdm.Sequence{{xdm.NewInteger(1)}})
+	s, err = e.EvalFunctionSeqDeadline(q, "local:late", []xdm.Sequence{{xdm.NewInteger(1)}}, nil, time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Materialize(); want == nil || err == nil || err.Error() != want.Error() {
+		t.Fatalf("streamed fault %v, eager fault %v", err, want)
 	}
 }

@@ -94,8 +94,8 @@ func (r *planReuse) sender(sess *Session) func(src string) (xdm.Sequence, *Repor
 
 // requireBothExecutors is the harness's non-vacuity check: the originator
 // tree-walked first executions and compiled reused plans, and at least one
-// of the given peer engines compiled a shipped module it saw twice (each
-// module's first sighting tree-walks by construction).
+// of the given peer engines compiled a shipped module (on its second
+// sighting; a first sighting tree-walks unless a streamed call lowers it).
 func (r *planReuse) requireBothExecutors(t *testing.T, peerEngines ...*eval.Engine) {
 	t.Helper()
 	r.mu.Lock()

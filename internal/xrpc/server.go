@@ -48,9 +48,10 @@ const moduleCacheSize = 32
 // admitted on its second sighting — a cached module keeps its tree and its
 // compiled program alive, and a peer answering ad-hoc queries that never
 // repeat should retain none of them. That second sighting is also the proof
-// of reuse that pays for lowering: a module compiles exactly once, at
-// admission, so every cache hit runs the compiled executor and a module
-// seen once tree-walks and leaves nothing behind.
+// of reuse that pays for lowering: a module compiles once, at admission, so
+// every cache hit runs the compiled executor, and a module seen once leaves
+// nothing behind — it tree-walks through Handle, while HandleStream, whose
+// only lazy executor is compiled, lowers it for that one request.
 type moduleCache struct {
 	mu sync.Mutex
 	// entries maps a text to its published module; a nil value is the claim

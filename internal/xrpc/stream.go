@@ -391,7 +391,10 @@ func MarshalResponseStream(resp *Response, itemsPerChunk int, resultUsed, result
 // engine's lazy result sequence and a frame departs every ChunkItems items,
 // so peak result buffering is one frame, not one call, and the first frame's
 // latency is the time to the first ChunkItems items rather than the whole
-// call. Evaluation errors are returned after the frames that precede them
+// call. The lazy sequence is the module's compiled push form: a cached
+// module carries its Program, and a module on its first sighting is lowered
+// for this request (one compilation, dropped with the uncached parse).
+// Evaluation errors are returned after the frames that precede them
 // (those frames are a valid prefix — laziness never reorders items); the
 // transport delivers them as fault frames, and failover replay suppression
 // resumes past the delivered prefix as with any mid-stream fault.
