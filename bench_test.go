@@ -321,28 +321,24 @@ func BenchmarkAblationWAN(b *testing.B) {
 }
 
 // BenchmarkScatterGather measures the sharded-people scatter query over 4
-// peers, concurrent wave vs. the sequential one-peer-at-a-time baseline; the
-// reported metric is the simulated network speedup of overlapped dispatch.
+// peers dispatched as one concurrent wave; the reported metric is the
+// simulated network speedup of overlapped dispatch over the serial sum of
+// the same exchanges.
 func BenchmarkScatterGather(b *testing.B) {
-	for _, mode := range []struct {
-		name       string
-		sequential bool
-	}{{"concurrent", false}, {"sequential", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			f := bench.NewScatterFixture(benchDocBytes, 4)
-			var netNS, serialNS int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, rep, err := f.Run(core.ByFragment, mode.sequential)
-				if err != nil {
-					b.Fatal(err)
-				}
-				netNS, serialNS = rep.NetworkNS, rep.SerialNetworkNS
+	b.Run("concurrent", func(b *testing.B) {
+		f := bench.NewScatterFixture(benchDocBytes, 4)
+		var netNS, serialNS int64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_, rep, err := f.Run(core.ByFragment)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(netNS)/1e6, "net-ms/query")
-			if !mode.sequential && netNS > 0 {
-				b.ReportMetric(float64(serialNS)/float64(netNS), "net-speedup")
-			}
-		})
-	}
+			netNS, serialNS = rep.NetworkNS, rep.SerialNetworkNS
+		}
+		b.ReportMetric(float64(netNS)/1e6, "net-ms/query")
+		if netNS > 0 {
+			b.ReportMetric(float64(serialNS)/float64(netNS), "net-speedup")
+		}
+	})
 }

@@ -1,8 +1,7 @@
 package main
 
 // Machine-readable benchmark output (-json): every figure that produces a
-// timing row also feeds a flat point list, written as one JSON document so
-// CI can archive a trajectory of BENCH_scatter.json files across commits.
+// timing row also feeds a flat point list, written as one JSON document.
 
 import (
 	"encoding/json"
@@ -111,82 +110,6 @@ func (s *jsonSink) addLoad(rows []bench.LoadRow) {
 			Hedges:      r.Hedges,
 		})
 	}
-}
-
-// readReport parses a benchReport file previously written by -json.
-func readReport(path string) (*benchReport, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep benchReport
-	if err := json.Unmarshal(b, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if rep.Schema != "distxq/bench/v1" {
-		return nil, fmt.Errorf("%s: unknown schema %q", path, rep.Schema)
-	}
-	return &rep, nil
-}
-
-// regression is one load point failing one criterion against the baseline.
-type regression struct {
-	point, criterion string // e.g. "offered=1.0x", "admitted P99"
-	detail           string // the measured values, for the report
-}
-
-func (r regression) String() string {
-	return fmt.Sprintf("load %s: %s %s", r.point, r.criterion, r.detail)
-}
-
-// checkRegression compares the current run's load points against a baseline
-// report: a point regresses when its goodput falls, or its admitted P99
-// rises, by more than tolerance (fractional, e.g. 0.25). Baseline points
-// missing from the current run count as regressions; extra current points
-// are ignored (new sweeps extend the baseline on the next refresh). Empty
-// on pass.
-func checkRegression(baseline, current *benchReport, tolerance float64) []regression {
-	cur := map[string]benchPoint{}
-	for _, p := range current.Points {
-		if p.Fig == "load" {
-			cur[p.Label] = p
-		}
-	}
-	var regressions []regression
-	for _, b := range baseline.Points {
-		if b.Fig != "load" {
-			continue
-		}
-		c, ok := cur[b.Label]
-		if !ok {
-			regressions = append(regressions, regression{b.Label, "point", "missing from current run"})
-			continue
-		}
-		if b.QPS > 0 && c.QPS < b.QPS*(1-tolerance) {
-			regressions = append(regressions, regression{b.Label, "goodput",
-				fmt.Sprintf("%.1f QPS is more than %.0f%% below baseline %.1f", c.QPS, tolerance*100, b.QPS)})
-		}
-		if b.P99NS > 0 && c.P99NS > int64(float64(b.P99NS)*(1+tolerance)) {
-			regressions = append(regressions, regression{b.Label, "admitted P99",
-				fmt.Sprintf("%dns is more than %.0f%% above baseline %dns", c.P99NS, tolerance*100, b.P99NS)})
-		}
-	}
-	return regressions
-}
-
-// recurring keeps the regressions of prev that next shows again — the same
-// point failing the same criterion, whatever the measured values.
-func recurring(prev, next []regression) []regression {
-	var out []regression
-	for _, p := range prev {
-		for _, n := range next {
-			if n.point == p.point && n.criterion == p.criterion {
-				out = append(out, n)
-				break
-			}
-		}
-	}
-	return out
 }
 
 func (s *jsonSink) marshal() ([]byte, error) {

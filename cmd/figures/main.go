@@ -4,16 +4,12 @@
 //
 // Usage:
 //
-//	figures [-fig all|7|8|9|10|scatter|shard|stream|incremental|hedge|load|trace|topology] [-size bytes] [-steps n] [-json file] [-check baseline]
+//	figures [-fig all|7|8|9|10|scatter|shard|stream|incremental|hedge|load|trace|topology] [-size bytes] [-steps n] [-json file]
 //
 // -size sets the largest combined document size of the sweep (default 2 MiB;
 // the paper used 320 MB on a cluster — larger sizes just take longer).
 // -json additionally writes the timing figures' points as one JSON document
-// (see cmd/figures/json.go) for CI to archive across commits.
-// -check compares this run's load points against a committed baseline file
-// and exits nonzero when goodput drops or admitted P99 rises beyond
-// -tolerance (default 25%) on each of three independent sweeps — the CI
-// perf-regression gate.
+// (see cmd/figures/json.go).
 package main
 
 import (
@@ -29,11 +25,7 @@ func main() {
 	size := flag.Int64("size", 1<<21, "largest combined document size in bytes")
 	steps := flag.Int("steps", 5, "number of sizes in the sweep (halving per step)")
 	maxPeers := flag.Int("peers", 8, "largest peer count of the scatter sweep (doubling from 1)")
-	jsonPath := flag.String("json", "", "also write machine-readable points to this file (e.g. BENCH_scatter.json)")
-	checkPath := flag.String("check", "",
-		"compare this run's load points against a baseline -json file (e.g. BENCH_baseline.json); exit nonzero on regression beyond -tolerance")
-	tolerance := flag.Float64("tolerance", 0.25,
-		"fractional regression allowed by -check in goodput (down) and admitted P99 (up)")
+	jsonPath := flag.String("json", "", "also write machine-readable points to this file")
 	traceOut := flag.String("trace-out", "",
 		"with -fig trace: also write the live run's span tree as Chrome trace-event JSON (open in chrome://tracing or Perfetto)")
 	flag.Parse()
@@ -188,39 +180,5 @@ func main() {
 			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
 			os.Exit(1)
 		}
-	}
-	if *checkPath != "" {
-		baseline, err := readReport(*checkPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: -check: %v\n", err)
-			os.Exit(1)
-		}
-		regressions := checkRegression(baseline, &sink.report, *tolerance)
-		// Each point's P99 is the slowest handful of ~150 queries judged
-		// against a bound a few scheduler quanta wide, so a busy box breaks
-		// one point of one sweep now and then. What the gate guards against
-		// — a slower service — breaks the same point on every sweep: a
-		// regression counts only if it recurs on each of three independent
-		// sweeps, at the unchanged tolerance.
-		sweptLoad := *fig == "all" || *fig == "load"
-		for resweep := 0; resweep < 2 && sweptLoad && len(regressions) > 0; resweep++ {
-			rows, err := bench.FigLoad(bench.DefaultLoadConfig())
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "figures: -check: %v\n", err)
-				os.Exit(1)
-			}
-			again := newJSONSink()
-			again.addLoad(rows)
-			regressions = recurring(regressions, checkRegression(baseline, &again.report, *tolerance))
-		}
-		for _, r := range regressions {
-			fmt.Fprintf(os.Stderr, "figures: regression: %s\n", r)
-		}
-		if len(regressions) > 0 {
-			fmt.Fprintf(os.Stderr, "figures: %d regression(s) beyond %.0f%% against %s\n",
-				len(regressions), *tolerance*100, *checkPath)
-			os.Exit(1)
-		}
-		fmt.Printf("check: no regressions beyond %.0f%% against %s\n", *tolerance*100, *checkPath)
 	}
 }

@@ -429,82 +429,6 @@ func TestBenchJSON(t *testing.T) {
 	checkGolden(t, "bench_scatter.json.golden", b)
 }
 
-// TestCheckRegression covers the -check gate's comparison logic: pass
-// within tolerance, fail on goodput drops and P99 rises beyond it, fail on
-// baseline points missing from the current run, ignore extra current points.
-func TestCheckRegression(t *testing.T) {
-	baseline := &benchReport{Schema: "distxq/bench/v1", Points: []benchPoint{
-		{Fig: "load", Label: "offered=1.0x", QPS: 200, P99NS: 10_000_000},
-		{Fig: "load", Label: "offered=2.0x", QPS: 190, P99NS: 12_000_000},
-		{Fig: "scatter", Label: "ignored", NSPerOp: 1}, // non-load: not compared
-	}}
-	mkCurrent := func(qps1 float64, p99ns1 int64, withSecond bool) *benchReport {
-		rep := &benchReport{Schema: "distxq/bench/v1", Points: []benchPoint{
-			{Fig: "load", Label: "offered=1.0x", QPS: qps1, P99NS: p99ns1},
-			{Fig: "load", Label: "offered=9.0x", QPS: 1, P99NS: 1}, // extra: ignored
-		}}
-		if withSecond {
-			rep.Points = append(rep.Points,
-				benchPoint{Fig: "load", Label: "offered=2.0x", QPS: 190, P99NS: 12_000_000})
-		}
-		return rep
-	}
-	if regs := checkRegression(baseline, mkCurrent(160, 12_000_000, true), 0.25); len(regs) != 0 {
-		t.Errorf("within tolerance, got regressions: %v", regs)
-	}
-	if regs := checkRegression(baseline, mkCurrent(140, 10_000_000, true), 0.25); len(regs) != 1 ||
-		regs[0].criterion != "goodput" {
-		t.Errorf("goodput drop beyond 25%% not flagged: %v", regs)
-	}
-	if regs := checkRegression(baseline, mkCurrent(200, 13_000_000, true), 0.25); len(regs) != 1 ||
-		regs[0].criterion != "admitted P99" {
-		t.Errorf("P99 rise beyond 25%% not flagged: %v", regs)
-	}
-	if regs := checkRegression(baseline, mkCurrent(200, 10_000_000, false), 0.25); len(regs) != 1 ||
-		regs[0].detail != "missing from current run" {
-		t.Errorf("missing baseline point not flagged: %v", regs)
-	}
-
-	// The gate re-sweeps before it fails: only the same point failing the
-	// same criterion on every sweep survives.
-	spike := func(label, criterion string) regression { return regression{label, criterion, "measured"} }
-	first := []regression{spike("offered=1.0x", "admitted P99"), spike("offered=2.0x", "goodput")}
-	if got := recurring(first, []regression{spike("offered=2.0x", "admitted P99"), spike("offered=4.0x", "goodput")}); len(got) != 0 {
-		t.Errorf("regressions at different points or criteria recur: %v", got)
-	}
-	if got := recurring(first, []regression{spike("offered=2.0x", "goodput")}); len(got) != 1 || got[0].point != "offered=2.0x" {
-		t.Errorf("the one regression both sweeps share: %v", got)
-	}
-	if got := recurring(first, nil); len(got) != 0 {
-		t.Errorf("a clean sweep left regressions standing: %v", got)
-	}
-}
-
-// TestReadReportRoundTrip: a -json file written by the sink reads back for
-// -check, and foreign schemas are rejected.
-func TestReadReportRoundTrip(t *testing.T) {
-	s := newJSONSink()
-	s.addLoad([]bench.LoadRow{{Multiplier: 1, OfferedQPS: 100, GoodputQPS: 95, P50NS: 1, P99NS: 2}})
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := s.write(path); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := readReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Points) != 1 || rep.Points[0].Fig != "load" {
-		t.Fatalf("round-trip lost points: %+v", rep)
-	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"schema":"other/v9","points":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := readReport(bad); err == nil {
-		t.Fatal("foreign schema accepted")
-	}
-}
-
 // TestFigShardLive drives the real experiment at a small size: beyond the
 // formatting, the planner must actually match the hand-written plan.
 func TestFigShardLive(t *testing.T) {

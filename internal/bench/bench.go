@@ -322,12 +322,9 @@ func NewScatterFixture(totalBytes int64, peers int) *ScatterFixture {
 	return f
 }
 
-// Run executes the scatter query once; sequential forces the serial
-// one-peer-at-a-time baseline instead of concurrent dispatch.
-func (f *ScatterFixture) Run(strat core.Strategy, sequential bool) (xdm.Sequence, *peer.Report, error) {
-	sess := f.Net.NewSession(f.Local, strat)
-	sess.SequentialScatter = sequential
-	return sess.Query(f.Query)
+// Run executes the scatter query once.
+func (f *ScatterFixture) Run(strat core.Strategy) (xdm.Sequence, *peer.Report, error) {
+	return f.Net.NewSession(f.Local, strat).Query(f.Query)
 }
 
 // RunLogical executes the same workload written against the logical document
@@ -364,7 +361,7 @@ func FigScatter(totalBytes int64, peerCounts []int) ([]ScatterRow, error) {
 	var out []ScatterRow
 	for _, pc := range peerCounts {
 		f := NewScatterFixture(totalBytes, pc)
-		_, rep, err := f.Run(core.ByFragment, false)
+		_, rep, err := f.Run(core.ByFragment)
 		if err != nil {
 			return nil, fmt.Errorf("scatter %d peers: %w", pc, err)
 		}
@@ -437,7 +434,7 @@ func FigStream(totalBytes int64, peerCounts []int) ([]StreamRow, error) {
 		row := StreamRow{Peers: pc, ResultsEqual: true}
 		var gSer, sSer string
 		for rep := 0; rep < StreamReps; rep++ {
-			gRes, gRep, err := f.Run(core.ByFragment, false)
+			gRes, gRep, err := f.Run(core.ByFragment)
 			if err != nil {
 				return nil, fmt.Errorf("stream %d peers (gather): %w", pc, err)
 			}
@@ -513,7 +510,7 @@ func FigShard(totalBytes int64, peerCounts []int) ([]ShardRow, error) {
 	var out []ShardRow
 	for _, pc := range peerCounts {
 		f := NewScatterFixture(totalBytes, pc)
-		handRes, handRep, err := f.Run(core.ByFragment, false)
+		handRes, handRep, err := f.Run(core.ByFragment)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d peers (hand-written): %w", pc, err)
 		}

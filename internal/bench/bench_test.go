@@ -169,11 +169,11 @@ func TestFigScatterShape(t *testing.T) {
 	// The result is independent of the shard count.
 	a := NewScatterFixture(1<<17, 2)
 	b := NewScatterFixture(1<<17, 4)
-	ra, _, err := a.Run(core.ByFragment, false)
+	ra, _, err := a.Run(core.ByFragment)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, _, err := b.Run(core.ByFragment, false)
+	rb, _, err := b.Run(core.ByFragment)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -232,7 +232,7 @@ type FailoverRow struct {
 // lane's provenance recording the failover.
 func FigFailover(totalBytes int64, peers int) (*FailoverRow, error) {
 	f := NewReplicatedScatterFixture(totalBytes, peers)
-	healthy, _, err := f.Run(core.ByFragment, false)
+	healthy, _, err := f.Run(core.ByFragment)
 	if err != nil {
 		return nil, fmt.Errorf("failover healthy run: %w", err)
 	}

@@ -56,7 +56,7 @@ type TraceRow struct {
 // span tree pulled from the trace ring once every span has ended.
 func FigTrace(totalBytes int64, peers int) (*TraceRow, error) {
 	f := NewReplicatedScatterFixture(totalBytes, peers)
-	healthy, _, err := f.Run(core.ByFragment, false)
+	healthy, _, err := f.Run(core.ByFragment)
 	if err != nil {
 		return nil, fmt.Errorf("trace healthy run: %w", err)
 	}

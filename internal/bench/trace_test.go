@@ -41,7 +41,7 @@ func spanIndex(rec *trace.Recorded) map[trace.SpanID]*trace.Span {
 // tree must carry the attempt → lane → scatter → execute → query chain.
 func TestTracedShardEquivalence(t *testing.T) {
 	f := NewScatterFixture(1<<17, 3)
-	base, _, err := f.Run(core.ByFragment, false)
+	base, _, err := f.Run(core.ByFragment)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"distxq/internal/core"
 	"distxq/internal/eval"
 	"distxq/internal/xdm"
 	"distxq/internal/xmark"
@@ -87,6 +88,48 @@ func TestLocalEvalAllocCeilings(t *testing.T) {
 		// four more: map growth differs a little between Go releases.
 		if ceiling := max(sh.measured*1.1, sh.measured+4); allocs > ceiling {
 			t.Errorf("%s: %.0f allocs per compiled query, ceiling %.0f", sh.name, allocs, ceiling)
+		}
+	}
+}
+
+// TestWorkloadPlansCompileWhole: the decomposed plans of the repository
+// benchmark's distributed workloads — the scatter query, the §VII semijoin
+// and plan_cold's three templates — lower completely under every passing
+// strategy, their remote calls included.
+func TestWorkloadPlansCompileWhole(t *testing.T) {
+	peers := []string{"peer1", "peer2", "peer3", "peer4"}
+	known := map[string]bool{}
+	for _, p := range peers {
+		known[p] = true
+	}
+	for _, src := range []string{
+		xmark.ScatterQuery(peers),
+		xmark.BenchmarkQuery("peer1", "peer2"),
+		`for $x in doc("` + xmark.LogicalPeopleURI + `")/child::site/child::people/child::person
+		 return if ($x/descendant::age < 50) then $x/child::name else ()`,
+		`declare function f($n as xs:string) as item()*
+		 { count(doc("xrpc://peer1/xmk.xml")//person[attribute::id = $n]) };
+		 for $i in ("person1", "person2") return execute at {"peer1"} { f($i) }`,
+		`doc("xrpc://peer2/xmk.xml")/child::site/child::people/child::person[descendant::age < 50]/child::name`,
+	} {
+		for _, strat := range []core.Strategy{core.ByValue, core.ByFragment, core.ByProjection} {
+			q, err := xq.ParseQuery(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := core.DefaultOptions()
+			opts.Shards, opts.KnownPeers = []core.ShardMap{xmark.PeopleShardMap(peers)}, known
+			plan, err := core.Decompose(q, strat, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := eval.CompileQuery(plan.Query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fb := p.FallbackSites(); len(fb) > 0 {
+				t.Errorf("%s: fallback sites %v in the plan of\n%s", strat, fb, src)
+			}
 		}
 	}
 }

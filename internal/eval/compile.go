@@ -30,11 +30,14 @@ package eval
 //     comparator.
 //   - Constructors describe their tree to the builder the tree-walker uses
 //     too (treeBuilder), nested direct constructors in place.
+//   - A remote call evaluates its target in the frame and reads its
+//     parameters from slots, then hands them to the Engine routines the
+//     tree-walker calls (callRemote, bulk, scatter); a loop whose body is a
+//     remote call collects every iteration into one Bulk RPC or scatter.
 //
-// What remains outside — remote calls, and loops nested beyond
-// maxCompiledForDepth — compiles to a fallback closure that rebuilds a
-// tree-walker context from the frame and runs the interpreter for that
-// node, so bytes cannot change.
+// What remains outside — loops nested beyond maxCompiledForDepth —
+// compiles to a fallback closure that rebuilds a tree-walker context from
+// the frame and runs the interpreter for that node, so bytes cannot change.
 
 import (
 	"errors"
@@ -133,7 +136,7 @@ func boolSeq(b bool) xdm.Sequence {
 // CompileQuery lowers a query into a Program and caches it on the query, so
 // every engine executing the same (shared, read-only) query object reuses
 // one compilation. The query is normalized first; compilation itself cannot
-// fail — unsupported shapes compile to tree-walker fallbacks.
+// fail — a shape neither executor evaluates compiles to its fault.
 func CompileQuery(q *xq.Query) (*Program, error) {
 	if err := xq.Normalize(q); err != nil {
 		return nil, err
@@ -190,8 +193,8 @@ func CompileTraced(q *xq.Query, parent trace.SpanRef) (*Program, error) {
 
 // fallback compiles e to a closure that rebuilds a tree-walker context from
 // the frame (slot values become a frame chain, the focus carries over) and
-// runs the interpreter on the node — the escape hatch for everything outside
-// the compiled subset.
+// runs the interpreter on the node — the escape hatch for loops nested
+// beyond maxCompiledForDepth.
 func (fc *fnCompiler) fallback(e xq.Expr, sc *scope) cexpr {
 	fc.cp.fellBack[e] = struct{}{}
 	return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
@@ -594,10 +597,120 @@ func (fc *fnCompiler) compile(e xq.Expr, sc *scope) cexpr {
 			f.sc.seqs.give(s)
 			return append(dst, d), nil
 		}
+	case *xq.XRPCExpr:
+		call := fc.compileRPC(v, sc)
+		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
+			if err := f.ctx.stop.check(); err != nil {
+				return nil, err
+			}
+			if f.ctx.eng.Remote == nil {
+				return nil, errNoRemote
+			}
+			target, err := call.target(f)
+			if err != nil {
+				return nil, err
+			}
+			params, err := call.params(f)
+			if err != nil {
+				return nil, err
+			}
+			res, err := f.ctx.eng.callRemote(target, v, params)
+			if err != nil {
+				return nil, err
+			}
+			return appendSeq(dst, res), nil
+		}
 	default:
-		// XRPC/execute-at, and anything the compiler does not know, stay on
-		// the tree-walker.
-		return fc.fallback(e, sc)
+		return errc(unsupported(e))
+	}
+}
+
+// crpc is a compiled remote call's argument side: its target, and the
+// binding each parameter ships — a for variable as the singleton of its
+// item — or, for a parameter naming no binding, evalXRPC's fault.
+type crpc struct {
+	targetExpr cexpr
+	binds      []*scope
+	unbound    error
+}
+
+func (fc *fnCompiler) compileRPC(x *xq.XRPCExpr, sc *scope) *crpc {
+	c := &crpc{targetExpr: fc.compile(x.Target, sc)}
+	for _, p := range x.Params {
+		b, ok := sc.lookup(p.Ref)
+		if !ok {
+			c.unbound = unboundParam(p.Ref)
+			break
+		}
+		c.binds = append(c.binds, b)
+	}
+	return c
+}
+
+// target evaluates the call's target to its peer name.
+func (c *crpc) target(f *cframe) (string, error) {
+	s, err := c.targetExpr(f, f.sc.seqs.take())
+	if err != nil {
+		return "", err
+	}
+	t, err := singletonString(s, "execute at target")
+	f.sc.seqs.give(s)
+	return t, err
+}
+
+// params reads the values the call ships from the frame.
+func (c *crpc) params(f *cframe) ([]xdm.Sequence, error) {
+	if c.unbound != nil {
+		return nil, c.unbound
+	}
+	params := make([]xdm.Sequence, len(c.binds))
+	for i, b := range c.binds {
+		if b.item {
+			params[i] = xdm.Singleton(f.items[b.slot])
+		} else {
+			params[i] = f.slots[b.slot]
+		}
+	}
+	return params, nil
+}
+
+// compileRemoteLoop lowers evalRemoteLoop for a loop whose variable lives
+// in item slot slot: the returned closure dispatches input in as one Bulk
+// RPC, or as a scatter when the target depends on the loop variable, and
+// appends the results to dst.
+func (fc *fnCompiler) compileRemoteLoop(v *xq.ForExpr, x *xq.XRPCExpr, vsc *scope, slot int) func(f *cframe, dst, in xdm.Sequence) (xdm.Sequence, error) {
+	call := fc.compileRPC(x, vsc)
+	invariant := !xq.FreeVars(x.Target)[v.Var]
+	return func(f *cframe, dst, in xdm.Sequence) (xdm.Sequence, error) {
+		if len(in) == 0 {
+			return dst, nil
+		}
+		iterations := make([][]xdm.Sequence, len(in))
+		if invariant {
+			target, err := call.target(f)
+			if err != nil {
+				return nil, err
+			}
+			for i, it := range in {
+				f.items[slot] = it
+				if iterations[i], err = call.params(f); err != nil {
+					return nil, err
+				}
+			}
+			return f.ctx.eng.bulk(dst, target, x, iterations)
+		}
+		targets := make([]string, len(in))
+		for i, it := range in {
+			f.items[slot] = it
+			var err error
+			if targets[i], err = call.target(f); err != nil {
+				return nil, err
+			}
+			if iterations[i], err = call.params(f); err != nil {
+				return nil, err
+			}
+		}
+		return f.ctx.eng.scatter(dst, x, targets, iterations)
 	}
 }
 
@@ -622,18 +735,13 @@ func (fc *fnCompiler) hoisting(v *xq.ForExpr, sc *scope, slot int) (hBody xq.Exp
 
 // compileFor lowers a FLWOR loop to its eager form. Loops nested beyond the
 // depth cap fall back whole. Loops whose body is a remote call (and that do
-// not sort) decide at *runtime* whether a remote caller is configured — the
-// same Program may run on originator engines (bulk/scatter dispatch, handled
-// by the tree-walk fallback) and on engines without a caller (the compiled
-// loop runs and the body's execute-at faults exactly as interpreted code
-// would).
+// not sort) decide at *runtime*, as evalFor does, whether a remote caller is
+// configured — the same Program may run on originator engines (Bulk RPC or
+// scatter dispatch) and on engines without a caller (the plain loop runs and
+// the body's execute-at faults).
 func (fc *fnCompiler) compileFor(v *xq.ForExpr, sc *scope) cexpr {
 	if fc.forDepth >= maxCompiledForDepth {
 		return fc.fallback(v, sc)
-	}
-	var fb cexpr
-	if _, isRPC := v.Return.(*xq.XRPCExpr); isRPC && len(v.OrderBy) == 0 {
-		fb = fc.fallback(v, sc)
 	}
 	fc.forDepth++
 	in := fc.compile(v.In, sc)
@@ -643,6 +751,10 @@ func (fc *fnCompiler) compileFor(v *xq.ForExpr, sc *scope) cexpr {
 	keys := make([]cexpr, len(v.OrderBy))
 	for i, spec := range v.OrderBy {
 		keys[i] = fc.compile(spec.Key, vsc)
+	}
+	var remote func(f *cframe, dst, in xdm.Sequence) (xdm.Sequence, error)
+	if x, ok := v.Return.(*xq.XRPCExpr); ok && len(keys) == 0 {
+		remote = fc.compileRemoteLoop(v, x, vsc, slot)
 	}
 	// The hoisted variant replays the tree-walker's loop-invariant hoisting:
 	// chosen at runtime when the loop is long enough (>4 iterations), with
@@ -657,10 +769,8 @@ func (fc *fnCompiler) compileFor(v *xq.ForExpr, sc *scope) cexpr {
 	fc.forDepth--
 	specs := v.OrderBy
 	return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
-		if fb != nil && f.ctx.eng.Remote != nil {
-			return fb(f, dst)
-		}
-		s, hoist, err := f.loopInput(in, hoisted != nil, binds, slots)
+		rpc := remote != nil && f.ctx.eng.Remote != nil
+		s, hoist, err := f.loopInput(in, hoisted != nil && !rpc, binds, slots)
 		if err != nil {
 			return nil, err
 		}
@@ -668,9 +778,12 @@ func (fc *fnCompiler) compileFor(v *xq.ForExpr, sc *scope) cexpr {
 		if hoist {
 			body = hoisted
 		}
-		if len(keys) > 0 {
+		switch {
+		case rpc:
+			dst, err = remote(f, dst, s)
+		case len(keys) > 0:
 			dst, err = f.orderLoop(dst, s, slot, keys, specs, body)
-		} else {
+		default:
 			for _, it := range s {
 				f.items[slot] = it
 				if dst, err = body(f, dst); err != nil {
@@ -1188,17 +1301,12 @@ func (fc *fnCompiler) compileSeq(e xq.Expr, sc *scope) cseq {
 // whole, as in compileFor, and each iteration's body streams. Pulling the
 // input item by item would run early bodies before the input's own faults,
 // and a query that faults in several places would then report another fault
-// lazily than eagerly. The remote special cases (bulk and scatter dispatch)
-// defer to the tree-walker at runtime when a remote caller is configured, as
-// compileFor's do. Order-by loops gather whole results by design, so they
-// replay their eager form.
+// lazily than eagerly. Order-by loops gather whole results by design, and a
+// loop over a remote call dispatches every iteration at once, so both replay
+// their eager form.
 func (fc *fnCompiler) compileForSeq(v *xq.ForExpr, sc *scope) cseq {
-	if len(v.OrderBy) > 0 || fc.forDepth >= maxCompiledForDepth {
+	if _, rpc := v.Return.(*xq.XRPCExpr); rpc || len(v.OrderBy) > 0 || fc.forDepth >= maxCompiledForDepth {
 		return replaySeq(fc.compileFor(v, sc))
-	}
-	var fb cseq
-	if _, isRPC := v.Return.(*xq.XRPCExpr); isRPC {
-		fb = replaySeq(fc.fallback(v, sc))
 	}
 	fc.forDepth++
 	in := fc.compile(v.In, sc)
@@ -1211,9 +1319,6 @@ func (fc *fnCompiler) compileForSeq(v *xq.ForExpr, sc *scope) cseq {
 	}
 	fc.forDepth--
 	return func(f *cframe, yield func(xdm.Item) bool) error {
-		if fb != nil && f.ctx.eng.Remote != nil {
-			return fb(f, yield)
-		}
 		s, hoist, err := f.loopInput(in, hoisted != nil, binds, slots)
 		if err != nil {
 			return err

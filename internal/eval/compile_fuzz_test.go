@@ -2,6 +2,7 @@ package eval
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -157,14 +158,36 @@ var compiledFuzzSeeds = []string{
 	`let $x := <a/> return let $y := <b/> return ($x is $y, $x << $y, $y << $x, $x is $x)`,
 	`let $e := <a><b/></a> return ($e/b/.., root($e), count(root($e)/node()), $e/..)`,
 	`(<a><b/></a>)/b`,
+	// Remote dispatch, against the in-process peers of fuzzRemotes: a
+	// single call, a Bulk RPC, a scatter, a faulting peer, non-singleton
+	// targets, a sorted remote loop, an unbound parameter, and a hoisted
+	// loop around a scatter.
+	`declare function f($x as xs:integer) as item()* { ($x * 2, doc("a.xml")//book[$x]/title) };
+	 let $r := execute at {"a"} { f(1) } return ($r, count($r))`,
+	`declare function f($x as xs:integer) as item()* { ($x, doc("a.xml")//book[$x]/price) };
+	 for $i in (1, 2, 3) return execute at {"a"} { f($i) }`,
+	`declare function f($p as xs:string) as item()* { ($p, count(doc("a.xml")//person)) };
+	 for $p in ("a", "b", "a", "c") return execute at {$p} { f($p) }`,
+	`declare function f($p as xs:string) as item()* { $p };
+	 for $p in ("a", "down", "b", "down") return execute at {$p} { f($p) }`,
+	`declare function f() as item()* { 1 }; for $p in ("a", "b") return execute at {($p, $p)} { f() }`,
+	`declare function f() as item()* { 1 }; for $p in ("a", "b") return execute at {("a", "b")} { f() }`,
+	`declare function f($p as xs:string) as item()* { $p };
+	 for $p in ("b", "a", "c") order by $p descending return execute at {$p} { f($p) }`,
+	`declare function f($x as item()*) as item()* { $x }; execute at {"a"} { f($nope) }`,
+	`declare function f($x as xs:string) as item()* { $x };
+	 for $i in (1, 2, 3, 4, 5) return if ($i = count(doc("a.xml")//book)) then ()
+	 else (for $p in ("a", "b") return execute at {$p} { f($p) })`,
 }
 
 // FuzzCompiledVsTreeWalk is the differential fuzzer of the compiler: every
 // parsed query must evaluate byte-identically (or fault with the identical
 // error) with Options.Compile on and off, through both the eager entry point
-// and the lazy one, whose only executor is the compiled push form. Deadline
-// aborts are the single tolerated asymmetry — they depend on wall-clock
-// timing, which the two modes legitimately reach at different node counts.
+// and the lazy one, whose only executor is the compiled push form. A query
+// that mentions execute-at runs again against each of fuzzRemotes' callers,
+// so both executors' remote dispatch is compared too. Deadline aborts are
+// the single tolerated asymmetry — they depend on wall-clock timing, which
+// the two modes legitimately reach at different node counts.
 func FuzzCompiledVsTreeWalk(f *testing.F) {
 	for _, seed := range compiledFuzzSeeds {
 		f.Add(seed)
@@ -174,49 +197,85 @@ func FuzzCompiledVsTreeWalk(f *testing.F) {
 		if len(src) > 4096 {
 			return
 		}
-		q1, err := xq.ParseQuery(src)
-		if err != nil {
-			return
-		}
-		q2, err := xq.ParseQuery(src)
-		if err != nil {
-			return
-		}
 		// A deadline bounds runaway loops and unbounded recursion; it is
 		// generous enough that ordinary inputs never see it.
 		deadline := time.Now().Add(25 * time.Millisecond)
-		tw := NewEngine(anyDocResolver{doc})
-		tw.Deadline = deadline
-		cc := NewEngine(anyDocResolver{doc})
-		cc.Deadline = deadline
-		cc.Options.Compile = true
-
-		// Probe normalization on a scratch parse: Normalize mutates (and
-		// validates) once, so probing q1/q2 directly would eat the error the
-		// engines are supposed to report.
-		q0, err := xq.ParseQuery(src)
-		if err != nil {
-			return
+		differential(t, src, doc, deadline, nil)
+		if strings.Contains(src, "execute") {
+			for _, remote := range fuzzRemotes(doc, deadline) {
+				differential(t, src, doc, deadline, remote)
+			}
 		}
-		normErr := xq.Normalize(q0)
-
-		twRes, twErr := tw.Query(q1)
-		ccRes, ccErr := cc.Query(q2)
-		if errors.Is(twErr, ErrDeadlineExceeded) || errors.Is(ccErr, ErrDeadlineExceeded) {
-			return
-		}
-		compareModes(t, "eager", src, twRes, twErr, ccRes, ccErr)
-		if normErr != nil {
-			// Normalization rejected the query in both modes identically;
-			// there is nothing to compile.
-			return
-		}
-		ccRes, ccErr = drainCompiled(t, cc, q2, src)
-		if errors.Is(ccErr, ErrDeadlineExceeded) {
-			return
-		}
-		compareModes(t, "lazy", src, twRes, twErr, ccRes, ccErr)
 	})
+}
+
+// fuzzRemotes returns makers of the deterministic in-process callers the
+// fuzzer dispatches to: every peer serves the fixture, and the one named
+// "down" faults every call. One gathers, one streams.
+func fuzzRemotes(doc *xdm.Document, deadline time.Time) []func() RemoteCaller {
+	peers := func(r *fakeRemote) {
+		r.docs, r.deadline, r.failPeers = anyDocResolver{doc}, deadline, map[string]bool{"down": true}
+	}
+	return []func() RemoteCaller{
+		func() RemoteCaller {
+			r := &fakeRemote{}
+			peers(r)
+			return r
+		},
+		func() RemoteCaller {
+			s := &streamFake{splitAt: 2}
+			peers(&s.fakeRemote)
+			return s
+		},
+	}
+}
+
+// differential compares the executors on src, both engines calling out
+// through their own caller from remote when it is non-nil.
+func differential(t *testing.T, src string, doc *xdm.Document, deadline time.Time, remote func() RemoteCaller) {
+	t.Helper()
+	q1, err := xq.ParseQuery(src)
+	if err != nil {
+		return
+	}
+	q2, err := xq.ParseQuery(src)
+	if err != nil {
+		return
+	}
+	tw := NewEngine(anyDocResolver{doc})
+	tw.Deadline = deadline
+	cc := NewEngine(anyDocResolver{doc})
+	cc.Deadline = deadline
+	cc.Options.Compile = true
+	if remote != nil {
+		tw.Remote, cc.Remote = remote(), remote()
+	}
+
+	// Probe normalization on a scratch parse: Normalize mutates (and
+	// validates) once, so probing q1/q2 directly would eat the error the
+	// engines are supposed to report.
+	q0, err := xq.ParseQuery(src)
+	if err != nil {
+		return
+	}
+	normErr := xq.Normalize(q0)
+
+	twRes, twErr := tw.Query(q1)
+	ccRes, ccErr := cc.Query(q2)
+	if errors.Is(twErr, ErrDeadlineExceeded) || errors.Is(ccErr, ErrDeadlineExceeded) {
+		return
+	}
+	compareModes(t, "eager", src, twRes, twErr, ccRes, ccErr)
+	if normErr != nil {
+		// Normalization rejected the query in both modes identically;
+		// there is nothing to compile.
+		return
+	}
+	ccRes, ccErr = drainCompiled(t, cc, q2, src)
+	if errors.Is(ccErr, ErrDeadlineExceeded) {
+		return
+	}
+	compareModes(t, "lazy", src, twRes, twErr, ccRes, ccErr)
 }
 
 // drainCompiled is the lazy half of a differential check: it drains the push

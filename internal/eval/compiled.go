@@ -10,10 +10,10 @@ package eval
 // query produces byte-identical results AND byte-identical errors to the
 // tree-walking evaluator. Every specialization below therefore mirrors the
 // corresponding tree-walk routine exactly (same candidate order, same
-// predicate numbering, same error strings), shares its kernel where one
+// predicate numbering, same error strings) and shares its kernel where one
 // exists (comparison, arithmetic, the order-by comparator, the constructor
-// builder), and anything the compiler cannot prove safe falls back to the
-// tree-walker itself (see fnCompiler.fallback).
+// builder, the remote-dispatch routines). Only loops nested too deep to
+// compile fall back to the tree-walker itself (see fnCompiler.fallback).
 
 import (
 	"errors"
@@ -337,9 +337,9 @@ type Program struct {
 	fallbacks map[string]int
 }
 
-// FallbackSites reports how many nodes of each AST construct (xq type name,
-// e.g. "XRPCExpr") this Program hands back to the tree-walker. Callers must
-// not modify the map.
+// FallbackSites reports how many nodes of each AST construct (xq type name:
+// "ForExpr", for a loop nested too deep to compile) this Program hands back
+// to the tree-walker. Callers must not modify the map.
 func (p *Program) FallbackSites() map[string]int { return p.fallbacks }
 
 // cfunc is one compiled declared function.

@@ -5,22 +5,21 @@
 // nodes perform remote procedure calls.
 //
 // Two executors share one semantics. The eager tree-walker (eval.go,
-// axes.go) runs queries nobody has compiled, is the compiled code's fallback
-// for remote calls, and is the differential oracle. A Program (compile.go,
-// compiled.go) lowers a query to closures in an eager and a push form; the
-// push form is the only lazy executor, so the lazy entry points lower on
-// demand.
+// axes.go) runs queries nobody has compiled and is the differential oracle.
+// A Program (compile.go, compiled.go) lowers a query to closures in an eager
+// and a push form; the push form is the only lazy executor, so the lazy
+// entry points lower on demand. Both executors hand remote calls to the
+// same Engine routines once they have evaluated target and parameters.
 //
 // The layer's contract: Engine evaluates a normalized query exactly per the
 // xq semantics, resolving fn:doc through its Resolver (with single-flighted
 // caching, so equal URIs observe equal node identities) and delegating
-// every execute-at to its RemoteCaller. The caller hierarchy is optional
-// capability detection: a plain RemoteCaller dispatches sequentially, a
-// ScatterCaller dispatches a variable-target loop as one concurrent wave of
+// every execute-at to its RemoteCaller. A loop over a remote call ships as
+// one Bulk RPC, or, when its target varies, as one concurrent wave of
 // per-peer Bulk RPCs (with Engine.Replicas naming failover copies per
-// target), and a StreamCaller additionally yields per-lane results
-// incrementally; whichever is plugged in, gathered results are identical
-// and arrive in loop order. Evaluation is deterministic — the property the
+// target); a StreamCaller additionally yields per-lane results
+// incrementally. Either way gathered results are identical and arrive in
+// loop order. Evaluation is deterministic — the property the
 // fault-tolerance layer relies on when it gathers a replica's answer in
 // place of a dead primary's.
 package eval
@@ -68,6 +67,12 @@ type RemoteCaller interface {
 	// the parameter bindings of every loop iteration. It returns one result
 	// sequence per iteration.
 	CallRemoteBulk(target string, x *xq.XRPCExpr, iterations [][]xdm.Sequence) ([]xdm.Sequence, error)
+	// CallRemoteScatter dispatches one Bulk RPC per batch — per distinct
+	// peer of a variable-target loop — concurrently (scatter-gather).
+	// Results and errors are positional per batch; a batch's result holds
+	// one sequence per iteration. It must not fail the whole wave because
+	// one peer failed: per-peer errors travel in the error slice.
+	CallRemoteScatter(x *xq.XRPCExpr, batches []ScatterBatch) ([][]xdm.Sequence, []error)
 }
 
 // ScatterBatch groups the loop iterations bound for one destination peer of
@@ -81,17 +86,6 @@ type ScatterBatch struct {
 	// batch to them and gather the first response instead of failing the
 	// query. The evaluator fills it from Engine.Replicas.
 	Replicas []string
-}
-
-// ScatterCaller is an optional RemoteCaller extension: an implementation
-// that can dispatch one Bulk RPC per distinct peer concurrently (scatter-
-// gather). Results and errors are positional per batch; a batch's result
-// holds one sequence per iteration. Implementations must not fail the whole
-// wave because one peer failed — per-peer errors travel in the error slice.
-// When the configured RemoteCaller does not implement ScatterCaller the
-// evaluator falls back to dispatching batches sequentially.
-type ScatterCaller interface {
-	CallRemoteScatter(x *xq.XRPCExpr, batches []ScatterBatch) ([][]xdm.Sequence, []error)
 }
 
 // StreamChunk is one increment of a streamed scatter lane: a run of
@@ -111,7 +105,7 @@ type StreamChunk struct {
 	Err error
 }
 
-// StreamCaller is an optional ScatterCaller extension: dispatch like
+// StreamCaller is an optional RemoteCaller extension: dispatch like
 // CallRemoteScatter, but yield each batch's results incrementally over a
 // bounded channel per batch, so the evaluator can process finished lanes
 // while slower peers are still computing and transferring. The returned

@@ -144,12 +144,18 @@ func (c *context) eval(e xq.Expr) (xdm.Sequence, error) {
 		return xdm.Singleton(d), nil
 	case *xq.FunCall:
 		return c.evalFunCall(v)
-	case *xq.ExecuteAt:
-		return nil, fmt.Errorf("eval: unnormalized execute-at expression (call xq.Normalize first)")
 	case *xq.XRPCExpr:
 		return c.evalXRPC(v)
 	}
-	return nil, fmt.Errorf("eval: unsupported expression %T", e)
+	return nil, unsupported(e)
+}
+
+// unsupported is the fault of an expression neither executor evaluates.
+func unsupported(e xq.Expr) error {
+	if _, ok := e.(*xq.ExecuteAt); ok {
+		return errors.New("eval: unnormalized execute-at expression (call xq.Normalize first)")
+	}
+	return fmt.Errorf("eval: unsupported expression %T", e)
 }
 
 func (c *context) evalFor(v *xq.ForExpr) (xdm.Sequence, error) {
@@ -157,15 +163,8 @@ func (c *context) evalFor(v *xq.ForExpr) (xdm.Sequence, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Bulk RPC: a for-loop whose body is exactly a remote call with a
-	// loop-invariant target ships all iterations in one message exchange.
-	// A target that varies per iteration instead scatter-gathers: one Bulk
-	// RPC per distinct destination peer, dispatched concurrently.
 	if x, ok := v.Return.(*xq.XRPCExpr); ok && len(v.OrderBy) == 0 && c.eng.Remote != nil {
-		if free := xq.FreeVars(x.Target); !free[v.Var] {
-			return c.evalBulk(v, x, in)
-		}
-		return c.evalScatter(v, x, in)
+		return c.evalRemoteLoop(v, x, in)
 	}
 	// Hoist loop-invariant comparison operands: evaluating them once instead
 	// of per iteration is the interpreter's stand-in for the loop-lifting
@@ -271,123 +270,177 @@ func atomOf(it xdm.Item) xdm.Atomic {
 	return it.(xdm.Atomic)
 }
 
-// evalBulk performs one bulk RPC for all iterations of the loop.
-func (c *context) evalBulk(v *xq.ForExpr, x *xq.XRPCExpr, in xdm.Sequence) (xdm.Sequence, error) {
+// ------------------------------------------------------------ remote calls --
+//
+// Both executors evaluate a remote call's target and parameters their own
+// way and hand the values to the Engine routines below, which do everything
+// after: Bulk RPC, partitioning by peer, the concurrent or streamed wave,
+// reassembly in loop order and the first-genuine-error rule.
+
+// errNoRemote is the fault of execute-at on an engine without a remote
+// caller.
+var errNoRemote = errors.New("eval: no remote caller configured for execute at")
+
+func unboundParam(ref string) error {
+	return fmt.Errorf("eval: XRPC parameter references unbound $%s", ref)
+}
+
+func (c *context) evalXRPC(x *xq.XRPCExpr) (xdm.Sequence, error) {
+	if c.eng.Remote == nil {
+		return nil, errNoRemote
+	}
+	target, err := c.rpcTarget(x)
+	if err != nil {
+		return nil, err
+	}
+	params, err := c.rpcParams(x)
+	if err != nil {
+		return nil, err
+	}
+	return c.eng.callRemote(target, x, params)
+}
+
+// evalRemoteLoop evaluates a for-loop whose body is exactly a remote call.
+// A loop-invariant target ships every iteration in one Bulk RPC; a target
+// that varies per iteration (`for $p in $peers return execute at {$p}
+// {...}`) scatter-gathers, one Bulk RPC per distinct peer.
+func (c *context) evalRemoteLoop(v *xq.ForExpr, x *xq.XRPCExpr, in xdm.Sequence) (xdm.Sequence, error) {
 	if len(in) == 0 {
 		return xdm.EmptySequence, nil
 	}
-	targetSeq, err := c.eval(x.Target)
-	if err != nil {
-		return nil, err
-	}
-	target, err := singletonString(targetSeq, "execute at target")
-	if err != nil {
-		return nil, err
-	}
-	iterations := make([][]xdm.Sequence, 0, len(in))
-	for _, it := range in {
-		ic := c.bind(v.Var, xdm.Singleton(it))
-		params := make([]xdm.Sequence, len(x.Params))
-		for i, p := range x.Params {
-			val, ok := ic.lookup(p.Ref)
-			if !ok {
-				return nil, fmt.Errorf("eval: XRPC parameter references unbound $%s", p.Ref)
-			}
-			params[i] = val
+	iterations := make([][]xdm.Sequence, len(in))
+	if !xq.FreeVars(x.Target)[v.Var] {
+		target, err := c.rpcTarget(x)
+		if err != nil {
+			return nil, err
 		}
-		iterations = append(iterations, params)
+		for i, it := range in {
+			// A binding that is only looked up, never evaluated in, stays
+			// on the stack.
+			if iterations[i], err = c.bind(v.Var, xdm.Singleton(it)).rpcParams(x); err != nil {
+				return nil, err
+			}
+		}
+		return c.eng.bulk(nil, target, x, iterations)
 	}
-	c.eng.mu.Lock()
-	c.eng.Stats.BulkCalls++
-	c.eng.mu.Unlock()
-	results, err := c.eng.Remote.CallRemoteBulk(target, x, iterations)
+	targets := make([]string, len(in))
+	for i, it := range in {
+		ic := c.bind(v.Var, xdm.Singleton(it))
+		var err error
+		if targets[i], err = ic.rpcTarget(x); err != nil {
+			return nil, err
+		}
+		if iterations[i], err = ic.rpcParams(x); err != nil {
+			return nil, err
+		}
+	}
+	return c.eng.scatter(nil, x, targets, iterations)
+}
+
+// rpcTarget evaluates a remote call's target to its peer name.
+func (c *context) rpcTarget(x *xq.XRPCExpr) (string, error) {
+	s, err := c.eval(x.Target)
+	if err != nil {
+		return "", err
+	}
+	return singletonString(s, "execute at target")
+}
+
+// rpcParams looks up the values a remote call ships.
+func (c *context) rpcParams(x *xq.XRPCExpr) ([]xdm.Sequence, error) {
+	params := make([]xdm.Sequence, len(x.Params))
+	for i, p := range x.Params {
+		val, ok := c.lookup(p.Ref)
+		if !ok {
+			return nil, unboundParam(p.Ref)
+		}
+		params[i] = val
+	}
+	return params, nil
+}
+
+// callRemote performs one remote call.
+func (e *Engine) callRemote(target string, x *xq.XRPCExpr, params []xdm.Sequence) (xdm.Sequence, error) {
+	e.mu.Lock()
+	e.Stats.RemoteCalls++
+	e.mu.Unlock()
+	return e.Remote.CallRemote(target, x, params)
+}
+
+// bulk performs one Bulk RPC carrying every iteration of a loop and appends
+// the results, in loop order, to dst.
+func (e *Engine) bulk(dst xdm.Sequence, target string, x *xq.XRPCExpr, iterations [][]xdm.Sequence) (xdm.Sequence, error) {
+	e.mu.Lock()
+	e.Stats.BulkCalls++
+	e.mu.Unlock()
+	results, err := e.Remote.CallRemoteBulk(target, x, iterations)
 	if err != nil {
 		return nil, err
 	}
 	if len(results) != len(iterations) {
 		return nil, fmt.Errorf("eval: bulk RPC returned %d results for %d calls", len(results), len(iterations))
 	}
-	out := xdm.Sequence{}
 	for _, r := range results {
-		out = append(out, r...)
+		dst = append(dst, r...)
 	}
-	return out, nil
+	return dst, nil
 }
 
-// evalScatter executes a for-loop whose body is a remote call with a target
-// that varies per iteration (`for $p in $peers return execute at $p {...}`).
-// The target is evaluated per iteration, iterations are partitioned by
-// destination peer (batches ordered by each peer's first appearance in the
-// loop), one Bulk RPC per distinct peer is dispatched — concurrently when
-// the RemoteCaller implements ScatterCaller — and the per-iteration results
-// are reassembled in original loop order. Per-peer failures surface
-// deterministically: the error of the batch whose peer appeared first in the
-// loop wins, independent of goroutine scheduling.
-func (c *context) evalScatter(v *xq.ForExpr, x *xq.XRPCExpr, in xdm.Sequence) (xdm.Sequence, error) {
-	if len(in) == 0 {
-		return xdm.EmptySequence, nil
-	}
-	batchOf := map[string]int{}
+// scatter dispatches a variable-target loop — iteration i bound for
+// targets[i] — as one wave of per-peer Bulk RPCs, streamed when the caller
+// is a StreamCaller, and appends the results, reassembled in loop order, to
+// dst. Per-peer failures surface deterministically: the error of the batch
+// whose peer appeared first in the loop wins, independent of goroutine
+// scheduling.
+func (e *Engine) scatter(dst xdm.Sequence, x *xq.XRPCExpr, targets []string, iterations [][]xdm.Sequence) (xdm.Sequence, error) {
+	// Partition by destination peer: batches in order of each peer's first
+	// appearance in the loop, iterations in loop order within a batch, and
+	// pos[b][k] the loop position of batch b's k-th iteration.
 	var batches []ScatterBatch
-	var indices [][]int // original iteration index per batch entry
-	for i, it := range in {
-		ic := c.bind(v.Var, xdm.Singleton(it))
-		targetSeq, err := ic.eval(x.Target)
-		if err != nil {
-			return nil, err
+	var pos [][]int
+	for i, t := range targets {
+		b := 0
+		for b < len(batches) && batches[b].Target != t {
+			b++
 		}
-		target, err := singletonString(targetSeq, "execute at target")
-		if err != nil {
-			return nil, err
+		if b == len(batches) {
+			batches = append(batches, ScatterBatch{Target: t, Replicas: e.replicasFor(x, t)})
+			pos = append(pos, nil)
 		}
-		params := make([]xdm.Sequence, len(x.Params))
-		for pi, p := range x.Params {
-			val, ok := ic.lookup(p.Ref)
-			if !ok {
-				return nil, fmt.Errorf("eval: XRPC parameter references unbound $%s", p.Ref)
-			}
-			params[pi] = val
-		}
-		b, seen := batchOf[target]
-		if !seen {
-			b = len(batches)
-			batchOf[target] = b
-			batches = append(batches, ScatterBatch{Target: target, Replicas: c.eng.replicasFor(x, target)})
-			indices = append(indices, nil)
-		}
-		batches[b].Iterations = append(batches[b].Iterations, params)
-		indices[b] = append(indices[b], i)
+		batches[b].Iterations = append(batches[b].Iterations, iterations[i])
+		pos[b] = append(pos[b], i)
 	}
-	if sc, ok := c.eng.Remote.(StreamCaller); ok {
-		c.eng.mu.Lock()
-		c.eng.Stats.BulkCalls += len(batches)
-		c.eng.Stats.ScatterWaves++
-		c.eng.Stats.StreamedWaves++
-		c.eng.mu.Unlock()
-		return c.gatherStreamed(sc, x, batches, indices, len(in))
+	sc, streamed := e.Remote.(StreamCaller)
+	e.mu.Lock()
+	e.Stats.BulkCalls += len(batches)
+	e.Stats.ScatterWaves++
+	if streamed {
+		e.Stats.StreamedWaves++
 	}
-	results := make([][]xdm.Sequence, len(batches))
-	errs := make([]error, len(batches))
-	if sc, ok := c.eng.Remote.(ScatterCaller); ok {
-		c.eng.mu.Lock()
-		c.eng.Stats.BulkCalls += len(batches)
-		c.eng.Stats.ScatterWaves++
-		c.eng.mu.Unlock()
-		results, errs = sc.CallRemoteScatter(x, batches)
-		if len(results) != len(batches) || len(errs) != len(batches) {
-			return nil, fmt.Errorf("eval: scatter dispatch returned %d results / %d errors for %d batches",
-				len(results), len(errs), len(batches))
-		}
+	e.mu.Unlock()
+	perIter := make([]xdm.Sequence, len(targets))
+	var err error
+	if streamed {
+		err = gatherStreamed(sc, x, batches, pos, perIter)
 	} else {
-		for b, batch := range batches {
-			c.eng.mu.Lock()
-			c.eng.Stats.BulkCalls++
-			c.eng.mu.Unlock()
-			results[b], errs[b] = c.eng.Remote.CallRemoteBulk(batch.Target, x, batch.Iterations)
-			if errs[b] != nil {
-				break // earlier batches succeeded, so this error wins anyway
-			}
-		}
+		err = e.gather(x, batches, pos, perIter)
+	}
+	if err != nil {
+		return nil, err
+	}
+	for _, s := range perIter {
+		dst = append(dst, s...)
+	}
+	return dst, nil
+}
+
+// gather dispatches the batches as one concurrent wave and places each
+// iteration's result at its loop position.
+func (e *Engine) gather(x *xq.XRPCExpr, batches []ScatterBatch, pos [][]int, perIter []xdm.Sequence) error {
+	results, errs := e.Remote.CallRemoteScatter(x, batches)
+	if len(results) != len(batches) || len(errs) != len(batches) {
+		return fmt.Errorf("eval: scatter dispatch returned %d results / %d errors for %d batches",
+			len(results), len(errs), len(batches))
 	}
 	// The error of the batch whose peer appeared first in the loop wins —
 	// unless that error is only the echo of the dispatcher cancelling the
@@ -407,23 +460,18 @@ func (c *context) evalScatter(v *xq.ForExpr, x *xq.XRPCExpr, in xdm.Sequence) (x
 		}
 	}
 	if errB >= 0 {
-		return nil, fmt.Errorf("eval: scatter to %s: %w", batches[errB].Target, errs[errB])
+		return fmt.Errorf("eval: scatter to %s: %w", batches[errB].Target, errs[errB])
 	}
-	perIter := make([]xdm.Sequence, len(in))
-	for b := range batches {
-		if len(results[b]) != len(batches[b].Iterations) {
-			return nil, fmt.Errorf("eval: bulk RPC to %s returned %d results for %d calls",
-				batches[b].Target, len(results[b]), len(batches[b].Iterations))
+	for b, batch := range batches {
+		if len(results[b]) != len(batch.Iterations) {
+			return fmt.Errorf("eval: bulk RPC to %s returned %d results for %d calls",
+				batch.Target, len(results[b]), len(batch.Iterations))
 		}
 		for k, res := range results[b] {
-			perIter[indices[b][k]] = res
+			perIter[pos[b][k]] = res
 		}
 	}
-	out := xdm.Sequence{}
-	for _, r := range perIter {
-		out = append(out, r...)
-	}
-	return out, nil
+	return nil
 }
 
 // gatherStreamed consumes a streamed scatter dispatch: one bounded chunk
@@ -438,19 +486,18 @@ func (c *context) evalScatter(v *xq.ForExpr, x *xq.XRPCExpr, in xdm.Sequence) (x
 // Errors surface deterministically as the first failing batch in batch
 // order — the rule of the gather-whole path — because every earlier lane
 // was drained to completion before the failing one was read.
-func (c *context) gatherStreamed(sc StreamCaller, x *xq.XRPCExpr, batches []ScatterBatch, indices [][]int, total int) (xdm.Sequence, error) {
+func gatherStreamed(sc StreamCaller, x *xq.XRPCExpr, batches []ScatterBatch, pos [][]int, perIter []xdm.Sequence) error {
 	lanes, cancel := sc.CallRemoteScatterStream(x, batches)
 	defer cancel()
 	if len(lanes) != len(batches) {
-		return nil, fmt.Errorf("eval: streamed scatter returned %d lanes for %d batches", len(lanes), len(batches))
+		return fmt.Errorf("eval: streamed scatter returned %d lanes for %d batches", len(lanes), len(batches))
 	}
-	perIter := make([]xdm.Sequence, total)
-	for b := range lanes {
-		expect := len(batches[b].Iterations)
+	for b, batch := range batches {
+		expect := len(batch.Iterations)
 		cur, seen := 0, false
 		for chunk := range lanes[b] {
 			if chunk.Err != nil {
-				return nil, fmt.Errorf("eval: scatter to %s: %w", batches[b].Target, chunk.Err)
+				return fmt.Errorf("eval: scatter to %s: %w", batch.Target, chunk.Err)
 			}
 			switch {
 			case chunk.Iteration == cur:
@@ -458,55 +505,24 @@ func (c *context) gatherStreamed(sc StreamCaller, x *xq.XRPCExpr, batches []Scat
 			case chunk.Iteration == cur+1 && seen:
 				cur++
 			case chunk.Iteration > cur:
-				return nil, fmt.Errorf("eval: scatter to %s: stream skipped iteration %d",
-					batches[b].Target, cur)
+				return fmt.Errorf("eval: scatter to %s: stream skipped iteration %d", batch.Target, cur)
 			default:
-				return nil, fmt.Errorf("eval: scatter to %s: stream delivered iteration %d after %d",
-					batches[b].Target, chunk.Iteration, cur)
+				return fmt.Errorf("eval: scatter to %s: stream delivered iteration %d after %d",
+					batch.Target, chunk.Iteration, cur)
 			}
 			if chunk.Iteration >= expect {
-				return nil, fmt.Errorf("eval: scatter to %s: stream delivered iteration %d of %d",
-					batches[b].Target, chunk.Iteration, expect)
+				return fmt.Errorf("eval: scatter to %s: stream delivered iteration %d of %d",
+					batch.Target, chunk.Iteration, expect)
 			}
-			i := indices[b][chunk.Iteration]
+			i := pos[b][chunk.Iteration]
 			perIter[i] = append(perIter[i], chunk.Items...)
 		}
 		if !seen || cur != expect-1 {
-			return nil, fmt.Errorf("eval: scatter to %s: stream ended after iteration %d of %d",
-				batches[b].Target, cur, expect)
+			return fmt.Errorf("eval: scatter to %s: stream ended after iteration %d of %d",
+				batch.Target, cur, expect)
 		}
 	}
-	out := xdm.Sequence{}
-	for _, r := range perIter {
-		out = append(out, r...)
-	}
-	return out, nil
-}
-
-func (c *context) evalXRPC(x *xq.XRPCExpr) (xdm.Sequence, error) {
-	if c.eng.Remote == nil {
-		return nil, fmt.Errorf("eval: no remote caller configured for execute at")
-	}
-	targetSeq, err := c.eval(x.Target)
-	if err != nil {
-		return nil, err
-	}
-	target, err := singletonString(targetSeq, "execute at target")
-	if err != nil {
-		return nil, err
-	}
-	params := make([]xdm.Sequence, len(x.Params))
-	for i, p := range x.Params {
-		val, ok := c.lookup(p.Ref)
-		if !ok {
-			return nil, fmt.Errorf("eval: XRPC parameter references unbound $%s", p.Ref)
-		}
-		params[i] = val
-	}
-	c.eng.mu.Lock()
-	c.eng.Stats.RemoteCalls++
-	c.eng.mu.Unlock()
-	return c.eng.Remote.CallRemote(target, x, params)
+	return nil
 }
 
 func (c *context) evalQuantified(v *xq.QuantifiedExpr) (xdm.Sequence, error) {
@@ -1213,23 +1229,29 @@ var hoistSeq atomic.Uint64
 // impossible and a reference to one is recognizable by name.
 const hoistPrefix = "#hoist"
 
-// hoistInvariantOperands clones body and replaces comparison operands that
+// hoistInvariantOperands rewrites body, replacing comparison operands that
 // do not depend on loopVar (nor on any variable bound inside body, nor on
 // node construction or remote calls) with fresh variable references. The
 // returned bindings are evaluated once by the caller. Fresh names contain
 // '#', which the query language cannot produce, so capture is impossible.
+//
+// The rewrite copies only the nodes on the way to a replaced operand and
+// shares the rest with body — in particular every remote call whose target
+// it does not rewrite, since the call's identity keys its replica routes,
+// its retained module and its projection paths. It never enters a shipped
+// body: that evaluates on the remote peer, where caller-side hoist bindings
+// do not exist.
 func hoistInvariantOperands(body xq.Expr, loopVar string) (xq.Expr, []hoistBinding) {
-	clone := xq.CloneExpr(body)
 	var bindings []hoistBinding
-	var visit func(e xq.Expr, bound map[string]bool)
-	hoistable := func(e xq.Expr, bound map[string]bool) bool {
+	// bound holds the variables bound inside body around the node visited.
+	hoistable := func(e xq.Expr, bound *scope) bool {
 		switch e.(type) {
 		case *xq.PathExpr, *xq.FunCall:
 		default:
 			return false
 		}
 		for name := range xq.FreeVars(e) {
-			if name == loopVar || bound[name] {
+			if _, in := bound.lookup(name); in || name == loopVar {
 				return false
 			}
 		}
@@ -1259,67 +1281,129 @@ func hoistInvariantOperands(body xq.Expr, loopVar string) (xq.Expr, []hoistBindi
 		})
 		return ok
 	}
-	maybeHoist := func(slot *xq.Expr, bound map[string]bool) {
-		if *slot == nil || !hoistable(*slot, bound) {
-			return
+	maybeHoist := func(e xq.Expr, bound *scope) xq.Expr {
+		if e == nil || !hoistable(e, bound) {
+			return e
 		}
 		name := hoistPrefix + strconv.FormatUint(hoistSeq.Add(1), 10)
-		bindings = append(bindings, hoistBinding{name: name, expr: *slot})
-		*slot = &xq.VarRef{Name: name}
+		bindings = append(bindings, hoistBinding{name: name, expr: e})
+		return &xq.VarRef{Name: name}
 	}
-	withBound := func(bound map[string]bool, names ...string) map[string]bool {
-		nb := make(map[string]bool, len(bound)+len(names))
-		for k := range bound {
-			nb[k] = true
-		}
-		for _, n := range names {
-			if n != "" {
-				nb[n] = true
+	// visit returns e rewritten, or e itself when nothing under it hoists.
+	var visit func(e xq.Expr, bound *scope) xq.Expr
+	visit = func(e xq.Expr, bound *scope) xq.Expr {
+		if v, ok := e.(*xq.CompareExpr); ok {
+			l, r := maybeHoist(v.Left, bound), maybeHoist(v.Right, bound)
+			if l, r = visit(l, bound), visit(r, bound); l == v.Left && r == v.Right {
+				return v
 			}
+			return &xq.CompareExpr{Op: v.Op, Left: l, Right: r}
 		}
-		return nb
-	}
-	visit = func(e xq.Expr, bound map[string]bool) {
+		kids := xq.Children(e)
+		inner := bound // the scope of every child after the first
 		switch v := e.(type) {
-		case nil:
-			return
-		case *xq.CompareExpr:
-			maybeHoist(&v.Left, bound)
-			maybeHoist(&v.Right, bound)
-			visit(v.Left, bound)
-			visit(v.Right, bound)
 		case *xq.ForExpr:
-			visit(v.In, bound)
-			inner := withBound(bound, v.Var)
-			for _, sp := range v.OrderBy {
-				visit(sp.Key, inner)
-			}
-			visit(v.Return, inner)
+			inner = &scope{name: v.Var, next: bound}
 		case *xq.LetExpr:
-			visit(v.Bind, bound)
-			visit(v.Return, withBound(bound, v.Var))
+			inner = &scope{name: v.Var, next: bound}
 		case *xq.QuantifiedExpr:
-			visit(v.In, bound)
-			visit(v.Satisfies, withBound(bound, v.Var))
-		case *xq.TypeswitchExpr:
-			visit(v.Operand, bound)
-			for _, cs := range v.Cases {
-				visit(cs.Return, withBound(bound, cs.Var))
-			}
-			visit(v.Default, withBound(bound, v.DefaultVar))
+			inner = &scope{name: v.Var, next: bound}
 		case *xq.XRPCExpr:
-			// Never hoist out of a shipped body: it evaluates on the remote
-			// peer, where caller-side hoist bindings do not exist.
-			visit(v.Target, bound)
-		default:
-			for _, ch := range xq.Children(e) {
-				visit(ch, bound)
+			kids = kids[:1] // the target: never the shipped body
+		}
+		changed := false
+		for i, k := range kids {
+			b := bound
+			switch ts, isTS := e.(*xq.TypeswitchExpr); {
+			case isTS && i > len(ts.Cases):
+				b = &scope{name: ts.DefaultVar, next: bound}
+			case isTS && i > 0:
+				b = &scope{name: ts.Cases[i-1].Var, next: bound}
+			case i > 0:
+				b = inner
+			}
+			if nk := visit(k, b); nk != k {
+				kids[i], changed = nk, true
 			}
 		}
+		if !changed {
+			return e
+		}
+		return withChildren(e, kids)
 	}
-	visit(clone, map[string]bool{})
-	if len(bindings) == 0 {
-		return body, nil
+	rewritten := visit(body, nil)
+	return rewritten, bindings
+}
+
+// withChildren returns a shallow copy of e whose subexpressions, in
+// xq.Children order, are kids (a remote call's: its target alone).
+func withChildren(e xq.Expr, kids []xq.Expr) xq.Expr {
+	switch v := e.(type) {
+	case *xq.ForExpr:
+		c := *v
+		c.In, c.Return = kids[0], kids[len(kids)-1]
+		c.OrderBy = append([]xq.OrderSpec(nil), v.OrderBy...)
+		for i := range c.OrderBy {
+			c.OrderBy[i].Key = kids[1+i]
+		}
+		return &c
+	case *xq.LetExpr:
+		return &xq.LetExpr{Var: v.Var, Bind: kids[0], Return: kids[1]}
+	case *xq.IfExpr:
+		return &xq.IfExpr{Cond: kids[0], Then: kids[1], Else: kids[2]}
+	case *xq.QuantifiedExpr:
+		return &xq.QuantifiedExpr{Every: v.Every, Var: v.Var, In: kids[0], Satisfies: kids[1]}
+	case *xq.TypeswitchExpr:
+		c := *v
+		c.Operand, c.Default = kids[0], kids[len(kids)-1]
+		c.Cases = make([]*xq.TSCase, len(v.Cases))
+		for i, cs := range v.Cases {
+			c.Cases[i] = &xq.TSCase{Var: cs.Var, Type: cs.Type, Return: kids[1+i]}
+		}
+		return &c
+	case *xq.ArithExpr:
+		return &xq.ArithExpr{Op: v.Op, Left: kids[0], Right: kids[1]}
+	case *xq.UnaryExpr:
+		return &xq.UnaryExpr{Neg: v.Neg, Operand: kids[0]}
+	case *xq.LogicExpr:
+		return &xq.LogicExpr{And: v.And, Left: kids[0], Right: kids[1]}
+	case *xq.NodeSetExpr:
+		return &xq.NodeSetExpr{Op: v.Op, Left: kids[0], Right: kids[1]}
+	case *xq.SeqExpr:
+		return &xq.SeqExpr{Items: kids}
+	case *xq.FunCall:
+		return &xq.FunCall{Name: v.Name, Args: kids}
+	case *xq.TextConstructor:
+		return &xq.TextConstructor{Content: kids[0]}
+	case *xq.DocConstructor:
+		return &xq.DocConstructor{Content: kids[0]}
+	case *xq.ElemConstructor:
+		c := &xq.ElemConstructor{Name: v.Name}
+		if v.NameExpr != nil {
+			c.NameExpr, kids = kids[0], kids[1:]
+		}
+		c.Content = kids
+		return c
+	case *xq.AttrConstructor:
+		c := &xq.AttrConstructor{Name: v.Name}
+		if v.NameExpr != nil {
+			c.NameExpr, kids = kids[0], kids[1:]
+		}
+		c.Value = kids
+		return c
+	case *xq.PathExpr:
+		c := &xq.PathExpr{}
+		if v.Input != nil {
+			c.Input, kids = kids[0], kids[1:]
+		}
+		for _, st := range v.Steps {
+			n := len(st.Preds)
+			c.Steps = append(c.Steps, &xq.Step{Axis: st.Axis, Test: st.Test, Filter: st.Filter, Preds: kids[:n:n]})
+			kids = kids[n:]
+		}
+		return c
+	case *xq.XRPCExpr:
+		return &xq.XRPCExpr{Target: kids[0], Params: v.Params, Body: v.Body, FuncName: v.FuncName, Types: v.Types}
 	}
-	return clone, bindings
+	return e // execute-at: unnormalized, and rejected before it runs
 }

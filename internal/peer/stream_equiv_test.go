@@ -112,23 +112,3 @@ func TestStreamedLogicalPlannerByteIdentical(t *testing.T) {
 		}
 	}
 }
-
-// TestStreamedSequentialScatterPrecedence: SequentialScatter wins over
-// Streamed — the serial baseline must stay serial.
-func TestStreamedSequentialScatterPrecedence(t *testing.T) {
-	cfg := xmark.Config{Seed: 31, Persons: 24, FillerBytes: 0, MinAge: 18, MaxAge: 60}
-	net, local, names := newShardedPeople(t, cfg, 4)
-	sess := net.NewSession(local, core.ByFragment)
-	sess.SequentialScatter = true
-	sess.Streamed = true
-	_, rep, err := sess.Query(xmark.ScatterQuery(names))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Parallelism != 1 || rep.Waves != 4 {
-		t.Fatalf("parallelism %d waves %d, want serial one-lane waves", rep.Parallelism, rep.Waves)
-	}
-	if rep.StreamedChunks != 0 {
-		t.Fatalf("sequential baseline streamed %d chunks", rep.StreamedChunks)
-	}
-}

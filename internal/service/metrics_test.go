@@ -10,13 +10,22 @@ import (
 	"distxq/internal/trace"
 )
 
+// guardedQuery is newTestService's scatter query nested seven loops deep:
+// its scatter loop sits past the compiler's nesting guard, the one construct
+// a lowering still leaves to the tree-walker.
+const guardedQuery = `
+declare function f() as item()* { doc("d.xml")/child::r/child::v };
+for $a in 1 return for $b in 1 return for $c in 1 return for $d in 1 return
+for $e in 1 return for $g in 1 return
+for $p in ("peer1", "peer2") return execute at {$p} { f() }`
+
 // TestMetricsTextSurface: the unified /metrics page carries all four feeds —
 // service counters, evaluation counters, transport metrics, per-peer health —
 // in exposition format with HELP/TYPE headers.
 func TestMetricsTextSurface(t *testing.T) {
-	svc, _, query := newTestService(t, Config{})
+	svc, _, _ := newTestService(t, Config{})
 	for i := 0; i < 2; i++ {
-		if _, _, err := svc.Query(query, core.Budget{}); err != nil {
+		if _, _, err := svc.Query(guardedQuery, core.Budget{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,9 +112,9 @@ func TestMetricsSnapshotRace(t *testing.T) {
 // to the ring — the full lifecycle under the root, the plan span tagged with
 // the cache outcome, and no leaked or double-ended spans once losers settle.
 func TestTracedQueryRing(t *testing.T) {
-	svc, _, query := newTestService(t, Config{Trace: true})
+	svc, _, _ := newTestService(t, Config{Trace: true})
 	for i := 0; i < 2; i++ {
-		if _, _, err := svc.Query(query, core.Budget{}); err != nil {
+		if _, _, err := svc.Query(guardedQuery, core.Budget{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -31,7 +31,7 @@ func NewDocCall(uri string) *FunCall {
 //	for $loopVar in (targets...) return execute at {$loopVar} { body }
 //
 // The XRPCExpr's target is the loop variable, so the destination varies per
-// iteration and the engine partitions iterations by peer (evalScatter).
+// iteration and the engine partitions iterations by peer (Engine.scatter).
 // Callers fill x.Params/x.Types before or after; the loop variable itself is
 // never visible to the shipped body.
 func NewScatterLoop(loopVar string, targets []string, x *XRPCExpr) *ForExpr {

@@ -181,8 +181,7 @@ const DefaultMaxConcurrent = 8
 
 // Client executes XRPCExprs remotely over a Transport. It implements
 // eval.RemoteCaller, including Bulk RPC and concurrent scatter-gather
-// dispatch (eval.ScatterCaller). A Client is safe for concurrent use when
-// its Transport is.
+// dispatch. A Client is safe for concurrent use when its Transport is.
 type Client struct {
 	Transport Transport
 	Semantics Semantics
@@ -279,7 +278,6 @@ func (c *Client) baseContext() context.Context {
 }
 
 var _ eval.RemoteCaller = (*Client)(nil)
-var _ eval.ScatterCaller = (*Client)(nil)
 
 // CallRemote implements eval.RemoteCaller for a single call.
 func (c *Client) CallRemote(target string, x *xq.XRPCExpr, params []xdm.Sequence) (xdm.Sequence, error) {
@@ -329,7 +327,7 @@ func (c *Client) CallRemoteBulk(target string, x *xq.XRPCExpr, iterations [][]xd
 	return results, nil
 }
 
-// CallRemoteScatter implements eval.ScatterCaller: one Bulk RPC per batch,
+// CallRemoteScatter implements eval.RemoteCaller: one Bulk RPC per batch,
 // dispatched concurrently through a bounded worker pool. Results and errors
 // are positional per batch; the successful exchanges are recorded as one
 // metrics wave so the cost model charges their transfers as overlapped.

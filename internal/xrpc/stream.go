@@ -514,7 +514,6 @@ type StreamedClient struct {
 }
 
 var _ eval.RemoteCaller = (*StreamedClient)(nil)
-var _ eval.ScatterCaller = (*StreamedClient)(nil)
 var _ eval.StreamCaller = (*StreamedClient)(nil)
 
 // CallRemoteScatterStream implements eval.StreamCaller. The pool admits
