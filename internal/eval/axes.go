@@ -165,13 +165,13 @@ func (c *context) filterPreds(nodes []*xdm.Node, preds []xq.Expr) ([]*xdm.Node, 
 	return nodes, nil
 }
 
-// AxisNodes returns the nodes reached from n over the axis that satisfy the
-// node test, in document order. It is exported for the projection package,
-// which evaluates projection paths with the engine's own axis semantics
-// (§VI-B: runtime projection "relies on the normal XPath evaluation
-// capabilities of the XQuery engine").
-func AxisNodes(n *xdm.Node, axis xq.Axis, test xq.NodeTest) []*xdm.Node {
-	nodes, _ := gatherAxis(nil, n, axis, test, nil) // no deadline, no error
+// AxisNodes appends the nodes reached from n over the axis that satisfy the
+// node test to dst, in document order, and returns the extended slice. It is
+// exported for the projection package, which evaluates projection paths with
+// the engine's own axis semantics (§VI-B: runtime projection "relies on the
+// normal XPath evaluation capabilities of the XQuery engine").
+func AxisNodes(dst []*xdm.Node, n *xdm.Node, axis xq.Axis, test xq.NodeTest) []*xdm.Node {
+	nodes, _ := gatherAxis(dst, n, axis, test, nil) // no deadline, no error
 	return nodes
 }
 

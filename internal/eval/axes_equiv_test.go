@@ -162,7 +162,7 @@ func TestAxisNodesMatchesReference(t *testing.T) {
 		for _, test := range equivTests {
 			for _, n := range ctxNodes {
 				want := referenceAxisNodes(n, axis, test)
-				got := AxisNodes(n, axis, test)
+				got := AxisNodes(nil, n, axis, test)
 				if len(got) != len(want) {
 					t.Fatalf("%s::%v from %s(pre=%d): %d nodes, want %d",
 						axis, test, n.Name, n.Pre(), len(got), len(want))
@@ -191,7 +191,7 @@ func TestAxisOutputOrderedAndDistinct(t *testing.T) {
 	})
 	for _, axis := range equivAxes {
 		for _, n := range ctxNodes {
-			out := AxisNodes(n, axis, xq.NodeTest{Kind: xq.TestAnyNode})
+			out := AxisNodes(nil, n, axis, xq.NodeTest{Kind: xq.TestAnyNode})
 			for i := 1; i < len(out); i++ {
 				if xdm.Compare(out[i-1], out[i]) >= 0 {
 					t.Fatalf("%s from %s(pre=%d): output not strictly increasing at %d",

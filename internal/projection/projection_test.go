@@ -44,11 +44,14 @@ func TestAlgorithm1Figure6(t *testing.T) {
 		t.Errorf("post-processed root = %s, want b", p.Root.Name)
 	}
 	// Mapping translates the originals to kept copies.
-	if p.Map[findElem(d, "d")] == nil || p.Map[findElem(d, "i")] == nil {
+	if p.CopyOf(findElem(d, "d")) == nil || p.CopyOf(findElem(d, "i")) == nil {
 		t.Error("projection map missing entries for projection nodes")
 	}
-	if p.Map[findElem(d, "o")] != nil {
+	if p.CopyOf(findElem(d, "o")) != nil {
 		t.Error("pruned node o must not be mapped")
+	}
+	if p.CopyOf(findElem(d, "a")) != nil {
+		t.Error("node a above the projected root must not be mapped")
 	}
 	if !p.Doc.Frozen() {
 		t.Error("projected document must be frozen")
@@ -101,7 +104,7 @@ func TestProjectAttributes(t *testing.T) {
 	if got != want {
 		t.Errorf("attribute projection = %s, want %s", got, want)
 	}
-	if p.Map[ids[0]] == nil || p.Map[ids[0]].Kind != xdm.AttributeNode {
+	if c := p.CopyOf(ids[0]); c == nil || c.Kind != xdm.AttributeNode {
 		t.Error("attribute mapping missing")
 	}
 }
@@ -153,6 +156,11 @@ func TestProjectErrorWrongDoc(t *testing.T) {
 	d2 := xdm.MustParseString(`<b/>`, "2.xml")
 	if _, err := Project([]*xdm.Node{d2.DocElem()}, nil, d1, Options{}); err == nil {
 		t.Error("cross-document projection nodes must error")
+	}
+	built := xdm.NewDocument("built.xml")
+	built.Root.AppendChild(xdm.NewElement("a"))
+	if _, err := Project(nil, built.Root.Children, built, Options{}); err == nil {
+		t.Error("an unfrozen document must error: its nodes have no ranks to mark")
 	}
 }
 

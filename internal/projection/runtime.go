@@ -1,7 +1,9 @@
 package projection
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"distxq/internal/eval"
 	"distxq/internal/xdm"
@@ -9,13 +11,29 @@ import (
 )
 
 // Projected is the outcome of projecting a document: a fresh frozen document
-// D′ holding the pruned copy, the post-processed root (the LCA of the
-// projection nodes), and the original→copy node mapping needed to translate
+// D′ holding the pruned copy and its post-processed root (the LCA of the
+// projection nodes). CopyOf translates original nodes to their copies for
 // fragment references.
 type Projected struct {
 	Doc  *xdm.Document
 	Root *xdm.Node
-	Map  map[*xdm.Node]*xdm.Node
+	// copies pairs every original node D′ holds a copy of with that copy, in
+	// document order of the originals.
+	copies []nodeCopy
+}
+
+type nodeCopy struct{ orig, copy *xdm.Node }
+
+// CopyOf returns the copy of an original node in D′, or nil when the
+// projection pruned it (nodes above the projected root included).
+func (p *Projected) CopyOf(orig *xdm.Node) *xdm.Node {
+	i, found := slices.BinarySearchFunc(p.copies, orig.Pre(), func(c nodeCopy, pre int32) int {
+		return cmp.Compare(c.orig.Pre(), pre)
+	})
+	if found && p.copies[i].orig == orig {
+		return p.copies[i].copy
+	}
+	return nil
 }
 
 // Options tune the projection (schema-aware variant of §VI-B).
@@ -29,161 +47,199 @@ type Options struct {
 	SchemaKeep func(*xdm.Node) bool
 }
 
+// Marks, one byte per preorder rank of the source document (attributes have
+// ranks too), record every decision Project takes; no node map is built.
+const (
+	mSel   uint8 = 1 << iota // a projection node or an ancestor of one
+	mProj                    // in P: a used or returned node, or the owner of such an attribute
+	mRet                     // a returned node: its whole subtree joins D′
+	mKeep                    // copied into D′: a used or returned attribute, or marked by count
+	mShell                   // kept as an empty separator of two kept texts (count)
+)
+
+// projector carries one Project call: the marks, then the slab D′ is cut from
+// and the original→copy pairs the build appends.
+type projector struct {
+	marks  []uint8
+	opt    Options
+	slab   xdm.Slab
+	copies []nodeCopy
+}
+
 // Project implements Algorithm 1 (RUNTIMEXMLPROJECTION): given the used node
-// set U and returned node set R (both within doc), it computes the projected
-// document D′ containing all used and returned nodes, the descendants of
-// returned nodes, their ancestors, and nothing else; post-processing trims
-// ancestors above the lowest common ancestor of the projection nodes.
+// set U and returned node set R (both within the frozen doc), it computes the
+// projected document D′ containing all used and returned nodes, the
+// descendants of returned nodes, their ancestors, and nothing else;
+// post-processing trims ancestors above the lowest common ancestor of the
+// projection nodes.
+//
+// Algorithm 1's cursor walks the document in pre order to find the ancestors
+// of each projection node. Over a frozen document the Parent links name them
+// directly, so marking walks up from each projection node and stops at the
+// first ancestor already selected: the same node set, in time proportional to
+// P and D′ rather than to the nodes the cursor steps over. The trim then runs
+// on the marks, and only the projected root's subtree is copied, from one
+// slab sized by a count pass.
 func Project(used, returned []*xdm.Node, doc *xdm.Document, opt Options) (*Projected, error) {
-	for _, n := range append(append([]*xdm.Node(nil), used...), returned...) {
-		if n.Doc != doc {
-			return nil, fmt.Errorf("projection: node %s not in document %s", n.Name, doc.URI)
+	if !doc.Frozen() {
+		return nil, fmt.Errorf("projection: document %s is not frozen", doc.URI)
+	}
+	pr := projector{marks: make([]uint8, doc.NodeCount()), opt: opt}
+	for set, nodes := range [2][]*xdm.Node{used, returned} {
+		for _, n := range nodes {
+			if n.Doc != doc {
+				return nil, fmt.Errorf("projection: node %s not in document %s", n.Name, doc.URI)
+			}
+			pr.mark(n, set == 1)
 		}
 	}
-	isReturned := map[*xdm.Node]bool{}
-	for _, n := range returned {
-		isReturned[n] = true
+	d := xdm.NewDocument(doc.URI + "#projected")
+	out := &Projected{Doc: d, Root: d.Root}
+	root := doc.Root
+	if pr.marks[root.Pre()]&mSel == 0 {
+		d.Freeze() // nothing to project
+		return out, nil
 	}
-	// Attribute projection nodes are not visited by the tree cursor (the
-	// descendant walk excludes attributes); record them separately and use
-	// their owner elements as used surrogates in P.
-	keepAttr := map[*xdm.Node]bool{}
-	inP := map[*xdm.Node]bool{}
-	var P []*xdm.Node
-	addP := func(n *xdm.Node) {
-		if n.Kind == xdm.AttributeNode {
-			keepAttr[n] = true
-			n = n.Parent
+	// Post-processing (lines 24–27): descend from the root while the current
+	// node is not itself a projection node and keeps exactly one child,
+	// leaving the lowest common ancestor as the projected root.
+	for pr.marks[root.Pre()]&mProj == 0 {
+		var only *xdm.Node
+		kept := 0
+		for _, c := range root.Children {
+			if pr.keeps(c) {
+				only = c
+				kept++
+			}
 		}
-		if !inP[n] {
-			inP[n] = true
-			P = append(P, n)
+		if kept != 1 {
+			break
+		}
+		root = only
+	}
+	n := pr.count(root)
+	pr.slab.Reserve(n)
+	pr.copies = make([]nodeCopy, 0, n)
+	if root.Kind != xdm.DocumentNode {
+		out.Root = pr.copyNode(root)
+		d.Root.Children = pr.slab.Window(1)
+		d.Root.Children[0] = out.Root
+	}
+	pr.build(root, out.Root, false)
+	d.Freeze()
+	out.copies = pr.copies
+	return out, nil
+}
+
+// mark records one used or returned node: a selected projection node with
+// its ancestors selected up to the first one already marked. An attribute is
+// kept, and its owner becomes the projection node.
+func (pr *projector) mark(n *xdm.Node, returned bool) {
+	m := mProj
+	if n.Kind == xdm.AttributeNode {
+		pr.marks[n.Pre()] |= mKeep
+		n = n.Parent
+	} else if returned {
+		m |= mRet
+	}
+	pr.marks[n.Pre()] |= m
+	for ; n != nil && pr.marks[n.Pre()]&mSel == 0; n = n.Parent {
+		pr.marks[n.Pre()] |= mSel
+	}
+}
+
+// keeps reports whether D′ keeps c, a child of a selected node outside any
+// returned subtree: selected, or required by the schema.
+func (pr *projector) keeps(c *xdm.Node) bool {
+	return pr.marks[c.Pre()]&mSel != 0 || (pr.opt.SchemaKeep != nil && pr.opt.SchemaKeep(c))
+}
+
+// count returns the number of nodes D′ holds for the kept node n (n, its kept
+// attributes and descendants, and separators) and marks n's kept attributes
+// and children for build. A returned subtree is kept whole; a schema-kept
+// node that is not selected is kept as a leaf.
+//
+// Pruning can leave two kept text siblings adjacent, and a re-parsed
+// serialization would merge them into one node. The first pruned non-text
+// sibling between them therefore stays as an empty shell (kind and name
+// only), so every kept text keeps its own identity on the wire.
+func (pr *projector) count(n *xdm.Node) int {
+	m := pr.marks[n.Pre()]
+	if m&mRet != 0 {
+		return int(n.SubtreeSize())
+	}
+	total := 1
+	for _, a := range n.Attrs {
+		if pr.opt.KeepAllAttributes || pr.marks[a.Pre()]&mKeep != 0 {
+			pr.marks[a.Pre()] |= mKeep
+			total++
 		}
 	}
-	for _, n := range used {
-		addP(n)
+	if m&mSel == 0 {
+		return total
 	}
-	for _, n := range returned {
-		if n.Kind == xdm.AttributeNode {
-			keepAttr[n] = true
-			if !inP[n.Parent] {
-				inP[n.Parent] = true
-				P = append(P, n.Parent)
+	afterText := false // the last kept child is a text node
+	var gap *xdm.Node  // the first pruned non-text sibling since then
+	for _, c := range n.Children {
+		if !pr.keeps(c) {
+			if afterText && gap == nil && c.Kind != xdm.TextNode {
+				gap = c
 			}
 			continue
 		}
-		addP(n)
+		pr.marks[c.Pre()] |= mKeep
+		isText := c.Kind == xdm.TextNode
+		if isText && gap != nil {
+			pr.marks[gap.Pre()] |= mShell
+			total++
+		}
+		afterText, gap = isText, nil
+		total += pr.count(c)
 	}
-	P = xdm.SortDocOrder(P)
+	return total
+}
 
-	// The cursor phase of Algorithm 1: walk cur through the document in
-	// document order; selected accumulates D′ membership. subtree marks the
-	// returned nodes whose entire subtree joins D′.
-	selected := map[*xdm.Node]bool{}
-	subtree := map[*xdm.Node]bool{}
-	pi := 0
-	cur := doc.Root
-	for pi < len(P) && cur != nil {
-		proj := P[pi]
+// copyNode takes a copy of orig from the slab, without attributes or
+// children.
+func (pr *projector) copyNode(orig *xdm.Node) *xdm.Node {
+	cp := pr.slab.Node(orig.Kind, orig.Name, orig.Text)
+	cp.BaseURI = orig.BaseURI
+	return cp
+}
+
+// build fills cp, the copy of orig, with the attributes and children count
+// marked (all of them inside a returned subtree), recording the pairs.
+func (pr *projector) build(orig, cp *xdm.Node, all bool) {
+	pr.copies = append(pr.copies, nodeCopy{orig, cp})
+	all = all || pr.marks[orig.Pre()]&mRet != 0
+	cp.Attrs = pr.fill(orig.Attrs, all)
+	cp.Children = pr.fill(orig.Children, all)
+}
+
+// fill returns a slab window holding the copies and shells of the nodes of
+// src that build keeps.
+func (pr *projector) fill(src []*xdm.Node, all bool) []*xdm.Node {
+	k := 0
+	for _, c := range src {
+		if all || pr.marks[c.Pre()]&(mKeep|mShell) != 0 {
+			k++
+		}
+	}
+	w := pr.slab.Window(k)
+	k = 0
+	for _, c := range src {
 		switch {
-		case cur.IsAncestorOf(proj): // proj is a descendant of cur
-			selected[cur] = true
-			cur = cur.NextInDocument()
-		case proj == cur:
-			selected[cur] = true
-			if isReturned[cur] {
-				subtree[cur] = true // cur and all descendants join D′
-				ret := cur
-				cur = cur.Following()
-				// prune projection nodes inside the subtree just added
-				for pi+1 < len(P) && ret.IsAncestorOf(P[pi+1]) {
-					pi++
-				}
-			} else {
-				cur = cur.NextInDocument()
-			}
-			pi++
+		case all || pr.marks[c.Pre()]&mKeep != 0:
+			w[k] = pr.copyNode(c)
+			pr.build(c, w[k], all)
+		case pr.marks[c.Pre()]&mShell != 0:
+			w[k] = pr.slab.Node(c.Kind, c.Name, "")
 		default:
-			// proj is not inside cur's subtree: skip the subtree.
-			cur = cur.Following()
+			continue
 		}
+		k++
 	}
-	if pi < len(P) {
-		return nil, fmt.Errorf("projection: cursor missed %d projection nodes (input not in document order?)", len(P)-pi)
-	}
-
-	// Build the copy of the selected forest.
-	out := &Projected{Map: map[*xdm.Node]*xdm.Node{}}
-	d := xdm.NewDocument(doc.URI + "#projected")
-	out.Doc = d
-	var build func(orig *xdm.Node, parent *xdm.Node, inSubtree bool)
-	build = func(orig, parent *xdm.Node, inSubtree bool) {
-		keep := inSubtree || selected[orig] || (opt.SchemaKeep != nil && opt.SchemaKeep(orig) && selected[orig.Parent])
-		if !keep {
-			return
-		}
-		var cp *xdm.Node
-		if orig.Kind == xdm.DocumentNode {
-			cp = parent // the fresh document node stands in for the original
-		} else {
-			cp = &xdm.Node{Kind: orig.Kind, Name: orig.Name, Text: orig.Text, BaseURI: orig.BaseURI}
-			parent.AppendChild(cp)
-		}
-		out.Map[orig] = cp
-		for _, a := range orig.Attrs {
-			if inSubtree || subtree[orig] || keepAttr[a] || opt.KeepAllAttributes {
-				ca := xdm.NewAttr(a.Name, a.Text)
-				ca.Parent = cp
-				cp.Attrs = append(cp.Attrs, ca)
-				out.Map[a] = ca
-			}
-		}
-		for _, c := range orig.Children {
-			build(c, cp, inSubtree || subtree[orig])
-		}
-	}
-	build(doc.Root, d.Root, false)
-
-	// Post-processing (lines 24–27): descend from the root while the chain
-	// has a single child and the current node is not itself a projection
-	// node, leaving the lowest common ancestor as the projected root.
-	isProj := func(orig *xdm.Node) bool {
-		return inP[orig] || keepAttr[orig]
-	}
-	curO := doc.Root
-	for {
-		cp := out.Map[curO]
-		if cp == nil {
-			break
-		}
-		if isProj(curO) || len(cp.Children) != 1 {
-			break
-		}
-		// move to the unique kept child
-		var nextO *xdm.Node
-		for _, c := range curO.Children {
-			if out.Map[c] != nil {
-				nextO = c
-				break
-			}
-		}
-		if nextO == nil {
-			break
-		}
-		curO = nextO
-	}
-	root := out.Map[curO]
-	if root == nil {
-		root = d.Root
-	}
-	if root != d.Root {
-		// Reparent the trimmed root directly under the document node.
-		d.Root.Children = []*xdm.Node{root}
-		root.Parent = d.Root
-	}
-	d.Freeze()
-	out.Root = root
-	return out, nil
+	return w
 }
 
 // EvalPaths evaluates relative projection paths over a context node
@@ -192,10 +248,14 @@ func Project(used, returned []*xdm.Node, doc *xdm.Document, opt Options) (*Proje
 // carrying an ID (resp. IDREF) attribute in the tree, per §VI-B.
 func EvalPaths(ctx []*xdm.Node, paths PathSet) []*xdm.Node {
 	var out []*xdm.Node
+	// Every step appends into one of two buffers that alternate between
+	// steps and are reused across paths; step i reads what step i-1 wrote
+	// (the context itself for the first step).
+	var bufs [2][]*xdm.Node
 	for _, p := range paths {
-		cur := append([]*xdm.Node(nil), ctx...)
-		for _, st := range p.Steps {
-			var next []*xdm.Node
+		cur := ctx
+		for i, st := range p.Steps {
+			next := bufs[i%2][:0]
 			ordered := false
 			switch st.Fn {
 			case FnRoot:
@@ -203,9 +263,9 @@ func EvalPaths(ctx []*xdm.Node, paths PathSet) []*xdm.Node {
 					next = append(next, n.RootNode())
 				}
 			case FnID:
-				next = append(next, idBearingElements(cur, []string{"id", "xml:id"})...)
+				next = appendIDBearing(next, cur, []string{"id", "xml:id"})
 			case FnIDRef:
-				next = append(next, idBearingElements(cur, []string{"idref", "idrefs"})...)
+				next = appendIDBearing(next, cur, []string{"idref", "idrefs"})
 			default:
 				// The evaluator's streaming precondition applies here too:
 				// when the context is ordered and subtree-disjoint and the
@@ -215,14 +275,13 @@ func EvalPaths(ctx []*xdm.Node, paths PathSet) []*xdm.Node {
 				// puts this loop on the per-frame hot path.
 				ordered = downwardAxis(st.Axis) && xdm.OrderedDisjointNodes(cur)
 				for _, n := range cur {
-					next = append(next, eval.AxisNodes(n, st.Axis, st.Test)...)
+					next = eval.AxisNodes(next, n, st.Axis, st.Test)
 				}
 			}
-			if ordered {
-				cur = next
-				continue
+			if !ordered {
+				next = xdm.SortDocOrder(next)
 			}
-			cur = xdm.SortDocOrder(next)
+			bufs[i%2], cur = next, next
 		}
 		out = append(out, cur...)
 	}
@@ -241,8 +300,9 @@ func downwardAxis(a xq.Axis) bool {
 	return false
 }
 
-func idBearingElements(ctx []*xdm.Node, attrNames []string) []*xdm.Node {
-	var out []*xdm.Node
+// appendIDBearing appends, once per tree of the context, every element of
+// that tree carrying one of the attributes.
+func appendIDBearing(out, ctx []*xdm.Node, attrNames []string) []*xdm.Node {
 	seenRoot := map[*xdm.Node]bool{}
 	for _, n := range ctx {
 		root := n.RootNode()

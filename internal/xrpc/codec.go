@@ -52,8 +52,8 @@ type fragInfo struct {
 	root *xdm.Node
 	// origDoc/origRoot identify where the fragment came from.
 	origDoc *xdm.Document
-	// proj maps original nodes to projected copies (by-projection only).
-	proj map[*xdm.Node]*xdm.Node
+	// proj translates original nodes to projected copies (by-projection only).
+	proj *projection.Projected
 	// isDoc records that the fragment root is a document node.
 	isDoc bool
 	// ids numbers every node below root with its canonical nodeid, built by
@@ -207,11 +207,11 @@ func (st *encodeState) buildFragments(seqs []xdm.Sequence, paramOf []int) error 
 			if err != nil {
 				return err
 			}
-			st.ranks += len(proj.Map)
+			st.ranks += proj.Doc.NodeCount()
 			st.frags = append(st.frags, fragInfo{
 				root:    proj.Root,
 				origDoc: g.doc,
-				proj:    proj.Map,
+				proj:    proj,
 				isDoc:   proj.Root.Kind == xdm.DocumentNode,
 			})
 		}
@@ -288,14 +288,10 @@ func (st *encodeState) refFor(n *xdm.Node) (fragid, nodeid int, attrName string,
 		}
 		var within *xdm.Node
 		if f.proj != nil {
-			cp := f.proj[target]
-			if cp == nil {
+			// D′ holds nothing above its root, so every copy is within.
+			if within = f.proj.CopyOf(target); within == nil {
 				continue
 			}
-			if cp != f.root && !f.root.IsAncestorOf(cp) {
-				continue
-			}
-			within = cp
 		} else {
 			if f.root != target && !f.root.IsAncestorOf(target) {
 				continue

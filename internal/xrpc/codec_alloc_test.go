@@ -42,6 +42,33 @@ func smallRequest() *Request {
 	}
 }
 
+// annotationResponse is the response of a semijoin lane by projection: n
+// annotations of one auction document, whose author subtrees the caller
+// navigates (the returned path annotationPaths).
+func annotationResponse(t testing.TB, n int) *Response {
+	t.Helper()
+	var sb strings.Builder
+	sb.WriteString("<site><open_auctions>")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, `<open_auction id="open_auction%d"><initial>%d.50</initial><seller person="person%d"/>`+
+			`<annotation><author person="person%d"/><description><text>lot %d is <bold>as new</bold></text></description>`+
+			`<happiness>%d</happiness></annotation></open_auction>`, i, 10+i, i, i%7, i, i%10)
+	}
+	sb.WriteString("</open_auctions></site>")
+	doc, err := xdm.ParseString(sb.String(), "auctions.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var anns xdm.Sequence
+	for _, a := range doc.DocElem().Children[0].Children {
+		anns = append(anns, a.Children[2])
+	}
+	return &Response{Semantics: ByProjection, ExecNanos: 120000, SerializeNanos: 30000,
+		Results: []xdm.Sequence{anns}}
+}
+
+const annotationPaths = `child::author/descendant-or-self::node()`
+
 // TestCodecAllocationCeilings pins the allocation count of the message path
 // — a count, so it holds on any machine. The ceilings sit a few allocations
 // above the measured values (in comments); the fmt/strings.Builder codec
@@ -62,6 +89,14 @@ func TestCodecAllocationCeilings(t *testing.T) {
 		t.Fatalf("request fixture: %v, %d nodes, want 18", err, doc.NodeCount())
 	}
 	t.Logf("response %d B, request %d B", len(respData), len(reqData))
+	annPaths := mustPaths(t, annotationPaths)
+	marshalProjected := func(resp *Response) func() {
+		return func() {
+			if _, err := MarshalResponse(resp, nil, annPaths, projection.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	for _, tc := range []struct {
 		name    string
 		ceiling float64
@@ -87,6 +122,10 @@ func TestCodecAllocationCeilings(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		// By projection the count must not grow with the nodes D′ keeps: one
+		// ceiling for both sizes (a node-by-node copy needed 411 and 2 556).
+		{"marshal 33-annotation response by projection", 80, marshalProjected(annotationResponse(t, 33))},   // measured 48
+		{"marshal 266-annotation response by projection", 80, marshalProjected(annotationResponse(t, 266))}, // measured 60
 	} {
 		if got := testing.AllocsPerRun(50, tc.run); got > tc.ceiling {
 			t.Errorf("%s: %.0f allocations, ceiling %.0f", tc.name, got, tc.ceiling)

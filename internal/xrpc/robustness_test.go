@@ -1,6 +1,7 @@
 package xrpc
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -87,7 +88,7 @@ func TestBulkMixedResults(t *testing.T) {
 
 // TestResultIdentityWithinOneResponse: two references to the same node in a
 // single response resolve to ONE decoded node under by-fragment (Problem 2
-// on the result side).
+// on the result side), and references to two nodes resolve to two.
 func TestResultIdentityWithinOneResponse(t *testing.T) {
 	docs := mapResolver{"d.xml": `<r><x/></r>`}
 	src := `
@@ -114,6 +115,29 @@ func TestResultIdentityWithinOneResponse(t *testing.T) {
 		}
 		if got := serialize(res); got != tc.want {
 			t.Errorf("%s: identity within response = %s, want %s", tc.sem, got, tc.want)
+		}
+	}
+
+	// Projection prunes <b/>, which leaves the two shipped texts adjacent in
+	// D′; they must still decode as the two nodes by-fragment ships.
+	d := xdm.MustParseString(`<a>x<b/>y</a>`, "texts.xml")
+	a := d.DocElem()
+	texts := xdm.Sequence{a.Children[0], a.Children[2]}
+	for _, sem := range []Semantics{ByFragment, ByProjection} {
+		data, err := MarshalResponse(&Response{Semantics: sem, Results: []xdm.Sequence{texts}}, nil, nil, projection.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ParseResponse(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, it := range resp.Results[0] {
+			got = append(got, it.(*xdm.Node).Text)
+		}
+		if fmt.Sprint(got) != "[x y]" || resp.Results[0][0] == resp.Results[0][1] {
+			t.Errorf("%s: two shipped texts decode as %q", sem, got)
 		}
 	}
 }
