@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"distxq/internal/xdm"
@@ -32,17 +33,26 @@ type ShardMap struct {
 	// Replicas lists, per shard (parallel to Peers), the ordered failover
 	// replicas of that shard: peers holding a byte-identical copy of the
 	// shard document under the same ShardPath. A fault-tolerant dispatcher
-	// re-routes a failed or hedged scatter lane to them in order, and the
+	// re-issues a failed or hedged scatter lane to them in order, and the
 	// materialized-union fallback fetches a shard from its first reachable
 	// replica when the primary is down. Nil, or shorter than Peers, means
 	// the remaining shards are unreplicated.
 	Replicas [][]string
-	// Epoch numbers this layout's generation. ApplyDelta increments it on
-	// every validated topology change; the service plan cache keys on it, and
-	// epoch-aware dispatch compares a plan's epoch against the live layout to
-	// re-route lanes whose peer has since departed. The zero epoch is a valid
-	// first generation.
-	Epoch int64
+}
+
+// InstallShards returns installed with next in force, keyed by Logical: a map
+// replaces the installed one for its logical URI, or is appended. It never
+// modifies installed, so queries still running on it keep their layout.
+func InstallShards(installed []ShardMap, next ...ShardMap) []ShardMap {
+	out := slices.Clone(installed)
+	for _, m := range next {
+		if i := slices.IndexFunc(out, func(o ShardMap) bool { return o.Logical == m.Logical }); i >= 0 {
+			out[i] = m
+		} else {
+			out = append(out, m)
+		}
+	}
+	return out
 }
 
 // ReplicaSets returns the peer → ordered-failover-replicas map of the shard

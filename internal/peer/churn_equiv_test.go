@@ -1,20 +1,19 @@
 package peer
 
-// churn_equiv_test.go is the randomized churn-equivalence harness for the
-// elastic topology: seeded schedules of kill/revive/reshard/replica-delta
-// operations interleave with generated queries on a live-topology session,
-// and every query must serialize byte-identically to static local execution
-// over the unsharded reference document — across every epoch transition, for
-// 2/4/8-shard layouts, gather-whole and streamed dispatch, on both sides of
-// the executor policy (queries sent once tree-walk; queries re-sent under one
-// epoch cross into compiled execution). Correctness of the scatter rewrite under a frozen map
-// is proven by the core equivalence harness; this one proves the topology
-// can move underneath the session without the answers moving with it.
+// churn_equiv_test.go is the randomized churn-equivalence harness for
+// replicated shards: seeded schedules of kill/revive operations over a static
+// replicated shard map interleave with generated queries, and every query must
+// serialize byte-identically to static local execution over the unsharded
+// reference document — whichever copies are down, for 2/4/8-shard layouts,
+// gather-whole and streamed dispatch, on both sides of the executor policy
+// (queries sent once tree-walk; queries re-sent cross into compiled
+// execution). Correctness of the scatter rewrite with every host up is proven
+// by the core equivalence harness; this one proves hosts can fail and return
+// underneath the session without the answers moving with them.
 
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"distxq/internal/core"
@@ -57,18 +56,19 @@ func buildUnionReference(t *testing.T, shards []*xdm.Document) *xdm.Document {
 
 // churnWorld is one federation layout under churn: every shard i is held by
 // three interchangeable hosts (s<i>a, s<i>b, s<i>c — byte-identical copies),
-// of which the live shard map names a primary and any subset as replicas.
-// The schedule machinery keeps one invariant: every shard always retains at
-// least one live mapped copy, so every query has a correct answer to find.
+// mapped as primary s<i>a with replicas s<i>b and s<i>c. The schedule
+// machinery keeps one invariant: every shard always retains at least one live
+// copy, so every query has a correct answer to find.
 type churnWorld struct {
 	t      *testing.T
 	n      *Network
 	local  *Peer
 	shards int
 	hosts  [][]string
+	m      core.ShardMap
 	refEng *eval.Engine
 	dead   map[string]bool
-	moves  int // epoch transitions applied in the current schedule
+	kills  int // mapped hosts killed in the current schedule
 }
 
 func newChurnWorld(t *testing.T, shards int) *churnWorld {
@@ -76,6 +76,8 @@ func newChurnWorld(t *testing.T, shards int) *churnWorld {
 	cfg := xmark.Config{Seed: 23, Persons: 18, FillerBytes: 0, MinAge: 18, MaxAge: 50}
 	w := &churnWorld{t: t, n: NewNetwork(), shards: shards, dead: map[string]bool{}}
 	refShards := make([]*xdm.Document, shards)
+	var primaries []string
+	var replicas [][]string
 	for i := 0; i < shards; i++ {
 		var hs []string
 		for _, suffix := range []string{"a", "b", "c"} {
@@ -88,7 +90,11 @@ func newChurnWorld(t *testing.T, shards int) *churnWorld {
 			hs = append(hs, name)
 		}
 		w.hosts = append(w.hosts, hs)
+		primaries = append(primaries, hs[0])
+		replicas = append(replicas, hs[1:])
 	}
+	w.m = xmark.PeopleShardMap(primaries)
+	w.m.Replicas = replicas
 	w.local = w.n.AddPeer("local")
 	ref := buildUnionReference(t, refShards)
 	w.refEng = eval.NewEngine(eval.ResolverFunc(func(uri string) (*xdm.Document, error) {
@@ -100,49 +106,20 @@ func newChurnWorld(t *testing.T, shards int) *churnWorld {
 	return w
 }
 
-// reset revives every host and installs the canonical starting layout
-// (primary s<i>a, replica s<i>b, standby s<i>c) as a fresh epoch.
+// reset revives every host for the next schedule.
 func (w *churnWorld) reset() {
-	w.t.Helper()
 	for name := range w.dead {
 		w.n.RevivePeer(name)
 		delete(w.dead, name)
 	}
-	var primaries []string
-	var replicas [][]string
-	for i := 0; i < w.shards; i++ {
-		primaries = append(primaries, w.hosts[i][0])
-		replicas = append(replicas, []string{w.hosts[i][1]})
-	}
-	m := xmark.PeopleShardMap(primaries)
-	m.Replicas = replicas
-	if _, err := w.n.UpdateShards(m); err != nil {
-		w.t.Fatal(err)
-	}
-	w.moves = 0
+	w.kills = 0
 }
 
-func (w *churnWorld) topo() core.ShardMap {
-	w.t.Helper()
-	maps, _ := w.n.ShardTopology()
-	if len(maps) != 1 {
-		w.t.Fatalf("topology holds %d maps, want 1", len(maps))
-	}
-	return maps[0]
-}
-
-func replicasOf(m core.ShardMap, i int) []string {
-	if i < len(m.Replicas) {
-		return m.Replicas[i]
-	}
-	return nil
-}
-
-// liveCopies counts shard i's mapped copies that are alive, pretending
-// `excluding` were dead — the invariant check before a kill/drop/leave.
-func (w *churnWorld) liveCopies(m core.ShardMap, i int, excluding string) int {
+// liveCopies counts shard i's copies that are alive, pretending `excluding`
+// were dead — the invariant check before a kill.
+func (w *churnWorld) liveCopies(i int, excluding string) int {
 	count := 0
-	for _, c := range append([]string{m.Peers[i]}, replicasOf(m, i)...) {
+	for _, c := range w.hosts[i] {
 		if c != excluding && !w.dead[c] {
 			count++
 		}
@@ -150,112 +127,45 @@ func (w *churnWorld) liveCopies(m core.ShardMap, i int, excluding string) int {
 	return count
 }
 
-// standby returns a host of shard i the current map does not name, "" when
-// all three are mapped.
-func (w *churnWorld) standby(m core.ShardMap, i int) string {
-	for _, h := range w.hosts[i] {
-		if h != m.Peers[i] && !slices.Contains(replicasOf(m, i), h) {
-			return h
-		}
+// kill takes host h of shard i down if the shard keeps a live copy without
+// it, reporting whether it did.
+func (w *churnWorld) kill(i int, h string) bool {
+	if w.dead[h] || w.liveCopies(i, h) == 0 {
+		return false
 	}
-	return ""
+	w.n.KillPeer(h)
+	w.dead[h] = true
+	w.kills++
+	return true
 }
 
-func (w *churnWorld) reshard(d core.ShardDelta) {
-	w.t.Helper()
-	if _, err := w.n.Reshard(xmark.LogicalPeopleURI, d); err != nil {
-		w.t.Fatalf("reshard %+v: %v", d, err)
-	}
-	w.moves++
-}
-
-// randomOp applies one random topology operation whose preconditions hold,
-// skipping draws that would strand a shard without a live copy.
+// randomOp kills or revives one random host, skipping draws that would
+// strand a shard without a live copy.
 func (w *churnWorld) randomOp(rng *rand.Rand) {
 	for attempt := 0; attempt < 12; attempt++ {
-		m := w.topo()
 		i := rng.Intn(w.shards)
-		switch rng.Intn(7) {
-		case 0: // kill a host (its shard keeps a live mapped copy)
-			h := w.hosts[i][rng.Intn(3)]
-			if w.dead[h] || w.liveCopies(m, i, h) == 0 {
-				continue
+		if rng.Intn(2) == 0 {
+			if w.kill(i, w.hosts[i][rng.Intn(3)]) {
+				return
 			}
-			w.n.KillPeer(h)
-			w.dead[h] = true
-		case 1: // revive a dead host
-			var downs []string
-			for _, row := range w.hosts {
-				for _, h := range row {
-					if w.dead[h] {
-						downs = append(downs, h)
-					}
+			continue
+		}
+		var downs []string
+		for _, row := range w.hosts {
+			for _, h := range row {
+				if w.dead[h] {
+					downs = append(downs, h)
 				}
 			}
-			if len(downs) == 0 {
-				continue
-			}
-			h := downs[rng.Intn(len(downs))]
-			w.n.RevivePeer(h)
-			delete(w.dead, h)
-		case 2: // move the shard onto one of its replicas
-			rs := replicasOf(m, i)
-			if len(rs) == 0 {
-				continue
-			}
-			w.reshard(core.ShardDelta{Move: map[int]string{i: rs[rng.Intn(len(rs))]}})
-		case 3: // join the standby and move the shard onto it
-			s := w.standby(m, i)
-			if s == "" {
-				continue
-			}
-			w.reshard(core.ShardDelta{Join: []string{s}, Move: map[int]string{i: s}})
-		case 4: // add the standby as a replica
-			s := w.standby(m, i)
-			if s == "" {
-				continue
-			}
-			w.reshard(core.ShardDelta{AddReplicas: map[int][]string{i: {s}}})
-		case 5: // drop a replica (shard keeps a live copy without it)
-			rs := replicasOf(m, i)
-			if len(rs) == 0 {
-				continue
-			}
-			r := rs[rng.Intn(len(rs))]
-			if w.liveCopies(m, i, r) == 0 {
-				continue
-			}
-			w.reshard(core.ShardDelta{DropReplicas: map[int][]string{i: {r}}})
-		default: // a mapped host leaves the layout entirely
-			rs := replicasOf(m, i)
-			if len(rs) == 0 {
-				continue
-			}
-			h := m.Peers[i]
-			if rng.Intn(2) == 0 {
-				h = rs[rng.Intn(len(rs))]
-			}
-			if w.liveCopies(m, i, h) == 0 {
-				continue
-			}
-			w.reshard(core.ShardDelta{Leave: []string{h}})
 		}
+		if len(downs) == 0 {
+			continue
+		}
+		h := downs[rng.Intn(len(downs))]
+		w.n.RevivePeer(h)
+		delete(w.dead, h)
 		return
 	}
-}
-
-// forceReshard guarantees the schedule's epoch transition when the random
-// draws produced none.
-func (w *churnWorld) forceReshard() {
-	m := w.topo()
-	for i := 0; i < w.shards; i++ {
-		if rs := replicasOf(m, i); len(rs) > 0 {
-			w.reshard(core.ShardDelta{Move: map[int]string{i: rs[0]}})
-			return
-		}
-	}
-	s := w.standby(m, 0)
-	w.reshard(core.ShardDelta{Join: []string{s}, Move: map[int]string{0: s}})
 }
 
 // churnQuery generates one query over the logical people document: mostly
@@ -285,22 +195,21 @@ func churnQuery(rng *rand.Rand) string {
 	}
 }
 
-// runSchedule drives one seeded schedule: a live-topology session issues
-// generated queries while topology operations land between them, at least
-// one of them an epoch transition; every result must match the static local
-// reference byte for byte. With a nil reuse every query is sent once through
-// the plain session — nothing is ever re-planned, so the originator only
-// tree-walks; otherwise each query is sent three times through reuse under
-// its topology state: planned and tree-walked, compiled on the plan's first
-// reuse, and run compiled.
+// runSchedule drives one seeded schedule: a session over the static
+// replicated map issues generated queries while kills and revivals land
+// between them, at least one of them a kill; every result must match the
+// static local reference byte for byte. With a nil reuse every query is sent
+// once through the plain session — nothing is ever re-planned, so the
+// originator only tree-walks; otherwise each query is sent three times
+// through reuse under its liveness state: planned and tree-walked, compiled on
+// the plan's first reuse, and run compiled.
 func (w *churnWorld) runSchedule(rng *rand.Rand, schedule int, reuse *planReuse) {
 	w.t.Helper()
 	w.reset()
-	startEpoch := w.n.TopologyEpoch()
 	streamed := schedule%2 == 1
 	pol := &xrpc.RetryPolicy{RouteLive: rng.Intn(2) == 0}
 	sess := w.n.NewSession(w.local, core.ByFragment).
-		UseLiveShards().UseRetry(pol)
+		UseShards(w.m).UseRetry(pol)
 	if pol.RouteLive {
 		sess.UseHealth(xrpc.NewHealthTracker())
 	}
@@ -315,8 +224,10 @@ func (w *churnWorld) runSchedule(rng *rand.Rand, schedule int, reuse *planReuse)
 			for o, ops := 0, 1+rng.Intn(2); o < ops; o++ {
 				w.randomOp(rng)
 			}
-			if qi == queries-1 && w.moves == 0 {
-				w.forceReshard()
+			if qi == queries-1 && w.kills == 0 {
+				// The draws killed nothing, so every host is up: take shard
+				// 0's primary down to guarantee the schedule's kill.
+				w.kill(0, w.hosts[0][0])
 			}
 		}
 		src := churnQuery(rng)
@@ -328,28 +239,28 @@ func (w *churnWorld) runSchedule(rng *rand.Rand, schedule int, reuse *planReuse)
 		for i := 1; i <= sends; i++ {
 			res, _, err := send(src)
 			if err != nil {
-				w.t.Fatalf("schedule %d (shards=%d streamed=%v routeLive=%v) query %d send %d/%d: %v\n%s\ntopo: %+v\ndead: %v",
-					schedule, w.shards, streamed, pol.RouteLive, qi, i, sends, err, src, w.topo(), w.dead)
+				w.t.Fatalf("schedule %d (shards=%d streamed=%v routeLive=%v) query %d send %d/%d: %v\n%s\ndead: %v",
+					schedule, w.shards, streamed, pol.RouteLive, qi, i, sends, err, src, w.dead)
 			}
 			if got := serializeSeq(w.t, res); got != want {
-				w.t.Fatalf("schedule %d (shards=%d streamed=%v routeLive=%v) query %d send %d/%d diverged\nquery: %s\nlocal: %q\nchurn: %q\ntopo: %+v\ndead: %v",
-					schedule, w.shards, streamed, pol.RouteLive, qi, i, sends, src, want, got, w.topo(), w.dead)
+				w.t.Fatalf("schedule %d (shards=%d streamed=%v routeLive=%v) query %d send %d/%d diverged\nquery: %s\nlocal: %q\nchurn: %q\ndead: %v",
+					schedule, w.shards, streamed, pol.RouteLive, qi, i, sends, src, want, got, w.dead)
 			}
 		}
 	}
-	if w.moves == 0 || w.n.TopologyEpoch() <= startEpoch {
-		w.t.Fatalf("schedule %d applied no epoch transition", schedule)
+	if w.kills == 0 {
+		w.t.Fatalf("schedule %d killed no mapped host", schedule)
 	}
 }
 
 // TestChurnEquivalence is the headline harness: 35 seeded schedules per
 // layout on either side of the executor policy (210 total) on 2/4/8-shard
-// federations, each schedule with at least one epoch transition mid-session,
+// federations, each schedule killing at least one mapped host mid-session,
 // alternating gather-whole/streamed dispatch per schedule, every query
 // byte-identical to static local evaluation. Nobody picks an executor: the
 // compiled=false schedules send each query once (no plan is ever reused, so
 // the originator never compiles), the compiled=true schedules re-send each
-// query under its epoch until plan reuse and the peers' module caches have
+// query until plan reuse and the peers' module caches have
 // both crossed into compiled execution — which the run then proves happened.
 func TestChurnEquivalence(t *testing.T) {
 	const schedules = 35

@@ -62,20 +62,6 @@ type Network struct {
 	// chunkItems is applied to every peer server's ChunkItems (see
 	// SetChunkItems); zero leaves the xrpc default.
 	chunkItems int
-
-	// topoMu guards the live shard topology separately from peer liveness:
-	// dispatch-time re-route lookups happen on scatter fault paths and must
-	// never contend with peer registration.
-	topoMu sync.RWMutex
-	// topo holds the current epoch of each logical document's layout, keyed
-	// by logical URI. Installed maps are deep copies — superseded epochs stay
-	// immutable, so plans executing against an old snapshot read it safely
-	// while UpdateShards/Reshard install the next one.
-	topo map[string]core.ShardMap
-	// epoch is the federation-wide topology generation: it bumps on every
-	// UpdateShards/Reshard and feeds the service plan-cache key, so plans
-	// decomposed against superseded layouts stop matching.
-	epoch int64
 }
 
 // NewNetwork creates an empty federation with the paper's 1 Gb/s LAN model.
@@ -173,177 +159,6 @@ func (n *Network) SetChunkItems(items int) {
 	}
 	for _, p := range n.dead {
 		p.Server.ChunkItems = items
-	}
-}
-
-// UpdateShards installs (or replaces, by logical URI) live shard maps and
-// bumps the federation topology epoch. Sessions created with UseLiveShards
-// and services in live mode plan every new query against the latest epoch,
-// while queries already executing finish on the epoch they planned under —
-// the installed maps are deep copies, so superseded epochs stay readable.
-// Every shard peer must be a federation member, and every in-process primary
-// and replica must actually host the shard document (a layout routing lanes
-// at a peer without the data would break the scatter-equivalence guarantee).
-func (n *Network) UpdateShards(maps ...core.ShardMap) (int64, error) {
-	known := n.PeerNames()
-	for _, m := range maps {
-		if err := n.checkShardHosts(m, known); err != nil {
-			return 0, err
-		}
-	}
-	n.topoMu.Lock()
-	defer n.topoMu.Unlock()
-	if n.topo == nil {
-		n.topo = map[string]core.ShardMap{}
-	}
-	for _, m := range maps {
-		n.topo[m.Logical] = m.Clone()
-	}
-	n.epoch++
-	return n.epoch, nil
-}
-
-// Reshard applies one topology delta to the named logical document's live
-// layout, installing the resulting validated epoch and bumping the
-// federation topology epoch. In-flight queries keep executing (and failing
-// over) on their plan's epoch; epoch-aware dispatch re-routes their lanes to
-// the new layout when a plan-time primary has since departed.
-func (n *Network) Reshard(logical string, d core.ShardDelta) (core.ShardMap, error) {
-	n.topoMu.RLock()
-	cur, ok := n.topo[logical]
-	n.topoMu.RUnlock()
-	if !ok {
-		return core.ShardMap{}, fmt.Errorf("peer: no live shard map for %s (UpdateShards first)", logical)
-	}
-	next, err := cur.ApplyDelta(d)
-	if err != nil {
-		return core.ShardMap{}, err
-	}
-	if err := n.checkShardHosts(next, n.PeerNames()); err != nil {
-		return core.ShardMap{}, err
-	}
-	n.topoMu.Lock()
-	defer n.topoMu.Unlock()
-	if n.topo[logical].Epoch != cur.Epoch {
-		return core.ShardMap{}, fmt.Errorf("peer: concurrent reshard of %s (epoch moved %d → %d)",
-			logical, cur.Epoch, n.topo[logical].Epoch)
-	}
-	n.topo[logical] = next
-	n.epoch++
-	return next.Clone(), nil
-}
-
-// ShardTopology snapshots the live shard layout: the current epoch of every
-// logical document's map (sorted by logical URI) plus the federation
-// topology epoch. The returned maps are deep copies.
-func (n *Network) ShardTopology() ([]core.ShardMap, int64) {
-	n.topoMu.RLock()
-	defer n.topoMu.RUnlock()
-	if len(n.topo) == 0 {
-		return nil, n.epoch
-	}
-	maps := make([]core.ShardMap, 0, len(n.topo))
-	for _, m := range n.topo {
-		maps = append(maps, m.Clone())
-	}
-	slices.SortFunc(maps, func(a, b core.ShardMap) int {
-		return strings.Compare(a.Logical, b.Logical)
-	})
-	return maps, n.epoch
-}
-
-// TopologyEpoch returns the federation topology generation (see epoch).
-func (n *Network) TopologyEpoch() int64 {
-	n.topoMu.RLock()
-	defer n.topoMu.RUnlock()
-	return n.epoch
-}
-
-// checkShardHosts validates a layout against the federation: every named
-// peer is a member, and every in-process member (alive or down) hosts the
-// shard document it is routed for. Externally routed peers are trusted —
-// their stores are not inspectable from here.
-func (n *Network) checkShardHosts(m core.ShardMap, known map[string]bool) error {
-	hosts := func(name string, shard int) error {
-		if !known[name] {
-			return fmt.Errorf("peer: shard map %s epoch %d names unknown peer %s", m.Logical, m.Epoch, name)
-		}
-		n.mu.RLock()
-		p, ok := n.peers[name]
-		if !ok {
-			p, ok = n.dead[name]
-		}
-		n.mu.RUnlock()
-		if !ok {
-			return nil // externally routed
-		}
-		if _, found := p.Doc(m.ShardPath); !found {
-			return fmt.Errorf("peer: %s holds no copy of shard %d of %s (%s)",
-				name, shard, m.Logical, m.ShardPath)
-		}
-		return nil
-	}
-	for i, p := range m.Peers {
-		if err := hosts(p, i); err != nil {
-			return err
-		}
-		if i < len(m.Replicas) {
-			for _, r := range m.Replicas[i] {
-				if err := hosts(r, i); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// rerouteFor returns the epoch-aware re-dispatch hook for a plan executed
-// against planShards: given a lane's plan-time target, it locates the shard
-// that target owned at plan time and, when the live layout has moved to a
-// newer epoch, returns the shard's current rotation — live primary first,
-// then its replicas. Nil results mean "nothing newer": the lane keeps
-// failing over within its plan-time rotation.
-func (n *Network) rerouteFor(planShards []core.ShardMap) func(string) []string {
-	if len(planShards) == 0 {
-		return nil
-	}
-	return func(target string) []string {
-		n.topoMu.RLock()
-		defer n.topoMu.RUnlock()
-		for _, pm := range planShards {
-			i := pm.ShardOwner(target)
-			if i < 0 {
-				continue
-			}
-			cur, ok := n.topo[pm.Logical]
-			if !ok || cur.Epoch == pm.Epoch || i >= len(cur.Peers) {
-				return nil
-			}
-			rot := []string{cur.Peers[i]}
-			if i < len(cur.Replicas) {
-				rot = append(rot, cur.Replicas[i]...)
-			}
-			// Filter to copies that are up right now: the rotation is consulted
-			// after a genuine fault, and its value doubles as a change signal —
-			// a revival (or a further kill) alters it, telling the lane runner
-			// that re-attempting known peers is worthwhile. When every mapped
-			// copy is down (transiently possible mid-churn), return the full
-			// rotation rather than nothing.
-			live := rot[:0:0]
-			n.mu.RLock()
-			for _, p := range rot {
-				if _, dead := n.dead[p]; !dead {
-					live = append(live, p)
-				}
-			}
-			n.mu.RUnlock()
-			if len(live) > 0 {
-				return live
-			}
-			return rot
-		}
-		return nil
 	}
 }
 
@@ -543,14 +358,6 @@ type Session struct {
 	// also resolves at the originator by materializing the union of shards
 	// (the fallback path).
 	Shards []core.ShardMap
-	// LiveShards, instead of a frozen Shards list, plans each query against
-	// the network's live topology (Network.UpdateShards/Reshard): the session
-	// snapshots the current epoch at plan time, the query executes — and
-	// fails over — entirely on that snapshot, and the next query picks up
-	// whatever epoch is then current. Epoch-aware dispatch additionally
-	// re-routes a lane to the newest layout when its plan-time primary has
-	// departed mid-query.
-	LiveShards bool
 	// Retry, when non-nil, makes scatter dispatch fault-tolerant: failed
 	// lanes re-issue to replicas and straggling ones are hedged (see
 	// xrpc.RetryPolicy). Replica sets come from the installed shard maps
@@ -594,17 +401,11 @@ func (s *Session) UseRetry(pol *xrpc.RetryPolicy) *Session {
 	return s
 }
 
-// UseShards installs shard maps on the session (see Shards) and returns the
+// UseShards installs shard maps on the session (see Shards), replacing any
+// map already installed for the same logical document, and returns the
 // session for chaining.
 func (s *Session) UseShards(maps ...core.ShardMap) *Session {
-	s.Shards = append(s.Shards, maps...)
-	return s
-}
-
-// UseLiveShards makes the session plan every query against the network's
-// live shard topology (see LiveShards) and returns the session for chaining.
-func (s *Session) UseLiveShards() *Session {
-	s.LiveShards = true
+	s.Shards = core.InstallShards(s.Shards, maps...)
 	return s
 }
 
@@ -658,29 +459,16 @@ func (s *Session) Query(src string) (xdm.Sequence, *Report, error) {
 
 // QueryParsed decomposes and executes a parsed query.
 func (s *Session) QueryParsed(q *xq.Query) (xdm.Sequence, *Report, error) {
-	shards := s.shardSnapshot()
 	opts := core.DefaultOptions()
-	opts.Shards = shards
-	if len(shards) > 0 {
+	opts.Shards = s.Shards
+	if len(s.Shards) > 0 {
 		opts.KnownPeers = s.net.PeerNames()
 	}
 	plan, err := core.Decompose(q, s.Strategy, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	return s.execPlan(plan, shards)
-}
-
-// shardSnapshot resolves the shard maps one query plans and executes
-// against: the live topology's current epoch under LiveShards (pinned for
-// the query's whole execution, however the network reshards meanwhile), the
-// session's frozen list otherwise.
-func (s *Session) shardSnapshot() []core.ShardMap {
-	if s.LiveShards {
-		maps, _ := s.net.ShardTopology()
-		return maps
-	}
-	return s.Shards
+	return s.ExecutePlan(plan)
 }
 
 // ExecutePlan runs an already-decomposed plan (used by the ablation
@@ -688,10 +476,6 @@ func (s *Session) shardSnapshot() []core.ShardMap {
 // plans through its epoch-keyed cache and installs the matching snapshot on
 // Shards).
 func (s *Session) ExecutePlan(plan *core.Plan) (xdm.Sequence, *Report, error) {
-	return s.execPlan(plan, s.Shards)
-}
-
-func (s *Session) execPlan(plan *core.Plan, shards []core.ShardMap) (xdm.Sequence, *Report, error) {
 	ship := &shipStats{}
 	resolver := &peerResolver{peer: s.Origin, shipStats: ship}
 	engine := eval.NewEngine(resolver)
@@ -700,7 +484,7 @@ func (s *Session) execPlan(plan *core.Plan, shards []core.ShardMap) (xdm.Sequenc
 		trace.Bool("streamed", s.Streamed))
 	// Logical documents resolve at the originator by materializing the
 	// union of shards; each shard transfer is accounted as data shipping.
-	for _, m := range shards {
+	for _, m := range s.Shards {
 		m := m
 		engine.RegisterLogical(m.Logical, func() (*xdm.Document, error) {
 			return m.Materialize(m.Logical, func(peerName string) (*xdm.Document, error) {
@@ -718,7 +502,7 @@ func (s *Session) execPlan(plan *core.Plan, shards []core.ShardMap) (xdm.Sequenc
 	// so neither document's failover order is provably the right one) rather
 	// than rejected outright — session-level Replicas entries override.
 	byLogical := map[string]core.ShardMap{}
-	for _, m := range shards {
+	for _, m := range s.Shards {
 		byLogical[m.Logical] = m
 	}
 	routes := map[*xq.XRPCExpr]map[string][]string{}
@@ -732,7 +516,7 @@ func (s *Session) execPlan(plan *core.Plan, shards []core.ShardMap) (xdm.Sequenc
 	}
 	replicas := map[string][]string{}
 	conflicted := map[string]bool{}
-	for _, m := range shards {
+	for _, m := range s.Shards {
 		for p, rs := range m.ReplicaSets() {
 			if prev, ok := replicas[p]; ok && !slices.Equal(prev, rs) {
 				conflicted[p] = true
@@ -774,7 +558,6 @@ func (s *Session) execPlan(plan *core.Plan, shards []core.ShardMap) (xdm.Sequenc
 			Context:   queryCtx,
 			Retry:     s.Retry,
 			Health:    s.Health,
-			Reroute:   s.net.rerouteFor(shards),
 			Trace:     engine.TraceSpan,
 		}
 		if s.Streamed {

@@ -13,57 +13,49 @@ import (
 
 // planReuse stands in for the service's plan cache in harnesses that drive
 // sessions directly (this package cannot import the service): one plan per
-// (topology epoch, strategy, source), tree-walked when first planned and
-// compiled on its first reuse. Repeating a query through it therefore takes
+// (strategy, source), tree-walked when first planned and compiled on its
+// first reuse. Repeating a query through it therefore takes
 // the originator across both executors exactly as a served query does, while
 // the peers cross theirs through their own module caches.
 type planReuse struct {
 	mu    sync.Mutex
-	plans map[string]*reusedPlan
+	plans map[string]*core.Plan
 	// misses counts first (tree-walked) executions, compiled the plans
 	// lowered on reuse.
 	misses, compiled int
 }
 
-type reusedPlan struct {
-	plan   *core.Plan
-	shards []core.ShardMap
-}
-
 // query plans src for sess — or reuses, and compiles, the plan of an earlier
-// call under the same epoch — and executes it on sess.
+// call — and executes it on sess. The key ignores shard maps: a source must
+// always be sent on sessions carrying the same maps.
 func (r *planReuse) query(sess *Session, src string) (xdm.Sequence, *Report, error) {
-	e, err := r.plan(sess, src)
+	plan, err := r.plan(sess, src)
 	if err != nil {
 		return nil, nil, err
 	}
-	return sess.execPlan(e.plan, e.shards)
+	return sess.ExecutePlan(plan)
 }
 
-func (r *planReuse) plan(sess *Session, src string) (*reusedPlan, error) {
-	shards, epoch := sess.Shards, int64(0)
-	if sess.LiveShards {
-		shards, epoch = sess.net.ShardTopology()
-	}
-	key := fmt.Sprintf("%d|%d|%s", epoch, sess.Strategy, src)
+func (r *planReuse) plan(sess *Session, src string) (*core.Plan, error) {
+	key := fmt.Sprintf("%d|%s", sess.Strategy, src)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e := r.plans[key]; e != nil {
-		if e.plan.Query.CompiledArtifact() == nil {
-			if _, err := eval.CompileQuery(e.plan.Query); err != nil {
+	if plan := r.plans[key]; plan != nil {
+		if plan.Query.CompiledArtifact() == nil {
+			if _, err := eval.CompileQuery(plan.Query); err != nil {
 				return nil, err
 			}
 			r.compiled++
 		}
-		return e, nil
+		return plan, nil
 	}
 	q, err := xq.ParseQuery(src)
 	if err != nil {
 		return nil, err
 	}
 	opts := core.DefaultOptions()
-	opts.Shards = shards
-	if len(shards) > 0 {
+	opts.Shards = sess.Shards
+	if len(sess.Shards) > 0 {
 		opts.KnownPeers = sess.net.PeerNames()
 	}
 	plan, err := core.Decompose(q, sess.Strategy, opts)
@@ -74,12 +66,11 @@ func (r *planReuse) plan(sess *Session, src string) (*reusedPlan, error) {
 		return nil, err
 	}
 	if r.plans == nil {
-		r.plans = map[string]*reusedPlan{}
+		r.plans = map[string]*core.Plan{}
 	}
-	e := &reusedPlan{plan: plan, shards: shards}
-	r.plans[key] = e
+	r.plans[key] = plan
 	r.misses++
-	return e, nil
+	return plan, nil
 }
 
 // sender returns how a harness sends queries on sess: through r's plan

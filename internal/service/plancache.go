@@ -86,14 +86,8 @@ func (c *planCache) load(key string, build func() (*cachedPlan, error)) (p *cach
 	return f.plan, false, f.err
 }
 
-func (c *planCache) put(key string, p *cachedPlan) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.putLocked(key, p)
-}
-
 func (c *planCache) putLocked(key string, p *cachedPlan) {
-	// Evict superseded epochs first: a topology change strands every entry
+	// Evict superseded epochs first: a shard-map change strands every entry
 	// planned under an older epoch (the key embeds the epoch, so they can
 	// never be hit again) — drop them now instead of letting dead plans
 	// crowd live ones out of the bounded cache.
@@ -105,10 +99,6 @@ func (c *planCache) putLocked(key string, p *cachedPlan) {
 			continue
 		}
 		i++
-	}
-	if _, ok := c.entries[key]; ok {
-		c.entries[key] = p
-		return
 	}
 	for len(c.entries) >= c.max {
 		oldest := c.order[0]

@@ -136,9 +136,6 @@ type Service struct {
 	mu     sync.Mutex
 	shards []core.ShardMap
 	epoch  int64
-	// live plans every query against the network's live shard topology
-	// instead of the frozen shards list (see UseLiveShards).
-	live bool
 	// fallbackSites tallies, by AST construct, the tree-walker fallback sites
 	// of every plan the service compiled.
 	fallbackSites map[string]int64
@@ -177,26 +174,13 @@ func (s *Service) UseRetry(pol *xrpc.RetryPolicy) *Service {
 	return s
 }
 
-// UseShards installs shard maps and bumps the shard-map epoch: cached plans
+// UseShards installs shard maps, replacing any map already installed for the
+// same logical document, and bumps the shard-map epoch: cached plans
 // decomposed under the old maps stop matching and are re-planned on demand.
 func (s *Service) UseShards(maps ...core.ShardMap) *Service {
 	s.mu.Lock()
-	s.shards = append(s.shards, maps...)
+	s.shards = core.InstallShards(s.shards, maps...)
 	s.epoch++
-	s.mu.Unlock()
-	return s
-}
-
-// UseLiveShards makes the service plan every query against the network's
-// live shard topology (Network.UpdateShards/Reshard) instead of a frozen
-// UseShards list: each query snapshots the current epoch at plan time and
-// executes entirely on that snapshot, the plan-cache key takes the
-// federation topology epoch (so a reshard re-plans on the next query and
-// evicts superseded-epoch entries), and lanes re-route to the newest layout
-// when their plan-time primary departs mid-query.
-func (s *Service) UseLiveShards() *Service {
-	s.mu.Lock()
-	s.live = true
 	s.mu.Unlock()
 	return s
 }
@@ -257,14 +241,7 @@ func (s *Service) plan(src string, sp trace.SpanRef) (*core.Plan, []core.ShardMa
 	s.mu.Lock()
 	shards := s.shards
 	epoch := s.epoch
-	live := s.live
 	s.mu.Unlock()
-	if live {
-		// Live mode: the federation topology epoch keys the cache, and the
-		// query pins this snapshot for its whole execution however the
-		// network reshards meanwhile.
-		shards, epoch = s.net.ShardTopology()
-	}
 	key := fmt.Sprintf("%d|%d|%s", epoch, s.strategy, xq.PrintQuery(q))
 	entry, hit, err := s.plans.load(key, func() (*cachedPlan, error) {
 		opts := core.DefaultOptions()

@@ -347,9 +347,19 @@ func TestAggregateMetricsStayBounded(t *testing.T) {
 // TestPlanCacheEviction: the bounded cache evicts in insertion order.
 func TestPlanCacheEviction(t *testing.T) {
 	c := newPlanCache(2)
-	c.put("a", &cachedPlan{plan: &core.Plan{}})
-	c.put("b", &cachedPlan{plan: &core.Plan{}})
-	c.put("c", &cachedPlan{plan: &core.Plan{}})
+	builds := 0
+	load := func(key string) {
+		t.Helper()
+		if _, _, err := c.load(key, func() (*cachedPlan, error) {
+			builds++
+			return &cachedPlan{plan: &core.Plan{}}, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, k := range []string{"a", "b", "c"} {
+		load(k)
+	}
 	if c.Len() != 2 {
 		t.Fatalf("len=%d, want 2", c.Len())
 	}
@@ -361,10 +371,10 @@ func TestPlanCacheEviction(t *testing.T) {
 			t.Errorf("entry %s missing", k)
 		}
 	}
-	// Re-putting an existing key replaces without evicting.
-	c.put("b", &cachedPlan{plan: &core.Plan{}})
-	if c.Len() != 2 {
-		t.Errorf("len=%d after re-put, want 2", c.Len())
+	// Loading a cached key neither rebuilds nor evicts.
+	load("b")
+	if builds != 3 || c.Len() != 2 {
+		t.Errorf("builds=%d len=%d after reloading b, want 3/2", builds, c.Len())
 	}
 }
 
@@ -465,35 +475,43 @@ func TestCompiledPlanNotStaleAcrossShardEpochs(t *testing.T) {
 	}
 }
 
-// TestLiveEpochRePlanAndReroute extends the stale-plan proof to the live
-// topology: under UseLiveShards the service keys its plan cache on
-// Network.TopologyEpoch, so a Reshard applied directly to the network — no
-// UseShards call, no service involvement at all — forces a re-plan, and the
-// next query follows the shards to their new homes even though every old
-// host is dead.
-func TestLiveEpochRePlanAndReroute(t *testing.T) {
-	s, n, thrice := shardedService(t)
-	if _, err := n.UpdateShards(testShardMap("peer1", "peer2")); err != nil {
+// TestUseShardsReplacesByLogical: re-installing a layout for the same logical
+// document replaces the old map instead of keeping it beside the new one. Two
+// maps giving p1 different replica lists would mark p1 conflicted and withhold
+// all of its replicas from hand-written loops; after the replacement p1's
+// lane fails over to the new map's replica.
+func TestUseShardsReplacesByLogical(t *testing.T) {
+	n := peer.NewNetwork()
+	for name, doc := range map[string]string{
+		"p1": `<r><v>a1</v></r>`, "p2": `<r><v>a2</v></r>`,
+		"r1": `<r><v>a1</v></r>`, "r2": `<r><v>a1</v></r>`,
+	} {
+		if err := n.AddPeer(name).LoadXML("d.xml", doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := New(n, n.AddPeer("local"), core.ByFragment, Config{})
+	m := testShardMap("p1", "p2")
+	m.Replicas = [][]string{{"r1"}}
+	s.UseShards(m)
+	m.Replicas = [][]string{{"r2"}}
+	s.UseShards(m)
+	n.KillPeer("p1")
+
+	res, rep, err := s.Query(`
+declare function f() as item()* { doc("d.xml")/child::r/child::v };
+for $p in ("p1", "p2") return execute at {$p} { f() }`, core.Budget{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	s.UseLiveShards()
-	thrice("a1 a2")
-
-	// Re-home both shards via a delta on the network: peer3/peer4 join and
-	// take over, peer1/peer2 leave and die.
-	if _, err := n.Reshard("shard://test/d", core.ShardDelta{
-		Join:  []string{"peer3", "peer4"},
-		Move:  map[int]string{0: "peer3", 1: "peer4"},
-		Leave: []string{"peer1", "peer2"},
-	}); err != nil {
-		t.Fatal(err)
+	var vals []string
+	for _, it := range res {
+		vals = append(vals, it.ItemString())
 	}
-	n.KillPeer("peer1")
-	n.KillPeer("peer2")
-
-	thrice("a3 a4")
-	if st, c := s.Stats(), s.EvalStats().Compilations; st.PlanMisses != 2 || st.PlanHits != 4 || c != 2 {
-		t.Fatalf("misses=%d hits=%d compilations=%d, want 2/4/2 (live epoch must miss, then compile afresh)",
-			st.PlanMisses, st.PlanHits, c)
+	if got := strings.Join(vals, " "); got != "a1 a2" {
+		t.Errorf("result %q, want %q", got, "a1 a2")
+	}
+	if w := rep.WinnerReplica["p1"]; w != "r2" {
+		t.Errorf("p1's lane won by %q, want r2 (the replacing map's replica)", w)
 	}
 }

@@ -211,15 +211,6 @@ type Client struct {
 	// replica spreading (Retry.SpreadReplicas) ranks lanes' initial targets
 	// by health instead of blind rotation.
 	Health *HealthTracker
-	// Reroute, when non-nil, is the epoch-aware re-dispatch hook: given a
-	// lane's plan-time target it returns the current rotation (live primary
-	// first, then replicas) of the shard that target owned at plan time, or
-	// nil when the topology has not moved past the plan's epoch. Dispatch
-	// consults it after a genuine fault and extends the lane's rotation with
-	// the unseen peers, so a lane whose primary departed mid-query follows
-	// its shard to the new layout instead of exhausting retries against a
-	// corpse. Sessions over a live topology install it (peer.Network).
-	Reroute func(target string) []string
 	// Trace, when active, is the span every dispatch records under: scatter
 	// spans, per-lane spans, and per-attempt spans (winner/loser tagged) hang
 	// off it, attempt identity travels on the wire, and remote server-side

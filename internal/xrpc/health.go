@@ -356,7 +356,7 @@ func (h *HealthTracker) classify(targets []string) (ewma []float64, unhealthy []
 // traffic to get measured), then targets with a fault streak or a slow EWMA,
 // again in canonical order. Unlike Rank there is no per-lane rotation —
 // every lane's first attempt goes to the live, fastest copy, which is what
-// re-route (as opposed to fail-over) semantics want: a departed or degraded
+// routing up front (as opposed to fail-over) wants: a departed or degraded
 // primary stops receiving first attempts the moment the tracker has seen it
 // fault, instead of every lane burning an attempt against the corpse. A nil
 // tracker returns targets unchanged.

@@ -2,18 +2,18 @@ package xrpc
 
 // This file implements per-lane fault tolerance for every dispatch mode: one
 // lane runner (runLane) that re-issues a failed exchange to the lane's next
-// replica (retry), races a speculative duplicate against a slow one
-// (hedging), and follows a moved shard to its new home (re-route). The runner
-// owns the rotation, the attempt budget, both timers, fault bookkeeping and
-// winner provenance; what one attempt does — a gather-whole exchange or a
-// chunk-stream exchange — is a laneAttempt it is handed. Attempts race until
-// one commits, the committed attempt alone delivers, the losers are
-// cancelled, and the lane's provenance (winning replica, retries, hedges,
-// wasted wall time) travels on the Lane record so sessions can report
-// tail-tolerance costs. Correctness rests on the repo-wide invariant that
-// peers evaluate deterministically: two replicas holding byte-identical shard
-// documents produce byte-identical results for the same shipped function, so
-// whichever attempt wins, the query result is unchanged.
+// replica (retry) and races a speculative duplicate against a slow one
+// (hedging). The runner owns the rotation, the attempt budget, both timers,
+// fault bookkeeping and winner provenance; what one attempt does — a
+// gather-whole exchange or a chunk-stream exchange — is a laneAttempt it is
+// handed. Attempts race until one commits, the committed attempt alone
+// delivers, the losers are cancelled, and the lane's provenance (winning
+// replica, retries, hedges, wasted wall time) travels on the Lane record so
+// sessions can report tail-tolerance costs. Correctness rests on the
+// repo-wide invariant that peers evaluate deterministically: two replicas
+// holding byte-identical shard documents produce byte-identical results for
+// the same shipped function, so whichever attempt wins, the query result is
+// unchanged.
 
 import (
 	"context"
@@ -67,7 +67,7 @@ type RetryPolicy struct {
 	// HealthTracker.RankLive), so a dead or degraded primary stops receiving
 	// first attempts as soon as the tracker has seen it fail, instead of
 	// every lane burning an attempt (and a hedge window) against it. This is
-	// re-route rather than fail-over; replicas hold byte-identical shards, so
+	// routing rather than fail-over; replicas hold byte-identical shards, so
 	// results are unchanged. Takes precedence over SpreadReplicas; without a
 	// tracker it falls back to the primary-first rotation.
 	RouteLive bool
@@ -138,53 +138,13 @@ func (c *Client) dispatchTargets(batch eval.ScatterBatch) []string {
 	return append(rot, targets[:off]...)
 }
 
-// replicaIndex maps a winning peer back to its index in the lane's
-// canonical (primary-first) target list. A peer beyond the list — a target
-// epoch-aware re-dispatch pulled in from a newer shard layout — maps just
-// past it, so "Replica > 0" still always means "not the plan-time primary".
+// replicaIndex maps a peer of the lane's rotation back to its index in the
+// lane's canonical (primary-first) target list.
 func replicaIndex(batch eval.ScatterBatch, peer string) int {
-	targets := laneTargets(batch)
-	for i, t := range targets {
-		if t == peer {
-			return i
-		}
+	if peer == batch.Target {
+		return 0
 	}
-	return len(targets)
-}
-
-// reroutedTargets consults the client's Reroute hook after a genuine fault:
-// when the live topology has moved past the lane's plan epoch, the fresh
-// rotation's unseen peers (typically the shard's new primary) are appended
-// to the lane's rotation so the remaining — and extended — attempts reach
-// the shard's current home instead of exhausting retries against a corpse.
-// last carries the fresh rotation of the lane's previous consult: when the
-// rotation changed again but names only already-known peers (a primary and
-// replica swapped roles, or a downed copy came back), the whole fresh
-// rotation is appended verbatim, buying the lane one re-wrap through peers
-// whose earlier attempts predate the change. An unchanged rotation adds
-// nothing, so extensions are bounded by actual topology transitions. It
-// returns the extended rotation and how many attempts were added.
-func (c *Client) reroutedTargets(batch eval.ScatterBatch, targets []string, last *[]string) ([]string, int) {
-	if c.Reroute == nil {
-		return targets, 0
-	}
-	fresh := c.Reroute(batch.Target)
-	if len(fresh) == 0 || slices.Equal(fresh, *last) {
-		return targets, 0
-	}
-	*last = slices.Clone(fresh)
-	added := 0
-	for _, t := range fresh {
-		if !slices.Contains(targets, t) {
-			targets = append(targets, t)
-			added++
-		}
-	}
-	if added == 0 {
-		targets = append(targets, fresh...)
-		added = len(fresh)
-	}
-	return targets, added
+	return 1 + slices.Index(batch.Replicas, peer)
 }
 
 // firstFault tracks the error the lane reports when every attempt failed:
@@ -284,22 +244,21 @@ func (lt *laneTimer) stop() {
 }
 
 // runLane dispatches one lane under the client's RetryPolicy: the single
-// retry / hedge / re-route state machine of every dispatch mode. Attempts
-// rotate through the lane's targets; a failed attempt is re-issued (after
-// Backoff) to the next one, and when a hedge delay applies a speculative
-// duplicate joins any attempt that has not committed in time. Attempts race
-// until one commits: the commit hands that attempt the lane's delivery token,
-// cancels every other outstanding attempt and disarms the hedge timer — a
-// hedge never cancels an attempt that has not failed. The committed attempt's
-// success ends the lane; if it faults after committing (a stream dying
-// mid-flight) the token is released and the loop retries, the attempt func
-// being responsible for not re-delivering what the consumer already holds.
-// A genuine fault re-consults the live topology (reroutedTargets); a deadline
-// fault or a torn-down dispatch stops further attempts. Every attempt that
-// did not win is charged to the lane's WastedNS. Exchanges in flight over
-// transports without cancellation support run to completion, but can no
-// longer commit — duplicated responses are safe because peer evaluation is
-// deterministic and only the token holder delivers.
+// retry / hedge state machine of every dispatch mode. Attempts rotate through
+// the lane's targets; a failed attempt is re-issued (after Backoff) to the
+// next one, and when a hedge delay applies a speculative duplicate joins any
+// attempt that has not committed in time. Attempts race until one commits:
+// the commit hands that attempt the lane's delivery token, cancels every
+// other outstanding attempt and disarms the hedge timer — a hedge never
+// cancels an attempt that has not failed. The committed attempt's success
+// ends the lane; if it faults after committing (a stream dying mid-flight)
+// the token is released and the loop retries, the attempt func being
+// responsible for not re-delivering what the consumer already holds. A
+// deadline fault or a torn-down dispatch stops further attempts. Every
+// attempt that did not win is charged to the lane's WastedNS. Exchanges in
+// flight over transports without cancellation support run to completion, but
+// can no longer commit — duplicated responses are safe because peer
+// evaluation is deterministic and only the token holder delivers.
 func (c *Client) runLane(ctx context.Context, batch eval.ScatterBatch, lsp trace.SpanRef, run laneAttempt) (Lane, error) {
 	start := time.Now()
 	max := c.Retry.maxAttempts(len(batch.Replicas))
@@ -368,9 +327,6 @@ func (c *Client) runLane(ctx context.Context, batch eval.ScatterBatch, lsp trace
 			retries++
 			kind = "retry"
 		}
-		// Peer and rotation slot are resolved here on the event loop: the
-		// rotation may grow under epoch-aware re-dispatch, and attempt
-		// goroutines must not touch the shared slice.
 		peer := targets[a%len(targets)]
 		// The attempt owns its span end to end: it may outlive the lane (a
 		// cancelled loser over a synchronous transport runs to completion), so
@@ -427,7 +383,6 @@ func (c *Client) runLane(ctx context.Context, batch eval.ScatterBatch, lsp trace
 	}
 
 	fault := &firstFault{}
-	var lastFresh []string
 	var lostNS int64 // wall time of the attempts that reported a failure
 	torndown := ctx.Done()
 	launch(false)
@@ -498,13 +453,6 @@ func (c *Client) runLane(ctx context.Context, batch eval.ScatterBatch, lsp trace
 			stop()
 			continue
 		}
-		// Epoch-aware re-dispatch: a genuine fault re-consults the live
-		// topology — if the shard has moved since this plan's epoch, the
-		// new rotation's unseen peers join the lane's rotation and buy
-		// the attempts to reach them.
-		var added int
-		targets, added = c.reroutedTargets(batch, targets, &lastFresh)
-		max += added
 		// The re-issue waits out the backoff on the retry timer, not
 		// inline: the loop keeps serving commits and outcomes meanwhile,
 		// so an outstanding hedge that commits wins at once and the

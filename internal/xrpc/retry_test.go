@@ -250,24 +250,6 @@ func TestLaneRunner(t *testing.T) {
 			},
 		},
 		{
-			// A fault re-consults the live topology: the shard's new home
-			// joins the rotation and buys the attempt that reaches it, even
-			// for a lane whose own budget is a single attempt.
-			name: "reroute extends the rotation",
-			build: func() world {
-				eng, cl, _ := wireRetry(map[string]Handler{"n1": newPeer(nil)}, nil, nil)
-				cl.Reroute = func(target string) []string { return []string{"n1"} }
-				return world{eng: eng, cl: cl}
-			},
-			query: echoScatter("p1"),
-			want:  "p1",
-			check: func(t *testing.T, w world, _ time.Duration) {
-				if l := laneFor(t, w.cl, "p1"); l.Peer != "n1" || l.Replica != 1 || l.Retries != 1 {
-					t.Errorf("lane = %+v, want re-routed winner n1 just past the plan-time targets", l)
-				}
-			},
-		},
-		{
 			// A straggling primary is hedged after HedgeAfter and the replica
 			// wins the race; the straggler is cancelled and the lane records
 			// the hedge and the time it wasted.
