@@ -197,7 +197,7 @@ func BenchmarkAblationCodeMotion(b *testing.B) {
 					b.Fatal(err)
 				}
 				plan, err := core.Decompose(q, core.ByFragment,
-					core.Options{SinkLets: true, CodeMotion: withMotion})
+					core.Options{CodeMotion: withMotion})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -275,7 +275,7 @@ func TestDecomposeCodeMotionTableIV(t *testing.T) {
 	// With code motion, fcn2's $para1/child::id moves to the caller: the
 	// remote body compares against a new parameter, and the caller binds
 	// let $cmN := $t/child::id.
-	plan := decompose(t, qn2, ByFragment, Options{SinkLets: true, CodeMotion: true})
+	plan := decompose(t, qn2, ByFragment, Options{CodeMotion: true})
 	var b *RemoteSite
 	for i := range plan.Remotes {
 		if plan.Remotes[i].Host == "B" {
@@ -300,6 +300,66 @@ func TestDecomposeCodeMotionTableIV(t *testing.T) {
 	if !strings.Contains(printed, "$t/child::id") {
 		t.Errorf("caller must evaluate $t/child::id:\n%s", printed)
 	}
+}
+
+func TestCodeMotionNestsLetsAboveRemote(t *testing.T) {
+	// Two paths of one parameter move: each gets its own caller-side let,
+	// the second nested inside the first, directly above the remote call.
+	plan := decompose(t, `for $x in doc("xrpc://B/b.xml")//k
+		return count(for $y in doc("xrpc://A/a.xml")//item
+		             return if ($y/@id = $x/@a and $y/@k = $x/child::b) then $y else ())`,
+		ByFragment, Options{CodeMotion: true})
+	var a *xq.XRPCExpr
+	for _, r := range plan.Remotes {
+		if r.Host == "A" {
+			a = r.X
+		}
+	}
+	if a == nil {
+		t.Fatal("no A-side push")
+	}
+	var names []string
+	for _, p := range a.Params {
+		names = append(names, p.Name+":="+p.Ref)
+	}
+	if got := strings.Join(names, " "); got != "para1:=cm1 para2:=cm2" {
+		t.Errorf("params %s, want para1:=cm1 para2:=cm2 (the node parameter dropped)", got)
+	}
+	outer, ok := plan.Query.Body.(*xq.ForExpr).Return.(*xq.LetExpr)
+	if !ok || outer.Var != "cm1" {
+		t.Fatalf("for return is not let $cm1:\n%s", xq.PrintQuery(plan.Query))
+	}
+	inner, ok := outer.Return.(*xq.LetExpr)
+	if !ok || inner.Var != "cm2" || inner.Return != xq.Expr(a) {
+		t.Fatalf("let $cm1 does not wrap let $cm2 directly above the remote call:\n%s", xq.PrintQuery(plan.Query))
+	}
+	for _, l := range []*xq.LetExpr{outer, inner} {
+		if got := xq.Print(l.Bind); !strings.HasPrefix(got, "data($x/") {
+			t.Errorf("$%s binds %s, want a path over $x", l.Var, got)
+		}
+	}
+}
+
+func TestInsertXRPCCaptureFreeParams(t *testing.T) {
+	// The shipped body binds $dot1, so the free $x ships as $dot2: named
+	// $dot1, it would be captured by the inner loop.
+	plan := decompose(t, `for $x in doc("xrpc://B/b.xml")/child::r/child::k
+		return count(for $dot1 in doc("xrpc://A/a.xml")/child::r/child::item
+		             return if ($dot1/attribute::id = $x) then $dot1 else ())`,
+		ByValue, DefaultOptions())
+	for _, r := range plan.Remotes {
+		if r.Host != "A" {
+			continue
+		}
+		if len(r.X.Params) != 1 || r.X.Params[0].Name != "dot2" || r.X.Params[0].Ref != "x" {
+			t.Fatalf("params %+v, want $dot2 := $x", r.X.Params[0])
+		}
+		if body := xq.Print(r.X.Body); !strings.Contains(body, "= $dot2") {
+			t.Errorf("shipped body compares against the wrong variable: %s", body)
+		}
+		return
+	}
+	t.Fatal("no A-side push")
 }
 
 func TestDecomposeDataShippingNoRewrite(t *testing.T) {

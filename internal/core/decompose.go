@@ -10,9 +10,6 @@ import (
 
 // Options tune the decomposition pipeline.
 type Options struct {
-	// SinkLets enables the §IV let-normalization (on by default via
-	// DefaultOptions).
-	SinkLets bool
 	// CodeMotion enables distributed code motion (§IV): expressions that
 	// solely depend on a function parameter move to the caller side as
 	// additional parameters.
@@ -27,7 +24,7 @@ type Options struct {
 }
 
 // DefaultOptions is the configuration the evaluation section uses.
-func DefaultOptions() Options { return Options{SinkLets: true} }
+func DefaultOptions() Options { return Options{} }
 
 // RemoteSite pairs an inserted XRPCExpr with its target host.
 type RemoteSite struct {
@@ -75,9 +72,7 @@ func Decompose(q *xq.Query, strat Strategy, opts Options) (*Plan, error) {
 		}
 		plan.Shards = dec
 	}
-	if opts.SinkLets {
-		SinkLets(q)
-	}
+	SinkLets(q)
 	g := Build(q.Body)
 	chosen := choosePoints(g, strat)
 	fcnSeq := 0
@@ -159,6 +154,9 @@ func insertXRPC(g *Graph, q *xq.Query, rs xq.Expr, host, fname string) *xq.XRPCE
 		Target:   &xq.Literal{Val: xdm.NewString(host)},
 		FuncName: fname,
 	}
+	// Parameters are named apart from every name in rs, so a free variable
+	// renamed to $dotN is never captured by a binder of the shipped body.
+	names := xq.ExprNames(rs)
 	subst := map[string]string{}
 	i := 0
 	// Deterministic parameter order: first use order in the body.
@@ -172,8 +170,7 @@ func insertXRPC(g *Graph, q *xq.Query, rs xq.Expr, host, fname string) *xq.XRPCE
 		return true
 	})
 	for _, name := range order {
-		i++
-		pn := fmt.Sprintf("dot%d", i)
+		pn := names.Fresh(&i, "dot%d")
 		subst[name] = pn
 		x.Params = append(x.Params, &xq.XRPCParam{Name: pn, Ref: name})
 		x.Types = append(x.Types, xq.AnyItems)
@@ -188,39 +185,29 @@ func insertXRPC(g *Graph, q *xq.Query, rs xq.Expr, host, fname string) *xq.XRPCE
 // replaceExpr swaps old for new anywhere in the query (body or declared
 // function bodies), returning whether a replacement happened.
 func replaceExpr(q *xq.Query, old, nw xq.Expr) bool {
-	if q.Body == old {
-		q.Body = nw
-		return true
-	}
-	found := false
-	var visit func(e xq.Expr)
-	visit = func(e xq.Expr) {
-		if found || e == nil {
-			return
-		}
-		for _, s := range childSlots(e) {
-			if s.get() == old {
-				s.set(nw)
-				found = true
-				return
-			}
-		}
-		for _, s := range childSlots(e) {
-			visit(s.get())
-		}
-	}
-	visit(q.Body)
+	p := holder(&q.Body, old)
 	for _, f := range q.Funcs {
-		if found {
-			break
+		if p == nil {
+			p = holder(&f.Body, old)
 		}
-		if f.Body == old {
-			f.Body = nw
-			found = true
-			break
-		}
-		visit(f.Body)
 	}
+	if p != nil {
+		*p = nw
+	}
+	return p != nil
+}
+
+// holder returns the slot under *p, or p itself, that holds e.
+func holder(p *xq.Expr, e xq.Expr) *xq.Expr {
+	if *p == e {
+		return p
+	}
+	var found *xq.Expr
+	xq.Slots(*p, func(s xq.Slot) {
+		if found == nil {
+			found = holder(s.Expr, e)
+		}
+	})
 	return found
 }
 
@@ -232,14 +219,16 @@ func applyCodeMotion(q *xq.Query, plan *Plan) {
 	seq := 0
 	for _, site := range plan.Remotes {
 		x := site.X
+		// A moved path's parameter joins the shipped body and its let wraps
+		// x: both names are chosen apart from every name in x.
+		names := xq.ExprNames(x)
 		for _, param := range append([]*xq.XRPCParam(nil), x.Params...) {
 			moved := movableParamPaths(x.Body, param.Name)
 			if len(moved) == 0 {
 				continue
 			}
 			for _, pe := range moved {
-				seq++
-				newParam := fmt.Sprintf("para%d", seq)
+				newParam := names.Fresh(&seq, "para%d", "cm%d")
 				letVar := fmt.Sprintf("cm%d", seq)
 				// Caller-side expression: the moved path applied to the
 				// caller's value of the parameter, atomized so the message
@@ -255,13 +244,9 @@ func applyCodeMotion(q *xq.Query, plan *Plan) {
 				}
 				x.Params = append(x.Params, &xq.XRPCParam{Name: newParam, Ref: letVar})
 				x.Types = append(x.Types, xq.AnyItems)
-				// Wrap the XRPCExpr with the caller-side let.
-				wrap := &xq.LetExpr{Var: letVar, Bind: callerExpr, Return: x}
-				if !replaceExpr(q, xq.Expr(x), xq.Expr(wrap)) {
-					// x may already be wrapped (several moved paths): splice
-					// above the innermost wrapper instead.
-					spliceAbove(q, x, wrap)
-				}
+				// Wrap the XRPCExpr with the caller-side let, below the
+				// lets of paths moved before.
+				replaceExpr(q, x, &xq.LetExpr{Var: letVar, Bind: callerExpr, Return: x})
 			}
 			// Drop the original parameter if the body no longer uses it.
 			if countFreeUses(x.Body, param.Name) == 0 {
@@ -281,32 +266,6 @@ func applyCodeMotion(q *xq.Query, plan *Plan) {
 	}
 }
 
-// spliceAbove inserts wrap directly above x when x is already nested below
-// earlier code-motion lets.
-func spliceAbove(q *xq.Query, x *xq.XRPCExpr, wrap *xq.LetExpr) {
-	var visit func(e xq.Expr) bool
-	visit = func(e xq.Expr) bool {
-		if e == nil {
-			return false
-		}
-		for _, s := range childSlots(e) {
-			if s.get() == xq.Expr(x) {
-				s.set(wrap)
-				return true
-			}
-			if visit(s.get()) {
-				return true
-			}
-		}
-		return false
-	}
-	if q.Body == xq.Expr(x) {
-		q.Body = wrap
-		return
-	}
-	visit(q.Body)
-}
-
 // movableParamPaths finds maximal PathExprs in body of the form
 // $param/downward-steps (no predicates) whose value is consumed by a value
 // comparison — the §IV safety condition approximated: moving only
@@ -315,30 +274,16 @@ func movableParamPaths(body xq.Expr, param string) []*xq.PathExpr {
 	var out []*xq.PathExpr
 	var visit func(e xq.Expr, inValueCmp bool)
 	visit = func(e xq.Expr, inValueCmp bool) {
-		switch v := e.(type) {
-		case nil:
+		if c, ok := e.(*xq.CompareExpr); ok && !c.Op.IsNodeComp() {
+			visit(c.Left, true)
+			visit(c.Right, true)
 			return
-		case *xq.CompareExpr:
-			if !v.Op.IsNodeComp() {
-				visit(v.Left, true)
-				visit(v.Right, true)
-				return
-			}
-			visit(v.Left, false)
-			visit(v.Right, false)
-		case *xq.PathExpr:
-			if inValueCmp && isParamDownwardPath(v, param) {
-				out = append(out, v)
-				return
-			}
-			for _, c := range xq.Children(v) {
-				visit(c, false)
-			}
-		default:
-			for _, c := range xq.Children(e) {
-				visit(c, false)
-			}
 		}
+		if pe, ok := e.(*xq.PathExpr); ok && inValueCmp && isParamDownwardPath(pe, param) {
+			out = append(out, pe)
+			return
+		}
+		xq.Slots(e, func(s xq.Slot) { visit(*s.Expr, false) })
 	}
 	visit(body, false)
 	return out

@@ -50,71 +50,57 @@ func Build(root xq.Expr) *Graph {
 		RefTarget:       map[*xq.VarRef]xq.Expr{},
 		XRPCParamTarget: map[*xq.XRPCParam]xq.Expr{},
 	}
-	g.walk(root, nil, map[string]xq.Expr{})
+	g.walk(root, nil, nil)
 	return g
 }
 
-func (g *Graph) walk(e xq.Expr, parent xq.Expr, scope map[string]xq.Expr) {
+// binding is one variable of the lexical scope around a visited vertex.
+type binding struct {
+	name   string
+	target xq.Expr
+	next   *binding
+}
+
+func (b *binding) lookup(name string) (xq.Expr, bool) {
+	for ; b != nil; b = b.next {
+		if b.name == name {
+			return b.target, true
+		}
+	}
+	return nil, false
+}
+
+func (g *Graph) walk(e xq.Expr, parent xq.Expr, scope *binding) {
 	if e == nil {
 		return
 	}
 	g.Parent[e] = parent
 	g.Pre = append(g.Pre, e)
-	bind := func(name string, target xq.Expr, inner map[string]xq.Expr) map[string]xq.Expr {
-		ns := make(map[string]xq.Expr, len(inner)+1)
-		for k, v := range inner {
-			ns[k] = v
-		}
-		ns[name] = target
-		return ns
-	}
 	switch v := e.(type) {
 	case *xq.VarRef:
-		if t, ok := scope[v.Name]; ok {
+		if t, ok := scope.lookup(v.Name); ok {
 			g.RefTarget[v] = t
 		}
-	case *xq.ForExpr:
-		g.walk(v.In, e, scope)
-		inner := bind(v.Var, v.In, scope)
-		for _, s := range v.OrderBy {
-			g.walk(s.Key, e, inner)
-		}
-		g.walk(v.Return, e, inner)
-	case *xq.LetExpr:
-		g.walk(v.Bind, e, scope)
-		g.walk(v.Return, e, bind(v.Var, v.Bind, scope))
-	case *xq.QuantifiedExpr:
-		g.walk(v.In, e, scope)
-		g.walk(v.Satisfies, e, bind(v.Var, v.In, scope))
-	case *xq.TypeswitchExpr:
-		g.walk(v.Operand, e, scope)
-		for _, c := range v.Cases {
-			s2 := scope
-			if c.Var != "" {
-				s2 = bind(c.Var, v.Operand, scope)
-			}
-			g.walk(c.Return, e, s2)
-		}
-		s2 := scope
-		if v.DefaultVar != "" {
-			s2 = bind(v.DefaultVar, v.Operand, scope)
-		}
-		g.walk(v.Default, e, s2)
 	case *xq.XRPCExpr:
-		g.walk(v.Target, e, scope)
-		inner := map[string]xq.Expr{}
 		for _, p := range v.Params {
-			if t, ok := scope[p.Ref]; ok {
+			if t, ok := scope.lookup(p.Ref); ok {
 				g.XRPCParamTarget[p] = t
 			}
-			inner[p.Name] = nil // remote body sees only its parameters
-		}
-		g.walk(v.Body, e, inner)
-	default:
-		for _, c := range xq.Children(e) {
-			g.walk(c, e, scope)
 		}
 	}
+	xq.Slots(e, func(s xq.Slot) {
+		inner := scope
+		if s.Var != nil {
+			inner = &binding{name: *s.Var, target: s.Bind, next: scope}
+		}
+		if s.Remote != nil {
+			inner = nil // the remote body sees only its parameters
+			for _, p := range s.Remote.Params {
+				inner = &binding{name: p.Name, next: inner}
+			}
+		}
+		g.walk(*s.Expr, e, inner)
+	})
 }
 
 // Subtree returns the parse-edge subtree of rs (the vertex-induced subgraph

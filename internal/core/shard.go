@@ -258,7 +258,7 @@ func shardRewrite(q *xq.Query, strat Strategy, maps []ShardMap) ([]ShardDecision
 		byURI[m.Logical] = m
 		recSteps[m.Logical] = rs
 	}
-	used := usedNames(q)
+	names := xq.QueryNames(q)
 	declared := map[string]bool{}
 	for _, f := range q.Funcs {
 		declared[fmt.Sprintf("%s/%d", f.Name, len(f.Params))] = true
@@ -298,7 +298,7 @@ func shardRewrite(q *xq.Query, strat Strategy, maps []ShardMap) ([]ShardDecision
 			continue // descend into the candidate on the next scan
 		}
 		seq++
-		x := synthScatter(q, cand, candMap, seq, used)
+		x := synthScatter(q, cand, candMap, seq, names)
 		decisions = append(decisions, ShardDecision{Logical: candMap.Logical, Scattered: true, X: x})
 	}
 }
@@ -514,7 +514,7 @@ func touchesFree(e xq.Expr, outerFree map[string]bool) bool {
 // `for $p in (peers...) return execute at {$p} { body }`: the body is the
 // candidate with its root fn:doc retargeted at the peer-local shard path, and
 // every free variable becomes an XRPC parameter shipped per iteration.
-func synthScatter(q *xq.Query, cand xq.Expr, m *ShardMap, seq int, used map[string]bool) *xq.XRPCExpr {
+func synthScatter(q *xq.Query, cand xq.Expr, m *ShardMap, seq int, names *xq.Names) *xq.XRPCExpr {
 	body := xq.CloneExpr(cand)
 	retargetRootDoc(body, m.ShardPath)
 	x := &xq.XRPCExpr{FuncName: fmt.Sprintf("shard%d", seq)}
@@ -530,13 +530,13 @@ func synthScatter(q *xq.Query, cand xq.Expr, m *ShardMap, seq int, used map[stri
 	})
 	subst := map[string]string{}
 	for i, name := range order {
-		pn := freshName(used, fmt.Sprintf("sp%d", i+1))
+		pn := shardName(names, fmt.Sprintf("sp%d", i+1))
 		subst[name] = pn
 		x.Params = append(x.Params, &xq.XRPCParam{Name: pn, Ref: name})
 		x.Types = append(x.Types, xq.AnyItems)
 	}
 	x.Body = xq.RenameFreeVars(body, subst)
-	loop := xq.NewScatterLoop(freshName(used, "shardp"), m.Peers, x)
+	loop := xq.NewScatterLoop(shardName(names, "shardp"), m.Peers, x)
 	if !replaceExpr(q, cand, loop) {
 		panic("core: shard candidate not found in query")
 	}
@@ -558,56 +558,11 @@ func retargetRootDoc(e xq.Expr, path string) bool {
 	return false
 }
 
-// usedNames collects every variable name occurring in the query (binders,
-// references, XRPC parameters, function formals) so synthesized names cannot
-// collide or capture.
-func usedNames(q *xq.Query) map[string]bool {
-	used := map[string]bool{}
-	collect := func(e xq.Expr) {
-		xq.Walk(e, func(sub xq.Expr) bool {
-			switch v := sub.(type) {
-			case *xq.VarRef:
-				used[v.Name] = true
-			case *xq.ForExpr:
-				used[v.Var] = true
-			case *xq.LetExpr:
-				used[v.Var] = true
-			case *xq.QuantifiedExpr:
-				used[v.Var] = true
-			case *xq.TypeswitchExpr:
-				used[v.DefaultVar] = true
-				for _, c := range v.Cases {
-					used[c.Var] = true
-				}
-			case *xq.XRPCExpr:
-				for _, p := range v.Params {
-					used[p.Name] = true
-					used[p.Ref] = true
-				}
-			}
-			return true
-		})
-	}
-	collect(q.Body)
-	for _, f := range q.Funcs {
-		for _, p := range f.Params {
-			used[p.Name] = true
-		}
-		collect(f.Body)
-	}
-	return used
-}
-
-func freshName(used map[string]bool, base string) string {
-	if !used[base] {
-		used[base] = true
+// shardName is base, or base_2, base_3, … when the query already uses base.
+func shardName(names *xq.Names, base string) string {
+	if names.Claim(base) {
 		return base
 	}
-	for i := 2; ; i++ {
-		cand := fmt.Sprintf("%s_%d", base, i)
-		if !used[cand] {
-			used[cand] = true
-			return cand
-		}
-	}
+	n := 1
+	return names.Fresh(&n, base+"_%d")
 }

@@ -6,201 +6,42 @@ import (
 	"distxq/internal/xq"
 )
 
-// slot is one mutable child position of an expression. sinkable marks
-// positions a let-binding may legally move into without changing how often
-// the binding is evaluated per iteration (for-return, quantifier bodies,
-// predicates and order-by keys are excluded).
-type slot struct {
-	get      func() xq.Expr
-	set      func(xq.Expr)
-	sinkable bool
-}
-
-func childSlots(e xq.Expr) []slot {
-	mk := func(get func() xq.Expr, set func(xq.Expr), sinkable bool) slot {
-		return slot{get: get, set: set, sinkable: sinkable}
-	}
-	switch v := e.(type) {
-	case *xq.ForExpr:
-		out := []slot{mk(func() xq.Expr { return v.In }, func(x xq.Expr) { v.In = x }, true)}
-		for i := range v.OrderBy {
-			i := i
-			out = append(out, mk(func() xq.Expr { return v.OrderBy[i].Key },
-				func(x xq.Expr) { v.OrderBy[i].Key = x }, false))
-		}
-		out = append(out, mk(func() xq.Expr { return v.Return }, func(x xq.Expr) { v.Return = x }, false))
-		return out
-	case *xq.LetExpr:
-		return []slot{
-			mk(func() xq.Expr { return v.Bind }, func(x xq.Expr) { v.Bind = x }, true),
-			mk(func() xq.Expr { return v.Return }, func(x xq.Expr) { v.Return = x }, true),
-		}
-	case *xq.IfExpr:
-		return []slot{
-			mk(func() xq.Expr { return v.Cond }, func(x xq.Expr) { v.Cond = x }, true),
-			mk(func() xq.Expr { return v.Then }, func(x xq.Expr) { v.Then = x }, true),
-			mk(func() xq.Expr { return v.Else }, func(x xq.Expr) { v.Else = x }, true),
-		}
-	case *xq.QuantifiedExpr:
-		return []slot{
-			mk(func() xq.Expr { return v.In }, func(x xq.Expr) { v.In = x }, true),
-			mk(func() xq.Expr { return v.Satisfies }, func(x xq.Expr) { v.Satisfies = x }, false),
-		}
-	case *xq.TypeswitchExpr:
-		out := []slot{mk(func() xq.Expr { return v.Operand }, func(x xq.Expr) { v.Operand = x }, true)}
-		for _, c := range v.Cases {
-			c := c
-			out = append(out, mk(func() xq.Expr { return c.Return }, func(x xq.Expr) { c.Return = x }, true))
-		}
-		out = append(out, mk(func() xq.Expr { return v.Default }, func(x xq.Expr) { v.Default = x }, true))
-		return out
-	case *xq.CompareExpr:
-		return []slot{
-			mk(func() xq.Expr { return v.Left }, func(x xq.Expr) { v.Left = x }, true),
-			mk(func() xq.Expr { return v.Right }, func(x xq.Expr) { v.Right = x }, true),
-		}
-	case *xq.ArithExpr:
-		return []slot{
-			mk(func() xq.Expr { return v.Left }, func(x xq.Expr) { v.Left = x }, true),
-			mk(func() xq.Expr { return v.Right }, func(x xq.Expr) { v.Right = x }, true),
-		}
-	case *xq.UnaryExpr:
-		return []slot{mk(func() xq.Expr { return v.Operand }, func(x xq.Expr) { v.Operand = x }, true)}
-	case *xq.LogicExpr:
-		return []slot{
-			mk(func() xq.Expr { return v.Left }, func(x xq.Expr) { v.Left = x }, true),
-			// The right operand may not be evaluated at all.
-			mk(func() xq.Expr { return v.Right }, func(x xq.Expr) { v.Right = x }, true),
-		}
-	case *xq.SeqExpr:
-		out := make([]slot, len(v.Items))
-		for i := range v.Items {
-			i := i
-			out[i] = mk(func() xq.Expr { return v.Items[i] }, func(x xq.Expr) { v.Items[i] = x }, true)
-		}
-		return out
-	case *xq.NodeSetExpr:
-		return []slot{
-			mk(func() xq.Expr { return v.Left }, func(x xq.Expr) { v.Left = x }, true),
-			mk(func() xq.Expr { return v.Right }, func(x xq.Expr) { v.Right = x }, true),
-		}
+// sinkable reports whether a let-binding may move into slot s of parent
+// without changing how often the binding is evaluated: not into what a for
+// or quantifier evaluates per item (its order keys, return or condition),
+// not into a path — the paper's Qn2 keeps `let $c := doc(..) return
+// $c/enroll/exam` just above the path, relating the doc to its steps via
+// parse edges — and not into a shipped body.
+func sinkable(parent xq.Expr, s xq.Slot) bool {
+	switch parent.(type) {
+	case *xq.ForExpr, *xq.QuantifiedExpr:
+		return s.Var == nil
 	case *xq.PathExpr:
-		var out []slot
-		if v.Input != nil {
-			// A let stops just above a path expression rather than inside
-			// its input: the paper's Qn2 keeps `let $c := doc(..) return
-			// $c/enroll/exam`, relating the doc to its steps via parse
-			// edges while staying readable.
-			out = append(out, mk(func() xq.Expr { return v.Input }, func(x xq.Expr) { v.Input = x }, false))
-		}
-		for _, st := range v.Steps {
-			st := st
-			for i := range st.Preds {
-				i := i
-				out = append(out, mk(func() xq.Expr { return st.Preds[i] },
-					func(x xq.Expr) { st.Preds[i] = x }, false))
-			}
-		}
-		return out
-	case *xq.ElemConstructor:
-		var out []slot
-		if v.NameExpr != nil {
-			out = append(out, mk(func() xq.Expr { return v.NameExpr }, func(x xq.Expr) { v.NameExpr = x }, true))
-		}
-		for i := range v.Content {
-			i := i
-			out = append(out, mk(func() xq.Expr { return v.Content[i] }, func(x xq.Expr) { v.Content[i] = x }, true))
-		}
-		return out
-	case *xq.AttrConstructor:
-		var out []slot
-		if v.NameExpr != nil {
-			out = append(out, mk(func() xq.Expr { return v.NameExpr }, func(x xq.Expr) { v.NameExpr = x }, true))
-		}
-		for i := range v.Value {
-			i := i
-			out = append(out, mk(func() xq.Expr { return v.Value[i] }, func(x xq.Expr) { v.Value[i] = x }, true))
-		}
-		return out
-	case *xq.TextConstructor:
-		return []slot{mk(func() xq.Expr { return v.Content }, func(x xq.Expr) { v.Content = x }, true)}
-	case *xq.DocConstructor:
-		return []slot{mk(func() xq.Expr { return v.Content }, func(x xq.Expr) { v.Content = x }, true)}
-	case *xq.FunCall:
-		out := make([]slot, len(v.Args))
-		for i := range v.Args {
-			i := i
-			out[i] = mk(func() xq.Expr { return v.Args[i] }, func(x xq.Expr) { v.Args[i] = x }, true)
-		}
-		return out
-	case *xq.ExecuteAt:
-		return []slot{
-			mk(func() xq.Expr { return v.Target }, func(x xq.Expr) { v.Target = x }, true),
-			mk(func() xq.Expr { return v.Call },
-				func(x xq.Expr) { v.Call = x.(*xq.FunCall) }, false),
-		}
-	case *xq.XRPCExpr:
-		return []slot{
-			mk(func() xq.Expr { return v.Target }, func(x xq.Expr) { v.Target = x }, true),
-			mk(func() xq.Expr { return v.Body }, func(x xq.Expr) { v.Body = x }, false),
-		}
+		return false
 	}
-	return nil
+	return s.Remote == nil
 }
 
 // countFreeUses counts free occurrences of $name in e.
 func countFreeUses(e xq.Expr, name string) int {
 	n := 0
-	// FreeVars loses multiplicity; count explicitly with shadowing care.
-	var walkCount func(x xq.Expr, shadowed bool)
-	walkCount = func(x xq.Expr, shadowed bool) {
-		switch v := x.(type) {
-		case nil:
-			return
-		case *xq.VarRef:
-			if !shadowed && v.Name == name {
+	switch v := e.(type) {
+	case *xq.VarRef:
+		if v.Name == name {
+			n++
+		}
+	case *xq.XRPCExpr:
+		for _, p := range v.Params {
+			if p.Ref == name {
 				n++
-			}
-		case *xq.ForExpr:
-			walkCount(v.In, shadowed)
-			sh := shadowed || v.Var == name
-			for _, s := range v.OrderBy {
-				walkCount(s.Key, sh)
-			}
-			walkCount(v.Return, sh)
-		case *xq.LetExpr:
-			walkCount(v.Bind, shadowed)
-			walkCount(v.Return, shadowed || v.Var == name)
-		case *xq.QuantifiedExpr:
-			walkCount(v.In, shadowed)
-			walkCount(v.Satisfies, shadowed || v.Var == name)
-		case *xq.TypeswitchExpr:
-			walkCount(v.Operand, shadowed)
-			for _, c := range v.Cases {
-				walkCount(c.Return, shadowed || c.Var == name)
-			}
-			walkCount(v.Default, shadowed || v.DefaultVar == name)
-		case *xq.XRPCExpr:
-			walkCount(v.Target, shadowed)
-			for _, p := range v.Params {
-				if !shadowed && p.Ref == name {
-					n++
-				}
-			}
-			inner := shadowed
-			for _, p := range v.Params {
-				if p.Name == name {
-					inner = true
-				}
-			}
-			walkCount(v.Body, inner)
-		default:
-			for _, c := range xq.Children(x) {
-				walkCount(c, shadowed)
 			}
 		}
 	}
-	walkCount(e, false)
+	xq.Slots(e, func(s xq.Slot) {
+		if !s.Binds(name) {
+			n += countFreeUses(*s.Expr, name)
+		}
+	})
 	return n
 }
 
@@ -229,74 +70,37 @@ func AlphaRename(q *xq.Query) {
 	var rn func(e xq.Expr, subst map[string]string) xq.Expr
 	rn = func(e xq.Expr, subst map[string]string) xq.Expr {
 		switch v := e.(type) {
-		case nil:
-			return nil
 		case *xq.VarRef:
 			if nn, ok := subst[v.Name]; ok {
 				v.Name = nn
 			}
-			return v
-		case *xq.ForExpr:
-			v.In = rn(v.In, subst)
-			nn := fresh(v.Var)
-			inner := withSubst(subst, v.Var, nn)
-			v.Var = nn
-			for i := range v.OrderBy {
-				v.OrderBy[i].Key = rn(v.OrderBy[i].Key, inner)
-			}
-			v.Return = rn(v.Return, inner)
-			return v
-		case *xq.LetExpr:
-			v.Bind = rn(v.Bind, subst)
-			nn := fresh(v.Var)
-			inner := withSubst(subst, v.Var, nn)
-			v.Var = nn
-			v.Return = rn(v.Return, inner)
-			return v
-		case *xq.QuantifiedExpr:
-			v.In = rn(v.In, subst)
-			nn := fresh(v.Var)
-			inner := withSubst(subst, v.Var, nn)
-			v.Var = nn
-			v.Satisfies = rn(v.Satisfies, inner)
-			return v
-		case *xq.TypeswitchExpr:
-			v.Operand = rn(v.Operand, subst)
-			for _, c := range v.Cases {
-				if c.Var != "" {
-					nn := fresh(c.Var)
-					inner := withSubst(subst, c.Var, nn)
-					c.Var = nn
-					c.Return = rn(c.Return, inner)
-				} else {
-					c.Return = rn(c.Return, subst)
-				}
-			}
-			if v.DefaultVar != "" {
-				nn := fresh(v.DefaultVar)
-				inner := withSubst(subst, v.DefaultVar, nn)
-				v.DefaultVar = nn
-				v.Default = rn(v.Default, inner)
-			} else {
-				v.Default = rn(v.Default, subst)
-			}
-			return v
 		case *xq.XRPCExpr:
-			v.Target = rn(v.Target, subst)
 			for _, p := range v.Params {
 				if nn, ok := subst[p.Ref]; ok {
 					p.Ref = nn
 				}
 			}
-			inner := map[string]string{}
-			v.Body = rn(v.Body, inner)
-			return v
-		default:
-			for _, s := range childSlots(e) {
-				s.set(rn(s.get(), subst))
-			}
-			return e
 		}
+		// Each binder is renamed on its first slot, after the slots that
+		// precede its scope; a for's order keys and return share one binder.
+		var binder *string
+		var inner map[string]string
+		xq.Slots(e, func(s xq.Slot) {
+			sub := subst
+			switch {
+			case s.Remote != nil:
+				sub = nil // the shipped body sees only its parameters
+			case s.Var != nil:
+				if s.Var != binder {
+					nn := fresh(*s.Var)
+					binder, inner = s.Var, withSubst(subst, *s.Var, nn)
+					*s.Var = nn
+				}
+				sub = inner
+			}
+			*s.Expr = rn(*s.Expr, sub)
+		})
+		return e
 	}
 	q.Body = rn(q.Body, map[string]string{})
 }
@@ -326,9 +130,7 @@ func sinkIn(e xq.Expr, changed *bool) xq.Expr {
 	if e == nil {
 		return nil
 	}
-	for _, s := range childSlots(e) {
-		s.set(sinkIn(s.get(), changed))
-	}
+	xq.Slots(e, func(s xq.Slot) { *s.Expr = sinkIn(*s.Expr, changed) })
 	let, ok := e.(*xq.LetExpr)
 	if !ok {
 		return e
@@ -343,70 +145,37 @@ func sinkIn(e xq.Expr, changed *bool) xq.Expr {
 	// the path crosses at least one slot that is not another let's return —
 	// plain let reordering makes no progress and would oscillate forever.
 	cur := let.Return
-	var final *slot
+	var final *xq.Expr
 	nonLetSlots := 0
-	depth := 0
-	for {
-		if bindsOwnVar(cur, let.Var) {
-			break // capture guard (unreachable after AlphaRename)
-		}
-		slots := childSlots(cur)
-		var next *slot
-		spread := false
-		for i := range slots {
-			c := slots[i].get()
-			if c == nil {
-				continue
+	for depth := 0; depth <= 10000; depth++ { // defensive bound; query trees are finite
+		var next *xq.Expr
+		stop := false
+		xq.Slots(cur, func(s xq.Slot) {
+			if s.Var != nil && *s.Var == let.Var {
+				stop = true // capture guard (unreachable after AlphaRename)
 			}
-			n := countFreeUses(c, let.Var)
-			switch {
+			if *s.Expr == nil {
+				return
+			}
+			switch n := countFreeUses(*s.Expr, let.Var); {
 			case n == uses && next == nil:
-				next = &slots[i]
+				next, stop = s.Expr, stop || !sinkable(cur, s)
 			case n > 0:
-				spread = true
+				stop = true // the uses spread over several slots
 			}
-		}
-		if spread || next == nil || !next.sinkable {
+		})
+		if stop || next == nil {
 			break
 		}
-		curLet, isLet := cur.(*xq.LetExpr)
-		if !(isLet && next.get() == curLet.Return) {
+		if curLet, isLet := cur.(*xq.LetExpr); !isLet || next != &curLet.Return {
 			nonLetSlots++
 		}
-		final = next
-		cur = next.get()
-		depth++
-		if depth > 10000 {
-			break // defensive bound; query trees are finite
-		}
+		final, cur = next, *next
 	}
 	if final == nil || nonLetSlots == 0 {
 		return e
 	}
-	final.set(&xq.LetExpr{Var: let.Var, Bind: let.Bind, Return: cur})
+	*final = &xq.LetExpr{Var: let.Var, Bind: let.Bind, Return: cur}
 	*changed = true
 	return let.Return
-}
-
-// bindsOwnVar reports whether expression e rebinding $name would capture the
-// sunk let (cannot happen after AlphaRename, kept as a safety net).
-func bindsOwnVar(e xq.Expr, name string) bool {
-	switch v := e.(type) {
-	case *xq.ForExpr:
-		return v.Var == name
-	case *xq.LetExpr:
-		return v.Var == name
-	case *xq.QuantifiedExpr:
-		return v.Var == name
-	case *xq.TypeswitchExpr:
-		if v.DefaultVar == name {
-			return true
-		}
-		for _, c := range v.Cases {
-			if c.Var == name {
-				return true
-			}
-		}
-	}
-	return false
 }

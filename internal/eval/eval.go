@@ -1299,111 +1299,44 @@ func hoistInvariantOperands(body xq.Expr, loopVar string) (xq.Expr, []hoistBindi
 			}
 			return &xq.CompareExpr{Op: v.Op, Left: l, Right: r}
 		}
-		kids := xq.Children(e)
-		inner := bound // the scope of every child after the first
-		switch v := e.(type) {
-		case *xq.ForExpr:
-			inner = &scope{name: v.Var, next: bound}
-		case *xq.LetExpr:
-			inner = &scope{name: v.Var, next: bound}
-		case *xq.QuantifiedExpr:
-			inner = &scope{name: v.Var, next: bound}
-		case *xq.XRPCExpr:
-			kids = kids[:1] // the target: never the shipped body
-		}
-		changed := false
-		for i, k := range kids {
+		// The first rewritten slot copies e, and every rewritten slot is
+		// stored into the copy: e and its other children stay shared.
+		var out xq.Expr
+		i := -1
+		xq.Slots(e, func(s xq.Slot) {
+			if i++; s.Remote != nil {
+				return // never the shipped body
+			}
 			b := bound
-			switch ts, isTS := e.(*xq.TypeswitchExpr); {
-			case isTS && i > len(ts.Cases):
-				b = &scope{name: ts.DefaultVar, next: bound}
-			case isTS && i > 0:
-				b = &scope{name: ts.Cases[i-1].Var, next: bound}
-			case i > 0:
-				b = inner
+			if s.Var != nil {
+				b = &scope{name: *s.Var, next: bound}
 			}
-			if nk := visit(k, b); nk != k {
-				kids[i], changed = nk, true
+			k := *s.Expr
+			nk := visit(k, b)
+			if nk == k {
+				return
 			}
-		}
-		if !changed {
+			if out == nil {
+				out = xq.Copy(e)
+			}
+			setSlot(out, i, nk)
+		})
+		if out == nil {
 			return e
 		}
-		return withChildren(e, kids)
+		return out
 	}
 	rewritten := visit(body, nil)
 	return rewritten, bindings
 }
 
-// withChildren returns a shallow copy of e whose subexpressions, in
-// xq.Children order, are kids (a remote call's: its target alone).
-func withChildren(e xq.Expr, kids []xq.Expr) xq.Expr {
-	switch v := e.(type) {
-	case *xq.ForExpr:
-		c := *v
-		c.In, c.Return = kids[0], kids[len(kids)-1]
-		c.OrderBy = append([]xq.OrderSpec(nil), v.OrderBy...)
-		for i := range c.OrderBy {
-			c.OrderBy[i].Key = kids[1+i]
+// setSlot stores x into the i-th slot of e, in xq.Slots order.
+func setSlot(e xq.Expr, i int, x xq.Expr) {
+	j := 0
+	xq.Slots(e, func(s xq.Slot) {
+		if j == i {
+			*s.Expr = x
 		}
-		return &c
-	case *xq.LetExpr:
-		return &xq.LetExpr{Var: v.Var, Bind: kids[0], Return: kids[1]}
-	case *xq.IfExpr:
-		return &xq.IfExpr{Cond: kids[0], Then: kids[1], Else: kids[2]}
-	case *xq.QuantifiedExpr:
-		return &xq.QuantifiedExpr{Every: v.Every, Var: v.Var, In: kids[0], Satisfies: kids[1]}
-	case *xq.TypeswitchExpr:
-		c := *v
-		c.Operand, c.Default = kids[0], kids[len(kids)-1]
-		c.Cases = make([]*xq.TSCase, len(v.Cases))
-		for i, cs := range v.Cases {
-			c.Cases[i] = &xq.TSCase{Var: cs.Var, Type: cs.Type, Return: kids[1+i]}
-		}
-		return &c
-	case *xq.ArithExpr:
-		return &xq.ArithExpr{Op: v.Op, Left: kids[0], Right: kids[1]}
-	case *xq.UnaryExpr:
-		return &xq.UnaryExpr{Neg: v.Neg, Operand: kids[0]}
-	case *xq.LogicExpr:
-		return &xq.LogicExpr{And: v.And, Left: kids[0], Right: kids[1]}
-	case *xq.NodeSetExpr:
-		return &xq.NodeSetExpr{Op: v.Op, Left: kids[0], Right: kids[1]}
-	case *xq.SeqExpr:
-		return &xq.SeqExpr{Items: kids}
-	case *xq.FunCall:
-		return &xq.FunCall{Name: v.Name, Args: kids}
-	case *xq.TextConstructor:
-		return &xq.TextConstructor{Content: kids[0]}
-	case *xq.DocConstructor:
-		return &xq.DocConstructor{Content: kids[0]}
-	case *xq.ElemConstructor:
-		c := &xq.ElemConstructor{Name: v.Name}
-		if v.NameExpr != nil {
-			c.NameExpr, kids = kids[0], kids[1:]
-		}
-		c.Content = kids
-		return c
-	case *xq.AttrConstructor:
-		c := &xq.AttrConstructor{Name: v.Name}
-		if v.NameExpr != nil {
-			c.NameExpr, kids = kids[0], kids[1:]
-		}
-		c.Value = kids
-		return c
-	case *xq.PathExpr:
-		c := &xq.PathExpr{}
-		if v.Input != nil {
-			c.Input, kids = kids[0], kids[1:]
-		}
-		for _, st := range v.Steps {
-			n := len(st.Preds)
-			c.Steps = append(c.Steps, &xq.Step{Axis: st.Axis, Test: st.Test, Filter: st.Filter, Preds: kids[:n:n]})
-			kids = kids[n:]
-		}
-		return c
-	case *xq.XRPCExpr:
-		return &xq.XRPCExpr{Target: kids[0], Params: v.Params, Body: v.Body, FuncName: v.FuncName, Types: v.Types}
-	}
-	return e // execute-at: unnormalized, and rejected before it runs
+		j++
+	})
 }

@@ -145,3 +145,47 @@ func TestConcurrentSessions(t *testing.T) {
 		}
 	}
 }
+
+// TestCaptureFreeGeneratedNames pins two plans whose generated variables
+// used to capture a user's variable of the same name: the decomposer's
+// $dot1 parameter inside a shipped body binding $dot1, and the normalizer's
+// $p_1 parameter inside an inlined body binding $p_1. Every strategy must
+// return the data-shipping answer — for the execute-at query, the answer of
+// its function called locally.
+func TestCaptureFreeGeneratedNames(t *testing.T) {
+	n := NewNetwork()
+	a := n.AddPeer("A")
+	b := n.AddPeer("B")
+	local := n.AddPeer("local")
+	if err := b.LoadXML("b.xml", `<r><k>k</k><k>j</k></r>`); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.LoadXML("a.xml", `<r><item id="k"/><item id="j"/><item id="k"/></r>`); err != nil {
+		t.Fatal(err)
+	}
+	semijoin := `for $x in doc("xrpc://B/b.xml")/child::r/child::k
+		return count(for $dot1 in doc("xrpc://A/a.xml")/child::r/child::item
+		             return if ($dot1/attribute::id = $x) then $dot1 else ())`
+	const f = `declare function f($n as xs:integer) as item()* { let $p_1 := 5 return $n + $p_1 };`
+	for _, c := range []struct{ query, local, want string }{
+		{semijoin, semijoin, "2 1"},
+		{f + `execute at {"A"} { f(1) }`, f + `f(1)`, "6"},
+	} {
+		want, _, err := n.NewSession(local, core.DataShipping).Query(c.local)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := serialize(want); got != c.want {
+			t.Fatalf("data shipping returns %q, want %q\n%s", got, c.want, c.query)
+		}
+		for _, strat := range []core.Strategy{core.ByValue, core.ByFragment, core.ByProjection} {
+			got, _, err := n.NewSession(local, strat).Query(c.query)
+			if err != nil {
+				t.Fatalf("%s: %v\n%s", strat, err, c.query)
+			}
+			if !xdm.DeepEqualSeq(want, got) {
+				t.Errorf("%s returns %q, data shipping %q\n%s", strat, serialize(got), serialize(want), c.query)
+			}
+		}
+	}
+}

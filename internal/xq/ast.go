@@ -511,85 +511,3 @@ func (*DocConstructor) exprNode()  {}
 func (*FunCall) exprNode()         {}
 func (*ExecuteAt) exprNode()       {}
 func (*XRPCExpr) exprNode()        {}
-
-// Children returns the direct subexpressions of e in evaluation order. This
-// is the parse-edge relation of the dependency graph.
-func Children(e Expr) []Expr {
-	switch v := e.(type) {
-	case *Literal, *VarRef, *ContextItem, *RootExpr, nil:
-		return nil
-	case *ForExpr:
-		out := []Expr{v.In}
-		for _, s := range v.OrderBy {
-			out = append(out, s.Key)
-		}
-		return append(out, v.Return)
-	case *LetExpr:
-		return []Expr{v.Bind, v.Return}
-	case *IfExpr:
-		return []Expr{v.Cond, v.Then, v.Else}
-	case *QuantifiedExpr:
-		return []Expr{v.In, v.Satisfies}
-	case *TypeswitchExpr:
-		out := []Expr{v.Operand}
-		for _, c := range v.Cases {
-			out = append(out, c.Return)
-		}
-		return append(out, v.Default)
-	case *CompareExpr:
-		return []Expr{v.Left, v.Right}
-	case *ArithExpr:
-		return []Expr{v.Left, v.Right}
-	case *UnaryExpr:
-		return []Expr{v.Operand}
-	case *LogicExpr:
-		return []Expr{v.Left, v.Right}
-	case *SeqExpr:
-		return append([]Expr(nil), v.Items...)
-	case *NodeSetExpr:
-		return []Expr{v.Left, v.Right}
-	case *PathExpr:
-		var out []Expr
-		if v.Input != nil {
-			out = append(out, v.Input)
-		}
-		for _, s := range v.Steps {
-			out = append(out, s.Preds...)
-		}
-		return out
-	case *ElemConstructor:
-		var out []Expr
-		if v.NameExpr != nil {
-			out = append(out, v.NameExpr)
-		}
-		return append(out, v.Content...)
-	case *AttrConstructor:
-		var out []Expr
-		if v.NameExpr != nil {
-			out = append(out, v.NameExpr)
-		}
-		return append(out, v.Value...)
-	case *TextConstructor:
-		return []Expr{v.Content}
-	case *DocConstructor:
-		return []Expr{v.Content}
-	case *FunCall:
-		return append([]Expr(nil), v.Args...)
-	case *ExecuteAt:
-		return []Expr{v.Target, v.Call}
-	case *XRPCExpr:
-		return []Expr{v.Target, v.Body}
-	}
-	return nil
-}
-
-// Walk visits e and all its descendants pre-order, stopping a branch when f
-// returns false.
-func Walk(e Expr, f func(Expr) bool) {
-	if e == nil || !f(e) {
-		return
-	}
-	for _, c := range Children(e) {
-		Walk(c, f)
-	}
-}

@@ -1,6 +1,7 @@
 package xq
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -59,7 +60,9 @@ var fuzzSeeds = []string{
 
 // FuzzParseQuery asserts the parser is total: any byte string either parses
 // or returns an error — it must never panic. Inputs that parse must also
-// print and reparse (the printed form is what XRPC ships in messages).
+// print and reparse (the printed form is what XRPC ships in messages), and
+// every body's deep copy must print the same and have the same free
+// variables — CloneExpr and FreeVars both derive from Slots.
 func FuzzParseQuery(f *testing.F) {
 	for _, seed := range fuzzSeeds {
 		f.Add(seed)
@@ -68,6 +71,19 @@ func FuzzParseQuery(f *testing.F) {
 		q, err := ParseQuery(src)
 		if err != nil {
 			return
+		}
+		bodies := []Expr{q.Body}
+		for _, fd := range q.Funcs {
+			bodies = append(bodies, fd.Body)
+		}
+		for _, b := range bodies {
+			c := CloneExpr(b)
+			if Print(c) != Print(b) {
+				t.Fatalf("clone prints %q, original %q", Print(c), Print(b))
+			}
+			if fc, fb := FreeVars(c), FreeVars(b); !reflect.DeepEqual(fc, fb) {
+				t.Fatalf("clone's free variables %v, original's %v\ninput: %q", fc, fb, src)
+			}
 		}
 		// Round-trip: the canonical printed form must parse again. (Printed
 		// output is not guaranteed byte-identical to the input, but it must

@@ -33,7 +33,7 @@ func Normalize(q *Query) error {
 		}
 		funcs[key] = f
 	}
-	n := &normalizer{funcs: funcs}
+	n := &normalizer{funcs: funcs, names: QueryNames(q)}
 	for _, f := range q.Funcs {
 		b, err := n.rewrite(f.Body)
 		if err != nil {
@@ -52,96 +52,27 @@ func Normalize(q *Query) error {
 
 type normalizer struct {
 	funcs map[string]*FuncDecl
+	// names holds every name the query uses: a parameter named $p_1 must not
+	// be captured by a user's `let $p_1` in the inlined body.
+	names *Names
 	fresh int
 }
 
 func (n *normalizer) freshVar(prefix string) string {
-	n.fresh++
-	return fmt.Sprintf("%s_%d", prefix, n.fresh)
+	return n.names.Fresh(&n.fresh, prefix+"_%d")
 }
 
 // rewrite returns e with every ExecuteAt converted to XRPCExpr, recursively.
 func (n *normalizer) rewrite(e Expr) (Expr, error) {
+	if x, ok := e.(*ExecuteAt); ok {
+		return n.rewriteExecuteAt(x)
+	}
 	var err error
-	rw := func(sub Expr) Expr {
-		if err != nil {
-			return sub
+	Slots(e, func(s Slot) {
+		if err == nil {
+			*s.Expr, err = n.rewrite(*s.Expr)
 		}
-		var out Expr
-		out, err = n.rewrite(sub)
-		return out
-	}
-	switch v := e.(type) {
-	case *ExecuteAt:
-		return n.rewriteExecuteAt(v)
-	case *ForExpr:
-		v.In = rw(v.In)
-		for i := range v.OrderBy {
-			v.OrderBy[i].Key = rw(v.OrderBy[i].Key)
-		}
-		v.Return = rw(v.Return)
-	case *LetExpr:
-		v.Bind = rw(v.Bind)
-		v.Return = rw(v.Return)
-	case *IfExpr:
-		v.Cond, v.Then, v.Else = rw(v.Cond), rw(v.Then), rw(v.Else)
-	case *QuantifiedExpr:
-		v.In, v.Satisfies = rw(v.In), rw(v.Satisfies)
-	case *TypeswitchExpr:
-		v.Operand = rw(v.Operand)
-		for _, c := range v.Cases {
-			c.Return = rw(c.Return)
-		}
-		v.Default = rw(v.Default)
-	case *CompareExpr:
-		v.Left, v.Right = rw(v.Left), rw(v.Right)
-	case *ArithExpr:
-		v.Left, v.Right = rw(v.Left), rw(v.Right)
-	case *UnaryExpr:
-		v.Operand = rw(v.Operand)
-	case *LogicExpr:
-		v.Left, v.Right = rw(v.Left), rw(v.Right)
-	case *SeqExpr:
-		for i := range v.Items {
-			v.Items[i] = rw(v.Items[i])
-		}
-	case *NodeSetExpr:
-		v.Left, v.Right = rw(v.Left), rw(v.Right)
-	case *PathExpr:
-		if v.Input != nil {
-			v.Input = rw(v.Input)
-		}
-		for _, st := range v.Steps {
-			for i := range st.Preds {
-				st.Preds[i] = rw(st.Preds[i])
-			}
-		}
-	case *ElemConstructor:
-		if v.NameExpr != nil {
-			v.NameExpr = rw(v.NameExpr)
-		}
-		for i := range v.Content {
-			v.Content[i] = rw(v.Content[i])
-		}
-	case *AttrConstructor:
-		if v.NameExpr != nil {
-			v.NameExpr = rw(v.NameExpr)
-		}
-		for i := range v.Value {
-			v.Value[i] = rw(v.Value[i])
-		}
-	case *TextConstructor:
-		v.Content = rw(v.Content)
-	case *DocConstructor:
-		v.Content = rw(v.Content)
-	case *FunCall:
-		for i := range v.Args {
-			v.Args[i] = rw(v.Args[i])
-		}
-	case *XRPCExpr:
-		v.Target = rw(v.Target)
-		v.Body = rw(v.Body)
-	}
+	})
 	return e, err
 }
 
@@ -186,11 +117,11 @@ func (n *normalizer) rewriteExecuteAt(x *ExecuteAt) (Expr, error) {
 	}
 	// Inline any nested calls to declared functions inside the shipped body
 	// (the remote peer receives a self-contained function).
-	body, err := n.inlineCalls(cloneExpr(fd.Body), map[string]bool{fd.Name: true})
+	body, err := n.inlineCalls(CloneExpr(fd.Body), map[string]bool{fd.Name: true})
 	if err != nil {
 		return nil, err
 	}
-	out.Body = renameVars(body, subst)
+	out.Body = RenameFreeVars(body, subst)
 	var res Expr = out
 	for i := len(lets) - 1; i >= 0; i-- {
 		lets[i].Return = res
@@ -216,7 +147,7 @@ func (n *normalizer) inlineCalls(e Expr, inProgress map[string]bool) (Expr, erro
 					return sub
 				}
 				inProgress[fd.Name] = true
-				body, ierr := n.inlineCalls(cloneExpr(fd.Body), inProgress)
+				body, ierr := n.inlineCalls(CloneExpr(fd.Body), inProgress)
 				delete(inProgress, fd.Name)
 				if ierr != nil {
 					err = ierr
@@ -229,7 +160,7 @@ func (n *normalizer) inlineCalls(e Expr, inProgress map[string]bool) (Expr, erro
 					subst[par.Name] = av
 					lets = append(lets, &LetExpr{Var: av, Bind: walkFn(fc.Args[i])})
 				}
-				var out Expr = renameVars(body, subst)
+				var out Expr = RenameFreeVars(body, subst)
 				for i := len(lets) - 1; i >= 0; i-- {
 					lets[i].Return = out
 					out = lets[i]
@@ -237,7 +168,8 @@ func (n *normalizer) inlineCalls(e Expr, inProgress map[string]bool) (Expr, erro
 				return out
 			}
 		}
-		return mapChildren(sub, walkFn)
+		Slots(sub, func(s Slot) { *s.Expr = walkFn(*s.Expr) })
+		return sub
 	}
 	out := walkFn(e)
 	return out, err
@@ -251,7 +183,12 @@ func callsItself(fd *FuncDecl, funcs map[string]*FuncDecl, seen map[string]bool)
 	defer delete(seen, fd.Name)
 	found := false
 	Walk(fd.Body, func(e Expr) bool {
-		if fc, ok := e.(*FunCall); ok {
+		fc, ok := e.(*FunCall)
+		if x, at := e.(*ExecuteAt); at {
+			// The call is no slot of its execute-at, but it calls all the same.
+			fc, ok = x.Call, true
+		}
+		if ok {
 			key := fmt.Sprintf("%s/%d", fc.Name, len(fc.Args))
 			if callee, declared := funcs[key]; declared {
 				if callee.Name == fd.Name || callsItself(callee, funcs, seen) {
@@ -263,333 +200,4 @@ func callsItself(fd *FuncDecl, funcs map[string]*FuncDecl, seen map[string]bool)
 		return true
 	})
 	return found
-}
-
-// mapChildren applies f to every direct child expression of e, in place, and
-// returns e. It is the generic rewriting helper shared by normalization and
-// decomposition passes.
-func mapChildren(e Expr, f func(Expr) Expr) Expr {
-	switch v := e.(type) {
-	case *ForExpr:
-		v.In = f(v.In)
-		for i := range v.OrderBy {
-			v.OrderBy[i].Key = f(v.OrderBy[i].Key)
-		}
-		v.Return = f(v.Return)
-	case *LetExpr:
-		v.Bind, v.Return = f(v.Bind), f(v.Return)
-	case *IfExpr:
-		v.Cond, v.Then, v.Else = f(v.Cond), f(v.Then), f(v.Else)
-	case *QuantifiedExpr:
-		v.In, v.Satisfies = f(v.In), f(v.Satisfies)
-	case *TypeswitchExpr:
-		v.Operand = f(v.Operand)
-		for _, c := range v.Cases {
-			c.Return = f(c.Return)
-		}
-		v.Default = f(v.Default)
-	case *CompareExpr:
-		v.Left, v.Right = f(v.Left), f(v.Right)
-	case *ArithExpr:
-		v.Left, v.Right = f(v.Left), f(v.Right)
-	case *UnaryExpr:
-		v.Operand = f(v.Operand)
-	case *LogicExpr:
-		v.Left, v.Right = f(v.Left), f(v.Right)
-	case *SeqExpr:
-		for i := range v.Items {
-			v.Items[i] = f(v.Items[i])
-		}
-	case *NodeSetExpr:
-		v.Left, v.Right = f(v.Left), f(v.Right)
-	case *PathExpr:
-		if v.Input != nil {
-			v.Input = f(v.Input)
-		}
-		for _, st := range v.Steps {
-			for i := range st.Preds {
-				st.Preds[i] = f(st.Preds[i])
-			}
-		}
-	case *ElemConstructor:
-		if v.NameExpr != nil {
-			v.NameExpr = f(v.NameExpr)
-		}
-		for i := range v.Content {
-			v.Content[i] = f(v.Content[i])
-		}
-	case *AttrConstructor:
-		if v.NameExpr != nil {
-			v.NameExpr = f(v.NameExpr)
-		}
-		for i := range v.Value {
-			v.Value[i] = f(v.Value[i])
-		}
-	case *TextConstructor:
-		v.Content = f(v.Content)
-	case *DocConstructor:
-		v.Content = f(v.Content)
-	case *FunCall:
-		for i := range v.Args {
-			v.Args[i] = f(v.Args[i])
-		}
-	case *ExecuteAt:
-		v.Target = f(v.Target)
-		for i := range v.Call.Args {
-			v.Call.Args[i] = f(v.Call.Args[i])
-		}
-	case *XRPCExpr:
-		v.Target, v.Body = f(v.Target), f(v.Body)
-	}
-	return e
-}
-
-// renameVars substitutes free variable names in e according to subst,
-// respecting shadowing by binders.
-func renameVars(e Expr, subst map[string]string) Expr {
-	if len(subst) == 0 {
-		return e
-	}
-	var rn func(Expr, map[string]string) Expr
-	rn = func(x Expr, s map[string]string) Expr {
-		switch v := x.(type) {
-		case *VarRef:
-			if nn, ok := s[v.Name]; ok {
-				return &VarRef{Name: nn}
-			}
-			return v
-		case *ForExpr:
-			v.In = rn(v.In, s)
-			inner := without(s, v.Var)
-			for i := range v.OrderBy {
-				v.OrderBy[i].Key = rn(v.OrderBy[i].Key, inner)
-			}
-			v.Return = rn(v.Return, inner)
-			return v
-		case *LetExpr:
-			v.Bind = rn(v.Bind, s)
-			v.Return = rn(v.Return, without(s, v.Var))
-			return v
-		case *QuantifiedExpr:
-			v.In = rn(v.In, s)
-			v.Satisfies = rn(v.Satisfies, without(s, v.Var))
-			return v
-		case *TypeswitchExpr:
-			v.Operand = rn(v.Operand, s)
-			for _, c := range v.Cases {
-				c.Return = rn(c.Return, without(s, c.Var))
-			}
-			v.Default = rn(v.Default, without(s, v.DefaultVar))
-			return v
-		case *XRPCExpr:
-			v.Target = rn(v.Target, s)
-			// Params reference outer scope; the body's scope is its params.
-			for _, par := range v.Params {
-				if nn, ok := s[par.Ref]; ok {
-					par.Ref = nn
-				}
-			}
-			inner := s
-			for _, par := range v.Params {
-				inner = without(inner, par.Name)
-			}
-			v.Body = rn(v.Body, inner)
-			return v
-		default:
-			return mapChildren(x, func(c Expr) Expr { return rn(c, s) })
-		}
-	}
-	return rn(e, subst)
-}
-
-func without(s map[string]string, name string) map[string]string {
-	if name == "" {
-		return s
-	}
-	if _, ok := s[name]; !ok {
-		return s
-	}
-	out := make(map[string]string, len(s))
-	for k, v := range s {
-		if k != name {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-// cloneExpr deep-copies an expression tree.
-func cloneExpr(e Expr) Expr {
-	switch v := e.(type) {
-	case nil:
-		return nil
-	case *Literal:
-		c := *v
-		return &c
-	case *VarRef:
-		c := *v
-		return &c
-	case *ContextItem:
-		return &ContextItem{}
-	case *RootExpr:
-		return &RootExpr{}
-	case *ForExpr:
-		c := &ForExpr{Var: v.Var, In: cloneExpr(v.In), Return: cloneExpr(v.Return)}
-		for _, s := range v.OrderBy {
-			c.OrderBy = append(c.OrderBy, OrderSpec{Key: cloneExpr(s.Key), Descending: s.Descending})
-		}
-		return c
-	case *LetExpr:
-		return &LetExpr{Var: v.Var, Bind: cloneExpr(v.Bind), Return: cloneExpr(v.Return)}
-	case *IfExpr:
-		return &IfExpr{Cond: cloneExpr(v.Cond), Then: cloneExpr(v.Then), Else: cloneExpr(v.Else)}
-	case *QuantifiedExpr:
-		return &QuantifiedExpr{Every: v.Every, Var: v.Var, In: cloneExpr(v.In), Satisfies: cloneExpr(v.Satisfies)}
-	case *TypeswitchExpr:
-		c := &TypeswitchExpr{Operand: cloneExpr(v.Operand), DefaultVar: v.DefaultVar, Default: cloneExpr(v.Default)}
-		for _, cs := range v.Cases {
-			c.Cases = append(c.Cases, &TSCase{Var: cs.Var, Type: cs.Type, Return: cloneExpr(cs.Return)})
-		}
-		return c
-	case *CompareExpr:
-		return &CompareExpr{Op: v.Op, Left: cloneExpr(v.Left), Right: cloneExpr(v.Right)}
-	case *ArithExpr:
-		return &ArithExpr{Op: v.Op, Left: cloneExpr(v.Left), Right: cloneExpr(v.Right)}
-	case *UnaryExpr:
-		return &UnaryExpr{Neg: v.Neg, Operand: cloneExpr(v.Operand)}
-	case *LogicExpr:
-		return &LogicExpr{And: v.And, Left: cloneExpr(v.Left), Right: cloneExpr(v.Right)}
-	case *SeqExpr:
-		c := &SeqExpr{}
-		for _, it := range v.Items {
-			c.Items = append(c.Items, cloneExpr(it))
-		}
-		return c
-	case *NodeSetExpr:
-		return &NodeSetExpr{Op: v.Op, Left: cloneExpr(v.Left), Right: cloneExpr(v.Right)}
-	case *PathExpr:
-		c := &PathExpr{}
-		if v.Input != nil {
-			c.Input = cloneExpr(v.Input)
-		}
-		for _, st := range v.Steps {
-			ns := &Step{Axis: st.Axis, Test: st.Test, Filter: st.Filter}
-			for _, pr := range st.Preds {
-				ns.Preds = append(ns.Preds, cloneExpr(pr))
-			}
-			c.Steps = append(c.Steps, ns)
-		}
-		return c
-	case *ElemConstructor:
-		c := &ElemConstructor{Name: v.Name}
-		if v.NameExpr != nil {
-			c.NameExpr = cloneExpr(v.NameExpr)
-		}
-		for _, ct := range v.Content {
-			c.Content = append(c.Content, cloneExpr(ct))
-		}
-		return c
-	case *AttrConstructor:
-		c := &AttrConstructor{Name: v.Name}
-		if v.NameExpr != nil {
-			c.NameExpr = cloneExpr(v.NameExpr)
-		}
-		for _, ct := range v.Value {
-			c.Value = append(c.Value, cloneExpr(ct))
-		}
-		return c
-	case *TextConstructor:
-		return &TextConstructor{Content: cloneExpr(v.Content)}
-	case *DocConstructor:
-		return &DocConstructor{Content: cloneExpr(v.Content)}
-	case *FunCall:
-		c := &FunCall{Name: v.Name}
-		for _, a := range v.Args {
-			c.Args = append(c.Args, cloneExpr(a))
-		}
-		return c
-	case *ExecuteAt:
-		return &ExecuteAt{Target: cloneExpr(v.Target), Call: cloneExpr(v.Call).(*FunCall)}
-	case *XRPCExpr:
-		c := &XRPCExpr{Target: cloneExpr(v.Target), Body: cloneExpr(v.Body), FuncName: v.FuncName}
-		for _, par := range v.Params {
-			cp := *par
-			c.Params = append(c.Params, &cp)
-		}
-		c.Types = append(c.Types, v.Types...)
-		return c
-	}
-	return e
-}
-
-// CloneExpr is the exported deep copy used by the decomposer.
-func CloneExpr(e Expr) Expr { return cloneExpr(e) }
-
-// RenameFreeVars is the exported capture-aware variable renaming used by the
-// decomposer (code motion introduces fresh parameter variables).
-func RenameFreeVars(e Expr, subst map[string]string) Expr { return renameVars(e, subst) }
-
-// FreeVars returns the names of variables that occur free in e.
-func FreeVars(e Expr) map[string]bool {
-	out := map[string]bool{}
-	var walkFree func(Expr, map[string]bool)
-	walkFree = func(x Expr, bound map[string]bool) {
-		switch v := x.(type) {
-		case nil:
-			return
-		case *VarRef:
-			if !bound[v.Name] {
-				out[v.Name] = true
-			}
-		case *ForExpr:
-			walkFree(v.In, bound)
-			inner := withBound(bound, v.Var)
-			for _, s := range v.OrderBy {
-				walkFree(s.Key, inner)
-			}
-			walkFree(v.Return, inner)
-		case *LetExpr:
-			walkFree(v.Bind, bound)
-			walkFree(v.Return, withBound(bound, v.Var))
-		case *QuantifiedExpr:
-			walkFree(v.In, bound)
-			walkFree(v.Satisfies, withBound(bound, v.Var))
-		case *TypeswitchExpr:
-			walkFree(v.Operand, bound)
-			for _, c := range v.Cases {
-				walkFree(c.Return, withBound(bound, c.Var))
-			}
-			walkFree(v.Default, withBound(bound, v.DefaultVar))
-		case *XRPCExpr:
-			walkFree(v.Target, bound)
-			for _, par := range v.Params {
-				if !bound[par.Ref] {
-					out[par.Ref] = true
-				}
-			}
-			inner := bound
-			for _, par := range v.Params {
-				inner = withBound(inner, par.Name)
-			}
-			walkFree(v.Body, inner)
-		default:
-			for _, c := range Children(x) {
-				walkFree(c, bound)
-			}
-		}
-	}
-	walkFree(e, map[string]bool{})
-	return out
-}
-
-func withBound(bound map[string]bool, name string) map[string]bool {
-	if name == "" || bound[name] {
-		return bound
-	}
-	nb := make(map[string]bool, len(bound)+1)
-	for k := range bound {
-		nb[k] = true
-	}
-	nb[name] = true
-	return nb
 }
