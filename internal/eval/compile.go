@@ -1054,7 +1054,9 @@ func ebv(ce cexpr, msg string) cbool {
 // result sequence or atom slice ever built. The streaming form is
 // observationally identical to materialize-then-compare because
 // generalCompareAtoms never errors (incomparable pairs contribute false), so
-// pair order and duplicates are invisible; only existence counts.
+// pair order and duplicates are invisible; only existence counts. An
+// operand a loop hoisted atomizes through its slot's memo, and a `=`
+// against one probes the memo's index (generalCompareAtoms).
 func (fc *fnCompiler) compileGeneralCompare(v *xq.CompareExpr, sc *scope) cbool {
 	op := v.Op
 	var l, r cexpr
@@ -1110,23 +1112,23 @@ func (fc *fnCompiler) compileGeneralCompare(v *xq.CompareExpr, sc *scope) cbool 
 			return false, err
 		}
 		la, ra := lc, rc
-		var lb, rb bool // borrowed scratch to give back
+		var lm, rm *atomMemo // memos of hoisted operands
 		var err error
 		if !lConst {
-			if la, lb, err = f.compareOperand(l, lHoist); err != nil {
+			if la, lm, err = f.compareOperand(l, lHoist); err != nil {
 				return false, err
 			}
 		}
 		if !rConst {
-			if ra, rb, err = f.compareOperand(r, rHoist); err != nil {
+			if ra, rm, err = f.compareOperand(r, rHoist); err != nil {
 				return false, err
 			}
 		}
-		res := generalCompareAtoms(op, la, ra)
-		if lb {
-			f.sc.atoms.give(la)
+		res := generalCompareAtoms(op, la, ra, lm, rm)
+		if !lConst && lm == nil {
+			f.sc.atoms.give(la) // borrowed scratch
 		}
-		if rb {
+		if !rConst && rm == nil {
 			f.sc.atoms.give(ra)
 		}
 		return res, nil
@@ -1147,7 +1149,7 @@ func hoistedSlot(e xq.Expr, sc *scope) int {
 // existsComparePath picks out the streamable comparison shape: exactly one
 // constant operand, the other a predicate-free chain of downward steps.
 // constLeft reports which side the constant is on (pair order feeds
-// CompareAtomics' asymmetric promotion rules).
+// generalPair's asymmetric promotion rules).
 func existsComparePath(v *xq.CompareExpr, lConst, rConst bool, sc *scope) (p *xq.PathExpr, constLeft, ok bool) {
 	if rConst && !lConst {
 		if p, ok := v.Left.(*xq.PathExpr); ok && simpleDownwardPath(p, sc) {

@@ -118,6 +118,22 @@ var compiledFuzzSeeds = []string{
 	`for $x in (1, 2, 3, 4, 5) return if (false()) then (unknownfn() = 1) else $x`,
 	`for $p in doc("a.xml")//person return for $q in (1, 2, 3, 4, 5)
 	 return if ($q = count(doc("a.xml")//book)) then $p/child::name else ()`,
+	// General `=` as a join: a hoisted operand on the right and on the
+	// left, of more and of at most 4 atoms, probed by untyped, numeric,
+	// string and boolean atoms; NaN, -0 and padded untypeds; the n × n
+	// hash path against its pair scan.
+	`for $p in doc("a.xml")//person return if ($p/address/city = doc("a.xml")//city) then $p/name else ()`,
+	`for $p in doc("a.xml")//person return if (doc("a.xml")//age = $p//age) then $p/@id else "-"`,
+	`for $p in doc("a.xml")//person return if (doc("a.xml")//book/author = $p/name) then $p/@id else "-"`,
+	`for $x in (25, "25", 34.0, "Tang", 46, 51, true(), " 39") return if ($x = doc("a.xml")//age) then $x else "-"`,
+	`for $x in doc("a.xml")//age return ($x = subsequence((doc("a.xml")//@income, "34", 46.0, true(), number("x")), 1, 20))`,
+	`for $x in (1, 2, 3, 4, 5, number("x")) return if ($x = subsequence((number("y"), 1, 2, 3, 4, 9), 1, 9)) then $x else "-"`,
+	`for $b in (true(), false(), true(), 1, "true", 0) return ($b = subsequence((false(), "a", "b", 2, 3), 1, 9))`,
+	`for $x in (1, 2, 3, 4, 5, 6) return if (subsequence((2, "4", 6.0), 1, 9) = $x) then $x else ()`,
+	`let $d := <r><v> 5 </v><v>-0</v><v>5.0</v><v>NaN</v><v>x</v></r>
+	 return for $x in (5, 0, "5", " 5 ", "x", 1, number("NaN")) return if ($x = $d/v) then $x else "-"`,
+	`((number("x"), 1, 2, 3, 4) = (number("y"), 10, 20, 30, 40), (number("x")) = (number("y")))`,
+	`(("5", "a", "b", "c", "d") = (5, 6, 7, 8, 9), ("5") = (5, 6, 7, 8, 9), doc("a.xml")//age = ("25", 1, 2, 3, 4))`,
 	// Compiled-specific corners: constant folding with deferred faults,
 	// predicate fusion, duplicate declarations, focus builtins, typeswitch
 	// defaults, unary over folded constants, nested function calls.

@@ -96,9 +96,10 @@ type cframe struct {
 	pos   int
 	size  int
 	// atoms memoizes, per hoisted-operand slot, the atomized form of the
-	// slot's value — the compiled twin of frame.atoms. bindHoisted drops the
-	// entry whenever the loop that owns the slot evaluates the operand anew.
-	atoms map[int][]xdm.Atomic
+	// slot's value and its `=` index — the compiled twin of frame.atoms.
+	// bindHoisted drops the entry whenever the loop that owns the slot
+	// evaluates the operand anew. Indexed like slots; nil until first use.
+	atoms []atomMemo
 	sc    *cscratch
 }
 
@@ -164,7 +165,9 @@ func (l *freeList[T]) give(s []T) { l.free = append(l.free, s[:0]) }
 // bindHoisted stores a freshly evaluated hoisted comparison operand.
 func (f *cframe) bindHoisted(slot int, val xdm.Sequence) {
 	f.slots[slot] = val
-	delete(f.atoms, slot)
+	if f.atoms != nil {
+		f.atoms[slot] = atomMemo{}
+	}
 }
 
 // hoist evaluates a loop's hoisted operands into their slots, in order.
@@ -179,23 +182,6 @@ func (f *cframe) hoist(binds []cexpr, slots []int) error {
 	return nil
 }
 
-// atomized returns s.Atomize() for s the value of a comparison operand,
-// through the memo when the operand is the hoisted slot given (slot >= 0).
-func (f *cframe) atomized(slot int, s xdm.Sequence) []xdm.Atomic {
-	if slot < 0 {
-		return s.Atomize()
-	}
-	a, ok := f.atoms[slot]
-	if !ok {
-		if f.atoms == nil {
-			f.atoms = map[int][]xdm.Atomic{}
-		}
-		a = s.Atomize()
-		f.atoms[slot] = a
-	}
-	return a
-}
-
 // atomsOf evaluates ce and returns its atomized value in a borrowed atom
 // buffer.
 func (f *cframe) atomsOf(ce cexpr) ([]xdm.Atomic, error) {
@@ -208,18 +194,26 @@ func (f *cframe) atomsOf(ce cexpr) ([]xdm.Atomic, error) {
 	return a, nil
 }
 
-// compareOperand atomizes a general comparison's operand: through the memo
-// for a hoisted one, else into a borrowed buffer (borrowed reports which).
-func (f *cframe) compareOperand(ce cexpr, hoist int) (a []xdm.Atomic, borrowed bool, err error) {
-	if hoist >= 0 {
-		s, err := ce(f, nil)
-		if err != nil {
-			return nil, false, err
-		}
-		return f.atomized(hoist, s), false, nil
+// compareOperand atomizes a general comparison's operand: through the
+// memo, returned, for the hoisted slot given (hoist >= 0), else into a
+// borrowed buffer (m == nil).
+func (f *cframe) compareOperand(ce cexpr, hoist int) (a []xdm.Atomic, m *atomMemo, err error) {
+	if hoist < 0 {
+		a, err = f.atomsOf(ce)
+		return a, nil, err
 	}
-	a, err = f.atomsOf(ce)
-	return a, true, err
+	s, err := ce(f, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	if f.atoms == nil {
+		f.atoms = make([]atomMemo, len(f.slots))
+	}
+	m = &f.atoms[hoist]
+	if m.atoms == nil {
+		m.atoms = s.Atomize()
+	}
+	return m.atoms, m, nil
 }
 
 // tcase is one compiled typeswitch case: its sequence type and the slot its
@@ -778,7 +772,7 @@ func (f *cframe) evalPred(pred cpred, it xdm.Item, pos, size int) (bool, error) 
 // at n and pre-atomized constant atoms ca, streaming: every node the step
 // chain reaches atomizes in place and compares against each constant, and the
 // scan unwinds at the first satisfying pair. constLeft orients the pairs
-// (constant on the left feeds CompareAtomics' first argument). The deadline
+// (constant on the left feeds generalPair's first argument). The deadline
 // is checked per visited node, as in gatherAxis.
 func (f *cframe) existsCompare(n *xdm.Node, steps []*xq.Step, op xq.CompOp, ca []xdm.Atomic, constLeft bool) (bool, error) {
 	st := steps[0]
@@ -793,7 +787,7 @@ func (f *cframe) existsCompare(n *xdm.Node, steps []*xq.Step, op xq.CompOp, ca [
 			if constLeft {
 				l, r = c, a
 			}
-			if cmp, ok := xdm.CompareAtomics(l, r); ok && compareSatisfies(op, cmp) {
+			if cmp, ok := generalPair(l, r); ok && compareSatisfies(op, cmp) {
 				return true, nil
 			}
 		}

@@ -530,13 +530,12 @@ type frame struct {
 	val  xdm.Sequence
 	next *frame
 	// atoms is set on the frame of a hoisted loop-invariant comparison
-	// operand (bindHoisted) and memoizes val.Atomize(): the operand is
-	// evaluated once per loop, and without the memo its hundreds of nodes
-	// would still be atomized again by every iteration's comparison. A
-	// binding never changes and an evaluation runs on one goroutine, so the
-	// memo needs no lock. Nil inside until first use: Atomize never returns
-	// a nil slice.
-	atoms *[]xdm.Atomic
+	// operand (bindHoisted) and memoizes val.Atomize() and its `=` index:
+	// the operand is evaluated once per loop, and without the memo its
+	// hundreds of nodes would still be atomized and scanned by every
+	// iteration's comparison. A binding never changes and an evaluation
+	// runs on one goroutine, so the memo needs no lock.
+	atoms *atomMemo
 }
 
 // context is the dynamic evaluation context.
@@ -562,23 +561,24 @@ func (c *context) bind(name string, val xdm.Sequence) *context {
 // bindHoisted binds a hoisted comparison operand; see frame.atoms.
 func (c *context) bindHoisted(name string, val xdm.Sequence) *context {
 	nc := c.bind(name, val)
-	nc.vars.atoms = new([]xdm.Atomic)
+	nc.vars.atoms = new(atomMemo)
 	return nc
 }
 
 // atomized returns s.Atomize() for s the value of comparison operand e,
-// through the binding's memo when e refers to a hoisted operand. (A frame
-// chain rebuilt for a compiled fallback carries no memo; it atomizes.)
-func (c *context) atomized(e xq.Expr, s xdm.Sequence) []xdm.Atomic {
+// through the binding's memo, also returned, when e refers to a hoisted
+// operand. (A frame chain rebuilt for a compiled fallback carries no memo;
+// it atomizes.)
+func (c *context) atomized(e xq.Expr, s xdm.Sequence) ([]xdm.Atomic, *atomMemo) {
 	if ref, ok := e.(*xq.VarRef); ok && strings.HasPrefix(ref.Name, hoistPrefix) {
 		if f := c.binding(ref.Name); f != nil && f.atoms != nil {
-			if *f.atoms == nil {
-				*f.atoms = s.Atomize()
+			if f.atoms.atoms == nil {
+				f.atoms.atoms = s.Atomize()
 			}
-			return *f.atoms
+			return f.atoms.atoms, f.atoms
 		}
 	}
-	return s.Atomize()
+	return s.Atomize(), nil
 }
 
 func (c *context) withItem(it xdm.Item, pos, size int) *context {

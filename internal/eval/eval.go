@@ -608,24 +608,33 @@ func (c *context) evalCompare(v *xq.CompareExpr) (xdm.Sequence, error) {
 	if v.Op.IsNodeComp() {
 		return nodeCompare(v.Op, l, r)
 	}
-	return xdm.Singleton(xdm.NewBoolean(generalCompareAtoms(v.Op, c.atomized(v.Left, l), c.atomized(v.Right, r)))), nil
+	la, lm := c.atomized(v.Left, l)
+	ra, rm := c.atomized(v.Right, r)
+	return xdm.Singleton(xdm.NewBoolean(generalCompareAtoms(v.Op, la, ra, lm, rm))), nil
 }
 
 // generalCompareAtoms decides the existential general comparison over
-// atomized operands. Equality over larger sequences uses a hash set instead
-// of the quadratic pair scan — the distributed semijoin queries of §VII
-// compare hundreds of ids. Shared by the tree-walker and the compiled path.
-func generalCompareAtoms(op xq.CompOp, la, ra []xdm.Atomic) bool {
-	if op == xq.OpEq && len(la) > 4 && len(ra) > 4 {
-		return hashedExistsEq(la, ra)
+// atomized operands: some pair satisfies op under generalPair. lm and rm
+// are the memos of operands a loop hoisted, nil for others. A `=` probes a
+// hash index instead of scanning pairs: with exactly one hoisted operand of
+// more than 4 atoms (the §VII semijoin), that operand's index, built once
+// per loop run; with none or two, an index of ra when both sides have more
+// than 4 atoms. Shared by the tree-walker and the compiled path.
+func generalCompareAtoms(op xq.CompOp, la, ra []xdm.Atomic, lm, rm *atomMemo) bool {
+	if op == xq.OpEq && (lm == nil) != (rm == nil) {
+		m, probe := lm, ra
+		if m == nil {
+			m, probe = rm, la
+		}
+		if len(m.atoms) > 4 {
+			return m.ix.over(m.atoms).matchesAny(probe)
+		}
+	} else if op == xq.OpEq && len(la) > 4 && len(ra) > 4 {
+		return new(eqIndex).over(ra).matchesAny(la)
 	}
 	for _, a := range la {
 		for _, b := range ra {
-			cmp, ok := xdm.CompareAtomics(a, b)
-			if !ok {
-				continue // incomparable pair contributes false
-			}
-			if compareSatisfies(op, cmp) {
+			if cmp, ok := generalPair(a, b); ok && compareSatisfies(op, cmp) {
 				return true
 			}
 		}
@@ -633,55 +642,98 @@ func generalCompareAtoms(op xq.CompOp, la, ra []xdm.Atomic) bool {
 	return false
 }
 
-// hashedExistsEq decides ∃a∈la, b∈ra: a eq b using hash sets, preserving the
-// promotion rules of CompareAtomics: untyped values compare as strings
-// against strings/untypeds and numerically against numerics; strings never
-// equal numerics; booleans only equal booleans.
-func hashedExistsEq(la, ra []xdm.Atomic) bool {
-	strSet := map[string]bool{}     // string values of strings and untypeds
-	numNumeric := map[string]bool{} // canonical numbers of numeric atoms
-	numUntyped := map[string]bool{} // canonical numbers of parseable untypeds
-	boolSet := map[bool]bool{}
-	for _, b := range ra {
+// generalPair is the pair rule of a general comparison: CompareAtomics,
+// except that xs:string against a numeric is incomparable (XPTY0004; only
+// untyped values take the other operand's type). Incomparable pairs
+// contribute false.
+func generalPair(a, b xdm.Atomic) (int, bool) {
+	if a.T == xdm.TString && b.IsNumeric() || b.T == xdm.TString && a.IsNumeric() {
+		return 0, false
+	}
+	return xdm.CompareAtomics(a, b)
+}
+
+// atomMemo holds a hoisted comparison operand's atomized value (nil until
+// first use: Atomize never returns nil) and its `=` index.
+type atomMemo struct {
+	atoms []xdm.Atomic
+	ix    eqIndex
+}
+
+// eqIndex is a hash index deciding ∃b: generalPair(a, b) = 0 for a probe
+// atom a. Strings and untypeds are keyed by their text; numerics and the
+// untypeds that parse as a number by value, mapped to whether a numeric has
+// it, since untyped meets untyped only as text. NaN is never stored and
+// never found, and Go's map keys -0 and 0 alike, as == does.
+type eqIndex struct {
+	text  map[string]struct{}
+	nums  map[float64]bool
+	bools [2]bool
+	built bool
+}
+
+// over returns ix indexing atoms, built on the first call.
+func (ix *eqIndex) over(atoms []xdm.Atomic) *eqIndex {
+	if ix.built {
+		return ix
+	}
+	ix.built = true
+	for _, b := range atoms {
 		switch {
 		case b.T == xdm.TBoolean:
-			boolSet[b.B] = true
+			ix.bools[b2i(b.B)] = true
 		case b.IsNumeric():
-			numNumeric[xdm.FormatDouble(b.Number())] = true
-		case b.T == xdm.TUntyped:
-			strSet[b.S] = true
-			if f := b.Number(); !math.IsNaN(f) {
-				numUntyped[xdm.FormatDouble(f)] = true
-			}
+			ix.addNum(b.Number(), true)
 		default:
-			strSet[b.S] = true
+			if ix.text == nil {
+				ix.text = make(map[string]struct{}, len(atoms))
+			}
+			ix.text[b.S] = struct{}{}
+			if b.T == xdm.TUntyped {
+				ix.addNum(b.Number(), false)
+			}
 		}
 	}
-	for _, a := range la {
+	return ix
+}
+
+func (ix *eqIndex) addNum(v float64, numeric bool) {
+	if math.IsNaN(v) {
+		return
+	}
+	if ix.nums == nil {
+		ix.nums = map[float64]bool{}
+	}
+	ix.nums[v] = ix.nums[v] || numeric
+}
+
+// matchesAny reports whether some probe atom equals some indexed atom.
+func (ix *eqIndex) matchesAny(probe []xdm.Atomic) bool {
+	for _, a := range probe {
+		var hit bool
 		switch {
 		case a.T == xdm.TBoolean:
-			if boolSet[a.B] {
-				return true
-			}
+			hit = ix.bools[b2i(a.B)]
 		case a.IsNumeric():
-			key := xdm.FormatDouble(a.Number())
-			if numNumeric[key] || numUntyped[key] {
-				return true
-			}
-		case a.T == xdm.TUntyped:
-			if strSet[a.S] {
-				return true
-			}
-			if f := a.Number(); !math.IsNaN(f) && numNumeric[xdm.FormatDouble(f)] {
-				return true
-			}
+			_, hit = ix.nums[a.Number()]
 		default:
-			if strSet[a.S] {
-				return true
+			_, hit = ix.text[a.S]
+			if !hit && a.T == xdm.TUntyped && len(ix.nums) > 0 {
+				hit = ix.nums[a.Number()]
 			}
+		}
+		if hit {
+			return true
 		}
 	}
 	return false
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func compareSatisfies(op xq.CompOp, cmp int) bool {

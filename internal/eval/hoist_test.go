@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -105,42 +106,63 @@ func TestHoistingErrorsSurface(t *testing.T) {
 	runErr(t, nil, `for $x in (1,2,3,4,5,6) return if ($x = doc("missing.xml")//i) then 1 else 0`)
 }
 
-// TestHashedEqMatchesNaive checks the hash-based existential equality against
-// the naive pairwise scan on random atom mixes.
+// eqPool covers every atom type and the corners of the `=` pair rule: NaN,
+// -0, infinities, numeric-looking strings and untypeds, whitespace-padded
+// untypeds, texts ParseFloat reads as NaN or INF, and booleans.
+var eqPool = []xdm.Atomic{
+	xdm.NewInteger(0), xdm.NewInteger(5), xdm.NewInteger(-3), xdm.NewDouble(5),
+	xdm.NewDouble(math.Copysign(0, -1)), xdm.NewDouble(math.NaN()), xdm.NewDouble(math.Inf(1)),
+	xdm.NewDouble(0.5), xdm.NewString("5"), xdm.NewString(" 5"), xdm.NewString("a"),
+	xdm.NewString(""), xdm.NewString("NaN"), xdm.NewUntyped("5"), xdm.NewUntyped(" 5 "),
+	xdm.NewUntyped("5.0"), xdm.NewUntyped("a"), xdm.NewUntyped("NaN"), xdm.NewUntyped("-0"),
+	xdm.NewUntyped("INF"), xdm.NewUntyped(""), xdm.NewUntyped(".5"), xdm.NewBoolean(true),
+	xdm.NewBoolean(false),
+}
+
+// TestHashedEqMatchesNaive checks the `=` index against the pair rule's scan:
+// every pair of eqPool atoms both ways, then random 1 × n, n × 1 and n × n
+// mixes through generalCompareAtoms with no operand hoisted and with either.
 func TestHashedEqMatchesNaive(t *testing.T) {
-	mk := func(picks []uint8) []xdm.Atomic {
-		out := make([]xdm.Atomic, 0, len(picks))
-		for _, p := range picks {
-			switch p % 5 {
-			case 0:
-				out = append(out, xdm.NewInteger(int64(p%7)))
-			case 1:
-				out = append(out, xdm.NewDouble(float64(p%7)))
-			case 2:
-				out = append(out, xdm.NewString(string(rune('a'+p%4))))
-			case 3:
-				out = append(out, xdm.NewUntyped(string(rune('0'+p%7))))
-			case 4:
-				out = append(out, xdm.NewBoolean(p%2 == 0))
-			}
-		}
-		return out
-	}
 	naive := func(la, ra []xdm.Atomic) bool {
 		for _, a := range la {
 			for _, b := range ra {
-				if cmp, ok := xdm.CompareAtomics(a, b); ok && cmp == 0 {
+				if cmp, ok := generalPair(a, b); ok && cmp == 0 {
 					return true
 				}
 			}
 		}
 		return false
 	}
-	f := func(lp, rp []uint8) bool {
-		la, ra := mk(lp), mk(rp)
-		return hashedExistsEq(la, ra) == naive(la, ra)
+	indexed := func(la, ra []xdm.Atomic) bool { return new(eqIndex).over(ra).matchesAny(la) }
+	for _, a := range eqPool {
+		for _, b := range eqPool {
+			l, r := []xdm.Atomic{a}, []xdm.Atomic{b}
+			if got, want := indexed(l, r), naive(l, r); got != want {
+				t.Errorf("%v %q = %v %q: index says %v, pair rule %v", a.T, a.ItemString(), b.T, b.ItemString(), got, want)
+			}
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	mk := func(picks []uint8) []xdm.Atomic {
+		out := make([]xdm.Atomic, 0, len(picks))
+		for _, p := range picks {
+			out = append(out, eqPool[int(p)%len(eqPool)])
+		}
+		return out
+	}
+	f := func(lp, rp []uint8, shape uint8) bool {
+		la, ra := mk(lp), mk(rp)
+		switch shape % 3 {
+		case 0: // 1 × n
+			la = la[:min(len(la), 1)]
+		case 1: // n × 1
+			ra = ra[:min(len(ra), 1)]
+		}
+		want := naive(la, ra)
+		return generalCompareAtoms(xq.OpEq, la, ra, nil, nil) == want && indexed(la, ra) == want &&
+			generalCompareAtoms(xq.OpEq, la, ra, &atomMemo{atoms: la}, nil) == want &&
+			generalCompareAtoms(xq.OpEq, la, ra, nil, &atomMemo{atoms: ra}) == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
 }
@@ -155,6 +177,59 @@ func TestGeneralEqLargeSequencesUseHashPath(t *testing.T) {
 	docs := mapResolver{"n.xml": `<n><v>5</v><v>6</v><v>7</v><v>8</v><v>9</v></n>`}
 	expect(t, docs, `doc("n.xml")//v = (9,20,30,40,50)`, "true")
 	expect(t, docs, `doc("n.xml")//v = (19,20,30,40,50)`, "false")
-	// String "5" vs integer 5 is incomparable → false even hashed.
+	// String "5" vs integer 5 is incomparable → false, hashed or scanned.
 	expect(t, nil, `("5","x","y","z","w") = (5,6,7,8,9)`, "false")
+	expect(t, nil, `("5") = (5,6,7,8,9)`, "false")
+	// NaN equals nothing, itself included, hashed or scanned.
+	expect(t, nil, `(number("x"),1,2,3,4) = (number("y"),10,20,30,40)`, "false")
+	expect(t, nil, `(number("x")) = (number("y"))`, "false")
+}
+
+// TestJoinIndexBuiltOncePerLoop: the semijoin shape's hoisted `=` operand is
+// indexed once per loop evaluation, so a run's allocations grow with the
+// number of iterations no faster when the index is probed (50 hoisted ids)
+// than when the pairs are scanned (3 hoisted ids), under both executors.
+func TestJoinIndexBuiltOncePerLoop(t *testing.T) {
+	ids := func(n int) string {
+		var sb strings.Builder
+		sb.WriteString("<ids>")
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&sb, `<i n="person%d"/>`, i*7)
+		}
+		return sb.String() + "</ids>"
+	}
+	probes := func(n int) string {
+		var sb strings.Builder
+		sb.WriteString("<p>")
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&sb, `<q k="person%d"/>`, i)
+		}
+		return sb.String() + "</p>"
+	}
+	src := `count(for $x in doc("p.xml")//q return if ($x/@k = doc("ids.xml")//i/@n) then $x else ())`
+	allocs := func(compile bool, nIDs, nProbes int) float64 {
+		eng := NewEngine(mapResolver{"ids.xml": ids(nIDs), "p.xml": probes(nProbes)})
+		eng.Options.Compile = compile
+		q, err := xq.ParseQuery(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprint((min(nIDs*7, nProbes) + 6) / 7)
+		run := func() {
+			if res, err := eng.Query(q); err != nil || len(res) != 1 || res[0].ItemString() != want {
+				t.Fatalf("compile=%v ids=%d probes=%d: %v, %v; want %s", compile, nIDs, nProbes, res, err, want)
+			}
+		}
+		run() // parse the documents, normalize, compile
+		return testing.AllocsPerRun(5, run)
+	}
+	for _, compile := range []bool{false, true} {
+		slope := func(nIDs int) float64 { return (allocs(compile, nIDs, 500) - allocs(compile, nIDs, 50)) / 450 }
+		indexed, scanned := slope(50), slope(3)
+		t.Logf("compile=%v: %.2f allocs per iteration indexed, %.2f scanned", compile, indexed, scanned)
+		if indexed-scanned > 0.5 {
+			t.Errorf("compile=%v: %.2f allocs per iteration probing the index, %.2f scanning pairs; the index is rebuilt per iteration",
+				compile, indexed, scanned)
+		}
+	}
 }

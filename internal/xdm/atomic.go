@@ -143,12 +143,26 @@ func (a Atomic) Number() float64 {
 		}
 		return 0
 	default:
-		f, err := strconv.ParseFloat(strings.TrimSpace(a.S), 64)
+		s := strings.TrimSpace(a.S)
+		if s == "" || !mayStartNumber(s[0]) {
+			return math.NaN() // what ParseFloat says, without its error value
+		}
+		f, err := strconv.ParseFloat(s, 64)
 		if err != nil {
 			return math.NaN()
 		}
 		return f
 	}
+}
+
+// mayStartNumber reports whether c can begin text strconv.ParseFloat
+// accepts: a sign, a digit, a point, or the first letter of inf or nan.
+func mayStartNumber(c byte) bool {
+	switch c {
+	case '+', '-', '.', 'i', 'I', 'n', 'N':
+		return true
+	}
+	return '0' <= c && c <= '9'
 }
 
 // IsNumeric reports whether the atomic carries a numeric type.

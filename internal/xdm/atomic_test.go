@@ -2,6 +2,8 @@ package xdm
 
 import (
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -41,6 +43,34 @@ func TestAtomicNumber(t *testing.T) {
 	}
 	if NewInteger(7).Number() != 7 {
 		t.Error("integer number")
+	}
+}
+
+// TestNumberMatchesParseFloat: the early rejection in Number changes no
+// result — every text reads as strconv.ParseFloat of its trimmed form, or
+// NaN where ParseFloat fails.
+func TestNumberMatchesParseFloat(t *testing.T) {
+	for _, s := range []string{"", " ", " 12 ", "-", "+.5", ".", "INF", "-inf", "nan", "NaN",
+		"Infinity", "0x1p3", "1e3", "1_000", "person123", "p1", "\t7\n", "e5", "x"} {
+		want, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+		if err != nil {
+			want = math.NaN()
+		}
+		for _, a := range []Atomic{NewString(s), NewUntyped(s)} {
+			got := a.Number()
+			if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Errorf("%v(%q).Number() = %v, ParseFloat gives %v", a.T, s, got, want)
+			}
+		}
+	}
+}
+
+// TestNumberOfNonNumericTextAllocatesNothing: an id such as "person123" is
+// NaN without the error value ParseFloat would allocate.
+func TestNumberOfNonNumericTextAllocatesNothing(t *testing.T) {
+	a := NewUntyped("person123")
+	if n := testing.AllocsPerRun(100, func() { _ = a.Number() }); n != 0 {
+		t.Errorf("Number(%q) allocated %v times per call, want 0", a.S, n)
 	}
 }
 
