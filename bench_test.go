@@ -17,6 +17,7 @@ package distxq_test
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"distxq/internal/bench"
 	"distxq/internal/core"
@@ -297,7 +298,7 @@ func BenchmarkAblationWAN(b *testing.B) {
 		m    netsim.Model
 	}{
 		{"gigabit-lan", netsim.GigabitLAN()},
-		{"wan", netsim.WAN()},
+		{"wan", netsim.Model{Latency: 20 * time.Millisecond, BandwidthBytesPerSec: 6.25e6}},
 	} {
 		for _, strat := range bench.Strategies {
 			b.Run(model.name+"/"+strat.String(), func(b *testing.B) {

@@ -26,7 +26,6 @@ import (
 	"strings"
 
 	"distxq/internal/core"
-	"distxq/internal/eval"
 	"distxq/internal/peer"
 	"distxq/internal/xdm"
 	"distxq/internal/xmark"
@@ -130,12 +129,6 @@ func SerializeTo(w io.Writer, s Sequence) error {
 	return nil
 }
 
-// ParseQuery parses XQuery source text without executing it.
-func ParseQuery(src string) error {
-	_, err := xq.ParseQuery(src)
-	return err
-}
-
 // ExplainDecomposition parses and decomposes a query under the strategy and
 // returns the rewritten query text with `execute at` annotations — useful to
 // inspect what would run where.
@@ -151,19 +144,8 @@ func ExplainDecomposition(src string, strat Strategy) (string, error) {
 	return xq.PrintQuery(plan.Query), nil
 }
 
-// LocalEngine returns a standalone (non-distributed) XQuery engine over an
-// in-memory map of URI → XML text, for quick local evaluation.
-func LocalEngine(docs map[string]string) *eval.Engine {
-	return eval.NewEngine(eval.ResolverFunc(func(uri string) (*xdm.Document, error) {
-		return xdm.ParseString(docs[uri], uri)
-	}))
-}
-
 // XMarkConfig configures the XMark-style data generator.
 type XMarkConfig = xmark.Config
-
-// XMarkPeople generates the site/people benchmark document.
-func XMarkPeople(c XMarkConfig, uri string) *xdm.Document { return xmark.PeopleDocument(c, uri) }
 
 // XMarkPeopleShard generates one horizontal partition of the people
 // document (person i lives on shard i%shards), for multi-peer federations.
@@ -183,15 +165,5 @@ func XMarkPeopleShardMap(peers []string) ShardMap { return xmark.PeopleShardMap(
 // XMarkLogicalPeopleURI is the logical URI of the sharded people document.
 const XMarkLogicalPeopleURI = xmark.LogicalPeopleURI
 
-// LogicalScatterQuery states the scatter workload against the logical people
-// document; the shard-aware planner synthesizes the `execute at` loop.
-func LogicalScatterQuery() string { return xmark.LogicalScatterQuery() }
-
-// XMarkAuctions generates the site/open_auctions benchmark document.
-func XMarkAuctions(c XMarkConfig, uri string) *xdm.Document { return xmark.AuctionsDocument(c, uri) }
-
 // XMarkDefaultConfig returns the default generator configuration.
 func XMarkDefaultConfig() XMarkConfig { return xmark.DefaultConfig() }
-
-// BenchmarkQuery returns the §VII evaluation query over two peers.
-func BenchmarkQuery(peer1, peer2 string) string { return xmark.BenchmarkQuery(peer1, peer2) }

@@ -46,40 +46,6 @@ func TestFacadeExplain(t *testing.T) {
 	}
 }
 
-func TestFacadeParseQuery(t *testing.T) {
-	if err := distxq.ParseQuery(`1 + 1`); err != nil {
-		t.Errorf("valid query rejected: %v", err)
-	}
-	if err := distxq.ParseQuery(`for $x return`); err == nil {
-		t.Error("invalid query accepted")
-	}
-}
-
-func TestFacadeLocalEngine(t *testing.T) {
-	eng := distxq.LocalEngine(map[string]string{"d.xml": `<r><v>42</v></r>`})
-	res, err := eng.QueryString(`doc("d.xml")//v/text()`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if distxq.Serialize(res) != "42" {
-		t.Errorf("local engine = %s", distxq.Serialize(res))
-	}
-}
-
-func TestFacadeXMarkHelpers(t *testing.T) {
-	cfg := distxq.XMarkDefaultConfig()
-	cfg.Persons, cfg.Auctions, cfg.Items = 5, 5, 2
-	people := distxq.XMarkPeople(cfg, "p")
-	auctions := distxq.XMarkAuctions(cfg, "a")
-	if people.DocElem() == nil || auctions.DocElem() == nil {
-		t.Fatal("generated documents must have document elements")
-	}
-	q := distxq.BenchmarkQuery("x", "y")
-	if err := distxq.ParseQuery(q); err != nil {
-		t.Errorf("benchmark query must parse: %v", err)
-	}
-}
-
 // TestREADMEExample keeps the README snippet honest.
 func TestREADMEExample(t *testing.T) {
 	net := distxq.NewNetwork()

@@ -14,6 +14,7 @@ import (
 
 	"distxq/internal/eval"
 	"distxq/internal/projection"
+	"distxq/internal/testkit"
 	"distxq/internal/xdm"
 	"distxq/internal/xmark"
 	"distxq/internal/xrpc"
@@ -46,7 +47,7 @@ func BenchmarkMicroAxisSteps(b *testing.B) {
 			eng := microEngine(doc)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.QueryString(tc.query); err != nil {
+				if _, err := testkit.Query(eng, tc.query); err != nil {
 					b.Fatal(err)
 				}
 			}

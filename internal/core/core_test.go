@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"distxq/internal/testkit"
 	"distxq/internal/xq"
 )
 
@@ -116,7 +117,7 @@ func TestSinkLetsTableIII(t *testing.T) {
 	q := mustQuery(t, qc2)
 	AlphaRename(q)
 	SinkLets(q)
-	got := xq.Print(q.Body)
+	got := testkit.Print(q.Body)
 	// $c's let must now live inside the for-in expression.
 	if !strings.Contains(got, `for $e in (let $c := doc("xrpc://B/course42.xml") return`) {
 		t.Errorf("let $c not sunk into for-in:\n%s", got)
@@ -126,7 +127,7 @@ func TestSinkLetsTableIII(t *testing.T) {
 		t.Errorf("let $s not sunk into $t's binding:\n%s", got)
 	}
 	// Result must still parse.
-	if _, err := xq.ParseExpr(got); err != nil {
+	if _, err := testkit.ParseExpr(got); err != nil {
 		t.Fatalf("normalized query does not reparse: %v\n%s", err, got)
 	}
 }
@@ -135,8 +136,8 @@ func TestSinkLetsDropsUnused(t *testing.T) {
 	q := mustQuery(t, `let $dead := doc("a.xml") return 42`)
 	AlphaRename(q)
 	SinkLets(q)
-	if xq.Print(q.Body) != "42" {
-		t.Errorf("unused let should drop: %s", xq.Print(q.Body))
+	if testkit.Print(q.Body) != "42" {
+		t.Errorf("unused let should drop: %s", testkit.Print(q.Body))
 	}
 }
 
@@ -147,7 +148,7 @@ func TestSinkLetsStopsAtForReturn(t *testing.T) {
 	AlphaRename(q)
 	SinkLets(q)
 	if _, ok := q.Body.(*xq.LetExpr); !ok {
-		t.Errorf("let sank into a for body: %s", xq.Print(q.Body))
+		t.Errorf("let sank into a for body: %s", testkit.Print(q.Body))
 	}
 }
 
@@ -159,10 +160,10 @@ func TestSinkLetsAlphaCapture(t *testing.T) {
 	// Outer $x unused after resolution → dropped; loop unchanged.
 	fe, ok := q.Body.(*xq.ForExpr)
 	if !ok {
-		t.Fatalf("want for at top, got %s", xq.Print(q.Body))
+		t.Fatalf("want for at top, got %s", testkit.Print(q.Body))
 	}
-	if xq.Print(fe.Return) != "$"+fe.Var {
-		t.Errorf("loop body should reference the loop var: %s", xq.Print(q.Body))
+	if testkit.Print(fe.Return) != "$"+fe.Var {
+		t.Errorf("loop body should reference the loop var: %s", testkit.Print(q.Body))
 	}
 }
 
@@ -191,7 +192,7 @@ func TestDecomposeQ2ByValueTableIV(t *testing.T) {
 	if r.Host != "A" {
 		t.Errorf("pushed to %q, want A", r.Host)
 	}
-	body := xq.Print(r.X.Body)
+	body := testkit.Print(r.X.Body)
 	want := `doc("xrpc://A/students.xml")/child::people/child::person`
 	if body != want {
 		t.Errorf("fcn1 body = %s\nwant %s", body, want)
@@ -218,8 +219,8 @@ func TestDecomposeQ2ByFragmentTableIV(t *testing.T) {
 		t.Fatalf("want pushes to A and B, got %v", hosts)
 	}
 	// fcn1 (A): the whole student-selection including the for-loop.
-	if !strings.Contains(xq.Print(a.X.Body), "for $x") {
-		t.Errorf("A-side body should include the selection loop: %s", xq.Print(a.X.Body))
+	if !strings.Contains(testkit.Print(a.X.Body), "for $x") {
+		t.Errorf("A-side body should include the selection loop: %s", testkit.Print(a.X.Body))
 	}
 	if len(a.X.Params) != 0 {
 		t.Errorf("A-side takes no params, got %v", a.X.Params)
@@ -231,12 +232,12 @@ func TestDecomposeQ2ByFragmentTableIV(t *testing.T) {
 	if b.X.Params[0].Ref != "t" {
 		t.Errorf("B-side param ref = %q, want t", b.X.Params[0].Ref)
 	}
-	if !strings.Contains(xq.Print(b.X.Body), `doc("xrpc://B/course42.xml")`) {
-		t.Errorf("B-side body lost its doc: %s", xq.Print(b.X.Body))
+	if !strings.Contains(testkit.Print(b.X.Body), `doc("xrpc://B/course42.xml")`) {
+		t.Errorf("B-side body lost its doc: %s", testkit.Print(b.X.Body))
 	}
 	// The final /child::grade stays local.
-	if !strings.Contains(xq.Print(plan.Query.Body), "/child::grade") {
-		t.Errorf("grade step must remain local:\n%s", xq.Print(plan.Query.Body))
+	if !strings.Contains(testkit.Print(plan.Query.Body), "/child::grade") {
+		t.Errorf("grade step must remain local:\n%s", testkit.Print(plan.Query.Body))
 	}
 }
 
@@ -285,7 +286,7 @@ func TestDecomposeCodeMotionTableIV(t *testing.T) {
 	if b == nil {
 		t.Fatal("no B-side push")
 	}
-	body := xq.Print(b.X.Body)
+	body := testkit.Print(b.X.Body)
 	if strings.Contains(body, "/child::id") {
 		t.Errorf("code motion should remove the id path from the remote body: %s", body)
 	}
@@ -334,7 +335,7 @@ func TestCodeMotionNestsLetsAboveRemote(t *testing.T) {
 		t.Fatalf("let $cm1 does not wrap let $cm2 directly above the remote call:\n%s", xq.PrintQuery(plan.Query))
 	}
 	for _, l := range []*xq.LetExpr{outer, inner} {
-		if got := xq.Print(l.Bind); !strings.HasPrefix(got, "data($x/") {
+		if got := testkit.Print(l.Bind); !strings.HasPrefix(got, "data($x/") {
 			t.Errorf("$%s binds %s, want a path over $x", l.Var, got)
 		}
 	}
@@ -354,7 +355,7 @@ func TestInsertXRPCCaptureFreeParams(t *testing.T) {
 		if len(r.X.Params) != 1 || r.X.Params[0].Name != "dot2" || r.X.Params[0].Ref != "x" {
 			t.Fatalf("params %+v, want $dot2 := $x", r.X.Params[0])
 		}
-		if body := xq.Print(r.X.Body); !strings.Contains(body, "= $dot2") {
+		if body := testkit.Print(r.X.Body); !strings.Contains(body, "= $dot2") {
 			t.Errorf("shipped body compares against the wrong variable: %s", body)
 		}
 		return
@@ -417,7 +418,7 @@ func TestConditionIIBlocksNodeComparison(t *testing.T) {
 		for _, r := range plan.Remotes {
 			if r.Host == "A" {
 				t.Errorf("%s: A-side operand of a cross-call identity comparison shipped:\n%s",
-					strat, xq.Print(r.X.Body))
+					strat, testkit.Print(r.X.Body))
 			}
 		}
 	}
@@ -486,9 +487,9 @@ func TestDecomposedQueryStillPrintsAndParses(t *testing.T) {
 		}
 		// Shipped bodies must be reparseable (they travel as source text).
 		for _, r := range plan.Remotes {
-			if _, err := xq.ParseExpr(xq.Print(r.X.Body)); err != nil {
+			if _, err := testkit.ParseExpr(testkit.Print(r.X.Body)); err != nil {
 				t.Errorf("%s: shipped body does not reparse: %v\n%s",
-					strat, err, xq.Print(r.X.Body))
+					strat, err, testkit.Print(r.X.Body))
 			}
 		}
 	}

@@ -241,19 +241,6 @@ func (g *Graph) DocSet(v xq.Expr) map[DocID]bool {
 	return out
 }
 
-// SameDocSet reports set equality of two doc sets.
-func SameDocSet(a, b map[DocID]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
-
 // HasMatchingDoc implements the §V predicate (as the prose defines it): the
 // expression depends on two *different* applications of fn:doc() with the
 // same URI (computed URIs match anything), the situation that can mix nodes

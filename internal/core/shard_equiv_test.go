@@ -16,6 +16,7 @@ import (
 	"distxq/internal/eval"
 	"distxq/internal/peer"
 	"distxq/internal/service"
+	"distxq/internal/testkit"
 	"distxq/internal/xdm"
 	"distxq/internal/xmark"
 )
@@ -83,7 +84,7 @@ const sends = 3
 func (w *shardedWorld) requireBothExecutors(t *testing.T, svcs ...*service.Service) {
 	t.Helper()
 	for _, svc := range svcs {
-		if st, c := svc.Stats(), svc.EvalStats().Compilations; st.PlanMisses == 0 || c == 0 {
+		if st, c := svc.Stats(), testkit.Metric(t, svc.WriteMetrics, "distxq_eval_compilations_total"); st.PlanMisses == 0 || c == 0 {
 			t.Errorf("%d peers: originator planned %d queries afresh and compiled %d; the harness must exercise both executors",
 				w.peers, st.PlanMisses, c)
 		}
@@ -293,7 +294,7 @@ func TestShardRewriteEquivalence(t *testing.T) {
 					fellBack++
 				}
 				for _, w := range worlds {
-					localRes, err := w.refEng.QueryString(q.src)
+					localRes, err := testkit.Query(w.refEng, q.src)
 					if err != nil {
 						t.Fatalf("query %d (%d peers) local eval: %v\n%s", qi, w.peers, err, q.src)
 					}
@@ -332,7 +333,7 @@ func TestShardRewriteEquivalence(t *testing.T) {
 func TestShardRewriteEquivalenceAcrossStrategies(t *testing.T) {
 	cfg := harnessConfig()
 	w := newShardedWorld(t, cfg, 4)
-	localRes, err := w.refEng.QueryString(xmark.LogicalScatterQuery())
+	localRes, err := testkit.Query(w.refEng, xmark.LogicalScatterQuery())
 	if err != nil {
 		t.Fatal(err)
 	}

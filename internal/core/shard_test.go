@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"distxq/internal/testkit"
 	"distxq/internal/xdm"
 	"distxq/internal/xq"
 )
@@ -234,7 +235,7 @@ func TestSynthScatterShape(t *testing.T) {
 	if _, ok := x.Target.(*xq.VarRef); !ok {
 		t.Fatalf("scatter target is %T, want the loop variable", x.Target)
 	}
-	body := xq.Print(x.Body)
+	body := testkit.Print(x.Body)
 	if !strings.Contains(body, `doc("p.xml")`) || strings.Contains(body, "shard://") {
 		t.Fatalf("body not retargeted at the shard path:\n%s", body)
 	}

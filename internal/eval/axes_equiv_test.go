@@ -253,7 +253,7 @@ func TestEvalPathMultiStepEquivalence(t *testing.T) {
 		}},
 	}
 	for _, q := range queries {
-		got, err := eng.QueryString(q.src)
+		got, err := queryString(eng, q.src)
 		if err != nil {
 			t.Fatalf("%s: %v", q.src, err)
 		}

@@ -305,7 +305,7 @@ func drainCompiled(t *testing.T, e *Engine, q *xq.Query, src string) (xdm.Sequen
 	if err != nil {
 		t.Fatalf("QuerySeq: %v\ninput: %q", err, src)
 	}
-	return s.Materialize()
+	return drain(s)
 }
 
 func compareModes(t *testing.T, mode, src string, twRes xdm.Sequence, twErr error, ccRes xdm.Sequence, ccErr error) {

@@ -172,7 +172,7 @@ func TestDistinctValuesKeying(t *testing.T) {
 		for _, compile := range []bool{false, true} {
 			eng := NewEngine(docs)
 			eng.Options.Compile = compile
-			res, err := eng.QueryString(tc.src)
+			res, err := queryString(eng, tc.src)
 			if err != nil {
 				t.Fatalf("compile=%v %s: %v", compile, tc.src, err)
 			}
@@ -456,7 +456,7 @@ func TestTreeWalkAttachesNoProgram(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := s.Materialize()
+			got, err := drain(s)
 			if err != nil || serialize(got) != serialize(want) {
 				t.Fatalf("%s call %d: %v, %v, want %v", lazy.name, call, got, err, want)
 			}

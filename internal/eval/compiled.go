@@ -34,9 +34,9 @@ type Options struct {
 	// production code never sets it. Whatever its value, a query that already
 	// carries a Program runs it — the caches that witness reuse (the service's
 	// plan cache, the XRPC server's module cache) attach one to what they
-	// retain — and the lazy entry points (QuerySeq, EvalFunctionSeqDeadline),
-	// whose only executor is the compiled push form, lower any other query on
-	// the spot; an eager call of any other query tree-walks. Results and
+	// retain — and the lazy entry point EvalFunctionSeqDeadline, whose only
+	// executor is the compiled push form, lowers any other query on the
+	// spot; an eager call of any other query tree-walks. Results and
 	// errors are identical either way; only speed changes.
 	Compile bool
 }
@@ -348,14 +348,6 @@ type cfunc struct {
 // run evaluates the program body eagerly under ctx.
 func (p *Program) run(ctx *context) (xdm.Sequence, error) {
 	return p.body(newFrame(ctx, p.nslots, p.nitems, nil), nil)
-}
-
-// runSeq returns the program body as a lazy sequence; the frame is created at
-// first pull, matching the nothing-runs-until-pulled contract of QuerySeq.
-func (p *Program) runSeq(ctx *context) xdm.Seq {
-	return func(yield func(xdm.Item) bool) error {
-		return halted(p.bodySeq(newFrame(ctx, p.nslots, p.nitems, nil), yield))
-	}
 }
 
 // callFunction invokes a declared function by name and arity — the compiled

@@ -328,14 +328,6 @@ func (e *Engine) Doc(uri string) (*xdm.Document, error) {
 	return ent.doc, ent.err
 }
 
-// ResetDocCache clears cached documents (used between benchmark runs).
-func (e *Engine) ResetDocCache() {
-	e.mu.Lock()
-	e.docCache = nil
-	e.Stats = Stats{}
-	e.mu.Unlock()
-}
-
 // StatsSnapshot returns a consistent copy of the evaluation counters; use it
 // instead of reading Stats directly while queries may be in flight.
 func (e *Engine) StatsSnapshot() Stats {
@@ -357,57 +349,20 @@ func (e *Engine) Query(q *xq.Query) (xdm.Sequence, error) {
 	return ctx.eval(q.Body)
 }
 
-// QuerySeq normalizes a parsed query and returns its result as a lazy
-// sequence. Nothing is evaluated until the sequence is pulled. The compiled
-// push form is the only lazy executor, so a query without a Program is
-// lowered now.
-func (e *Engine) QuerySeq(q *xq.Query) (xdm.Seq, error) {
-	if err := xq.Normalize(q); err != nil {
-		return nil, err
-	}
-	return e.program(q, true).runSeq(e.newContext(q.Funcs)), nil
-}
-
-// QueryString parses, normalizes and evaluates query source text.
-func (e *Engine) QueryString(src string) (xdm.Sequence, error) {
-	q, err := xq.ParseQuery(src)
+// EvalFunctionDeadline evaluates a declared function of q with the given
+// arguments; the XRPC server side uses it to run shipped functions. static,
+// when non-nil, overrides the engine's static context — how XRPC propagates
+// the caller's static-base-uri, default-collation and current-dateTime to
+// the remote peer (Problem 5 class 1). A non-zero deadline bounds the call:
+// once it passes, evaluation aborts with ErrDeadlineExceeded and the
+// engine's DeadlineAborts counter records the abandoned work. This is the
+// server-side half of budget propagation — a peer stops evaluating a
+// shipped function the moment the originator's budget expires instead of
+// computing a result nobody will gather.
+func (e *Engine) EvalFunctionDeadline(q *xq.Query, name string, args []xdm.Sequence, static *StaticContext, deadline time.Time) (xdm.Sequence, error) {
+	ctx, err := e.callContext(q, static, deadline)
 	if err != nil {
 		return nil, err
-	}
-	return e.Query(q)
-}
-
-// EvalFunction evaluates a declared function with the given arguments; the
-// XRPC server side uses it to run shipped functions.
-func (e *Engine) EvalFunction(q *xq.Query, name string, args []xdm.Sequence) (xdm.Sequence, error) {
-	return e.EvalFunctionStatic(q, name, args, nil)
-}
-
-// EvalFunctionStatic evaluates a declared function under an optional static
-// context override — how XRPC propagates the caller's static-base-uri,
-// default-collation and current-dateTime to the remote peer (Problem 5
-// class 1).
-func (e *Engine) EvalFunctionStatic(q *xq.Query, name string, args []xdm.Sequence, static *StaticContext) (xdm.Sequence, error) {
-	return e.EvalFunctionDeadline(q, name, args, static, time.Time{})
-}
-
-// EvalFunctionDeadline is EvalFunctionStatic bounded by a per-call deadline:
-// once it passes, the tree-walk aborts with ErrDeadlineExceeded and the
-// engine's DeadlineAborts counter records the abandoned work. A zero
-// deadline means unbounded. This is the server-side half of budget
-// propagation — a peer stops evaluating a shipped function the moment the
-// originator's budget expires instead of computing a result nobody will
-// gather.
-func (e *Engine) EvalFunctionDeadline(q *xq.Query, name string, args []xdm.Sequence, static *StaticContext, deadline time.Time) (xdm.Sequence, error) {
-	if err := xq.Normalize(q); err != nil {
-		return nil, err
-	}
-	ctx := e.newContext(q.Funcs)
-	if static != nil {
-		ctx.static = *static
-	}
-	if !deadline.IsZero() {
-		ctx.stop = &stopCheck{eng: e, deadline: deadline}
 	}
 	if p := e.program(q, false); p != nil {
 		return p.callFunction(ctx, name, args)
@@ -426,9 +381,21 @@ func (e *Engine) EvalFunctionDeadline(q *xq.Query, name string, args []xdm.Seque
 // while the call is still computing. Argument types are checked eagerly
 // (faults beat frames); the result type streams per item when the declared
 // occurrence is `*` and falls back to materialize-then-check otherwise,
-// since occurrence constraints need the whole result. Like QuerySeq, it
-// lowers a query that carries no Program.
+// since occurrence constraints need the whole result. The compiled push
+// form is the only lazy executor, so a query that carries no Program is
+// lowered now.
 func (e *Engine) EvalFunctionSeqDeadline(q *xq.Query, name string, args []xdm.Sequence, static *StaticContext, deadline time.Time) (xdm.Seq, error) {
+	ctx, err := e.callContext(q, static, deadline)
+	if err != nil {
+		return nil, err
+	}
+	return e.program(q, true).callFunctionSeq(ctx, name, args)
+}
+
+// callContext normalizes q and builds the context a function call of the
+// two EvalFunction entry points runs in: static, when non-nil, replaces the
+// engine's static context, and a non-zero deadline installs a stop check.
+func (e *Engine) callContext(q *xq.Query, static *StaticContext, deadline time.Time) (*context, error) {
 	if err := xq.Normalize(q); err != nil {
 		return nil, err
 	}
@@ -439,13 +406,14 @@ func (e *Engine) EvalFunctionSeqDeadline(q *xq.Query, name string, args []xdm.Se
 	if !deadline.IsZero() {
 		ctx.stop = &stopCheck{eng: e, deadline: deadline}
 	}
-	return e.program(q, true).callFunctionSeq(ctx, name, args)
+	return ctx, nil
 }
 
 // program selects q's executor: the Program q carries — attached by a cache
 // that saw q reused, or by an earlier call — else a fresh lowering when the
-// caller is a lazy entry point (lazy) or the engine's Compile option is set.
-// Nil means q tree-walks, which only an eager entry point can ask for.
+// caller is the lazy entry point EvalFunctionSeqDeadline (lazy) or the
+// engine's Compile option is set. Nil means q tree-walks, which only an
+// eager entry point can ask for.
 func (e *Engine) program(q *xq.Query, lazy bool) *Program {
 	p, ok := q.CompiledArtifact().(*Program)
 	if !ok && (lazy || e.Options.Compile) {

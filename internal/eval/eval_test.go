@@ -25,7 +25,7 @@ func (m mapResolver) ResolveDoc(uri string) (*xdm.Document, error) {
 func run(t *testing.T, docs mapResolver, src string) xdm.Sequence {
 	t.Helper()
 	e := NewEngine(docs)
-	res, err := e.QueryString(src)
+	res, err := queryString(e, src)
 	if err != nil {
 		t.Fatalf("query %q: %v", src, err)
 	}
@@ -35,7 +35,7 @@ func run(t *testing.T, docs mapResolver, src string) xdm.Sequence {
 func runErr(t *testing.T, docs mapResolver, src string) error {
 	t.Helper()
 	e := NewEngine(docs)
-	_, err := e.QueryString(src)
+	_, err := queryString(e, src)
 	if err == nil {
 		t.Fatalf("query %q: expected error", src)
 	}
@@ -270,10 +270,16 @@ func TestBaseURIDocumentURI(t *testing.T) {
 
 func TestXRPCBaseURIOverride(t *testing.T) {
 	// Shipped parameter nodes carry BaseURI; xrpc:base-uri must honor it.
-	d := xdm.MustParseString("<a><b/></a>", "frag://1")
+	d, err := xdm.ParseString("<a><b/></a>", "frag://1")
+	if err != nil {
+		t.Fatal(err)
+	}
 	d.DocElem().BaseURI = "original.xml"
 	e := NewEngine(nil)
-	q := xq.MustParseQuery(`xrpc:base-uri($n/b)`)
+	q, err := xq.ParseQuery(`xrpc:base-uri($n/b)`)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := xq.Normalize(q); err != nil {
 		t.Fatal(err)
 	}
@@ -307,18 +313,18 @@ func TestUnknownsAndErrors(t *testing.T) {
 
 func TestDocCaching(t *testing.T) {
 	e := NewEngine(peopleDocs)
-	if _, err := e.QueryString(`(doc("people.xml")//person[1], doc("people.xml")//person[1])`); err != nil {
+	if _, err := queryString(e, `(doc("people.xml")//person[1], doc("people.xml")//person[1])`); err != nil {
 		t.Fatal(err)
 	}
 	if e.Stats.DocsResolved != 1 {
 		t.Errorf("DocsResolved = %d, want 1 (cached)", e.Stats.DocsResolved)
 	}
-	e.ResetDocCache()
-	if _, err := e.QueryString(`doc("people.xml")`); err != nil {
+	// The cache is the engine's, so a later query resolves nothing anew.
+	if _, err := queryString(e, `doc("people.xml")`); err != nil {
 		t.Fatal(err)
 	}
 	if e.Stats.DocsResolved != 1 {
-		t.Errorf("after reset DocsResolved = %d", e.Stats.DocsResolved)
+		t.Errorf("second query DocsResolved = %d, want 1 (cached)", e.Stats.DocsResolved)
 	}
 }
 

@@ -39,7 +39,7 @@ func evalLazy(e *Engine, src string) (xdm.Sequence, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.Materialize()
+	return drain(s)
 }
 
 // lazyEquivQueries covers both the streaming cases (downward final steps,
@@ -304,7 +304,7 @@ func TestQuerySeqConcurrentFirstUse(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			res, err := s.Materialize()
+			res, err := drain(s)
 			if err != nil {
 				t.Error(err)
 				return
@@ -381,14 +381,14 @@ func TestCallDeclaredSeqTypeChecks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Materialize(); err == nil || !strings.Contains(err.Error(), "exactly one") {
+	if _, err := drain(s); err == nil || !strings.Contains(err.Error(), "exactly one") {
 		t.Fatalf("occurrence violation not caught: %v", err)
 	}
 	s, err = e.EvalFunctionSeqDeadline(q, "local:nodes", []xdm.Sequence{{xdm.NewInteger(1)}}, nil, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Materialize(); err == nil || !strings.Contains(err.Error(), "does not match type") {
+	if _, err := drain(s); err == nil || !strings.Contains(err.Error(), "does not match type") {
 		t.Fatalf("item type violation not caught: %v", err)
 	}
 	oracle, err := xq.ParseQuery(src) // its own parse: the tree-walker's call
@@ -400,7 +400,7 @@ func TestCallDeclaredSeqTypeChecks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Materialize(); want == nil || err == nil || err.Error() != want.Error() {
+	if _, err := drain(s); want == nil || err == nil || err.Error() != want.Error() {
 		t.Fatalf("streamed fault %v, eager fault %v", err, want)
 	}
 }

@@ -1,11 +1,9 @@
 package load
 
-// Fault and straggler injection for load runs. Kills go through the same
+// Fault injection for the load tests. Kills go through the same
 // Network.KillPeer/RevivePeer path the failover tests use — a killed peer's
 // endpoint deregisters, so its lanes fail like a dead host and the dispatch
-// layer must fail over. Stragglers wrap a peer's in-memory endpoint with a
-// fixed service delay, the overload tests' way of making a federation
-// slower than its offered load.
+// layer must fail over.
 
 import (
 	"math/rand"
@@ -13,7 +11,6 @@ import (
 	"time"
 
 	"distxq/internal/peer"
-	"distxq/internal/xrpc"
 )
 
 // Chaos kills random peers for bounded downtimes while a load run is in
@@ -74,39 +71,4 @@ func (c *Chaos) Start() (stop func()) {
 		close(done)
 		wg.Wait()
 	}
-}
-
-// slowHandler delays a peer's in-memory endpoint by a fixed service time,
-// for both gathered and streamed exchanges.
-type slowHandler struct {
-	inner xrpc.Handler
-	delay time.Duration
-}
-
-func (s *slowHandler) Handle(request []byte) ([]byte, error) {
-	time.Sleep(s.delay)
-	return s.inner.Handle(request)
-}
-
-func (s *slowHandler) HandleStream(request []byte, emit func([]byte) error) error {
-	time.Sleep(s.delay)
-	if sh, ok := s.inner.(xrpc.StreamHandler); ok {
-		return sh.HandleStream(request, emit)
-	}
-	resp, err := s.inner.Handle(request)
-	if err != nil {
-		return err
-	}
-	return emit(resp)
-}
-
-// SlowPeer injects a straggler: the named in-process peer's endpoint gains
-// a fixed service delay on every exchange. The returned restore removes it.
-func SlowPeer(net *peer.Network, name string, delay time.Duration) (restore func()) {
-	p, ok := net.Peer(name)
-	if !ok {
-		return func() {}
-	}
-	net.Transport.Register(name, &slowHandler{inner: p.Server, delay: delay})
-	return func() { net.Transport.Register(name, p.Server) }
 }

@@ -11,6 +11,7 @@ import (
 	"distxq/internal/core"
 	"distxq/internal/peer"
 	"distxq/internal/service"
+	"distxq/internal/testkit"
 	"distxq/internal/xdm"
 	"distxq/internal/xrpc"
 )
@@ -62,7 +63,7 @@ for $p in (%s) return execute at {$p} { young() }`, strings.Join(quoted, ", "))
 // reuse, and at least one peer compiled the module it was sent repeatedly.
 func (f *federation) requireBothExecutors(t *testing.T, svc *service.Service) {
 	t.Helper()
-	if st, c := svc.Stats(), svc.EvalStats().Compilations; st.PlanMisses == 0 || c == 0 {
+	if st, c := svc.Stats(), testkit.Metric(t, svc.WriteMetrics, "distxq_eval_compilations_total"); st.PlanMisses == 0 || c == 0 {
 		t.Errorf("originator planned %d queries afresh and compiled %d; the test must exercise both executors", st.PlanMisses, c)
 	}
 	for _, name := range f.all {

@@ -90,13 +90,16 @@ func TestSharedFinishTimesHandComputed(t *testing.T) {
 }
 
 // TestSharedSingleLaneEqualsIndependent: with one lane there is nothing to
-// share — the contended wave prices exactly the independent-port LaneTime,
-// so the model strictly generalizes the existing one.
+// share — a response that reaches the link after its request transfer, the
+// server delay and the return latency finishes exactly at the
+// independent-port LaneTime, so the model strictly generalizes the existing
+// one.
 func TestSharedSingleLaneEqualsIndependent(t *testing.T) {
 	for _, m := range []Model{GigabitLAN(), WAN(), {Latency: time.Millisecond}} {
 		e := Exchange{ReqBytes: 2 << 10, RespBytes: 256 << 10}
 		delay := 300 * time.Microsecond
-		_, makespan := m.SharedGatherWave([]Exchange{e}, []time.Duration{delay})
+		lane := ContendedLane{Ready: m.TransferTime(e.ReqBytes) + delay + m.Latency, Bytes: e.RespBytes}
+		makespan := m.SharedFinishTimes([]ContendedLane{lane})[0]
 		if want := m.LaneTime(e, delay); !within(makespan, want, eps) {
 			t.Errorf("model %+v: single shared lane %v, independent %v", m, makespan, want)
 		}

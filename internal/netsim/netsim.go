@@ -37,12 +37,6 @@ func GigabitLAN() Model {
 	return Model{Latency: 200 * time.Microsecond, BandwidthBytesPerSec: 125e6}
 }
 
-// WAN approximates a wide-area link (20 ms, 50 Mb/s), the setting the paper
-// argues benefits even more from reduced message sizes.
-func WAN() Model {
-	return Model{Latency: 20 * time.Millisecond, BandwidthBytesPerSec: 6.25e6}
-}
-
 // TransferTime returns the simulated time to move n bytes one way.
 func (m Model) TransferTime(n int64) time.Duration {
 	d := m.Latency

@@ -31,6 +31,12 @@ func TestRoundTripIsSumOfTransfers(t *testing.T) {
 	}
 }
 
+// WAN approximates a wide-area link (20 ms, 50 Mb/s), the setting the paper
+// argues benefits even more from reduced message sizes.
+func WAN() Model {
+	return Model{Latency: 20 * time.Millisecond, BandwidthBytesPerSec: 6.25e6}
+}
+
 func TestPresetsOrdering(t *testing.T) {
 	lan, wan := GigabitLAN(), WAN()
 	if lan.TransferTime(1<<20) >= wan.TransferTime(1<<20) {

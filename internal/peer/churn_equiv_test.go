@@ -18,6 +18,7 @@ import (
 
 	"distxq/internal/core"
 	"distxq/internal/eval"
+	"distxq/internal/testkit"
 	"distxq/internal/xdm"
 	"distxq/internal/xmark"
 	"distxq/internal/xrpc"
@@ -231,7 +232,7 @@ func (w *churnWorld) runSchedule(rng *rand.Rand, schedule int, reuse *planReuse)
 			}
 		}
 		src := churnQuery(rng)
-		localRes, err := w.refEng.QueryString(src)
+		localRes, err := testkit.Query(w.refEng, src)
 		if err != nil {
 			w.t.Fatalf("schedule %d query %d local eval: %v\n%s", schedule, qi, err, src)
 		}

@@ -80,9 +80,6 @@ type DocID struct {
 // String renders doc("uri"::"v").
 func (d DocID) String() string { return fmt.Sprintf("doc(%q::%q)", d.URI, fmt.Sprint(d.Vertex)) }
 
-// Wildcard reports whether the document URI is computed (doc(*)).
-func (d DocID) Wildcard() bool { return d.URI == "*" }
-
 // String renders the path in the grammar of Table V.
 func (p Path) String() string {
 	var sb strings.Builder
@@ -170,19 +167,6 @@ func (ps PathSet) Union(qs PathSet) PathSet {
 	out := ps
 	for _, q := range qs {
 		out = out.Add(q)
-	}
-	return out
-}
-
-// Docs returns the distinct document identities mentioned by the set.
-func (ps PathSet) Docs() []DocID {
-	var out []DocID
-	seen := map[DocID]bool{}
-	for _, p := range ps {
-		if p.Doc != nil && !seen[*p.Doc] {
-			seen[*p.Doc] = true
-			out = append(out, *p.Doc)
-		}
 	}
 	return out
 }

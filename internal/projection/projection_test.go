@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"distxq/internal/testkit"
 	"distxq/internal/xdm"
 	"distxq/internal/xq"
 )
@@ -26,7 +27,7 @@ func findElem(d *xdm.Document, name string) *xdm.Node {
 }
 
 func TestAlgorithm1Figure6(t *testing.T) {
-	d := xdm.MustParseString(fig6XML, "fig6.xml")
+	d := testkit.MustParseString(fig6XML, "fig6.xml")
 	U := []*xdm.Node{findElem(d, "i")}
 	R := []*xdm.Node{findElem(d, "d"), findElem(d, "k")}
 	p, err := Project(U, R, d, Options{})
@@ -59,7 +60,7 @@ func TestAlgorithm1Figure6(t *testing.T) {
 }
 
 func TestProjectUsedKeepsNodeOnly(t *testing.T) {
-	d := xdm.MustParseString(`<r><x><deep><tree/></deep></x><y/></r>`, "u.xml")
+	d := testkit.MustParseString(`<r><x><deep><tree/></deep></x><y/></r>`, "u.xml")
 	U := []*xdm.Node{findElem(d, "x")}
 	p, err := Project(U, nil, d, Options{})
 	if err != nil {
@@ -72,7 +73,7 @@ func TestProjectUsedKeepsNodeOnly(t *testing.T) {
 }
 
 func TestProjectReturnedKeepsSubtree(t *testing.T) {
-	d := xdm.MustParseString(`<r><x><deep><tree/></deep></x><y/></r>`, "r.xml")
+	d := testkit.MustParseString(`<r><x><deep><tree/></deep></x><y/></r>`, "r.xml")
 	R := []*xdm.Node{findElem(d, "x")}
 	p, err := Project(nil, R, d, Options{})
 	if err != nil {
@@ -84,7 +85,7 @@ func TestProjectReturnedKeepsSubtree(t *testing.T) {
 }
 
 func TestProjectAttributes(t *testing.T) {
-	d := xdm.MustParseString(`<r><p id="1" other="x"><sub/></p><p id="2" other="y"/></r>`, "a.xml")
+	d := testkit.MustParseString(`<r><p id="1" other="x"><sub/></p><p id="2" other="y"/></r>`, "a.xml")
 	var ids []*xdm.Node
 	d.Root.WalkDescendants(func(n *xdm.Node) bool {
 		if a := n.Attr("id"); a != nil {
@@ -110,7 +111,7 @@ func TestProjectAttributes(t *testing.T) {
 }
 
 func TestProjectKeepAllAttributesOption(t *testing.T) {
-	d := xdm.MustParseString(`<r><p id="1" must="keep"/></r>`, "ka.xml")
+	d := testkit.MustParseString(`<r><p id="1" must="keep"/></r>`, "ka.xml")
 	p1 := findElem(d, "p")
 	got, err := Project([]*xdm.Node{p1}, nil, d, Options{KeepAllAttributes: true})
 	if err != nil {
@@ -129,7 +130,7 @@ func TestProjectKeepAllAttributesOption(t *testing.T) {
 }
 
 func TestProjectSchemaKeep(t *testing.T) {
-	d := xdm.MustParseString(`<r><p><mandatory/><optional/></p></r>`, "sk.xml")
+	d := testkit.MustParseString(`<r><p><mandatory/><optional/></p></r>`, "sk.xml")
 	keep := func(n *xdm.Node) bool { return n.Name == "mandatory" }
 	p, err := Project([]*xdm.Node{findElem(d, "p")}, nil, d, Options{SchemaKeep: keep})
 	if err != nil {
@@ -141,7 +142,7 @@ func TestProjectSchemaKeep(t *testing.T) {
 }
 
 func TestProjectWholeDocReturned(t *testing.T) {
-	d := xdm.MustParseString(`<a><b/><c/></a>`, "w.xml")
+	d := testkit.MustParseString(`<a><b/><c/></a>`, "w.xml")
 	p, err := Project(nil, []*xdm.Node{d.DocElem()}, d, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -152,8 +153,8 @@ func TestProjectWholeDocReturned(t *testing.T) {
 }
 
 func TestProjectErrorWrongDoc(t *testing.T) {
-	d1 := xdm.MustParseString(`<a/>`, "1.xml")
-	d2 := xdm.MustParseString(`<b/>`, "2.xml")
+	d1 := testkit.MustParseString(`<a/>`, "1.xml")
+	d2 := testkit.MustParseString(`<b/>`, "2.xml")
 	if _, err := Project([]*xdm.Node{d2.DocElem()}, nil, d1, Options{}); err == nil {
 		t.Error("cross-document projection nodes must error")
 	}
@@ -212,7 +213,7 @@ func TestAllSuffixes(t *testing.T) {
 }
 
 func TestAnalyzeDocRules(t *testing.T) {
-	q := xq.MustParseQuery(`doc("d.xml")/child::a/child::b`)
+	q := testkit.MustParseQuery(`doc("d.xml")/child::a/child::b`)
 	if err := xq.Normalize(q); err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestAnalyzeDocRules(t *testing.T) {
 }
 
 func TestAnalyzeComputedDocIsWildcard(t *testing.T) {
-	q := xq.MustParseQuery(`doc(concat("d",".xml"))/child::a`)
+	q := testkit.MustParseQuery(`doc(concat("d",".xml"))/child::a`)
 	if err := xq.Normalize(q); err != nil {
 		t.Fatal(err)
 	}
@@ -247,13 +248,13 @@ func TestAnalyzeComputedDocIsWildcard(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := a.Returned[q.Body]
-	if len(r) != 1 || r[0].Doc == nil || !r[0].Doc.Wildcard() {
+	if len(r) != 1 || r[0].Doc == nil || r[0].Doc.URI != "*" {
 		t.Errorf("computed doc should be wildcard: %s", r)
 	}
 }
 
 func TestAnalyzeRootAndID(t *testing.T) {
-	q := xq.MustParseQuery(`root(doc("d.xml")/child::a/child::b)`)
+	q := testkit.MustParseQuery(`root(doc("d.xml")/child::a/child::b)`)
 	if err := xq.Normalize(q); err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestAnalyzeRootAndID(t *testing.T) {
 		t.Errorf("ROOT rule: %s", r)
 	}
 
-	q2 := xq.MustParseQuery(`id("i1", doc("d.xml"))`)
+	q2 := testkit.MustParseQuery(`id("i1", doc("d.xml"))`)
 	if err := xq.Normalize(q2); err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +283,7 @@ func TestAnalyzeRootAndID(t *testing.T) {
 
 func TestAnalyzeFLWORPredicatePaths(t *testing.T) {
 	// The benchmark-query shape: selection via if inside for.
-	q := xq.MustParseQuery(`
+	q := testkit.MustParseQuery(`
 		let $s := doc("x.xml")/child::site/child::people/child::person
 		return for $x in $s return
 		  if ($x/descendant::age < 40) then $x else ()`)
@@ -311,7 +312,7 @@ func TestAnalyzeFLWORPredicatePaths(t *testing.T) {
 
 func TestAnalyzeXRPCRelativePaths(t *testing.T) {
 	// fcn2 style: remote body uses $param/child::id; results /child::grade.
-	q := xq.MustParseQuery(`
+	q := testkit.MustParseQuery(`
 	declare function fcn2($p as node()*) as node()*
 	{ for $e in doc("xrpc://B/c.xml")/child::enroll/child::exam return
 	  if ($e/attribute::id = $p/child::id) then $e else () };
@@ -361,7 +362,7 @@ func TestRuntimeVsCompileTimePrecision(t *testing.T) {
 		`<person id="p2"><age>50</age><desc>bbbb</desc></person>` +
 		`<person id="p3"><age>20</age><desc>cccc</desc></person>` +
 		`</people></site>`
-	d := xdm.MustParseString(xml, "xmk.xml")
+	d := testkit.MustParseString(xml, "xmk.xml")
 	personPath, _ := ParsePath(`child::site/child::people/child::person/descendant-or-self::node()`)
 	agePath, _ := ParsePath(`child::site/child::people/child::person/child::age/descendant-or-self::node()`)
 	ct, err := CompileTimeProject(PathSet{agePath}, PathSet{personPath}, d, Options{KeepAllAttributes: true})
@@ -390,20 +391,8 @@ func TestRuntimeVsCompileTimePrecision(t *testing.T) {
 	}
 }
 
-func TestSplitSubtreePaths(t *testing.T) {
-	p1, _ := ParsePath(`child::a/descendant-or-self::node()`)
-	p2, _ := ParsePath(`child::b`)
-	withSub, plain := SplitSubtreePaths(PathSet{p1, p2})
-	if len(withSub) != 1 || withSub[0].String() != "child::a" {
-		t.Errorf("withSubtree = %s", withSub)
-	}
-	if len(plain) != 1 || plain[0].String() != "child::b" {
-		t.Errorf("plain = %s", plain)
-	}
-}
-
 func TestEvalPathsRootAndID(t *testing.T) {
-	d := xdm.MustParseString(`<db><item id="i1"/><ref idref="i1"/></db>`, "ei.xml")
+	d := testkit.MustParseString(`<db><item id="i1"/><ref idref="i1"/></db>`, "ei.xml")
 	item := findElem(d, "item")
 	rootP, _ := ParsePath(`root()`)
 	got := EvalPaths([]*xdm.Node{item}, PathSet{rootP})
@@ -435,7 +424,7 @@ func pathStepsString(p Path) string {
 // same node sets as contexts that force the general sorting path — nested,
 // duplicated, and reversed contexts included.
 func TestEvalPathsOrderedFastPath(t *testing.T) {
-	d := xdm.MustParseString(
+	d := testkit.MustParseString(
 		`<lib><book id="b0"><title>t0</title><pages>100</pages></book>`+
 			`<book id="b1"><title>t1</title><pages>200</pages></book>`+
 			`<book id="b2"><title>t2</title></book></lib>`, "fp.xml")

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"distxq/internal/testkit"
 	"distxq/internal/xdm"
 )
 
@@ -194,7 +195,7 @@ func fuzzDoc(data []byte) *xdm.Document {
 		sb.WriteString("</" + name + ">")
 	}
 	elem(0)
-	return xdm.MustParseString(sb.String(), "fuzz.xml")
+	return testkit.MustParseString(sb.String(), "fuzz.xml")
 }
 
 // fuzzNodes lists every node of d in document order, attributes included.

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 )
 
 // metricRow is one sample: name, optional peer or construct label, kind,
@@ -150,11 +149,4 @@ func writeRows(w io.Writer, rows []metricRow) error {
 		}
 	}
 	return nil
-}
-
-// MetricsText renders the unified metrics page to a string.
-func (s *Service) MetricsText() string {
-	var sb strings.Builder
-	_ = s.WriteMetrics(&sb)
-	return sb.String()
 }

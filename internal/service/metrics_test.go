@@ -1,13 +1,16 @@
 package service
 
 import (
+	"io"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"distxq/internal/core"
+	"distxq/internal/eval"
 	"distxq/internal/trace"
+	"distxq/internal/xrpc"
 )
 
 // guardedQuery is newTestService's scatter query nested seven loops deep:
@@ -19,6 +22,14 @@ for $a in 1 return for $b in 1 return for $c in 1 return for $d in 1 return
 for $e in 1 return for $g in 1 return
 for $p in ("peer1", "peer2") return execute at {$p} { f() }`
 
+// EvalStats returns the aggregated evaluation counters across every query
+// the service has executed.
+func (s *Service) EvalStats() eval.Stats { return s.evalStats.Snapshot() }
+
+// XRPCMetrics returns the aggregated transport counters across every query;
+// dispatch waves are counted (WaveCount), their lane records are not kept.
+func (s *Service) XRPCMetrics() xrpc.Metrics { return s.xmetrics.Snapshot() }
+
 // TestMetricsTextSurface: the unified /metrics page carries all four feeds —
 // service counters, evaluation counters, transport metrics, per-peer health —
 // in exposition format with HELP/TYPE headers.
@@ -29,7 +40,11 @@ func TestMetricsTextSurface(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	text := svc.MetricsText()
+	var page strings.Builder
+	if err := svc.WriteMetrics(&page); err != nil {
+		t.Fatal(err)
+	}
+	text := page.String()
 	for _, want := range []string{
 		"# HELP distxq_service_admitted_total",
 		"# TYPE distxq_service_admitted_total counter",
@@ -70,7 +85,7 @@ func TestMetricsSnapshotRace(t *testing.T) {
 					return
 				default:
 				}
-				_ = svc.MetricsText()
+				_ = svc.WriteMetrics(io.Discard)
 				_ = svc.Stats()
 				_ = svc.PeerHealth()
 				_ = svc.EvalStats()

@@ -365,13 +365,5 @@ func (s *Service) Query(src string, budget core.Budget) (xdm.Sequence, *peer.Rep
 	return res, rep, nil
 }
 
-// EvalStats returns the aggregated evaluation counters across every query
-// the service has executed.
-func (s *Service) EvalStats() eval.Stats { return s.evalStats.Snapshot() }
-
-// XRPCMetrics returns the aggregated transport counters across every query;
-// dispatch waves are counted (WaveCount), their lane records are not kept.
-func (s *Service) XRPCMetrics() xrpc.Metrics { return s.xmetrics.Snapshot() }
-
 // PeerHealth returns the shared health tracker's per-peer state.
 func (s *Service) PeerHealth() map[string]xrpc.PeerHealthState { return s.Health.SnapshotAll() }

@@ -339,7 +339,11 @@ func TestAggregateMetricsStayBounded(t *testing.T) {
 	if waves == 0 || m.WaveCount != waves {
 		t.Errorf("aggregate wave count = %d, want the per-query sum %d", m.WaveCount, waves)
 	}
-	if want := fmt.Sprintf("distxq_xrpc_waves_total %d\n", waves); !strings.Contains(s.MetricsText(), want) {
+	var page strings.Builder
+	if err := s.WriteMetrics(&page); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("distxq_xrpc_waves_total %d\n", waves); !strings.Contains(page.String(), want) {
 		t.Errorf("metrics page is missing %q", want)
 	}
 }

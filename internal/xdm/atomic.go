@@ -178,19 +178,6 @@ var EmptySequence = Sequence{}
 // Singleton wraps one item in a sequence.
 func Singleton(it Item) Sequence { return Sequence{it} }
 
-// Concat concatenates sequences (the XQuery "," operator flattens).
-func Concat(seqs ...Sequence) Sequence {
-	n := 0
-	for _, s := range seqs {
-		n += len(s)
-	}
-	out := make(Sequence, 0, n)
-	for _, s := range seqs {
-		out = append(out, s...)
-	}
-	return out
-}
-
 // Nodes extracts the nodes of a sequence, erroring via ok=false if any item
 // is atomic.
 func (s Sequence) Nodes() ([]*Node, bool) {

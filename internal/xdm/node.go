@@ -282,11 +282,6 @@ func (n *Node) IsAncestorOf(m *Node) bool {
 	return false
 }
 
-// IsDescendantOrSelf reports whether n is m or a descendant of m.
-func (n *Node) IsDescendantOrSelf(m *Node) bool {
-	return n == m || m.IsAncestorOf(n)
-}
-
 // Compare orders two nodes in global document order: negative when n comes
 // before m, zero only when n == m. Both documents must be frozen.
 func Compare(n, m *Node) int {
@@ -379,77 +374,6 @@ func (n *Node) WalkDescendants(f func(*Node) bool) bool {
 	return true
 }
 
-// DescendantOrSelfIndex returns the 1-based position of target within the
-// document-order sequence descendant-or-self::node() of n (attributes
-// excluded), or 0 when target is not in that sequence. Note this counts
-// every node: the XRPC fragment codec builds its own numbering tables
-// (which additionally merge adjacent text siblings); this helper remains as
-// a per-node oracle for those tables.
-func (n *Node) DescendantOrSelfIndex(target *Node) int {
-	idx := 0
-	found := 0
-	n.WalkDescendants(func(m *Node) bool {
-		idx++
-		if m == target {
-			found = idx
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// NthDescendantOrSelf returns the idx-th (1-based) node of
-// descendant-or-self::node() of n in document order, or nil.
-func (n *Node) NthDescendantOrSelf(idx int) *Node {
-	if idx <= 0 {
-		return nil
-	}
-	i := 0
-	var res *Node
-	n.WalkDescendants(func(m *Node) bool {
-		i++
-		if i == idx {
-			res = m
-			return false
-		}
-		return true
-	})
-	return res
-}
-
-// LCA returns the lowest common ancestor of the given nodes (all from one
-// tree). It returns nil for an empty input.
-func LCA(nodes []*Node) *Node {
-	if len(nodes) == 0 {
-		return nil
-	}
-	anc := func(n *Node) []*Node {
-		var path []*Node
-		for p := n; p != nil; p = p.Parent {
-			path = append(path, p)
-		}
-		// reverse: root first
-		for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-			path[i], path[j] = path[j], path[i]
-		}
-		return path
-	}
-	common := anc(nodes[0])
-	for _, n := range nodes[1:] {
-		p := anc(n)
-		k := 0
-		for k < len(common) && k < len(p) && common[k] == p[k] {
-			k++
-		}
-		common = common[:k]
-		if len(common) == 0 {
-			return nil
-		}
-	}
-	return common[len(common)-1]
-}
-
 // Copy returns a deep copy of the subtree rooted at n as a detached node
 // (Parent nil, Doc nil). Attribute nodes copy as standalone attributes.
 // The copy's nodes come from one Slab.
@@ -470,17 +394,6 @@ func (n *Node) SubtreeNodes() int {
 	for _, ch := range n.Children {
 		c += ch.SubtreeNodes()
 	}
-	return c
-}
-
-// CopyToDocument deep-copies n into a fresh frozen document with the given
-// URI and returns the copy of n within it. This implements the node copying
-// of XQuery element constructors and of pass-by-value shipping.
-func CopyToDocument(n *Node, uri string) *Node {
-	d := NewDocument(uri)
-	c := n.Copy()
-	d.Root.AppendChild(c)
-	d.Freeze()
 	return c
 }
 

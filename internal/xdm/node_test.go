@@ -89,8 +89,8 @@ func TestAncestry(t *testing.T) {
 	if c.IsAncestorOf(a) {
 		t.Error("c must not be ancestor of a")
 	}
-	if !c.IsDescendantOrSelf(c) {
-		t.Error("self is descendant-or-self")
+	if c.IsAncestorOf(c) {
+		t.Error("a node is not its own proper ancestor")
 	}
 	if c.RootNode() != d.Root {
 		t.Error("RootNode should reach document node")
@@ -127,49 +127,6 @@ func TestNextInDocumentCoversAllNodes(t *testing.T) {
 	}
 }
 
-func TestDescendantOrSelfIndexInverse(t *testing.T) {
-	d := mustDoc(t, sampleXML)
-	a := d.DocElem()
-	i := 0
-	a.WalkDescendants(func(n *Node) bool {
-		i++
-		idx := a.DescendantOrSelfIndex(n)
-		if idx != i {
-			t.Errorf("index of node %d = %d", i, idx)
-		}
-		if got := a.NthDescendantOrSelf(idx); got != n {
-			t.Errorf("NthDescendantOrSelf(%d) mismatch", idx)
-		}
-		return true
-	})
-	if a.DescendantOrSelfIndex(d.Root) != 0 {
-		t.Error("document node is not a descendant of a")
-	}
-	if a.NthDescendantOrSelf(0) != nil || a.NthDescendantOrSelf(999) != nil {
-		t.Error("out-of-range NthDescendantOrSelf should be nil")
-	}
-}
-
-func TestLCA(t *testing.T) {
-	d := mustDoc(t, sampleXML)
-	a := d.DocElem()
-	c := a.Children[0].Children[0]
-	textInD := a.Children[1].Children[0]
-	if got := LCA([]*Node{c, textInD}); got != a {
-		t.Errorf("LCA = %v, want a", got)
-	}
-	if got := LCA([]*Node{c}); got != c {
-		t.Errorf("LCA singleton = %v, want self", got)
-	}
-	if got := LCA(nil); got != nil {
-		t.Error("LCA(empty) should be nil")
-	}
-	other := mustDoc(t, "<z/>").DocElem()
-	if got := LCA([]*Node{c, other}); got != nil {
-		t.Error("LCA across documents should be nil")
-	}
-}
-
 func TestCopyDetachesAndPreservesStructure(t *testing.T) {
 	d := mustDoc(t, sampleXML)
 	a := d.DocElem()
@@ -182,21 +139,6 @@ func TestCopyDetachesAndPreservesStructure(t *testing.T) {
 	}
 	if SerializeString(cp) != SerializeString(a) {
 		t.Error("copy serialization mismatch")
-	}
-}
-
-func TestCopyToDocumentFreezesAndOrders(t *testing.T) {
-	d := mustDoc(t, sampleXML)
-	b := d.DocElem().Children[0]
-	cp := CopyToDocument(b, "copy://1")
-	if cp.Doc == nil || !cp.Doc.Frozen() {
-		t.Fatal("CopyToDocument must freeze")
-	}
-	if cp.Doc.URI != "copy://1" {
-		t.Errorf("URI = %q", cp.Doc.URI)
-	}
-	if Compare(cp, cp.Children[0]) >= 0 {
-		t.Error("copied children must order after parent")
 	}
 }
 

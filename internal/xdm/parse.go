@@ -71,15 +71,6 @@ func ParseString(s, uri string) (*Document, error) {
 	return Parse(strings.NewReader(s), uri)
 }
 
-// MustParseString parses or panics; for tests and examples.
-func MustParseString(s, uri string) *Document {
-	d, err := ParseString(s, uri)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 func qname(n xml.Name) string {
 	// encoding/xml resolves prefixes into Space; we re-derive a readable
 	// prefixed name. For unprefixed names Space is the default namespace URI

@@ -18,79 +18,6 @@ package xdm
 //     frames delivered before a fault are kept.
 type Seq func(yield func(Item) bool) error
 
-// EmptySeq is the lazy empty sequence.
-func EmptySeq() Seq {
-	return func(func(Item) bool) error { return nil }
-}
-
-// SingletonSeq returns a lazy sequence of exactly one item.
-func SingletonSeq(it Item) Seq {
-	return func(yield func(Item) bool) error {
-		yield(it)
-		return nil
-	}
-}
-
-// ErrSeq returns a sequence that yields nothing and fails with err.
-func ErrSeq(err error) Seq {
-	return func(func(Item) bool) error { return err }
-}
-
-// FromItems adapts an eagerly materialized sequence to the pull interface.
-func FromItems(s Sequence) Seq {
-	return func(yield func(Item) bool) error {
-		for _, it := range s {
-			if !yield(it) {
-				return nil
-			}
-		}
-		return nil
-	}
-}
-
-// Materialize drains the sequence into a slice. On error the items produced
-// before the failure are discarded and only the error is returned, matching
-// the eager evaluator's all-or-nothing result contract.
-func (q Seq) Materialize() (Sequence, error) {
-	var out Sequence
-	err := q(func(it Item) bool {
-		out = append(out, it)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ConcatSeq concatenates sequences lazily: part i+1 is not invoked until
-// part i is exhausted, and none of the remaining parts run if the consumer
-// stops early.
-func ConcatSeq(parts ...Seq) Seq {
-	if len(parts) == 1 {
-		return parts[0]
-	}
-	return func(yield func(Item) bool) error {
-		stopped := false
-		for _, p := range parts {
-			err := p(func(it Item) bool {
-				if !yield(it) {
-					stopped = true
-					return false
-				}
-				return true
-			})
-			if err != nil {
-				return err
-			}
-			if stopped {
-				return nil
-			}
-		}
-		return nil
-	}
-}
-
 // OrderedDisjointNodes reports whether nodes are in strictly increasing
 // global document order with non-overlapping subtrees, all from frozen
 // documents. This is the precondition under which a forward downward axis

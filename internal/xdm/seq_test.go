@@ -1,93 +1,6 @@
 package xdm
 
-import (
-	"errors"
-	"testing"
-)
-
-func TestSeqRoundTrip(t *testing.T) {
-	in := Sequence{NewInteger(1), NewString("two"), NewBoolean(true)}
-	out, err := FromItems(in).Materialize()
-	if err != nil {
-		t.Fatalf("Materialize: %v", err)
-	}
-	if !DeepEqualSeq(in, out) {
-		t.Fatalf("round trip mismatch: %v vs %v", in, out)
-	}
-	empty, err := EmptySeq().Materialize()
-	if err != nil || len(empty) != 0 {
-		t.Fatalf("empty seq: %v items, err %v", empty, err)
-	}
-	one, err := SingletonSeq(NewInteger(7)).Materialize()
-	if err != nil || len(one) != 1 || one[0].(Atomic).I != 7 {
-		t.Fatalf("singleton seq: %v, err %v", one, err)
-	}
-}
-
-func TestSeqError(t *testing.T) {
-	boom := errors.New("boom")
-	out, err := ErrSeq(boom).Materialize()
-	if !errors.Is(err, boom) {
-		t.Fatalf("want boom, got %v", err)
-	}
-	if out != nil {
-		t.Fatalf("want nil items on error, got %v", out)
-	}
-	// An error mid-production discards the prefix on Materialize.
-	partial := Seq(func(yield func(Item) bool) error {
-		yield(NewInteger(1))
-		return boom
-	})
-	out, err = partial.Materialize()
-	if !errors.Is(err, boom) || out != nil {
-		t.Fatalf("mid-production error: items %v err %v", out, err)
-	}
-}
-
-func TestConcatSeqLazy(t *testing.T) {
-	ran := 0
-	part := func(vals ...int64) Seq {
-		return func(yield func(Item) bool) error {
-			ran++
-			for _, v := range vals {
-				if !yield(NewInteger(v)) {
-					return nil
-				}
-			}
-			return nil
-		}
-	}
-	q := ConcatSeq(part(1, 2), part(3), part(4, 5))
-	out, err := q.Materialize()
-	if err != nil || len(out) != 5 {
-		t.Fatalf("concat: %v err %v", out, err)
-	}
-	if ran != 3 {
-		t.Fatalf("want 3 parts run, got %d", ran)
-	}
-
-	// Early stop: the consumer takes two items; the later parts never run.
-	ran = 0
-	q = ConcatSeq(part(1, 2), part(3), part(4, 5))
-	var got Sequence
-	err = q(func(it Item) bool {
-		got = append(got, it)
-		return len(got) < 2
-	})
-	if err != nil {
-		t.Fatalf("early stop err: %v", err)
-	}
-	if len(got) != 2 || ran != 1 {
-		t.Fatalf("early stop: %d items, %d parts run", len(got), ran)
-	}
-
-	// Error in an early part stops the chain.
-	boom := errors.New("boom")
-	q = ConcatSeq(ErrSeq(boom), part(9))
-	if _, err := q.Materialize(); !errors.Is(err, boom) {
-		t.Fatalf("concat error: %v", err)
-	}
-}
+import "testing"
 
 func TestOrderedDisjointNodes(t *testing.T) {
 	doc := mustParse(t, `<r><a><b/></a><c/><d><e/><f/></d></r>`)

@@ -267,16 +267,6 @@ func BenchmarkQuery(peer1, peer2 string) string {
                then $e/child::annotation else ())/child::author`, peer1, peer2)
 }
 
-// ProjectionQuery is the §VII runtime-projection precision query: persons
-// with age above 45 (a runtime selection the compile-time projection cannot
-// express).
-func ProjectionQuery(peerName string) string {
-	return fmt.Sprintf(`
-let $s := doc("xrpc://%s/xmk.xml")/child::site/child::people/child::person
-return for $x in $s return
-       if ($x/descendant::age > 45) then $x else ()`, peerName)
-}
-
 // PeopleShardDocument generates the shard'th of `shards` horizontal
 // partitions of a people document: person ids are distributed round-robin
 // (person i lives on shard i%shards), so shard sizes stay balanced and ids

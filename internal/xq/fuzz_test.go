@@ -78,8 +78,8 @@ func FuzzParseQuery(f *testing.F) {
 		}
 		for _, b := range bodies {
 			c := CloneExpr(b)
-			if Print(c) != Print(b) {
-				t.Fatalf("clone prints %q, original %q", Print(c), Print(b))
+			if printed(c) != printed(b) {
+				t.Fatalf("clone prints %q, original %q", printed(c), printed(b))
 			}
 			if fc, fb := FreeVars(c), FreeVars(b); !reflect.DeepEqual(fc, fb) {
 				t.Fatalf("clone's free variables %v, original's %v\ninput: %q", fc, fb, src)

@@ -7,7 +7,7 @@ import (
 )
 
 func TestNormalizeExecuteAtInlines(t *testing.T) {
-	q := MustParseQuery(`
+	q := mustParseQuery(`
 	declare function f($a as xs:integer) as xs:integer { $a + 1 };
 	execute at {"p"} { f(41) }`)
 	if err := Normalize(q); err != nil {
@@ -17,7 +17,7 @@ func TestNormalizeExecuteAtInlines(t *testing.T) {
 	// parameter name.
 	let, ok := q.Body.(*LetExpr)
 	if !ok {
-		t.Fatalf("want hoisting let, got %T: %s", q.Body, Print(q.Body))
+		t.Fatalf("want hoisting let, got %T: %s", q.Body, printed(q.Body))
 	}
 	x, ok := let.Return.(*XRPCExpr)
 	if !ok {
@@ -26,8 +26,8 @@ func TestNormalizeExecuteAtInlines(t *testing.T) {
 	if len(x.Params) != 1 || x.Params[0].Ref != let.Var {
 		t.Errorf("param should reference the hoisted let: %+v", x.Params[0])
 	}
-	if !strings.Contains(Print(x.Body), "+ 1") {
-		t.Errorf("body not inlined: %s", Print(x.Body))
+	if !strings.Contains(printed(x.Body), "+ 1") {
+		t.Errorf("body not inlined: %s", printed(x.Body))
 	}
 	if x.FuncName != "f" {
 		t.Errorf("FuncName = %q", x.FuncName)
@@ -35,7 +35,7 @@ func TestNormalizeExecuteAtInlines(t *testing.T) {
 }
 
 func TestNormalizeVarArgStaysDirect(t *testing.T) {
-	q := MustParseQuery(`
+	q := mustParseQuery(`
 	declare function f($a as item()*) as item()* { $a };
 	let $v := 7 return execute at {"p"} { f($v) }`)
 	if err := Normalize(q); err != nil {
@@ -61,7 +61,7 @@ func TestNormalizeVarArgStaysDirect(t *testing.T) {
 }
 
 func TestNormalizeNestedFunctionInlining(t *testing.T) {
-	q := MustParseQuery(`
+	q := mustParseQuery(`
 	declare function inner($x as item()*) as item()* { count($x) };
 	declare function outer($y as item()*) as item()* { inner($y) + inner($y) };
 	let $v := (1,2,3) return execute at {"p"} { outer($v) }`)
@@ -75,7 +75,7 @@ func TestNormalizeNestedFunctionInlining(t *testing.T) {
 		}
 		return true
 	})
-	body := Print(x.Body)
+	body := printed(x.Body)
 	if strings.Contains(body, "inner(") || strings.Contains(body, "outer(") {
 		t.Errorf("nested declared calls must be inlined for shipping: %s", body)
 	}
@@ -85,7 +85,7 @@ func TestNormalizeNestedFunctionInlining(t *testing.T) {
 }
 
 func TestNormalizeRejectsRecursiveRemote(t *testing.T) {
-	q := MustParseQuery(`
+	q := mustParseQuery(`
 	declare function rec($n as xs:integer) as xs:integer
 	{ if ($n = 0) then 0 else rec($n - 1) };
 	execute at {"p"} { rec(3) }`)
@@ -93,7 +93,7 @@ func TestNormalizeRejectsRecursiveRemote(t *testing.T) {
 		t.Fatal("recursive remote function must be rejected (rule 27)")
 	}
 	// Mutual recursion too.
-	q2 := MustParseQuery(`
+	q2 := mustParseQuery(`
 	declare function a($n as xs:integer) as xs:integer { b($n) };
 	declare function b($n as xs:integer) as xs:integer { a($n) };
 	execute at {"p"} { a(1) }`)
@@ -103,14 +103,14 @@ func TestNormalizeRejectsRecursiveRemote(t *testing.T) {
 }
 
 func TestNormalizeUndeclaredExecuteAtFails(t *testing.T) {
-	q := MustParseQuery(`execute at {"p"} { ghost(1) }`)
+	q := mustParseQuery(`execute at {"p"} { ghost(1) }`)
 	if err := Normalize(q); err == nil {
 		t.Fatal("undeclared remote function must error")
 	}
 }
 
 func TestNormalizeDuplicateFunction(t *testing.T) {
-	q := MustParseQuery(`
+	q := mustParseQuery(`
 	declare function f($a as item()*) as item()* { 1 };
 	declare function f($b as item()*) as item()* { 2 };
 	f(0)`)
@@ -120,7 +120,7 @@ func TestNormalizeDuplicateFunction(t *testing.T) {
 }
 
 func TestFreeVarsShadowing(t *testing.T) {
-	e, err := ParseExpr(`for $x in $outer return ($x, $free, let $y := 1 return $y)`)
+	e, err := parseBody(`for $x in $outer return ($x, $free, let $y := 1 return $y)`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,12 +149,12 @@ func TestFreeVarsXRPCParams(t *testing.T) {
 }
 
 func TestRenameFreeVarsRespectsShadowing(t *testing.T) {
-	e, err := ParseExpr(`($a, for $a in (1) return $a)`)
+	e, err := parseBody(`($a, for $a in (1) return $a)`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := RenameFreeVars(e, map[string]string{"a": "z"})
-	p := Print(out)
+	p := printed(out)
 	if !strings.Contains(p, "$z") {
 		t.Errorf("free $a not renamed: %s", p)
 	}
@@ -165,13 +165,13 @@ func TestRenameFreeVarsRespectsShadowing(t *testing.T) {
 
 func TestCloneExprIndependence(t *testing.T) {
 	src := `for $x in doc("d.xml")//a[b = 2] return <w at="1">{$x, count($x)}</w>`
-	e, err := ParseExpr(src)
+	e, err := parseBody(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	clone := CloneExpr(e)
-	if Print(clone) != Print(e) {
-		t.Fatalf("clone prints differently:\n%s\n%s", Print(clone), Print(e))
+	if printed(clone) != printed(e) {
+		t.Fatalf("clone prints differently:\n%s\n%s", printed(clone), printed(e))
 	}
 	// Mutating the clone must not affect the original.
 	clone.(*ForExpr).Var = "renamed"
@@ -191,11 +191,11 @@ func TestClonePreservesAllNodeKinds(t *testing.T) {
 		`(1,2)[2]`,
 	}
 	for _, src := range srcs {
-		e, err := ParseExpr(src)
+		e, err := parseBody(src)
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
-		if Print(CloneExpr(e)) != Print(e) {
+		if printed(CloneExpr(e)) != printed(e) {
 			t.Errorf("clone of %s differs", src)
 		}
 	}
@@ -221,17 +221,17 @@ func TestPrintParseFixpointProperty(t *testing.T) {
 	}
 	f := func(picks []uint8) bool {
 		src := build(picks)
-		e, err := ParseExpr(src)
+		e, err := parseBody(src)
 		if err != nil {
 			return true // grammar-invalid combos (e.g. "1 is 2") still parse; others skip
 		}
-		p1 := Print(e)
-		e2, err := ParseExpr(p1)
+		p1 := printed(e)
+		e2, err := parseBody(p1)
 		if err != nil {
 			t.Logf("reparse failed for %q → %q: %v", src, p1, err)
 			return false
 		}
-		return Print(e2) == p1
+		return printed(e2) == p1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -1,7 +1,6 @@
 package xq
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -39,27 +38,6 @@ func ParseQuery(src string) (*Query, error) {
 	}
 	q.Body = body
 	return q, nil
-}
-
-// ParseExpr parses a standalone expression (no prolog).
-func ParseExpr(src string) (Expr, error) {
-	q, err := ParseQuery(src)
-	if err != nil {
-		return nil, err
-	}
-	if len(q.Funcs) != 0 {
-		return nil, fmt.Errorf("xq: unexpected function declarations in expression")
-	}
-	return q.Body, nil
-}
-
-// MustParseQuery parses or panics; for tests and examples.
-func MustParseQuery(src string) *Query {
-	q, err := ParseQuery(src)
-	if err != nil {
-		panic(err)
-	}
-	return q
 }
 
 func (p *Parser) advance() error {

@@ -8,16 +8,16 @@ import (
 // roundTrip parses src, prints it, reparses, reprints and checks fixpoint.
 func roundTrip(t *testing.T, src string) string {
 	t.Helper()
-	e, err := ParseExpr(src)
+	e, err := parseBody(src)
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	p1 := Print(e)
-	e2, err := ParseExpr(p1)
+	p1 := printed(e)
+	e2, err := parseBody(p1)
 	if err != nil {
 		t.Fatalf("reparse %q (printed from %q): %v", p1, src, err)
 	}
-	p2 := Print(e2)
+	p2 := printed(e2)
 	if p1 != p2 {
 		t.Fatalf("print not a fixpoint:\n 1: %s\n 2: %s", p1, p2)
 	}
@@ -98,7 +98,7 @@ func TestParsePrecedence(t *testing.T) {
 }
 
 func TestParseFLWORDesugar(t *testing.T) {
-	e, err := ParseExpr(`for $x in $s where $x/age < 40 return $x`)
+	e, err := parseBody(`for $x in $s where $x/age < 40 return $x`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestParseFLWORDesugar(t *testing.T) {
 }
 
 func TestParseFLWORMultiClause(t *testing.T) {
-	e, err := ParseExpr(`for $x in $a, $y in $b let $z := $x return ($x, $y, $z)`)
+	e, err := parseBody(`for $x in $a, $y in $b let $z := $x return ($x, $y, $z)`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestParseFLWORMultiClause(t *testing.T) {
 }
 
 func TestParseOrderBy(t *testing.T) {
-	e, err := ParseExpr(`for $x in $s order by $x/name descending return $x`)
+	e, err := parseBody(`for $x in $s order by $x/name descending return $x`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestParseIfTypeswitchQuantified(t *testing.T) {
 	roundTrip(t, `if ($x) then 1 else 2`)
 	roundTrip(t, `some $x in $s satisfies $x = 1`)
 	roundTrip(t, `every $x in $s satisfies $x = 1`)
-	e, err := ParseExpr(`typeswitch ($x) case $n as node() return $n case xs:string return 2 default $d return $d`)
+	e, err := parseBody(`typeswitch ($x) case $n as node() return $n case xs:string return 2 default $d return $d`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestParseConstructors(t *testing.T) {
 	roundTrip(t, `element {concat("a","b")} {()}`)
 	roundTrip(t, `document {element a {()}}`)
 
-	e, err := ParseExpr(`<a x="1"><b/>hello<c>{$v}</c></a>`)
+	e, err := parseBody(`<a x="1"><b/>hello<c>{$v}</c></a>`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestParseConstructors(t *testing.T) {
 }
 
 func TestParseDirectConstructorNested(t *testing.T) {
-	e, err := ParseExpr(`<a><b><c/></b></a>/b`)
+	e, err := parseBody(`<a><b><c/></b></a>/b`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestParseDirectConstructorNested(t *testing.T) {
 }
 
 func TestParseDirectConstructorEntitiesAndEscapes(t *testing.T) {
-	e, err := ParseExpr(`<a>x &amp; y {{z}}</a>`)
+	e, err := parseBody(`<a>x &amp; y {{z}}</a>`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,12 +250,12 @@ func TestParseFuncDecl(t *testing.T) {
 }
 
 func TestParseComments(t *testing.T) {
-	e, err := ParseExpr(`1 (: a (: nested :) comment :) + 2`)
+	e, err := parseBody(`1 (: a (: nested :) comment :) + 2`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Print(e) != "1 + 2" {
-		t.Errorf("got %s", Print(e))
+	if printed(e) != "1 + 2" {
+		t.Errorf("got %s", printed(e))
 	}
 }
 
@@ -351,7 +351,7 @@ func TestSeqTypeString(t *testing.T) {
 }
 
 func TestWalkAndChildren(t *testing.T) {
-	e, err := ParseExpr(`for $x in $s return if ($x/a = 1) then $x else count($s)`)
+	e, err := parseBody(`for $x in $s return if ($x/a = 1) then $x else count($s)`)
 	if err != nil {
 		t.Fatal(err)
 	}

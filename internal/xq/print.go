@@ -7,15 +7,6 @@ import (
 	"distxq/internal/xdm"
 )
 
-// Print renders an expression to canonical XQuery-Core source text that the
-// parser accepts again (modulo whitespace). This is how decomposed function
-// bodies are shipped inside XRPC messages.
-func Print(e Expr) string {
-	var sb strings.Builder
-	printExpr(&sb, e, false)
-	return sb.String()
-}
-
 // PrintQuery renders a full query with its prolog.
 func PrintQuery(q *Query) string {
 	var sb strings.Builder

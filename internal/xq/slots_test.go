@@ -68,7 +68,7 @@ func fillElem(e reflect.Value, out *[]Expr) {
 
 func mustExpr(t *testing.T, src string) Expr {
 	t.Helper()
-	e, err := ParseExpr(src)
+	e, err := parseBody(src)
 	if err != nil {
 		t.Fatalf("%s: %v", src, err)
 	}
@@ -116,7 +116,7 @@ func TestSlotsCoverEveryField(t *testing.T) {
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Errorf("%s: slot %d is %s, want %s", name, i, Print(got[i]), Print(want[i]))
+				t.Errorf("%s: slot %d is %s, want %s", name, i, printed(got[i]), printed(want[i]))
 			}
 		}
 
@@ -131,8 +131,8 @@ func TestSlotsCoverEveryField(t *testing.T) {
 		if reflect.TypeOf(c) != reflect.TypeOf(e) {
 			t.Errorf("%s: Copy returns %T", name, c)
 		}
-		if Print(CloneExpr(e)) != Print(e) {
-			t.Errorf("%s: clone prints %s, want %s", name, Print(CloneExpr(e)), Print(e))
+		if printed(CloneExpr(e)) != printed(e) {
+			t.Errorf("%s: clone prints %s, want %s", name, printed(CloneExpr(e)), printed(e))
 		}
 	}
 }
@@ -190,14 +190,14 @@ func TestSlotsAllocateNothing(t *testing.T) {
 func TestNormalizeCaptureFreeParams(t *testing.T) {
 	// The generated parameter skips $p_1, which the inlined body binds: named
 	// $p_1 itself, $n's value would be captured and f(1) would return 10.
-	q := MustParseQuery(`
+	q := mustParseQuery(`
 	declare function f($n as xs:integer) as item()* { let $p_1 := 5 return $n + $p_1 };
 	execute at {"p"} { f(1) }`)
 	if err := Normalize(q); err != nil {
 		t.Fatal(err)
 	}
 	want := `let $arg_3 := 1 return (execute at {"p"} function ($p_2 := $arg_3) {let $p_1 := 5 return ($p_2 + $p_1)})`
-	if got := Print(q.Body); got != want {
+	if got := printed(q.Body); got != want {
 		t.Errorf("normalized:\n got %s\nwant %s", got, want)
 	}
 }
@@ -205,7 +205,7 @@ func TestNormalizeCaptureFreeParams(t *testing.T) {
 func TestNormalizeRejectsRecursiveRemoteThroughExecuteAt(t *testing.T) {
 	// f reaches g only through an execute-at's call, which is no slot: the
 	// recursion check must still see it.
-	q := MustParseQuery(`
+	q := mustParseQuery(`
 	declare function f($n as xs:integer) as item()* { execute at {"p"} { g($n) } };
 	declare function g($n as xs:integer) as item()* { f($n) };
 	f(1)`)

@@ -3,6 +3,7 @@ package xrpc
 import (
 	"testing"
 
+	"distxq/internal/testkit"
 	"distxq/internal/xdm"
 )
 
@@ -84,7 +85,7 @@ func TestDecodeTableMatchesNthDescendantOrSelf(t *testing.T) {
 	n := 0
 	root.WalkDescendants(func(*xdm.Node) bool { n++; return true })
 	for id := 0; id <= n+1; id++ {
-		if got, want := st.nodeByID(0, id), root.NthDescendantOrSelf(id); got != want {
+		if got, want := st.nodeByID(0, id), testkit.NthDescendantOrSelf(root, id); got != want {
 			t.Errorf("nodeByID(0, %d) differs from NthDescendantOrSelf", id)
 		}
 	}

@@ -10,6 +10,7 @@ import (
 
 	"distxq/internal/eval"
 	"distxq/internal/projection"
+	"distxq/internal/testkit"
 	"distxq/internal/xq"
 )
 
@@ -56,7 +57,7 @@ func TestFaultParityAcrossTransports(t *testing.T) {
 			Relatives: map[*xq.XRPCExpr]projection.RelativePaths{}, Metrics: &Metrics{}}
 		eng := eval.NewEngine(nil)
 		eng.Remote = cl
-		_, err := eng.QueryString(src)
+		_, err := testkit.Query(eng, src)
 		return err
 	}
 
@@ -130,7 +131,7 @@ func TestScatterDispatchesConcurrently(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		res, err := eng.QueryString(`
+		res, err := testkit.Query(eng, `
 		declare function f($x as xs:string) as item()* { $x };
 		for $p in ("p1", "p2", "p3", "p4") return execute at {$p} { f($p) }`)
 		if err == nil && serialize(res) != "p1 p2 p3 p4" {
@@ -170,7 +171,7 @@ func TestScatterHonorsMaxConcurrent(t *testing.T) {
 		MaxConcurrent: 1}
 	eng := eval.NewEngine(nil)
 	eng.Remote = cl
-	if _, err := eng.QueryString(`
+	if _, err := testkit.Query(eng, `
 	declare function f($x as xs:string) as item()* { $x };
 	for $p in ("p1", "p2", "p3") return execute at {$p} { f($p) }`); err != nil {
 		t.Fatal(err)
@@ -201,7 +202,7 @@ func TestScatterPartialFailure(t *testing.T) {
 		Relatives: map[*xq.XRPCExpr]projection.RelativePaths{}, Metrics: &Metrics{}}
 	eng := eval.NewEngine(nil)
 	eng.Remote = cl
-	_, err := eng.QueryString(`
+	_, err := testkit.Query(eng, `
 	declare function f($x as xs:string) as item()* { $x };
 	for $p in ("up", "down") return execute at {$p} { f($p) }`)
 	if err == nil || !strings.Contains(err.Error(), `scatter to down`) {

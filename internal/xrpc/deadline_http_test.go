@@ -9,6 +9,7 @@ import (
 
 	"distxq/internal/eval"
 	"distxq/internal/projection"
+	"distxq/internal/testkit"
 	"distxq/internal/xq"
 )
 
@@ -104,7 +105,7 @@ func TestDeadlinePropagatesOverHTTPGather(t *testing.T) {
 		eng.Remote = httpDeadlineClient(tr, ctx)
 
 		start := time.Now()
-		res, err := eng.QueryString(crunchSrc)
+		res, err := testkit.Query(eng, crunchSrc)
 		checkDeadlineFailure(t, err, start)
 		if res != nil {
 			t.Errorf("compiled=%v: partial result %v survived a blown budget", compiled, res)
@@ -127,7 +128,7 @@ func TestDeadlinePropagatesOverHTTPStreamed(t *testing.T) {
 		eng.Remote = &StreamedClient{Client: httpDeadlineClient(tr, ctx)}
 
 		start := time.Now()
-		res, err := eng.QueryString(crunchSrc)
+		res, err := testkit.Query(eng, crunchSrc)
 		checkDeadlineFailure(t, err, start)
 		if res != nil {
 			t.Errorf("compiled=%v: partial streamed result %v survived a blown budget", compiled, res)
@@ -146,7 +147,7 @@ func TestBudgetedQueryWithinDeadlineSucceeds(t *testing.T) {
 	eng := eval.NewEngine(nil)
 	eng.Remote = httpDeadlineClient(tr, ctx)
 
-	res, err := eng.QueryString(`
+	res, err := testkit.Query(eng, `
 declare function ten() as item()* { (1,2,3,4,5,6,7,8,9,10) };
 declare function quick() as item()* { count(for $i in ten() return $i) };
 execute at {"a"} { quick() }`)
@@ -172,7 +173,7 @@ func TestBudgetExpiredBeforeDispatch(t *testing.T) {
 	eng.Remote = httpDeadlineClient(tr, ctx)
 
 	start := time.Now()
-	_, err := eng.QueryString(crunchSrc)
+	_, err := testkit.Query(eng, crunchSrc)
 	checkDeadlineFailureNoPeerWait(t, err, start)
 }
 

@@ -165,21 +165,6 @@ func (h *HealthTracker) freshLocked(p *peerHealth) []int64 {
 	return out
 }
 
-// EWMA returns the peer's smoothed latency; ok is false for a peer the
-// tracker has never seen succeed or whose last observation has gone stale.
-func (h *HealthTracker) EWMA(peer string) (time.Duration, bool) {
-	if h == nil {
-		return 0, false
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	p, ok := h.peers[peer]
-	if !ok || p.seen == 0 || h.timeNow().Sub(p.lastObs) > h.staleAfter() {
-		return 0, false
-	}
-	return time.Duration(p.ewmaNS), true
-}
-
 // Quantile returns the q-quantile (nearest rank, 0 < q <= 1) of the peer's
 // fresh latency samples; ok is false with no fresh samples.
 func (h *HealthTracker) Quantile(peer string, q float64) (time.Duration, bool) {

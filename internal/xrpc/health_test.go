@@ -24,22 +24,22 @@ func newTestTracker() (*HealthTracker, *fakeClock) {
 
 func TestHealthEWMA(t *testing.T) {
 	h, clk := newTestTracker()
-	if _, ok := h.EWMA("p"); ok {
-		t.Fatal("EWMA of an unseen peer must not be ok")
+	if _, ok := h.SnapshotAll()["p"]; ok {
+		t.Fatal("an unseen peer must not be tracked")
 	}
 	h.Observe("p", 10*time.Millisecond)
-	if d, ok := h.EWMA("p"); !ok || d != 10*time.Millisecond {
-		t.Fatalf("EWMA after first sample = %v/%v, want 10ms/true", d, ok)
+	if st := h.SnapshotAll()["p"]; st.Seen != 1 || st.EWMANS != (10*time.Millisecond).Nanoseconds() {
+		t.Fatalf("after first sample: %+v, want EWMA 10ms over 1 sample", st)
 	}
 	// alpha 0.2: 0.2*20 + 0.8*10 = 12ms.
 	h.Observe("p", 20*time.Millisecond)
-	if d, _ := h.EWMA("p"); d != 12*time.Millisecond {
-		t.Fatalf("EWMA after second sample = %v, want 12ms", d)
+	if st := h.SnapshotAll()["p"]; st.EWMANS != (12 * time.Millisecond).Nanoseconds() {
+		t.Fatalf("EWMA after second sample = %v, want 12ms", time.Duration(st.EWMANS))
 	}
-	// A stale peer reports not-ok: its last observation aged out.
+	// A stale peer keeps its EWMA but shows its age and no fresh samples.
 	clk.advance(DefaultHealthStaleAfter + time.Second)
-	if _, ok := h.EWMA("p"); ok {
-		t.Fatal("EWMA of a stale peer must not be ok")
+	if st := h.SnapshotAll()["p"]; st.AgeNS <= DefaultHealthStaleAfter.Nanoseconds() || st.FreshSamples != 0 {
+		t.Fatalf("stale peer: %+v, want age beyond %v and no fresh samples", st, DefaultHealthStaleAfter)
 	}
 }
 

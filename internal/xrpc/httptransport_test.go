@@ -14,6 +14,7 @@ import (
 
 	"distxq/internal/eval"
 	"distxq/internal/projection"
+	"distxq/internal/testkit"
 	"distxq/internal/xdm"
 	"distxq/internal/xq"
 )
@@ -43,7 +44,7 @@ func TestScatterOverHTTPConcurrent(t *testing.T) {
 	tr := httpFederation(t, streamScatterPeers(2))
 
 	gatherEng, _ := wire(t, ByFragment, streamScatterPeers(0))
-	want, err := gatherEng.QueryString(interleavedScatterSrc)
+	want, err := testkit.Query(gatherEng, interleavedScatterSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestScatterOverHTTPConcurrent(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			eng := newEngine(i%2 == 0)
-			got, err := eng.QueryString(interleavedScatterSrc)
+			got, err := testkit.Query(eng, interleavedScatterSrc)
 			if err != nil {
 				errs <- fmt.Errorf("session %d: %w", i, err)
 				return
@@ -139,12 +140,12 @@ func TestHTTPStreamFallbackWithoutEndpoint(t *testing.T) {
 		Metrics: &Metrics{}}}
 	eng := eval.NewEngine(nil)
 	eng.Remote = cl
-	got, err := eng.QueryString(interleavedScatterSrc)
+	got, err := testkit.Query(eng, interleavedScatterSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gatherEng, _ := wire(t, ByFragment, streamScatterPeers(0))
-	want, _ := gatherEng.QueryString(interleavedScatterSrc)
+	want, _ := testkit.Query(gatherEng, interleavedScatterSrc)
 	if g, w := serialize(got), serialize(want); g != w {
 		t.Fatalf("got %q want %q", g, w)
 	}
@@ -170,12 +171,12 @@ func TestRouteTransportMixedFederation(t *testing.T) {
 		} else {
 			eng.Remote = cl
 		}
-		got, err := eng.QueryString(interleavedScatterSrc)
+		got, err := testkit.Query(eng, interleavedScatterSrc)
 		if err != nil {
 			t.Fatalf("streamed=%v: %v", streamed, err)
 		}
 		gatherEng, _ := wire(t, ByValue, streamScatterPeers(0))
-		want, _ := gatherEng.QueryString(interleavedScatterSrc)
+		want, _ := testkit.Query(gatherEng, interleavedScatterSrc)
 		if g, w := serialize(got), serialize(want); g != w {
 			t.Fatalf("streamed=%v: got %q want %q", streamed, g, w)
 		}
@@ -216,7 +217,7 @@ func TestScatterCancelsInFlightHTTP(t *testing.T) {
 	eng.Remote = cl
 
 	start := time.Now()
-	_, err := eng.QueryString(`
+	_, err := testkit.Query(eng, `
 	declare function f($x as xs:string) as item()* { $x };
 	for $p in ("slow", "dead") return execute at {$p} { f($p) }`)
 	if err == nil || !strings.Contains(err.Error(), "scatter to dead") {
@@ -250,7 +251,7 @@ func TestExternalContextCancelsDispatch(t *testing.T) {
 		Relatives: map[*xq.XRPCExpr]projection.RelativePaths{}, Metrics: &Metrics{}, Context: ctx}
 	eng := eval.NewEngine(nil)
 	eng.Remote = cl
-	_, err := eng.QueryString(`
+	_, err := testkit.Query(eng, `
 	declare function f($x as xs:string) as item()* { $x };
 	for $p in ("p1", "p2") return execute at {$p} { f($p) }`)
 	if err == nil || !errors.Is(err, context.Canceled) {

@@ -9,6 +9,7 @@ import (
 
 	"distxq/internal/eval"
 	"distxq/internal/projection"
+	"distxq/internal/testkit"
 	"distxq/internal/xdm"
 )
 
@@ -196,7 +197,7 @@ func TestStreamedLazyEagerEquivalenceRandomized(t *testing.T) {
 			}
 			for qi, q := range queries {
 				gatherEng, _ := wire(t, sem, mkPeers(0))
-				want, err := gatherEng.QueryString(q)
+				want, err := testkit.Query(gatherEng, q)
 				if err != nil {
 					t.Fatalf("sem=%v seed=%d q=%d gather: %v", sem, seed, qi, err)
 				}
@@ -210,7 +211,7 @@ func TestStreamedLazyEagerEquivalenceRandomized(t *testing.T) {
 								cl.Transport.(*InMemoryTransport).Register(name, eagerStream{srv})
 							}
 						}
-						got, err := eng.QueryString(q)
+						got, err := testkit.Query(eng, q)
 						if err != nil {
 							t.Fatalf("sem=%v seed=%d q=%d chunk=%d eager=%v: %v",
 								sem, seed, qi, chunk, eager, err)

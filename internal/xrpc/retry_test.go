@@ -11,6 +11,7 @@ import (
 
 	"distxq/internal/eval"
 	"distxq/internal/projection"
+	"distxq/internal/testkit"
 	"distxq/internal/xdm"
 	"distxq/internal/xq"
 )
@@ -305,7 +306,7 @@ func TestLaneRunner(t *testing.T) {
 				w := tc.build()
 				w.eng.Remote = mode.remote(w.cl)
 				t0 := time.Now()
-				res, err := w.eng.QueryString(tc.query)
+				res, err := testkit.Query(w.eng, tc.query)
 				wall := time.Since(t0)
 				if tc.wantErr != "" {
 					if err == nil {
@@ -339,7 +340,7 @@ func TestRetrySequentialBulk(t *testing.T) {
 	fl := &flakyServer{Server: newPeer(nil)}
 	fl.failures.Store(1)
 	eng, cl, _ := wireRetry(map[string]Handler{"p": fl}, &RetryPolicy{MaxAttempts: 2}, nil)
-	res, err := eng.QueryString(`
+	res, err := testkit.Query(eng, `
 	declare function f() as item()* { "ok" };
 	let $r := execute at {"p"} { f() } return $r`)
 	if err != nil {
@@ -379,7 +380,7 @@ func (f *failAfterFrames) HandleStream(request []byte, emit func([]byte) error) 
 // transport-registered servers and returns the serialized result and lanes.
 func runStreamedScatter(t *testing.T, eng *eval.Engine, src string) string {
 	t.Helper()
-	res, err := eng.QueryString(src)
+	res, err := testkit.Query(eng, src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"distxq/internal/eval"
 	"distxq/internal/projection"
+	"distxq/internal/testkit"
 	"distxq/internal/xdm"
 	"distxq/internal/xq"
 )
@@ -74,7 +75,7 @@ func TestBulkMixedResults(t *testing.T) {
 	declare function f($n as xs:string) as item()*
 	{ if ($n = "a") then doc("d.xml")//a else if ($n = "num") then 42 else () };
 	for $x in ("a", "num", "none", "a") return execute at {"p"} { f($x) }`
-	res, err := eng.QueryString(src)
+	res, err := testkit.Query(eng, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestResultIdentityWithinOneResponse(t *testing.T) {
 
 	// Projection prunes <b/>, which leaves the two shipped texts adjacent in
 	// D′; they must still decode as the two nodes by-fragment ships.
-	d := xdm.MustParseString(`<a>x<b/>y</a>`, "texts.xml")
+	d := testkit.MustParseString(`<a>x<b/>y</a>`, "texts.xml")
 	a := d.DocElem()
 	texts := xdm.Sequence{a.Children[0], a.Children[2]}
 	for _, sem := range []Semantics{ByFragment, ByProjection} {

@@ -12,6 +12,7 @@ import (
 
 	"distxq/internal/eval"
 	"distxq/internal/projection"
+	"distxq/internal/testkit"
 	"distxq/internal/xdm"
 	"distxq/internal/xq"
 )
@@ -336,13 +337,13 @@ func streamScatterPeers(chunkItems int) map[string]*Server {
 func TestStreamedScatterMatchesGather(t *testing.T) {
 	for _, sem := range []Semantics{ByValue, ByFragment, ByProjection} {
 		gatherEng, _ := wire(t, sem, streamScatterPeers(0))
-		want, err := gatherEng.QueryString(interleavedScatterSrc)
+		want, err := testkit.Query(gatherEng, interleavedScatterSrc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, chunkItems := range []int{1, 2, 0} {
 			eng, cl := streamWire(t, sem, streamScatterPeers(chunkItems))
-			got, err := eng.QueryString(interleavedScatterSrc)
+			got, err := testkit.Query(eng, interleavedScatterSrc)
 			if err != nil {
 				t.Fatalf("sem=%v chunk=%d: %v", sem, chunkItems, err)
 			}
@@ -367,7 +368,7 @@ func TestStreamedScatterMatchesGather(t *testing.T) {
 func TestStreamedScatterConcurrentSessions(t *testing.T) {
 	peers := streamScatterPeers(1)
 	gatherEng, _ := wire(t, ByFragment, streamScatterPeers(0))
-	want, err := gatherEng.QueryString(interleavedScatterSrc)
+	want, err := testkit.Query(gatherEng, interleavedScatterSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +380,7 @@ func TestStreamedScatterConcurrentSessions(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			eng, _ := streamWire(t, ByFragment, peers)
-			got, err := eng.QueryString(interleavedScatterSrc)
+			got, err := testkit.Query(eng, interleavedScatterSrc)
 			if err != nil {
 				errs <- err
 				return
@@ -403,7 +404,7 @@ func TestStreamedFaultMidStream(t *testing.T) {
 	peers := streamScatterPeers(1)
 	peers["b"] = &Server{Engine: eval.NewEngine(nil), ChunkItems: 1} // doc() fails on b
 	eng, _ := streamWire(t, ByValue, peers)
-	_, err := eng.QueryString(interleavedScatterSrc)
+	_, err := testkit.Query(eng, interleavedScatterSrc)
 	if err == nil || !strings.Contains(err.Error(), "scatter to b") {
 		t.Fatalf("error = %v, want scatter failure naming peer b", err)
 	}
@@ -415,7 +416,7 @@ func TestStreamedUnknownPeer(t *testing.T) {
 	peers := streamScatterPeers(1)
 	delete(peers, "c")
 	eng, _ := streamWire(t, ByValue, peers)
-	_, err := eng.QueryString(interleavedScatterSrc)
+	_, err := testkit.Query(eng, interleavedScatterSrc)
 	if err == nil || !strings.Contains(err.Error(), "scatter to c") {
 		t.Fatalf("error = %v, want scatter failure naming peer c", err)
 	}
@@ -435,7 +436,7 @@ func TestStreamedGatherFallback(t *testing.T) {
 		tr.Register(name, srv)
 	}
 	gatherEng, _ := wire(t, ByValue, streamScatterPeers(0))
-	want, err := gatherEng.QueryString(interleavedScatterSrc)
+	want, err := testkit.Query(gatherEng, interleavedScatterSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +446,7 @@ func TestStreamedGatherFallback(t *testing.T) {
 	}}
 	eng := eval.NewEngine(nil)
 	eng.Remote = cl
-	got, err := eng.QueryString(interleavedScatterSrc)
+	got, err := testkit.Query(eng, interleavedScatterSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,12 +472,12 @@ func TestStreamedNonStreamingHandler(t *testing.T) {
 	}}
 	eng := eval.NewEngine(nil)
 	eng.Remote = cl
-	got, err := eng.QueryString(interleavedScatterSrc)
+	got, err := testkit.Query(eng, interleavedScatterSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gatherEng, _ := wire(t, ByValue, streamScatterPeers(0))
-	want, _ := gatherEng.QueryString(interleavedScatterSrc)
+	want, _ := testkit.Query(gatherEng, interleavedScatterSrc)
 	if g, w := serialize(got), serialize(want); g != w {
 		t.Fatalf("got %q want %q", g, w)
 	}
@@ -623,7 +624,7 @@ func TestStreamedScatterMoreBatchesThanWorkers(t *testing.T) {
 	var res xdm.Sequence
 	go func() {
 		var err error
-		res, err = eng.QueryString(src)
+		res, err = testkit.Query(eng, src)
 		donech <- err
 	}()
 	select {

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"strconv"
-	"strings"
 
 	"distxq/internal/trace"
 )
@@ -85,19 +83,4 @@ func setTraceHeader(req *http.Request, ctx context.Context) {
 		return
 	}
 	req.Header.Set(TraceHeader, fmt.Sprintf("%d-%d", v.id, v.span))
-}
-
-// ParseTraceHeader splits a TraceHeader value into its trace and span IDs,
-// zeroes when absent or malformed.
-func ParseTraceHeader(val string) (id, span uint64) {
-	i := strings.IndexByte(val, '-')
-	if i < 0 {
-		return 0, 0
-	}
-	id, err1 := strconv.ParseUint(val[:i], 10, 64)
-	span, err2 := strconv.ParseUint(val[i+1:], 10, 64)
-	if err1 != nil || err2 != nil {
-		return 0, 0
-	}
-	return id, span
 }

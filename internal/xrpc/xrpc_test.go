@@ -8,6 +8,7 @@ import (
 
 	"distxq/internal/eval"
 	"distxq/internal/projection"
+	"distxq/internal/testkit"
 	"distxq/internal/xdm"
 	"distxq/internal/xq"
 )
@@ -119,7 +120,7 @@ func TestRequestRoundTripAtomics(t *testing.T) {
 }
 
 func TestRequestRoundTripByValueNodes(t *testing.T) {
-	d := xdm.MustParseString(`<a x="1"><b>t</b></a>`, "orig.xml")
+	d := testkit.MustParseString(`<a x="1"><b>t</b></a>`, "orig.xml")
 	req := &Request{
 		Method: "f", Arity: 2, Semantics: ByValue, Module: "m", Static: eval.DefaultStatic(),
 		Calls: [][]xdm.Sequence{{
@@ -154,7 +155,7 @@ func TestRequestRoundTripByValueNodes(t *testing.T) {
 func TestByFragmentSharedFragmentFig4(t *testing.T) {
 	// The Fig. 4 scenario: $abc = <a><b><c/></b></a>, $bc = its b child.
 	// One fragment; $bc gets nodeid 2, $abc nodeid 1.
-	d := xdm.MustParseString(`<a><b><c/></b></a>`, "makenodes")
+	d := testkit.MustParseString(`<a><b><c/></b></a>`, "makenodes")
 	abc := d.DocElem()
 	bc := abc.Children[0]
 	req := &Request{
@@ -189,13 +190,13 @@ func TestByFragmentSharedFragmentFig4(t *testing.T) {
 	if xdm.Compare(gotABC, gotBC) >= 0 {
 		t.Error("document order must be preserved ($abc << $bc)")
 	}
-	if len(got.RequestFragmentDocs()) != 1 {
+	if len(got.fragDocs) != 1 {
 		t.Error("one shared fragment document expected")
 	}
 }
 
 func TestByFragmentDisjointNodesSeparateFragments(t *testing.T) {
-	d := xdm.MustParseString(`<r><x>1</x><y>2</y></r>`, "two.xml")
+	d := testkit.MustParseString(`<r><x>1</x><y>2</y></r>`, "two.xml")
 	x := d.DocElem().Children[0]
 	y := d.DocElem().Children[1]
 	req := &Request{
@@ -224,7 +225,7 @@ func TestByFragmentDisjointNodesSeparateFragments(t *testing.T) {
 }
 
 func TestByFragmentAttributeParam(t *testing.T) {
-	d := xdm.MustParseString(`<p id="7"><sub/></p>`, "attr.xml")
+	d := testkit.MustParseString(`<p id="7"><sub/></p>`, "attr.xml")
 	idAttr := d.DocElem().Attr("id")
 	req := &Request{
 		Method: "f", Arity: 1, Semantics: ByFragment, Module: "m",
@@ -266,7 +267,7 @@ func TestEndToEndProblem3Earlier(t *testing.T) {
 		{ByProjection, "<a><b><c/></b></a>"}, // correct: $abc
 	} {
 		eng, cl := wire(t, tc.sem, map[string]*Server{"peer": newPeer(nil)})
-		q := xq.MustParseQuery(src)
+		q := testkit.MustParseQuery(src)
 		if tc.sem == ByProjection {
 			planProjection(t, q, cl)
 		}
@@ -298,7 +299,7 @@ func TestEndToEndProblem2Overlap(t *testing.T) {
 		{ByProjection, "true"},
 	} {
 		eng, cl := wire(t, tc.sem, map[string]*Server{"peer": newPeer(nil)})
-		q := xq.MustParseQuery(src)
+		q := testkit.MustParseQuery(src)
 		if tc.sem == ByProjection {
 			planProjection(t, q, cl)
 		}
@@ -330,7 +331,7 @@ func TestEndToEndProblem1ParentNavigation(t *testing.T) {
 		{ByProjection, "1"},
 	} {
 		eng, cl := wire(t, tc.sem, map[string]*Server{"peer": newPeer(nil)})
-		q := xq.MustParseQuery(src)
+		q := testkit.MustParseQuery(src)
 		if tc.sem == ByProjection {
 			planProjection(t, q, cl)
 		}
@@ -352,7 +353,7 @@ func TestEndToEndRemoteDocQuery(t *testing.T) {
 	(execute at {"example.org"} { fcn("it") },
 	 execute at {"example.org"} { fcn("legal") })`
 	eng, _ := wire(t, ByValue, map[string]*Server{"example.org": newPeer(docs)})
-	res, err := eng.QueryString(src)
+	res, err := testkit.Query(eng, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +370,7 @@ func TestBulkRPCOneMessage(t *testing.T) {
 	declare function fcn($n as xs:string) as item()*
 	{ $n = doc("depts.xml")//dept/@name };
 	for $x in ("a","b","zz","b") return execute at {"p"} { fcn($x) }`
-	res, err := eng.QueryString(src)
+	res, err := testkit.Query(eng, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +395,7 @@ func TestStaticContextPropagation(t *testing.T) {
 	declare function ctx() as item()*
 	{ (static-base-uri(), default-collation(), current-dateTime()) };
 	execute at {"p"} { ctx() }`
-	res, err := eng.QueryString(src)
+	res, err := testkit.Query(eng, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +410,7 @@ func TestRemoteFaultSurfacesAsError(t *testing.T) {
 	src := `
 	declare function boom() as item()* { doc("missing.xml") };
 	execute at {"p"} { boom() }`
-	if _, err := eng.QueryString(src); err == nil {
+	if _, err := testkit.Query(eng, src); err == nil {
 		t.Fatal("expected remote error")
 	} else if !strings.Contains(err.Error(), "missing.xml") {
 		t.Errorf("error should carry cause: %v", err)
@@ -419,7 +420,7 @@ func TestRemoteFaultSurfacesAsError(t *testing.T) {
 func TestUnknownPeer(t *testing.T) {
 	eng, _ := wire(t, ByValue, map[string]*Server{})
 	src := `declare function f() as item()* { 1 }; execute at {"ghost"} { f() }`
-	if _, err := eng.QueryString(src); err == nil || !strings.Contains(err.Error(), "ghost") {
+	if _, err := testkit.Query(eng, src); err == nil || !strings.Contains(err.Error(), "ghost") {
 		t.Errorf("unknown peer should fail, got %v", err)
 	}
 }
@@ -435,7 +436,7 @@ func TestHTTPTransportEndToEnd(t *testing.T) {
 	src := `
 	declare function f() as item()* { doc("d.xml")//v };
 	execute at {"whatever"} { f() }`
-	res, err := eng.QueryString(src)
+	res, err := testkit.Query(eng, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +456,7 @@ func TestHTTPTransportFault(t *testing.T) {
 	eng := eval.NewEngine(nil)
 	eng.Remote = cl
 	src := `declare function f() as item()* { doc("nope.xml") }; execute at {"x"} { f() }`
-	_, err := eng.QueryString(src)
+	_, err := testkit.Query(eng, src)
 	var fault *Fault
 	if err == nil {
 		t.Fatal("expected fault")
@@ -483,7 +484,7 @@ func asFault(err error, out **Fault) bool {
 func TestProjectionShrinksMessages(t *testing.T) {
 	// A parameter with a large untouched payload: projection must ship less.
 	big := strings.Repeat("<filler>xxxxxxxxxxxxxxxx</filler>", 50)
-	doc := xdm.MustParseString(`<people><person><id>1</id>`+big+`</person></people>`, "big.xml")
+	doc := testkit.MustParseString(`<people><person><id>1</id>`+big+`</person></people>`, "big.xml")
 	person := doc.DocElem().Children[0]
 
 	src := `
@@ -508,7 +509,7 @@ func TestProjectionShrinksMessages(t *testing.T) {
 			Relatives: map[*xq.XRPCExpr]projection.RelativePaths{}, Metrics: &Metrics{}}
 		eng := eval.NewEngine(docs)
 		eng.Remote = cl
-		q := xq.MustParseQuery(full)
+		q := testkit.MustParseQuery(full)
 		if sem == ByProjection {
 			planProjection(t, q, cl)
 		}
