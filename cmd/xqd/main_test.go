@@ -119,6 +119,21 @@ func TestQueryErrorStatuses(t *testing.T) {
 	wg.Wait()
 }
 
+// TestQueryDepthBound: a 2 MB POST body of nested parentheses, which used
+// to overflow the stack and kill the daemon, answers 422 with the parse
+// error, and the daemon goes on answering.
+func TestQueryDepthBound(t *testing.T) {
+	_, ts := testServer(t, service.Config{})
+	n := 1_000_000
+	deep := strings.Repeat("(", n) + "1" + strings.Repeat(")", n)
+	if code, body := post(t, ts.URL, deep, ""); code != http.StatusUnprocessableEntity || !strings.Contains(body, "deeper than") {
+		t.Errorf("2 MB of parentheses: %d %.200q, want 422 naming the nesting bound", code, body)
+	}
+	if code, body := post(t, ts.URL, `count(doc("xrpc://peer1/d.xml")/child::r/child::v)`, ""); code != http.StatusOK || body != "2\n" {
+		t.Errorf("query after the deep one: %d %q, want 200 \"2\\n\"", code, body)
+	}
+}
+
 // TestMetricsAppendRuntimeBlock: /metrics is the service page followed by the
 // collector regime's four runtime metrics.
 func TestMetricsAppendRuntimeBlock(t *testing.T) {

@@ -259,8 +259,11 @@ func (r *peerResolver) ResolveDoc(uri string) (*xdm.Document, error) {
 		if !found {
 			return nil, fmt.Errorf("peer %s: no document %q", host, path)
 		}
-		xmlText := xdm.SerializeString(rd.Root)
+		// The transfer is the shred phase end to end: the remote copy
+		// serialized to text and that text shredded, none of it local
+		// query execution.
 		t0 := time.Now()
+		xmlText := xdm.SerializeString(rd.Root)
 		d, err := xdm.ParseString(xmlText, uri)
 		if err != nil {
 			return nil, err
@@ -303,7 +306,7 @@ type Report struct {
 	// per-wave maximum instead. They coincide for fully sequential queries.
 	SerialNetworkNS int64
 	// Phase times (Figure 8 breakdown).
-	ShredNS      int64 // receiving+shredding shipped documents
+	ShredNS      int64 // serializing+shredding shipped documents
 	LocalExecNS  int64 // local evaluation (excludes the other phases)
 	SerdeNS      int64 // client+server message (de)serialization
 	RemoteExecNS int64 // remote function evaluation (overlapped: per-wave max)

@@ -10,10 +10,11 @@ import (
 // specialized for machine-generated XML such as XRPC messages: element and
 // attribute names and text content are sliced out of one backing string
 // instead of being tokenized through encoding/xml, and nodes and their
-// child/attribute arrays are handed out of slabs sized to the message. It accepts the same document subset Parse produces
-// (elements, attributes, text, comments; prefixed names kept literally, xmlns
-// attributes dropped, PIs/directives skipped) and reports an error on
-// anything malformed.
+// child/attribute arrays are handed out of slabs sized to the message. It
+// accepts the document subset the data model holds (elements, attributes,
+// text, comments; prefixed names kept literally, xmlns attributes dropped,
+// PIs/directives skipped) and reports an error on anything malformed. It is
+// the one XML parser: ParseString, which loads documents, runs it too.
 //
 // The returned document's strings alias one copy of data, so the whole
 // message buffer stays reachable while any of its nodes do — the right trade
@@ -134,6 +135,11 @@ type openElem struct {
 	mark int
 }
 
+// ParseString parses an XML document held in a string. Nodes alias s.
+func ParseString(s, uri string) (*Document, error) {
+	return parseFast(s, uri)
+}
+
 func parseFast(s, uri string) (*Document, error) {
 	doc := NewDocument(uri)
 	arena := msgArena{est: estimateNodes(s)}
@@ -221,7 +227,7 @@ func parseFast(s, uri string) (*Document, error) {
 				}
 				pending = append(pending, arena.take(TextNode, "", txt))
 			} else {
-				// Directive (<!DOCTYPE ...>): skipped, like Parse does.
+				// Directive (<!DOCTYPE ...>): skipped.
 				end := strings.IndexByte(s[pos:], '>')
 				if end < 0 {
 					return nil, fmt.Errorf("xdm: parse %s: unterminated directive", uri)

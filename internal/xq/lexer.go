@@ -60,8 +60,6 @@ type lexer struct {
 	pos int
 }
 
-func newLexer(src string) *lexer { return &lexer{src: src} }
-
 func (l *lexer) errorAt(pos int, format string, args ...any) *SyntaxError {
 	line, col := 1, 1
 	for i := 0; i < pos && i < len(l.src); i++ {
@@ -155,7 +153,7 @@ func (l *lexer) next() (Token, error) {
 	}
 	switch c {
 	case '(', ')', '{', '}', '[', ']', ',', ';', '@', '|', '*', '+', '-', '=', '?':
-		return sym(string(c))
+		return sym(l.src[l.pos : l.pos+1])
 	case ':':
 		if two('=') {
 			return sym(":=")

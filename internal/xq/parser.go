@@ -7,844 +7,532 @@ import (
 	"distxq/internal/xdm"
 )
 
-// Parser parses the XQuery-Core dialect. It is a hand-written recursive
-// descent parser with one token of primary lookahead plus speculative
-// re-lexing for the few places XQuery grammar needs more.
-type Parser struct {
-	lex *lexer
-	tok Token
+// maxDepth bounds the depth of the AST the parser builds. Every query text
+// reaches the parser over the network (xqd's POST body, the module inside an
+// XRPC request), so nesting must fail with a SyntaxError before the parser
+// or any later recursive pass runs out of stack.
+const maxDepth = 1000
+
+// maxParens bounds the nesting of parenthesized expressions, which recurse
+// without adding an AST level. The printer brackets only AST nodes, so the
+// printed form of an accepted query nests far fewer.
+const maxParens = 2 * maxDepth
+
+// Binding powers of the infix operators, loosest first.
+const (
+	bpOr = 1 + iota
+	bpAnd
+	bpCompare
+	bpAdd
+	bpMul
+	bpUnion
+	bpIntersect
+)
+
+// operator is one row of the precedence table: an infix binding power and
+// constructor, and for the signs, the prefix constructor.
+type operator struct {
+	bp       int
+	nonAssoc bool // a second operator of the same power may not follow
+	infix    func(left, right Expr) Expr
+	prefix   func(operand Expr) Expr
+}
+
+// operators is the precedence table. Each operator token of the dialect is
+// spelled here and nowhere else; the Pratt loop in binary reads it.
+var operators = map[string]operator{
+	"or":  {bp: bpOr, infix: func(l, r Expr) Expr { return &LogicExpr{Left: l, Right: r} }},
+	"and": {bp: bpAnd, infix: func(l, r Expr) Expr { return &LogicExpr{And: true, Left: l, Right: r} }},
+
+	"=": compare(OpEq), "!=": compare(OpNe), "<": compare(OpLt), "<=": compare(OpLe), ">": compare(OpGt), ">=": compare(OpGe),
+	"eq": compare(OpEq), "ne": compare(OpNe), "lt": compare(OpLt), "le": compare(OpLe), "gt": compare(OpGt), "ge": compare(OpGe),
+	"is": compare(OpIs), "<<": compare(OpBefore), ">>": compare(OpAfter),
+
+	"+": {bp: bpAdd, infix: arith(OpAdd), prefix: func(e Expr) Expr { return e }},
+	"-": {bp: bpAdd, infix: arith(OpSub), prefix: func(e Expr) Expr { return &UnaryExpr{Neg: true, Operand: e} }},
+
+	"*": {bp: bpMul, infix: arith(OpMul)}, "div": {bp: bpMul, infix: arith(OpDiv)},
+	"idiv": {bp: bpMul, infix: arith(OpIDiv)}, "mod": {bp: bpMul, infix: arith(OpMod)},
+
+	"union": nodeSet(bpUnion, OpUnion), "|": nodeSet(bpUnion, OpUnion),
+	"intersect": nodeSet(bpIntersect, OpIntersect), "except": nodeSet(bpIntersect, OpExcept),
+}
+
+func compare(op CompOp) operator {
+	return operator{bp: bpCompare, nonAssoc: true, infix: func(l, r Expr) Expr { return &CompareExpr{Op: op, Left: l, Right: r} }}
+}
+
+func arith(op ArithOp) func(l, r Expr) Expr {
+	return func(l, r Expr) Expr { return &ArithExpr{Op: op, Left: l, Right: r} }
+}
+
+func nodeSet(bp int, op SetOp) operator {
+	return operator{bp: bp, infix: func(l, r Expr) Expr { return &NodeSetExpr{Op: op, Left: l, Right: r} }}
+}
+
+// parser parses the XQuery-Core dialect: recursive descent for the
+// constructs, one Pratt loop over the operator table for the operators, and
+// speculative re-lexing for the few places the grammar needs lookahead.
+//
+// Errors take one path: the first is kept in err and the token stream turns
+// to end of input, so every parse function returns only its Expr and
+// unwinds without consuming more.
+type parser struct {
+	lex    lexer
+	tok    Token
+	err    error
+	depth  int // AST level of the expression being parsed
+	deep   int // deepest level the measured expression reaches
+	parens int // open parenthesized expressions
 }
 
 // ParseQuery parses a full query: prolog function declarations then the body.
 func ParseQuery(src string) (*Query, error) {
-	p := &Parser{lex: newLexer(src)}
-	if err := p.advance(); err != nil {
-		return nil, err
-	}
+	p := &parser{lex: lexer{src: src}}
+	p.advance()
 	q := &Query{}
-	for p.isName("declare") {
-		fd, err := p.parseFuncDecl()
-		if err != nil {
-			return nil, err
-		}
-		q.Funcs = append(q.Funcs, fd)
+	for p.is("declare") {
+		q.Funcs = append(q.Funcs, p.funcDecl())
 	}
-	body, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
+	q.Body = p.expr()
 	if p.tok.Kind != TEOF {
-		return nil, p.errf("unexpected %s after query body", p.tok)
+		p.fail("unexpected %s after query body", p.tok)
 	}
-	q.Body = body
+	if p.err != nil {
+		return nil, p.err
+	}
 	return q, nil
 }
 
-func (p *Parser) advance() error {
-	t, err := p.lex.next()
-	if err != nil {
-		return err
+func (p *parser) advance() {
+	if p.err != nil {
+		return
 	}
-	p.tok = t
-	return nil
-}
-
-func (p *Parser) errf(format string, args ...any) error {
-	return p.lex.errorAt(p.tok.Pos, format, args...)
-}
-
-func (p *Parser) isSym(s string) bool  { return p.tok.Kind == TSym && p.tok.Text == s }
-func (p *Parser) isName(s string) bool { return p.tok.Kind == TName && p.tok.Text == s }
-
-func (p *Parser) expectSym(s string) error {
-	if !p.isSym(s) {
-		return p.errf("expected %q, found %s", s, p.tok)
+	if p.tok, p.err = p.lex.next(); p.err != nil {
+		p.stop()
 	}
-	return p.advance()
 }
 
-func (p *Parser) expectName(s string) error {
-	if !p.isName(s) {
-		return p.errf("expected %q, found %s", s, p.tok)
+// stop ends the token stream after the first error.
+func (p *parser) stop() {
+	p.lex.pos = len(p.lex.src)
+	p.tok = Token{Kind: TEOF, Pos: p.lex.pos, End: p.lex.pos}
+}
+
+func (p *parser) fail(format string, args ...any) { p.failAt(p.tok.Pos, format, args...) }
+
+func (p *parser) failAt(pos int, format string, args ...any) {
+	if p.err == nil {
+		p.err = p.lex.errorAt(pos, format, args...)
+		p.stop()
 	}
-	return p.advance()
 }
 
-func (p *Parser) expectVar() (string, error) {
+// is reports whether the current token is the symbol or keyword s.
+func (p *parser) is(s string) bool {
+	return (p.tok.Kind == TSym || p.tok.Kind == TName) && p.tok.Text == s
+}
+
+// accept consumes the symbol or keyword s if it is the current token.
+func (p *parser) accept(s string) bool {
+	if !p.is(s) {
+		return false
+	}
+	p.advance()
+	return true
+}
+
+func (p *parser) expect(s string) {
+	if !p.accept(s) {
+		p.fail("expected %q, found %s", s, p.tok)
+	}
+}
+
+func (p *parser) varName() string {
 	if p.tok.Kind != TVar {
-		return "", p.errf("expected variable, found %s", p.tok)
+		p.fail("expected variable, found %s", p.tok)
+		return ""
 	}
 	name := p.tok.Text
-	return name, p.advance()
+	p.advance()
+	return name
 }
 
-// peek returns the token after the current one without consuming input.
-func (p *Parser) peek() Token {
-	saved := *p.lex
-	t, err := p.lex.next()
-	*p.lex = saved
-	if err != nil {
-		return Token{Kind: TEOF}
+// peek returns the n-th token after the current one without consuming
+// input; a lexing error reads as end of input.
+func (p *parser) peek(n int) (t Token) {
+	saved := p.lex.pos
+	for err := error(nil); n > 0 && err == nil; n-- {
+		if t, err = p.lex.next(); err != nil {
+			t = Token{Kind: TEOF}
+		}
 	}
+	p.lex.pos = saved
 	return t
 }
 
-// ---------------------------------------------------------------- prolog --
+// ----------------------------------------------------------------- depth --
 
-func (p *Parser) parseFuncDecl() (*FuncDecl, error) {
-	if err := p.expectName("declare"); err != nil {
-		return nil, err
+// The depth bound counts AST levels, not brackets: depth is the level of the
+// expression being parsed, raised by down for each child slot and by each
+// clause of a FLWOR chain. An operator chain, a sequence or a path built in
+// a loop pushes the expression parsed so far one level down with lower,
+// which needs that expression's height: measure starts a measurement at the
+// current level, reach records each level the AST reaches, and settle folds
+// the measurement back into the enclosing one.
+
+func (p *parser) down() { p.depth++; p.reach(p.depth, p.tok.Pos) }
+func (p *parser) up()   { p.depth-- }
+
+func (p *parser) reach(level, pos int) {
+	if level > maxDepth {
+		p.failAt(pos, "expression nests deeper than %d levels", maxDepth)
 	}
-	if err := p.expectName("function"); err != nil {
-		return nil, err
-	}
+	p.deep = max(p.deep, level)
+}
+
+func (p *parser) measure() int     { outer := p.deep; p.deep = p.depth; return outer }
+func (p *parser) settle(outer int) { p.deep = max(p.deep, outer) }
+func (p *parser) lower()           { p.reach(p.deep+1, p.tok.Pos) }
+
+// single parses an ExprSingle, and nested an Expr, one level down.
+func (p *parser) single() Expr { p.down(); e := p.exprSingle(); p.up(); return e }
+func (p *parser) nested() Expr { p.down(); e := p.expr(); p.up(); return e }
+
+func (p *parser) funcDecl() *FuncDecl {
+	p.expect("declare")
+	p.expect("function")
 	if p.tok.Kind != TName {
-		return nil, p.errf("expected function name, found %s", p.tok)
+		p.fail("expected function name, found %s", p.tok)
 	}
 	fd := &FuncDecl{Name: p.tok.Text, Return: AnyItems}
-	if err := p.advance(); err != nil {
-		return nil, err
-	}
-	if err := p.expectSym("("); err != nil {
-		return nil, err
-	}
-	for !p.isSym(")") {
-		v, err := p.expectVar()
-		if err != nil {
-			return nil, err
-		}
-		par := Param{Name: v, Type: AnyItems}
-		if p.isName("as") {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			st, err := p.parseSeqType()
-			if err != nil {
-				return nil, err
-			}
-			par.Type = st
+	p.advance()
+	p.expect("(")
+	for !p.is(")") {
+		par := Param{Name: p.varName(), Type: AnyItems}
+		if p.accept("as") {
+			par.Type = p.seqType()
 		}
 		fd.Params = append(fd.Params, par)
-		if p.isSym(",") {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			continue
+		if !p.accept(",") {
+			break
 		}
-		break
 	}
-	if err := p.expectSym(")"); err != nil {
-		return nil, err
+	p.expect(")")
+	if p.accept("as") {
+		fd.Return = p.seqType()
 	}
-	if p.isName("as") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		st, err := p.parseSeqType()
-		if err != nil {
-			return nil, err
-		}
-		fd.Return = st
-	}
-	if err := p.expectSym("{"); err != nil {
-		return nil, err
-	}
-	body, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	fd.Body = body
-	if err := p.expectSym("}"); err != nil {
-		return nil, err
-	}
-	if err := p.expectSym(";"); err != nil {
-		return nil, err
-	}
-	return fd, nil
+	p.expect("{")
+	fd.Body = p.expr()
+	p.expect("}")
+	p.expect(";")
+	return fd
 }
 
-func (p *Parser) parseSeqType() (SeqType, error) {
+func (p *parser) seqType() SeqType {
 	if p.tok.Kind != TName {
-		return SeqType{}, p.errf("expected sequence type, found %s", p.tok)
+		p.fail("expected sequence type, found %s", p.tok)
+		return SeqType{}
 	}
-	name := p.tok.Text
-	if err := p.advance(); err != nil {
-		return SeqType{}, err
+	st := SeqType{Item: p.tok.Text}
+	p.advance()
+	if p.accept("(") {
+		p.expect(")")
+		st.Item += "()"
 	}
-	if p.isSym("(") {
-		if err := p.advance(); err != nil {
-			return SeqType{}, err
-		}
-		if err := p.expectSym(")"); err != nil {
-			return SeqType{}, err
-		}
-		name += "()"
+	if p.is("*") || p.is("+") || p.is("?") {
+		st.Occur = p.tok.Text[0]
+		p.advance()
 	}
-	st := SeqType{Item: name}
-	if p.tok.Kind == TSym {
-		switch p.tok.Text {
-		case "*", "+", "?":
-			st.Occur = p.tok.Text[0]
-			if err := p.advance(); err != nil {
-				return SeqType{}, err
-			}
-		}
-	}
-	return st, nil
+	return st
 }
 
-// ----------------------------------------------------------- expressions --
-
-// parseExpr parses Expr: ExprSingle ("," ExprSingle)*.
-func (p *Parser) parseExpr() (Expr, error) {
-	first, err := p.parseExprSingle()
-	if err != nil {
-		return nil, err
+// expr parses Expr: ExprSingle ("," ExprSingle)*.
+func (p *parser) expr() Expr {
+	defer p.settle(p.measure())
+	first := p.exprSingle()
+	if !p.is(",") {
+		return first
 	}
-	if !p.isSym(",") {
-		return first, nil
-	}
+	p.lower()
 	items := []Expr{first}
-	for p.isSym(",") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		e, err := p.parseExprSingle()
-		if err != nil {
-			return nil, err
-		}
-		items = append(items, e)
+	for p.accept(",") {
+		items = append(items, p.single())
 	}
-	return &SeqExpr{Items: items}, nil
+	return &SeqExpr{Items: items}
 }
 
-func (p *Parser) parseExprSingle() (Expr, error) {
+func (p *parser) exprSingle() Expr {
 	if p.tok.Kind == TName {
 		switch p.tok.Text {
 		case "for", "let":
-			return p.parseFLWOR()
-		case "if":
-			if p.peek().Text == "(" {
-				return p.parseIf()
-			}
-		case "typeswitch":
-			if p.peek().Text == "(" {
-				return p.parseTypeswitch()
+			return p.flwor()
+		case "if", "typeswitch":
+			if p.peek(1).Text == "(" {
+				if p.tok.Text == "if" {
+					return p.ifExpr()
+				}
+				return p.typeswitch()
 			}
 		case "some", "every":
-			if p.peek().Kind == TVar {
-				return p.parseQuantified()
+			if p.peek(1).Kind == TVar {
+				return p.quantified()
 			}
 		case "execute":
-			if p.peek().Text == "at" {
-				return p.parseExecuteAt()
+			if p.peek(1).Text == "at" {
+				return p.executeAt()
 			}
 		}
 	}
-	return p.parseOr()
+	return p.binary(0)
 }
 
-// parseFLWOR parses a chain of for/let clauses, optional where and order by,
-// and the return expression, desugaring into nested For/Let/If.
-func (p *Parser) parseFLWOR() (Expr, error) {
-	type clause struct {
-		isFor bool
-		v     string
-		e     Expr
-	}
-	var clauses []clause
-	for p.isName("for") || p.isName("let") {
-		isFor := p.isName("for")
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+// flwor parses a chain of for/let clauses, optional where and order by, and
+// the return expression, desugaring into nested For/Let/If; order by
+// attaches to the innermost for. Clause i sits at level depth+i, so each
+// clause moves the parse one level down.
+func (p *parser) flwor() Expr {
+	var out Expr
+	slot := &out // where the next clause or the return goes
+	var innermost *ForExpr
+	base := p.depth
+	for p.is("for") || p.is("let") {
+		isFor := p.is("for")
+		p.advance()
 		for {
-			v, err := p.expectVar()
-			if err != nil {
-				return nil, err
-			}
+			v := p.varName()
 			if isFor {
-				if err := p.expectName("in"); err != nil {
-					return nil, err
-				}
-			} else if err := p.expectSym(":="); err != nil {
-				return nil, err
+				p.expect("in")
+				fe := &ForExpr{Var: v, In: p.single()}
+				*slot, slot, innermost = fe, &fe.Return, fe
+			} else {
+				p.expect(":=")
+				le := &LetExpr{Var: v, Bind: p.single()}
+				*slot, slot = le, &le.Return
 			}
-			e, err := p.parseExprSingle()
-			if err != nil {
-				return nil, err
+			p.down()
+			if !p.accept(",") {
+				break
 			}
-			clauses = append(clauses, clause{isFor: isFor, v: v, e: e})
-			if p.isSym(",") {
-				if err := p.advance(); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			break
 		}
 	}
 	var where Expr
-	if p.isName("where") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		w, err := p.parseExprSingle()
-		if err != nil {
-			return nil, err
-		}
-		where = w
+	if p.accept("where") {
+		where = p.single()
 	}
 	var order []OrderSpec
-	if p.isName("order") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		if err := p.expectName("by"); err != nil {
-			return nil, err
-		}
+	if p.accept("order") {
+		p.expect("by")
 		for {
-			key, err := p.parseExprSingle()
-			if err != nil {
-				return nil, err
-			}
-			spec := OrderSpec{Key: key}
-			if p.isName("ascending") {
-				if err := p.advance(); err != nil {
-					return nil, err
-				}
-			} else if p.isName("descending") {
+			spec := OrderSpec{Key: p.single()}
+			if p.accept("descending") {
 				spec.Descending = true
-				if err := p.advance(); err != nil {
-					return nil, err
-				}
+			} else {
+				p.accept("ascending")
 			}
 			order = append(order, spec)
-			if p.isSym(",") {
-				if err := p.advance(); err != nil {
-					return nil, err
-				}
-				continue
+			if !p.accept(",") {
+				break
 			}
-			break
 		}
 	}
-	if err := p.expectName("return"); err != nil {
-		return nil, err
-	}
-	ret, err := p.parseExprSingle()
-	if err != nil {
-		return nil, err
-	}
+	p.expect("return")
 	if where != nil {
-		ret = &IfExpr{Cond: where, Then: ret, Else: &SeqExpr{}}
+		*slot = &IfExpr{Cond: where, Then: p.single(), Else: &SeqExpr{}}
+	} else {
+		*slot = p.exprSingle()
 	}
-	// Build nested expression inner-to-outer; order by attaches to the
-	// innermost for clause.
-	attachedOrder := false
-	out := ret
-	for i := len(clauses) - 1; i >= 0; i-- {
-		c := clauses[i]
-		if c.isFor {
-			fe := &ForExpr{Var: c.v, In: c.e, Return: out}
-			if len(order) > 0 && !attachedOrder {
-				fe.OrderBy = order
-				attachedOrder = true
-			}
-			out = fe
+	p.depth = base
+	if order != nil {
+		if innermost == nil {
+			p.fail("order by requires a for clause")
 		} else {
-			out = &LetExpr{Var: c.v, Bind: c.e, Return: out}
+			innermost.OrderBy = order
 		}
 	}
-	if len(order) > 0 && !attachedOrder {
-		return nil, p.errf("order by requires a for clause")
-	}
-	return out, nil
+	return out
 }
 
-func (p *Parser) parseIf() (Expr, error) {
-	if err := p.advance(); err != nil { // "if"
-		return nil, err
-	}
-	if err := p.expectSym("("); err != nil {
-		return nil, err
-	}
-	cond, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectSym(")"); err != nil {
-		return nil, err
-	}
-	if err := p.expectName("then"); err != nil {
-		return nil, err
-	}
-	thenE, err := p.parseExprSingle()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectName("else"); err != nil {
-		return nil, err
-	}
-	elseE, err := p.parseExprSingle()
-	if err != nil {
-		return nil, err
-	}
-	return &IfExpr{Cond: cond, Then: thenE, Else: elseE}, nil
+func (p *parser) ifExpr() Expr {
+	p.advance() // "if"
+	p.expect("(")
+	cond := p.nested()
+	p.expect(")")
+	p.expect("then")
+	thenE := p.single()
+	p.expect("else")
+	return &IfExpr{Cond: cond, Then: thenE, Else: p.single()}
 }
 
-func (p *Parser) parseQuantified() (Expr, error) {
-	every := p.isName("every")
-	if err := p.advance(); err != nil {
-		return nil, err
-	}
-	v, err := p.expectVar()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectName("in"); err != nil {
-		return nil, err
-	}
-	in, err := p.parseExprSingle()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectName("satisfies"); err != nil {
-		return nil, err
-	}
-	sat, err := p.parseExprSingle()
-	if err != nil {
-		return nil, err
-	}
-	return &QuantifiedExpr{Every: every, Var: v, In: in, Satisfies: sat}, nil
+func (p *parser) quantified() Expr {
+	every := p.is("every")
+	p.advance()
+	v := p.varName()
+	p.expect("in")
+	in := p.single()
+	p.expect("satisfies")
+	return &QuantifiedExpr{Every: every, Var: v, In: in, Satisfies: p.single()}
 }
 
-func (p *Parser) parseTypeswitch() (Expr, error) {
-	if err := p.advance(); err != nil { // "typeswitch"
-		return nil, err
-	}
-	if err := p.expectSym("("); err != nil {
-		return nil, err
-	}
-	op, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectSym(")"); err != nil {
-		return nil, err
-	}
-	ts := &TypeswitchExpr{Operand: op}
-	for p.isName("case") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+func (p *parser) typeswitch() Expr {
+	p.advance() // "typeswitch"
+	p.expect("(")
+	ts := &TypeswitchExpr{Operand: p.nested()}
+	p.expect(")")
+	for p.accept("case") {
 		c := &TSCase{}
 		if p.tok.Kind == TVar {
 			c.Var = p.tok.Text
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			if err := p.expectName("as"); err != nil {
-				return nil, err
-			}
+			p.advance()
+			p.expect("as")
 		}
-		st, err := p.parseSeqType()
-		if err != nil {
-			return nil, err
-		}
-		c.Type = st
-		if err := p.expectName("return"); err != nil {
-			return nil, err
-		}
-		r, err := p.parseExprSingle()
-		if err != nil {
-			return nil, err
-		}
-		c.Return = r
+		c.Type = p.seqType()
+		p.expect("return")
+		c.Return = p.single()
 		ts.Cases = append(ts.Cases, c)
 	}
 	if len(ts.Cases) == 0 {
-		return nil, p.errf("typeswitch requires at least one case")
+		p.fail("typeswitch requires at least one case")
 	}
-	if err := p.expectName("default"); err != nil {
-		return nil, err
-	}
+	p.expect("default")
 	if p.tok.Kind == TVar {
 		ts.DefaultVar = p.tok.Text
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+		p.advance()
 	}
-	if err := p.expectName("return"); err != nil {
-		return nil, err
-	}
-	d, err := p.parseExprSingle()
-	if err != nil {
-		return nil, err
-	}
-	ts.Default = d
-	return ts, nil
+	p.expect("return")
+	ts.Default = p.single()
+	return ts
 }
 
-// parseExecuteAt parses `execute at {Expr} {FunApp(args)}`.
-func (p *Parser) parseExecuteAt() (Expr, error) {
-	if err := p.advance(); err != nil { // "execute"
-		return nil, err
-	}
-	if err := p.expectName("at"); err != nil {
-		return nil, err
-	}
-	if err := p.expectSym("{"); err != nil {
-		return nil, err
-	}
-	target, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectSym("}"); err != nil {
-		return nil, err
-	}
-	if err := p.expectSym("{"); err != nil {
-		return nil, err
-	}
+// executeAt parses `execute at {Expr} {FunApp(args)}`.
+func (p *parser) executeAt() Expr {
+	p.advance() // "execute"
+	p.expect("at")
+	p.expect("{")
+	target := p.nested()
+	p.expect("}")
+	p.expect("{")
 	if p.tok.Kind != TName {
-		return nil, p.errf("expected function application in execute at, found %s", p.tok)
+		p.fail("expected function application in execute at, found %s", p.tok)
 	}
-	name := p.tok.Text
-	if err := p.advance(); err != nil {
-		return nil, err
-	}
-	if err := p.expectSym("("); err != nil {
-		return nil, err
-	}
-	call := &FunCall{Name: name}
-	for !p.isSym(")") {
-		a, err := p.parseExprSingle()
-		if err != nil {
-			return nil, err
-		}
-		call.Args = append(call.Args, a)
-		if p.isSym(",") {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		break
-	}
-	if err := p.expectSym(")"); err != nil {
-		return nil, err
-	}
-	if err := p.expectSym("}"); err != nil {
-		return nil, err
-	}
-	return &ExecuteAt{Target: target, Call: call}, nil
+	p.down()
+	call := p.funCall()
+	p.up()
+	p.expect("}")
+	return &ExecuteAt{Target: target, Call: call}
 }
 
-// ------------------------------------------------------- operator ladder --
+// ------------------------------------------------------- operator table --
 
-func (p *Parser) parseOr() (Expr, error) {
-	left, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.isName("or") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		left = &LogicExpr{And: false, Left: left, Right: right}
-	}
-	return left, nil
-}
-
-func (p *Parser) parseAnd() (Expr, error) {
-	left, err := p.parseComparison()
-	if err != nil {
-		return nil, err
-	}
-	for p.isName("and") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseComparison()
-		if err != nil {
-			return nil, err
-		}
-		left = &LogicExpr{And: true, Left: left, Right: right}
-	}
-	return left, nil
-}
-
-func (p *Parser) comparisonOp() (CompOp, bool) {
-	if p.tok.Kind == TSym {
-		switch p.tok.Text {
-		case "=":
-			return OpEq, true
-		case "!=":
-			return OpNe, true
-		case "<":
-			return OpLt, true
-		case "<=":
-			return OpLe, true
-		case ">":
-			return OpGt, true
-		case ">=":
-			return OpGe, true
-		case "<<":
-			return OpBefore, true
-		case ">>":
-			return OpAfter, true
-		}
-	}
-	if p.isName("is") {
-		return OpIs, true
-	}
-	if p.isName("eq") {
-		return OpEq, true
-	}
-	if p.isName("ne") {
-		return OpNe, true
-	}
-	if p.isName("lt") {
-		return OpLt, true
-	}
-	if p.isName("le") {
-		return OpLe, true
-	}
-	if p.isName("gt") {
-		return OpGt, true
-	}
-	if p.isName("ge") {
-		return OpGe, true
-	}
-	return 0, false
-}
-
-func (p *Parser) parseComparison() (Expr, error) {
-	left, err := p.parseAdditive()
-	if err != nil {
-		return nil, err
-	}
-	if op, ok := p.comparisonOp(); ok {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseAdditive()
-		if err != nil {
-			return nil, err
-		}
-		return &CompareExpr{Op: op, Left: left, Right: right}, nil
-	}
-	return left, nil
-}
-
-func (p *Parser) parseAdditive() (Expr, error) {
-	left, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	for p.isSym("+") || p.isSym("-") {
-		op := OpAdd
-		if p.isSym("-") {
-			op = OpSub
-		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseMultiplicative()
-		if err != nil {
-			return nil, err
-		}
-		left = &ArithExpr{Op: op, Left: left, Right: right}
-	}
-	return left, nil
-}
-
-func (p *Parser) parseMultiplicative() (Expr, error) {
-	left, err := p.parseUnionExpr()
-	if err != nil {
-		return nil, err
-	}
+// binary is the Pratt loop: it parses a unary operand, then folds in each
+// infix operator whose binding power is at least minBP, parsing its right
+// operand with the power one higher so that equal powers associate left.
+// After a non-associative operator the loop takes only looser ones, so
+// `a = b = c` stops at the second `=`.
+func (p *parser) binary(minBP int) Expr {
+	defer p.settle(p.measure())
+	left := p.unary()
+	maxBP := bpIntersect
 	for {
-		var op ArithOp
-		switch {
-		case p.isSym("*"):
-			op = OpMul
-		case p.isName("div"):
-			op = OpDiv
-		case p.isName("idiv"):
-			op = OpIDiv
-		case p.isName("mod"):
-			op = OpMod
-		default:
-			return left, nil
+		op, ok := p.operator()
+		if !ok || op.bp < minBP || op.bp > maxBP {
+			return left
 		}
-		if err := p.advance(); err != nil {
-			return nil, err
+		p.lower()
+		p.advance()
+		p.down()
+		right := p.binary(op.bp + 1)
+		p.up()
+		left = op.infix(left, right)
+		maxBP = op.bp
+		if op.nonAssoc {
+			maxBP--
 		}
-		right, err := p.parseUnionExpr()
-		if err != nil {
-			return nil, err
-		}
-		left = &ArithExpr{Op: op, Left: left, Right: right}
 	}
 }
 
-func (p *Parser) parseUnionExpr() (Expr, error) {
-	left, err := p.parseIntersectExcept()
-	if err != nil {
-		return nil, err
-	}
-	for p.isSym("|") || p.isName("union") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseIntersectExcept()
-		if err != nil {
-			return nil, err
-		}
-		left = &NodeSetExpr{Op: OpUnion, Left: left, Right: right}
-	}
-	return left, nil
+// operator returns the table row of the current token.
+func (p *parser) operator() (operator, bool) {
+	op, ok := operators[p.tok.Text]
+	return op, ok && (p.tok.Kind == TSym || p.tok.Kind == TName)
 }
 
-func (p *Parser) parseIntersectExcept() (Expr, error) {
-	left, err := p.parseUnary()
-	if err != nil {
-		return nil, err
+func (p *parser) unary() Expr {
+	if op, ok := p.operator(); ok && op.prefix != nil {
+		p.advance()
+		p.down()
+		operand := p.unary()
+		p.up()
+		return op.prefix(operand)
 	}
-	for p.isName("intersect") || p.isName("except") {
-		op := OpIntersect
-		if p.isName("except") {
-			op = OpExcept
-		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		left = &NodeSetExpr{Op: op, Left: left, Right: right}
-	}
-	return left, nil
+	return p.path()
 }
 
-func (p *Parser) parseUnary() (Expr, error) {
-	if p.isSym("-") || p.isSym("+") {
-		neg := p.isSym("-")
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		operand, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		if !neg {
-			return operand, nil
-		}
-		return &UnaryExpr{Neg: true, Operand: operand}, nil
-	}
-	return p.parsePath()
-}
-
-// ------------------------------------------------------------------ path --
-
-// parsePath parses [("/"|"//")] RelativePath.
-func (p *Parser) parsePath() (Expr, error) {
-	if p.isSym("/") || p.isSym("//") {
-		dsl := p.isSym("//")
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+// path parses [("/"|"//")] RelativePath, or a primary with predicates and
+// steps after it.
+func (p *parser) path() Expr {
+	defer p.settle(p.measure())
+	if p.is("/") || p.is("//") {
 		pe := &PathExpr{Input: &RootExpr{}}
-		if dsl {
+		if p.is("//") {
 			pe.Steps = append(pe.Steps, &Step{Axis: AxisDescendantOrSelf, Test: NodeTest{Kind: TestAnyNode}})
-		} else if !p.startsStep() {
-			return &RootExpr{}, nil // lone "/"
 		}
-		if err := p.parseRelative(pe); err != nil {
-			return nil, err
+		p.advance()
+		if len(pe.Steps) == 0 && !p.startsStep() {
+			return pe.Input // lone "/"
 		}
-		return pe, nil
-	}
-	if p.startsStep() {
-		pe := &PathExpr{}
-		if err := p.parseRelative(pe); err != nil {
-			return nil, err
-		}
-		return simplifyPath(pe), nil
-	}
-	prim, err := p.parsePrimary()
-	if err != nil {
-		return nil, err
-	}
-	// Postfix predicates and path continuation.
-	if p.isSym("[") {
-		step := &Step{Axis: AxisSelf, Test: NodeTest{Kind: TestAnyNode}, Filter: true}
-		if err := p.parsePreds(step); err != nil {
-			return nil, err
-		}
-		pe := &PathExpr{Input: prim, Steps: []*Step{step}}
-		if p.isSym("/") || p.isSym("//") {
-			if err := p.parseSlashSteps(pe); err != nil {
-				return nil, err
-			}
-		}
-		return pe, nil
-	}
-	if p.isSym("/") || p.isSym("//") {
-		pe := &PathExpr{Input: prim}
-		if err := p.parseSlashSteps(pe); err != nil {
-			return nil, err
-		}
-		return pe, nil
-	}
-	return prim, nil
-}
-
-// simplifyPath unwraps a PathExpr that has no input and no steps left.
-func simplifyPath(pe *PathExpr) Expr {
-	if pe.Input != nil || len(pe.Steps) > 0 {
+		pe.Steps = append(pe.Steps, p.step())
+		p.slashSteps(pe)
 		return pe
 	}
-	return &ContextItem{}
+	if p.startsStep() {
+		pe := &PathExpr{Steps: []*Step{p.step()}}
+		p.slashSteps(pe)
+		return pe
+	}
+	prim := p.primary()
+	if !p.is("[") && !p.is("/") && !p.is("//") {
+		return prim
+	}
+	p.lower()
+	pe := &PathExpr{Input: prim}
+	if p.is("[") {
+		step := &Step{Axis: AxisSelf, Test: NodeTest{Kind: TestAnyNode}, Filter: true}
+		p.preds(step)
+		pe.Steps = []*Step{step}
+	}
+	p.slashSteps(pe)
+	return pe
 }
 
 // startsStep reports whether the current token begins an axis step.
-func (p *Parser) startsStep() bool {
+func (p *parser) startsStep() bool {
 	switch {
-	case p.isSym("@"), p.isSym(".."), p.isSym("*"):
+	case p.is("@"), p.is(".."), p.is("*"):
 		return true
 	case p.tok.Kind == TName:
-		nxt := p.peek()
+		nxt := p.peek(1)
 		if nxt.Kind == TSym && nxt.Text == "::" {
 			_, ok := ParseAxis(p.tok.Text)
 			return ok
 		}
-		switch p.tok.Text {
-		case "node", "text", "comment":
+		if _, ok := kindTests[p.tok.Text]; ok {
 			return nxt.Kind == TSym && nxt.Text == "("
 		}
-		// A plain name is a child step unless it is a function call or a
-		// reserved construct keyword.
+		// A plain name is a child step unless it is a function call, an
+		// operator or a clause keyword. (To query elements with these
+		// names, use an explicit child:: axis.)
 		if nxt.Kind == TSym && nxt.Text == "(" {
+			return false
+		}
+		if _, ok := operators[p.tok.Text]; ok {
 			return false
 		}
 		switch p.tok.Text {
 		case "element", "attribute", "document", "if", "for", "let", "return",
-			"typeswitch", "some", "every", "execute", "then", "else",
-			"and", "or", "div", "idiv", "mod", "union", "intersect", "except",
-			"is", "eq", "ne", "lt", "le", "gt", "ge", "to", "in", "satisfies",
-			"case", "default", "where", "order", "ascending", "descending", "at", "by":
-			// Constructor keywords followed by '{' or a name+'{' are
-			// constructors; bare occurrences elsewhere are operators or
-			// clause keywords, never steps. (To query elements with these
-			// names, use an explicit child:: axis.)
+			"typeswitch", "some", "every", "execute", "then", "else", "to", "in",
+			"satisfies", "case", "default", "where", "order", "ascending",
+			"descending", "at", "by":
 			return false
 		}
 		return true
@@ -852,490 +540,356 @@ func (p *Parser) startsStep() bool {
 	return false
 }
 
-// parseRelative parses Step (("/"|"//") Step)* appending into pe.
-func (p *Parser) parseRelative(pe *PathExpr) error {
-	st, err := p.parseStep()
-	if err != nil {
-		return err
-	}
-	pe.Steps = append(pe.Steps, st)
-	return p.parseSlashSteps(pe)
-}
-
-func (p *Parser) parseSlashSteps(pe *PathExpr) error {
-	for p.isSym("/") || p.isSym("//") {
-		if p.isSym("//") {
+func (p *parser) slashSteps(pe *PathExpr) {
+	for p.is("/") || p.is("//") {
+		if p.is("//") {
 			pe.Steps = append(pe.Steps, &Step{Axis: AxisDescendantOrSelf, Test: NodeTest{Kind: TestAnyNode}})
 		}
-		if err := p.advance(); err != nil {
-			return err
-		}
-		st, err := p.parseStep()
-		if err != nil {
-			return err
-		}
-		pe.Steps = append(pe.Steps, st)
+		p.advance()
+		pe.Steps = append(pe.Steps, p.step())
 	}
-	return nil
 }
 
-func (p *Parser) parseStep() (*Step, error) {
+func (p *parser) step() *Step {
 	st := &Step{Axis: AxisChild}
 	switch {
-	case p.isSym("@"):
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+	case p.accept("@"):
 		st.Axis = AxisAttribute
-	case p.isSym(".."):
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
+	case p.accept(".."):
 		st.Axis = AxisParent
 		st.Test = NodeTest{Kind: TestAnyNode}
-		return st, p.parsePreds(st)
+		p.preds(st)
+		return st
 	case p.tok.Kind == TName:
-		if nxt := p.peek(); nxt.Kind == TSym && nxt.Text == "::" {
+		if nxt := p.peek(1); nxt.Kind == TSym && nxt.Text == "::" {
 			ax, ok := ParseAxis(p.tok.Text)
 			if !ok {
-				return nil, p.errf("unknown axis %q", p.tok.Text)
+				p.fail("unknown axis %q", p.tok.Text)
 			}
 			st.Axis = ax
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			if err := p.advance(); err != nil { // "::"
-				return nil, err
-			}
+			p.advance()
+			p.advance() // "::"
 		}
 	}
-	test, err := p.parseNodeTest()
-	if err != nil {
-		return nil, err
-	}
-	st.Test = test
-	return st, p.parsePreds(st)
+	st.Test = p.nodeTest()
+	p.preds(st)
+	return st
 }
 
-func (p *Parser) parseNodeTest() (NodeTest, error) {
-	if p.isSym("*") {
-		if err := p.advance(); err != nil {
-			return NodeTest{}, err
-		}
-		return NodeTest{Kind: TestWildcard}, nil
+func (p *parser) nodeTest() NodeTest {
+	if p.accept("*") {
+		return NodeTest{Kind: TestWildcard}
 	}
 	if p.tok.Kind != TName {
-		return NodeTest{}, p.errf("expected node test, found %s", p.tok)
+		p.fail("expected node test, found %s", p.tok)
+		return NodeTest{}
 	}
 	name := p.tok.Text
-	if err := p.advance(); err != nil {
-		return NodeTest{}, err
+	p.advance()
+	if !p.accept("(") {
+		return NodeTest{Kind: TestName, Name: name}
 	}
-	if p.isSym("(") {
-		if err := p.advance(); err != nil {
-			return NodeTest{}, err
-		}
-		if err := p.expectSym(")"); err != nil {
-			return NodeTest{}, err
-		}
-		switch name {
-		case "node":
-			return NodeTest{Kind: TestAnyNode}, nil
-		case "text":
-			return NodeTest{Kind: TestText}, nil
-		case "comment":
-			return NodeTest{Kind: TestComment}, nil
-		default:
-			return NodeTest{}, p.errf("unknown kind test %s()", name)
-		}
+	p.expect(")")
+	if kind, ok := kindTests[name]; ok {
+		return NodeTest{Kind: kind}
 	}
-	return NodeTest{Kind: TestName, Name: name}, nil
+	p.fail("unknown kind test %s()", name)
+	return NodeTest{}
 }
 
-func (p *Parser) parsePreds(st *Step) error {
-	for p.isSym("[") {
-		if err := p.advance(); err != nil {
-			return err
-		}
-		e, err := p.parseExpr()
-		if err != nil {
-			return err
-		}
-		st.Preds = append(st.Preds, e)
-		if err := p.expectSym("]"); err != nil {
-			return err
-		}
+// kindTests are the node tests spelled as a name and "()".
+var kindTests = map[string]TestKind{"node": TestAnyNode, "text": TestText, "comment": TestComment}
+
+func (p *parser) preds(st *Step) {
+	for p.accept("[") {
+		st.Preds = append(st.Preds, p.nested())
+		p.expect("]")
 	}
-	return nil
 }
 
-// --------------------------------------------------------------- primary --
-
-func (p *Parser) parsePrimary() (Expr, error) {
-	switch p.tok.Kind {
+func (p *parser) primary() Expr {
+	switch t := p.tok; t.Kind {
 	case TString:
-		v := xdm.NewString(p.tok.Text)
-		return &Literal{Val: v}, p.advance()
+		p.advance()
+		return &Literal{Val: xdm.NewString(t.Text)}
 	case TInteger:
-		i, err := strconv.ParseInt(p.tok.Text, 10, 64)
+		i, err := strconv.ParseInt(t.Text, 10, 64)
 		if err != nil {
-			return nil, p.errf("bad integer literal %s", p.tok.Text)
+			p.fail("bad integer literal %s", t.Text)
 		}
-		return &Literal{Val: xdm.NewInteger(i)}, p.advance()
+		p.advance()
+		return &Literal{Val: xdm.NewInteger(i)}
 	case TDecimal:
-		f, err := strconv.ParseFloat(p.tok.Text, 64)
+		f, err := strconv.ParseFloat(t.Text, 64)
 		if err != nil {
-			return nil, p.errf("bad numeric literal %s", p.tok.Text)
+			p.fail("bad numeric literal %s", t.Text)
 		}
-		return &Literal{Val: xdm.NewDouble(f)}, p.advance()
+		p.advance()
+		return &Literal{Val: xdm.NewDouble(f)}
 	case TVar:
-		name := p.tok.Text
-		return &VarRef{Name: name}, p.advance()
+		p.advance()
+		return &VarRef{Name: t.Text}
 	}
 	switch {
-	case p.isSym("("):
-		return p.parseParenthesized()
-	case p.isSym("."):
-		return &ContextItem{}, p.advance()
-	case p.isSym("<"):
-		return p.parseDirectConstructor()
+	case p.is("("):
+		return p.parenthesized()
+	case p.accept("."):
+		return &ContextItem{}
+	case p.is("<"):
+		// Direct content sits two levels down, where its printed computed
+		// form puts it: inside the content sequence.
+		p.depth += 2
+		e, end := p.scanDirect(p.tok.Pos)
+		p.depth -= 2
+		if p.err == nil {
+			p.lex.pos = end
+			p.advance()
+		}
+		return e
 	}
 	if p.tok.Kind == TName {
 		name := p.tok.Text
-		nxt := p.peek()
+		nxt := p.peek(1)
 		switch name {
 		case "element", "attribute":
-			if nxt.Text == "{" || (nxt.Kind == TName && p.peekAfterName()) {
-				return p.parseComputedElemAttr(name == "attribute")
+			if after := p.peek(2); nxt.Text == "{" || (nxt.Kind == TName && after.Kind == TSym && after.Text == "{") {
+				return p.computed(name)
 			}
 		case "text", "document":
 			if nxt.Text == "{" {
-				return p.parseComputedTextDoc(name == "document")
+				return p.computed(name)
 			}
 		}
 		if nxt.Kind == TSym && nxt.Text == "(" {
-			return p.parseFunCall()
+			return p.funCall()
 		}
 	}
-	return nil, p.errf("unexpected %s", p.tok)
+	p.fail("unexpected %s", p.tok)
+	return nil
 }
 
-// peekAfterName checks `element NAME {` with two-token lookahead.
-func (p *Parser) peekAfterName() bool {
-	saved := *p.lex
-	defer func() { *p.lex = saved }()
-	t1, err := p.lex.next()
-	if err != nil || t1.Kind != TName {
-		return false
+// parenthesized parses "(" Expr? ")". A parenthesized expression is its
+// content: it adds no AST level, only a nesting of its own bound.
+func (p *parser) parenthesized() Expr {
+	open := p.tok.Pos
+	p.advance()
+	if p.accept(")") {
+		return &SeqExpr{}
 	}
-	t2, err := p.lex.next()
-	if err != nil {
-		return false
+	if p.parens++; p.parens > maxParens {
+		p.failAt(open, "parentheses nest deeper than %d levels", maxParens)
 	}
-	return t2.Kind == TSym && t2.Text == "{"
+	e := p.expr()
+	p.parens--
+	p.expect(")")
+	return e
 }
 
-func (p *Parser) parseParenthesized() (Expr, error) {
-	if err := p.advance(); err != nil { // "("
-		return nil, err
-	}
-	if p.isSym(")") {
-		return &SeqExpr{}, p.advance()
-	}
-	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectSym(")"); err != nil {
-		return nil, err
-	}
-	if _, isSeq := e.(*SeqExpr); !isSeq {
-		// Parenthesized single expressions keep their identity; only the
-		// comma operator builds sequences.
-		return e, nil
-	}
-	return e, nil
-}
-
-func (p *Parser) parseFunCall() (Expr, error) {
-	name := p.tok.Text
-	if err := p.advance(); err != nil {
-		return nil, err
-	}
-	if err := p.expectSym("("); err != nil {
-		return nil, err
-	}
-	call := &FunCall{Name: name}
-	for !p.isSym(")") {
-		a, err := p.parseExprSingle()
-		if err != nil {
-			return nil, err
+func (p *parser) funCall() *FunCall {
+	call := &FunCall{Name: p.tok.Text}
+	p.advance()
+	p.expect("(")
+	for !p.is(")") {
+		call.Args = append(call.Args, p.single())
+		if !p.accept(",") {
+			break
 		}
-		call.Args = append(call.Args, a)
-		if p.isSym(",") {
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		break
 	}
-	if err := p.expectSym(")"); err != nil {
-		return nil, err
-	}
-	return call, nil
+	p.expect(")")
+	return call
 }
 
-func (p *Parser) parseComputedElemAttr(isAttr bool) (Expr, error) {
-	if err := p.advance(); err != nil { // element | attribute
-		return nil, err
-	}
+// computed parses `element|attribute (NAME | {Expr}) {Expr?}` and
+// `text|document {Expr?}`.
+func (p *parser) computed(kind string) Expr {
+	p.advance()
 	var name string
 	var nameExpr Expr
-	if p.tok.Kind == TName {
-		name = p.tok.Text
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := p.expectSym("{"); err != nil {
-			return nil, err
-		}
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		nameExpr = e
-		if err := p.expectSym("}"); err != nil {
-			return nil, err
+	if kind == "element" || kind == "attribute" {
+		if p.tok.Kind == TName {
+			name = p.tok.Text
+			p.advance()
+		} else {
+			p.expect("{")
+			nameExpr = p.nested()
+			p.expect("}")
 		}
 	}
-	if err := p.expectSym("{"); err != nil {
-		return nil, err
+	p.expect("{")
+	var content Expr
+	if !p.is("}") {
+		content = p.nested()
 	}
-	var content []Expr
-	if !p.isSym("}") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
+	p.expect("}")
+	switch {
+	case kind == "element" || kind == "attribute":
+		var list []Expr
+		if content != nil {
+			list = []Expr{content}
 		}
-		content = []Expr{e}
-	}
-	if err := p.expectSym("}"); err != nil {
-		return nil, err
-	}
-	if isAttr {
-		return &AttrConstructor{Name: name, NameExpr: nameExpr, Value: content}, nil
-	}
-	return &ElemConstructor{Name: name, NameExpr: nameExpr, Content: content}, nil
-}
-
-func (p *Parser) parseComputedTextDoc(isDoc bool) (Expr, error) {
-	if err := p.advance(); err != nil { // text | document
-		return nil, err
-	}
-	if err := p.expectSym("{"); err != nil {
-		return nil, err
-	}
-	var content Expr = &SeqExpr{}
-	if !p.isSym("}") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
+		if kind == "attribute" {
+			return &AttrConstructor{Name: name, NameExpr: nameExpr, Value: list}
 		}
-		content = e
+		return &ElemConstructor{Name: name, NameExpr: nameExpr, Content: list}
+	case content == nil:
+		content = &SeqExpr{}
 	}
-	if err := p.expectSym("}"); err != nil {
-		return nil, err
+	if kind == "document" {
+		return &DocConstructor{Content: content}
 	}
-	if isDoc {
-		return &DocConstructor{Content: content}, nil
-	}
-	return &TextConstructor{Content: content}, nil
+	return &TextConstructor{Content: content}
 }
 
 // ----------------------------------------------- direct XML constructors --
 
-// parseDirectConstructor parses `<name attr="v">content</name>` by raw
-// scanning the source from the position of the current "<" token.
-func (p *Parser) parseDirectConstructor() (Expr, error) {
-	pos := p.tok.Pos
-	e, end, err := p.scanDirect(pos)
-	if err != nil {
-		return nil, err
-	}
-	p.lex.pos = end
-	return e, p.advance()
-}
-
-// scanDirect scans one direct element constructor starting at src[pos]=='<'.
-// It returns the constructor and the position just past the closing tag.
-func (p *Parser) scanDirect(pos int) (*ElemConstructor, int, error) {
+// scanDirect scans `<name attr="v">content</name>` raw from src[pos] == '<',
+// with depth at the level of its content, and returns the constructor and
+// the position just past its end.
+func (p *parser) scanDirect(pos int) (*ElemConstructor, int) {
 	src := p.lex.src
-	if pos >= len(src) || src[pos] != '<' {
-		return nil, 0, p.lex.errorAt(pos, "expected direct constructor")
-	}
-	i := pos + 1
-	name, i, err := p.scanXMLName(i)
-	if err != nil {
-		return nil, 0, err
-	}
+	p.reach(p.depth+1, pos) // the text under a content item
+	name, i := p.xmlName(pos + 1)
 	el := &ElemConstructor{Name: name}
-	// attributes
-	for {
-		i = skipXMLSpace(src, i)
-		if i >= len(src) {
-			return nil, 0, p.lex.errorAt(pos, "unterminated start tag <%s", name)
+	for p.err == nil { // attributes
+		if i = skipXMLSpace(src, i); i >= len(src) {
+			p.failAt(pos, "unterminated start tag <%s", name)
+			return el, i
 		}
 		if src[i] == '/' || src[i] == '>' {
 			break
 		}
-		aname, j, err := p.scanXMLName(i)
-		if err != nil {
-			return nil, 0, err
+		aname, j := p.xmlName(i)
+		if j = skipXMLSpace(src, j); j >= len(src) || src[j] != '=' {
+			p.failAt(j, "expected '=' in attribute")
+			return el, j
 		}
-		j = skipXMLSpace(src, j)
-		if j >= len(src) || src[j] != '=' {
-			return nil, 0, p.lex.errorAt(j, "expected '=' in attribute")
+		if j = skipXMLSpace(src, j+1); j >= len(src) || (src[j] != '"' && src[j] != '\'') {
+			p.failAt(j, "expected quoted attribute value")
+			return el, j
 		}
-		j = skipXMLSpace(src, j+1)
-		if j >= len(src) || (src[j] != '"' && src[j] != '\'') {
-			return nil, 0, p.lex.errorAt(j, "expected quoted attribute value")
+		end := len(src)
+		if k := strings.IndexByte(src[j+1:], src[j]); k >= 0 {
+			end = j + 1 + k
 		}
-		q := src[j]
-		j++
-		var val strings.Builder
-		for j < len(src) && src[j] != q {
-			if src[j] == '&' {
-				rep, n, ok := scanEntity(src[j:])
-				if !ok {
-					return nil, 0, p.lex.errorAt(j, "bad entity in attribute value")
-				}
-				val.WriteString(rep)
-				j += n
-				continue
-			}
-			val.WriteByte(src[j])
-			j++
+		val := p.unescape(src[j+1:end], j+1)
+		if end == len(src) {
+			p.failAt(pos, "unterminated attribute value")
 		}
-		if j >= len(src) {
-			return nil, 0, p.lex.errorAt(pos, "unterminated attribute value")
-		}
-		j++ // closing quote
-		el.Content = append(el.Content, &AttrConstructor{
-			Name:  aname,
-			Value: []Expr{&Literal{Val: xdm.NewString(val.String())}},
-		})
-		i = j
+		el.Content = append(el.Content, &AttrConstructor{Name: aname, Value: []Expr{&Literal{Val: xdm.NewString(val)}}})
+		i = end + 1
+	}
+	if p.err != nil {
+		return el, i
 	}
 	if src[i] == '/' {
 		if i+1 >= len(src) || src[i+1] != '>' {
-			return nil, 0, p.lex.errorAt(i, "expected '/>'")
+			p.failAt(i, "expected '/>'")
 		}
-		return el, i + 2, nil
+		return el, i + 2
 	}
 	i++ // '>'
-	// content
 	var text strings.Builder
-	flushText := func() {
-		s := text.String()
-		text.Reset()
-		if strings.TrimSpace(s) == "" {
-			return // boundary-space strip (XQuery default)
-		}
-		el.Content = append(el.Content, &TextConstructor{
-			Content: &Literal{Val: xdm.NewString(s)},
-		})
-	}
-	for {
+	for p.err == nil {
 		if i >= len(src) {
-			return nil, 0, p.lex.errorAt(pos, "unterminated element <%s>", name)
+			p.failAt(pos, "unterminated element <%s>", name)
+			break
 		}
-		switch src[i] {
-		case '<':
-			if i+1 < len(src) && src[i+1] == '/' {
-				flushText()
-				j := i + 2
-				ename, j, err := p.scanXMLName(j)
-				if err != nil {
-					return nil, 0, err
-				}
-				if ename != name {
-					return nil, 0, p.lex.errorAt(i, "mismatched end tag </%s>, expected </%s>", ename, name)
-				}
-				j = skipXMLSpace(src, j)
-				if j >= len(src) || src[j] != '>' {
-					return nil, 0, p.lex.errorAt(j, "expected '>' in end tag")
-				}
-				return el, j + 1, nil
+		switch c := src[i]; {
+		case c == '<' && i+1 < len(src) && src[i+1] == '/':
+			flushText(el, &text)
+			ename, j := p.xmlName(i + 2)
+			if ename != name {
+				p.failAt(i, "mismatched end tag </%s>, expected </%s>", ename, name)
 			}
-			if strings.HasPrefix(src[i:], "<!--") {
-				end := strings.Index(src[i+4:], "-->")
-				if end < 0 {
-					return nil, 0, p.lex.errorAt(i, "unterminated comment in constructor")
-				}
-				i += 4 + end + 3
-				continue
+			if j = skipXMLSpace(src, j); j >= len(src) || src[j] != '>' {
+				p.failAt(j, "expected '>' in end tag")
 			}
-			flushText()
-			child, next, err := p.scanDirect(i)
-			if err != nil {
-				return nil, 0, err
+			return el, j + 1
+		case c == '<' && strings.HasPrefix(src[i:], "<!--"):
+			end := strings.Index(src[i+4:], "-->")
+			if end < 0 {
+				p.failAt(i, "unterminated comment in constructor")
 			}
+			i += 4 + end + 3
+		case c == '<':
+			flushText(el, &text)
+			p.depth += 2
+			child, next := p.scanDirect(i)
+			p.depth -= 2
 			el.Content = append(el.Content, child)
 			i = next
-		case '{':
-			if i+1 < len(src) && src[i+1] == '{' {
-				text.WriteByte('{')
-				i += 2
-				continue
-			}
-			flushText()
+		case (c == '{' || c == '}') && i+1 < len(src) && src[i+1] == c:
+			text.WriteByte(c)
+			i += 2
+		case c == '}':
+			p.failAt(i, "unescaped '}' in constructor content")
+		case c == '{':
+			flushText(el, &text)
 			// Hand control to the token parser for the enclosed expression.
 			p.lex.pos = i + 1
-			if err := p.advance(); err != nil {
-				return nil, 0, err
+			p.advance()
+			el.Content = append(el.Content, p.expr())
+			if !p.is("}") {
+				p.fail("expected '}' in constructor content, found %s", p.tok)
 			}
-			inner, err := p.parseExpr()
-			if err != nil {
-				return nil, 0, err
-			}
-			if !p.isSym("}") {
-				return nil, 0, p.errf("expected '}' in constructor content, found %s", p.tok)
-			}
-			el.Content = append(el.Content, inner)
 			i = p.tok.End
-		case '}':
-			if i+1 < len(src) && src[i+1] == '}' {
-				text.WriteByte('}')
-				i += 2
-				continue
-			}
-			return nil, 0, p.lex.errorAt(i, "unescaped '}' in constructor content")
-		case '&':
+		case c == '&':
 			rep, n, ok := scanEntity(src[i:])
 			if !ok {
-				return nil, 0, p.lex.errorAt(i, "bad entity in constructor content")
+				p.failAt(i, "bad entity in constructor content")
 			}
 			text.WriteString(rep)
 			i += n
 		default:
-			text.WriteByte(src[i])
+			text.WriteByte(c)
 			i++
 		}
 	}
+	return el, i
 }
 
-func (p *Parser) scanXMLName(i int) (string, int, error) {
+// unescape decodes the predefined entities of an attribute value s that
+// starts at src[at].
+func (p *parser) unescape(s string, at int) string {
+	var b strings.Builder
+	for k := 0; k < len(s); {
+		if s[k] != '&' {
+			b.WriteByte(s[k])
+			k++
+			continue
+		}
+		rep, n, ok := scanEntity(s[k:])
+		if !ok {
+			p.failAt(at+k, "bad entity in attribute value")
+			break
+		}
+		b.WriteString(rep)
+		k += n
+	}
+	return b.String()
+}
+
+// flushText appends the character data scanned so far as a text node,
+// unless it is boundary whitespace (the XQuery default strips it).
+func flushText(el *ElemConstructor, text *strings.Builder) {
+	s := text.String()
+	text.Reset()
+	if strings.TrimSpace(s) != "" {
+		el.Content = append(el.Content, &TextConstructor{Content: &Literal{Val: xdm.NewString(s)}})
+	}
+}
+
+func (p *parser) xmlName(i int) (string, int) {
 	src := p.lex.src
 	if i >= len(src) || !isNameStart(src[i]) {
-		return "", 0, p.lex.errorAt(i, "expected XML name")
+		p.failAt(i, "expected XML name")
+		return "", i
 	}
 	start := i
 	for i < len(src) && (isNameChar(src[i]) || src[i] == ':') {
 		i++
 	}
-	return src[start:i], i, nil
+	return src[start:i], i
 }
 
 func skipXMLSpace(src string, i int) int {

@@ -24,46 +24,51 @@ func roundTrip(t *testing.T, src string) string {
 	return p1
 }
 
+// literalPrints maps literal sources to their printed forms.
+var literalPrints = map[string]string{
+	`"hello"`:       `"hello"`,
+	`'it''s'`:       `"it's"`,
+	`"a""b"`:        `"a""b"`,
+	`42`:            `42`,
+	`3.25`:          `3.25`,
+	`1e3`:           `1000`,
+	`"&lt;tag&gt;"`: `"<tag>"`,
+}
+
 func TestParseLiterals(t *testing.T) {
-	for src, want := range map[string]string{
-		`"hello"`:       `"hello"`,
-		`'it''s'`:       `"it's"`,
-		`"a""b"`:        `"a""b"`,
-		`42`:            `42`,
-		`3.25`:          `3.25`,
-		`1e3`:           `1000`,
-		`"&lt;tag&gt;"`: `"<tag>"`,
-	} {
+	for src, want := range literalPrints {
 		got := roundTrip(t, src)
 		if got != want {
 			t.Errorf("Print(%s) = %s, want %s", src, got, want)
 		}
 	}
+}
+
+// pathPrints maps path sources to their printed forms.
+var pathPrints = map[string]string{
+	"doc(\"d.xml\")/a/b":      `doc("d.xml")/child::a/child::b`,
+	"$x//c":                   "$x/descendant-or-self::node()/child::c",
+	"$x/@id":                  "$x/attribute::id",
+	"$x/..":                   "$x/parent::node()",
+	"$x/parent::a":            "$x/parent::a",
+	"$x/ancestor-or-self::*":  "$x/ancestor-or-self::*",
+	"$x/preceding-sibling::b": "$x/preceding-sibling::b",
+	"$x/following::node()":    "$x/following::node()",
+	"$x/text()":               "$x/child::text()",
+	"$x/child::comment()":     "$x/child::comment()",
+	"a/b":                     "./child::a/child::b",
+	"@id":                     "./attribute::id",
+	"$x/a[2]":                 "$x/child::a[2]",
+	"$x/a[@id = 3]":           "$x/child::a[(./attribute::id) = 3]",
+	"($x, $y)/a":              "($x, $y)/child::a",
+	"/site/people":            "/child::site/child::people",
+	"//person":                "/descendant-or-self::node()/child::person",
+	".":                       ".",
+	"./a":                     "./child::a",
 }
 
 func TestParsePaths(t *testing.T) {
-	cases := map[string]string{
-		"doc(\"d.xml\")/a/b":      `doc("d.xml")/child::a/child::b`,
-		"$x//c":                   "$x/descendant-or-self::node()/child::c",
-		"$x/@id":                  "$x/attribute::id",
-		"$x/..":                   "$x/parent::node()",
-		"$x/parent::a":            "$x/parent::a",
-		"$x/ancestor-or-self::*":  "$x/ancestor-or-self::*",
-		"$x/preceding-sibling::b": "$x/preceding-sibling::b",
-		"$x/following::node()":    "$x/following::node()",
-		"$x/text()":               "$x/child::text()",
-		"$x/child::comment()":     "$x/child::comment()",
-		"a/b":                     "./child::a/child::b",
-		"@id":                     "./attribute::id",
-		"$x/a[2]":                 "$x/child::a[2]",
-		"$x/a[@id = 3]":           "$x/child::a[(./attribute::id) = 3]",
-		"($x, $y)/a":              "($x, $y)/child::a",
-		"/site/people":            "/child::site/child::people",
-		"//person":                "/descendant-or-self::node()/child::person",
-		".":                       ".",
-		"./a":                     "./child::a",
-	}
-	for src, want := range cases {
+	for src, want := range pathPrints {
 		got := roundTrip(t, src)
 		if got != want {
 			t.Errorf("Print(%s) = %s, want %s", src, got, want)
@@ -71,25 +76,27 @@ func TestParsePaths(t *testing.T) {
 	}
 }
 
+// precedencePrints maps operator expressions to their printed forms.
+var precedencePrints = map[string]string{
+	"1 + 2 * 3":                "1 + (2 * 3)",
+	"1 * 2 + 3":                "(1 * 2) + 3",
+	"1 - 2 - 3":                "(1 - 2) - 3",
+	"8 div 4 mod 3":            "(8 div 4) mod 3",
+	"$a = $b and $c < $d":      "($a = $b) and ($c < $d)",
+	"$a and $b or $c":          "($a and $b) or $c",
+	"$a is $b":                 "$a is $b",
+	"$a << $b":                 "$a << $b",
+	"$a >> $b":                 "$a >> $b",
+	"$a union $b intersect $c": "$a union ($b intersect $c)",
+	"$a | $b":                  "$a union $b",
+	"$a except $b":             "$a except $b",
+	"-$x + 1":                  "-$x + 1",
+	"$a eq $b":                 "$a = $b",
+	"count($x) * 2":            "count($x) * 2",
+}
+
 func TestParsePrecedence(t *testing.T) {
-	cases := map[string]string{
-		"1 + 2 * 3":                "1 + (2 * 3)",
-		"1 * 2 + 3":                "(1 * 2) + 3",
-		"1 - 2 - 3":                "(1 - 2) - 3",
-		"8 div 4 mod 3":            "(8 div 4) mod 3",
-		"$a = $b and $c < $d":      "($a = $b) and ($c < $d)",
-		"$a and $b or $c":          "($a and $b) or $c",
-		"$a is $b":                 "$a is $b",
-		"$a << $b":                 "$a << $b",
-		"$a >> $b":                 "$a >> $b",
-		"$a union $b intersect $c": "$a union ($b intersect $c)",
-		"$a | $b":                  "$a union $b",
-		"$a except $b":             "$a except $b",
-		"-$x + 1":                  "-$x + 1",
-		"$a eq $b":                 "$a = $b",
-		"count($x) * 2":            "count($x) * 2",
-	}
-	for src, want := range cases {
+	for src, want := range precedencePrints {
 		got := roundTrip(t, src)
 		if got != want {
 			t.Errorf("Print(%s) = %s, want %s", src, got, want)
@@ -259,20 +266,22 @@ func TestParseComments(t *testing.T) {
 	}
 }
 
+// parseErrorCases are malformed queries, one per kind of syntax error.
+var parseErrorCases = []string{
+	`for $x return $x`,           // missing in
+	`if ($x) then 1`,             // missing else
+	`$x + `,                      // missing operand
+	`doc("a.xml"`,                // missing paren
+	`<a><b></a></b>`,             // mismatched tags
+	`declare function f() { 1 }`, // missing semicolon
+	`"unterminated`,
+	`(: unterminated`,
+	`$`,
+	`execute at {1} {2}`, // not a function application
+}
+
 func TestParseErrorsHavePositions(t *testing.T) {
-	cases := []string{
-		`for $x return $x`,           // missing in
-		`if ($x) then 1`,             // missing else
-		`$x + `,                      // missing operand
-		`doc("a.xml"`,                // missing paren
-		`<a><b></a></b>`,             // mismatched tags
-		`declare function f() { 1 }`, // missing semicolon
-		`"unterminated`,
-		`(: unterminated`,
-		`$`,
-		`execute at {1} {2}`, // not a function application
-	}
-	for _, src := range cases {
+	for _, src := range parseErrorCases {
 		if _, err := ParseQuery(src); err == nil {
 			t.Errorf("ParseQuery(%q): expected error", src)
 		} else if !strings.Contains(err.Error(), "line") && !strings.Contains(err.Error(), "xq:") {

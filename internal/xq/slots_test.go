@@ -3,7 +3,7 @@ package xq
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
+	goparser "go/parser"
 	"go/token"
 	"reflect"
 	"sort"
@@ -84,7 +84,7 @@ func slotValues(e Expr) []Expr {
 func TestSlotsCoverEveryField(t *testing.T) {
 	// Every node type declared in ast.go is listed in slotNodes.
 	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, "ast.go", nil, 0)
+	file, err := goparser.ParseFile(fset, "ast.go", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

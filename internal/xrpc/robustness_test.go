@@ -1,6 +1,7 @@
 package xrpc
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -176,5 +177,25 @@ func TestProjectionPathsSurviveMessageRoundTrip(t *testing.T) {
 		got.ResultReturned.String() != req.ResultReturned.String() {
 		t.Errorf("paths changed: used %s→%s returned %s→%s",
 			req.ResultUsed, got.ResultUsed, req.ResultReturned, got.ResultReturned)
+	}
+}
+
+// TestModuleDepthBound: a shipped module nested past the parser's depth
+// bound comes back as a fault carrying the SyntaxError, instead of
+// overflowing the peer's stack.
+func TestModuleDepthBound(t *testing.T) {
+	n := 1_000_000
+	module := "declare function f() as item()* { " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + " };"
+	msg := `<env:Envelope xmlns:env="urn:e" xmlns:xrpc="urn:x"><env:Body><xrpc:request method="f" arity="0" semantics="by-value"><xrpc:module>` +
+		module + `</xrpc:module><xrpc:call/></xrpc:request></env:Body></env:Envelope>`
+	_, err := newPeer(nil).Handle([]byte(msg))
+	var se *xq.SyntaxError
+	if !errors.As(err, &se) || !strings.Contains(se.Msg, "deeper than") {
+		t.Fatalf("Handle: error %v, want the parser's nesting bound", err)
+	}
+	_, err = ParseResponse(MarshalFault(err))
+	var fault *Fault
+	if !errors.As(err, &fault) || !strings.Contains(fault.Msg, "deeper than") {
+		t.Errorf("fault message decodes to %v, want a Fault naming the bound", err)
 	}
 }
