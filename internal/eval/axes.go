@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 
 	"distxq/internal/xdm"
 	"distxq/internal/xq"
@@ -37,7 +38,8 @@ func (c *context) evalPath(pe *xq.PathExpr) (xdm.Sequence, error) {
 				cur = xdm.NodeSeq(curNodes)
 				haveNodes = false
 			}
-			filtered, err := c.filterItems(cur, st.Preds)
+			// A copy: a variable may hold the sequence.
+			filtered, err := filterPreds(c, slices.Clone(cur), st.Preds, false)
 			if err != nil {
 				return nil, err
 			}
@@ -81,7 +83,7 @@ func (c *context) evalStep(nodes []*xdm.Node, st *xq.Step, dst []*xdm.Node) ([]*
 			return nil, err
 		}
 		if len(st.Preds) > 0 {
-			seg, err := c.filterPreds(gathered[start:], st.Preds)
+			seg, err := filterPreds(c, gathered[start:], st.Preds, st.Axis.Reverse())
 			if err != nil {
 				return nil, err
 			}
@@ -94,22 +96,28 @@ func (c *context) evalStep(nodes []*xdm.Node, st *xq.Step, dst []*xdm.Node) ([]*
 	return gathered, nil
 }
 
-// filterItems applies filter-expression predicates over a whole sequence
-// (which may include atomic items); a numeric predicate selects by position
-// within the entire sequence.
-func (c *context) filterItems(items xdm.Sequence, preds []xq.Expr) (xdm.Sequence, error) {
+// filterPreds applies predicates to items: a step's candidates for one
+// context node, in document order, or a filter expression's sequence. A
+// predicate evaluating to a number selects by position; otherwise its
+// effective boolean value filters. Positions count from the context node
+// outward, so against document order on a reverse axis. items is
+// compacted in place and the result aliases it.
+func filterPreds[T xdm.Item](c *context, items []T, preds []xq.Expr, reverse bool) ([]T, error) {
 	for _, pred := range preds {
-		kept := xdm.Sequence{}
+		kept := items[:0]
 		size := len(items)
 		for i, it := range items {
-			pc := c.withItem(it, i+1, size)
-			s, err := pc.eval(pred)
+			pos := i + 1
+			if reverse {
+				pos = size - i
+			}
+			s, err := c.withItem(it, pos, size).eval(pred)
 			if err != nil {
 				return nil, err
 			}
 			if len(s) == 1 {
 				if a, isAtom := s[0].(xdm.Atomic); isAtom && a.IsNumeric() {
-					if int(a.Number()) == i+1 {
+					if int(a.Number()) == pos {
 						kept = append(kept, it)
 					}
 					continue
@@ -128,43 +136,6 @@ func (c *context) filterItems(items xdm.Sequence, preds []xq.Expr) (xdm.Sequence
 	return items, nil
 }
 
-// filterPreds applies the step predicates to a candidate list. A predicate
-// evaluating to a number selects by position (1-based over the candidates as
-// given, i.e. document order — a known deviation from XPath for reverse
-// axes, where position should count from the context node outward); otherwise
-// its effective boolean value filters. The input slice is compacted in place;
-// the returned slice aliases it.
-func (c *context) filterPreds(nodes []*xdm.Node, preds []xq.Expr) ([]*xdm.Node, error) {
-	for _, pred := range preds {
-		kept := nodes[:0]
-		size := len(nodes)
-		for i, n := range nodes {
-			pc := c.withItem(n, i+1, size)
-			s, err := pc.eval(pred)
-			if err != nil {
-				return nil, err
-			}
-			if len(s) == 1 {
-				if a, isAtom := s[0].(xdm.Atomic); isAtom && a.IsNumeric() {
-					if int(a.Number()) == i+1 {
-						kept = append(kept, n)
-					}
-					continue
-				}
-			}
-			b, ok := s.EffectiveBoolean()
-			if !ok {
-				return nil, fmt.Errorf("eval: invalid predicate value")
-			}
-			if b {
-				kept = append(kept, n)
-			}
-		}
-		nodes = kept
-	}
-	return nodes, nil
-}
-
 // AxisNodes appends the nodes reached from n over the axis that satisfy the
 // node test to dst, in document order, and returns the extended slice. It is
 // exported for the projection package, which evaluates projection paths with
@@ -177,9 +148,10 @@ func AxisNodes(dst []*xdm.Node, n *xdm.Node, axis xq.Axis, test xq.NodeTest) []*
 
 // gatherAxis appends one context node's axis candidates to dst, in document
 // order. Child and attribute steps — the hot ones — are slice walks with no
-// sink call per candidate; self and the descendant axes are walkAxis with an
-// appending sink; the other axes check the deadline once and defer to
-// appendAxisNodes. A nil stop never fails.
+// sink call per candidate; self and the descendant axes go through walkAxis
+// with an appending sink, so a named descendant step over a served document
+// reads its per-name list; the other axes check the deadline once and defer
+// to appendAxisNodes. A nil stop never fails.
 func gatherAxis(dst []*xdm.Node, n *xdm.Node, axis xq.Axis, test xq.NodeTest, stop *stopCheck) ([]*xdm.Node, error) {
 	switch axis {
 	case xq.AxisChild, xq.AxisAttribute:
@@ -230,9 +202,12 @@ type nodeSink func(*xdm.Node) (bool, error)
 // walkAxis feeds the nodes of a downward axis of n that pass the node test to
 // the sink, in document order, and walkSubtree is the one subtree scanner:
 // gatherAxis collects with them, a streamed step pushes through them, and a
-// streamed comparison stops them at the first match. It returns false when
-// the sink ended the walk early. The deadline is checked per visited node,
-// so a budget can cut a huge step mid-flight in either executor.
+// streamed comparison stops them at the first match. A named descendant step
+// over a served document reads the name's element list instead, once built
+// (xdm.Node.Named); a walk that first finds a name gives it its entry. It
+// returns false when the sink ended the walk early. The deadline is checked
+// per visited node, so a budget can cut a huge step mid-flight in either
+// executor.
 func walkAxis(n *xdm.Node, axis xq.Axis, test xq.NodeTest, stop *stopCheck, sink nodeSink) (bool, error) {
 	switch axis {
 	case xq.AxisChild:
@@ -252,14 +227,39 @@ func walkAxis(n *xdm.Node, axis xq.Axis, test xq.NodeTest, stop *stopCheck, sink
 		}
 	case xq.AxisSelf:
 		return visitNode(n, axis, test, stop, sink)
-	case xq.AxisDescendant:
+	case xq.AxisDescendant, xq.AxisDescendantOrSelf:
+		if test.Kind == xq.TestName {
+			els, ok, untracked := n.Named(test.Name)
+			if ok {
+				if axis == xq.AxisDescendant && len(els) > 0 && els[0] == n {
+					els = els[1:]
+				}
+				for _, m := range els {
+					if cont, err := visitNode(m, axis, test, stop, sink); !cont || err != nil {
+						return cont, err
+					}
+				}
+				return true, nil
+			}
+			if untracked {
+				inner, found := sink, false
+				sink = func(m *xdm.Node) (bool, error) {
+					if !found {
+						found = true
+						n.FoundNamed(test.Name)
+					}
+					return inner(m)
+				}
+			}
+		}
+		if axis == xq.AxisDescendantOrSelf {
+			return walkSubtree(n, axis, test, stop, sink)
+		}
 		for _, ch := range n.Children {
 			if cont, err := walkSubtree(ch, axis, test, stop, sink); !cont || err != nil {
 				return cont, err
 			}
 		}
-	case xq.AxisDescendantOrSelf:
-		return walkSubtree(n, axis, test, stop, sink)
 	default:
 		return false, fmt.Errorf("eval: axis %s is not a downward axis", axis)
 	}

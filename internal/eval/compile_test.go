@@ -112,6 +112,13 @@ var compileBattery = []string{
 	`for $x in (1, "a", 2) order by $x return $x`,
 	`for $x in (3, 1, 2, 1, 3, 2) order by $x mod 2 descending, $x idiv 2 return $x * 10 + $x`,
 	`for $p in doc("f.xml")//person order by $p/address/city descending, $p/name return $p/name`,
+	`for $k in ("a", 5, <a>7</a>) order by $k return string($k)`,
+	`for $p in doc("f.xml")//person order by $p/emailaddress * 1, $p/profile/age return $p/name`,
+	// Positions on reverse axes count from the context node outward.
+	`doc("f.xml")//l3/ancestor::*[1]`,
+	`doc("f.xml")//l2[3]/preceding-sibling::*[1]/@k`,
+	`doc("f.xml")//l3/ancestor-or-self::*[position() = 2 or last()]`,
+	`doc("f.xml")//book[3]/preceding::*[2]`,
 	`for $p in doc("f.xml")//person order by $p/profile/age
 	 return if ($p/name = doc("f.xml")//author) then $p/name else ()`,
 	`declare function sorted($s as item()*) as item()* { for $x in $s order by $x descending return $x };
@@ -151,6 +158,65 @@ func TestCompiledEquivalenceRegressions(t *testing.T) {
 	docs := mapResolver{"f.xml": fuzzFixtureXML}
 	for _, src := range compileBattery {
 		expectCompiled(t, docs, src)
+	}
+}
+
+// expectBoth requires src to evaluate to want under the tree-walker and to
+// the same result under the compiled executor, eager and lazy.
+func expectBoth(t *testing.T, docs mapResolver, src, want string) {
+	t.Helper()
+	expect(t, docs, src, want)
+	expectCompiled(t, docs, src)
+}
+
+// TestReverseAxisPositions: a positional predicate on ancestor,
+// ancestor-or-self, preceding and preceding-sibling counts from the context
+// node outward, on both executors; a filter over the step's result still
+// counts in document order.
+func TestReverseAxisPositions(t *testing.T) {
+	docs := mapResolver{"r.xml": `<a><b/><c><d/></c><e/></a>`}
+	for src, want := range map[string]string{
+		`name(doc("r.xml")/descendant::d/ancestor::*[1])`:                           "c",
+		`name(doc("r.xml")/descendant::d/ancestor::*[last()])`:                      "a",
+		`name(doc("r.xml")/descendant::e/preceding-sibling::*[1])`:                  "c",
+		`name(doc("r.xml")/descendant::e/preceding-sibling::*[2])`:                  "b",
+		`name(doc("r.xml")/descendant::d/ancestor-or-self::*[2])`:                   "c",
+		`name(doc("r.xml")/descendant::e/preceding::*[1])`:                          "d",
+		`for $n in doc("r.xml")//d/ancestor::*[position() <= 2] return name($n)`:    "a c",
+		`for $n in doc("r.xml")//e/preceding::*[position() > 1][1] return name($n)`: "c",
+		`name((doc("r.xml")/descendant::d/ancestor::*)[1])`:                         "a",
+		`name(doc("r.xml")/descendant::d/following::*[1])`:                          "e",
+	} {
+		expectBoth(t, docs, src, want)
+	}
+}
+
+// TestOrderByIsInputOrderFree: whether an order by faults depends on its key
+// columns, not on which pairs the sort happens to compare; an empty key is
+// the least of every column; a column holding a number orders by number.
+func TestOrderByIsInputOrderFree(t *testing.T) {
+	for _, src := range []string{
+		`for $k in (<a>7</a>, 5, "a") order by $k return string($k)`,
+		`for $k in ("a", 5, <a>7</a>) order by $k return string($k)`,
+		`for $k in (true(), "a") order by $k return string($k)`,
+		`for $k in ("a", true()) order by $k return string($k)`,
+	} {
+		if err := runErr(t, nil, src); !strings.Contains(err.Error(), "not comparable") {
+			t.Errorf("%s: %v", src, err)
+		}
+		expectCompiled(t, nil, src)
+	}
+	for src, want := range map[string]string{
+		`for $x in (<a><v>3</v></a>, <a/>, <a><v>1</v></a>) order by $x/v * 1 return count($x/v)`:           "0 1 1",
+		`for $x in (<a><v>3</v></a>, <a/>, <a><v>1</v></a>) order by $x/v * 1 descending return string($x)`: "3 1 ",
+		`for $k in (<a>10</a>, 9.5, <a>9</a>) order by $k return string($k)`:                                "9 9.5 10",
+		`for $k in ("b", <a>a</a>, "c") order by $k descending return string($k)`:                           "c b a",
+		`for $k in (true(), false(), ()) order by $k return string($k)`:                                     "false true",
+		`for $k in (2, 1, 2, 1) order by $k return $k`:                                                      "1 1 2 2",
+		`for $k in () order by $k, $k descending return $k`:                                                 "",
+		`for $x in (3, 1, 2, 1, 3, 2) order by $x mod 2, $x return $x`:                                      "2 2 1 1 3 3",
+	} {
+		expectBoth(t, nil, src, want)
 	}
 }
 

@@ -268,12 +268,12 @@ func (f *cframe) loopInput(in cexpr, canHoist bool, binds []cexpr, slots []int) 
 
 // orderLoop runs an order-by loop's iterations over in exactly as evalFor
 // does — per iteration in input order its keys, then its body — sorts them
-// with the shared comparator and appends their results to dst in sorted
-// order. Keys and results accumulate in two flat buffers, so an iteration
-// allocates nothing of its own.
+// with the shared sortOrdered and appends their results to dst in its
+// order. Keys and results accumulate in two flat buffers, results by end
+// offset, so an iteration allocates nothing of its own.
 func (f *cframe) orderLoop(dst, in xdm.Sequence, slot int, keys []cexpr, specs []xq.OrderSpec, body cexpr) (xdm.Sequence, error) {
 	k := len(keys)
-	iters := make([]orderedIteration, len(in))
+	ends := make([]int32, len(in)+1)
 	atoms := make([]xdm.Atomic, len(in)*k)
 	flat, kb := f.sc.seqs.take(), f.sc.seqs.take()
 	for i, it := range in {
@@ -281,31 +281,28 @@ func (f *cframe) orderLoop(dst, in xdm.Sequence, slot int, keys []cexpr, specs [
 			return nil, err
 		}
 		f.items[slot] = it
-		ks := atoms[i*k : (i+1)*k : (i+1)*k]
 		for j, key := range keys {
 			var err error
 			if kb, err = key(f, kb[:0]); err != nil {
 				return nil, err
 			}
-			if ks[j], err = orderKey(kb); err != nil {
+			if atoms[i*k+j], err = orderKey(kb); err != nil {
 				return nil, err
 			}
 		}
-		lo := len(flat)
 		var err error
 		if flat, err = body(f, flat); err != nil {
 			return nil, err
 		}
-		// A later append may move flat; this window keeps the array it
-		// was written to, which nothing writes again.
-		iters[i] = orderedIteration{keys: ks, res: flat[lo:len(flat):len(flat)]}
+		ends[i+1] = int32(len(flat))
 	}
 	f.sc.seqs.give(kb)
-	if err := sortOrdered(iters, specs); err != nil {
+	perm, err := sortOrdered(atoms, specs)
+	if err != nil {
 		return nil, err
 	}
-	for _, it := range iters {
-		dst = append(dst, it.res...)
+	for _, i := range perm {
+		dst = append(dst, flat[ends[i]:ends[i+1]]...)
 	}
 	f.sc.seqs.give(flat)
 	return dst, nil
@@ -531,7 +528,7 @@ func (f *cframe) walkPath(p *cpath, steps []*cstep) (items xdm.Sequence, nodes [
 				sc.nodes.give(nodes)
 				nodes, isNodes = nil, false
 			}
-			if items, err = f.runFilterItems(items, st.preds); err != nil {
+			if items, err = runFilter(f, items, st.preds, false); err != nil {
 				return nil, nil, false, err
 			}
 			continue
@@ -668,7 +665,7 @@ func (f *cframe) runStep(nodes []*xdm.Node, st *cstep, dst []*xdm.Node) ([]*xdm.
 			return nil, err
 		}
 		if len(st.preds) > 0 {
-			seg, err := f.runFilterPreds(gathered[start:], st.preds)
+			seg, err := runFilter(f, gathered[start:], st.preds, st.axis.Reverse())
 			if err != nil {
 				return nil, err
 			}
@@ -681,37 +678,20 @@ func (f *cframe) runStep(nodes []*xdm.Node, st *cstep, dst []*xdm.Node) ([]*xdm.
 	return gathered, nil
 }
 
-// runFilterPreds applies compiled step predicates to a candidate segment,
-// compacting in place — the mirror of filterPreds, minus the per-candidate
-// context allocation: the frame's focus is set and restored around each
-// predicate evaluation.
-func (f *cframe) runFilterPreds(nodes []*xdm.Node, preds []cpred) ([]*xdm.Node, error) {
-	for _, pred := range preds {
-		kept := nodes[:0]
-		size := len(nodes)
-		for i, n := range nodes {
-			keep, err := f.evalPred(pred, n, i+1, size)
-			if err != nil {
-				return nil, err
-			}
-			if keep {
-				kept = append(kept, n)
-			}
-		}
-		nodes = kept
-	}
-	return nodes, nil
-}
-
-// runFilterItems is the filter-step mirror of filterItems: positions count
-// over the whole sequence per predicate layer. It compacts items, which the
-// caller owns, in place.
-func (f *cframe) runFilterItems(items xdm.Sequence, preds []cpred) (xdm.Sequence, error) {
+// runFilter applies compiled predicates to items, which the caller owns,
+// compacting them in place — the mirror of filterPreds, positions
+// included, minus the per-candidate context allocation: the frame's focus
+// is set and restored around each predicate evaluation.
+func runFilter[T xdm.Item](f *cframe, items []T, preds []cpred, reverse bool) ([]T, error) {
 	for _, pred := range preds {
 		kept := items[:0]
 		size := len(items)
 		for i, it := range items {
-			keep, err := f.evalPred(pred, it, i+1, size)
+			pos := i + 1
+			if reverse {
+				pos = size - i
+			}
+			keep, err := f.evalPred(pred, it, pos, size)
 			if err != nil {
 				return nil, err
 			}
@@ -807,7 +787,7 @@ func (f *cframe) streamFrom(n *xdm.Node, st *cstep, yield func(xdm.Item) bool) e
 	if len(st.preds) > 1 {
 		seg, err := gatherAxis(f.sc.nodes.take(), n, st.axis, st.test, stop)
 		if err == nil {
-			seg, err = f.runFilterPreds(seg, st.preds)
+			seg, err = runFilter(f, seg, st.preds, false) // a streamed axis is forward
 		}
 		if err != nil {
 			return err
@@ -881,12 +861,12 @@ func haltIf(cont bool, err error) error {
 }
 
 // streamFilterItems streams a compiled final filter step over a materialized
-// input: positions count over the whole sequence, as in filterItems, and
+// input: positions count over the whole sequence, as in filterPreds, and
 // several predicate layers run whole first, for streamFrom's reason.
 func (f *cframe) streamFilterItems(items xdm.Sequence, preds []cpred, yield func(xdm.Item) bool) error {
 	if len(preds) > 1 {
 		var err error
-		if items, err = f.runFilterItems(items, preds); err != nil {
+		if items, err = runFilter(f, items, preds, false); err != nil {
 			return err
 		}
 		preds = nil

@@ -313,6 +313,7 @@ func (e *Engine) Doc(uri string) (*xdm.Document, error) {
 			ent.err = fmt.Errorf("eval: doc(%q): %w", uri, err)
 			return
 		}
+		d.ServeNames()
 		ent.doc, ent.err = d, nil
 		e.mu.Lock()
 		e.Stats.DocsResolved++

@@ -1,11 +1,12 @@
 package eval
 
 import (
+	"cmp"
 	stdcontext "context"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -184,10 +185,10 @@ func (c *context) evalFor(v *xq.ForExpr) (xdm.Sequence, error) {
 			}
 		}
 	}
-	iters := make([]orderedIteration, 0, len(in))
+	results := make([]xdm.Sequence, 0, len(in))
+	var keys []xdm.Atomic
 	for _, it := range in {
 		ic := c.bind(v.Var, xdm.Singleton(it))
-		var keys []xdm.Atomic
 		for _, spec := range v.OrderBy {
 			ks, err := ic.eval(spec.Key)
 			if err != nil {
@@ -203,62 +204,105 @@ func (c *context) evalFor(v *xq.ForExpr) (xdm.Sequence, error) {
 		if err != nil {
 			return nil, err
 		}
-		iters = append(iters, orderedIteration{res: res, keys: keys})
+		results = append(results, res)
 	}
+	var perm []int32
 	if len(v.OrderBy) > 0 {
-		if err := sortOrdered(iters, v.OrderBy); err != nil {
+		if perm, err = sortOrdered(keys, v.OrderBy); err != nil {
 			return nil, err
 		}
 	}
 	out := xdm.Sequence{}
-	for _, it := range iters {
-		out = append(out, it.res...)
+	for i := range results {
+		if perm != nil {
+			i = int(perm[i])
+		}
+		out = append(out, results[i]...)
 	}
 	return out, nil
 }
 
-// orderedIteration is one iteration of a for-loop awaiting its order by:
-// the iteration's sort keys and its result.
-type orderedIteration struct {
-	res  xdm.Sequence
-	keys []xdm.Atomic
-}
+// emptyKey stands for an empty order-by key, the least key of any column.
+var emptyKey = xdm.Atomic{T: xdm.AtomType(255)}
 
 // orderKey is the sort key of one evaluated order-by key: its single atom,
-// or the empty string — which sorts first — for an empty key.
+// or emptyKey for an empty key.
 func orderKey(ks xdm.Sequence) (xdm.Atomic, error) {
 	switch len(ks) {
 	case 0:
-		return xdm.NewString(""), nil
+		return emptyKey, nil
 	case 1:
 		return atomOf(ks[0]), nil
 	}
 	return xdm.Atomic{}, fmt.Errorf("eval: order by key is a sequence")
 }
 
-// sortOrdered sorts an order-by loop's iterations stably by their keys —
-// the one comparator both executors use, so ties keep input order and the
-// same incomparable pair faults first.
-func sortOrdered(iters []orderedIteration, specs []xq.OrderSpec) error {
-	var sortErr error
-	sort.SliceStable(iters, func(i, j int) bool {
+// sortOrdered returns the order of an order-by loop's iterations, given
+// their keys row by row (len(specs) per iteration): a permutation of their
+// indexes, sorted by their keys, ties in input order. Both executors use
+// it. Each key column is checked whole first: it faults when any two of its
+// keys are not comparable, whatever the input order, and a column holding a
+// number compares all its keys as numbers. So the comparator is a total
+// order and the sort cannot change the result.
+func sortOrdered(keys []xdm.Atomic, specs []xq.OrderSpec) ([]int32, error) {
+	w := len(specs)
+	for k := range specs {
+		if err := normalizeColumn(keys, k, w); err != nil {
+			return nil, err
+		}
+	}
+	perm := make([]int32, len(keys)/w)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(i, j int32) int {
 		for k, spec := range specs {
-			cmp, ok := xdm.CompareAtomics(iters[i].keys[k], iters[j].keys[k])
-			if !ok {
-				sortErr = fmt.Errorf("eval: order by keys are not comparable")
-				return false
-			}
-			if cmp == 0 {
-				continue
+			a, b := keys[int(i)*w+k], keys[int(j)*w+k]
+			c := cmp.Compare(b2i(a.T != emptyKey.T), b2i(b.T != emptyKey.T))
+			if c == 0 && a.T != emptyKey.T {
+				c, _ = xdm.CompareAtomics(a, b)
 			}
 			if spec.Descending {
-				return cmp > 0
+				c = -c
 			}
-			return cmp < 0
+			if c != 0 {
+				return c
+			}
 		}
-		return false
+		return cmp.Compare(i, j)
 	})
-	return sortErr
+	return perm, nil
+}
+
+// normalizeColumn checks that every two non-empty keys of column k are
+// comparable and, when the column holds a number, turns its keys into
+// doubles.
+func normalizeColumn(keys []xdm.Atomic, k, w int) error {
+	var n, bools, nums int
+	for i := k; i < len(keys); i += w {
+		switch a := keys[i]; {
+		case a.T == emptyKey.T:
+			continue
+		case a.T == xdm.TBoolean:
+			bools++
+		case a.IsNumeric():
+			nums++
+		}
+		n++
+	}
+	if n < 2 || nums == 0 && (bools == 0 || bools == n) {
+		return nil
+	}
+	for i := k; i < len(keys); i += w {
+		if a := keys[i]; a.T != emptyKey.T {
+			f := a.Number()
+			if a.T == xdm.TBoolean || math.IsNaN(f) {
+				return fmt.Errorf("eval: order by keys are not comparable")
+			}
+			keys[i] = xdm.NewDouble(f)
+		}
+	}
+	return nil
 }
 
 // atomOf atomizes one item: a node becomes the untyped atom of its string

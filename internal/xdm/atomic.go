@@ -147,12 +147,52 @@ func (a Atomic) Number() float64 {
 		if s == "" || !mayStartNumber(s[0]) {
 			return math.NaN() // what ParseFloat says, without its error value
 		}
+		if f, ok := parseDecimal(s); ok {
+			return f
+		}
 		f, err := strconv.ParseFloat(s, 64)
 		if err != nil {
 			return math.NaN()
 		}
 		return f
 	}
+}
+
+// parseDecimal reads an optional sign, digits and an optional fraction with
+// at most 15 significant digits and no exponent, without ParseFloat. The
+// mantissa (below 2^53) and the power of ten (at most 1e22) are exact, so
+// one division rounds correctly (Clinger's fast path) and equals
+// ParseFloat's result bit for bit. ok is false for any other text.
+func parseDecimal(s string) (f float64, ok bool) {
+	i, neg := 0, false
+	if s[0] == '+' || s[0] == '-' {
+		neg, i = s[0] == '-', 1
+	}
+	var m uint64
+	digits, sig, frac, point := 0, 0, 0, false
+	for ; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '.' && !point:
+			point = true
+		case '0' <= c && c <= '9':
+			digits++
+			if m = m*10 + uint64(c-'0'); m != 0 {
+				sig++
+			}
+			if point {
+				frac++
+			}
+		default:
+			return 0, false
+		}
+	}
+	if digits == 0 || sig > 15 || frac > 22 {
+		return 0, false
+	}
+	if f = float64(m) / math.Pow10(frac); neg {
+		f = -f
+	}
+	return f, true
 }
 
 // mayStartNumber reports whether c can begin text strconv.ParseFloat

@@ -46,23 +46,55 @@ func TestAtomicNumber(t *testing.T) {
 	}
 }
 
-// TestNumberMatchesParseFloat: the early rejection in Number changes no
-// result — every text reads as strconv.ParseFloat of its trimmed form, or
-// NaN where ParseFloat fails.
+// TestNumberMatchesParseFloat: neither the early rejection nor the decimal
+// fast path in Number changes a result — every text reads as
+// strconv.ParseFloat of its trimmed form, bit for bit, or NaN where
+// ParseFloat fails.
 func TestNumberMatchesParseFloat(t *testing.T) {
 	for _, s := range []string{"", " ", " 12 ", "-", "+.5", ".", "INF", "-inf", "nan", "NaN",
-		"Infinity", "0x1p3", "1e3", "1_000", "person123", "p1", "\t7\n", "e5", "x"} {
+		"Infinity", "0x1p3", "1e3", "1_000", "person123", "p1", "\t7\n", "e5", "x",
+		// The fast path's edges: signed zeros, leading zeros, a bare
+		// point on either side, 15 against 16 significant digits, and
+		// fractions past the exact powers of ten.
+		"-0", "+0", "-0.0", "0", "007", "-00.50", "1.", ".5", "-.5", "+1.", "1..2", "1.2.", "--1",
+		"123456789012345", "1234567890123456", "0.123456789012345", "0.1234567890123456",
+		"999999999999999", "9999999999999999", "-12345678.9012345", "0.0000000000000000000001",
+		"0.00000000000000000000001", "3.14159", "40", "0.1", "0.3", "1e", "1.5e3"} {
 		want, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 		if err != nil {
 			want = math.NaN()
 		}
 		for _, a := range []Atomic{NewString(s), NewUntyped(s)} {
-			got := a.Number()
-			if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+			if got := a.Number(); !sameFloat(got, want) {
 				t.Errorf("%v(%q).Number() = %v, ParseFloat gives %v", a.T, s, got, want)
 			}
 		}
 	}
+}
+
+// sameFloat reports whether two floats are one value bit for bit, any two
+// NaNs counting as one.
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+}
+
+// FuzzNumberMatchesParseFloat checks Number against strconv.ParseFloat of
+// the trimmed text, bit for bit, on any text.
+func FuzzNumberMatchesParseFloat(f *testing.F) {
+	for _, s := range []string{"-0", "007", "1.", ".5", "123456789012345", "1234567890123456",
+		"-3.25", " 42 ", "1e3", "0.00000000000000000000001", "person1"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+		if err != nil {
+			want = math.NaN()
+		}
+		if got := NewUntyped(s).Number(); !sameFloat(got, want) {
+			t.Fatalf("Number(%q) = %v (%#x), ParseFloat gives %v (%#x)",
+				s, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	})
 }
 
 // TestNumberOfNonNumericTextAllocatesNothing: an id such as "person123" is

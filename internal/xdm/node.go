@@ -64,6 +64,7 @@ type Document struct {
 	seq    uint64
 	frozen bool
 	nnodes int
+	names  atomic.Pointer[nameLists] // set by ServeNames
 }
 
 // NewDocument creates an empty document with the given URI. The caller

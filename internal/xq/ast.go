@@ -288,6 +288,13 @@ const (
 	AxisFollowingSibling
 )
 
+// Reverse reports whether the axis runs against document order, so that
+// positions on it count from the context node outward: ancestor,
+// ancestor-or-self, preceding and preceding-sibling.
+func (a Axis) Reverse() bool {
+	return a == AxisAncestor || a == AxisAncestorOrSelf || a == AxisPreceding || a == AxisPrecedingSibling
+}
+
 func (a Axis) String() string {
 	switch a {
 	case AxisChild:

@@ -362,6 +362,32 @@ func TestEndToEndRemoteDocQuery(t *testing.T) {
 	}
 }
 
+// TestMessageDocumentsGetNoNameLists: nodes that arrive in an XRPC response
+// live in the message's own documents, which are evaluated once and never
+// get per-name element lists, however often a step walks them.
+func TestMessageDocumentsGetNoNameLists(t *testing.T) {
+	docs := mapResolver{"depts.xml": `<depts><dept name="hr"><dept/></dept><dept name="it"/></depts>`}
+	src := `declare function f() as node()* { doc("depts.xml")/depts };
+	execute at {"p"} { f() }`
+	test := xq.NodeTest{Kind: xq.TestName, Name: "dept"}
+	for _, sem := range []Semantics{ByValue, ByFragment} {
+		eng, _ := wire(t, sem, map[string]*Server{"p": newPeer(docs)})
+		res, err := testkit.Query(eng, src)
+		if err != nil {
+			t.Fatalf("%s: %v", sem, err)
+		}
+		n := res[0].(*xdm.Node)
+		for i := 0; i < 20; i++ {
+			if got := eval.AxisNodes(nil, n, xq.AxisDescendant, test); len(got) != 3 {
+				t.Fatalf("%s: %d dept elements, want 3", sem, len(got))
+			}
+		}
+		if _, ok, untracked := n.Named("dept"); ok || untracked {
+			t.Errorf("%s: message document has a name table (list %v, untracked %v)", sem, ok, untracked)
+		}
+	}
+}
+
 func TestBulkRPCOneMessage(t *testing.T) {
 	docs := mapResolver{"depts.xml": `<depts><dept name="a"/><dept name="b"/></depts>`}
 	srv := newPeer(docs)
