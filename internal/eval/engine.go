@@ -27,7 +27,6 @@ package eval
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -493,18 +492,14 @@ func (s *stopCheck) check() error {
 	return fmt.Errorf("eval: %w", ErrDeadlineExceeded)
 }
 
-// frame is one variable binding in a linked environment.
+// frame is one variable binding in a linked environment, or a memo frame
+// (memo set, no name) whose val is its operand's value once evaluated. An
+// evaluation runs on one goroutine, so a memo needs no lock.
 type frame struct {
 	name string
 	val  xdm.Sequence
 	next *frame
-	// atoms is set on the frame of a hoisted loop-invariant comparison
-	// operand (bindHoisted) and memoizes val.Atomize() and its `=` index:
-	// the operand is evaluated once per loop, and without the memo its
-	// hundreds of nodes would still be atomized and scanned by every
-	// iteration's comparison. A binding never changes and an evaluation
-	// runs on one goroutine, so the memo needs no lock.
-	atoms *atomMemo
+	memo *memoOp
 }
 
 // context is the dynamic evaluation context.
@@ -527,48 +522,18 @@ func (c *context) bind(name string, val xdm.Sequence) *context {
 	return &nc
 }
 
-// bindHoisted binds a hoisted comparison operand; see frame.atoms.
-func (c *context) bindHoisted(name string, val xdm.Sequence) *context {
-	nc := c.bind(name, val)
-	nc.vars.atoms = new(atomMemo)
-	return nc
-}
-
-// atomized returns s.Atomize() for s the value of comparison operand e,
-// through the binding's memo, also returned, when e refers to a hoisted
-// operand. (A frame chain rebuilt for a compiled fallback carries no memo;
-// it atomizes.)
-func (c *context) atomized(e xq.Expr, s xdm.Sequence) ([]xdm.Atomic, *atomMemo) {
-	if ref, ok := e.(*xq.VarRef); ok && strings.HasPrefix(ref.Name, hoistPrefix) {
-		if f := c.binding(ref.Name); f != nil && f.atoms != nil {
-			if f.atoms.atoms == nil {
-				f.atoms.atoms = s.Atomize()
-			}
-			return f.atoms.atoms, f.atoms
-		}
-	}
-	return s.Atomize(), nil
-}
-
 func (c *context) withItem(it xdm.Item, pos, size int) *context {
 	nc := *c
 	nc.item, nc.pos, nc.size = it, pos, size
 	return &nc
 }
 
-// binding returns the innermost frame binding name, or nil.
-func (c *context) binding(name string) *frame {
+// lookup returns the value of the innermost binding of name.
+func (c *context) lookup(name string) (xdm.Sequence, bool) {
 	for f := c.vars; f != nil; f = f.next {
 		if f.name == name {
-			return f
+			return f.val, true
 		}
-	}
-	return nil
-}
-
-func (c *context) lookup(name string) (xdm.Sequence, bool) {
-	if f := c.binding(name); f != nil {
-		return f.val, true
 	}
 	return nil, false
 }

@@ -164,26 +164,20 @@ func (c *context) evalFor(v *xq.ForExpr) (xdm.Sequence, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Bind an empty memo frame for each operand memoSites finds in v that
+	// no loop around v owns already.
+	take := func(e xq.Expr) {
+		if c.memo(e) == nil {
+			c = c.bind("", nil)
+			c.vars.memo = &memoOp{expr: e}
+		}
+	}
+	for _, spec := range v.OrderBy {
+		memoSites(spec.Key, v.Var, nil, take)
+	}
+	memoSites(v.Return, v.Var, nil, take)
 	if x, ok := v.Return.(*xq.XRPCExpr); ok && len(v.OrderBy) == 0 && c.eng.Remote != nil {
 		return c.evalRemoteLoop(v, x, in)
-	}
-	// Hoist loop-invariant comparison operands: evaluating them once instead
-	// of per iteration is the interpreter's stand-in for the loop-lifting
-	// a compiling engine (Pathfinder) performs. Only applied to loops with
-	// enough iterations to amortize the rewrite.
-	ret := v.Return
-	if len(in) > 4 {
-		hoisted, bindings := hoistInvariantOperands(ret, v.Var)
-		if len(bindings) > 0 {
-			ret = hoisted
-			for _, b := range bindings {
-				val, err := c.eval(b.expr)
-				if err != nil {
-					return nil, err
-				}
-				c = c.bindHoisted(b.name, val)
-			}
-		}
 	}
 	results := make([]xdm.Sequence, 0, len(in))
 	var keys []xdm.Atomic
@@ -200,7 +194,7 @@ func (c *context) evalFor(v *xq.ForExpr) (xdm.Sequence, error) {
 			}
 			keys = append(keys, key)
 		}
-		res, err := ic.eval(ret)
+		res, err := ic.eval(v.Return)
 		if err != nil {
 			return nil, err
 		}
@@ -353,7 +347,7 @@ func (c *context) evalRemoteLoop(v *xq.ForExpr, x *xq.XRPCExpr, in xdm.Sequence)
 		return xdm.EmptySequence, nil
 	}
 	iterations := make([][]xdm.Sequence, len(in))
-	if !xq.FreeVars(x.Target)[v.Var] {
+	if !xq.Reads(x.Target, v.Var) {
 		target, err := c.rpcTarget(x)
 		if err != nil {
 			return nil, err
@@ -641,26 +635,24 @@ func (c *context) evalLogic(v *xq.LogicExpr) (xdm.Sequence, error) {
 }
 
 func (c *context) evalCompare(v *xq.CompareExpr) (xdm.Sequence, error) {
-	l, err := c.eval(v.Left)
+	l, lm, err := c.operand(v.Left)
 	if err != nil {
 		return nil, err
 	}
-	r, err := c.eval(v.Right)
+	r, rm, err := c.operand(v.Right)
 	if err != nil {
 		return nil, err
 	}
 	if v.Op.IsNodeComp() {
 		return nodeCompare(v.Op, l, r)
 	}
-	la, lm := c.atomized(v.Left, l)
-	ra, rm := c.atomized(v.Right, r)
-	return xdm.Singleton(xdm.NewBoolean(generalCompareAtoms(v.Op, la, ra, lm, rm))), nil
+	return xdm.Singleton(xdm.NewBoolean(generalCompareAtoms(v.Op, lm.atomize(l), rm.atomize(r), lm, rm))), nil
 }
 
 // generalCompareAtoms decides the existential general comparison over
 // atomized operands: some pair satisfies op under generalPair. lm and rm
-// are the memos of operands a loop hoisted, nil for others. A `=` probes a
-// hash index instead of scanning pairs: with exactly one hoisted operand of
+// are the memos of operands a loop memoizes, nil for others. A `=` probes a
+// hash index instead of scanning pairs: with exactly one memoized operand of
 // more than 4 atoms (the §VII semijoin), that operand's index, built once
 // per loop run; with none or two, an index of ra when both sides have more
 // than 4 atoms. Shared by the tree-walker and the compiled path.
@@ -697,11 +689,23 @@ func generalPair(a, b xdm.Atomic) (int, bool) {
 	return xdm.CompareAtomics(a, b)
 }
 
-// atomMemo holds a hoisted comparison operand's atomized value (nil until
+// atomMemo holds a memoized comparison operand's atomized value (nil until
 // first use: Atomize never returns nil) and its `=` index.
 type atomMemo struct {
 	atoms []xdm.Atomic
 	ix    eqIndex
+}
+
+// atomize returns s.Atomize() for s the value of the operand m memoizes,
+// atomized once; a nil m memoizes nothing.
+func (m *atomMemo) atomize(s xdm.Sequence) []xdm.Atomic {
+	if m == nil {
+		return s.Atomize()
+	}
+	if m.atoms == nil {
+		m.atoms = s.Atomize()
+	}
+	return m.atoms
 }
 
 // eqIndex is a hash index deciding ∃b: generalPair(a, b) = 0 for a probe
@@ -1311,128 +1315,128 @@ func singletonString(s xdm.Sequence, what string) (string, error) {
 	return s[0].ItemString(), nil
 }
 
-// hoistBinding pairs a fresh internal variable with the invariant expression
-// it replaces.
-type hoistBinding struct {
-	name string
-	expr xq.Expr
+// ---------------------------------------------------------- loop memos --
+//
+// A comparison operand invariant in a for loop around it is evaluated once
+// per run of the outermost such loop — the stand-in for Pathfinder's
+// loop-lifting that makes the §VII semijoin a hash join. Its memo fills on
+// first use and empties when that loop starts again, so results and faults
+// are those of evaluating it every time. The tree-walker binds memos as
+// frames (evalFor), compiled code keeps them in slots (fnCompiler.operand).
+
+// pinned reports whether comparison operand e may be memoized while the
+// variables it reads keep their values: a path or a function call that
+// constructs no node, calls no peer and reads no focus (`.`, `/`, a
+// relative path, readsFocus). visit sees each variable e reads but does not
+// bind; pinned fails as soon as visit does.
+func pinned(e xq.Expr, visit func(name string) bool) bool {
+	switch e.(type) {
+	case *xq.PathExpr, *xq.FunCall:
+		return pinnedIn(e, nil, visit)
+	}
+	return false
 }
 
-var hoistSeq atomic.Uint64
-
-// hoistPrefix starts the name of every hoisted operand's variable. It
-// contains '#', which the query language cannot produce, so capture is
-// impossible and a reference to one is recognizable by name.
-const hoistPrefix = "#hoist"
-
-// hoistInvariantOperands rewrites body, replacing comparison operands that
-// do not depend on loopVar (nor on any variable bound inside body, nor on
-// node construction or remote calls) with fresh variable references. The
-// returned bindings are evaluated once by the caller. Fresh names contain
-// '#', which the query language cannot produce, so capture is impossible.
-//
-// The rewrite copies only the nodes on the way to a replaced operand and
-// shares the rest with body — in particular every remote call whose target
-// it does not rewrite, since the call's identity keys its replica routes,
-// its retained module and its projection paths. It never enters a shipped
-// body: that evaluates on the remote peer, where caller-side hoist bindings
-// do not exist.
-func hoistInvariantOperands(body xq.Expr, loopVar string) (xq.Expr, []hoistBinding) {
-	var bindings []hoistBinding
-	// bound holds the variables bound inside body around the node visited.
-	hoistable := func(e xq.Expr, bound *scope) bool {
-		switch e.(type) {
-		case *xq.PathExpr, *xq.FunCall:
-		default:
+// pinnedIn is pinned for a part of the operand, under its binders inner.
+func pinnedIn(e xq.Expr, inner *scope, visit func(string) bool) bool {
+	switch v := e.(type) {
+	case *xq.VarRef:
+		_, own := inner.lookup(v.Name)
+		return own || visit(v.Name)
+	case *xq.ElemConstructor, *xq.AttrConstructor, *xq.TextConstructor, *xq.DocConstructor,
+		*xq.XRPCExpr, *xq.ExecuteAt, *xq.ContextItem, *xq.RootExpr:
+		return false
+	case *xq.PathExpr:
+		if v.Input == nil {
 			return false
 		}
-		for name := range xq.FreeVars(e) {
-			if _, in := bound.lookup(name); in || name == loopVar {
-				return false
-			}
+	case *xq.FunCall:
+		if readsFocus(v) {
+			return false
 		}
-		ok := true
-		xq.Walk(e, func(sub xq.Expr) bool {
-			switch v := sub.(type) {
-			case *xq.ElemConstructor, *xq.AttrConstructor, *xq.TextConstructor,
-				*xq.DocConstructor, *xq.XRPCExpr, *xq.ExecuteAt:
-				ok = false // per-iteration node identity / remote calls
-				return false
-			case *xq.ContextItem, *xq.RootExpr:
-				ok = false // reads the dynamic context item
-				return false
-			case *xq.PathExpr:
-				if v.Input == nil {
-					ok = false // relative path: starts at the context item
-					return false
-				}
-			case *xq.FunCall:
-				switch strings.TrimPrefix(v.Name, "fn:") {
-				case "position", "last":
-					ok = false // reads the dynamic focus
-					return false
-				}
-			}
-			return true
-		})
-		return ok
 	}
-	maybeHoist := func(e xq.Expr, bound *scope) xq.Expr {
-		if e == nil || !hoistable(e, bound) {
-			return e
+	ok := true
+	xq.Slots(e, func(s xq.Slot) {
+		if ok {
+			in := inner
+			if s.Var != nil {
+				in = &scope{name: *s.Var, next: inner}
+			}
+			ok = pinnedIn(*s.Expr, in, visit)
 		}
-		name := hoistPrefix + strconv.FormatUint(hoistSeq.Add(1), 10)
-		bindings = append(bindings, hoistBinding{name: name, expr: e})
-		return &xq.VarRef{Name: name}
+	})
+	return ok
+}
+
+// readsFocus reports whether call v reads the focus when it names a
+// builtin: position(), last(), root() without an argument, and id() and
+// idref(), whose node argument falls back to the focus.
+func readsFocus(v *xq.FunCall) bool {
+	switch strings.TrimPrefix(v.Name, "fn:") {
+	case "position", "last", "id", "idref":
+		return true
+	case "root":
+		return len(v.Args) == 0
 	}
-	// visit returns e rewritten, or e itself when nothing under it hoists.
-	var visit func(e xq.Expr, bound *scope) xq.Expr
-	visit = func(e xq.Expr, bound *scope) xq.Expr {
-		if v, ok := e.(*xq.CompareExpr); ok {
-			l, r := maybeHoist(v.Left, bound), maybeHoist(v.Right, bound)
-			if l, r = visit(l, bound), visit(r, bound); l == v.Left && r == v.Right {
-				return v
-			}
-			return &xq.CompareExpr{Op: v.Op, Left: l, Right: r}
+	return false
+}
+
+// memoOp is a memo frame's operand, atoms and `=` index.
+type memoOp struct {
+	expr xq.Expr
+	atomMemo
+}
+
+// memo returns the memo frame of operand e around c, or nil.
+func (c *context) memo(e xq.Expr) *frame {
+	for f := c.vars; f != nil; f = f.next {
+		if f.memo != nil && f.memo.expr == e {
+			return f
 		}
-		// The first rewritten slot copies e, and every rewritten slot is
-		// stored into the copy: e and its other children stay shared.
-		var out xq.Expr
-		i := -1
-		xq.Slots(e, func(s xq.Slot) {
-			if i++; s.Remote != nil {
-				return // never the shipped body
+	}
+	return nil
+}
+
+// memoSites calls take on each pinned comparison operand in e that reads
+// neither loopVar nor a variable of bound, those bound inside the loop
+// around e. It does not enter a shipped body.
+func memoSites(e xq.Expr, loopVar string, bound *scope, take func(xq.Expr)) {
+	if v, ok := e.(*xq.CompareExpr); ok {
+		for _, op := range [...]xq.Expr{v.Left, v.Right} {
+			if pinned(op, func(n string) bool { _, in := bound.lookup(n); return !in && n != loopVar }) {
+				take(op)
 			}
+		}
+	}
+	xq.Slots(e, func(s xq.Slot) {
+		if s.Remote == nil {
 			b := bound
 			if s.Var != nil {
 				b = &scope{name: *s.Var, next: bound}
 			}
-			k := *s.Expr
-			nk := visit(k, b)
-			if nk == k {
-				return
-			}
-			if out == nil {
-				out = xq.Copy(e)
-			}
-			setSlot(out, i, nk)
-		})
-		if out == nil {
-			return e
+			memoSites(*s.Expr, loopVar, b, take)
 		}
-		return out
-	}
-	rewritten := visit(body, nil)
-	return rewritten, bindings
+	})
 }
 
-// setSlot stores x into the i-th slot of e, in xq.Slots order.
-func setSlot(e xq.Expr, i int, x xq.Expr) {
-	j := 0
-	xq.Slots(e, func(s xq.Slot) {
-		if j == i {
-			*s.Expr = x
+// operand evaluates comparison operand e, through its memo, also returned,
+// when a loop run around c owns one.
+func (c *context) operand(e xq.Expr) (xdm.Sequence, *atomMemo, error) {
+	m := c.memo(e)
+	if m == nil || m.val == nil {
+		s, err := c.eval(e)
+		if m == nil || err != nil {
+			return s, nil, err
 		}
-		j++
-	})
+		m.val = filled(s)
+	}
+	return m.val, &m.memo.atomMemo, nil
+}
+
+// filled is s as a memo holds it: nil marks a memo not yet filled.
+func filled(s xdm.Sequence) xdm.Sequence {
+	if s == nil {
+		return xdm.EmptySequence
+	}
+	return s
 }

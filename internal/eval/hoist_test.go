@@ -7,19 +7,18 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"distxq/internal/xdm"
 	"distxq/internal/xq"
 )
 
-// TestHoistingPreservesSemantics compares a join evaluated with the
-// invariant-hoisting path (many iterations) against the plain path (few
-// iterations) on equivalent data.
+// TestHoistingPreservesSemantics: a join with a memoized invariant operand
+// gives the same answer over a long and a short loop.
 func TestHoistingPreservesSemantics(t *testing.T) {
 	docs := mapResolver{
 		"ids.xml": `<ids><i>3</i><i>5</i><i>7</i></ids>`,
 	}
-	// 10 iterations > hoist threshold; 3 iterations below it.
 	big := `for $x in (1,2,3,4,5,6,7,8,9,10)
 	        return if ($x = doc("ids.xml")//i) then $x else ()`
 	small := `for $x in (3,5,7,11)
@@ -97,6 +96,58 @@ func TestHoistedOperandAtomizedOnce(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		if kb := (after.TotalAlloc - before.TotalAlloc) / 1024; kb > 300 {
 			t.Errorf("compile=%v: one run allocated %d KB; the hoisted operand is atomized per iteration", compile, kb)
+		}
+	}
+}
+
+// expectEveryForm requires the expression src to evaluate to want on the
+// tree-walker, on the compiled executor eagerly (Query) and lazily
+// (QuerySeq), and as the body of a declared function through the lazy
+// entry point EvalFunctionSeqDeadline.
+func expectEveryForm(t *testing.T, docs mapResolver, src, want string) {
+	t.Helper()
+	expectBoth(t, docs, src, want)
+	q, err := xq.ParseQuery(`declare function f() as item()* { ` + src + ` }; 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewEngine(docs).EvalFunctionSeqDeadline(q, "f", nil, nil, time.Time{})
+	if err != nil {
+		t.Fatalf("%s: %v", src, err)
+	}
+	got, err := drain(s)
+	if err != nil || serialize(got) != want {
+		t.Errorf("EvalFunctionSeqDeadline %s\n got:  %q, %v\n want: %s", src, serialize(got), err, want)
+	}
+}
+
+// TestInvariantOperandInUntakenBranch: an invariant operand that faults
+// sits in a branch no iteration takes. It is evaluated only when reached,
+// so the loop returns its input whatever its length, in every executor.
+func TestInvariantOperandInUntakenBranch(t *testing.T) {
+	for _, in := range []string{"1, 2, 3, 4", "1, 2, 3, 4, 5"} {
+		for _, operand := range []string{`exactly-one(())`, `doc("missing.xml")/a`} {
+			src := `for $i in (` + in + `) return if ($i > 9) then $i = ` + operand + ` else $i`
+			expectEveryForm(t, nil, src, strings.ReplaceAll(in, ",", ""))
+		}
+	}
+}
+
+// TestFocusBuiltinsAreNotInvariant: root() without an argument and id()
+// read the focus — here a predicate candidate — so an operand calling them
+// is evaluated per candidate, never memoized for the loop, at every loop
+// length.
+func TestFocusBuiltinsAreNotInvariant(t *testing.T) {
+	docs := mapResolver{"d.xml": `<r><a id="x" v="1"/><a v="2"/><a v="1"/></r>`}
+	for _, tc := range []struct{ body, each string }{
+		{`count(doc("d.xml")//a[@v = root()//a[1]/@v])`, "2"},
+		{`count(doc("d.xml")//a[@v = id("x")/@v])`, "2"},
+		{`count(doc("d.xml")//a[@v = id("x", ())/@v])`, "2"},
+	} {
+		for _, n := range []int{4, 5} {
+			in := strings.TrimSuffix(strings.Repeat("1, ", n), ", ")
+			src := `for $i in (` + in + `) return ` + tc.body
+			expectEveryForm(t, docs, src, strings.TrimSuffix(strings.Repeat(tc.each+" ", n), " "))
 		}
 	}
 }

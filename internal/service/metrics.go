@@ -15,15 +15,13 @@ import (
 	"sort"
 )
 
-// metricRow is one sample: name, optional peer or construct label, kind,
-// help and value.
+// metricRow is one sample: name, optional peer label, kind, help and value.
 type metricRow struct {
-	name      string
-	peer      string
-	construct string
-	kind      string // "counter" or "gauge"
-	help      string
-	value     int64
+	name  string
+	peer  string
+	kind  string // "counter" or "gauge"
+	help  string
+	value int64
 }
 
 // WriteMetrics writes the unified metrics page. Values are a consistent
@@ -88,18 +86,6 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 		{name: "distxq_xrpc_waves_total", kind: "counter",
 			help: "Dispatch waves recorded.", value: xm.WaveCount},
 	}
-	// Fallback sites of the compiled plans by construct, in stable order.
-	s.mu.Lock()
-	constructs := make([]string, 0, len(s.fallbackSites))
-	for c := range s.fallbackSites {
-		constructs = append(constructs, c)
-	}
-	sort.Strings(constructs)
-	for _, c := range constructs {
-		rows = append(rows, metricRow{name: "distxq_eval_compiled_fallback_sites_total", construct: c, kind: "counter",
-			help: "AST nodes of compiled plans handed back to the tree-walker, by construct.", value: s.fallbackSites[c]})
-	}
-	s.mu.Unlock()
 	// Per-peer health gauges, one labelled sample per tracked peer, in
 	// stable name order so successive scrapes diff cleanly.
 	health := s.Health.SnapshotAll()
@@ -138,11 +124,8 @@ func writeRows(w io.Writer, rows []metricRow) error {
 			}
 		}
 		label := ""
-		switch {
-		case r.peer != "":
+		if r.peer != "" {
 			label = fmt.Sprintf(`{peer=%q}`, r.peer)
-		case r.construct != "":
-			label = fmt.Sprintf(`{construct=%q}`, r.construct)
 		}
 		if _, err := fmt.Fprintf(w, "%s%s %d\n", r.name, label, r.value); err != nil {
 			return err

@@ -14,8 +14,7 @@ import (
 )
 
 // guardedQuery is newTestService's scatter query nested seven loops deep:
-// its scatter loop sits past the compiler's nesting guard, the one construct
-// a lowering still leaves to the tree-walker.
+// a plan that compiles whole, remote loop included, at any nesting depth.
 const guardedQuery = `
 declare function f() as item()* { doc("d.xml")/child::r/child::v };
 for $a in 1 return for $b in 1 return for $c in 1 return for $d in 1 return
@@ -54,7 +53,6 @@ func TestMetricsTextSurface(t *testing.T) {
 		"distxq_service_plan_cache_misses_total 1",
 		"distxq_eval_bulk_calls_total",
 		"distxq_eval_compilations_total 1",
-		`distxq_eval_compiled_fallback_sites_total{construct="ForExpr"} 1`,
 		"distxq_xrpc_requests_total 4",
 		"distxq_xrpc_bytes_sent_total",
 		`distxq_peer_seen_total{peer="peer1"}`,
@@ -160,16 +158,10 @@ func TestTracedQueryRing(t *testing.T) {
 		}
 	}
 	// The second query of the same source must have hit the plan cache, and
-	// that first hit compiled the plan: the compile span names the fallback
-	// sites the lowering left.
+	// that first hit compiled the plan (the compile span above).
 	if plan := found["plan"]; plan != nil {
 		if a, ok := plan.Attr("cache"); !ok || a.Str != "hit" {
 			t.Errorf("second query's plan span cache attr = %+v, want hit", a)
-		}
-	}
-	if compile := found["compile"]; compile != nil {
-		if a, ok := compile.Attr("fallback.ForExpr"); !ok || a.Int != 1 {
-			t.Errorf("compile span fallback.ForExpr = %+v, want 1", a)
 		}
 	}
 	if d := svc.Traces.Dump(); len(d.Recent) != 2 {

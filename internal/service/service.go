@@ -136,9 +136,6 @@ type Service struct {
 	mu     sync.Mutex
 	shards []core.ShardMap
 	epoch  int64
-	// fallbackSites tallies, by AST construct, the tree-walker fallback sites
-	// of every plan the service compiled.
-	fallbackSites map[string]int64
 
 	queued atomic.Int64
 	plans  *planCache
@@ -159,8 +156,6 @@ func New(net *peer.Network, origin *peer.Peer, strat core.Strategy, cfg Config) 
 		plans:     newPlanCache(cfg.PlanCacheSize),
 		xmetrics:  &xrpc.Metrics{},
 		evalStats: &eval.StatsSink{},
-
-		fallbackSites: map[string]int64{},
 	}
 	if cfg.Trace {
 		s.Traces = trace.NewRing(cfg.TraceRing)
@@ -283,21 +278,13 @@ func (s *Service) plan(src string, sp trace.SpanRef) (*core.Plan, []core.ShardMa
 // retainModules is xrpc.RetainModules; tests count its calls through it.
 var retainModules = xrpc.RetainModules
 
-// compile lowers a reused plan's query, counting the lowering and its
-// fallback sites into the /metrics feeds. Normalization succeeded before the
-// plan was published, so lowering cannot fail; if it did, the plan would
-// simply keep tree-walking.
+// compile lowers a reused plan's query, counting the lowering into the
+// /metrics feeds. Normalization succeeded before the plan was published, so
+// lowering cannot fail; if it did, the plan would simply keep tree-walking.
 func (s *Service) compile(q *xq.Query, sp trace.SpanRef) {
-	prog, err := eval.CompileTraced(q, sp)
-	if err != nil {
-		return
+	if _, err := eval.CompileTraced(q, sp); err == nil {
+		s.evalStats.Add(eval.Stats{Compilations: 1})
 	}
-	s.evalStats.Add(eval.Stats{Compilations: 1})
-	s.mu.Lock()
-	for construct, n := range prog.FallbackSites() {
-		s.fallbackSites[construct] += int64(n)
-	}
-	s.mu.Unlock()
 }
 
 // Query admits, plans and executes one query under a wall-time budget (the

@@ -317,6 +317,28 @@ func (b *boundVars) has(name string) bool {
 	return false
 }
 
+// Reads reports whether variable name occurs free in e: FreeVars(e)[name],
+// without allocating.
+func Reads(e Expr, name string) bool {
+	switch v := e.(type) {
+	case *VarRef:
+		return v.Name == name
+	case *XRPCExpr:
+		for _, par := range v.Params {
+			if par.Ref == name {
+				return true
+			}
+		}
+	}
+	found := false
+	Slots(e, func(s Slot) {
+		if !found && !s.Binds(name) {
+			found = Reads(*s.Expr, name)
+		}
+	})
+	return found
+}
+
 // FreeVars returns the names of variables that occur free in e.
 func FreeVars(e Expr) map[string]bool {
 	out := map[string]bool{}

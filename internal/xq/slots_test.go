@@ -214,3 +214,28 @@ func TestNormalizeRejectsRecursiveRemoteThroughExecuteAt(t *testing.T) {
 		t.Fatalf("want a (mutually) recursive error, got %v", err)
 	}
 }
+
+// TestReadsMatchesFreeVars: Reads(e, name) is FreeVars(e)[name] for every
+// name, shadowing, remote parameters and shipped bodies included, and it
+// allocates nothing.
+func TestReadsMatchesFreeVars(t *testing.T) {
+	for _, src := range []string{
+		`for $x in $in return ($x, $y, let $y := 1 return $y)`,
+		`some $a in $s satisfies $a = $b`,
+		`typeswitch ($t) case $n as node() return ($n, $m) default $d return $d`,
+		`for $p in ("a", "b") return execute at {$p} { f($p, $q) }`,
+		`doc("d.xml")//a[@v = $v]/b[$w]`,
+		`<e at="{$at}">{$c}</e>`,
+	} {
+		e := mustExpr(t, src)
+		free := FreeVars(e)
+		for _, name := range []string{"x", "y", "in", "a", "b", "s", "t", "n", "m", "d", "p", "q", "v", "w", "at", "c", "z"} {
+			if got := Reads(e, name); got != free[name] {
+				t.Errorf("Reads(%s, $%s) = %v, FreeVars says %v", src, name, got, free[name])
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, func() { Reads(e, "z") }); allocs != 0 {
+			t.Errorf("Reads over %s allocates %.0f times", src, allocs)
+		}
+	}
+}
