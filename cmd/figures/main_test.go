@@ -130,10 +130,12 @@ func TestFigIncrementalGolden(t *testing.T) {
 }
 
 // TestFigIncrementalLive drives the real single-huge-call experiment: the
-// incremental server must hand the originator its first usable result an
-// integer factor earlier than the eager baseline, with peak buffering
-// bounded by one frame instead of the whole call, and byte-identical
-// results.
+// incremental server must charge its first frame an integer factor less
+// server evaluation than the eager baseline, with peak buffering bounded by
+// one frame instead of the whole call, and byte-identical results. The
+// modelled first-result speedup is printed, not asserted: netsim's round
+// trip is in both of its terms, so its margin over 2 measured how slow the
+// eager side's executor was, not what streaming changes.
 func TestFigIncrementalLive(t *testing.T) {
 	old := bench.StreamReps
 	bench.StreamReps = 3
@@ -157,8 +159,9 @@ func TestFigIncrementalLive(t *testing.T) {
 			t.Fatalf("eager peak %d items below the call's %d — baseline not buffering whole call: %+v",
 				r.EagerPeakItems, r.Items, r)
 		}
-		if r.FirstSpeedup < 2 {
-			t.Fatalf("first-result speedup %.2fx below an integer factor: %+v", r.FirstSpeedup, r)
+		if r.IncFirstExecNS <= 0 || r.EagerFirstExecNS < 2*r.IncFirstExecNS {
+			t.Fatalf("first-frame evaluation %dns eager vs %dns incremental: below an integer factor: %+v",
+				r.EagerFirstExecNS, r.IncFirstExecNS, r)
 		}
 	}
 }

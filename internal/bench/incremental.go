@@ -27,6 +27,11 @@ type IncRow struct {
 	EagerFirstNS int64
 	IncFirstNS   int64
 	FirstSpeedup float64
+	// Server evaluation charged to the first frame (measured, the lane's
+	// first chunk's exec-ns): what streaming changes. The modelled times
+	// above add netsim's round trip to it on both sides.
+	EagerFirstExecNS int64
+	IncFirstExecNS   int64
 	// Server-side peak buffered result items: whole call vs one frame.
 	EagerPeakItems int64
 	IncPeakItems   int64
@@ -120,6 +125,12 @@ func incrementalRow(size int64) (IncRow, error) {
 		}
 		if rep == 0 || iRep.FirstResultNS < row.IncFirstNS {
 			row.IncFirstNS = iRep.FirstResultNS
+		}
+		if rep == 0 || eRep.FirstChunkExecNS < row.EagerFirstExecNS {
+			row.EagerFirstExecNS = eRep.FirstChunkExecNS
+		}
+		if rep == 0 || iRep.FirstChunkExecNS < row.IncFirstExecNS {
+			row.IncFirstExecNS = iRep.FirstChunkExecNS
 		}
 	}
 	if row.IncFirstNS > 0 {

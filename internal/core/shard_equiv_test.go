@@ -67,25 +67,25 @@ func newShardedWorld(t *testing.T, cfg xmark.Config, n int) *shardedWorld {
 }
 
 // serve puts the world behind a federation service, the way xqd runs it: the
-// harness re-sends every query, so a plan's first execution tree-walks and
-// its reuse runs compiled, on the originator and (through the module caches)
-// on the peers.
+// harness re-sends every query, so a plan's first execution runs cold and
+// its reuse runs a retained Program, on the originator and (through the
+// module caches) on the peers.
 func (w *shardedWorld) serve(strat core.Strategy) *service.Service {
 	return service.New(w.net, w.local, strat, service.Config{}).UseShards(w.shardMap)
 }
 
-// sends is how often the harness sends each query: planned and tree-walked,
-// compiled on the plan's first cache hit, then run compiled.
+// sends is how often the harness sends each query: planned and run cold,
+// compiled on the plan's first cache hit, then run on the retained Program.
 const sends = 3
 
 // requireBothExecutors is the harness's non-vacuity check: every service
-// tree-walked first executions and compiled reused plans, and at least one
+// ran cold first executions and compiled reused plans, and at least one
 // peer compiled a shipped module it saw twice.
 func (w *shardedWorld) requireBothExecutors(t *testing.T, svcs ...*service.Service) {
 	t.Helper()
 	for _, svc := range svcs {
 		if st, c := svc.Stats(), testkit.Metric(t, svc.WriteMetrics, "distxq_eval_compilations_total"); st.PlanMisses == 0 || c == 0 {
-			t.Errorf("%d peers: originator planned %d queries afresh and compiled %d; the harness must exercise both executors",
+			t.Errorf("%d peers: originator planned %d queries afresh and compiled %d; the harness must exercise cold and retained execution",
 				w.peers, st.PlanMisses, c)
 		}
 	}
@@ -268,9 +268,9 @@ func generate(r *rand.Rand) genQuery {
 // queries per seed, each evaluated locally on the unsharded reference and
 // through the shard-aware planner on 2/4/8-peer federations, requiring
 // byte-identical serialized results and the expected rewrite decision — on
-// every send, so the tree-walked and the compiled execution of each query
-// both match the reference (which always tree-walks, keeping the oracle
-// independent of the compiler).
+// every send, so the cold and the retained execution of each query both
+// match the reference, which runs unsharded and undecomposed
+// (FuzzCompiledVsTreeWalk holds the compiler itself to the tree-walker).
 func TestShardRewriteEquivalence(t *testing.T) {
 	cfg := harnessConfig()
 	worlds := make([]*shardedWorld, 0, len(layouts))

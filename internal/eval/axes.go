@@ -2,139 +2,10 @@ package eval
 
 import (
 	"fmt"
-	"slices"
 
 	"distxq/internal/xdm"
 	"distxq/internal/xq"
 )
-
-// evalPath evaluates a (possibly multi-step) path expression. Each step maps
-// the current node sequence through its axis and node test, filters by
-// predicates, and re-establishes distinct document order — the XPath
-// semantics whose preservation under node shipping is the core concern of
-// the paper.
-func (c *context) evalPath(pe *xq.PathExpr) (xdm.Sequence, error) {
-	var cur xdm.Sequence
-	switch {
-	case pe.Input != nil:
-		s, err := c.eval(pe.Input)
-		if err != nil {
-			return nil, err
-		}
-		cur = s
-	case c.item != nil:
-		cur = xdm.Singleton(c.item)
-	default:
-		return nil, fmt.Errorf("eval: relative path with undefined context item")
-	}
-	// Node steps work on two scratch buffers that ping-pong between "current
-	// context nodes" and "gather target", so a multi-step path allocates at
-	// most two node slices total instead of one per context node per step.
-	var curNodes, spare []*xdm.Node
-	haveNodes := false
-	for _, st := range pe.Steps {
-		if st.Filter {
-			if haveNodes {
-				cur = xdm.NodeSeq(curNodes)
-				haveNodes = false
-			}
-			// A copy: a variable may hold the sequence.
-			filtered, err := filterPreds(c, slices.Clone(cur), st.Preds, false)
-			if err != nil {
-				return nil, err
-			}
-			cur = filtered
-			continue
-		}
-		nodes := curNodes
-		if !haveNodes {
-			var ok bool
-			nodes, ok = cur.Nodes()
-			if !ok {
-				return nil, fmt.Errorf("eval: path step %s::%s applied to atomic value", st.Axis, st.Test)
-			}
-		}
-		gathered, err := c.evalStep(nodes, st, spare[:0])
-		if err != nil {
-			return nil, err
-		}
-		spare = nodes[:0] // the consumed context buffer becomes the next target
-		curNodes, haveNodes = gathered, true
-	}
-	if haveNodes {
-		cur = xdm.NodeSeq(curNodes)
-	}
-	return cur, nil
-}
-
-// evalStep maps one non-filter path step over its context nodes: per context
-// node, gather the axis candidates and apply the step predicates within that
-// segment, then re-establish distinct document order across segments. dst is
-// the gather buffer (evalPath passes its ping-pong scratch slice). A single
-// context node yields document-ordered, duplicate-free results on every axis;
-// only unions across context nodes can disturb order (and SortDocOrder
-// detects ordered unions in O(n)).
-func (c *context) evalStep(nodes []*xdm.Node, st *xq.Step, dst []*xdm.Node) ([]*xdm.Node, error) {
-	gathered := dst
-	for _, n := range nodes {
-		start := len(gathered)
-		var err error
-		if gathered, err = gatherAxis(gathered, n, st.Axis, st.Test, c.stop); err != nil {
-			return nil, err
-		}
-		if len(st.Preds) > 0 {
-			seg, err := filterPreds(c, gathered[start:], st.Preds, st.Axis.Reverse())
-			if err != nil {
-				return nil, err
-			}
-			gathered = gathered[:start+len(seg)]
-		}
-	}
-	if len(nodes) > 1 {
-		gathered = xdm.SortDocOrder(gathered)
-	}
-	return gathered, nil
-}
-
-// filterPreds applies predicates to items: a step's candidates for one
-// context node, in document order, or a filter expression's sequence. A
-// predicate evaluating to a number selects by position; otherwise its
-// effective boolean value filters. Positions count from the context node
-// outward, so against document order on a reverse axis. items is
-// compacted in place and the result aliases it.
-func filterPreds[T xdm.Item](c *context, items []T, preds []xq.Expr, reverse bool) ([]T, error) {
-	for _, pred := range preds {
-		kept := items[:0]
-		size := len(items)
-		for i, it := range items {
-			pos := i + 1
-			if reverse {
-				pos = size - i
-			}
-			s, err := c.withItem(it, pos, size).eval(pred)
-			if err != nil {
-				return nil, err
-			}
-			if len(s) == 1 {
-				if a, isAtom := s[0].(xdm.Atomic); isAtom && a.IsNumeric() {
-					if int(a.Number()) == pos {
-						kept = append(kept, it)
-					}
-					continue
-				}
-			}
-			b, ok := s.EffectiveBoolean()
-			if !ok {
-				return nil, fmt.Errorf("eval: invalid predicate value")
-			}
-			if b {
-				kept = append(kept, it)
-			}
-		}
-		items = kept
-	}
-	return items, nil
-}
 
 // AxisNodes appends the nodes reached from n over the axis that satisfy the
 // node test to dst, in document order, and returns the extended slice. It is
@@ -206,8 +77,7 @@ type nodeSink func(*xdm.Node) (bool, error)
 // over a served document reads the name's element list instead, once built
 // (xdm.Node.Named); a walk that first finds a name gives it its entry. It
 // returns false when the sink ended the walk early. The deadline is checked
-// per visited node, so a budget can cut a huge step mid-flight in either
-// executor.
+// per visited node, so a budget can cut a huge step mid-flight.
 func walkAxis(n *xdm.Node, axis xq.Axis, test xq.NodeTest, stop *stopCheck, sink nodeSink) (bool, error) {
 	switch axis {
 	case xq.AxisChild:

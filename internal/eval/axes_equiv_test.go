@@ -401,8 +401,11 @@ func TestIndexedStepQueriesMatchWalk(t *testing.T) {
 			for rep := 0; rep < 4; rep++ {
 				for _, compile := range []bool{false, true} {
 					e := NewEngine(anyDocResolver{d})
-					e.Options.Compile = compile
-					got, err := queryString(e, src)
+					run := queryString
+					if !compile {
+						run = treeWalkString
+					}
+					got, err := run(e, src)
 					if err != nil {
 						t.Fatalf("%s: %v", src, err)
 					}

@@ -4,21 +4,22 @@ package eval
 // into a chain of pre-resolved closures (compiled.go holds their runtime).
 // The lowering rules, also documented in DESIGN.md:
 //
-//   - Every expression compiles twice: an eager form that appends its whole
-//     value to a caller-supplied sequence (cexpr), the compiled twin of
-//     context.eval, and a push form that hands its items to a consumer as
-//     they are produced (cseq) — the engine's only lazy executor. Neither
-//     allocates a closure or a result sequence per evaluation; intermediate
-//     values live in the run's scratch buffers.
+//   - Every expression compiles to an eager form that appends its whole
+//     value to a caller-supplied sequence (cexpr), and, when the Program is
+//     attached or serves a lazy call, to a push form that hands its items to
+//     a consumer as they are produced (cseq) — the engine's lazy executor.
+//     Neither allocates a closure or a result sequence per evaluation;
+//     intermediate values live in the run's scratch buffers.
 //   - Variables resolve to frame slots at compile time. A for or quantifier
 //     variable is one item and lives in an item slot, so binding it per
 //     iteration allocates nothing, and a path rooted at it steps straight
 //     from the node.
 //   - Declared function calls bind to their compiled bodies at compile time.
 //   - Constant subexpressions (literals and operator trees over them) fold
-//     to their value; a folding *error* becomes a deferred-error closure so
-//     a constant fault inside a never-taken branch still only surfaces if
-//     that branch runs, exactly as in the tree-walker.
+//     to their value: a literal directly, any other constant tree by
+//     compiling it and running it once on a bare frame. A folding *error*
+//     becomes a deferred-error closure so a constant fault inside a
+//     never-taken branch still only surfaces if that branch runs.
 //   - Path steps compile to direct scans with predicates fused into the
 //     scan; provably boolean-valued predicates (comparisons, logic, boolean
 //     builtins) skip the numeric-position test entirely.
@@ -27,17 +28,16 @@ package eval
 //   - A for loop compiles its body once per form. A comparison operand
 //     invariant in loops around it fills, on first use, a memo slot the
 //     outermost such loop empties in its prologue (operand). Order-by
-//     loops sort with the tree-walker's own comparator.
-//   - Constructors describe their tree to the builder the tree-walker uses
-//     too (treeBuilder), nested direct constructors in place.
+//     loops sort with the shared comparator (sortOrdered).
+//   - Constructors describe their tree to the shared builder (treeBuilder),
+//     nested direct constructors in place.
 //   - A remote call evaluates its target in the frame and reads its
-//     parameters from slots, then hands them to the Engine routines the
-//     tree-walker calls (callRemote, bulk, scatter); a loop whose body is a
-//     remote call collects every iteration into one Bulk RPC or scatter.
+//     parameters from slots, then hands them to the Engine routines
+//     (callRemote, bulk, scatter); a loop whose body is a remote call
+//     collects every iteration into one Bulk RPC or scatter.
 //
 // Every node compiles at most once per form, so compiling is linear in the
-// query, and every construct compiles: a running Program never calls the
-// tree-walker, which only constant folding (foldEval) runs.
+// query, and every construct compiles.
 
 import (
 	"errors"
@@ -50,10 +50,9 @@ import (
 )
 
 // scope is the compile-time environment: a linked list of visible bindings,
-// innermost first — the same shadowing order as the tree-walker's frame
-// chain. item marks a binding held in an item slot (cframe.items) rather
-// than a sequence slot; depth counts the bindings down to this one; a for
-// variable's binding carries its loop.
+// innermost first. item marks a binding held in an item slot (cframe.items)
+// rather than a sequence slot; depth counts the bindings down to this one; a
+// for variable's binding carries its loop.
 type scope struct {
 	name  string
 	slot  int
@@ -97,8 +96,7 @@ func itemVar(e xq.Expr, sc *scope) (int, bool) {
 
 // compiler holds per-query compilation state shared across function bodies.
 type compiler struct {
-	funcs map[string]*cfunc
-	order []*cfunc
+	funcs map[funcKey]*cfunc
 }
 
 // fnCompiler allocates the slots of one compilation unit (the query body or
@@ -121,8 +119,11 @@ func (fc *fnCompiler) allocItem() int {
 	return n
 }
 
-func funcKey(name string, arity int) string {
-	return fmt.Sprintf("%s/%d", name, arity)
+// funcKey identifies a declared function: xq.Normalize rejects two
+// declarations of one name and arity.
+type funcKey struct {
+	name  string
+	arity int
 }
 
 var (
@@ -140,7 +141,7 @@ func boolSeq(b bool) xdm.Sequence {
 // CompileQuery lowers a query into a Program and caches it on the query, so
 // every engine executing the same (shared, read-only) query object reuses
 // one compilation. The query is normalized first; compilation itself cannot
-// fail — a shape neither executor evaluates compiles to its fault.
+// fail — a shape the evaluator rejects compiles to its fault.
 func CompileQuery(q *xq.Query) (*Program, error) {
 	if err := xq.Normalize(q); err != nil {
 		return nil, err
@@ -148,31 +149,46 @@ func CompileQuery(q *xq.Query) (*Program, error) {
 	if p, ok := q.CompiledArtifact().(*Program); ok {
 		return p, nil
 	}
-	cp := &compiler{funcs: map[string]*cfunc{}}
+	p := lower(q, true)
+	q.SetCompiledArtifact(p)
+	return p, nil
+}
+
+// lower compiles normalized q into a Program without attaching it: the eager
+// form always, the push form too when push is set.
+func lower(q *xq.Query, push bool) *Program {
+	cp := &compiler{}
 	// Pre-register every declared function so recursive and mutually
 	// recursive bodies resolve their callees to the final cfunc pointers.
-	for _, fd := range q.Funcs {
-		cf := &cfunc{decl: fd}
-		cp.funcs[funcKey(fd.Name, len(fd.Params))] = cf
-		cp.order = append(cp.order, cf)
+	if len(q.Funcs) > 0 {
+		cp.funcs = make(map[funcKey]*cfunc, len(q.Funcs))
 	}
-	for _, cf := range cp.order {
+	cfs := make([]cfunc, len(q.Funcs))
+	for i, fd := range q.Funcs {
+		cfs[i].decl = fd
+		cp.funcs[funcKey{fd.Name, len(fd.Params)}] = &cfs[i]
+	}
+	for i := range cfs {
+		cf := &cfs[i]
 		fc := &fnCompiler{cp: cp}
 		var sc *scope
 		for _, p := range cf.decl.Params {
 			sc = sc.push(p.Name, fc.alloc(), false)
 		}
 		cf.body = fc.compile(cf.decl.Body, sc)
-		cf.bodySeq = fc.compileSeq(cf.decl.Body, sc)
+		if push {
+			cf.bodySeq = fc.compileSeq(cf.decl.Body, sc)
+		}
 		cf.nslots, cf.nitems = fc.nslots, fc.nitems
 	}
 	fc := &fnCompiler{cp: cp}
-	p := &Program{order: cp.order, funcs: cp.funcs}
+	p := &Program{funcs: cp.funcs}
 	p.body = fc.compile(q.Body, nil)
-	p.bodySeq = fc.compileSeq(q.Body, nil)
+	if push {
+		p.bodySeq = fc.compileSeq(q.Body, nil)
+	}
 	p.nslots, p.nitems = fc.nslots, fc.nitems
-	q.SetCompiledArtifact(p)
-	return p, nil
+	return p
 }
 
 // CompileTraced is CompileQuery recorded as a "compile" span under parent.
@@ -240,11 +256,17 @@ func errc(err error) cexpr {
 	}
 }
 
-// foldEval evaluates a constant expression at compile time on a bare
-// context. isConst guarantees the expression touches no engine, documents,
-// focus or variables, so the result is context-independent.
-func foldEval(e xq.Expr) (xdm.Sequence, error) {
-	return (&context{}).eval(e)
+// fold evaluates constant expression e at compile time: a literal is its
+// value, and any other constant tree compiles and runs once on a bare
+// frame. isConst guarantees the tree touches no engine, documents, focus or
+// variables, so the value is context-independent.
+func (fc *fnCompiler) fold(e xq.Expr) (xdm.Sequence, error) {
+	if l, ok := e.(*xq.Literal); ok {
+		return xdm.Singleton(l.Val), nil
+	}
+	bare := &fnCompiler{cp: fc.cp}
+	ce := bare.lowerExpr(e, nil)
+	return ce(newFrame(&context{}, bare.nslots, bare.nitems, nil), nil)
 }
 
 // isConst reports whether e is a constant subexpression the folder may
@@ -277,29 +299,32 @@ func (fc *fnCompiler) isConst(e xq.Expr) bool {
 		default:
 			return false
 		}
-		_, declared := fc.cp.funcs[funcKey(v.Name, 0)]
+		_, declared := fc.cp.funcs[funcKey{v.Name, 0}]
 		return !declared
 	}
 	return false
 }
 
-// compile lowers one expression to its eager compiled form. Every returned
-// closure begins with the shared deadline check — the compiled equivalent of
-// the check at the top of context.eval — so compiled code hits stopCheck at
-// the same ≤stopCheckEvery-node granularity as the tree-walker.
+// compile lowers one expression to its eager compiled form, folding it
+// when it is constant. Every returned closure begins with the shared
+// deadline check, so evaluation hits stopCheck at ≤stopCheckEvery-node
+// granularity.
 func (fc *fnCompiler) compile(e xq.Expr, sc *scope) cexpr {
 	if e != nil && fc.isConst(e) {
-		s, err := foldEval(e)
+		s, err := fc.fold(e)
 		if err != nil {
 			return errc(err)
 		}
 		return constc(s)
 	}
+	return fc.lowerExpr(e, sc)
+}
+
+// lowerExpr is compile without folding e itself.
+func (fc *fnCompiler) lowerExpr(e xq.Expr, sc *scope) cexpr {
 	switch v := e.(type) {
 	case nil:
 		return constc(xdm.EmptySequence)
-	case *xq.Literal:
-		return constc(xdm.Singleton(v.Val))
 	case *xq.VarRef:
 		b, ok := sc.lookup(v.Name)
 		if !ok {
@@ -535,7 +560,7 @@ func (fc *fnCompiler) compile(e xq.Expr, sc *scope) cexpr {
 
 // crpc is a compiled remote call's argument side: its target, and the
 // binding each parameter ships — a for variable as the singleton of its
-// item — or, for a parameter naming no binding, evalXRPC's fault.
+// item — or, for a parameter naming no binding, its fault.
 type crpc struct {
 	targetExpr cexpr
 	binds      []*scope
@@ -607,9 +632,10 @@ func (c *crpc) params(f *cframe) ([]xdm.Sequence, error) {
 	return params, nil
 }
 
-// compileRemoteLoop lowers evalRemoteLoop for a loop over item slot slot
-// whose body is remote call x, with argument side call: its input ships as
-// one Bulk RPC, or as a scatter when the target reads the loop variable.
+// compileRemoteLoop lowers a loop over item slot slot whose body is remote
+// call x, with argument side call: its input ships as one Bulk RPC, or as a
+// scatter (one Bulk RPC per distinct peer) when the target reads the loop
+// variable.
 func compileRemoteLoop(v *xq.ForExpr, x *xq.XRPCExpr, call *crpc, slot int) func(f *cframe, dst, in xdm.Sequence) (xdm.Sequence, error) {
 	varies := xq.Reads(x.Target, v.Var)
 	return func(f *cframe, dst, in xdm.Sequence) (xdm.Sequence, error) {
@@ -644,8 +670,8 @@ func compileRemoteLoop(v *xq.ForExpr, x *xq.XRPCExpr, call *crpc, slot int) func
 }
 
 // compileFor lowers a FLWOR loop to its eager form. Loops whose body is a
-// remote call (and that do not sort) decide at *runtime*, as evalFor does,
-// whether a remote caller is configured — the same Program may run on
+// remote call (and that do not sort) decide at *runtime* whether a remote
+// caller is configured — the same Program may run on
 // originator engines (Bulk RPC or scatter dispatch) and on engines without
 // a caller (the plain loop runs and the body's execute-at faults); both
 // share the call's compiled argument side.
@@ -725,8 +751,7 @@ func typeswitchReturn(v *xq.TypeswitchExpr, i int) xq.Expr {
 }
 
 // compileFunCall lowers a function call. Argument evaluation always comes
-// first — the tree-walker evaluates arguments before resolving the callee,
-// so argument faults must win over unknown-function and arity faults.
+// first, so argument faults win over unknown-function and arity faults.
 func (fc *fnCompiler) compileFunCall(v *xq.FunCall, sc *scope) cexpr {
 	argExprs := make([]cexpr, len(v.Args))
 	for i, a := range v.Args {
@@ -745,7 +770,7 @@ func (fc *fnCompiler) compileFunCall(v *xq.FunCall, sc *scope) cexpr {
 	}
 	name := v.Name
 	nargs := len(v.Args)
-	if cf, ok := fc.cp.funcs[funcKey(name, nargs)]; ok {
+	if cf, ok := fc.cp.funcs[funcKey{name, nargs}]; ok {
 		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
 			if err := f.ctx.stop.check(); err != nil {
 				return nil, err
@@ -827,27 +852,28 @@ func (fc *fnCompiler) compileFunCall(v *xq.FunCall, sc *scope) cexpr {
 	}
 }
 
-// compilePath lowers a path's start and steps; shared between the eager and
-// streaming path forms. A path rooted at a for or quantifier variable starts
-// at that item slot instead of evaluating its input.
+// compilePath lowers a path's start and steps, cut from one slice; shared
+// between the eager and streaming path forms. A path rooted at a for or
+// quantifier variable starts at that item slot instead of evaluating its
+// input.
 func (fc *fnCompiler) compilePath(v *xq.PathExpr, sc *scope) *cpath {
-	p := &cpath{slot: -1}
+	p := &cpath{slot: -1, steps: make([]cstep, len(v.Steps))}
 	if slot, ok := itemVar(v.Input, sc); ok {
 		p.slot = slot
 	} else if v.Input != nil {
 		p.input = fc.compile(v.Input, sc)
 	}
-	p.steps = make([]*cstep, len(v.Steps))
 	for i, st := range v.Steps {
-		cs := &cstep{axis: st.Axis, test: st.Test, filter: st.Filter}
-		for _, pr := range st.Preds {
-			pred := cpred{b: fc.compileBool(pr, sc)}
-			if pred.b == nil {
-				pred.gen = fc.compile(pr, sc)
-			}
-			cs.preds = append(cs.preds, pred)
+		cs := &p.steps[i]
+		cs.axis, cs.test, cs.filter = st.Axis, st.Test, st.Filter
+		if len(st.Preds) > 0 {
+			cs.preds = make([]cpred, len(st.Preds))
 		}
-		p.steps[i] = cs
+		for k, pr := range st.Preds {
+			if cs.preds[k].b = fc.compileBool(pr, sc); cs.preds[k].b == nil {
+				cs.preds[k].gen = fc.compile(pr, sc)
+			}
+		}
 	}
 	return p
 }
@@ -889,7 +915,7 @@ func (fc *fnCompiler) compileBool(e xq.Expr, sc *scope) cbool {
 	case *xq.QuantifiedExpr:
 		// Always a boolean singleton; wrap the compiled form below.
 	case *xq.FunCall:
-		if _, declared := fc.cp.funcs[funcKey(v.Name, len(v.Args))]; declared {
+		if _, declared := fc.cp.funcs[funcKey{v.Name, len(v.Args)}]; declared {
 			return nil
 		}
 		short := strings.TrimPrefix(v.Name, "fn:")
@@ -953,7 +979,7 @@ func (fc *fnCompiler) compileGeneralCompare(v *xq.CompareExpr, sc *scope) cbool 
 	var lc, rc []xdm.Atomic
 	lConst, rConst := false, false
 	if fc.isConst(v.Left) {
-		if s, err := foldEval(v.Left); err == nil {
+		if s, err := fc.fold(v.Left); err == nil {
 			lc, lConst = s.Atomize(), true
 		}
 	}
@@ -962,7 +988,7 @@ func (fc *fnCompiler) compileGeneralCompare(v *xq.CompareExpr, sc *scope) cbool 
 		l, lSlot = fc.operand(v.Left, sc)
 	}
 	if fc.isConst(v.Right) {
-		if s, err := foldEval(v.Right); err == nil {
+		if s, err := fc.fold(v.Right); err == nil {
 			rc, rConst = s.Atomize(), true
 		}
 	}
@@ -1119,7 +1145,7 @@ func replaySeq(ce cexpr) cseq {
 // and so does a path whose final step is streamable (stepStreamable);
 // everything else — sorting, reverse axes, node-set operators, aggregates,
 // remote loops — replays its eager form. Every subexpression runs in the
-// tree-walker's order, so laziness changes when items are produced, never
+// eager form's order, so laziness changes when items are produced, never
 // which, and never which fault a query meets first.
 func (fc *fnCompiler) compileSeq(e xq.Expr, sc *scope) cseq {
 	switch v := e.(type) {

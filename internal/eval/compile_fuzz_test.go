@@ -198,12 +198,12 @@ var compiledFuzzSeeds = []string{
 
 // FuzzCompiledVsTreeWalk is the differential fuzzer of the compiler: every
 // parsed query must evaluate byte-identically (or fault with the identical
-// error) with Options.Compile on and off, through both the eager entry point
-// and the lazy one, whose only executor is the compiled push form. A query
-// that mentions execute-at runs again against each of fuzzRemotes' callers,
-// so both executors' remote dispatch is compared too. Deadline aborts are
-// the single tolerated asymmetry — they depend on wall-clock timing, which
-// the two modes legitimately reach at different node counts.
+// error) on the tree-walker (treeWalk) and through the engine's entry
+// points, the eager Query and the lazy push form. A query that mentions
+// execute-at runs again against each of fuzzRemotes' callers, so remote
+// dispatch is compared too. Deadline aborts are the single tolerated
+// asymmetry — they depend on wall-clock timing, which the two executors
+// legitimately reach at different node counts.
 func FuzzCompiledVsTreeWalk(f *testing.F) {
 	for _, seed := range compiledFuzzSeeds {
 		f.Add(seed)
@@ -246,8 +246,9 @@ func fuzzRemotes(doc *xdm.Document, deadline time.Time) []func() RemoteCaller {
 	}
 }
 
-// differential compares the executors on src, both engines calling out
-// through their own caller from remote when it is non-nil.
+// differential compares the tree-walker with compiled code on src, each on
+// its own engine and parse, both engines calling out through their own
+// caller from remote when it is non-nil.
 func differential(t *testing.T, src string, doc *xdm.Document, deadline time.Time, remote func() RemoteCaller) {
 	t.Helper()
 	q1, err := xq.ParseQuery(src)
@@ -262,7 +263,6 @@ func differential(t *testing.T, src string, doc *xdm.Document, deadline time.Tim
 	tw.Deadline = deadline
 	cc := NewEngine(anyDocResolver{doc})
 	cc.Deadline = deadline
-	cc.Options.Compile = true
 	if remote != nil {
 		tw.Remote, cc.Remote = remote(), remote()
 	}
@@ -276,7 +276,7 @@ func differential(t *testing.T, src string, doc *xdm.Document, deadline time.Tim
 	}
 	normErr := xq.Normalize(q0)
 
-	twRes, twErr := tw.Query(q1)
+	twRes, twErr := treeWalk(tw, q1)
 	ccRes, ccErr := cc.Query(q2)
 	if errors.Is(twErr, ErrDeadlineExceeded) || errors.Is(ccErr, ErrDeadlineExceeded) {
 		return
@@ -295,11 +295,11 @@ func differential(t *testing.T, src string, doc *xdm.Document, deadline time.Tim
 }
 
 // drainCompiled is the lazy half of a differential check: it drains the push
-// form of the Program an eager compiled run attached to q.
+// form of q, which the eager run before it left without a Program.
 func drainCompiled(t *testing.T, e *Engine, q *xq.Query, src string) (xdm.Sequence, error) {
 	t.Helper()
-	if q.CompiledArtifact() == nil {
-		t.Fatalf("the compiled engine attached no Program\ninput: %q", src)
+	if q.CompiledArtifact() != nil {
+		t.Fatalf("an engine without the Compile option attached a Program\ninput: %q", src)
 	}
 	s, err := e.QuerySeq(q)
 	if err != nil {

@@ -13,9 +13,10 @@ import (
 	"distxq/internal/xq"
 )
 
-// expectCompiled evaluates src in both modes over docs and requires
-// byte-identical serialized results (or identical faults) — the deterministic
-// core of the differential fuzzer, used for pinned regressions.
+// expectCompiled evaluates src on the tree-walker and compiled, eager and
+// lazy, over docs and requires byte-identical serialized results (or
+// identical faults) — the deterministic core of the differential fuzzer,
+// used for pinned regressions.
 func expectCompiled(t *testing.T, docs mapResolver, src string) {
 	t.Helper()
 	q1, err := xq.ParseQuery(src)
@@ -28,13 +29,12 @@ func expectCompiled(t *testing.T, docs mapResolver, src string) {
 	}
 	tw := NewEngine(docs)
 	cc := NewEngine(docs)
-	cc.Options.Compile = true
 	q0, err := xq.ParseQuery(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	normErr := xq.Normalize(q0)
-	twRes, twErr := tw.Query(q1)
+	twRes, twErr := treeWalk(tw, q1)
 	ccRes, ccErr := cc.Query(q2)
 	compareModes(t, "eager", src, twRes, twErr, ccRes, ccErr)
 	if normErr != nil {
@@ -174,8 +174,8 @@ func TestCompiledEquivalenceRegressions(t *testing.T) {
 	}
 }
 
-// expectBoth requires src to evaluate to want under the tree-walker and to
-// the same result under the compiled executor, eager and lazy.
+// expectBoth requires src to evaluate to want through Query and to the
+// same result on the tree-walker and lazily (expectCompiled).
 func expectBoth(t *testing.T, docs mapResolver, src, want string) {
 	t.Helper()
 	expect(t, docs, src, want)
@@ -250,8 +250,11 @@ func TestDistinctValuesKeying(t *testing.T) {
 	} {
 		for _, compile := range []bool{false, true} {
 			eng := NewEngine(docs)
-			eng.Options.Compile = compile
-			res, err := queryString(eng, tc.src)
+			run := queryString
+			if !compile {
+				run = treeWalkString
+			}
+			res, err := run(eng, tc.src)
 			if err != nil {
 				t.Fatalf("compile=%v %s: %v", compile, tc.src, err)
 			}
@@ -365,7 +368,7 @@ func TestCompiledDeadlineInsideLoop(t *testing.T) {
 
 // TestCompiledFunctionEntryPoints: the server-side function entry points
 // honour Options.Compile and agree with the tree-walker, including the
-// undeclared-function fault.
+// undeclared-function fault and a duplicate declaration's Normalize fault.
 func TestCompiledFunctionEntryPoints(t *testing.T) {
 	src := `declare function local:f($d as item()*) as item()* { for $x in $d//person return $x/child::name }; 1`
 	docs := mapResolver{"f.xml": fuzzFixtureXML}
@@ -381,7 +384,7 @@ func TestCompiledFunctionEntryPoints(t *testing.T) {
 	cc.Options.Compile = true
 	q1, _ := xq.ParseQuery(src)
 	q2, _ := xq.ParseQuery(src)
-	twRes, twErr := tw.EvalFunction(q1, "local:f", []xdm.Sequence{arg(tw)})
+	twRes, twErr := treeWalkFunction(tw, q1, "local:f", []xdm.Sequence{arg(tw)}, nil, time.Time{})
 	ccRes, ccErr := cc.EvalFunction(q2, "local:f", []xdm.Sequence{arg(cc)})
 	compareModes(t, "function", src, twRes, twErr, ccRes, ccErr)
 	if serialize(ccRes) == "" {
@@ -400,10 +403,22 @@ func TestCompiledFunctionEntryPoints(t *testing.T) {
 		t.Fatalf("lazy function diverged: %q vs %q", serialize(lazyRes), serialize(twRes))
 	}
 	// Undeclared-function fault text must match the tree-walker's.
-	_, twErr = tw.EvalFunction(q1, "local:g", nil)
+	_, twErr = treeWalkFunction(tw, q1, "local:g", nil, nil, time.Time{})
 	_, ccErr = cc.EvalFunction(q2, "local:g", nil)
 	if twErr == nil || ccErr == nil || twErr.Error() != ccErr.Error() {
 		t.Fatalf("undeclared fault diverged: %v vs %v", twErr, ccErr)
+	}
+	// A module declaring one name and arity twice never lowers: Normalize
+	// rejects it, so no lookup rule has to pick a declaration.
+	dup := `declare function f() as item()* { 1 }; declare function f() as item()* { 2 }; 0`
+	for _, e := range []*Engine{tw, cc} {
+		q, err := xq.ParseQuery(dup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.EvalFunction(q, "f", nil); err == nil || !strings.Contains(err.Error(), "duplicate function") {
+			t.Fatalf("compile=%v: a duplicate declaration ran: %v", e.Options.Compile, err)
+		}
 	}
 }
 
@@ -460,12 +475,12 @@ func TestFallbackSitesByConstruct(t *testing.T) {
 	}
 }
 
-// TestTreeWalkAttachesNoProgram guards every in-package oracle against going
-// vacuous: an engine without the Compile option tree-walks a freshly parsed
-// query through the eager entry points and leaves no Program on it (a query
-// that carries one runs it whatever the option says, so an oracle must parse
-// its own copy per mode). The lazy entry points have no tree-walker: each
-// lowers a fresh parse once, on the engine's account.
+// TestTreeWalkAttachesNoProgram: an engine without the Compile option runs
+// a freshly parsed query through every entry point, eager and lazy, on a
+// lowering of its own per call, and leaves no Program on the query and no
+// compilation in its Stats — retention is the caches' decision. The
+// tree-walker the tests compare with (treeWalk) attaches nothing either.
+// Once a Program is attached, every call runs it.
 func TestTreeWalkAttachesNoProgram(t *testing.T) {
 	docs := mapResolver{"f.xml": fuzzFixtureXML}
 	src := `declare function f() as item()* { doc("f.xml")//book[price > 28]/title }; f()`
@@ -478,9 +493,12 @@ func TestTreeWalkAttachesNoProgram(t *testing.T) {
 	}
 	tw := NewEngine(docs)
 	q := parse()
-	want, err := tw.Query(q)
+	want, err := treeWalk(tw, q)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got, err := tw.Query(q); err != nil || serialize(got) != serialize(want) {
+		t.Fatalf("Query: %v, %v, want %v", got, err, want)
 	}
 	if _, err := tw.EvalFunction(q, "f", nil); err != nil {
 		t.Fatal(err)
@@ -489,7 +507,7 @@ func TestTreeWalkAttachesNoProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	if q.CompiledArtifact() != nil || tw.StatsSnapshot().Compilations != 0 {
-		t.Fatal("tree-walking a fresh parse attached a Program")
+		t.Fatal("a call of a fresh parse attached a Program")
 	}
 	for _, lazy := range []struct {
 		name string
@@ -510,17 +528,18 @@ func TestTreeWalkAttachesNoProgram(t *testing.T) {
 			if err != nil || serialize(got) != serialize(want) {
 				t.Fatalf("%s call %d: %v, %v, want %v", lazy.name, call, got, err, want)
 			}
-			if lq.CompiledArtifact() == nil || e.StatsSnapshot().Compilations != 1 {
-				t.Fatalf("%s call %d: Program attached %v after %d compilations, want one compilation",
+			if lq.CompiledArtifact() != nil || e.StatsSnapshot().Compilations != 0 {
+				t.Fatalf("%s call %d: Program attached %v after %d compilations, want none",
 					lazy.name, call, lq.CompiledArtifact() != nil, e.StatsSnapshot().Compilations)
 			}
 		}
 	}
 	// The converse: once a Program is attached, the same engine runs it.
-	if _, err := CompileQuery(q); err != nil {
+	p, err := CompileQuery(q)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if tw.program(q, false) == nil {
+	if tw.program(q, false) != p || tw.program(q, true) != p {
 		t.Fatal("engine ignores the Program its query carries")
 	}
 	got, err := tw.Query(q)

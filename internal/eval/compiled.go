@@ -8,12 +8,11 @@ package eval
 //
 // The correctness contract, enforced by FuzzCompiledVsTreeWalk: a compiled
 // query produces byte-identical results AND byte-identical errors to the
-// tree-walking evaluator. Every specialization below therefore mirrors the
-// corresponding tree-walk routine exactly (same candidate order, same
-// predicate numbering, same error strings) and shares its kernel where one
-// exists (comparison, arithmetic, the order-by comparator, the constructor
-// builder, the remote-dispatch routines). Nothing here calls the
-// tree-walker: every construct has its compiled form.
+// tree-walking evaluator the package's tests keep as their oracle. Every
+// specialization below therefore keeps the plain evaluation's order exactly
+// (same candidate order, same predicate numbering, same error strings), and
+// the kernels — comparison, arithmetic, the order-by comparator, the
+// constructor builder, the remote-dispatch routines — are shared with it.
 
 import (
 	"errors"
@@ -26,29 +25,24 @@ import (
 
 // Options selects optional engine behaviors.
 type Options struct {
-	// Compile makes the eager entry points (Query, EvalFunction*) lower a
-	// query on its first use by this engine into chains of pre-resolved
-	// closures (variables become frame slots, constants fold, downward path
-	// steps become direct scans with fused predicates). It is the engine
-	// primitive behind the differential oracle and the micro-benchmarks;
-	// production code never sets it. Whatever its value, a query that already
-	// carries a Program runs it — the caches that witness reuse (the service's
-	// plan cache, the XRPC server's module cache) attach one to what they
-	// retain — and the lazy entry point EvalFunctionSeqDeadline, whose only
-	// executor is the compiled push form, lowers any other query on the
-	// spot; an eager call of any other query tree-walks. Results and
-	// errors are identical either way; only speed changes.
+	// Compile makes a call of a query that carries no Program attach the
+	// lowering it runs, so the engine's later calls of the same query object
+	// reuse it and Stats.Compilations counts it. Without it the lowering
+	// serves the one call and is dropped: the caches that witness reuse (the
+	// service's plan cache, the XRPC server's module cache) attach a Program
+	// to what they retain. Every call runs compiled code either way; only
+	// retention changes. Production code never sets it; benchmarks do.
 	Compile bool
 }
 
-// cexpr is a compiled expression in eager form, the twin of context.eval: it
-// evaluates completely and appends its value to dst, returning the extended
-// slice. With dst nil the result may share storage with a slot or a
-// constant, so it comes back with capacity equal to its length (appendSeq):
-// whoever appends to a value it got copies it first.
+// cexpr is a compiled expression in eager form: it evaluates completely and
+// appends its value to dst, returning the extended slice. With dst nil the
+// result may share storage with a slot or a constant, so it comes back with
+// capacity equal to its length (appendSeq): whoever appends to a value it
+// got copies it first.
 type cexpr func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error)
 
-// cseq is a compiled expression in push form, the one lazy executor: it
+// cseq is a compiled expression in push form, the lazy executor: it
 // hands its items to yield in order as it produces them. When yield
 // returns false the producer stops and returns errHalt, which travels up to
 // the consumer that asked to stop — the run's API boundary turns it into
@@ -86,8 +80,7 @@ func appendSeq(dst, s xdm.Sequence) xdm.Sequence {
 // typeswitch or parameter binding, and a memoized comparison operand's
 // value, hold a sequence (slots; an empty memo slot is nil); a for or
 // quantifier variable holds its one item (items). ctx carries the engine,
-// static context and stopCheck; its vars chain is never used by compiled
-// code (slots replace it).
+// static context and stopCheck.
 type cframe struct {
 	ctx   *context
 	slots []xdm.Sequence
@@ -254,11 +247,11 @@ func (f *cframe) loopInput(in cexpr, loop *cloop) (xdm.Sequence, error) {
 	return in(f, f.sc.seqs.take())
 }
 
-// orderLoop runs an order-by loop's iterations over in exactly as evalFor
-// does — per iteration in input order its keys, then its body — sorts them
-// with the shared sortOrdered and appends their results to dst in its
-// order. Keys and results accumulate in two flat buffers, results by end
-// offset, so an iteration allocates nothing of its own.
+// orderLoop runs an order-by loop's iterations over in — per iteration in
+// input order its keys, then its body — sorts them with the shared
+// sortOrdered and appends their results to dst in its order. Keys and
+// results accumulate in two flat buffers, results by end offset, so an
+// iteration allocates nothing of its own.
 func (f *cframe) orderLoop(dst, in xdm.Sequence, slot int, keys []cexpr, specs []xq.OrderSpec, body cexpr) (xdm.Sequence, error) {
 	k := len(keys)
 	ends := make([]int32, len(in)+1)
@@ -297,20 +290,17 @@ func (f *cframe) orderLoop(dst, in xdm.Sequence, slot int, keys []cexpr, specs [
 }
 
 // Program is the compiled artifact of one query: the compiled body (eager
-// and lazy forms) plus every declared function. A Program is immutable after
-// compilation and engine-independent — all engine state is read from the
-// context a run is given, all scratch lives in the run's frames — so one
-// Program may execute concurrently on any number of engines.
+// form, and push form when lowered for lazy calls) plus every declared
+// function, by name and arity. A Program is immutable after compilation and
+// engine-independent — all engine state is read from the context a run is
+// given, all scratch lives in the run's frames — so one Program may execute
+// concurrently on any number of engines.
 type Program struct {
 	nslots  int
 	nitems  int
 	body    cexpr
 	bodySeq cseq
-	// order holds the declared functions in declaration order (the lookup
-	// order of EvalFunctionDeadline); funcs indexes them by name/arity with
-	// later declarations winning (the lookup rule of evalFunCall).
-	order []*cfunc
-	funcs map[string]*cfunc
+	funcs   map[funcKey]*cfunc
 }
 
 // cfunc is one compiled declared function.
@@ -327,31 +317,32 @@ func (p *Program) run(ctx *context) (xdm.Sequence, error) {
 	return p.body(newFrame(ctx, p.nslots, p.nitems, nil), nil)
 }
 
-// callFunction invokes a declared function by name and arity — the compiled
-// counterpart of EvalFunctionDeadline's scan, in the same declaration order.
+// callFunction invokes a declared function by name and arity.
 func (p *Program) callFunction(ctx *context, name string, args []xdm.Sequence) (xdm.Sequence, error) {
-	for _, cf := range p.order {
-		if cf.decl.Name == name && len(cf.decl.Params) == len(args) {
-			return cf.call(ctx, nil, args)
-		}
+	cf, ok := p.funcs[funcKey{name, len(args)}]
+	if !ok {
+		return nil, undeclared(name, len(args))
 	}
-	return nil, fmt.Errorf("eval: function %s#%d not declared", name, len(args))
+	return cf.call(ctx, nil, args)
 }
 
-// callFunctionSeq is the lazy twin of callFunction.
+// callFunctionSeq is the lazy twin of callFunction; p has its push form.
 func (p *Program) callFunctionSeq(ctx *context, name string, args []xdm.Sequence) (xdm.Seq, error) {
-	for _, cf := range p.order {
-		if cf.decl.Name == name && len(cf.decl.Params) == len(args) {
-			return cf.callSeq(ctx, args)
-		}
+	cf, ok := p.funcs[funcKey{name, len(args)}]
+	if !ok {
+		return nil, undeclared(name, len(args))
 	}
-	return nil, fmt.Errorf("eval: function %s#%d not declared", name, len(args))
+	return cf.callSeq(ctx, args)
+}
+
+// undeclared is the fault of calling a function the query does not declare.
+func undeclared(name string, arity int) error {
+	return fmt.Errorf("eval: function %s#%d not declared", name, arity)
 }
 
 // call runs a compiled declared function: parameters type-check into the
-// first frame slots, the body runs, the result type-checks — exactly
-// callDeclared with slots in place of a bound chain. sc is the caller's
-// scratch, nil for a call from outside a run.
+// first frame slots, the body runs, the result type-checks. sc is the
+// caller's scratch, nil for a call from outside a run.
 func (cf *cfunc) call(ctx *context, sc *cscratch, args []xdm.Sequence) (xdm.Sequence, error) {
 	f := newFrame(ctx, cf.nslots, cf.nitems, sc)
 	for i, p := range cf.decl.Params {
@@ -431,7 +422,7 @@ func (cf *cfunc) callSeq(ctx *context, args []xdm.Sequence) (xdm.Seq, error) {
 type cpath struct {
 	input cexpr
 	slot  int
-	steps []*cstep
+	steps []cstep
 }
 
 // cstep is one compiled path step: pre-resolved axis/test plus compiled
@@ -453,11 +444,11 @@ type cpred struct {
 	gen cexpr
 }
 
-// walkPath runs the given steps of path p — the mirror of evalPath — in
-// borrowed scratch and returns the value reached: nodes when isNodes (the
-// last step run was a node step, or the path starts at a node), items
-// otherwise. The caller gives the returned buffer back.
-func (f *cframe) walkPath(p *cpath, steps []*cstep) (items xdm.Sequence, nodes []*xdm.Node, isNodes bool, err error) {
+// walkPath runs the given steps of path p in borrowed scratch and returns
+// the value reached: nodes when isNodes (the last step run was a node step,
+// or the path starts at a node), items otherwise. The caller gives the
+// returned buffer back.
+func (f *cframe) walkPath(p *cpath, steps []cstep) (items xdm.Sequence, nodes []*xdm.Node, isNodes bool, err error) {
 	sc := f.sc
 	switch {
 	case p.input != nil:
@@ -478,7 +469,8 @@ func (f *cframe) walkPath(p *cpath, steps []*cstep) (items xdm.Sequence, nodes [
 		}
 	}
 	var spare []*xdm.Node
-	for _, st := range steps {
+	for i := range steps {
+		st := &steps[i]
 		if st.filter {
 			if isNodes {
 				items = appendNodeItems(sc.seqs.take(), nodes)
@@ -538,14 +530,14 @@ func (f *cframe) runPath(dst xdm.Sequence, p *cpath) (xdm.Sequence, error) {
 // streamPath streams a compiled path whose final step is streamable: the
 // leading steps run eagerly (they are context for the last step, not
 // output), and the last one hands each node to the consumer as its axis
-// walk reaches it. An overlapping or unordered context needs evalStep's sort
+// walk reaches it. An overlapping or unordered context needs runStep's sort
 // barrier, so that step materializes first.
 func (f *cframe) streamPath(p *cpath, yield func(xdm.Item) bool) error {
 	if err := f.ctx.stop.check(); err != nil {
 		return err
 	}
 	sc := f.sc
-	last := p.steps[len(p.steps)-1]
+	last := &p.steps[len(p.steps)-1]
 	items, nodes, isNodes, err := f.walkPath(p, p.steps[:len(p.steps)-1])
 	if err != nil {
 		return err
@@ -617,8 +609,13 @@ func appendAtoms(dst []xdm.Atomic, s xdm.Sequence) []xdm.Atomic {
 	return dst
 }
 
-// runStep maps one compiled non-filter step over its context nodes — the
-// mirror of evalStep, on the same axis scanner.
+// runStep maps one compiled non-filter step over its context nodes: per
+// context node, gather the axis candidates and apply the step predicates
+// within that segment, then re-establish distinct document order across
+// segments. dst is the gather buffer (walkPath passes its ping-pong scratch
+// slice). A single context node yields document-ordered, duplicate-free
+// results on every axis; only unions across context nodes can disturb order
+// (and SortDocOrder detects ordered unions in O(n)).
 func (f *cframe) runStep(nodes []*xdm.Node, st *cstep, dst []*xdm.Node) ([]*xdm.Node, error) {
 	gathered := dst
 	for _, n := range nodes {
@@ -642,9 +639,12 @@ func (f *cframe) runStep(nodes []*xdm.Node, st *cstep, dst []*xdm.Node) ([]*xdm.
 }
 
 // runFilter applies compiled predicates to items, which the caller owns,
-// compacting them in place — the mirror of filterPreds, positions
-// included, minus the per-candidate context allocation: the frame's focus
-// is set and restored around each predicate evaluation.
+// compacting them in place: a step's candidates for one context node, in
+// document order, or a filter expression's sequence. A predicate evaluating
+// to a number selects by position; otherwise its effective boolean value
+// filters. Positions count from the context node outward, so against
+// document order on a reverse axis. The frame's focus is set and restored
+// around each predicate evaluation.
 func runFilter[T xdm.Item](f *cframe, items []T, preds []cpred, reverse bool) ([]T, error) {
 	for _, pred := range preds {
 		kept := items[:0]
@@ -739,9 +739,9 @@ func (f *cframe) existsCompare(n *xdm.Node, steps []*xq.Step, op xq.CompOp, ca [
 
 // streamFrom streams a compiled final step from one context node: walkAxis
 // pushes each candidate through the step's predicate, if any, straight to
-// the consumer, with positions counted per context node — evalStep's
+// the consumer, with positions counted per context node — runStep's
 // per-segment numbering. Several predicate layers run whole over the
-// segment, one after another, as in evalStep: interleaved per candidate, a
+// segment, one after another, as in runStep: interleaved per candidate, a
 // later layer could fault before an earlier one does. The concatenation of
 // segments is in distinct document order by the OrderedDisjointNodes
 // precondition, so no sort barrier is needed.
@@ -824,7 +824,7 @@ func haltIf(cont bool, err error) error {
 }
 
 // streamFilterItems streams a compiled final filter step over a materialized
-// input: positions count over the whole sequence, as in filterPreds, and
+// input: positions count over the whole sequence, as in runFilter, and
 // several predicate layers run whole first, for streamFrom's reason.
 func (f *cframe) streamFilterItems(items xdm.Sequence, preds []cpred, yield func(xdm.Item) bool) error {
 	if len(preds) > 1 {
@@ -919,7 +919,7 @@ func (fc *fnCompiler) compileAttr(v *xq.AttrConstructor, sc *scope) *cattr {
 			ca.constant = false
 			continue
 		}
-		s, err := foldEval(ve)
+		s, err := fc.fold(ve)
 		ca.constant = err == nil
 		parts = append(parts, joinAtoms(s))
 	}
@@ -940,8 +940,9 @@ func (f *cframe) constructElem(e *celem) (*xdm.Node, error) {
 	return b.finish(mark), nil
 }
 
-// buildElem describes element e to the builder — the compiled twin of
-// context.buildElement, step for step.
+// buildElem describes element e to the builder: its name, then its content
+// in order — attribute constructors, nested element and text constructors
+// (built in place), and enclosed expressions.
 func (f *cframe) buildElem(b *treeBuilder, e *celem, nested bool) error {
 	if err := f.ctx.stop.check(); err != nil {
 		return err
@@ -993,8 +994,7 @@ func (f *cframe) buildElem(b *treeBuilder, e *celem, nested bool) error {
 	return nil
 }
 
-// attrParts evaluates an attribute constructor's name and value — the
-// compiled twin of context.attrParts.
+// attrParts evaluates an attribute constructor's name and value.
 func (f *cframe) attrParts(a *cattr) (name, value string, err error) {
 	name = a.name
 	if a.nameExpr != nil {

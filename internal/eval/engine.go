@@ -4,12 +4,11 @@
 // strategies plug in), and the RemoteCaller hook through which XRPCExpr
 // nodes perform remote procedure calls.
 //
-// Two executors share one semantics. The eager tree-walker (eval.go,
-// axes.go) runs queries nobody has compiled and is the differential oracle.
-// A Program (compile.go, compiled.go) lowers a query to closures in an eager
-// and a push form; the push form is the only lazy executor, so the lazy
-// entry points lower on demand. Both executors hand remote calls to the
-// same Engine routines once they have evaluated target and parameters.
+// One executor runs every call: a Program (compile.go, compiled.go) lowers a
+// query to closures in an eager and a push form, the push form being the lazy
+// executor. Every entry point runs one, the Program a cache attached to the
+// query or else a fresh lowering; the caches decide what is retained. The
+// tree-walker the compiler is checked against lives in the package's tests.
 //
 // The layer's contract: Engine evaluates a normalized query exactly per the
 // xq semantics, resolving fn:doc through its Resolver (with single-flighted
@@ -138,8 +137,8 @@ type Engine struct {
 	Resolver Resolver
 	Remote   RemoteCaller
 	Static   StaticContext
-	// Options selects evaluation-strategy knobs; under the zero value an
-	// eager call runs compiled exactly when its query carries a Program.
+	// Options selects optional engine behaviours; under the zero value a
+	// call lowers a query that carries no Program without attaching one.
 	Options Options
 	// Replicas maps a scatter target peer to its ordered failover replicas:
 	// peers holding an equivalent copy of the target's data (same documents
@@ -157,7 +156,7 @@ type Engine struct {
 	// shard decisions.
 	ReplicaRoutes map[*xq.XRPCExpr]map[string][]string
 	// Deadline, when non-zero, bounds every evaluation started through this
-	// engine: both executors check it periodically and abort with
+	// engine: compiled code checks it periodically and abort with
 	// ErrDeadlineExceeded once it passes. Sessions set it on their
 	// query-local engine from the query budget; peers serving many requests
 	// use the per-call EvalFunctionDeadline instead.
@@ -192,8 +191,10 @@ type Stats struct {
 	// originator's budget expired (the observable half of deadline
 	// propagation).
 	DeadlineAborts int
-	// Compilations counts queries lowered to closure chains on this engine's
-	// account (running a Program someone else attached does not count).
+	// Compilations counts the lowerings this engine attached to their
+	// queries (Compile, or a call under Options.Compile). A lowering that
+	// serves one call and is dropped does not count, and neither does
+	// running a Program someone else attached.
 	Compilations int
 }
 
@@ -336,17 +337,12 @@ func (e *Engine) StatsSnapshot() Stats {
 	return e.Stats
 }
 
-// Query normalizes and evaluates a parsed query eagerly: through its
-// Program's eager form when program selects one, else by tree-walking.
+// Query normalizes and evaluates a parsed query eagerly.
 func (e *Engine) Query(q *xq.Query) (xdm.Sequence, error) {
 	if err := xq.Normalize(q); err != nil {
 		return nil, err
 	}
-	ctx := e.newContext(q.Funcs)
-	if p := e.program(q, false); p != nil {
-		return p.run(ctx)
-	}
-	return ctx.eval(q.Body)
+	return e.program(q, false).run(e.newContext())
 }
 
 // EvalFunctionDeadline evaluates a declared function of q with the given
@@ -364,15 +360,7 @@ func (e *Engine) EvalFunctionDeadline(q *xq.Query, name string, args []xdm.Seque
 	if err != nil {
 		return nil, err
 	}
-	if p := e.program(q, false); p != nil {
-		return p.callFunction(ctx, name, args)
-	}
-	for _, f := range q.Funcs {
-		if f.Name == name && len(f.Params) == len(args) {
-			return ctx.callDeclared(f, args)
-		}
-	}
-	return nil, fmt.Errorf("eval: function %s#%d not declared", name, len(args))
+	return e.program(q, false).callFunction(ctx, name, args)
 }
 
 // EvalFunctionSeqDeadline is the lazy twin of EvalFunctionDeadline: it
@@ -381,9 +369,7 @@ func (e *Engine) EvalFunctionDeadline(q *xq.Query, name string, args []xdm.Seque
 // while the call is still computing. Argument types are checked eagerly
 // (faults beat frames); the result type streams per item when the declared
 // occurrence is `*` and falls back to materialize-then-check otherwise,
-// since occurrence constraints need the whole result. The compiled push
-// form is the only lazy executor, so a query that carries no Program is
-// lowered now.
+// since occurrence constraints need the whole result.
 func (e *Engine) EvalFunctionSeqDeadline(q *xq.Query, name string, args []xdm.Sequence, static *StaticContext, deadline time.Time) (xdm.Seq, error) {
 	ctx, err := e.callContext(q, static, deadline)
 	if err != nil {
@@ -399,7 +385,7 @@ func (e *Engine) callContext(q *xq.Query, static *StaticContext, deadline time.T
 	if err := xq.Normalize(q); err != nil {
 		return nil, err
 	}
-	ctx := e.newContext(q.Funcs)
+	ctx := e.newContext()
 	if static != nil {
 		ctx.static = *static
 	}
@@ -409,18 +395,25 @@ func (e *Engine) callContext(q *xq.Query, static *StaticContext, deadline time.T
 	return ctx, nil
 }
 
-// program selects q's executor: the Program q carries — attached by a cache
-// that saw q reused, or by an earlier call — else a fresh lowering when the
-// caller is the lazy entry point EvalFunctionSeqDeadline (lazy) or the
-// engine's Compile option is set. Nil means q tree-walks, which only an
-// eager entry point can ask for.
-func (e *Engine) program(q *xq.Query, lazy bool) *Program {
-	p, ok := q.CompiledArtifact().(*Program)
-	if !ok && (lazy || e.Options.Compile) {
-		// Every caller has normalized q, and CompileQuery fails only where
-		// Normalize does, so the lowering cannot fail.
-		p, _ = e.Compile(q)
+// program returns the Program a call of normalized q runs: the one q
+// carries, attached by a cache that saw q reused; else, under
+// Options.Compile, a lowering attached now; else a lowering for this call
+// alone, which nothing retains. Such a lowering compiles the push form only
+// when the call is lazy (push), and records its "compile" span under
+// TraceSpan like any other.
+func (e *Engine) program(q *xq.Query, push bool) *Program {
+	if p, ok := q.CompiledArtifact().(*Program); ok {
+		return p
 	}
+	// Every caller has normalized q, and lowering fails only where
+	// Normalize does, so neither branch can fail.
+	if e.Options.Compile {
+		p, _ := e.Compile(q)
+		return p
+	}
+	sp := e.TraceSpan.Child("compile")
+	p := lower(q, push)
+	sp.End()
 	return p
 }
 
@@ -440,25 +433,21 @@ func (e *Engine) Compile(q *xq.Query) (*Program, error) {
 	return p, nil
 }
 
-func (e *Engine) newContext(funcs []*xq.FuncDecl) *context {
-	fm := map[string]*xq.FuncDecl{}
-	for _, f := range funcs {
-		fm[fmt.Sprintf("%s/%d", f.Name, len(f.Params))] = f
-	}
-	c := &context{eng: e, funcs: fm, static: e.Static}
+func (e *Engine) newContext() *context {
+	c := &context{eng: e, static: e.Static}
 	if !e.Deadline.IsZero() {
 		c.stop = &stopCheck{eng: e, deadline: e.Deadline}
 	}
 	return c
 }
 
-// stopCheck interrupts a tree-walk at its deadline. Checking the clock at
-// every node would dominate cheap expressions, so the walk only consults
+// stopCheck interrupts an evaluation at its deadline. Checking the clock at
+// every node would dominate cheap expressions, so evaluation only consults
 // time.Now every stopCheckEvery nodes — a bounded-staleness compromise that
 // keeps overhead invisible while still cutting runaway evaluations within
 // microseconds of the deadline. One stopCheck is shared (by pointer) across
-// every derived context of an evaluation, so the node count is global to the
-// query, not per subtree.
+// every frame and derived context of an evaluation, so the node count is
+// global to the query, not per subtree.
 type stopCheck struct {
 	eng      *Engine
 	deadline time.Time
@@ -492,21 +481,11 @@ func (s *stopCheck) check() error {
 	return fmt.Errorf("eval: %w", ErrDeadlineExceeded)
 }
 
-// frame is one variable binding in a linked environment, or a memo frame
-// (memo set, no name) whose val is its operand's value once evaluated. An
-// evaluation runs on one goroutine, so a memo needs no lock.
-type frame struct {
-	name string
-	val  xdm.Sequence
-	next *frame
-	memo *memoOp
-}
-
-// context is the dynamic evaluation context.
+// context is the dynamic evaluation context compiled code and the builtins
+// read: the engine, the focus, the static context and the deadline check.
+// Variables live in the frames of compiled code.
 type context struct {
 	eng    *Engine
-	funcs  map[string]*xq.FuncDecl
-	vars   *frame
 	item   xdm.Item // context item; nil when absent
 	pos    int      // 1-based context position within the step's input
 	size   int      // context size
@@ -516,47 +495,10 @@ type context struct {
 	stop *stopCheck
 }
 
-func (c *context) bind(name string, val xdm.Sequence) *context {
-	nc := *c
-	nc.vars = &frame{name: name, val: val, next: c.vars}
-	return &nc
-}
-
 func (c *context) withItem(it xdm.Item, pos, size int) *context {
 	nc := *c
 	nc.item, nc.pos, nc.size = it, pos, size
 	return &nc
-}
-
-// lookup returns the value of the innermost binding of name.
-func (c *context) lookup(name string) (xdm.Sequence, bool) {
-	for f := c.vars; f != nil; f = f.next {
-		if f.name == name {
-			return f.val, true
-		}
-	}
-	return nil, false
-}
-
-// callDeclared evaluates a declared function body with a fresh environment
-// containing only its parameters (XQuery functions do not close over the
-// caller's variables).
-func (c *context) callDeclared(f *xq.FuncDecl, args []xdm.Sequence) (xdm.Sequence, error) {
-	nc := &context{eng: c.eng, funcs: c.funcs, static: c.static, stop: c.stop}
-	for i, p := range f.Params {
-		if err := checkSeqType(args[i], p.Type); err != nil {
-			return nil, fmt.Errorf("eval: %s($%s): %w", f.Name, p.Name, err)
-		}
-		nc = nc.bind(p.Name, args[i])
-	}
-	res, err := nc.eval(f.Body)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkSeqType(res, f.Return); err != nil {
-		return nil, fmt.Errorf("eval: %s result: %w", f.Name, err)
-	}
-	return res, nil
 }
 
 // checkSeqType enforces occurrence and a light item-type check.

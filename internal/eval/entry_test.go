@@ -12,14 +12,13 @@ import (
 // testkit imports eval.
 
 // QuerySeq normalizes a parsed query and returns its result as a lazy
-// sequence. Nothing is evaluated until the sequence is pulled. The compiled
-// push form is the only lazy executor, so a query without a Program is
-// lowered now.
+// sequence, through the push form of its Program. Nothing is evaluated until
+// the sequence is pulled.
 func (e *Engine) QuerySeq(q *xq.Query) (xdm.Seq, error) {
 	if err := xq.Normalize(q); err != nil {
 		return nil, err
 	}
-	return e.program(q, true).runSeq(e.newContext(q.Funcs)), nil
+	return e.program(q, true).runSeq(e.newContext()), nil
 }
 
 // runSeq returns the program body as a lazy sequence; the frame is created at

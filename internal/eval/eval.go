@@ -25,195 +25,12 @@ func newConstructedURI() string {
 	return string(strconv.AppendUint(append(buf[:0], "constructed://"...), constructorSeq.Add(1), 10))
 }
 
-func (c *context) eval(e xq.Expr) (xdm.Sequence, error) {
-	if err := c.stop.check(); err != nil {
-		return nil, err
-	}
-	switch v := e.(type) {
-	case nil:
-		return xdm.EmptySequence, nil
-	case *xq.Literal:
-		return xdm.Singleton(v.Val), nil
-	case *xq.VarRef:
-		val, ok := c.lookup(v.Name)
-		if !ok {
-			return nil, fmt.Errorf("eval: unbound variable $%s", v.Name)
-		}
-		return val, nil
-	case *xq.ContextItem:
-		if c.item == nil {
-			return nil, fmt.Errorf("eval: context item is undefined")
-		}
-		return xdm.Singleton(c.item), nil
-	case *xq.RootExpr:
-		n, ok := c.item.(*xdm.Node)
-		if !ok {
-			return nil, fmt.Errorf("eval: '/' requires a node context item")
-		}
-		return xdm.Singleton(n.RootNode()), nil
-	case *xq.SeqExpr:
-		out := xdm.Sequence{}
-		for _, it := range v.Items {
-			s, err := c.eval(it)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, s...)
-		}
-		return out, nil
-	case *xq.ForExpr:
-		return c.evalFor(v)
-	case *xq.LetExpr:
-		bound, err := c.eval(v.Bind)
-		if err != nil {
-			return nil, err
-		}
-		return c.bind(v.Var, bound).eval(v.Return)
-	case *xq.IfExpr:
-		cond, err := c.eval(v.Cond)
-		if err != nil {
-			return nil, err
-		}
-		b, ok := cond.EffectiveBoolean()
-		if !ok {
-			return nil, fmt.Errorf("eval: invalid effective boolean value in if condition")
-		}
-		if b {
-			return c.eval(v.Then)
-		}
-		return c.eval(v.Else)
-	case *xq.QuantifiedExpr:
-		return c.evalQuantified(v)
-	case *xq.TypeswitchExpr:
-		return c.evalTypeswitch(v)
-	case *xq.LogicExpr:
-		return c.evalLogic(v)
-	case *xq.CompareExpr:
-		return c.evalCompare(v)
-	case *xq.ArithExpr:
-		return c.evalArith(v)
-	case *xq.UnaryExpr:
-		s, err := c.eval(v.Operand)
-		if err != nil {
-			return nil, err
-		}
-		atoms := s.Atomize()
-		if len(atoms) == 0 {
-			return xdm.EmptySequence, nil
-		}
-		if len(atoms) != 1 {
-			return nil, fmt.Errorf("eval: unary minus over a sequence")
-		}
-		a := atoms[0]
-		if a.T == xdm.TInteger {
-			return xdm.Singleton(xdm.NewInteger(-a.I)), nil
-		}
-		return xdm.Singleton(xdm.NewDouble(-a.Number())), nil
-	case *xq.NodeSetExpr:
-		return c.evalNodeSet(v)
-	case *xq.PathExpr:
-		return c.evalPath(v)
-	case *xq.ElemConstructor:
-		n, err := c.constructElement(v)
-		if err != nil {
-			return nil, err
-		}
-		return xdm.Singleton(n), nil
-	case *xq.AttrConstructor:
-		n, err := c.constructAttribute(v)
-		if err != nil {
-			return nil, err
-		}
-		return xdm.Singleton(n), nil
-	case *xq.TextConstructor:
-		s, err := c.eval(v.Content)
-		if err != nil {
-			return nil, err
-		}
-		var b treeBuilder
-		return xdm.Singleton(b.textTree(joinAtoms(s))), nil
-	case *xq.DocConstructor:
-		s, err := c.eval(v.Content)
-		if err != nil {
-			return nil, err
-		}
-		var b treeBuilder
-		d, err := b.docTree(s)
-		if err != nil {
-			return nil, err
-		}
-		return xdm.Singleton(d), nil
-	case *xq.FunCall:
-		return c.evalFunCall(v)
-	case *xq.XRPCExpr:
-		return c.evalXRPC(v)
-	}
-	return nil, unsupported(e)
-}
-
-// unsupported is the fault of an expression neither executor evaluates.
+// unsupported is the fault of an expression the evaluator rejects.
 func unsupported(e xq.Expr) error {
 	if _, ok := e.(*xq.ExecuteAt); ok {
 		return errors.New("eval: unnormalized execute-at expression (call xq.Normalize first)")
 	}
 	return fmt.Errorf("eval: unsupported expression %T", e)
-}
-
-func (c *context) evalFor(v *xq.ForExpr) (xdm.Sequence, error) {
-	in, err := c.eval(v.In)
-	if err != nil {
-		return nil, err
-	}
-	// Bind an empty memo frame for each operand memoSites finds in v that
-	// no loop around v owns already.
-	take := func(e xq.Expr) {
-		if c.memo(e) == nil {
-			c = c.bind("", nil)
-			c.vars.memo = &memoOp{expr: e}
-		}
-	}
-	for _, spec := range v.OrderBy {
-		memoSites(spec.Key, v.Var, nil, take)
-	}
-	memoSites(v.Return, v.Var, nil, take)
-	if x, ok := v.Return.(*xq.XRPCExpr); ok && len(v.OrderBy) == 0 && c.eng.Remote != nil {
-		return c.evalRemoteLoop(v, x, in)
-	}
-	results := make([]xdm.Sequence, 0, len(in))
-	var keys []xdm.Atomic
-	for _, it := range in {
-		ic := c.bind(v.Var, xdm.Singleton(it))
-		for _, spec := range v.OrderBy {
-			ks, err := ic.eval(spec.Key)
-			if err != nil {
-				return nil, err
-			}
-			key, err := orderKey(ks)
-			if err != nil {
-				return nil, err
-			}
-			keys = append(keys, key)
-		}
-		res, err := ic.eval(v.Return)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, res)
-	}
-	var perm []int32
-	if len(v.OrderBy) > 0 {
-		if perm, err = sortOrdered(keys, v.OrderBy); err != nil {
-			return nil, err
-		}
-	}
-	out := xdm.Sequence{}
-	for i := range results {
-		if perm != nil {
-			i = int(perm[i])
-		}
-		out = append(out, results[i]...)
-	}
-	return out, nil
 }
 
 // emptyKey stands for an empty order-by key, the least key of any column.
@@ -233,11 +50,11 @@ func orderKey(ks xdm.Sequence) (xdm.Atomic, error) {
 
 // sortOrdered returns the order of an order-by loop's iterations, given
 // their keys row by row (len(specs) per iteration): a permutation of their
-// indexes, sorted by their keys, ties in input order. Both executors use
-// it. Each key column is checked whole first: it faults when any two of its
-// keys are not comparable, whatever the input order, and a column holding a
-// number compares all its keys as numbers. So the comparator is a total
-// order and the sort cannot change the result.
+// indexes, sorted by their keys, ties in input order. Each key column is
+// checked whole first: it faults when any two of its keys are not
+// comparable, whatever the input order, and a column holding a number
+// compares all its keys as numbers. So the comparator is a total order and
+// the sort cannot change the result.
 func sortOrdered(keys []xdm.Atomic, specs []xq.OrderSpec) ([]int32, error) {
 	w := len(specs)
 	for k := range specs {
@@ -310,10 +127,10 @@ func atomOf(it xdm.Item) xdm.Atomic {
 
 // ------------------------------------------------------------ remote calls --
 //
-// Both executors evaluate a remote call's target and parameters their own
-// way and hand the values to the Engine routines below, which do everything
-// after: Bulk RPC, partitioning by peer, the concurrent or streamed wave,
-// reassembly in loop order and the first-genuine-error rule.
+// Compiled code evaluates a remote call's target and parameters and hands
+// the values to the Engine routines below, which do everything after: Bulk
+// RPC, partitioning by peer, the concurrent or streamed wave, reassembly in
+// loop order and the first-genuine-error rule.
 
 // errNoRemote is the fault of execute-at on an engine without a remote
 // caller.
@@ -321,80 +138,6 @@ var errNoRemote = errors.New("eval: no remote caller configured for execute at")
 
 func unboundParam(ref string) error {
 	return fmt.Errorf("eval: XRPC parameter references unbound $%s", ref)
-}
-
-func (c *context) evalXRPC(x *xq.XRPCExpr) (xdm.Sequence, error) {
-	if c.eng.Remote == nil {
-		return nil, errNoRemote
-	}
-	target, err := c.rpcTarget(x)
-	if err != nil {
-		return nil, err
-	}
-	params, err := c.rpcParams(x)
-	if err != nil {
-		return nil, err
-	}
-	return c.eng.callRemote(target, x, params)
-}
-
-// evalRemoteLoop evaluates a for-loop whose body is exactly a remote call.
-// A loop-invariant target ships every iteration in one Bulk RPC; a target
-// that varies per iteration (`for $p in $peers return execute at {$p}
-// {...}`) scatter-gathers, one Bulk RPC per distinct peer.
-func (c *context) evalRemoteLoop(v *xq.ForExpr, x *xq.XRPCExpr, in xdm.Sequence) (xdm.Sequence, error) {
-	if len(in) == 0 {
-		return xdm.EmptySequence, nil
-	}
-	iterations := make([][]xdm.Sequence, len(in))
-	if !xq.Reads(x.Target, v.Var) {
-		target, err := c.rpcTarget(x)
-		if err != nil {
-			return nil, err
-		}
-		for i, it := range in {
-			// A binding that is only looked up, never evaluated in, stays
-			// on the stack.
-			if iterations[i], err = c.bind(v.Var, xdm.Singleton(it)).rpcParams(x); err != nil {
-				return nil, err
-			}
-		}
-		return c.eng.bulk(nil, target, x, iterations)
-	}
-	targets := make([]string, len(in))
-	for i, it := range in {
-		ic := c.bind(v.Var, xdm.Singleton(it))
-		var err error
-		if targets[i], err = ic.rpcTarget(x); err != nil {
-			return nil, err
-		}
-		if iterations[i], err = ic.rpcParams(x); err != nil {
-			return nil, err
-		}
-	}
-	return c.eng.scatter(nil, x, targets, iterations)
-}
-
-// rpcTarget evaluates a remote call's target to its peer name.
-func (c *context) rpcTarget(x *xq.XRPCExpr) (string, error) {
-	s, err := c.eval(x.Target)
-	if err != nil {
-		return "", err
-	}
-	return singletonString(s, "execute at target")
-}
-
-// rpcParams looks up the values a remote call ships.
-func (c *context) rpcParams(x *xq.XRPCExpr) ([]xdm.Sequence, error) {
-	params := make([]xdm.Sequence, len(x.Params))
-	for i, p := range x.Params {
-		val, ok := c.lookup(p.Ref)
-		if !ok {
-			return nil, unboundParam(p.Ref)
-		}
-		params[i] = val
-	}
-	return params, nil
 }
 
 // callRemote performs one remote call.
@@ -563,99 +306,13 @@ func gatherStreamed(sc StreamCaller, x *xq.XRPCExpr, batches []ScatterBatch, pos
 	return nil
 }
 
-func (c *context) evalQuantified(v *xq.QuantifiedExpr) (xdm.Sequence, error) {
-	in, err := c.eval(v.In)
-	if err != nil {
-		return nil, err
-	}
-	for _, it := range in {
-		s, err := c.bind(v.Var, xdm.Singleton(it)).eval(v.Satisfies)
-		if err != nil {
-			return nil, err
-		}
-		b, ok := s.EffectiveBoolean()
-		if !ok {
-			return nil, fmt.Errorf("eval: invalid effective boolean in quantified expression")
-		}
-		if v.Every && !b {
-			return xdm.Singleton(xdm.NewBoolean(false)), nil
-		}
-		if !v.Every && b {
-			return xdm.Singleton(xdm.NewBoolean(true)), nil
-		}
-	}
-	return xdm.Singleton(xdm.NewBoolean(v.Every)), nil
-}
-
-func (c *context) evalTypeswitch(v *xq.TypeswitchExpr) (xdm.Sequence, error) {
-	op, err := c.eval(v.Operand)
-	if err != nil {
-		return nil, err
-	}
-	for _, cs := range v.Cases {
-		if checkSeqType(op, cs.Type) == nil {
-			cc := c
-			if cs.Var != "" {
-				cc = c.bind(cs.Var, op)
-			}
-			return cc.eval(cs.Return)
-		}
-	}
-	cc := c
-	if v.DefaultVar != "" {
-		cc = c.bind(v.DefaultVar, op)
-	}
-	return cc.eval(v.Default)
-}
-
-func (c *context) evalLogic(v *xq.LogicExpr) (xdm.Sequence, error) {
-	l, err := c.eval(v.Left)
-	if err != nil {
-		return nil, err
-	}
-	lb, ok := l.EffectiveBoolean()
-	if !ok {
-		return nil, fmt.Errorf("eval: invalid effective boolean value")
-	}
-	if v.And && !lb {
-		return xdm.Singleton(xdm.NewBoolean(false)), nil
-	}
-	if !v.And && lb {
-		return xdm.Singleton(xdm.NewBoolean(true)), nil
-	}
-	r, err := c.eval(v.Right)
-	if err != nil {
-		return nil, err
-	}
-	rb, ok := r.EffectiveBoolean()
-	if !ok {
-		return nil, fmt.Errorf("eval: invalid effective boolean value")
-	}
-	return xdm.Singleton(xdm.NewBoolean(rb)), nil
-}
-
-func (c *context) evalCompare(v *xq.CompareExpr) (xdm.Sequence, error) {
-	l, lm, err := c.operand(v.Left)
-	if err != nil {
-		return nil, err
-	}
-	r, rm, err := c.operand(v.Right)
-	if err != nil {
-		return nil, err
-	}
-	if v.Op.IsNodeComp() {
-		return nodeCompare(v.Op, l, r)
-	}
-	return xdm.Singleton(xdm.NewBoolean(generalCompareAtoms(v.Op, lm.atomize(l), rm.atomize(r), lm, rm))), nil
-}
-
 // generalCompareAtoms decides the existential general comparison over
 // atomized operands: some pair satisfies op under generalPair. lm and rm
 // are the memos of operands a loop memoizes, nil for others. A `=` probes a
 // hash index instead of scanning pairs: with exactly one memoized operand of
 // more than 4 atoms (the §VII semijoin), that operand's index, built once
 // per loop run; with none or two, an index of ra when both sides have more
-// than 4 atoms. Shared by the tree-walker and the compiled path.
+// than 4 atoms.
 func generalCompareAtoms(op xq.CompOp, la, ra []xdm.Atomic, lm, rm *atomMemo) bool {
 	if op == xq.OpEq && (lm == nil) != (rm == nil) {
 		m, probe := lm, ra
@@ -826,21 +483,8 @@ func nodeCompare(op xq.CompOp, l, r xdm.Sequence) (xdm.Sequence, error) {
 	return xdm.Singleton(xdm.NewBoolean(b)), nil
 }
 
-func (c *context) evalArith(v *xq.ArithExpr) (xdm.Sequence, error) {
-	l, err := c.eval(v.Left)
-	if err != nil {
-		return nil, err
-	}
-	r, err := c.eval(v.Right)
-	if err != nil {
-		return nil, err
-	}
-	return arithCombine(v.Op, l.Atomize(), r.Atomize())
-}
-
 // arithCombine applies one arithmetic operator to atomized operands — the
-// scalar kernel shared by the tree-walker and the compiled path, including
-// the integer fast path and the exact zero-division faults.
+// scalar kernel, including the integer fast path and the exact zero-division faults.
 func arithCombine(op xq.ArithOp, la, ra []xdm.Atomic) (xdm.Sequence, error) {
 	if len(la) == 0 || len(ra) == 0 {
 		return xdm.EmptySequence, nil
@@ -898,20 +542,8 @@ func arithCombine(op xq.ArithOp, la, ra []xdm.Atomic) (xdm.Sequence, error) {
 	return nil, fmt.Errorf("eval: unknown arithmetic operator")
 }
 
-func (c *context) evalNodeSet(v *xq.NodeSetExpr) (xdm.Sequence, error) {
-	l, err := c.eval(v.Left)
-	if err != nil {
-		return nil, err
-	}
-	r, err := c.eval(v.Right)
-	if err != nil {
-		return nil, err
-	}
-	return nodeSetCombine(v.Op, l, r)
-}
-
 // nodeSetCombine applies one node-set operator to evaluated operands — the
-// kernel shared by the tree-walker and the compiled path.
+// kernel.
 func nodeSetCombine(op xq.SetOp, l, r xdm.Sequence) (xdm.Sequence, error) {
 	ln, ok := l.Nodes()
 	if !ok {
@@ -945,123 +577,9 @@ func nodeSetCombine(op xq.SetOp, l, r xdm.Sequence) (xdm.Sequence, error) {
 	return xdm.NodeSeq(xdm.SortDocOrder(out)), nil
 }
 
-func (c *context) evalFunCall(v *xq.FunCall) (xdm.Sequence, error) {
-	args := make([]xdm.Sequence, len(v.Args))
-	for i, a := range v.Args {
-		s, err := c.eval(a)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = s
-	}
-	if f, ok := c.funcs[fmt.Sprintf("%s/%d", v.Name, len(v.Args))]; ok {
-		return c.callDeclared(f, args)
-	}
-	name := strings.TrimPrefix(v.Name, "fn:")
-	if bi, ok := builtins[name]; ok {
-		if bi.minArgs > len(args) || (bi.maxArgs >= 0 && len(args) > bi.maxArgs) {
-			return nil, fmt.Errorf("eval: %s expects %d..%d arguments, got %d",
-				v.Name, bi.minArgs, bi.maxArgs, len(args))
-		}
-		return bi.fn(c, args)
-	}
-	return nil, fmt.Errorf("eval: unknown function %s#%d", v.Name, len(v.Args))
-}
-
 // ------------------------------------------------------------ constructors --
 
-func (c *context) constructElement(v *xq.ElemConstructor) (*xdm.Node, error) {
-	var b treeBuilder
-	if err := c.buildElement(&b, v, false); err != nil {
-		return nil, err
-	}
-	return b.finish(0), nil
-}
-
-// buildElement describes element constructor v to the builder: its name,
-// then its content in order — attribute constructors, nested element and
-// text constructors (built in place), and enclosed expressions.
-func (c *context) buildElement(b *treeBuilder, v *xq.ElemConstructor, nested bool) error {
-	if err := c.stop.check(); err != nil {
-		return err
-	}
-	name := v.Name
-	if v.NameExpr != nil {
-		s, err := c.eval(v.NameExpr)
-		if err != nil {
-			return err
-		}
-		if name, err = singletonString(s, "element name"); err != nil {
-			return err
-		}
-	}
-	b.open(name, nested)
-	for _, ce := range v.Content {
-		switch x := ce.(type) {
-		case *xq.AttrConstructor:
-			name, value, err := c.attrParts(x)
-			if err != nil {
-				return err
-			}
-			if err := b.constructedAttr(name, value); err != nil {
-				return err
-			}
-		case *xq.ElemConstructor:
-			if err := c.buildElement(b, x, true); err != nil {
-				return err
-			}
-		case *xq.TextConstructor:
-			s, err := c.eval(x.Content)
-			if err != nil {
-				return err
-			}
-			b.text(joinAtoms(s))
-		default:
-			s, err := c.eval(ce)
-			if err != nil {
-				return err
-			}
-			if err := b.content(s); err != nil {
-				return err
-			}
-		}
-	}
-	b.close()
-	return nil
-}
-
-func (c *context) constructAttribute(v *xq.AttrConstructor) (*xdm.Node, error) {
-	name, value, err := c.attrParts(v)
-	if err != nil {
-		return nil, err
-	}
-	return xdm.NewAttr(name, value), nil
-}
-
-// attrParts evaluates an attribute constructor's name and value.
-func (c *context) attrParts(v *xq.AttrConstructor) (name, value string, err error) {
-	name = v.Name
-	if v.NameExpr != nil {
-		s, err := c.eval(v.NameExpr)
-		if err != nil {
-			return "", "", err
-		}
-		if name, err = singletonString(s, "attribute name"); err != nil {
-			return "", "", err
-		}
-	}
-	var parts []string
-	for _, ve := range v.Value {
-		s, err := c.eval(ve)
-		if err != nil {
-			return "", "", err
-		}
-		parts = append(parts, joinAtoms(s))
-	}
-	return name, strings.Join(parts, ""), nil
-}
-
-// treeBuilder is the construction routine both executors share. A
+// treeBuilder is the construction routine every constructor shares. A
 // constructor describes its tree as a stream of events — open an element or
 // document node, set attributes, add content under XQuery constructor
 // semantics, close — and finish cuts the tree's nodes from one xdm.Slab
@@ -1321,8 +839,8 @@ func singletonString(s xdm.Sequence, what string) (string, error) {
 // per run of the outermost such loop — the stand-in for Pathfinder's
 // loop-lifting that makes the §VII semijoin a hash join. Its memo fills on
 // first use and empties when that loop starts again, so results and faults
-// are those of evaluating it every time. The tree-walker binds memos as
-// frames (evalFor), compiled code keeps them in slots (fnCompiler.operand).
+// are those of evaluating it every time. Compiled code keeps memos in slots
+// (fnCompiler.operand).
 
 // pinned reports whether comparison operand e may be memoized while the
 // variables it reads keep their values: a path or a function call that
@@ -1379,58 +897,6 @@ func readsFocus(v *xq.FunCall) bool {
 		return len(v.Args) == 0
 	}
 	return false
-}
-
-// memoOp is a memo frame's operand, atoms and `=` index.
-type memoOp struct {
-	expr xq.Expr
-	atomMemo
-}
-
-// memo returns the memo frame of operand e around c, or nil.
-func (c *context) memo(e xq.Expr) *frame {
-	for f := c.vars; f != nil; f = f.next {
-		if f.memo != nil && f.memo.expr == e {
-			return f
-		}
-	}
-	return nil
-}
-
-// memoSites calls take on each pinned comparison operand in e that reads
-// neither loopVar nor a variable of bound, those bound inside the loop
-// around e. It does not enter a shipped body.
-func memoSites(e xq.Expr, loopVar string, bound *scope, take func(xq.Expr)) {
-	if v, ok := e.(*xq.CompareExpr); ok {
-		for _, op := range [...]xq.Expr{v.Left, v.Right} {
-			if pinned(op, func(n string) bool { _, in := bound.lookup(n); return !in && n != loopVar }) {
-				take(op)
-			}
-		}
-	}
-	xq.Slots(e, func(s xq.Slot) {
-		if s.Remote == nil {
-			b := bound
-			if s.Var != nil {
-				b = &scope{name: *s.Var, next: bound}
-			}
-			memoSites(*s.Expr, loopVar, b, take)
-		}
-	})
-}
-
-// operand evaluates comparison operand e, through its memo, also returned,
-// when a loop run around c owns one.
-func (c *context) operand(e xq.Expr) (xdm.Sequence, *atomMemo, error) {
-	m := c.memo(e)
-	if m == nil || m.val == nil {
-		s, err := c.eval(e)
-		if m == nil || err != nil {
-			return s, nil, err
-		}
-		m.val = filled(s)
-	}
-	return m.val, &m.memo.atomMemo, nil
 }
 
 // filled is s as a memo holds it: nil marks a memo not yet filled.

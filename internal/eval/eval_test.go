@@ -283,7 +283,7 @@ func TestXRPCBaseURIOverride(t *testing.T) {
 	if err := xq.Normalize(q); err != nil {
 		t.Fatal(err)
 	}
-	ctx := e.newContext(nil).bind("n", xdm.Singleton(xdm.Item(d.DocElem())))
+	ctx := e.walker(e.newContext(), nil).bind("n", xdm.Singleton(xdm.Item(d.DocElem())))
 	res, err := ctx.eval(q.Body)
 	if err != nil {
 		t.Fatal(err)
@@ -463,7 +463,7 @@ func (f *fakeRemote) serveBatch(target string, x *xq.XRPCExpr, iterations [][]xd
 func (f *fakeRemote) evalShipped(x *xq.XRPCExpr, params []xdm.Sequence) (xdm.Sequence, error) {
 	e := NewEngine(f.docs)
 	e.Deadline = f.deadline
-	ctx := e.newContext(nil)
+	ctx := e.walker(e.newContext(), nil)
 	for i, p := range x.Params {
 		ctx = ctx.bind(p.Name, params[i])
 	}

@@ -79,12 +79,16 @@ func TestHoistedOperandAtomizedOnce(t *testing.T) {
 	for _, compile := range []bool{false, true} {
 		eng := NewEngine(mapResolver{"ids.xml": sb.String()})
 		eng.Options.Compile = compile
+		query := eng.Query
+		if !compile {
+			query = func(q *xq.Query) (xdm.Sequence, error) { return treeWalk(eng, q) }
+		}
 		q, err := xq.ParseQuery(src)
 		if err != nil {
 			t.Fatal(err)
 		}
 		run := func() {
-			res, err := eng.Query(q)
+			res, err := query(q)
 			if err != nil || len(res) != 1 || res[0].ItemString() != "1" {
 				t.Fatalf("compile=%v: %v, %v", compile, res, err)
 			}
@@ -261,13 +265,17 @@ func TestJoinIndexBuiltOncePerLoop(t *testing.T) {
 	allocs := func(compile bool, nIDs, nProbes int) float64 {
 		eng := NewEngine(mapResolver{"ids.xml": ids(nIDs), "p.xml": probes(nProbes)})
 		eng.Options.Compile = compile
+		query := eng.Query
+		if !compile {
+			query = func(q *xq.Query) (xdm.Sequence, error) { return treeWalk(eng, q) }
+		}
 		q, err := xq.ParseQuery(src)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := fmt.Sprint((min(nIDs*7, nProbes) + 6) / 7)
 		run := func() {
-			if res, err := eng.Query(q); err != nil || len(res) != 1 || res[0].ItemString() != want {
+			if res, err := query(q); err != nil || len(res) != 1 || res[0].ItemString() != want {
 				t.Fatalf("compile=%v ids=%d probes=%d: %v, %v; want %s", compile, nIDs, nProbes, res, err, want)
 			}
 		}

@@ -20,16 +20,11 @@ func evalEager(e *Engine, src string) (xdm.Sequence, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := xq.Normalize(q); err != nil {
-		return nil, err
-	}
-	ctx := e.newContext(q.Funcs)
-	return ctx.eval(q.Body)
+	return treeWalk(e, q)
 }
 
 // evalLazy pulls the same query through QuerySeq item by item: the compiled
-// push form, lowered on the spot. Each side parses its own copy, so the
-// Program the push form attaches never reaches the oracle.
+// push form, lowered on the spot. Each side parses its own copy.
 func evalLazy(e *Engine, src string) (xdm.Sequence, error) {
 	q, err := xq.ParseQuery(src)
 	if err != nil {
@@ -221,8 +216,9 @@ func TestQuerySeqForLoopStreams(t *testing.T) {
 
 // TestLazyDeadlineAbortsMidStream: the deadline cuts a streamed walk after a
 // prefix — ErrDeadlineExceeded surfaces at the pull site and the abort is
-// counted in Stats. The eager tree-walker, which runs a cold Query, must cut
-// the same walk: its axis scan checks the deadline per visited node too.
+// counted in Stats. An eager Query of a fresh parse, on a lowering of its
+// own, and the tree-walking oracle must cut the same walk: their axis scans
+// check the deadline per visited node too.
 func TestLazyDeadlineAbortsMidStream(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("<r>")
@@ -258,7 +254,7 @@ func TestLazyDeadlineAbortsMidStream(t *testing.T) {
 		t.Fatal("deadline abort not counted in Stats")
 	}
 
-	// A fresh parse carries no Program, so Query tree-walks it.
+	// A fresh parse carries no Program, so Query lowers it for this call.
 	cold, err := xq.ParseQuery(`doc("big.xml")/r/x`)
 	if err != nil {
 		t.Fatal(err)
@@ -267,16 +263,27 @@ func TestLazyDeadlineAbortsMidStream(t *testing.T) {
 		t.Fatalf("cold Query: want ErrDeadlineExceeded, got %v", err)
 	}
 	if cold.CompiledArtifact() != nil {
-		t.Fatal("cold Query lowered the query; the tree-walker went untested")
+		t.Fatal("cold Query attached a Program")
 	}
 	if e.StatsSnapshot().DeadlineAborts == aborts {
 		t.Fatal("cold Query's deadline abort not counted in Stats")
 	}
+	aborts = e.StatsSnapshot().DeadlineAborts
+	oracle, err := xq.ParseQuery(`doc("big.xml")/r/x`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := treeWalk(e, oracle); !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("tree-walk: want ErrDeadlineExceeded, got %v", err)
+	}
+	if e.StatsSnapshot().DeadlineAborts == aborts {
+		t.Fatal("the tree-walk's deadline abort not counted in Stats")
+	}
 }
 
-// TestQuerySeqConcurrentFirstUse: goroutines racing to lower one fresh
-// query each get a working Program — a duplicate lowering is harmless — and
-// all stream the same bytes.
+// TestQuerySeqConcurrentFirstUse: goroutines racing to lower and attach
+// (Options.Compile) one fresh query each get a working Program — a
+// duplicate lowering is harmless — and all stream the same bytes.
 func TestQuerySeqConcurrentFirstUse(t *testing.T) {
 	src := `for $p in doc("people.xml")/people/person return ($p/@id, $p/name)`
 	want, err := evalEager(NewEngine(peopleDocs), src)
@@ -293,6 +300,7 @@ func TestQuerySeqConcurrentFirstUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewEngine(peopleDocs)
+	e.Options.Compile = true
 	got := make([]string, 8)
 	var wg sync.WaitGroup
 	for i := range got {
@@ -395,7 +403,7 @@ func TestCallDeclaredSeqTypeChecks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, want := NewEngine(peopleDocs).EvalFunction(oracle, "local:late", []xdm.Sequence{{xdm.NewInteger(1)}})
+	_, want := treeWalkFunction(NewEngine(peopleDocs), oracle, "local:late", []xdm.Sequence{{xdm.NewInteger(1)}}, nil, time.Time{})
 	s, err = e.EvalFunctionSeqDeadline(q, "local:late", []xdm.Sequence{{xdm.NewInteger(1)}}, nil, time.Time{})
 	if err != nil {
 		t.Fatal(err)

@@ -41,7 +41,11 @@ func dispatchBoth[R RemoteCaller](t *testing.T, docs Resolver, src string, mk fu
 		if setup != nil {
 			setup(e, q)
 		}
-		res, err := e.Query(q)
+		query := e.Query
+		if i == 0 {
+			query = func(q *xq.Query) (xdm.Sequence, error) { return treeWalk(e, q) }
+		}
+		res, err := query(q)
 		runs[i].res, runs[i].err = serialize(res), err
 		st := e.StatsSnapshot()
 		runs[i].stats = Stats{RemoteCalls: st.RemoteCalls, BulkCalls: st.BulkCalls,

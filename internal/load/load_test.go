@@ -59,12 +59,12 @@ for $p in (%s) return execute at {$p} { young() }`, strings.Join(quoted, ", "))
 }
 
 // requireBothExecutors is the non-vacuity check of the equivalence tests:
-// the service tree-walked a first execution and compiled the plan on its
+// the service ran a first execution cold and compiled the plan on its
 // reuse, and at least one peer compiled the module it was sent repeatedly.
 func (f *federation) requireBothExecutors(t *testing.T, svc *service.Service) {
 	t.Helper()
 	if st, c := svc.Stats(), testkit.Metric(t, svc.WriteMetrics, "distxq_eval_compilations_total"); st.PlanMisses == 0 || c == 0 {
-		t.Errorf("originator planned %d queries afresh and compiled %d; the test must exercise both executors", st.PlanMisses, c)
+		t.Errorf("originator planned %d queries afresh and compiled %d; the test must exercise cold and retained execution", st.PlanMisses, c)
 	}
 	for _, name := range f.all {
 		if p, ok := f.net.Peer(name); ok && p.Engine.StatsSnapshot().Compilations > 0 {
@@ -339,8 +339,8 @@ func TestOverloadFastRejectHTTP(t *testing.T) {
 // invariant under the new dispatch features: with adaptive hedging and
 // replica spreading enabled, killing any single primary must leave the
 // query's serialized result byte-identical to the healthy run. The healthy
-// run tree-walks; by the time the kills land, the warm-up has taken the plan
-// and the peers' modules across into compiled execution.
+// run is cold; by the time the kills land, the warm-up has made the plan
+// and the peers' modules retain their Programs.
 func TestKillAnyPeerEquivalenceWithAdaptiveHedging(t *testing.T) {
 	f := newFederation(t, 3)
 	svc := service.New(f.net, f.origin, core.ByFragment, service.Config{

@@ -5,9 +5,9 @@ package peer
 // replicated shard map interleave with generated queries, and every query must
 // serialize byte-identically to static local execution over the unsharded
 // reference document — whichever copies are down, for 2/4/8-shard layouts,
-// gather-whole and streamed dispatch, on both sides of the executor policy
-// (queries sent once tree-walk; queries re-sent cross into compiled
-// execution). Correctness of the scatter rewrite with every host up is proven
+// gather-whole and streamed dispatch, on both sides of the retention policy
+// (queries sent once run cold; queries re-sent cross into retained
+// Programs). Correctness of the scatter rewrite with every host up is proven
 // by the core equivalence harness; this one proves hosts can fail and return
 // underneath the session without the answers moving with them.
 
@@ -201,9 +201,9 @@ func churnQuery(rng *rand.Rand) string {
 // between them, at least one of them a kill; every result must match the
 // static local reference byte for byte. With a nil reuse every query is sent
 // once through the plain session — nothing is ever re-planned, so the
-// originator only tree-walks; otherwise each query is sent three times
-// through reuse under its liveness state: planned and tree-walked, compiled on
-// the plan's first reuse, and run compiled.
+// originator never retains a Program; otherwise each query is sent three
+// times through reuse under its liveness state: planned and run cold,
+// compiled on the plan's first reuse, and run on the retained Program.
 func (w *churnWorld) runSchedule(rng *rand.Rand, schedule int, reuse *planReuse) {
 	w.t.Helper()
 	w.reset()

@@ -46,7 +46,7 @@ func replicatedFederation(t *testing.T, peers int) (*Network, *Peer, []string, c
 // single primary yields byte-identical results to the healthy run — for the
 // hand-written scatter query and the planner-generated logical plan, in
 // gather-whole and streamed dispatch. The runs repeat each query, so both
-// sides cross from tree-walking to compiled execution on the way.
+// sides cross from cold to retained execution on the way.
 func TestKillAnyPeerInMemory(t *testing.T) {
 	for _, peers := range []int{2, 4} {
 		n, local, names, m := replicatedFederation(t, peers)
@@ -165,7 +165,7 @@ func (s *slowPeerTransport) RoundTripStream(ctx context.Context, peer string, re
 
 // TestSlowPeerHedged: a straggling primary is hedged to its replica and the
 // query answers byte-identically, fast, with the hedge on the report — on a
-// plan's first (tree-walked) execution and on its compiled reuse alike.
+// plan's first (cold) execution and on its compiled reuse alike.
 func TestSlowPeerHedged(t *testing.T) {
 	n, local, names, m := replicatedFederation(t, 2)
 	handQuery := xmark.ScatterQuery(names)
@@ -382,7 +382,7 @@ func TestKillPeerOverHTTP(t *testing.T) {
 		}
 		want := serializeSeq(t, res)
 		if res, _, err = run(); err != nil || serializeSeq(t, res) != want {
-			t.Fatalf("streamed=%v: compiled healthy run diverged from the tree-walked one (%v)", streamed, err)
+			t.Fatalf("streamed=%v: compiled healthy run diverged from the cold one (%v)", streamed, err)
 		}
 		kill(names[1])
 		res, rep, err := run()

@@ -321,6 +321,12 @@ type Report struct {
 	GatherNS       int64 // completion of all request waves, gather-whole model
 	OverlapSavedNS int64 // GatherNS - PipelineNS
 	StreamedChunks int64 // response chunk frames received by streamed lanes
+
+	// FirstChunkExecNS is the server evaluation the first wave's slowest
+	// lane charged to its first response frame (measured, from the frame's
+	// exec-ns): a gather-whole or eager server charges the whole call, an
+	// incremental server only what preceded the frame.
+	FirstChunkExecNS int64
 	// Shards reports the planner's shard-rewrite decisions: which
 	// logical-document expressions became scatter loops and which fell back
 	// to materialized-union evaluation, with the violated condition.
@@ -623,8 +629,13 @@ func (s *Session) ExecutePlan(plan *core.Plan) (xdm.Sequence, *Report, error) {
 				}
 				rep.WinnerReplica[lane.Target] = lane.Peer
 			}
+			firstExec := lane.RemoteExecNS
 			if len(lane.Chunks) > 0 {
 				waveStreamed[wi] = true
+				firstExec = lane.Chunks[0].ExecNS
+			}
+			if wi == 0 {
+				rep.FirstChunkExecNS = max(rep.FirstChunkExecNS, firstExec)
 			}
 			laneNetNS := s.net.Model.RoundTrip(lane.BytesSent, lane.BytesReceived).Nanoseconds()
 			serialNS += laneNetNS

@@ -13,14 +13,14 @@ import (
 
 // planReuse stands in for the service's plan cache in harnesses that drive
 // sessions directly (this package cannot import the service): one plan per
-// (strategy, source), tree-walked when first planned and compiled on its
-// first reuse. Repeating a query through it therefore takes
-// the originator across both executors exactly as a served query does, while
-// the peers cross theirs through their own module caches.
+// (strategy, source), run cold when first planned and compiled on its
+// first reuse. Repeating a query through it therefore takes the
+// originator from cold to retained execution exactly as a served query
+// does, while the peers cross through their own module caches.
 type planReuse struct {
 	mu    sync.Mutex
 	plans map[string]*core.Plan
-	// misses counts first (tree-walked) executions, compiled the plans
+	// misses counts first (cold) executions, compiled the plans
 	// lowered on reuse.
 	misses, compiled int
 }
@@ -75,7 +75,7 @@ func (r *planReuse) plan(sess *Session, src string) (*core.Plan, error) {
 
 // sender returns how a harness sends queries on sess: through r's plan
 // reuse, or — for a nil r — through the plain session, which plans every
-// query afresh, so its originator only ever tree-walks.
+// query afresh, so its originator never retains a Program.
 func (r *planReuse) sender(sess *Session) func(src string) (xdm.Sequence, *Report, error) {
 	if r == nil {
 		return sess.Query
@@ -84,16 +84,16 @@ func (r *planReuse) sender(sess *Session) func(src string) (xdm.Sequence, *Repor
 }
 
 // requireBothExecutors is the harness's non-vacuity check: the originator
-// tree-walked first executions and compiled reused plans, and at least one
-// of the given peer engines compiled a shipped module (on its second
-// sighting; a first sighting tree-walks unless a streamed call lowers it).
+// ran cold first executions and compiled reused plans, and at least one of
+// the given peer engines compiled a shipped module (on its second
+// sighting; a first sighting lowers for that call only).
 func (r *planReuse) requireBothExecutors(t *testing.T, peerEngines ...*eval.Engine) {
 	t.Helper()
 	r.mu.Lock()
 	misses, compiled := r.misses, r.compiled
 	r.mu.Unlock()
 	if misses == 0 || compiled == 0 {
-		t.Errorf("originator ran %d tree-walked first executions and compiled %d reused plans; the harness must exercise both", misses, compiled)
+		t.Errorf("originator ran %d cold first executions and compiled %d reused plans; the harness must exercise both", misses, compiled)
 	}
 	for _, e := range peerEngines {
 		if e.StatsSnapshot().Compilations > 0 {

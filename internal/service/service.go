@@ -227,7 +227,7 @@ func (s *Service) admit(budget core.Budget) (release func(), err error) {
 // concurrent first arrivals of one source share a single build. A cached
 // plan's AST is normalized exactly once, before publication, so concurrent
 // executions share it read-only. A plan compiles once, on its first hit: a
-// miss executes on the tree-walker and retains no Program.
+// miss executes on a lowering of its own and retains no Program.
 func (s *Service) plan(src string, sp trace.SpanRef) (*core.Plan, []core.ShardMap, error) {
 	q, err := xq.ParseQuery(src)
 	if err != nil {
@@ -280,7 +280,8 @@ var retainModules = xrpc.RetainModules
 
 // compile lowers a reused plan's query, counting the lowering into the
 // /metrics feeds. Normalization succeeded before the plan was published, so
-// lowering cannot fail; if it did, the plan would simply keep tree-walking.
+// lowering cannot fail; if it did, the plan would simply be lowered per
+// execution.
 func (s *Service) compile(q *xq.Query, sp trace.SpanRef) {
 	if _, err := eval.CompileTraced(q, sp); err == nil {
 		s.evalStats.Add(eval.Stats{Compilations: 1})

@@ -20,8 +20,8 @@ import (
 // *DeadlineError matching ErrDeadlineExceeded, never a bare
 // context.Canceled. Gather-whole and streamed paths must behave alike.
 
-// crunchSrc is a remote evaluation that runs far past any test budget (a
-// million loop-body evaluations, ~2s of tree-walking), so the peer-side
+// crunchSrc is a remote evaluation that runs far past any test budget (ten
+// million loop-body evaluations, about a second compiled), so the peer-side
 // abort has to come from the propagated deadline.
 const crunchSrc = `
 declare function ten() as item()* { (1,2,3,4,5,6,7,8,9,10) };
@@ -31,7 +31,8 @@ declare function crunch() as item()* {
         for $c in ten() return
         for $d in ten() return
         for $e in ten() return
-        for $f in ten() return $f)
+        for $f in ten() return
+        for $g in ten() return $g)
 };
 execute at {"a"} { crunch() }`
 
@@ -92,9 +93,9 @@ func checkDeadlineFailure(t *testing.T, err error, start time.Time) {
 	}
 }
 
-// TestDeadlinePropagatesOverHTTPGather: gather-whole dispatch, the peer
-// tree-walking and compiled — the compiled closure chains must hit the same
-// budget checks and record the same typed abort.
+// TestDeadlinePropagatesOverHTTPGather: gather-whole dispatch, the peer's
+// engine with and without Options.Compile — a cold lowering and an attached
+// Program must hit the same budget checks and record the same typed abort.
 func TestDeadlinePropagatesOverHTTPGather(t *testing.T) {
 	for _, compiled := range []bool{false, true} {
 		tr, peerEng := deadlineFederation(t)

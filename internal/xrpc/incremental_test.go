@@ -92,10 +92,11 @@ func TestHandleStreamFirstFrameMidEvaluation(t *testing.T) {
 	if g := serialize(got[0]); g != "<x>1</x> <x>2</x> <x>3</x> <x>4</x> <x>5</x> <x>6</x>" {
 		t.Fatalf("reassembled result = %q", g)
 	}
-	// The price of streaming a module's first sighting: the compiled push
-	// form is the only lazy executor, so the call lowered the module once.
-	if c := srv.Engine.StatsSnapshot().Compilations; c != 1 {
-		t.Fatalf("first-sighting streamed call compiled %d times, want 1", c)
+	// A module's first sighting streams on a lowering of its own, which the
+	// server does not retain: only the module cache attaches (and counts) a
+	// Program, on a text's second sighting.
+	if c := srv.Engine.StatsSnapshot().Compilations; c != 0 {
+		t.Fatalf("first-sighting streamed call attached %d Programs, want 0", c)
 	}
 }
 

@@ -48,9 +48,8 @@ const moduleCacheSize = 32
 // compiled program alive, and a peer answering ad-hoc queries that never
 // repeat should retain none of them. That second sighting is also the proof
 // of reuse that pays for lowering: a module compiles once, at admission, so
-// every cache hit runs the compiled executor, and a module seen once leaves
-// nothing behind — it tree-walks through Handle, while HandleStream, whose
-// only lazy executor is compiled, lowers it for that one request.
+// every cache hit runs the retained Program, and a module seen once leaves
+// nothing behind — Handle and HandleStream lower it for that one request.
 type moduleCache struct {
 	mu sync.Mutex
 	// entries maps a text to its published module; a nil value is the claim
@@ -100,7 +99,7 @@ func (c *moduleCache) admit(src string, q *xq.Query, eng *eval.Engine) {
 	c.entries[src] = nil
 	c.mu.Unlock()
 	// q is normalized, so lowering cannot fail; if it did, q would be
-	// published without a Program and keep tree-walking.
+	// published without a Program and be lowered per request.
 	_, _ = eng.Compile(q)
 	c.mu.Lock()
 	if _, ok := c.entries[src]; ok { // unless evicted while compiling
