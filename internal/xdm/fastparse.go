@@ -6,32 +6,26 @@ import (
 	"strings"
 )
 
-// ParseBytes parses an XML document with an allocation-light scanner
-// specialized for machine-generated XML such as XRPC messages: element and
-// attribute names and text content are sliced out of one backing string
-// instead of being tokenized through encoding/xml, and nodes and their
-// child/attribute arrays are handed out of slabs sized to the message. It
-// accepts the document subset the data model holds (elements, attributes,
-// text, comments; prefixed names kept literally, xmlns attributes dropped,
-// PIs/directives skipped) and reports an error on anything malformed. It is
-// the one XML parser: ParseString, which loads documents, runs it too.
-//
-// The returned document's strings alias one copy of data, so the whole
-// message buffer stays reachable while any of its nodes do — the right trade
-// for decoded fragments, whose nodes are referenced by query results anyway.
+// ParseBytes parses an XML document with the Scanner: names and text are
+// slices of one string copy of data, which stays reachable while any node
+// does, and nodes and their child/attribute arrays come from slabs sized to
+// the text. It accepts the subset the data model holds (elements,
+// attributes, text, comments; prefixed names kept literally, xmlns
+// attributes dropped, PIs/directives skipped) and rejects anything malformed.
 func ParseBytes(data []byte, uri string) (*Document, error) {
-	return parseFast(string(data), uri)
+	return ParseString(string(data), uri)
 }
 
-// msgArena hands out the nodes of one parsed message, and the backing arrays
-// of their Children and Attrs slices, from slabs sized to the message: a
-// 12-node request costs a 12-node slab, not a fixed one. est is the parser's
-// estimate of the nodes still to come; a slab never exceeds maxSlab entries,
-// so an estimate that is off wastes at most one slab.
+// msgArena hands out the nodes of one parsed text, and the backing arrays
+// of their Children and Attrs slices, from slabs sized to the text: a
+// 12-node request costs a 12-node slab, not a fixed one. est is the
+// estimate of the nodes still to come, and slots of the window entries
+// (every node sits in exactly one window); a slab never exceeds maxSlab
+// entries, so an estimate that is off wastes at most one slab.
 type msgArena struct {
-	nodes []Node
-	ptrs  []*Node
-	est   int
+	nodes      []Node
+	ptrs       []*Node
+	est, slots int
 }
 
 const (
@@ -47,13 +41,15 @@ func estimateNodes(s string) int {
 	return strings.Count(s, "<") + strings.Count(s, `="`)
 }
 
-func (ar *msgArena) slabSize(need int) int {
-	return max(need, min(max(ar.est, minSlab), maxSlab))
+func (ar *msgArena) expect(n int) { ar.est, ar.slots = n, n }
+
+func slabSize(need, est int) int {
+	return max(need, min(max(est, minSlab), maxSlab))
 }
 
 func (ar *msgArena) take(k Kind, name, text string) *Node {
 	if len(ar.nodes) == 0 {
-		ar.nodes = make([]Node, ar.slabSize(1))
+		ar.nodes = make([]Node, slabSize(1, ar.est))
 	}
 	n := &ar.nodes[0]
 	ar.nodes = ar.nodes[1:]
@@ -70,10 +66,11 @@ func (ar *msgArena) alloc(n int) []*Node {
 		return nil
 	}
 	if len(ar.ptrs) < n {
-		ar.ptrs = make([]*Node, ar.slabSize(n))
+		ar.ptrs = make([]*Node, slabSize(n, ar.slots))
 	}
 	w := ar.ptrs[:n:n]
 	ar.ptrs = ar.ptrs[n:]
+	ar.slots -= n
 	return w
 }
 
@@ -128,211 +125,354 @@ func (s *Slab) Copy(n *Node) *Node {
 	return c
 }
 
-// openElem is an element whose end tag the parser has not reached; its
-// children so far are pending[mark:].
+// Token is the kind of markup Scanner.Next read.
+type Token uint8
+
+const (
+	EOF      Token = iota // never returned while an element is open
+	StartTag              // Name, and attributes through Attr; an EndTag follows, an empty-element tag's too
+	EndTag                // Name
+	CharData              // Text: character data with entities resolved, or a CDATA section
+	Comment               // Text
+)
+
+// Scanner reads an XML text one token at a time — the one XML scanner.
+// ParseString runs it over a whole document; the XRPC decoder reads a
+// message's envelope as tokens and has only shipped content built into
+// trees (Fill), from one arena shared by the whole text. Names and text
+// alias the text. Processing instructions and directives are skipped, so
+// two CharData tokens in a row belong to one text node. End tags must
+// match, the text must not end inside an element; the first error sticks.
+type Scanner struct {
+	s, uri      string
+	pos, tokPos int      // tokPos: where the current token starts
+	open        []string // names of the elements whose end tags are to come
+	empty       bool     // the current StartTag closed itself
+	attrs       []attr   // the current StartTag's attributes
+	err         error
+	Name, Text  string
+
+	arena   msgArena
+	stack   []openElem // Fill's open elements
+	pending []*Node    // their children and attributes so far
+	// The first arrays of the stacks: a shallow text costs no allocation
+	// beyond the scanner's own.
+	openBuf    [12]string
+	attrBuf    [10]attr
+	stackBuf   [8]openElem
+	pendingBuf [16]*Node
+}
+
+type attr struct{ name, value string }
+
+// openElem is an element whose end tag Fill has not reached; its children
+// so far are pending[mark:].
 type openElem struct {
 	el   *Node
 	mark int
 }
 
-// ParseString parses an XML document held in a string. Nodes alias s.
-func ParseString(s, uri string) (*Document, error) {
-	return parseFast(s, uri)
+// Reset starts scanning s, named uri in errors, with no arena estimate.
+func (sc *Scanner) Reset(s, uri string) {
+	*sc = Scanner{s: s, uri: uri}
+	sc.open, sc.attrs = sc.openBuf[:0], sc.attrBuf[:0]
+	sc.stack, sc.pending = sc.stackBuf[:0], sc.pendingBuf[:0]
 }
 
-func parseFast(s, uri string) (*Document, error) {
-	doc := NewDocument(uri)
-	arena := msgArena{est: estimateNodes(s)}
-	// Children and attributes collect on one pending stack and move into an
-	// exactly sized arena window when their element closes. Freeze, at the
-	// end, links parents and sibling indexes.
-	open := make([]openElem, 1, 16)
-	open[0].el = doc.Root
-	pending := make([]*Node, 0, 64)
-	cur := &open[0]
-	// lastText returns the text node a split run (PI, directive or CDATA in
-	// the middle of character data) continues, if any.
-	lastText := func() *Node {
-		if k := len(pending); k > cur.mark && pending[k-1].Kind == TextNode {
-			return pending[k-1]
+// Err returns the first error, nil while the text is well-formed.
+func (sc *Scanner) Err() error { return sc.err }
+
+// Depth returns the number of open elements, one whose StartTag was just
+// read included.
+func (sc *Scanner) Depth() int { return len(sc.open) }
+
+// Attr returns the value of the current StartTag's attribute name.
+func (sc *Scanner) Attr(name string) (string, bool) {
+	for _, a := range sc.attrs {
+		if a.name == name {
+			return a.value, true
 		}
-		return nil
 	}
-	pos := 0
-	for pos < len(s) {
+	return "", false
+}
+
+// Mark returns the position before the current StartTag.
+func (sc *Scanner) Mark() (pos, depth int) { return sc.tokPos, len(sc.open) - 1 }
+
+// Rewind returns to a Mark, for a second pass over text already checked.
+func (sc *Scanner) Rewind(pos, depth int) { sc.pos, sc.open, sc.empty = pos, sc.open[:depth], false }
+
+// Reserve sizes the arena's next slabs for the content of the element whose
+// StartTag was just read, up to the first end tag of its name, less the
+// elements in it whose start tags begin with wrapper (one attribute and an
+// end tag each, read as tokens), and returns their number. It is one jump
+// from '<' to '<' (and a count of =") over the content.
+func (sc *Scanner) Reserve(wrapper string) int {
+	rest, end := sc.s[sc.pos:], "</"+sc.Name+">"
+	tags, n, i := 0, 0, 0
+	for !sc.empty {
+		j := strings.IndexByte(rest[i:], '<')
+		if j < 0 {
+			i = len(rest)
+			break
+		}
+		if i += j; strings.HasPrefix(rest[i:], end) {
+			break
+		}
+		if strings.HasPrefix(rest[i:], wrapper) {
+			n++
+		}
+		i, tags = i+1, tags+1
+	}
+	sc.arena.expect(max(tags+strings.Count(rest[:i], `="`)-3*n, 0))
+	return n
+}
+
+func (sc *Scanner) fail(format string, args ...any) (Token, error) {
+	sc.err = fmt.Errorf("xdm: parse %s: "+format, append([]any{sc.uri}, args...)...)
+	return EOF, sc.err
+}
+
+// Next reads the next token.
+func (sc *Scanner) Next() (Token, error) {
+	if sc.err != nil {
+		return EOF, sc.err
+	}
+	if sc.empty {
+		sc.empty, sc.open = false, sc.open[:len(sc.open)-1]
+		return EndTag, nil
+	}
+	s := sc.s
+	for sc.pos < len(s) {
+		pos := sc.pos
+		sc.tokPos = pos
 		if s[pos] != '<' {
-			start := pos
-			for pos < len(s) && s[pos] != '<' {
-				pos++
+			end := strings.IndexByte(s[pos:], '<')
+			if end < 0 {
+				end = len(s) - pos
 			}
-			txt, err := decodeCharData(s[start:pos])
+			txt, err := decodeCharData(s[pos : pos+end])
 			if err != nil {
-				return nil, fmt.Errorf("xdm: parse %s: %w", uri, err)
+				return sc.fail("%w", err)
 			}
-			if len(open) == 1 && strings.TrimSpace(txt) == "" {
-				continue // whitespace outside the document element
-			}
-			if t := lastText(); t != nil {
-				t.Text += txt // PI/directive split a text run
-				continue
-			}
-			pending = append(pending, arena.take(TextNode, "", txt))
-			continue
+			sc.pos, sc.Text = pos+end, txt
+			return CharData, nil
 		}
 		if pos+1 >= len(s) {
-			return nil, fmt.Errorf("xdm: parse %s: unexpected EOF after '<'", uri)
+			return sc.fail("unexpected EOF after '<'")
 		}
 		switch s[pos+1] {
 		case '/':
 			name, p, err := scanXMLName(s, pos+2)
 			if err != nil {
-				return nil, fmt.Errorf("xdm: parse %s: %w", uri, err)
+				return sc.fail("%w", err)
 			}
-			p = skipXMLSpace(s, p)
-			if p >= len(s) || s[p] != '>' {
-				return nil, fmt.Errorf("xdm: parse %s: malformed end tag </%s", uri, name)
+			if p = skipXMLSpace(s, p); p >= len(s) || s[p] != '>' {
+				return sc.fail("malformed end tag </%s", name)
 			}
-			pos = p + 1
-			if len(open) == 1 {
-				return nil, fmt.Errorf("xdm: parse %s: unbalanced end element", uri)
+			sc.pos = p + 1
+			k := len(sc.open) - 1
+			if k < 0 {
+				return sc.fail("unbalanced end element")
 			}
-			if cur.el.Name != name {
-				return nil, fmt.Errorf("xdm: parse %s: </%s> closes <%s>", uri, name, cur.el.Name)
+			if sc.open[k] != name {
+				return sc.fail("</%s> closes <%s>", name, sc.open[k])
 			}
-			cur.el.Children = arena.window(pending[cur.mark:])
-			pending = pending[:cur.mark]
-			open = open[:len(open)-1]
-			cur = &open[len(open)-1]
+			sc.open, sc.Name = sc.open[:k], name
+			return EndTag, nil
 		case '!':
 			if strings.HasPrefix(s[pos:], "<!--") {
 				end := strings.Index(s[pos+4:], "-->")
 				if end < 0 {
-					return nil, fmt.Errorf("xdm: parse %s: unterminated comment", uri)
+					return sc.fail("unterminated comment")
 				}
-				pending = append(pending, arena.take(CommentNode, "", s[pos+4:pos+4+end]))
-				pos += 4 + end + 3
-			} else if strings.HasPrefix(s[pos:], "<![CDATA[") {
+				sc.pos, sc.Text = pos+4+end+3, s[pos+4:pos+4+end]
+				return Comment, nil
+			}
+			if strings.HasPrefix(s[pos:], "<![CDATA[") {
 				end := strings.Index(s[pos+9:], "]]>")
 				if end < 0 {
-					return nil, fmt.Errorf("xdm: parse %s: unterminated CDATA section", uri)
+					return sc.fail("unterminated CDATA section")
 				}
-				txt := s[pos+9 : pos+9+end]
-				pos += 9 + end + 3
-				if len(open) == 1 && strings.TrimSpace(txt) == "" {
-					continue
-				}
-				if t := lastText(); t != nil {
-					t.Text += txt
-					continue
-				}
-				pending = append(pending, arena.take(TextNode, "", txt))
-			} else {
-				// Directive (<!DOCTYPE ...>): skipped.
-				end := strings.IndexByte(s[pos:], '>')
-				if end < 0 {
-					return nil, fmt.Errorf("xdm: parse %s: unterminated directive", uri)
-				}
-				pos += end + 1
+				sc.pos, sc.Text = pos+9+end+3, s[pos+9:pos+9+end]
+				return CharData, nil
 			}
+			end := strings.IndexByte(s[pos:], '>') // a directive (<!DOCTYPE ...>)
+			if end < 0 {
+				return sc.fail("unterminated directive")
+			}
+			sc.pos = pos + end + 1
 		case '?':
 			end := strings.Index(s[pos+2:], "?>")
 			if end < 0 {
-				return nil, fmt.Errorf("xdm: parse %s: unterminated processing instruction", uri)
+				return sc.fail("unterminated processing instruction")
 			}
-			pos += 2 + end + 2
+			sc.pos = pos + 2 + end + 2
 		default:
-			name, p, err := scanXMLName(s, pos+1)
-			if err != nil {
-				return nil, fmt.Errorf("xdm: parse %s: %w", uri, err)
-			}
-			pos = p
-			el := arena.take(ElementNode, name, "")
-			amark := len(pending) // the element's attributes are pending[amark:]
-			closed := false
-			for !closed {
-				pos = skipXMLSpace(s, pos)
-				if pos >= len(s) {
-					return nil, fmt.Errorf("xdm: parse %s: unexpected EOF in <%s>", uri, name)
-				}
-				switch s[pos] {
-				case '>', '/':
-					selfClosing := s[pos] == '/'
-					if selfClosing && (pos+1 >= len(s) || s[pos+1] != '>') {
-						return nil, fmt.Errorf("xdm: parse %s: malformed empty-element tag <%s", uri, name)
-					}
-					pos++
-					if selfClosing {
-						pos++
-					}
-					el.Attrs = arena.window(pending[amark:])
-					pending = append(pending[:amark], el)
-					if !selfClosing {
-						open = append(open, openElem{el: el, mark: len(pending)})
-						cur = &open[len(open)-1]
-					}
-					closed = true
-				default:
-					aname, p, err := scanXMLName(s, pos)
-					if err != nil {
-						return nil, fmt.Errorf("xdm: parse %s: in <%s>: %w", uri, name, err)
-					}
-					pos = skipXMLSpace(s, p)
-					if pos >= len(s) || s[pos] != '=' {
-						return nil, fmt.Errorf("xdm: parse %s: attribute %s without value", uri, aname)
-					}
-					pos = skipXMLSpace(s, pos+1)
-					if pos >= len(s) || (s[pos] != '"' && s[pos] != '\'') {
-						return nil, fmt.Errorf("xdm: parse %s: unquoted value for attribute %s", uri, aname)
-					}
-					quote := s[pos]
-					pos++
-					vend := strings.IndexByte(s[pos:], quote)
-					if vend < 0 {
-						return nil, fmt.Errorf("xdm: parse %s: unterminated value for attribute %s", uri, aname)
-					}
-					val, err := decodeCharData(s[pos : pos+vend])
-					if err != nil {
-						return nil, fmt.Errorf("xdm: parse %s: attribute %s: %w", uri, aname, err)
-					}
-					pos += vend + 1
-					if aname == "xmlns" || strings.HasPrefix(aname, "xmlns:") {
-						continue
-					}
-					replaced := false
-					for _, a := range pending[amark:] {
-						if a.Name == aname {
-							a.Text = val
-							replaced = true
-							break
-						}
-					}
-					if !replaced {
-						pending = append(pending, arena.take(AttributeNode, aname, val))
-					}
-				}
-			}
+			return sc.startTag(pos)
 		}
 	}
-	if len(open) != 1 {
-		return nil, fmt.Errorf("xdm: parse %s: unexpected EOF inside element %s", uri, cur.el.Name)
+	if k := len(sc.open); k > 0 {
+		return sc.fail("unexpected EOF inside element %s", sc.open[k-1])
 	}
-	doc.Root.Children = arena.window(pending)
+	return EOF, nil
+}
+
+// startTag reads the start tag at pos. xmlns declarations are dropped; a
+// repeated attribute keeps its first place and its last value.
+func (sc *Scanner) startTag(pos int) (Token, error) {
+	s := sc.s
+	name, pos, err := scanXMLName(s, pos+1)
+	if err != nil {
+		return sc.fail("%w", err)
+	}
+	sc.attrs = sc.attrs[:0]
+	for {
+		if pos = skipXMLSpace(s, pos); pos >= len(s) {
+			return sc.fail("unexpected EOF in <%s>", name)
+		}
+		if s[pos] == '>' || s[pos] == '/' {
+			sc.empty = s[pos] == '/'
+			if sc.empty && (pos+1 >= len(s) || s[pos+1] != '>') {
+				return sc.fail("malformed empty-element tag <%s", name)
+			}
+			sc.pos, sc.Name, sc.open = pos+1, name, append(sc.open, name)
+			if sc.empty {
+				sc.pos++
+			}
+			return StartTag, nil
+		}
+		aname, p, err := scanXMLName(s, pos)
+		if err != nil {
+			return sc.fail("in <%s>: %w", name, err)
+		}
+		if pos = skipXMLSpace(s, p); pos >= len(s) || s[pos] != '=' {
+			return sc.fail("attribute %s without value", aname)
+		}
+		if pos = skipXMLSpace(s, pos+1); pos >= len(s) || (s[pos] != '"' && s[pos] != '\'') {
+			return sc.fail("unquoted value for attribute %s", aname)
+		}
+		vend := strings.IndexByte(s[pos+1:], s[pos])
+		if vend < 0 {
+			return sc.fail("unterminated value for attribute %s", aname)
+		}
+		val, err := decodeCharData(s[pos+1 : pos+1+vend])
+		if err != nil {
+			return sc.fail("attribute %s: %w", aname, err)
+		}
+		pos += vend + 2
+		if aname == "xmlns" || strings.HasPrefix(aname, "xmlns:") {
+			continue
+		}
+		i := 0
+		for i < len(sc.attrs) && sc.attrs[i].name != aname {
+			i++
+		}
+		if i == len(sc.attrs) {
+			sc.attrs = append(sc.attrs, attr{name: aname})
+		}
+		sc.attrs[i].value = val
+	}
+}
+
+// Skip reads past the end of the element whose StartTag was just read.
+func (sc *Scanner) Skip() error {
+	_, err := sc.text(false)
+	return err
+}
+
+// StringValue reads past the end of the element whose StartTag was just
+// read and returns its string value: the character data of its content,
+// descendants included — a slice of the text when it is one run.
+func (sc *Scanner) StringValue() (string, error) { return sc.text(true) }
+
+func (sc *Scanner) text(keep bool) (string, error) {
+	v := ""
+	for d := len(sc.open); ; {
+		switch tok, err := sc.Next(); {
+		case err != nil:
+			return "", err
+		case tok == CharData && keep:
+			v += sc.Text
+		case tok == EndTag && len(sc.open) < d:
+			return v, nil
+		}
+	}
+}
+
+// Fill builds the content of the element whose StartTag was just read,
+// through its end tag, into the children of root, a node the caller owns
+// and freezes. Whitespace is content here: only a document's top level,
+// which fill reads with top set up to the end of the text, drops it.
+// Children and attributes collect on one pending stack and move into an
+// exactly sized arena window when their element closes.
+func (sc *Scanner) Fill(root *Node) error { return sc.fill(root, false) }
+
+func (sc *Scanner) fill(root *Node, top bool) error {
+	ar := &sc.arena
+	stack, pending := append(sc.stack[:0], openElem{el: root}), sc.pending[:0]
+	defer func() { sc.stack, sc.pending = stack[:0], pending[:0] }()
+	for {
+		tok, err := sc.Next()
+		if err != nil {
+			return err
+		}
+		cur := &stack[len(stack)-1]
+		switch tok {
+		case CharData:
+			if k := len(pending); top && len(stack) == 1 && strings.TrimSpace(sc.Text) == "" {
+				continue // whitespace outside the document element
+			} else if k > cur.mark && pending[k-1].Kind == TextNode {
+				pending[k-1].Text += sc.Text // a PI, directive or CDATA split the run
+				continue
+			}
+			pending = append(pending, ar.take(TextNode, "", sc.Text))
+		case Comment:
+			pending = append(pending, ar.take(CommentNode, "", sc.Text))
+		case StartTag:
+			el := ar.take(ElementNode, sc.Name, "")
+			el.Attrs = ar.alloc(len(sc.attrs))
+			for i, a := range sc.attrs {
+				el.Attrs[i] = ar.take(AttributeNode, a.name, a.value)
+			}
+			pending = append(pending, el)
+			stack = append(stack, openElem{el: el, mark: len(pending)})
+		case EndTag:
+			cur.el.Children = ar.window(pending[cur.mark:])
+			pending, stack = pending[:cur.mark], stack[:len(stack)-1]
+			if len(stack) == 0 {
+				return nil // root's element closed
+			}
+		case EOF:
+			root.Children = ar.window(pending)
+			return nil
+		}
+	}
+}
+
+// ParseString parses an XML document held in a string. Nodes alias s.
+func ParseString(s, uri string) (*Document, error) {
+	doc, sc := NewDocument(uri), new(Scanner)
+	sc.Reset(s, uri)
+	sc.arena.expect(estimateNodes(s))
+	if err := sc.fill(doc.Root, true); err != nil {
+		return nil, err
+	}
 	doc.Freeze()
 	return doc, nil
 }
+
+// nameEnds marks the bytes that end an XML name.
+var nameEnds = [256]bool{' ': true, '\t': true, '\n': true, '\r': true, '=': true, '/': true,
+	'>': true, '<': true, '"': true, '\'': true, '&': true, ';': true}
 
 // scanXMLName scans a (possibly prefixed) XML name starting at pos and
 // returns it with the position after it.
 func scanXMLName(s string, pos int) (string, int, error) {
 	start := pos
-	for pos < len(s) {
-		switch s[pos] {
-		case ' ', '\t', '\n', '\r', '=', '/', '>', '<', '"', '\'', '&', ';':
-			goto done
-		}
+	for pos < len(s) && !nameEnds[s[pos]] {
 		pos++
 	}
-done:
 	if pos == start {
 		return "", pos, fmt.Errorf("expected name at offset %d", start)
 	}

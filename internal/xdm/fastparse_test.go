@@ -203,22 +203,63 @@ func TestParseBytesArenaSpansSlabs(t *testing.T) {
 }
 
 // TestParseBytesSlabSizedToMessage: a small message gets a small slab — the
-// allocation is bounded by its node count, not by a fixed slab size.
+// allocation is bounded by its node count, not by a fixed slab size — and a
+// Scanner filling one fragment of a message sizes its arena from that
+// fragment's content (Reserve), not from the message around it.
 func TestParseBytesSlabSizedToMessage(t *testing.T) {
 	src := []byte(`<env:Envelope><env:Body><xrpc:request method="f" arity="0"><xrpc:call/></xrpc:request></env:Body></env:Envelope>`)
-	const runs = 100
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
+	perRun := func(f func()) uint64 {
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	if got := perRun(func() {
 		if _, err := ParseBytes(src, "small.xml"); err != nil {
 			t.Fatal(err)
 		}
-	}
-	runtime.ReadMemStats(&after)
-	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > 4096 {
+	}); got > 4096 {
 		t.Errorf("parsing a 7-node message allocated %d B", got)
 	} else {
 		t.Logf("%d B per parse", got)
+	}
+
+	// One two-node fragment amid a thousand calls: the nodes Fill builds
+	// take one minimal slab, and the scanner nothing else.
+	msg := `<m><frags><frag base="u"><a>t</a></frag></frags>` + strings.Repeat(`<call><seq x="1"><i/></seq></call>`, 1000) + `</m>`
+	var sc Scanner
+	fill := func() {
+		sc.Reset(msg, "msg")
+		for {
+			tok, err := sc.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tok == StartTag && sc.Name == "frags" {
+				if n := sc.Reserve("<frag"); n != 1 {
+					t.Fatalf("Reserve counted %d wrappers, want 1", n)
+				}
+			}
+			if tok == StartTag && sc.Name == "frag" {
+				doc := NewDocument("frag")
+				if err := sc.Fill(doc.Root); err != nil {
+					t.Fatal(err)
+				}
+				if doc.Freeze(); SerializeString(doc.Root) != "<a>t</a>" {
+					t.Fatalf("fragment decoded as %s", SerializeString(doc.Root))
+				}
+				return
+			}
+		}
+	}
+	if got := perRun(fill); got > 2048 {
+		t.Errorf("filling a 2-node fragment of a %d B message allocated %d B", len(msg), got)
+	} else {
+		t.Logf("%d B per fragment fill", got)
 	}
 }
 

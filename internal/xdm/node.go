@@ -67,18 +67,37 @@ type Document struct {
 	names  atomic.Pointer[nameLists] // set by ServeNames
 }
 
-// NewDocument creates an empty document with the given URI. The caller
-// attaches children to doc.Root and must call Freeze before using document
-// order.
-func NewDocument(uri string) *Document {
-	// The document and its root node live and die together: one allocation.
-	a := &struct {
-		d    Document
-		root Node
-	}{}
+// docNode is a document and its root node, which live and die together.
+type docNode struct {
+	d    Document
+	root Node
+}
+
+func (a *docNode) init(uri string) *Document {
 	a.d = Document{URI: uri, Root: &a.root, seq: docSeq.Add(1)}
 	a.root = Node{Kind: DocumentNode, Doc: &a.d}
 	return &a.d
+}
+
+// NewDocument creates an empty document with the given URI. The caller
+// attaches children to doc.Root and must call Freeze before using document
+// order.
+func NewDocument(uri string) *Document { return new(docNode).init(uri) }
+
+// Documents is a slab of documents, each paired with its root node: the k
+// fragment documents of a message cost one allocation, make(Documents, k),
+// which stays reachable while any of its documents is.
+type Documents []docNode
+
+// New returns an empty document, as NewDocument does, from the slab while
+// it lasts.
+func (ds *Documents) New(uri string) *Document {
+	if len(*ds) == 0 {
+		return NewDocument(uri)
+	}
+	a := &(*ds)[0]
+	*ds = (*ds)[1:]
+	return a.init(uri)
 }
 
 // Seq returns the global creation sequence number used to order nodes from

@@ -66,11 +66,13 @@ func (s *stickyWriter) str(ss string) {
 
 // textEscapes and attrEscapes map a byte to the index of its entity in
 // escapeEntity, 0 for bytes written as they are; attribute values
-// additionally escape the double quote.
+// additionally escape the double quote. A carriage return travels as a
+// character reference: a parser's end-of-line handling turns a literal one
+// into a newline.
 var (
-	textEscapes  = [256]uint8{'&': 1, '<': 2, '>': 3}
-	attrEscapes  = [256]uint8{'&': 1, '<': 2, '>': 3, '"': 4}
-	escapeEntity = [...]string{1: "&amp;", 2: "&lt;", 3: "&gt;", 4: "&quot;"}
+	textEscapes  = [256]uint8{'&': 1, '<': 2, '>': 3, '\r': 5}
+	attrEscapes  = [256]uint8{'&': 1, '<': 2, '>': 3, '"': 4, '\r': 5}
+	escapeEntity = [...]string{1: "&amp;", 2: "&lt;", 3: "&gt;", 4: "&quot;", 5: "&#13;"}
 )
 
 // escaped writes ss with the bytes esc marks replaced by their entities, run
@@ -79,7 +81,8 @@ func (s *stickyWriter) escaped(ss string, esc *[256]uint8) {
 	// Long character data rarely holds markup, and a vectorised byte search
 	// per markup character proves it faster than the table walk below.
 	if len(ss) >= 32 && strings.IndexByte(ss, '&') < 0 && strings.IndexByte(ss, '<') < 0 &&
-		strings.IndexByte(ss, '>') < 0 && (esc == &textEscapes || strings.IndexByte(ss, '"') < 0) {
+		strings.IndexByte(ss, '>') < 0 && strings.IndexByte(ss, '\r') < 0 &&
+		(esc == &textEscapes || strings.IndexByte(ss, '"') < 0) {
 		s.str(ss)
 		return
 	}

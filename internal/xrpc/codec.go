@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 	"sync/atomic"
 
 	"distxq/internal/projection"
+	"distxq/internal/trace"
 	"distxq/internal/xdm"
 )
 
@@ -421,46 +423,204 @@ func (w *wireBuf) valueCopy(n *xdm.Node) {
 
 // ---------------------------------------------------------------- decode --
 
-// Decoding leans on how xdm.ParseBytes lays a message out: nodes and their
-// Children/Attrs arrays sit in slabs owned by the message tree, each array
-// capped at its length. Adopting a fragment therefore moves no nodes — the
-// fresh document takes over the fragment element's child array as it is —
-// and the decoded nodes keep the message's slabs (and the one string copy
-// of its bytes) alive for as long as a query result references them. Nothing
-// is recycled: who holds a decoded node holds its memory.
+// Decoding is one pass of an xdm.Scanner over the message. The envelope,
+// body, payload, fragments, call, sequence and item elements are tokens,
+// their attributes read straight off the scanner; only fragment content and
+// by-value copies become nodes, filled into fresh documents from the
+// scanner's one arena, sized from the bytes of the content it will hold. A
+// message's fragment documents come from one slab (xdm.Documents). Nothing
+// is recycled: decoded names and text alias the one string copy of the
+// message, and a decoded node keeps its arena slabs, its document slab and
+// that copy alive for as long as a query result references it.
+type decoder struct {
+	sc xdm.Scanner
+	// frags holds the numbering root of each fragment: the document node of
+	// a kind="document" fragment, the first content node of any other.
+	frags     []*xdm.Node
+	fragsRead bool // the first xrpc:fragments element has been decoded
+	// tables memoizes, per fragment, the descendant-or-self sequence of its
+	// numbering root (attributes excluded), built by one walk on the first
+	// reference below the root, so n references cost O(size + n). The
+	// scanner merges adjacent text runs, so plain preorder matches the
+	// encoder's canonical numbering.
+	tables [][]*xdm.Node
+}
 
-// decodeState resolves references against decoded fragment documents.
-type decodeState struct {
-	fragRoots []*xdm.Node // numbering roots, one per fragment
-	fragDocs  []*xdm.Document
-	// fragNodes memoizes, per fragment, the descendant-or-self sequence of
-	// its numbering root (attributes excluded), built by one walk on the
-	// first reference below the root so decoding n references costs
-	// O(size + n) instead of O(size × n). Decoded fragments went through the
-	// parser, which already merged adjacent text siblings, so plain preorder
-	// matches the encoder's canonical numbering.
-	fragNodes [][]*xdm.Node
+// attr returns the current start tag's attribute name, def when it has none.
+func (d *decoder) attr(name, def string) string {
+	if v, ok := d.sc.Attr(name); ok {
+		return v
+	}
+	return def
+}
+
+// first reports whether an element is the first of its name, which is the
+// one that counts wherever a name may appear once.
+func first(seen *bool) bool {
+	f := !*seen
+	*seen = true
+	return f
+}
+
+// spans decodes the piggybacked-span element just started into to.
+func (d *decoder) spans(to *[]trace.Span) error {
+	s, err := d.sc.StringValue()
+	*to = decodeSpans(s)
+	return err
+}
+
+// children runs f on each child element of the element whose start tag was
+// just read (at depth 0, of the message) and reads past its end; f must read
+// past the end of its child.
+func (d *decoder) children(f func(name string) error) error {
+	for depth := d.sc.Depth(); ; {
+		switch tok, err := d.sc.Next(); {
+		case err != nil:
+			return err
+		case tok == xdm.StartTag:
+			if err := f(d.sc.Name); err != nil {
+				return err
+			}
+		case tok == xdm.EOF || tok == xdm.EndTag && d.sc.Depth() < depth:
+			return nil
+		}
+	}
+}
+
+// shred scans the whole message, so only a well-formed one decodes. payload
+// runs on the first child of the first Body of the first (Envelope)
+// element, with want's local name, and must read past its end; a Fault
+// anywhere in that Body is returned instead. Anything else is skipped.
+func (d *decoder) shred(data []byte, what, want string, payload func() error) error {
+	d.sc.Reset(string(data), want)
+	var fault *Fault
+	env, body, found := false, false, false
+	err := d.children(func(name string) error {
+		if !first(&env) {
+			return d.sc.Skip()
+		} else if localName(name) != "Envelope" {
+			return fmt.Errorf("xrpc: not a SOAP envelope")
+		}
+		return d.children(func(name string) error {
+			if localName(name) != "Body" || !first(&body) {
+				return d.sc.Skip()
+			}
+			return d.children(func(name string) (err error) {
+				switch local := localName(name); {
+				case fault == nil && local == "Fault":
+					fault, err = d.fault()
+				case fault == nil && local == localName(want) && first(&found):
+					err = payload()
+				default:
+					err = d.sc.Skip()
+				}
+				return err
+			})
+		})
+	})
+	switch {
+	case d.sc.Err() != nil:
+		return fmt.Errorf("xrpc: malformed %s: %w", what, d.sc.Err())
+	case err != nil:
+		return err
+	case !env:
+		return fmt.Errorf("xrpc: not a SOAP envelope")
+	case !body:
+		return fmt.Errorf("xrpc: envelope without body")
+	case fault != nil:
+		return fault
+	case !found:
+		return fmt.Errorf("xrpc: body lacks %s", want)
+	}
+	return nil
+}
+
+// payload runs f on each child of the payload element just started but the
+// fragments preamble: the first one it decodes, later ones it skips.
+// Children with the local name refs hold references into the fragments,
+// and the encoder writes them after the preamble; one that comes first is
+// put off, and once the payload has been read to its end (decoding a
+// preamble that follows), it is read again from there, for its refs alone.
+func (d *decoder) payload(refs string, f func(name string) error) error {
+	pos, depth := -1, 0
+	err := d.children(func(name string) error {
+		switch local := localName(name); {
+		case local == "fragments" && first(&d.fragsRead):
+			return d.fragments(name)
+		case local == "fragments":
+			return d.sc.Skip()
+		case local == refs && (pos >= 0 || !d.fragsRead):
+			if pos < 0 {
+				pos, depth = d.sc.Mark()
+			}
+			return d.sc.Skip()
+		}
+		return f(name)
+	})
+	if err != nil || pos < 0 {
+		return err
+	}
+	d.sc.Rewind(pos, depth)
+	return d.children(func(name string) error {
+		if localName(name) != refs {
+			return d.sc.Skip()
+		}
+		return f(name)
+	})
+}
+
+// fragments decodes the preamble just started, in message order (which the
+// encoder arranged to be original document order, preserving
+// inter-fragment node ordering): each fragment's content fills a fresh
+// document, all of them cut from one slab.
+func (d *decoder) fragments(name string) error {
+	k := d.sc.Reserve("<" + strings.TrimSuffix(name, "s"))
+	docs, uris := make(xdm.Documents, k), newFragmentURIs(k)
+	d.frags = make([]*xdm.Node, 0, k)
+	return d.children(func(name string) error {
+		if localName(name) != "fragment" {
+			return fmt.Errorf("xrpc: unexpected %s in fragments", name)
+		}
+		base, isDoc := d.attr("base-uri", ""), d.attr("kind", "") == "document"
+		doc := docs.New(uris.next())
+		if err := d.sc.Fill(doc.Root); err != nil {
+			return err
+		}
+		doc.Root.BaseURI = base
+		doc.Freeze()
+		root := doc.Root
+		if !isDoc {
+			// The fragment root is the first content node; text and
+			// comment nodes are legal roots (a shipped text() result).
+			if len(root.Children) == 0 {
+				return fmt.Errorf("xrpc: empty fragment")
+			}
+			root = root.Children[0]
+		}
+		d.frags = append(d.frags, root)
+		return nil
+	})
 }
 
 // nodeByID resolves the 1-based nodeid within fragment frag (0-based), or nil
 // when the id is out of range. nodeid 1 is the numbering root itself and
 // needs no table.
-func (st *decodeState) nodeByID(frag, nodeid int) *xdm.Node {
-	root := st.fragRoots[frag]
+func (d *decoder) nodeByID(frag, nodeid int) *xdm.Node {
+	root := d.frags[frag]
 	if nodeid == 1 {
 		return root
 	}
-	if st.fragNodes == nil {
-		st.fragNodes = make([][]*xdm.Node, len(st.fragRoots))
+	if d.tables == nil {
+		d.tables = make([][]*xdm.Node, len(d.frags))
 	}
-	tbl := st.fragNodes[frag]
+	tbl := d.tables[frag]
 	if tbl == nil {
 		tbl = make([]*xdm.Node, 0, root.SubtreeSize())
 		root.WalkDescendants(func(m *xdm.Node) bool {
 			tbl = append(tbl, m)
 			return true
 		})
-		st.fragNodes[frag] = tbl
+		d.tables[frag] = tbl
 	}
 	if nodeid < 1 || nodeid > len(tbl) {
 		return nil
@@ -468,11 +628,159 @@ func (st *decodeState) nodeByID(frag, nodeid int) *xdm.Node {
 	return tbl[nodeid-1]
 }
 
+// sequence decodes the items of the xrpc:sequence just started, named name;
+// its items are counted, and its by-value copies sized, from its bytes.
+func (d *decoder) sequence(name string) (xdm.Sequence, error) {
+	n := d.sc.Reserve("<" + name[:strings.IndexByte(name, ':')+1])
+	var out xdm.Sequence
+	if n > 0 {
+		out = make(xdm.Sequence, 0, n)
+	}
+	err := d.children(func(name string) error {
+		it, err := d.item(name)
+		out = append(out, it)
+		return err
+	})
+	return out, err
+}
+
+// item decodes the sequence item just started: an atomic value, a fragment
+// reference or a by-value copy.
+func (d *decoder) item(name string) (xdm.Item, error) {
+	switch local := localName(name); local {
+	case "atomic-value":
+		tname := d.attr("type", "xs:string")
+		s, err := d.sc.StringValue()
+		if err != nil {
+			return nil, err
+		}
+		a, err := parseAtomic(tname, s)
+		return a, err
+	case "element", "attribute", "text", "comment", "document":
+		if _, ok := d.sc.Attr("fragid"); ok {
+			return d.ref(local)
+		}
+		return d.valueCopy(local)
+	}
+	return nil, fmt.Errorf("xrpc: unexpected sequence item %s", name)
+}
+
+// ref resolves the fragid/nodeid reference just started.
+func (d *decoder) ref(local string) (xdm.Item, error) {
+	fid, nid, aname := d.attr("fragid", ""), d.attr("nodeid", ""), d.attr("name", "")
+	if err := d.sc.Skip(); err != nil {
+		return nil, err
+	}
+	fragid, err := strconv.Atoi(fid)
+	if err != nil || fragid < 1 || fragid > len(d.frags) {
+		return nil, fmt.Errorf("xrpc: bad fragid %q", fid)
+	}
+	nodeid, err := strconv.Atoi(nid)
+	if err != nil || nodeid < 1 {
+		return nil, fmt.Errorf("xrpc: bad nodeid %q", nid)
+	}
+	n := d.nodeByID(fragid-1, nodeid)
+	if n == nil {
+		return nil, fmt.Errorf("xrpc: nodeid %d out of range in fragment %d", nodeid, fragid)
+	}
+	if local != "attribute" {
+		return n, nil
+	}
+	if a := n.Attr(aname); a != nil {
+		return a, nil
+	}
+	return nil, fmt.Errorf("xrpc: referenced attribute %q missing on %s", aname, n.Name)
+}
+
+// valueCopy materializes the pass-by-value item just started as its own
+// document (each parameter is a separate XML fragment — exactly the
+// semantics whose consequences §II catalogues).
+func (d *decoder) valueCopy(local string) (xdm.Item, error) {
+	base := d.attr("base-uri", "")
+	if local == "attribute" {
+		a := xdm.NewAttr(d.attr("name", ""), d.attr("value", ""))
+		a.BaseURI = base
+		return a, d.sc.Skip()
+	}
+	doc := xdm.NewDocument(valueDocURI())
+	if local == "text" || local == "comment" {
+		s, err := d.sc.StringValue()
+		var n *xdm.Node
+		if local == "text" {
+			n = xdm.NewText(s)
+		} else {
+			n = xdm.NewComment(s)
+		}
+		n.BaseURI = base
+		doc.Root.AppendChild(n)
+		doc.Freeze()
+		return n, err
+	}
+	if err := d.sc.Fill(doc.Root); err != nil {
+		return nil, err
+	}
+	doc.Root.BaseURI = base
+	doc.Freeze()
+	if local == "document" {
+		return doc.Root, nil
+	}
+	for _, c := range doc.Root.Children {
+		if c.Kind == xdm.ElementNode {
+			c.BaseURI = base
+			return c, nil
+		}
+	}
+	return nil, fmt.Errorf("xrpc: element copy without element content")
+}
+
+// decodeSpans decodes piggybacked spans. Trace data is advisory and never
+// fails a message: malformed spans decode as none.
+func decodeSpans(s string) []trace.Span {
+	spans, err := trace.DecodeSpans([]byte(s))
+	if err != nil {
+		return nil
+	}
+	return spans
+}
+
+// fault decodes the env:Fault just started: its message is the string value
+// of its first env:Reason, else its own; env:Code types it, and xrpc:trace
+// carries the server's spans.
+func (d *decoder) fault() (*Fault, error) {
+	f := &Fault{}
+	all, reason, code, traced := "", false, false, false
+	for depth := d.sc.Depth(); ; {
+		switch tok, err := d.sc.Next(); {
+		case err != nil:
+			return nil, err
+		case tok == xdm.CharData:
+			all += d.sc.Text
+		case tok == xdm.StartTag:
+			local := localName(d.sc.Name)
+			v, _ := d.sc.StringValue() // an error sticks: Next returns it
+			all += v
+			switch {
+			case local == "Reason" && first(&reason):
+				f.Msg = v
+			case local == "Code" && first(&code):
+				f.Code = v
+			case local == "trace" && first(&traced):
+				f.Spans = decodeSpans(v)
+			}
+		case tok == xdm.EndTag && d.sc.Depth() < depth:
+			if !reason {
+				f.Msg = all
+			}
+			return f, nil
+		}
+	}
+}
+
 const fragmentURIPrefix = "xrpc-fragment://"
 
-// fragmentURIs hands out the URIs of a message's n fragment documents,
+// fragmentURIs hands out the URIs of a message's fragment documents,
 // numbered consecutively from the process-wide sequence and cut from one
-// string.
+// string for the n fragments the message is expected to hold.
 type fragmentURIs struct {
 	rest string
 	id   uint64
@@ -489,7 +797,12 @@ func newFragmentURIs(n int) fragmentURIs {
 	return u
 }
 
+// next returns the next URI; a fragment beyond the expected ones gets its
+// own number.
 func (u *fragmentURIs) next() string {
+	if u.rest == "" {
+		return fragmentURIPrefix + strconv.FormatUint(decodedDocSeq.Add(1), 10)
+	}
 	w := len(fragmentURIPrefix) + decimalWidth(u.id)
 	uri := u.rest[:w]
 	u.rest = u.rest[w:]
@@ -508,164 +821,4 @@ func decimalWidth(v uint64) int {
 // valueDocURI names the document of one decoded pass-by-value copy.
 func valueDocURI() string {
 	return "xrpc-value://" + strconv.FormatUint(decodedDocSeq.Add(1), 10)
-}
-
-// adoptInto moves the content of el — an element of the transient message
-// tree — under the root of a fresh document: the child array changes owner
-// (see the note above), Freeze renumbers the nodes for their new document.
-func adoptInto(uri string, el *xdm.Node) *xdm.Document {
-	d := xdm.NewDocument(uri)
-	d.Root.Children, el.Children = el.Children, nil
-	d.Freeze()
-	return d
-}
-
-// decodeFragments parses the fragments preamble into fresh documents, in
-// message order (which the encoder arranged to be original document order,
-// preserving inter-fragment node ordering).
-func decodeFragments(fragsEl *xdm.Node) (*decodeState, error) {
-	st := &decodeState{}
-	if fragsEl == nil || len(fragsEl.Children) == 0 {
-		return st, nil
-	}
-	n := len(fragsEl.Children)
-	st.fragRoots = make([]*xdm.Node, 0, n)
-	st.fragDocs = make([]*xdm.Document, 0, n)
-	uris := newFragmentURIs(n)
-	for _, f := range fragsEl.Children {
-		if f.Kind != xdm.ElementNode {
-			continue
-		}
-		if !nameIs(f, elFragment) {
-			return nil, fmt.Errorf("xrpc: unexpected %s in fragments", f.Name)
-		}
-		d := adoptInto(uris.next(), f)
-		if base := attrOr(f, "base-uri", ""); base != "" {
-			d.Root.BaseURI = base
-		}
-		numberingRoot := d.Root
-		if attrOr(f, "kind", "") != "document" {
-			// The fragment root is the first content node; text and comment
-			// nodes are legal roots (a shipped text() result).
-			if len(d.Root.Children) == 0 {
-				return nil, fmt.Errorf("xrpc: empty fragment")
-			}
-			numberingRoot = d.Root.Children[0]
-		}
-		st.fragRoots = append(st.fragRoots, numberingRoot)
-		st.fragDocs = append(st.fragDocs, d)
-	}
-	return st, nil
-}
-
-// decodeSequence rebuilds one xrpc:sequence element into a value sequence.
-func (st *decodeState) decodeSequence(seqEl *xdm.Node) (xdm.Sequence, error) {
-	var out xdm.Sequence
-	if len(seqEl.Children) > 0 {
-		out = make(xdm.Sequence, 0, len(seqEl.Children))
-	}
-	for _, item := range seqEl.Children {
-		if item.Kind != xdm.ElementNode {
-			continue
-		}
-		switch {
-		case nameIs(item, elAtomic):
-			a, err := parseAtomicEl(item)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, a)
-		case isNodeItem(item):
-			var n *xdm.Node
-			var err error
-			if item.Attr("fragid") != nil {
-				n, err = st.resolveRef(item)
-			} else {
-				n, err = decodeValueCopy(item)
-			}
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, n)
-		default:
-			return nil, fmt.Errorf("xrpc: unexpected sequence item %s", item.Name)
-		}
-	}
-	return out, nil
-}
-
-// isNodeItem reports whether a sequence item element stands for a node (a
-// fragment reference or a by-value copy).
-func isNodeItem(item *xdm.Node) bool {
-	switch localName(item.Name) {
-	case localName(elElement), localName(elAttribute), localName(elTextNode),
-		localName(elCommentEl), localName(elDocumentEl):
-		return true
-	}
-	return false
-}
-
-func (st *decodeState) resolveRef(item *xdm.Node) (*xdm.Node, error) {
-	fragid, err := strconv.Atoi(attrOr(item, "fragid", ""))
-	if err != nil || fragid < 1 || fragid > len(st.fragRoots) {
-		return nil, fmt.Errorf("xrpc: bad fragid %q", attrOr(item, "fragid", ""))
-	}
-	nodeid, err := strconv.Atoi(attrOr(item, "nodeid", ""))
-	if err != nil || nodeid < 1 {
-		return nil, fmt.Errorf("xrpc: bad nodeid %q", attrOr(item, "nodeid", ""))
-	}
-	n := st.nodeByID(fragid-1, nodeid)
-	if n == nil {
-		return nil, fmt.Errorf("xrpc: nodeid %d out of range in fragment %d", nodeid, fragid)
-	}
-	if nameIs(item, elAttribute) {
-		name := attrOr(item, "name", "")
-		a := n.Attr(name)
-		if a == nil {
-			return nil, fmt.Errorf("xrpc: referenced attribute %q missing on %s", name, n.Name)
-		}
-		return a, nil
-	}
-	return n, nil
-}
-
-// decodeValueCopy materializes a pass-by-value item as its own document
-// (each parameter is a separate XML fragment — exactly the semantics whose
-// consequences §II catalogues).
-func decodeValueCopy(item *xdm.Node) (*xdm.Node, error) {
-	base := attrOr(item, "base-uri", "")
-	switch "xrpc:" + localName(item.Name) {
-	case elAttribute:
-		a := xdm.NewAttr(attrOr(item, "name", ""), attrOr(item, "value", ""))
-		a.BaseURI = base
-		return a, nil
-	case elTextNode, elCommentEl:
-		d := xdm.NewDocument(valueDocURI())
-		var n *xdm.Node
-		if nameIs(item, elTextNode) {
-			n = xdm.NewText(item.StringValue())
-		} else {
-			n = xdm.NewComment(item.StringValue())
-		}
-		n.BaseURI = base
-		d.Root.AppendChild(n)
-		d.Freeze()
-		return n, nil
-	case elDocumentEl, elElement:
-		d := adoptInto(valueDocURI(), item)
-		if base != "" {
-			d.Root.BaseURI = base
-		}
-		if nameIs(item, elDocumentEl) {
-			return d.Root, nil
-		}
-		for _, c := range d.Root.Children {
-			if c.Kind == xdm.ElementNode {
-				c.BaseURI = base
-				return c, nil
-			}
-		}
-		return nil, fmt.Errorf("xrpc: element copy without element content")
-	}
-	return nil, fmt.Errorf("xrpc: unknown copy item %s", item.Name)
 }

@@ -6,17 +6,19 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"distxq/internal/eval"
 	"distxq/internal/projection"
 	"distxq/internal/xdm"
 )
 
-// TestAdoptedFragmentsKeepStructure: decodeFragments hands each fragment
-// element's child array to a fresh document instead of re-appending the
-// nodes. Every adopted node must come out with the parent, sibling index,
-// owner document and document order a freshly built document would have —
-// and growing one decoded tree must not reach into another.
+// TestAdoptedFragmentsKeepStructure: the decoder fills each fragment's
+// content straight into a fresh document, its nodes and child arrays cut
+// from the message's one arena and the documents from one slab. Every
+// decoded node must come out with the parent, sibling index, owner document
+// and document order a freshly built document would have — and growing one
+// decoded tree must not reach into another.
 func TestAdoptedFragmentsKeepStructure(t *testing.T) {
 	fx := newWireFixture(t)
 	resp := &Response{Semantics: ByFragment, Results: []xdm.Sequence{
@@ -30,11 +32,12 @@ func TestAdoptedFragmentsKeepStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.fragDocs) != 4 {
-		t.Fatalf("%d fragment documents, want 4", len(got.fragDocs))
+	docs := fragDocs(got.frags)
+	if len(docs) != 4 {
+		t.Fatalf("%d fragment documents, want 4", len(docs))
 	}
 	var prev *xdm.Node
-	for i, d := range got.fragDocs {
+	for i, d := range docs {
 		if !d.Frozen() {
 			t.Fatalf("fragment %d not frozen", i)
 		}
@@ -72,19 +75,28 @@ func TestAdoptedFragmentsKeepStructure(t *testing.T) {
 
 	// Grow the first decoded tree; its neighbours in the message's slabs
 	// (the next fragments' roots and children) must not change.
-	want := make([]string, len(got.fragDocs))
-	for i, d := range got.fragDocs {
+	want := make([]string, len(docs))
+	for i, d := range docs {
 		want[i] = xdm.SerializeString(d.Root)
 	}
 	book0 := items[0].(*xdm.Node)
 	book0.AppendChild(xdm.NewElement("appended"))
 	book0.SetAttr("extra", "1")
 	book0.Doc.Root.AppendChild(xdm.NewComment("sibling of the root"))
-	for i, d := range got.fragDocs[1:] {
+	for i, d := range docs[1:] {
 		if s := xdm.SerializeString(d.Root); s != want[i+1] {
 			t.Errorf("fragment %d changed when fragment 0 grew:\n got %s\nwant %s", i+1, s, want[i+1])
 		}
 	}
+}
+
+// fragDocs returns the documents of decoded fragments.
+func fragDocs(frags []*xdm.Node) []*xdm.Document {
+	docs := make([]*xdm.Document, len(frags))
+	for i, f := range frags {
+		docs[i] = f.Doc
+	}
+	return docs
 }
 
 // TestPatchSerdeNS: the in-place patch with a shorter, an equal-length and a
@@ -210,6 +222,48 @@ func TestModuleCacheParsesOnce(t *testing.T) {
 	}
 	if n := len(srv.modules.entries); n != 1 {
 		t.Errorf("%d cached modules, want 1", n)
+	}
+}
+
+// TestModuleCacheCopiesAdmittedText: a decoded module text aliases the one
+// string copy of its request, next to the request's parameters; the cache
+// admits a copy of its own, so a cached module does not pin the request it
+// arrived in.
+func TestModuleCacheCopiesAdmittedText(t *testing.T) {
+	srv := Server{Engine: eval.NewEngine(nil)}
+	data, err := MarshalRequest(&Request{
+		Method: "f", Arity: 1, Semantics: ByValue, Module: countingModule(7),
+		Calls: [][]xdm.Sequence{{{xdm.NewString(strings.Repeat("p", 40<<10))}}},
+	}, nil, nil, projection.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	within := func(s string, msg *Request) bool {
+		p, m := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(unsafe.StringData(msg.Module)))
+		return p+uintptr(len(data)) > m && p < m+uintptr(len(data))
+	}
+	var req *Request
+	for i := 0; i < 2; i++ { // the second sighting admits
+		if req, err = ParseRequest(data); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.module(req.Module); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !within(req.Calls[0][0][0].(xdm.Atomic).S, req) {
+		t.Fatal("the fixture's module does not alias its request")
+	}
+	if len(srv.modules.entries) != 1 {
+		t.Fatalf("%d modules cached, want 1", len(srv.modules.entries))
+	}
+	for key := range srv.modules.entries {
+		if within(key, req) {
+			t.Error("the cache key points into the request")
+		}
+		if ring := srv.modules.ring[0]; unsafe.StringData(ring) != unsafe.StringData(key) {
+			t.Error("the ring holds another string than the key")
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package xrpc
 import (
 	"testing"
 
+	"distxq/internal/projection"
 	"distxq/internal/testkit"
 	"distxq/internal/xdm"
 )
@@ -68,24 +69,35 @@ func TestFragmentNumberingTableMatchesReference(t *testing.T) {
 	}
 }
 
-// TestDecodeTableMatchesNthDescendantOrSelf checks the decode-side numbering
-// table against the seed's per-reference walk.
+// TestDecodeTableMatchesNthDescendantOrSelf checks the decoder's lazy
+// numbering table against the seed's per-reference walk, on a fragment
+// decoded from the wire, and that a root reference builds no table.
 func TestDecodeTableMatchesNthDescendantOrSelf(t *testing.T) {
 	d, err := xdm.ParseString(
 		`<r><a>onetwo<!--c-->three</a><b k="v"><leaf/></b></r>`, "decode-test")
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := d.DocElem()
-	st := &decodeState{
-		fragRoots: []*xdm.Node{root},
-		fragDocs:  []*xdm.Document{d},
-		fragNodes: make([][]*xdm.Node, 1),
+	data, err := MarshalResponse(&Response{Semantics: ByFragment,
+		Results: []xdm.Sequence{{d.DocElem()}}}, nil, nil, projection.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := new(decoder)
+	err = dec.shred(data, "response", elResponse, func() error {
+		return dec.payload("call", func(string) error { return dec.sc.Skip() })
+	})
+	if err != nil || len(dec.frags) != 1 {
+		t.Fatalf("decoding the fragment: %v, %d fragments", err, len(dec.frags))
+	}
+	root := dec.frags[0]
+	if dec.nodeByID(0, 1) != root || dec.tables != nil {
+		t.Fatal("nodeid 1 must resolve to the root without building a table")
 	}
 	n := 0
 	root.WalkDescendants(func(*xdm.Node) bool { n++; return true })
 	for id := 0; id <= n+1; id++ {
-		if got, want := st.nodeByID(0, id), testkit.NthDescendantOrSelf(root, id); got != want {
+		if got, want := dec.nodeByID(0, id), testkit.NthDescendantOrSelf(root, id); got != want {
 			t.Errorf("nodeByID(0, %d) differs from NthDescendantOrSelf", id)
 		}
 	}

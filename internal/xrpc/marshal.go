@@ -92,84 +92,79 @@ func MarshalRequest(r *Request, paramUsed, paramReturned []projection.PathSet, o
 	return st.b, nil
 }
 
-// ParseRequest shreds a request message: fragments become fresh documents
-// and parameter sequences resolve into them (preserving node identity and
-// order among parameters of the same message, §V).
+// ParseRequest shreds a request message in one pass: fragments become fresh
+// documents and parameter sequences resolve into them (preserving node
+// identity and order among parameters of the same message, §V).
 func ParseRequest(data []byte) (*Request, error) {
-	doc, err := xdm.ParseBytes(data, "xrpc:request")
-	if err != nil {
-		return nil, fmt.Errorf("xrpc: malformed request: %w", err)
-	}
-	reqEl, err := messagePayload(doc, elRequest)
+	r := &Request{}
+	d := new(decoder)
+	err := d.shred(data, "request", elRequest, func() error {
+		r.Method = d.attr("method", "")
+		r.Arity, _ = strconv.Atoi(d.attr("arity", "0"))
+		var err error
+		if r.Semantics, err = ParseSemantics(d.attr("semantics", "by-value")); err != nil {
+			return err
+		}
+		r.Static = eval.StaticContext{
+			BaseURI:          d.attr("base-uri", ""),
+			DefaultCollation: d.attr("collation", ""),
+			CurrentDateTime:  d.attr("datetime", ""),
+		}
+		r.BudgetNS, _ = strconv.ParseInt(d.attr("budget-ns", "0"), 10, 64)
+		r.TraceID, _ = strconv.ParseUint(d.attr("trace-id", "0"), 10, 64)
+		r.TraceSpan, _ = strconv.ParseUint(d.attr("span-id", "0"), 10, 64)
+		module, paths := false, false
+		err = d.payload("call", func(name string) error {
+			switch local := localName(name); {
+			case local == "call":
+				params, err := d.call(r.Arity)
+				r.Calls = append(r.Calls, params)
+				return err
+			case local == "module" && first(&module):
+				r.Module, err = d.sc.StringValue()
+				return err
+			case local == "projection-paths" && first(&paths):
+				return d.children(func(name string) error {
+					s, _ := d.sc.StringValue() // an error sticks: Next returns it
+					p, err := projection.ParsePath(s)
+					switch localName(name) {
+					case "used-path":
+						r.ResultUsed = r.ResultUsed.Add(p)
+					case "returned-path":
+						r.ResultReturned = r.ResultReturned.Add(p)
+					}
+					return err
+				})
+			}
+			return d.sc.Skip()
+		})
+		if err == nil && len(r.Calls) == 0 {
+			err = fmt.Errorf("xrpc: request without calls")
+		}
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	r := &Request{Method: attrOr(reqEl, "method", "")}
-	r.Arity, _ = strconv.Atoi(attrOr(reqEl, "arity", "0"))
-	r.Semantics, err = ParseSemantics(attrOr(reqEl, "semantics", "by-value"))
-	if err != nil {
-		return nil, err
-	}
-	r.Static = eval.StaticContext{
-		BaseURI:          attrOr(reqEl, "base-uri", ""),
-		DefaultCollation: attrOr(reqEl, "collation", ""),
-		CurrentDateTime:  attrOr(reqEl, "datetime", ""),
-	}
-	r.BudgetNS, _ = strconv.ParseInt(attrOr(reqEl, "budget-ns", "0"), 10, 64)
-	r.TraceID, _ = strconv.ParseUint(attrOr(reqEl, "trace-id", "0"), 10, 64)
-	r.TraceSpan, _ = strconv.ParseUint(attrOr(reqEl, "span-id", "0"), 10, 64)
-	if m := findChild(reqEl, elModule); m != nil {
-		r.Module = m.StringValue()
-	}
-	if pp := findChild(reqEl, elProjPaths); pp != nil {
-		for _, c := range pp.Children {
-			if c.Kind != xdm.ElementNode {
-				continue
-			}
-			p, perr := projection.ParsePath(c.StringValue())
-			if perr != nil {
-				return nil, perr
-			}
-			switch localName(c.Name) {
-			case localName(elUsedPath):
-				r.ResultUsed = r.ResultUsed.Add(p)
-			case localName(elRetPath):
-				r.ResultReturned = r.ResultReturned.Add(p)
-			}
-		}
-	}
-	st, err := decodeFragments(findChild(reqEl, elFragments))
-	if err != nil {
-		return nil, err
-	}
-	r.fragDocs = st.fragDocs
-	for _, callEl := range reqEl.Children {
-		if callEl.Kind != xdm.ElementNode || !nameIs(callEl, elCall) {
-			continue
-		}
-		params := make([]xdm.Sequence, 0, len(callEl.Children))
-		for _, seqEl := range callEl.Children {
-			if seqEl.Kind != xdm.ElementNode {
-				continue
-			}
-			if !nameIs(seqEl, elSequence) {
-				return nil, fmt.Errorf("xrpc: unexpected %s in call", seqEl.Name)
-			}
-			s, err := st.decodeSequence(seqEl)
-			if err != nil {
-				return nil, err
-			}
-			params = append(params, s)
-		}
-		if len(params) != r.Arity {
-			return nil, fmt.Errorf("xrpc: call carries %d sequences, arity is %d", len(params), r.Arity)
-		}
-		r.Calls = append(r.Calls, params)
-	}
-	if len(r.Calls) == 0 {
-		return nil, fmt.Errorf("xrpc: request without calls")
-	}
+	r.frags = d.frags
 	return r, nil
+}
+
+// call decodes the parameter sequences of the request call just started.
+func (d *decoder) call(arity int) ([]xdm.Sequence, error) {
+	params := make([]xdm.Sequence, 0, min(max(arity, 0), 64))
+	err := d.children(func(name string) error {
+		if localName(name) != "sequence" {
+			return fmt.Errorf("xrpc: unexpected %s in call", name)
+		}
+		s, err := d.sequence(name)
+		params = append(params, s)
+		return err
+	})
+	if err == nil && len(params) != arity {
+		err = fmt.Errorf("xrpc: call carries %d sequences, arity is %d", len(params), arity)
+	}
+	return params, err
 }
 
 // MarshalResponse serializes the results of every call. For
@@ -203,44 +198,45 @@ func MarshalResponse(resp *Response, resultUsed, resultReturned projection.PathS
 	return st.b, nil
 }
 
-// ParseResponse shreds a response message.
+// ParseResponse shreds a response message in one pass.
 func ParseResponse(data []byte) (*Response, error) {
-	doc, err := xdm.ParseBytes(data, "xrpc:response")
-	if err != nil {
-		return nil, fmt.Errorf("xrpc: malformed response: %w", err)
-	}
-	respEl, err := messagePayload(doc, elResponse)
-	if err != nil {
-		return nil, err
-	}
 	resp := &Response{}
-	resp.Semantics, err = ParseSemantics(attrOr(respEl, "semantics", "by-value"))
+	d := new(decoder)
+	err := d.shred(data, "response", elResponse, func() error {
+		var err error
+		if resp.Semantics, err = ParseSemantics(d.attr("semantics", "by-value")); err != nil {
+			return err
+		}
+		resp.ExecNanos, _ = strconv.ParseInt(d.attr("exec-ns", "0"), 10, 64)
+		resp.SerializeNanos, _ = strconv.ParseInt(d.attr("serde-ns", "0"), 10, 64)
+		traced := false
+		return d.payload("call", func(name string) error {
+			switch local := localName(name); {
+			case local == "call":
+				var s xdm.Sequence
+				found := false
+				err := d.children(func(name string) (err error) {
+					if localName(name) == "sequence" && first(&found) {
+						s, err = d.sequence(name)
+						return err
+					}
+					return d.sc.Skip()
+				})
+				if err == nil && !found {
+					err = fmt.Errorf("xrpc: response call without sequence")
+				}
+				resp.Results = append(resp.Results, s)
+				return err
+			case local == "trace" && first(&traced):
+				return d.spans(&resp.Spans)
+			}
+			return d.sc.Skip()
+		})
+	})
 	if err != nil {
 		return nil, err
 	}
-	resp.ExecNanos, _ = strconv.ParseInt(attrOr(respEl, "exec-ns", "0"), 10, 64)
-	resp.SerializeNanos, _ = strconv.ParseInt(attrOr(respEl, "serde-ns", "0"), 10, 64)
-	resp.Spans = parseTraceEl(respEl)
-	st, err := decodeFragments(findChild(respEl, elFragments))
-	if err != nil {
-		return nil, err
-	}
-	resp.fragDocs = st.fragDocs
-	resp.Results = make([]xdm.Sequence, 0, len(respEl.Children))
-	for _, callEl := range respEl.Children {
-		if callEl.Kind != xdm.ElementNode || !nameIs(callEl, elCall) {
-			continue
-		}
-		seqEl := findChild(callEl, elSequence)
-		if seqEl == nil {
-			return nil, fmt.Errorf("xrpc: response call without sequence")
-		}
-		s, err := st.decodeSequence(seqEl)
-		if err != nil {
-			return nil, err
-		}
-		resp.Results = append(resp.Results, s)
-	}
+	resp.frags = d.frags
 	return resp, nil
 }
 
@@ -316,47 +312,4 @@ func (w *wireBuf) traceEl(spans []byte) {
 	w.str("<" + elTrace + ">")
 	w.text(string(spans))
 	w.str("</" + elTrace + ">")
-}
-
-// parseTraceEl decodes a piggybacked-span child of el, nil when absent or
-// malformed — trace data is advisory and never fails message decoding.
-func parseTraceEl(el *xdm.Node) []trace.Span {
-	tEl := findChild(el, elTrace)
-	if tEl == nil {
-		return nil
-	}
-	spans, err := trace.DecodeSpans([]byte(tEl.StringValue()))
-	if err != nil {
-		return nil
-	}
-	return spans
-}
-
-// messagePayload unwraps Envelope/Body and returns the payload element,
-// surfacing faults as errors.
-func messagePayload(doc *xdm.Document, want string) (*xdm.Node, error) {
-	env := doc.DocElem()
-	if env == nil || !nameIs(env, elEnvelope) {
-		return nil, fmt.Errorf("xrpc: not a SOAP envelope")
-	}
-	body := findChild(env, elBody)
-	if body == nil {
-		return nil, fmt.Errorf("xrpc: envelope without body")
-	}
-	if f := findChild(body, "env:Fault"); f != nil {
-		fault := &Fault{Msg: f.StringValue()}
-		if r := findChild(f, "env:Reason"); r != nil {
-			fault.Msg = r.StringValue()
-		}
-		if c := findChild(f, "env:Code"); c != nil {
-			fault.Code = c.StringValue()
-		}
-		fault.Spans = parseTraceEl(f)
-		return nil, fault
-	}
-	el := findChild(body, want)
-	if el == nil {
-		return nil, fmt.Errorf("xrpc: body lacks %s", want)
-	}
-	return el, nil
 }

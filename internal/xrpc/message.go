@@ -95,9 +95,9 @@ type Request struct {
 	TraceSpan uint64
 	// Calls: per iteration, per parameter, the encoded sequence.
 	Calls [][]xdm.Sequence
-	// fragDocs holds the decoded fragment documents (server side), so tests
-	// can inspect identity preservation.
-	fragDocs []*xdm.Document
+	// frags holds the numbering roots of the decoded fragments (server
+	// side), so tests can inspect identity preservation.
+	frags []*xdm.Node
 }
 
 // Response is the logical content of an XRPC response message.
@@ -113,14 +113,13 @@ type Response struct {
 	// Spans carries the server-side span tree of a traced request, on the
 	// peer's own timeline (anchored at request arrival); the originator
 	// ingests them under the attempt span that issued the call.
-	Spans    []trace.Span
-	fragDocs []*xdm.Document
+	Spans []trace.Span
+	frags []*xdm.Node
 }
 
-// Message framing names. The xdm layer keeps prefixes literal, so these are
-// plain string matches.
+// Message framing names, as the encoder writes them. The decoder matches
+// element names on their local part (localName), whatever the prefix.
 const (
-	elEnvelope   = "env:Envelope"
 	elBody       = "env:Body"
 	elRequest    = "xrpc:request"
 	elResponse   = "xrpc:response"
@@ -173,14 +172,15 @@ func (w *wireBuf) text(s string)    { w.b = appendEscaped(w.b, s, '>') }
 func (w *wireBuf) attr(s string)    { w.b = appendEscaped(w.b, s, '"') }
 func (w *wireBuf) node(n *xdm.Node) { _ = xdm.Serialize(w, n) } // appends cannot fail
 
-// appendEscaped appends s with & and < replaced by their entities, plus the
-// one further character the position requires: > in element content, the
-// double quote in attribute values.
+// appendEscaped appends s with &, < and the carriage return replaced by
+// their references (a literal \r would decode as \n), plus the one further
+// character the position requires: > in element content, the double quote
+// in attribute values.
 func appendEscaped(b []byte, s string, third byte) []byte {
 	last := 0
 	for i := 0; i < len(s); i++ {
 		c := s[i]
-		if c != '&' && c != '<' && c != third {
+		if c != '&' && c != '<' && c != '\r' && c != third {
 			continue
 		}
 		b = append(b, s[last:i]...)
@@ -189,6 +189,8 @@ func appendEscaped(b []byte, s string, third byte) []byte {
 			b = append(b, "&amp;"...)
 		case '<':
 			b = append(b, "&lt;"...)
+		case '\r':
+			b = append(b, "&#13;"...)
 		case '>':
 			b = append(b, "&gt;"...)
 		default:
@@ -211,19 +213,21 @@ func (w *wireBuf) atomic(a xdm.Atomic) {
 	w.str("</" + elAtomic + ">")
 }
 
-func parseAtomicEl(n *xdm.Node) (xdm.Atomic, error) {
-	tname := "xs:string"
-	if a := n.Attr("type"); a != nil {
-		tname = a.Text
-	}
+// parseAtomic decodes the text of an xrpc:atomic-value of type tname.
+func parseAtomic(tname, s string) (xdm.Atomic, error) {
 	t, ok := xdm.ParseAtomType(tname)
 	if !ok {
 		return xdm.Atomic{}, fmt.Errorf("xrpc: unknown atomic type %q", tname)
 	}
-	s := n.StringValue()
 	switch t {
 	case xdm.TBoolean:
-		return xdm.NewBoolean(s == "true" || s == "1"), nil
+		switch s {
+		case "true", "1":
+			return xdm.NewBoolean(true), nil
+		case "false", "0":
+			return xdm.NewBoolean(false), nil
+		}
+		return xdm.Atomic{}, fmt.Errorf("xrpc: bad boolean %q", s)
 	case xdm.TInteger:
 		i, err := strconv.ParseInt(s, 10, 64)
 		if err != nil {
@@ -243,33 +247,11 @@ func parseAtomicEl(n *xdm.Node) (xdm.Atomic, error) {
 	}
 }
 
-// localName strips a namespace prefix. The xdm parser resolves declared
-// prefixes away (encoding/xml semantics), so message decoding matches on
-// local names.
+// localName strips a namespace prefix: message decoding matches element
+// names on their local part, whatever prefix the sender declared.
 func localName(name string) string {
 	if i := strings.IndexByte(name, ':'); i >= 0 {
 		return name[i+1:]
 	}
 	return name
-}
-
-// nameIs compares element names modulo namespace prefix.
-func nameIs(n *xdm.Node, want string) bool {
-	return localName(n.Name) == localName(want)
-}
-
-func findChild(n *xdm.Node, name string) *xdm.Node {
-	for _, c := range n.Children {
-		if c.Kind == xdm.ElementNode && nameIs(c, name) {
-			return c
-		}
-	}
-	return nil
-}
-
-func attrOr(n *xdm.Node, name, def string) string {
-	if a := n.Attr(name); a != nil {
-		return a.Text
-	}
-	return def
 }

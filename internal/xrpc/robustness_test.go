@@ -13,40 +13,50 @@ import (
 	"distxq/internal/xq"
 )
 
+// malformedRequests are broken request messages, each with what breaks it.
+var malformedRequests = map[string]string{
+	"not xml":          `garbage{{{`,
+	"not soap":         `<hello/>`,
+	"no body":          `<env:Envelope xmlns:env="urn:e"/>`,
+	"no request":       `<env:Envelope xmlns:env="urn:e"><env:Body/></env:Envelope>`,
+	"no calls":         `<env:Envelope xmlns:env="urn:e" xmlns:xrpc="urn:x"><env:Body><xrpc:request method="f" arity="0" semantics="by-value"><xrpc:module>declare function f() as item()* { 1 };</xrpc:module></xrpc:request></env:Body></env:Envelope>`,
+	"bad semantics":    `<env:Envelope xmlns:env="urn:e" xmlns:xrpc="urn:x"><env:Body><xrpc:request method="f" arity="0" semantics="by-magic"><xrpc:call/></xrpc:request></env:Body></env:Envelope>`,
+	"arity mismatch":   `<env:Envelope xmlns:env="urn:e" xmlns:xrpc="urn:x"><env:Body><xrpc:request method="f" arity="2" semantics="by-value"><xrpc:module>m</xrpc:module><xrpc:call><xrpc:sequence/></xrpc:call></xrpc:request></env:Body></env:Envelope>`,
+	"bad module":       `<env:Envelope xmlns:env="urn:e" xmlns:xrpc="urn:x"><env:Body><xrpc:request method="f" arity="0" semantics="by-value"><xrpc:module>((((</xrpc:module><xrpc:call/></xrpc:request></env:Body></env:Envelope>`,
+	"unknown function": `<env:Envelope xmlns:env="urn:e" xmlns:xrpc="urn:x"><env:Body><xrpc:request method="ghost" arity="0" semantics="by-value"><xrpc:module>declare function f() as item()* { 1 };</xrpc:module><xrpc:call/></xrpc:request></env:Body></env:Envelope>`,
+	"bad fragid":       `<env:Envelope xmlns:env="urn:e" xmlns:xrpc="urn:x"><env:Body><xrpc:request method="f" arity="1" semantics="by-fragment"><xrpc:module>declare function f($a as item()*) as item()* { $a };</xrpc:module><xrpc:fragments/><xrpc:call><xrpc:sequence><xrpc:element fragid="9" nodeid="1"/></xrpc:sequence></xrpc:call></xrpc:request></env:Body></env:Envelope>`,
+	"bad nodeid":       `<env:Envelope xmlns:env="urn:e" xmlns:xrpc="urn:x"><env:Body><xrpc:request method="f" arity="1" semantics="by-fragment"><xrpc:module>declare function f($a as item()*) as item()* { $a };</xrpc:module><xrpc:fragments><xrpc:fragment base-uri="u"><a/></xrpc:fragment></xrpc:fragments><xrpc:call><xrpc:sequence><xrpc:element fragid="1" nodeid="99"/></xrpc:sequence></xrpc:call></xrpc:request></env:Body></env:Envelope>`,
+	"bad atomic":       `<env:Envelope xmlns:env="urn:e" xmlns:xrpc="urn:x"><env:Body><xrpc:request method="f" arity="1" semantics="by-value"><xrpc:module>declare function f($a as item()*) as item()* { $a };</xrpc:module><xrpc:call><xrpc:sequence><xrpc:atomic-value type="xs:integer">not-a-number</xrpc:atomic-value></xrpc:sequence></xrpc:call></xrpc:request></env:Body></env:Envelope>`,
+	"bad boolean":      `<env:Envelope xmlns:env="urn:e" xmlns:xrpc="urn:x"><env:Body><xrpc:request method="f" arity="1" semantics="by-value"><xrpc:module>declare function f($a as item()*) as item()* { $a };</xrpc:module><xrpc:call><xrpc:sequence><xrpc:atomic-value type="xs:boolean">yes</xrpc:atomic-value></xrpc:sequence></xrpc:call></xrpc:request></env:Body></env:Envelope>`,
+}
+
 // TestMalformedRequests injects broken messages into the server and checks
 // every one surfaces as an error instead of a panic or silent misbehavior.
 func TestMalformedRequests(t *testing.T) {
 	srv := newPeer(nil)
-	cases := map[string]string{
-		"not xml":          `garbage{{{`,
-		"not soap":         `<hello/>`,
-		"no body":          `<env:Envelope xmlns:env="urn:e"/>`,
-		"no request":       `<env:Envelope xmlns:env="urn:e"><env:Body/></env:Envelope>`,
-		"no calls":         `<env:Envelope xmlns:env="urn:e" xmlns:xrpc="urn:x"><env:Body><xrpc:request method="f" arity="0" semantics="by-value"><xrpc:module>declare function f() as item()* { 1 };</xrpc:module></xrpc:request></env:Body></env:Envelope>`,
-		"bad semantics":    `<env:Envelope xmlns:env="urn:e" xmlns:xrpc="urn:x"><env:Body><xrpc:request method="f" arity="0" semantics="by-magic"><xrpc:call/></xrpc:request></env:Body></env:Envelope>`,
-		"arity mismatch":   `<env:Envelope xmlns:env="urn:e" xmlns:xrpc="urn:x"><env:Body><xrpc:request method="f" arity="2" semantics="by-value"><xrpc:module>m</xrpc:module><xrpc:call><xrpc:sequence/></xrpc:call></xrpc:request></env:Body></env:Envelope>`,
-		"bad module":       `<env:Envelope xmlns:env="urn:e" xmlns:xrpc="urn:x"><env:Body><xrpc:request method="f" arity="0" semantics="by-value"><xrpc:module>((((</xrpc:module><xrpc:call/></xrpc:request></env:Body></env:Envelope>`,
-		"unknown function": `<env:Envelope xmlns:env="urn:e" xmlns:xrpc="urn:x"><env:Body><xrpc:request method="ghost" arity="0" semantics="by-value"><xrpc:module>declare function f() as item()* { 1 };</xrpc:module><xrpc:call/></xrpc:request></env:Body></env:Envelope>`,
-		"bad fragid":       `<env:Envelope xmlns:env="urn:e" xmlns:xrpc="urn:x"><env:Body><xrpc:request method="f" arity="1" semantics="by-fragment"><xrpc:module>declare function f($a as item()*) as item()* { $a };</xrpc:module><xrpc:fragments/><xrpc:call><xrpc:sequence><xrpc:element fragid="9" nodeid="1"/></xrpc:sequence></xrpc:call></xrpc:request></env:Body></env:Envelope>`,
-		"bad nodeid":       `<env:Envelope xmlns:env="urn:e" xmlns:xrpc="urn:x"><env:Body><xrpc:request method="f" arity="1" semantics="by-fragment"><xrpc:module>declare function f($a as item()*) as item()* { $a };</xrpc:module><xrpc:fragments><xrpc:fragment base-uri="u"><a/></xrpc:fragment></xrpc:fragments><xrpc:call><xrpc:sequence><xrpc:element fragid="1" nodeid="99"/></xrpc:sequence></xrpc:call></xrpc:request></env:Body></env:Envelope>`,
-		"bad atomic":       `<env:Envelope xmlns:env="urn:e" xmlns:xrpc="urn:x"><env:Body><xrpc:request method="f" arity="1" semantics="by-value"><xrpc:module>declare function f($a as item()*) as item()* { $a };</xrpc:module><xrpc:call><xrpc:sequence><xrpc:atomic-value type="xs:integer">not-a-number</xrpc:atomic-value></xrpc:sequence></xrpc:call></xrpc:request></env:Body></env:Envelope>`,
-	}
-	for name, msg := range cases {
+	for name, msg := range malformedRequests {
 		if _, err := srv.Handle([]byte(msg)); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
+	if _, err := ParseRequest([]byte(malformedRequests["bad boolean"])); err == nil ||
+		err.Error() != `xrpc: bad boolean "yes"` {
+		t.Errorf("bad boolean: %v", err)
+	}
+}
+
+// malformedResponses are broken response messages.
+var malformedResponses = map[string]string{
+	"not xml":     `<<<`,
+	"no response": `<env:Envelope xmlns:env="urn:e"><env:Body/></env:Envelope>`,
+	"bad ref": `<env:Envelope xmlns:env="urn:e" xmlns:xrpc="urn:x"><env:Body>` +
+		`<xrpc:response semantics="by-fragment"><xrpc:fragments/>` +
+		`<xrpc:call><xrpc:sequence><xrpc:element fragid="1" nodeid="1"/></xrpc:sequence></xrpc:call>` +
+		`</xrpc:response></env:Body></env:Envelope>`,
 }
 
 func TestMalformedResponses(t *testing.T) {
-	for name, msg := range map[string]string{
-		"not xml":     `<<<`,
-		"no response": `<env:Envelope xmlns:env="urn:e"><env:Body/></env:Envelope>`,
-		"bad ref": `<env:Envelope xmlns:env="urn:e" xmlns:xrpc="urn:x"><env:Body>` +
-			`<xrpc:response semantics="by-fragment"><xrpc:fragments/>` +
-			`<xrpc:call><xrpc:sequence><xrpc:element fragid="1" nodeid="1"/></xrpc:sequence></xrpc:call>` +
-			`</xrpc:response></env:Body></env:Envelope>`,
-	} {
+	for name, msg := range malformedResponses {
 		if _, err := ParseResponse([]byte(msg)); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
@@ -56,16 +66,17 @@ func TestMalformedResponses(t *testing.T) {
 // TestAttributeRefMissingName covers the reference-resolution error path for
 // attributes whose name attribute is absent or wrong.
 func TestAttributeRefMissingName(t *testing.T) {
-	msg := `<env:Envelope xmlns:env="urn:e" xmlns:xrpc="urn:x"><env:Body>` +
-		`<xrpc:request method="f" arity="1" semantics="by-fragment">` +
-		`<xrpc:module>declare function f($a as item()*) as item()* { $a };</xrpc:module>` +
-		`<xrpc:fragments><xrpc:fragment base-uri="u"><a x="1"/></xrpc:fragment></xrpc:fragments>` +
-		`<xrpc:call><xrpc:sequence><xrpc:attribute fragid="1" nodeid="1" name="zz"/></xrpc:sequence></xrpc:call>` +
-		`</xrpc:request></env:Body></env:Envelope>`
-	if _, err := ParseRequest([]byte(msg)); err == nil || !strings.Contains(err.Error(), "zz") {
+	if _, err := ParseRequest([]byte(attributeRefMissingName)); err == nil || !strings.Contains(err.Error(), "zz") {
 		t.Errorf("missing attribute should error with its name, got %v", err)
 	}
 }
+
+const attributeRefMissingName = `<env:Envelope xmlns:env="urn:e" xmlns:xrpc="urn:x"><env:Body>` +
+	`<xrpc:request method="f" arity="1" semantics="by-fragment">` +
+	`<xrpc:module>declare function f($a as item()*) as item()* { $a };</xrpc:module>` +
+	`<xrpc:fragments><xrpc:fragment base-uri="u"><a x="1"/></xrpc:fragment></xrpc:fragments>` +
+	`<xrpc:call><xrpc:sequence><xrpc:attribute fragid="1" nodeid="1" name="zz"/></xrpc:sequence></xrpc:call>` +
+	`</xrpc:request></env:Body></env:Envelope>`
 
 // TestBulkMixedResults checks bulk responses where calls return node and
 // atomic results of different shapes.

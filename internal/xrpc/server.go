@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -87,6 +88,9 @@ func (c *moduleCache) admit(src string, q *xq.Query, eng *eval.Engine) {
 		c.mu.Unlock()
 		return
 	}
+	// The text aliases the one string copy of its request, which a cached
+	// key would pin: the cache keeps a copy of its own.
+	src = strings.Clone(src)
 	if c.entries == nil {
 		c.entries = make(map[string]*xq.Query)
 		c.ring = make([]string, moduleCacheSize)

@@ -19,7 +19,7 @@ import (
 // This file implements streaming XRPC: instead of one gather-whole response
 // message, a peer's Bulk-RPC results travel as an ordered sequence of
 // self-contained chunk frames. Each frame is a complete SOAP envelope
-// (decodable on its own with xdm.ParseBytes) carrying a run of consecutive
+// (decodable on its own by ParseResponseChunk) carrying a run of consecutive
 // result items of one call, its own fragments preamble, a sequence number,
 // and per-chunk timing; a terminal frame closes the stream. The originator
 // starts processing the first chunk while the peer is still evaluating and
@@ -136,52 +136,53 @@ func MarshalResponseChunk(ch *ResponseChunk, resultUsed, resultReturned projecti
 	return st.b, nil
 }
 
-// ParseResponseChunk shreds one stream frame. A fault frame surfaces as a
-// *Fault error, like ParseResponse.
+// ParseResponseChunk shreds one stream frame in one pass. A fault frame
+// surfaces as a *Fault error, like ParseResponse.
 func ParseResponseChunk(data []byte) (*ResponseChunk, error) {
-	doc, err := xdm.ParseBytes(data, "xrpc:chunk")
-	if err != nil {
-		return nil, fmt.Errorf("xrpc: malformed chunk frame: %w", err)
-	}
-	el, err := messagePayload(doc, elChunk)
-	if err != nil {
-		return nil, err
-	}
 	ch := &ResponseChunk{}
-	ch.Seq, err = strconv.Atoi(attrOr(el, "seq", ""))
-	if err != nil {
-		return nil, fmt.Errorf("xrpc: chunk frame without seq")
-	}
-	ch.SerializeNanos, _ = strconv.ParseInt(attrOr(el, "serde-ns", "0"), 10, 64)
-	if attrOr(el, "last", "") == "true" {
-		ch.Last = true
-		ch.Calls, err = strconv.Atoi(attrOr(el, "calls", ""))
-		if err != nil {
-			return nil, fmt.Errorf("xrpc: terminal frame without calls count")
+	d := new(decoder)
+	err := d.shred(data, "chunk frame", elChunk, func() error {
+		var err error
+		if ch.Seq, err = strconv.Atoi(d.attr("seq", "")); err != nil {
+			return fmt.Errorf("xrpc: chunk frame without seq")
 		}
-		ch.Spans = parseTraceEl(el)
-		return ch, nil
-	}
-	ch.Semantics, err = ParseSemantics(attrOr(el, "semantics", "by-value"))
-	if err != nil {
-		return nil, err
-	}
-	if ch.Call, err = strconv.Atoi(attrOr(el, "call", "")); err != nil {
-		return nil, fmt.Errorf("xrpc: chunk frame without call index")
-	}
-	if ch.FirstItem, err = strconv.Atoi(attrOr(el, "first-item", "")); err != nil {
-		return nil, fmt.Errorf("xrpc: chunk frame without first-item")
-	}
-	ch.ExecNanos, _ = strconv.ParseInt(attrOr(el, "exec-ns", "0"), 10, 64)
-	st, err := decodeFragments(findChild(el, elFragments))
-	if err != nil {
-		return nil, err
-	}
-	seqEl := findChild(el, elSequence)
-	if seqEl == nil {
-		return nil, fmt.Errorf("xrpc: chunk frame without sequence")
-	}
-	ch.Items, err = st.decodeSequence(seqEl)
+		ch.SerializeNanos, _ = strconv.ParseInt(d.attr("serde-ns", "0"), 10, 64)
+		if d.attr("last", "") == "true" {
+			ch.Last = true
+			if ch.Calls, err = strconv.Atoi(d.attr("calls", "")); err != nil {
+				return fmt.Errorf("xrpc: terminal frame without calls count")
+			}
+			traced := false
+			return d.children(func(name string) error {
+				if localName(name) == "trace" && first(&traced) {
+					return d.spans(&ch.Spans)
+				}
+				return d.sc.Skip()
+			})
+		}
+		if ch.Semantics, err = ParseSemantics(d.attr("semantics", "by-value")); err != nil {
+			return err
+		}
+		if ch.Call, err = strconv.Atoi(d.attr("call", "")); err != nil {
+			return fmt.Errorf("xrpc: chunk frame without call index")
+		}
+		if ch.FirstItem, err = strconv.Atoi(d.attr("first-item", "")); err != nil {
+			return fmt.Errorf("xrpc: chunk frame without first-item")
+		}
+		ch.ExecNanos, _ = strconv.ParseInt(d.attr("exec-ns", "0"), 10, 64)
+		found := false
+		err = d.payload("sequence", func(name string) error {
+			if localName(name) == "sequence" && first(&found) {
+				ch.Items, err = d.sequence(name)
+				return err
+			}
+			return d.sc.Skip()
+		})
+		if err == nil && !found {
+			err = fmt.Errorf("xrpc: chunk frame without sequence")
+		}
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}

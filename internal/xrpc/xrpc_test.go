@@ -190,7 +190,7 @@ func TestByFragmentSharedFragmentFig4(t *testing.T) {
 	if xdm.Compare(gotABC, gotBC) >= 0 {
 		t.Error("document order must be preserved ($abc << $bc)")
 	}
-	if len(got.fragDocs) != 1 {
+	if len(got.frags) != 1 {
 		t.Error("one shared fragment document expected")
 	}
 }
