@@ -12,7 +12,8 @@
 //
 //	POST /xrpc         one XRPC request message in, one response (or fault) out
 //	POST /xrpc/stream  the same request, answered as length-prefixed chunk frames
-//	GET  /metrics      the collector regime's runtime metrics (Prometheus text)
+//	GET  /metrics      the collector regime's runtime metrics and the shipped-
+//	                   module cache's counters (Prometheus text)
 //
 // -pprof additionally serves net/http/pprof under /debug/pprof/. The daemon
 // runs under the collector regime of internal/daemon unless GOGC or
@@ -22,6 +23,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -105,7 +107,29 @@ func newMux(srv *xrpc.Server, pprofOn bool) *http.ServeMux {
 	mux.Handle("/xrpc/stream", xrpc.NewStreamHTTPHandler(srv))
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		_ = daemon.WriteRuntimeMetrics(w)
+		if daemon.WriteRuntimeMetrics(w) == nil {
+			_ = writeModuleCacheMetrics(w, srv.ModuleCacheStats())
+		}
 	})
 	return mux
+}
+
+// writeModuleCacheMetrics writes the shipped-module cache's counters in the
+// Prometheus text format of the runtime block before them.
+func writeModuleCacheMetrics(w io.Writer, st xrpc.ModuleCacheStats) error {
+	for _, m := range []struct {
+		name, help string
+		value      int64
+	}{
+		{"hits", "Shipped modules run from the module cache.", st.Hits},
+		{"misses", "Shipped modules parsed afresh.", st.Misses},
+		{"admissions", "Module shapes cached on their second sighting.", st.Admissions},
+		{"evictions", "Cached module shapes dropped for newer ones.", st.Evictions},
+	} {
+		name := "distxq_peer_module_cache_" + m.name + "_total"
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, m.help, name, name, m.value); err != nil {
+			return err
+		}
+	}
+	return nil
 }

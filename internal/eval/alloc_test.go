@@ -287,7 +287,7 @@ func TestColdLoweringAllocCeilings(t *testing.T) {
 			}
 			module.Params = append(module.Params, xq.Param{Name: par.Name, Type: typ})
 		}
-		text := xq.PrintFuncDecl(module) + "\n0"
+		text := xq.FuncDeclTemplate(module).Text + "\n0"
 		peer := eval.NewEngine(resolver)
 		for _, side := range []func() (func() error, error){
 			func() (func() error, error) {

@@ -96,7 +96,8 @@ func itemVar(e xq.Expr, sc *scope) (int, bool) {
 
 // compiler holds per-query compilation state shared across function bodies.
 type compiler struct {
-	funcs map[funcKey]*cfunc
+	funcs  map[funcKey]*cfunc
+	nholes int
 }
 
 // fnCompiler allocates the slots of one compilation unit (the query body or
@@ -187,7 +188,7 @@ func lower(q *xq.Query, push bool) *Program {
 	if push {
 		p.bodySeq = fc.compileSeq(q.Body, nil)
 	}
-	p.nslots, p.nitems = fc.nslots, fc.nitems
+	p.nslots, p.nitems, p.nholes = fc.nslots, fc.nitems, cp.nholes
 	return p
 }
 
@@ -277,7 +278,7 @@ func (fc *fnCompiler) fold(e xq.Expr) (xdm.Sequence, error) {
 func (fc *fnCompiler) isConst(e xq.Expr) bool {
 	switch v := e.(type) {
 	case *xq.Literal:
-		return true
+		return v.Hole == 0 // a hole's value is the run's
 	case *xq.SeqExpr, *xq.UnaryExpr, *xq.ArithExpr, *xq.LogicExpr:
 		for _, ch := range xq.Children(e) {
 			if !fc.isConst(ch) {
@@ -325,6 +326,17 @@ func (fc *fnCompiler) lowerExpr(e xq.Expr, sc *scope) cexpr {
 	switch v := e.(type) {
 	case nil:
 		return constc(xdm.EmptySequence)
+	case *xq.Literal:
+		if v.Hole == 0 {
+			return constc(xdm.Singleton(v.Val))
+		}
+		h, own := fc.hole(v), xdm.Singleton(v.Val)
+		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
+			if err := f.ctx.stop.check(); err != nil {
+				return nil, err
+			}
+			return appendSeq(dst, f.hole(h, own)), nil
+		}
 	case *xq.VarRef:
 		b, ok := sc.lookup(v.Name)
 		if !ok {
@@ -976,21 +988,11 @@ func ebv(ce cexpr, msg string) cbool {
 func (fc *fnCompiler) compileGeneralCompare(v *xq.CompareExpr, sc *scope) cbool {
 	op := v.Op
 	var l, r cexpr
-	var lc, rc []xdm.Atomic
-	lConst, rConst := false, false
-	if fc.isConst(v.Left) {
-		if s, err := fc.fold(v.Left); err == nil {
-			lc, lConst = s.Atomize(), true
-		}
-	}
+	lc, lConst, lHole := fc.constOperand(v.Left)
+	rc, rConst, rHole := fc.constOperand(v.Right)
 	lSlot, rSlot := -1, -1 // memo slots
 	if !lConst {
 		l, lSlot = fc.operand(v.Left, sc)
-	}
-	if fc.isConst(v.Right) {
-		if s, err := fc.fold(v.Right); err == nil {
-			rc, rConst = s.Atomize(), true
-		}
 	}
 	if !rConst {
 		r, rSlot = fc.operand(v.Right, sc)
@@ -1000,9 +1002,9 @@ func (fc *fnCompiler) compileGeneralCompare(v *xq.CompareExpr, sc *scope) cbool 
 		if path.Input != nil {
 			start, _ = itemVar(path.Input, sc)
 		}
-		ca := rc
+		ca, hole := rc, rHole
 		if constLeft {
-			ca = lc
+			ca, hole = lc, lHole
 		}
 		steps := path.Steps
 		first := steps[0]
@@ -1020,14 +1022,14 @@ func (fc *fnCompiler) compileGeneralCompare(v *xq.CompareExpr, sc *scope) cbool 
 			if !isNode {
 				return false, fmt.Errorf("eval: path step %s::%s applied to atomic value", first.Axis, first.Test)
 			}
-			return f.existsCompare(n, steps, op, ca, constLeft)
+			return f.existsCompare(n, steps, op, f.holeAtoms(hole, ca), constLeft)
 		}
 	}
 	return func(f *cframe) (bool, error) {
 		if err := f.ctx.stop.check(); err != nil {
 			return false, err
 		}
-		la, ra := lc, rc
+		la, ra := f.holeAtoms(lHole, lc), f.holeAtoms(rHole, rc)
 		var lm, rm *atomMemo // of memoized operands
 		var err error
 		if !lConst {
@@ -1049,6 +1051,28 @@ func (fc *fnCompiler) compileGeneralCompare(v *xq.CompareExpr, sc *scope) cbool 
 		}
 		return res, nil
 	}
+}
+
+// constOperand returns the atoms of a general comparison's operand e when e
+// is constant: folded at compile time, or a hole, whose atoms the run's
+// vector supplies (hole >= 0; atoms are then its own value).
+func (fc *fnCompiler) constOperand(e xq.Expr) (atoms []xdm.Atomic, ok bool, hole int) {
+	if l, isLit := e.(*xq.Literal); isLit && l.Hole > 0 {
+		return []xdm.Atomic{l.Val}, true, fc.hole(l)
+	}
+	if fc.isConst(e) {
+		if s, err := fc.fold(e); err == nil {
+			return s.Atomize(), true, -1
+		}
+	}
+	return nil, false, -1
+}
+
+// hole returns the argument index holed literal l reads, counting it into
+// the Program's.
+func (fc *fnCompiler) hole(l *xq.Literal) int {
+	fc.cp.nholes = max(fc.cp.nholes, l.Hole)
+	return l.Hole - 1
 }
 
 // operand compiles comparison operand e. When e is pinned and reads nothing

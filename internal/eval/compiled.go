@@ -124,6 +124,8 @@ type cscratch struct {
 	nodes freeList[*xdm.Node]
 	atoms freeList[xdm.Atomic]
 	build *treeBuilder
+	// boxed holds the run's arguments as sequences, each boxed on first use.
+	boxed []xdm.Sequence
 }
 
 // builder returns the run's tree builder, made on the first construction.
@@ -301,6 +303,44 @@ type Program struct {
 	body    cexpr
 	bodySeq cseq
 	funcs   map[funcKey]*cfunc
+	// nholes is how many arguments the holed literals read (Literal.Hole).
+	nholes int
+}
+
+// bind installs a run's argument vector in ctx; nil leaves every holed
+// literal its own value.
+func (p *Program) bind(ctx *context, holes []xdm.Atomic) error {
+	if holes != nil && len(holes) < p.nholes {
+		return fmt.Errorf("eval: template takes %d arguments, got %d", p.nholes, len(holes))
+	}
+	ctx.holes = holes
+	return nil
+}
+
+// hole returns argument h of the run's vector as a sequence, boxed once per
+// run into the run's scratch; own, the literal's value, when the run binds
+// no vector or binds that value.
+func (f *cframe) hole(h int, own xdm.Sequence) xdm.Sequence {
+	holes := f.ctx.holes
+	if holes == nil || xq.Same(holes[h], own[0].(xdm.Atomic)) {
+		return own
+	}
+	if f.sc.boxed == nil {
+		f.sc.boxed = make([]xdm.Sequence, len(holes))
+	}
+	if f.sc.boxed[h] == nil {
+		f.sc.boxed[h] = xdm.Singleton(holes[h])
+	}
+	return f.sc.boxed[h]
+}
+
+// holeAtoms is argument h of the run's vector as a comparison operand's
+// atoms, or c when h < 0 or the run binds no vector.
+func (f *cframe) holeAtoms(h int, c []xdm.Atomic) []xdm.Atomic {
+	if h < 0 || f.ctx.holes == nil {
+		return c
+	}
+	return f.ctx.holes[h : h+1 : h+1]
 }
 
 // cfunc is one compiled declared function.

@@ -165,6 +165,11 @@ type Engine struct {
 	// under — sessions set it on their query-local engine so compile work
 	// shows up in the query's trace. The zero value disables recording.
 	TraceSpan trace.SpanRef
+	// Holes is the argument vector Query runs a template with (see
+	// xq.ParseTemplate): its holed literals read these values. Nil runs every
+	// literal with its own value. Sessions set it on their query-local
+	// engine; peers pass a request's vector per call instead.
+	Holes []xdm.Atomic
 
 	mu       sync.Mutex
 	docCache map[string]*docEntry
@@ -342,7 +347,12 @@ func (e *Engine) Query(q *xq.Query) (xdm.Sequence, error) {
 	if err := xq.Normalize(q); err != nil {
 		return nil, err
 	}
-	return e.program(q, false).run(e.newContext())
+	p := e.program(q, false)
+	ctx := e.newContext()
+	if err := p.bind(ctx, e.Holes); err != nil {
+		return nil, err
+	}
+	return p.run(ctx)
 }
 
 // EvalFunctionDeadline evaluates a declared function of q with the given
@@ -354,13 +364,18 @@ func (e *Engine) Query(q *xq.Query) (xdm.Sequence, error) {
 // engine's DeadlineAborts counter records the abandoned work. This is the
 // server-side half of budget propagation — a peer stops evaluating a
 // shipped function the moment the originator's budget expires instead of
-// computing a result nobody will gather.
-func (e *Engine) EvalFunctionDeadline(q *xq.Query, name string, args []xdm.Sequence, static *StaticContext, deadline time.Time) (xdm.Sequence, error) {
+// computing a result nobody will gather. holes, when given, is the argument
+// vector of a template q (xq.ParseTemplate), as Engine.Holes is for Query.
+func (e *Engine) EvalFunctionDeadline(q *xq.Query, name string, args []xdm.Sequence, static *StaticContext, deadline time.Time, holes ...xdm.Atomic) (xdm.Sequence, error) {
 	ctx, err := e.callContext(q, static, deadline)
 	if err != nil {
 		return nil, err
 	}
-	return e.program(q, false).callFunction(ctx, name, args)
+	p := e.program(q, false)
+	if err := p.bind(ctx, holes); err != nil {
+		return nil, err
+	}
+	return p.callFunction(ctx, name, args)
 }
 
 // EvalFunctionSeqDeadline is the lazy twin of EvalFunctionDeadline: it
@@ -370,12 +385,16 @@ func (e *Engine) EvalFunctionDeadline(q *xq.Query, name string, args []xdm.Seque
 // (faults beat frames); the result type streams per item when the declared
 // occurrence is `*` and falls back to materialize-then-check otherwise,
 // since occurrence constraints need the whole result.
-func (e *Engine) EvalFunctionSeqDeadline(q *xq.Query, name string, args []xdm.Sequence, static *StaticContext, deadline time.Time) (xdm.Seq, error) {
+func (e *Engine) EvalFunctionSeqDeadline(q *xq.Query, name string, args []xdm.Sequence, static *StaticContext, deadline time.Time, holes ...xdm.Atomic) (xdm.Seq, error) {
 	ctx, err := e.callContext(q, static, deadline)
 	if err != nil {
 		return nil, err
 	}
-	return e.program(q, true).callFunctionSeq(ctx, name, args)
+	p := e.program(q, true)
+	if err := p.bind(ctx, holes); err != nil {
+		return nil, err
+	}
+	return p.callFunctionSeq(ctx, name, args)
 }
 
 // callContext normalizes q and builds the context a function call of the
@@ -493,6 +512,9 @@ type context struct {
 	// stop, when non-nil, is the shared deadline check of this evaluation;
 	// every derived context carries the same pointer.
 	stop *stopCheck
+	// holes is the run's argument vector, nil when holed literals read their
+	// own values (Program.bind).
+	holes []xdm.Atomic
 }
 
 func (c *context) withItem(it xdm.Item, pos, size int) *context {

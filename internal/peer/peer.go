@@ -367,6 +367,9 @@ type Session struct {
 	// also resolves at the originator by materializing the union of shards
 	// (the fallback path).
 	Shards []core.ShardMap
+	// Holes is the argument vector ExecutePlan runs a template plan with
+	// (eval.Engine.Holes); nil runs its literals' own values.
+	Holes []xdm.Atomic
 	// Retry, when non-nil, makes scatter dispatch fault-tolerant: failed
 	// lanes re-issue to replicas and straggling ones are hedged (see
 	// xrpc.RetryPolicy). Replica sets come from the installed shard maps
@@ -488,6 +491,7 @@ func (s *Session) ExecutePlan(plan *core.Plan) (xdm.Sequence, *Report, error) {
 	ship := &shipStats{}
 	resolver := &peerResolver{peer: s.Origin, shipStats: ship}
 	engine := eval.NewEngine(resolver)
+	engine.Holes = s.Holes
 	engine.TraceSpan = s.TraceSpan.Child("execute",
 		trace.Str("strategy", plan.Strategy.String()),
 		trace.Bool("streamed", s.Streamed))
@@ -562,6 +566,7 @@ func (s *Session) ExecutePlan(plan *core.Plan) (xdm.Sequence, *Report, error) {
 			Transport: s.net.transport(),
 			Semantics: semanticsOf(s.Strategy),
 			Static:    engine.Static,
+			Holes:     s.Holes,
 			Relatives: plan.Relatives,
 			Metrics:   metrics,
 			Context:   queryCtx,

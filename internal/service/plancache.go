@@ -22,6 +22,7 @@ type cachedPlan struct {
 	// the plan is executed more than once, which is what lowering it pays
 	// for, and a working set that only ever misses never compiles.
 	reused sync.Once
+	exact  bool // every hole landed on a literal (else it serves its builder only)
 }
 
 // planCache is a bounded insert-order cache of decomposed plans. Keys embed the shard-map epoch, so a shard-map change
@@ -58,25 +59,29 @@ func newPlanCache(max int) *planCache {
 // load returns the plan cached under key, building and publishing it on a
 // miss. Concurrent misses of one key share a single build: the first arrival
 // runs it, the others wait and count as hits once it publishes. A failed
-// build is handed to its waiters but not cached.
-func (c *planCache) load(key string, build func() (*cachedPlan, error)) (p *cachedPlan, hit bool, err error) {
+// build is handed to its waiters but not cached; a waiter on a plan that is
+// not exact builds its own. Only a miss copies key.
+func (c *planCache) load(k []byte, build func() (*cachedPlan, error)) (p *cachedPlan, hit bool, err error) {
 	c.mu.Lock()
-	if p, ok := c.entries[key]; ok {
+	if p, ok := c.entries[string(k)]; ok {
 		c.mu.Unlock()
 		return p, true, nil
 	}
-	if f, ok := c.flights[key]; ok {
+	if f, ok := c.flights[string(k)]; ok {
 		c.mu.Unlock()
-		<-f.done
+		if <-f.done; f.err == nil && !f.plan.exact {
+			return c.load(k, build)
+		}
 		return f.plan, f.err == nil, f.err
 	}
+	key := string(k)
 	f := &planFlight{done: make(chan struct{}), err: errPlanAborted}
 	c.flights[key] = f
 	c.mu.Unlock()
 	defer func() {
 		c.mu.Lock()
 		delete(c.flights, key)
-		if f.err == nil {
+		if f.err == nil && f.plan.exact {
 			c.putLocked(key, f.plan)
 		}
 		c.mu.Unlock()

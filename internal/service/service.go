@@ -1,6 +1,6 @@
 // Package service implements the long-lived federation service behind
 // cmd/xqd: a query front end that holds warm transports, caches decomposed
-// plans across queries (keyed by normalized source and shard-map epoch),
+// plans across queries (keyed by query shape and shard-map epoch),
 // and guards the engine with admission control — a capacity semaphore plus
 // a bounded wait queue with a queue-time budget — so offered load beyond
 // capacity is shed fast with a typed overload fault instead of collapsing
@@ -10,6 +10,7 @@
 package service
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -222,23 +223,23 @@ func (s *Service) admit(budget core.Budget) (release func(), err error) {
 	}
 }
 
-// plan returns the decomposed plan of query source, from the cache when the
-// same normalized source was planned under the current shard-map epoch;
-// concurrent first arrivals of one source share a single build. A cached
-// plan's AST is normalized exactly once, before publication, so concurrent
-// executions share it read-only. A plan compiles once, on its first hit: a
-// miss executes on a lowering of its own and retains no Program.
-func (s *Service) plan(src string, sp trace.SpanRef) (*core.Plan, []core.ShardMap, error) {
-	q, err := xq.ParseQuery(src)
-	if err != nil {
-		return nil, nil, err
-	}
+// plan returns the decomposed plan of query source and the arguments its
+// holes read, from the cache when a text of its shape (xq.AppendShapeKey) was
+// planned under the current shard-map epoch; concurrent first arrivals of
+// one shape share a single build. A cached plan's AST is normalized once,
+// before publication, and shared read-only. It compiles once, on its first
+// hit: a miss executes on a lowering of its own and retains no Program.
+func (s *Service) plan(src string, sp trace.SpanRef) (*core.Plan, []core.ShardMap, []xdm.Atomic, error) {
 	s.mu.Lock()
-	shards := s.shards
-	epoch := s.epoch
+	shards, epoch := s.shards, s.epoch
 	s.mu.Unlock()
-	key := fmt.Sprintf("%d|%d|%s", epoch, s.strategy, xq.PrintQuery(q))
+	var buf [512]byte
+	key, args := xq.AppendShapeKey(append(binary.AppendVarint(buf[:0], epoch), byte(s.strategy)), src)
 	entry, hit, err := s.plans.load(key, func() (*cachedPlan, error) {
+		q, exact, err := xq.ParseTemplate(src, "")
+		if err != nil {
+			return nil, err
+		}
 		opts := core.DefaultOptions()
 		opts.Shards = shards
 		if len(shards) > 0 {
@@ -251,7 +252,7 @@ func (s *Service) plan(src string, sp trace.SpanRef) (*core.Plan, []core.ShardMa
 		if err := xq.Normalize(plan.Query); err != nil {
 			return nil, err
 		}
-		return &cachedPlan{plan: plan, epoch: epoch}, nil
+		return &cachedPlan{plan: plan, epoch: epoch, exact: exact}, nil
 	})
 	if hit {
 		s.planHits.Add(1)
@@ -260,9 +261,12 @@ func (s *Service) plan(src string, sp trace.SpanRef) (*core.Plan, []core.ShardMa
 		// of this entry from here on — concurrent first hits included, which
 		// wait here — runs the one lowering, and a new epoch's plan compiles
 		// afresh against the new shard maps. Reuse is proven here, so the
-		// shipped modules are rendered once here too.
+		// shipped modules are rendered once here too. The query normalized
+		// before publication, so lowering cannot fail.
 		entry.reused.Do(func() {
-			s.compile(entry.plan.Query, sp)
+			if _, err := eval.CompileTraced(entry.plan.Query, sp); err == nil {
+				s.evalStats.Add(eval.Stats{Compilations: 1})
+			}
 			retainModules(entry.plan.Query)
 		})
 	} else {
@@ -270,23 +274,13 @@ func (s *Service) plan(src string, sp trace.SpanRef) (*core.Plan, []core.ShardMa
 		sp.Set(trace.Str("cache", "miss"))
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return entry.plan, shards, nil
+	return entry.plan, shards, args, nil
 }
 
 // retainModules is xrpc.RetainModules; tests count its calls through it.
 var retainModules = xrpc.RetainModules
-
-// compile lowers a reused plan's query, counting the lowering into the
-// /metrics feeds. Normalization succeeded before the plan was published, so
-// lowering cannot fail; if it did, the plan would simply be lowered per
-// execution.
-func (s *Service) compile(q *xq.Query, sp trace.SpanRef) {
-	if _, err := eval.CompileTraced(q, sp); err == nil {
-		s.evalStats.Add(eval.Stats{Compilations: 1})
-	}
-}
 
 // Query admits, plans and executes one query under a wall-time budget (the
 // zero budget takes Config.DefaultBudget). Shed queries fail fast with an
@@ -322,7 +316,7 @@ func (s *Service) Query(src string, budget core.Budget) (xdm.Sequence, *peer.Rep
 	defer release()
 	s.admitted.Add(1)
 	psp := root.Child("plan")
-	plan, shards, err := s.plan(src, psp)
+	plan, shards, holes, err := s.plan(src, psp)
 	psp.EndErr(err)
 	if err != nil {
 		s.failed.Add(1)
@@ -336,6 +330,7 @@ func (s *Service) Query(src string, budget core.Budget) (xdm.Sequence, *peer.Rep
 		UseTrace(root)
 	sess.Streamed = s.cfg.Streamed
 	sess.Shards = shards
+	sess.Holes = holes
 	sess.Replicas = s.Replicas
 	sess.AggMetrics = s.xmetrics
 	sess.AggEval = s.evalStats

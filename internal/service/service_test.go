@@ -179,15 +179,22 @@ func TestPlanCacheSingleFlight(t *testing.T) {
 
 	c := newPlanCache(2)
 	boom := errors.New("boom")
-	if _, hit, err := c.load("k", func() (*cachedPlan, error) { return nil, boom }); hit || err != boom {
+	k := []byte("k")
+	if _, hit, err := c.load(k, func() (*cachedPlan, error) { return nil, boom }); hit || err != boom {
 		t.Errorf("failed build: hit=%v err=%v, want the build's own failure", hit, err)
 	}
-	if _, hit, err := c.load("k", func() (*cachedPlan, error) { return &cachedPlan{plan: &core.Plan{}}, nil }); hit || err != nil {
+	if _, hit, err := c.load(k, func() (*cachedPlan, error) { return &cachedPlan{plan: &core.Plan{}, exact: true}, nil }); hit || err != nil {
 		t.Errorf("after a failed build: hit=%v err=%v, want a fresh build (failures are not cached)", hit, err)
 	}
-	if _, hit, _ := c.load("k", nil); !hit {
+	if _, hit, _ := c.load(k, nil); !hit {
 		t.Error("a published build was not cached")
 	}
+}
+
+// distinctShape is query with i+1 items appended: a text of its own shape,
+// which a constant alone would not give it.
+func distinctShape(query string, i int) string {
+	return query + strings.Repeat(", 0", i+1)
 }
 
 // TestPlanCacheReuseCompilesOnce pins the executor policy at the originator:
@@ -197,7 +204,7 @@ func TestPlanCacheSingleFlight(t *testing.T) {
 func TestPlanCacheReuseCompilesOnce(t *testing.T) {
 	s, _, query := newTestService(t, Config{})
 	for i := 0; i < 8; i++ {
-		if _, _, err := s.Query(fmt.Sprintf("%s, %d", query, i), core.Budget{}); err != nil {
+		if _, _, err := s.Query(distinctShape(query, i), core.Budget{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -259,7 +266,7 @@ func TestPlanCacheReuseRetainsModulesOnce(t *testing.T) {
 		for _, e := range s.plans.entries {
 			xq.Walk(e.plan.Query.Body, func(ex xq.Expr) bool {
 				if x, ok := ex.(*xq.XRPCExpr); ok {
-					if x.RetainedModule() != "" {
+					if x.RetainedModule() != nil {
 						retained++
 					} else {
 						rendered++
@@ -280,7 +287,7 @@ func TestPlanCacheReuseRetainsModulesOnce(t *testing.T) {
 
 	s, _, query := newTestService(t, Config{})
 	for i := 0; i < 8; i++ {
-		if _, _, err := s.Query(fmt.Sprintf("%s, %d", query, i), core.Budget{}); err != nil {
+		if _, _, err := s.Query(distinctShape(query, i), core.Budget{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -354,9 +361,9 @@ func TestPlanCacheEviction(t *testing.T) {
 	builds := 0
 	load := func(key string) {
 		t.Helper()
-		if _, _, err := c.load(key, func() (*cachedPlan, error) {
+		if _, _, err := c.load([]byte(key), func() (*cachedPlan, error) {
 			builds++
-			return &cachedPlan{plan: &core.Plan{}}, nil
+			return &cachedPlan{plan: &core.Plan{}, exact: true}, nil
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -517,5 +524,22 @@ for $p in ("p1", "p2") return execute at {$p} { f() }`, core.Budget{})
 	}
 	if w := rep.WinnerReplica["p1"]; w != "r2" {
 		t.Errorf("p1's lane won by %q, want r2 (the replacing map's replica)", w)
+	}
+}
+
+// TestPlanCacheKeepsInexactPlansPrivate: a plan whose holes did not all land
+// on literals serves the query that built it and is never published under
+// its shape key, so the next text of that shape plans afresh.
+func TestPlanCacheKeepsInexactPlansPrivate(t *testing.T) {
+	c := newPlanCache(2)
+	builds := 0
+	build := func() (*cachedPlan, error) { builds++; return &cachedPlan{plan: &core.Plan{}}, nil }
+	for i := 0; i < 2; i++ {
+		if p, hit, err := c.load([]byte("k"), build); p == nil || hit || err != nil {
+			t.Fatalf("load %d: plan %v, hit %v, err %v; want a fresh private plan", i, p, hit, err)
+		}
+	}
+	if builds != 2 || c.Len() != 0 {
+		t.Errorf("%d builds, %d cached; want 2 and 0", builds, c.Len())
 	}
 }

@@ -153,6 +153,7 @@ type Scanner struct {
 	Name, Text  string
 
 	arena   msgArena
+	run     []byte     // a text run split into pieces, joined so far
 	stack   []openElem // Fill's open elements
 	pending []*Node    // their children and attributes so far
 	// The first arrays of the stacks: a shallow text costs no allocation
@@ -388,16 +389,32 @@ func (sc *Scanner) StringValue() (string, error) { return sc.text(true) }
 
 func (sc *Scanner) text(keep bool) (string, error) {
 	v := ""
+	sc.run = sc.run[:0]
 	for d := len(sc.open); ; {
 		switch tok, err := sc.Next(); {
 		case err != nil:
 			return "", err
+		case tok == CharData && keep && v == "" && len(sc.run) == 0:
+			v = sc.Text
 		case tok == CharData && keep:
-			v += sc.Text
+			sc.join(v)
 		case tok == EndTag && len(sc.open) < d:
+			if len(sc.run) > 0 {
+				v = string(sc.run)
+			}
 			return v, nil
 		}
 	}
+}
+
+// join appends the current text piece to the run whose pieces so far are
+// sc.run, or else start: a run split by CDATA sections, PIs or directives
+// is built in one buffer, each piece copied once.
+func (sc *Scanner) join(start string) {
+	if len(sc.run) == 0 {
+		sc.run = append(sc.run, start...)
+	}
+	sc.run = append(sc.run, sc.Text...)
 }
 
 // Fill builds the content of the element whose StartTag was just read,
@@ -412,10 +429,15 @@ func (sc *Scanner) fill(root *Node, top bool) error {
 	ar := &sc.arena
 	stack, pending := append(sc.stack[:0], openElem{el: root}), sc.pending[:0]
 	defer func() { sc.stack, sc.pending = stack[:0], pending[:0] }()
+	sc.run = sc.run[:0]
 	for {
 		tok, err := sc.Next()
 		if err != nil {
 			return err
+		}
+		if tok != CharData && len(sc.run) > 0 { // the split run ended
+			pending[len(pending)-1].Text = string(sc.run)
+			sc.run = sc.run[:0]
 		}
 		cur := &stack[len(stack)-1]
 		switch tok {
@@ -423,7 +445,7 @@ func (sc *Scanner) fill(root *Node, top bool) error {
 			if k := len(pending); top && len(stack) == 1 && strings.TrimSpace(sc.Text) == "" {
 				continue // whitespace outside the document element
 			} else if k > cur.mark && pending[k-1].Kind == TextNode {
-				pending[k-1].Text += sc.Text // a PI, directive or CDATA split the run
+				sc.join(pending[k-1].Text) // a PI, directive or CDATA split the run
 				continue
 			}
 			pending = append(pending, ar.take(TextNode, "", sc.Text))

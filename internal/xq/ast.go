@@ -81,8 +81,13 @@ var AnyItems = SeqType{Item: "item()", Occur: OccurStar}
 // Expr is any expression node.
 type Expr interface{ exprNode() }
 
-// Literal is a string, integer, decimal or boolean literal.
-type Literal struct{ Val xdm.Atomic }
+// Literal is a string, integer, decimal or boolean literal. In a template
+// (ParseTemplate) a holed literal reads argument Hole-1 of the run's vector,
+// and Val is the value of the text it was parsed from; Hole is 0 otherwise.
+type Literal struct {
+	Val  xdm.Atomic
+	Hole int
+}
 
 // VarRef is a variable reference $name.
 type VarRef struct{ Name string }
@@ -473,20 +478,15 @@ type XRPCExpr struct {
 	// module retains the rendered shipped declaration once a cache has proven
 	// the expression reused (see xrpc.RetainModules); concurrent executions of
 	// a cached plan read it while its first hit stores it.
-	module atomic.Pointer[string]
+	module atomic.Pointer[Template]
 }
 
-// RetainedModule returns the shipped declaration retained for x, or "" when
+// RetainedModule returns the shipped declaration retained for x, or nil when
 // none was retained and every call renders its own.
-func (x *XRPCExpr) RetainedModule() string {
-	if m := x.module.Load(); m != nil {
-		return *m
-	}
-	return ""
-}
+func (x *XRPCExpr) RetainedModule() *Template { return x.module.Load() }
 
 // RetainModule stores the shipped declaration every later call of x sends.
-func (x *XRPCExpr) RetainModule(text string) { x.module.Store(&text) }
+func (x *XRPCExpr) RetainModule(t *Template) { x.module.Store(t) }
 
 // XRPCParam is `$Name := $Ref` (rule 28): the remote body sees $Name bound
 // to the value of the caller's variable $Ref.

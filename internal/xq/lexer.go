@@ -2,7 +2,10 @@ package xq
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+
+	"distxq/internal/xdm"
 )
 
 // TokKind classifies lexer tokens.
@@ -200,6 +203,14 @@ func (l *lexer) next() (Token, error) {
 func (l *lexer) scanString(quote byte) (Token, error) {
 	start := l.pos
 	l.pos++ // opening quote
+	// A literal without escapes is a slice of the source.
+	if end := strings.IndexByte(l.src[l.pos:], quote); end >= 0 {
+		body := l.src[l.pos : l.pos+end]
+		if !strings.Contains(body, "&") && (l.pos+end+1 >= len(l.src) || l.src[l.pos+end+1] != quote) {
+			l.pos += end + 1
+			return Token{Kind: TString, Text: body, Pos: start, End: l.pos}, nil
+		}
+	}
 	var sb strings.Builder
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
@@ -287,4 +298,23 @@ func (l *lexer) scanQName() string {
 		}
 	}
 	return l.src[start:l.pos]
+}
+
+// literalValue is the value of a string or numeric literal token.
+func literalValue(t Token) (xdm.Atomic, error) {
+	switch t.Kind {
+	case TString:
+		return xdm.NewString(t.Text), nil
+	case TInteger:
+		i, err := strconv.ParseInt(t.Text, 10, 64)
+		if err != nil {
+			return xdm.Atomic{}, fmt.Errorf("bad integer literal %s", t.Text)
+		}
+		return xdm.NewInteger(i), nil
+	}
+	f, err := strconv.ParseFloat(t.Text, 64)
+	if err != nil {
+		return xdm.Atomic{}, fmt.Errorf("bad numeric literal %s", t.Text)
+	}
+	return xdm.NewDouble(f), nil
 }

@@ -1,7 +1,6 @@
 package xq
 
 import (
-	"strconv"
 	"strings"
 
 	"distxq/internal/xdm"
@@ -84,11 +83,33 @@ type parser struct {
 	depth  int // AST level of the expression being parsed
 	deep   int // deepest level the measured expression reaches
 	parens int // open parenthesized expressions
+	// holes holds the byte offsets of the literal tokens AppendShapeKey
+	// holed, in order; hole counts those marked so far.
+	holes []int
+	hole  int
 }
 
 // ParseQuery parses a full query: prolog function declarations then the body.
 func ParseQuery(src string) (*Query, error) {
-	p := &parser{lex: lexer{src: src}}
+	q, _, err := parseQuery(src, nil)
+	return q, err
+}
+
+// ParseTemplate parses src+tail and marks each literal of src that
+// AppendShapeKey holes with its 1-based index into the argument vector
+// (Literal.Hole). exact reports that every hole landed on a literal: only
+// then may the parse serve every text of src's shape key.
+func ParseTemplate(src, tail string) (q *Query, exact bool, err error) {
+	var holes []int
+	shape(nil, src, &holes)
+	q, marked, err := parseQuery(src+tail, holes)
+	return q, err == nil && marked == len(holes), err
+}
+
+// parseQuery parses src, marking the literals at the byte offsets holes, and
+// returns how many it marked.
+func parseQuery(src string, holes []int) (*Query, int, error) {
+	p := &parser{lex: lexer{src: src}, holes: holes}
 	p.advance()
 	q := &Query{}
 	for p.is("declare") {
@@ -99,9 +120,9 @@ func ParseQuery(src string) (*Query, error) {
 		p.fail("unexpected %s after query body", p.tok)
 	}
 	if p.err != nil {
-		return nil, p.err
+		return nil, 0, p.err
 	}
-	return q, nil
+	return q, p.hole, nil
 }
 
 func (p *parser) advance() {
@@ -609,23 +630,18 @@ func (p *parser) preds(st *Step) {
 
 func (p *parser) primary() Expr {
 	switch t := p.tok; t.Kind {
-	case TString:
-		p.advance()
-		return &Literal{Val: xdm.NewString(t.Text)}
-	case TInteger:
-		i, err := strconv.ParseInt(t.Text, 10, 64)
+	case TString, TInteger, TDecimal:
+		v, err := literalValue(t)
 		if err != nil {
-			p.fail("bad integer literal %s", t.Text)
+			p.fail("%v", err)
 		}
 		p.advance()
-		return &Literal{Val: xdm.NewInteger(i)}
-	case TDecimal:
-		f, err := strconv.ParseFloat(t.Text, 64)
-		if err != nil {
-			p.fail("bad numeric literal %s", t.Text)
+		lit := &Literal{Val: v}
+		if p.hole < len(p.holes) && p.holes[p.hole] == t.Pos {
+			p.hole++
+			lit.Hole = p.hole
 		}
-		p.advance()
-		return &Literal{Val: xdm.NewDouble(f)}
+		return lit
 	case TVar:
 		p.advance()
 		return &VarRef{Name: t.Text}

@@ -2,6 +2,8 @@ package xq
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 
 	"distxq/internal/xdm"
@@ -9,18 +11,69 @@ import (
 
 // PrintQuery renders a full query with its prolog.
 func PrintQuery(q *Query) string {
-	var sb strings.Builder
+	var sb printer
 	for _, f := range q.Funcs {
-		sb.WriteString(PrintFuncDecl(f))
+		sb.funcDecl(f)
 		sb.WriteString("\n")
 	}
 	printExpr(&sb, q.Body, false)
 	return sb.String()
 }
 
-// PrintFuncDecl renders one function declaration.
-func PrintFuncDecl(f *FuncDecl) string {
+// FuncDeclTemplate renders one function declaration as a template whose
+// holes are its holed literals.
+func FuncDeclTemplate(f *FuncDecl) *Template {
+	sb := printer{record: true}
+	sb.funcDecl(f)
+	return &Template{Text: sb.String(), splices: sb.splices}
+}
+
+// Template is printed source text with holes: the spans where holed
+// literals were printed.
+type Template struct {
+	Text    string
+	splices []splice
+}
+
+// splice is where the literal of argument hole, val, was printed:
+// Text[start:end].
+type splice struct {
+	start, end, hole int
+	val              xdm.Atomic
+}
+
+// Render returns the text with each hole's span replaced by its argument
+// printed as a literal — the text printing the AST with those values gives.
+// Nil args, or the values printed, render Text itself; a nil template
+// renders "".
+func (t *Template) Render(args []xdm.Atomic) string {
+	if t == nil {
+		return ""
+	}
+	if args == nil || !slices.ContainsFunc(t.splices, func(s splice) bool { return !Same(args[s.hole], s.val) }) {
+		return t.Text
+	}
 	var sb strings.Builder
+	sb.Grow(len(t.Text) + 8*len(t.splices))
+	last := 0
+	for _, s := range t.splices {
+		sb.WriteString(t.Text[last:s.start])
+		printLiteral(&sb, args[s.hole])
+		last = s.end
+	}
+	sb.WriteString(t.Text[last:])
+	return sb.String()
+}
+
+// printer accumulates printed source text; when recording, it notes where
+// each holed literal went.
+type printer struct {
+	strings.Builder
+	record  bool
+	splices []splice
+}
+
+func (sb *printer) funcDecl(f *FuncDecl) {
 	sb.WriteString("declare function ")
 	sb.WriteString(f.Name)
 	sb.WriteString("(")
@@ -36,19 +89,22 @@ func PrintFuncDecl(f *FuncDecl) string {
 	sb.WriteString(") as ")
 	sb.WriteString(f.Return.String())
 	sb.WriteString(" { ")
-	printExpr(&sb, f.Body, false)
+	printExpr(sb, f.Body, false)
 	sb.WriteString(" };")
-	return sb.String()
 }
 
 // printExpr writes e; paren requests parenthesization when e is a binary or
 // flow expression appearing in an operand position.
-func printExpr(sb *strings.Builder, e Expr, paren bool) {
+func printExpr(sb *printer, e Expr, paren bool) {
 	switch v := e.(type) {
 	case nil:
 		sb.WriteString("()")
 	case *Literal:
-		printLiteral(sb, v.Val)
+		start := sb.Len()
+		printLiteral(&sb.Builder, v.Val)
+		if sb.record && v.Hole > 0 {
+			sb.splices = append(sb.splices, splice{start, sb.Len(), v.Hole - 1, v.Val})
+		}
 	case *VarRef:
 		sb.WriteString("$")
 		sb.WriteString(v.Name)
@@ -249,13 +305,13 @@ func printExpr(sb *strings.Builder, e Expr, paren bool) {
 	}
 }
 
-func open(sb *strings.Builder, paren bool) {
+func open(sb *printer, paren bool) {
 	if paren {
 		sb.WriteString("(")
 	}
 }
 
-func clos(sb *strings.Builder, paren bool) {
+func clos(sb *printer, paren bool) {
 	if paren {
 		sb.WriteString(")")
 	}
@@ -278,7 +334,7 @@ func printLiteral(sb *strings.Builder, a xdm.Atomic) {
 	}
 }
 
-func printPath(sb *strings.Builder, pe *PathExpr, paren bool) {
+func printPath(sb *printer, pe *PathExpr, paren bool) {
 	open(sb, paren)
 	first := true
 	if pe.Input != nil {
@@ -308,3 +364,7 @@ func printPath(sb *strings.Builder, pe *PathExpr, paren bool) {
 	}
 	clos(sb, paren)
 }
+
+// Same reports whether a and b are one value printed alike: equal, zeros of
+// one sign included.
+func Same(a, b xdm.Atomic) bool { return a == b && math.Signbit(a.F) == math.Signbit(b.F) }

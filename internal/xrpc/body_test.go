@@ -201,7 +201,7 @@ for $i in (1, 2) return execute at {"a"} { f($i) }`)
 		t.Fatal(err)
 	}
 	RetainModules(q)
-	if x.RetainedModule() == "" {
+	if x.RetainedModule() == nil {
 		t.Fatal("RetainModules left the call without a module")
 	}
 	after, _, err := cl.marshalCall(context.Background(), "a", x, calls, trace.SpanRef{})
@@ -212,7 +212,7 @@ for $i in (1, 2) return execute at {"a"} { f($i) }`)
 	nested := &xq.XRPCExpr{FuncName: "outer", Body: &xq.XRPCExpr{FuncName: "inner", Body: &xq.Literal{Val: xdm.NewInteger(1)}}}
 	unnamed := &xq.XRPCExpr{Body: &xq.Literal{Val: xdm.NewInteger(1)}}
 	RetainModules(&xq.Query{Body: &xq.SeqExpr{Items: []xq.Expr{nested, unnamed}}})
-	if nested.RetainedModule() != "" || nested.Body.(*xq.XRPCExpr).RetainedModule() != "" || unnamed.RetainedModule() != "" {
+	if nested.RetainedModule() != nil || nested.Body.(*xq.XRPCExpr).RetainedModule() != nil || unnamed.RetainedModule() != nil {
 		t.Error("a nested-remote or unnamed call retained a module")
 	}
 	if _, _, err := cl.marshalCall(context.Background(), "a", nested, calls, trace.SpanRef{}); !errors.Is(err, errNestedRemote) {

@@ -186,6 +186,10 @@ type Client struct {
 	Transport Transport
 	Semantics Semantics
 	Static    eval.StaticContext
+	// Holes is the argument vector of the template query the client's calls
+	// come from (eval.Engine.Holes): shipped modules print their holes with
+	// these values. Nil prints each literal's own.
+	Holes []xdm.Atomic
 	// Relatives carries the §VI-B relative projection paths per decomposed
 	// XRPCExpr; the planner fills it for pass-by-projection.
 	Relatives map[*xq.XRPCExpr]projection.RelativePaths
@@ -389,7 +393,7 @@ func (c *Client) CallRemoteScatter(x *xq.XRPCExpr, batches []eval.ScatterBatch) 
 // returns its own spans.
 func (c *Client) marshalCall(ctx context.Context, target string, x *xq.XRPCExpr, iterations [][]xdm.Sequence, sp trace.SpanRef) (data []byte, serNS int64, err error) {
 	name, module := x.FuncName, x.RetainedModule()
-	if module == "" {
+	if module == nil {
 		if containsRemote(x.Body) {
 			return nil, 0, errNestedRemote
 		}
@@ -402,7 +406,7 @@ func (c *Client) marshalCall(ctx context.Context, target string, x *xq.XRPCExpr,
 		Method:    name,
 		Arity:     len(x.Params),
 		Semantics: c.Semantics,
-		Module:    module,
+		Module:    module.Render(c.Holes),
 		Static:    c.Static,
 		Calls:     iterations,
 	}
@@ -513,7 +517,8 @@ var errNestedRemote = errors.New("xrpc: shipped function body contains a nested 
 	"the decomposer never generates these (fcn0 stays local)")
 
 // RetainModules renders, once, the shipped declaration of every XRPC call in
-// q and retains it on the call, so later requests skip the print and the
+// q and retains it on the call as a template, so later requests only splice
+// in their holes' values (Client.Holes) and skip the print and the
 // nested-remote walk. Only a cache that has proven q reused should call it
 // (the service does on a plan's first hit): a plan executed once pays the
 // rendering per call and keeps nothing. Calls without a stable FuncName, or
@@ -537,7 +542,7 @@ func RetainModules(q *xq.Query) {
 
 // shipModule renders the self-contained function declaration shipped in the
 // request's module element.
-func shipModule(x *xq.XRPCExpr, name string) string {
+func shipModule(x *xq.XRPCExpr, name string) *xq.Template {
 	f := &xq.FuncDecl{Name: name, Return: xq.AnyItems, Body: x.Body}
 	for i, par := range x.Params {
 		typ := xq.AnyItems
@@ -546,7 +551,7 @@ func shipModule(x *xq.XRPCExpr, name string) string {
 		}
 		f.Params = append(f.Params, xq.Param{Name: par.Name, Type: typ})
 	}
-	return xq.PrintFuncDecl(f)
+	return xq.FuncDeclTemplate(f)
 }
 
 func containsRemote(e xq.Expr) bool {

@@ -444,6 +444,12 @@ type decoder struct {
 	// scanner merges adjacent text runs, so plain preorder matches the
 	// encoder's canonical numbering.
 	tables [][]*xdm.Node
+	// left counts the items of the current sequence not yet decoded; copies
+	// and copyURIs hold the documents its by-value copies fill, cut from one
+	// slab sized by the items left when the first copy arrives.
+	left     int
+	copies   xdm.Documents
+	copyURIs docURIs
 }
 
 // attr returns the current start tag's attribute name, def when it has none.
@@ -575,7 +581,7 @@ func (d *decoder) payload(refs string, f func(name string) error) error {
 // document, all of them cut from one slab.
 func (d *decoder) fragments(name string) error {
 	k := d.sc.Reserve("<" + strings.TrimSuffix(name, "s"))
-	docs, uris := make(xdm.Documents, k), newFragmentURIs(k)
+	docs, uris := make(xdm.Documents, k), newDocURIs(fragmentURIPrefix, k)
 	d.frags = make([]*xdm.Node, 0, k)
 	return d.children(func(name string) error {
 		if localName(name) != "fragment" {
@@ -637,6 +643,7 @@ func (d *decoder) sequence(name string) (xdm.Sequence, error) {
 		out = make(xdm.Sequence, 0, n)
 	}
 	err := d.children(func(name string) error {
+		d.left = n - len(out)
 		it, err := d.item(name)
 		out = append(out, it)
 		return err
@@ -694,7 +701,8 @@ func (d *decoder) ref(local string) (xdm.Item, error) {
 
 // valueCopy materializes the pass-by-value item just started as its own
 // document (each parameter is a separate XML fragment — exactly the
-// semantics whose consequences §II catalogues).
+// semantics whose consequences §II catalogues), cut from the sequence's
+// slab.
 func (d *decoder) valueCopy(local string) (xdm.Item, error) {
 	base := d.attr("base-uri", "")
 	if local == "attribute" {
@@ -702,7 +710,11 @@ func (d *decoder) valueCopy(local string) (xdm.Item, error) {
 		a.BaseURI = base
 		return a, d.sc.Skip()
 	}
-	doc := xdm.NewDocument(valueDocURI())
+	if len(d.copies) == 0 {
+		k := max(d.left, 1)
+		d.copies, d.copyURIs = make(xdm.Documents, k), newDocURIs(valueURIPrefix, k)
+	}
+	doc := d.copies.New(d.copyURIs.next())
 	if local == "text" || local == "comment" {
 		s, err := d.sc.StringValue()
 		var n *xdm.Node
@@ -776,34 +788,39 @@ func (d *decoder) fault() (*Fault, error) {
 	}
 }
 
-const fragmentURIPrefix = "xrpc-fragment://"
+// The URI schemes of decoded documents: shipped fragments and by-value
+// copies.
+const (
+	fragmentURIPrefix = "xrpc-fragment://"
+	valueURIPrefix    = "xrpc-value://"
+)
 
-// fragmentURIs hands out the URIs of a message's fragment documents,
-// numbered consecutively from the process-wide sequence and cut from one
-// string for the n fragments the message is expected to hold.
-type fragmentURIs struct {
-	rest string
-	id   uint64
+// docURIs hands out the URIs of a message's decoded documents, numbered
+// consecutively from the process-wide sequence and cut from one string for
+// the n documents expected.
+type docURIs struct {
+	prefix, rest string
+	id           uint64
 }
 
-func newFragmentURIs(n int) fragmentURIs {
+func newDocURIs(prefix string, n int) docURIs {
 	last := decodedDocSeq.Add(uint64(n))
-	u := fragmentURIs{id: last - uint64(n) + 1}
-	b := make([]byte, 0, n*(len(fragmentURIPrefix)+decimalWidth(last)))
+	u := docURIs{prefix: prefix, id: last - uint64(n) + 1}
+	b := make([]byte, 0, n*(len(prefix)+decimalWidth(last)))
 	for id := u.id; id <= last; id++ {
-		b = strconv.AppendUint(append(b, fragmentURIPrefix...), id, 10)
+		b = strconv.AppendUint(append(b, prefix...), id, 10)
 	}
 	u.rest = string(b)
 	return u
 }
 
-// next returns the next URI; a fragment beyond the expected ones gets its
+// next returns the next URI; a document beyond the expected ones gets its
 // own number.
-func (u *fragmentURIs) next() string {
+func (u *docURIs) next() string {
 	if u.rest == "" {
-		return fragmentURIPrefix + strconv.FormatUint(decodedDocSeq.Add(1), 10)
+		return u.prefix + strconv.FormatUint(decodedDocSeq.Add(1), 10)
 	}
-	w := len(fragmentURIPrefix) + decimalWidth(u.id)
+	w := len(u.prefix) + decimalWidth(u.id)
 	uri := u.rest[:w]
 	u.rest = u.rest[w:]
 	u.id++
@@ -816,9 +833,4 @@ func decimalWidth(v uint64) int {
 		w++
 	}
 	return w
-}
-
-// valueDocURI names the document of one decoded pass-by-value copy.
-func valueDocURI() string {
-	return "xrpc-value://" + strconv.FormatUint(decodedDocSeq.Add(1), 10)
 }

@@ -88,6 +88,12 @@ func TestCodecAllocationCeilings(t *testing.T) {
 	if doc, err := xdm.ParseBytes(reqData, "req"); err != nil || doc.NodeCount() != 18 {
 		t.Fatalf("request fixture: %v, %d nodes, want 18", err, doc.NodeCount())
 	}
+	byValue := scatterResponse(t, 50)
+	byValue.Semantics = ByValue
+	copiesData, err := MarshalResponse(byValue, nil, nil, projection.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Logf("response %d B, request %d B", len(respData), len(reqData))
 	annPaths := mustPaths(t, annotationPaths)
 	marshalProjected := func(resp *Response) func() {
@@ -109,6 +115,11 @@ func TestCodecAllocationCeilings(t *testing.T) {
 		}},
 		{"parse 58-fragment response", 15, func() { // measured 11: the tree-walking decoder needed 71, 58 of them documents
 			if _, err := ParseResponse(respData); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"parse 50-copy by-value response", 14, func() { // measured 10 (a document, root array and URI apiece: 157)
+			if _, err := ParseResponse(copiesData); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -185,6 +196,58 @@ func TestDecodeByteCeilings(t *testing.T) {
 			t.Errorf("%s: %d B, ceiling %d B", tc.name, got, tc.ceiling)
 		} else {
 			t.Logf("%s: %d B", tc.name, got)
+		}
+	}
+}
+
+// TestSplitTextDecodesLinear: a text run split into 40 000 CDATA sections —
+// in an atomic value and in a shipped fragment — decodes to the joined
+// string in bytes linear in the message (each piece is copied once into one
+// buffer, not the whole run again per piece).
+func TestSplitTextDecodesLinear(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark-based")
+	}
+	const pieces = 40000
+	want := strings.Repeat("x", pieces)
+	doc, err := xdm.ParseString(`<a>MARK</a>`, "t.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, resp := range []*Response{
+		{Semantics: ByValue, Results: []xdm.Sequence{{xdm.NewString("MARK")}}},
+		{Semantics: ByFragment, Results: []xdm.Sequence{{doc.DocElem()}}},
+	} {
+		data, err := MarshalResponse(resp, nil, nil, projection.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = []byte(strings.Replace(string(data), "MARK", strings.Repeat("<![CDATA[x]]>", pieces), 1))
+		got, err := ParseResponse(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var text string
+		switch it := got.Results[0][0].(type) {
+		case xdm.Atomic:
+			text = it.S
+		case *xdm.Node:
+			text = it.StringValue()
+		}
+		if text != want {
+			t.Fatalf("%s: decoded %d bytes, want the %d joined pieces", resp.Semantics, len(text), pieces)
+		}
+		bytes := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, _ = ParseResponse(data)
+			}
+		}).AllocedBytesPerOp()
+		if bytes > 4*int64(len(data)) {
+			t.Errorf("%s: a %d B message of %d CDATA sections decodes in %d B, want at most 4× its size",
+				resp.Semantics, len(data), pieces, bytes)
+		} else {
+			t.Logf("%s: a %d B message decodes in %d B", resp.Semantics, len(data), bytes)
 		}
 	}
 }

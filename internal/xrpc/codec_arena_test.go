@@ -11,6 +11,7 @@ import (
 	"distxq/internal/eval"
 	"distxq/internal/projection"
 	"distxq/internal/xdm"
+	"distxq/internal/xq"
 )
 
 // TestAdoptedFragmentsKeepStructure: the decoder fills each fragment's
@@ -164,9 +165,17 @@ func TestHandlePatchesSerdeInPlace(t *testing.T) {
 	}
 }
 
-// countingModule is a shipped module whose text differs per n.
+// countingModule is a shipped module whose shape differs per n: its
+// variable's name does (the cache keys on shapes, and the constant alone is
+// a hole).
 func countingModule(n int) string {
-	return fmt.Sprintf(`declare function f() as item()* { %d };`, n)
+	return fmt.Sprintf(`declare function f() as item()* { let $v%d := %d return $v%d };`, n, n, n)
+}
+
+// shapeOf is the module-cache key of module text src.
+func shapeOf(src string) []byte {
+	key, _ := xq.AppendShapeKey(nil, src)
+	return key
 }
 
 // TestModuleCacheParsesOnce: the same module shipped again is served from
@@ -177,15 +186,15 @@ func countingModule(n int) string {
 func TestModuleCacheParsesOnce(t *testing.T) {
 	srv := Server{Engine: eval.NewEngine(nil)}
 	src := countingModule(1)
-	q1, err := srv.module(src)
+	q1, _, err := srv.module(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q2, err := srv.module(src) // second sighting: admitted
+	q2, _, err := srv.module(src) // second sighting: admitted
 	if err != nil {
 		t.Fatal(err)
 	}
-	q3, err := srv.module(src)
+	q3, _, err := srv.module(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,13 +214,13 @@ func TestModuleCacheParsesOnce(t *testing.T) {
 		t.Errorf("%d compilations after three sendings of one module, want 1 (at admission)", c)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := srv.module(`declare function f( {`); err == nil || !strings.Contains(err.Error(), "does not parse") {
+		if _, _, err := srv.module(`declare function f( {`); err == nil || !strings.Contains(err.Error(), "does not parse") {
 			t.Fatalf("unparsable module: %v", err)
 		}
 	}
 	dup := `declare function f() as item()* { 1 }; declare function f() as item()* { 2 };`
 	for i := 0; i < 3; i++ {
-		q, err := srv.module(dup)
+		q, _, err := srv.module(dup)
 		if err != nil {
 			t.Fatalf("a module that fails to normalize must still be handed to evaluation: %v", err)
 		}
@@ -247,7 +256,7 @@ func TestModuleCacheCopiesAdmittedText(t *testing.T) {
 		if req, err = ParseRequest(data); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := srv.module(req.Module); err != nil {
+		if _, _, err := srv.module(req.Module); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -275,7 +284,7 @@ func TestModuleCacheBounded(t *testing.T) {
 	srv := Server{Engine: eval.NewEngine(nil)}
 	for i := 0; i < 1000; i++ {
 		for rep := 0; rep < 2; rep++ {
-			if _, err := srv.module(countingModule(i)); err != nil {
+			if _, _, err := srv.module(countingModule(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -286,10 +295,10 @@ func TestModuleCacheBounded(t *testing.T) {
 	if n := len(srv.modules.entries); n != moduleCacheSize {
 		t.Errorf("cache holds %d modules, want a full %d", n, moduleCacheSize)
 	}
-	if srv.modules.get(countingModule(999)) == nil || srv.modules.get(countingModule(1000-moduleCacheSize)) == nil {
+	if srv.modules.get(shapeOf(countingModule(999))) == nil || srv.modules.get(shapeOf(countingModule(1000-moduleCacheSize))) == nil {
 		t.Error("the most recent modules are not cached")
 	}
-	if srv.modules.get(countingModule(1000-moduleCacheSize-1)) != nil {
+	if srv.modules.get(shapeOf(countingModule(1000-moduleCacheSize-1))) != nil {
 		t.Error("the oldest module survived eviction")
 	}
 	for src, q := range srv.modules.entries {
@@ -305,7 +314,7 @@ func TestModuleCacheBounded(t *testing.T) {
 	cold := Server{Engine: eval.NewEngine(nil)}
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 4*moduleCacheSize; i++ {
-			if _, err := cold.module(countingModule(i)); err != nil {
+			if _, _, err := cold.module(countingModule(i)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -294,7 +294,7 @@ func decodeFragments(fragsEl *xdm.Node) (*decodeState, error) {
 	n := len(fragsEl.Children)
 	st.fragRoots = make([]*xdm.Node, 0, n)
 	st.fragDocs = make([]*xdm.Document, 0, n)
-	uris := newFragmentURIs(n)
+	uris := newDocURIs(fragmentURIPrefix, n)
 	for _, f := range fragsEl.Children {
 		if f.Kind != xdm.ElementNode {
 			continue
@@ -460,4 +460,10 @@ func attrOr(n *xdm.Node, name, def string) string {
 		return a.Text
 	}
 	return def
+}
+
+// valueDocURI names the document of one pass-by-value copy the reference
+// decoder builds.
+func valueDocURI() string {
+	return valueURIPrefix + strconv.FormatUint(decodedDocSeq.Add(1), 10)
 }

@@ -4,13 +4,14 @@ import (
 	"fmt"
 	"hash/maphash"
 	"slices"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"distxq/internal/eval"
 	"distxq/internal/projection"
 	"distxq/internal/trace"
+	"distxq/internal/xdm"
 	"distxq/internal/xq"
 )
 
@@ -35,50 +36,75 @@ type Server struct {
 	modules moduleCache
 }
 
-// moduleCacheSize bounds the shipped modules a server keeps parsed and
-// compiled. An originator ships one module per execute-at site of the
-// queries it runs, so a peer serving a handful of query shapes hits every
-// time.
+// moduleCacheSize bounds the shipped module shapes a server keeps parsed
+// and compiled. An originator ships one module per execute-at site of the
+// query templates it runs, so a peer serving a handful of them hits every
+// time, whatever constants their texts carry.
 const moduleCacheSize = 32
 
-// moduleCache memoizes shipped modules, parsed, normalized and compiled, by
-// source text, evicting oldest-first. Only normalized queries are published:
-// xq.Normalize rewrites the AST in place until it has succeeded once, so a
-// raw parse shared between concurrent requests would race. A text is
-// admitted on its second sighting — a cached module keeps its tree and its
-// compiled program alive, and a peer answering ad-hoc queries that never
-// repeat should retain none of them. That second sighting is also the proof
-// of reuse that pays for lowering: a module compiles once, at admission, so
-// every cache hit runs the retained Program, and a module seen once leaves
-// nothing behind — Handle and HandleStream lower it for that one request.
+// moduleCache memoizes shipped modules, parsed as templates
+// (xq.ParseTemplate), normalized and compiled, by shape key
+// (xq.AppendShapeKey), evicting oldest-first: two modules that differ only
+// in the values of their holed literals share one entry, and each request
+// binds its own values. Only normalized queries
+// are published: xq.Normalize rewrites the AST in place until it has
+// succeeded once, so a raw parse shared between concurrent requests would
+// race. A shape is admitted on its second sighting — a cached module keeps
+// its tree and its compiled program alive, and a peer answering ad-hoc
+// queries that never repeat should retain none of them. That second
+// sighting is also the proof of reuse that pays for lowering: a module
+// compiles once, at admission, so every cache hit runs the retained
+// Program, and a module seen once leaves nothing behind — Handle and
+// HandleStream lower it for that one request.
 type moduleCache struct {
 	mu sync.Mutex
-	// entries maps a text to its published module; a nil value is the claim
-	// of an admission still compiling (a miss to everyone else).
+	// entries maps a shape key to its published module; a nil value is the
+	// claim of an admission still compiling (a miss to everyone else).
 	entries map[string]*xq.Query
 	ring    []string // insertion order; ring[next] is the oldest once full
 	next    int
-	// seen holds the hashes of the texts most recently refused admission.
+	// seen holds the hashes of the keys most recently refused admission.
 	seen     [moduleCacheSize]uint64
 	seenNext int
+
+	hits, misses, admissions, evictions atomic.Int64
+}
+
+// ModuleCacheStats counts a server's module-cache lookups: hits ran a
+// retained module, misses parsed the shipped text; admissions published a
+// shape on its second sighting and evictions dropped the oldest.
+type ModuleCacheStats struct {
+	Hits, Misses, Admissions, Evictions int64
+}
+
+// ModuleCacheStats returns the server's module-cache counters.
+func (s *Server) ModuleCacheStats() ModuleCacheStats {
+	c := &s.modules
+	return ModuleCacheStats{c.hits.Load(), c.misses.Load(), c.admissions.Load(), c.evictions.Load()}
 }
 
 var moduleHashSeed = maphash.MakeSeed()
 
-func (c *moduleCache) get(src string) *xq.Query {
+func (c *moduleCache) get(key []byte) *xq.Query {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.entries[src]
+	q := c.entries[string(key)]
+	c.mu.Unlock()
+	if q != nil {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
+	return q
 }
 
-// admit publishes q, compiled on eng's account, as the parsed form of src if
-// src was seen before, and remembers the sighting otherwise. The lowering
-// runs outside the lock, behind a claim on the entry, so concurrent misses
-// of one text compile it once.
-func (c *moduleCache) admit(src string, q *xq.Query, eng *eval.Engine) {
-	h := maphash.String(moduleHashSeed, src)
+// admit publishes q, compiled on eng's account, as the template of shape
+// key if the key was seen before, and remembers the sighting otherwise. The
+// lowering runs outside the lock, behind a claim on the entry, so concurrent
+// misses of one shape compile it once.
+func (c *moduleCache) admit(key string, q *xq.Query, eng *eval.Engine) {
+	h := maphash.String(moduleHashSeed, key)
 	c.mu.Lock()
-	if _, ok := c.entries[src]; ok {
+	if _, ok := c.entries[key]; ok {
 		c.mu.Unlock()
 		return // a concurrent miss published (or is compiling) it
 	}
@@ -88,48 +114,53 @@ func (c *moduleCache) admit(src string, q *xq.Query, eng *eval.Engine) {
 		c.mu.Unlock()
 		return
 	}
-	// The text aliases the one string copy of its request, which a cached
-	// key would pin: the cache keeps a copy of its own.
-	src = strings.Clone(src)
 	if c.entries == nil {
 		c.entries = make(map[string]*xq.Query)
 		c.ring = make([]string, moduleCacheSize)
 	}
 	if len(c.entries) == moduleCacheSize {
 		delete(c.entries, c.ring[c.next])
+		c.evictions.Add(1)
 	}
-	c.ring[c.next] = src
+	c.ring[c.next] = key
 	c.next = (c.next + 1) % moduleCacheSize
-	c.entries[src] = nil
+	c.entries[key] = nil
+	c.admissions.Add(1)
 	c.mu.Unlock()
 	// q is normalized, so lowering cannot fail; if it did, q would be
 	// published without a Program and be lowered per request.
 	_, _ = eng.Compile(q)
 	c.mu.Lock()
-	if _, ok := c.entries[src]; ok { // unless evicted while compiling
-		c.entries[src] = q
+	if _, ok := c.entries[key]; ok { // unless evicted while compiling
+		c.entries[key] = q
 	}
 	c.mu.Unlock()
 }
 
-// module returns the parsed, normalized form of a shipped module — from the
-// cache, carrying its Program, once the same text has been shipped twice.
-func (s *Server) module(src string) (*xq.Query, error) {
-	if q := s.modules.get(src); q != nil {
-		return q, nil
+// module returns the parsed, normalized form of a shipped module and the
+// argument vector its holes read — from the cache, carrying its Program,
+// once a module of the same shape has been shipped twice.
+func (s *Server) module(src string) (*xq.Query, []xdm.Atomic, error) {
+	var buf [256]byte
+	key, args := xq.AppendShapeKey(buf[:0], src)
+	if q := s.modules.get(key); q != nil {
+		return q, args, nil
 	}
-	q, err := xq.ParseQuery(src + "\n0")
+	q, exact, err := xq.ParseTemplate(src, "\n0")
 	if err != nil {
-		return nil, fmt.Errorf("xrpc: shipped module does not parse: %w", err)
+		return nil, nil, fmt.Errorf("xrpc: shipped module does not parse: %w", err)
 	}
 	if xq.Normalize(q) != nil {
 		// Not cacheable. Evaluation normalizes again and reports the failure
 		// as it always has — from an untouched parse, since a failed
 		// Normalize leaves the tree half rewritten.
-		return xq.ParseQuery(src + "\n0")
+		q, err = xq.ParseQuery(src + "\n0")
+		return q, nil, err
 	}
-	s.modules.admit(src, q, s.Engine)
-	return q, nil
+	if exact {
+		s.modules.admit(string(key), q, s.Engine)
+	}
+	return q, args, nil
 }
 
 var _ Handler = (*Server)(nil)
@@ -137,26 +168,26 @@ var _ StreamHandler = (*Server)(nil)
 
 // prepare shreds the request message and compiles the shipped module — the
 // common front half of Handle and HandleStream.
-func (s *Server) prepare(request []byte) (req *Request, q *xq.Query, static *eval.StaticContext, shredNS int64, err error) {
+func (s *Server) prepare(request []byte) (req *Request, q *xq.Query, holes []xdm.Atomic, static *eval.StaticContext, shredNS int64, err error) {
 	if s.Engine == nil {
-		return nil, nil, nil, 0, fmt.Errorf("xrpc: server has no engine")
+		return nil, nil, nil, nil, 0, fmt.Errorf("xrpc: server has no engine")
 	}
 	t0 := time.Now()
 	req, err = ParseRequest(request)
 	if err != nil {
-		return nil, nil, nil, 0, err
+		return nil, nil, nil, nil, 0, err
 	}
 	shredNS = time.Since(t0).Nanoseconds()
-	q, err = s.module(req.Module)
+	q, holes, err = s.module(req.Module)
 	if err != nil {
-		return nil, nil, nil, 0, err
+		return nil, nil, nil, nil, 0, err
 	}
 	// Propagate the caller's static context (Problem 5 class 1): the remote
 	// side declares identical values for these context attributes.
 	if req.Static != (eval.StaticContext{}) {
 		static = &req.Static
 	}
-	return req, q, static, shredNS, nil
+	return req, q, holes, static, shredNS, nil
 }
 
 // responsePaths returns the projection paths the response serialization
@@ -210,7 +241,7 @@ func requestDeadline(req *Request, arrival time.Time) time.Time {
 // deadline-coded fault instead of a result nobody is waiting for.
 func (s *Server) Handle(request []byte) ([]byte, error) {
 	arrival := time.Now()
-	req, q, static, shredNS, err := s.prepare(request)
+	req, q, holes, static, shredNS, err := s.prepare(request)
 	if err != nil {
 		return nil, err
 	}
@@ -221,7 +252,7 @@ func (s *Server) Handle(request []byte) ([]byte, error) {
 	resp := &Response{Semantics: req.Semantics}
 	for _, params := range req.Calls {
 		csp := root.Child("call")
-		res, err := s.Engine.EvalFunctionDeadline(q, req.Method, params, static, deadline)
+		res, err := s.Engine.EvalFunctionDeadline(q, req.Method, params, static, deadline, holes...)
 		csp.EndErr(err)
 		if err != nil {
 			err = fmt.Errorf("xrpc: evaluating %s: %w", req.Method, err)

@@ -401,7 +401,7 @@ func MarshalResponseStream(resp *Response, itemsPerChunk int, resultUsed, result
 // resumes past the delivered prefix as with any mid-stream fault.
 func (s *Server) HandleStream(request []byte, emit func([]byte) error) error {
 	arrival := time.Now()
-	req, q, static, shredNS, err := s.prepare(request)
+	req, q, holes, static, shredNS, err := s.prepare(request)
 	if err != nil {
 		return err
 	}
@@ -432,7 +432,7 @@ func (s *Server) HandleStream(request []byte, emit func([]byte) error) error {
 	}
 	for ci, params := range req.Calls {
 		csp := root.Child("call")
-		seq, err := s.Engine.EvalFunctionSeqDeadline(q, req.Method, params, static, deadline)
+		seq, err := s.Engine.EvalFunctionSeqDeadline(q, req.Method, params, static, deadline, holes...)
 		if err != nil {
 			csp.EndErr(err)
 			return fail(fmt.Errorf("xrpc: evaluating %s: %w", req.Method, err))
