@@ -23,7 +23,6 @@ package distxq
 
 import (
 	"io"
-	"strings"
 
 	"distxq/internal/core"
 	"distxq/internal/peer"
@@ -84,7 +83,7 @@ type RetryPolicy = xrpc.RetryPolicy
 // Sequence is an XQuery result sequence.
 type Sequence = xdm.Sequence
 
-// Item is one member of a result sequence: *Node or Atomic.
+// Item is one member of a result sequence: *Node, Atomic or *Raw.
 type Item = xdm.Item
 
 // Node is an XML node with stable identity and document order.
@@ -93,41 +92,21 @@ type Node = xdm.Node
 // Atomic is an atomic XQuery value.
 type Atomic = xdm.Atomic
 
+// Raw is a result node the query only returns, kept as the XML a peer shipped.
+type Raw = xdm.Raw
+
 // NewNetwork creates an empty federation with an in-process transport and
 // the paper's 1 Gb/s LAN cost model.
 func NewNetwork() *Network { return peer.NewNetwork() }
 
 // Serialize renders a result sequence as text: nodes as XML, atomics via
-// their lexical form, space separated.
-func Serialize(s Sequence) string {
-	var sb strings.Builder
-	_ = SerializeTo(&sb, s)
-	return sb.String()
-}
+// their lexical form, raw nodes as their XML, space separated.
+func Serialize(s Sequence) string { return xdm.SequenceString(s) }
 
 // SerializeTo writes s to w as Serialize renders it, stopping at the first
 // write error. A writer implementing io.StringWriter (strings.Builder,
 // bufio.Writer) receives the text without intermediate copies.
-func SerializeTo(w io.Writer, s Sequence) error {
-	for i, it := range s {
-		if i > 0 {
-			if _, err := io.WriteString(w, " "); err != nil {
-				return err
-			}
-		}
-		var err error
-		switch v := it.(type) {
-		case *xdm.Node:
-			err = xdm.Serialize(w, v)
-		case xdm.Atomic:
-			_, err = io.WriteString(w, v.ItemString())
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func SerializeTo(w io.Writer, s Sequence) error { return xdm.SerializeSequence(w, s) }
 
 // ExplainDecomposition parses and decomposes a query under the strategy and
 // returns the rewritten query text with `execute at` annotations — useful to

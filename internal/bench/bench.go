@@ -8,7 +8,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"distxq/internal/core"
@@ -443,7 +442,7 @@ func FigStream(totalBytes int64, peerCounts []int) ([]StreamRow, error) {
 				return nil, fmt.Errorf("stream %d peers (streamed): %w", pc, err)
 			}
 			if rep == 0 {
-				gSer, sSer = serializeSeq(gRes), serializeSeq(sRes)
+				gSer, sSer = xdm.SequenceString(gRes), xdm.SequenceString(sRes)
 				row.ResultsEqual = gSer == sSer
 				row.Chunks = sRep.StreamedChunks
 			}
@@ -527,26 +526,10 @@ func FigShard(totalBytes int64, peerCounts []int) ([]ShardRow, error) {
 			PlanWaves:    planRep.Waves,
 			Parallelism:  planRep.Parallelism,
 			Scattered:    scattered,
-			ResultsEqual: serializeSeq(handRes) == serializeSeq(planRes),
+			ResultsEqual: xdm.SequenceString(handRes) == xdm.SequenceString(planRes),
 		})
 	}
 	return out, nil
-}
-
-func serializeSeq(s xdm.Sequence) string {
-	var sb strings.Builder
-	for i, it := range s {
-		if i > 0 {
-			sb.WriteByte(' ')
-		}
-		switch v := it.(type) {
-		case *xdm.Node:
-			sb.WriteString(xdm.SerializeString(v))
-		case xdm.Atomic:
-			sb.WriteString(v.ItemString())
-		}
-	}
-	return sb.String()
 }
 
 // PrintFigShard renders the shard-aware planner table.

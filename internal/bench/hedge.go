@@ -15,6 +15,7 @@ import (
 	"distxq/internal/core"
 	"distxq/internal/netsim"
 	"distxq/internal/peer"
+	"distxq/internal/xdm"
 	"distxq/internal/xmark"
 	"distxq/internal/xrpc"
 )
@@ -251,7 +252,7 @@ func FigFailover(totalBytes int64, peers int) (*FailoverRow, error) {
 		Retries:      rep.Retries,
 		Hedges:       rep.Hedges,
 		Winner:       rep.WinnerReplica[killed],
-		ResultsEqual: serializeSeq(res) == serializeSeq(healthy),
+		ResultsEqual: xdm.SequenceString(res) == xdm.SequenceString(healthy),
 	}
 	return row, nil
 }

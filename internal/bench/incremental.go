@@ -108,7 +108,7 @@ func incrementalRow(size int64) (IncRow, error) {
 			return row, fmt.Errorf("incremental: %w", err)
 		}
 		if rep == 0 {
-			eagerSer, incSer = serializeSeq(eRes), serializeSeq(iRes)
+			eagerSer, incSer = xdm.SequenceString(eRes), xdm.SequenceString(iRes)
 			row = IncRow{
 				DocBytes:       docBytes,
 				Items:          int64(len(iRes)),

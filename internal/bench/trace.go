@@ -18,6 +18,7 @@ import (
 	"distxq/internal/netsim"
 	"distxq/internal/service"
 	"distxq/internal/trace"
+	"distxq/internal/xdm"
 	"distxq/internal/xrpc"
 )
 
@@ -90,7 +91,7 @@ func FigTrace(totalBytes int64, peers int) (*TraceRow, error) {
 		DoubleEnds:   tr.DoubleEnds(),
 		Retries:      int(rep.Retries),
 		Hedges:       int(rep.Hedges),
-		ResultsEqual: serializeSeq(res) == serializeSeq(healthy),
+		ResultsEqual: xdm.SequenceString(res) == xdm.SequenceString(healthy),
 	}
 	ids := map[trace.SpanID]bool{}
 	for _, s := range rec.Spans {

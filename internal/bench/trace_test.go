@@ -7,6 +7,7 @@ import (
 	"distxq/internal/core"
 	"distxq/internal/service"
 	"distxq/internal/trace"
+	"distxq/internal/xdm"
 	"distxq/internal/xrpc"
 )
 
@@ -56,7 +57,7 @@ func TestTracedShardEquivalence(t *testing.T) {
 	root.End()
 	settle(t, tr)
 
-	if serializeSeq(traced) != serializeSeq(base) {
+	if xdm.SequenceString(traced) != xdm.SequenceString(base) {
 		t.Error("traced run diverged from the untraced baseline")
 	}
 

@@ -84,6 +84,7 @@ func Decompose(q *xq.Query, strat Strategy, opts Options) (*Plan, error) {
 	if opts.CodeMotion {
 		applyCodeMotion(q, plan)
 	}
+	markReturned(q.Body)
 	if strat == ByProjection {
 		// Derive relative projection paths for every remote call in the
 		// final query — decomposer-inserted sites and user-written
@@ -106,6 +107,27 @@ func Decompose(q *xq.Query, strat Strategy, opts Options) (*Plan, error) {
 		}
 	}
 	return plan, nil
+}
+
+// markReturned sets ReturnedOnly on every remote call in a tail position of e
+// (e, a for's or let's return, an if branch, a comma operand): its value reaches
+// the result unused (§VI-A's returned paths). Declared functions are not visited.
+func markReturned(e xq.Expr) {
+	switch v := e.(type) {
+	case *xq.XRPCExpr:
+		v.ReturnedOnly = true
+	case *xq.ForExpr:
+		markReturned(v.Return)
+	case *xq.LetExpr:
+		markReturned(v.Return)
+	case *xq.IfExpr:
+		markReturned(v.Then)
+		markReturned(v.Else)
+	case *xq.SeqExpr:
+		for _, it := range v.Items {
+			markReturned(it)
+		}
+	}
 }
 
 type point struct {

@@ -9,7 +9,6 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"distxq/internal/core"
@@ -126,22 +125,6 @@ func buildReference(t *testing.T, shards []*xdm.Document) *xdm.Document {
 	d.Root.AppendChild(site)
 	d.Freeze()
 	return d
-}
-
-func serializeSeq(s xdm.Sequence) string {
-	var sb strings.Builder
-	for i, it := range s {
-		if i > 0 {
-			sb.WriteByte(' ')
-		}
-		switch v := it.(type) {
-		case *xdm.Node:
-			_ = xdm.Serialize(&sb, v)
-		case xdm.Atomic:
-			sb.WriteString(v.ItemString())
-		}
-	}
-	return sb.String()
 }
 
 // genQuery is one generated query plus the expected planner decision for its
@@ -303,7 +286,7 @@ func TestShardRewriteEquivalence(t *testing.T) {
 						if err != nil {
 							t.Fatalf("query %d (%d peers, send %d) sharded eval: %v\n%s", qi, w.peers, send, err, q.src)
 						}
-						if got, want := serializeSeq(shardRes), serializeSeq(localRes); got != want {
+						if got, want := xdm.SequenceString(shardRes), xdm.SequenceString(localRes); got != want {
 							t.Fatalf("query %d (%d peers, send %d) diverged:\n query: %s\n local: %q\n shard: %q\n decisions: %+v",
 								qi, w.peers, send, q.src, want, got, rep.Shards)
 						}
@@ -337,7 +320,7 @@ func TestShardRewriteEquivalenceAcrossStrategies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := serializeSeq(localRes)
+	want := xdm.SequenceString(localRes)
 	var svcs []*service.Service
 	for _, strat := range []core.Strategy{core.DataShipping, core.ByValue, core.ByFragment, core.ByProjection} {
 		svc := w.serve(strat)
@@ -347,7 +330,7 @@ func TestShardRewriteEquivalenceAcrossStrategies(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s (send %d): %v", strat, send, err)
 			}
-			if got := serializeSeq(res); got != want {
+			if got := xdm.SequenceString(res); got != want {
 				t.Fatalf("%s (send %d) diverged:\n local: %q\n shard: %q", strat, send, want, got)
 			}
 			if strat != core.DataShipping {

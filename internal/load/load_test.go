@@ -74,22 +74,6 @@ func (f *federation) requireBothExecutors(t *testing.T, svc *service.Service) {
 	t.Error("no peer compiled a shipped module")
 }
 
-func serialize(s xdm.Sequence) string {
-	var sb strings.Builder
-	for i, it := range s {
-		if i > 0 {
-			sb.WriteByte(' ')
-		}
-		switch v := it.(type) {
-		case *xdm.Node:
-			sb.WriteString(xdm.SerializeString(v))
-		case xdm.Atomic:
-			sb.WriteString(v.ItemString())
-		}
-	}
-	return sb.String()
-}
-
 func checkPartition(t *testing.T, res Result) {
 	t.Helper()
 	if got := res.Completed + res.Failed + res.Shed; got != res.Offered {
@@ -354,7 +338,7 @@ func TestKillAnyPeerEquivalenceWithAdaptiveHedging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := serialize(healthy)
+	want := xdm.SequenceString(healthy)
 	// Warm the health tracker so hedging runs adaptively, then kill each
 	// primary in turn.
 	for i := 0; i < 10; i++ {
@@ -369,7 +353,7 @@ func TestKillAnyPeerEquivalenceWithAdaptiveHedging(t *testing.T) {
 		if err != nil {
 			t.Fatalf("kill %s: %v", victim, err)
 		}
-		if g := serialize(got); g != want {
+		if g := xdm.SequenceString(got); g != want {
 			t.Errorf("kill %s: result diverged\n got %q\nwant %q", victim, g, want)
 		}
 	}
@@ -392,14 +376,14 @@ func TestSlowPeerEquivalenceWithAdaptiveHedging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := serialize(healthy)
+	want := xdm.SequenceString(healthy)
 	restore := SlowPeer(f.net, f.primaries[0], 50*time.Millisecond)
 	for i := 0; i < 5; i++ {
 		got, _, err := svc.Query(f.query, core.Budget{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g := serialize(got); g != want {
+		if g := xdm.SequenceString(got); g != want {
 			t.Fatalf("slow peer run %d diverged\n got %q\nwant %q", i, g, want)
 		}
 	}

@@ -236,14 +236,14 @@ func (w *churnWorld) runSchedule(rng *rand.Rand, schedule int, reuse *planReuse)
 		if err != nil {
 			w.t.Fatalf("schedule %d query %d local eval: %v\n%s", schedule, qi, err, src)
 		}
-		want := serializeSeq(w.t, localRes)
+		want := xdm.SequenceString(localRes)
 		for i := 1; i <= sends; i++ {
 			res, _, err := send(src)
 			if err != nil {
 				w.t.Fatalf("schedule %d (shards=%d streamed=%v routeLive=%v) query %d send %d/%d: %v\n%s\ndead: %v",
 					schedule, w.shards, streamed, pol.RouteLive, qi, i, sends, err, src, w.dead)
 			}
-			if got := serializeSeq(w.t, res); got != want {
+			if got := xdm.SequenceString(res); got != want {
 				w.t.Fatalf("schedule %d (shards=%d streamed=%v routeLive=%v) query %d send %d/%d diverged\nquery: %s\nlocal: %q\nchurn: %q\ndead: %v",
 					schedule, w.shards, streamed, pol.RouteLive, qi, i, sends, src, want, got, w.dead)
 			}

@@ -59,7 +59,7 @@ func TestConcurrentSessionsMatchSequential(t *testing.T) {
 					errCh <- fmt.Errorf("worker %d %s: %w", w, strat, err)
 					return
 				}
-				if !xdm.DeepEqualSeq(res, baselines[strat]) {
+				if !xdm.DeepEqualSeq(res, baselines[strat]) || xdm.SequenceString(res) != xdm.SequenceString(baselines[strat]) {
 					errCh <- fmt.Errorf("worker %d %s: result differs from sequential baseline", w, strat)
 				}
 			}(w, strat)
@@ -100,7 +100,7 @@ func TestScatterGatherAcceptance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s concurrent: %v", strat, err)
 		}
-		if !xdm.DeepEqualSeq(res, baseRes) {
+		if !xdm.DeepEqualSeq(res, baseRes) || xdm.SequenceString(res) != xdm.SequenceString(baseRes) {
 			t.Errorf("%s: concurrent result differs from the streamed dispatch", strat)
 		}
 		if rep.Requests != peers {
@@ -143,7 +143,7 @@ func TestScatterSessionsRunConcurrently(t *testing.T) {
 				errCh <- fmt.Errorf("worker %d: %w", w, err)
 				return
 			}
-			if !xdm.DeepEqualSeq(res, base) {
+			if !xdm.DeepEqualSeq(res, base) || xdm.SequenceString(res) != xdm.SequenceString(base) {
 				errCh <- fmt.Errorf("worker %d: result diverged", w)
 			}
 			if rep.Requests != 3 {

@@ -105,9 +105,9 @@ func TestDecompositionEquivalence(t *testing.T) {
 				t.Errorf("query %d under %s: %v\n%s", i, strat, err, q)
 				continue
 			}
-			if !xdm.DeepEqualSeq(want, got) {
+			if !xdm.DeepEqualSeq(want, got) || xdm.SequenceString(want) != xdm.SequenceString(got) {
 				t.Errorf("query %d under %s differs\n got: %s\nwant: %s\nquery: %s",
-					i, strat, serialize(got), serialize(want), q)
+					i, strat, xdm.SequenceString(got), xdm.SequenceString(want), q)
 			}
 		}
 	}
@@ -132,8 +132,8 @@ func TestConcurrentSessions(t *testing.T) {
 				done <- err
 				return
 			}
-			if serialize(res) != "6" {
-				done <- fmt.Errorf("%s: got %s", s, serialize(res))
+			if xdm.SequenceString(res) != "6" {
+				done <- fmt.Errorf("%s: got %s", s, xdm.SequenceString(res))
 				return
 			}
 			done <- nil
@@ -175,7 +175,7 @@ func TestCaptureFreeGeneratedNames(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := serialize(want); got != c.want {
+		if got := xdm.SequenceString(want); got != c.want {
 			t.Fatalf("data shipping returns %q, want %q\n%s", got, c.want, c.query)
 		}
 		for _, strat := range []core.Strategy{core.ByValue, core.ByFragment, core.ByProjection} {
@@ -183,8 +183,8 @@ func TestCaptureFreeGeneratedNames(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v\n%s", strat, err, c.query)
 			}
-			if !xdm.DeepEqualSeq(want, got) {
-				t.Errorf("%s returns %q, data shipping %q\n%s", strat, serialize(got), serialize(want), c.query)
+			if !xdm.DeepEqualSeq(want, got) || xdm.SequenceString(want) != xdm.SequenceString(got) {
+				t.Errorf("%s returns %q, data shipping %q\n%s", strat, xdm.SequenceString(got), xdm.SequenceString(want), c.query)
 			}
 		}
 	}

@@ -79,14 +79,14 @@ func TestKillAnyPeerInMemory(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%d peers %s healthy: %v", peers, md.name, err)
 			}
-			want := serializeSeq(t, res)
+			want := xdm.SequenceString(res)
 			for _, victim := range names {
 				n.KillPeer(victim)
 				res, rep, err := md.run()
 				if err != nil {
 					t.Fatalf("%d peers %s, %s killed: %v", peers, md.name, victim, err)
 				}
-				if got := serializeSeq(t, res); got != want {
+				if got := xdm.SequenceString(res); got != want {
 					t.Fatalf("%d peers %s, %s killed: result diverged from healthy run", peers, md.name, victim)
 				}
 				if rep.Retries < 1 {
@@ -117,7 +117,7 @@ func TestKillPeerMaterializeFallback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return serializeSeq(t, res)
+		return xdm.SequenceString(res)
 	}
 	want := run()
 	n.KillPeer(names[0])
@@ -174,7 +174,7 @@ func TestSlowPeerHedged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := serializeSeq(t, res)
+	want := xdm.SequenceString(res)
 
 	// Route the straggler through a delaying transport; everything else
 	// keeps using the in-memory transport underneath.
@@ -195,7 +195,7 @@ func TestSlowPeerHedged(t *testing.T) {
 		if wall := time.Since(t0); wall > 2*time.Second {
 			t.Fatalf("streamed=%v: query took %v — the straggler was waited out", streamed, wall)
 		}
-		if got := serializeSeq(t, res); got != want {
+		if got := xdm.SequenceString(res); got != want {
 			t.Fatalf("streamed=%v: hedged result diverged from healthy run", streamed)
 		}
 		if rep.Hedges < 1 {
@@ -283,7 +283,7 @@ for $y in doc("shard://test/b")/child::r/child::v return $y)`
 			t.Fatalf("decision for %s not scattered: %q", d.Logical, d.Reason)
 		}
 	}
-	want := serializeSeq(t, res)
+	want := xdm.SequenceString(res)
 
 	n.KillPeer("peer1")
 	reuse := &planReuse{}
@@ -295,7 +295,7 @@ for $y in doc("shard://test/b")/child::r/child::v return $y)`
 		if err != nil {
 			t.Fatalf("streamed=%v, peer1 killed: %v", streamed, err)
 		}
-		if got := serializeSeq(t, res); got != want {
+		if got := xdm.SequenceString(res); got != want {
 			t.Fatalf("streamed=%v: result diverged from healthy run", streamed)
 		}
 		if rep.Retries < 2 {
@@ -380,8 +380,8 @@ func TestKillPeerOverHTTP(t *testing.T) {
 		if err != nil {
 			t.Fatalf("streamed=%v healthy: %v", streamed, err)
 		}
-		want := serializeSeq(t, res)
-		if res, _, err = run(); err != nil || serializeSeq(t, res) != want {
+		want := xdm.SequenceString(res)
+		if res, _, err = run(); err != nil || xdm.SequenceString(res) != want {
 			t.Fatalf("streamed=%v: compiled healthy run diverged from the cold one (%v)", streamed, err)
 		}
 		kill(names[1])
@@ -389,7 +389,7 @@ func TestKillPeerOverHTTP(t *testing.T) {
 		if err != nil {
 			t.Fatalf("streamed=%v, %s killed: %v", streamed, names[1], err)
 		}
-		if got := serializeSeq(t, res); got != want {
+		if got := xdm.SequenceString(res); got != want {
 			t.Fatalf("streamed=%v: result diverged after killing %s", streamed, names[1])
 		}
 		if rep.Retries < 1 {

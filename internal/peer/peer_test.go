@@ -1,7 +1,6 @@
 package peer
 
 import (
-	"strings"
 	"testing"
 
 	"distxq/internal/core"
@@ -20,19 +19,6 @@ func setupXMark(t testing.TB, cfg xmark.Config) (*Network, *Peer) {
 	p1.AddDoc("xmk.xml", xmark.PeopleDocument(cfg, "xrpc://peer1/xmk.xml"))
 	p2.AddDoc("xmk.auctions.xml", xmark.AuctionsDocument(cfg, "xrpc://peer2/xmk.auctions.xml"))
 	return n, local
-}
-
-func serialize(s xdm.Sequence) string {
-	var parts []string
-	for _, it := range s {
-		switch v := it.(type) {
-		case *xdm.Node:
-			parts = append(parts, xdm.SerializeString(v))
-		case xdm.Atomic:
-			parts = append(parts, v.ItemString())
-		}
-	}
-	return strings.Join(parts, " ")
 }
 
 func TestAllStrategiesAgreeOnBenchmarkQuery(t *testing.T) {
@@ -54,9 +40,9 @@ func TestAllStrategiesAgreeOnBenchmarkQuery(t *testing.T) {
 			if len(res) == 0 {
 				t.Fatal("benchmark query returned empty result; data too small?")
 			}
-		} else if !xdm.DeepEqualSeq(baseline, res) {
+		} else if !xdm.DeepEqualSeq(baseline, res) || xdm.SequenceString(baseline) != xdm.SequenceString(res) {
 			t.Errorf("%s: result differs from data-shipping baseline\n got: %.300s\nwant: %.300s",
-				strat, serialize(res), serialize(baseline))
+				strat, xdm.SequenceString(res), xdm.SequenceString(baseline))
 		}
 		results[strat] = rep
 	}
@@ -119,7 +105,7 @@ func TestStrategiesAgreeOnQ2(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
-		if got := serialize(res); got != want {
+		if got := xdm.SequenceString(res); got != want {
 			t.Errorf("%s: result = %s, want %s", strat, got, want)
 		}
 	}
@@ -167,8 +153,8 @@ func TestQueryAcrossThreePeers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serialize(res) != "x y z" {
-		t.Errorf("result = %s", serialize(res))
+	if xdm.SequenceString(res) != "x y z" {
+		t.Errorf("result = %s", xdm.SequenceString(res))
 	}
 	if rep.Requests != 3 {
 		t.Errorf("expected 3 message exchanges, got %d", rep.Requests)
@@ -233,7 +219,7 @@ func TestXMarkShape(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		if got := serialize(res); got != want {
+		if got := xdm.SequenceString(res); got != want {
 			t.Errorf("%s = %s, want %s", q, got, want)
 		}
 	}

@@ -49,7 +49,7 @@ func TestShardPlannerMatchesHandWrittenScatter(t *testing.T) {
 			t.Fatalf("%d peers: planner scatter: %v", n, err)
 		}
 
-		if got, want := serialize(planRes), serialize(handRes); got != want {
+		if got, want := xdm.SequenceString(planRes), xdm.SequenceString(handRes); got != want {
 			t.Fatalf("%d peers: planner result differs from hand-written scatter:\n got %q\nwant %q", n, got, want)
 		}
 		if len(planRep.Shards) != 1 || !planRep.Shards[0].Scattered {
@@ -98,7 +98,7 @@ func TestShardFallbackMaterializesUnion(t *testing.T) {
 	// Shard-major union: the second person overall is the second person of
 	// shard 0, i.e. global person id 3 (round-robin over 3 shards).
 	want := "<name>"
-	if got := serialize(res); !strings.HasPrefix(got, want) {
+	if got := xdm.SequenceString(res); !strings.HasPrefix(got, want) {
 		t.Fatalf("fallback result %q does not look like a name element", got)
 	}
 	// Cross-check against direct local evaluation over the materialized union.
@@ -117,7 +117,7 @@ func TestShardFallbackMaterializesUnion(t *testing.T) {
 	second := union.Root.Children[0].Children[0].Children[1]
 	var sb strings.Builder
 	_ = xdm.Serialize(&sb, second.Children[0])
-	if got := serialize(res); got != sb.String() {
+	if got := xdm.SequenceString(res); got != sb.String() {
 		t.Fatalf("fallback result %q != union evaluation %q", got, sb.String())
 	}
 }

@@ -1,30 +1,12 @@
 package peer
 
 import (
-	"strings"
 	"testing"
 
 	"distxq/internal/core"
 	"distxq/internal/xdm"
 	"distxq/internal/xmark"
 )
-
-func serializeSeq(t *testing.T, s xdm.Sequence) string {
-	t.Helper()
-	var sb strings.Builder
-	for i, it := range s {
-		if i > 0 {
-			sb.WriteByte(' ')
-		}
-		switch v := it.(type) {
-		case *xdm.Node:
-			sb.WriteString(xdm.SerializeString(v))
-		case xdm.Atomic:
-			sb.WriteString(v.ItemString())
-		}
-	}
-	return sb.String()
-}
 
 // TestStreamedScatterByteIdentical is the streaming acceptance harness:
 // over the sharded XMark federation, the streamed dispatch must produce
@@ -49,7 +31,7 @@ func TestStreamedScatterByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%d peers %v streamed: %v", n, strat, err)
 			}
-			if g, s := serializeSeq(t, gRes), serializeSeq(t, sRes); g != s {
+			if g, s := xdm.SequenceString(gRes), xdm.SequenceString(sRes); g != s {
 				t.Fatalf("%d peers %v: streamed result differs\n gather  %q\n streamed %q", n, strat, g, s)
 			}
 			if sRep.StreamedChunks == 0 {
@@ -107,7 +89,7 @@ func TestStreamedLogicalPlannerByteIdentical(t *testing.T) {
 		if sRep.StreamedChunks == 0 {
 			t.Fatalf("%d peers: planner-synthesized scatter did not stream", n)
 		}
-		if g, s := serializeSeq(t, gRes), serializeSeq(t, sRes); g != s {
+		if g, s := xdm.SequenceString(gRes), xdm.SequenceString(sRes); g != s {
 			t.Fatalf("%d peers: streamed planner result differs\n gather  %q\n streamed %q", n, g, s)
 		}
 	}

@@ -13,12 +13,15 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"distxq/internal/xrpc"
 )
 
-// metricRow is one sample: name, optional peer label, kind, help and value.
+// metricRow is one sample: name, optional label (peer="a"), kind, help and
+// value.
 type metricRow struct {
 	name  string
-	peer  string
+	label string
 	kind  string // "counter" or "gauge"
 	help  string
 	value int64
@@ -85,6 +88,12 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 			help: "High-water mark of server-buffered result items.", value: xm.PeakBufferedItems},
 		{name: "distxq_xrpc_waves_total", kind: "counter",
 			help: "Dispatch waves recorded.", value: xm.WaveCount},
+		{name: "distxq_xrpc_raw_items_total", kind: "counter",
+			help: "Returned-only result nodes kept as the bytes they were shipped as.", value: xm.Raw.Items},
+	}
+	for i, cause := range xrpc.FallbackCauses {
+		rows = append(rows, metricRow{name: "distxq_xrpc_raw_fallbacks_total", label: fmt.Sprintf("cause=%q", cause.Error()),
+			kind: "counter", help: "Returned-only responses decoded again in full, by cause.", value: xm.Raw.Fallbacks[i]})
 	}
 	// Per-peer health gauges, one labelled sample per tracked peer, in
 	// stable name order so successive scrapes diff cleanly.
@@ -95,17 +104,17 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 	}
 	sort.Strings(peers)
 	for _, name := range peers {
-		h := health[name]
+		h, peer := health[name], fmt.Sprintf("peer=%q", name)
 		rows = append(rows,
-			metricRow{name: "distxq_peer_ewma_ns", peer: name, kind: "gauge",
+			metricRow{name: "distxq_peer_ewma_ns", label: peer, kind: "gauge",
 				help: "Smoothed exchange latency per peer.", value: h.EWMANS},
-			metricRow{name: "distxq_peer_fresh_p90_ns", peer: name, kind: "gauge",
+			metricRow{name: "distxq_peer_fresh_p90_ns", label: peer, kind: "gauge",
 				help: "P90 over fresh samples (adaptive hedge trigger); zero below the sample floor.", value: h.FreshP90NS},
-			metricRow{name: "distxq_peer_fresh_samples", peer: name, kind: "gauge",
+			metricRow{name: "distxq_peer_fresh_samples", label: peer, kind: "gauge",
 				help: "Non-stale latency samples in the window.", value: int64(h.FreshSamples)},
-			metricRow{name: "distxq_peer_seen_total", peer: name, kind: "counter",
+			metricRow{name: "distxq_peer_seen_total", label: peer, kind: "counter",
 				help: "Successful exchanges observed.", value: int64(h.Seen)},
-			metricRow{name: "distxq_peer_faults", peer: name, kind: "gauge",
+			metricRow{name: "distxq_peer_faults", label: peer, kind: "gauge",
 				help: "Current consecutive-failure streak.", value: int64(h.Faults)},
 		)
 	}
@@ -124,8 +133,8 @@ func writeRows(w io.Writer, rows []metricRow) error {
 			}
 		}
 		label := ""
-		if r.peer != "" {
-			label = fmt.Sprintf(`{peer=%q}`, r.peer)
+		if r.label != "" {
+			label = "{" + r.label + "}"
 		}
 		if _, err := fmt.Fprintf(w, "%s%s %d\n", r.name, label, r.value); err != nil {
 			return err

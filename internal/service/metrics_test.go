@@ -55,6 +55,9 @@ func TestMetricsTextSurface(t *testing.T) {
 		"distxq_eval_compilations_total 1",
 		"distxq_xrpc_requests_total 4",
 		"distxq_xrpc_bytes_sent_total",
+		"distxq_xrpc_raw_items_total 4", // two queries, one returned v a peer
+		`distxq_xrpc_raw_fallbacks_total{cause="inner-or-attribute-reference"} 0`,
+		`distxq_xrpc_raw_fallbacks_total{cause="non-canonical-fragment"} 0`,
 		`distxq_peer_seen_total{peer="peer1"}`,
 		`distxq_peer_ewma_ns{peer="peer2"}`,
 	} {

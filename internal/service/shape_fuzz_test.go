@@ -94,15 +94,7 @@ func reply(res xdm.Sequence, _ *peer.Report, err error) string {
 	if err != nil {
 		return "fault: " + err.Error()
 	}
-	var parts []string
-	for _, it := range res {
-		if n, ok := it.(*xdm.Node); ok {
-			parts = append(parts, xdm.SerializeString(n))
-		} else {
-			parts = append(parts, it.(xdm.Atomic).ItemString())
-		}
-	}
-	return strings.Join(parts, " ")
+	return xdm.SequenceString(res)
 }
 
 // FuzzShapeKeyEquivalence fills a skeleton with several argument vectors.

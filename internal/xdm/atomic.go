@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// Item is one member of an XQuery sequence: a node or an atomic value.
+// Item is one member of an XQuery sequence: a node, an atomic value or a Raw.
 type Item interface {
 	isItem()
 	// ItemString returns the string value of the item (fn:string semantics).
@@ -18,6 +18,32 @@ func (*Node) isItem() {}
 
 // ItemString implements Item for nodes.
 func (n *Node) ItemString() string { return n.StringValue() }
+
+// Raw is a remote result the query only returns, kept as the XML a peer
+// shipped it as, which is what Serialize writes for it (Scanner.Canonical).
+// The sequence serializer copies XML; Node builds a copy to navigate.
+type Raw struct {
+	Kind Kind
+	XML  string
+}
+
+func (*Raw) isItem() {}
+
+// ItemString implements Item: the string value of the node XML holds.
+func (r *Raw) ItemString() string { return r.Node().StringValue() }
+
+// Node builds the node r holds: a document's root, else the root's one child.
+func (r *Raw) Node() *Node {
+	doc, sc := NewDocument("raw"), new(Scanner)
+	sc.Reset(r.XML, "raw")
+	if err := sc.fill(doc.Root, false); err != nil { // canonical bytes are well-formed
+		panic(err)
+	}
+	if doc.Freeze(); r.Kind == DocumentNode {
+		return doc.Root
+	}
+	return doc.Root.Children[0]
+}
 
 // AtomType enumerates the atomic types this engine supports.
 type AtomType uint8
@@ -336,14 +362,14 @@ func CompareAtomics(a, b Atomic) (cmp int, ok bool) {
 	return strings.Compare(a.ItemString(), b.ItemString()), true
 }
 
-// DeepEqualSeq implements fn:deep-equal over two sequences.
+// DeepEqualSeq implements fn:deep-equal over two sequences, a Raw as its Node.
 func DeepEqualSeq(a, b Sequence) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		an, aIsNode := a[i].(*Node)
-		bn, bIsNode := b[i].(*Node)
+		an, aIsNode := asNode(a[i])
+		bn, bIsNode := asNode(b[i])
 		if aIsNode != bIsNode {
 			return false
 		}
@@ -359,6 +385,15 @@ func DeepEqualSeq(a, b Sequence) bool {
 		}
 	}
 	return true
+}
+
+// asNode returns the node an item is or, for a Raw, holds.
+func asNode(it Item) (*Node, bool) {
+	if r, ok := it.(*Raw); ok {
+		return r.Node(), true
+	}
+	n, ok := it.(*Node)
+	return n, ok
 }
 
 // DeepEqualNode implements fn:deep-equal over two nodes: same kind and name,

@@ -382,6 +382,77 @@ func (sc *Scanner) Skip() error {
 	return err
 }
 
+// Canonical reads past the end of the element whose StartTag was just read, as
+// Skip does, and returns its content's bytes, the kind of node they hold (a
+// document when doc is set), and whether they are one node (unless doc) and exactly
+// what Serialize writes for the nodes Fill builds: no CDATA, PI, comment or xmlns.
+func (sc *Scanner) Canonical(doc bool) (xml string, kind Kind, ok bool, err error) {
+	start, d, top, opened := sc.pos, len(sc.open), 0, false // opened: the last token was <a>
+	ok, kind = !sc.empty, DocumentNode                      // <fragment/> is not what the encoder writes
+	for end := start; ; end = sc.pos {
+		at, synthetic := len(sc.open), sc.empty // synthetic: the EndTag of <a/>
+		tok, err := sc.Next()
+		switch {
+		case err != nil:
+			return "", 0, false, err
+		case at == d && tok == EndTag: // the element's own
+			return sc.s[start:max(start, sc.tokPos)], kind, ok && sc.tokPos == end && (doc || top == 1), nil
+		case synthetic:
+			opened = false
+			continue
+		case at == d && !doc:
+			top, kind = top+1, kindOf[tok]
+		}
+		raw := sc.s[sc.tokPos:sc.pos]
+		switch tok {
+		case StartTag:
+			ok = ok && sc.canonicalTag(raw[1+len(sc.Name):])
+		case EndTag:
+			ok = ok && !opened && len(raw) == len(sc.Name)+3
+		case CharData: // a CDATA section never matches: its bytes start with '<'
+			rest, same := matchEscaped(raw, sc.Text, &textEscapes)
+			ok = ok && same && rest == ""
+		default:
+			ok = false
+		}
+		ok, opened = ok && sc.tokPos == end, tok == StartTag && !sc.empty // else a PI was skipped
+	}
+}
+
+var kindOf = [...]Kind{StartTag: ElementNode, CharData: TextNode, Comment: CommentNode} // by opening token
+
+// canonicalTag reports whether rest, the current StartTag after its name,
+// is what Serialize writes there for the tag's attributes.
+func (sc *Scanner) canonicalTag(rest string) bool {
+	for _, a := range sc.attrs {
+		n, ok := len(a.name), false
+		if len(rest) < n+3 || rest[0] != ' ' || rest[1:n+1] != a.name || rest[n+1:n+3] != `="` {
+			return false
+		}
+		if rest, ok = matchEscaped(rest[n+3:], a.value, &attrEscapes); !ok || !strings.HasPrefix(rest, `"`) {
+			return false
+		}
+		rest = rest[1:]
+	}
+	return rest == ">" || sc.empty && rest == "/>"
+}
+
+// matchEscaped reports whether raw begins with s escaped as Serialize
+// escapes it under esc, and returns the rest of raw.
+func matchEscaped(raw, s string, esc *[256]uint8) (string, bool) {
+	for i := 0; i < len(s); i++ {
+		e := s[i : i+1]
+		if c := esc[s[i]]; c != 0 {
+			e = escapeEntity[c]
+		}
+		if !strings.HasPrefix(raw, e) {
+			return raw, false
+		}
+		raw = raw[len(e):]
+	}
+	return raw, true
+}
+
 // StringValue reads past the end of the element whose StartTag was just
 // read and returns its string value: the character data of its content,
 // descendants included — a slice of the text when it is one run.

@@ -316,6 +316,20 @@ func TestDeepEqualSeq(t *testing.T) {
 	if DeepEqualSeq(Sequence{NewString("x")}, Sequence{n}) {
 		t.Error("node vs atomic must be unequal")
 	}
+	// A Raw compares as the node its bytes hold, never as its text.
+	e := mustDoc(t, `<a k="1">x<b/></a>`).DocElem()
+	if !DeepEqualSeq(Sequence{&Raw{Kind: ElementNode, XML: `<a k="1">x<b/></a>`}}, Sequence{e}) {
+		t.Error("raw element vs its parsed node must be equal")
+	}
+	if DeepEqualSeq(Sequence{&Raw{Kind: ElementNode, XML: `<a k="2">x<b/></a>`}}, Sequence{e}) {
+		t.Error("raw element with another attribute value must be unequal")
+	}
+	if DeepEqualSeq(Sequence{&Raw{Kind: TextNode, XML: "5"}}, Sequence{NewInteger(5)}) {
+		t.Error("raw text vs atomic must be unequal")
+	}
+	if r := (&Raw{Kind: DocumentNode, XML: "<a>x</a><b>y</b>"}); r.Node().Kind != DocumentNode || r.ItemString() != "xy" {
+		t.Errorf("raw document: kind %v, string value %q", r.Node().Kind, r.ItemString())
+	}
 }
 
 // TestSerializeEscapesAtEveryLength: the serializer escapes run by run and

@@ -10,14 +10,42 @@ import (
 // A writer that implements io.StringWriter receives the text without any
 // intermediate copy, escaped content included.
 func Serialize(w io.Writer, n *Node) error {
-	sw := stickyWriter{}
-	if s, ok := w.(io.StringWriter); ok {
-		sw.w = s
-	} else {
-		sw.w = byteWriter{w}
-	}
+	sw := newStickyWriter(w)
 	serializeNode(&sw, n)
 	return sw.err
+}
+
+// SerializeSequence writes s as results print, space separated, until a write error.
+func SerializeSequence(w io.Writer, s Sequence) error {
+	sw := newStickyWriter(w)
+	for i, it := range s {
+		if i > 0 {
+			sw.str(" ")
+		}
+		switch v := it.(type) {
+		case *Node:
+			serializeNode(&sw, v)
+		case Atomic:
+			sw.str(v.ItemString())
+		case *Raw:
+			sw.str(v.XML)
+		}
+	}
+	return sw.err
+}
+
+// SequenceString renders a sequence as SerializeSequence writes it.
+func SequenceString(s Sequence) string {
+	var sb strings.Builder
+	_ = SerializeSequence(&sb, s)
+	return sb.String()
+}
+
+func newStickyWriter(w io.Writer) stickyWriter {
+	if s, ok := w.(io.StringWriter); ok {
+		return stickyWriter{w: s}
+	}
+	return stickyWriter{w: byteWriter{w}}
 }
 
 // byteWriter adapts a plain io.Writer to the serializer.

@@ -475,6 +475,10 @@ type XRPCExpr struct {
 	// Types carries declared parameter types when the expression came from
 	// inlining a declared function; nil means item()*.
 	Types []SeqType
+	// ReturnedOnly marks a call whose result reaches the query result
+	// unchanged and is never navigated, compared or atomized (core.Decompose
+	// sets it): its shipped nodes may stay the bytes they travelled as.
+	ReturnedOnly bool
 	// module retains the rendered shipped declaration once a cache has proven
 	// the expression reused (see xrpc.RetainModules); concurrent executions of
 	// a cached plan read it while its first hit stores it.

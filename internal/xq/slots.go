@@ -219,7 +219,7 @@ func Copy(e Expr) Expr {
 		return &ExecuteAt{Target: v.Target, Call: Copy(v.Call).(*FunCall)}
 	case *XRPCExpr:
 		c := &XRPCExpr{Target: v.Target, Body: v.Body, FuncName: v.FuncName,
-			Types: append([]SeqType(nil), v.Types...)}
+			Types: append([]SeqType(nil), v.Types...), ReturnedOnly: v.ReturnedOnly}
 		for _, p := range v.Params {
 			cp := *p
 			c.Params = append(c.Params, &cp)

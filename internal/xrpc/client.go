@@ -72,6 +72,14 @@ type Metrics struct {
 	// equals len(Waves) except in an aggregate sink (AddCounters), which
 	// counts waves without retaining their lane records.
 	WaveCount int64
+	// Raw counts the decoding of results that are returned and never used.
+	Raw RawCounts
+}
+
+// RawCounts counts result items kept as bytes (xdm.Raw) and full re-decodes by cause.
+type RawCounts struct {
+	Items     int64
+	Fallbacks [len(FallbackCauses)]int64
 }
 
 // Add accumulates another metrics snapshot, wave records included. The
@@ -108,6 +116,10 @@ func (m *Metrics) add(o *Metrics, waves bool) {
 	// The snapshot already deep-copied the waves (none for AddCounters).
 	m.Waves = append(m.Waves, snap.Waves...)
 	m.WaveCount += snap.WaveCount
+	m.Raw.Items += snap.Raw.Items
+	for i, n := range snap.Raw.Fallbacks {
+		m.Raw.Fallbacks[i] += n
+	}
 }
 
 // AddWave records one dispatch wave of overlapped exchanges.
@@ -148,6 +160,7 @@ func (m *Metrics) Reset() {
 	m.PeakBufferedItems = 0
 	m.Waves = nil
 	m.WaveCount = 0
+	m.Raw = RawCounts{}
 }
 
 // Snapshot returns a copy for reading.
@@ -169,7 +182,7 @@ func (m *Metrics) snapshot(waves bool) Metrics {
 		SerializeNS: m.SerializeNS, DeserializeNS: m.DeserializeNS,
 		RemoteExecNS: m.RemoteExecNS, ServerSerdeNS: m.ServerSerdeNS,
 		RoundTripWall: m.RoundTripWall, PeakBufferedItems: m.PeakBufferedItems,
-		Waves: copied, WaveCount: m.WaveCount,
+		Waves: copied, WaveCount: m.WaveCount, Raw: m.Raw,
 	}
 }
 
@@ -473,7 +486,8 @@ func (c *Client) callBulkCtx(ctx context.Context, target string, x *xq.XRPCExpr,
 		return nil, Lane{}, err
 	}
 	t2 := time.Now()
-	resp, err := ParseResponse(respData)
+	var raw RawCounts
+	resp, err := decode(respData, x.ReturnedOnly, &raw, (*decoder).response)
 	if err != nil {
 		// A faulting server still reports the spans of the work it did before
 		// failing; graft them in so failed attempts have server-side detail.
@@ -508,6 +522,7 @@ func (c *Client) callBulkCtx(ctx context.Context, target string, x *xq.XRPCExpr,
 			RemoteExecNS:  resp.ExecNanos,
 			ServerSerdeNS: resp.SerializeNanos,
 			RoundTripWall: wallNS,
+			Raw:           raw,
 		})
 	}
 	return resp.Results, lane, nil

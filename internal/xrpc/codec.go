@@ -2,6 +2,7 @@ package xrpc
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -450,6 +451,31 @@ type decoder struct {
 	left     int
 	copies   xdm.Documents
 	copyURIs docURIs
+	// raw keeps fragments as bytes (raws); any but a whole-fragment reference ends the pass.
+	raw      bool
+	raws     []xdm.Raw
+	rawItems int64
+}
+
+// FallbackCauses end a raw pass for the message to decode in full (RawCounts.Fallbacks).
+var FallbackCauses = [...]error{errors.New("inner-or-attribute-reference"), errors.New("non-canonical-fragment")}
+
+// decode decodes data with parse: raw first for a call whose results are only returned
+// (xq.XRPCExpr.ReturnedOnly), and again in full on a fallback cause, as counts records.
+func decode[T any](data []byte, returned bool, counts *RawCounts, parse func(*decoder, []byte) (T, error)) (T, error) {
+	if !returned {
+		return parse(new(decoder), data)
+	}
+	d := &decoder{raw: true}
+	v, err := parse(d, data)
+	for i, cause := range FallbackCauses {
+		if errors.Is(err, cause) {
+			counts.Fallbacks[i]++
+			return parse(new(decoder), data)
+		}
+	}
+	counts.Items += d.rawItems
+	return v, err
 }
 
 // attr returns the current start tag's attribute name, def when it has none.
@@ -578,9 +604,12 @@ func (d *decoder) payload(refs string, f func(name string) error) error {
 // fragments decodes the preamble just started, in message order (which the
 // encoder arranged to be original document order, preserving
 // inter-fragment node ordering): each fragment's content fills a fresh
-// document, all of them cut from one slab.
+// document, all of them cut from one slab — or, decoding raw, stays bytes.
 func (d *decoder) fragments(name string) error {
 	k := d.sc.Reserve("<" + strings.TrimSuffix(name, "s"))
+	if d.raw { // the fragments stay bytes: no documents
+		d.raws, k = make([]xdm.Raw, 0, k), 0
+	}
 	docs, uris := make(xdm.Documents, k), newDocURIs(fragmentURIPrefix, k)
 	d.frags = make([]*xdm.Node, 0, k)
 	return d.children(func(name string) error {
@@ -588,6 +617,14 @@ func (d *decoder) fragments(name string) error {
 			return fmt.Errorf("xrpc: unexpected %s in fragments", name)
 		}
 		base, isDoc := d.attr("base-uri", ""), d.attr("kind", "") == "document"
+		if d.raw {
+			xml, kind, ok, err := d.sc.Canonical(isDoc)
+			if err == nil && !ok {
+				err = FallbackCauses[1]
+			}
+			d.raws = append(d.raws, xdm.Raw{Kind: kind, XML: xml})
+			return err
+		}
 		doc := docs.New(uris.next())
 		if err := d.sc.Fill(doc.Root); err != nil {
 			return err
@@ -679,6 +716,13 @@ func (d *decoder) ref(local string) (xdm.Item, error) {
 		return nil, err
 	}
 	fragid, err := strconv.Atoi(fid)
+	if d.raw {
+		if err != nil || fragid < 1 || fragid > len(d.raws) || nid != "1" || local == "attribute" {
+			return nil, FallbackCauses[0]
+		}
+		d.rawItems++
+		return &d.raws[fragid-1], nil
+	}
 	if err != nil || fragid < 1 || fragid > len(d.frags) {
 		return nil, fmt.Errorf("xrpc: bad fragid %q", fid)
 	}

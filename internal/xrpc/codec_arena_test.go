@@ -160,8 +160,8 @@ func TestHandlePatchesSerdeInPlace(t *testing.T) {
 	if got := srv.Metrics.Snapshot().ServerSerdeNS; resp.SerializeNanos != got || got <= 0 {
 		t.Errorf("message says serde-ns=%d, server measured %d", resp.SerializeNanos, got)
 	}
-	if serialize(resp.Results[0]) != "<v>1</v> <v>2</v>" {
-		t.Errorf("result: %s", serialize(resp.Results[0]))
+	if xdm.SequenceString(resp.Results[0]) != "<v>1</v> <v>2</v>" {
+		t.Errorf("result: %s", xdm.SequenceString(resp.Results[0]))
 	}
 }
 
@@ -352,7 +352,7 @@ func TestModuleCacheConcurrent(t *testing.T) {
 					return
 				}
 				resp, err := ParseResponse(out)
-				if err != nil || serialize(resp.Results[0]) != fmt.Sprint(n) {
+				if err != nil || xdm.SequenceString(resp.Results[0]) != fmt.Sprint(n) {
 					t.Errorf("module %d answered %v, %v", n, resp, err)
 					return
 				}

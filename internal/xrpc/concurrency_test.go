@@ -11,6 +11,7 @@ import (
 	"distxq/internal/eval"
 	"distxq/internal/projection"
 	"distxq/internal/testkit"
+	"distxq/internal/xdm"
 	"distxq/internal/xq"
 )
 
@@ -134,8 +135,8 @@ func TestScatterDispatchesConcurrently(t *testing.T) {
 		res, err := testkit.Query(eng, `
 		declare function f($x as xs:string) as item()* { $x };
 		for $p in ("p1", "p2", "p3", "p4") return execute at {$p} { f($p) }`)
-		if err == nil && serialize(res) != "p1 p2 p3 p4" {
-			err = errors.New("wrong result order: " + serialize(res))
+		if err == nil && xdm.SequenceString(res) != "p1 p2 p3 p4" {
+			err = errors.New("wrong result order: " + xdm.SequenceString(res))
 		}
 		done <- err
 	}()

@@ -10,6 +10,7 @@ import (
 	"distxq/internal/eval"
 	"distxq/internal/projection"
 	"distxq/internal/testkit"
+	"distxq/internal/xdm"
 	"distxq/internal/xq"
 )
 
@@ -155,7 +156,7 @@ execute at {"a"} { quick() }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := serialize(res); got != "10" {
+	if got := xdm.SequenceString(res); got != "10" {
 		t.Errorf("got %q, want 10", got)
 	}
 	if aborts := peerEng.StatsSnapshot().DeadlineAborts; aborts != 0 {

@@ -48,7 +48,7 @@ func TestScatterOverHTTPConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := serialize(want)
+	w := xdm.SequenceString(want)
 
 	newEngine := func(streamed bool) *eval.Engine {
 		cl := &Client{Transport: tr, Semantics: ByFragment, Static: eval.DefaultStatic(),
@@ -74,7 +74,7 @@ func TestScatterOverHTTPConcurrent(t *testing.T) {
 				errs <- fmt.Errorf("session %d: %w", i, err)
 				return
 			}
-			if g := serialize(got); g != w {
+			if g := xdm.SequenceString(got); g != w {
 				errs <- fmt.Errorf("session %d: got %q want %q", i, g, w)
 			}
 		}(i)
@@ -146,7 +146,7 @@ func TestHTTPStreamFallbackWithoutEndpoint(t *testing.T) {
 	}
 	gatherEng, _ := wire(t, ByFragment, streamScatterPeers(0))
 	want, _ := testkit.Query(gatherEng, interleavedScatterSrc)
-	if g, w := serialize(got), serialize(want); g != w {
+	if g, w := xdm.SequenceString(got), xdm.SequenceString(want); g != w {
 		t.Fatalf("got %q want %q", g, w)
 	}
 }
@@ -177,7 +177,7 @@ func TestRouteTransportMixedFederation(t *testing.T) {
 		}
 		gatherEng, _ := wire(t, ByValue, streamScatterPeers(0))
 		want, _ := testkit.Query(gatherEng, interleavedScatterSrc)
-		if g, w := serialize(got), serialize(want); g != w {
+		if g, w := xdm.SequenceString(got), xdm.SequenceString(want); g != w {
 			t.Fatalf("streamed=%v: got %q want %q", streamed, g, w)
 		}
 	}

@@ -89,7 +89,7 @@ func TestHandleStreamFirstFrameMidEvaluation(t *testing.T) {
 		early = append(early, fr)
 	}
 	got := reassemble(t, early, 1)
-	if g := serialize(got[0]); g != "<x>1</x> <x>2</x> <x>3</x> <x>4</x> <x>5</x> <x>6</x>" {
+	if g := xdm.SequenceString(got[0]); g != "<x>1</x> <x>2</x> <x>3</x> <x>4</x> <x>5</x> <x>6</x>" {
 		t.Fatalf("reassembled result = %q", g)
 	}
 	// A module's first sighting streams on a lowering of its own, which the
@@ -202,7 +202,7 @@ func TestStreamedLazyEagerEquivalenceRandomized(t *testing.T) {
 				if err != nil {
 					t.Fatalf("sem=%v seed=%d q=%d gather: %v", sem, seed, qi, err)
 				}
-				w := serialize(want)
+				w := xdm.SequenceString(want)
 				for _, chunk := range []int{1, 4, 32} {
 					for _, eager := range []bool{false, true} {
 						peers := mkPeers(chunk)
@@ -217,7 +217,7 @@ func TestStreamedLazyEagerEquivalenceRandomized(t *testing.T) {
 							t.Fatalf("sem=%v seed=%d q=%d chunk=%d eager=%v: %v",
 								sem, seed, qi, chunk, eager, err)
 						}
-						if g := serialize(got); g != w {
+						if g := xdm.SequenceString(got); g != w {
 							t.Fatalf("sem=%v seed=%d q=%d chunk=%d eager=%v:\n got %q\nwant %q",
 								sem, seed, qi, chunk, eager, g, w)
 						}

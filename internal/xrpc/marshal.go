@@ -199,14 +199,16 @@ func MarshalResponse(resp *Response, resultUsed, resultReturned projection.PathS
 }
 
 // ParseResponse shreds a response message in one pass.
-func ParseResponse(data []byte) (*Response, error) {
+func ParseResponse(data []byte) (*Response, error) { return new(decoder).response(data) }
+
+func (d *decoder) response(data []byte) (*Response, error) {
 	resp := &Response{}
-	d := new(decoder)
 	err := d.shred(data, "response", elResponse, func() error {
 		var err error
 		if resp.Semantics, err = ParseSemantics(d.attr("semantics", "by-value")); err != nil {
 			return err
 		}
+		d.raw = d.raw && resp.Semantics == ByFragment
 		resp.ExecNanos, _ = strconv.ParseInt(d.attr("exec-ns", "0"), 10, 64)
 		resp.SerializeNanos, _ = strconv.ParseInt(d.attr("serde-ns", "0"), 10, 64)
 		traced := false

@@ -310,7 +310,7 @@ func TestLaneRunner(t *testing.T) {
 				wall := time.Since(t0)
 				if tc.wantErr != "" {
 					if err == nil {
-						t.Fatalf("query succeeded with %q, want error containing %q", serialize(res), tc.wantErr)
+						t.Fatalf("query succeeded with %q, want error containing %q", xdm.SequenceString(res), tc.wantErr)
 					}
 					if errors.Is(err, context.Canceled) || strings.Contains(err.Error(), "context canceled") {
 						t.Fatalf("error = %v, a cancellation echo instead of the original fault", err)
@@ -322,7 +322,7 @@ func TestLaneRunner(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got := serialize(res); got != tc.want {
+					if got := xdm.SequenceString(res); got != tc.want {
 						t.Fatalf("result = %q, want %q", got, tc.want)
 					}
 				}
@@ -346,8 +346,8 @@ func TestRetrySequentialBulk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serialize(res) != "ok" {
-		t.Fatalf("result = %q, want ok", serialize(res))
+	if xdm.SequenceString(res) != "ok" {
+		t.Fatalf("result = %q, want ok", xdm.SequenceString(res))
 	}
 	s := cl.Metrics.Snapshot()
 	if len(s.Waves) != 1 || len(s.Waves[0]) != 1 {
@@ -384,7 +384,7 @@ func runStreamedScatter(t *testing.T, eng *eval.Engine, src string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return serialize(res)
+	return xdm.SequenceString(res)
 }
 
 // TestStreamedFailoverMidStream: a peer that dies after emitting part of its
@@ -490,7 +490,7 @@ func TestReplayFilterSuppressesPrefix(t *testing.T) {
 	}
 	var got []string
 	deliver := func(chunk eval.StreamChunk) bool {
-		got = append(got, fmt.Sprintf("%d:%s", chunk.Iteration, serialize(chunk.Items)))
+		got = append(got, fmt.Sprintf("%d:%s", chunk.Iteration, xdm.SequenceString(chunk.Items)))
 		return true
 	}
 	p := &laneProgress{}

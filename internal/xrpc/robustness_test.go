@@ -91,7 +91,7 @@ func TestBulkMixedResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := serialize(res); got != "<a>1</a> 42 <a>1</a>" {
+	if got := xdm.SequenceString(res); got != "<a>1</a> 42 <a>1</a>" {
 		t.Errorf("bulk mixed = %s", got)
 	}
 	if cl.Metrics.Snapshot().Requests != 1 {
@@ -126,7 +126,7 @@ func TestResultIdentityWithinOneResponse(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.sem, err)
 		}
-		if got := serialize(res); got != tc.want {
+		if got := xdm.SequenceString(res); got != tc.want {
 			t.Errorf("%s: identity within response = %s, want %s", tc.sem, got, tc.want)
 		}
 	}

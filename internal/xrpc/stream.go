@@ -138,9 +138,10 @@ func MarshalResponseChunk(ch *ResponseChunk, resultUsed, resultReturned projecti
 
 // ParseResponseChunk shreds one stream frame in one pass. A fault frame
 // surfaces as a *Fault error, like ParseResponse.
-func ParseResponseChunk(data []byte) (*ResponseChunk, error) {
+func ParseResponseChunk(data []byte) (*ResponseChunk, error) { return new(decoder).chunk(data) }
+
+func (d *decoder) chunk(data []byte) (*ResponseChunk, error) {
 	ch := &ResponseChunk{}
-	d := new(decoder)
 	err := d.shred(data, "chunk frame", elChunk, func() error {
 		var err error
 		if ch.Seq, err = strconv.Atoi(d.attr("seq", "")); err != nil {
@@ -163,6 +164,7 @@ func ParseResponseChunk(data []byte) (*ResponseChunk, error) {
 		if ch.Semantics, err = ParseSemantics(d.attr("semantics", "by-value")); err != nil {
 			return err
 		}
+		d.raw = d.raw && ch.Semantics == ByFragment
 		if ch.Call, err = strconv.Atoi(d.attr("call", "")); err != nil {
 			return fmt.Errorf("xrpc: chunk frame without call index")
 		}
@@ -619,6 +621,7 @@ type laneState struct {
 	serdeNS int64
 	deserNS int64
 	recvd   int64
+	raw     RawCounts
 }
 
 func (st *laneState) accept(ch *ResponseChunk) error {
@@ -720,7 +723,7 @@ func (c *StreamedClient) streamExchange(ctx context.Context, stx StreamTransport
 			committed = true
 		}
 		t0 := time.Now()
-		chunk, perr := ParseResponseChunk(frame)
+		chunk, perr := decode(frame, x.ReturnedOnly, &st.raw, (*decoder).chunk)
 		if perr != nil {
 			// A peer that does not stream answers with one gather-whole
 			// response message; fall back to delivering it in one increment
@@ -802,6 +805,7 @@ func (c *StreamedClient) streamExchange(ctx context.Context, stx StreamTransport
 			RemoteExecNS:  st.execNS,
 			ServerSerdeNS: st.serdeNS,
 			RoundTripWall: wallNS,
+			Raw:           st.raw,
 		})
 	}
 	if err != nil {

@@ -194,8 +194,8 @@ func TestChunkFramingRoundTripAdversarial(t *testing.T) {
 				frames := collectFrames(t, resp, per)
 				got := reassemble(t, frames, calls)
 				for c := range got {
-					want := serialize(wholeParsed.Results[c])
-					if g := serialize(got[c]); g != want {
+					want := xdm.SequenceString(wholeParsed.Results[c])
+					if g := xdm.SequenceString(got[c]); g != want {
 						t.Fatalf("sem=%v seed=%d per=%d call %d:\n got %q\nwant %q",
 							sem, seed, per, c, g, want)
 					}
@@ -238,11 +238,11 @@ func FuzzChunkRoundTrip(f *testing.F) {
 		}
 		got := reassemble(t, collectFrames(t, resp, per), calls)
 		for c := range got {
-			if g, w := serialize(got[c]), serialize(wholeParsed.Results[c]); g != w {
+			if g, w := xdm.SequenceString(got[c]), xdm.SequenceString(wholeParsed.Results[c]); g != w {
 				t.Fatalf("per=%d call %d: got %q want %q", per, c, g, w)
 			}
 			// What arrives is what was sent.
-			if g, w := serialize(got[c]), serialize(resp.Results[c]); g != w {
+			if g, w := xdm.SequenceString(got[c]), xdm.SequenceString(resp.Results[c]); g != w {
 				t.Fatalf("per=%d call %d: decoded %q, sent %q", per, c, g, w)
 			}
 		}
@@ -347,7 +347,7 @@ func TestStreamedScatterMatchesGather(t *testing.T) {
 			if err != nil {
 				t.Fatalf("sem=%v chunk=%d: %v", sem, chunkItems, err)
 			}
-			if g, w := serialize(got), serialize(want); g != w {
+			if g, w := xdm.SequenceString(got), xdm.SequenceString(want); g != w {
 				t.Fatalf("sem=%v chunk=%d:\n got %q\nwant %q", sem, chunkItems, g, w)
 			}
 			s := cl.Metrics.Snapshot()
@@ -372,7 +372,7 @@ func TestStreamedScatterConcurrentSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := serialize(want)
+	w := xdm.SequenceString(want)
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
 	for i := 0; i < 16; i++ {
@@ -385,7 +385,7 @@ func TestStreamedScatterConcurrentSessions(t *testing.T) {
 				errs <- err
 				return
 			}
-			if g := serialize(got); g != w {
+			if g := xdm.SequenceString(got); g != w {
 				errs <- fmt.Errorf("got %q want %q", g, w)
 			}
 		}()
@@ -450,7 +450,7 @@ func TestStreamedGatherFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g, w := serialize(got), serialize(want); g != w {
+	if g, w := xdm.SequenceString(got), xdm.SequenceString(want); g != w {
 		t.Fatalf("got %q want %q", g, w)
 	}
 }
@@ -478,7 +478,7 @@ func TestStreamedNonStreamingHandler(t *testing.T) {
 	}
 	gatherEng, _ := wire(t, ByValue, streamScatterPeers(0))
 	want, _ := testkit.Query(gatherEng, interleavedScatterSrc)
-	if g, w := serialize(got), serialize(want); g != w {
+	if g, w := xdm.SequenceString(got), xdm.SequenceString(want); g != w {
 		t.Fatalf("got %q want %q", g, w)
 	}
 }
@@ -635,7 +635,7 @@ func TestStreamedScatterMoreBatchesThanWorkers(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("streamed scatter deadlocked with more batches than pool slots")
 	}
-	if got := serialize(res); !strings.HasPrefix(got, "<v>p0a</v> <v>p0b</v> <v>p0c</v> <v>p1a</v>") ||
+	if got := xdm.SequenceString(res); !strings.HasPrefix(got, "<v>p0a</v> <v>p0b</v> <v>p0c</v> <v>p1a</v>") ||
 		!strings.HasSuffix(got, "<v>p9c</v>") {
 		t.Fatalf("results out of order: %q", got)
 	}

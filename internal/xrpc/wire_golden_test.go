@@ -245,7 +245,7 @@ func TestWireGoldensDecode(t *testing.T) {
 			}
 			for c := range req.Calls {
 				for p := range req.Calls[c] {
-					if g, w := serialize(req2.Calls[c][p]), serialize(req.Calls[c][p]); g != w {
+					if g, w := xdm.SequenceString(req2.Calls[c][p]), xdm.SequenceString(req.Calls[c][p]); g != w {
 						t.Errorf("%s call %d param %d: %q != %q", name, c, p, g, w)
 					}
 				}
@@ -270,7 +270,7 @@ func TestWireGoldensDecode(t *testing.T) {
 				continue
 			}
 			for c := range resp.Results {
-				if g, w := serialize(resp2.Results[c]), serialize(resp.Results[c]); g != w {
+				if g, w := xdm.SequenceString(resp2.Results[c]), xdm.SequenceString(resp.Results[c]); g != w {
 					t.Errorf("%s call %d: %q != %q", name, c, g, w)
 				}
 			}

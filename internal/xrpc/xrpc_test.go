@@ -67,19 +67,6 @@ func planProjection(t *testing.T, q *xq.Query, cl *Client) {
 	})
 }
 
-func serialize(s xdm.Sequence) string {
-	var parts []string
-	for _, it := range s {
-		switch v := it.(type) {
-		case *xdm.Node:
-			parts = append(parts, xdm.SerializeString(v))
-		case xdm.Atomic:
-			parts = append(parts, v.ItemString())
-		}
-	}
-	return strings.Join(parts, " ")
-}
-
 func TestRequestRoundTripAtomics(t *testing.T) {
 	req := &Request{
 		Method: "f", Arity: 3, Semantics: ByValue,
@@ -275,7 +262,7 @@ func TestEndToEndProblem3Earlier(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.sem, err)
 		}
-		if got := serialize(res); got != tc.want {
+		if got := xdm.SequenceString(res); got != tc.want {
 			t.Errorf("%s: earlier() = %s, want %s", tc.sem, got, tc.want)
 		}
 	}
@@ -307,7 +294,7 @@ func TestEndToEndProblem2Overlap(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.sem, err)
 		}
-		if got := serialize(res); got != tc.want {
+		if got := xdm.SequenceString(res); got != tc.want {
 			t.Errorf("%s: overlap = %s, want %s", tc.sem, got, tc.want)
 		}
 	}
@@ -339,7 +326,7 @@ func TestEndToEndProblem1ParentNavigation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.sem, err)
 		}
-		if got := serialize(res); got != tc.want {
+		if got := xdm.SequenceString(res); got != tc.want {
 			t.Errorf("%s: count(parent) = %s, want %s", tc.sem, got, tc.want)
 		}
 	}
@@ -357,8 +344,8 @@ func TestEndToEndRemoteDocQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serialize(res) != "true false" {
-		t.Errorf("remote predicate = %s", serialize(res))
+	if xdm.SequenceString(res) != "true false" {
+		t.Errorf("remote predicate = %s", xdm.SequenceString(res))
 	}
 }
 
@@ -400,8 +387,8 @@ func TestBulkRPCOneMessage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serialize(res) != "true true false true" {
-		t.Errorf("bulk results = %s", serialize(res))
+	if xdm.SequenceString(res) != "true true false true" {
+		t.Errorf("bulk results = %s", xdm.SequenceString(res))
 	}
 	m := cl.Metrics.Snapshot()
 	if m.Requests != 1 {
@@ -426,8 +413,8 @@ func TestStaticContextPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := "caller://base caller://collation 2009-06-15T12:00:00Z"
-	if serialize(res) != want {
-		t.Errorf("remote static context = %s, want %s", serialize(res), want)
+	if xdm.SequenceString(res) != want {
+		t.Errorf("remote static context = %s, want %s", xdm.SequenceString(res), want)
 	}
 }
 
@@ -466,8 +453,8 @@ func TestHTTPTransportEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serialize(res) != "<v>7</v>" {
-		t.Errorf("HTTP result = %s", serialize(res))
+	if xdm.SequenceString(res) != "<v>7</v>" {
+		t.Errorf("HTTP result = %s", xdm.SequenceString(res))
 	}
 	if cl.Metrics.Snapshot().BytesSent == 0 || cl.Metrics.Snapshot().BytesReceived == 0 {
 		t.Error("metrics must count HTTP bytes")
@@ -543,8 +530,8 @@ func TestProjectionShrinksMessages(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sem, err)
 		}
-		if !strings.Contains(serialize(res), "<id>1</id>") {
-			t.Errorf("%s: result = %s", sem, serialize(res))
+		if !strings.Contains(xdm.SequenceString(res), "<id>1</id>") {
+			t.Errorf("%s: result = %s", sem, xdm.SequenceString(res))
 		}
 		sizes[sem] = cl.Metrics.Snapshot().BytesSent
 	}
