@@ -27,7 +27,7 @@ var localEvalShapes = []struct {
 	{"sum", `sum(doc("xmk.xml")/child::site/child::regions/child::*/child::item/child::quantity)`, 27},
 	{"distinct-values", `distinct-values(doc("xmk.xml")/child::site/child::people/child::person/child::profile/child::age)`, 67},
 	{"constructor", `for $i in subsequence(doc("xmk.xml")/child::site/child::regions/child::*/child::item, 1, 300)
-	 return <offer>{$i/attribute::id}<n>{$i/child::name/text()}</n>{$i/child::payment}</offer>`, 1238},
+	 return <offer>{$i/attribute::id}<n>{$i/child::name/text()}</n>{$i/child::payment}</offer>`, 113},
 	{"order-by", `for $p in doc("xmk.xml")/child::site/child::people/child::person
 	 order by $p/child::profile/attribute::income descending return $p/child::emailaddress/text()`, 41},
 	{"string-join", `string-join(doc("xmk.xml")/child::site/child::people/child::person/child::name, ",")`, 26},

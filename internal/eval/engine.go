@@ -303,17 +303,17 @@ func (e *Engine) Doc(uri string) (*xdm.Document, error) {
 	ent.once.Do(func() {
 		// Pre-set the error so a panicking resolver (recovered further up,
 		// e.g. by net/http) cannot leave a done entry with doc=nil, err=nil.
-		ent.err = fmt.Errorf("eval: doc(%q): resolution did not complete", uri)
-		resolve := func(uri string) (*xdm.Document, error) {
-			if build != nil {
-				return build()
-			}
-			if e.Resolver == nil {
-				return nil, fmt.Errorf("no resolver configured")
-			}
-			return e.Resolver.ResolveDoc(uri)
+		ent.err = errDocIncomplete
+		var d *xdm.Document
+		var err error
+		switch {
+		case build != nil:
+			d, err = build()
+		case e.Resolver == nil:
+			err = errors.New("no resolver configured")
+		default:
+			d, err = e.Resolver.ResolveDoc(uri)
 		}
-		d, err := resolve(uri)
 		if err != nil {
 			ent.err = fmt.Errorf("eval: doc(%q): %w", uri, err)
 			return
@@ -330,9 +330,15 @@ func (e *Engine) Doc(uri string) (*xdm.Document, error) {
 			delete(e.docCache, uri)
 		}
 		e.mu.Unlock()
+		if ent.err == errDocIncomplete {
+			return nil, fmt.Errorf("eval: doc(%q): %w", uri, errDocIncomplete)
+		}
 	}
 	return ent.doc, ent.err
 }
+
+// errDocIncomplete stays in a cache entry whose resolver panicked.
+var errDocIncomplete = errors.New("resolution did not complete")
 
 // StatsSnapshot returns a consistent copy of the evaluation counters; use it
 // instead of reading Stats directly while queries may be in flight.

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -19,11 +18,6 @@ import (
 // a fresh document with an artificial URI, exactly the doc(vi::vi) treatment
 // of §IV.
 var constructorSeq atomic.Uint64
-
-func newConstructedURI() string {
-	var buf [40]byte
-	return string(strconv.AppendUint(append(buf[:0], "constructed://"...), constructorSeq.Add(1), 10))
-}
 
 // unsupported is the fault of an expression the evaluator rejects.
 func unsupported(e xq.Expr) error {
@@ -582,19 +576,30 @@ func nodeSetCombine(op xq.SetOp, l, r xdm.Sequence) (xdm.Sequence, error) {
 // treeBuilder is the construction routine every constructor shares. A
 // constructor describes its tree as a stream of events — open an element or
 // document node, set attributes, add content under XQuery constructor
-// semantics, close — and finish cuts the tree's nodes from one xdm.Slab
-// sized from that content, with a new constructed document above it.
+// semantics, close — and finish cuts the tree's nodes from the run's chunks,
+// with a new constructed document above it.
 // Nested direct constructors open inside their parent, so their nodes are
 // built in place instead of into a document of their own and deep-copied
 // out of it. A constructor evaluated inside another's content expression
 // starts its own tree on top of the events in flight and finishes before
-// the outer one resumes, so one builder serves a whole evaluation.
+// the outer one resumes, so one builder serves a whole evaluation. It is the
+// run's construction arena: its trees share chunks of nodes and windows
+// (slab), documents (docs) and URIs (uris), which start at 8 entries and
+// double per tree up to chunkCap (DESIGN.md "Constructors compile onto one
+// builder").
 type treeBuilder struct {
 	ev    []buildEvent
 	stack []int  // event index of every open node, innermost last
 	join  []byte // adjacent atomics of the content being added
 	slab  xdm.Slab
+	docs  xdm.Documents
+	uris  xdm.URIs
+	chunk int // size of the chunks the next tree starts
 }
+
+// chunkCap bounds the arena's chunks: the unused tail of the last ones is
+// waste, so a larger cap trades allocated bytes for allocations.
+const chunkCap = 64
 
 // buildEvent is one node of a tree under construction: an open element or
 // document node (kind ElementNode/DocumentNode), an attribute, a text node,
@@ -743,8 +748,12 @@ func (b *treeBuilder) finish(mark int) *xdm.Node {
 			n++
 		}
 	}
-	b.slab.Reserve(n)
-	d := xdm.NewDocument(newConstructedURI())
+	b.chunk = min(max(2*b.chunk, 8), chunkCap)
+	b.slab.Expect(max(n, b.chunk))
+	if len(b.docs) == 0 {
+		b.docs, b.uris = make(xdm.Documents, b.chunk), xdm.NewURIs(&constructorSeq, "constructed://", b.chunk)
+	}
+	d := b.docs.New(b.uris.Next()) // after the content: its number orders the trees
 	root := d.Root
 	if b.ev[mark].kind == xdm.ElementNode {
 		root = b.slab.Node(xdm.ElementNode, b.ev[mark].name, "")

@@ -231,3 +231,31 @@ func TestDocErrorNotCached(t *testing.T) {
 		t.Fatalf("error was cached: %v", err)
 	}
 }
+
+// TestDocPanickingResolverFaults: a resolver that panics leaves its cache
+// entry holding a fault that names the URI; the call that meets it drops the
+// entry, so the call after that resolves again.
+func TestDocPanickingResolverFaults(t *testing.T) {
+	calls := 0
+	e := NewEngine(ResolverFunc(func(uri string) (*xdm.Document, error) {
+		if calls++; calls == 1 {
+			panic("resolver bug")
+		}
+		return xdm.ParseString("<r/>", uri)
+	}))
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the resolver's panic did not reach the caller")
+			}
+		}()
+		_, _ = e.Doc("u")
+	}()
+	_, err := e.Doc("u")
+	if err == nil || err.Error() != `eval: doc("u"): resolution did not complete` || !errors.Is(err, errDocIncomplete) {
+		t.Fatalf("after a panicking resolution: %v, want the incomplete-resolution fault", err)
+	}
+	if d, err := e.Doc("u"); err != nil || d == nil || calls != 2 {
+		t.Fatalf("the faulted entry was kept: doc %v, err %v, %d resolver calls, want 2", d, err, calls)
+	}
+}

@@ -86,9 +86,9 @@ func (ar *msgArena) window(src []*Node) []*Node {
 // from two arrays sized up front. A tree of n nodes hanging below a document
 // node needs n nodes and n slots (every node sits in exactly one window), so
 // Reserve(n) builds it with two allocations; a short reservation costs one
-// more slab, never a wrong tree. The zero Slab is ready to use. A Slab must
-// not be shared between goroutines, and every array it hands out belongs to
-// the tree built from it.
+// more slab, never a wrong tree. Trees built one after another can instead
+// share arrays (Expect). The zero Slab is ready to use. A Slab must not be
+// shared between goroutines.
 type Slab struct{ a msgArena }
 
 // Reserve replaces the slab's arrays with fresh ones for n nodes and n
@@ -97,6 +97,10 @@ func (s *Slab) Reserve(n int) {
 	s.a.nodes = make([]Node, n)
 	s.a.ptrs = make([]*Node, n)
 }
+
+// Expect keeps what is left of the slab's arrays and sizes the next ones for
+// n nodes and n slots still to come (within minSlab and maxSlab).
+func (s *Slab) Expect(n int) { s.a.expect(n) }
 
 // Node returns a fresh detached node from the slab.
 func (s *Slab) Node(k Kind, name, text string) *Node { return s.a.take(k, name, text) }

@@ -13,6 +13,7 @@ package xdm
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 )
@@ -98,6 +99,50 @@ func (ds *Documents) New(uri string) *Document {
 	a := &(*ds)[0]
 	*ds = (*ds)[1:]
 	return a.init(uri)
+}
+
+// URIs hands out document URIs, prefix plus a number from seq: a batch of n
+// is numbered by one Add on seq and cut from one string. Numbers a batch
+// leaves unused are skipped, never reused.
+type URIs struct {
+	seq          *atomic.Uint64
+	prefix, rest string
+	id           uint64
+}
+
+// NewURIs numbers the next n URIs from seq consecutively.
+func NewURIs(seq *atomic.Uint64, prefix string, n int) URIs {
+	last := seq.Add(uint64(n))
+	u := URIs{seq: seq, prefix: prefix, id: last - uint64(n) + 1}
+	var sb strings.Builder
+	sb.Grow(n * (len(prefix) + decimalWidth(last)))
+	for id := u.id; id <= last; id++ {
+		var num [20]byte
+		sb.WriteString(prefix)
+		sb.Write(strconv.AppendUint(num[:0], id, 10))
+	}
+	u.rest = sb.String()
+	return u
+}
+
+// Next returns the next URI; one beyond the batch gets its own number.
+func (u *URIs) Next() string {
+	if u.rest == "" {
+		return u.prefix + strconv.FormatUint(u.seq.Add(1), 10)
+	}
+	w := len(u.prefix) + decimalWidth(u.id)
+	uri := u.rest[:w]
+	u.rest = u.rest[w:]
+	u.id++
+	return uri
+}
+
+func decimalWidth(v uint64) int {
+	w := 1
+	for ; v >= 10; v /= 10 {
+		w++
+	}
+	return w
 }
 
 // Seq returns the global creation sequence number used to order nodes from

@@ -2,6 +2,7 @@ package xdm
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -360,5 +361,24 @@ func TestSerializeEscapesAtEveryLength(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestURIsBatch: a batch numbers its URIs consecutively across a change of
+// digit count, costs one allocation, and a URI past its end takes the next
+// free number.
+func TestURIsBatch(t *testing.T) {
+	var seq atomic.Uint64
+	seq.Store(7)
+	u := NewURIs(&seq, "p://", 4)
+	var got []string
+	for i := 0; i < 5; i++ {
+		got = append(got, u.Next())
+	}
+	if want := "p://8 p://9 p://10 p://11 p://12"; strings.Join(got, " ") != want {
+		t.Errorf("URIs %q, want %s", got, want)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { NewURIs(&seq, "p://", 64) }); allocs != 1 {
+		t.Errorf("a batch of 64 URIs costs %.0f allocations, want 1", allocs)
 	}
 }

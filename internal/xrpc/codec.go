@@ -450,7 +450,7 @@ type decoder struct {
 	// slab sized by the items left when the first copy arrives.
 	left     int
 	copies   xdm.Documents
-	copyURIs docURIs
+	copyURIs xdm.URIs
 	// raw keeps fragments as bytes (raws); any but a whole-fragment reference ends the pass.
 	raw      bool
 	raws     []xdm.Raw
@@ -610,7 +610,7 @@ func (d *decoder) fragments(name string) error {
 	if d.raw { // the fragments stay bytes: no documents
 		d.raws, k = make([]xdm.Raw, 0, k), 0
 	}
-	docs, uris := make(xdm.Documents, k), newDocURIs(fragmentURIPrefix, k)
+	docs, uris := make(xdm.Documents, k), xdm.NewURIs(&decodedDocSeq, fragmentURIPrefix, k)
 	d.frags = make([]*xdm.Node, 0, k)
 	return d.children(func(name string) error {
 		if localName(name) != "fragment" {
@@ -625,7 +625,7 @@ func (d *decoder) fragments(name string) error {
 			d.raws = append(d.raws, xdm.Raw{Kind: kind, XML: xml})
 			return err
 		}
-		doc := docs.New(uris.next())
+		doc := docs.New(uris.Next())
 		if err := d.sc.Fill(doc.Root); err != nil {
 			return err
 		}
@@ -756,9 +756,9 @@ func (d *decoder) valueCopy(local string) (xdm.Item, error) {
 	}
 	if len(d.copies) == 0 {
 		k := max(d.left, 1)
-		d.copies, d.copyURIs = make(xdm.Documents, k), newDocURIs(valueURIPrefix, k)
+		d.copies, d.copyURIs = make(xdm.Documents, k), xdm.NewURIs(&decodedDocSeq, valueURIPrefix, k)
 	}
-	doc := d.copies.New(d.copyURIs.next())
+	doc := d.copies.New(d.copyURIs.Next())
 	if local == "text" || local == "comment" {
 		s, err := d.sc.StringValue()
 		var n *xdm.Node
@@ -832,49 +832,10 @@ func (d *decoder) fault() (*Fault, error) {
 	}
 }
 
-// The URI schemes of decoded documents: shipped fragments and by-value
-// copies.
+// The URI schemes of decoded documents, shipped fragments and by-value
+// copies, numbered from decodedDocSeq a message's batch at a time
+// (xdm.URIs).
 const (
 	fragmentURIPrefix = "xrpc-fragment://"
 	valueURIPrefix    = "xrpc-value://"
 )
-
-// docURIs hands out the URIs of a message's decoded documents, numbered
-// consecutively from the process-wide sequence and cut from one string for
-// the n documents expected.
-type docURIs struct {
-	prefix, rest string
-	id           uint64
-}
-
-func newDocURIs(prefix string, n int) docURIs {
-	last := decodedDocSeq.Add(uint64(n))
-	u := docURIs{prefix: prefix, id: last - uint64(n) + 1}
-	b := make([]byte, 0, n*(len(prefix)+decimalWidth(last)))
-	for id := u.id; id <= last; id++ {
-		b = strconv.AppendUint(append(b, prefix...), id, 10)
-	}
-	u.rest = string(b)
-	return u
-}
-
-// next returns the next URI; a document beyond the expected ones gets its
-// own number.
-func (u *docURIs) next() string {
-	if u.rest == "" {
-		return u.prefix + strconv.FormatUint(decodedDocSeq.Add(1), 10)
-	}
-	w := len(u.prefix) + decimalWidth(u.id)
-	uri := u.rest[:w]
-	u.rest = u.rest[w:]
-	u.id++
-	return uri
-}
-
-func decimalWidth(v uint64) int {
-	w := 1
-	for ; v >= 10; v /= 10 {
-		w++
-	}
-	return w
-}

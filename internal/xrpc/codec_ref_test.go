@@ -294,7 +294,7 @@ func decodeFragments(fragsEl *xdm.Node) (*decodeState, error) {
 	n := len(fragsEl.Children)
 	st.fragRoots = make([]*xdm.Node, 0, n)
 	st.fragDocs = make([]*xdm.Document, 0, n)
-	uris := newDocURIs(fragmentURIPrefix, n)
+	uris := xdm.NewURIs(&decodedDocSeq, fragmentURIPrefix, n)
 	for _, f := range fragsEl.Children {
 		if f.Kind != xdm.ElementNode {
 			continue
@@ -302,7 +302,7 @@ func decodeFragments(fragsEl *xdm.Node) (*decodeState, error) {
 		if !nameIs(f, elFragment) {
 			return nil, fmt.Errorf("xrpc: unexpected %s in fragments", f.Name)
 		}
-		d := adoptInto(uris.next(), f)
+		d := adoptInto(uris.Next(), f)
 		if base := attrOr(f, "base-uri", ""); base != "" {
 			d.Root.BaseURI = base
 		}
