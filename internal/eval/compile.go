@@ -4,12 +4,12 @@ package eval
 // into a chain of pre-resolved closures (compiled.go holds their runtime).
 // The lowering rules, also documented in DESIGN.md:
 //
-//   - Every expression compiles to an eager form that appends its whole
-//     value to a caller-supplied sequence (cexpr), and, when the Program is
-//     attached or serves a lazy call, to a push form that hands its items to
-//     a consumer as they are produced (cseq) — the engine's lazy executor.
-//     Neither allocates a closure or a result sequence per evaluation;
-//     intermediate values live in the run's scratch buffers.
+//   - Every expression compiles once, to an eager form that appends its
+//     whole value to a caller-supplied sequence (cexpr). It allocates no
+//     closure or result sequence per evaluation; intermediate values live in
+//     the run's scratch buffers.
+//   - A function returning item()* also gets a streamed form (cemit) that
+//     reuses those closures and emits per top-level part (compileTop).
 //   - Variables resolve to frame slots at compile time. A for or quantifier
 //     variable is one item and lives in an item slot, so binding it per
 //     iteration allocates nothing, and a path rooted at it steps straight
@@ -25,10 +25,10 @@ package eval
 //     builtins) skip the numeric-position test entirely.
 //   - Comparisons specialize by static operand kind: a constant operand is
 //     atomized once at compile time.
-//   - A for loop compiles its body once per form. A comparison operand
-//     invariant in loops around it fills, on first use, a memo slot the
-//     outermost such loop empties in its prologue (operand). Order-by
-//     loops sort with the shared comparator (sortOrdered).
+//   - A for loop compiles its body once. A comparison operand invariant in
+//     loops around it fills, on first use, a memo slot the outermost such
+//     loop empties in its prologue (operand). Order-by loops sort with the
+//     shared comparator (sortOrdered).
 //   - Constructors describe their tree to the shared builder (treeBuilder),
 //     nested direct constructors in place.
 //   - A remote call evaluates its target in the frame and reads its
@@ -36,8 +36,8 @@ package eval
 //     (callRemote, bulk, scatter); a loop whose body is a remote call
 //     collects every iteration into one Bulk RPC or scatter.
 //
-// Every node compiles at most once per form, so compiling is linear in the
-// query, and every construct compiles.
+// Every node compiles at most once, so compiling is linear in the query,
+// and every construct compiles.
 
 import (
 	"errors"
@@ -150,14 +150,13 @@ func CompileQuery(q *xq.Query) (*Program, error) {
 	if p, ok := q.CompiledArtifact().(*Program); ok {
 		return p, nil
 	}
-	p := lower(q, true)
+	p := lower(q)
 	q.SetCompiledArtifact(p)
 	return p, nil
 }
 
-// lower compiles normalized q into a Program without attaching it: the eager
-// form always, the push form too when push is set.
-func lower(q *xq.Query, push bool) *Program {
+// lower compiles normalized q into a Program without attaching it.
+func lower(q *xq.Query) *Program {
 	cp := &compiler{}
 	// Pre-register every declared function so recursive and mutually
 	// recursive bodies resolve their callees to the final cfunc pointers.
@@ -176,18 +175,16 @@ func lower(q *xq.Query, push bool) *Program {
 		for _, p := range cf.decl.Params {
 			sc = sc.push(p.Name, fc.alloc(), false)
 		}
-		cf.body = fc.compile(cf.decl.Body, sc)
-		if push {
-			cf.bodySeq = fc.compileSeq(cf.decl.Body, sc)
+		if ret := cf.decl.Return; ret.Occur == xq.OccurStar && (ret.Item == "item()" || ret.Item == "") {
+			cf.body, cf.emit = fc.compileTop(cf.decl.Body, sc)
+		} else {
+			cf.body = fc.compile(cf.decl.Body, sc)
 		}
 		cf.nslots, cf.nitems = fc.nslots, fc.nitems
 	}
 	fc := &fnCompiler{cp: cp}
 	p := &Program{funcs: cp.funcs}
 	p.body = fc.compile(q.Body, nil)
-	if push {
-		p.bodySeq = fc.compileSeq(q.Body, nil)
-	}
 	p.nslots, p.nitems, p.nholes = fc.nslots, fc.nitems, cp.nholes
 	return p
 }
@@ -383,18 +380,7 @@ func (fc *fnCompiler) lowerExpr(e xq.Expr, sc *scope) cexpr {
 		for i, it := range v.Items {
 			parts[i] = fc.compile(it, sc)
 		}
-		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
-			if err := f.ctx.stop.check(); err != nil {
-				return nil, err
-			}
-			for _, part := range parts {
-				var err error
-				if dst, err = part(f, dst); err != nil {
-					return nil, err
-				}
-			}
-			return dst, nil
-		}
+		return seqc(parts)
 	case *xq.LetExpr:
 		bind := fc.compile(v.Bind, sc)
 		slot := fc.alloc()
@@ -428,7 +414,7 @@ func (fc *fnCompiler) lowerExpr(e xq.Expr, sc *scope) cexpr {
 			return els(f, dst)
 		}
 	case *xq.ForExpr:
-		return fc.compileFor(v, sc)
+		return fc.compileFor(v, sc).run
 	case *xq.QuantifiedExpr:
 		in := fc.compile(v.In, sc)
 		slot := fc.allocItem()
@@ -459,18 +445,7 @@ func (fc *fnCompiler) lowerExpr(e xq.Expr, sc *scope) cexpr {
 			return appendSeq(dst, boolSeq(res)), nil
 		}
 	case *xq.TypeswitchExpr:
-		op, cases, scopes := fc.typeswitchCases(v, sc)
-		rets := make([]cexpr, len(scopes))
-		for i, s := range scopes {
-			rets[i] = fc.compile(typeswitchReturn(v, i), s)
-		}
-		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
-			i, err := f.typeswitch(op, cases)
-			if err != nil {
-				return nil, err
-			}
-			return rets[i](f, dst)
-		}
+		return fc.compileTypeswitch(v, sc)
 	case *xq.LogicExpr:
 		return boolc(fc.compileBool(e, sc))
 	case *xq.CompareExpr:
@@ -529,8 +504,7 @@ func (fc *fnCompiler) lowerExpr(e xq.Expr, sc *scope) cexpr {
 			return appendSeq(dst, res), err
 		})
 	case *xq.PathExpr:
-		p := fc.compilePath(v, sc)
-		return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) { return f.runPath(dst, p) }
+		return pathc(fc.compilePath(v, sc))
 	case *xq.FunCall:
 		return fc.compileFunCall(v, sc)
 	case *xq.ElemConstructor:
@@ -681,85 +655,119 @@ func compileRemoteLoop(v *xq.ForExpr, x *xq.XRPCExpr, call *crpc, slot int) func
 	}
 }
 
-// compileFor lowers a FLWOR loop to its eager form. Loops whose body is a
-// remote call (and that do not sort) decide at *runtime* whether a remote
-// caller is configured — the same Program may run on
-// originator engines (Bulk RPC or scatter dispatch) and on engines without
-// a caller (the plain loop runs and the body's execute-at faults); both
-// share the call's compiled argument side.
-func (fc *fnCompiler) compileFor(v *xq.ForExpr, sc *scope) cexpr {
-	in := fc.compile(v.In, sc)
-	slot := fc.allocItem()
-	vsc := sc.push(v.Var, slot, true)
-	loop := new(cloop)
-	vsc.loop = loop
-	keys := make([]cexpr, len(v.OrderBy))
+// cfor is a compiled FLWOR loop: its input, the item slot its variable
+// binds, the memo slots its prologue empties, its order keys, its body, and
+// for a body that is a remote call without order by the Bulk RPC or scatter
+// form. Such a loop decides at *runtime* whether a remote caller is
+// configured — the same Program may run on originator engines (Bulk RPC or
+// scatter dispatch) and on engines without a caller (the plain loop runs and
+// the body's execute-at faults); both share the call's compiled argument
+// side.
+type cfor struct {
+	in     cexpr
+	slot   int
+	loop   cloop
+	keys   []cexpr
+	specs  []xq.OrderSpec
+	body   cexpr
+	remote func(f *cframe, dst, in xdm.Sequence) (xdm.Sequence, error)
+}
+
+func (fc *fnCompiler) compileFor(v *xq.ForExpr, sc *scope) *cfor {
+	c := &cfor{in: fc.compile(v.In, sc), slot: fc.allocItem(), specs: v.OrderBy}
+	vsc := sc.push(v.Var, c.slot, true)
+	vsc.loop = &c.loop
+	c.keys = make([]cexpr, len(v.OrderBy))
 	for i, spec := range v.OrderBy {
-		keys[i] = fc.compile(spec.Key, vsc)
+		c.keys[i] = fc.compile(spec.Key, vsc)
 	}
-	var body cexpr
-	var remote func(f *cframe, dst, in xdm.Sequence) (xdm.Sequence, error)
-	if x, ok := v.Return.(*xq.XRPCExpr); ok && len(keys) == 0 {
+	if x, ok := v.Return.(*xq.XRPCExpr); ok && len(c.keys) == 0 {
 		call := fc.compileRPC(x, vsc)
-		body, remote = rpcExpr(x, call), compileRemoteLoop(v, x, call, slot)
+		c.body, c.remote = rpcExpr(x, call), compileRemoteLoop(v, x, call, c.slot)
 	} else {
-		body = fc.compile(v.Return, vsc)
+		c.body = fc.compile(v.Return, vsc)
 	}
-	specs := v.OrderBy
-	return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
-		s, err := f.loopInput(in, loop)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case remote != nil && f.ctx.eng.Remote != nil:
-			dst, err = remote(f, dst, s)
-		case len(keys) > 0:
-			dst, err = f.orderLoop(dst, s, slot, keys, specs, body)
-		default:
-			for _, it := range s {
-				f.items[slot] = it
-				if dst, err = body(f, dst); err != nil {
-					break
-				}
+	return c
+}
+
+// run is the loop's eager form.
+func (c *cfor) run(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
+	s, err := f.loopInput(c.in, &c.loop)
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case c.remote != nil && f.ctx.eng.Remote != nil:
+		dst, err = c.remote(f, dst, s)
+	case len(c.keys) > 0:
+		dst, err = f.orderLoop(dst, s, c.slot, c.keys, c.specs, c.body)
+	default:
+		for _, it := range s {
+			f.items[c.slot] = it
+			if dst, err = c.body(f, dst); err != nil {
+				break
 			}
 		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	f.sc.seqs.give(s)
+	return dst, nil
+}
+
+// emit is the streamed form of a loop without order by or a remote body:
+// the input evaluates whole, as in run, and each iteration's value goes to
+// emit as soon as its body has run. Pulling the input item by item would run
+// early bodies before the input's own faults.
+func (c *cfor) emit(f *cframe, emit func(xdm.Sequence) error) error {
+	s, err := f.loopInput(c.in, &c.loop)
+	if err != nil {
+		return err
+	}
+	out := f.sc.seqs.take()
+	for _, it := range s {
+		f.items[c.slot] = it
+		if out, err = c.body(f, out[:0]); err != nil {
+			return err
+		}
+		if len(out) > 0 {
+			if err := emit(out); err != nil {
+				return err
+			}
+		}
+	}
+	f.sc.seqs.give(out)
+	f.sc.seqs.give(s)
+	return nil
+}
+
+// compileTypeswitch lowers a typeswitch: its operand, then per case, the
+// default's last, the slot its variable binds and its return expression.
+func (fc *fnCompiler) compileTypeswitch(v *xq.TypeswitchExpr, sc *scope) cexpr {
+	op := fc.compile(v.Operand, sc)
+	cases := make([]tcase, len(v.Cases)+1)
+	rets := make([]cexpr, len(cases))
+	for i := range cases {
+		name, ret := v.DefaultVar, v.Default
+		if i < len(v.Cases) {
+			name, ret, cases[i].typ = v.Cases[i].Var, v.Cases[i].Return, v.Cases[i].Type
+		}
+		cases[i].slot = -1
+		csc := sc
+		if name != "" {
+			cases[i].slot = fc.alloc()
+			csc = sc.push(name, cases[i].slot, false)
+		}
+		rets[i] = fc.compile(ret, csc)
+	}
+	return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
+		i, err := f.typeswitch(op, cases)
 		if err != nil {
 			return nil, err
 		}
-		f.sc.seqs.give(s)
-		return dst, nil
+		return rets[i](f, dst)
 	}
-}
-
-// typeswitchCases compiles a typeswitch's operand and case bindings. scopes
-// holds the scope of every case's return expression, the default's last.
-func (fc *fnCompiler) typeswitchCases(v *xq.TypeswitchExpr, sc *scope) (cexpr, []tcase, []*scope) {
-	op := fc.compile(v.Operand, sc)
-	cases := make([]tcase, len(v.Cases)+1)
-	scopes := make([]*scope, len(v.Cases)+1)
-	bind := func(i int, name string) {
-		cases[i].slot, scopes[i] = -1, sc
-		if name != "" {
-			cases[i].slot = fc.alloc()
-			scopes[i] = sc.push(name, cases[i].slot, false)
-		}
-	}
-	for i, cs := range v.Cases {
-		cases[i].typ = cs.Type
-		bind(i, cs.Var)
-	}
-	bind(len(v.Cases), v.DefaultVar)
-	return op, cases, scopes
-}
-
-// typeswitchReturn is the return expression of case i, the default's for
-// i = len(v.Cases).
-func typeswitchReturn(v *xq.TypeswitchExpr, i int) xq.Expr {
-	if i < len(v.Cases) {
-		return v.Cases[i].Return
-	}
-	return v.Default
 }
 
 // compileFunCall lowers a function call. Argument evaluation always comes
@@ -791,7 +799,7 @@ func (fc *fnCompiler) compileFunCall(v *xq.FunCall, sc *scope) cexpr {
 			if err != nil {
 				return nil, err
 			}
-			res, err := cf.call(f.ctx, f.sc, args)
+			res, err := cf.call(f.ctx, f.sc, args, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -1145,138 +1153,82 @@ func simpleDownwardPath(p *xq.PathExpr, sc *scope) bool {
 	return true
 }
 
-// replaySeq adapts an eager compiled expression to the push form: nothing
-// runs until the consumer calls it, then the result materializes into
-// scratch and replays.
-func replaySeq(ce cexpr) cseq {
-	return func(f *cframe, yield func(xdm.Item) bool) error {
-		s, err := ce(f, f.sc.seqs.take())
-		if err != nil {
-			return err
+// seqc is the eager form of a comma sequence of parts.
+func seqc(parts []cexpr) cexpr {
+	return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) {
+		if err := f.ctx.stop.check(); err != nil {
+			return nil, err
 		}
-		for _, it := range s {
-			if !yield(it) {
-				return errHalt
+		for _, part := range parts {
+			var err error
+			if dst, err = part(f, dst); err != nil {
+				return nil, err
 			}
 		}
-		f.sc.seqs.give(s)
-		return nil
+		return dst, nil
 	}
 }
 
-// compileSeq lowers one expression to its push form. Sequence construction,
-// let, if, typeswitch and the bodies of FLWOR loops without order by stream,
-// and so does a path whose final step is streamable (stepStreamable);
-// everything else — sorting, reverse axes, node-set operators, aggregates,
-// remote loops — replays its eager form. Every subexpression runs in the
-// eager form's order, so laziness changes when items are produced, never
-// which, and never which fault a query meets first.
-func (fc *fnCompiler) compileSeq(e xq.Expr, sc *scope) cseq {
-	switch v := e.(type) {
-	case nil:
-		return func(*cframe, func(xdm.Item) bool) error { return nil }
-	case *xq.SeqExpr:
-		parts := make([]cseq, len(v.Items))
-		for i, it := range v.Items {
-			parts[i] = fc.compileSeq(it, sc)
-		}
-		return func(f *cframe, yield func(xdm.Item) bool) error {
-			if err := f.ctx.stop.check(); err != nil {
-				return err
+// pathc is the eager form of compiled path p.
+func pathc(p *cpath) cexpr {
+	return func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error) { return f.runPath(dst, p) }
+}
+
+// compileTop lowers a function body to its eager form and to its streamed
+// form, which runs the same closures and emits at the body's top-level
+// boundaries: a comma operand by operand, each operand lowered by compileTop
+// in turn; a for loop without order by or a remote body iteration by
+// iteration (cfor.emit); a path whose last step stepStreamable admits node by
+// node (emitPath). Any other body, a constant one included, is emitted whole,
+// once. Every part runs in the eager form's order, so streaming changes when
+// items leave, never which, and never which fault a call meets first.
+func (fc *fnCompiler) compileTop(e xq.Expr, sc *scope) (cexpr, cemit) {
+	if e != nil && !fc.isConst(e) {
+		switch v := e.(type) {
+		case *xq.SeqExpr:
+			parts := make([]cexpr, len(v.Items))
+			emits := make([]cemit, len(v.Items))
+			for i, it := range v.Items {
+				parts[i], emits[i] = fc.compileTop(it, sc)
 			}
-			for _, part := range parts {
-				if err := part(f, yield); err != nil {
+			return seqc(parts), func(f *cframe, emit func(xdm.Sequence) error) error {
+				if err := f.ctx.stop.check(); err != nil {
 					return err
 				}
+				for _, part := range emits {
+					if err := part(f, emit); err != nil {
+						return err
+					}
+				}
+				return nil
 			}
-			return nil
+		case *xq.ForExpr:
+			c := fc.compileFor(v, sc)
+			if c.remote == nil && len(c.keys) == 0 {
+				return c.run, c.emit
+			}
+			run := c.run
+			return run, whole(run)
+		case *xq.PathExpr:
+			if n := len(v.Steps); n > 0 && stepStreamable(v.Steps[n-1]) {
+				p := fc.compilePath(v, sc)
+				return pathc(p), func(f *cframe, emit func(xdm.Sequence) error) error { return f.emitPath(p, emit) }
+			}
 		}
-	case *xq.LetExpr:
-		bind := fc.compile(v.Bind, sc)
-		slot := fc.alloc()
-		body := fc.compileSeq(v.Return, sc.push(v.Var, slot, false))
-		return func(f *cframe, yield func(xdm.Item) bool) error {
-			if err := f.ctx.stop.check(); err != nil {
-				return err
-			}
-			s, err := bind(f, nil)
-			if err != nil {
-				return err
-			}
-			f.slots[slot] = s
-			return body(f, yield)
-		}
-	case *xq.IfExpr:
-		cond := fc.compileCond(v.Cond, sc, "eval: invalid effective boolean value in if condition")
-		then := fc.compileSeq(v.Then, sc)
-		els := fc.compileSeq(v.Else, sc)
-		return func(f *cframe, yield func(xdm.Item) bool) error {
-			if err := f.ctx.stop.check(); err != nil {
-				return err
-			}
-			b, err := cond(f)
-			if err != nil {
-				return err
-			}
-			if b {
-				return then(f, yield)
-			}
-			return els(f, yield)
-		}
-	case *xq.TypeswitchExpr:
-		op, cases, scopes := fc.typeswitchCases(v, sc)
-		rets := make([]cseq, len(scopes))
-		for i, s := range scopes {
-			rets[i] = fc.compileSeq(typeswitchReturn(v, i), s)
-		}
-		return func(f *cframe, yield func(xdm.Item) bool) error {
-			i, err := f.typeswitch(op, cases)
-			if err != nil {
-				return err
-			}
-			return rets[i](f, yield)
-		}
-	case *xq.ForExpr:
-		return fc.compileForSeq(v, sc)
-	case *xq.PathExpr:
-		n := len(v.Steps)
-		if n == 0 || !stepStreamable(v.Steps[n-1]) {
-			return replaySeq(fc.compile(e, sc))
-		}
-		p := fc.compilePath(v, sc)
-		return func(f *cframe, yield func(xdm.Item) bool) error { return f.streamPath(p, yield) }
-	default:
-		return replaySeq(fc.compile(e, sc))
 	}
+	ce := fc.compile(e, sc)
+	return ce, whole(ce)
 }
 
-// compileForSeq lowers a FLWOR loop to its push form: the input evaluates
-// whole, as in compileFor, and each iteration's body streams. Pulling the
-// input item by item would run early bodies before the input's own faults,
-// and a query that faults in several places would then report another fault
-// lazily than eagerly. Order-by loops gather whole results by design, and a
-// loop over a remote call dispatches every iteration at once, so both replay
-// their eager form.
-func (fc *fnCompiler) compileForSeq(v *xq.ForExpr, sc *scope) cseq {
-	if _, rpc := v.Return.(*xq.XRPCExpr); rpc || len(v.OrderBy) > 0 {
-		return replaySeq(fc.compileFor(v, sc))
-	}
-	in := fc.compile(v.In, sc)
-	slot := fc.allocItem()
-	vsc := sc.push(v.Var, slot, true)
-	loop := new(cloop)
-	vsc.loop = loop
-	body := fc.compileSeq(v.Return, vsc)
-	return func(f *cframe, yield func(xdm.Item) bool) error {
-		s, err := f.loopInput(in, loop)
+// whole is the streamed form that emits ce's value once, complete.
+func whole(ce cexpr) cemit {
+	return func(f *cframe, emit func(xdm.Sequence) error) error {
+		s, err := ce(f, f.sc.seqs.take())
+		if err == nil {
+			err = emit(s)
+		}
 		if err != nil {
 			return err
-		}
-		for _, it := range s {
-			f.items[slot] = it
-			if err := body(f, yield); err != nil {
-				return err
-			}
 		}
 		f.sc.seqs.give(s)
 		return nil

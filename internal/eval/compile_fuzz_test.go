@@ -199,7 +199,7 @@ var compiledFuzzSeeds = []string{
 // FuzzCompiledVsTreeWalk is the differential fuzzer of the compiler: every
 // parsed query must evaluate byte-identically (or fault with the identical
 // error) on the tree-walker (treeWalk) and through the engine's entry
-// points, the eager Query and the lazy push form. A query that mentions
+// points, the eager Query and the streamed form. A query that mentions
 // execute-at runs again against each of fuzzRemotes' callers, so remote
 // dispatch is compared too. Deadline aborts are the single tolerated
 // asymmetry — they depend on wall-clock timing, which the two executors
@@ -294,8 +294,8 @@ func differential(t *testing.T, src string, doc *xdm.Document, deadline time.Tim
 	compareModes(t, "lazy", src, twRes, twErr, ccRes, ccErr)
 }
 
-// drainCompiled is the lazy half of a differential check: it drains the push
-// form of q, which the eager run before it left without a Program.
+// drainCompiled is the lazy half of a differential check: it drains the
+// streamed form of q, which the eager run before it left without a Program.
 func drainCompiled(t *testing.T, e *Engine, q *xq.Query, src string) (xdm.Sequence, error) {
 	t.Helper()
 	if q.CompiledArtifact() != nil {

@@ -156,7 +156,7 @@ var compileBattery = []string{
 	`concat("one")`,
 	`execute at {"p"} { young() }`,
 	`doc("missing://really")/x`,
-	// Queries that fault in several places: the push form meets the
+	// Queries that fault in several places: the streamed form meets the
 	// tree-walker's fault first — a loop's input before its bodies and its
 	// hoisted operands, a step's predicate layers one after another.
 	`for $x in (1, 0, 3, 4, 5, -(doc("f.xml")//name)) return 10 idiv $x`,
@@ -391,7 +391,7 @@ func TestCompiledFunctionEntryPoints(t *testing.T) {
 		t.Fatal("function returned nothing; fixture mismatch")
 	}
 	// Lazy entry point.
-	s, err := cc.EvalFunctionSeqDeadline(q2, "local:f", []xdm.Sequence{arg(cc)}, nil, time.Time{})
+	s, err := cc.evalFunctionSeq(q2, "local:f", []xdm.Sequence{arg(cc)}, nil, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,11 +511,11 @@ func TestTreeWalkAttachesNoProgram(t *testing.T) {
 	}
 	for _, lazy := range []struct {
 		name string
-		run  func(*Engine, *xq.Query) (xdm.Seq, error)
+		run  func(*Engine, *xq.Query) (lazySeq, error)
 	}{
 		{"QuerySeq", (*Engine).QuerySeq},
-		{"EvalFunctionSeqDeadline", func(e *Engine, q *xq.Query) (xdm.Seq, error) {
-			return e.EvalFunctionSeqDeadline(q, "f", nil, nil, time.Time{})
+		{"EvalFunctionSeqDeadline", func(e *Engine, q *xq.Query) (lazySeq, error) {
+			return e.evalFunctionSeq(q, "f", nil, nil, time.Time{})
 		}},
 	} {
 		e, lq := NewEngine(docs), parse()
@@ -539,7 +539,7 @@ func TestTreeWalkAttachesNoProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tw.program(q, false) != p || tw.program(q, true) != p {
+	if tw.program(q) != p {
 		t.Fatal("engine ignores the Program its query carries")
 	}
 	got, err := tw.Query(q)
@@ -566,7 +566,7 @@ var loopChains = []struct {
 		fmt.Fprintf(&sb, "$x%d", d)
 		return sb.String()
 	}},
-	// Streamed loops: the push form nests all the way down.
+	// Plain nested loops.
 	{"push", func(d int) string {
 		var sb strings.Builder
 		for k := 1; k <= d; k++ {

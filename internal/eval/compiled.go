@@ -15,7 +15,6 @@ package eval
 // constructor builder, the remote-dispatch routines — are shared with it.
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -42,25 +41,11 @@ type Options struct {
 // got copies it first.
 type cexpr func(f *cframe, dst xdm.Sequence) (xdm.Sequence, error)
 
-// cseq is a compiled expression in push form, the lazy executor: it
-// hands its items to yield in order as it produces them. When yield
-// returns false the producer stops and returns errHalt, which travels up to
-// the consumer that asked to stop — the run's API boundary turns it into
-// the nil of the xdm.Seq contract. Items are produced synchronously with
-// the frame, so slot values are always the binding in scope.
-type cseq func(f *cframe, yield func(xdm.Item) bool) error
-
-// errHalt reports, inside compiled push code, that the consumer stopped.
-var errHalt = errors.New("eval: sequence consumer stopped")
-
-// halted maps the errHalt of a consumer that stopped early to the nil the
-// xdm.Seq contract promises.
-func halted(err error) error {
-	if err == errHalt {
-		return nil
-	}
-	return err
-}
+// cemit is a function body's streamed form, built from the closures of its
+// eager form (compileTop): it hands emit the value of each top-level part as
+// soon as that part is complete. emit must not keep the sequence it is
+// handed; an error it returns stops the run and comes back unchanged.
+type cemit func(f *cframe, emit func(xdm.Sequence) error) error
 
 // cbool is a compiled boolean-valued expression (comparison, logic, boolean
 // builtin): the predicate fast path that skips sequence materialization.
@@ -291,18 +276,16 @@ func (f *cframe) orderLoop(dst, in xdm.Sequence, slot int, keys []cexpr, specs [
 	return dst, nil
 }
 
-// Program is the compiled artifact of one query: the compiled body (eager
-// form, and push form when lowered for lazy calls) plus every declared
-// function, by name and arity. A Program is immutable after compilation and
-// engine-independent — all engine state is read from the context a run is
-// given, all scratch lives in the run's frames — so one Program may execute
-// concurrently on any number of engines.
+// Program is the compiled artifact of one query: the compiled body plus
+// every declared function, by name and arity. A Program is immutable after
+// compilation and engine-independent — all engine state is read from the
+// context a run is given, all scratch lives in the run's frames — so one
+// Program may execute concurrently on any number of engines.
 type Program struct {
-	nslots  int
-	nitems  int
-	body    cexpr
-	bodySeq cseq
-	funcs   map[funcKey]*cfunc
+	nslots int
+	nitems int
+	body   cexpr
+	funcs  map[funcKey]*cfunc
 	// nholes is how many arguments the holed literals read (Literal.Hole).
 	nholes int
 }
@@ -343,36 +326,14 @@ func (f *cframe) holeAtoms(h int, c []xdm.Atomic) []xdm.Atomic {
 	return f.ctx.holes[h : h+1 : h+1]
 }
 
-// cfunc is one compiled declared function.
+// cfunc is one compiled declared function: its eager body, and the streamed
+// form of a function that returns item()*, nil for any other return type.
 type cfunc struct {
-	decl    *xq.FuncDecl
-	nslots  int
-	nitems  int
-	body    cexpr
-	bodySeq cseq
-}
-
-// run evaluates the program body eagerly under ctx.
-func (p *Program) run(ctx *context) (xdm.Sequence, error) {
-	return p.body(newFrame(ctx, p.nslots, p.nitems, nil), nil)
-}
-
-// callFunction invokes a declared function by name and arity.
-func (p *Program) callFunction(ctx *context, name string, args []xdm.Sequence) (xdm.Sequence, error) {
-	cf, ok := p.funcs[funcKey{name, len(args)}]
-	if !ok {
-		return nil, undeclared(name, len(args))
-	}
-	return cf.call(ctx, nil, args)
-}
-
-// callFunctionSeq is the lazy twin of callFunction; p has its push form.
-func (p *Program) callFunctionSeq(ctx *context, name string, args []xdm.Sequence) (xdm.Seq, error) {
-	cf, ok := p.funcs[funcKey{name, len(args)}]
-	if !ok {
-		return nil, undeclared(name, len(args))
-	}
-	return cf.callSeq(ctx, args)
+	decl   *xq.FuncDecl
+	nslots int
+	nitems int
+	body   cexpr
+	emit   cemit
 }
 
 // undeclared is the fault of calling a function the query does not declare.
@@ -381,15 +342,20 @@ func undeclared(name string, arity int) error {
 }
 
 // call runs a compiled declared function: parameters type-check into the
-// first frame slots, the body runs, the result type-checks. sc is the
+// first frame slots, then the body runs. Without emit the result type-checks
+// and comes back. With emit a body with a streamed form streams into it, and
+// any other evaluates whole, type-checks and is emitted once. sc is the
 // caller's scratch, nil for a call from outside a run.
-func (cf *cfunc) call(ctx *context, sc *cscratch, args []xdm.Sequence) (xdm.Sequence, error) {
+func (cf *cfunc) call(ctx *context, sc *cscratch, args []xdm.Sequence, emit func(xdm.Sequence) error) (xdm.Sequence, error) {
 	f := newFrame(ctx, cf.nslots, cf.nitems, sc)
 	for i, p := range cf.decl.Params {
 		if err := checkSeqType(args[i], p.Type); err != nil {
 			return nil, fmt.Errorf("eval: %s($%s): %w", cf.decl.Name, p.Name, err)
 		}
 		f.slots[i] = args[i]
+	}
+	if emit != nil && cf.emit != nil {
+		return nil, cf.emit(f, emit)
 	}
 	res, err := cf.body(f, nil)
 	if err != nil {
@@ -398,61 +364,10 @@ func (cf *cfunc) call(ctx *context, sc *cscratch, args []xdm.Sequence) (xdm.Sequ
 	if err := checkSeqType(res, cf.decl.Return); err != nil {
 		return nil, fmt.Errorf("eval: %s result: %w", cf.decl.Name, err)
 	}
+	if emit != nil {
+		return nil, emit(res)
+	}
 	return res, nil
-}
-
-// callSeq is call with a streamed body: parameters check eagerly (faults
-// beat frames), then the body streams when the declared occurrence is `*` —
-// checking each item's type as it passes — and materializes-then-checks
-// otherwise, since occurrence constraints need the whole result.
-func (cf *cfunc) callSeq(ctx *context, args []xdm.Sequence) (xdm.Seq, error) {
-	for i, p := range cf.decl.Params {
-		if err := checkSeqType(args[i], p.Type); err != nil {
-			return nil, fmt.Errorf("eval: %s($%s): %w", cf.decl.Name, p.Name, err)
-		}
-	}
-	frame := func() *cframe {
-		f := newFrame(ctx, cf.nslots, cf.nitems, nil)
-		copy(f.slots, args)
-		return f
-	}
-	if cf.decl.Return.Occur != xq.OccurStar {
-		return func(yield func(xdm.Item) bool) error {
-			res, err := cf.body(frame(), nil)
-			if err != nil {
-				return err
-			}
-			if err := checkSeqType(res, cf.decl.Return); err != nil {
-				return fmt.Errorf("eval: %s result: %w", cf.decl.Name, err)
-			}
-			for _, it := range res {
-				if !yield(it) {
-					return nil
-				}
-			}
-			return nil
-		}, nil
-	}
-	if cf.decl.Return.Item == "item()" || cf.decl.Return.Item == "" {
-		return func(yield func(xdm.Item) bool) error {
-			return halted(cf.bodySeq(frame(), yield))
-		}, nil
-	}
-	return func(yield func(xdm.Item) bool) error {
-		var typeErr error
-		err := cf.bodySeq(frame(), func(it xdm.Item) bool {
-			if typeErr == nil && !itemMatches(it, cf.decl.Return.Item) {
-				typeErr = fmt.Errorf("eval: %s result: item %v does not match type %s", cf.decl.Name, it, cf.decl.Return.Item)
-			}
-			// After a mismatch the body still runs to its end, yielding
-			// nothing more: a fault of its own wins, as in call.
-			return typeErr != nil || yield(it)
-		})
-		if err != nil {
-			return halted(err)
-		}
-		return typeErr
-	}, nil
 }
 
 // ------------------------------------------------------------- path runtime --
@@ -567,12 +482,15 @@ func (f *cframe) runPath(dst xdm.Sequence, p *cpath) (xdm.Sequence, error) {
 	return dst, nil
 }
 
-// streamPath streams a compiled path whose final step is streamable: the
-// leading steps run eagerly (they are context for the last step, not
-// output), and the last one hands each node to the consumer as its axis
-// walk reaches it. An overlapping or unordered context needs runStep's sort
-// barrier, so that step materializes first.
-func (f *cframe) streamPath(p *cpath, yield func(xdm.Item) bool) error {
+// emitPath is the streamed form of a compiled path whose last step is
+// streamable: the leading steps run eagerly (they are context for the last
+// step, not output), and the last one hands emit each node as its axis walk
+// reaches it, through its predicate, if any, with positions counted per
+// context node — runStep's per-segment numbering. Ordered disjoint context
+// nodes concatenate their segments in distinct document order; an
+// overlapping or unordered context needs runStep's sort barrier, so that
+// step is emitted whole.
+func (f *cframe) emitPath(p *cpath, emit func(xdm.Sequence) error) error {
 	if err := f.ctx.stop.check(); err != nil {
 		return err
 	}
@@ -582,17 +500,6 @@ func (f *cframe) streamPath(p *cpath, yield func(xdm.Item) bool) error {
 	if err != nil {
 		return err
 	}
-	if last.filter {
-		if isNodes {
-			items = appendNodeItems(sc.seqs.take(), nodes)
-			sc.nodes.give(nodes)
-		}
-		if err := f.streamFilterItems(items, last.preds, yield); err != nil {
-			return err
-		}
-		sc.seqs.give(items)
-		return nil
-	}
 	if !isNodes {
 		var ok bool
 		if nodes, ok = appendNodes(sc.nodes.take(), items); !ok {
@@ -600,26 +507,35 @@ func (f *cframe) streamPath(p *cpath, yield func(xdm.Item) bool) error {
 		}
 		sc.seqs.give(items)
 	}
+	out := sc.seqs.take()
 	if len(nodes) > 1 && !xdm.OrderedDisjointNodes(nodes) {
-		// Overlapping or unordered context: a sort barrier is required.
 		gathered, err := f.runStep(nodes, last, sc.nodes.take())
+		if err == nil {
+			err = emit(appendNodeItems(out, gathered))
+		}
 		if err != nil {
 			return err
 		}
-		sc.nodes.give(nodes)
-		nodes = gathered
-		for _, m := range nodes {
-			if !yield(m) {
-				return errHalt
-			}
-		}
+		sc.nodes.give(gathered)
 	} else {
+		pos := 0
+		visit := func(m *xdm.Node) (bool, error) {
+			if len(last.preds) == 1 {
+				pos++
+				if keep, err := f.evalPred(last.preds[0], m, pos, 0); err != nil || !keep {
+					return err == nil, err
+				}
+			}
+			return true, emit(append(out[:0], m))
+		}
 		for _, n := range nodes {
-			if err := f.streamFrom(n, last, yield); err != nil {
+			pos = 0
+			if _, err := walkAxis(n, last.axis, last.test, f.ctx.stop, visit); err != nil {
 				return err
 			}
 		}
 	}
+	sc.seqs.give(out)
 	sc.nodes.give(nodes)
 	return nil
 }
@@ -777,56 +693,16 @@ func (f *cframe) existsCompare(n *xdm.Node, steps []*xq.Step, op xq.CompOp, ca [
 	return found, err
 }
 
-// streamFrom streams a compiled final step from one context node: walkAxis
-// pushes each candidate through the step's predicate, if any, straight to
-// the consumer, with positions counted per context node — runStep's
-// per-segment numbering. Several predicate layers run whole over the
-// segment, one after another, as in runStep: interleaved per candidate, a
-// later layer could fault before an earlier one does. The concatenation of
-// segments is in distinct document order by the OrderedDisjointNodes
-// precondition, so no sort barrier is needed.
-func (f *cframe) streamFrom(n *xdm.Node, st *cstep, yield func(xdm.Item) bool) error {
-	stop := f.ctx.stop
-	if len(st.preds) > 1 {
-		seg, err := gatherAxis(f.sc.nodes.take(), n, st.axis, st.test, stop)
-		if err == nil {
-			seg, err = runFilter(f, seg, st.preds, false) // a streamed axis is forward
-		}
-		if err != nil {
-			return err
-		}
-		for _, m := range seg {
-			if !yield(m) {
-				return errHalt
-			}
-		}
-		f.sc.nodes.give(seg)
-		return nil
-	}
-	pos := 0
-	return haltIf(walkAxis(n, st.axis, st.test, stop, func(m *xdm.Node) (bool, error) {
-		if len(st.preds) == 1 {
-			pos++
-			if keep, err := f.evalPred(st.preds[0], m, pos, 0); err != nil || !keep {
-				return err == nil, err
-			}
-		}
-		return yield(m), nil
-	}))
-}
-
-// stepStreamable reports whether a path step can stream: predicates must not
-// observe last() (position() is fine — it accumulates incrementally), and a
-// node step's axis must enumerate descendants of its context node only, so
-// that ordered disjoint context nodes concatenate in document order.
+// stepStreamable reports whether a path's last step can stream: it is a
+// node step, not a filter, with at most one predicate, which does not
+// observe last() (position() is fine — it accumulates incrementally), and
+// its axis enumerates descendants of its context node only, so that ordered
+// disjoint context nodes concatenate in document order. Several predicate
+// layers would each need the whole segment first: interleaved per
+// candidate, a later layer could fault before an earlier one does.
 func stepStreamable(st *xq.Step) bool {
-	for _, p := range st.Preds {
-		if usesLast(p) {
-			return false
-		}
-	}
-	if st.Filter {
-		return true
+	if st.Filter || len(st.Preds) > 1 || len(st.Preds) == 1 && usesLast(st.Preds[0]) {
+		return false
 	}
 	switch st.Axis {
 	case xq.AxisChild, xq.AxisAttribute, xq.AxisSelf, xq.AxisDescendant, xq.AxisDescendantOrSelf:
@@ -852,46 +728,6 @@ func usesLast(e xq.Expr) bool {
 		return true
 	})
 	return found
-}
-
-// haltIf turns a walk's (continue, error) outcome into push-form's error:
-// errHalt when the consumer ended the walk.
-func haltIf(cont bool, err error) error {
-	if err == nil && !cont {
-		return errHalt
-	}
-	return err
-}
-
-// streamFilterItems streams a compiled final filter step over a materialized
-// input: positions count over the whole sequence, as in runFilter, and
-// several predicate layers run whole first, for streamFrom's reason.
-func (f *cframe) streamFilterItems(items xdm.Sequence, preds []cpred, yield func(xdm.Item) bool) error {
-	if len(preds) > 1 {
-		var err error
-		if items, err = runFilter(f, items, preds, false); err != nil {
-			return err
-		}
-		preds = nil
-	}
-	for i, it := range items {
-		if err := f.ctx.stop.check(); err != nil {
-			return err
-		}
-		if len(preds) == 1 {
-			keep, err := f.evalPred(preds[0], it, i+1, 0)
-			if err != nil {
-				return err
-			}
-			if !keep {
-				continue
-			}
-		}
-		if !yield(it) {
-			return errHalt
-		}
-	}
-	return nil
 }
 
 // -------------------------------------------------------------- constructors --

@@ -5,10 +5,11 @@
 // nodes perform remote procedure calls.
 //
 // One executor runs every call: a Program (compile.go, compiled.go) lowers a
-// query to closures in an eager and a push form, the push form being the lazy
-// executor. Every entry point runs one, the Program a cache attached to the
-// query or else a fresh lowering; the caches decide what is retained. The
-// tree-walker the compiler is checked against lives in the package's tests.
+// query to closures once, and a streamed function call runs the same closures
+// and emits at its body's top-level boundaries. Every entry point runs one,
+// the Program a cache attached to the query or else a fresh lowering; the
+// caches decide what is retained. The tree-walker the compiler is checked
+// against lives in the package's tests.
 //
 // The layer's contract: Engine evaluates a normalized query exactly per the
 // xq semantics, resolving fn:doc through its Resolver (with single-flighted
@@ -353,12 +354,12 @@ func (e *Engine) Query(q *xq.Query) (xdm.Sequence, error) {
 	if err := xq.Normalize(q); err != nil {
 		return nil, err
 	}
-	p := e.program(q, false)
+	p := e.program(q)
 	ctx := e.newContext()
 	if err := p.bind(ctx, e.Holes); err != nil {
 		return nil, err
 	}
-	return p.run(ctx)
+	return p.body(newFrame(ctx, p.nslots, p.nitems, nil), nil)
 }
 
 // EvalFunctionDeadline evaluates a declared function of q with the given
@@ -373,39 +374,41 @@ func (e *Engine) Query(q *xq.Query) (xdm.Sequence, error) {
 // computing a result nobody will gather. holes, when given, is the argument
 // vector of a template q (xq.ParseTemplate), as Engine.Holes is for Query.
 func (e *Engine) EvalFunctionDeadline(q *xq.Query, name string, args []xdm.Sequence, static *StaticContext, deadline time.Time, holes ...xdm.Atomic) (xdm.Sequence, error) {
+	return e.evalFunction(q, name, args, static, deadline, holes, nil)
+}
+
+// EvalFunctionEmit is EvalFunctionDeadline handing the result to emit while
+// the call is still computing, so a streaming server can send frames early:
+// at the body's top-level boundaries for a function returning item()*
+// (compileTop), else once, whole and type-checked. emit must not keep the
+// sequence it is handed; an error it returns stops the evaluation and comes
+// back unchanged. What was emitted before a fault is a valid prefix of the
+// result.
+func (e *Engine) EvalFunctionEmit(q *xq.Query, name string, args []xdm.Sequence, static *StaticContext, deadline time.Time, emit func(xdm.Sequence) error, holes ...xdm.Atomic) error {
+	_, err := e.evalFunction(q, name, args, static, deadline, holes, emit)
+	return err
+}
+
+// evalFunction is both EvalFunction entry points; emit nil returns the result.
+func (e *Engine) evalFunction(q *xq.Query, name string, args []xdm.Sequence, static *StaticContext, deadline time.Time, holes []xdm.Atomic, emit func(xdm.Sequence) error) (xdm.Sequence, error) {
 	ctx, err := e.callContext(q, static, deadline)
 	if err != nil {
 		return nil, err
 	}
-	p := e.program(q, false)
+	p := e.program(q)
 	if err := p.bind(ctx, holes); err != nil {
 		return nil, err
 	}
-	return p.callFunction(ctx, name, args)
+	cf, ok := p.funcs[funcKey{name, len(args)}]
+	if !ok {
+		return nil, undeclared(name, len(args))
+	}
+	return cf.call(ctx, nil, args, emit)
 }
 
-// EvalFunctionSeqDeadline is the lazy twin of EvalFunctionDeadline: it
-// returns the declared function's result as a pull-based sequence without
-// evaluating the body first, so the streaming server can emit chunk frames
-// while the call is still computing. Argument types are checked eagerly
-// (faults beat frames); the result type streams per item when the declared
-// occurrence is `*` and falls back to materialize-then-check otherwise,
-// since occurrence constraints need the whole result.
-func (e *Engine) EvalFunctionSeqDeadline(q *xq.Query, name string, args []xdm.Sequence, static *StaticContext, deadline time.Time, holes ...xdm.Atomic) (xdm.Seq, error) {
-	ctx, err := e.callContext(q, static, deadline)
-	if err != nil {
-		return nil, err
-	}
-	p := e.program(q, true)
-	if err := p.bind(ctx, holes); err != nil {
-		return nil, err
-	}
-	return p.callFunctionSeq(ctx, name, args)
-}
-
-// callContext normalizes q and builds the context a function call of the
-// two EvalFunction entry points runs in: static, when non-nil, replaces the
-// engine's static context, and a non-zero deadline installs a stop check.
+// callContext normalizes q and builds the context a function call runs in:
+// static, when non-nil, replaces the engine's static context, and a non-zero
+// deadline installs a stop check.
 func (e *Engine) callContext(q *xq.Query, static *StaticContext, deadline time.Time) (*context, error) {
 	if err := xq.Normalize(q); err != nil {
 		return nil, err
@@ -423,10 +426,9 @@ func (e *Engine) callContext(q *xq.Query, static *StaticContext, deadline time.T
 // program returns the Program a call of normalized q runs: the one q
 // carries, attached by a cache that saw q reused; else, under
 // Options.Compile, a lowering attached now; else a lowering for this call
-// alone, which nothing retains. Such a lowering compiles the push form only
-// when the call is lazy (push), and records its "compile" span under
+// alone, which nothing retains and which records its "compile" span under
 // TraceSpan like any other.
-func (e *Engine) program(q *xq.Query, push bool) *Program {
+func (e *Engine) program(q *xq.Query) *Program {
 	if p, ok := q.CompiledArtifact().(*Program); ok {
 		return p
 	}
@@ -437,7 +439,7 @@ func (e *Engine) program(q *xq.Query, push bool) *Program {
 		return p
 	}
 	sp := e.TraceSpan.Child("compile")
-	p := lower(q, push)
+	p := lower(q)
 	sp.End()
 	return p
 }

@@ -291,9 +291,9 @@ func fnStringJoin(_ *context, args []xdm.Sequence) (xdm.Sequence, error) {
 	if err != nil {
 		return nil, err
 	}
-	parts := make([]string, 0, len(args[0]))
-	for _, a := range args[0].Atomize() {
-		parts = append(parts, a.ItemString())
+	parts := make([]string, len(args[0]))
+	for i, it := range args[0] {
+		parts[i] = atomOf(it).ItemString()
 	}
 	return xdm.Singleton(xdm.NewString(strings.Join(parts, sep))), nil
 }
@@ -473,11 +473,14 @@ func fnZeroOrOne(_ *context, args []xdm.Sequence) (xdm.Sequence, error) {
 	return args[0], nil
 }
 
-func fnSum(_ *context, args []xdm.Sequence) (xdm.Sequence, error) {
+// sumOf folds s one atomized item at a time: the integer sum, the sum as
+// a double, and whether every item was an integer.
+func sumOf(s xdm.Sequence) (int64, float64, bool) {
 	allInt := true
 	var fi int64
 	var ff float64
-	for _, a := range args[0].Atomize() {
+	for _, it := range s {
+		a := atomOf(it)
 		if a.T == xdm.TInteger {
 			fi += a.I
 		} else {
@@ -485,6 +488,11 @@ func fnSum(_ *context, args []xdm.Sequence) (xdm.Sequence, error) {
 		}
 		ff += a.Number()
 	}
+	return fi, ff, allInt
+}
+
+func fnSum(_ *context, args []xdm.Sequence) (xdm.Sequence, error) {
+	fi, ff, allInt := sumOf(args[0])
 	if allInt {
 		return xdm.Singleton(xdm.NewInteger(fi)), nil
 	}
@@ -492,25 +500,21 @@ func fnSum(_ *context, args []xdm.Sequence) (xdm.Sequence, error) {
 }
 
 func fnAvg(_ *context, args []xdm.Sequence) (xdm.Sequence, error) {
-	atoms := args[0].Atomize()
-	if len(atoms) == 0 {
+	if len(args[0]) == 0 {
 		return xdm.EmptySequence, nil
 	}
-	var sum float64
-	for _, a := range atoms {
-		sum += a.Number()
-	}
-	return xdm.Singleton(xdm.NewDouble(sum / float64(len(atoms)))), nil
+	_, sum, _ := sumOf(args[0])
+	return xdm.Singleton(xdm.NewDouble(sum / float64(len(args[0])))), nil
 }
 
 func fnMinMax(wantMax bool) func(*context, []xdm.Sequence) (xdm.Sequence, error) {
 	return func(_ *context, args []xdm.Sequence) (xdm.Sequence, error) {
-		atoms := args[0].Atomize()
-		if len(atoms) == 0 {
+		if len(args[0]) == 0 {
 			return xdm.EmptySequence, nil
 		}
-		best := atoms[0]
-		for _, a := range atoms[1:] {
+		best := atomOf(args[0][0])
+		for _, it := range args[0][1:] {
+			a := atomOf(it)
 			cmp, ok := xdm.CompareAtomics(a, best)
 			if !ok {
 				return nil, fmt.Errorf("eval: min()/max() over incomparable values")

@@ -106,8 +106,8 @@ func TestHoistedOperandAtomizedOnce(t *testing.T) {
 
 // expectEveryForm requires the expression src to evaluate to want on the
 // tree-walker, on the compiled executor eagerly (Query) and lazily
-// (QuerySeq), and as the body of a declared function through the lazy
-// entry point EvalFunctionSeqDeadline.
+// (QuerySeq), and as the body of a declared function through the emitting
+// entry point EvalFunctionEmit.
 func expectEveryForm(t *testing.T, docs mapResolver, src, want string) {
 	t.Helper()
 	expectBoth(t, docs, src, want)
@@ -115,13 +115,13 @@ func expectEveryForm(t *testing.T, docs mapResolver, src, want string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewEngine(docs).EvalFunctionSeqDeadline(q, "f", nil, nil, time.Time{})
+	s, err := NewEngine(docs).evalFunctionSeq(q, "f", nil, nil, time.Time{})
 	if err != nil {
 		t.Fatalf("%s: %v", src, err)
 	}
 	got, err := drain(s)
 	if err != nil || serialize(got) != want {
-		t.Errorf("EvalFunctionSeqDeadline %s\n got:  %q, %v\n want: %s", src, serialize(got), err, want)
+		t.Errorf("EvalFunctionEmit %s\n got:  %q, %v\n want: %s", src, serialize(got), err, want)
 	}
 }
 

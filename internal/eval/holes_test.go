@@ -84,7 +84,7 @@ func TestTemplateProgramBindsHoles(t *testing.T) {
 		if err != nil || serialize(got) != want {
 			t.Errorf("function with holes %v: %q, %v; want %s", holes, serialize(got), err, want)
 		}
-		seq, err := e.EvalFunctionSeqDeadline(q, "f", nil, nil, time.Time{}, holes...)
+		seq, err := e.evalFunctionSeq(q, "f", nil, nil, time.Time{}, holes...)
 		if err != nil {
 			t.Fatal(err)
 		}

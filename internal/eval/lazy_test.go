@@ -14,7 +14,7 @@ import (
 )
 
 // evalEager runs a query through the eager tree-walker on its own parse —
-// the oracle the compiled push form is checked against.
+// the oracle the streamed form is checked against.
 func evalEager(e *Engine, src string) (xdm.Sequence, error) {
 	q, err := xq.ParseQuery(src)
 	if err != nil {
@@ -23,8 +23,8 @@ func evalEager(e *Engine, src string) (xdm.Sequence, error) {
 	return treeWalk(e, q)
 }
 
-// evalLazy pulls the same query through QuerySeq item by item: the compiled
-// push form, lowered on the spot. Each side parses its own copy.
+// evalLazy pulls the same query through QuerySeq item by item: the
+// streamed form, lowered on the spot. Each side parses its own copy.
 func evalLazy(e *Engine, src string) (xdm.Sequence, error) {
 	q, err := xq.ParseQuery(src)
 	if err != nil {
@@ -73,7 +73,7 @@ var lazyEquivQueries = []string{
 	`typeswitch (doc("people.xml")/people/person) case $n as node()+ return $n[1]/name default return "none"`,
 }
 
-// TestLazyEagerEquivalence checks the compiled push form (QuerySeq) against
+// TestLazyEagerEquivalence checks the streamed form (QuerySeq) against
 // the eager tree-walker oracle (evalEager), each on its own parse.
 func TestLazyEagerEquivalence(t *testing.T) {
 	for _, src := range lazyEquivQueries {
@@ -94,7 +94,7 @@ func TestLazyEagerEquivalence(t *testing.T) {
 	}
 }
 
-// TestLazyEagerEquivalenceRandomized fuzzes the push-form-vs-oracle
+// TestLazyEagerEquivalenceRandomized fuzzes the streamed-vs-oracle
 // equivalence over generated documents: random trees, random downward paths
 // with positional and value predicates, loops and sequence construction.
 // Identical serialization is required — laziness must change when items are
@@ -156,7 +156,7 @@ func TestLazyEagerEquivalenceRandomized(t *testing.T) {
 	}
 }
 
-// TestQuerySeqIsLazy proves the compiled push form produces items before
+// TestQuerySeqIsLazy proves the streamed form produces items before
 // evaluation completes: the second half of the sequence would divide by
 // zero, but pulling only the first item never evaluates it.
 func TestQuerySeqIsLazy(t *testing.T) {
@@ -340,7 +340,7 @@ func TestEvalFunctionSeqDeadlineStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewEngine(peopleDocs)
-	s, err := e.EvalFunctionSeqDeadline(q, "local:f", []xdm.Sequence{{xdm.NewInteger(1)}}, nil, time.Time{})
+	s, err := e.evalFunctionSeq(q, "local:f", []xdm.Sequence{{xdm.NewInteger(1)}}, nil, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestEvalFunctionSeqDeadlineStreams(t *testing.T) {
 		t.Fatalf("got %s", serialize(got))
 	}
 	// Draining past the names hits the error, after the valid prefix.
-	s, err = e.EvalFunctionSeqDeadline(q, "local:f", []xdm.Sequence{{xdm.NewInteger(1)}}, nil, time.Time{})
+	s, err = e.evalFunctionSeq(q, "local:f", []xdm.Sequence{{xdm.NewInteger(1)}}, nil, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,14 +385,14 @@ func TestCallDeclaredSeqTypeChecks(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewEngine(peopleDocs)
-	s, err := e.EvalFunctionSeqDeadline(q, "local:one", []xdm.Sequence{{xdm.NewInteger(1)}}, nil, time.Time{})
+	s, err := e.evalFunctionSeq(q, "local:one", []xdm.Sequence{{xdm.NewInteger(1)}}, nil, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := drain(s); err == nil || !strings.Contains(err.Error(), "exactly one") {
 		t.Fatalf("occurrence violation not caught: %v", err)
 	}
-	s, err = e.EvalFunctionSeqDeadline(q, "local:nodes", []xdm.Sequence{{xdm.NewInteger(1)}}, nil, time.Time{})
+	s, err = e.evalFunctionSeq(q, "local:nodes", []xdm.Sequence{{xdm.NewInteger(1)}}, nil, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestCallDeclaredSeqTypeChecks(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, want := treeWalkFunction(NewEngine(peopleDocs), oracle, "local:late", []xdm.Sequence{{xdm.NewInteger(1)}}, nil, time.Time{})
-	s, err = e.EvalFunctionSeqDeadline(q, "local:late", []xdm.Sequence{{xdm.NewInteger(1)}}, nil, time.Time{})
+	s, err = e.evalFunctionSeq(q, "local:late", []xdm.Sequence{{xdm.NewInteger(1)}}, nil, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -493,3 +493,34 @@ func SortDocOrder(nodes []*Node) []*Node {
 	}
 	return out
 }
+
+// OrderedDisjointNodes reports whether nodes are in strictly increasing
+// global document order with non-overlapping subtrees, all from frozen
+// documents. This is the precondition under which a forward downward axis
+// step (child, attribute, self, descendant, descendant-or-self) over the
+// nodes emits its result already in distinct document order, so the step can
+// stream without a SortDocOrder barrier: disjoint subtrees cannot produce
+// the same node twice, and ordered disjoint subtrees enumerate their
+// descendants in global order when visited left to right.
+//
+// It returns false for unfrozen or detached nodes (SubtreeSize 0, or nodes
+// that Compare cannot order), which callers treat as "materialize instead".
+func OrderedDisjointNodes(nodes []*Node) bool {
+	for i, n := range nodes {
+		if n.size <= 0 || n.Doc == nil {
+			return false
+		}
+		if i == 0 {
+			continue
+		}
+		prev := nodes[i-1]
+		if prev.Doc == n.Doc {
+			if n.pre < prev.pre+prev.size {
+				return false
+			}
+		} else if Compare(prev, n) >= 0 {
+			return false
+		}
+	}
+	return true
+}

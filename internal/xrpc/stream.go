@@ -220,13 +220,14 @@ func patchSerdeNS(data []byte, v int64) []byte {
 	return data[:start+len(val)+tail]
 }
 
-// chunkWriter emits the ordered chunk frames of one streamed response. It
-// supports two producers: writeCall frames an already-materialized call
-// result (MarshalResponseStream), and beginCall/addItem/endCall frame a call
-// as its items are pulled from a live iterator — a frame leaves the peer every
-// itemsPer items, mid-evaluation, so the writer never holds more than one
+// chunkWriter emits the ordered chunk frames of one streamed response:
+// beginCall/addItems/endCall frame a call as its results are handed over — an
+// already-materialized result at once (MarshalResponseStream), a live
+// evaluation part by part (HandleStream). A frame leaves every itemsPer
+// items, mid-evaluation, so the writer itself never holds more than one
 // frame's worth of a result. peak records the high-water mark of buffered
-// items either way; it is what the bounded-memory guarantee is measured by.
+// items, a sequence being handed over included; it is what the
+// bounded-memory guarantee is measured by.
 type chunkWriter struct {
 	sem            Semantics
 	used, returned projection.PathSet
@@ -258,66 +259,32 @@ func (w *chunkWriter) per() int {
 	return DefaultChunkItems
 }
 
-// writeCall splits one call's result into item runs of at most itemsPer and
-// emits each as a frame; an empty result still emits one (empty) frame so
-// the client can distinguish "empty result" from "missing call". The call's
-// evaluation time is attributed to its first chunk.
-func (w *chunkWriter) writeCall(call int, items xdm.Sequence, execNS int64) error {
-	per := w.per()
-	if len(items) > w.peak {
-		w.peak = len(items) // the whole call result was materialized
-	}
-	first := 0
-	for {
-		run := items[first:min(first+per, len(items))]
-		t0 := time.Now()
-		data, err := MarshalResponseChunk(&ResponseChunk{
-			Seq: w.seq, Call: call, FirstItem: first,
-			Items: run, Semantics: w.sem, ExecNanos: execNS,
-		}, w.used, w.returned, w.opts)
-		if err != nil {
-			return err
-		}
-		ser := time.Since(t0).Nanoseconds()
-		w.serdeNS += ser
-		data = patchSerdeNS(data, ser)
-		w.seq++
-		execNS = 0
-		if err := w.emit(data); err != nil {
-			return err
-		}
-		first += len(run)
-		if first >= len(items) {
-			break
-		}
-	}
-	w.calls = call + 1
-	return nil
-}
-
 // beginCall starts incremental emission of one call's result.
 func (w *chunkWriter) beginCall(call int) {
 	w.call, w.firstItem, w.emitted = call, 0, false
 	w.buf = w.buf[:0]
 }
 
-// addItem buffers one item of the current call, emitting a frame the moment
-// a full chunk has accumulated — while the producing evaluation is still
-// running. Buffering never exceeds one frame.
-func (w *chunkWriter) addItem(it xdm.Item) error {
-	w.buf = append(w.buf, it)
-	if len(w.buf) > w.peak {
-		w.peak = len(w.buf)
-	}
-	if len(w.buf) >= w.per() {
-		return w.flushChunk()
+// addItems buffers the items of seq, part of the current call, emitting a
+// frame the moment a full chunk has accumulated — while the producing
+// evaluation is still running. Until it is handed over the whole of seq
+// counts as buffered.
+func (w *chunkWriter) addItems(seq xdm.Sequence) error {
+	w.peak = max(w.peak, len(w.buf)+len(seq))
+	for _, it := range seq {
+		w.buf = append(w.buf, it)
+		if len(w.buf) >= w.per() {
+			if err := w.flushChunk(); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
 
 // endCall flushes the remainder of the current call. An empty result still
-// emits one (empty) frame, matching writeCall, so the client can tell
-// "empty call" from "missing call".
+// emits one (empty) frame, so the client can tell "empty call" from
+// "missing call".
 func (w *chunkWriter) endCall() error {
 	if len(w.buf) > 0 || !w.emitted {
 		if err := w.flushChunk(); err != nil {
@@ -371,18 +338,24 @@ func (w *chunkWriter) close(shredNS int64, spans []trace.Span) error {
 // frames (at most itemsPerChunk result items each) delivered to emit in
 // order, terminal frame included. It is the gather-to-stream adaptor: the
 // framing tests and non-incremental servers use it; Server.HandleStream
-// instead emits each call's frames as soon as that call has evaluated.
+// instead emits a call's frames while the call is still evaluating.
 func MarshalResponseStream(resp *Response, itemsPerChunk int, resultUsed, resultReturned projection.PathSet, opts projection.Options, emit func([]byte) error) error {
+	exec := resp.ExecNanos // the first frame carries it
 	w := &chunkWriter{
 		sem: resp.Semantics, used: resultUsed, returned: resultReturned,
 		opts: opts, itemsPer: itemsPerChunk, emit: emit,
+		takeExec: func() int64 {
+			e := exec
+			exec = 0
+			return e
+		},
 	}
 	for ci, res := range resp.Results {
-		exec := int64(0)
-		if ci == 0 {
-			exec = resp.ExecNanos
+		w.beginCall(ci)
+		if err := w.addItems(res); err != nil {
+			return err
 		}
-		if err := w.writeCall(ci, res, exec); err != nil {
+		if err := w.endCall(); err != nil {
 			return err
 		}
 	}
@@ -390,17 +363,19 @@ func MarshalResponseStream(resp *Response, itemsPerChunk int, resultUsed, result
 }
 
 // HandleStream implements StreamHandler: each call's results leave the peer
-// as chunk frames while the call is still evaluating — the server pulls the
-// engine's lazy result sequence and a frame departs every ChunkItems items,
-// so peak result buffering is one frame, not one call, and the first frame's
+// as chunk frames while the call is still evaluating. The engine emits the
+// shipped function's result at its body's top-level boundaries
+// (eval.Engine.EvalFunctionEmit) and the writer cuts a frame every
+// ChunkItems items, so frame boundaries are the writer's alone, peak result
+// buffering is one frame plus what one boundary emits, and the first frame's
 // latency is the time to the first ChunkItems items rather than the whole
-// call. The lazy sequence is the module's compiled push form: a cached
-// module carries its Program, and a module on its first sighting is lowered
-// for this request (one compilation, dropped with the uncached parse).
-// Evaluation errors are returned after the frames that precede them
-// (those frames are a valid prefix — laziness never reorders items); the
-// transport delivers them as fault frames, and failover replay suppression
-// resumes past the delivered prefix as with any mid-stream fault.
+// call. A cached module carries its Program, and a module on its first
+// sighting is lowered for this request (one compilation, dropped with the
+// uncached parse). Evaluation errors are returned after the frames that
+// precede them (those frames are a valid prefix — streaming never reorders
+// items); the transport delivers them as fault frames, and failover replay
+// suppression resumes past the delivered prefix as with any mid-stream
+// fault.
 func (s *Server) HandleStream(request []byte, emit func([]byte) error) error {
 	arrival := time.Now()
 	req, q, holes, static, shredNS, err := s.prepare(request)
@@ -432,41 +407,37 @@ func (s *Server) HandleStream(request []byte, emit func([]byte) error) error {
 			return e
 		},
 	}
+	// mark brackets the evaluation between hand-overs: time inside the
+	// engine counts as exec, time in the writer (marshal, emit) as serde.
+	var mark time.Time
+	var emitErr error
+	addItems := func(seq xdm.Sequence) error {
+		span := time.Since(mark).Nanoseconds()
+		execSince += span
+		execTotal += span
+		if emitErr = w.addItems(seq); emitErr != nil {
+			return emitErr
+		}
+		mark = time.Now()
+		return nil
+	}
 	for ci, params := range req.Calls {
 		csp := root.Child("call")
-		seq, err := s.Engine.EvalFunctionSeqDeadline(q, req.Method, params, static, deadline, holes...)
-		if err != nil {
-			csp.EndErr(err)
-			return fail(fmt.Errorf("xrpc: evaluating %s: %w", req.Method, err))
-		}
 		w.beginCall(ci)
-		// mark brackets the evaluation spans between frames: time inside the
-		// producer counts as exec, time spent marshalling/emitting as serde.
-		var emitErr error
-		mark := time.Now()
-		err = seq(func(it xdm.Item) bool {
-			span := time.Since(mark).Nanoseconds()
-			execSince += span
-			execTotal += span
-			if err := w.addItem(it); err != nil {
-				emitErr = err
-				return false
-			}
-			mark = time.Now()
-			return true
-		})
+		mark, emitErr = time.Now(), nil
+		err := s.Engine.EvalFunctionEmit(q, req.Method, params, static, deadline, addItems, holes...)
 		tail := time.Since(mark).Nanoseconds()
 		execSince += tail
 		execTotal += tail
-		if emitErr != nil {
-			csp.EndErr(emitErr)
-			return fail(emitErr)
+		switch {
+		case emitErr != nil:
+			err = emitErr
+		case err != nil:
+			err = fmt.Errorf("xrpc: evaluating %s: %w", req.Method, err)
+		default:
+			err = w.endCall()
 		}
 		if err != nil {
-			csp.EndErr(err)
-			return fail(fmt.Errorf("xrpc: evaluating %s: %w", req.Method, err))
-		}
-		if err := w.endCall(); err != nil {
 			csp.EndErr(err)
 			return fail(err)
 		}
