@@ -289,8 +289,14 @@ func gatherStreamed(sc StreamCaller, x *xq.XRPCExpr, batches []ScatterBatch, pos
 				return fmt.Errorf("eval: scatter to %s: stream delivered iteration %d of %d",
 					batch.Target, chunk.Iteration, expect)
 			}
+			// The first chunk of an iteration is taken as it stands, clipped
+			// so that appending later chunks never writes into its array.
 			i := pos[b][chunk.Iteration]
-			perIter[i] = append(perIter[i], chunk.Items...)
+			if perIter[i] == nil {
+				perIter[i] = slices.Clip(chunk.Items)
+			} else {
+				perIter[i] = append(perIter[i], chunk.Items...)
+			}
 		}
 		if !seen || cur != expect-1 {
 			return fmt.Errorf("eval: scatter to %s: stream ended after iteration %d of %d",

@@ -708,11 +708,12 @@ func (s *Session) ExecutePlan(plan *core.Plan) (xdm.Sequence, *Report, error) {
 }
 
 // streamedExchange converts a metrics lane into the netsim streamed-lane
-// description: streamed lanes carry their per-chunk stats (plus a trailing
-// pseudo-chunk for the terminal frame's bytes), gather-whole lanes collapse
-// to a single chunk covering the entire response.
+// description: a streamed lane hands over its per-chunk stats as they stand
+// (xrpc.ChunkStat is netsim.Chunk), plus a trailing pseudo-chunk for the
+// terminal frame's bytes; a gather-whole lane collapses to a single chunk
+// covering the entire response.
 func streamedExchange(lane xrpc.Lane) netsim.StreamedExchange {
-	se := netsim.StreamedExchange{ReqBytes: lane.BytesSent}
+	se := netsim.StreamedExchange{ReqBytes: lane.BytesSent, Chunks: lane.Chunks}
 	if len(lane.Chunks) == 0 {
 		se.Chunks = []netsim.Chunk{{
 			Bytes: lane.BytesReceived, ExecNS: lane.RemoteExecNS, DeserNS: lane.DeserNS,
@@ -721,7 +722,6 @@ func streamedExchange(lane xrpc.Lane) netsim.StreamedExchange {
 	}
 	rest := lane.BytesReceived
 	for _, c := range lane.Chunks {
-		se.Chunks = append(se.Chunks, netsim.Chunk{Bytes: c.Bytes, ExecNS: c.ExecNS, DeserNS: c.DeserNS})
 		rest -= c.Bytes
 	}
 	if rest > 0 {

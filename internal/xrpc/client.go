@@ -27,7 +27,7 @@ type Lane struct {
 	// (the per-lane share of Metrics.DeserializeNS).
 	DeserNS int64
 	// Chunks, when non-empty, records the streamed arrival of the response
-	// frame by frame; gather-whole exchanges leave it nil.
+	// frame by frame; gather-whole exchanges leave it empty.
 	Chunks []ChunkStat
 	// Fault-tolerance provenance, filled by replica-aware dispatch under a
 	// RetryPolicy; zero values mean the first attempt on the primary target
@@ -487,7 +487,7 @@ func (c *Client) callBulkCtx(ctx context.Context, target string, x *xq.XRPCExpr,
 	}
 	t2 := time.Now()
 	var raw RawCounts
-	resp, err := decode(respData, x.ReturnedOnly, &raw, (*decoder).response)
+	resp, err := decode(new(decoder), respData, x.ReturnedOnly, &raw, (*decoder).response)
 	if err != nil {
 		// A faulting server still reports the spans of the work it did before
 		// failing; graft them in so failed attempts have server-side detail.

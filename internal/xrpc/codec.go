@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -29,18 +30,21 @@ type encodeState struct {
 	paramReturned []projection.PathSet
 	projOpts      projection.Options
 
+	// frags keeps its array across the frames of a stream, which share one
+	// encodeState: a run-scoped arena.
 	frags []fragInfo
 	// items and ranks size the buffer: the items of every sequence, and the
 	// preorder ranks (xdm.Node.SubtreeSize) of every subtree the message will
 	// serialize — fragment roots, or the node items themselves by value.
 	items, ranks int
+	scans        int // by-fragment references refFor located by a scan (unranked nodes)
 }
 
 // resultEncoder starts the encoding of a message that carries result
 // sequences (a response or a chunk frame): the projection paths, if any,
 // apply to every result alike, as parameter position 0.
-func resultEncoder(sem Semantics, used, returned projection.PathSet, opts projection.Options) *encodeState {
-	st := &encodeState{sem: sem, projOpts: opts}
+func resultEncoder(sem Semantics, used, returned projection.PathSet, opts projection.Options) encodeState {
+	st := encodeState{sem: sem, projOpts: opts}
 	if sem == ByProjection {
 		st.paramUsed = []projection.PathSet{used}
 		st.paramReturned = []projection.PathSet{returned}
@@ -111,9 +115,10 @@ func (st *encodeState) buildFragments(seqs []xdm.Sequence, paramOf []int) error 
 	for _, s := range seqs {
 		st.items += len(s)
 	}
-	var groups []docGroup
-	// Most messages ship nodes of one document; the index exists only from
-	// the second document on.
+	// Most messages ship nodes of one document, whose group needs no heap;
+	// the index exists only from the second document on.
+	var one [1]docGroup
+	groups := one[:0]
 	var index map[*xdm.Document]int
 	cur := -1
 	for si, s := range seqs {
@@ -239,10 +244,10 @@ func normalizeCtx(nodes []*xdm.Node) []*xdm.Node {
 
 // maximalNodes returns the nodes of set (all of one document) that have no
 // proper ancestor in set, in document order; an attribute is shipped via its
-// owner element's fragment. It sorts set in place.
+// owner element's fragment. It sorts and compacts set in place.
 func maximalNodes(set []*xdm.Node) []*xdm.Node {
 	sorted := xdm.SortDocOrder(set)
-	out := make([]*xdm.Node, 0, len(sorted))
+	out := sorted[:0]
 	for _, n := range sorted {
 		if n.Kind == xdm.AttributeNode && n.Parent != nil {
 			n = n.Parent
@@ -284,7 +289,18 @@ func (st *encodeState) refFor(n *xdm.Node) (fragid, nodeid int, attrName string,
 		attrName = n.Name
 		target = n.Parent
 	}
-	for fi := range st.frags {
+	lo := 0
+	if st.sem == ByFragment && target.SubtreeSize() > 0 {
+		// buildFragments sorts the fragments by (document, pre) and keeps them
+		// disjoint: only the last one starting at or before target can hold it.
+		lo = max(sort.Search(len(st.frags), func(i int) bool {
+			f := st.frags[i].root
+			return cmp.Or(cmp.Compare(f.Doc.Seq(), target.Doc.Seq()), cmp.Compare(f.Pre(), target.Pre())) > 0
+		})-1, 0)
+	} else if st.sem == ByFragment {
+		st.scans++
+	}
+	for fi := lo; fi < len(st.frags); fi++ {
 		f := &st.frags[fi]
 		if f.origDoc != target.Doc && f.proj == nil {
 			continue
@@ -460,18 +476,19 @@ type decoder struct {
 // FallbackCauses end a raw pass for the message to decode in full (RawCounts.Fallbacks).
 var FallbackCauses = [...]error{errors.New("inner-or-attribute-reference"), errors.New("non-canonical-fragment")}
 
-// decode decodes data with parse: raw first for a call whose results are only returned
-// (xq.XRPCExpr.ReturnedOnly), and again in full on a fallback cause, as counts records.
-func decode[T any](data []byte, returned bool, counts *RawCounts, parse func(*decoder, []byte) (T, error)) (T, error) {
-	if !returned {
-		return parse(new(decoder), data)
-	}
-	d := &decoder{raw: true}
+// decode decodes data with parse, in d reset: raw first for a call whose results are only
+// returned (xq.XRPCExpr.ReturnedOnly), and again in full on a fallback cause, as counts records.
+func decode[T any](d *decoder, data []byte, returned bool, counts *RawCounts, parse func(*decoder, []byte) (T, error)) (T, error) {
+	*d = decoder{raw: returned}
 	v, err := parse(d, data)
+	if !returned {
+		return v, err
+	}
 	for i, cause := range FallbackCauses {
 		if errors.Is(err, cause) {
 			counts.Fallbacks[i]++
-			return parse(new(decoder), data)
+			*d = decoder{}
+			return parse(d, data)
 		}
 	}
 	counts.Items += d.rawItems

@@ -115,10 +115,10 @@ func rawSeeds(t testing.TB) []rawSeed {
 // decodeRaw decodes a seed raw first, and in full.
 func decodeRaw(chunk bool, data []byte) (raw, full any, counts RawCounts, err, ferr error) {
 	if chunk {
-		raw, err = decode(data, true, &counts, (*decoder).chunk)
+		raw, err = decode(new(decoder), data, true, &counts, new(laneState).parseChunk)
 		full, ferr = ParseResponseChunk(data)
 	} else {
-		raw, err = decode(data, true, &counts, (*decoder).response)
+		raw, err = decode(new(decoder), data, true, &counts, (*decoder).response)
 		full, ferr = ParseResponse(data)
 	}
 	return
@@ -328,7 +328,7 @@ func TestRawDecodeCeilings(t *testing.T) {
 	run := func(returned bool) error {
 		for _, data := range msgs {
 			var counts RawCounts
-			if _, err := decode(data, returned, &counts, (*decoder).response); err != nil {
+			if _, err := decode(new(decoder), data, returned, &counts, (*decoder).response); err != nil {
 				return err
 			}
 			if returned && counts.Items != frags {

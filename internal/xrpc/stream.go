@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"distxq/internal/eval"
+	"distxq/internal/netsim"
 	"distxq/internal/projection"
 	"distxq/internal/trace"
 	"distxq/internal/xdm"
@@ -85,11 +86,12 @@ type ResponseChunk struct {
 	Spans []trace.Span
 }
 
-// MarshalResponseChunk serializes one chunk frame. Pass-by-projection
-// result paths apply per chunk, exactly as MarshalResponse applies them to
-// whole results.
-func MarshalResponseChunk(ch *ResponseChunk, resultUsed, resultReturned projection.PathSet, opts projection.Options) ([]byte, error) {
-	st := resultEncoder(ch.Semantics, resultUsed, resultReturned, opts)
+// chunk serializes one chunk frame into fresh bytes, reusing st's fragment
+// scratch from any earlier frame of the stream. Pass-by-projection result
+// paths apply per chunk, exactly as MarshalResponse applies them to whole
+// results.
+func (st *encodeState) chunk(ch *ResponseChunk) ([]byte, error) {
+	st.frags, st.items, st.ranks = st.frags[:0], 0, 0
 	if ch.Last {
 		spans := encodeSpans(ch.Spans)
 		st.grow(len(envelopeOpen) + len(spans))
@@ -138,10 +140,13 @@ func MarshalResponseChunk(ch *ResponseChunk, resultUsed, resultReturned projecti
 
 // ParseResponseChunk shreds one stream frame in one pass. A fault frame
 // surfaces as a *Fault error, like ParseResponse.
-func ParseResponseChunk(data []byte) (*ResponseChunk, error) { return new(decoder).chunk(data) }
+func ParseResponseChunk(data []byte) (*ResponseChunk, error) {
+	return new(decoder).chunk(data, new(ResponseChunk))
+}
 
-func (d *decoder) chunk(data []byte) (*ResponseChunk, error) {
-	ch := &ResponseChunk{}
+// chunk decodes one stream frame into ch, which it zeroes first.
+func (d *decoder) chunk(data []byte, ch *ResponseChunk) (*ResponseChunk, error) {
+	*ch = ResponseChunk{}
 	err := d.shred(data, "chunk frame", elChunk, func() error {
 		var err error
 		if ch.Seq, err = strconv.Atoi(d.attr("seq", "")); err != nil {
@@ -229,20 +234,19 @@ func patchSerdeNS(data []byte, v int64) []byte {
 // items, a sequence being handed over included; it is what the
 // bounded-memory guarantee is measured by.
 type chunkWriter struct {
-	sem            Semantics
-	used, returned projection.PathSet
-	opts           projection.Options
-	itemsPer       int
-	emit           func([]byte) error
-	// takeExec, when non-nil, returns (and resets) the evaluation time spent
-	// since the previous frame; incremental frames carry it as their exec-ns
-	// so first-result pricing reflects partial, not whole-call, evaluation.
-	takeExec func() int64
+	enc      encodeState // every frame's encoder: its scratch is run-scoped
+	itemsPer int
+	emit     func([]byte) error
+	// A writer given a mark (HandleStream's) reads the clock as a frame
+	// starts to marshal, once marshalled and once emitted: the time since
+	// the last frame was emitted is evaluation, the frame's exec-ns (partial,
+	// not whole-call, time).
+	mark time.Time
+	exec int64 // evaluation time the next frame carries
+	err  error // what addItems failed with, which stops the evaluation
 
-	seq     int
-	calls   int
-	serdeNS int64
-	peak    int
+	seq, calls, peak      int
+	execNS, serdeNS, sent int64 // totals over the frames
 
 	// per-call incremental state
 	buf       xdm.Sequence
@@ -271,10 +275,14 @@ func (w *chunkWriter) beginCall(call int) {
 // counts as buffered.
 func (w *chunkWriter) addItems(seq xdm.Sequence) error {
 	w.peak = max(w.peak, len(w.buf)+len(seq))
+	if w.buf == nil {
+		w.buf = make(xdm.Sequence, 0, w.per())
+	}
 	for _, it := range seq {
 		w.buf = append(w.buf, it)
 		if len(w.buf) >= w.per() {
 			if err := w.flushChunk(); err != nil {
+				w.err = err
 				return err
 			}
 		}
@@ -298,39 +306,46 @@ func (w *chunkWriter) endCall() error {
 // flushChunk emits the buffered run as one frame, carrying the evaluation
 // time accumulated since the previous frame.
 func (w *chunkWriter) flushChunk() error {
-	exec := int64(0)
-	if w.takeExec != nil {
-		exec = w.takeExec()
-	}
 	t0 := time.Now()
-	data, err := MarshalResponseChunk(&ResponseChunk{
+	if !w.mark.IsZero() {
+		w.exec += t0.Sub(w.mark).Nanoseconds()
+	}
+	data, err := w.enc.chunk(&ResponseChunk{
 		Seq: w.seq, Call: w.call, FirstItem: w.firstItem,
-		Items: w.buf, Semantics: w.sem, ExecNanos: exec,
-	}, w.used, w.returned, w.opts)
+		Items: w.buf, Semantics: w.enc.sem, ExecNanos: w.exec,
+	})
 	if err != nil {
 		return err
 	}
 	ser := time.Since(t0).Nanoseconds()
+	w.execNS += w.exec
 	w.serdeNS += ser
+	w.exec = 0
 	data = patchSerdeNS(data, ser)
 	w.seq++
 	w.firstItem += len(w.buf)
 	w.buf = w.buf[:0]
 	w.emitted = true
-	return w.emit(data)
+	w.sent += int64(len(data))
+	err = w.emit(data)
+	if !w.mark.IsZero() {
+		w.mark = time.Now()
+	}
+	return err
 }
 
 // close emits the terminal frame; shredNS is the server's request-shred
 // time, delivered here so the client's serde accounting matches Handle's.
 // spans, when present, piggyback the server's trace tree on the frame.
 func (w *chunkWriter) close(shredNS int64, spans []trace.Span) error {
-	data, err := MarshalResponseChunk(&ResponseChunk{
+	data, err := w.enc.chunk(&ResponseChunk{
 		Seq: w.seq, Last: true, Calls: w.calls, SerializeNanos: shredNS, Spans: spans,
-	}, nil, nil, w.opts)
+	})
 	if err != nil {
 		return err
 	}
 	w.seq++
+	w.sent += int64(len(data))
 	return w.emit(data)
 }
 
@@ -340,15 +355,10 @@ func (w *chunkWriter) close(shredNS int64, spans []trace.Span) error {
 // framing tests and non-incremental servers use it; Server.HandleStream
 // instead emits a call's frames while the call is still evaluating.
 func MarshalResponseStream(resp *Response, itemsPerChunk int, resultUsed, resultReturned projection.PathSet, opts projection.Options, emit func([]byte) error) error {
-	exec := resp.ExecNanos // the first frame carries it
 	w := &chunkWriter{
-		sem: resp.Semantics, used: resultUsed, returned: resultReturned,
-		opts: opts, itemsPer: itemsPerChunk, emit: emit,
-		takeExec: func() int64 {
-			e := exec
-			exec = 0
-			return e
-		},
+		enc:      resultEncoder(resp.Semantics, resultUsed, resultReturned, opts),
+		itemsPer: itemsPerChunk, emit: emit,
+		exec: resp.ExecNanos, // the first frame carries it
 	}
 	for ci, res := range resp.Results {
 		w.beginCall(ci)
@@ -369,7 +379,8 @@ func MarshalResponseStream(resp *Response, itemsPerChunk int, resultUsed, result
 // ChunkItems items, so frame boundaries are the writer's alone, peak result
 // buffering is one frame plus what one boundary emits, and the first frame's
 // latency is the time to the first ChunkItems items rather than the whole
-// call. A cached module carries its Program, and a module on its first
+// call. The writer also times the frames, so the hand-over itself reads no
+// clock. A cached module carries its Program, and a module on its first
 // sighting is lowered for this request (one compilation, dropped with the
 // uncached parse). Evaluation errors are returned after the frames that
 // precede them (those frames are a valid prefix — streaming never reorders
@@ -383,63 +394,30 @@ func (s *Server) HandleStream(request []byte, emit func([]byte) error) error {
 		return err
 	}
 	root := s.serveSpan(req, arrival, "serve-stream", shredNS)
-	// fail closes the server span tree and attaches it to the outgoing error,
-	// so the fault frame still carries the partial server-side work — the
-	// originator's failover lane ingests it even though the stream died.
-	fail := func(err error) error {
-		root.EndErr(err)
-		return TracedError(err, root.Trace().ExportSpans())
-	}
 	deadline := requestDeadline(req, arrival)
 	resultU, resultR := responsePaths(req)
-	var bytesSent int64
-	var execTotal, execSince int64
 	w := &chunkWriter{
-		sem: req.Semantics, used: resultU, returned: resultR,
-		opts: s.ProjOpts, itemsPer: s.ChunkItems,
-		emit: func(frame []byte) error {
-			bytesSent += int64(len(frame))
-			return emit(frame)
-		},
-		takeExec: func() int64 {
-			e := execSince
-			execSince = 0
-			return e
-		},
-	}
-	// mark brackets the evaluation between hand-overs: time inside the
-	// engine counts as exec, time in the writer (marshal, emit) as serde.
-	var mark time.Time
-	var emitErr error
-	addItems := func(seq xdm.Sequence) error {
-		span := time.Since(mark).Nanoseconds()
-		execSince += span
-		execTotal += span
-		if emitErr = w.addItems(seq); emitErr != nil {
-			return emitErr
-		}
-		mark = time.Now()
-		return nil
+		enc:      resultEncoder(req.Semantics, resultU, resultR, s.ProjOpts),
+		itemsPer: s.ChunkItems, emit: emit, mark: time.Now(),
 	}
 	for ci, params := range req.Calls {
 		csp := root.Child("call")
 		w.beginCall(ci)
-		mark, emitErr = time.Now(), nil
-		err := s.Engine.EvalFunctionEmit(q, req.Method, params, static, deadline, addItems, holes...)
-		tail := time.Since(mark).Nanoseconds()
-		execSince += tail
-		execTotal += tail
+		err := s.Engine.EvalFunctionEmit(q, req.Method, params, static, deadline, w.addItems, holes...)
 		switch {
-		case emitErr != nil:
-			err = emitErr
+		case w.err != nil:
+			err = w.err
 		case err != nil:
 			err = fmt.Errorf("xrpc: evaluating %s: %w", req.Method, err)
 		default:
 			err = w.endCall()
 		}
 		if err != nil {
+			// The fault frame carries the partial server span tree, which the
+			// originator's failover lane ingests even though the stream died.
 			csp.EndErr(err)
-			return fail(err)
+			root.EndErr(err)
+			return TracedError(err, root.Trace().ExportSpans())
 		}
 		csp.End()
 	}
@@ -453,8 +431,8 @@ func (s *Server) HandleStream(request []byte, emit func([]byte) error) error {
 		s.Metrics.Add(&Metrics{
 			Requests:          1,
 			BytesReceived:     int64(len(request)),
-			BytesSent:         bytesSent,
-			RemoteExecNS:      execTotal,
+			BytesSent:         w.sent,
+			RemoteExecNS:      w.execNS,
 			ServerSerdeNS:     shredNS + w.serdeNS,
 			PeakBufferedItems: int64(w.peak),
 		})
@@ -465,14 +443,9 @@ func (s *Server) HandleStream(request []byte, emit func([]byte) error) error {
 // ---------------------------------------------------------- client side --
 
 // ChunkStat records one received chunk of a streamed lane, in arrival
-// order: its frame size, the server-side evaluation time that preceded it,
-// and the client-side decode time — the inputs of the netsim streamed-
-// transfer model.
-type ChunkStat struct {
-	Bytes   int64
-	ExecNS  int64
-	DeserNS int64
-}
+// order: frame size, preceding server evaluation and client decode time. It
+// is the netsim model's chunk, so a lane's chunks are the model's input.
+type ChunkStat = netsim.Chunk
 
 // StreamedClient dispatches scatter waves in streaming mode: it implements
 // eval.StreamCaller on top of the embedded Client, yielding per-lane result
@@ -507,60 +480,69 @@ func (c *StreamedClient) CallRemoteScatterStream(x *xq.XRPCExpr, batches []eval.
 	}
 	width := c.poolWidth()
 	ctx, cancel := context.WithCancel(c.baseContext())
-	chans := make([]chan eval.StreamChunk, len(batches))
-	out := make([]<-chan eval.StreamChunk, len(batches))
-	done := make([]chan struct{}, len(batches))
-	for i := range chans {
-		chans[i] = make(chan eval.StreamChunk, buf)
-		out[i] = chans[i]
-		done[i] = make(chan struct{})
+	// One record per lane; done exists only where lane i+width waits on it.
+	type streamLane struct {
+		ch     chan eval.StreamChunk
+		done   chan struct{}
+		lane   Lane
+		failed bool
 	}
-	lanes := make([]Lane, len(batches))
-	failed := make([]bool, len(batches))
+	lanes := make([]streamLane, len(batches))
+	out := make([]<-chan eval.StreamChunk, len(batches))
+	for i := range lanes {
+		lanes[i].ch = make(chan eval.StreamChunk, buf)
+		out[i] = lanes[i].ch
+		if i+width < len(lanes) {
+			lanes[i].done = make(chan struct{})
+		}
+	}
 	ssp := c.Trace.Child("scatter",
 		trace.Int("lanes", int64(len(batches))), trace.Bool("streamed", true))
 	var remaining atomic.Int64
 	remaining.Store(int64(len(batches)))
 	for i := range batches {
 		go func(i int) {
+			l, batch := &lanes[i], batches[i]
 			// Defers run in reverse order: the last lane to finish records
 			// the metrics waves and closes the scatter span, then closes its
 			// channel — so by the time the consumer has drained every lane,
 			// the waves are visible and the span tree is complete.
-			defer close(chans[i])
+			defer close(l.ch)
 			defer func() {
 				if remaining.Add(-1) != 0 {
 					return
 				}
 				var ok []Lane
 				for j := range lanes {
-					if !failed[j] {
-						ok = append(ok, lanes[j])
+					if !lanes[j].failed {
+						ok = append(ok, lanes[j].lane)
 					}
 				}
 				c.Metrics.addWaves(ok, width)
 				ssp.End()
 			}()
-			defer close(done[i])
+			if l.done != nil {
+				defer close(l.done)
+			}
 			if i >= width {
 				select {
-				case <-done[i-width]:
+				case <-lanes[i-width].done:
 				case <-ctx.Done():
-					failed[i] = true
+					l.failed = true
 					// Queued behind the pool and never dispatched: a blown
 					// budget must surface in type, not as a bare ctx error.
-					sendChunk(ctx, chans[i], eval.StreamChunk{
-						Err: budgetFailure(ctx, ctx.Err(), batches[i].Target, time.Now())})
+					sendChunk(ctx, l.ch, eval.StreamChunk{
+						Err: budgetFailure(ctx, ctx.Err(), batch.Target, time.Now())})
 					return
 				}
 			}
-			lsp := laneSpan(ssp, batches[i].Target)
-			lane, err := c.runLane(ctx, batches[i], lsp, c.streamAttempt(ctx, x, batches[i], chans[i]))
-			lanes[i] = lane
+			lsp := laneSpan(ssp, batch.Target)
+			lane, err := c.runLane(ctx, batch, lsp, c.streamAttempt(ctx, x, batch, l.ch))
+			l.lane = lane
 			finishLane(lsp, lane, err)
 			if err != nil {
-				failed[i] = true
-				sendChunk(ctx, chans[i], eval.StreamChunk{Err: err})
+				l.failed = true
+				sendChunk(ctx, l.ch, eval.StreamChunk{Err: err})
 			}
 		}(i)
 	}
@@ -581,18 +563,27 @@ func sendChunk(ctx context.Context, ch chan<- eval.StreamChunk, chunk eval.Strea
 // laneState validates the frame protocol of one lane and converts frames
 // into eval.StreamChunks.
 type laneState struct {
-	expect  int // iterations of the batch
-	nextSeq int
-	curCall int
-	curItem int  // items delivered of curCall
-	seen    bool // curCall has appeared in at least one frame
-	done    bool // terminal frame (or gather-whole response) received
-	chunks  []ChunkStat
-	execNS  int64
-	serdeNS int64
-	deserNS int64
-	recvd   int64
-	raw     RawCounts
+	expect    int // iterations of the batch
+	nextSeq   int
+	curCall   int
+	curItem   int  // items delivered of curCall
+	seen      bool // curCall has appeared in at least one frame
+	done      bool // terminal frame (or gather-whole response) received
+	committed bool // the attempt claimed the lane on its first frame
+	chunks    []ChunkStat
+	execNS    int64
+	serdeNS   int64
+	deserNS   int64
+	recvd     int64
+	raw       RawCounts
+	// Every frame of the attempt decodes in dec, into frame (reset each time).
+	dec   decoder
+	frame ResponseChunk
+}
+
+// parseChunk decodes a frame into st.frame.
+func (st *laneState) parseChunk(d *decoder, data []byte) (*ResponseChunk, error) {
+	return d.chunk(data, &st.frame)
 }
 
 func (st *laneState) accept(ch *ResponseChunk) error {
@@ -684,17 +675,17 @@ func (c *StreamedClient) streamExchange(ctx context.Context, stx StreamTransport
 	if sp.Active() {
 		ctx = withTraceInfo(ctx, uint64(sp.TraceID()), uint64(sp.SpanID()))
 	}
-	st := &laneState{expect: len(iterations)}
-	committed := false
+	// Room for a few frames' stats and the report's terminal pseudo-chunk.
+	st := &laneState{expect: len(iterations), chunks: make([]ChunkStat, 0, 4)}
 	sink := func(frame []byte) error {
-		if !committed {
+		if !st.committed {
 			if !commit() {
 				return context.Canceled
 			}
-			committed = true
+			st.committed = true
 		}
 		t0 := time.Now()
-		chunk, perr := decode(frame, x.ReturnedOnly, &st.raw, (*decoder).chunk)
+		chunk, perr := decode(&st.dec, frame, x.ReturnedOnly, &st.raw, st.parseChunk)
 		if perr != nil {
 			// A peer that does not stream answers with one gather-whole
 			// response message; fall back to delivering it in one increment
@@ -736,10 +727,12 @@ func (c *StreamedClient) streamExchange(ctx context.Context, stx StreamTransport
 			sp.IngestRemote(chunk.Spans)
 			return nil
 		}
-		sp.Event("frame",
-			trace.Int("seq", int64(chunk.Seq)),
-			trace.Int("call", int64(chunk.Call)),
-			trace.Int("bytes", int64(len(frame))))
+		if sp.Active() {
+			sp.Event("frame",
+				trace.Int("seq", int64(chunk.Seq)),
+				trace.Int("call", int64(chunk.Call)),
+				trace.Int("bytes", int64(len(frame))))
+		}
 		st.chunks = append(st.chunks, ChunkStat{
 			Bytes: int64(len(frame)), ExecNS: chunk.ExecNanos, DeserNS: deser,
 		})

@@ -287,3 +287,11 @@ func TestWireGoldensDecode(t *testing.T) {
 		}
 	}
 }
+
+// MarshalResponseChunk serializes one chunk frame on its own, as the first
+// frame of a stream: the streaming writer encodes a stream's frames with
+// one encoder (encodeState.chunk).
+func MarshalResponseChunk(ch *ResponseChunk, resultUsed, resultReturned projection.PathSet, opts projection.Options) ([]byte, error) {
+	st := resultEncoder(ch.Semantics, resultUsed, resultReturned, opts)
+	return st.chunk(ch)
+}
