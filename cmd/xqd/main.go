@@ -78,7 +78,6 @@ func main() {
 	retries := flag.Int("retry-attempts", 0, "max attempts per scatter lane (0 = one per available copy)")
 	hedgeAfter := flag.Duration("hedge-after", 20*time.Millisecond,
 		"static hedge trigger until the health tracker has observed enough traffic (0 = off)")
-	spread := flag.Bool("spread", true, "spread initial lane targets across healthy replicas")
 	traced := flag.Bool("trace", false,
 		"record a span tree per query, served at /debug/traces")
 	traceRing := flag.Int("trace-ring", 0, "recent traces retained (0 = default)")
@@ -136,10 +135,11 @@ func main() {
 		Trace:         *traced,
 		TraceRing:     *traceRing,
 	})
+	// Lanes always start on the health-ranked rotation of their replicas.
 	pol := &xrpc.RetryPolicy{
 		MaxAttempts:    *retries,
 		HedgeAfter:     *hedgeAfter,
-		SpreadReplicas: *spread,
+		SpreadReplicas: true,
 	}
 	svc.UseRetry(pol)
 

@@ -6,10 +6,13 @@ package bench
 // about the topology the hard way — primary-first, a detection timeout on a
 // dead peer, a hedge duplicate on a slow one — so churn turns into retry
 // stalls and duplicate response bytes fighting every healthy lane for the
-// shared gather link. "Aware" consults health at dispatch time
-// (xrpc.RetryPolicy.RouteLive) and scores candidate copies with the
-// contention cost signal, so each lane sends exactly one request to the
-// live, fastest copy and the link carries one response per lane. On a
+// shared gather link. "Aware" is a modelled router that consults health at
+// dispatch time and scores candidate copies with the contention cost
+// signal, so each lane sends exactly one request to the live, fastest copy
+// and the link carries one response per lane. No shipped dispatch routes
+// that way: xrpc's nearest is a health-ranked rotation (RetryPolicy
+// SpreadReplicas with a HealthTracker), which moves fault-streaked and slow
+// copies to the back but still spreads lanes over the healthy ones. On a
 // work-conserving shared link staggering cannot beat the makespan — the
 // whole win is avoided stalls and avoided duplicate bytes, which is the
 // quantitative argument for routing on health instead of reacting on fault.

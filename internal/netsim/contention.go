@@ -18,7 +18,7 @@ package netsim
 //  2. on a work-conserving shared link the wave's makespan is invariant
 //     under staggering, so the only routing wins are avoiding wasted bytes
 //     (duplicates) and avoiding dead-peer detection stalls. That is exactly
-//     what dispatch-time health routing (xrpc.RetryPolicy.RouteLive) buys.
+//     what dispatch-time health routing buys.
 
 import (
 	"math"

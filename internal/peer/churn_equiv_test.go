@@ -208,10 +208,12 @@ func (w *churnWorld) runSchedule(rng *rand.Rand, schedule int, reuse *planReuse)
 	w.t.Helper()
 	w.reset()
 	streamed := schedule%2 == 1
-	pol := &xrpc.RetryPolicy{RouteLive: rng.Intn(2) == 0}
+	// The coin picks primary-first dispatch or xqd's: lanes spread over a
+	// health-ranked rotation of their copies.
+	pol := &xrpc.RetryPolicy{SpreadReplicas: rng.Intn(2) == 0}
 	sess := w.n.NewSession(w.local, core.ByFragment).
 		UseShards(w.m).UseRetry(pol)
-	if pol.RouteLive {
+	if pol.SpreadReplicas {
 		sess.UseHealth(xrpc.NewHealthTracker())
 	}
 	sess.Streamed = streamed
@@ -240,12 +242,12 @@ func (w *churnWorld) runSchedule(rng *rand.Rand, schedule int, reuse *planReuse)
 		for i := 1; i <= sends; i++ {
 			res, _, err := send(src)
 			if err != nil {
-				w.t.Fatalf("schedule %d (shards=%d streamed=%v routeLive=%v) query %d send %d/%d: %v\n%s\ndead: %v",
-					schedule, w.shards, streamed, pol.RouteLive, qi, i, sends, err, src, w.dead)
+				w.t.Fatalf("schedule %d (shards=%d streamed=%v spread=%v) query %d send %d/%d: %v\n%s\ndead: %v",
+					schedule, w.shards, streamed, pol.SpreadReplicas, qi, i, sends, err, src, w.dead)
 			}
 			if got := xdm.SequenceString(res); got != want {
-				w.t.Fatalf("schedule %d (shards=%d streamed=%v routeLive=%v) query %d send %d/%d diverged\nquery: %s\nlocal: %q\nchurn: %q\ndead: %v",
-					schedule, w.shards, streamed, pol.RouteLive, qi, i, sends, src, want, got, w.dead)
+				w.t.Fatalf("schedule %d (shards=%d streamed=%v spread=%v) query %d send %d/%d diverged\nquery: %s\nlocal: %q\nchurn: %q\ndead: %v",
+					schedule, w.shards, streamed, pol.SpreadReplicas, qi, i, sends, src, want, got, w.dead)
 			}
 		}
 	}

@@ -8,15 +8,17 @@ package xrpc
 // speculative duplicate and the rest pay nothing. The same observations
 // drive replica spreading: lanes start on a rotation of the peers the
 // tracker considers healthy, so sessions stop dog-piling each shard's
-// primary while failover order stays deterministic per lane.
+// primary while failover order stays deterministic per lane (Rank, under
+// RetryPolicy.SpreadReplicas): fault-streaked and slow peers go to the back
+// of the rotation. The tuning is fixed, the DefaultHealth* constants.
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
 
-// Defaults of HealthTracker's tuning knobs.
+// HealthTracker's tuning.
 const (
 	// DefaultHealthWindow is the per-peer latency sample ring size.
 	DefaultHealthWindow = 64
@@ -56,23 +58,13 @@ type peerHealth struct {
 // safe for concurrent use; one tracker is typically shared by every session
 // of a daemon so observations accumulate across queries.
 type HealthTracker struct {
-	// Window bounds the per-peer sample ring; zero means
-	// DefaultHealthWindow.
-	Window int
-	// StaleAfter bounds sample age for quantiles and hedge triggers; zero
-	// means DefaultHealthStaleAfter.
-	StaleAfter time.Duration
-	// MinSamples is the fresh-sample floor for adaptive hedge triggers;
-	// zero means DefaultHealthMinSamples.
-	MinSamples int
-
 	mu    sync.Mutex
 	peers map[string]*peerHealth
 	// now is the clock, swappable by tests.
 	now func() time.Time
 }
 
-// NewHealthTracker returns an empty tracker with default tuning.
+// NewHealthTracker returns an empty tracker.
 func NewHealthTracker() *HealthTracker {
 	return &HealthTracker{peers: map[string]*peerHealth{}}
 }
@@ -84,34 +76,13 @@ func (h *HealthTracker) timeNow() time.Time {
 	return time.Now()
 }
 
-func (h *HealthTracker) window() int {
-	if h.Window > 0 {
-		return h.Window
-	}
-	return DefaultHealthWindow
-}
-
-func (h *HealthTracker) staleAfter() time.Duration {
-	if h.StaleAfter > 0 {
-		return h.StaleAfter
-	}
-	return DefaultHealthStaleAfter
-}
-
-func (h *HealthTracker) minSamples() int {
-	if h.MinSamples > 0 {
-		return h.MinSamples
-	}
-	return DefaultHealthMinSamples
-}
-
 func (h *HealthTracker) peer(name string) *peerHealth {
 	if h.peers == nil {
 		h.peers = map[string]*peerHealth{}
 	}
 	p, ok := h.peers[name]
 	if !ok {
-		p = &peerHealth{ring: make([]healthSample, h.window())}
+		p = &peerHealth{ring: make([]healthSample, DefaultHealthWindow)}
 		h.peers[name] = p
 	}
 	return p
@@ -154,7 +125,7 @@ func (h *HealthTracker) ObserveFault(peer string) {
 
 // freshLocked returns the peer's non-stale latency samples in ns.
 func (h *HealthTracker) freshLocked(p *peerHealth) []int64 {
-	cutoff := h.timeNow().Add(-h.staleAfter())
+	cutoff := h.timeNow().Add(-DefaultHealthStaleAfter)
 	var out []int64
 	for _, s := range p.ring {
 		if s.at.IsZero() || s.at.Before(cutoff) {
@@ -165,9 +136,17 @@ func (h *HealthTracker) freshLocked(p *peerHealth) []int64 {
 	return out
 }
 
-// Quantile returns the q-quantile (nearest rank, 0 < q <= 1) of the peer's
-// fresh latency samples; ok is false with no fresh samples.
-func (h *HealthTracker) Quantile(peer string, q float64) (time.Duration, bool) {
+// HedgeAfter derives the adaptive hedge trigger of one peer: its observed
+// P90 over fresh samples. ok is false below the fresh-sample floor — the
+// caller falls back to the static policy value until the tracker has seen
+// enough traffic to know better.
+func (h *HealthTracker) HedgeAfter(peer string) (time.Duration, bool) {
+	return h.quantile(peer, 0.9, DefaultHealthMinSamples)
+}
+
+// quantile returns the q-quantile (nearest rank, 0 < q <= 1) of the peer's
+// fresh latency samples; ok is false with fewer than floor of them, or none.
+func (h *HealthTracker) quantile(peer string, q float64, floor int) (time.Duration, bool) {
 	if h == nil {
 		return 0, false
 	}
@@ -177,41 +156,18 @@ func (h *HealthTracker) Quantile(peer string, q float64) (time.Duration, bool) {
 	if !ok {
 		return 0, false
 	}
-	fresh := h.freshLocked(p)
-	if len(fresh) == 0 {
-		return 0, false
-	}
-	sort.Slice(fresh, func(i, j int) bool { return fresh[i] < fresh[j] })
-	rank := int(q*float64(len(fresh)) + 0.5)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(fresh) {
-		rank = len(fresh)
-	}
-	return time.Duration(fresh[rank-1]), true
+	return nearestRank(h.freshLocked(p), q, floor)
 }
 
-// HedgeAfter derives the adaptive hedge trigger of one peer: its observed
-// P90 over fresh samples. ok is false below the fresh-sample floor — the
-// caller falls back to the static policy value until the tracker has seen
-// enough traffic to know better.
-func (h *HealthTracker) HedgeAfter(peer string) (time.Duration, bool) {
-	if h == nil {
+// nearestRank returns the q-quantile (0 < q <= 1) of samples by nearest
+// rank, sorting them; ok is false with fewer than floor samples, or none.
+func nearestRank(samples []int64, q float64, floor int) (time.Duration, bool) {
+	if len(samples) == 0 || len(samples) < floor {
 		return 0, false
 	}
-	h.mu.Lock()
-	p, ok := h.peers[peer]
-	var fresh []int64
-	if ok {
-		fresh = h.freshLocked(p)
-	}
-	h.mu.Unlock()
-	if len(fresh) < h.minSamples() {
-		return 0, false
-	}
-	d, _ := h.Quantile(peer, 0.9)
-	return d, true
+	slices.Sort(samples)
+	rank := min(max(int(q*float64(len(samples))+0.5), 1), len(samples))
+	return time.Duration(samples[rank-1]), true
 }
 
 // PeerHealthState is one peer's tracker state at snapshot time — what the
@@ -239,35 +195,19 @@ func (h *HealthTracker) SnapshotAll() map[string]PeerHealthState {
 		return nil
 	}
 	h.mu.Lock()
-	names := make([]string, 0, len(h.peers))
-	for name := range h.peers {
-		names = append(names, name)
-	}
+	defer h.mu.Unlock()
 	now := h.timeNow()
-	out := make(map[string]PeerHealthState, len(names))
-	for _, name := range names {
-		p := h.peers[name]
-		st := PeerHealthState{
-			EWMANS: int64(p.ewmaNS),
-			Seen:   p.seen,
-			Faults: p.faults,
-		}
+	out := make(map[string]PeerHealthState, len(h.peers))
+	for name, p := range h.peers {
+		fresh := h.freshLocked(p)
+		st := PeerHealthState{EWMANS: int64(p.ewmaNS), FreshSamples: len(fresh), Seen: p.seen, Faults: p.faults}
 		if !p.lastObs.IsZero() {
 			st.AgeNS = now.Sub(p.lastObs).Nanoseconds()
 		}
-		st.FreshSamples = len(h.freshLocked(p))
-		out[name] = st
-	}
-	h.mu.Unlock()
-	// Quantile re-locks per peer; fill the P90 after releasing the lock.
-	for _, name := range names {
-		st := out[name]
-		if st.FreshSamples >= h.minSamples() {
-			if d, ok := h.Quantile(name, 0.9); ok {
-				st.FreshP90NS = d.Nanoseconds()
-				out[name] = st
-			}
+		if d, ok := nearestRank(fresh, 0.9, DefaultHealthMinSamples); ok {
+			st.FreshP90NS = d.Nanoseconds()
 		}
+		out[name] = st
 	}
 	return out
 }
@@ -283,7 +223,7 @@ func (h *HealthTracker) Rank(targets []string, seq uint64) []string {
 	if len(targets) <= 1 {
 		return targets
 	}
-	_, bad := h.classify(targets)
+	bad := h.classify(targets)
 	var healthy, unhealthy []string
 	for i, t := range targets {
 		if bad[i] {
@@ -303,77 +243,32 @@ func (h *HealthTracker) Rank(targets []string, seq uint64) []string {
 	return out
 }
 
-// classify snapshots each target's dispatch-relevant state: its EWMA (-1
-// when unknown or stale) and whether it counts unhealthy — a fault streak,
-// or an EWMA beyond healthSlowFactor of the best target's.
-func (h *HealthTracker) classify(targets []string) (ewma []float64, unhealthy []bool) {
+// classify reports which targets count unhealthy: a fault streak, or a
+// fresh EWMA beyond healthSlowFactor of the best target's (an unknown or
+// stale EWMA is no evidence either way).
+func (h *HealthTracker) classify(targets []string) (unhealthy []bool) {
 	h.mu.Lock()
+	defer h.mu.Unlock()
+	ewma := make([]float64, len(targets)) // zero: unknown or stale
+	unhealthy = make([]bool, len(targets))
 	best := 0.0
-	ewma = make([]float64, len(targets))
-	faulty := make([]bool, len(targets))
-	stale := h.staleAfter()
 	for i, t := range targets {
 		p, ok := h.peers[t]
-		if !ok || p.seen == 0 || h.timeNow().Sub(p.lastObs) > stale {
-			ewma[i] = -1 // unknown
-		} else {
+		if !ok {
+			continue
+		}
+		unhealthy[i] = p.faults > 0
+		if p.seen > 0 && h.timeNow().Sub(p.lastObs) <= DefaultHealthStaleAfter {
 			ewma[i] = p.ewmaNS
 			if best == 0 || p.ewmaNS < best {
 				best = p.ewmaNS
 			}
 		}
-		if ok && p.faults > 0 {
-			faulty[i] = true
-		}
 	}
-	h.mu.Unlock()
-	unhealthy = make([]bool, len(targets))
 	for i := range targets {
-		slow := ewma[i] > 0 && best > 0 && ewma[i] > healthSlowFactor*best
-		unhealthy[i] = faulty[i] || slow
-	}
-	return ewma, unhealthy
-}
-
-// RankLive orders a lane's target rotation by live health, fastest copy
-// first: healthy targets with a known EWMA in ascending-latency order, then
-// healthy-but-unmeasured targets in canonical failover order (they deserve
-// traffic to get measured), then targets with a fault streak or a slow EWMA,
-// again in canonical order. Unlike Rank there is no per-lane rotation —
-// every lane's first attempt goes to the live, fastest copy, which is what
-// routing up front (as opposed to fail-over) wants: a departed or degraded
-// primary stops receiving first attempts the moment the tracker has seen it
-// fault, instead of every lane burning an attempt against the corpse. A nil
-// tracker returns targets unchanged.
-func (h *HealthTracker) RankLive(targets []string) []string {
-	if h == nil || len(targets) <= 1 {
-		return targets
-	}
-	ewma, unhealthy := h.classify(targets)
-	idx := make([]int, len(targets))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
-		if unhealthy[ia] != unhealthy[ib] {
-			return !unhealthy[ia]
+		if ewma[i] > 0 && best > 0 && ewma[i] > healthSlowFactor*best {
+			unhealthy[i] = true
 		}
-		if unhealthy[ia] {
-			return false // canonical order among the unhealthy
-		}
-		knownA, knownB := ewma[ia] >= 0, ewma[ib] >= 0
-		if knownA != knownB {
-			return knownA
-		}
-		if knownA {
-			return ewma[ia] < ewma[ib]
-		}
-		return false // canonical order among the unmeasured
-	})
-	out := make([]string, len(targets))
-	for i, j := range idx {
-		out[i] = targets[j]
 	}
-	return out
+	return unhealthy
 }

@@ -78,7 +78,7 @@ func TestHealthHedgeAfterIsP90(t *testing.T) {
 	if d < 85*time.Millisecond || d > 100*time.Millisecond {
 		t.Fatalf("adaptive hedge trigger %v outside the windowed P90 region", d)
 	}
-	if q, _ := h.Quantile("p", 0.5); q >= d {
+	if q, _ := h.quantile("p", 0.5, 1); q >= d {
 		t.Fatalf("P50 %v not below hedge trigger %v", q, d)
 	}
 }

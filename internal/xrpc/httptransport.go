@@ -51,11 +51,9 @@ type HTTPTransport struct {
 	// Client defaults to http.DefaultClient.
 	Client *http.Client
 	// URLFor maps a peer name to the gather-whole endpoint URL. The default
-	// prepends http:// and appends /xrpc.
+	// prepends http:// and appends /xrpc; the streaming endpoint is that URL
+	// plus /stream.
 	URLFor func(peer string) string
-	// StreamURLFor maps a peer name to the streaming endpoint URL. The
-	// default appends /stream to URLFor's answer.
-	StreamURLFor func(peer string) string
 }
 
 var _ Transport = (*HTTPTransport)(nil)
@@ -74,13 +72,6 @@ func (t *HTTPTransport) urlFor(peer string) string {
 		return t.URLFor(peer)
 	}
 	return "http://" + peer + "/xrpc"
-}
-
-func (t *HTTPTransport) streamURLFor(peer string) string {
-	if t.StreamURLFor != nil {
-		return t.StreamURLFor(peer)
-	}
-	return t.urlFor(peer) + "/stream"
 }
 
 // RoundTrip implements Transport.
@@ -120,7 +111,7 @@ func (t *HTTPTransport) RoundTripContext(ctx context.Context, peer string, reque
 // peer without the streaming endpoint (404/405) degrades to one gather-
 // whole exchange delivered as a single frame.
 func (t *HTTPTransport) RoundTripStream(ctx context.Context, peer string, request []byte, sink func(frame []byte) error) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, t.streamURLFor(peer), bytes.NewReader(request))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, t.urlFor(peer)+"/stream", bytes.NewReader(request))
 	if err != nil {
 		return fmt.Errorf("xrpc: POST to %s: %w", peer, err)
 	}

@@ -2,18 +2,20 @@ package xrpc
 
 // This file implements per-lane fault tolerance for every dispatch mode: one
 // lane runner (runLane) that re-issues a failed exchange to the lane's next
-// replica (retry) and races a speculative duplicate against a slow one
-// (hedging). The runner owns the rotation, the attempt budget, both timers,
-// fault bookkeeping and winner provenance; what one attempt does — a
+// replica at once (retry) and races a speculative duplicate against a slow
+// one (hedging). The runner owns the rotation, the attempt budget, the hedge
+// timer, fault bookkeeping and winner provenance; what one attempt does — a
 // gather-whole exchange or a chunk-stream exchange — is a laneAttempt it is
 // handed. Attempts race until one commits, the committed attempt alone
 // delivers, the losers are cancelled, and the lane's provenance (winning
 // replica, retries, hedges, wasted wall time) travels on the Lane record so
-// sessions can report tail-tolerance costs. Correctness rests on the
-// repo-wide invariant that peers evaluate deterministically: two replicas
-// holding byte-identical shard documents produce byte-identical results for
-// the same shipped function, so whichever attempt wins, the query result is
-// unchanged.
+// sessions can report tail-tolerance costs. A lane whose attempt has nothing
+// to race — no replica, so no hedge can arm — runs it on the runner's own
+// goroutine and builds no race: no channel, goroutine or attempt context.
+// Correctness rests on the repo-wide invariant that peers evaluate
+// deterministically: two replicas holding byte-identical shard documents
+// produce byte-identical results for the same shipped function, so whichever
+// attempt wins, the query result is unchanged.
 
 import (
 	"context"
@@ -37,10 +39,6 @@ type RetryPolicy struct {
 	// then replicas in order, wrapping around). Zero means one attempt per
 	// available target — with two replicas, up to three attempts.
 	MaxAttempts int
-	// Backoff is the wait before re-issuing after a failed attempt. Hedged
-	// attempts skip it: a hedge races the slow attempt, it does not replace
-	// a failed one.
-	Backoff time.Duration
 	// HedgeAfter, when positive, launches a speculative duplicate of the
 	// exchange on the next target of the rotation if the newest attempt has
 	// not committed within this duration — a gather exchange commits when
@@ -59,25 +57,13 @@ type RetryPolicy struct {
 	// round-robin otherwise; each lane's failover order stays a fixed,
 	// deterministic permutation of its target list, and replicas hold
 	// byte-identical shards, so results are unchanged. Off by default: the
-	// primary-first baseline keeps single-session runs reproducible.
+	// primary-first baseline keeps single-session runs reproducible. xqd
+	// always sets it, with a tracker.
 	SpreadReplicas bool
-	// RouteLive consults the Client's HealthTracker at dispatch time and
-	// sends every lane to the live, fastest copy up front: targets order by
-	// observed EWMA with fault-streaked peers demoted to the back (see
-	// HealthTracker.RankLive), so a dead or degraded primary stops receiving
-	// first attempts as soon as the tracker has seen it fail, instead of
-	// every lane burning an attempt (and a hedge window) against it. This is
-	// routing rather than fail-over; replicas hold byte-identical shards, so
-	// results are unchanged. Takes precedence over SpreadReplicas; without a
-	// tracker it falls back to the primary-first rotation.
-	RouteLive bool
 }
 
 // spread reports whether initial lane targets rotate across replicas.
 func (p *RetryPolicy) spread() bool { return p != nil && p.SpreadReplicas }
-
-// routeLive reports whether lanes route to the fastest live copy up front.
-func (p *RetryPolicy) routeLive() bool { return p != nil && p.RouteLive }
 
 // maxAttempts resolves the attempt budget of a lane with the given number
 // of replicas. A nil policy still fails over across replicas once each —
@@ -97,14 +83,6 @@ func (p *RetryPolicy) hedgeAfter() time.Duration {
 	return p.HedgeAfter
 }
 
-// backoff returns the retry backoff, zero when none is configured.
-func (p *RetryPolicy) backoff() time.Duration {
-	if p == nil {
-		return 0
-	}
-	return p.Backoff
-}
-
 // laneTargets returns the lane's canonical target list: the primary first,
 // then the replicas in failover order. Lane.Replica indexes into this list
 // regardless of how dispatch rotated it, so "Replica > 0" always means "not
@@ -119,13 +97,7 @@ func laneTargets(batch eval.ScatterBatch) []string {
 // — while each individual lane's order stays deterministic.
 func (c *Client) dispatchTargets(batch eval.ScatterBatch) []string {
 	targets := laneTargets(batch)
-	if len(targets) <= 1 {
-		return targets
-	}
-	if c.Retry.routeLive() && c.Health != nil {
-		return c.Health.RankLive(targets)
-	}
-	if !c.Retry.spread() {
+	if len(targets) <= 1 || !c.Retry.spread() {
 		return targets
 	}
 	seq := c.laneSeq.Add(1) - 1
@@ -181,23 +153,22 @@ func (f *firstFault) error() error {
 }
 
 // laneAttempt is the one thing the lane runner is parameterised by: what a
-// single attempt against peer does. The attempt runs under ctx, records under
-// sp, and must call commit before it hands anything to the lane's consumer —
-// a gather attempt once its whole response has parsed, a streamed attempt when
-// its first frame arrives. commit reports whether this attempt now holds the
-// lane's delivery token; an attempt that is refused abandons the exchange and
-// returns an error.
-type laneAttempt func(ctx context.Context, peer string, commit func() bool, sp trace.SpanRef) (Lane, error)
+// single attempt does. It runs under ctx against a.peer, records under a.sp,
+// and must win a.commit() before it hands anything to the lane's consumer —
+// a gather attempt once its whole response has parsed, a streamed attempt
+// when its first frame arrives. An attempt whose commit is refused abandons
+// the exchange and returns an error.
+type laneAttempt func(ctx context.Context, a *attempt) (Lane, error)
 
 // gatherAttempt is the gather-whole laneAttempt: one Bulk RPC exchange whose
 // results land in *out if — and only if — the attempt commits.
 func (c *Client) gatherAttempt(x *xq.XRPCExpr, iterations [][]xdm.Sequence, out *[]xdm.Sequence) laneAttempt {
-	return func(ctx context.Context, peer string, commit func() bool, sp trace.SpanRef) (Lane, error) {
-		results, lane, err := c.callBulkCtx(ctx, peer, x, iterations, sp)
+	return func(ctx context.Context, a *attempt) (Lane, error) {
+		results, lane, err := c.callBulkCtx(ctx, a.peer, x, iterations, a.sp)
 		if err != nil {
 			return Lane{}, err
 		}
-		if !commit() {
+		if !a.commit() {
 			return Lane{}, context.Canceled
 		}
 		*out = results
@@ -205,15 +176,36 @@ func (c *Client) gatherAttempt(x *xq.XRPCExpr, iterations [][]xdm.Sequence, out 
 	}
 }
 
-// attemptState is the runner's record of one launched attempt.
-type attemptState struct {
-	peer      string
-	start     time.Time
+// attempt is one launched attempt of a lane: what the attempt reads (its
+// peer and span) and the runner's record of it.
+type attempt struct {
+	peer  string
+	sp    trace.SpanRef
+	lane  *laneRun
+	index int
+	start time.Time
+	// A racing attempt runs under its own context and asks for the delivery
+	// token over the lane's commits channel, answered on granted; an attempt
+	// that races nothing has neither and is answered on the spot.
 	cancel    context.CancelFunc
-	sp        trace.SpanRef
-	granted   chan bool // the runner's answer to this attempt's commit
-	running   bool      // has not reported its outcome yet
-	cancelled bool      // torn down by the runner: it lost the commit race
+	granted   chan bool
+	running   bool // has not reported its outcome yet
+	cancelled bool // torn down by the runner: it lost the commit race
+}
+
+// commit asks for the lane's delivery token and reports whether this attempt
+// now holds it.
+func (a *attempt) commit() bool {
+	l := a.lane
+	if a.granted == nil {
+		return l.grant(a.index) // it runs on the runner's goroutine
+	}
+	select {
+	case l.commits <- a.index:
+		return <-a.granted
+	case <-l.done:
+		return false
+	}
 }
 
 // attemptOutcome is one attempt's report back to the lane runner.
@@ -224,246 +216,251 @@ type attemptOutcome struct {
 	wallNS  int64
 }
 
-// laneTimer is an optional one-shot timer of the runner's select loop: while
-// disarmed its C is nil and never fires. arm expects a disarmed timer.
-type laneTimer struct {
-	t *time.Timer
-	C <-chan time.Time
+// laneRun is the state of one lane's dispatch, owned by the goroutine that
+// runs runLane. Only a race needs channels: the first launch that races
+// makes them, so a lane whose one attempt races nothing makes none.
+type laneRun struct {
+	c        *Client
+	ctx      context.Context
+	batch    eval.ScatterBatch
+	sp       trace.SpanRef
+	run      laneAttempt
+	targets  []string
+	lone     [1]string // the targets of a lane without replicas
+	max      int
+	attempts []attempt   // capacity max, so an attempt's record never moves
+	hedge    *time.Timer // armed while a hedge would race the newest attempt
+
+	outstanding, retries, hedges int
+	holder                       int      // attempt holding the delivery token, -1 when free
+	stopped                      bool     // the dispatch was torn down or its deadline passed
+	sole                         *attempt // launched with nothing to race: run on this goroutine
+
+	// The race: attempts report outcomes and ask for the token on these, and
+	// stop trying once done closes.
+	done     chan struct{}
+	outcomes chan attemptOutcome
+	commits  chan int
 }
 
-func (lt *laneTimer) arm(d time.Duration) {
-	lt.t = time.NewTimer(d)
-	lt.C = lt.t.C
+// spent reports whether the lane may launch nothing more.
+func (l *laneRun) spent() bool {
+	return l.stopped || len(l.attempts) >= l.max || l.ctx.Err() != nil
 }
 
-func (lt *laneTimer) stop() {
-	if lt.t != nil {
-		lt.t.Stop()
-		lt.t, lt.C = nil, nil
+func (l *laneRun) stop() {
+	l.stopped = true
+	l.disarm()
+}
+
+func (l *laneRun) disarm() {
+	if l.hedge != nil {
+		l.hedge.Stop()
+		l.hedge = nil
+	}
+}
+
+// grant hands attempt i the delivery token if it is free: every other
+// attempt is cancelled and nothing further is scheduled while it is held.
+func (l *laneRun) grant(i int) bool {
+	if l.holder >= 0 || l.attempts[i].cancelled {
+		return false
+	}
+	l.holder = i
+	for j := range l.attempts {
+		if j != i {
+			l.attempts[j].cancelled = true
+			if cancel := l.attempts[j].cancel; cancel != nil {
+				cancel()
+			}
+		}
+	}
+	l.disarm()
+	return true
+}
+
+// launch starts the lane's next attempt on the next target of its rotation.
+// The first try is the primary; later ones are retries (after a fault) or
+// hedges (racing a straggler).
+func (l *laneRun) launch(hedged bool) {
+	i, kind := len(l.attempts), "primary"
+	switch {
+	case i == 0:
+	case hedged:
+		l.hedges++
+		kind = "hedge"
+	default:
+		l.retries++
+		kind = "retry"
+	}
+	peer := l.targets[i%len(l.targets)]
+	l.attempts = append(l.attempts, attempt{peer: peer, lane: l, index: i, start: time.Now(), running: true})
+	a := &l.attempts[i]
+	if l.sp.Active() {
+		// The attempt owns its span end to end: it may outlive the lane (a
+		// cancelled loser over a synchronous transport runs to completion),
+		// so nobody else may End it — the winner tag lands post-hoc via Set,
+		// which is legal on an ended span.
+		a.sp = l.sp.Child("attempt",
+			trace.Str("peer", peer),
+			trace.Int("replica", int64(replicaIndex(l.batch, peer))),
+			trace.Str("kind", kind))
+	}
+	l.outstanding++
+	// The hedge trigger is resolved against the newest attempt's peer: a
+	// tracked peer hedges at its own observed P90.
+	l.disarm()
+	if !l.spent() {
+		if d := l.c.hedgeDelay(peer); d > 0 {
+			l.hedge = time.NewTimer(d)
+		}
+	}
+	if l.hedge == nil && l.outstanding == 1 {
+		// Nothing to race: no hedge armed, no other attempt outstanding. The
+		// loop would only block on it, so it runs on the loop's goroutine.
+		l.sole = a
+		return
+	}
+	if l.done == nil {
+		l.done = make(chan struct{})
+		l.outcomes = make(chan attemptOutcome)
+		l.commits = make(chan int)
+	}
+	ctx, cancel := context.WithCancel(l.ctx)
+	a.cancel, a.granted = cancel, make(chan bool, 1)
+	go func() {
+		o := l.exec(ctx, a)
+		select {
+		case l.outcomes <- o:
+		case <-l.done:
+		}
+	}()
+}
+
+// exec runs attempt a and closes its span.
+func (l *laneRun) exec(ctx context.Context, a *attempt) attemptOutcome {
+	t0 := time.Now()
+	lane, err := l.run(ctx, a)
+	a.sp.EndErr(err)
+	return attemptOutcome{a.index, lane, err, time.Since(t0).Nanoseconds()}
+}
+
+// won closes the lane on a's success, charging it for the work the others
+// burned: reported attempts their measured wall time (lostNS), still-running
+// ones the time since their launch.
+func (l *laneRun) won(a *attempt, lane Lane, lostNS int64) Lane {
+	for i := range l.attempts {
+		if l.attempts[i].running {
+			lostNS += time.Since(l.attempts[i].start).Nanoseconds()
+		}
+	}
+	a.sp.Set(trace.Bool("winner", true))
+	lane.Target = l.batch.Target
+	lane.Replica = replicaIndex(l.batch, a.peer)
+	lane.Retries = l.retries
+	lane.Hedges = l.hedges
+	lane.WastedNS = lostNS
+	return lane
+}
+
+// close releases whatever the lane's attempts still hold: racing attempts
+// stop waiting on the runner and are cancelled.
+func (l *laneRun) close() {
+	l.disarm()
+	if l.done != nil {
+		close(l.done)
+	}
+	for i := range l.attempts {
+		if cancel := l.attempts[i].cancel; cancel != nil {
+			cancel()
+		}
 	}
 }
 
 // runLane dispatches one lane under the client's RetryPolicy: the single
 // retry / hedge state machine of every dispatch mode. Attempts rotate through
-// the lane's targets; a failed attempt is re-issued (after Backoff) to the
-// next one, and when a hedge delay applies a speculative duplicate joins any
-// attempt that has not committed in time. Attempts race until one commits:
-// the commit hands that attempt the lane's delivery token, cancels every
-// other outstanding attempt and disarms the hedge timer — a hedge never
-// cancels an attempt that has not failed. The committed attempt's success
-// ends the lane; if it faults after committing (a stream dying mid-flight)
-// the token is released and the loop retries, the attempt func being
-// responsible for not re-delivering what the consumer already holds. A
-// deadline fault or a torn-down dispatch stops further attempts. Every
-// attempt that did not win is charged to the lane's WastedNS. Exchanges in
-// flight over transports without cancellation support run to completion, but
-// can no longer commit — duplicated responses are safe because peer
-// evaluation is deterministic and only the token holder delivers.
+// the lane's targets; a failed attempt is re-issued at once to the next one,
+// and when a hedge delay applies a speculative duplicate joins any attempt
+// that has not committed in time. Attempts race until one commits: the
+// commit hands that attempt the lane's delivery token, cancels every other
+// outstanding attempt and disarms the hedge timer — a hedge never cancels an
+// attempt that has not failed. The committed attempt's success ends the lane;
+// if it faults after committing (a stream dying mid-flight) the token is
+// released and the loop retries, the attempt func being responsible for not
+// re-delivering what the consumer already holds. A deadline fault or a
+// torn-down dispatch stops further attempts. Every attempt that did not win
+// is charged to the lane's WastedNS. Exchanges in flight over transports
+// without cancellation support run to completion, but can no longer commit —
+// duplicated responses are safe because peer evaluation is deterministic and
+// only the token holder delivers.
 func (c *Client) runLane(ctx context.Context, batch eval.ScatterBatch, lsp trace.SpanRef, run laneAttempt) (Lane, error) {
 	start := time.Now()
 	max := c.Retry.maxAttempts(len(batch.Replicas))
-	targets := c.dispatchTargets(batch)
-
-	// All state below is owned by this goroutine; attempts talk to it through
-	// outcomes and commits (an attempt index asking for the delivery token),
-	// and stop trying once done closes.
-	done := make(chan struct{})
-	outcomes := make(chan attemptOutcome)
-	commits := make(chan int)
-	attempts := make([]attemptState, 0, max)
-	defer func() {
-		close(done)
-		for i := range attempts {
-			attempts[i].cancel()
-		}
-	}()
-	var hedge, retry laneTimer
-	defer hedge.stop()
-	defer retry.stop()
-	outstanding, retries, hedges := 0, 0, 0
-	holder := -1     // attempt holding the delivery token
-	stopped := false // no further attempts: budget spent or dispatch torn down
-	// spent reports whether the lane may launch nothing more.
-	spent := func() bool { return stopped || len(attempts) >= max || ctx.Err() != nil }
-	stop := func() {
-		stopped = true
-		hedge.stop()
-		retry.stop()
+	l := &laneRun{c: c, ctx: ctx, batch: batch, sp: lsp, run: run, max: max, holder: -1,
+		attempts: make([]attempt, 0, max)}
+	if len(batch.Replicas) == 0 {
+		l.lone[0] = batch.Target
+		l.targets = l.lone[:]
+	} else {
+		l.targets = c.dispatchTargets(batch)
 	}
+	defer l.close()
 
-	// grant hands attempt a the delivery token if it is free: every other
-	// attempt is cancelled and nothing further is scheduled while it is held.
-	grant := func(a int) bool {
-		if holder >= 0 || attempts[a].cancelled {
-			return false
-		}
-		holder = a
-		for i := range attempts {
-			if i != a {
-				attempts[i].cancelled = true
-				attempts[i].cancel()
-			}
-		}
-		hedge.stop()
-		retry.stop()
-		return true
-	}
-	// sole is a launched attempt that has nothing to race — no hedge armed, no
-	// other attempt outstanding. The loop would only block on it, so it runs
-	// on the loop's own goroutine: the default single-attempt lane costs no
-	// goroutine, context or channel hand-off.
-	var sole func() attemptOutcome
-
-	launch := func(hedged bool) {
-		// The first try is the primary; later ones are retries (after a
-		// fault) or hedges (racing a straggler).
-		a, kind := len(attempts), "primary"
-		switch {
-		case a == 0:
-		case hedged:
-			hedges++
-			kind = "hedge"
-		default:
-			retries++
-			kind = "retry"
-		}
-		peer := targets[a%len(targets)]
-		// The attempt owns its span end to end: it may outlive the lane (a
-		// cancelled loser over a synchronous transport runs to completion), so
-		// nobody else may End it — the winner tag lands post-hoc via Set,
-		// which is legal on an ended span.
-		asp := lsp.Child("attempt",
-			trace.Str("peer", peer),
-			trace.Int("replica", int64(replicaIndex(batch, peer))),
-			trace.Str("kind", kind))
-		attempts = append(attempts, attemptState{
-			peer: peer, start: time.Now(), cancel: func() {}, sp: asp, running: true})
-		outstanding++
-		// The hedge trigger is resolved against the newest attempt's peer: a
-		// tracked peer hedges at its own observed P90.
-		hedge.stop()
-		if !spent() {
-			if d := c.hedgeDelay(peer); d > 0 {
-				hedge.arm(d)
-			}
-		}
-		actx := ctx
-		commit := func() bool { return grant(a) }
-		racing := hedge.C != nil || outstanding > 1
-		if racing {
-			granted := make(chan bool, 1)
-			actx, attempts[a].cancel = context.WithCancel(ctx)
-			attempts[a].granted = granted
-			commit = func() bool {
-				select {
-				case commits <- a:
-					return <-granted
-				case <-done:
-					return false
-				}
-			}
-		}
-		exec := func() attemptOutcome {
-			t0 := time.Now()
-			lane, err := run(actx, peer, commit, asp)
-			asp.EndErr(err)
-			return attemptOutcome{a, lane, err, time.Since(t0).Nanoseconds()}
-		}
-		if !racing {
-			sole = exec
-			return
-		}
-		go func() {
-			o := exec()
-			select {
-			case outcomes <- o:
-			case <-done:
-			}
-		}()
-	}
-
-	fault := &firstFault{}
+	var fault firstFault
 	var lostNS int64 // wall time of the attempts that reported a failure
 	torndown := ctx.Done()
-	launch(false)
-	for outstanding > 0 || retry.C != nil {
+	l.launch(false)
+	for l.outstanding > 0 {
 		var o attemptOutcome
-		if sole != nil {
-			o = sole()
-			sole = nil
+		if a := l.sole; a != nil {
+			l.sole = nil
+			o = l.exec(ctx, a)
 		} else {
+			var hedge <-chan time.Time
+			if l.hedge != nil {
+				hedge = l.hedge.C
+			}
 			select {
-			case a := <-commits:
-				attempts[a].granted <- grant(a)
+			case i := <-l.commits:
+				l.attempts[i].granted <- l.grant(i)
 				continue
-			case o = <-outcomes:
-			case <-retry.C:
-				retry.stop()
-				if !spent() {
-					launch(false)
-				}
-				continue
-			case <-hedge.C:
-				if !spent() {
-					launch(true)
+			case o = <-l.outcomes:
+			case <-hedge:
+				if !l.spent() {
+					l.launch(true)
 				}
 				continue
 			case <-torndown:
 				// The dispatch was cancelled or its deadline passed: in-flight
 				// attempts unwind on their own, nothing new starts.
 				torndown = nil
-				stop()
+				l.stop()
 				continue
 			}
 		}
-		outstanding--
-		at := &attempts[o.attempt]
-		at.running = false
+		l.outstanding--
+		a := &l.attempts[o.attempt]
+		a.running = false
 		if o.err == nil {
-			// Charge the lane for the work the others burned: reported
-			// attempts their measured wall time, still-running ones the
-			// time since their launch.
-			wasted := lostNS
-			for i := range attempts {
-				if attempts[i].running {
-					wasted += time.Since(attempts[i].start).Nanoseconds()
-				}
-			}
-			at.sp.Set(trace.Bool("winner", true))
-			lane := o.lane
-			lane.Target = batch.Target
-			lane.Replica = replicaIndex(batch, at.peer)
-			lane.Retries = retries
-			lane.Hedges = hedges
-			lane.WastedNS = wasted
-			return lane, nil
+			return l.won(a, o.lane, lostNS), nil
 		}
 		lostNS += o.wallNS
-		if at.cancelled {
+		if a.cancelled {
 			continue // the loser of a commit race unwinding, not a fault
 		}
-		if o.attempt == holder {
-			holder = -1 // died after committing: the token is free again
+		if o.attempt == l.holder {
+			l.holder = -1 // died after committing: the token is free again
 		}
 		fault.record(o.attempt, o.err)
 		// A deadline expiry is terminal: no replica can answer within a
 		// budget that is already spent, so the lane stops failing over
 		// instead of burning attempts on work the originator will discard.
 		if isDeadline(o.err) {
-			stop()
+			l.stop()
 			continue
 		}
-		// The re-issue waits out the backoff on the retry timer, not
-		// inline: the loop keeps serving commits and outcomes meanwhile,
-		// so an outstanding hedge that commits wins at once and the
-		// pending retry is abandoned.
-		switch d := c.Retry.backoff(); {
-		case spent() || retry.C != nil:
-			// nothing left to launch, or a re-issue is already pending
-		case d > 0:
-			retry.arm(d)
-		default:
-			launch(false)
+		if !l.spent() {
+			l.launch(false)
 		}
 	}
 	return Lane{}, budgetFailure(ctx, fault.error(), batch.Target, start)

@@ -12,6 +12,7 @@ import (
 	"distxq/internal/eval"
 	"distxq/internal/projection"
 	"distxq/internal/testkit"
+	"distxq/internal/trace"
 	"distxq/internal/xdm"
 	"distxq/internal/xq"
 )
@@ -166,7 +167,7 @@ func awaitCancelled(t *testing.T, slow *slowTransport) {
 
 // TestLaneRunner is the fault-tolerance contract of the one lane runner, run
 // over both attempt kinds: whichever kind of exchange an attempt performs,
-// rotation, budget, back-off, hedging, re-routing, fault reporting and
+// rotation, budget, hedging, re-routing, fault reporting and
 // provenance behave the same.
 func TestLaneRunner(t *testing.T) {
 	type world struct {
@@ -204,13 +205,13 @@ func TestLaneRunner(t *testing.T) {
 		},
 		{
 			// With MaxAttempts > 1 and no replicas, a transient fault is
-			// retried against the same peer (after the back-off).
+			// retried against the same peer.
 			name: "retry same target",
 			build: func() world {
 				fl := &flakyServer{Server: newPeer(nil)}
 				fl.failures.Store(1)
 				eng, cl, _ := wireRetry(map[string]Handler{"p": fl},
-					&RetryPolicy{MaxAttempts: 2, Backoff: time.Millisecond}, nil)
+					&RetryPolicy{MaxAttempts: 2}, nil)
 				return world{eng: eng, cl: cl}
 			},
 			query: echoScatter("p"),
@@ -514,6 +515,43 @@ func TestReplayFilterSuppressesPrefix(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("delivery %d = %q, want %q (all: %v)", i, got[i], want[i], got)
+		}
+	}
+}
+
+// TestLaneRunnerAllocationCeilings pins what the lane runner itself
+// allocates, under xqd's policy (HedgeAfter 20 ms, SpreadReplicas, a health
+// tracker), for an attempt that only commits. A lane without replicas runs
+// its one attempt on the runner's goroutine and builds no race; a lane with
+// a replica arms the hedge, so its attempt races on its own goroutine and
+// context. The counts of the runner that built a race for every lane are in
+// the comments.
+func TestLaneRunnerAllocationCeilings(t *testing.T) {
+	cl := &Client{Retry: &RetryPolicy{HedgeAfter: 20 * time.Millisecond, SpreadReplicas: true},
+		Health: NewHealthTracker()}
+	commitOnly := func(_ context.Context, a *attempt) (Lane, error) {
+		if !a.commit() {
+			return Lane{}, context.Canceled
+		}
+		return Lane{Peer: a.peer}, nil
+	}
+	for _, tc := range []struct {
+		name    string
+		batch   eval.ScatterBatch
+		ceiling float64
+	}{
+		{"one target", eval.ScatterBatch{Target: "p"}, 3},                                       // measured 2, also under -race; the racing runner: 12
+		{"a replica, hedge armed", eval.ScatterBatch{Target: "p", Replicas: []string{"r"}}, 20}, // measured 20, also under -race; the racing runner: 27
+	} {
+		got := testing.AllocsPerRun(100, func() {
+			if _, err := cl.runLane(context.Background(), tc.batch, trace.SpanRef{}, commitOnly); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > tc.ceiling {
+			t.Errorf("%s: %.0f allocations, ceiling %.0f", tc.name, got, tc.ceiling)
+		} else {
+			t.Logf("%s: %.0f allocations", tc.name, got)
 		}
 	}
 }

@@ -642,8 +642,8 @@ func (c *StreamedClient) streamAttempt(ctx context.Context, x *xq.XRPCExpr, batc
 	if !streams {
 		var results []xdm.Sequence
 		gather := c.gatherAttempt(x, batch.Iterations, &results)
-		return func(actx context.Context, peer string, commit func() bool, sp trace.SpanRef) (Lane, error) {
-			lane, err := gather(actx, peer, commit, sp)
+		return func(actx context.Context, a *attempt) (Lane, error) {
+			lane, err := gather(actx, a)
 			if err != nil {
 				return Lane{}, err
 			}
@@ -656,18 +656,19 @@ func (c *StreamedClient) streamAttempt(ctx context.Context, x *xq.XRPCExpr, batc
 		}
 	}
 	progress := &laneProgress{}
-	return func(actx context.Context, peer string, commit func() bool, sp trace.SpanRef) (Lane, error) {
-		return c.streamExchange(actx, stx, peer, x, batch.Iterations, replayFilter(progress, forward), commit, sp)
+	return func(actx context.Context, a *attempt) (Lane, error) {
+		return c.streamExchange(actx, stx, a, x, batch.Iterations, replayFilter(progress, forward))
 	}
 }
 
-// streamExchange performs one streamed Bulk RPC exchange, delivering result
-// increments through deliver as frames arrive and accumulating metrics
-// totals exactly like callBulkCtx does for gather-whole exchanges. The first
-// response frame to reach the originator — the liveness signal a hedge is
-// timed against — claims the lane through commit before anything is
-// delivered; a refused exchange is abandoned.
-func (c *StreamedClient) streamExchange(ctx context.Context, stx StreamTransport, target string, x *xq.XRPCExpr, iterations [][]xdm.Sequence, deliver deliverFunc, commit func() bool, sp trace.SpanRef) (Lane, error) {
+// streamExchange performs attempt a as one streamed Bulk RPC exchange,
+// delivering result increments through deliver as frames arrive and
+// accumulating metrics totals exactly like callBulkCtx does for gather-whole
+// exchanges. The first response frame to reach the originator — the liveness
+// signal a hedge is timed against — claims the lane through a.commit before
+// anything is delivered; a refused exchange is abandoned.
+func (c *StreamedClient) streamExchange(ctx context.Context, stx StreamTransport, a *attempt, x *xq.XRPCExpr, iterations [][]xdm.Sequence, deliver deliverFunc) (Lane, error) {
+	target, sp := a.peer, a.sp
 	data, serNS, err := c.marshalCall(ctx, target, x, iterations, sp)
 	if err != nil {
 		return Lane{}, err
@@ -679,7 +680,7 @@ func (c *StreamedClient) streamExchange(ctx context.Context, stx StreamTransport
 	st := &laneState{expect: len(iterations), chunks: make([]ChunkStat, 0, 4)}
 	sink := func(frame []byte) error {
 		if !st.committed {
-			if !commit() {
+			if !a.commit() {
 				return context.Canceled
 			}
 			st.committed = true
@@ -689,12 +690,14 @@ func (c *StreamedClient) streamExchange(ctx context.Context, stx StreamTransport
 		if perr != nil {
 			// A peer that does not stream answers with one gather-whole
 			// response message; fall back to delivering it in one increment
-			// per iteration. Only legal as the very first frame — a whole
-			// response after chunk frames would silently duplicate results.
-			if resp, rerr := ParseResponse(frame); rerr == nil {
+			// per iteration, decoded as callBulkCtx decodes it. Only legal as
+			// the very first frame — a whole response after chunk frames
+			// would silently duplicate results.
+			if resp, rerr := decode(&st.dec, frame, x.ReturnedOnly, &st.raw, (*decoder).response); rerr == nil {
 				if st.nextSeq != 0 || st.done {
 					return fmt.Errorf("xrpc: gather-whole response after %d stream frames", st.nextSeq)
 				}
+				sp.IngestRemote(resp.Spans)
 				deser := time.Since(t0).Nanoseconds()
 				if len(resp.Results) != len(iterations) {
 					return fmt.Errorf("xrpc: response carries %d results for %d calls",

@@ -13,6 +13,7 @@ import (
 	"distxq/internal/eval"
 	"distxq/internal/projection"
 	"distxq/internal/testkit"
+	"distxq/internal/trace"
 	"distxq/internal/xdm"
 	"distxq/internal/xq"
 )
@@ -480,6 +481,69 @@ func TestStreamedNonStreamingHandler(t *testing.T) {
 	want, _ := testkit.Query(gatherEng, interleavedScatterSrc)
 	if g, w := xdm.SequenceString(got), xdm.SequenceString(want); g != w {
 		t.Fatalf("got %q want %q", g, w)
+	}
+}
+
+// TestStreamedWholeResponseDecodesLikeGather: a streamed lane that gets one
+// whole response instead of chunk frames (a gather-only handler, or the HTTP
+// fallback) decodes it as a gather lane would: the server's spans join the
+// lane's trace, and a returned-only call keeps its by-fragment results raw
+// and counts them.
+func TestStreamedWholeResponseDecodesLikeGather(t *testing.T) {
+	for _, streaming := range []bool{true, false} {
+		tr := NewInMemoryTransport()
+		for name, srv := range streamScatterPeers(0) {
+			if streaming {
+				tr.Register(name, srv)
+			} else {
+				tr.Register(name, handlerOnly{srv})
+			}
+		}
+		tc := trace.New(0, "origin")
+		root := tc.Start(0, "query")
+		cl := &StreamedClient{Client: &Client{
+			Transport: tr, Semantics: ByValue, Static: eval.DefaultStatic(),
+			Relatives: map[*xq.XRPCExpr]projection.RelativePaths{}, Metrics: &Metrics{}, Trace: root,
+		}}
+		eng := eval.NewEngine(nil)
+		eng.Remote = cl
+		if _, err := testkit.Query(eng, interleavedScatterSrc); err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		serves := 0
+		for _, sp := range tc.Snapshot().Spans {
+			if strings.HasPrefix(sp.Name, "serve") {
+				serves++
+			}
+		}
+		if serves != 3 {
+			t.Errorf("streaming handlers %v: the trace holds %d server spans, want one per lane (3)", streaming, serves)
+		}
+	}
+
+	body := &xq.Literal{Val: xdm.NewInteger(1)}
+	x := &xq.XRPCExpr{FuncName: "xrpc:f", Body: body, ReturnedOnly: true}
+	cl := &StreamedClient{Client: &Client{Transport: &scriptedStream{
+		frames:   [][]byte{rawMessage(`<a x="1">t</a>`, false, wholeRef)},
+		consumed: new(atomic.Int64)}, Semantics: ByFragment, Metrics: &Metrics{}}}
+	lanes, cancel := cl.CallRemoteScatterStream(x, []eval.ScatterBatch{{Target: "p", Iterations: [][]xdm.Sequence{{}}}})
+	defer cancel()
+	var got xdm.Sequence
+	for chunk := range lanes[0] {
+		if chunk.Err != nil {
+			t.Fatal(chunk.Err)
+		}
+		got = append(got, chunk.Items...)
+	}
+	if len(got) == 0 {
+		t.Fatal("the lane delivered no items")
+	}
+	if _, isRaw := got[0].(*xdm.Raw); !isRaw {
+		t.Errorf("first item %T, want *xdm.Raw", got[0])
+	}
+	if counts := cl.Metrics.Snapshot().Raw; counts != (RawCounts{Items: 2}) {
+		t.Errorf("counted %+v, want 2 raw items", counts)
 	}
 }
 
