@@ -224,13 +224,15 @@ func (r *recordingRemote) CallRemoteBulk(_ string, x *xq.XRPCExpr, iterations []
 	return make([]xdm.Sequence, len(iterations)), nil
 }
 
-func (r *recordingRemote) CallRemoteScatter(x *xq.XRPCExpr, batches []eval.ScatterBatch) ([][]xdm.Sequence, []error) {
+func (r *recordingRemote) CallRemoteScatter(x *xq.XRPCExpr, batches []eval.ScatterBatch, sink eval.ScatterSink) []error {
 	r.keep(x, batches[0].Iterations[0])
-	out := make([][]xdm.Sequence, len(batches))
+	errs := make([]error, len(batches))
 	for b := range batches {
-		out[b] = make([]xdm.Sequence, len(batches[b].Iterations))
+		for k := 0; errs[b] == nil && k < len(batches[b].Iterations); k++ {
+			errs[b] = sink.Place(b, k, nil)
+		}
 	}
-	return out, make([]error, len(batches))
+	return errs
 }
 
 // TestColdLoweringAllocCeilings pins what plan_cold's cold calls allocate:

@@ -17,9 +17,9 @@
 // every execute-at to its RemoteCaller. A loop over a remote call ships as
 // one Bulk RPC, or, when its target varies, as one concurrent wave of
 // per-peer Bulk RPCs (with Engine.Replicas naming failover copies per
-// target); a StreamCaller additionally yields per-lane results
-// incrementally. Either way gathered results are identical and arrive in
-// loop order. Evaluation is deterministic — the property the
+// target), whose lanes place their results — whole responses or stream
+// frames — straight at their loop positions. Either way gathered results are
+// identical and arrive in loop order. Evaluation is deterministic — the property the
 // fault-tolerance layer relies on when it gathers a replica's answer in
 // place of a dead primary's.
 package eval
@@ -67,11 +67,12 @@ type RemoteCaller interface {
 	// sequence per iteration.
 	CallRemoteBulk(target string, x *xq.XRPCExpr, iterations [][]xdm.Sequence) ([]xdm.Sequence, error)
 	// CallRemoteScatter dispatches one Bulk RPC per batch — per distinct
-	// peer of a variable-target loop — concurrently (scatter-gather).
-	// Results and errors are positional per batch; a batch's result holds
-	// one sequence per iteration. It must not fail the whole wave because
-	// one peer failed: per-peer errors travel in the error slice.
-	CallRemoteScatter(x *xq.XRPCExpr, batches []ScatterBatch) ([][]xdm.Sequence, []error)
+	// peer of a variable-target loop — concurrently (scatter-gather), and
+	// returns once every lane has finished placing its batch's results
+	// through sink. Errors are positional per batch. It must not fail the
+	// whole wave because one peer failed: per-peer errors travel in the
+	// error slice.
+	CallRemoteScatter(x *xq.XRPCExpr, batches []ScatterBatch, sink ScatterSink) []error
 }
 
 // ScatterBatch groups the loop iterations bound for one destination peer of
@@ -87,32 +88,17 @@ type ScatterBatch struct {
 	Replicas []string
 }
 
-// StreamChunk is one increment of a streamed scatter lane: a run of
-// consecutive result items belonging to one iteration of the lane's batch.
-// A lane yields chunks with nondecreasing Iteration (all chunks of an
-// iteration precede the first chunk of the next), every iteration of the
-// batch appears in at least one chunk (possibly with an empty Items run),
-// and the lane's channel is closed after the final chunk. A chunk with Err
-// set is terminal for the lane: the batch failed and no further chunks
-// follow.
-type StreamChunk struct {
-	// Iteration indexes into the batch's Iterations.
-	Iteration int
-	// Items is the next run of result items of that iteration.
-	Items xdm.Sequence
-	// Err, when non-nil, reports the lane's failure (terminal).
-	Err error
-}
-
-// StreamCaller is an optional RemoteCaller extension: dispatch like
-// CallRemoteScatter, but yield each batch's results incrementally over a
-// bounded channel per batch, so the evaluator can process finished lanes
-// while slower peers are still computing and transferring. The returned
-// cancel function must release every in-flight lane (producers blocked on a
-// full channel included); the consumer calls it once it stops reading —
-// whether it drained every lane or aborted early on an error.
-type StreamCaller interface {
-	CallRemoteScatterStream(x *xq.XRPCExpr, batches []ScatterBatch) (lanes []<-chan StreamChunk, cancel func())
+// ScatterSink is where a scatter dispatch delivers: each lane places its
+// batch's results straight at their loop positions, a whole response at
+// once or a stream frame by frame, so nothing is buffered between a lane and
+// the loop it answers.
+type ScatterSink interface {
+	// Place appends items to the result of iteration k of batch b. A lane
+	// places its iterations in order, every one at least once (an empty
+	// result as an empty run), from one goroutine at a time; lanes of
+	// different batches place concurrently. An error refuses the increment:
+	// the lane stops and reports it.
+	Place(b, k int, items xdm.Sequence) error
 }
 
 // StaticContext carries the static-context values that XRPC propagates to
@@ -189,8 +175,9 @@ type Stats struct {
 	// ScatterWaves counts variable-target loops dispatched as one
 	// concurrent wave of per-peer Bulk RPCs.
 	ScatterWaves int
-	// StreamedWaves counts the scatter waves consumed incrementally through
-	// a StreamCaller (a subset of ScatterWaves).
+	// StreamedWaves counts the scatter waves whose lanes streamed (a subset
+	// of ScatterWaves). The engine cannot tell how its caller's lanes
+	// exchange, so the session that chose streamed dispatch fills it.
 	StreamedWaves int
 	// DeadlineAborts counts evaluations this engine cut short because their
 	// deadline passed — on a peer, server-side work abandoned because the

@@ -162,17 +162,17 @@ func (e *Engine) bulk(dst xdm.Sequence, target string, x *xq.XRPCExpr, iteration
 }
 
 // scatter dispatches a variable-target loop — iteration i bound for
-// targets[i] — as one wave of per-peer Bulk RPCs, streamed when the caller
-// is a StreamCaller, and appends the results, reassembled in loop order, to
-// dst. Per-peer failures surface deterministically: the error of the batch
-// whose peer appeared first in the loop wins, independent of goroutine
-// scheduling.
+// targets[i] — as one wave of per-peer Bulk RPCs, whose lanes place their
+// results at their loop positions, and appends the results, in loop order,
+// to dst. Per-peer failures surface deterministically: the error of the
+// batch whose peer appeared first in the loop wins, independent of
+// goroutine scheduling.
 func (e *Engine) scatter(dst xdm.Sequence, x *xq.XRPCExpr, targets []string, iterations [][]xdm.Sequence) (xdm.Sequence, error) {
 	// Partition by destination peer: batches in order of each peer's first
 	// appearance in the loop, iterations in loop order within a batch, and
-	// pos[b][k] the loop position of batch b's k-th iteration.
+	// p.lanes[b].pos[k] the loop position of batch b's k-th iteration.
 	var batches []ScatterBatch
-	var pos [][]int
+	p := &placement{out: make([]xdm.Sequence, len(targets))}
 	for i, t := range targets {
 		b := 0
 		for b < len(batches) && batches[b].Target != t {
@@ -180,42 +180,18 @@ func (e *Engine) scatter(dst xdm.Sequence, x *xq.XRPCExpr, targets []string, ite
 		}
 		if b == len(batches) {
 			batches = append(batches, ScatterBatch{Target: t, Replicas: e.replicasFor(x, t)})
-			pos = append(pos, nil)
+			p.lanes = append(p.lanes, placed{})
 		}
 		batches[b].Iterations = append(batches[b].Iterations, iterations[i])
-		pos[b] = append(pos[b], i)
+		p.lanes[b].pos = append(p.lanes[b].pos, i)
 	}
-	sc, streamed := e.Remote.(StreamCaller)
 	e.mu.Lock()
 	e.Stats.BulkCalls += len(batches)
 	e.Stats.ScatterWaves++
-	if streamed {
-		e.Stats.StreamedWaves++
-	}
 	e.mu.Unlock()
-	perIter := make([]xdm.Sequence, len(targets))
-	var err error
-	if streamed {
-		err = gatherStreamed(sc, x, batches, pos, perIter)
-	} else {
-		err = e.gather(x, batches, pos, perIter)
-	}
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range perIter {
-		dst = append(dst, s...)
-	}
-	return dst, nil
-}
-
-// gather dispatches the batches as one concurrent wave and places each
-// iteration's result at its loop position.
-func (e *Engine) gather(x *xq.XRPCExpr, batches []ScatterBatch, pos [][]int, perIter []xdm.Sequence) error {
-	results, errs := e.Remote.CallRemoteScatter(x, batches)
-	if len(results) != len(batches) || len(errs) != len(batches) {
-		return fmt.Errorf("eval: scatter dispatch returned %d results / %d errors for %d batches",
-			len(results), len(errs), len(batches))
+	errs := e.Remote.CallRemoteScatter(x, batches, p)
+	if len(errs) != len(batches) {
+		return nil, fmt.Errorf("eval: scatter dispatch returned %d errors for %d batches", len(errs), len(batches))
 	}
 	// The error of the batch whose peer appeared first in the loop wins —
 	// unless that error is only the echo of the dispatcher cancelling the
@@ -235,73 +211,60 @@ func (e *Engine) gather(x *xq.XRPCExpr, batches []ScatterBatch, pos [][]int, per
 		}
 	}
 	if errB >= 0 {
-		return fmt.Errorf("eval: scatter to %s: %w", batches[errB].Target, errs[errB])
+		return nil, fmt.Errorf("eval: scatter to %s: %w", batches[errB].Target, errs[errB])
 	}
-	for b, batch := range batches {
-		if len(results[b]) != len(batch.Iterations) {
-			return fmt.Errorf("eval: bulk RPC to %s returned %d results for %d calls",
-				batch.Target, len(results[b]), len(batch.Iterations))
-		}
-		for k, res := range results[b] {
-			perIter[pos[b][k]] = res
+	for b, l := range p.lanes {
+		if !l.seen || l.cur+1 != len(l.pos) {
+			return nil, fmt.Errorf("eval: scatter to %s: results for %d calls end at call %d",
+				batches[b].Target, len(l.pos), l.cur)
 		}
 	}
-	return nil
+	for _, s := range p.out {
+		dst = append(dst, s...)
+	}
+	return dst, nil
 }
 
-// gatherStreamed consumes a streamed scatter dispatch: one bounded chunk
-// channel per batch, drained in batch order — the same order the dispatcher
-// admits lanes into its pool, so the lane being drained is always running
-// and a lane blocked on its full buffer can never starve it. Chunks are
-// decoded and placed into their loop positions as they arrive, overlapping
-// still-running peers with local processing of finished lanes; beyond the
-// accumulating result itself the originator holds only the in-flight
-// chunks of each lane's bounded buffer.
-//
-// Errors surface deterministically as the first failing batch in batch
-// order — the rule of the gather-whole path — because every earlier lane
-// was drained to completion before the failing one was read.
-func gatherStreamed(sc StreamCaller, x *xq.XRPCExpr, batches []ScatterBatch, pos [][]int, perIter []xdm.Sequence) error {
-	lanes, cancel := sc.CallRemoteScatterStream(x, batches)
-	defer cancel()
-	if len(lanes) != len(batches) {
-		return fmt.Errorf("eval: streamed scatter returned %d lanes for %d batches", len(lanes), len(batches))
+// placement is the ScatterSink of one scatter. Lanes write disjoint loop
+// positions, and the dispatcher returns only once every lane has finished,
+// which orders their writes before scatter reads them.
+type placement struct {
+	lanes []placed
+	out   []xdm.Sequence // per loop position
+}
+
+// placed is one batch's share of a placement: the loop position of each of
+// its iterations, and how far its lane has placed.
+type placed struct {
+	pos  []int
+	cur  int  // the iteration being placed
+	seen bool // cur has been placed at least once
+}
+
+// Place implements ScatterSink, holding each lane to its order: iterations
+// in order, none skipped.
+func (p *placement) Place(b, k int, items xdm.Sequence) error {
+	l := &p.lanes[b]
+	switch {
+	case k == l.cur:
+	case k == l.cur+1 && l.seen:
+		l.cur++
+	case k > l.cur:
+		return fmt.Errorf("eval: lane skipped iteration %d", l.cur)
+	default:
+		return fmt.Errorf("eval: lane placed iteration %d after %d", k, l.cur)
 	}
-	for b, batch := range batches {
-		expect := len(batch.Iterations)
-		cur, seen := 0, false
-		for chunk := range lanes[b] {
-			if chunk.Err != nil {
-				return fmt.Errorf("eval: scatter to %s: %w", batch.Target, chunk.Err)
-			}
-			switch {
-			case chunk.Iteration == cur:
-				seen = true
-			case chunk.Iteration == cur+1 && seen:
-				cur++
-			case chunk.Iteration > cur:
-				return fmt.Errorf("eval: scatter to %s: stream skipped iteration %d", batch.Target, cur)
-			default:
-				return fmt.Errorf("eval: scatter to %s: stream delivered iteration %d after %d",
-					batch.Target, chunk.Iteration, cur)
-			}
-			if chunk.Iteration >= expect {
-				return fmt.Errorf("eval: scatter to %s: stream delivered iteration %d of %d",
-					batch.Target, chunk.Iteration, expect)
-			}
-			// The first chunk of an iteration is taken as it stands, clipped
-			// so that appending later chunks never writes into its array.
-			i := pos[b][chunk.Iteration]
-			if perIter[i] == nil {
-				perIter[i] = slices.Clip(chunk.Items)
-			} else {
-				perIter[i] = append(perIter[i], chunk.Items...)
-			}
-		}
-		if !seen || cur != expect-1 {
-			return fmt.Errorf("eval: scatter to %s: stream ended after iteration %d of %d",
-				batch.Target, cur, expect)
-		}
+	if k >= len(l.pos) {
+		return fmt.Errorf("eval: lane placed iteration %d of %d", k, len(l.pos))
+	}
+	l.seen = true
+	// The first increment of an iteration is taken as it stands, clipped so
+	// that appending later ones never writes into its array.
+	i := l.pos[k]
+	if p.out[i] == nil {
+		p.out[i] = slices.Clip(items)
+	} else {
+		p.out[i] = append(p.out[i], items...)
 	}
 	return nil
 }

@@ -432,17 +432,20 @@ func (f *fakeRemote) CallRemoteBulk(target string, x *xq.XRPCExpr, iterations []
 	return f.serveBatch(target, x, iterations)
 }
 
-func (f *fakeRemote) CallRemoteScatter(x *xq.XRPCExpr, batches []ScatterBatch) ([][]xdm.Sequence, []error) {
+func (f *fakeRemote) CallRemoteScatter(x *xq.XRPCExpr, batches []ScatterBatch, sink ScatterSink) []error {
 	f.mu.Lock()
 	f.scatterCalls++
 	f.batches = batches
 	f.mu.Unlock()
-	results := make([][]xdm.Sequence, len(batches))
 	errs := make([]error, len(batches))
 	for b, batch := range batches {
-		results[b], errs[b] = f.serveBatch(batch.Target, x, batch.Iterations)
+		results, err := f.serveBatch(batch.Target, x, batch.Iterations)
+		for k := 0; err == nil && k < len(results); k++ {
+			err = sink.Place(b, k, results[k])
+		}
+		errs[b] = err
 	}
-	return results, errs
+	return errs
 }
 
 func (f *fakeRemote) serveBatch(target string, x *xq.XRPCExpr, iterations [][]xdm.Sequence) ([]xdm.Sequence, error) {

@@ -162,17 +162,19 @@ func TestScatterResultCountMismatchIsAnError(t *testing.T) {
 	}
 }
 
-// shortScatter returns one result fewer than iterations per batch.
+// shortScatter places one result fewer than iterations per batch.
 type shortScatter struct{ fakeRemote }
 
-func (s *shortScatter) CallRemoteScatter(x *xq.XRPCExpr, batches []ScatterBatch) ([][]xdm.Sequence, []error) {
-	results := make([][]xdm.Sequence, len(batches))
+func (s *shortScatter) CallRemoteScatter(x *xq.XRPCExpr, batches []ScatterBatch, sink ScatterSink) []error {
 	errs := make([]error, len(batches))
 	for b, batch := range batches {
 		res, err := s.fakeRemote.CallRemoteBulk(batch.Target, x, batch.Iterations)
-		results[b], errs[b] = res[:len(res)-1], err
+		for k := 0; err == nil && k < len(res)-1; k++ {
+			err = sink.Place(b, k, res[k])
+		}
+		errs[b] = err
 	}
-	return results, errs
+	return errs
 }
 
 // TestDocSingleFlight: concurrent doc() resolutions of one URI must share a

@@ -9,71 +9,64 @@ import (
 	"distxq/internal/xq"
 )
 
-// streamFake implements StreamCaller: it evaluates shipped bodies locally
-// like fakeRemote and yields each iteration's result split into chunks of
-// splitAt items. A peer in failPeers faults before its first chunk, a peer
-// in failAfter after that many good iterations.
+// streamFake is a streaming caller: it evaluates shipped bodies locally like
+// fakeRemote, each lane on its own goroutine, and places each iteration's
+// result split into increments of splitAt items. A peer in failPeers faults
+// before its first increment, a peer in failAfter after that many good
+// iterations.
 type streamFake struct {
 	fakeRemote
 	splitAt   int
 	failAfter map[string]int
-	cancelled bool
 	// skipIteration switches the fake into protocol-violation mode.
 	skipIteration bool
 }
 
-func (f *streamFake) CallRemoteScatterStream(x *xq.XRPCExpr, batches []ScatterBatch) ([]<-chan StreamChunk, func()) {
-	done := make(chan struct{})
+func (f *streamFake) CallRemoteScatter(x *xq.XRPCExpr, batches []ScatterBatch, sink ScatterSink) []error {
+	f.mu.Lock()
+	f.scatterCalls++
+	f.batches = batches
+	f.mu.Unlock()
+	errs := make([]error, len(batches))
 	var wg sync.WaitGroup
-	lanes := make([]<-chan StreamChunk, len(batches))
 	for b, batch := range batches {
-		ch := make(chan StreamChunk, 2)
-		lanes[b] = ch
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer close(ch)
-			send := func(c StreamChunk) bool {
-				select {
-				case ch <- c:
-					return true
-				case <-done:
-					return false
-				}
-			}
-			failAfter, fails := f.failAfter[batch.Target]
-			if f.failPeers[batch.Target] {
-				failAfter, fails = 0, true
-			}
-			for it, params := range batch.Iterations {
-				if fails && it >= failAfter {
-					send(StreamChunk{Err: fmt.Errorf("peer %s down", batch.Target)})
-					return
-				}
-				if f.skipIteration && it == 1 {
-					continue // protocol violation: iteration never mentioned
-				}
-				items, err := f.evalShipped(x, params)
-				if err != nil {
-					send(StreamChunk{Err: err})
-					return
-				}
-				split := max(f.splitAt, 1)
-				for first := true; first || len(items) > 0; first = false {
-					n := min(split, len(items))
-					if !send(StreamChunk{Iteration: it, Items: items[:n]}) {
-						return
-					}
-					items = items[n:]
-				}
-			}
+			errs[b] = f.lane(x, b, batch, sink)
 		}()
 	}
-	return lanes, func() {
-		close(done)
-		wg.Wait()
-		f.cancelled = true
+	wg.Wait()
+	return errs
+}
+
+// lane streams batch b into sink, stopping at its first fault or refusal.
+func (f *streamFake) lane(x *xq.XRPCExpr, b int, batch ScatterBatch, sink ScatterSink) error {
+	failAfter, fails := f.failAfter[batch.Target]
+	if f.failPeers[batch.Target] {
+		failAfter, fails = 0, true
 	}
+	for it, params := range batch.Iterations {
+		if fails && it >= failAfter {
+			return fmt.Errorf("peer %s down", batch.Target)
+		}
+		if f.skipIteration && it == 1 {
+			continue // protocol violation: iteration never mentioned
+		}
+		items, err := f.evalShipped(x, params)
+		if err != nil {
+			return err
+		}
+		split := max(f.splitAt, 1)
+		for first := true; first || len(items) > 0; first = false {
+			n := min(split, len(items))
+			if err := sink.Place(b, it, items[:n]); err != nil {
+				return err
+			}
+			items = items[n:]
+		}
+	}
+	return nil
 }
 
 func newStreamFake(splitAt int) func() *streamFake {
@@ -89,11 +82,9 @@ func TestStreamScatterReassemblesLoopOrder(t *testing.T) {
 			if r.res != "a b a c b a" {
 				t.Errorf("split %d: results must reassemble in loop order, got %q", split, r.res)
 			}
-			if !r.remote.cancelled {
-				t.Errorf("split %d: consumer must release the dispatch via cancel()", split)
-			}
-			if r.stats.StreamedWaves != 1 || r.stats.ScatterWaves != 1 {
-				t.Errorf("split %d: stats = %+v, want one streamed scatter wave", split, r.stats)
+			if r.remote.scatterCalls != 1 || r.stats.ScatterWaves != 1 {
+				t.Errorf("split %d: %d dispatches, stats = %+v, want one streamed scatter wave",
+					split, r.remote.scatterCalls, r.stats)
 			}
 		}
 	}
@@ -120,8 +111,8 @@ func TestStreamScatterEmptyIteration(t *testing.T) {
 }
 
 // TestStreamScatterErrorDeterministic: the reported failure is the lane
-// whose earliest unfinished loop iteration comes first, and the dispatch is
-// always released via cancel().
+// whose earliest unfinished loop iteration comes first, whichever lane
+// failed first in time.
 func TestStreamScatterErrorDeterministic(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		runs := dispatchBoth(t, nil, scatterSrc, func() *streamFake {
@@ -130,9 +121,6 @@ func TestStreamScatterErrorDeterministic(t *testing.T) {
 		for _, r := range runs {
 			if r.err == nil || !strings.Contains(r.err.Error(), "scatter to b") {
 				t.Fatalf("error = %v, want failure naming peer b (first failing loop position)", r.err)
-			}
-			if !r.remote.cancelled {
-				t.Fatal("error path must release the dispatch via cancel()")
 			}
 		}
 	}

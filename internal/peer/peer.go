@@ -562,7 +562,7 @@ func (s *Session) ExecutePlan(plan *core.Plan) (xdm.Sequence, *Report, error) {
 		queryCtx = ctx
 	}
 	if s.Strategy != core.DataShipping {
-		client := &xrpc.Client{
+		engine.Remote = &xrpc.Client{
 			Transport: s.net.transport(),
 			Semantics: semanticsOf(s.Strategy),
 			Static:    engine.Static,
@@ -573,11 +573,7 @@ func (s *Session) ExecutePlan(plan *core.Plan) (xdm.Sequence, *Report, error) {
 			Retry:     s.Retry,
 			Health:    s.Health,
 			Trace:     engine.TraceSpan,
-		}
-		if s.Streamed {
-			engine.Remote = &xrpc.StreamedClient{Client: client}
-		} else {
-			engine.Remote = client
+			Streamed:  s.Streamed,
 		}
 	}
 	t0 := time.Now()
@@ -586,7 +582,12 @@ func (s *Session) ExecutePlan(plan *core.Plan) (xdm.Sequence, *Report, error) {
 	// Retire this query's counters into the session's aggregate sinks before
 	// any return: failed queries still moved bytes and burned evaluations.
 	s.AggMetrics.AddCounters(metrics)
-	s.AggEval.Add(engine.StatsSnapshot())
+	stats := engine.StatsSnapshot()
+	if s.Streamed {
+		// The session's mode decides how every scatter lane exchanges.
+		stats.StreamedWaves = stats.ScatterWaves
+	}
+	s.AggEval.Add(stats)
 	engine.TraceSpan.EndErr(err)
 	if err != nil {
 		return nil, nil, err

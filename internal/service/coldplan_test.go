@@ -28,16 +28,17 @@ for $i in ("person50", "person51", "person52", "person53") return execute at {"p
 }
 
 // planColdFederation is plan_cold's federation: four peers sharding a
-// 16 KiB people document, behind a service under by-projection.
-func planColdFederation() (*Service, *peer.Network, []string) {
+// 16 KiB people document, behind a service under by-projection configured
+// by cfg.
+func planColdFederation(cfg Config) (*Service, *peer.Network, []string) {
 	peers := []string{"peer1", "peer2", "peer3", "peer4"}
-	cfg := xmark.ForSize(16 << 10)
-	cfg.Seed = 1
+	people := xmark.ForSize(16 << 10)
+	people.Seed = 1
 	n := peer.NewNetwork()
 	for i, name := range peers {
-		n.AddPeer(name).AddDoc(xmark.PeopleShardPath, xmark.PeopleShardDocument(cfg, i, len(peers), "xrpc://"+name+"/"+xmark.PeopleShardPath))
+		n.AddPeer(name).AddDoc(xmark.PeopleShardPath, xmark.PeopleShardDocument(people, i, len(peers), "xrpc://"+name+"/"+xmark.PeopleShardPath))
 	}
-	return New(n, n.AddPeer("local"), core.ByProjection, Config{}).UseShards(xmark.PeopleShardMap(peers)), n, peers
+	return New(n, n.AddPeer("local"), core.ByProjection, cfg).UseShards(xmark.PeopleShardMap(peers)), n, peers
 }
 
 // TestModuleCacheHitsPlanColdShapes: plan_cold's 512 texts — three
@@ -45,7 +46,7 @@ func planColdFederation() (*Service, *peer.Network, []string) {
 // originator and a handful of module shapes at the peers, so both caches
 // answer at least nine lookups in ten.
 func TestModuleCacheHitsPlanColdShapes(t *testing.T) {
-	s, n, peers := planColdFederation()
+	s, n, peers := planColdFederation(Config{})
 	for i := 0; i < 512; i++ {
 		k := 50 + i/3
 		src := coldPlanTemplates[i%3].src
@@ -85,7 +86,7 @@ func TestModuleCacheHitsPlanColdShapes(t *testing.T) {
 // after the warm-up their module caches hit; TestColdLoweringAllocCeilings
 // gates their cold calls.
 func TestColdPlanAllocCeilings(t *testing.T) {
-	s, _, _ := planColdFederation()
+	s, _, _ := planColdFederation(Config{})
 	fresh := 0
 	for _, tpl := range coldPlanTemplates {
 		var err error

@@ -133,17 +133,6 @@ func (m *Metrics) AddWave(lanes []Lane) {
 	m.WaveCount++
 }
 
-// addWaves records a scatter dispatch as waves no wider than its worker
-// pool: with more batches than workers only width exchanges are ever in
-// flight together, and the overlap model must not pretend otherwise.
-func (m *Metrics) addWaves(lanes []Lane, width int) {
-	for len(lanes) > 0 {
-		n := min(width, len(lanes))
-		m.AddWave(lanes[:n])
-		lanes = lanes[n:]
-	}
-}
-
 // Reset zeroes the counters. It must not replace the struct wholesale: that
 // would clobber the held mutex and panic the deferred unlock.
 func (m *Metrics) Reset() {
@@ -228,6 +217,10 @@ type Client struct {
 	// replica spreading (Retry.SpreadReplicas) ranks lanes' initial targets
 	// by health instead of blind rotation.
 	Health *HealthTracker
+	// Streamed carries scatter lanes as chunk streams when the Transport is
+	// a StreamTransport, each frame placed as it arrives; sequential calls
+	// and other Transports exchange whole responses.
+	Streamed bool
 	// Trace, when active, is the span every dispatch records under: scatter
 	// spans, per-lane spans, and per-attempt spans (winner/loser tagged) hang
 	// off it, attempt identity travels on the wire, and remote server-side
@@ -241,8 +234,14 @@ type Client struct {
 
 // observe feeds the health tracker one exchange outcome. Cancellation and
 // deadline teardowns are not the peer's fault and are dropped — only a
-// genuine failure extends a fault streak.
-func (c *Client) observe(peer string, wallNS int64, err error) {
+// genuine failure extends a fault streak. A faulting server still reports
+// the spans of the work it did before failing, even mid-stream; they join
+// sp, so failed attempts keep their server-side detail.
+func (c *Client) observe(sp trace.SpanRef, peer string, wallNS int64, err error) {
+	var f *Fault
+	if errors.As(err, &f) && len(f.Spans) > 0 {
+		sp.IngestRemote(f.Spans)
+	}
 	if c.Health == nil {
 		return
 	}
@@ -324,78 +323,156 @@ func finishLane(sp trace.SpanRef, lane Lane, err error) {
 // batches do).
 func (c *Client) CallRemoteBulk(target string, x *xq.XRPCExpr, iterations [][]xdm.Sequence) ([]xdm.Sequence, error) {
 	lsp := laneSpan(c.Trace, target)
-	var results []xdm.Sequence
-	lane, err := c.runLane(c.baseContext(), eval.ScatterBatch{Target: target, Iterations: iterations}, lsp,
-		c.gatherAttempt(x, iterations, &results))
+	call := &laneCall{c: c, x: x, iters: iterations}
+	lane, err := call.dispatch(c.baseContext(), eval.ScatterBatch{Target: target, Iterations: iterations}, lsp)
 	finishLane(lsp, lane, err)
 	if err != nil {
 		return nil, err
 	}
 	c.Metrics.AddWave([]Lane{lane})
-	return results, nil
+	return call.results, nil
 }
 
 // CallRemoteScatter implements eval.RemoteCaller: one Bulk RPC per batch,
-// dispatched concurrently through a bounded worker pool. Results and errors
-// are positional per batch; the successful exchanges are recorded as one
-// metrics wave so the cost model charges their transfers as overlapped.
+// dispatched concurrently through a bounded worker pool, each lane placing
+// its results through sink — a whole response at once, or frame by frame
+// when the client streams. No lane waits on a consumer, so lanes take pool
+// slots in any order. Errors are positional per batch; the successful
+// exchanges are recorded as metrics waves no wider than the pool, so the
+// cost model charges their transfers as overlapped.
 //
 // The first lane to fail cancels the dispatch context: exchanges in flight
-// over a cancellation-aware Transport (ContextTransport — e.g. HTTP) are
-// torn down instead of dragging out a query that is going to fail anyway,
-// and external cancellation (Client.Context) additionally stops queued
-// lanes before they dispatch. Transports without cancellation support (the
-// synchronous in-memory one) run every lane to completion, preserving
-// deterministic per-lane outcomes and metrics. Lanes killed by
-// cancellation report context.Canceled — the evaluator reports the genuine
-// failure, never the echo.
-//
-// Under a RetryPolicy (or when a batch carries Replicas) each lane is
-// dispatched through the fault-tolerant runner: a lane only fails — and
-// only then cancels the wave — once its retry/hedge attempts are exhausted,
-// and the error it reports is the original fault of its earliest failed
-// attempt, never a cancellation echo of the loser of a hedge race.
-func (c *Client) CallRemoteScatter(x *xq.XRPCExpr, batches []eval.ScatterBatch) ([][]xdm.Sequence, []error) {
-	results := make([][]xdm.Sequence, len(batches))
+// over a cancellation-aware Transport (a ContextTransport, or any
+// StreamTransport) are torn down, and external cancellation (Client.Context)
+// also stops queued lanes before they dispatch. Gather-whole exchanges over
+// the synchronous in-memory Transport run to completion, keeping per-lane
+// outcomes deterministic. Lanes killed by cancellation report
+// context.Canceled — the evaluator reports the genuine failure, never the
+// echo. Under a RetryPolicy (or when a batch carries Replicas) a lane fails,
+// and only then cancels the wave, once its attempts are exhausted; it
+// reports the original fault of its earliest failed attempt (runLane).
+func (c *Client) CallRemoteScatter(x *xq.XRPCExpr, batches []eval.ScatterBatch, sink eval.ScatterSink) []error {
 	errs := make([]error, len(batches))
-	lanes := make([]Lane, len(batches))
+	calls := make([]laneCall, len(batches))
+	var stx StreamTransport
+	if c.Streamed {
+		stx, _ = c.Transport.(StreamTransport)
+	}
 	width := c.poolWidth()
 	base := c.baseContext()
 	ctx, cancel := context.WithCancel(base)
 	defer cancel()
 	ssp := c.Trace.Child("scatter", trace.Int("lanes", int64(len(batches))))
+	if c.Streamed {
+		ssp.Set(trace.Bool("streamed", true))
+	}
 	defer ssp.End()
 	sem := make(chan struct{}, width)
 	var wg sync.WaitGroup
 	for i := range batches {
+		calls[i] = laneCall{c: c, x: x, iters: batches[i].Iterations, stx: stx, sink: sink, b: i}
 		wg.Add(1)
-		go func(i int) {
+		go func(l *laneCall) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
+			batch := batches[l.b]
 			if err := base.Err(); err != nil {
 				// The lane never dispatched; when the budget (not a peer
 				// fault elsewhere) killed the wave, say so in type.
-				errs[i] = budgetFailure(base, err, batches[i].Target, time.Now())
+				errs[l.b] = budgetFailure(base, err, batch.Target, time.Now())
 				return
 			}
-			lsp := laneSpan(ssp, batches[i].Target)
-			lanes[i], errs[i] = c.runLane(ctx, batches[i], lsp, c.gatherAttempt(x, batches[i].Iterations, &results[i]))
-			finishLane(lsp, lanes[i], errs[i])
-			if errs[i] != nil {
+			lsp := laneSpan(ssp, batch.Target)
+			l.lane, errs[l.b] = l.dispatch(ctx, batch, lsp)
+			finishLane(lsp, l.lane, errs[l.b])
+			if errs[l.b] != nil {
 				cancel()
 			}
-		}(i)
+		}(&calls[i])
 	}
 	wg.Wait()
 	var ok []Lane
-	for i := range lanes {
+	for i := range calls {
 		if errs[i] == nil {
-			ok = append(ok, lanes[i])
+			ok = append(ok, calls[i].lane)
 		}
 	}
-	c.Metrics.addWaves(ok, width)
-	return results, errs
+	// Waves no wider than the pool: only width exchanges were ever in flight
+	// together, and the overlap model must not pretend otherwise.
+	for len(ok) > 0 {
+		n := min(width, len(ok))
+		c.Metrics.AddWave(ok[:n])
+		ok = ok[n:]
+	}
+	return errs
+}
+
+// laneCall is one lane's record and the lane runner's laneAttempt: the Bulk
+// RPC its attempts make — streamed over stx when set — where a committed
+// attempt delivers (a scatter lane into sink as batch b, a sequential call
+// into results), and how much of the lane the sink already holds.
+type laneCall struct {
+	c        *Client
+	x        *xq.XRPCExpr
+	iters    [][]xdm.Sequence
+	stx      StreamTransport
+	sink     eval.ScatterSink
+	b        int
+	results  []xdm.Sequence
+	progress laneProgress
+	runner   laneRun
+	lane     Lane // the lane's outcome, once the runner returns
+}
+
+// dispatch runs the lane for batch under the client's lane runner.
+func (l *laneCall) dispatch(ctx context.Context, batch eval.ScatterBatch, sp trace.SpanRef) (Lane, error) {
+	l.runner = laneRun{batch: batch, sp: sp, run: l}
+	return l.c.runLane(ctx, &l.runner)
+}
+
+// exchange implements laneAttempt. A gather attempt commits once its whole
+// response has parsed, then places it one increment per call.
+func (l *laneCall) exchange(ctx context.Context, a *attempt) (Lane, error) {
+	if l.stx != nil {
+		return l.stream(ctx, a)
+	}
+	results, lane, err := l.c.callBulkCtx(ctx, a.peer, l.x, l.iters, a.sp)
+	if err != nil {
+		return Lane{}, err
+	}
+	if !a.commit() {
+		return Lane{}, context.Canceled
+	}
+	if err := l.placeAll(results); err != nil {
+		return Lane{}, err
+	}
+	return lane, nil
+}
+
+// placeAll delivers a whole response, one increment per call; a sequential
+// call keeps the results.
+func (l *laneCall) placeAll(results []xdm.Sequence) error {
+	if l.sink == nil {
+		l.results = results
+		return nil
+	}
+	for k, res := range results {
+		if err := l.place(k, 0, res); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// place hands the sink what an increment — the items of call k from item
+// start on — adds to what it already holds: a failover attempt replays the
+// prefix an earlier one delivered.
+func (l *laneCall) place(k, start int, items xdm.Sequence) error {
+	if fresh, ok := l.progress.fresh(k, start, items); ok {
+		return l.sink.Place(l.b, k, fresh)
+	}
+	return nil
 }
 
 // marshalCall builds and serializes the request message of one Bulk RPC.
@@ -478,54 +555,65 @@ func (c *Client) callBulkCtx(ctx context.Context, target string, x *xq.XRPCExpr,
 	if sp.Active() {
 		ctx = withTraceInfo(ctx, uint64(sp.TraceID()), uint64(sp.SpanID()))
 	}
+	tot := exchangeTotals{sent: int64(len(data)), serNS: serNS}
 	t1 := time.Now()
 	respData, err := roundTrip(ctx, c.Transport, target, data)
-	wallNS := time.Since(t1).Nanoseconds()
-	if err != nil {
-		c.observe(target, wallNS, err)
-		return nil, Lane{}, err
-	}
-	t2 := time.Now()
-	var raw RawCounts
-	resp, err := decode(new(decoder), respData, x.ReturnedOnly, &raw, (*decoder).response)
-	if err != nil {
-		// A faulting server still reports the spans of the work it did before
-		// failing; graft them in so failed attempts have server-side detail.
-		var f *Fault
-		if errors.As(err, &f) && len(f.Spans) > 0 {
-			sp.IngestRemote(f.Spans)
+	tot.wallNS = time.Since(t1).Nanoseconds()
+	if err == nil {
+		var resp *Response
+		resp, err = tot.whole(new(decoder), sp, respData, x, len(iterations))
+		if resp != nil && err == nil {
+			c.observe(sp, target, tot.wallNS, nil)
+			c.account(&tot)
+			return resp.Results, tot.lane(target), nil
 		}
-		c.observe(target, wallNS, err)
-		return nil, Lane{}, err
 	}
-	c.observe(target, wallNS, nil)
+	c.observe(sp, target, tot.wallNS, err)
+	return nil, Lane{}, err
+}
+
+// exchangeTotals is what one exchange moved and spent, as Metrics counts it.
+type exchangeTotals struct {
+	sent, serNS, wallNS int64
+	recvd, deserNS      int64
+	execNS, serdeNS     int64
+	raw                 RawCounts
+}
+
+// whole decodes a gather-whole response — a gather attempt's, or the one
+// message a non-streaming peer answers a streamed attempt with — into the
+// totals, the server's spans into sp. A message that does not decode returns
+// no response; one that misses calls returns it with an error.
+func (t *exchangeTotals) whole(d *decoder, sp trace.SpanRef, data []byte, x *xq.XRPCExpr, calls int) (*Response, error) {
+	t0 := time.Now()
+	resp, err := decode(d, data, x.ReturnedOnly, &t.raw, (*decoder).response)
+	if err != nil {
+		return nil, err
+	}
 	sp.IngestRemote(resp.Spans)
-	deserNS := time.Since(t2).Nanoseconds()
-	if len(resp.Results) != len(iterations) {
-		return nil, Lane{}, fmt.Errorf("xrpc: response carries %d results for %d calls",
-			len(resp.Results), len(iterations))
+	t.recvd += int64(len(data))
+	t.deserNS += time.Since(t0).Nanoseconds()
+	t.execNS += resp.ExecNanos
+	t.serdeNS += resp.SerializeNanos
+	if len(resp.Results) != calls {
+		return resp, fmt.Errorf("xrpc: response carries %d results for %d calls", len(resp.Results), calls)
 	}
-	lane := Lane{
-		Peer:          target,
-		BytesSent:     int64(len(data)),
-		BytesReceived: int64(len(respData)),
-		RemoteExecNS:  resp.ExecNanos,
-		DeserNS:       deserNS,
+	return resp, nil
+}
+
+// lane returns the Lane record of an exchange with peer.
+func (t *exchangeTotals) lane(peer string) Lane {
+	return Lane{Peer: peer, BytesSent: t.sent, BytesReceived: t.recvd, RemoteExecNS: t.execNS, DeserNS: t.deserNS}
+}
+
+// account adds one exchange's totals to the client's metrics.
+func (c *Client) account(t *exchangeTotals) {
+	if c.Metrics == nil {
+		return
 	}
-	if c.Metrics != nil {
-		c.Metrics.Add(&Metrics{
-			Requests:      1,
-			BytesSent:     int64(len(data)),
-			BytesReceived: int64(len(respData)),
-			SerializeNS:   serNS,
-			DeserializeNS: deserNS,
-			RemoteExecNS:  resp.ExecNanos,
-			ServerSerdeNS: resp.SerializeNanos,
-			RoundTripWall: wallNS,
-			Raw:           raw,
-		})
-	}
-	return resp.Results, lane, nil
+	c.Metrics.Add(&Metrics{Requests: 1, BytesSent: t.sent, BytesReceived: t.recvd,
+		SerializeNS: t.serNS, DeserializeNS: t.deserNS, RemoteExecNS: t.execNS,
+		ServerSerdeNS: t.serdeNS, RoundTripWall: t.wallNS, Raw: t.raw})
 }
 
 var errNestedRemote = errors.New("xrpc: shipped function body contains a nested execute-at; " +

@@ -127,7 +127,9 @@ func TestDeadlinePropagatesOverHTTPStreamed(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 		eng := eval.NewEngine(nil)
 		eng.Options.Compile = compiled
-		eng.Remote = &StreamedClient{Client: httpDeadlineClient(tr, ctx)}
+		cl := httpDeadlineClient(tr, ctx)
+		cl.Streamed = true
+		eng.Remote = cl
 
 		start := time.Now()
 		res, err := testkit.Query(eng, crunchSrc)

@@ -51,14 +51,9 @@ func TestScatterOverHTTPConcurrent(t *testing.T) {
 	w := xdm.SequenceString(want)
 
 	newEngine := func(streamed bool) *eval.Engine {
-		cl := &Client{Transport: tr, Semantics: ByFragment, Static: eval.DefaultStatic(),
-			Relatives: map[*xq.XRPCExpr]projection.RelativePaths{}, Metrics: &Metrics{}}
 		eng := eval.NewEngine(nil)
-		if streamed {
-			eng.Remote = &StreamedClient{Client: cl}
-		} else {
-			eng.Remote = cl
-		}
+		eng.Remote = &Client{Transport: tr, Semantics: ByFragment, Static: eval.DefaultStatic(),
+			Relatives: map[*xq.XRPCExpr]projection.RelativePaths{}, Metrics: &Metrics{}, Streamed: streamed}
 		return eng
 	}
 
@@ -135,9 +130,9 @@ func TestHTTPStreamFallbackWithoutEndpoint(t *testing.T) {
 		urls[name] = ts.URL
 	}
 	tr := &HTTPTransport{URLFor: func(p string) string { return urls[p] + "/xrpc" }}
-	cl := &StreamedClient{Client: &Client{Transport: tr, Semantics: ByFragment,
+	cl := &Client{Transport: tr, Semantics: ByFragment,
 		Static: eval.DefaultStatic(), Relatives: map[*xq.XRPCExpr]projection.RelativePaths{},
-		Metrics: &Metrics{}}}
+		Metrics: &Metrics{}, Streamed: true}
 	eng := eval.NewEngine(nil)
 	eng.Remote = cl
 	got, err := testkit.Query(eng, interleavedScatterSrc)
@@ -164,13 +159,9 @@ func TestRouteTransportMixedFederation(t *testing.T) {
 
 	for _, streamed := range []bool{false, true} {
 		cl := &Client{Transport: router, Semantics: ByValue, Static: eval.DefaultStatic(),
-			Relatives: map[*xq.XRPCExpr]projection.RelativePaths{}, Metrics: &Metrics{}}
+			Relatives: map[*xq.XRPCExpr]projection.RelativePaths{}, Metrics: &Metrics{}, Streamed: streamed}
 		eng := eval.NewEngine(nil)
-		if streamed {
-			eng.Remote = &StreamedClient{Client: cl}
-		} else {
-			eng.Remote = cl
-		}
+		eng.Remote = cl
 		got, err := testkit.Query(eng, interleavedScatterSrc)
 		if err != nil {
 			t.Fatalf("streamed=%v: %v", streamed, err)

@@ -11,7 +11,7 @@
 // exchanges over any Transport (in-memory, HTTP, or a per-peer router) and
 // guarantees that what the evaluator gathers is independent of the wiring —
 // faults surface as the same *Fault through every transport, scatter lanes
-// keep loop order, streamed dispatch (StreamedClient, chunk frames over a
+// keep loop order, streamed dispatch (Client.Streamed, chunk frames over a
 // StreamTransport) is byte-identical to gather-whole, and under a
 // RetryPolicy a lane transparently fails over to replica peers (retry on
 // fault, hedge on straggle; retry.go) without changing results. Metrics

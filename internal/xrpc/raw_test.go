@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"distxq/internal/eval"
 	"distxq/internal/projection"
 	"distxq/internal/trace"
 	"distxq/internal/xdm"
@@ -264,18 +263,10 @@ func TestRawCountsOnLanes(t *testing.T) {
 	}
 
 	resp := scatterResponse(t, 7)
-	cl := &StreamedClient{Client: &Client{Transport: &scriptedStream{frames: collectFrames(t, resp, 3),
-		consumed: new(atomic.Int64)}, Semantics: ByFragment, Metrics: &Metrics{}}}
+	cl := &Client{Transport: &scriptedStream{frames: collectFrames(t, resp, 3),
+		consumed: new(atomic.Int64)}, Semantics: ByFragment, Metrics: &Metrics{}, Streamed: true}
 	x := &xq.XRPCExpr{FuncName: "xrpc:f", Body: body, ReturnedOnly: true}
-	lanes, cancel := cl.CallRemoteScatterStream(x, []eval.ScatterBatch{{Target: "p", Iterations: [][]xdm.Sequence{{}}}})
-	defer cancel()
-	var got xdm.Sequence
-	for chunk := range lanes[0] {
-		if chunk.Err != nil {
-			t.Fatal(chunk.Err)
-		}
-		got = append(got, chunk.Items...)
-	}
+	got := oneLane(t, cl, x, nil)
 	if g, w := xdm.SequenceString(got), xdm.SequenceString(resp.Results[0]); g != w {
 		t.Errorf("streamed lane prints %q, want %q", g, w)
 	}

@@ -1,21 +1,18 @@
 package xrpc
 
-// This file implements per-lane fault tolerance for every dispatch mode: one
-// lane runner (runLane) that re-issues a failed exchange to the lane's next
-// replica at once (retry) and races a speculative duplicate against a slow
-// one (hedging). The runner owns the rotation, the attempt budget, the hedge
-// timer, fault bookkeeping and winner provenance; what one attempt does — a
-// gather-whole exchange or a chunk-stream exchange — is a laneAttempt it is
-// handed. Attempts race until one commits, the committed attempt alone
-// delivers, the losers are cancelled, and the lane's provenance (winning
-// replica, retries, hedges, wasted wall time) travels on the Lane record so
-// sessions can report tail-tolerance costs. A lane whose attempt has nothing
-// to race — no replica, so no hedge can arm — runs it on the runner's own
-// goroutine and builds no race: no channel, goroutine or attempt context.
-// Correctness rests on the repo-wide invariant that peers evaluate
-// deterministically: two replicas holding byte-identical shard documents
-// produce byte-identical results for the same shipped function, so whichever
-// attempt wins, the query result is unchanged.
+// This file implements per-lane fault tolerance for every lane of every
+// dispatch: one runner (runLane) that re-issues a failed exchange to the
+// lane's next replica at once (retry) and races a speculative duplicate
+// against a slow one (hedging). The runner owns the rotation, the attempt
+// budget, the hedge timer, fault bookkeeping and winner provenance; the lane
+// record (laneCall) says what one attempt does, a gather-whole or a
+// chunk-stream exchange. Attempts race until one commits, the committed
+// attempt alone places results, the losers are cancelled, and the lane's
+// provenance travels on the Lane record. A lane with nothing to race — no
+// replica, so no hedge can arm — runs its attempt on the runner's own
+// goroutine and builds no race. Correctness rests on deterministic peers:
+// replicas holding byte-identical shards produce byte-identical results, so
+// whichever attempt wins, the query result is unchanged.
 
 import (
 	"context"
@@ -26,8 +23,6 @@ import (
 
 	"distxq/internal/eval"
 	"distxq/internal/trace"
-	"distxq/internal/xdm"
-	"distxq/internal/xq"
 )
 
 // RetryPolicy configures per-lane fault tolerance of dispatch. The zero
@@ -152,28 +147,13 @@ func (f *firstFault) error() error {
 	return fmt.Errorf("xrpc: lane dispatch exhausted its attempts")
 }
 
-// laneAttempt is the one thing the lane runner is parameterised by: what a
-// single attempt does. It runs under ctx against a.peer, records under a.sp,
-// and must win a.commit() before it hands anything to the lane's consumer —
-// a gather attempt once its whole response has parsed, a streamed attempt
-// when its first frame arrives. An attempt whose commit is refused abandons
-// the exchange and returns an error.
-type laneAttempt func(ctx context.Context, a *attempt) (Lane, error)
-
-// gatherAttempt is the gather-whole laneAttempt: one Bulk RPC exchange whose
-// results land in *out if — and only if — the attempt commits.
-func (c *Client) gatherAttempt(x *xq.XRPCExpr, iterations [][]xdm.Sequence, out *[]xdm.Sequence) laneAttempt {
-	return func(ctx context.Context, a *attempt) (Lane, error) {
-		results, lane, err := c.callBulkCtx(ctx, a.peer, x, iterations, a.sp)
-		if err != nil {
-			return Lane{}, err
-		}
-		if !a.commit() {
-			return Lane{}, context.Canceled
-		}
-		*out = results
-		return lane, nil
-	}
+// laneAttempt is what the lane runner is parameterised by: what a single
+// attempt does. exchange runs under ctx against a.peer, records under a.sp,
+// and must win a.commit() before it places anything — a gather attempt once
+// its whole response has parsed, a streamed attempt when its first frame
+// arrives; a refused attempt abandons its exchange and returns an error.
+type laneAttempt interface {
+	exchange(ctx context.Context, a *attempt) (Lane, error)
 }
 
 // attempt is one launched attempt of a lane: what the attempt reads (its
@@ -220,15 +200,18 @@ type attemptOutcome struct {
 // runs runLane. Only a race needs channels: the first launch that races
 // makes them, so a lane whose one attempt races nothing makes none.
 type laneRun struct {
+	// What the lane dispatches, set before runLane.
+	batch eval.ScatterBatch
+	sp    trace.SpanRef
+	run   laneAttempt
+
 	c        *Client
 	ctx      context.Context
-	batch    eval.ScatterBatch
-	sp       trace.SpanRef
-	run      laneAttempt
 	targets  []string
 	lone     [1]string // the targets of a lane without replicas
 	max      int
 	attempts []attempt   // capacity max, so an attempt's record never moves
+	first    [1]attempt  // the attempts of a lane allowed one
 	hedge    *time.Timer // armed while a hedge would race the newest attempt
 
 	outstanding, retries, hedges int
@@ -340,7 +323,7 @@ func (l *laneRun) launch(hedged bool) {
 // exec runs attempt a and closes its span.
 func (l *laneRun) exec(ctx context.Context, a *attempt) attemptOutcome {
 	t0 := time.Now()
-	lane, err := l.run(ctx, a)
+	lane, err := l.run.exchange(ctx, a)
 	a.sp.EndErr(err)
 	return attemptOutcome{a.index, lane, err, time.Since(t0).Nanoseconds()}
 }
@@ -393,11 +376,15 @@ func (l *laneRun) close() {
 // without cancellation support run to completion, but can no longer commit —
 // duplicated responses are safe because peer evaluation is deterministic and
 // only the token holder delivers.
-func (c *Client) runLane(ctx context.Context, batch eval.ScatterBatch, lsp trace.SpanRef, run laneAttempt) (Lane, error) {
+func (c *Client) runLane(ctx context.Context, l *laneRun) (Lane, error) {
 	start := time.Now()
-	max := c.Retry.maxAttempts(len(batch.Replicas))
-	l := &laneRun{c: c, ctx: ctx, batch: batch, sp: lsp, run: run, max: max, holder: -1,
-		attempts: make([]attempt, 0, max)}
+	batch := l.batch
+	l.c, l.ctx, l.holder = c, ctx, -1
+	l.max = c.Retry.maxAttempts(len(batch.Replicas))
+	l.attempts = l.first[:0]
+	if l.max > 1 {
+		l.attempts = make([]attempt, 0, l.max)
+	}
 	if len(batch.Replicas) == 0 {
 		l.lone[0] = batch.Target
 		l.targets = l.lone[:]

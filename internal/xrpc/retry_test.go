@@ -12,7 +12,6 @@ import (
 	"distxq/internal/eval"
 	"distxq/internal/projection"
 	"distxq/internal/testkit"
-	"distxq/internal/trace"
 	"distxq/internal/xdm"
 	"distxq/internal/xq"
 )
@@ -24,7 +23,7 @@ var laneModes = []struct {
 	remote func(*Client) eval.RemoteCaller
 }{
 	{"gather", func(cl *Client) eval.RemoteCaller { return cl }},
-	{"streamed", func(cl *Client) eval.RemoteCaller { return &StreamedClient{Client: cl} }},
+	{"streamed", func(cl *Client) eval.RemoteCaller { cl.Streamed = true; return cl }},
 }
 
 // wireRetry builds a client engine with a retry policy and a replica map
@@ -406,9 +405,9 @@ func TestStreamedFailoverMidStream(t *testing.T) {
 			install(tr)
 		}
 		cl := &Client{Transport: tr, Semantics: ByValue, Static: eval.DefaultStatic(),
-			Relatives: map[*xq.XRPCExpr]projection.RelativePaths{}, Metrics: &Metrics{}, Retry: pol}
+			Relatives: map[*xq.XRPCExpr]projection.RelativePaths{}, Metrics: &Metrics{}, Retry: pol, Streamed: true}
 		eng := eval.NewEngine(nil)
-		eng.Remote = &StreamedClient{Client: cl}
+		eng.Remote = cl
 		return eng, cl
 	}
 
@@ -452,9 +451,9 @@ func TestStreamedStallSwitches(t *testing.T) {
 	slow := &slowTransport{inner: tr, delay: map[string]time.Duration{"p1": 2 * time.Second}}
 	cl := &Client{Transport: slow, Semantics: ByValue, Static: eval.DefaultStatic(),
 		Relatives: map[*xq.XRPCExpr]projection.RelativePaths{}, Metrics: &Metrics{},
-		Retry: &RetryPolicy{MaxAttempts: 2, HedgeAfter: 5 * time.Millisecond}}
+		Retry: &RetryPolicy{MaxAttempts: 2, HedgeAfter: 5 * time.Millisecond}, Streamed: true}
 	eng := eval.NewEngine(nil)
-	eng.Remote = &StreamedClient{Client: cl}
+	eng.Remote = cl
 	eng.Replicas = map[string][]string{"p1": {"r1"}}
 	t0 := time.Now()
 	got := runStreamedScatter(t, eng, `
@@ -490,24 +489,23 @@ func TestReplayFilterSuppressesPrefix(t *testing.T) {
 		return s
 	}
 	var got []string
-	deliver := func(chunk eval.StreamChunk) bool {
-		got = append(got, fmt.Sprintf("%d:%s", chunk.Iteration, xdm.SequenceString(chunk.Items)))
-		return true
-	}
 	p := &laneProgress{}
+	deliver := func(k, start int, items xdm.Sequence) {
+		if fresh, ok := p.fresh(k, start, items); ok {
+			got = append(got, fmt.Sprintf("%d:%s", k, xdm.SequenceString(fresh)))
+		}
+	}
 	// Attempt 1 delivers call 0 = [a b c] as two chunks plus the start of
 	// call 1, then dies.
-	f1 := replayFilter(p, deliver)
-	f1(eval.StreamChunk{Iteration: 0, Items: mk("a", "b")})
-	f1(eval.StreamChunk{Iteration: 0, Items: mk("c")})
-	f1(eval.StreamChunk{Iteration: 1, Items: mk("d")})
+	deliver(0, 0, mk("a", "b"))
+	deliver(0, 2, mk("c"))
+	deliver(1, 0, mk("d"))
 	// Attempt 2 replays from the start with coarser chunks; only e (the rest
 	// of call 1), the empty call 2 and call 3 are new.
-	f2 := replayFilter(p, deliver)
-	f2(eval.StreamChunk{Iteration: 0, Items: mk("a", "b", "c")})
-	f2(eval.StreamChunk{Iteration: 1, Items: mk("d", "e")})
-	f2(eval.StreamChunk{Iteration: 2, Items: nil})
-	f2(eval.StreamChunk{Iteration: 3, Items: mk("f")})
+	deliver(0, 0, mk("a", "b", "c"))
+	deliver(1, 0, mk("d", "e"))
+	deliver(2, 0, nil)
+	deliver(3, 0, mk("f"))
 	want := []string{"0:a b", "0:c", "1:d", "1:e", "2:", "3:f"}
 	if len(got) != len(want) {
 		t.Fatalf("delivered %v, want %v", got, want)
@@ -519,6 +517,12 @@ func TestReplayFilterSuppressesPrefix(t *testing.T) {
 	}
 }
 
+// attemptFunc is a laneAttempt made of a function, for driving the runner
+// with attempts that make no exchange.
+type attemptFunc func(ctx context.Context, a *attempt) (Lane, error)
+
+func (f attemptFunc) exchange(ctx context.Context, a *attempt) (Lane, error) { return f(ctx, a) }
+
 // TestLaneRunnerAllocationCeilings pins what the lane runner itself
 // allocates, under xqd's policy (HedgeAfter 20 ms, SpreadReplicas, a health
 // tracker), for an attempt that only commits. A lane without replicas runs
@@ -529,22 +533,22 @@ func TestReplayFilterSuppressesPrefix(t *testing.T) {
 func TestLaneRunnerAllocationCeilings(t *testing.T) {
 	cl := &Client{Retry: &RetryPolicy{HedgeAfter: 20 * time.Millisecond, SpreadReplicas: true},
 		Health: NewHealthTracker()}
-	commitOnly := func(_ context.Context, a *attempt) (Lane, error) {
+	commitOnly := attemptFunc(func(_ context.Context, a *attempt) (Lane, error) {
 		if !a.commit() {
 			return Lane{}, context.Canceled
 		}
 		return Lane{Peer: a.peer}, nil
-	}
+	})
 	for _, tc := range []struct {
 		name    string
 		batch   eval.ScatterBatch
 		ceiling float64
 	}{
-		{"one target", eval.ScatterBatch{Target: "p"}, 3},                                       // measured 2, also under -race; the racing runner: 12
-		{"a replica, hedge armed", eval.ScatterBatch{Target: "p", Replicas: []string{"r"}}, 20}, // measured 20, also under -race; the racing runner: 27
+		{"one target", eval.ScatterBatch{Target: "p"}, 2},                                       // measured 1, the lane record handed in, also under -race; with the runner's own record and attempt slice: 2; the racing runner: 12
+		{"a replica, hedge armed", eval.ScatterBatch{Target: "p", Replicas: []string{"r"}}, 20}, // measured 19, also under -race; with the runner's own record: 20; the racing runner: 27
 	} {
 		got := testing.AllocsPerRun(100, func() {
-			if _, err := cl.runLane(context.Background(), tc.batch, trace.SpanRef{}, commitOnly); err != nil {
+			if _, err := cl.runLane(context.Background(), &laneRun{batch: tc.batch, run: commitOnly}); err != nil {
 				t.Fatal(err)
 			}
 		})

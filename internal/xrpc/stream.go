@@ -3,18 +3,14 @@ package xrpc
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"strconv"
-	"sync/atomic"
 	"time"
 
-	"distxq/internal/eval"
 	"distxq/internal/netsim"
 	"distxq/internal/projection"
 	"distxq/internal/trace"
 	"distxq/internal/xdm"
-	"distxq/internal/xq"
 )
 
 // This file implements streaming XRPC: instead of one gather-whole response
@@ -23,12 +19,12 @@ import (
 // (decodable on its own by ParseResponseChunk) carrying a run of consecutive
 // result items of one call, its own fragments preamble, a sequence number,
 // and per-chunk timing; a terminal frame closes the stream. The originator
-// starts processing the first chunk while the peer is still evaluating and
-// serializing the rest — first-result latency drops from "slowest peer's
-// whole response" to "first chunk of the fastest lane". Streamed lanes are
-// fault-tolerant through the same lane runner as gather lanes (retry.go);
-// this file contributes only what a streamed attempt does (streamAttempt)
-// and the replay suppression a mid-stream failover needs (replayFilter).
+// places each frame's items at their loop positions as the frame arrives,
+// while the peer is still evaluating and serializing the rest. A streamed
+// lane is dispatched, retried and hedged as a gathered one is
+// (CallRemoteScatter, retry.go); this file adds only what a streamed attempt
+// does (laneCall.stream) and the replay suppression a mid-stream failover
+// needs (laneProgress).
 
 // DefaultChunkItems is the per-chunk item budget of a streaming server when
 // Server.ChunkItems is zero. The value trades pipelining granularity
@@ -37,13 +33,6 @@ import (
 // transfer instead of dominating it, and small enough that a lane still
 // spans several frames.
 const DefaultChunkItems = 32
-
-// DefaultBufferChunks bounds each lane's decoded-chunk buffer on the
-// originator when StreamedClient.BufferChunks is zero. The bound is the
-// backpressure mechanism: once a lane's buffer is full the producer blocks
-// (in-memory) or stops reading the connection (HTTP), so originator peak
-// buffering is limited by chunks in flight, not by total result size.
-const DefaultBufferChunks = 4
 
 // StreamTransport is an optional Transport extension: the response arrives
 // as an ordered sequence of frames delivered to sink as they become
@@ -447,122 +436,11 @@ func (s *Server) HandleStream(request []byte, emit func([]byte) error) error {
 // is the netsim model's chunk, so a lane's chunks are the model's input.
 type ChunkStat = netsim.Chunk
 
-// StreamedClient dispatches scatter waves in streaming mode: it implements
-// eval.StreamCaller on top of the embedded Client, yielding per-lane result
-// chunks as frames arrive instead of gathering whole responses. Lanes run
-// under the Client's lane runner like gather lanes do; their attempts travel
-// over StreamTransport when the Transport provides it and are gather-whole
-// exchanges (delivered as a single increment per iteration) when it does not.
-type StreamedClient struct {
-	*Client
-	// BufferChunks bounds each lane's decoded-chunk buffer; zero means
-	// DefaultBufferChunks.
-	BufferChunks int
-}
-
-var _ eval.RemoteCaller = (*StreamedClient)(nil)
-var _ eval.StreamCaller = (*StreamedClient)(nil)
-
-// CallRemoteScatterStream implements eval.StreamCaller. The pool admits
-// lanes strictly in batch order — lane i starts once lane i-width has
-// finished — so the consumer, which drains lanes in batch order too, is
-// always waiting on an admitted lane: a lane blocked on its full chunk
-// buffer can never starve the one being consumed (racy slot acquisition
-// deadlocked exactly that way when batches outnumbered the pool).
-// Successful lanes are recorded as metrics waves no wider than the pool
-// once all lanes finish. The returned cancel function aborts every
-// in-flight lane (producers blocked on a full buffer included) — the
-// consumer must call it.
-func (c *StreamedClient) CallRemoteScatterStream(x *xq.XRPCExpr, batches []eval.ScatterBatch) ([]<-chan eval.StreamChunk, func()) {
-	buf := c.BufferChunks
-	if buf <= 0 {
-		buf = DefaultBufferChunks
-	}
-	width := c.poolWidth()
-	ctx, cancel := context.WithCancel(c.baseContext())
-	// One record per lane; done exists only where lane i+width waits on it.
-	type streamLane struct {
-		ch     chan eval.StreamChunk
-		done   chan struct{}
-		lane   Lane
-		failed bool
-	}
-	lanes := make([]streamLane, len(batches))
-	out := make([]<-chan eval.StreamChunk, len(batches))
-	for i := range lanes {
-		lanes[i].ch = make(chan eval.StreamChunk, buf)
-		out[i] = lanes[i].ch
-		if i+width < len(lanes) {
-			lanes[i].done = make(chan struct{})
-		}
-	}
-	ssp := c.Trace.Child("scatter",
-		trace.Int("lanes", int64(len(batches))), trace.Bool("streamed", true))
-	var remaining atomic.Int64
-	remaining.Store(int64(len(batches)))
-	for i := range batches {
-		go func(i int) {
-			l, batch := &lanes[i], batches[i]
-			// Defers run in reverse order: the last lane to finish records
-			// the metrics waves and closes the scatter span, then closes its
-			// channel — so by the time the consumer has drained every lane,
-			// the waves are visible and the span tree is complete.
-			defer close(l.ch)
-			defer func() {
-				if remaining.Add(-1) != 0 {
-					return
-				}
-				var ok []Lane
-				for j := range lanes {
-					if !lanes[j].failed {
-						ok = append(ok, lanes[j].lane)
-					}
-				}
-				c.Metrics.addWaves(ok, width)
-				ssp.End()
-			}()
-			if l.done != nil {
-				defer close(l.done)
-			}
-			if i >= width {
-				select {
-				case <-lanes[i-width].done:
-				case <-ctx.Done():
-					l.failed = true
-					// Queued behind the pool and never dispatched: a blown
-					// budget must surface in type, not as a bare ctx error.
-					sendChunk(ctx, l.ch, eval.StreamChunk{
-						Err: budgetFailure(ctx, ctx.Err(), batch.Target, time.Now())})
-					return
-				}
-			}
-			lsp := laneSpan(ssp, batch.Target)
-			lane, err := c.runLane(ctx, batch, lsp, c.streamAttempt(ctx, x, batch, l.ch))
-			l.lane = lane
-			finishLane(lsp, lane, err)
-			if err != nil {
-				l.failed = true
-				sendChunk(ctx, l.ch, eval.StreamChunk{Err: err})
-			}
-		}(i)
-	}
-	return out, cancel
-}
-
-// sendChunk delivers a chunk unless the dispatch was cancelled (then the
-// consumer is gone and the chunk is dropped instead of blocking forever).
-func sendChunk(ctx context.Context, ch chan<- eval.StreamChunk, chunk eval.StreamChunk) bool {
-	select {
-	case ch <- chunk:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// laneState validates the frame protocol of one lane and converts frames
-// into eval.StreamChunks.
+// laneState is one streamed attempt's record: it validates the frame
+// protocol, keeps the attempt's position in its own stream, and totals what
+// the exchange moved.
 type laneState struct {
+	exchangeTotals
 	expect    int // iterations of the batch
 	nextSeq   int
 	curCall   int
@@ -571,11 +449,6 @@ type laneState struct {
 	done      bool // terminal frame (or gather-whole response) received
 	committed bool // the attempt claimed the lane on its first frame
 	chunks    []ChunkStat
-	execNS    int64
-	serdeNS   int64
-	deserNS   int64
-	recvd     int64
-	raw       RawCounts
 	// Every frame of the attempt decodes in dec, into frame (reset each time).
 	dec   decoder
 	frame ResponseChunk
@@ -625,51 +498,16 @@ func (st *laneState) accept(ch *ResponseChunk) error {
 	return nil
 }
 
-// deliverFunc forwards one decoded result increment to the lane's consumer;
-// false means the dispatch was cancelled and the lane must abort.
-type deliverFunc func(eval.StreamChunk) bool
-
-// streamAttempt returns what one attempt of a streamed lane does. Over a
-// StreamTransport it is a chunk-stream exchange (streamExchange) that commits
-// on its first frame and feeds ch through a replayFilter — each attempt
-// replays from call 0 with a fresh attempt-local position, only the lane's
-// delivered-progress record persists across attempts. Over a Transport
-// without streaming it is a gather attempt whose committed response is
-// delivered as one increment per iteration.
-func (c *StreamedClient) streamAttempt(ctx context.Context, x *xq.XRPCExpr, batch eval.ScatterBatch, ch chan<- eval.StreamChunk) laneAttempt {
-	forward := func(chunk eval.StreamChunk) bool { return sendChunk(ctx, ch, chunk) }
-	stx, streams := c.Transport.(StreamTransport)
-	if !streams {
-		var results []xdm.Sequence
-		gather := c.gatherAttempt(x, batch.Iterations, &results)
-		return func(actx context.Context, a *attempt) (Lane, error) {
-			lane, err := gather(actx, a)
-			if err != nil {
-				return Lane{}, err
-			}
-			for i, res := range results {
-				if !forward(eval.StreamChunk{Iteration: i, Items: res}) {
-					return Lane{}, context.Canceled
-				}
-			}
-			return lane, nil
-		}
-	}
-	progress := &laneProgress{}
-	return func(actx context.Context, a *attempt) (Lane, error) {
-		return c.streamExchange(actx, stx, a, x, batch.Iterations, replayFilter(progress, forward))
-	}
-}
-
-// streamExchange performs attempt a as one streamed Bulk RPC exchange,
-// delivering result increments through deliver as frames arrive and
-// accumulating metrics totals exactly like callBulkCtx does for gather-whole
-// exchanges. The first response frame to reach the originator — the liveness
-// signal a hedge is timed against — claims the lane through a.commit before
-// anything is delivered; a refused exchange is abandoned.
-func (c *StreamedClient) streamExchange(ctx context.Context, stx StreamTransport, a *attempt, x *xq.XRPCExpr, iterations [][]xdm.Sequence, deliver deliverFunc) (Lane, error) {
-	target, sp := a.peer, a.sp
-	data, serNS, err := c.marshalCall(ctx, target, x, iterations, sp)
+// stream performs attempt a as one streamed Bulk RPC exchange, placing
+// result increments as frames arrive and totalling metrics exactly as
+// callBulkCtx does for gather-whole exchanges. The first response frame to
+// reach the originator — the liveness signal a hedge is timed against —
+// claims the lane through a.commit before anything is placed; a refused
+// exchange is abandoned. Each attempt replays from call 0 with a fresh
+// stream position; only the lane's progress persists across attempts.
+func (l *laneCall) stream(ctx context.Context, a *attempt) (Lane, error) {
+	c, target, sp := l.c, a.peer, a.sp
+	data, serNS, err := c.marshalCall(ctx, target, l.x, l.iters, sp)
 	if err != nil {
 		return Lane{}, err
 	}
@@ -677,166 +515,116 @@ func (c *StreamedClient) streamExchange(ctx context.Context, stx StreamTransport
 		ctx = withTraceInfo(ctx, uint64(sp.TraceID()), uint64(sp.SpanID()))
 	}
 	// Room for a few frames' stats and the report's terminal pseudo-chunk.
-	st := &laneState{expect: len(iterations), chunks: make([]ChunkStat, 0, 4)}
-	sink := func(frame []byte) error {
-		if !st.committed {
-			if !a.commit() {
-				return context.Canceled
-			}
-			st.committed = true
-		}
-		t0 := time.Now()
-		chunk, perr := decode(&st.dec, frame, x.ReturnedOnly, &st.raw, st.parseChunk)
-		if perr != nil {
-			// A peer that does not stream answers with one gather-whole
-			// response message; fall back to delivering it in one increment
-			// per iteration, decoded as callBulkCtx decodes it. Only legal as
-			// the very first frame — a whole response after chunk frames
-			// would silently duplicate results.
-			if resp, rerr := decode(&st.dec, frame, x.ReturnedOnly, &st.raw, (*decoder).response); rerr == nil {
-				if st.nextSeq != 0 || st.done {
-					return fmt.Errorf("xrpc: gather-whole response after %d stream frames", st.nextSeq)
-				}
-				sp.IngestRemote(resp.Spans)
-				deser := time.Since(t0).Nanoseconds()
-				if len(resp.Results) != len(iterations) {
-					return fmt.Errorf("xrpc: response carries %d results for %d calls",
-						len(resp.Results), len(iterations))
-				}
-				st.recvd += int64(len(frame))
-				st.deserNS += deser
-				st.execNS += resp.ExecNanos
-				st.serdeNS += resp.SerializeNanos
-				st.done = true
-				for i, res := range resp.Results {
-					if !deliver(eval.StreamChunk{Iteration: i, Items: res}) {
-						return context.Canceled
-					}
-				}
-				return nil
-			}
-			return perr
-		}
-		deser := time.Since(t0).Nanoseconds()
-		if err := st.accept(chunk); err != nil {
-			return err
-		}
-		st.recvd += int64(len(frame))
-		st.deserNS += deser
-		st.execNS += chunk.ExecNanos
-		st.serdeNS += chunk.SerializeNanos
-		if chunk.Last {
-			// The terminal frame piggybacks the server's span tree.
-			sp.IngestRemote(chunk.Spans)
-			return nil
-		}
-		if sp.Active() {
-			sp.Event("frame",
-				trace.Int("seq", int64(chunk.Seq)),
-				trace.Int("call", int64(chunk.Call)),
-				trace.Int("bytes", int64(len(frame))))
-		}
-		st.chunks = append(st.chunks, ChunkStat{
-			Bytes: int64(len(frame)), ExecNS: chunk.ExecNanos, DeserNS: deser,
-		})
-		if !deliver(eval.StreamChunk{Iteration: chunk.Call, Items: chunk.Items}) {
-			return context.Canceled
-		}
-		return nil
-	}
+	st := &laneState{expect: len(l.iters), chunks: make([]ChunkStat, 0, 4)}
+	st.sent, st.serNS = int64(len(data)), serNS
 	t1 := time.Now()
-	err = stx.RoundTripStream(ctx, target, data, sink)
-	wallNS := time.Since(t1).Nanoseconds()
+	err = l.stx.RoundTripStream(ctx, target, data, func(frame []byte) error { return l.frame(st, a, frame) })
+	st.wallNS = time.Since(t1).Nanoseconds()
 	if err == nil && !st.done {
 		err = fmt.Errorf("xrpc: stream from %s ended without terminal frame", target)
 	}
-	if err != nil {
-		// A mid-stream fault frame still carries the server's partial spans.
-		var f *Fault
-		if errors.As(err, &f) && len(f.Spans) > 0 {
-			sp.IngestRemote(f.Spans)
-		}
-	}
-	c.observe(target, wallNS, err)
-	// A lane that died mid-stream still moved real bytes (the request, plus
-	// every frame received before the fault); account them so a failover
-	// run's traffic totals include the dead primary's partial stream, not
-	// just the winner's. Waves still carry winners only.
-	if c.Metrics != nil && (err == nil || st.recvd > 0) {
-		c.Metrics.Add(&Metrics{
-			Requests:      1,
-			BytesSent:     int64(len(data)),
-			BytesReceived: st.recvd,
-			SerializeNS:   serNS,
-			DeserializeNS: st.deserNS,
-			RemoteExecNS:  st.execNS,
-			ServerSerdeNS: st.serdeNS,
-			RoundTripWall: wallNS,
-			Raw:           st.raw,
-		})
+	c.observe(sp, target, st.wallNS, err)
+	// A lane that died mid-stream still moved the request and every frame
+	// before the fault: a failover run's traffic totals count the dead
+	// primary's partial stream, though waves carry winners only.
+	if err == nil || st.recvd > 0 {
+		c.account(&st.exchangeTotals)
 	}
 	if err != nil {
 		return Lane{}, err
 	}
-	return Lane{
-		Peer:          target,
-		BytesSent:     int64(len(data)),
-		BytesReceived: st.recvd,
-		RemoteExecNS:  st.execNS,
-		DeserNS:       st.deserNS,
-		Chunks:        st.chunks,
-	}, nil
+	lane := st.lane(target)
+	lane.Chunks = st.chunks
+	return lane, nil
+}
+
+// frame takes one frame of attempt a's stream and places its results.
+func (l *laneCall) frame(st *laneState, a *attempt, frame []byte) error {
+	if !st.committed {
+		if !a.commit() {
+			return context.Canceled
+		}
+		st.committed = true
+	}
+	t0 := time.Now()
+	chunk, err := decode(&st.dec, frame, l.x.ReturnedOnly, &st.raw, st.parseChunk)
+	if err != nil {
+		// A peer that does not stream answers with one gather-whole response
+		// message, decoded as a gather attempt decodes it and placed one
+		// increment per call. Only legal as the very first frame — a whole
+		// response after chunk frames would silently duplicate results.
+		resp, rerr := st.whole(&st.dec, a.sp, frame, l.x, st.expect)
+		switch {
+		case resp == nil:
+			return err
+		case st.nextSeq != 0 || st.done:
+			return fmt.Errorf("xrpc: gather-whole response after %d stream frames", st.nextSeq)
+		case rerr != nil:
+			return rerr
+		}
+		st.done = true
+		return l.placeAll(resp.Results)
+	}
+	deser := time.Since(t0).Nanoseconds()
+	if err := st.accept(chunk); err != nil {
+		return err
+	}
+	st.recvd += int64(len(frame))
+	st.deserNS += deser
+	st.execNS += chunk.ExecNanos
+	st.serdeNS += chunk.SerializeNanos
+	if chunk.Last {
+		// The terminal frame piggybacks the server's span tree.
+		a.sp.IngestRemote(chunk.Spans)
+		return nil
+	}
+	if a.sp.Active() {
+		a.sp.Event("frame",
+			trace.Int("seq", int64(chunk.Seq)),
+			trace.Int("call", int64(chunk.Call)),
+			trace.Int("bytes", int64(len(frame))))
+	}
+	st.chunks = append(st.chunks, ChunkStat{
+		Bytes: int64(len(frame)), ExecNS: chunk.ExecNanos, DeserNS: deser,
+	})
+	return l.place(chunk.Call, chunk.FirstItem, chunk.Items)
 }
 
 // ---------------------------------------------------- replay suppression --
 
-// laneProgress records how much of a streamed lane has already been
-// delivered to the consumer, across attempts: everything of calls before
-// call, plus the first item items of call itself (seen marks whether any
-// chunk of call was forwarded — an empty call delivers an itemless chunk).
+// laneProgress records how much of a lane the sink already holds, across
+// attempts: everything of calls before call, plus the first item items of
+// call itself (seen marks whether any increment of call was placed — an
+// empty call places an itemless increment).
 type laneProgress struct {
 	call int
 	item int
 	seen bool
 }
 
-// replayFilter wraps deliver so a failover attempt's replayed increments
-// are suppressed. A retried stream restarts from call 0: because replicas
+// fresh returns the part of an attempt's increment — the items of call k
+// from item start on — that the sink does not hold yet, and whether there is
+// anything to place. A retried stream restarts from call 0: because replicas
 // hold byte-identical shard documents and evaluation is deterministic, the
-// replayed prefix is byte-identical to what the consumer already received,
-// so the filter forwards only the suffix beyond p — results stay exactly
-// loop-ordered and duplicate-free even when the replacement peer chunks its
-// stream differently.
-func replayFilter(p *laneProgress, deliver deliverFunc) deliverFunc {
-	acall, aitem := 0, 0 // this attempt's position in its own stream
-	return func(chunk eval.StreamChunk) bool {
-		if chunk.Iteration != acall {
-			acall, aitem = chunk.Iteration, 0
+// replayed prefix is byte-identical to what the sink already holds, so only
+// the suffix beyond p is placed — results stay exactly loop-ordered and
+// duplicate-free even when the replacement peer chunks its stream
+// differently.
+func (p *laneProgress) fresh(k, start int, items xdm.Sequence) (xdm.Sequence, bool) {
+	end := start + len(items)
+	switch {
+	case k < p.call:
+		return nil, false // fully delivered before the failover
+	case k == p.call:
+		skip := min(max(p.item-start, 0), len(items))
+		if skip == len(items) && p.seen {
+			return nil, false // nothing new in this increment
 		}
-		start := aitem
-		aitem += len(chunk.Items)
-		switch {
-		case chunk.Iteration < p.call:
-			return true // fully delivered before the failover
-		case chunk.Iteration == p.call:
-			skip := p.item - start
-			if skip < 0 {
-				skip = 0
-			}
-			if skip > len(chunk.Items) {
-				skip = len(chunk.Items)
-			}
-			if skip == len(chunk.Items) && p.seen {
-				return true // nothing new in this chunk
-			}
-			p.seen = true
-			if aitem > p.item {
-				p.item = aitem
-			}
-			return deliver(eval.StreamChunk{Iteration: chunk.Iteration, Items: chunk.Items[skip:]})
-		default: // first chunk of a call beyond the failover point
-			p.call, p.item, p.seen = chunk.Iteration, aitem, true
-			return deliver(chunk)
-		}
+		p.seen = true
+		p.item = max(p.item, end)
+		return items[skip:], true
+	default: // first increment of a call beyond the failover point
+		p.call, p.item, p.seen = k, end, true
+		return items, true
 	}
 }

@@ -1,6 +1,7 @@
 package xrpc
 
 import (
+	"context"
 	"testing"
 
 	"distxq/internal/eval"
@@ -44,8 +45,13 @@ func TestStreamAllocationCeilings(t *testing.T) {
 	discard := func([]byte) error { return nil }
 	tr := NewInMemoryTransport()
 	tr.Register("peer1", srv)
-	cl := &StreamedClient{Client: &Client{Transport: tr, Semantics: ByFragment, Static: eval.DefaultStatic()}}
+	cl := &Client{Transport: tr, Semantics: ByFragment, Static: eval.DefaultStatic(), Streamed: true}
 	batches := []eval.ScatterBatch{{Target: "peer1", Iterations: [][]xdm.Sequence{{}, {}}}}
+	items := 0
+	count := sinkFunc(func(_, _ int, placed xdm.Sequence) error {
+		items += len(placed)
+		return nil
+	})
 	for _, tc := range []struct {
 		name    string
 		ceiling float64
@@ -56,18 +62,13 @@ func TestStreamAllocationCeilings(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"one in-memory streamed lane, drained", 112, func() { // measured 101 (107–108 under -race); with a race built for every lane: 111 (119–121); the per-hand-over writer and per-frame decoder: 143
-			lanes, cancel := cl.CallRemoteScatterStream(x, batches)
-			defer cancel()
-			items := 0
-			for chunk := range lanes[0] {
-				if chunk.Err != nil {
-					t.Fatal(chunk.Err)
-				}
-				items += len(chunk.Items)
+		{"one in-memory streamed lane, placed", 101, func() { // measured 92–93 (97–100 under -race); through a lane channel: 101 (107–108); with a race built for every lane: 111 (119–121); the per-hand-over writer and per-frame decoder: 143
+			items = 0
+			if err := cl.CallRemoteScatter(x, batches, count)[0]; err != nil {
+				t.Fatal(err)
 			}
 			if items == 0 {
-				t.Fatal("the lane delivered no items")
+				t.Fatal("the lane placed no items")
 			}
 		}},
 	} {
@@ -117,4 +118,81 @@ func TestStreamFrameAccounting(t *testing.T) {
 		t.Errorf("peak buffered items %d, want 14", m.PeakBufferedItems)
 	}
 	t.Logf("%d frames: exec %d ns, serde %d ns", frames, exec, serde)
+}
+
+// cannedWave answers every exchange with one prebuilt response: a whole
+// message to RoundTrip, a list of frames to RoundTripStream. With no server
+// behind it, a dispatch over it costs only the originator's work.
+type cannedWave struct {
+	whole  []byte
+	frames [][]byte
+}
+
+func (c *cannedWave) RoundTrip(string, []byte) ([]byte, error) { return c.whole, nil }
+
+func (c *cannedWave) RoundTripStream(_ context.Context, _ string, _ []byte, sink func([]byte) error) error {
+	for _, f := range c.frames {
+		if err := sink(f); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestScatterDispatchAllocationCeilings pins what the one scatter dispatcher
+// allocates on the originator: four lanes of the young() golden request
+// (two calls each), answered by a canned transport — a whole response per
+// gathered lane, three frames per streamed lane — into a sink that keeps
+// nothing, with metrics on and reset per run. The counts of the parent
+// design, a gather dispatcher beside a streamed one with a channel per lane,
+// are in the comments.
+func TestScatterDispatchAllocationCeilings(t *testing.T) {
+	request, srv, x := youngStream(t, false)
+	whole, err := srv.Handle(request)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &cannedWave{whole: whole}
+	if err := srv.HandleStream(request, func(f []byte) error {
+		tr.frames = append(tr.frames, append([]byte(nil), f...))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.frames) != 3 {
+		t.Fatalf("the canned stream has %d frames, want 3", len(tr.frames))
+	}
+	var batches []eval.ScatterBatch
+	for _, p := range []string{"peer1", "peer2", "peer3", "peer4"} {
+		batches = append(batches, eval.ScatterBatch{Target: p, Iterations: [][]xdm.Sequence{{}, {}}})
+	}
+	discard := sinkFunc(func(int, int, xdm.Sequence) error { return nil })
+	for _, tc := range []struct {
+		name               string
+		streamed           bool
+		ceiling, underRace float64
+	}{
+		{"gathered", false, 141, 155}, // measured 128–132 (148–152 under -race); parent 141 (160)
+		{"streamed", true, 170, 180},  // measured 152–156 (172–177 under -race); parent 191 (210)
+	} {
+		cl := &Client{Transport: tr, Semantics: ByFragment, Static: eval.DefaultStatic(),
+			Metrics: &Metrics{}, Streamed: tc.streamed}
+		got := testing.AllocsPerRun(100, func() {
+			cl.Metrics.Reset()
+			for _, err := range cl.CallRemoteScatter(x, batches, discard) {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		ceiling := tc.ceiling
+		if raceBuild {
+			ceiling = tc.underRace
+		}
+		if got > ceiling {
+			t.Errorf("%s: %.0f allocations, ceiling %.0f", tc.name, got, ceiling)
+		} else {
+			t.Logf("%s: %.0f allocations", tc.name, got)
+		}
+	}
 }

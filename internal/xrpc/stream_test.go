@@ -2,6 +2,7 @@ package xrpc
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -298,19 +299,20 @@ func TestChunkFrameValidation(t *testing.T) {
 
 // streamWire wires a streaming client engine to peers over the in-memory
 // transport, mirroring wire().
-func streamWire(t *testing.T, sem Semantics, peers map[string]*Server) (*eval.Engine, *StreamedClient) {
+func streamWire(t *testing.T, sem Semantics, peers map[string]*Server) (*eval.Engine, *Client) {
 	t.Helper()
 	tr := NewInMemoryTransport()
 	for name, srv := range peers {
 		tr.Register(name, srv)
 	}
-	cl := &StreamedClient{Client: &Client{
+	cl := &Client{
 		Transport: tr,
 		Semantics: sem,
 		Static:    eval.DefaultStatic(),
 		Relatives: map[*xq.XRPCExpr]projection.RelativePaths{},
 		Metrics:   &Metrics{},
-	}}
+		Streamed:  true,
+	}
 	eng := eval.NewEngine(nil)
 	eng.Remote = cl
 	return eng, cl
@@ -423,8 +425,8 @@ func TestStreamedUnknownPeer(t *testing.T) {
 	}
 }
 
-// TestStreamedGatherFallback: over a Transport without streaming support the
-// StreamedClient degrades to gather-whole exchanges with identical results.
+// TestStreamedGatherFallback: over a Transport without streaming support a
+// streaming client's lanes are gather-whole exchanges with identical results.
 type gatherOnlyTransport struct{ inner *InMemoryTransport }
 
 func (t gatherOnlyTransport) RoundTrip(peer string, req []byte) ([]byte, error) {
@@ -441,10 +443,10 @@ func TestStreamedGatherFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := &StreamedClient{Client: &Client{
+	cl := &Client{
 		Transport: gatherOnlyTransport{tr}, Semantics: ByValue, Static: eval.DefaultStatic(),
-		Relatives: map[*xq.XRPCExpr]projection.RelativePaths{}, Metrics: &Metrics{},
-	}}
+		Relatives: map[*xq.XRPCExpr]projection.RelativePaths{}, Metrics: &Metrics{}, Streamed: true,
+	}
 	eng := eval.NewEngine(nil)
 	eng.Remote = cl
 	got, err := testkit.Query(eng, interleavedScatterSrc)
@@ -467,10 +469,10 @@ func TestStreamedNonStreamingHandler(t *testing.T) {
 	for name, srv := range streamScatterPeers(0) {
 		tr.Register(name, handlerOnly{srv}) // hides StreamHandler
 	}
-	cl := &StreamedClient{Client: &Client{
+	cl := &Client{
 		Transport: tr, Semantics: ByValue, Static: eval.DefaultStatic(),
-		Relatives: map[*xq.XRPCExpr]projection.RelativePaths{}, Metrics: &Metrics{},
-	}}
+		Relatives: map[*xq.XRPCExpr]projection.RelativePaths{}, Metrics: &Metrics{}, Streamed: true,
+	}
 	eng := eval.NewEngine(nil)
 	eng.Remote = cl
 	got, err := testkit.Query(eng, interleavedScatterSrc)
@@ -501,10 +503,11 @@ func TestStreamedWholeResponseDecodesLikeGather(t *testing.T) {
 		}
 		tc := trace.New(0, "origin")
 		root := tc.Start(0, "query")
-		cl := &StreamedClient{Client: &Client{
+		cl := &Client{
 			Transport: tr, Semantics: ByValue, Static: eval.DefaultStatic(),
 			Relatives: map[*xq.XRPCExpr]projection.RelativePaths{}, Metrics: &Metrics{}, Trace: root,
-		}}
+			Streamed: true,
+		}
 		eng := eval.NewEngine(nil)
 		eng.Remote = cl
 		if _, err := testkit.Query(eng, interleavedScatterSrc); err != nil {
@@ -524,18 +527,10 @@ func TestStreamedWholeResponseDecodesLikeGather(t *testing.T) {
 
 	body := &xq.Literal{Val: xdm.NewInteger(1)}
 	x := &xq.XRPCExpr{FuncName: "xrpc:f", Body: body, ReturnedOnly: true}
-	cl := &StreamedClient{Client: &Client{Transport: &scriptedStream{
+	cl := &Client{Transport: &scriptedStream{
 		frames:   [][]byte{rawMessage(`<a x="1">t</a>`, false, wholeRef)},
-		consumed: new(atomic.Int64)}, Semantics: ByFragment, Metrics: &Metrics{}}}
-	lanes, cancel := cl.CallRemoteScatterStream(x, []eval.ScatterBatch{{Target: "p", Iterations: [][]xdm.Sequence{{}}}})
-	defer cancel()
-	var got xdm.Sequence
-	for chunk := range lanes[0] {
-		if chunk.Err != nil {
-			t.Fatal(chunk.Err)
-		}
-		got = append(got, chunk.Items...)
-	}
+		consumed: new(atomic.Int64)}, Semantics: ByFragment, Metrics: &Metrics{}, Streamed: true}
+	got := oneLane(t, cl, x, nil)
 	if len(got) == 0 {
 		t.Fatal("the lane delivered no items")
 	}
@@ -547,13 +542,39 @@ func TestStreamedWholeResponseDecodesLikeGather(t *testing.T) {
 	}
 }
 
+// sinkFunc is an eval.ScatterSink made of a function.
+type sinkFunc func(b, k int, items xdm.Sequence) error
+
+func (f sinkFunc) Place(b, k int, items xdm.Sequence) error { return f(b, k, items) }
+
+// oneLane dispatches x as a scatter of one single-call lane to peer "p" and
+// returns what the lane placed, calling each (when non-nil) after every
+// placement. It fails the test on a lane error.
+func oneLane(t *testing.T, cl *Client, x *xq.XRPCExpr, each func()) xdm.Sequence {
+	t.Helper()
+	var got xdm.Sequence
+	errs := cl.CallRemoteScatter(x, []eval.ScatterBatch{{Target: "p", Iterations: [][]xdm.Sequence{{}}}},
+		sinkFunc(func(_, _ int, items xdm.Sequence) error {
+			got = append(got, items...)
+			if each != nil {
+				each()
+			}
+			return nil
+		}))
+	if errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	return got
+}
+
 // scriptedStream replays prebuilt frames, recording how far emission ran
-// ahead of consumption.
+// ahead of consumption and whether the exchange has returned.
 type scriptedStream struct {
 	frames   [][]byte
 	emitted  atomic.Int64
 	maxAhead atomic.Int64
 	consumed *atomic.Int64
+	returned atomic.Bool
 }
 
 func (s *scriptedStream) RoundTrip(string, []byte) ([]byte, error) {
@@ -561,6 +582,7 @@ func (s *scriptedStream) RoundTrip(string, []byte) ([]byte, error) {
 }
 
 func (s *scriptedStream) RoundTripStream(ctx context.Context, peer string, req []byte, sink func([]byte) error) error {
+	defer s.returned.Store(true)
 	for _, frame := range s.frames {
 		n := s.emitted.Add(1)
 		if ahead := n - s.consumed.Load(); ahead > s.maxAhead.Load() {
@@ -573,12 +595,12 @@ func (s *scriptedStream) RoundTripStream(ctx context.Context, peer string, req [
 	return nil
 }
 
-// TestStreamBackpressureBounded: with a slow consumer, the producer must
-// never run more than the lane buffer (plus the frame in flight) ahead —
-// originator peak buffering is bounded by chunks in flight, not by the
+// TestStreamBackpressureBounded: with a slow sink, the producer never runs
+// more than the frame being placed ahead of the sink — each frame is placed
+// before the next is read, so originator buffering is one frame, not the
 // total result size.
 func TestStreamBackpressureBounded(t *testing.T) {
-	const items, buffer = 64, 2
+	const items = 64
 	resp := &Response{Semantics: ByValue}
 	var s xdm.Sequence
 	for i := 0; i < items; i++ {
@@ -587,37 +609,24 @@ func TestStreamBackpressureBounded(t *testing.T) {
 	resp.Results = []xdm.Sequence{s}
 	var consumed atomic.Int64
 	tr := &scriptedStream{frames: collectFrames(t, resp, 1), consumed: &consumed}
-
-	cl := &StreamedClient{
-		Client:       &Client{Transport: tr, Semantics: ByValue, Metrics: &Metrics{}},
-		BufferChunks: buffer,
-	}
+	cl := &Client{Transport: tr, Semantics: ByValue, Metrics: &Metrics{}, Streamed: true}
 	x := &xq.XRPCExpr{FuncName: "xrpc:f", Body: &xq.Literal{Val: xdm.NewInteger(1)}}
-	lanes, cancel := cl.CallRemoteScatterStream(x, []eval.ScatterBatch{
-		{Target: "p", Iterations: [][]xdm.Sequence{{}}},
-	})
-	defer cancel()
-	var got xdm.Sequence
-	for chunk := range lanes[0] {
-		if chunk.Err != nil {
-			t.Fatal(chunk.Err)
-		}
-		time.Sleep(200 * time.Microsecond) // slow consumer
+	got := oneLane(t, cl, x, func() {
+		time.Sleep(200 * time.Microsecond) // slow sink
 		consumed.Add(1)
-		got = append(got, chunk.Items...)
-	}
+	})
 	if len(got) != items {
-		t.Fatalf("consumed %d items, want %d", len(got), items)
+		t.Fatalf("placed %d items, want %d", len(got), items)
 	}
-	// Producer may be ahead by the channel buffer, the chunk blocked in
-	// sendChunk, and the frame being decoded.
-	if ahead := tr.maxAhead.Load(); ahead > buffer+2 {
-		t.Fatalf("producer ran %d frames ahead, want <= %d", ahead, buffer+2)
+	if ahead := tr.maxAhead.Load(); ahead > 1 {
+		t.Fatalf("producer ran %d frames ahead of the sink, want <= 1", ahead)
 	}
 }
 
-// TestStreamedConsumerAbandon: cancelling the dispatch releases a producer
-// blocked on a full lane buffer (no leaked workers).
+// TestStreamedConsumerAbandon: a sink that refuses an increment stops the
+// lane — the exchange reads no further frame — and the lane reports the
+// refusal; the exchange has returned by the time the dispatch does, so no
+// goroutine outlives the call.
 func TestStreamedConsumerAbandon(t *testing.T) {
 	const items = 256
 	resp := &Response{Semantics: ByValue}
@@ -628,35 +637,32 @@ func TestStreamedConsumerAbandon(t *testing.T) {
 	resp.Results = []xdm.Sequence{s}
 	var consumed atomic.Int64
 	tr := &scriptedStream{frames: collectFrames(t, resp, 1), consumed: &consumed}
-	cl := &StreamedClient{
-		Client:       &Client{Transport: tr, Semantics: ByValue, Metrics: &Metrics{}},
-		BufferChunks: 1,
-	}
+	cl := &Client{Transport: tr, Semantics: ByValue, Metrics: &Metrics{}, Streamed: true}
 	x := &xq.XRPCExpr{FuncName: "xrpc:f", Body: &xq.Literal{Val: xdm.NewInteger(1)}}
-	lanes, cancel := cl.CallRemoteScatterStream(x, []eval.ScatterBatch{
-		{Target: "p", Iterations: [][]xdm.Sequence{{}}},
-	})
-	<-lanes[0] // one chunk, then walk away
-	consumed.Add(1)
-	cancel()
-	deadline := time.After(5 * time.Second)
-	for {
-		select {
-		case _, ok := <-lanes[0]:
-			if !ok {
-				return // lane closed: producer exited
-			}
-		case <-deadline:
-			t.Fatal("producer still blocked after cancel")
-		}
+	refused := errors.New("sink refuses")
+	errs := cl.CallRemoteScatter(x, []eval.ScatterBatch{{Target: "p", Iterations: [][]xdm.Sequence{{}}}},
+		sinkFunc(func(int, int, xdm.Sequence) error {
+			consumed.Add(1)
+			return refused
+		}))
+	if !errors.Is(errs[0], refused) {
+		t.Fatalf("lane error = %v, want the sink's refusal", errs[0])
+	}
+	if n := tr.emitted.Load(); n != 1 {
+		t.Fatalf("the exchange emitted %d frames, want 1: a refused lane must stop reading", n)
+	}
+	if !tr.returned.Load() {
+		t.Fatal("the exchange was still running when the dispatch returned")
+	}
+	if waves := cl.Metrics.Snapshot().Waves; len(waves) != 0 {
+		t.Fatalf("a refused lane was recorded in waves %+v", waves)
 	}
 }
 
-// TestStreamedScatterMoreBatchesThanWorkers is the deadlock regression:
-// with more lanes than pool slots and tiny buffers, racy slot acquisition
-// let later lanes grab every slot, fill their buffers and block, starving
-// the lane the consumer was draining. Ordered admission (lane i waits for
-// lane i-width) makes the drained lane always runnable.
+// TestStreamedScatterMoreBatchesThanWorkers: more lanes than pool slots,
+// one item a frame, complete in loop order — no lane waits on a consumer, so
+// any admission order finishes — and the metrics keep the overlap model
+// honest: 10 lanes through a width-1 pool are 10 single-lane waves.
 func TestStreamedScatterMoreBatchesThanWorkers(t *testing.T) {
 	peers := map[string]*Server{}
 	var names []string
@@ -676,11 +682,11 @@ func TestStreamedScatterMoreBatchesThanWorkers(t *testing.T) {
 	for name, srv := range peers {
 		tr.Register(name, srv)
 	}
-	cl := &StreamedClient{Client: &Client{
+	cl := &Client{
 		Transport: tr, Semantics: ByValue, Static: eval.DefaultStatic(),
 		Relatives: map[*xq.XRPCExpr]projection.RelativePaths{}, Metrics: &Metrics{},
-		MaxConcurrent: 1,
-	}, BufferChunks: 1}
+		MaxConcurrent: 1, Streamed: true,
+	}
 	eng := eval.NewEngine(nil)
 	eng.Remote = cl
 
@@ -697,7 +703,7 @@ func TestStreamedScatterMoreBatchesThanWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("streamed scatter deadlocked with more batches than pool slots")
+		t.Fatal("streamed scatter stalled with more batches than pool slots")
 	}
 	if got := xdm.SequenceString(res); !strings.HasPrefix(got, "<v>p0a</v> <v>p0b</v> <v>p0c</v> <v>p1a</v>") ||
 		!strings.HasSuffix(got, "<v>p9c</v>") {
@@ -707,5 +713,56 @@ func TestStreamedScatterMoreBatchesThanWorkers(t *testing.T) {
 	s := cl.Metrics.Snapshot()
 	if len(s.Waves) != 10 {
 		t.Fatalf("waves = %d, want 10 single-lane waves", len(s.Waves))
+	}
+}
+
+// errInjected is the fault waveFake's lane p1 answers with.
+var errInjected = errors.New("injected fault")
+
+// waveFake is a cancellation-aware transport for a two-lane wave: peer p1
+// faults at once, any other peer blocks until its exchange is cancelled
+// (recording that it saw the cancellation), with a 5 s failsafe.
+type waveFake struct{ sawCancel atomic.Bool }
+
+func (f *waveFake) RoundTrip(peer string, req []byte) ([]byte, error) {
+	return f.RoundTripContext(context.Background(), peer, req)
+}
+
+func (f *waveFake) RoundTripContext(ctx context.Context, peer string, _ []byte) ([]byte, error) {
+	return nil, f.lane(ctx, peer)
+}
+
+func (f *waveFake) RoundTripStream(ctx context.Context, peer string, _ []byte, _ func([]byte) error) error {
+	return f.lane(ctx, peer)
+}
+
+func (f *waveFake) lane(ctx context.Context, peer string) error {
+	if peer == "p1" {
+		return errInjected
+	}
+	select {
+	case <-ctx.Done():
+		f.sawCancel.Store(true)
+		return ctx.Err()
+	case <-time.After(5 * time.Second):
+		return errors.New("failsafe: the lane was never cancelled")
+	}
+}
+
+// TestStreamedFailureCancelsWave: a streamed lane's fault cancels the rest of
+// its wave, as a gathered lane's does — the query reports the fault at once
+// instead of waiting on an earlier lane that will never answer.
+func TestStreamedFailureCancelsWave(t *testing.T) {
+	fake := &waveFake{}
+	eng := eval.NewEngine(nil)
+	eng.Remote = &Client{Transport: fake, Semantics: ByValue, Static: eval.DefaultStatic(),
+		Relatives: map[*xq.XRPCExpr]projection.RelativePaths{}, Streamed: true}
+	_, err := testkit.Query(eng, `declare function f() as item()* { 1 };
+	for $p in ("p0", "p1") return execute at {$p} { f() }`)
+	if !errors.Is(err, errInjected) {
+		t.Fatalf("error = %v, want lane 1's injected fault", err)
+	}
+	if !fake.sawCancel.Load() {
+		t.Fatal("lane 0 never saw its exchange cancelled")
 	}
 }
