@@ -238,9 +238,11 @@ type Client struct {
 // the spans of the work it did before failing, even mid-stream; they join
 // sp, so failed attempts keep their server-side detail.
 func (c *Client) observe(sp trace.SpanRef, peer string, wallNS int64, err error) {
-	var f *Fault
-	if errors.As(err, &f) && len(f.Spans) > 0 {
-		sp.IngestRemote(f.Spans)
+	if err != nil {
+		var f *Fault
+		if errors.As(err, &f) && len(f.Spans) > 0 {
+			sp.IngestRemote(f.Spans)
+		}
 	}
 	if c.Health == nil {
 		return
@@ -324,7 +326,8 @@ func finishLane(sp trace.SpanRef, lane Lane, err error) {
 func (c *Client) CallRemoteBulk(target string, x *xq.XRPCExpr, iterations [][]xdm.Sequence) ([]xdm.Sequence, error) {
 	lsp := laneSpan(c.Trace, target)
 	call := &laneCall{c: c, x: x, iters: iterations}
-	lane, err := call.dispatch(c.baseContext(), eval.ScatterBatch{Target: target, Iterations: iterations}, lsp)
+	call.runner.batch, call.runner.sp, call.runner.run = eval.ScatterBatch{Target: target, Iterations: iterations}, lsp, call
+	lane, err := c.runLane(c.baseContext(), &call.runner)
 	finishLane(lsp, lane, err)
 	if err != nil {
 		return nil, err
@@ -370,26 +373,27 @@ func (c *Client) CallRemoteScatter(x *xq.XRPCExpr, batches []eval.ScatterBatch, 
 	sem := make(chan struct{}, width)
 	var wg sync.WaitGroup
 	for i := range batches {
-		calls[i] = laneCall{c: c, x: x, iters: batches[i].Iterations, stx: stx, sink: sink, b: i}
+		l := &calls[i]
+		*l = laneCall{c: c, x: x, iters: batches[i].Iterations, stx: stx, sink: sink, b: i}
+		l.runner.batch, l.runner.run = batches[i], l
 		wg.Add(1)
-		go func(l *laneCall) {
+		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			batch := batches[l.b]
 			if err := base.Err(); err != nil {
 				// The lane never dispatched; when the budget (not a peer
 				// fault elsewhere) killed the wave, say so in type.
-				errs[l.b] = budgetFailure(base, err, batch.Target, time.Now())
+				errs[i] = budgetFailure(base, err, batches[i].Target, time.Now())
 				return
 			}
-			lsp := laneSpan(ssp, batch.Target)
-			l.lane, errs[l.b] = l.dispatch(ctx, batch, lsp)
-			finishLane(lsp, l.lane, errs[l.b])
-			if errs[l.b] != nil {
+			l.runner.sp = laneSpan(ssp, batches[i].Target)
+			l.lane, errs[i] = c.runLane(ctx, &l.runner)
+			finishLane(l.runner.sp, l.lane, errs[i])
+			if errs[i] != nil {
 				cancel()
 			}
-		}(&calls[i])
+		}()
 	}
 	wg.Wait()
 	var ok []Lane
@@ -421,14 +425,8 @@ type laneCall struct {
 	b        int
 	results  []xdm.Sequence
 	progress laneProgress
-	runner   laneRun
-	lane     Lane // the lane's outcome, once the runner returns
-}
-
-// dispatch runs the lane for batch under the client's lane runner.
-func (l *laneCall) dispatch(ctx context.Context, batch eval.ScatterBatch, sp trace.SpanRef) (Lane, error) {
-	l.runner = laneRun{batch: batch, sp: sp, run: l}
-	return l.c.runLane(ctx, &l.runner)
+	runner   laneRun // the lane's runner state, which dispatches the lane
+	lane     Lane    // the lane's outcome, once the runner returns
 }
 
 // exchange implements laneAttempt. A gather attempt commits once its whole

@@ -378,18 +378,17 @@ func (l *laneRun) close() {
 // only the token holder delivers.
 func (c *Client) runLane(ctx context.Context, l *laneRun) (Lane, error) {
 	start := time.Now()
-	batch := l.batch
 	l.c, l.ctx, l.holder = c, ctx, -1
-	l.max = c.Retry.maxAttempts(len(batch.Replicas))
+	l.max = c.Retry.maxAttempts(len(l.batch.Replicas))
 	l.attempts = l.first[:0]
 	if l.max > 1 {
 		l.attempts = make([]attempt, 0, l.max)
 	}
-	if len(batch.Replicas) == 0 {
-		l.lone[0] = batch.Target
+	if len(l.batch.Replicas) == 0 {
+		l.lone[0] = l.batch.Target
 		l.targets = l.lone[:]
 	} else {
-		l.targets = c.dispatchTargets(batch)
+		l.targets = c.dispatchTargets(l.batch)
 	}
 	defer l.close()
 
@@ -450,5 +449,5 @@ func (c *Client) runLane(ctx context.Context, l *laneRun) (Lane, error) {
 			l.launch(false)
 		}
 	}
-	return Lane{}, budgetFailure(ctx, fault.error(), batch.Target, start)
+	return Lane{}, budgetFailure(ctx, fault.error(), l.batch.Target, start)
 }

@@ -62,7 +62,7 @@ func TestStreamAllocationCeilings(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"one in-memory streamed lane, placed", 101, func() { // measured 92–93 (97–100 under -race); through a lane channel: 101 (107–108); with a race built for every lane: 111 (119–121); the per-hand-over writer and per-frame decoder: 143
+		{"one in-memory streamed lane, placed", 100, func() { // measured 91 (96–98 under -race); through a lane channel: 101 (107–108); with a race built for every lane: 111 (119–121); the per-hand-over writer and per-frame decoder: 143
 			items = 0
 			if err := cl.CallRemoteScatter(x, batches, count)[0]; err != nil {
 				t.Fatal(err)
@@ -172,8 +172,8 @@ func TestScatterDispatchAllocationCeilings(t *testing.T) {
 		streamed           bool
 		ceiling, underRace float64
 	}{
-		{"gathered", false, 141, 155}, // measured 128–132 (148–152 under -race); parent 141 (160)
-		{"streamed", true, 170, 180},  // measured 152–156 (172–177 under -race); parent 191 (210)
+		{"gathered", false, 128, 148}, // measured 124 (142–145 under -race); parent 141 (160)
+		{"streamed", true, 152, 171},  // measured 148 (166–168 under -race); parent 191 (210)
 	} {
 		cl := &Client{Transport: tr, Semantics: ByFragment, Static: eval.DefaultStatic(),
 			Metrics: &Metrics{}, Streamed: tc.streamed}
