@@ -18,10 +18,10 @@
 // one Bulk RPC, or, when its target varies, as one concurrent wave of
 // per-peer Bulk RPCs (with Engine.Replicas naming failover copies per
 // target), whose lanes place their results — whole responses or stream
-// frames — straight at their loop positions. Either way gathered results are
-// identical and arrive in loop order. Evaluation is deterministic — the property the
-// fault-tolerance layer relies on when it gathers a replica's answer in
-// place of a dead primary's.
+// frames — straight at their loop positions, so results arrive in loop
+// order. Evaluation is deterministic — the property the fault-tolerance
+// layer relies on when it gathers a replica's answer in place of a dead
+// primary's.
 package eval
 
 import (

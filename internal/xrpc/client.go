@@ -357,19 +357,17 @@ func (c *Client) CallRemoteBulk(target string, x *xq.XRPCExpr, iterations [][]xd
 func (c *Client) CallRemoteScatter(x *xq.XRPCExpr, batches []eval.ScatterBatch, sink eval.ScatterSink) []error {
 	errs := make([]error, len(batches))
 	calls := make([]laneCall, len(batches))
-	var stx StreamTransport
-	if c.Streamed {
-		stx, _ = c.Transport.(StreamTransport)
-	}
 	width := c.poolWidth()
 	base := c.baseContext()
 	ctx, cancel := context.WithCancel(base)
 	defer cancel()
 	ssp := c.Trace.Child("scatter", trace.Int("lanes", int64(len(batches))))
+	defer ssp.End()
+	var stx StreamTransport
 	if c.Streamed {
+		stx, _ = c.Transport.(StreamTransport)
 		ssp.Set(trace.Bool("streamed", true))
 	}
-	defer ssp.End()
 	sem := make(chan struct{}, width)
 	var wg sync.WaitGroup
 	for i := range batches {
