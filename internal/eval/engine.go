@@ -175,10 +175,6 @@ type Stats struct {
 	// ScatterWaves counts variable-target loops dispatched as one
 	// concurrent wave of per-peer Bulk RPCs.
 	ScatterWaves int
-	// StreamedWaves counts the scatter waves whose lanes streamed (a subset
-	// of ScatterWaves). The engine cannot tell how its caller's lanes
-	// exchange, so the session that chose streamed dispatch fills it.
-	StreamedWaves int
 	// DeadlineAborts counts evaluations this engine cut short because their
 	// deadline passed — on a peer, server-side work abandoned because the
 	// originator's budget expired (the observable half of deadline
@@ -197,7 +193,6 @@ func (s *Stats) Add(o Stats) {
 	s.RemoteCalls += o.RemoteCalls
 	s.BulkCalls += o.BulkCalls
 	s.ScatterWaves += o.ScatterWaves
-	s.StreamedWaves += o.StreamedWaves
 	s.DeadlineAborts += o.DeadlineAborts
 	s.Compilations += o.Compilations
 }

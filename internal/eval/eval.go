@@ -164,9 +164,12 @@ func (e *Engine) bulk(dst xdm.Sequence, target string, x *xq.XRPCExpr, iteration
 // scatter dispatches a variable-target loop — iteration i bound for
 // targets[i] — as one wave of per-peer Bulk RPCs, whose lanes place their
 // results at their loop positions, and appends the results, in loop order,
-// to dst. Per-peer failures surface deterministically: the error of the
-// batch whose peer appeared first in the loop wins, independent of
-// goroutine scheduling.
+// to dst. Of the lanes' errors, that of the batch whose peer appeared first
+// in the loop wins, cancellation echoes skipped. That is independent of
+// goroutine scheduling when at most one lane fails genuinely, or when every
+// lane is a gather-whole exchange over the in-memory transport; otherwise a
+// fault can cancel an earlier lane before that lane's own fault arrives
+// (DESIGN.md "Cancellation").
 func (e *Engine) scatter(dst xdm.Sequence, x *xq.XRPCExpr, targets []string, iterations [][]xdm.Sequence) (xdm.Sequence, error) {
 	// Partition by destination peer: batches in order of each peer's first
 	// appearance in the loop, iterations in loop order within a batch, and

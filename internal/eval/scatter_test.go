@@ -49,7 +49,7 @@ func dispatchBoth[R RemoteCaller](t *testing.T, docs Resolver, src string, mk fu
 		runs[i].res, runs[i].err = serialize(res), err
 		st := e.StatsSnapshot()
 		runs[i].stats = Stats{RemoteCalls: st.RemoteCalls, BulkCalls: st.BulkCalls,
-			ScatterWaves: st.ScatterWaves, StreamedWaves: st.StreamedWaves}
+			ScatterWaves: st.ScatterWaves}
 		if _, compiled := q.CompiledArtifact().(*Program); compiled != e.Options.Compile {
 			t.Fatalf("compile=%v: Program attached %v", e.Options.Compile, compiled)
 		}

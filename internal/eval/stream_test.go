@@ -73,6 +73,10 @@ func newStreamFake(splitAt int) func() *streamFake {
 	return func() *streamFake { return &streamFake{splitAt: splitAt} }
 }
 
+// TestStreamScatterReassemblesLoopOrder: lanes that place their iterations in
+// pieces still give the loop's order, in one scatter wave. Whether that wave
+// streamed is the caller's mode, not the engine's to count: the service's
+// streamed-wave metric is pinned by TestStreamedWavesMetric.
 func TestStreamScatterReassemblesLoopOrder(t *testing.T) {
 	for _, split := range []int{1, 2, 100} {
 		for _, r := range dispatchBoth(t, nil, scatterSrc, newStreamFake(split), nil) {

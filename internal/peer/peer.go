@@ -582,12 +582,7 @@ func (s *Session) ExecutePlan(plan *core.Plan) (xdm.Sequence, *Report, error) {
 	// Retire this query's counters into the session's aggregate sinks before
 	// any return: failed queries still moved bytes and burned evaluations.
 	s.AggMetrics.AddCounters(metrics)
-	stats := engine.StatsSnapshot()
-	if s.Streamed {
-		// The session's mode decides how every scatter lane exchanges.
-		stats.StreamedWaves = stats.ScatterWaves
-	}
-	s.AggEval.Add(stats)
+	s.AggEval.Add(engine.StatsSnapshot())
 	engine.TraceSpan.EndErr(err)
 	if err != nil {
 		return nil, nil, err

@@ -35,6 +35,11 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 	st := s.Stats()
 	ev := s.evalStats.Snapshot()
 	xm := s.xmetrics.Snapshot()
+	// The service's mode decides how every scatter lane exchanges.
+	streamedWaves := 0
+	if s.cfg.Streamed {
+		streamedWaves = ev.ScatterWaves
+	}
 	rows := []metricRow{
 		{name: "distxq_service_admitted_total", kind: "counter",
 			help: "Queries that got a capacity token.", value: st.Admitted},
@@ -62,7 +67,7 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 		{name: "distxq_eval_scatter_waves_total", kind: "counter",
 			help: "Variable-target loops dispatched as concurrent waves.", value: int64(ev.ScatterWaves)},
 		{name: "distxq_eval_streamed_waves_total", kind: "counter",
-			help: "Scatter waves consumed incrementally.", value: int64(ev.StreamedWaves)},
+			help: "Scatter waves consumed incrementally.", value: int64(streamedWaves)},
 		{name: "distxq_eval_deadline_aborts_total", kind: "counter",
 			help: "Evaluations cut short by a spent deadline.", value: int64(ev.DeadlineAborts)},
 		{name: "distxq_eval_compilations_total", kind: "counter",

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"io"
 	"strings"
 	"sync"
@@ -63,6 +64,37 @@ func TestMetricsTextSurface(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics page is missing %q\n%s", want, text)
+		}
+	}
+}
+
+// TestStreamedWavesMetric: distxq_eval_streamed_waves_total counts every
+// scatter wave of a streamed service, whose lanes arrive as chunk frames,
+// and none of a gathering one.
+func TestStreamedWavesMetric(t *testing.T) {
+	for _, streamed := range []bool{false, true} {
+		svc, _, query := newTestService(t, Config{Streamed: streamed})
+		var chunks int64
+		for i := 0; i < 3; i++ {
+			_, rep, err := svc.Query(query, core.Budget{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			chunks += rep.StreamedChunks
+		}
+		var page strings.Builder
+		if err := svc.WriteMetrics(&page); err != nil {
+			t.Fatal(err)
+		}
+		waves, want := svc.EvalStats().ScatterWaves, 0
+		if streamed {
+			want = waves
+		}
+		if waves != 3 || (chunks > 0) != streamed {
+			t.Fatalf("streamed %v: %d scatter waves and %d chunk frames over three queries", streamed, waves, chunks)
+		}
+		if line := fmt.Sprintf("distxq_eval_streamed_waves_total %d\n", want); !strings.Contains(page.String(), line) {
+			t.Errorf("streamed %v: metrics page lacks %q\n%s", streamed, line, page.String())
 		}
 	}
 }

@@ -556,10 +556,15 @@ func (c *Client) callBulkCtx(ctx context.Context, target string, x *xq.XRPCExpr,
 	respData, err := roundTrip(ctx, c.Transport, target, data)
 	tot.wallNS = time.Since(t1).Nanoseconds()
 	if err == nil {
+		t2 := time.Now()
 		var resp *Response
-		resp, err = tot.whole(new(decoder), sp, respData, x, len(iterations))
-		if resp != nil && err == nil {
+		if resp, err = decode(new(decoder), respData, x.ReturnedOnly, &tot.raw, (*decoder).response); err == nil {
+			// A response that decodes comes from a live peer, even one that
+			// misses calls: the health tracker counts it a success.
 			c.observe(sp, target, tot.wallNS, nil)
+			if err = tot.whole(sp, resp, len(respData), t2, len(iterations)); err != nil {
+				return nil, Lane{}, err
+			}
 			c.account(&tot)
 			return resp.Results, tot.lane(target), nil
 		}
@@ -576,25 +581,20 @@ type exchangeTotals struct {
 	raw                 RawCounts
 }
 
-// whole decodes a gather-whole response — a gather attempt's, or the one
-// message a non-streaming peer answers a streamed attempt with — into the
-// totals, the server's spans into sp. A message that does not decode returns
-// no response; one that misses calls returns it with an error.
-func (t *exchangeTotals) whole(d *decoder, sp trace.SpanRef, data []byte, x *xq.XRPCExpr, calls int) (*Response, error) {
-	t0 := time.Now()
-	resp, err := decode(d, data, x.ReturnedOnly, &t.raw, (*decoder).response)
-	if err != nil {
-		return nil, err
-	}
+// whole counts a decoded gather-whole response — a gather attempt's, or the
+// one message a non-streaming peer answers a streamed attempt with — into the
+// totals, the server's spans into sp; t0 is when its decode began. A response
+// that misses calls is an error and counts nothing but its spans.
+func (t *exchangeTotals) whole(sp trace.SpanRef, resp *Response, size int, t0 time.Time, calls int) error {
 	sp.IngestRemote(resp.Spans)
-	t.recvd += int64(len(data))
+	if len(resp.Results) != calls {
+		return fmt.Errorf("xrpc: response carries %d results for %d calls", len(resp.Results), calls)
+	}
+	t.recvd += int64(size)
 	t.deserNS += time.Since(t0).Nanoseconds()
 	t.execNS += resp.ExecNanos
 	t.serdeNS += resp.SerializeNanos
-	if len(resp.Results) != calls {
-		return resp, fmt.Errorf("xrpc: response carries %d results for %d calls", len(resp.Results), calls)
-	}
-	return resp, nil
+	return nil
 }
 
 // lane returns the Lane record of an exchange with peer.

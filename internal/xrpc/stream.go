@@ -553,14 +553,15 @@ func (l *laneCall) frame(st *laneState, a *attempt, frame []byte) error {
 		// message, decoded as a gather attempt decodes it and placed one
 		// increment per call. Only legal as the very first frame — a whole
 		// response after chunk frames would silently duplicate results.
-		resp, rerr := st.whole(&st.dec, a.sp, frame, l.x, st.expect)
+		resp, rerr := decode(&st.dec, frame, l.x.ReturnedOnly, &st.raw, (*decoder).response)
 		switch {
-		case resp == nil:
+		case rerr != nil:
 			return err
 		case st.nextSeq != 0 || st.done:
 			return fmt.Errorf("xrpc: gather-whole response after %d stream frames", st.nextSeq)
-		case rerr != nil:
-			return rerr
+		}
+		if err := st.whole(a.sp, resp, len(frame), t0, st.expect); err != nil {
+			return err
 		}
 		st.done = true
 		return l.placeAll(resp.Results)

@@ -542,6 +542,56 @@ func TestStreamedWholeResponseDecodesLikeGather(t *testing.T) {
 	}
 }
 
+// replyTransport answers every gather-whole exchange with the same message.
+type replyTransport []byte
+
+func (r replyTransport) RoundTrip(string, []byte) ([]byte, error) { return r, nil }
+
+// TestWholeResponseErrorsCountNothing: a whole response the lane cannot
+// place — one that misses calls, or one that follows stream frames — adds
+// nothing to Metrics, and one that decodes is a health success whatever its
+// call count.
+func TestWholeResponseErrorsCountNothing(t *testing.T) {
+	x := &xq.XRPCExpr{FuncName: "xrpc:f", Body: &xq.Literal{Val: xdm.NewInteger(1)}}
+	batches := []eval.ScatterBatch{{Target: "p", Iterations: [][]xdm.Sequence{{}}}}
+	discard := sinkFunc(func(int, int, xdm.Sequence) error { return nil })
+
+	two, err := MarshalResponse(&Response{Semantics: ByValue,
+		Results: []xdm.Sequence{{xdm.NewInteger(1)}, {xdm.NewInteger(2)}}}, nil, nil, projection.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	health := NewHealthTracker()
+	cl := &Client{Transport: replyTransport(two), Semantics: ByValue, Metrics: &Metrics{}, Health: health}
+	if errs := cl.CallRemoteScatter(x, batches, discard); errs[0] == nil ||
+		!strings.Contains(errs[0].Error(), "2 results for 1 calls") {
+		t.Errorf("two results for one call: lane error %v", errs[0])
+	}
+	if h := health.SnapshotAll()["p"]; h.Seen != 1 || h.Faults != 0 {
+		t.Errorf("a decoded response missing calls: health %+v, want one success and no fault", h)
+	}
+	if m := cl.Metrics.Snapshot(); m.Requests != 0 || m.BytesReceived != 0 {
+		t.Errorf("a response missing calls counted %d requests and %d bytes received, want none",
+			m.Requests, m.BytesReceived)
+	}
+
+	one := &Response{Semantics: ByValue, Results: []xdm.Sequence{{xdm.NewInteger(1), xdm.NewInteger(2)}}}
+	whole, err := MarshalResponse(one, nil, nil, projection.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := collectFrames(t, one, 1)[0]
+	cl = &Client{Transport: &scriptedStream{frames: [][]byte{first, whole}, consumed: new(atomic.Int64)},
+		Semantics: ByValue, Metrics: &Metrics{}, Streamed: true}
+	if errs := cl.CallRemoteScatter(x, batches, discard); errs[0] == nil ||
+		!strings.Contains(errs[0].Error(), "gather-whole response after 1 stream frames") {
+		t.Errorf("whole response after a frame: lane error %v", errs[0])
+	}
+	if got := cl.Metrics.Snapshot().BytesReceived; got != int64(len(first)) {
+		t.Errorf("received %d bytes counted, want the one legal frame's %d", got, len(first))
+	}
+}
+
 // sinkFunc is an eval.ScatterSink made of a function.
 type sinkFunc func(b, k int, items xdm.Sequence) error
 
